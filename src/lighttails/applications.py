@@ -11,14 +11,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import distributions as dist
 from .bounds import TailBoundResult, _result
 from .orlicz import psi_norm, psi_norm_finite, _sup_ratio
 
 __all__ = [
-    "ConfidenceQuery", "PsiDiameter", "PreconditionError", "vector_bound_i",
+    "PsiDiameter", "PreconditionError", "vector_bound_i",
     "vector_bound_ii", "vector_bound_iii", "psa_bound",
     "rademacher_generalization_bound", "regression_bound", "metric_tail",
     "psi_diameter",
@@ -29,23 +28,6 @@ E = math.e
 
 class PreconditionError(ValueError):
     """A stated hypothesis of the bound fails for the given inputs."""
-
-
-@dataclass(frozen=True)
-class ConfidenceQuery:
-    """Confidence level and sample count for the high-probability bounds."""
-    delta: float
-    n: int = 1
-
-    def __post_init__(self):
-        if not 0 < self.delta < 1:
-            raise PreconditionError(f"delta must lie in (0,1), got {self.delta}")
-        if self.n < 1:
-            raise PreconditionError(f"n must be a positive integer, got {self.n}")
-
-    @property
-    def log_level(self):
-        return math.log(1.0 / self.delta)
 
 
 @dataclass(frozen=True)
@@ -184,50 +166,37 @@ def metric_tail(lip, diameters, t, lipschitz_linear_term=False) -> TailBoundResu
 def psi_diameter(spec, alpha) -> PsiDiameter:
     """Orlicz norm of |X - X'| for independent copies of the catalogue law.
 
-    Finite supports and the common continuous laws get exact difference
-    moments; other specs fall back to the centering bound
-    ||X - X'|| <= 2 ||X - E X||, which keeps every downstream tail sound.
+    Finite supports and affine images a Y + b of the common continuous laws
+    get exact difference moments (|X - X'| = |a| |Y - Y'|); other specs fall
+    back to the centering bound ||X - X'|| <= 2 ||X - E X||, which keeps
+    every downstream tail sound.
     """
-    dist.validate(spec)
-    fs = dist.finite_support(spec)
-    if fs is not None:
-        values, probs = fs
-        v = np.asarray(values)
-        p = np.asarray(probs)
+    form = dist.canonical(spec)
+    if isinstance(form, dist.FiniteSupport):
+        v = np.asarray(form.values)
+        p = np.asarray(form.probs)
         diff = np.abs(v[:, None] - v[None, :]).ravel()
         joint = np.outer(p, p).ravel()
         est = psi_norm_finite(diff, joint, alpha)
         return PsiDiameter(alpha, est.value, "exact-enumeration")
-    if isinstance(spec, dist.Gaussian):
-        est = psi_norm(dist.Gaussian(0.0, math.sqrt(2.0) * spec.sd), alpha)
-        return PsiDiameter(alpha, est.value, "closed-form")
-    if isinstance(spec, dist.Exponential):
-        # X - X' is Laplace with scale 1/rate: E|D|^p = Gamma(p+1) / rate^p
-        lr = math.log(spec.rate)
-
-        def log_lp(p):
-            return float(gammaln(p + 1.0)) / p - lr
-        est = _sup_ratio(log_lp, alpha, 256.0, 16, "closed-form")
-        return PsiDiameter(alpha, est.value, "closed-form")
-    if isinstance(spec, dist.UniformInterval):
+    base, a = ((form.base, form.linear_factor()) if isinstance(form, dist.Mapped)
+               else (form, 1.0))
+    if a is None:
+        est = psi_norm(dist.Centered(spec), alpha)
+        return PsiDiameter(alpha, 2.0 * est.value, "centering-bound")
+    if isinstance(base, dist.Gaussian):
+        est = psi_norm(dist.Gaussian(0.0, math.sqrt(2.0) * base.sd), alpha)
+    elif isinstance(base, dist.Exponential):
+        # Y - Y' is Laplace with scale 1/rate, so |Y - Y'| is again Exponential
+        est = psi_norm(base, alpha)
+    elif isinstance(base, dist.UniformInterval):
         # |D| has the triangular law on [0, w]: E|D|^p = 2 w^p / ((p+1)(p+2))
-        w = spec.hi - spec.lo
-        if w == 0.0:
-            return PsiDiameter(alpha, 0.0, "closed-form")
-        lw = math.log(w)
+        lw = math.log(base.hi - base.lo)
 
         def log_lp(p):
             return lw + (math.log(2.0) - math.log((p + 1.0) * (p + 2.0))) / p
         est = _sup_ratio(log_lp, alpha, 256.0, 16, "closed-form")
-        return PsiDiameter(alpha, est.value, "closed-form")
-    if isinstance(spec, dist.Shifted):
-        inner = psi_diameter(spec.base, alpha)
-        return PsiDiameter(alpha, inner.value, inner.method)
-    if isinstance(spec, dist.Scaled):
-        inner = psi_diameter(spec.base, alpha)
-        return PsiDiameter(alpha, abs(spec.factor) * inner.value, inner.method)
-    if isinstance(spec, dist.Centered):
-        inner = psi_diameter(spec.base, alpha)
-        return PsiDiameter(alpha, inner.value, inner.method)
-    est = psi_norm(dist.Centered(spec), alpha)
-    return PsiDiameter(alpha, 2.0 * est.value, "centering-bound")
+    else:
+        est = psi_norm(dist.Centered(base), alpha)
+        return PsiDiameter(alpha, abs(a) * 2.0 * est.value, "centering-bound")
+    return PsiDiameter(alpha, abs(a) * est.value, "closed-form")

@@ -134,7 +134,7 @@ def _load_spec_file(path):
             raw = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read spec file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"spec file {path} is not valid JSON: {exc}")
     if not isinstance(raw, dict):
         raise UsageError(f"spec file {path}: top level must be an object")
@@ -151,24 +151,19 @@ def _load_spec_file(path):
 
 def _load_dist_spec(path):
     try:
-        return dist.spec_from_dict(_load_spec_file(path))
+        spec = dist.spec_from_dict(_load_spec_file(path), "$.spec")
     except dist.SpecError as exc:
-        raise UsageError(f'spec file {path}: "$.spec": {exc}')
+        raise UsageError(f"spec file {path}: {exc}")
+    if not isinstance(spec, dist.Distribution):
+        raise UsageError(f'spec file {path}: "$.spec": expected a scalar distribution')
+    return spec
 
 
 def _load_fn_spec(path):
-    d = _load_spec_file(path)
     try:
-        return fn.fspec_from_dict(d)
-    except dist.SpecError:
-        pass
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f'spec file {path}: "$.spec": {exc}')
-    # a bare distribution spec means the one-coordinate sum of it
-    try:
-        return fn.SumFunction([dist.spec_from_dict(d)])
+        return fn.fspec_from_dict(_load_spec_file(path), "$.spec")
     except dist.SpecError as exc:
-        raise UsageError(f'spec file {path}: "$.spec": {exc}')
+        raise UsageError(f"spec file {path}: {exc}")
 
 
 def _config_digest(args, spec_payload=None):

@@ -1,32 +1,41 @@
 """Declarative catalogue of scalar and vector random sources.
 
 Every catalogue distribution has all moments finite, so L_p and Orlicz
-norm queries are always well posed.  Sampling is counter-based (Philox):
+norm queries are always well posed.  A spec checks its fields when it is
+built, so every spec object is valid.  Sampling is counter-based (Philox):
 the triple (spec, seed, count) plus an optional stream index fully
 determines the output, so parallel shards can be merged deterministically.
+
+Moments, MGFs and supports are computed on `canonical(spec)`, which folds
+the wrappers Shifted, Scaled, SquareOf and Centered into one of three forms:
+a merged FiniteSupport; a re-parameterised Gaussian or UniformInterval when
+the chain is affine; or a Mapped (primitive, steps) pair.  Sampling walks
+the spec as written, so draws never depend on the canonical form.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate
 from scipy.special import gammaln
 
 __all__ = [
-    "Gaussian", "Exponential", "Rademacher", "UniformInterval", "Poisson",
-    "ChiSquared", "TwoPointEps", "FiniteSupport", "Shifted", "Scaled",
-    "SquareOf", "Centered", "DistributionSpec", "VectorSpec", "SpecError",
-    "MomentDivergenceError", "QuadratureError", "validate", "mean",
-    "abs_moment", "lp_norm", "mgf", "sample", "sample_vector",
-    "finite_support", "spec_to_dict", "spec_from_dict",
+    "Spec", "Distribution", "Gaussian", "Exponential", "Rademacher",
+    "UniformInterval", "Poisson", "ChiSquared", "TwoPointEps", "FiniteSupport",
+    "Shifted", "Scaled", "SquareOf", "Centered", "Mapped", "VectorSpec",
+    "SpecError", "MomentDivergenceError", "QuadratureError", "validate",
+    "canonical", "mean", "support_interval", "abs_moment", "lp_norm",
+    "log_abs_moment", "mgf", "sample", "finite_support", "spec_to_dict",
+    "spec_from_dict",
 ]
 
-_QUAD_RTOL = 1e-10
 _QUAD_LIMIT = 400
+_MAX_DEPTH = 64
 
 
 class SpecError(ValueError):
@@ -41,275 +50,536 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+# ---------------------------------------------------------------------------
+# Specs check their fields by annotation when they are built
+
+Positive = float    # annotation: a finite number > 0
+Count = int         # annotation: an integer >= 1
+Specs = tuple       # annotation: a nonempty list of scalar distribution specs
+
+
+def _number(value, name, kind=numbers.Real, positive=False):
+    """value if it is a finite number of the given kind (and > 0 if asked);
+    integers come back as int."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise SpecError(f"{name} must be {what}, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise SpecError(f"{name} must be finite, got {value!r}")
+    if positive and not value > 0:
+        raise SpecError(f"{name} must be positive, got {value}")
+    return int(value) if kind is numbers.Integral else value
+
+
+def _count(value, name):
+    return _number(value, name, numbers.Integral, positive=True)
+
+
+def _items(value, name):
+    """value as a tuple, if it is a list, tuple or array."""
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise SpecError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
+def _floats(value, name):
+    """value as a tuple of floats, if it is a list of finite numbers."""
+    return tuple(float(_number(v, name)) for v in _items(value, name))
+
+
+def _instance(value, name, cls, what):
+    if not isinstance(value, cls):
+        raise SpecError(f"{name} must be a {what}, got {value!r}")
+    return value
+
+
+def _scalar(value, name="spec"):
+    return _instance(value, name, Distribution, "scalar distribution spec")
+
+
+def _scalars(value, name):
+    specs = tuple(_scalar(c, name) for c in _items(value, name))
+    if not specs:
+        raise SpecError(f"{name} must be nonempty")
+    return specs
+
+
+# annotation name -> check returning the (normalised) field value
+_CHECKS = {
+    "float": _number, "Count": _count, "Distribution": _scalar, "Specs": _scalars,
+    "Positive": lambda v, name: _number(v, name, positive=True),
+    "bool": lambda v, name: _instance(v, name, bool, "boolean"),
+    "VectorSpec": lambda v, name: _instance(v, name, VectorSpec, "vector spec"),
+}
+
+
+def _field_type(f):
+    return f.type.rsplit(".", 1)[-1]
+
+
+class Spec:
+    """A registered spec: a frozen dataclass with a JSON `kind`.  Building
+    one checks each field by its annotation, then `_check` checks relations
+    between fields."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            check = _CHECKS.get(_field_type(f))
+            if check is not None:
+                object.__setattr__(self, f.name, check(getattr(self, f.name), f.name))
+        self._check()
+
+    def _check(self): pass
+
+
+# ---------------------------------------------------------------------------
+# The scalar catalogue
+
+class Distribution(Spec):
+    """A scalar law.  Every family has `expectation()` and `draw(rng, count)`;
+    the families that are canonical forms also have `support()`,
+    `log_abs_moment(p)` and `mgf(beta)`."""
+
+    # _fold gives the canonical form; _affine the family's own spec for the
+    # law after an affine step, if the family is closed under it
+    def _fold(self): return self
+    def _affine(self, op, c): return None
+    def expectation(self): return canonical(self).expectation()
+    def squared_mgf(self, beta): return _squared_mgf(self, (), beta, self.support())
+
+    def _push(self, op, c):
+        """Canonical form of the law after one more map step."""
+        try:
+            folded = None if op == "square" else self._affine(op, c)
+        except SpecError:       # the new parameters overflow: keep the step
+            folded = None
+        return folded or Mapped(self, ((op, c),))
+
+
+class _Continuous(Distribution):
+    """A law with a density; numeric expectations integrate over a window."""
+
+    def _log_expect(self, log_h, log_h_vec, p):
+        """ln E exp(log_h(X)) by adaptive quadrature in log space, over the
+        part of window(p) where the integrand is within e^80 of its peak."""
+        lo, hi = self.window(p)
+        xs = np.linspace(lo, hi, 4001)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = np.asarray(log_h_vec(xs) + self.logpdf(xs))
+        h[~np.isfinite(h)] = -np.inf
+        k = float(np.max(h))
+        if k == -math.inf:
+            return -math.inf
+        live = np.where(h > k - 80.0)[0]
+        a = xs[max(live[0] - 1, 0)]
+        b = xs[min(live[-1] + 1, len(xs) - 1)]
+
+        def integrand(x):
+            e = log_h(x) + float(self.logpdf(x)) - k
+            return math.exp(e) if e > -700 else 0.0
+
+        val, err = integrate.quad(integrand, a, b, epsabs=0.0,
+                                  epsrel=1e-11, limit=_QUAD_LIMIT)
+        if not np.isfinite(val) or val <= 0 or err > 1e-8 * val:
+            raise QuadratureError(
+                f"quadrature failed to converge (value {val}, error {err})")
+        return k + math.log(val)
+
+
+# Each family lists its one-line facts as a group, then its longer methods.
+
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_Continuous):
+    kind = "gaussian"
     mean: float = 0.0
-    sd: float = 1.0
+    sd: Positive = 1.0
+
+    def expectation(self): return self.mean
+    def support(self): return -math.inf, math.inf
+    def draw(self, rng, count): return rng.normal(self.mean, self.sd, count)
+    def mgf(self, beta): return math.exp(beta * self.mean + 0.5 * beta ** 2 * self.sd ** 2)
+
+    def logpdf(self, x):
+        return (-math.log(self.sd) - 0.5 * math.log(2 * math.pi)
+                - 0.5 * ((x - self.mean) / self.sd) ** 2)
+
+    def window(self, p):
+        w = math.sqrt(2 * p) + 12.0
+        return self.mean - w * self.sd, self.mean + w * self.sd
+
+    def log_abs_moment(self, p):
+        if self.mean != 0.0:
+            return _log_moment(self, (), p)
+        # E|N(0,sd)|^p = sd^p * 2^(p/2) * Gamma((p+1)/2) / sqrt(pi)
+        return (p * math.log(self.sd) + 0.5 * p * math.log(2.0)
+                + float(gammaln((p + 1) / 2)) - 0.5 * math.log(math.pi))
+
+    def squared_mgf(self, beta):
+        # (X / sd)^2 is noncentral chi-squared with one degree of freedom
+        s = 1.0 - 2.0 * beta * self.sd ** 2
+        if s <= 0:
+            raise MomentDivergenceError(
+                f"MGF of a squared Gaussian diverges at beta={beta}")
+        return s ** -0.5 * math.exp(beta * self.mean ** 2 / s)
+
+    def _affine(self, op, c):
+        if op == "shift":
+            return Gaussian(self.mean + c, self.sd)
+        return Gaussian(c * self.mean, abs(c) * self.sd)
 
 
 @dataclass(frozen=True)
-class Exponential:
-    rate: float = 1.0
+class Exponential(_Continuous):
+    kind = "exponential"
+    rate: Positive
+
+    def expectation(self): return 1.0 / self.rate
+    def support(self): return 0.0, math.inf
+    def draw(self, rng, count): return rng.exponential(1.0 / self.rate, count)
+    def window(self, p): return 0.0, (p + 8 * math.sqrt(p) + 40.0) / self.rate
+    def log_abs_moment(self, p): return float(gammaln(p + 1)) - p * math.log(self.rate)
+
+    def logpdf(self, x):
+        x = np.asarray(x)
+        return np.where(x >= 0, math.log(self.rate) - self.rate * x, -np.inf)
+
+    def mgf(self, beta):
+        if beta >= self.rate:
+            raise MomentDivergenceError(
+                f"MGF of Exponential(rate={self.rate}) diverges at beta={beta}")
+        return self.rate / (self.rate - beta)
 
 
 @dataclass(frozen=True)
-class Rademacher:
-    pass
+class Rademacher(Distribution):
+    kind = "rademacher"
+
+    def draw(self, rng, count): return 2.0 * rng.integers(0, 2, count) - 1.0
+    def _fold(self): return FiniteSupport((-1.0, 1.0), (0.5, 0.5))
 
 
 @dataclass(frozen=True)
-class UniformInterval:
+class UniformInterval(_Continuous):
+    kind = "uniform"
     lo: float
     hi: float
 
+    def expectation(self): return 0.5 * (self.lo + self.hi)
+    def support(self): return self.lo, self.hi
+    def window(self, p): return self.lo, self.hi
+    def draw(self, rng, count): return rng.uniform(self.lo, self.hi, count)
+    def log_abs_moment(self, p): return _uniform_log_abs_moment(self.lo, self.hi, p)
+
+    def _check(self):
+        if not self.lo < self.hi:
+            raise SpecError(f"lo must be < hi, got lo={self.lo}, hi={self.hi}")
+
+    def logpdf(self, x):
+        x = np.asarray(x)
+        return np.where((x >= self.lo) & (x <= self.hi),
+                        -math.log(self.hi - self.lo), -np.inf)
+
+    def mgf(self, beta):
+        w = self.hi - self.lo
+        return (math.exp(beta * self.hi) - math.exp(beta * self.lo)) / (beta * w)
+
+    def _affine(self, op, c):
+        if op == "shift":
+            return UniformInterval(self.lo + c, self.hi + c)
+        return UniformInterval(*sorted((c * self.lo, c * self.hi)))
+
 
 @dataclass(frozen=True)
-class Poisson:
-    rate: float
+class Poisson(Distribution):
+    kind = "poisson"
+    rate: Positive
+
+    def expectation(self): return self.rate
+    def support(self): return 0.0, math.inf
+    def draw(self, rng, count): return rng.poisson(self.rate, count).astype(float)
+    def log_abs_moment(self, p): return _log_moment(self, (), p)
+    def mgf(self, beta): return math.exp(self.rate * (math.exp(beta) - 1.0))
+
+    def _log_expect(self, log_h, log_h_vec, p):
+        return _poisson_log_series(self.rate, lambda k: log_h(float(k)))
 
 
 @dataclass(frozen=True)
-class ChiSquared:
-    dof: int
+class ChiSquared(_Continuous):
+    kind = "chi_squared"
+    dof: Count
+
+    def expectation(self): return float(self.dof)
+    def support(self): return 0.0, math.inf
+    def draw(self, rng, count): return rng.chisquare(self.dof, count)
+
+    def logpdf(self, x):
+        k2 = self.dof / 2.0
+        c = -k2 * math.log(2.0) - float(gammaln(k2))
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where(x > 0, c + (k2 - 1) * np.log(np.maximum(x, 1e-300))
+                            - x / 2, -np.inf)
+
+    def window(self, p):
+        peak = self.dof + 2 * p
+        return 0.0, peak + 10 * math.sqrt(peak) + 50.0
+
+    def log_abs_moment(self, p):
+        return (p * math.log(2.0) + float(gammaln(self.dof / 2 + p))
+                - float(gammaln(self.dof / 2)))
+
+    def mgf(self, beta):
+        if beta >= 0.5:
+            raise MomentDivergenceError(
+                f"MGF of ChiSquared diverges at beta={beta} >= 1/2")
+        return (1.0 - 2.0 * beta) ** (-self.dof / 2)
 
 
 @dataclass(frozen=True)
-class TwoPointEps:
+class TwoPointEps(Distribution):
     """X = +1 w.p. eps/2, -1 w.p. eps/2, 0 otherwise.
 
     Centered, |X| <= 1 and Pr{|X| > eps} <= eps hold exactly, which makes
     this the canonical strongly concentrated variable.
     """
+    kind = "two_point_eps"
     eps: float
+
+    def _check(self):
+        if not 0 < self.eps < 1:
+            raise SpecError(f"eps must lie in (0,1), got {self.eps}")
+
+    def draw(self, rng, count):
+        u = rng.random(count)
+        out = np.zeros(count)
+        out[u < self.eps / 2] = 1.0
+        out[(u >= self.eps / 2) & (u < self.eps)] = -1.0
+        return out
+
+    def _fold(self):
+        e = self.eps
+        return FiniteSupport((-1.0, 0.0, 1.0), (e / 2, 1 - e, e / 2))
 
 
 @dataclass(frozen=True)
-class FiniteSupport:
+class FiniteSupport(Distribution):
+    kind = "finite_support"
     values: tuple
     probs: tuple
 
-    def __init__(self, values, probs):
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
-        object.__setattr__(self, "probs", tuple(float(p) for p in probs))
+    def expectation(self): return float(np.dot(self.values, self.probs))
+    def support(self): return min(self.values), max(self.values)
+    def _fold(self): return _merged(self.values, self.probs)
 
-
-@dataclass(frozen=True)
-class Shifted:
-    base: "DistributionSpec"
-    offset: float
-
-
-@dataclass(frozen=True)
-class Scaled:
-    base: "DistributionSpec"
-    factor: float
-
-
-@dataclass(frozen=True)
-class SquareOf:
-    base: "DistributionSpec"
-
-
-@dataclass(frozen=True)
-class Centered:
-    base: "DistributionSpec"
-
-
-DistributionSpec = Union[
-    Gaussian, Exponential, Rademacher, UniformInterval, Poisson, ChiSquared,
-    TwoPointEps, FiniteSupport, Shifted, Scaled, SquareOf, Centered,
-]
-
-
-@dataclass(frozen=True)
-class VectorSpec:
-    """Vector with independent coordinates and the euclidean norm."""
-    dim: int
-    components: tuple
-    norm_kind: str = "euclidean"
-
-    def __init__(self, dim, components, norm_kind="euclidean"):
-        object.__setattr__(self, "dim", int(dim))
-        object.__setattr__(self, "components", tuple(components))
-        object.__setattr__(self, "norm_kind", norm_kind)
-
-
-def validate(spec) -> None:
-    """Raise SpecError if the spec's parameters are out of range."""
-    if isinstance(spec, Gaussian):
-        if not spec.sd > 0:
-            raise SpecError(f"sd must be positive, got {spec.sd}")
-    elif isinstance(spec, Exponential):
-        if not spec.rate > 0:
-            raise SpecError(f"rate must be positive, got {spec.rate}")
-    elif isinstance(spec, UniformInterval):
-        if not spec.lo < spec.hi:
-            raise SpecError(f"lo must be < hi, got lo={spec.lo}, hi={spec.hi}")
-    elif isinstance(spec, Poisson):
-        if not spec.rate > 0:
-            raise SpecError(f"rate must be positive, got {spec.rate}")
-    elif isinstance(spec, ChiSquared):
-        if not (isinstance(spec.dof, int) and spec.dof >= 1):
-            raise SpecError(f"dof must be a positive integer, got {spec.dof}")
-    elif isinstance(spec, TwoPointEps):
-        if not 0 < spec.eps < 1:
-            raise SpecError(f"eps must lie in (0,1), got {spec.eps}")
-    elif isinstance(spec, FiniteSupport):
-        v = np.asarray(spec.values, dtype=float)
-        p = np.asarray(spec.probs, dtype=float)
-        if v.shape != p.shape or v.ndim != 1 or len(v) == 0:
+    def _check(self):
+        for name in ("values", "probs"):
+            object.__setattr__(self, name, _floats(getattr(self, name), name))
+        if len(self.values) != len(self.probs) or not self.values:
             raise SpecError("values and probs must be equal-length nonempty lists")
-        if not np.all(np.isfinite(v)):
-            raise SpecError("values must be finite")
-        if np.any(p < 0):
-            raise SpecError(f"probs must be nonnegative, got {spec.probs}")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise SpecError(f"probs must sum to 1 within 1e-12, got sum {p.sum()!r}")
-    elif isinstance(spec, (Shifted, Scaled, SquareOf, Centered)):
-        validate(spec.base)
-    elif isinstance(spec, Rademacher):
-        pass
-    elif isinstance(spec, VectorSpec):
-        if spec.dim < 1:
-            raise SpecError(f"dim must be >= 1, got {spec.dim}")
-        if len(spec.components) != spec.dim:
-            raise SpecError(
-                f"components must have length dim={spec.dim}, got {len(spec.components)}")
-        if spec.norm_kind != "euclidean":
-            raise SpecError(f"unsupported norm_kind {spec.norm_kind!r}")
-        for c in spec.components:
-            validate(c)
-    else:
-        raise SpecError(f"unknown spec type {type(spec).__name__}")
+        if min(self.probs) < 0:
+            raise SpecError(f"probs must be nonnegative, got {self.probs}")
+        total = np.sum(self.probs)
+        if abs(total - 1.0) > 1e-12:
+            raise SpecError(f"probs must sum to 1 within 1e-12, got sum {total!r}")
+
+    def draw(self, rng, count):
+        values = np.asarray(self.values)
+        probs = np.asarray(self.probs, dtype=float)
+        idx = rng.choice(len(values), size=count, p=probs / probs.sum())
+        return values[idx]
+
+    def log_abs_moment(self, p):
+        with np.errstate(divide="ignore"):
+            terms = np.log(self.probs) + p * np.log(np.abs(self.values))
+        return _logsumexp(terms)
+
+    def mgf(self, beta):
+        values = np.asarray(self.values)
+        m = np.max(beta * values)
+        return float(math.exp(m) * np.dot(self.probs, np.exp(beta * values - m)))
+
+    def _push(self, op, c):
+        return _merged(_apply(((op, c),), np.asarray(self.values)), self.probs)
 
 
-# ---------------------------------------------------------------------------
-# Exact finite-support reduction
-
-def finite_support(spec):
-    """Return (values, probs) arrays if the spec is exactly finite, else None.
-
-    Duplicate values produced by transforms (e.g. squaring a symmetric
-    support) are merged.
-    """
-    vp = _finite_raw(spec)
-    if vp is None:
-        return None
-    values, probs = vp
+def _merged(values, probs):
+    """FiniteSupport with sorted values; values equal to 1e-15 relative merge."""
+    values = np.asarray(values, dtype=float)
+    probs = np.asarray(probs, dtype=float)
     order = np.argsort(values)
-    values, probs = values[order], probs[order]
     merged_v, merged_p = [], []
-    for v, p in zip(values, probs):
+    for v, p in zip(values[order], probs[order]):
         if merged_v and abs(v - merged_v[-1]) <= 1e-15 * max(1.0, abs(v)):
             merged_p[-1] += p
         else:
             merged_v.append(v)
             merged_p.append(p)
-    return np.array(merged_v), np.array(merged_p)
+    return FiniteSupport(merged_v, merged_p)
 
 
-def _finite_raw(spec):
-    if isinstance(spec, Rademacher):
-        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-    if isinstance(spec, TwoPointEps):
-        e = spec.eps
-        return np.array([-1.0, 0.0, 1.0]), np.array([e / 2, 1 - e, e / 2])
-    if isinstance(spec, FiniteSupport):
-        return np.asarray(spec.values, dtype=float), np.asarray(spec.probs, dtype=float)
-    if isinstance(spec, Shifted):
-        vp = _finite_raw(spec.base)
-        if vp is not None:
-            return vp[0] + spec.offset, vp[1]
-    if isinstance(spec, Scaled):
-        vp = _finite_raw(spec.base)
-        if vp is not None:
-            return vp[0] * spec.factor, vp[1]
-    if isinstance(spec, SquareOf):
-        vp = _finite_raw(spec.base)
-        if vp is not None:
-            return vp[0] ** 2, vp[1]
-    if isinstance(spec, Centered):
-        vp = _finite_raw(spec.base)
-        if vp is not None:
-            return vp[0] - float(np.dot(vp[0], vp[1])), vp[1]
-    return None
+@dataclass(frozen=True)
+class Shifted(Distribution):
+    kind = "shifted"
+    base: Distribution
+    offset: float
+
+    def expectation(self): return self.base.expectation() + self.offset
+    def draw(self, rng, count): return self.base.draw(rng, count) + self.offset
+    def _fold(self): return canonical(self.base)._push("shift", self.offset)
+
+
+@dataclass(frozen=True)
+class Scaled(Distribution):
+    kind = "scaled"
+    base: Distribution
+    factor: float
+
+    def expectation(self): return self.factor * self.base.expectation()
+    def draw(self, rng, count): return self.factor * self.base.draw(rng, count)
+
+    def _fold(self):
+        if self.factor == 0:
+            return FiniteSupport((0.0,), (1.0,))
+        return canonical(self.base)._push("scale", self.factor)
+
+
+@dataclass(frozen=True)
+class SquareOf(Distribution):
+    kind = "square_of"
+    base: Distribution
+
+    def expectation(self): return abs_moment(self.base, 2.0)   # ||base||_2^2
+    def draw(self, rng, count): return self.base.draw(rng, count) ** 2
+    def _fold(self): return canonical(self.base)._push("square", None)
+
+
+@dataclass(frozen=True)
+class Centered(Distribution):
+    kind = "centered"
+    base: Distribution
+
+    def expectation(self): return 0.0
+    def draw(self, rng, count): return self.base.draw(rng, count) - self.base.expectation()
+    def _fold(self): return canonical(self.base)._push("shift", -self.base.expectation())
+
+
+@dataclass(frozen=True)
+class Mapped:
+    """Canonical form of g(X) for a primitive X with no family closed under g.
+
+    `steps` apply in order; each is ("shift", c), ("scale", c) or
+    ("square", None).  Moments and MGFs peel the outer steps where a rule is
+    exact and hand the rest to the base's numeric path.
+    """
+    base: Distribution
+    steps: tuple
+
+    def _push(self, op, c):
+        return Mapped(self.base, self.steps + ((op, c),))
+
+    def _inner(self):
+        """The form without its last step."""
+        return Mapped(self.base, self.steps[:-1]) if len(self.steps) > 1 else self.base
+
+    def linear_factor(self):
+        """a when every step is affine, so that g(X) = a X + b; else None."""
+        if any(op == "square" for op, _ in self.steps):
+            return None
+        return math.prod(c for op, c in self.steps if op == "scale")
+
+    def support(self):
+        lo, hi = self.base.support()
+        for step in self.steps:
+            if step[0] == "square":
+                lo, hi = (0.0 if lo < 0 < hi else min(lo * lo, hi * hi)), max(lo * lo, hi * hi)
+            else:
+                lo, hi = sorted((_apply((step,), lo), _apply((step,), hi)))
+        return lo, hi
+
+    def log_abs_moment(self, p):
+        op, c = self.steps[-1]
+        if op == "shift":
+            return _log_moment(self.base, self.steps, p)
+        if op == "square":
+            return self._inner().log_abs_moment(2 * p)
+        return p * math.log(abs(c)) + self._inner().log_abs_moment(p)
+
+    def mgf(self, beta):
+        op, c = self.steps[-1]
+        if op == "shift":
+            return math.exp(beta * c) * self._inner().mgf(beta)
+        if op == "scale":
+            return self._inner().mgf(beta * c)
+        return self._inner().squared_mgf(beta)
+
+    def squared_mgf(self, beta):
+        return _squared_mgf(self.base, self.steps, beta, self.support())
+
+
+@dataclass(frozen=True)
+class VectorSpec(Spec):
+    """Vector with independent coordinates and the euclidean norm."""
+    kind = "vector"
+    dim: Count
+    components: Specs
+    norm_kind: str = "euclidean"
+
+    def _check(self):
+        if len(self.components) != self.dim:
+            raise SpecError(f"components must have length dim={self.dim}, "
+                            f"got {len(self.components)}")
+        if self.norm_kind != "euclidean":
+            raise SpecError(f"unsupported norm_kind {self.norm_kind!r}")
+
+    def draw(self, rng, count):
+        """(count, dim) array with independent coordinates."""
+        return np.column_stack([c.draw(rng, count) for c in self.components])
+
+
+# ---------------------------------------------------------------------------
+# Queries on the canonical form
+
+def validate(spec) -> None:
+    """Raise SpecError unless spec is a catalogue spec.  Specs check their
+    fields when they are built, so this is a type check."""
+    _instance(spec, "spec", (Distribution, VectorSpec), "distribution or vector spec")
+
+
+@functools.lru_cache(maxsize=4096)
+def canonical(spec):
+    """The canonical form of a scalar spec: a merged FiniteSupport, a
+    Gaussian or UniformInterval when the wrapper chain is affine, a bare
+    primitive, or a Mapped (primitive, steps) pair.  Memoised."""
+    return _scalar(spec)._fold()
+
+
+def finite_support(spec):
+    """Return sorted (values, probs) arrays if the spec is exactly finite,
+    else None.  Duplicate values produced by transforms (e.g. squaring a
+    symmetric support) are merged."""
+    form = canonical(spec)
+    if not isinstance(form, FiniteSupport):
+        return None
+    return np.array(form.values), np.array(form.probs)
 
 
 def support_interval(spec):
     """Smallest closed interval carrying all the mass; endpoints may be inf."""
-    fs = finite_support(spec)
-    if fs is not None:
-        values = fs[0]
-        return float(values[0]), float(values[-1])
-    if isinstance(spec, Gaussian):
-        return -math.inf, math.inf
-    if isinstance(spec, (Exponential, Poisson, ChiSquared)):
-        return 0.0, math.inf
-    if isinstance(spec, UniformInterval):
-        return spec.lo, spec.hi
-    if isinstance(spec, Shifted):
-        lo, hi = support_interval(spec.base)
-        return lo + spec.offset, hi + spec.offset
-    if isinstance(spec, Scaled):
-        lo, hi = support_interval(spec.base)
-        a, b = lo * spec.factor, hi * spec.factor
-        return (a, b) if a <= b else (b, a)
-    if isinstance(spec, SquareOf):
-        lo, hi = support_interval(spec.base)
-        if lo >= 0:
-            return lo * lo, hi * hi
-        if hi <= 0:
-            return hi * hi, lo * lo
-        return 0.0, max(lo * lo, hi * hi)
-    if isinstance(spec, Centered):
-        lo, hi = support_interval(spec.base)
-        mu = _mean(spec.base)
-        return lo - mu, hi - mu
-    raise SpecError(f"unknown spec {type(spec).__name__}")
+    return canonical(spec).support()
 
-
-# ---------------------------------------------------------------------------
-# Analytic means
 
 def mean(spec) -> float:
-    validate(spec)
-    return _mean(spec)
+    return _scalar(spec).expectation()
 
 
-def _mean(spec):
-    if isinstance(spec, Gaussian):
-        return spec.mean
-    if isinstance(spec, Exponential):
-        return 1.0 / spec.rate
-    if isinstance(spec, Rademacher):
-        return 0.0
-    if isinstance(spec, UniformInterval):
-        return 0.5 * (spec.lo + spec.hi)
-    if isinstance(spec, Poisson):
-        return spec.rate
-    if isinstance(spec, ChiSquared):
-        return float(spec.dof)
-    if isinstance(spec, TwoPointEps):
-        return 0.0
-    if isinstance(spec, FiniteSupport):
-        return float(np.dot(spec.values, spec.probs))
-    if isinstance(spec, Shifted):
-        return _mean(spec.base) + spec.offset
-    if isinstance(spec, Scaled):
-        return spec.factor * _mean(spec.base)
-    if isinstance(spec, SquareOf):
-        # E[X^2] is the squared L_2 norm of the base
-        return abs_moment(spec.base, 2.0)
-    if isinstance(spec, Centered):
-        return 0.0
-    raise SpecError(f"unknown spec type {type(spec).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Absolute moments E|X|^p and L_p norms
-#
-# Everything runs in log space: the Orlicz supremum probes p up to ~256,
-# where raw moments overflow doubles by hundreds of orders of magnitude.
+# Absolute moments E|X|^p and L_p norms.  Everything runs in log space: the
+# Orlicz supremum probes p up to ~256, where raw moments overflow doubles by
+# hundreds of orders of magnitude.
 
 def abs_moment(spec, p: float) -> float:
     """E|X|^p, exact where a closed form exists, else quadrature/series."""
@@ -327,7 +597,7 @@ def lp_norm(spec, p: float) -> float:
 
 def log_abs_moment(spec, p: float) -> float:
     """ln E|X|^p (-inf for the a.s. zero variable)."""
-    validate(spec)
+    _scalar(spec)
     if p < 0:
         raise SpecError(f"moment order must be nonnegative, got p={p}")
     return _log_abs_moment_cached(spec, float(p))
@@ -335,50 +605,51 @@ def log_abs_moment(spec, p: float) -> float:
 
 @functools.lru_cache(maxsize=1 << 16)
 def _log_abs_moment_cached(spec, p):
-    return _log_abs_moment(spec, p)
+    return canonical(spec).log_abs_moment(p) if p else 0.0
 
 
-def _log_abs_moment(spec, p):
-    if p == 0:
-        return 0.0
-    vp = finite_support(spec)
-    if vp is not None:
-        values, probs = vp
-        with np.errstate(divide="ignore"):
-            terms = np.log(probs) + p * np.log(np.abs(values))
-        return _logsumexp(terms)
-    if isinstance(spec, Gaussian) and spec.mean == 0.0:
-        # E|N(0,sd)|^p = sd^p * 2^(p/2) * Gamma((p+1)/2) / sqrt(pi)
-        return (p * math.log(spec.sd) + 0.5 * p * math.log(2.0)
-                + float(gammaln((p + 1) / 2)) - 0.5 * math.log(math.pi))
-    if isinstance(spec, Exponential):
-        return float(gammaln(p + 1)) - p * math.log(spec.rate)
-    if isinstance(spec, UniformInterval):
-        return _uniform_log_abs_moment(spec.lo, spec.hi, p)
-    if isinstance(spec, ChiSquared):
-        return (p * math.log(2.0) + float(gammaln(spec.dof / 2 + p))
-                - float(gammaln(spec.dof / 2)))
-    if isinstance(spec, Poisson):
-        return _poisson_log_series(spec.rate,
-                                   lambda k: p * _safe_log_abs(float(k)))
-    if isinstance(spec, Scaled):
-        return p * math.log(abs(spec.factor)) + _log_abs_moment(spec.base, p) \
-            if spec.factor != 0 else -math.inf
-    if isinstance(spec, SquareOf):
-        return _log_abs_moment(spec.base, 2 * p)
-    if isinstance(spec, Centered):
-        return _log_abs_moment(Shifted(spec.base, -_mean(spec.base)), p)
-    # Shifted continuous/discrete bases and non-central Gaussians
-    base, fn = _transform_chain(spec)
-    if isinstance(base, Poisson):
-        return _poisson_log_series(base.rate,
-                                   lambda k: p * _safe_log_abs(fn(float(k))))
-    return _log_moment_numeric(base, fn, p)
+def mgf(spec, beta: float) -> float:
+    """E[exp(beta * X)], raising MomentDivergenceError if infinite."""
+    form = canonical(spec)
+    beta = float(beta)
+    return form.mgf(beta) if beta else 1.0
 
 
-def _safe_log_abs(x):
-    ax = abs(x)
-    return math.log(ax) if ax > 0 else -math.inf
+# ---------------------------------------------------------------------------
+# Numeric paths: one per base kind, for both moments and squared MGFs
+
+def _apply(steps, x):
+    """Push x (a float or an array) through map steps."""
+    for op, c in steps:
+        if op == "shift":
+            x = x + c
+        elif op == "scale":
+            x = c * x
+        else:
+            x = x ** 2
+    return x
+
+
+def _log_moment(base, steps, p):
+    """ln E|g(X)|^p for g the map steps, by the base's numeric path."""
+    def log_h(x):
+        gx = abs(_apply(steps, x))
+        return p * math.log(gx) if gx else -math.inf
+
+    def log_h_vec(xs):
+        return p * np.log(np.abs(_apply(steps, xs)))
+    return base._log_expect(log_h, log_h_vec, p)
+
+
+def _squared_mgf(base, steps, beta, support):
+    """E exp(beta g(X)^2) for g the map steps with range in `support`."""
+    if beta > 0 and max(-support[0], support[1]) == math.inf:
+        raise MomentDivergenceError(
+            f"MGF of a squared unbounded variable diverges at beta={beta}")
+
+    def log_h(x):
+        return beta * _apply(steps, x) ** 2
+    return math.exp(base._log_expect(log_h, log_h, 0.0))
 
 
 def _logsumexp(terms):
@@ -421,191 +692,6 @@ def _poisson_log_series(lam, log_g):
             raise QuadratureError("Poisson series did not converge")
 
 
-def _transform_chain(spec):
-    """Split a composed spec into (primitive base, vectorized map)."""
-    if isinstance(spec, Shifted):
-        base, fn = _transform_chain(spec.base)
-        off = spec.offset
-        return base, (lambda x, fn=fn, off=off: fn(x) + off)
-    if isinstance(spec, Scaled):
-        base, fn = _transform_chain(spec.base)
-        c = spec.factor
-        return base, (lambda x, fn=fn, c=c: c * fn(x))
-    if isinstance(spec, SquareOf):
-        base, fn = _transform_chain(spec.base)
-        return base, (lambda x, fn=fn: fn(x) ** 2)
-    if isinstance(spec, Centered):
-        base, fn = _transform_chain(spec.base)
-        mu = _mean(spec.base)
-        return base, (lambda x, fn=fn, mu=mu: fn(x) - mu)
-    return spec, _identity
-
-
-def _identity(x):
-    return x
-
-
-def _moment_window(base, p):
-    """x-interval carrying essentially all mass of |x|^p * density."""
-    if isinstance(base, Gaussian):
-        w = math.sqrt(2 * p) + 12.0
-        return base.mean - w * base.sd, base.mean + w * base.sd
-    if isinstance(base, Exponential):
-        return 0.0, (p + 8 * math.sqrt(p) + 40.0) / base.rate
-    if isinstance(base, ChiSquared):
-        peak = base.dof + 2 * p
-        return 0.0, peak + 10 * math.sqrt(peak) + 50.0
-    if isinstance(base, UniformInterval):
-        return base.lo, base.hi
-    raise SpecError(f"no moment window for {type(base).__name__}")
-
-
-def _logpdf_fn(base):
-    """Fast scalar/vector log-density, avoiding frozen-dist call overhead."""
-    if isinstance(base, Gaussian):
-        m, sd = base.mean, base.sd
-        c = -math.log(sd) - 0.5 * math.log(2 * math.pi)
-        return lambda x: c - 0.5 * ((x - m) / sd) ** 2
-    if isinstance(base, Exponential):
-        r = base.rate
-        lr = math.log(r)
-
-        def expon_logpdf(x):
-            return np.where(np.asarray(x) >= 0, lr - r * np.asarray(x), -np.inf)
-        return expon_logpdf
-    if isinstance(base, ChiSquared):
-        k2 = base.dof / 2.0
-        c = -k2 * math.log(2.0) - float(gammaln(k2))
-
-        def chi2_logpdf(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore"):
-                return np.where(x > 0, c + (k2 - 1) * np.log(np.maximum(x, 1e-300))
-                                - x / 2, -np.inf)
-        return chi2_logpdf
-    if isinstance(base, UniformInterval):
-        c = -math.log(base.hi - base.lo)
-        lo, hi = base.lo, base.hi
-
-        def unif_logpdf(x):
-            x = np.asarray(x)
-            return np.where((x >= lo) & (x <= hi), c, -np.inf)
-        return unif_logpdf
-    raise SpecError(f"no density available for {type(base).__name__}")
-
-
-def _log_moment_numeric(base, fn, p):
-    """ln integral of |fn(x)|^p * density(x) dx, scaled to avoid overflow."""
-    logpdf = _logpdf_fn(base)
-    lo, hi = _moment_window(base, p)
-    xs = np.linspace(lo, hi, 4001)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.asarray(p * np.log(np.abs(fn(xs))) + logpdf(xs))
-    h[~np.isfinite(h)] = -np.inf
-    k = float(np.max(h))
-    if k == -math.inf:
-        return -math.inf
-    live = np.where(h > k - 80.0)[0]
-    a = xs[max(live[0] - 1, 0)]
-    b = xs[min(live[-1] + 1, len(xs) - 1)]
-
-    def integrand(x):
-        fx = abs(fn(x))
-        if fx == 0.0:
-            return 0.0
-        e = p * math.log(fx) + float(logpdf(x)) - k
-        return math.exp(e) if e > -700 else 0.0
-
-    val, err = integrate.quad(integrand, a, b, epsabs=0.0,
-                              epsrel=1e-11, limit=_QUAD_LIMIT)
-    if not np.isfinite(val) or val <= 0 or err > 1e-8 * val:
-        raise QuadratureError(
-            f"moment quadrature failed to converge (value {val}, error {err})")
-    return k + math.log(val)
-
-
-def _frozen_continuous(base):
-    if isinstance(base, Gaussian):
-        return stats.norm(base.mean, base.sd)
-    if isinstance(base, Exponential):
-        return stats.expon(scale=1.0 / base.rate)
-    if isinstance(base, UniformInterval):
-        return stats.uniform(base.lo, base.hi - base.lo)
-    if isinstance(base, ChiSquared):
-        return stats.chi2(base.dof)
-    raise SpecError(f"no density available for {type(base).__name__}")
-
-
-def _quantile_quad(integrand):
-    """Integrate over the quantile domain (0,1) to relative tolerance 1e-10."""
-    val, err = integrate.quad(integrand, 0.0, 1.0,
-                              epsabs=0.0, epsrel=_QUAD_RTOL, limit=_QUAD_LIMIT)
-    if not np.isfinite(val) or (abs(val) > 0 and err > 1e-8 * abs(val)):
-        raise QuadratureError(
-            f"quadrature failed to converge (value {val}, error {err})")
-    return val
-
-
-# ---------------------------------------------------------------------------
-# Moment generating functions
-
-def mgf(spec, beta: float) -> float:
-    """E[exp(beta * X)], raising MomentDivergenceError if infinite."""
-    validate(spec)
-    return _mgf(spec, float(beta))
-
-
-def _mgf(spec, beta):
-    if beta == 0.0:
-        return 1.0
-    vp = finite_support(spec)
-    if vp is not None:
-        values, probs = vp
-        m = np.max(beta * values)
-        return float(math.exp(m) * np.dot(probs, np.exp(beta * values - m)))
-    if isinstance(spec, Gaussian):
-        return math.exp(beta * spec.mean + 0.5 * beta ** 2 * spec.sd ** 2)
-    if isinstance(spec, Exponential):
-        if beta >= spec.rate:
-            raise MomentDivergenceError(
-                f"MGF of Exponential(rate={spec.rate}) diverges at beta={beta}")
-        return spec.rate / (spec.rate - beta)
-    if isinstance(spec, UniformInterval):
-        w = spec.hi - spec.lo
-        return (math.exp(beta * spec.hi) - math.exp(beta * spec.lo)) / (beta * w)
-    if isinstance(spec, Poisson):
-        return math.exp(spec.rate * (math.exp(beta) - 1.0))
-    if isinstance(spec, ChiSquared):
-        if beta >= 0.5:
-            raise MomentDivergenceError(
-                f"MGF of ChiSquared diverges at beta={beta} >= 1/2")
-        return (1.0 - 2.0 * beta) ** (-spec.dof / 2)
-    if isinstance(spec, Shifted):
-        return math.exp(beta * spec.offset) * _mgf(spec.base, beta)
-    if isinstance(spec, Scaled):
-        return _mgf(spec.base, beta * spec.factor)
-    if isinstance(spec, Centered):
-        return math.exp(-beta * _mean(spec.base)) * _mgf(spec.base, beta)
-    if isinstance(spec, SquareOf):
-        base = spec.base
-        if isinstance(base, Gaussian) and base.mean == 0.0:
-            if beta >= 1.0 / (2 * base.sd ** 2):
-                raise MomentDivergenceError(
-                    f"MGF of a squared Gaussian diverges at beta={beta}")
-            return (1.0 - 2.0 * beta * base.sd ** 2) ** -0.5
-        inner, fn = _transform_chain(base)
-        if isinstance(inner, Poisson):
-            return _poisson_series(inner.rate,
-                                   lambda k: np.exp(beta * fn(k) ** 2))
-        frozen = _frozen_continuous(inner)
-        if beta > 0 and not isinstance(inner, UniformInterval):
-            raise MomentDivergenceError(
-                "MGF of a squared unbounded variable requires beta <= 0 "
-                "unless a closed form is available")
-        return _quantile_quad(lambda u: np.exp(beta * fn(frozen.ppf(u)) ** 2))
-    raise SpecError(f"unknown spec type {type(spec).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Deterministic sampling
 
@@ -616,130 +702,82 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def sample(spec, seed: int, count: int, stream: int = 0) -> np.ndarray:
-    """Draw `count` iid values; bit-identical for equal (spec, seed, count, stream)."""
+    """Draw `count` iid values, or a (count, dim) array for a VectorSpec;
+    bit-identical for equal (spec, seed, count, stream)."""
     validate(spec)
     if count < 1:
         raise SpecError(f"count must be >= 1, got {count}")
-    if isinstance(spec, VectorSpec):
-        return sample_vector(spec, seed, count, stream)
-    return _draw(spec, _rng(seed, stream), count)
-
-
-def sample_vector(vec: VectorSpec, seed: int, count: int, stream: int = 0) -> np.ndarray:
-    """Sample a (count, dim) array with independent coordinates."""
-    validate(vec)
-    rng = _rng(seed, stream)
-    cols = [_draw(c, rng, count) for c in vec.components]
-    return np.column_stack(cols)
-
-
-def _draw(spec, rng, count):
-    if isinstance(spec, Gaussian):
-        return rng.normal(spec.mean, spec.sd, count)
-    if isinstance(spec, Exponential):
-        return rng.exponential(1.0 / spec.rate, count)
-    if isinstance(spec, Rademacher):
-        return 2.0 * rng.integers(0, 2, count) - 1.0
-    if isinstance(spec, UniformInterval):
-        return rng.uniform(spec.lo, spec.hi, count)
-    if isinstance(spec, Poisson):
-        return rng.poisson(spec.rate, count).astype(float)
-    if isinstance(spec, ChiSquared):
-        return rng.chisquare(spec.dof, count)
-    if isinstance(spec, TwoPointEps):
-        u = rng.random(count)
-        out = np.zeros(count)
-        out[u < spec.eps / 2] = 1.0
-        out[(u >= spec.eps / 2) & (u < spec.eps)] = -1.0
-        return out
-    if isinstance(spec, FiniteSupport):
-        values = np.asarray(spec.values)
-        probs = np.asarray(spec.probs, dtype=float)
-        idx = rng.choice(len(values), size=count, p=probs / probs.sum())
-        return values[idx]
-    if isinstance(spec, Shifted):
-        return _draw(spec.base, rng, count) + spec.offset
-    if isinstance(spec, Scaled):
-        return spec.factor * _draw(spec.base, rng, count)
-    if isinstance(spec, SquareOf):
-        return _draw(spec.base, rng, count) ** 2
-    if isinstance(spec, Centered):
-        return _draw(spec.base, rng, count) - _mean(spec.base)
-    raise SpecError(f"unknown spec type {type(spec).__name__}")
+    return spec.draw(_rng(seed, stream), count)
 
 
 # ---------------------------------------------------------------------------
-# JSON serialization (the CLI's config vocabulary)
+# JSON codec (the CLI's config vocabulary)
+#
+# One codec serves every registered Spec class: the JSON object is
+# {"kind": cls.kind} plus the dataclass fields in order.  Fields annotated
+# Distribution or VectorSpec hold one nested spec, fields annotated Specs a
+# list of them; the constructor checks every other value.
 
-_KIND_NAMES = {
-    Gaussian: "gaussian", Exponential: "exponential", Rademacher: "rademacher",
-    UniformInterval: "uniform", Poisson: "poisson", ChiSquared: "chi_squared",
-    TwoPointEps: "two_point_eps", FiniteSupport: "finite_support",
-    Shifted: "shifted", Scaled: "scaled", SquareOf: "square_of",
-    Centered: "centered",
-}
+# kind -> spec class; functions.py adds the function specs
+_KINDS = {cls.kind: cls for cls in (
+    Gaussian, Exponential, Rademacher, UniformInterval, Poisson, ChiSquared,
+    TwoPointEps, FiniteSupport, Shifted, Scaled, SquareOf, Centered, VectorSpec)}
 
 
 def spec_to_dict(spec) -> dict:
-    if isinstance(spec, VectorSpec):
-        return {"kind": "vector", "dim": spec.dim,
-                "components": [spec_to_dict(c) for c in spec.components],
-                "norm_kind": spec.norm_kind}
-    kind = _KIND_NAMES[type(spec)]
-    d = {"kind": kind}
-    if isinstance(spec, Gaussian):
-        d.update(mean=spec.mean, sd=spec.sd)
-    elif isinstance(spec, (Exponential, Poisson)):
-        d.update(rate=spec.rate)
-    elif isinstance(spec, UniformInterval):
-        d.update(lo=spec.lo, hi=spec.hi)
-    elif isinstance(spec, ChiSquared):
-        d.update(dof=spec.dof)
-    elif isinstance(spec, TwoPointEps):
-        d.update(eps=spec.eps)
-    elif isinstance(spec, FiniteSupport):
-        d.update(values=list(spec.values), probs=list(spec.probs))
-    elif isinstance(spec, Shifted):
-        d.update(base=spec_to_dict(spec.base), offset=spec.offset)
-    elif isinstance(spec, Scaled):
-        d.update(base=spec_to_dict(spec.base), factor=spec.factor)
-    elif isinstance(spec, (SquareOf, Centered)):
-        d.update(base=spec_to_dict(spec.base))
-    return d
+    """JSON object of any registered spec (distribution, vector or function)."""
+    return {"kind": spec.kind, **{f.name: _to_json(getattr(spec, f.name))
+                                  for f in dataclasses.fields(spec)}}
 
 
-def spec_from_dict(d: dict):
-    if not isinstance(d, dict) or "kind" not in d:
-        raise SpecError("spec object must be a dict with a 'kind' field")
-    kind = d["kind"]
+def _to_json(value):
+    if isinstance(value, Spec):
+        return spec_to_dict(value)
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
+
+
+def spec_from_dict(d, path="$"):
+    """Decode a distribution or vector spec.  Every SpecError message starts
+    with the JSON path at fault, e.g. '"$.base.components[0]": ...'."""
+    spec = _decode(d, path)
+    if not isinstance(spec, (Distribution, VectorSpec)):
+        raise SpecError(f'"{path}": kind {spec.kind!r} is not a distribution spec')
+    return spec
+
+
+def _decode(d, path, depth=0):
+    """Any registered spec from its JSON object."""
+    if depth > _MAX_DEPTH:
+        raise SpecError(f'"{path}": specs nest deeper than {_MAX_DEPTH} levels')
+    if not isinstance(d, dict):
+        raise SpecError(f'"{path}": expected a spec object, got {d!r}')
+    kind = d.get("kind")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SpecError(f'"{path}": unknown spec kind {kind!r}')
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in d:
+        if key != "kind" and key not in names:
+            raise SpecError(f'"{path}.{key}": unknown field of kind {kind!r}')
+    args = {}
+    for f in fields:
+        value, where = d.get(f.name, dataclasses.MISSING), f"{path}.{f.name}"
+        if value is dataclasses.MISSING:
+            if f.default is dataclasses.MISSING:
+                raise SpecError(f'"{path}": kind {kind!r} is missing field {f.name!r}')
+            continue
+        nested = _field_type(f)
+        if nested in ("Distribution", "VectorSpec"):
+            value = _decode(value, where, depth + 1)
+        elif nested == "Specs":
+            if not isinstance(value, (list, tuple)):
+                raise SpecError(f'"{where}": expected a list, got {value!r}')
+            value = [_decode(c, f"{where}[{i}]", depth + 1) for i, c in enumerate(value)]
+        args[f.name] = value
     try:
-        if kind == "vector":
-            return VectorSpec(d["dim"], [spec_from_dict(c) for c in d["components"]],
-                              d.get("norm_kind", "euclidean"))
-        if kind == "gaussian":
-            return Gaussian(d.get("mean", 0.0), d.get("sd", 1.0))
-        if kind == "exponential":
-            return Exponential(d["rate"])
-        if kind == "rademacher":
-            return Rademacher()
-        if kind == "uniform":
-            return UniformInterval(d["lo"], d["hi"])
-        if kind == "poisson":
-            return Poisson(d["rate"])
-        if kind == "chi_squared":
-            return ChiSquared(d["dof"])
-        if kind == "two_point_eps":
-            return TwoPointEps(d["eps"])
-        if kind == "finite_support":
-            return FiniteSupport(d["values"], d["probs"])
-        if kind == "shifted":
-            return Shifted(spec_from_dict(d["base"]), d["offset"])
-        if kind == "scaled":
-            return Scaled(spec_from_dict(d["base"]), d["factor"])
-        if kind == "square_of":
-            return SquareOf(spec_from_dict(d["base"]))
-        if kind == "centered":
-            return Centered(spec_from_dict(d["base"]))
-    except KeyError as exc:
-        raise SpecError(f"spec kind {kind!r} is missing field {exc.args[0]!r}") from exc
-    raise SpecError(f"unknown spec kind {kind!r}")
+        return cls(**args)
+    except SpecError as exc:
+        raise SpecError(f'"{path}": {exc}') from None

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -17,7 +18,7 @@ from scipy.special import gammaln
 
 from . import distributions as dist
 from .bounds import ProxyProfile
-from .orlicz import OrliczEstimate, psi_norm, _sup_ratio
+from .orlicz import OrliczEstimate, PMaxTooSmallError, psi_norm, _sup_ratio
 
 __all__ = [
     "SumFunction", "VectorNormOfSum", "SupLinearLoss", "PsaReconstruction",
@@ -27,56 +28,51 @@ __all__ = [
     "random_projections", "fspec_to_dict", "fspec_from_dict",
 ]
 
-E = math.e
 _INNER_MC = 10 ** 5      # budget for conditional means without a closed form
 _INNER_STREAM = 10 ** 9  # stream offset reserved for inner estimates
 
 
 @dataclass(frozen=True)
-class SumFunction:
+class SumFunction(dist.Spec):
     """f(x) = sum of the coordinates."""
-    components: tuple
-
-    def __init__(self, components):
-        object.__setattr__(self, "components", tuple(components))
+    kind = "sum"
+    components: dist.Specs
 
 
 @dataclass(frozen=True)
-class VectorNormOfSum:
+class VectorNormOfSum(dist.Spec):
     """f(x) = ||sum_i x_i|| for n iid copies of a coordinate vector."""
+    kind = "vector_norm_of_sum"
     vec: dist.VectorSpec
-    n: int
+    n: dist.Count
     centered: bool = False
 
 
 @dataclass(frozen=True)
-class SupLinearLoss:
+class SupLinearLoss(dist.Spec):
     """Worst estimation difference of 1-Lipschitz linear-prediction losses.
 
     f((x, z)) = max over the weight net of
     (1/n) sum_i loss(<w, x_i> - z_i) - E[loss(<w, X> - Z)].
     """
+    kind = "sup_linear_loss"
     weights: tuple          # finite net of weight vectors, tuple of tuples
     loss: str               # "absolute" | "hinge" | "huber"
     input: dist.VectorSpec
-    output: "dist.DistributionSpec"
-    n: int
+    output: dist.Distribution
+    n: dist.Count
     huber_kappa: float = 1.0
 
-    def __init__(self, weights, loss, input, output, n, huber_kappa=1.0):
-        object.__setattr__(self, "weights",
-                           tuple(tuple(float(x) for x in w) for w in weights))
-        object.__setattr__(self, "loss", loss)
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "output", output)
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "huber_kappa", float(huber_kappa))
-        if loss not in ("absolute", "hinge", "huber"):
-            raise ValueError(f"unknown loss {loss!r}")
-        if loss == "huber" and not 0 < huber_kappa <= 1:
-            raise ValueError(f"huber_kappa must lie in (0,1], got {huber_kappa}")
+    def _check(self):
+        object.__setattr__(self, "weights", tuple(
+            _row(w, "weights", self.input.dim) for w in dist._items(self.weights, "weights")))
+        object.__setattr__(self, "huber_kappa", float(self.huber_kappa))
+        if self.loss not in ("absolute", "hinge", "huber"):
+            raise dist.SpecError(f"unknown loss {self.loss!r}")
+        if self.loss == "huber" and not 0 < self.huber_kappa <= 1:
+            raise dist.SpecError(f"huber_kappa must lie in (0,1], got {self.huber_kappa}")
         if not self.weights:
-            raise ValueError("weight net must be nonempty")
+            raise dist.SpecError("weight net must be nonempty")
 
     @property
     def lipschitz(self):
@@ -84,33 +80,35 @@ class SupLinearLoss:
 
 
 @dataclass(frozen=True)
-class PsaReconstruction:
+class PsaReconstruction(dist.Spec):
     """Worst estimation difference of subspace reconstruction errors.
 
     f(x) = max over the projection net of
     (1/n) sum_i E[l(P, X)] - l(P, x_i), with l(P, x) = ||x||^2 - ||Px||^2.
     """
-    ambient_dim: int
-    subspace_dim: int
+    kind = "psa_reconstruction"
+    ambient_dim: dist.Count
+    subspace_dim: dist.Count
     projections: tuple      # tuple of (D, D) matrices as nested tuples
     input: dist.VectorSpec
-    n: int
+    n: dist.Count
 
-    def __init__(self, ambient_dim, subspace_dim, projections, input, n):
-        object.__setattr__(self, "ambient_dim", int(ambient_dim))
-        object.__setattr__(self, "subspace_dim", int(subspace_dim))
-        mats = tuple(tuple(tuple(float(x) for x in row) for row in np.asarray(p))
-                     for p in projections)
-        object.__setattr__(self, "projections", mats)
-        object.__setattr__(self, "input", input)
-        object.__setattr__(self, "n", int(n))
+    def _check(self):
+        dim = self.ambient_dim
+        if self.input.dim != dim:
+            raise dist.SpecError(f"input has dim {self.input.dim}, expected ambient_dim={dim}")
+        object.__setattr__(self, "projections", tuple(
+            tuple(_row(row, "projections", dim) for row in dist._items(p, "projections"))
+            for p in dist._items(self.projections, "projections")))
+        if not self.projections:
+            raise dist.SpecError("projection net must be nonempty")
         for p in self.projection_arrays():
-            if p.shape != (self.ambient_dim, self.ambient_dim):
-                raise ValueError("projection has wrong shape")
+            if p.shape != (dim, dim):
+                raise dist.SpecError("projection has wrong shape")
             if np.max(np.abs(p - p.T)) > 1e-10 or np.max(np.abs(p @ p - p)) > 1e-10:
-                raise ValueError("projections must be symmetric and idempotent")
+                raise dist.SpecError("projections must be symmetric and idempotent")
             if abs(np.trace(p) - self.subspace_dim) > 1e-8:
-                raise ValueError(
+                raise dist.SpecError(
                     f"projection trace {np.trace(p)} != subspace_dim {self.subspace_dim}")
 
     def projection_arrays(self):
@@ -118,21 +116,29 @@ class PsaReconstruction:
 
 
 @dataclass(frozen=True)
-class MetricLipschitz:
+class MetricLipschitz(dist.Spec):
     """f(x) = lip * sum_i g_i(x_i) with each g_i 1-Lipschitz."""
+    kind = "metric_lipschitz"
     lip: float
-    coordinate_dists: tuple
+    coordinate_dists: dist.Specs
     maps: tuple             # per-coordinate map names: abs | identity | sin
 
-    def __init__(self, lip, coordinate_dists, maps):
-        object.__setattr__(self, "lip", float(lip))
-        object.__setattr__(self, "coordinate_dists", tuple(coordinate_dists))
-        object.__setattr__(self, "maps", tuple(maps))
+    def _check(self):
+        object.__setattr__(self, "lip", float(self.lip))
+        object.__setattr__(self, "maps", dist._items(self.maps, "maps"))
         if len(self.maps) != len(self.coordinate_dists):
-            raise ValueError("maps and coordinate_dists must have equal length")
+            raise dist.SpecError("maps and coordinate_dists must have equal length")
         for m in self.maps:
-            if m not in _LIPSCHITZ_MAPS:
-                raise ValueError(f"unknown coordinate map {m!r}")
+            if not (isinstance(m, str) and m in _LIPSCHITZ_MAPS):
+                raise dist.SpecError(f"unknown coordinate map {m!r}")
+
+
+def _row(row, name, length):
+    """row as a tuple of `length` floats."""
+    out = dist._floats(row, name)
+    if len(out) != length:
+        raise dist.SpecError(f"{name} entries must have length {length}, got {len(out)}")
+    return out
 
 
 _LIPSCHITZ_MAPS = {
@@ -143,6 +149,8 @@ _LIPSCHITZ_MAPS = {
 
 FunctionSpec = Union[SumFunction, VectorNormOfSum, SupLinearLoss,
                      PsaReconstruction, MetricLipschitz]
+dist._KINDS.update((cls.kind, cls) for cls in (
+    SumFunction, VectorNormOfSum, SupLinearLoss, PsaReconstruction, MetricLipschitz))
 
 
 class HSOperatorView:
@@ -200,20 +208,18 @@ def sample_points(fspec, seed, count, stream=0):
 
 def _draw_points(fspec, rng, count):
     if isinstance(fspec, SumFunction):
-        cols = [dist._draw(c, rng, count) for c in fspec.components]
-        return np.column_stack(cols)
+        return np.column_stack([c.draw(rng, count) for c in fspec.components])
     if isinstance(fspec, VectorNormOfSum):
         return _draw_vectors(fspec.vec, rng, count, fspec.n)
     if isinstance(fspec, SupLinearLoss):
         xs = _draw_vectors(fspec.input, rng, count, fspec.n)
-        zs = np.stack([dist._draw(fspec.output, rng, count)
+        zs = np.stack([fspec.output.draw(rng, count)
                        for _ in range(fspec.n)], axis=1)
         return np.concatenate([xs, zs[:, :, None]], axis=2)
     if isinstance(fspec, PsaReconstruction):
         return _draw_vectors(fspec.input, rng, count, fspec.n)
     if isinstance(fspec, MetricLipschitz):
-        cols = [dist._draw(c, rng, count) for c in fspec.coordinate_dists]
-        return np.column_stack(cols)
+        return np.column_stack([c.draw(rng, count) for c in fspec.coordinate_dists])
     raise TypeError(f"unknown function spec {type(fspec).__name__}")
 
 
@@ -221,7 +227,7 @@ def _draw_vectors(vec, rng, count, n):
     out = np.empty((count, n, vec.dim))
     for i in range(n):
         for j, comp in enumerate(vec.components):
-            out[:, i, j] = dist._draw(comp, rng, count)
+            out[:, i, j] = comp.draw(rng, count)
     return out
 
 
@@ -304,9 +310,8 @@ def _loss_values(fspec, resid):
 def _sup_loss_means(fspec):
     """E[loss(<w,X> - Z)] per net weight, by a fixed-seed inner estimate."""
     rng = dist._rng(0, _INNER_STREAM)
-    xs = np.column_stack([dist._draw(c, rng, _INNER_MC)
-                          for c in fspec.input.components])
-    zs = dist._draw(fspec.output, rng, _INNER_MC)
+    xs = fspec.input.draw(rng, _INNER_MC)
+    zs = fspec.output.draw(rng, _INNER_MC)
     return tuple(float(_loss_values(fspec, xs @ np.asarray(w) - zs).mean())
                  for w in fspec.weights)
 
@@ -354,16 +359,15 @@ def conditional_version_samples(fspec, k, x, seed, count) -> np.ndarray:
 
 def _draw_coordinate(fspec, k, rng, count):
     if isinstance(fspec, SumFunction):
-        return dist._draw(fspec.components[k], rng, count)
+        return fspec.components[k].draw(rng, count)
     if isinstance(fspec, MetricLipschitz):
-        return dist._draw(fspec.coordinate_dists[k], rng, count)
+        return fspec.coordinate_dists[k].draw(rng, count)
     if isinstance(fspec, (VectorNormOfSum, PsaReconstruction)):
         vec = fspec.vec if isinstance(fspec, VectorNormOfSum) else fspec.input
-        return np.column_stack([dist._draw(c, rng, count) for c in vec.components])
+        return vec.draw(rng, count)
     if isinstance(fspec, SupLinearLoss):
-        xs = np.column_stack([dist._draw(c, rng, count)
-                              for c in fspec.input.components])
-        zs = dist._draw(fspec.output, rng, count)
+        xs = fspec.input.draw(rng, count)
+        zs = fspec.output.draw(rng, count)
         return np.concatenate([xs, zs[:, None]], axis=1)
     raise TypeError(f"unknown function spec {type(fspec).__name__}")
 
@@ -434,7 +438,7 @@ def proxy_profile(fspec, p: Optional[float] = None) -> ProxyProfile:
         try:
             b2 = 2.0 * vector_norm_psi(fspec.vec, 2).value
             psi2 = [b2] * n
-        except Exception:
+        except PMaxTooSmallError:
             psi2 = None
         l2p = [2.0 * vector_norm_lp(fspec.vec, 2 * p)] * n if p is not None else None
         r = math.sqrt(math.fsum(_support_width(c) ** 2
@@ -477,7 +481,6 @@ def _interval_sq_max(spec):
 
 
 def _try_psi2(specs):
-    from .orlicz import PMaxTooSmallError
     out = []
     for s in specs:
         try:
@@ -514,53 +517,43 @@ def expectation(fspec, budget=10 ** 5, seed=0):
 # ---------------------------------------------------------------------------
 # Serialization
 
-def fspec_to_dict(fspec) -> dict:
-    if isinstance(fspec, SumFunction):
-        return {"kind": "sum",
-                "components": [dist.spec_to_dict(c) for c in fspec.components]}
-    if isinstance(fspec, VectorNormOfSum):
-        return {"kind": "vector_norm_of_sum", "vec": dist.spec_to_dict(fspec.vec),
-                "n": fspec.n, "centered": fspec.centered}
-    if isinstance(fspec, SupLinearLoss):
-        return {"kind": "sup_linear_loss", "weights": [list(w) for w in fspec.weights],
-                "loss": fspec.loss, "input": dist.spec_to_dict(fspec.input),
-                "output": dist.spec_to_dict(fspec.output), "n": fspec.n,
-                "huber_kappa": fspec.huber_kappa}
-    if isinstance(fspec, PsaReconstruction):
-        return {"kind": "psa_reconstruction", "ambient_dim": fspec.ambient_dim,
-                "subspace_dim": fspec.subspace_dim,
-                "projections": [[list(r) for r in p] for p in fspec.projections],
-                "input": dist.spec_to_dict(fspec.input), "n": fspec.n}
-    if isinstance(fspec, MetricLipschitz):
-        return {"kind": "metric_lipschitz", "lip": fspec.lip,
-                "coordinate_dists": [dist.spec_to_dict(c)
-                                     for c in fspec.coordinate_dists],
-                "maps": list(fspec.maps)}
-    raise TypeError(f"unknown function spec {type(fspec).__name__}")
+fspec_to_dict = dist.spec_to_dict
 
 
-def fspec_from_dict(d: dict):
-    kind = d.get("kind")
-    if kind == "sum":
-        return SumFunction([dist.spec_from_dict(c) for c in d["components"]])
-    if kind == "vector_norm_of_sum":
-        return VectorNormOfSum(dist.spec_from_dict(d["vec"]), d["n"],
-                               d.get("centered", False))
-    if kind == "sup_linear_loss":
-        return SupLinearLoss(d["weights"], d["loss"],
-                             dist.spec_from_dict(d["input"]),
-                             dist.spec_from_dict(d["output"]), d["n"],
-                             d.get("huber_kappa", 1.0))
-    if kind == "psa_reconstruction":
-        if "projections" in d:
-            projections = d["projections"]
-        else:
-            projections = random_projections(d["ambient_dim"], d["subspace_dim"],
-                                             d["net_size"], d["net_seed"])
-        return PsaReconstruction(d["ambient_dim"], d["subspace_dim"], projections,
-                                 dist.spec_from_dict(d["input"]), d["n"])
-    if kind == "metric_lipschitz":
-        return MetricLipschitz(d["lip"],
-                               [dist.spec_from_dict(c) for c in d["coordinate_dists"]],
-                               d["maps"])
-    raise dist.SpecError(f"unknown function kind {kind!r}")
+def fspec_from_dict(d, path="$"):
+    """Decode a function spec; a bare distribution spec means the
+    one-coordinate sum of it.  PsaReconstruction also takes the seeded form
+    with net_size and net_seed in place of projections.  Every SpecError
+    message starts with the JSON path at fault."""
+    if isinstance(d, dict) and d.get("kind") == "psa_reconstruction" \
+            and "projections" not in d:
+        d = _seeded_net(d, path)
+    spec = dist._decode(d, path)
+    if isinstance(spec, dist.Distribution):
+        return SumFunction([spec])
+    if isinstance(spec, dist.VectorSpec):
+        raise dist.SpecError(f'"{path}": a vector spec is not a function spec')
+    return spec
+
+
+def _seeded_net(d, path):
+    """d with net_size/net_seed replaced by the projections they generate."""
+    rest = {k: v for k, v in d.items() if k not in ("net_size", "net_seed")}
+    try:
+        if "net_size" not in d or "net_seed" not in d:
+            raise dist.SpecError("kind 'psa_reconstruction' needs projections, "
+                                 "or net_size and net_seed")
+        dim, sub, size = (dist._count(d.get(k), k)
+                          for k in ("ambient_dim", "subspace_dim", "net_size"))
+        seed = dist._number(d["net_seed"], "net_seed", numbers.Integral)
+        dist._rng(seed)
+        if sub > dim:
+            raise dist.SpecError(f"subspace_dim {sub} exceeds ambient_dim {dim}")
+    except dist.SpecError as exc:
+        raise dist.SpecError(f'"{path}": {exc}') from None
+    # check the input before generating ambient_dim^2-sized matrices
+    inp = dist._decode(d.get("input"), f"{path}.input", 1)
+    if not (isinstance(inp, dist.VectorSpec) and inp.dim == dim):
+        raise dist.SpecError(f'"{path}.input": expected a vector spec of dim {dim}')
+    rest["projections"] = random_projections(dim, sub, size, seed)
+    return rest

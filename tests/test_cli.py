@@ -77,6 +77,48 @@ class TestSpecLoading:
         code, _, err = run(capsys, "norms", "--spec", config("exp1.json"))
         assert code == 1 and "error:" in err
 
+    def test_nested_missing_field_names_json_path(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"kind": "sum",
+                                     "components": [{"kind": "exponential"}]})
+        code, out, err = run(capsys, "bound", "--spec", path, "--bounds", "thm2",
+                             "--t-grid", "1:2:2")
+        assert code == 1 and out == ""
+        assert '"$.spec.components[0]"' in err and "'rate'" in err
+        assert "unknown" not in err
+
+    def test_wrong_type_is_a_usage_error(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"kind": "gaussian", "sd": "x"})
+        code, out, err = run(capsys, "bound", "--spec", path, "--bounds", "thm2",
+                             "--t-grid", "1:2:2")
+        assert code == 1 and out == ""
+        assert '"$.spec"' in err and "sd must be a number" in err
+
+    @pytest.mark.parametrize("payload,field", [
+        ({"kind": "gaussian", "mean": float("nan")}, "mean"),
+        ({"kind": "exponential", "rate": float("inf")}, "rate"),
+    ])
+    def test_non_finite_parameter_rejected(self, tmp_path, capsys, payload, field):
+        path = write_spec(tmp_path, payload)
+        for argv in (("norms", "--alpha", "1"),
+                     ("bound", "--bounds", "thm2", "--t-grid", "1:2:2")):
+            code, out, err = run(capsys, argv[0], "--spec", path, *argv[1:])
+            assert code == 1 and out == ""
+            assert f"{field} must be finite" in err
+
+    def test_deep_nesting_rejected(self, tmp_path, capsys):
+        spec = {"kind": "rademacher"}
+        for _ in range(100):
+            spec = {"kind": "centered", "base": spec}
+        path = write_spec(tmp_path, spec)
+        code, _, err = run(capsys, "norms", "--spec", path, "--alpha", "1")
+        assert code == 1 and "deeper" in err
+
+    def test_vector_spec_is_not_a_scalar(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"kind": "vector", "dim": 1,
+                                     "components": [{"kind": "rademacher"}]})
+        code, _, err = run(capsys, "norms", "--spec", path, "--alpha", "1")
+        assert code == 1 and "scalar distribution" in err
+
 
 class TestEntropyCheck:
     def test_rademacher(self, capsys):

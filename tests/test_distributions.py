@@ -1,10 +1,15 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln
 
 from lighttails import distributions as D
+from lighttails import functions as F
+from lighttails.orlicz import psi_norm
 
 CATALOGUE = [
     D.Gaussian(0.0, 1.0),
@@ -55,7 +60,7 @@ class TestSampling:
 
     def test_vector_shape(self):
         vec = D.VectorSpec(3, (D.Gaussian(0, 1), D.Exponential(1.0), D.Rademacher()))
-        out = D.sample_vector(vec, seed=2, count=50)
+        out = D.sample(vec, seed=2, count=50)
         assert out.shape == (50, 3)
 
 
@@ -75,6 +80,28 @@ class TestValidation:
     def test_bad_eps(self):
         with pytest.raises(D.SpecError, match="eps"):
             D.validate(D.TwoPointEps(1.5))
+
+    @pytest.mark.parametrize("build", [
+        lambda: D.Gaussian(mean=math.nan),
+        lambda: D.Exponential(rate=math.inf),
+        lambda: D.Gaussian(0.0, True),
+        lambda: D.Poisson("2"),
+        lambda: D.ChiSquared(2.0),
+        lambda: D.UniformInterval(1.0, 1.0),
+        lambda: D.FiniteSupport((1.0, "x"), (0.5, 0.5)),
+        lambda: D.Shifted(3.0, 1.0),
+        lambda: D.Scaled(D.Rademacher(), 10 ** 400),
+        lambda: D.VectorSpec(2, (D.Rademacher(),)),
+        lambda: D.VectorSpec(1, (D.VectorSpec(1, (D.Rademacher(),)),)),
+    ])
+    def test_invalid_spec_raises(self, build):
+        with pytest.raises(D.SpecError):
+            build()
+
+    def test_validate_is_a_type_check(self):
+        D.validate(D.Centered(D.Exponential(1.0)))
+        with pytest.raises(D.SpecError):
+            D.validate({"kind": "rademacher"})
 
 
 class TestMoments:
@@ -150,6 +177,35 @@ class TestMgf:
     def test_rademacher(self):
         assert D.mgf(D.Rademacher(), 2.0) == pytest.approx(math.cosh(2.0), rel=1e-12)
 
+    def test_square_poisson_matches_series(self):
+        want = math.fsum(math.exp(-0.1 * k * k - 1.0 - math.lgamma(k + 1))
+                         for k in range(81))
+        assert D.mgf(D.SquareOf(D.Poisson(1.0)), -0.1) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("spec,mu,sd,beta", [
+        (D.SquareOf(D.Gaussian(1.0, 1.0)), 1.0, 1.0, 0.1),
+        (D.SquareOf(D.Gaussian(0.0, 1.0)), 0.0, 1.0, 0.3),
+        (D.SquareOf(D.Shifted(D.Scaled(D.Gaussian(0.0, 1.0), 2.0), 0.5)), 0.5, 2.0, -0.7),
+    ])
+    def test_noncentral_chi_squared(self, spec, mu, sd, beta):
+        s = 1.0 - 2.0 * beta * sd ** 2
+        want = s ** -0.5 * math.exp(beta * mu ** 2 / s)
+        assert D.mgf(spec, beta) == pytest.approx(want, rel=1e-14)
+
+    def test_noncentral_divergence_edge(self):
+        with pytest.raises(D.MomentDivergenceError):
+            D.mgf(D.SquareOf(D.Gaussian(1.0, 2.0)), 0.125)   # beta = 1/(2 sd^2)
+        assert math.isfinite(D.mgf(D.SquareOf(D.Gaussian(1.0, 2.0)), 0.124))
+
+    def test_square_uniform_numeric(self):
+        want = math.sqrt(math.pi / 2) * math.erf(1 / math.sqrt(2))
+        got = D.mgf(D.SquareOf(D.UniformInterval(0.0, 1.0)), -0.5)
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_square_unbounded_diverges_for_positive_beta(self):
+        with pytest.raises(D.MomentDivergenceError):
+            D.mgf(D.SquareOf(D.Exponential(1.0)), 0.1)
+
 
 class TestSupportInterval:
     def test_bounded(self):
@@ -173,3 +229,140 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(D.SpecError, match="kind"):
             D.spec_from_dict({"kind": "cauchy"})
+
+    def test_encoding_keeps_field_values(self):
+        d = {"kind": "shifted", "base": {"kind": "gaussian", "mean": 0, "sd": 1},
+             "offset": 2}
+        assert D.spec_to_dict(D.spec_from_dict(d)) == d
+        assert json.dumps(D.spec_to_dict(D.spec_from_dict(d))) == json.dumps(d)
+
+    @pytest.mark.parametrize("payload,where,what", [
+        ({"kind": "shifted", "offset": 1.0,
+          "base": {"kind": "centered", "base": {"kind": "exponential"}}},
+         "$.base.base", "missing field 'rate'"),
+        ({"kind": "gaussian", "sd": "x"}, "$", "sd must be a number"),
+        ({"kind": "gaussian", "mean": math.nan}, "$", "mean must be finite"),
+        ({"kind": "exponential", "rate": True}, "$", "rate must be a number"),
+        ({"kind": "rademacher", "p": 0.5}, "$.p", "unknown field"),
+        ({"kind": "vector", "dim": 1, "components": {"kind": "rademacher"}},
+         "$.components", "expected a list"),
+        ({"kind": "vector", "dim": 1, "components": [3]}, "$.components[0]",
+         "expected a spec object"),
+        ([], "$", "expected a spec object"),
+    ])
+    def test_errors_name_the_json_path(self, payload, where, what):
+        with pytest.raises(D.SpecError) as info:
+            D.spec_from_dict(payload)
+        assert str(info.value).startswith(f'"{where}": ') and what in str(info.value)
+
+    def test_depth_cap(self):
+        d = {"kind": "rademacher"}
+        for _ in range(200):
+            d = {"kind": "centered", "base": d}
+        with pytest.raises(D.SpecError, match="deeper"):
+            D.spec_from_dict(d)
+
+    def test_function_kind_is_not_a_distribution(self):
+        with pytest.raises(D.SpecError, match="not a distribution"):
+            D.spec_from_dict({"kind": "sum", "components": [{"kind": "rademacher"}]})
+
+
+class TestCanonical:
+    def test_affine_chains_reparameterise(self):
+        assert D.canonical(D.Centered(D.Gaussian(2.0, 0.5))) == D.Gaussian(0.0, 0.5)
+        assert (D.canonical(D.Scaled(D.Shifted(D.UniformInterval(0.0, 1.0), 1.0), -2.0))
+                == D.UniformInterval(-4.0, -2.0))
+
+    def test_finite_chains_merge(self):
+        spec = D.SquareOf(D.Scaled(D.Rademacher(), 3.0))
+        assert D.canonical(spec) == D.FiniteSupport((9.0,), (1.0,))
+
+    def test_other_chains_map_a_primitive(self):
+        form = D.canonical(D.Centered(D.Scaled(D.Exponential(2.0), 3.0)))
+        assert form == D.Mapped(D.Exponential(2.0), (("scale", 3.0), ("shift", -1.5)))
+        assert form.linear_factor() == 3.0
+        assert D.canonical(D.SquareOf(D.Gaussian(1.0, 1.0))).linear_factor() is None
+
+    def test_centered_gaussian_is_closed_form(self):
+        for p in (1.0, 3.0, 40.0):
+            want = D.log_abs_moment(D.Gaussian(0.0, 0.5), p)
+            got = D.log_abs_moment(D.Centered(D.Shifted(D.Gaussian(2.0, 0.5), 1.0)), p)
+            assert got == want
+
+    def test_centered_mean_is_exactly_zero(self):
+        for spec in CATALOGUE:
+            assert D.mean(D.Centered(spec)) == 0.0
+
+    def test_runs_once_per_spec(self):
+        spec = D.Centered(D.Scaled(D.Exponential(1.2345), 0.75))
+        before = D.canonical.cache_info()
+        psi_norm(spec, 1)
+        cold = D.canonical.cache_info()
+        assert cold.misses - before.misses == 3   # Centered, Scaled, Exponential
+        psi_norm(spec, 1)
+        warm = D.canonical.cache_info()
+        # the warm moments hit their cache; only finite_support asks again
+        assert warm.misses == cold.misses and warm.hits - cold.hits <= 1
+
+
+_FIELD_NAMES = sorted({f.name for cls in D._KINDS.values() for f in dataclasses.fields(cls)}
+                      | {"kind", "net_size", "net_seed"})
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 12) | st.floats()
+                | st.text(max_size=3) | st.sampled_from(sorted(D._KINDS)))
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.dictionaries(st.sampled_from(_FIELD_NAMES) | st.text(max_size=2),
+                                    kids, max_size=5)
+                  | st.builds(lambda kind, rest: {**rest, "kind": kind},
+                              st.sampled_from(sorted(D._KINDS)),
+                              st.dictionaries(st.sampled_from(_FIELD_NAMES), kids,
+                                              max_size=5))),
+    max_leaves=25)
+
+
+_VALID_DOCS = [D.spec_to_dict(s) for s in CATALOGUE] + [
+    D.spec_to_dict(D.VectorSpec(2, (D.Gaussian(), D.Centered(D.Poisson(1.0))))),
+    D.spec_to_dict(F.SumFunction([D.Exponential(1.0), D.Shifted(D.Rademacher(), 1.0)])),
+    D.spec_to_dict(F.MetricLipschitz(1.0, [D.UniformInterval(0.0, 1.0)], ["sin"])),
+    D.spec_to_dict(F.VectorNormOfSum(D.VectorSpec(1, (D.Gaussian(),)), 3)),
+    D.spec_to_dict(F.SupLinearLoss([(1.0,)], "huber", D.VectorSpec(1, (D.Gaussian(),)),
+                                   D.Exponential(1.0), 4, 0.5)),
+    {"kind": "psa_reconstruction", "ambient_dim": 2, "subspace_dim": 1, "net_size": 2,
+     "net_seed": 5, "input": D.spec_to_dict(D.VectorSpec(2, (D.Gaussian(),) * 2)), "n": 3},
+]
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    node = dict(node) if isinstance(node, dict) else list(node)
+    node[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return node
+
+
+def _mutant(doc, index, value):
+    paths = list(_paths(doc))
+    return _replaced(doc, paths[index % len(paths)], value)
+
+
+class TestCodecFuzz:
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(st.one_of(_JSON_TREES, st.builds(_mutant, st.sampled_from(_VALID_DOCS),
+                                            st.integers(0, 10 ** 6),
+                                            _JSON_LEAVES | _JSON_TREES)))
+    def test_any_json_gives_a_spec_or_spec_error(self, tree):
+        for decode in (D.spec_from_dict, F.fspec_from_dict):
+            try:
+                spec = decode(tree)
+            except D.SpecError:
+                continue
+            assert decode(json.loads(json.dumps(D.spec_to_dict(spec)))) == spec

@@ -155,6 +155,27 @@ class TestProxyProfile:
         for entry, spec in zip(prof.psi1_per_coord, METRIC.coordinate_dists):
             assert entry == pytest.approx(2.0 * psi_diameter(spec, 1).value, rel=1e-12)
 
+    def test_vector_psi2_failure_propagates(self, monkeypatch):
+        real = F.vector_norm_psi
+
+        def failing_psi2(vec, alpha):
+            if alpha == 2:
+                raise D.QuadratureError("no convergence")
+            return real(vec, alpha)
+        monkeypatch.setattr(F, "vector_norm_psi", failing_psi2)
+        with pytest.raises(D.QuadratureError):
+            F.proxy_profile(F.VectorNormOfSum(gauss_vec(3), 4))
+
+    def test_vector_psi2_dropped_when_p_max_too_small(self, monkeypatch):
+        real = F.vector_norm_psi
+
+        def no_psi2(vec, alpha):
+            if alpha == 2:
+                raise O.PMaxTooSmallError("still increasing")
+            return real(vec, alpha)
+        monkeypatch.setattr(F, "vector_norm_psi", no_psi2)
+        assert F.proxy_profile(F.VectorNormOfSum(gauss_vec(3), 4)).psi2_per_coord is None
+
     def test_thm3_entries(self):
         prof = F.proxy_profile(sum_of(D.Exponential(1.0), 3), p=2.0)
         want = D.lp_norm(D.Centered(D.Exponential(1.0)), 4.0)
