@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from .bounds import TailBoundResult, _result
+from .bounds import TailBoundResult, _tail
 from .orlicz import psi_norm, psi_norm_finite, _sup_ratio
 
 __all__ = [
@@ -151,13 +151,8 @@ def metric_tail(lip, diameters, t, lipschitz_linear_term=False) -> TailBoundResu
     if any(v < 0 for v in vals):
         raise PreconditionError("diameters must be nonnegative")
     ssq = math.fsum(v * v for v in vals)
-    m = max(vals)
-    if ssq == 0.0:
-        return TailBoundResult("metric", t, 0.0, -math.inf,
-                               "degenerate: f is a.s. constant")
-    lin = lip * m if lipschitz_linear_term else m
-    return _result("metric", t,
-                   -t * t / (4.0 * E * lip * lip * ssq + 2.0 * E * lin * t))
+    lin = lip * max(vals) if lipschitz_linear_term else max(vals)
+    return _tail("metric", t, 4.0 * E * lip * lip * ssq, 2.0 * E * lin)
 
 
 # ---------------------------------------------------------------------------

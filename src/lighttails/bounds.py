@@ -6,8 +6,10 @@ Three headline bounds plus the classical bounded-difference baseline:
   sub-exponential:  exp(-t^2 / (4 e^2 V1 + 2 e M1 t))
   moment/Bernstein: exp(-t^2 / (2 V2p + 2 e q M1 t))   (q conjugate to p)
 
-with V_a the summed squared per-coordinate proxies and M the largest one.
-All probabilities are evaluated in log space and clamped to (0, 1].
+with V_a the summed squared per-coordinate proxies and M the largest one;
+the baseline is exp(-2 t^2 / sum r_k^2).  Every bound is exp(-t^2 / (a + b t)),
+and one (a, b) table serves both evaluation and inversion.  All
+probabilities are evaluated in log space and clamped to (0, 1].
 """
 from __future__ import annotations
 
@@ -125,34 +127,67 @@ class TailBoundResult:
         return d
 
 
-def _result(kind, t, log_prob, note=""):
-    log_prob = min(log_prob, 0.0)
-    return TailBoundResult(kind, t, math.exp(log_prob), log_prob, note)
+def _tail(kind, t, a, b):
+    """exp(-t^2 / (a + b t)), clamped to (0, 1]; a = b = 0 means f is a.s.
+    constant."""
+    if a == 0.0 and b == 0.0:
+        return TailBoundResult(kind, t, 0.0, -math.inf,
+                               "degenerate: f is a.s. constant")
+    log_prob = min(-t * t / (a + b * t if b else a), 0.0)
+    return TailBoundResult(kind, t, math.exp(log_prob), log_prob)
 
 
-def _check_t(t):
+def _thm3_q(profile, p):
+    """q = p/(p-1) for the thm3 kinds; p defaults to the profile's l2p_order."""
+    if p is None:
+        profile._need("l2p_per_coord")
+        p = profile.l2p_order
+    if p <= 1:
+        raise ValueError(
+            f"p must exceed 1 (p -> 1 drives the scale proxy to infinity), got {p}")
+    if profile.l2p_order is not None and abs(profile.l2p_order - p) > 1e-12:
+        raise ValueError(
+            f"profile carries 2p-norms for p={profile.l2p_order}, asked for p={p}")
+    return p / (p - 1.0)
+
+
+def _exponent(kind, profile, p):
+    """(a, b) with the bound of the kind equal to exp(-t^2 / (a + b t))."""
+    if kind == "thm1":
+        return 32.0 * E * profile.v2, 0.0
+    if kind == "thm2":
+        return 4.0 * E * E * profile.v1, 2.0 * E * profile.m1
+    if kind in ("thm3", "thm3-psi2-variant"):
+        q = _thm3_q(profile, p)
+        v2p = profile.v2p
+        scale = q * profile.m1 if kind == "thm3" else math.sqrt(q) * profile.m2
+        return 2.0 * v2p, 2.0 * E * scale
+    if kind == "bounded-difference":
+        profile._need("ranges")
+        return math.fsum(r * r for r in profile.ranges) / 2.0, 0.0
+    raise ValueError(f"unknown bound kind {kind!r}; known: {BOUND_KINDS}")
+
+
+def evaluate_tail(kind, profile, t, p=None) -> TailBoundResult:
+    """The named bound at t.  The thm3 kinds use the 2p-norms of order p,
+    by default the profile's own l2p_order."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
+    a, b = _exponent(kind, profile, p)
+    if kind == "bounded-difference" and a == math.inf:
+        return TailBoundResult(kind, t, 1.0, 0.0,
+                               "baseline inapplicable: infinite conditional range")
+    return _tail(kind, t, a, b)
 
 
 def thm1_tail(profile: ProxyProfile, t: float) -> TailBoundResult:
     """Sub-Gaussian bound exp(-t^2 / (32 e V2))."""
-    _check_t(t)
-    v2 = profile.v2
-    if v2 == 0.0:
-        return TailBoundResult("thm1", t, 0.0, -math.inf,
-                               "degenerate: f is a.s. constant")
-    return _result("thm1", t, -t * t / (32.0 * E * v2))
+    return evaluate_tail("thm1", profile, t)
 
 
 def thm2_tail(profile: ProxyProfile, t: float) -> TailBoundResult:
     """Sub-exponential bound exp(-t^2 / (4 e^2 V1 + 2 e M1 t))."""
-    _check_t(t)
-    v1, m1 = profile.v1, profile.m1
-    if v1 == 0.0 and m1 == 0.0:
-        return TailBoundResult("thm2", t, 0.0, -math.inf,
-                               "degenerate: f is a.s. constant")
-    return _result("thm2", t, -t * t / (4.0 * E * E * v1 + 2.0 * E * m1 * t))
+    return evaluate_tail("thm2", profile, t)
 
 
 def thm3_tail(profile: ProxyProfile, p: float, t: float,
@@ -162,54 +197,15 @@ def thm3_tail(profile: ProxyProfile, p: float, t: float,
     variant="psi1" uses q * max psi1 in the linear term; variant="psi2"
     uses sqrt(q) * max psi2 instead.
     """
-    _check_t(t)
-    if p <= 1:
-        raise ValueError(
-            f"p must exceed 1 (p -> 1 drives the scale proxy to infinity), got {p}")
-    if profile.l2p_order is not None and abs(profile.l2p_order - p) > 1e-12:
-        raise ValueError(
-            f"profile carries 2p-norms for p={profile.l2p_order}, asked for p={p}")
-    q = p / (p - 1.0)
-    v2p = profile.v2p
-    if variant == "psi1":
-        kind, scale = "thm3", q * profile.m1
-    elif variant == "psi2":
-        kind, scale = "thm3-psi2-variant", math.sqrt(q) * profile.m2
-    else:
+    kinds = {"psi1": "thm3", "psi2": "thm3-psi2-variant"}
+    if variant not in kinds:
         raise ValueError(f"variant must be 'psi1' or 'psi2', got {variant!r}")
-    if v2p == 0.0 and scale == 0.0:
-        return TailBoundResult(kind, t, 0.0, -math.inf,
-                               "degenerate: f is a.s. constant")
-    return _result(kind, t, -t * t / (2.0 * v2p + 2.0 * E * scale * t))
+    return evaluate_tail(kinds[variant], profile, t, p)
 
 
 def bounded_difference_tail(profile: ProxyProfile, t: float) -> TailBoundResult:
     """Classical baseline exp(-2 t^2 / sum r_k^2); trivial if any range is infinite."""
-    _check_t(t)
-    profile._need("ranges")
-    if any(math.isinf(r) for r in profile.ranges):
-        return TailBoundResult("bounded-difference", t, 1.0, 0.0,
-                               "baseline inapplicable: infinite conditional range")
-    ssq = math.fsum(r * r for r in profile.ranges)
-    if ssq == 0.0:
-        return TailBoundResult("bounded-difference", t, 0.0, -math.inf,
-                               "degenerate: f is a.s. constant")
-    return _result("bounded-difference", t, -2.0 * t * t / ssq)
-
-
-def evaluate_tail(kind, profile, t, p=None):
-    """Dispatch a bound kind name to its closed form."""
-    if kind == "thm1":
-        return thm1_tail(profile, t)
-    if kind == "thm2":
-        return thm2_tail(profile, t)
-    if kind == "thm3":
-        return thm3_tail(profile, p if p is not None else 2.0, t)
-    if kind == "thm3-psi2-variant":
-        return thm3_tail(profile, p if p is not None else 2.0, t, variant="psi2")
-    if kind == "bounded-difference":
-        return bounded_difference_tail(profile, t)
-    raise ValueError(f"unknown bound kind {kind!r}; known: {BOUND_KINDS}")
+    return evaluate_tail("bounded-difference", profile, t)
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +229,13 @@ class InversionResult:
                 "exact": self.exact, "additive": self.additive}
 
 
-def invert_tail(kind, profile: ProxyProfile, delta: float, p=None,
-                variant: str = "psi1") -> InversionResult:
-    """Smallest t at which the requested bound equals delta."""
+def invert_tail(kind, profile: ProxyProfile, delta: float, p=None) -> InversionResult:
+    """Smallest t at which the requested bound equals delta; p as in
+    evaluate_tail."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     big_l = math.log(1.0 / delta)
-    if kind == "thm1":
-        t = math.sqrt(32.0 * E * profile.v2 * big_l)
-        return InversionResult(kind, delta, t, t)
-    if kind == "thm2":
-        a, b = 4.0 * E * E * profile.v1, 2.0 * E * profile.m1
-    elif kind == "thm3":
-        if p is None or p <= 1:
-            raise ValueError(f"thm3 inversion needs p > 1, got {p}")
-        q = p / (p - 1.0)
-        scale = q * profile.m1 if variant == "psi1" else math.sqrt(q) * profile.m2
-        a, b = 2.0 * profile.v2p, 2.0 * E * scale
-    else:
-        raise ValueError(f"cannot invert bound kind {kind!r}")
+    a, b = _exponent(kind, profile, p)
     exact = (b * big_l + math.sqrt(b * b * big_l * big_l + 4.0 * a * big_l)) / 2.0
     additive = math.sqrt(a * big_l) + b * big_l
     return InversionResult(kind, delta, exact, additive)

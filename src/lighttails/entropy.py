@@ -110,9 +110,6 @@ class ProductTable:
             jp = np.multiply.outer(jp, s.p)
         return jp.reshape(self.f_table.shape)
 
-    def f_dist(self):
-        return FiniteDist(self.f_table.ravel(), self.joint_probs().ravel())
-
     def to_dict(self):
         return {"supports": [s.to_dict() for s in self.supports],
                 "f_table": self.f_table.tolist()}

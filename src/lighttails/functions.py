@@ -11,45 +11,123 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
 
+from . import applications
 from . import distributions as dist
 from .bounds import ProxyProfile
 from .orlicz import OrliczEstimate, PMaxTooSmallError, psi_norm, _sup_ratio
 
 __all__ = [
     "SumFunction", "VectorNormOfSum", "SupLinearLoss", "PsaReconstruction",
-    "MetricLipschitz", "FunctionSpec", "HSOperatorView", "n_coords",
-    "eval_f", "sample_points", "sample_f", "conditional_version_samples",
-    "proxy_profile", "expectation", "vector_norm_psi", "vector_norm_lp",
-    "random_projections", "fspec_to_dict", "fspec_from_dict",
+    "MetricLipschitz", "FunctionSpec", "HSOperatorView", "eval_f",
+    "sample_points", "sample_f", "conditional_version_samples", "proxy_profile",
+    "expectation", "vector_norm_psi", "vector_norm_lp", "random_projections",
+    "fspec_to_dict", "fspec_from_dict",
 ]
 
 _INNER_MC = 10 ** 5      # budget for conditional means without a closed form
 _INNER_STREAM = 10 ** 9  # stream offset reserved for inner estimates
 
 
+class FunctionSpec(dist.Spec):
+    """f of n independent coordinates.  Each kind has `n`, `point_shape` (of
+    one base point), `draw(rng, count)` and `evaluate(points)` for batches of
+    shape (count,) + point_shape, `draw_coordinate(k, rng, count)` and
+    `proxy_profile(p)`; it overrides `closed_form_mean` where E[f(X)] has one."""
+
+    def closed_form_mean(self): return None
+
+    def conditional_mean(self, k, x, seed):
+        """E[f(X)] with every coordinate but k held at x: an inner estimate."""
+        inner = np.repeat(x[None], _INNER_MC, axis=0)
+        inner[:, k] = self.draw_coordinate(k, dist._rng(seed, _INNER_STREAM + k),
+                                           _INNER_MC)
+        return float(self.evaluate(inner).mean())
+
+
+class _ScalarCoordinates(FunctionSpec):
+    """Coordinate k is the scalar law `laws[k]`."""
+    n = property(lambda self: len(self.laws))
+    point_shape = property(lambda self: (self.n,))
+
+    def draw(self, rng, count): return np.column_stack([c.draw(rng, count) for c in self.laws])
+    def draw_coordinate(self, k, rng, count): return self.laws[k].draw(rng, count)
+
+
+class _VectorCoordinates(FunctionSpec):
+    """The n coordinates are iid copies of the vector law `coordinate`."""
+    point_shape = property(lambda self: (self.n, self.coordinate.dim))
+
+    def draw(self, rng, count): return _draw_vectors(self.coordinate, rng, count, self.n)
+    def draw_coordinate(self, k, rng, count): return self.coordinate.draw(rng, count)
+
+
+# Each kind lists its one-line facts as a group, then its longer methods.
+
 @dataclass(frozen=True)
-class SumFunction(dist.Spec):
+class SumFunction(_ScalarCoordinates):
     """f(x) = sum of the coordinates."""
     kind = "sum"
     components: dist.Specs
 
+    laws = property(lambda self: self.components)
+
+    def evaluate(self, points): return points.sum(axis=1)
+    def closed_form_mean(self): return math.fsum(dist.mean(c) for c in self.components)
+    def conditional_mean(self, k, x, seed): return x.sum() - x[k] + dist.mean(self.components[k])
+
+    def proxy_profile(self, p):
+        centered = [dist.Centered(c) for c in self.components]
+        psi1 = [psi_norm(c, 1).value for c in centered]
+        psi2 = _psi2_or_none(psi_norm, centered)
+        l2p = None if p is None else [dist.lp_norm(c, 2 * p) for c in centered]
+        ranges = [_support_width(c) for c in self.components]
+        return ProxyProfile(n=self.n, psi1_per_coord=psi1, psi2_per_coord=psi2,
+                            l2p_per_coord=l2p, l2p_order=p, ranges=ranges)
+
 
 @dataclass(frozen=True)
-class VectorNormOfSum(dist.Spec):
+class VectorNormOfSum(_VectorCoordinates):
     """f(x) = ||sum_i x_i|| for n iid copies of a coordinate vector."""
     kind = "vector_norm_of_sum"
     vec: dist.VectorSpec
     n: dist.Count
     centered: bool = False
 
+    coordinate = property(lambda self: self.vec)
+
+    def evaluate(self, points):
+        s = points.sum(axis=1)
+        if self.centered:
+            means = np.array([dist.mean(c) for c in self.vec.components])
+            s = s - self.n * means
+        return np.linalg.norm(s, axis=1)
+
+    def proxy_profile(self, p):
+        n = self.n
+        b1 = 2.0 * vector_norm_psi(self.vec, 1).value
+        b2 = _psi2_or_none(vector_norm_psi, [self.vec])
+        psi2 = None if b2 is None else [2.0 * b2[0]] * n
+        l2p = [2.0 * vector_norm_lp(self.vec, 2 * p)] * n if p is not None else None
+        r = math.sqrt(math.fsum(_support_width(c) ** 2
+                                for c in self.vec.components))
+        return ProxyProfile(n=n, psi1_per_coord=[b1] * n, psi2_per_coord=psi2,
+                            l2p_per_coord=l2p, l2p_order=p, ranges=[r] * n)
+
+    def closed_form_mean(self):
+        sd = _iid_centered_gaussian_sd(self.vec)
+        if sd is None:
+            return None
+        # the sum has iid N(0, n sd^2) entries, so ||sum|| is sqrt(n) sd chi_d
+        return math.sqrt(self.n) * math.exp(_chi_log_moment(sd, self.vec.dim, 1))
+
 
 @dataclass(frozen=True)
-class SupLinearLoss(dist.Spec):
+class SupLinearLoss(_VectorCoordinates):
     """Worst estimation difference of 1-Lipschitz linear-prediction losses.
 
     f((x, z)) = max over the weight net of
@@ -62,6 +140,10 @@ class SupLinearLoss(dist.Spec):
     output: dist.Distribution
     n: dist.Count
     huber_kappa: float = 1.0
+
+    # one coordinate is the pair (x_i, z_i)
+    coordinate = property(lambda self: dist.VectorSpec(
+        self.input.dim + 1, self.input.components + (self.output,)))
 
     def _check(self):
         object.__setattr__(self, "weights", tuple(
@@ -78,9 +160,35 @@ class SupLinearLoss(dist.Spec):
     def lipschitz(self):
         return max(math.sqrt(sum(x * x for x in w)) for w in self.weights)
 
+    def draw(self, rng, count):
+        xs = _draw_vectors(self.input, rng, count, self.n)
+        zs = np.stack([self.output.draw(rng, count)
+                       for _ in range(self.n)], axis=1)
+        return np.concatenate([xs, zs[:, :, None]], axis=2)
+
+    def evaluate(self, points):
+        d = self.input.dim
+        xs, zs = points[:, :, :d], points[:, :, d]
+        best = None
+        for w, mu in zip(self.weights, _sup_loss_means(self)):
+            resid = xs @ np.asarray(w) - zs
+            vals = _loss_values(self, resid).mean(axis=1) - mu
+            best = vals if best is None else np.maximum(best, vals)
+        return best
+
+    def proxy_profile(self, p):
+        n = self.n
+        # product-space norm L ||x|| + |z| dominates the loss increments
+        b = (2.0 / n) * (self.lipschitz * vector_norm_psi(self.input, 1).value
+                         + psi_norm(self.output, 1).value)
+        r = (1.0 / n) * (self.lipschitz * math.sqrt(math.fsum(
+            _support_width(c) ** 2 for c in self.input.components))
+            + _support_width(self.output))
+        return ProxyProfile(n=n, psi1_per_coord=[b] * n, ranges=[r] * n)
+
 
 @dataclass(frozen=True)
-class PsaReconstruction(dist.Spec):
+class PsaReconstruction(_VectorCoordinates):
     """Worst estimation difference of subspace reconstruction errors.
 
     f(x) = max over the projection net of
@@ -92,6 +200,8 @@ class PsaReconstruction(dist.Spec):
     projections: tuple      # tuple of (D, D) matrices as nested tuples
     input: dist.VectorSpec
     n: dist.Count
+
+    coordinate = property(lambda self: self.input)
 
     def _check(self):
         dim = self.ambient_dim
@@ -114,14 +224,38 @@ class PsaReconstruction(dist.Spec):
     def projection_arrays(self):
         return [np.asarray(p) for p in self.projections]
 
+    def evaluate(self, points):
+        sq = np.einsum("bij,bij->bi", points, points)
+        second = _second_moment_matrix(self.input)
+        e_sq = float(np.trace(second))
+        best = None
+        for p in self.projection_arrays():
+            proj_sq = np.einsum("bij,jk,bik->bi", points, p, points)
+            expected = e_sq - float(np.sum(p * second))
+            vals = expected - (sq - proj_sq).mean(axis=1)
+            best = vals if best is None else np.maximum(best, vals)
+        return best
+
+    def proxy_profile(self, p):
+        n = self.n
+        # Cauchy-Schwarz over the projection class contributes sqrt(d) + 1;
+        # ||  ||X||^2  ||_psi1 <= 2 ||  ||X||  ||_psi2^2
+        psi2_norm = vector_norm_psi(self.input, 2).value
+        b = (2.0 / n) * (math.sqrt(self.subspace_dim) + 1.0) * 2.0 * psi2_norm ** 2
+        r = (1.0 / n) * math.fsum(_interval_sq_max(c)
+                                  for c in self.input.components)
+        return ProxyProfile(n=n, psi1_per_coord=[b] * n, ranges=[r] * n)
+
 
 @dataclass(frozen=True)
-class MetricLipschitz(dist.Spec):
+class MetricLipschitz(_ScalarCoordinates):
     """f(x) = lip * sum_i g_i(x_i) with each g_i 1-Lipschitz."""
     kind = "metric_lipschitz"
     lip: float
     coordinate_dists: dist.Specs
     maps: tuple             # per-coordinate map names: abs | identity | sin
+
+    laws = property(lambda self: self.coordinate_dists)
 
     def _check(self):
         object.__setattr__(self, "lip", float(self.lip))
@@ -131,6 +265,18 @@ class MetricLipschitz(dist.Spec):
         for m in self.maps:
             if not (isinstance(m, str) and m in _LIPSCHITZ_MAPS):
                 raise dist.SpecError(f"unknown coordinate map {m!r}")
+
+    def evaluate(self, points):
+        total = np.zeros(points.shape[0])
+        for i, name in enumerate(self.maps):
+            total += _LIPSCHITZ_MAPS[name](points[:, i])
+        return self.lip * total
+
+    def proxy_profile(self, p):
+        psi1 = [self.lip * applications.psi_diameter(c, 1).value
+                for c in self.coordinate_dists]
+        ranges = [self.lip * _support_width(c) for c in self.coordinate_dists]
+        return ProxyProfile(n=self.n, psi1_per_coord=psi1, ranges=ranges)
 
 
 def _row(row, name, length):
@@ -147,8 +293,6 @@ _LIPSCHITZ_MAPS = {
     "sin": np.sin,
 }
 
-FunctionSpec = Union[SumFunction, VectorNormOfSum, SupLinearLoss,
-                     PsaReconstruction, MetricLipschitz]
 dist._KINDS.update((cls.kind, cls) for cls in (
     SumFunction, VectorNormOfSum, SupLinearLoss, PsaReconstruction, MetricLipschitz))
 
@@ -187,40 +331,12 @@ def random_projections(ambient_dim, subspace_dim, count, seed):
     return mats
 
 
-def n_coords(fspec) -> int:
-    if isinstance(fspec, SumFunction):
-        return len(fspec.components)
-    if isinstance(fspec, (VectorNormOfSum, SupLinearLoss, PsaReconstruction)):
-        return fspec.n
-    if isinstance(fspec, MetricLipschitz):
-        return len(fspec.coordinate_dists)
-    raise TypeError(f"unknown function spec {type(fspec).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # Sampling and evaluation
 
 def sample_points(fspec, seed, count, stream=0):
-    """Batch of base points; shape (count, n) or (count, n, dim)."""
-    rng = dist._rng(seed, stream)
-    return _draw_points(fspec, rng, count)
-
-
-def _draw_points(fspec, rng, count):
-    if isinstance(fspec, SumFunction):
-        return np.column_stack([c.draw(rng, count) for c in fspec.components])
-    if isinstance(fspec, VectorNormOfSum):
-        return _draw_vectors(fspec.vec, rng, count, fspec.n)
-    if isinstance(fspec, SupLinearLoss):
-        xs = _draw_vectors(fspec.input, rng, count, fspec.n)
-        zs = np.stack([fspec.output.draw(rng, count)
-                       for _ in range(fspec.n)], axis=1)
-        return np.concatenate([xs, zs[:, :, None]], axis=2)
-    if isinstance(fspec, PsaReconstruction):
-        return _draw_vectors(fspec.input, rng, count, fspec.n)
-    if isinstance(fspec, MetricLipschitz):
-        return np.column_stack([c.draw(rng, count) for c in fspec.coordinate_dists])
-    raise TypeError(f"unknown function spec {type(fspec).__name__}")
+    """Batch of base points; shape (count,) + fspec.point_shape."""
+    return fspec.draw(dist._rng(seed, stream), count)
 
 
 def _draw_vectors(vec, rng, count, n):
@@ -232,68 +348,15 @@ def _draw_vectors(vec, rng, count, n):
 
 
 def eval_f(fspec, points) -> np.ndarray:
-    """Evaluate f on a batch of base points (first axis = batch)."""
+    """Evaluate f on one base point or on a batch (first axis = batch)."""
     points = np.asarray(points, dtype=float)
-    squeeze = False
-    if points.ndim == _point_ndim(fspec):
-        points = points[None]
-        squeeze = True
-    out = _eval_batch(fspec, points)
-    return out[0] if squeeze else out
-
-
-def _point_ndim(fspec):
-    return 1 if isinstance(fspec, (SumFunction, MetricLipschitz)) else 2
-
-
-def _eval_batch(fspec, points):
-    if isinstance(fspec, SumFunction):
-        _check_shape(points, (None, len(fspec.components)))
-        return points.sum(axis=1)
-    if isinstance(fspec, VectorNormOfSum):
-        _check_shape(points, (None, fspec.n, fspec.vec.dim))
-        s = points.sum(axis=1)
-        if fspec.centered:
-            means = np.array([dist.mean(c) for c in fspec.vec.components])
-            s = s - fspec.n * means
-        return np.linalg.norm(s, axis=1)
-    if isinstance(fspec, SupLinearLoss):
-        d = fspec.input.dim
-        _check_shape(points, (None, fspec.n, d + 1))
-        xs, zs = points[:, :, :d], points[:, :, d]
-        mus = _sup_loss_means(fspec)
-        best = None
-        for w, mu in zip(fspec.weights, mus):
-            resid = xs @ np.asarray(w) - zs
-            vals = _loss_values(fspec, resid).mean(axis=1) - mu
-            best = vals if best is None else np.maximum(best, vals)
-        return best
-    if isinstance(fspec, PsaReconstruction):
-        _check_shape(points, (None, fspec.n, fspec.ambient_dim))
-        sq = np.einsum("bij,bij->bi", points, points)
-        second = _second_moment_matrix(fspec.input)
-        e_sq = float(np.trace(second))
-        best = None
-        for p in fspec.projection_arrays():
-            proj_sq = np.einsum("bij,jk,bik->bi", points, p, points)
-            expected = e_sq - float(np.sum(p * second))
-            vals = expected - (sq - proj_sq).mean(axis=1)
-            best = vals if best is None else np.maximum(best, vals)
-        return best
-    if isinstance(fspec, MetricLipschitz):
-        _check_shape(points, (None, len(fspec.coordinate_dists)))
-        total = np.zeros(points.shape[0])
-        for i, name in enumerate(fspec.maps):
-            total += _LIPSCHITZ_MAPS[name](points[:, i])
-        return fspec.lip * total
-    raise TypeError(f"unknown function spec {type(fspec).__name__}")
-
-
-def _check_shape(points, expected):
-    got = points.shape
-    if len(got) != len(expected) or any(
-            e is not None and g != e for g, e in zip(got, expected)):
-        raise ValueError(f"point batch has shape {got}, expected {expected}")
+    shape = fspec.point_shape
+    single = points.ndim == len(shape)
+    batch = points[None] if single else points
+    if batch.shape[1:] != shape:
+        raise ValueError(f"point batch has shape {batch.shape}, expected {(None,) + shape}")
+    out = fspec.evaluate(batch)
+    return out[0] if single else out
 
 
 def _loss_values(fspec, resid):
@@ -330,7 +393,7 @@ def sample_f(fspec, seed, count, stream=0) -> np.ndarray:
     """Deterministic samples of f(X)."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return _eval_batch(fspec, sample_points(fspec, seed, count, stream))
+    return fspec.evaluate(sample_points(fspec, seed, count, stream))
 
 
 # ---------------------------------------------------------------------------
@@ -339,49 +402,35 @@ def sample_f(fspec, seed, count, stream=0) -> np.ndarray:
 def conditional_version_samples(fspec, k, x, seed, count) -> np.ndarray:
     """Samples of f_k(X)(x): resample coordinate k at base point x, center
     by the conditional mean (closed form for sums, inner estimate otherwise)."""
-    n = n_coords(fspec)
+    n = fspec.n
     if not 0 <= k < n:
         raise ValueError(f"coordinate k={k} out of range for n={n}")
     x = np.asarray(x, dtype=float)
+    if x.shape != fspec.point_shape:
+        raise ValueError(f"point has shape {x.shape}, expected {fspec.point_shape}")
     batch = np.repeat(x[None], count, axis=0)
-    rng = dist._rng(seed, 0)
-    batch[:, k] = _draw_coordinate(fspec, k, rng, count)
-    vals = _eval_batch(fspec, batch)
-    if isinstance(fspec, SumFunction):
-        cond_mean = x.sum() - x[k] + dist.mean(fspec.components[k])
-        return vals - cond_mean
-    inner = np.repeat(x[None], _INNER_MC, axis=0)
-    inner[:, k] = _draw_coordinate(fspec, k, dist._rng(seed, _INNER_STREAM + k),
-                                   _INNER_MC)
-    cond_mean = float(_eval_batch(fspec, inner).mean())
-    return vals - cond_mean
-
-
-def _draw_coordinate(fspec, k, rng, count):
-    if isinstance(fspec, SumFunction):
-        return fspec.components[k].draw(rng, count)
-    if isinstance(fspec, MetricLipschitz):
-        return fspec.coordinate_dists[k].draw(rng, count)
-    if isinstance(fspec, (VectorNormOfSum, PsaReconstruction)):
-        vec = fspec.vec if isinstance(fspec, VectorNormOfSum) else fspec.input
-        return vec.draw(rng, count)
-    if isinstance(fspec, SupLinearLoss):
-        xs = fspec.input.draw(rng, count)
-        zs = fspec.output.draw(rng, count)
-        return np.concatenate([xs, zs[:, None]], axis=1)
-    raise TypeError(f"unknown function spec {type(fspec).__name__}")
+    batch[:, k] = fspec.draw_coordinate(k, dist._rng(seed, 0), count)
+    return fspec.evaluate(batch) - fspec.conditional_mean(k, x, seed)
 
 
 # ---------------------------------------------------------------------------
 # Norms of vector magnitudes
 
 def _iid_centered_gaussian_sd(vec):
-    comps = vec.components
-    if all(isinstance(c, dist.Gaussian) and c.mean == 0.0 for c in comps):
-        sds = {c.sd for c in comps}
-        if len(sds) == 1:
-            return comps[0].sd
+    """The common sd if every coordinate is the same centered Gaussian law,
+    however the spec writes it, else None."""
+    forms = {dist.canonical(c) for c in vec.components}
+    if len(forms) == 1:
+        form = forms.pop()
+        if isinstance(form, dist.Gaussian) and form.mean == 0.0:
+            return form.sd
     return None
+
+
+def _chi_log_moment(sd, d, p):
+    """ln E[(sd chi_d)^p], with sd chi_d the length of d iid N(0, sd^2)."""
+    return (p * math.log(sd) + 0.5 * p * math.log(2.0)
+            + float(gammaln((d + p) / 2)) - float(gammaln(d / 2)))
 
 
 def vector_norm_lp(vec, p) -> float:
@@ -391,10 +440,7 @@ def vector_norm_lp(vec, p) -> float:
         return dist.lp_norm(vec.components[0], p)
     sd = _iid_centered_gaussian_sd(vec)
     if sd is not None:
-        d = vec.dim
-        lm = (p * math.log(sd) + 0.5 * p * math.log(2.0)
-              + float(gammaln((d + p) / 2)) - float(gammaln(d / 2)))
-        return math.exp(lm / p)
+        return math.exp(_chi_log_moment(sd, vec.dim, p) / p)
     return math.fsum(dist.lp_norm(c, p) for c in vec.components)
 
 
@@ -404,12 +450,8 @@ def vector_norm_psi(vec, alpha) -> OrliczEstimate:
         return psi_norm(vec.components[0], alpha)
     sd = _iid_centered_gaussian_sd(vec)
     if sd is not None:
-        d = vec.dim
-
-        def log_lp(p):
-            return (math.log(sd) + 0.5 * math.log(2.0)
-                    + (float(gammaln((d + p) / 2)) - float(gammaln(d / 2))) / p)
-        return _sup_ratio(log_lp, alpha, 256.0, 16, "analytic-grid")
+        return _sup_ratio(lambda p: _chi_log_moment(sd, vec.dim, p) / p, alpha,
+                          256.0, 16, "analytic-grid")
     total = math.fsum(psi_norm(c, alpha).value for c in vec.components)
     return OrliczEstimate(alpha, total, float("nan"), "triangle-bound")
 
@@ -423,51 +465,7 @@ def proxy_profile(fspec, p: Optional[float] = None) -> ProxyProfile:
     Pass p > 1 to additionally populate the 2p-norm entries used by the
     moment-based bound.
     """
-    n = n_coords(fspec)
-    if isinstance(fspec, SumFunction):
-        psi1 = [psi_norm(dist.Centered(c), 1).value for c in fspec.components]
-        psi2 = _try_psi2([dist.Centered(c) for c in fspec.components])
-        l2p = None
-        if p is not None:
-            l2p = [dist.lp_norm(dist.Centered(c), 2 * p) for c in fspec.components]
-        ranges = [_support_width(c) for c in fspec.components]
-        return ProxyProfile(n=n, psi1_per_coord=psi1, psi2_per_coord=psi2,
-                            l2p_per_coord=l2p, l2p_order=p, ranges=ranges)
-    if isinstance(fspec, VectorNormOfSum):
-        b1 = 2.0 * vector_norm_psi(fspec.vec, 1).value
-        try:
-            b2 = 2.0 * vector_norm_psi(fspec.vec, 2).value
-            psi2 = [b2] * n
-        except PMaxTooSmallError:
-            psi2 = None
-        l2p = [2.0 * vector_norm_lp(fspec.vec, 2 * p)] * n if p is not None else None
-        r = math.sqrt(math.fsum(_support_width(c) ** 2
-                                for c in fspec.vec.components))
-        return ProxyProfile(n=n, psi1_per_coord=[b1] * n, psi2_per_coord=psi2,
-                            l2p_per_coord=l2p, l2p_order=p, ranges=[r] * n)
-    if isinstance(fspec, SupLinearLoss):
-        # product-space norm L ||x|| + |z| dominates the loss increments
-        b = (2.0 / n) * (fspec.lipschitz * vector_norm_psi(fspec.input, 1).value
-                         + psi_norm(fspec.output, 1).value)
-        r = (1.0 / n) * (fspec.lipschitz * math.sqrt(math.fsum(
-            _support_width(c) ** 2 for c in fspec.input.components))
-            + _support_width(fspec.output))
-        return ProxyProfile(n=n, psi1_per_coord=[b] * n, ranges=[r] * n)
-    if isinstance(fspec, PsaReconstruction):
-        # Cauchy-Schwarz over the projection class contributes sqrt(d) + 1;
-        # ||  ||X||^2  ||_psi1 <= 2 ||  ||X||  ||_psi2^2
-        psi2_norm = vector_norm_psi(fspec.input, 2).value
-        b = (2.0 / n) * (math.sqrt(fspec.subspace_dim) + 1.0) * 2.0 * psi2_norm ** 2
-        r = (1.0 / n) * math.fsum(_interval_sq_max(c)
-                                  for c in fspec.input.components)
-        return ProxyProfile(n=n, psi1_per_coord=[b] * n, ranges=[r] * n)
-    if isinstance(fspec, MetricLipschitz):
-        from .applications import psi_diameter
-        psi1 = [fspec.lip * psi_diameter(c, 1).value
-                for c in fspec.coordinate_dists]
-        ranges = [fspec.lip * _support_width(c) for c in fspec.coordinate_dists]
-        return ProxyProfile(n=n, psi1_per_coord=psi1, ranges=ranges)
-    raise TypeError(f"unknown function spec {type(fspec).__name__}")
+    return fspec.proxy_profile(p)
 
 
 def _support_width(spec):
@@ -480,14 +478,13 @@ def _interval_sq_max(spec):
     return max(lo * lo, hi * hi)
 
 
-def _try_psi2(specs):
-    out = []
-    for s in specs:
-        try:
-            out.append(psi_norm(s, 2).value)
-        except PMaxTooSmallError:
-            return None
-    return out
+def _psi2_or_none(norm, specs):
+    """[norm(s, 2).value for s in specs], or None if one of them needs p
+    beyond p_max."""
+    try:
+        return [norm(s, 2).value for s in specs]
+    except PMaxTooSmallError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +493,9 @@ def _try_psi2(specs):
 def expectation(fspec, budget=10 ** 5, seed=0):
     """(E[f(X)], half_width) -- closed form where exact, else a fixed-seed
     estimate with a 99.9% normal-approximation half-width."""
-    if isinstance(fspec, SumFunction):
-        return math.fsum(dist.mean(c) for c in fspec.components), 0.0
-    if isinstance(fspec, VectorNormOfSum):
-        sd = _iid_centered_gaussian_sd(fspec.vec)
-        if sd is not None:
-            # ||sum|| is a chi law with scale sd * sqrt(n)
-            d = fspec.vec.dim
-            scale = sd * math.sqrt(fspec.n)
-            val = scale * math.sqrt(2.0) * math.exp(
-                float(gammaln((d + 1) / 2)) - float(gammaln(d / 2)))
-            return val, 0.0
+    exact = fspec.closed_form_mean()
+    if exact is not None:
+        return exact, 0.0
     if budget < 10 ** 4:
         raise ValueError(f"budget must be >= 10^4 samples, got {budget}")
     vals = sample_f(fspec, seed, budget, stream=_INNER_STREAM + 777)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -258,15 +258,7 @@ def compare_bounds(fspec, kinds, t_grid, n_samples, seed, p=None,
             else:
                 col.append(math.log10(b / e))
         ratios[k] = tuple(col)
-    return VerificationReport(
-        t_grid=report.t_grid, empirical=report.empirical,
-        cp_lower=report.cp_lower, cp_upper=report.cp_upper,
-        kinds=report.kinds, bound_probs=report.bound_probs,
-        verdicts=report.verdicts, verdict=report.verdict,
-        cp_level=report.cp_level, n_samples=report.n_samples,
-        seed=report.seed, mean_value=report.mean_value,
-        mean_half_width=report.mean_half_width, ratios_log10=ratios,
-        metadata=report.metadata)
+    return replace(report, ratios_log10=ratios)
 
 
 def _fmt(x):

@@ -159,8 +159,9 @@ class TestInversion:
             assert B.invert_tail(kind, prof, 1 - 1e-12).exact < 1e-4
 
     def test_roundtrip(self):
-        prof = profile(psi1=[0.5, 2.0], psi2=[0.5, 2.0], l2p=[0.3, 1.0], p=2.0)
-        for kind in ("thm1", "thm2", "thm3"):
+        prof = profile(psi1=[0.5, 2.0], psi2=[0.5, 2.0], l2p=[0.3, 1.0], p=2.0,
+                       ranges=[1.0, 3.0])
+        for kind in ("thm1", "thm2", "thm3", "thm3-psi2-variant", "bounded-difference"):
             for delta in (0.5, 1e-2, 1e-6):
                 inv = B.invert_tail(kind, prof, delta, p=2.0)
                 back = B.evaluate_tail(kind, prof, inv.exact, p=2.0).prob

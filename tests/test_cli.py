@@ -166,6 +166,24 @@ class TestBoundAndInvert:
         inv = json.loads(out)["inversions"]["thm2"]
         assert 0 < inv["exact"] <= inv["additive"]
 
+    def test_invert_bounded_difference(self, capsys):
+        code, out, _ = run(capsys, "invert", "--spec", config("sum_rademacher1.json"),
+                           "--bounds", "bounded-difference", "--delta", "0.01")
+        assert code == 0
+        inv = json.loads(out)["inversions"]["bounded-difference"]
+        # one Rademacher coordinate, range 2: exp(-2 t^2 / 4) = delta
+        want = math.sqrt(2.0 * math.log(100.0))
+        assert inv["exact"] == pytest.approx(want, rel=1e-12)
+        assert inv["additive"] == pytest.approx(want, rel=1e-12)
+
+    def test_invert_thm3_psi2_variant(self, capsys):
+        code, out, _ = run(capsys, "invert", "--spec", config("sum_rademacher1.json"),
+                           "--bounds", "thm3,thm3-psi2-variant", "--delta", "0.01",
+                           "--p", "2")
+        assert code == 0
+        inv = json.loads(out)["inversions"]
+        assert 0 < inv["thm3-psi2-variant"]["exact"] <= inv["thm3-psi2-variant"]["additive"]
+
 
 class TestAppbound:
     def test_vector_ii_value(self, capsys):

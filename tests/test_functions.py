@@ -61,6 +61,16 @@ class TestEval:
         with pytest.raises(ValueError, match="shape"):
             F.eval_f(sum_of(D.Rademacher(), 3), np.zeros((5, 4)))
 
+    @pytest.mark.parametrize("fspec", CATALOGUE, ids=lambda f: f.kind)
+    def test_single_point_is_batch_of_one(self, fspec):
+        pts = F.sample_points(fspec, seed=9, count=3)
+        assert pts.shape == (3,) + fspec.point_shape
+        batch = F.eval_f(fspec, pts[:1])
+        assert batch.shape == (1,) and F.eval_f(fspec, pts[0]) == batch[0]
+        wrong = np.zeros((2,) + fspec.point_shape[:-1] + (fspec.point_shape[-1] + 1,))
+        with pytest.raises(ValueError, match="shape"):
+            F.eval_f(fspec, wrong)
+
 
 class TestSampling:
     def test_deterministic(self):
@@ -117,16 +127,39 @@ class TestConditionalVersions:
         x = F.sample_points(fspec, seed=60, count=1)[0]
         count = 4000
         vals = F.conditional_version_samples(fspec, 1, x, seed=61, count=count)
-        draws = F._draw_coordinate(fspec, 1, D._rng(61, 0), count)
-        resample_mc = F._draw_coordinate(fspec, 1, D._rng(62, 0), 20000)
+        draws = fspec.draw_coordinate(1, D._rng(61, 0), count)
+        resample_mc = fspec.draw_coordinate(1, D._rng(62, 0), 20000)
         cond_dist = np.array([np.linalg.norm(d - resample_mc, axis=1).mean()
                               for d in draws])
         assert np.all(np.abs(vals) <= cond_dist + 0.05)
+
+    def test_point_shape_checked(self):
+        for fspec in CATALOGUE:
+            x = F.sample_points(fspec, seed=52, count=1)[0]
+            with pytest.raises(ValueError, match="shape"):
+                F.conditional_version_samples(fspec, 0, x[:-1], seed=53, count=10)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             F.conditional_version_samples(sum_of(D.Rademacher(), 2), 5,
                                           np.zeros(2), seed=1, count=10)
+
+
+class TestGaussianVectorForms:
+    """A centered Gaussian law gets the exact chi-law values however the
+    spec writes it."""
+
+    @pytest.mark.parametrize("comp", [D.Centered(D.Gaussian(2.0, 1.0)),
+                                      D.Scaled(D.Gaussian(0.0, 1.0), -1.0)],
+                             ids=["centered", "scaled"])
+    def test_matches_plain_gaussian(self, comp):
+        vec = D.VectorSpec(3, (comp,) * 3)
+        assert F.vector_norm_psi(vec, 1).value == F.vector_norm_psi(gauss_vec(3), 1).value
+        assert F.vector_norm_psi(vec, 1).method == "analytic-grid"
+        assert F.vector_norm_lp(vec, 4) == F.vector_norm_lp(gauss_vec(3), 4)
+        assert (F.expectation(F.VectorNormOfSum(vec, 6))
+                == F.expectation(F.VectorNormOfSum(gauss_vec(3), 6)))
+        assert F.expectation(F.VectorNormOfSum(vec, 6))[1] == 0.0
 
 
 class TestProxyProfile:
@@ -140,7 +173,7 @@ class TestProxyProfile:
         fspec = F.VectorNormOfSum(gauss_vec(3), 7)
         prof = F.proxy_profile(fspec)
         want = 2.0 * F.vector_norm_psi(gauss_vec(3), 1).value
-        assert np.allclose(prof.psi1_per_coord, want, rel := 1e-12)
+        assert np.allclose(prof.psi1_per_coord, want, rtol=1e-12)
         assert len(set(prof.psi1_per_coord)) == 1
 
     def test_psa_entry(self):
@@ -186,7 +219,7 @@ class TestProxyProfile:
         for fspec in CATALOGUE:
             prof = F.proxy_profile(fspec)
             x = F.sample_points(fspec, seed=70, count=1)[0]
-            for k in (0, F.n_coords(fspec) - 1):
+            for k in (0, fspec.n - 1):
                 vals = F.conditional_version_samples(fspec, k, x, seed=71 + k,
                                                      count=5000)
                 with pytest.warns(UserWarning):
