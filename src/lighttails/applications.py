@@ -14,7 +14,7 @@ import numpy as np
 
 from . import distributions as dist
 from .bounds import TailBoundResult, _tail
-from .orlicz import psi_norm, psi_norm_finite, _sup_ratio
+from .orlicz import psi_norm, psi_norm_finite, _each, _sup_ratio
 
 __all__ = [
     "PsiDiameter", "PreconditionError", "vector_bound_i",
@@ -190,7 +190,7 @@ def psi_diameter(spec, alpha) -> PsiDiameter:
 
         def log_lp(p):
             return lw + (math.log(2.0) - math.log((p + 1.0) * (p + 2.0))) / p
-        est = _sup_ratio(log_lp, alpha, 256.0, 16, "closed-form")
+        est = _sup_ratio(_each(log_lp), alpha, 256.0, 16, "closed-form")
     else:
         est = psi_norm(dist.Centered(base), alpha)
         return PsiDiameter(alpha, abs(a) * 2.0 * est.value, "centering-bound")

@@ -128,6 +128,20 @@ def _parse_kinds(text):
     return kinds
 
 
+def _thm3_p(kinds, p):
+    """The p of the 2p-norms in the proxy profile: --p if a thm3 kind is
+    asked for, else None.  The thm3 kinds need --p > 1; this is checked
+    before any profile work."""
+    if not any(k.startswith("thm3") for k in kinds):
+        return None
+    if p is None:
+        raise UsageError("the thm3 bound kinds need --p, the order of the "
+                         "2p-norms (p > 1)")
+    if not p > 1:
+        raise UsageError(f"the thm3 bound kinds need --p > 1, got {p!r}")
+    return p
+
+
 def _load_spec_file(path):
     try:
         with open(path) as fh:
@@ -264,6 +278,7 @@ def _cmd_entropy_check(args):
 def _cmd_bound(args):
     fspec = _load_fn_spec(args.spec)
     kinds = _parse_kinds(args.bounds)
+    _thm3_p(kinds, args.p)
     t_grid = _parse_t_grid(args.t_grid)
     digest = _config_digest(args, fn.fspec_to_dict(fspec))
     try:
@@ -279,15 +294,14 @@ def _cmd_bound(args):
 def _cmd_invert(args):
     fspec = _load_fn_spec(args.spec)
     kinds = _parse_kinds(args.bounds)
+    p = _thm3_p(kinds, args.p)
     digest = _config_digest(args, fn.fspec_to_dict(fspec))
-    profile = fn.proxy_profile(
-        fspec, p=args.p if any(k.startswith("thm3") for k in kinds) else None)
-    results = {}
-    for k in kinds:
-        try:
-            results[k] = invert_tail(k, profile, args.delta, p=args.p).to_dict()
-        except ValueError as exc:
-            raise UsageError(str(exc))
+    try:
+        profile = fn.proxy_profile(fspec, p=p)
+        results = {k: invert_tail(k, profile, args.delta, p=args.p).to_dict()
+                   for k in kinds}
+    except ValueError as exc:
+        raise UsageError(str(exc))
     _emit_payload(args, digest, {"delta": args.delta, "inversions": results})
     return EXIT_OK
 
@@ -346,6 +360,7 @@ def _cmd_appbound(args):
 def _run_verification(args, negative_control=False, with_ratios=False):
     fspec = _load_fn_spec(args.spec)
     kinds = _parse_kinds(args.bounds)
+    _thm3_p(kinds, args.p)
     t_grid = _parse_t_grid(args.t_grid)
     digest = _config_digest(args, fn.fspec_to_dict(fspec))
     meta = {"tool_version": __version__, "config_digest": digest,

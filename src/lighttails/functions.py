@@ -428,9 +428,10 @@ def _iid_centered_gaussian_sd(vec):
 
 
 def _chi_log_moment(sd, d, p):
-    """ln E[(sd chi_d)^p], with sd chi_d the length of d iid N(0, sd^2)."""
+    """ln E[(sd chi_d)^p], with sd chi_d the length of d iid N(0, sd^2);
+    p may be an array."""
     return (p * math.log(sd) + 0.5 * p * math.log(2.0)
-            + float(gammaln((d + p) / 2)) - float(gammaln(d / 2)))
+            + gammaln((d + p) / 2) - float(gammaln(d / 2)))
 
 
 def vector_norm_lp(vec, p) -> float:
@@ -450,7 +451,7 @@ def vector_norm_psi(vec, alpha) -> OrliczEstimate:
         return psi_norm(vec.components[0], alpha)
     sd = _iid_centered_gaussian_sd(vec)
     if sd is not None:
-        return _sup_ratio(lambda p: _chi_log_moment(sd, vec.dim, p) / p, alpha,
+        return _sup_ratio(lambda ps: _chi_log_moment(sd, vec.dim, ps) / ps, alpha,
                           256.0, 16, "analytic-grid")
     total = math.fsum(psi_norm(c, alpha).value for c in vec.components)
     return OrliczEstimate(alpha, total, float("nan"), "triangle-bound")

@@ -278,3 +278,48 @@ class TestDigestStability:
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0 and out.strip()
+
+
+def thm3_argv(command, *extra):
+    """argv of a thm3 request on sum_exp10 for one of the four bound commands."""
+    argv = [command, "--spec", config("sum_exp10.json"), "--bounds", "thm2,thm3"]
+    if command == "invert":
+        argv += ["--delta", "0.01"]
+    else:
+        argv += ["--t-grid", "2:20:5"]
+    if command in ("verify", "compare"):
+        argv += ["--n", "20000", "--seed", "1"]
+    return argv + list(extra)
+
+
+BOUND_COMMANDS = ["bound", "invert", "verify", "compare"]
+
+
+class TestThm3P:
+    def test_invert_p_below_one_is_usage_error(self, capsys):
+        # used to end in a ValueError traceback from the proxy profile
+        code, out, err = run(capsys, "invert", "--spec", config("sum_exp10.json"),
+                             "--bounds", "thm3", "--delta", "0.01", "--p", "0.5")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "--p > 1" in err
+
+    @pytest.mark.parametrize("command", BOUND_COMMANDS)
+    def test_bad_p_fails_before_profile_work(self, command, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("profile or sampling work before the --p check")
+        monkeypatch.setattr(cli.fn, "proxy_profile", no_work)
+        monkeypatch.setattr(cli.vfy, "estimate_tail", no_work)
+        code, out, err = run(capsys, *thm3_argv(command, "--p", "1.0"))
+        assert code == 1 and out == ""
+        assert err == "error: the thm3 bound kinds need --p > 1, got 1.0\n"
+
+    @pytest.mark.parametrize("command", BOUND_COMMANDS)
+    def test_missing_p_names_the_flag(self, command, capsys):
+        code, out, err = run(capsys, *thm3_argv(command))
+        assert code == 1 and out == ""
+        assert "--p" in err and "l2p_per_coord" not in err
+
+    def test_p_ignored_without_thm3(self, capsys):
+        code, _, _ = run(capsys, "bound", "--spec", config("sum_exp10.json"),
+                         "--bounds", "thm2", "--t-grid", "2:20:5", "--p", "0.5")
+        assert code == 0

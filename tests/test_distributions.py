@@ -153,6 +153,63 @@ class TestMoments:
             assert np.isfinite(D.log_abs_moment(spec, 256.0))
 
 
+# laws whose moments take the numeric paths: the fixed tanh-sinh rule, or
+# the Poisson series (last two)
+NUMERIC_LAWS = [
+    D.Centered(D.Exponential(1.0)),
+    D.Centered(D.ChiSquared(1)),
+    D.Centered(D.ChiSquared(3)),
+    D.Shifted(D.Exponential(2.0), -3.0),
+    D.Gaussian(3.0, 1.0),
+    D.Gaussian(0.8, 1.0),
+    D.SquareOf(D.Gaussian(0.5, 1.0)),
+    D.Centered(D.SquareOf(D.Gaussian(0.0, 1.0))),
+    D.Centered(D.SquareOf(D.UniformInterval(-0.5, 1.0))),
+    D.Centered(D.Scaled(D.ChiSquared(2), 1.1)),
+    D.SquareOf(D.Shifted(D.Exponential(1.0), -1.0)),
+    D.Scaled(D.Centered(D.Exponential(0.8)), -2.0),
+    D.Shifted(D.SquareOf(D.Gaussian(0.5, 1.2)), -0.3),
+    D.Centered(D.Poisson(1.5)),
+    D.Centered(D.SquareOf(D.Poisson(1.3))),
+]
+ORDERS = np.exp(np.linspace(0.0, math.log(256.0), 17))
+
+
+class TestBatchedMoments:
+    @pytest.mark.parametrize("spec", NUMERIC_LAWS, ids=str)
+    def test_agrees_with_adaptive_path(self, spec):
+        # the per-p adaptive path is the reference: 1e-9 in ln ||X||_p
+        batched = D.log_abs_moments(spec, ORDERS)
+        reference = np.array([D.log_abs_moment(spec, p) for p in ORDERS])
+        assert np.max(np.abs(batched - reference) / ORDERS) <= 1e-9
+
+    def test_closed_forms_are_bit_identical(self):
+        for spec in CATALOGUE:
+            form = D.canonical(spec)
+            if isinstance(form, D.Mapped) or type(form) is D.Poisson:
+                continue
+            if isinstance(form, D.Gaussian) and form.mean != 0.0:
+                continue
+            batched = D.log_abs_moments(spec, ORDERS)
+            assert batched.tolist() == [D.log_abs_moment(spec, p) for p in ORDERS]
+
+    def test_orders_must_be_positive(self):
+        for bad in (0.0, -1.0):
+            with pytest.raises(D.SpecError, match="positive"):
+                D.log_abs_moments(D.Centered(D.Exponential(1.0)), np.array([1.0, bad]))
+
+    def test_kink_inside_the_bulk(self):
+        # E|N(m, 1)| = sqrt(2/pi) exp(-m^2/2) + m (1 - 2 Phi(-m)); the kink of
+        # |x| at 0 sits in the bulk, so both paths cut the window there
+        m = 0.8
+        want = (math.sqrt(2.0 / math.pi) * math.exp(-m * m / 2)
+                + m * math.erf(m / math.sqrt(2.0)))
+        spec = D.Gaussian(m, 1.0)
+        assert D.log_abs_moment(spec, 1.0) == pytest.approx(math.log(want), abs=1e-13)
+        assert D.log_abs_moments(spec, np.array([1.0]))[0] == pytest.approx(
+            math.log(want), abs=1e-13)
+
+
 class TestMeans:
     def test_examples(self):
         assert D.mean(D.Rademacher()) == 0.0

@@ -78,6 +78,56 @@ class TestPsiNorm:
             O.psi_norm(D.Rademacher(), 1, grid_density=4)
 
 
+class TestCertificate:
+    @pytest.mark.parametrize("spec, alpha", [(D.Centered(D.Exponential(1.375)), 1),
+                                             (D.Gaussian(0.8125, 1.0), 2)])
+    def test_perturbed_fixed_rule_raises(self, spec, alpha, monkeypatch):
+        real = D.log_abs_moments
+
+        def perturbed(s, ps):
+            return real(s, ps) + 1e-6 * ps      # ln ||Z||_p off by 1e-6
+
+        monkeypatch.setattr(O.dist, "log_abs_moments", perturbed)
+        with pytest.raises(D.QuadratureError, match=r"p\*="):
+            O.psi_norm(spec, alpha)
+        monkeypatch.undo()
+        assert O.psi_norm(spec, alpha).value > 0     # the failure was not memoised
+
+    def test_value_is_the_adaptive_moment_at_p_star(self):
+        for spec, alpha in [(D.Centered(D.ChiSquared(3)), 1), (D.Gaussian(0.8, 1.0), 2),
+                            (D.Centered(D.SquareOf(D.UniformInterval(-0.5, 1.0))), 2)]:
+            est = O.psi_norm(spec, alpha)
+            p = est.p_star
+            want = math.exp(D.log_abs_moment(spec, p) / p - math.log(p) / alpha)
+            assert est.value == want
+
+    @pytest.mark.parametrize("spec", [D.Centered(D.ChiSquared(1)),
+                                      D.Centered(D.SquareOf(D.Gaussian(0.0, 1.0)))],
+                             ids=str)
+    def test_known_p_max_defect_unchanged(self, spec):
+        # the psi_1 ratio of a centered chi-squared_1 still rises at p_max
+        for _ in range(2):      # the memoised outcome raises as well
+            with pytest.raises(O.PMaxTooSmallError):
+                O.psi_norm(spec, 1)
+
+    def test_equal_coordinates_run_the_grid_once(self, monkeypatch):
+        spec = D.Centered(D.Exponential(1.625))
+        grids = []
+        real = D.log_abs_moments
+
+        def counted(s, ps):
+            grids.append(len(ps))
+            return real(s, ps)
+
+        monkeypatch.setattr(O.dist, "log_abs_moments", counted)
+        before = O._psi_norm_cached.cache_info()
+        values = {O.psi_norm(spec, 1).value for _ in range(10)}
+        after = O._psi_norm_cached.cache_info()
+        assert len(values) == 1
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 9)
+        assert sum(n > 1 for n in grids) == 1
+
+
 class TestEmpirical:
     def test_zeros(self):
         with pytest.warns(UserWarning):
