@@ -22,12 +22,13 @@ import numpy as np
 __all__ = [
     "ProxyProfile", "TailBoundResult", "InversionResult", "thm1_tail",
     "thm2_tail", "thm3_tail", "bounded_difference_tail", "invert_tail",
-    "optimization_lemma", "BOUND_KINDS",
+    "optimization_lemma", "BOUND_KINDS", "PSI2_KINDS",
 ]
 
 E = math.e
 
 BOUND_KINDS = ("thm1", "thm2", "thm3", "thm3-psi2-variant", "bounded-difference")
+PSI2_KINDS = ("thm1", "thm3-psi2-variant")     # the kinds that read psi2_per_coord
 
 
 @dataclass(frozen=True)

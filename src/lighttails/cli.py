@@ -297,7 +297,7 @@ def _cmd_invert(args):
     p = _thm3_p(kinds, args.p)
     digest = _config_digest(args, fn.fspec_to_dict(fspec))
     try:
-        profile = fn.proxy_profile(fspec, p=p)
+        profile = fn.proxy_profile(fspec, p=p, kinds=kinds)
         results = {k: invert_tail(k, profile, args.delta, p=args.p).to_dict()
                    for k in kinds}
     except ValueError as exc:

@@ -621,7 +621,7 @@ class VectorSpec(Spec):
 
     def draw(self, rng, count):
         """(count, dim) array with independent coordinates."""
-        return np.column_stack([c.draw(rng, count) for c in self.components])
+        return draw_rows(rng, count, (self.dim,), enumerate(self.components))
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +817,17 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     if not 0 <= seed < 2 ** 64:
         raise SpecError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return np.random.Generator(np.random.Philox(key=[seed, stream]))
+
+
+def draw_rows(rng, count, shape, rows):
+    """Coordinate-major draws: for each (index, law) of `rows`, in order,
+    row `index` of a C-order buffer of shape `shape + (count,)` gets
+    law.draw(rng, count).  Returns the buffer as a (count,) + shape view,
+    not a copy, so every coordinate is one contiguous run of draws."""
+    buf = np.empty(shape + (count,))
+    for index, law in rows:
+        buf[index] = law.draw(rng, count)
+    return np.moveaxis(buf, -1, 0)
 
 
 def sample(spec, seed: int, count: int, stream: int = 0) -> np.ndarray:

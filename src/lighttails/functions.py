@@ -18,7 +18,7 @@ from scipy.special import gammaln
 
 from . import applications
 from . import distributions as dist
-from .bounds import ProxyProfile
+from .bounds import PSI2_KINDS, ProxyProfile
 from .orlicz import OrliczEstimate, PMaxTooSmallError, psi_norm, _sup_ratio
 
 __all__ = [
@@ -37,7 +37,13 @@ class FunctionSpec(dist.Spec):
     """f of n independent coordinates.  Each kind has `n`, `point_shape` (of
     one base point), `draw(rng, count)` and `evaluate(points)` for batches of
     shape (count,) + point_shape, `draw_coordinate(k, rng, count)` and
-    `proxy_profile(p)`; it overrides `closed_form_mean` where E[f(X)] has one."""
+    `proxy_profile(p, with_psi2)`; it overrides `closed_form_mean` where
+    E[f(X)] has one.
+
+    `draw` returns a coordinate-major view (see dist.draw_rows), so a batch
+    may be a non-contiguous view: `evaluate` must not assume C order, must
+    give the same values for any layout of the same batch, and must not
+    write into `points`."""
 
     def closed_form_mean(self): return None
 
@@ -54,7 +60,7 @@ class _ScalarCoordinates(FunctionSpec):
     n = property(lambda self: len(self.laws))
     point_shape = property(lambda self: (self.n,))
 
-    def draw(self, rng, count): return np.column_stack([c.draw(rng, count) for c in self.laws])
+    def draw(self, rng, count): return dist.draw_rows(rng, count, (self.n,), enumerate(self.laws))
     def draw_coordinate(self, k, rng, count): return self.laws[k].draw(rng, count)
 
 
@@ -62,7 +68,9 @@ class _VectorCoordinates(FunctionSpec):
     """The n coordinates are iid copies of the vector law `coordinate`."""
     point_shape = property(lambda self: (self.n, self.coordinate.dim))
 
-    def draw(self, rng, count): return _draw_vectors(self.coordinate, rng, count, self.n)
+    def draw(self, rng, count):
+        vec = self.coordinate
+        return dist.draw_rows(rng, count, (self.n, vec.dim), _vector_rows(vec, self.n))
     def draw_coordinate(self, k, rng, count): return self.coordinate.draw(rng, count)
 
 
@@ -76,14 +84,14 @@ class SumFunction(_ScalarCoordinates):
 
     laws = property(lambda self: self.components)
 
-    def evaluate(self, points): return points.sum(axis=1)
+    def evaluate(self, points): return _coordinate_sum(points)
     def closed_form_mean(self): return math.fsum(dist.mean(c) for c in self.components)
     def conditional_mean(self, k, x, seed): return x.sum() - x[k] + dist.mean(self.components[k])
 
-    def proxy_profile(self, p):
+    def proxy_profile(self, p, with_psi2):
         centered = [dist.Centered(c) for c in self.components]
         psi1 = [psi_norm(c, 1).value for c in centered]
-        psi2 = _psi2_or_none(psi_norm, centered)
+        psi2 = _psi2_or_none(psi_norm, centered) if with_psi2 else None
         l2p = None if p is None else [dist.lp_norm(c, 2 * p) for c in centered]
         ranges = [_support_width(c) for c in self.components]
         return ProxyProfile(n=self.n, psi1_per_coord=psi1, psi2_per_coord=psi2,
@@ -101,16 +109,17 @@ class VectorNormOfSum(_VectorCoordinates):
     coordinate = property(lambda self: self.vec)
 
     def evaluate(self, points):
-        s = points.sum(axis=1)
+        s = _coordinate_sum(points)
         if self.centered:
             means = np.array([dist.mean(c) for c in self.vec.components])
             s = s - self.n * means
-        return np.linalg.norm(s, axis=1)
+        # np.linalg.norm(s, axis=1) of a C-order s
+        return np.sqrt(_pairwise_sum([c * c for c in s.T]))
 
-    def proxy_profile(self, p):
+    def proxy_profile(self, p, with_psi2):
         n = self.n
         b1 = 2.0 * vector_norm_psi(self.vec, 1).value
-        b2 = _psi2_or_none(vector_norm_psi, [self.vec])
+        b2 = _psi2_or_none(vector_norm_psi, [self.vec]) if with_psi2 else None
         psi2 = None if b2 is None else [2.0 * b2[0]] * n
         l2p = [2.0 * vector_norm_lp(self.vec, 2 * p)] * n if p is not None else None
         r = math.sqrt(math.fsum(_support_width(c) ** 2
@@ -161,12 +170,16 @@ class SupLinearLoss(_VectorCoordinates):
         return max(math.sqrt(sum(x * x for x in w)) for w in self.weights)
 
     def draw(self, rng, count):
-        xs = _draw_vectors(self.input, rng, count, self.n)
-        zs = np.stack([self.output.draw(rng, count)
-                       for _ in range(self.n)], axis=1)
-        return np.concatenate([xs, zs[:, :, None]], axis=2)
+        # every x_i first, then every z_i: the draw order of separate x and z
+        d = self.input.dim
+        rows = _vector_rows(self.input, self.n) + [((i, d), self.output)
+                                                   for i in range(self.n)]
+        return dist.draw_rows(rng, count, (self.n, d + 1), rows)
 
     def evaluate(self, points):
+        # matmul picks its kernel, and so its rounding, by memory layout:
+        # a C-order batch keeps the values independent of the batch layout
+        points = np.ascontiguousarray(points)
         d = self.input.dim
         xs, zs = points[:, :, :d], points[:, :, d]
         best = None
@@ -176,7 +189,7 @@ class SupLinearLoss(_VectorCoordinates):
             best = vals if best is None else np.maximum(best, vals)
         return best
 
-    def proxy_profile(self, p):
+    def proxy_profile(self, p, with_psi2):
         n = self.n
         # product-space norm L ||x|| + |z| dominates the loss increments
         b = (2.0 / n) * (self.lipschitz * vector_norm_psi(self.input, 1).value
@@ -225,6 +238,7 @@ class PsaReconstruction(_VectorCoordinates):
         return [np.asarray(p) for p in self.projections]
 
     def evaluate(self, points):
+        points = np.ascontiguousarray(points)    # as in SupLinearLoss.evaluate
         sq = np.einsum("bij,bij->bi", points, points)
         second = _second_moment_matrix(self.input)
         e_sq = float(np.trace(second))
@@ -236,7 +250,7 @@ class PsaReconstruction(_VectorCoordinates):
             best = vals if best is None else np.maximum(best, vals)
         return best
 
-    def proxy_profile(self, p):
+    def proxy_profile(self, p, with_psi2):
         n = self.n
         # Cauchy-Schwarz over the projection class contributes sqrt(d) + 1;
         # ||  ||X||^2  ||_psi1 <= 2 ||  ||X||  ||_psi2^2
@@ -272,7 +286,7 @@ class MetricLipschitz(_ScalarCoordinates):
             total += _LIPSCHITZ_MAPS[name](points[:, i])
         return self.lip * total
 
-    def proxy_profile(self, p):
+    def proxy_profile(self, p, with_psi2):
         psi1 = [self.lip * applications.psi_diameter(c, 1).value
                 for c in self.coordinate_dists]
         ranges = [self.lip * _support_width(c) for c in self.coordinate_dists]
@@ -339,12 +353,44 @@ def sample_points(fspec, seed, count, stream=0):
     return fspec.draw(dist._rng(seed, stream), count)
 
 
-def _draw_vectors(vec, rng, count, n):
-    out = np.empty((count, n, vec.dim))
-    for i in range(n):
-        for j, comp in enumerate(vec.components):
-            out[:, i, j] = comp.draw(rng, count)
-    return out
+def _vector_rows(vec, n):
+    """(index, law) rows for n iid copies of vec, in draw order: copy by copy,
+    component by component."""
+    return [((i, j), c) for i in range(n) for j, c in enumerate(vec.components)]
+
+
+def _pairwise_sum(terms):
+    """sum(terms) in the order numpy sums a contiguous run (pairwise_sum):
+    one term after another below eight terms; up to 128, eight running sums
+    combined as a tree, then the rest; longer runs split in two."""
+    n = len(terms)
+    if n < 8:
+        return functools.reduce(np.add, terms)
+    if n <= 128:
+        acc, i = list(terms[:8]), 8
+        while i < n - n % 8:
+            acc = [a + t for a, t in zip(acc, terms[i:i + 8])]
+            i += 8
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        return functools.reduce(np.add, terms[i:], total)
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+
+
+def _coordinate_sum(points):
+    """points.sum(axis=1), bit for bit as numpy computes it on the C-order
+    batch, for a batch of any layout.  There scalar coordinates form a
+    contiguous run, which numpy sums pairwise; vector coordinates are added
+    one after another.  Both orders work on whole columns here, so a
+    coordinate-major batch is summed without a copy."""
+    terms = list(np.moveaxis(points, 1, 0))
+    # numpy's sums start at +0.0, which also makes the result a new array
+    if math.prod(points.shape[2:]) == 1:
+        return 0.0 + _pairwise_sum(terms)
+    total = 0.0 + terms[0]
+    for t in terms[1:]:
+        total += t
+    return total
 
 
 def eval_f(fspec, points) -> np.ndarray:
@@ -373,7 +419,7 @@ def _loss_values(fspec, resid):
 def _sup_loss_means(fspec):
     """E[loss(<w,X> - Z)] per net weight, by a fixed-seed inner estimate."""
     rng = dist._rng(0, _INNER_STREAM)
-    xs = fspec.input.draw(rng, _INNER_MC)
+    xs = np.ascontiguousarray(fspec.input.draw(rng, _INNER_MC))   # see evaluate
     zs = fspec.output.draw(rng, _INNER_MC)
     return tuple(float(_loss_values(fspec, xs @ np.asarray(w) - zs).mean())
                  for w in fspec.weights)
@@ -460,13 +506,19 @@ def vector_norm_psi(vec, alpha) -> OrliczEstimate:
 # ---------------------------------------------------------------------------
 # Proxy profiles
 
-def proxy_profile(fspec, p: Optional[float] = None) -> ProxyProfile:
+def proxy_profile(fspec, p: Optional[float] = None, kinds=None) -> ProxyProfile:
     """Analytic per-coordinate worst-case psi-norm bounds for f_k.
 
     Pass p > 1 to additionally populate the 2p-norm entries used by the
-    moment-based bound.
+    moment-based bound.  Pass the bound kinds the profile is for to leave
+    out what none of them reads: the 2p-norms without a thm3 kind, the psi2
+    norms without thm1 or thm3-psi2-variant.
     """
-    return fspec.proxy_profile(p)
+    if kinds is None:
+        return fspec.proxy_profile(p, True)
+    if not any(k.startswith("thm3") for k in kinds):
+        p = None
+    return fspec.proxy_profile(p, any(k in PSI2_KINDS for k in kinds))
 
 
 def _support_width(spec):

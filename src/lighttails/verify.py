@@ -109,8 +109,14 @@ def estimate_tail(fspec, t_grid, n_samples, seed, cp_level=DEFAULT_CP_LEVEL,
 
     def shard_counts(job):
         stream, count = job
-        vals = fn.sample_f(fspec, seed, count, stream=stream)
-        return np.sum(vals[:, None] > thresholds[None, :], axis=0)
+        vals = np.sort(fn.sample_f(fspec, seed, count, stream=stream))
+        # a NaN would compare False, as no exceedance; np.sort puts it last
+        if not (np.isfinite(vals[0]) and np.isfinite(vals[-1])):
+            bad = vals[-1] if np.isfinite(vals[0]) else vals[0]
+            raise ValueError(f"{fspec.kind}: sample value {bad} in shard {stream} "
+                             "is not finite")
+        # the values above each threshold; a tie does not exceed
+        return count - np.searchsorted(vals, thresholds, side="right")
 
     if threads <= 1:
         parts = [shard_counts(j) for j in shards]
@@ -137,8 +143,7 @@ def bounds_on_grid(fspec, kinds, t_grid, p=None) -> dict:
     """Evaluate each requested bound kind over the grid via the function's
     analytic proxy profile."""
     t_grid = _check_grid(t_grid)
-    needs_p = any(k.startswith("thm3") for k in kinds)
-    profile = fn.proxy_profile(fspec, p=p if needs_p else None)
+    profile = fn.proxy_profile(fspec, p=p, kinds=kinds)
     return {k: [evaluate_tail(k, profile, t, p=p) for t in t_grid] for k in kinds}
 
 

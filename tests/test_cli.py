@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from lighttails import cli
@@ -323,3 +324,32 @@ class TestThm3P:
         code, _, _ = run(capsys, "bound", "--spec", config("sum_exp10.json"),
                          "--bounds", "thm2", "--t-grid", "2:20:5", "--p", "0.5")
         assert code == 0
+
+
+class TestPsi2OnlyWhenRead:
+    @pytest.mark.parametrize("spec", ["sum_exp10.json", "gauss_norm.json"])
+    def test_psi2_norms_only_for_kinds_that_read_them(self, spec, capsys, monkeypatch):
+        alphas = []
+        for name in ("psi_norm", "vector_norm_psi"):
+            real = getattr(cli.fn, name)
+
+            def counted(law, alpha, *args, _real=real, **kwargs):
+                alphas.append(alpha)
+                return _real(law, alpha, *args, **kwargs)
+            monkeypatch.setattr(cli.fn, name, counted)
+        for command in ("bound", "invert"):
+            last = ["--t-grid", "1:20:5"] if command == "bound" else ["--delta", "0.01"]
+            code, _, _ = run(capsys, command, "--spec", config(spec), "--bounds",
+                             "thm2,thm3,bounded-difference", "--p", "2", *last)
+            assert code == 0 and alphas and 2 not in alphas
+        run(capsys, "bound", "--spec", config(spec), "--bounds", "thm1",
+            "--t-grid", "1:20:5")
+        assert 2 in alphas
+
+    def test_non_finite_sample_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.vfy.fn, "sample_f",
+                            lambda fspec, seed, count, stream=0: np.full(count, math.nan))
+        code, out, err = run(capsys, "verify", "--spec", config("sum_exp10.json"),
+                             "--bounds", "thm2", "--t-grid", "2:20:5", "--n", "100000")
+        assert code == 1 and out == ""
+        assert err == "error: sum: sample value nan in shard 0 is not finite\n"

@@ -103,6 +103,89 @@ class TestSampling:
         assert np.allclose(got, want, atol=1e-12)
 
 
+def old_style_points(fspec, rng, count):
+    """Base points drawn as before coordinate-major buffers: coordinate by
+    coordinate into a C-order (count,) + point_shape batch."""
+    if isinstance(fspec, F._ScalarCoordinates):
+        return np.column_stack([c.draw(rng, count) for c in fspec.laws])
+    vec = fspec.input if isinstance(fspec, F.SupLinearLoss) else fspec.coordinate
+    out = np.empty((count, fspec.n, vec.dim))
+    for i in range(fspec.n):
+        for j, comp in enumerate(vec.components):
+            out[:, i, j] = comp.draw(rng, count)
+    if isinstance(fspec, F.SupLinearLoss):
+        zs = np.stack([fspec.output.draw(rng, count) for _ in range(fspec.n)], axis=1)
+        out = np.concatenate([out, zs[:, :, None]], axis=2)
+    return out
+
+
+def old_style_values(fspec, points):
+    """f on a C-order batch, summed by numpy as before coordinate-major
+    buffers; the other kinds evaluate C-order batches as they did."""
+    if isinstance(fspec, F.SumFunction):
+        return points.sum(axis=1)
+    if isinstance(fspec, F.VectorNormOfSum):
+        s = points.sum(axis=1)
+        if fspec.centered:
+            s = s - fspec.n * np.array([D.mean(c) for c in fspec.vec.components])
+        return np.linalg.norm(s, axis=1)
+    return fspec.evaluate(points)
+
+
+LAYOUT_CASES = CATALOGUE + [
+    sum_of(D.Exponential(1.0), 10),       # numpy sums 8 or more terms pairwise
+    F.SumFunction([D.UniformInterval(0.0, k + 1.0) for k in range(130)]),
+    F.VectorNormOfSum(D.VectorSpec(1, [D.Exponential(2.0)]), 12, centered=True),
+    F.VectorNormOfSum(D.VectorSpec(9, [D.UniformInterval(-1.0, k + 1.0)
+                                       for k in range(9)]), 5),
+    F.SupLinearLoss([(0.3, -0.4)], "huber", D.VectorSpec(
+        2, [D.UniformInterval(-1.0, 1.0), D.Gaussian(0.0, 1.0)]),
+        D.Exponential(1.0), n=9, huber_kappa=0.5),
+]
+
+
+class TestCoordinateMajorDraws:
+    @pytest.mark.parametrize("fspec", LAYOUT_CASES, ids=lambda f: f.kind)
+    def test_points_and_values_match_old_layout(self, fspec):
+        pts = F.sample_points(fspec, seed=17, count=2000, stream=3)
+        ref = old_style_points(fspec, D._rng(17, 3), 2000)
+        assert np.array_equal(pts, ref)
+        # one contiguous run per coordinate, and no copy of the buffer
+        assert np.moveaxis(pts, 0, -1).flags.c_contiguous
+        assert np.array_equal(F.sample_f(fspec, seed=17, count=2000, stream=3),
+                              old_style_values(fspec, ref))
+
+    @pytest.mark.parametrize("fspec", LAYOUT_CASES, ids=lambda f: f.kind)
+    def test_evaluate_leaves_points_unchanged(self, fspec):
+        pts = F.sample_points(fspec, seed=5, count=500)
+        before = pts.copy()
+        fspec.evaluate(pts)
+        assert np.array_equal(pts, before)
+
+    def test_vector_spec_draw(self):
+        vec = D.VectorSpec(3, [D.Gaussian(1.0, 2.0), D.Poisson(3.0),
+                               D.Centered(D.Exponential(1.0))])
+        got = D.sample(vec, seed=8, count=1000, stream=2)
+        rng = D._rng(8, 2)
+        assert np.array_equal(got, np.column_stack([c.draw(rng, 1000)
+                                                    for c in vec.components]))
+
+    def test_coordinate_sum_is_numpy_c_order_sum(self):
+        # every branch of numpy's pairwise order: below 8, up to 128, split
+        rng = np.random.default_rng(3)
+        for n in list(range(1, 140)) + [300, 1000]:
+            batch = rng.standard_normal((64, n)) * rng.exponential(size=n) * 1e3
+            got = F._coordinate_sum(np.asfortranarray(batch))
+            assert got.tobytes() == batch.sum(axis=1).tobytes(), n
+
+    @pytest.mark.parametrize("dim", [1, 3, 9])
+    def test_coordinate_sum_of_vectors(self, dim):
+        rng = np.random.default_rng(dim)
+        batch = rng.standard_normal((64, 11, dim)) * 1e3
+        coordinate_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(batch, 0, -1)), -1, 0)
+        assert F._coordinate_sum(coordinate_major).tobytes() == batch.sum(axis=1).tobytes()
+
+
 class TestConditionalVersions:
     def test_sum_independent_of_base_point(self):
         fspec = sum_of(D.Exponential(1.0), 4)

@@ -5,9 +5,10 @@ import pytest
 from scipy.stats import binom, gamma
 
 from lighttails import distributions as D
+from lighttails import functions as F
 from lighttails import verify as V
 from lighttails.entropy import FiniteDist, ProductTable
-from lighttails.functions import SumFunction, VectorNormOfSum
+from lighttails.functions import SumFunction, SupLinearLoss, VectorNormOfSum
 
 
 def sum_of(spec, n):
@@ -75,6 +76,51 @@ class TestEstimateTail:
         a = V.estimate_tail(fspec, [0.5, 1.5], 3 * 10 ** 5, seed=7, threads=1)
         b = V.estimate_tail(fspec, [0.5, 1.5], 3 * 10 ** 5, seed=7, threads=8)
         assert a == b
+
+    @pytest.mark.parametrize("fspec", [
+        VectorNormOfSum(D.VectorSpec(2, [D.Gaussian(0.0, 1.0), D.Exponential(1.0)]),
+                        n=3, centered=True),
+        SupLinearLoss([(1.0, 0.0), (0.6, 0.8)], "hinge",
+                      D.VectorSpec(2, [D.Gaussian(0.0, 1.0)] * 2),
+                      D.UniformInterval(-1.0, 1.0), n=4),
+    ], ids=lambda f: f.kind)
+    def test_thread_invariance_vector_kinds(self, fspec):
+        kwargs = dict(t_grid=[0.1, 0.4, 1.0], n_samples=2 * 10 ** 5 + 500, seed=9)
+        assert V.estimate_tail(fspec, threads=1, **kwargs) == \
+            V.estimate_tail(fspec, threads=2, **kwargs)
+
+    @pytest.mark.parametrize("fspec, t_grid", [
+        (sum_of(D.Exponential(1.0), 3), [0.5, 1.0, 2.5, 4.0]),
+        # values sit exactly on the thresholds: a tie is not an exceedance
+        (sum_of(D.Rademacher(), 4), [1.0, 2.0, 3.0, 4.0]),
+    ])
+    def test_sorted_counts_match_boolean_matrix(self, fspec, t_grid):
+        n_samples, seed = 2 * 10 ** 5 + 300, 4
+        est = V.estimate_tail(fspec, t_grid, n_samples, seed)
+        thresholds = np.asarray(t_grid) + est.mean_value + est.mean_half_width
+        want, ties = np.zeros(len(t_grid), dtype=int), 0
+        for stream, start in enumerate(range(0, n_samples, V.SHARD_SIZE)):
+            count = min(V.SHARD_SIZE, n_samples - start)
+            vals = F.sample_f(fspec, seed, count, stream=stream)
+            want += np.sum(vals[:, None] > thresholds[None, :], axis=0)
+            ties += int(np.sum(vals[:, None] == thresholds[None, :]))
+        assert est.exceed_counts == tuple(want)
+        assert (ties > 0) == isinstance(fspec.components[0], D.Rademacher)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_raises(self, bad, monkeypatch):
+        real = F.sample_f
+
+        def sample_f(fspec, seed, count, stream=0):
+            vals = real(fspec, seed, count, stream)
+            if stream == 1:
+                vals[17] = bad
+            return vals
+        monkeypatch.setattr(V.fn, "sample_f", sample_f)
+        fspec = sum_of(D.Gaussian(0.0, 1.0), 2)
+        with pytest.raises(ValueError, match=r"^sum: sample value .* in shard 1 "
+                                             r"is not finite"):
+            V.estimate_tail(fspec, [0.5, 1.5], 3 * 10 ** 5, seed=7)
 
     def test_grid_validation(self):
         fspec = sum_of(D.Rademacher(), 1)
