@@ -169,7 +169,9 @@ def psi_diameter(spec, alpha) -> PsiDiameter:
     form = dist.canonical(spec)
     if isinstance(form, dist.FiniteSupport):
         v = np.asarray(form.values)
-        p = np.asarray(form.probs)
+        # normalised, so that the pair law sums to 1 within 1e-12 whenever
+        # the law does
+        p = np.asarray(form.probs) / math.fsum(form.probs)
         diff = np.abs(v[:, None] - v[None, :]).ravel()
         joint = np.outer(p, p).ravel()
         est = psi_norm_finite(diff, joint, alpha)

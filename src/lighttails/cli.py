@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -139,7 +140,14 @@ def _thm3_p(kinds, p):
                          "2p-norms (p > 1)")
     if not p > 1:
         raise UsageError(f"the thm3 bound kinds need --p > 1, got {p!r}")
+    _check_number("p", p)
     return p
+
+
+def _check_number(flag, value, holds=lambda v: True, need="a finite number"):
+    """UsageError naming --flag unless value is None, or finite and holds."""
+    if value is not None and not (math.isfinite(value) and holds(value)):
+        raise UsageError(f"--{flag} must be {need}, got {value!r}")
 
 
 def _load_spec_file(path):
@@ -235,6 +243,7 @@ def _emit_payload(args, digest, payload):
 
 
 def _cmd_norms(args):
+    _check_number("p-max", args.p_max, lambda v: v >= 1, "a finite number >= 1")
     spec = _load_dist_spec(args.spec)
     digest = _config_digest(args, dist.spec_to_dict(spec))
     try:
@@ -246,6 +255,8 @@ def _cmd_norms(args):
 
 
 def _cmd_entropy_check(args):
+    _check_number("beta", args.beta)
+    _check_number("p", args.p, lambda v: v > 1, "a finite number > 1")
     spec = _load_dist_spec(args.spec)
     fs = dist.finite_support(spec)
     if fs is None:
@@ -253,7 +264,7 @@ def _cmd_entropy_check(args):
     digest = _config_digest(args, dist.spec_to_dict(spec))
     values, probs = fs
     mu = float(np.dot(values, probs))
-    y = ent.FiniteDist(values - mu, probs)
+    y = dist.FiniteSupport(values - mu, probs)
     lhs, rhs = ent.entropy_bound_subgaussian(y, args.beta)
     payload = {"beta": args.beta,
                "subgaussian": {"entropy": lhs, "bound": rhs,
@@ -371,9 +382,9 @@ def _run_verification(args, negative_control=False, with_ratios=False):
                                         p=args.p, threads=args.threads,
                                         metadata=meta)
         else:
+            table = vfy.bounds_on_grid(fspec, kinds, t_grid, p=args.p)
             est = vfy.estimate_tail(fspec, t_grid, args.n, args.seed,
                                     threads=args.threads)
-            table = vfy.bounds_on_grid(fspec, kinds, t_grid, p=args.p)
             if negative_control:
                 table = vfy.falsified_bounds(table)
             report = vfy.check_bounds(est, table, metadata=meta)

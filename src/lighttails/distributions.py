@@ -472,9 +472,25 @@ class FiniteSupport(Distribution):
         return values[idx]
 
     def log_abs_moment(self, p):
+        log_p, log_v = self._logs
+        return _logsumexp(log_p + p * log_v)
+
+    @functools.cached_property
+    def _logs(self):
+        """ln probs and ln |values| as arrays; -inf where either is 0."""
         with np.errstate(divide="ignore"):
-            terms = np.log(self.probs) + p * np.log(np.abs(self.values))
-        return _logsumexp(terms)
+            return np.log(self.probs), np.log(np.abs(self.values))
+
+    def log_abs_moments(self, ps):
+        # one (p, value) log-sum-exp; math.log per row, as in _logsumexp,
+        # keeps every row equal to log_abs_moment to the bit
+        log_p, log_v = self._logs
+        terms = log_p + np.multiply.outer(ps, log_v)
+        m = terms.max(axis=1)
+        if not len(m) or m[0] == -math.inf:     # every row is -inf or none is
+            return m
+        sums = np.exp(terms - m[:, None]).sum(axis=1)
+        return m + np.array([math.log(s) for s in sums])
 
     def mgf(self, beta):
         values = np.asarray(self.values)

@@ -1,4 +1,4 @@
-"""Exact entropy calculus on finite-support distributions.
+"""Exact entropy calculus on finite laws.
 
 The central object is S(Y) = E_Y[Y] - ln E[e^Y] with the exponentially
 tilted expectation E_Y[Z] = E[Z e^Y] / E[e^Y].  Everything here is a
@@ -6,6 +6,11 @@ finite sum (with log-sum-exp shifting and compensated accumulation), so
 this module serves as the ground-truth oracle for the tail-bound module.
 S(Y) >= 0 and S(Y) = S(Y + c) always hold; nonnegativity follows from the
 fluctuation representation, whose integrand is a variance.
+
+A finite law is a `distributions.FiniteSupport`, and its values and probs
+are read in the order given, not sorted: the g of `tilted_expect` and the
+axes of a ProductTable's f_table are aligned to that order.  The psi norms
+of the bound lemmas are `orlicz.psi_norm` of the law.
 """
 from __future__ import annotations
 
@@ -15,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .orlicz import psi_norm_finite
+from . import distributions as dist
+from .orlicz import psi_norm
 
 __all__ = [
-    "FiniteDist", "ProductTable", "LemmaHypothesisError", "entropy",
+    "ProductTable", "LemmaHypothesisError", "entropy",
     "tilted_expect", "log_mgf_via_entropy", "fluctuation_entropy",
     "conditional_entropy_table", "subadditivity_gap",
     "entropy_bound_subgaussian", "entropy_bound_subexponential",
@@ -33,52 +39,14 @@ class LemmaHypothesisError(ValueError):
     """The bound's hypothesis (centering / norm smallness) is not met."""
 
 
-@dataclass(frozen=True)
-class FiniteDist:
-    values: tuple
-    probs: tuple
+def _arrays(y, name="y"):
+    """(values, probs) of the FiniteSupport y as arrays, in the order given."""
+    dist._instance(y, name, dist.FiniteSupport, "FiniteSupport")
+    return np.array(y.values), np.array(y.probs)
 
-    def __init__(self, values, probs):
-        v = np.asarray(values, dtype=float)
-        p = np.asarray(probs, dtype=float)
-        if v.shape != p.shape or v.ndim != 1 or len(v) == 0:
-            raise ValueError("values and probs must be equal-length nonempty 1-d lists")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        if np.any(p < 0):
-            raise ValueError("probs must be nonnegative")
-        if abs(math.fsum(p) - 1.0) > 1e-12:
-            raise ValueError(f"probs must sum to 1 within 1e-12, got {math.fsum(p)!r}")
-        object.__setattr__(self, "values", tuple(float(x) for x in v))
-        object.__setattr__(self, "probs", tuple(float(x) for x in p))
 
-    @property
-    def v(self):
-        return np.array(self.values)
-
-    @property
-    def p(self):
-        return np.array(self.probs)
-
-    def mean(self):
-        return math.fsum(pi * vi for pi, vi in zip(self.probs, self.values))
-
-    def var(self):
-        mu = self.mean()
-        return math.fsum(pi * (vi - mu) ** 2 for pi, vi in zip(self.probs, self.values))
-
-    def scaled(self, c):
-        return FiniteDist(tuple(c * vi for vi in self.values), self.probs)
-
-    def shifted(self, c):
-        return FiniteDist(tuple(vi + c for vi in self.values), self.probs)
-
-    def to_dict(self):
-        return {"values": list(self.values), "probs": list(self.probs)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["values"], d["probs"])
+def _mean(values, probs):
+    return math.fsum(probs * values)
 
 
 @dataclass(frozen=True)
@@ -89,6 +57,8 @@ class ProductTable:
 
     def __init__(self, supports, f_table):
         supports = tuple(supports)
+        for k, s in enumerate(supports):
+            dist._instance(s, f"supports[{k}]", dist.FiniteSupport, "FiniteSupport")
         f = np.asarray(f_table, dtype=float)
         shape = tuple(len(s.values) for s in supports)
         if f.shape != shape:
@@ -107,17 +77,8 @@ class ProductTable:
     def joint_probs(self):
         jp = np.array([1.0])
         for s in self.supports:
-            jp = np.multiply.outer(jp, s.p)
+            jp = np.multiply.outer(jp, np.array(s.probs))
         return jp.reshape(self.f_table.shape)
-
-    def to_dict(self):
-        return {"supports": [s.to_dict() for s in self.supports],
-                "f_table": self.f_table.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls([FiniteDist.from_dict(s) for s in d["supports"]],
-                   np.asarray(d["f_table"], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -125,58 +86,60 @@ class ProductTable:
 
 def _tilt_weights(values, probs):
     """exp-shifted weights p_i e^(y_i - max) and their sum."""
-    values = np.asarray(values, dtype=float)
-    probs = np.asarray(probs, dtype=float)
     m = float(np.max(values))
     w = probs * np.exp(values - m)
     return m, w, math.fsum(w)
 
 
-def entropy(y: FiniteDist) -> float:
-    """S(Y) = E_Y[Y] - ln E[e^Y], exact finite sum."""
-    values, probs = y.v, y.p
+def _entropy(values, probs):
     m, w, z = _tilt_weights(values, probs)
     tilted_mean = math.fsum(w * values) / z
     log_mgf = m + math.log(z)
     return tilted_mean - log_mgf
 
 
-def tilted_expect(y: FiniteDist, g) -> float:
-    """E_Y[g] = E[g e^Y] / E[e^Y] with g aligned to Y.values."""
+def entropy(y: dist.FiniteSupport) -> float:
+    """S(Y) = E_Y[Y] - ln E[e^Y], exact finite sum."""
+    return _entropy(*_arrays(y))
+
+
+def tilted_expect(y: dist.FiniteSupport, g) -> float:
+    """E_Y[g] = E[g e^Y] / E[e^Y] with g aligned to y.values."""
+    values, probs = _arrays(y)
     g = np.asarray(g, dtype=float)
-    if g.shape != (len(y.values),):
-        raise ValueError(f"g has length {g.shape}, expected {len(y.values)}")
-    _, w, z = _tilt_weights(y.v, y.p)
+    if g.shape != values.shape:
+        raise ValueError(f"g has length {g.shape}, expected {len(values)}")
+    _, w, z = _tilt_weights(values, probs)
     return math.fsum(w * g) / z
 
 
-def _tilted_variance(y: FiniteDist, s: float) -> float:
+def _tilted_variance(values, probs, s: float) -> float:
     """Var of Y under the sY-tilted measure."""
-    values = y.v
-    _, w, z = _tilt_weights(s * values, y.p)
+    _, w, z = _tilt_weights(s * values, probs)
     mu = math.fsum(w * values) / z
     return math.fsum(w * (values - mu) ** 2) / z
 
 
-def log_mgf_via_entropy(y: FiniteDist, beta: float, tol: float = 1e-9):
+def log_mgf_via_entropy(y: dist.FiniteSupport, beta: float, tol: float = 1e-9):
     """Both sides of ln E[e^(beta(Y-EY))] = beta * int_0^beta S(gamma Y)/gamma^2.
 
     Returns (direct, integral); the identity asserts their equality.  The
     integrand extends continuously to gamma -> 0 with value Var(Y)/2.
     """
+    values, probs = _arrays(y)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if beta == 0.0:
         return 0.0, 0.0
-    centered = y.shifted(-y.mean())
-    m, w, z = _tilt_weights(beta * centered.v, centered.p)
+    centered = values - _mean(values, probs)
+    m, w, z = _tilt_weights(beta * centered, probs)
     direct = m + math.log(z)
-    half_var = centered.var() / 2.0
+    half_var = math.fsum(probs * (centered - _mean(centered, probs)) ** 2) / 2.0
 
     def integrand(gamma):
         if abs(gamma) < 1e-6:
             return half_var
-        return entropy(centered.scaled(gamma)) / gamma ** 2
+        return _entropy(gamma * centered, probs) / gamma ** 2
 
     val, err = integrate.quad(integrand, 0.0, beta, epsabs=tol / 10.0,
                               epsrel=1e-12, limit=200)
@@ -185,15 +148,16 @@ def log_mgf_via_entropy(y: FiniteDist, beta: float, tol: float = 1e-9):
     return direct, beta * val
 
 
-def fluctuation_entropy(y: FiniteDist, tol: float = 1e-9) -> float:
+def fluctuation_entropy(y: dist.FiniteSupport, tol: float = 1e-9) -> float:
     """S(Y) via the double integral of tilted variances over the triangle.
 
     Integrates E_{sY}[(Y - E_{sY}[Y])^2] over {0 <= t <= s <= 1}; equals
     entropy(y) and provides an independent route to it.
     """
+    values, probs = _arrays(y)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    val, err = integrate.dblquad(lambda s, t: _tilted_variance(y, s),
+    val, err = integrate.dblquad(lambda s, t: _tilted_variance(values, probs, s),
                                  0.0, 1.0, lambda t: t, lambda t: 1.0,
                                  epsabs=tol / 10.0, epsrel=1e-12)
     if err > tol:
@@ -213,7 +177,7 @@ def conditional_entropy_table(table: ProductTable, gamma: float) -> np.ndarray:
     shape = table.f_table.shape
     out = np.empty((table.n,) + shape)
     for k, support in enumerate(table.supports):
-        pk = support.p
+        pk = np.array(support.probs)
         a = np.moveaxis(table.f_table, k, -1)            # (..., m_k)
         rest_shape = a.shape[:-1]
         rows = gamma * a.reshape(-1, a.shape[-1])
@@ -250,39 +214,47 @@ def subadditivity_gap(table: ProductTable, gamma: float) -> float:
 # ---------------------------------------------------------------------------
 # Entropy bound lemmas
 
-def entropy_bound_subgaussian(y: FiniteDist, beta: float):
+def entropy_bound_subgaussian(y: dist.FiniteSupport, beta: float):
     """(S(beta Y), bound) with bound = min(ln E[e^(2 beta Y)], 16e beta^2 psi2^2).
 
     S is shift invariant, so Y is centered internally before the psi_2
     based part; the contract is s <= bound.
     """
-    centered = y.shifted(-y.mean())
-    s = entropy(centered.scaled(beta))
+    values, probs = _arrays(y)
+    centered = values - _mean(values, probs)
+    s = _entropy(beta * centered, probs)
     if beta == 0.0:
         return 0.0, 0.0
-    m, w, z = _tilt_weights(2.0 * beta * centered.v, centered.p)
+    m, w, z = _tilt_weights(2.0 * beta * centered, probs)
     bound_mgf = m + math.log(z)
-    psi2 = psi_norm_finite(centered.v, centered.p, 2).value
+    psi2 = psi_norm(dist.FiniteSupport(centered, probs), 2).value
     bound_psi = 16.0 * E * beta ** 2 * psi2 ** 2
     return s, min(bound_mgf, bound_psi)
 
 
-def entropy_bound_subexponential(y: FiniteDist):
-    """(S(Y), e^2 psi1^2 / (1 - e psi1)^2) for centered Y with psi1 < 1/e."""
-    mu = y.mean()
+def _centered_arrays(y):
+    """(values, probs) of y, which must be centered to 1e-12."""
+    values, probs = _arrays(y)
+    mu = _mean(values, probs)
     if abs(mu) > 1e-12:
         raise LemmaHypothesisError(
             f"lemma hypothesis not met: E[Y] = {mu}, expected 0")
-    psi1 = psi_norm_finite(y.v, y.p, 1).value
+    return values, probs
+
+
+def entropy_bound_subexponential(y: dist.FiniteSupport):
+    """(S(Y), e^2 psi1^2 / (1 - e psi1)^2) for centered Y with psi1 < 1/e."""
+    values, probs = _centered_arrays(y)
+    psi1 = psi_norm(y, 1).value
     if not psi1 < 1.0 / E:
         raise LemmaHypothesisError(
             f"lemma hypothesis not met: psi1 = {psi1} >= 1/e")
-    s = entropy(y)
+    s = _entropy(values, probs)
     bound = E ** 2 * psi1 ** 2 / (1.0 - E * psi1) ** 2
     return s, bound
 
 
-def entropy_bound_holder(y: FiniteDist, p: float, variant: str = "psi1"):
+def entropy_bound_holder(y: dist.FiniteSupport, p: float, variant: str = "psi1"):
     """(S(Y), ||Y^2||_p / (2 (1 - e q psi1)^2)) for conjugate q = p/(p-1).
 
     variant="psi2" replaces q * psi1 by sqrt(q) * psi2 in the denominator
@@ -292,25 +264,16 @@ def entropy_bound_holder(y: FiniteDist, p: float, variant: str = "psi1"):
         raise ValueError(f"p must exceed 1, got {p}")
     if variant not in ("psi1", "psi2"):
         raise ValueError(f"variant must be 'psi1' or 'psi2', got {variant!r}")
-    mu = y.mean()
-    if abs(mu) > 1e-12:
-        raise LemmaHypothesisError(
-            f"lemma hypothesis not met: E[Y] = {mu}, expected 0")
+    values, probs = _centered_arrays(y)
     q = p / (p - 1.0)
-    values, probs = y.v, y.p
     # ||Y^2||_p exact on finite support
     y2p = math.fsum(probs * np.abs(values) ** (2 * p)) ** (1.0 / p)
-    if variant == "psi1":
-        psi1 = psi_norm_finite(values, probs, 1).value
-        if not q * psi1 < 1.0 / E:
-            raise LemmaHypothesisError(
-                f"lemma hypothesis not met: q*psi1 = {q * psi1} >= 1/e")
-        denom = (1.0 - E * q * psi1) ** 2
-    else:
-        psi2 = psi_norm_finite(values, probs, 2).value
-        if not math.sqrt(q) * psi2 < 1.0 / E:
-            raise LemmaHypothesisError(
-                f"lemma hypothesis not met: sqrt(q)*psi2 = {math.sqrt(q) * psi2} >= 1/e")
-        denom = (1.0 - E * math.sqrt(q) * psi2) ** 2
-    s = entropy(y)
+    label, alpha, factor = (("q*psi1", 1, q) if variant == "psi1"
+                            else ("sqrt(q)*psi2", 2, math.sqrt(q)))
+    norm = psi_norm(y, alpha).value
+    if not factor * norm < 1.0 / E:
+        raise LemmaHypothesisError(
+            f"lemma hypothesis not met: {label} = {factor * norm} >= 1/e")
+    denom = (1.0 - E * factor * norm) ** 2
+    s = _entropy(values, probs)
     return s, y2p / (2.0 * denom)

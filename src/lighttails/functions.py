@@ -512,13 +512,18 @@ def proxy_profile(fspec, p: Optional[float] = None, kinds=None) -> ProxyProfile:
     Pass p > 1 to additionally populate the 2p-norm entries used by the
     moment-based bound.  Pass the bound kinds the profile is for to leave
     out what none of them reads: the 2p-norms without a thm3 kind, the psi2
-    norms without thm1 or thm3-psi2-variant.
+    norms without thm1 or thm3-psi2-variant.  A thm3 kind on a function kind
+    with no 2p-norm proxy is a ValueError.
     """
     if kinds is None:
         return fspec.proxy_profile(p, True)
     if not any(k.startswith("thm3") for k in kinds):
         p = None
-    return fspec.proxy_profile(p, any(k in PSI2_KINDS for k in kinds))
+    profile = fspec.proxy_profile(p, any(k in PSI2_KINDS for k in kinds))
+    if p is not None and profile.l2p_per_coord is None:
+        raise ValueError(f"the {fspec.kind} kind has no 2p-norm proxy, so the "
+                         "thm3 bound kinds do not apply to it")
+    return profile
 
 
 def _support_width(spec):

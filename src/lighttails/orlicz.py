@@ -8,7 +8,9 @@ nonincreasing over the last octave, which holds for every catalogue
 distribution.  For a catalogue law the search reads the batched moments of
 `distributions.log_abs_moments`, one fixed-rule pass over the whole grid,
 and the value reported is certified by the adaptive `log_abs_moment` at the
-maximiser p*.
+maximiser p*.  A finite law is a `distributions.FiniteSupport` and takes
+the same path: its batched moments are one exact log-sum-exp over (p,
+value), so `psi_norm_finite` is `psi_norm` of a FiniteSupport.
 """
 from __future__ import annotations
 
@@ -142,25 +144,10 @@ def _psi_norm_cached(spec, alpha, p_max, grid_density):
     return replace(est, value=math.exp(log_ratio))
 
 
-def psi_norm_finite(values, probs, alpha, p_max=256.0, grid_density=16) -> OrliczEstimate:
-    """Exact-arithmetic psi norm of a finite-support distribution."""
-    _check_alpha(alpha)
-    values = np.asarray(values, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(probs)
-        log_av = np.log(np.abs(values))
-    mask = np.isfinite(log_p) & np.isfinite(log_av)
-    if not np.any(mask):
-        return OrliczEstimate(alpha, 0.0, 1.0, "closed-form")
-    lp, lv = log_p[mask], log_av[mask]
-
-    def log_lp_norm(p):
-        t = lp + p * lv
-        m = t.max()
-        return (m + math.log(np.sum(np.exp(t - m)))) / p
-
-    return _sup_ratio(_each(log_lp_norm), alpha, p_max, grid_density, "closed-form")
+def psi_norm_finite(values, probs, alpha) -> OrliczEstimate:
+    """psi norm of the finite law with these values and probabilities:
+    `psi_norm` of their FiniteSupport, memoised like any catalogue law."""
+    return psi_norm(dist.FiniteSupport(values, probs), alpha)
 
 
 def psi_norm_empirical(samples, alpha, p_max=10.0, grid_density=16) -> OrliczEstimate:
@@ -210,12 +197,15 @@ def centering_bound(psi_value: float) -> float:
 def conditional_contraction_check(marginal, phi, alpha):
     """Conditioning contracts the psi norm: returns (lhs, rhs), lhs <= rhs.
 
-    `marginal` is a finite (values, probs) pair for iid X, X'; `phi` is a
-    square value table phi[s, t] over the support.  lhs is the psi norm of
-    E[phi(X, X')|X], rhs the psi norm of phi(X, X') on the product space.
+    `marginal` is the FiniteSupport of iid X, X'; `phi` is a square value
+    table phi[s, t] over its values in the order given.  lhs is the psi
+    norm of E[phi(X, X')|X], rhs the psi norm of phi(X, X') on the product
+    space.
     """
-    values, probs = marginal
-    probs = np.asarray(probs, dtype=float)
+    dist._instance(marginal, "marginal", dist.FiniteSupport, "FiniteSupport")
+    # normalised, so that the pair law sums to 1 within 1e-12 whenever the
+    # marginal does
+    probs = np.array(marginal.probs) / math.fsum(marginal.probs)
     phi = np.asarray(phi, dtype=float)
     m = len(probs)
     if phi.shape != (m, m):

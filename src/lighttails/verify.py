@@ -248,9 +248,10 @@ def check_bounds(est, bounds: dict, metadata=None) -> VerificationReport:
 def compare_bounds(fspec, kinds, t_grid, n_samples, seed, p=None,
                    threads=1, metadata=None) -> VerificationReport:
     """Single estimation pass, all requested bounds, log10 tightness ratios
-    (bound over empirical; inf where no exceedance was observed)."""
-    est = estimate_tail(fspec, t_grid, n_samples, seed, threads=threads)
+    (bound over empirical; inf where no exceedance was observed).  The
+    bounds come first, so a profile error costs no samples."""
     bounds = bounds_on_grid(fspec, kinds, t_grid, p=p)
+    est = estimate_tail(fspec, t_grid, n_samples, seed, threads=threads)
     report = check_bounds(est, bounds, metadata=metadata)
     ratios = {}
     for k in report.kinds:

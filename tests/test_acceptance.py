@@ -78,8 +78,13 @@ def test_criterion_02_mgf_bound():
 
 def random_dist(rng, max_support=8, value_range=2.0):
     m = int(rng.integers(2, max_support + 1))
-    return ent.FiniteDist(rng.uniform(-value_range, value_range, m),
-                          rng.dirichlet(np.ones(m)))
+    return D.FiniteSupport(rng.uniform(-value_range, value_range, m),
+                           rng.dirichlet(np.ones(m)))
+
+
+def centered_law(y):
+    values, probs = np.array(y.values), np.array(y.probs)
+    return D.FiniteSupport(values - math.fsum(probs * values), probs)
 
 
 def test_criterion_03_entropy_identities():
@@ -129,11 +134,12 @@ def test_criterion_05_entropy_lemmas():
     # sub-Gaussian entropy bound, both the log-MGF and the psi2 form
     for _ in range(100):
         y = random_dist(rng)
-        centered = y.shifted(-y.mean())
+        centered = centered_law(y)
         for beta in (0.5, 1.0):
             s, bound = ent.entropy_bound_subgaussian(centered, beta)
-            part_i = float(logsumexp(2.0 * beta * centered.v, b=centered.p))
-            psi2 = psi_norm_finite(centered.v, centered.p, 2).value
+            part_i = float(logsumexp(2.0 * beta * np.array(centered.values),
+                                     b=centered.probs))
+            psi2 = psi_norm_finite(centered.values, centered.probs, 2).value
             part_ii = 16.0 * E * beta ** 2 * psi2 ** 2
             for b in (bound, part_i, part_ii):
                 worst = min(worst, b - s)
@@ -144,7 +150,7 @@ def test_criterion_05_entropy_lemmas():
         done = 0
         while done < 100:
             y = random_dist(rng, value_range=0.08)
-            y = y.shifted(-y.mean())
+            y = centered_law(y)
             try:
                 s, bound = check(y)
             except ent.LemmaHypothesisError:
@@ -186,7 +192,7 @@ def _worst_case_profile(supports, f):
     for k in range(n):
         best1 = best2 = bestl = 0.0
         other = [range(len(s.values)) for j, s in enumerate(supports) if j != k]
-        probs = supports[k].p
+        probs = np.array(supports[k].probs)
         for idx in itertools.product(*other):
             sel = list(idx[:k]) + [0] + list(idx[k:])
             vals = np.empty(len(supports[k].values))

@@ -171,6 +171,14 @@ class TestMonotonicity:
 
 
 class TestPsiDiameter:
+    def test_probs_at_the_edge_of_their_tolerance(self):
+        # the pair law of probs summing to 1 + 9e-13 would sum to 1 + 1.8e-12
+        law = D.FiniteSupport([0.0, 1.0, 3.0], [0.3, 0.3, 0.4 + 9e-13])
+        exact = D.FiniteSupport([0.0, 1.0, 3.0], [0.3, 0.3, 0.4])
+        for alpha in (1, 2):
+            assert A.psi_diameter(law, alpha).value == pytest.approx(
+                A.psi_diameter(exact, alpha).value, rel=1e-11)
+
     def test_point_mass(self):
         assert A.psi_diameter(D.FiniteSupport((3.0,), (1.0,)), 1).value == 0.0
 

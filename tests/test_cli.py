@@ -353,3 +353,117 @@ class TestPsi2OnlyWhenRead:
                              "--bounds", "thm2", "--t-grid", "2:20:5", "--n", "100000")
         assert code == 1 and out == ""
         assert err == "error: sum: sample value nan in shard 0 is not finite\n"
+
+
+GAUSS_2 = {"kind": "vector", "dim": 2,
+           "components": [{"kind": "gaussian", "mean": 0.0, "sd": 1.0}] * 2}
+NON_SUM_KINDS = {
+    "metric_lipschitz": {"kind": "metric_lipschitz", "lip": 1.5,
+                         "coordinate_dists": [{"kind": "rademacher"},
+                                              {"kind": "exponential", "rate": 2.0}],
+                         "maps": ["abs", "sin"]},
+    "sup_linear_loss": {"kind": "sup_linear_loss", "weights": [[0.3, -0.4]],
+                        "loss": "absolute", "input": GAUSS_2,
+                        "output": {"kind": "gaussian", "mean": 0.0, "sd": 0.5},
+                        "n": 30},
+    "psa_reconstruction": {"kind": "psa_reconstruction", "ambient_dim": 2,
+                           "subspace_dim": 1, "net_size": 3, "net_seed": 13,
+                           "input": GAUSS_2, "n": 30},
+}
+
+
+class TestThm3OnNonSumKinds:
+    @pytest.mark.parametrize("command", BOUND_COMMANDS)
+    @pytest.mark.parametrize("kind", sorted(NON_SUM_KINDS))
+    def test_says_the_kind_has_no_thm3_proxy(self, kind, command, tmp_path,
+                                             capsys, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("samples drawn before the profile check")
+        monkeypatch.setattr(cli.vfy, "estimate_tail", no_sampling)
+        argv = thm3_argv(command, "--p", "2")
+        argv[2] = write_spec(tmp_path, NON_SUM_KINDS[kind])
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == (f"error: the {kind} kind has no 2p-norm proxy, so the "
+                       "thm3 bound kinds do not apply to it\n")
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("argv, message", [
+        (["entropy-check", "--p", "1"], "--p must be a finite number > 1, got 1.0"),
+        (["entropy-check", "--p", "0.5"], "--p must be a finite number > 1, got 0.5"),
+        (["entropy-check", "--p", "nan"], "--p must be a finite number > 1, got nan"),
+        (["entropy-check", "--p", "inf"], "--p must be a finite number > 1, got inf"),
+        (["entropy-check", "--beta", "nan"], "--beta must be a finite number, got nan"),
+        (["entropy-check", "--beta", "inf"], "--beta must be a finite number, got inf"),
+        (["norms", "--alpha", "1", "--p-max", "0.5"],
+         "--p-max must be a finite number >= 1, got 0.5"),
+        (["norms", "--alpha", "2", "--p-max", "nan"],
+         "--p-max must be a finite number >= 1, got nan"),
+        (["norms", "--alpha", "2", "--p-max", "inf"],
+         "--p-max must be a finite number >= 1, got inf"),
+    ])
+    def test_flag_is_named_before_any_work(self, argv, message, capsys, monkeypatch):
+        # each of these used to end in a traceback, or in exit 0 with NaN
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the flag check")
+        monkeypatch.setattr(cli, "psi_norm", no_work)
+        monkeypatch.setattr(cli.ent, "entropy_bound_subgaussian", no_work)
+        argv = [argv[0], "--spec", config("rademacher.json")] + argv[1:]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", BOUND_COMMANDS)
+    def test_infinite_thm3_p(self, command, capsys, monkeypatch):
+        # used to exit 0 with NaN bounds and inversions
+        def no_work(*args, **kwargs):
+            raise AssertionError("profile or sampling work before the --p check")
+        monkeypatch.setattr(cli.fn, "proxy_profile", no_work)
+        monkeypatch.setattr(cli.vfy, "estimate_tail", no_work)
+        code, out, err = run(capsys, *thm3_argv(command, "--p", "inf"))
+        assert code == 1 and out == ""
+        assert err == "error: --p must be a finite number, got inf\n"
+
+
+# Every number of the entropy-check blocks at --beta 1 --p 2, pinned to
+# 1e-12 relative: the sub-exponential and Holder blocks apply to the
+# three-point law and are skipped for the Rademacher law.
+THREE_POINT = {"kind": "finite_support", "values": [-0.1, 0.0, 0.05],
+               "probs": [0.2, 0.5, 0.3]}
+PINNED_ENTROPY_CHECKS = {
+    "rademacher": {
+        "subgaussian": {"entropy": 0.32781332547273756,
+                        "bound": 1.3250027473578645, "holds": True},
+        "subexponential": {"skipped": "lemma hypothesis not met: psi1 = 1.0 >= 1/e"},
+        "holder": {"p": 2.0,
+                   "skipped": "lemma hypothesis not met: q*psi1 = 2.0 >= 1/e"},
+    },
+    "three_point": {
+        "subgaussian": {"entropy": 0.0013216574718530362,
+                        "bound": 0.005286334150080105, "holds": True},
+        "subexponential": {"entropy": 0.0013216574718530358,
+                           "bound": 0.01326956520542329, "holds": True},
+        "holder": {"p": 2.0, "entropy": 0.0013216574718530358,
+                   "bound": 0.0034654337339587475, "holds": True},
+    },
+}
+
+
+class TestPinnedEntropyCheck:
+    @pytest.mark.parametrize("law", sorted(PINNED_ENTROPY_CHECKS))
+    def test_numbers_unchanged(self, law, tmp_path, capsys):
+        spec = (config("rademacher.json") if law == "rademacher"
+                else write_spec(tmp_path, THREE_POINT))
+        code, out, _ = run(capsys, "entropy-check", "--spec", spec,
+                           "--beta", "1.0", "--p", "2")
+        assert code == 0
+        doc = json.loads(out)
+        for block, want in PINNED_ENTROPY_CHECKS[law].items():
+            got = doc[block]
+            assert sorted(got) == sorted(want)
+            for key, value in want.items():
+                if isinstance(value, float):
+                    assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0)
+                else:
+                    assert got[key] == value

@@ -9,7 +9,7 @@ from scipy.special import gammaln
 
 from lighttails import distributions as D
 from lighttails import functions as F
-from lighttails.orlicz import psi_norm
+from lighttails.orlicz import _p_grid, psi_norm
 
 CATALOGUE = [
     D.Gaussian(0.0, 1.0),
@@ -208,6 +208,31 @@ class TestBatchedMoments:
         assert D.log_abs_moment(spec, 1.0) == pytest.approx(math.log(want), abs=1e-13)
         assert D.log_abs_moments(spec, np.array([1.0]))[0] == pytest.approx(
             math.log(want), abs=1e-13)
+
+
+# finite laws with zero values, zero probabilities and the all-zero law
+_FINITE_LAWS = st.integers(1, 12).flatmap(lambda m: st.tuples(
+    st.lists(st.sampled_from([0.0, -0.5, 2.0]) | st.floats(-40.0, 40.0),
+             min_size=m, max_size=m),
+    st.lists(st.sampled_from([0.0, 1.0]) | st.floats(1e-9, 1.0),
+             min_size=m, max_size=m))).filter(lambda law: sum(law[1]) > 0)
+
+
+class TestFiniteSupportMoments:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_FINITE_LAWS)
+    def test_batched_rows_equal_log_abs_moment_bitwise(self, law):
+        values, weights = law
+        spec = D.FiniteSupport(values, np.asarray(weights) / math.fsum(weights))
+        grid = _p_grid(256.0, 16)
+        batched = spec.log_abs_moments(grid)
+        per_p = np.array([spec.log_abs_moment(p) for p in grid])
+        assert batched.view(np.int64).tolist() == per_p.view(np.int64).tolist()
+
+    def test_all_zero_law(self):
+        spec = D.FiniteSupport([0.0, 0.0], [0.25, 0.75])
+        assert spec.log_abs_moments(ORDERS).tolist() == [-math.inf] * len(ORDERS)
+        assert spec.log_abs_moments(np.array([])).tolist() == []
 
 
 class TestMeans:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lighttails import distributions as D
 from lighttails import entropy as ent
 
 E = math.e
@@ -13,11 +14,15 @@ def random_dist(rng, max_support=8, value_range=2.0):
     m = int(rng.integers(2, max_support + 1))
     values = rng.uniform(-value_range, value_range, m)
     probs = rng.dirichlet(np.ones(m))
-    return ent.FiniteDist(values, probs)
+    return D.FiniteSupport(values, probs)
+
+
+def shifted(y, c):
+    return D.FiniteSupport(np.add(y.values, c), y.probs)
 
 
 def centered(y):
-    return y.shifted(-y.mean())
+    return shifted(y, -math.fsum(np.multiply(y.values, y.probs)))
 
 
 finite_dists = st.integers(2, 6).flatmap(lambda m: st.tuples(
@@ -28,34 +33,51 @@ finite_dists = st.integers(2, 6).flatmap(lambda m: st.tuples(
 def build(pair):
     values, weights = pair
     probs = np.asarray(weights) / math.fsum(weights)
-    return ent.FiniteDist(values, probs)
+    return D.FiniteSupport(values, probs)
 
 
-class TestFiniteDist:
+class TestFiniteLaw:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ent.FiniteDist([0.0, 1.0], [0.6, 0.6])
-        with pytest.raises(ValueError):
-            ent.FiniteDist([0.0], [-1.0])
+        with pytest.raises(D.SpecError, match="probs"):
+            D.FiniteSupport([0.0, 1.0], [0.6, 0.6])
+        with pytest.raises(D.SpecError, match="probs"):
+            D.FiniteSupport([0.0], [-1.0])
 
     def test_roundtrip(self):
-        y = ent.FiniteDist([0.0, 1.0], [0.25, 0.75])
-        assert ent.FiniteDist.from_dict(y.to_dict()) == y
+        y = D.FiniteSupport([0.0, 1.0], [0.25, 0.75])
+        assert D.spec_from_dict(D.spec_to_dict(y)) == y
+
+    @pytest.mark.parametrize("call", [
+        lambda y: ent.entropy(y), lambda y: ent.tilted_expect(y, [1.0, 1.0]),
+        lambda y: ent.log_mgf_via_entropy(y, 1.0),
+        lambda y: ent.fluctuation_entropy(y),
+        lambda y: ent.entropy_bound_subgaussian(y, 1.0),
+        lambda y: ent.entropy_bound_subexponential(y),
+        lambda y: ent.entropy_bound_holder(y, 2.0)])
+    def test_other_laws_rejected(self, call):
+        with pytest.raises(D.SpecError, match="y must be a FiniteSupport"):
+            call(D.Rademacher())
+
+    def test_order_given_not_sorted(self):
+        # g aligns with the values as given; the canonical form would sort
+        y = D.FiniteSupport([1.0, -1.0, 0.0], [0.5, 0.25, 0.25])
+        assert ent.tilted_expect(y, [1.0, 0.0, 0.0]) == pytest.approx(
+            0.5 * E / (0.5 * E + 0.25 / E + 0.25), rel=1e-14)
 
 
 class TestEntropy:
     def test_point_mass(self):
-        assert ent.entropy(ent.FiniteDist([3.7], [1.0])) == pytest.approx(0.0, abs=1e-15)
+        assert ent.entropy(D.FiniteSupport([3.7], [1.0])) == pytest.approx(0.0, abs=1e-15)
 
     def test_two_point_closed_form(self):
-        y = ent.FiniteDist([0.0, math.log(2.0)], [0.5, 0.5])
+        y = D.FiniteSupport([0.0, math.log(2.0)], [0.5, 0.5])
         want = (math.log(2.0) / 1.5) - math.log(1.5)
         assert ent.entropy(y) == pytest.approx(want, abs=1e-14)
 
     def test_shift_invariance(self):
-        y = ent.FiniteDist([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5])
+        y = D.FiniteSupport([-1.0, 0.5, 2.0], [0.2, 0.3, 0.5])
         s = ent.entropy(y)
-        assert ent.entropy(y.shifted(10.0)) == pytest.approx(s, abs=1e-10)
+        assert ent.entropy(shifted(y, 10.0)) == pytest.approx(s, abs=1e-10)
 
     @settings(max_examples=60, deadline=None)
     @given(finite_dists, st.sampled_from([-3.0, 10.0]))
@@ -63,47 +85,47 @@ class TestEntropy:
         y = build(pair)
         s = ent.entropy(y)
         assert s >= -1e-12
-        assert ent.entropy(y.shifted(c)) == pytest.approx(s, abs=1e-10)
+        assert ent.entropy(shifted(y, c)) == pytest.approx(s, abs=1e-10)
 
     def test_overflow_guarded(self):
-        y = ent.FiniteDist([0.0, 800.0], [0.5, 0.5])
+        y = D.FiniteSupport([0.0, 800.0], [0.5, 0.5])
         assert np.isfinite(ent.entropy(y))
 
 
 class TestTiltedExpect:
     def test_zero_tilt(self):
-        y = ent.FiniteDist([0.0, 0.0, 0.0], [0.2, 0.3, 0.5])
+        y = D.FiniteSupport([0.0, 0.0, 0.0], [0.2, 0.3, 0.5])
         g = [1.0, 2.0, 3.0]
         assert ent.tilted_expect(y, g) == pytest.approx(2.3, abs=1e-14)
 
     def test_normalization(self):
-        y = ent.FiniteDist([-1.0, 2.0], [0.4, 0.6])
+        y = D.FiniteSupport([-1.0, 2.0], [0.4, 0.6])
         assert ent.tilted_expect(y, [1.0, 1.0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_two_point(self):
-        y = ent.FiniteDist([0.0, math.log(2.0)], [0.5, 0.5])
-        assert ent.tilted_expect(y, list(y.v)) == pytest.approx(math.log(2.0) / 1.5, abs=1e-14)
+        y = D.FiniteSupport([0.0, math.log(2.0)], [0.5, 0.5])
+        assert ent.tilted_expect(y, list(y.values)) == pytest.approx(math.log(2.0) / 1.5, abs=1e-14)
 
     def test_length_mismatch(self):
-        y = ent.FiniteDist([0.0, 1.0], [0.5, 0.5])
+        y = D.FiniteSupport([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             ent.tilted_expect(y, [1.0])
 
 
 class TestLogMgfIdentity:
     def test_beta_zero(self):
-        y = ent.FiniteDist([-1.0, 1.0], [0.5, 0.5])
+        y = D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])
         direct, integral = ent.log_mgf_via_entropy(y, 0.0)
         assert direct == 0.0 and integral == 0.0
 
     def test_rademacher(self):
-        y = ent.FiniteDist([-1.0, 1.0], [0.5, 0.5])
+        y = D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])
         direct, integral = ent.log_mgf_via_entropy(y, 1.0)
         assert direct == pytest.approx(math.log(math.cosh(1.0)), abs=1e-12)
         assert abs(direct - integral) < 1e-8
 
     def test_bernoulli(self):
-        y = ent.FiniteDist([0.0, 1.0], [0.5, 0.5])
+        y = D.FiniteSupport([0.0, 1.0], [0.5, 0.5])
         direct, integral = ent.log_mgf_via_entropy(y, 2.0)
         assert direct == pytest.approx(math.log((1 + math.exp(2.0)) / 2) - 1.0, abs=1e-12)
         assert abs(direct - integral) < 1e-8
@@ -119,14 +141,14 @@ class TestLogMgfIdentity:
 
 class TestFluctuationIdentity:
     def test_point_mass(self):
-        assert ent.fluctuation_entropy(ent.FiniteDist([2.0], [1.0])) == pytest.approx(0.0, abs=1e-10)
+        assert ent.fluctuation_entropy(D.FiniteSupport([2.0], [1.0])) == pytest.approx(0.0, abs=1e-10)
 
     def test_two_point(self):
-        y = ent.FiniteDist([0.0, math.log(2.0)], [0.5, 0.5])
+        y = D.FiniteSupport([0.0, math.log(2.0)], [0.5, 0.5])
         assert ent.fluctuation_entropy(y) == pytest.approx(ent.entropy(y), abs=1e-8)
 
     def test_rademacher(self):
-        y = ent.FiniteDist([-1.0, 1.0], [0.5, 0.5])
+        y = D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])
         assert ent.fluctuation_entropy(y) == pytest.approx(ent.entropy(y), abs=1e-8)
 
     def test_random_corpus(self):
@@ -137,7 +159,7 @@ class TestFluctuationIdentity:
 
 
 def uniform01():
-    return ent.FiniteDist([0.0, 1.0], [0.5, 0.5])
+    return D.FiniteSupport([0.0, 1.0], [0.5, 0.5])
 
 
 class TestConditionalEntropy:
@@ -152,7 +174,7 @@ class TestConditionalEntropy:
         f = np.add.outer([0.0, 1.0], [0.0, 1.0])
         table = ent.ProductTable([u, u], f)
         out = ent.conditional_entropy_table(table, 1.0)
-        centered_marginal = ent.FiniteDist([-0.5, 0.5], [0.5, 0.5])
+        centered_marginal = D.FiniteSupport([-0.5, 0.5], [0.5, 0.5])
         want = ent.entropy(centered_marginal)
         assert np.allclose(out, want, atol=1e-12)
 
@@ -163,10 +185,22 @@ class TestConditionalEntropy:
         out = ent.conditional_entropy_table(table, 1.0)
         # resampling either coordinate: other coordinate 0 -> f constant 0;
         # other coordinate 1 -> f is +-1/2 around its conditional mean 1/2
-        s_half = ent.entropy(ent.FiniteDist([-0.5, 0.5], [0.5, 0.5]))
+        s_half = ent.entropy(D.FiniteSupport([-0.5, 0.5], [0.5, 0.5]))
         want = np.array([[[0.0, s_half], [0.0, s_half]],
                          [[0.0, 0.0], [s_half, s_half]]])
         assert np.allclose(out, want, atol=1e-12)
+
+
+class TestProductTable:
+    def test_support_must_be_a_finite_law(self):
+        u = uniform01()
+        with pytest.raises(D.SpecError, match=r"supports\[1\] must be a FiniteSupport"):
+            ent.ProductTable([u, D.Rademacher()], np.zeros((2, 2)))
+
+    def test_axes_follow_the_order_given(self):
+        y = D.FiniteSupport([1.0, 0.0], [0.25, 0.75])
+        table = ent.ProductTable([y], [10.0, 20.0])
+        assert table.joint_probs().tolist() == [0.25, 0.75]
 
 
 class TestSubadditivity:
@@ -176,7 +210,7 @@ class TestSubadditivity:
         assert ent.subadditivity_gap(table, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_single_coordinate_collapses(self):
-        y = ent.FiniteDist([0.0, 1.0, 3.0], [0.3, 0.3, 0.4])
+        y = D.FiniteSupport([0.0, 1.0, 3.0], [0.3, 0.3, 0.4])
         table = ent.ProductTable([y], np.array([0.0, 1.0, 3.0]))
         assert ent.subadditivity_gap(table, 1.0) == pytest.approx(0.0, abs=1e-12)
 
@@ -193,7 +227,7 @@ class TestSubadditivity:
             supports = []
             for _ in range(n):
                 m = int(rng.integers(2, 5))
-                supports.append(ent.FiniteDist(rng.uniform(-1, 1, m),
+                supports.append(D.FiniteSupport(rng.uniform(-1, 1, m),
                                                rng.dirichlet(np.ones(m))))
             f = rng.uniform(-2, 2, tuple(len(s.values) for s in supports))
             table = ent.ProductTable(supports, f)
@@ -203,11 +237,11 @@ class TestSubadditivity:
 
 class TestEntropyBounds:
     def test_subgaussian_beta_zero(self):
-        y = ent.FiniteDist([-1.0, 1.0], [0.5, 0.5])
+        y = D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])
         assert ent.entropy_bound_subgaussian(y, 0.0) == (0.0, 0.0)
 
     def test_subgaussian_rademacher(self):
-        y = ent.FiniteDist([-1.0, 1.0], [0.5, 0.5])
+        y = D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])
         s, bound = ent.entropy_bound_subgaussian(y, 1.0)
         assert s == pytest.approx(math.tanh(1.0) - math.log(math.cosh(1.0)), abs=1e-12)
         assert s <= bound + 1e-10
@@ -222,29 +256,29 @@ class TestEntropyBounds:
                 assert s <= bound + 1e-10
 
     def test_subexponential_point_mass(self):
-        assert ent.entropy_bound_subexponential(ent.FiniteDist([0.0], [1.0])) == (0.0, 0.0)
+        assert ent.entropy_bound_subexponential(D.FiniteSupport([0.0], [1.0])) == (0.0, 0.0)
 
     def test_subexponential_two_point(self):
-        y = ent.FiniteDist([-0.1, 0.1], [0.5, 0.5])
+        y = D.FiniteSupport([-0.1, 0.1], [0.5, 0.5])
         s, bound = ent.entropy_bound_subexponential(y)
         assert bound == pytest.approx(E ** 2 * 0.01 / (1 - 0.1 * E) ** 2, rel=1e-9)
         assert s <= bound + 1e-10
 
     def test_subexponential_scaled_sweep(self):
         for c in np.arange(0.05, 0.31, 0.05):
-            y = ent.FiniteDist([-c, c], [0.5, 0.5])
+            y = D.FiniteSupport([-c, c], [0.5, 0.5])
             if c < 1 / E:
                 s, bound = ent.entropy_bound_subexponential(y)
                 assert s <= bound + 1e-10
 
     def test_subexponential_hypothesis_errors(self):
         with pytest.raises(ent.LemmaHypothesisError, match="hypothesis"):
-            ent.entropy_bound_subexponential(ent.FiniteDist([-1.0, 1.0], [0.5, 0.5]))
+            ent.entropy_bound_subexponential(D.FiniteSupport([-1.0, 1.0], [0.5, 0.5]))
         with pytest.raises(ent.LemmaHypothesisError):
-            ent.entropy_bound_subexponential(ent.FiniteDist([0.0, 0.2], [0.5, 0.5]))
+            ent.entropy_bound_subexponential(D.FiniteSupport([0.0, 0.2], [0.5, 0.5]))
 
     def test_holder_two_point(self):
-        y = ent.FiniteDist([-0.05, 0.05], [0.5, 0.5])
+        y = D.FiniteSupport([-0.05, 0.05], [0.5, 0.5])
         s, bound = ent.entropy_bound_holder(y, 2.0)
         assert bound == pytest.approx(0.05 ** 2 / (2 * (1 - 2 * E * 0.05) ** 2), rel=1e-9)
         assert s <= bound + 1e-10
@@ -266,4 +300,4 @@ class TestEntropyBounds:
 
     def test_holder_hypothesis_error(self):
         with pytest.raises(ent.LemmaHypothesisError):
-            ent.entropy_bound_holder(ent.FiniteDist([-1.0, 1.0], [0.5, 0.5]), 2.0)
+            ent.entropy_bound_holder(D.FiniteSupport([-1.0, 1.0], [0.5, 0.5]), 2.0)

@@ -7,7 +7,8 @@ from scipy.stats import binom, gamma
 from lighttails import distributions as D
 from lighttails import functions as F
 from lighttails import verify as V
-from lighttails.entropy import FiniteDist, ProductTable
+from lighttails.distributions import FiniteSupport
+from lighttails.entropy import ProductTable
 from lighttails.functions import SumFunction, SupLinearLoss, VectorNormOfSum
 
 
@@ -143,14 +144,14 @@ class TestEstimateTail:
 
 class TestExactEnumeration:
     def test_two_rademacher_sum(self):
-        r = FiniteDist([-1.0, 1.0], [0.5, 0.5])
+        r = FiniteSupport([-1.0, 1.0], [0.5, 0.5])
         f = np.add.outer([-1.0, 1.0], [-1.0, 1.0])
         table = ProductTable([r, r], f)
         tails = V.exact_tail_enumeration(table, [0.5, 1.0, 1.5, 2.5])
         assert tails == [0.25, 0.25, 0.25, 0.0]
 
     def test_centering(self):
-        y = FiniteDist([0.0, 10.0], [0.9, 0.1])
+        y = FiniteSupport([0.0, 10.0], [0.9, 0.1])
         table = ProductTable([y], np.array([0.0, 10.0]))
         # mean 1: only the mass at 10 exceeds mean + 2
         assert V.exact_tail_enumeration(table, [2.0]) == [pytest.approx(0.1)]
@@ -176,7 +177,7 @@ class TestBoundsOnGrid:
 
 class TestCheckBounds:
     def test_sound_exact(self):
-        r = FiniteDist([-1.0, 1.0], [0.5, 0.5])
+        r = FiniteSupport([-1.0, 1.0], [0.5, 0.5])
         f = np.add.outer([-1.0, 1.0], [-1.0, 1.0])
         table = ProductTable([r, r], f)
         grid = [0.5, 1.0, 1.9]
