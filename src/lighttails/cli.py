@@ -29,6 +29,7 @@ from .orlicz import PMaxTooSmallError, psi_norm
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
+MAX_T_STEPS = 10 ** 5
 
 
 class UsageError(Exception):
@@ -114,7 +115,11 @@ def _parse_t_grid(text):
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"bad --t-grid {text!r}: {exc}")
-    if steps < 1 or lo <= 0 or (steps > 1 and hi <= lo):
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"--t-grid needs finite lo and hi, got {text!r}")
+    if not 1 <= steps <= MAX_T_STEPS:
+        raise UsageError(f"--t-grid needs 1 <= steps <= {MAX_T_STEPS}, got {text!r}")
+    if lo <= 0 or (steps > 1 and hi <= lo):
         raise UsageError(f"--t-grid needs 0 < lo < hi and steps >= 1, got {text!r}")
     return [float(t) for t in np.linspace(lo, hi, steps)]
 
@@ -375,7 +380,8 @@ def _run_verification(args, negative_control=False, with_ratios=False):
     t_grid = _parse_t_grid(args.t_grid)
     digest = _config_digest(args, fn.fspec_to_dict(fspec))
     meta = {"tool_version": __version__, "config_digest": digest,
-            "command": args.command, "schema": 1}
+            "command": args.command, "schema": 1,
+            "sampler_layout": fspec.sampler_layout}
     try:
         if with_ratios:
             report = vfy.compare_bounds(fspec, kinds, t_grid, args.n, args.seed,

@@ -150,6 +150,10 @@ class Distribution(Spec):
     # law after an affine step, if the family is closed under it
     def _fold(self): return self
     def _affine(self, op, c): return None
+    def sum_law(self, n):
+        """The catalogue spec of the sum of n iid copies, or None when the
+        family is not closed under convolution."""
+        return None
     def expectation(self): return canonical(self).expectation()
     def squared_mgf(self, beta): return _squared_mgf(self, (), beta, self.support())
 
@@ -255,6 +259,7 @@ class Gaussian(_Continuous):
     def expectation(self): return self.mean
     def support(self): return -math.inf, math.inf
     def draw(self, rng, count): return rng.normal(self.mean, self.sd, count)
+    def sum_law(self, n): return Gaussian(n * self.mean, math.sqrt(n) * self.sd)
     def mgf(self, beta): return math.exp(beta * self.mean + 0.5 * beta ** 2 * self.sd ** 2)
 
     def logpdf(self, x):
@@ -301,6 +306,8 @@ class Exponential(_Continuous):
     def draw(self, rng, count): return rng.exponential(1.0 / self.rate, count)
     def window(self, p): return 0.0, (p + 8 * math.sqrt(p) + 40.0) / self.rate
     def log_abs_moment(self, p): return float(gammaln(p + 1)) - p * math.log(self.rate)
+    # Gamma(n, rate) is chi-squared with 2n degrees of freedom over 2 rate
+    def sum_law(self, n): return Scaled(ChiSquared(2 * n), 1.0 / (2.0 * self.rate))
 
     def logpdf(self, x):
         x = np.asarray(x)
@@ -319,6 +326,15 @@ class Rademacher(Distribution):
 
     def draw(self, rng, count): return 2.0 * rng.integers(0, 2, count) - 1.0
     def _fold(self): return FiniteSupport((-1.0, 1.0), (0.5, 0.5))
+
+    def sum_law(self, n):
+        # 2 Binomial(n, 1/2) - n; the weights C(n, k) / 2^n are exact
+        # integer ratios, each rounded once
+        total, c, probs = 2 ** n, 1, []
+        for k in range(n + 1):
+            probs.append(c / total)
+            c = c * (n - k) // (k + 1)
+        return FiniteSupport([2.0 * k - n for k in range(n + 1)], probs)
 
 
 @dataclass(frozen=True)
@@ -360,6 +376,7 @@ class Poisson(Distribution):
     def expectation(self): return self.rate
     def support(self): return 0.0, math.inf
     def draw(self, rng, count): return rng.poisson(self.rate, count).astype(float)
+    def sum_law(self, n): return Poisson(n * self.rate)
     def log_abs_moment(self, p): return _log_moment(self, (), p)
     def log_abs_moments(self, ps): return _log_moments(self, (), ps)
     def mgf(self, beta): return math.exp(self.rate * (math.exp(beta) - 1.0))
@@ -394,6 +411,7 @@ class ChiSquared(_Continuous):
     def expectation(self): return float(self.dof)
     def support(self): return 0.0, math.inf
     def draw(self, rng, count): return rng.chisquare(self.dof, count)
+    def sum_law(self, n): return ChiSquared(n * self.dof)
 
     def logpdf(self, x):
         k2 = self.dof / 2.0
@@ -525,6 +543,7 @@ class Shifted(Distribution):
     def expectation(self): return self.base.expectation() + self.offset
     def draw(self, rng, count): return self.base.draw(rng, count) + self.offset
     def _fold(self): return canonical(self.base)._push("shift", self.offset)
+    def sum_law(self, n): return _wrap_sum(self.base, n, lambda s: Shifted(s, n * self.offset))
 
 
 @dataclass(frozen=True)
@@ -535,6 +554,7 @@ class Scaled(Distribution):
 
     def expectation(self): return self.factor * self.base.expectation()
     def draw(self, rng, count): return self.factor * self.base.draw(rng, count)
+    def sum_law(self, n): return _wrap_sum(self.base, n, lambda s: Scaled(s, self.factor))
 
     def _fold(self):
         if self.factor == 0:
@@ -560,6 +580,13 @@ class Centered(Distribution):
     def expectation(self): return 0.0
     def draw(self, rng, count): return self.base.draw(rng, count) - self.base.expectation()
     def _fold(self): return canonical(self.base)._push("shift", -self.base.expectation())
+    def sum_law(self, n): return _wrap_sum(self.base, n, Centered)
+
+
+def _wrap_sum(base, n, wrap):
+    """wrap(law of the n-fold sum of base), or None if base has none."""
+    law = base.sum_law(n)
+    return None if law is None else wrap(law)
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,16 @@ class FunctionSpec(dist.Spec):
     `draw` returns a coordinate-major view (see dist.draw_rows), so a batch
     may be a non-contiguous view: `evaluate` must not assume C order, must
     give the same values for any layout of the same batch, and must not
-    write into `points`."""
+    write into `points`.
+
+    `sample(rng, count)` gives `count` values of f(X).  It evaluates f on
+    drawn base points, the "per-coordinate" `sampler_layout`, unless the
+    kind draws a statistic of the points with the same law ("summed")."""
+
+    sampler_layout = "per-coordinate"
 
     def closed_form_mean(self): return None
+    def sample(self, rng, count): return self.evaluate(self.draw(rng, count))
 
     def conditional_mean(self, k, x, seed):
         """E[f(X)] with every coordinate but k held at x: an inner estimate."""
@@ -100,16 +107,39 @@ class SumFunction(_ScalarCoordinates):
 
 @dataclass(frozen=True)
 class VectorNormOfSum(_VectorCoordinates):
-    """f(x) = ||sum_i x_i|| for n iid copies of a coordinate vector."""
+    """f(x) = ||sum_i x_i|| for n iid copies of a coordinate vector.
+
+    When every component's family is closed under convolution, `sample`
+    draws the sum itself: one value of its law per component, `dim` draws
+    per value of f instead of `n dim`.  The values have the law of f(X),
+    though not the stream of `evaluate(draw(...))`."""
     kind = "vector_norm_of_sum"
     vec: dist.VectorSpec
     n: dist.Count
     centered: bool = False
 
     coordinate = property(lambda self: self.vec)
+    sampler_layout = property(
+        lambda self: "per-coordinate" if self._sum_laws is None else "summed")
 
-    def evaluate(self, points):
-        s = _coordinate_sum(points)
+    def evaluate(self, points): return self._norm(_coordinate_sum(points))
+
+    def sample(self, rng, count):
+        if self._sum_laws is None:
+            return super().sample(rng, count)
+        return self._norm(dist.draw_rows(rng, count, (self.vec.dim,),
+                                         enumerate(self._sum_laws)))
+
+    @functools.cached_property
+    def _sum_laws(self):
+        """Per component, the law of its sum over the n copies; None unless
+        every component has one."""
+        laws = [c.sum_law(self.n) for c in self.vec.components]
+        return None if any(law is None for law in laws) else laws
+
+    def _norm(self, s):
+        """||s - n E[X]|| if centered, else ||s||, row by row of a (count,
+        dim) batch s of sums."""
         if self.centered:
             means = np.array([dist.mean(c) for c in self.vec.components])
             s = s - self.n * means
@@ -439,7 +469,7 @@ def sample_f(fspec, seed, count, stream=0) -> np.ndarray:
     """Deterministic samples of f(X)."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return fspec.evaluate(sample_points(fspec, seed, count, stream))
+    return fspec.sample(dist._rng(seed, stream), count)
 
 
 # ---------------------------------------------------------------------------

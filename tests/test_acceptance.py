@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
-from scipy.stats import gamma
+from scipy.stats import chi, gamma
 
 from lighttails import applications as apps
 from lighttails import cli
@@ -254,13 +254,18 @@ def test_criterion_08_monte_carlo_soundness():
     t_sum = time.perf_counter() - start
     assert t_sum < 120.0
 
+    # the summed draw's self-check: ||sum|| is sqrt(20) chi_5, and the
+    # exact chi tail lies inside every CP interval
     start = time.perf_counter()
     vec = D.VectorSpec(5, [D.Gaussian(0.0, 1.0)] * 5)
     norm_spec = fn.VectorNormOfSum(vec, n=20)
+    assert norm_spec.sampler_layout == "summed"
     grid = list(np.linspace(1.0, 30.0, 20))
-    report = V.check_bounds(
-        V.estimate_tail(norm_spec, grid, n_samples, seed=42),
-        V.bounds_on_grid(norm_spec, ["thm1", "thm2"], grid))
+    est = V.estimate_tail(norm_spec, grid, n_samples, seed=42)
+    for t, (lo, hi) in zip(grid, est.intervals()):
+        truth = float(chi.sf((est.mean_value + t) / math.sqrt(20.0), 5))
+        assert lo <= truth <= hi
+    report = V.check_bounds(est, V.bounds_on_grid(norm_spec, ["thm1", "thm2"], grid))
     assert report.verdict == "SOUND"
     t_vec = time.perf_counter() - start
     assert t_vec < 120.0
@@ -278,7 +283,7 @@ def test_criterion_08_monte_carlo_soundness():
     t_met = time.perf_counter() - start
     assert t_met < 120.0
     ok(8, f"CP 99.9% lower limits stay below the bounds for all three specs "
-          f"at N=10^6; Gamma sf inside every interval "
+          f"at N=10^6; Gamma and chi sf inside every interval "
           f"({t_sum:.1f}/{t_vec:.1f}/{t_met:.1f} s)")
 
 
@@ -350,20 +355,23 @@ def test_criterion_11_monotonicity_and_preconditions():
 
 def test_criterion_12_determinism(tmp_path, capsys):
     start = time.perf_counter()
-    outputs = {}
-    for label, threads in (("a", "1"), ("b", "1"), ("c", "8")):
-        path = str(tmp_path / f"run-{label}.csv")
-        code = cli.main(["verify", "--spec", config("sum_exp10.json"),
-                         "--bounds", "thm2", "--t-grid", "2:20:10",
-                         "--n", "1000000", "--seed", "42",
-                         "--threads", threads, "--format", "csv",
-                         "--output", path])
-        capsys.readouterr()
-        assert code == 0
-        with open(path, "rb") as fh:
-            outputs[label] = fh.read()
-    assert outputs["a"] == outputs["b"] == outputs["c"]
+    # repeats and --threads 1 vs 8; gauss_norm samples in the summed layout
+    for name, grid, runs in (("sum_exp10", "2:20:10", ("1", "1", "8")),
+                             ("gauss_norm", "1:30:20", ("1", "8"))):
+        outputs = set()
+        for i, threads in enumerate(runs):
+            path = str(tmp_path / f"{name}-{i}.csv")
+            code = cli.main(["verify", "--spec", config(f"{name}.json"),
+                             "--bounds", "thm2", "--t-grid", grid,
+                             "--n", "1000000", "--seed", "42",
+                             "--threads", threads, "--format", "csv",
+                             "--output", path])
+            capsys.readouterr()
+            assert code == 0
+            with open(path, "rb") as fh:
+                outputs.add(fh.read())
+        assert len(outputs) == 1, name
     elapsed = time.perf_counter() - start
     assert elapsed < 180.0
     ok(12, f"verify outputs byte-identical across repeats and "
-           f"--threads 1 vs 8 ({elapsed:.2f} s)")
+           f"--threads 1 vs 8, per-coordinate and summed ({elapsed:.2f} s)")

@@ -155,6 +155,30 @@ class TestBoundAndInvert:
                                "--bounds", "thm2", "--t-grid", grid)
             assert code == 1 and "t-grid" in err
 
+    @pytest.mark.parametrize("command", ["bound", "verify"])
+    @pytest.mark.parametrize("grid, need", [
+        ("1:inf:3", "finite lo and hi"),
+        ("1:-inf:3", "finite lo and hi"),
+        ("nan:2:3", "finite lo and hi"),
+        ("1:1e400:2", "finite lo and hi"),
+        ("1:5:100000000000", "1 <= steps <= 100000"),
+        ("1:5:100001", "1 <= steps <= 100000"),
+    ])
+    def test_t_grid_rejected_before_linspace(self, command, grid, need, capsys,
+                                             monkeypatch):
+        # 1:inf:3 printed a numpy RuntimeWarning before its error, and
+        # 1:5:100000000000 died allocating a 745 GiB grid
+        def no_grid(*args, **kwargs):
+            raise AssertionError("np.linspace called on a bad --t-grid")
+        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        argv = [command, "--spec", config("exp1.json"), "--bounds", "thm2",
+                "--t-grid", grid]
+        if command == "verify":
+            argv += ["--n", "20000"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: --t-grid needs {need}, got {grid!r}\n"
+
     def test_unknown_bound_kind(self, capsys):
         code, _, err = run(capsys, "bound", "--spec", config("exp1.json"),
                            "--bounds", "thm9", "--t-grid", "1:2:2")
@@ -255,6 +279,18 @@ class TestVerifyCommand:
             assert json.load(fh)["command"] == "norms"
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".lighttails-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("command", ["verify", "compare"])
+    @pytest.mark.parametrize("name, grid, layout", [
+        ("sum_exp10.json", "2:20:5", "per-coordinate"),
+        ("gauss_norm.json", "1:30:5", "summed"),
+    ])
+    def test_sampler_layout_in_metadata(self, command, name, grid, layout, capsys):
+        code, out, _ = run(capsys, command, "--spec", config(name),
+                           "--bounds", "thm2", "--t-grid", grid,
+                           "--n", "20000", "--seed", "1")
+        assert code == 0
+        assert json.loads(out)["sampler_layout"] == layout
 
     def test_compare_has_ratios(self, capsys):
         code, out, _ = run(capsys, "compare", "--spec", config("sum_exp10.json"),

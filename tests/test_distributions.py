@@ -248,6 +248,54 @@ class TestMeans:
         assert abs(vals.mean() - 5.0) < 5 * mc_sd(vals)
 
 
+SUMMABLE = [
+    D.Gaussian(0.0, 1.0),
+    D.Gaussian(0.7, 1.3),
+    D.Exponential(2.0),
+    D.ChiSquared(3),
+    D.Poisson(2.5),
+    D.Rademacher(),
+    D.Scaled(D.Exponential(1.5), -0.5),
+    D.Shifted(D.Poisson(1.2), 3.0),
+    D.Centered(D.ChiSquared(2)),
+    D.Centered(D.Scaled(D.Shifted(D.Rademacher(), -1.0), 3.0)),
+]
+
+
+class TestSumLaw:
+    @pytest.mark.parametrize("n", [1, 2, 20])
+    @pytest.mark.parametrize("spec", SUMMABLE, ids=repr)
+    def test_mean_and_variance_of_the_sum(self, spec, n):
+        law = spec.sum_law(n)
+        assert isinstance(law, D.Distribution)
+        scale = n * D.lp_norm(spec, 2)
+        assert math.isclose(D.mean(law), n * D.mean(spec),
+                            rel_tol=1e-12, abs_tol=1e-12 * scale)
+        var = D.abs_moment(D.Centered(spec), 2)
+        assert math.isclose(D.abs_moment(D.Centered(law), 2), n * var, rel_tol=1e-12)
+
+    def test_closed_forms(self):
+        assert D.Gaussian(0.5, 2.0).sum_law(4) == D.Gaussian(2.0, 4.0)
+        assert D.Exponential(2.0).sum_law(3) == D.Scaled(D.ChiSquared(6), 0.25)
+        assert D.ChiSquared(3).sum_law(5) == D.ChiSquared(15)
+        assert D.Poisson(1.5).sum_law(4) == D.Poisson(6.0)
+        assert D.Rademacher().sum_law(3) == D.FiniteSupport(
+            (-3.0, -1.0, 1.0, 3.0), (0.125, 0.375, 0.375, 0.125))
+        assert D.Shifted(D.Poisson(1.0), 2.0).sum_law(3) == D.Shifted(D.Poisson(3.0), 6.0)
+
+    def test_rademacher_weights_are_exact_binomials(self):
+        law = D.Rademacher().sum_law(60)
+        assert law.probs == tuple(math.comb(60, k) / 2 ** 60 for k in range(61))
+
+    @pytest.mark.parametrize("spec", [
+        D.UniformInterval(0.0, 1.0), D.FiniteSupport((-1.0, 2.0), (0.5, 0.5)),
+        D.TwoPointEps(0.1), D.SquareOf(D.Gaussian(0.0, 1.0)),
+        D.Centered(D.UniformInterval(-1.0, 3.0)), D.Scaled(D.TwoPointEps(0.2), 2.0),
+        D.Shifted(D.FiniteSupport((0.0,), (1.0,)), 1.0)], ids=repr)
+    def test_families_not_closed_under_convolution(self, spec):
+        assert spec.sum_law(3) is None
+
+
 class TestMgf:
     def test_exponential_divergence(self):
         with pytest.raises(D.MomentDivergenceError):

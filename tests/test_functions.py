@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from lighttails import distributions as D
 from lighttails import functions as F
@@ -91,6 +92,23 @@ class TestSampling:
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - want) <= 5 * se
 
+    @pytest.mark.parametrize("centered", [False, True])
+    def test_summed_draw_has_the_law_of_f(self, centered):
+        comps = [D.Rademacher(), D.Centered(D.Exponential(1.0)), D.Poisson(0.7),
+                 D.Shifted(D.ChiSquared(1), -0.5), D.Gaussian(0.3, 2.0)]
+        fspec = F.VectorNormOfSum(D.VectorSpec(5, comps), 6, centered=centered)
+        assert fspec.sampler_layout == "summed"
+        count = 20000
+        summed = fspec.sample(D._rng(31, 0), count)
+        per_coordinate = F.FunctionSpec.sample(fspec, D._rng(32, 0), count)
+        assert stats.ks_2samp(summed, per_coordinate).pvalue > 1e-3
+        # E f^2 = sum over components of n var + (n mean - offset)^2
+        n = fspec.n
+        want = math.fsum(n * D.abs_moment(D.Centered(c), 2)
+                         + (0.0 if centered else n * D.mean(c)) ** 2 for c in comps)
+        sq = summed ** 2
+        assert abs(sq.mean() - want) <= 5 * sq.std(ddof=1) / math.sqrt(count)
+
     def test_singleton_sup_reduces_to_mean_loss(self):
         w = (0.5, -1.0)
         single = F.SupLinearLoss([w], "absolute", gauss_vec(2),
@@ -132,12 +150,34 @@ def old_style_values(fspec, points):
     return fspec.evaluate(points)
 
 
+def summed_values(fspec, rng, count):
+    """f as the summed layout draws it, with each component's sum law written
+    out: N(n mean, n sd^2), and Gamma(n, rate) as chi-squared with 2n degrees
+    of freedom over 2 rate.  None for specs without that layout."""
+    if not isinstance(fspec, F.VectorNormOfSum):
+        return None
+    n, laws = fspec.n, fspec.vec.components
+    if all(isinstance(c, D.Gaussian) for c in laws):
+        cols = [rng.normal(n * c.mean, math.sqrt(n) * c.sd, count) for c in laws]
+    elif all(isinstance(c, D.Exponential) for c in laws):
+        cols = [1.0 / (2.0 * c.rate) * rng.chisquare(2 * n, count) for c in laws]
+    else:
+        return None
+    s = np.column_stack(cols)
+    if fspec.centered:
+        s = s - n * np.array([D.mean(c) for c in laws])
+    return np.linalg.norm(s, axis=1)
+
+
 LAYOUT_CASES = CATALOGUE + [
     sum_of(D.Exponential(1.0), 10),       # numpy sums 8 or more terms pairwise
     F.SumFunction([D.UniformInterval(0.0, k + 1.0) for k in range(130)]),
     F.VectorNormOfSum(D.VectorSpec(1, [D.Exponential(2.0)]), 12, centered=True),
     F.VectorNormOfSum(D.VectorSpec(9, [D.UniformInterval(-1.0, k + 1.0)
                                        for k in range(9)]), 5),
+    # one component without a sum law keeps the whole vector per coordinate
+    F.VectorNormOfSum(D.VectorSpec(2, [D.Gaussian(0.0, 1.0),
+                                       D.UniformInterval(0.0, 1.0)]), 4),
     F.SupLinearLoss([(0.3, -0.4)], "huber", D.VectorSpec(
         2, [D.UniformInterval(-1.0, 1.0), D.Gaussian(0.0, 1.0)]),
         D.Exponential(1.0), n=9, huber_kappa=0.5),
@@ -152,8 +192,11 @@ class TestCoordinateMajorDraws:
         assert np.array_equal(pts, ref)
         # one contiguous run per coordinate, and no copy of the buffer
         assert np.moveaxis(pts, 0, -1).flags.c_contiguous
-        assert np.array_equal(F.sample_f(fspec, seed=17, count=2000, stream=3),
-                              old_style_values(fspec, ref))
+        # values: f of those points, or the summed draw from the same stream
+        summed = summed_values(fspec, D._rng(17, 3), 2000)
+        assert fspec.sampler_layout == ("per-coordinate" if summed is None else "summed")
+        want = old_style_values(fspec, ref) if summed is None else summed
+        assert np.array_equal(F.sample_f(fspec, seed=17, count=2000, stream=3), want)
 
     @pytest.mark.parametrize("fspec", LAYOUT_CASES, ids=lambda f: f.kind)
     def test_evaluate_leaves_points_unchanged(self, fspec):
