@@ -10,11 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import distributions as dist
 from .bounds import TailBoundResult, _tail
-from .orlicz import psi_norm, psi_norm_finite, _each, _sup_ratio
+from .orlicz import psi_norm, psi_norm_finite  # noqa: F401 (bench/tracing.py wraps it here)
 
 __all__ = [
     "PsiDiameter", "PreconditionError", "vector_bound_i",
@@ -36,9 +34,6 @@ class PsiDiameter:
     alpha: int
     value: float
     method: str = ""
-
-    def to_dict(self):
-        return {"alpha": self.alpha, "value": self.value, "method": self.method}
 
 
 def _check_delta(delta, upper=1.0):
@@ -161,39 +156,21 @@ def metric_tail(lip, diameters, t, lipschitz_linear_term=False) -> TailBoundResu
 def psi_diameter(spec, alpha) -> PsiDiameter:
     """Orlicz norm of |X - X'| for independent copies of the catalogue law.
 
-    Finite supports and affine images a Y + b of the common continuous laws
-    get exact difference moments (|X - X'| = |a| |Y - Y'|); other specs fall
-    back to the centering bound ||X - X'|| <= 2 ||X - E X||, which keeps
-    every downstream tail sound.
+    For an affine image a Y + b of a law Y with an `abs_difference_law()`
+    (Gaussian, exponential, uniform, finite), |X - X'| = |a| |Y - Y'| and the
+    diameter is |a| psi_norm of that law.  Other specs fall back to the
+    centering bound ||X - X'|| <= 2 ||X - E X||, which keeps every downstream
+    tail sound.
     """
     form = dist.canonical(spec)
-    if isinstance(form, dist.FiniteSupport):
-        v = np.asarray(form.values)
-        # normalised, so that the pair law sums to 1 within 1e-12 whenever
-        # the law does
-        p = np.asarray(form.probs) / math.fsum(form.probs)
-        diff = np.abs(v[:, None] - v[None, :]).ravel()
-        joint = np.outer(p, p).ravel()
-        est = psi_norm_finite(diff, joint, alpha)
-        return PsiDiameter(alpha, est.value, "exact-enumeration")
     base, a = ((form.base, form.linear_factor()) if isinstance(form, dist.Mapped)
                else (form, 1.0))
-    if a is None:
-        est = psi_norm(dist.Centered(spec), alpha)
-        return PsiDiameter(alpha, 2.0 * est.value, "centering-bound")
-    if isinstance(base, dist.Gaussian):
-        est = psi_norm(dist.Gaussian(0.0, math.sqrt(2.0) * base.sd), alpha)
-    elif isinstance(base, dist.Exponential):
-        # Y - Y' is Laplace with scale 1/rate, so |Y - Y'| is again Exponential
-        est = psi_norm(base, alpha)
-    elif isinstance(base, dist.UniformInterval):
-        # |D| has the triangular law on [0, w]: E|D|^p = 2 w^p / ((p+1)(p+2))
-        lw = math.log(base.hi - base.lo)
-
-        def log_lp(p):
-            return lw + (math.log(2.0) - math.log((p + 1.0) * (p + 2.0))) / p
-        est = _sup_ratio(_each(log_lp), alpha, 256.0, 16, "closed-form")
-    else:
+    if a is None:       # a square step: the wrappers of spec have no difference law
+        base, a = spec, 1.0
+    law = base.abs_difference_law()
+    if law is None:
         est = psi_norm(dist.Centered(base), alpha)
         return PsiDiameter(alpha, abs(a) * 2.0 * est.value, "centering-bound")
-    return PsiDiameter(alpha, abs(a) * est.value, "closed-form")
+    est = psi_norm(law, alpha)
+    method = "closed-form" if dist.finite_support(law) is None else "exact-enumeration"
+    return PsiDiameter(alpha, abs(a) * est.value, method)

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -37,6 +38,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads what this matches as a value; no option starts with
+        # '-' and a digit, so -1:2:3 is a value, like -1
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         raise UsageError(message)
 
@@ -270,25 +277,23 @@ def _cmd_entropy_check(args):
     values, probs = fs
     mu = float(np.dot(values, probs))
     y = dist.FiniteSupport(values - mu, probs)
-    lhs, rhs = ent.entropy_bound_subgaussian(y, args.beta)
     payload = {"beta": args.beta,
-               "subgaussian": {"entropy": lhs, "bound": rhs,
-                               "holds": bool(lhs <= rhs + 1e-12)}}
-    try:
-        lhs1, rhs1 = ent.entropy_bound_subexponential(y)
-        payload["subexponential"] = {"entropy": lhs1, "bound": rhs1,
-                                     "holds": bool(lhs1 <= rhs1 + 1e-12)}
-    except ent.LemmaHypothesisError as exc:
-        payload["subexponential"] = {"skipped": str(exc)}
+               "subgaussian": _lemma_check(ent.entropy_bound_subgaussian, y, args.beta),
+               "subexponential": _lemma_check(ent.entropy_bound_subexponential, y)}
     if args.p is not None:
-        try:
-            lhs2, rhs2 = ent.entropy_bound_holder(y, args.p)
-            payload["holder"] = {"p": args.p, "entropy": lhs2, "bound": rhs2,
-                                 "holds": bool(lhs2 <= rhs2 + 1e-12)}
-        except ent.LemmaHypothesisError as exc:
-            payload["holder"] = {"p": args.p, "skipped": str(exc)}
+        payload["holder"] = {"p": args.p, **_lemma_check(ent.entropy_bound_holder, y, args.p)}
     _emit_payload(args, digest, payload)
     return EXIT_OK
+
+
+def _lemma_check(bound, *args):
+    """The entropy and bound of an entropy-bound lemma and whether it holds,
+    or why it was skipped when its hypothesis fails."""
+    try:
+        lhs, rhs = bound(*args)
+    except ent.LemmaHypothesisError as exc:
+        return {"skipped": str(exc)}
+    return {"entropy": lhs, "bound": rhs, "holds": bool(lhs <= rhs + 1e-12)}
 
 
 def _cmd_bound(args):
@@ -322,58 +327,59 @@ def _cmd_invert(args):
     return EXIT_OK
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise UsageError(f"--{name} is required for --app {args.app}")
-
-
 def _parse_float_list(text, flag):
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --{flag}: {exc}")
+    for v in values:
+        _check_number(flag, v, need="finite numbers")
+    return values
+
+
+_APP_NUMBERS = ("delta", "p", "psi2", "l2p", "lip", "rad-expectation", "psi1-z", "t")
+
+# --app -> (its required flags, its bound of the args); --psi1 and
+# --diameters are lists by then
+_APPS = {
+    "vector-i": ("psi1 delta", lambda a: apps.vector_bound_i(a.psi1, a.delta)),
+    "vector-ii": ("psi1 n delta", lambda a: apps.vector_bound_ii(a.psi1[0], a.n, a.delta)),
+    "vector-iii": ("l2p psi1 p n delta", lambda a: apps.vector_bound_iii(
+        a.l2p, a.psi1[0], a.p, a.n, a.delta)),
+    "psa": ("psi2 d n delta", lambda a: apps.psa_bound(a.psi2, a.d, a.n, a.delta)),
+    "rademacher": ("psi1 n delta", lambda a: apps.rademacher_generalization_bound(
+        a.rad_expectation, a.lip, a.psi1[0], a.n, a.delta)),
+    "regression": ("psi1 n delta", lambda a: apps.regression_bound(
+        a.lip, a.psi1[0], a.psi1_z, a.n, a.delta)),
+    "metric": ("diameters t", lambda a: apps.metric_tail(
+        a.lip, a.diameters, a.t, a.lipschitz_linear_term)),
+}
 
 
 def _cmd_appbound(args):
     digest = _config_digest(args)
+    for flag in _APP_NUMBERS:
+        _check_number(flag, getattr(args, flag.replace("-", "_")))
+    for flag in ("psi1", "diameters"):
+        if getattr(args, flag) is not None:
+            setattr(args, flag, _parse_float_list(getattr(args, flag), flag))
+    if args.app != "vector-i" and args.psi1 is not None and len(args.psi1) != 1:
+        raise UsageError(f"--psi1 must be one number for --app {args.app}")
+    needs, bound = _APPS[args.app]
+    for name in needs.split():
+        if getattr(args, name) is None:
+            raise UsageError(f"--{name} is required for --app {args.app}")
     try:
-        if args.app == "vector-i":
-            _require(args, ["psi1", "delta"])
-            value = apps.vector_bound_i(_parse_float_list(args.psi1, "psi1"),
-                                        args.delta)
-        elif args.app == "vector-ii":
-            _require(args, ["psi1", "n", "delta"])
-            value = apps.vector_bound_ii(float(args.psi1), args.n, args.delta)
-        elif args.app == "vector-iii":
-            _require(args, ["l2p", "psi1", "p", "n", "delta"])
-            value = apps.vector_bound_iii(args.l2p, float(args.psi1), args.p,
-                                          args.n, args.delta)
-        elif args.app == "psa":
-            _require(args, ["psi2", "d", "n", "delta"])
-            value = apps.psa_bound(args.psi2, args.d, args.n, args.delta)
-        elif args.app == "rademacher":
-            _require(args, ["psi1", "n", "delta"])
-            value = apps.rademacher_generalization_bound(
-                args.rad_expectation, args.lip, float(args.psi1), args.n, args.delta)
-        elif args.app == "regression":
-            _require(args, ["psi1", "n", "delta"])
-            value = apps.regression_bound(args.lip, float(args.psi1),
-                                          args.psi1_z, args.n, args.delta)
-        else:
-            _require(args, ["diameters", "t"])
-            res = apps.metric_tail(args.lip,
-                                   _parse_float_list(args.diameters, "diameters"),
-                                   args.t, args.lipschitz_linear_term)
-            _emit_payload(args, digest, {"app": args.app, "result": res.to_dict()})
-            return EXIT_OK
+        value = bound(args)
     except (apps.PreconditionError, ValueError) as exc:
         raise UsageError(str(exc))
-    _emit_payload(args, digest, {"app": args.app, "value": value})
+    payload = {"result": value.to_dict()} if args.app == "metric" else {"value": value}
+    _emit_payload(args, digest, {"app": args.app, **payload})
     return EXIT_OK
 
 
 def _run_verification(args, negative_control=False, with_ratios=False):
+    _check_number("threads", args.threads, lambda v: v >= 1, "an integer >= 1")
     fspec = _load_fn_spec(args.spec)
     kinds = _parse_kinds(args.bounds)
     _thm3_p(kinds, args.p)

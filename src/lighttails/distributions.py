@@ -27,7 +27,7 @@ from scipy.special import expit, gammaln
 __all__ = [
     "Spec", "Distribution", "Gaussian", "Exponential", "Rademacher",
     "UniformInterval", "Poisson", "ChiSquared", "TwoPointEps", "FiniteSupport",
-    "Shifted", "Scaled", "SquareOf", "Centered", "Mapped", "VectorSpec",
+    "Chi", "UniformGap", "Shifted", "Scaled", "SquareOf", "Centered", "Mapped", "VectorSpec",
     "SpecError", "MomentDivergenceError", "QuadratureError", "validate",
     "canonical", "mean", "support_interval", "abs_moment", "lp_norm",
     "log_abs_moment", "log_abs_moments", "mgf", "sample", "finite_support",
@@ -154,6 +154,10 @@ class Distribution(Spec):
         """The catalogue spec of the sum of n iid copies, or None when the
         family is not closed under convolution."""
         return None
+    def abs_difference_law(self):
+        """A spec whose absolute value has the law of |X - X'|, for iid
+        copies X, X' of this canonical form, or None when there is none."""
+        return None
     def expectation(self): return canonical(self).expectation()
     def squared_mgf(self, beta): return _squared_mgf(self, (), beta, self.support())
 
@@ -260,6 +264,7 @@ class Gaussian(_Continuous):
     def support(self): return -math.inf, math.inf
     def draw(self, rng, count): return rng.normal(self.mean, self.sd, count)
     def sum_law(self, n): return Gaussian(n * self.mean, math.sqrt(n) * self.sd)
+    def abs_difference_law(self): return Gaussian(0.0, math.sqrt(2.0) * self.sd)
     def mgf(self, beta): return math.exp(beta * self.mean + 0.5 * beta ** 2 * self.sd ** 2)
 
     def logpdf(self, x):
@@ -308,6 +313,8 @@ class Exponential(_Continuous):
     def log_abs_moment(self, p): return float(gammaln(p + 1)) - p * math.log(self.rate)
     # Gamma(n, rate) is chi-squared with 2n degrees of freedom over 2 rate
     def sum_law(self, n): return Scaled(ChiSquared(2 * n), 1.0 / (2.0 * self.rate))
+    # Y - Y' is Laplace with scale 1/rate, so |Y - Y'| is again Exponential
+    def abs_difference_law(self): return self
 
     def logpdf(self, x):
         x = np.asarray(x)
@@ -348,6 +355,7 @@ class UniformInterval(_Continuous):
     def window(self, p): return self.lo, self.hi
     def draw(self, rng, count): return rng.uniform(self.lo, self.hi, count)
     def log_abs_moment(self, p): return _uniform_log_abs_moment(self.lo, self.hi, p)
+    def abs_difference_law(self): return UniformGap(self.hi - self.lo)
 
     def _check(self):
         if not self.lo < self.hi:
@@ -515,6 +523,12 @@ class FiniteSupport(Distribution):
         m = np.max(beta * values)
         return float(math.exp(m) * np.dot(self.probs, np.exp(beta * values - m)))
 
+    def abs_difference_law(self):
+        # the pair law; with probs normalised by their fsum, it sums to 1
+        # within 1e-12 whenever this law does
+        v, p = np.asarray(self.values), np.asarray(self.probs) / math.fsum(self.probs)
+        return FiniteSupport(np.abs(v[:, None] - v).ravel(), np.outer(p, p).ravel())
+
     def _push(self, op, c):
         return _merged(_apply(((op, c),), np.asarray(self.values)), self.probs)
 
@@ -532,6 +546,34 @@ def _merged(values, probs):
             merged_v.append(v)
             merged_p.append(p)
     return FiniteSupport(merged_v, merged_p)
+
+
+@dataclass(frozen=True)
+class Chi(Distribution):
+    """sd chi_dof, the length of dof iid N(0, sd^2) entries; not a JSON kind."""
+    dof: Count
+    sd: Positive = 1.0
+
+    def support(self): return 0.0, math.inf
+    def expectation(self): return math.exp(self.log_abs_moment(1.0))
+
+    def log_abs_moment(self, p):
+        return (p * math.log(self.sd) + 0.5 * p * math.log(2.0)
+                + float(gammaln((self.dof + p) / 2)) - float(gammaln(self.dof / 2)))
+
+
+@dataclass(frozen=True)
+class UniformGap(Distribution):
+    """|U - U'| for iid U, U' uniform on an interval of this width, the
+    triangular law on [0, width]; not a JSON kind."""
+    width: Positive
+
+    def support(self): return 0.0, self.width
+    def expectation(self): return self.width / 3.0
+
+    def log_abs_moment(self, p):
+        # E|D|^p = 2 width^p / ((p+1)(p+2))
+        return p * math.log(self.width) + math.log(2.0) - math.log((p + 1.0) * (p + 2.0))
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import applications
 from . import distributions as dist
 from .bounds import PSI2_KINDS, ProxyProfile
-from .orlicz import OrliczEstimate, PMaxTooSmallError, psi_norm, _sup_ratio
+from .orlicz import OrliczEstimate, PMaxTooSmallError, psi_norm
 
 __all__ = [
     "SumFunction", "VectorNormOfSum", "SupLinearLoss", "PsaReconstruction",
@@ -158,11 +157,9 @@ class VectorNormOfSum(_VectorCoordinates):
                             l2p_per_coord=l2p, l2p_order=p, ranges=[r] * n)
 
     def closed_form_mean(self):
-        sd = _iid_centered_gaussian_sd(self.vec)
-        if sd is None:
-            return None
-        # the sum has iid N(0, n sd^2) entries, so ||sum|| is sqrt(n) sd chi_d
-        return math.sqrt(self.n) * math.exp(_chi_log_moment(sd, self.vec.dim, 1))
+        # for iid N(0, sd^2) entries, ||sum|| is sqrt(n) sd chi_d
+        chi = _chi_law(self.vec)
+        return None if chi is None else math.sqrt(self.n) * dist.abs_moment(chi, 1)
 
 
 @dataclass(frozen=True)
@@ -492,43 +489,32 @@ def conditional_version_samples(fspec, k, x, seed, count) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Norms of vector magnitudes
 
-def _iid_centered_gaussian_sd(vec):
-    """The common sd if every coordinate is the same centered Gaussian law,
-    however the spec writes it, else None."""
+def _chi_law(vec):
+    """sd chi_dim, the law of ||X||, if every coordinate is the same centered
+    Gaussian law N(0, sd^2), however the spec writes it, else None."""
     forms = {dist.canonical(c) for c in vec.components}
-    if len(forms) == 1:
-        form = forms.pop()
-        if isinstance(form, dist.Gaussian) and form.mean == 0.0:
-            return form.sd
+    form = forms.pop() if len(forms) == 1 else None
+    if isinstance(form, dist.Gaussian) and form.mean == 0.0:
+        return dist.Chi(vec.dim, form.sd)
     return None
 
 
-def _chi_log_moment(sd, d, p):
-    """ln E[(sd chi_d)^p], with sd chi_d the length of d iid N(0, sd^2);
-    p may be an array."""
-    return (p * math.log(sd) + 0.5 * p * math.log(2.0)
-            + gammaln((d + p) / 2) - float(gammaln(d / 2)))
-
-
 def vector_norm_lp(vec, p) -> float:
-    """||  ||X||  ||_p for a coordinate vector; exact for iid centered
-    Gaussians (chi law), else the triangle-inequality bound sum ||X_i||_p."""
-    if vec.dim == 1:
-        return dist.lp_norm(vec.components[0], p)
-    sd = _iid_centered_gaussian_sd(vec)
-    if sd is not None:
-        return math.exp(_chi_log_moment(sd, vec.dim, p) / p)
+    """||  ||X||  ||_p for a coordinate vector: exact for the law of ||X||
+    (the component when dim is 1, or the chi law), else the
+    triangle-inequality bound sum ||X_i||_p."""
+    law = vec.components[0] if vec.dim == 1 else _chi_law(vec)
+    if law is not None:
+        return dist.lp_norm(law, p)
     return math.fsum(dist.lp_norm(c, p) for c in vec.components)
 
 
 def vector_norm_psi(vec, alpha) -> OrliczEstimate:
-    """psi norm (or a valid upper bound) of ||X||."""
-    if vec.dim == 1:
-        return psi_norm(vec.components[0], alpha)
-    sd = _iid_centered_gaussian_sd(vec)
-    if sd is not None:
-        return _sup_ratio(lambda ps: _chi_log_moment(sd, vec.dim, ps) / ps, alpha,
-                          256.0, 16, "analytic-grid")
+    """psi norm of ||X||, as `vector_norm_lp` reads its law, else the
+    triangle-inequality bound sum ||X_i||_psi."""
+    law = vec.components[0] if vec.dim == 1 else _chi_law(vec)
+    if law is not None:
+        return psi_norm(law, alpha)
     total = math.fsum(psi_norm(c, alpha).value for c in vec.components)
     return OrliczEstimate(alpha, total, float("nan"), "triangle-bound")
 

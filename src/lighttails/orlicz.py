@@ -8,16 +8,17 @@ nonincreasing over the last octave, which holds for every catalogue
 distribution.  For a catalogue law the search reads the batched moments of
 `distributions.log_abs_moments`, one fixed-rule pass over the whole grid,
 and the value reported is certified by the adaptive `log_abs_moment` at the
-maximiser p*.  A finite law is a `distributions.FiniteSupport` and takes
-the same path: its batched moments are one exact log-sum-exp over (p,
-value), so `psi_norm_finite` is `psi_norm` of a FiniteSupport.
+maximiser p*.  Every psi norm of a law takes this one path: a finite law is
+a FiniteSupport, with one exact log-sum-exp over (p, value) as its batched
+moments; the length of an iid centered Gaussian vector is a Chi law; and a
+psi diameter is psi_norm of the law's `abs_difference_law()`.
 """
 from __future__ import annotations
 
 import functools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 E = math.e
+_GRID_DENSITY = 16  # points of the p-grid per octave
 
 
 class PMaxTooSmallError(RuntimeError):
@@ -54,25 +56,23 @@ def _check_alpha(alpha):
         raise ValueError(f"alpha must be 1 or 2, got {alpha}")
 
 
-def _p_grid(p_max, grid_density):
+def _p_grid(p_max):
     if p_max < 1:
         raise ValueError(f"p_max must be >= 1, got {p_max}")
-    if grid_density < 8:
-        raise ValueError(f"grid_density must be >= 8 points per octave, got {grid_density}")
     octaves = math.log2(p_max) if p_max > 1 else 1.0
-    n = max(2, int(math.ceil(octaves * grid_density)) + 1)
+    n = max(2, int(math.ceil(octaves * _GRID_DENSITY)) + 1)
     return np.exp(np.linspace(0.0, math.log(p_max), n))
 
 
-def _sup_ratio(log_lp, alpha, p_max, grid_density, method):
-    """Maximize exp(log_lp(p)) / p^(1/alpha) over [1, p_max].
+def _sup_ratio(log_lp, alpha, p_max):
+    """Maximize ln(||Z||_p / p^(1/alpha)) over [1, p_max].
 
     log_lp maps an array of p to the array of ln ||Z||_p; the grid is one
-    call and each refinement step a call with one p.  Returns an
-    OrliczEstimate; raises PMaxTooSmallError when the last octave is still
-    increasing.
+    call and each refinement step a call with one p.  Returns the maximum
+    and the maximiser p* (-inf and 1.0 when Z = 0); raises
+    PMaxTooSmallError when the last octave is still increasing.
     """
-    grid = _p_grid(p_max, grid_density)
+    grid = _p_grid(p_max)
 
     def log_ratio(p):
         return float(log_lp(np.array([p]))[0]) - math.log(p) / alpha
@@ -80,7 +80,7 @@ def _sup_ratio(log_lp, alpha, p_max, grid_density, method):
     # math.log per p, as in log_ratio, so that grid and refinement agree
     ratios = log_lp(grid) - np.array([math.log(p) for p in grid]) / alpha
     if np.all(ratios == -math.inf):
-        return OrliczEstimate(alpha, 0.0, 1.0, method)
+        return -math.inf, 1.0
 
     tail = ratios[grid >= p_max / 2 - 1e-9]
     if np.any(np.diff(tail) > 1e-9):
@@ -98,50 +98,42 @@ def _sup_ratio(log_lp, alpha, p_max, grid_density, method):
             options={"xatol": 1e-12})
         if -res.fun > best_lr:
             best_lr, best_p = -res.fun, math.exp(res.x)
-    return OrliczEstimate(alpha, math.exp(best_lr), float(best_p), method)
+    return best_lr, float(best_p)
 
 
-def _each(log_lp):
-    """The array form of a function of one p, evaluated p by p."""
-    return lambda ps: np.array([log_lp(p) for p in ps])
-
-
-def psi_norm(spec, alpha, p_max=256.0, grid_density=16) -> OrliczEstimate:
+def psi_norm(spec, alpha, p_max=256.0) -> OrliczEstimate:
     """psi_1 or psi_2 norm of a catalogue distribution.
 
     The grid search and its refinement read `log_abs_moments`: closed forms,
     or one fixed tanh-sinh rule for all p.  The value reported is the
     adaptive `log_abs_moment` at the maximiser p*; if it differs from the
     fixed rule by more than 1e-9 in ln(ratio), QuadratureError is raised.
-    Memoised on (spec, alpha, p_max, grid_density), PMaxTooSmallError
-    included.
+    Memoised on (spec, alpha, p_max), PMaxTooSmallError included.
     """
     _check_alpha(alpha)
     dist.validate(spec)
-    est = _psi_norm_cached(spec, alpha, p_max, grid_density)
+    est = _psi_norm_cached(spec, alpha, p_max)
     if isinstance(est, PMaxTooSmallError):
         raise PMaxTooSmallError(*est.args)
     return est
 
 
 @functools.lru_cache(maxsize=4096)
-def _psi_norm_cached(spec, alpha, p_max, grid_density):
+def _psi_norm_cached(spec, alpha, p_max):
     method = "closed-form" if dist.finite_support(spec) is not None else "analytic-grid"
     try:
-        est = _sup_ratio(lambda ps: dist.log_abs_moments(spec, ps) / ps,
-                         alpha, p_max, grid_density, method)
+        best, p = _sup_ratio(lambda ps: dist.log_abs_moments(spec, ps) / ps, alpha, p_max)
     except PMaxTooSmallError as exc:
         return exc.with_traceback(None)
-    if est.value == 0.0:
-        return est
-    p = est.p_star
+    if best == -math.inf:
+        return OrliczEstimate(alpha, 0.0, p, method)
     log_ratio = dist.log_abs_moment(spec, p) / p - math.log(p) / alpha
-    gap = abs(log_ratio - math.log(est.value))
+    gap = abs(log_ratio - best)
     if not gap <= 1e-9:
         raise dist.QuadratureError(
             f"psi norm of {spec}: the fixed rule and adaptive quadrature differ "
             f"by {gap:.3g} in ln(ratio) at p*={p!r}")
-    return replace(est, value=math.exp(log_ratio))
+    return OrliczEstimate(alpha, math.exp(log_ratio), p, method)
 
 
 def psi_norm_finite(values, probs, alpha) -> OrliczEstimate:
@@ -150,7 +142,7 @@ def psi_norm_finite(values, probs, alpha) -> OrliczEstimate:
     return psi_norm(dist.FiniteSupport(values, probs), alpha)
 
 
-def psi_norm_empirical(samples, alpha, p_max=10.0, grid_density=16) -> OrliczEstimate:
+def psi_norm_empirical(samples, alpha, p_max=10.0) -> OrliczEstimate:
     """Plug-in psi norm from samples.
 
     High empirical moments are dominated by the sample maximum and are
@@ -172,17 +164,10 @@ def psi_norm_empirical(samples, alpha, p_max=10.0, grid_density=16) -> OrliczEst
     with np.errstate(divide="ignore"):
         log_abs = np.log(np.abs(samples))
     log_abs = log_abs[np.isfinite(log_abs)]
-    if len(log_abs) == 0:
-        return OrliczEstimate(alpha, 0.0, 1.0, "empirical")
     log_n = math.log(n)
-
-    def log_lp_norm(p):
-        t = p * log_abs
-        m = t.max()
-        return (m + math.log(np.sum(np.exp(t - m))) - log_n) / p
-
-    grid = _p_grid(p_max, grid_density)
-    lrs = np.array([log_lp_norm(p) - math.log(p) / alpha for p in grid])
+    grid = _p_grid(p_max)
+    lrs = np.array([(dist._logsumexp(p * log_abs) - log_n) / p - math.log(p) / alpha
+                    for p in grid])
     i = int(np.argmax(lrs))
     return OrliczEstimate(alpha, math.exp(lrs[i]), float(grid[i]), "empirical")
 

@@ -6,7 +6,7 @@ import pytest
 from lighttails import applications as A
 from lighttails import distributions as D
 from lighttails.bounds import ProxyProfile, invert_tail, thm2_tail
-from lighttails.orlicz import psi_norm
+from lighttails.orlicz import _psi_norm_cached, psi_norm
 
 E = math.e
 
@@ -211,6 +211,39 @@ class TestPsiDiameter:
         for p in (1.0, 2.0, 4.0):
             emp = (diff ** p).mean() ** (1 / p)
             assert got * p >= emp - 0.02
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.0, 4.5), (2.0, 2.25)])
+    def test_uniform_matches_gap_moments(self, lo, hi):
+        # E|U - U'|^p = 2 w^p / ((p+1)(p+2)) on the 10^4-point grid of criterion 1
+        ps = np.exp(np.linspace(0.0, math.log(256.0), 10 ** 4))
+        lp = (2.0 * (hi - lo) ** ps / ((ps + 1.0) * (ps + 2.0))) ** (1.0 / ps)
+        for alpha in (1, 2):
+            oracle = float(np.max(lp / ps ** (1.0 / alpha)))
+            got = A.psi_diameter(D.UniformInterval(lo, hi), alpha)
+            assert got.value == pytest.approx(oracle, rel=1e-6)
+            assert got.value >= oracle * (1.0 - 1e-12)
+            assert got.method == "closed-form"
+
+    def test_uniform_second_call_is_a_memo_hit(self):
+        spec = D.UniformInterval(0.0, 1.37)
+        A.psi_diameter(spec, 2)
+        before = _psi_norm_cached.cache_info()
+        A.psi_diameter(spec, 2)
+        after = _psi_norm_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    @pytest.mark.parametrize("spec, alpha", [
+        (D.Gaussian(1.0, 2.0), 2), (D.Exponential(0.5), 1), (D.UniformInterval(-1.0, 3.0), 2),
+        (D.Rademacher(), 1), (D.FiniteSupport((0.0, 1.0, 5.0), (0.2, 0.5, 0.3)), 2)], ids=repr)
+    def test_is_psi_norm_of_the_difference_law(self, spec, alpha):
+        want = psi_norm(D.canonical(spec).abs_difference_law(), alpha).value
+        assert A.psi_diameter(spec, alpha).value == want
+
+    def test_exact_methods(self):
+        assert A.psi_diameter(D.Rademacher(), 1).method == "exact-enumeration"
+        assert A.psi_diameter(D.Scaled(D.Exponential(1.0), -2.0), 1).method == "closed-form"
+        assert A.psi_diameter(D.SquareOf(D.UniformInterval(0.0, 1.0)), 1).method == (
+            "centering-bound")
 
     def test_centering_fallback_sound(self):
         res = A.psi_diameter(D.ChiSquared(3), 1)

@@ -462,6 +462,68 @@ class TestBadNumbers:
         assert err == "error: --p must be a finite number, got inf\n"
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["metric", "--diameters", "1,2", "--t", "1", "--lip", "nan"],
+         "--lip must be a finite number, got nan"),
+        (["metric", "--diameters", "1,nan", "--t", "1"],
+         "--diameters must be finite numbers, got nan"),
+        (["metric", "--diameters", "inf,2", "--t", "1"],
+         "--diameters must be finite numbers, got inf"),
+        (["metric", "--diameters", "1,2", "--t", "inf"],
+         "--t must be a finite number, got inf"),
+        (["psa", "--psi2", "nan", "--d", "2", "--n", "100", "--delta", "0.01"],
+         "--psi2 must be a finite number, got nan"),
+        (["vector-iii", "--l2p", "inf", "--psi1", "1", "--p", "2", "--n", "100",
+          "--delta", "0.01"], "--l2p must be a finite number, got inf"),
+        (["rademacher", "--rad-expectation", "nan", "--psi1", "1", "--n", "100",
+          "--delta", "0.01"], "--rad-expectation must be a finite number, got nan"),
+        (["regression", "--psi1-z", "inf", "--psi1", "1", "--n", "100",
+          "--delta", "0.01"], "--psi1-z must be a finite number, got inf"),
+        (["vector-ii", "--psi1", "1", "--n", "100", "--delta", "nan"],
+         "--delta must be a finite number, got nan"),
+        (["vector-ii", "--psi1", "nan", "--n", "100", "--delta", "0.01"],
+         "--psi1 must be finite numbers, got nan"),
+        (["vector-i", "--psi1", "1,inf", "--delta", "0.01"],
+         "--psi1 must be finite numbers, got inf"),
+        (["vector-ii", "--psi1", "1,2", "--n", "100", "--delta", "0.01"],
+         "--psi1 must be one number for --app vector-ii"),
+        (["vector-ii", "--psi1", "x", "--n", "100", "--delta", "0.01"],
+         "bad --psi1: could not convert string to float: 'x'"),
+    ])
+    def test_appbound_flag_is_named(self, argv, message, capsys, monkeypatch):
+        # --lip nan printed "prob": NaN and exited 0; --psi1 1,2 failed
+        # without naming --psi1
+        def no_work(*args, **kwargs):
+            raise AssertionError("a bound computed before the flag check")
+        for name in ("vector_bound_i", "vector_bound_ii", "vector_bound_iii", "psa_bound",
+                     "rademacher_generalization_bound", "regression_bound", "metric_tail"):
+            monkeypatch.setattr(cli.apps, name, no_work)
+        code, out, err = run(capsys, "appbound", "--app", *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "compare"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one(self, command, threads, capsys):
+        # these ran single-threaded and exited 0
+        code, out, err = run(capsys, command, "--spec", config("sum_exp10.json"),
+                             "--bounds", "thm2", "--t-grid", "2:20:5", "--n", "20000",
+                             "--threads", threads)
+        assert code == 1 and out == ""
+        assert err == f"error: --threads must be an integer >= 1, got {threads}\n"
+
+    @pytest.mark.parametrize("command", ["bound", "verify", "compare"])
+    def test_negative_t_grid_value(self, command, capsys):
+        # argparse read -1:2:3 as an option and failed with "expected one
+        # argument"; as a value it gets the same error as --t-grid=-1:2:3
+        argv = [command, "--spec", config("sum_exp10.json"), "--bounds", "thm2"]
+        if command != "bound":
+            argv += ["--n", "20000"]
+        split = run(capsys, *argv, "--t-grid", "-1:2:3")
+        joined = run(capsys, *argv, "--t-grid=-1:2:3")
+        assert split == joined == (
+            1, "", "error: --t-grid needs 0 < lo < hi and steps >= 1, got '-1:2:3'\n")
+
 # Every number of the entropy-check blocks at --beta 1 --p 2, pinned to
 # 1e-12 relative: the sub-exponential and Holder blocks apply to the
 # three-point law and are skipped for the Rademacher law.

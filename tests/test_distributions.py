@@ -224,7 +224,7 @@ class TestFiniteSupportMoments:
     def test_batched_rows_equal_log_abs_moment_bitwise(self, law):
         values, weights = law
         spec = D.FiniteSupport(values, np.asarray(weights) / math.fsum(weights))
-        grid = _p_grid(256.0, 16)
+        grid = _p_grid(256.0)
         batched = spec.log_abs_moments(grid)
         per_p = np.array([spec.log_abs_moment(p) for p in grid])
         assert batched.view(np.int64).tolist() == per_p.view(np.int64).tolist()
@@ -294,6 +294,42 @@ class TestSumLaw:
         D.Shifted(D.FiniteSupport((0.0,), (1.0,)), 1.0)], ids=repr)
     def test_families_not_closed_under_convolution(self, spec):
         assert spec.sum_law(3) is None
+
+
+class TestAbsDifferenceLaw:
+    def test_closed_forms(self):
+        assert D.Gaussian(1.0, 2.0).abs_difference_law() == D.Gaussian(0.0, 2.0 * math.sqrt(2.0))
+        assert D.Exponential(2.0).abs_difference_law() == D.Exponential(2.0)
+        assert D.UniformInterval(1.0, 4.0).abs_difference_law() == D.UniformGap(3.0)
+        assert D.FiniteSupport((0.0, 2.0), (0.25, 0.75)).abs_difference_law() == D.FiniteSupport(
+            (0.0, 2.0, 2.0, 0.0), (0.0625, 0.1875, 0.1875, 0.5625))
+
+    @pytest.mark.parametrize("spec", [D.ChiSquared(3), D.Poisson(2.0)], ids=repr)
+    def test_none_without_a_closed_form(self, spec):
+        assert spec.abs_difference_law() is None
+
+    @pytest.mark.parametrize("spec", [
+        D.Gaussian(1.0, 2.0), D.Exponential(2.0), D.UniformInterval(-1.0, 3.0)], ids=repr)
+    def test_moments_of_sampled_differences(self, spec):
+        diff = np.abs(D.sample(spec, seed=4, count=10 ** 5)
+                      - D.sample(spec, seed=4, count=10 ** 5, stream=1))
+        law = spec.abs_difference_law()
+        for p in (1.0, 2.0, 3.0):
+            assert D.lp_norm(law, p) == pytest.approx(np.mean(diff ** p) ** (1 / p), rel=0.02)
+
+    def test_gap_law(self):
+        gap = D.UniformGap(1.5)
+        assert D.support_interval(gap) == (0.0, 1.5)
+        assert D.mean(gap) == pytest.approx(D.abs_moment(gap, 1), rel=1e-15)
+        assert D.abs_moment(gap, 2) == pytest.approx(1.5 ** 2 / 6, rel=1e-15)
+
+    def test_chi_law(self):
+        chi = D.Chi(3, 2.0)
+        assert D.support_interval(chi) == (0.0, math.inf)
+        # E chi_3 = 2 sqrt(2 / pi)
+        assert D.mean(chi) == pytest.approx(2.0 * 2.0 * math.sqrt(2.0 / math.pi), rel=1e-14)
+        assert D.abs_moment(chi, 2) == pytest.approx(3 * 4.0, rel=1e-14)
+        assert "chi" not in D._KINDS and "uniform_gap" not in D._KINDS
 
 
 class TestMgf:

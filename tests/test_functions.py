@@ -288,6 +288,54 @@ class TestGaussianVectorForms:
         assert F.expectation(F.VectorNormOfSum(vec, 6))[1] == 0.0
 
 
+def chi_log_moments(dim, sd, ps):
+    """ln E[(sd chi_dim)^p] for every p of ps, by the trapezoid rule on the
+    density of scipy.stats.chi: an oracle that does not use the gamma
+    function form of the chi moments."""
+    x = np.linspace(0.0, sd * (math.sqrt(ps.max() + dim) + 12.0), 8001)
+    with np.errstate(divide="ignore"):
+        log_x, log_pdf = np.log(x), stats.chi.logpdf(x, dim, scale=sd)
+    out = []
+    for chunk in np.array_split(ps, 400):
+        t = chunk[:, None] * log_x + log_pdf
+        m = t.max(axis=1)
+        out.append(m + np.log(np.sum(np.exp(t - m[:, None]), axis=1) * x[1]))
+    return np.concatenate(out)
+
+
+class TestChiLaw:
+    """The norms of ||X|| for iid centered Gaussian X read the chi law
+    through psi_norm and lp_norm; checked against scipy.stats.chi on the
+    10^4-point dense grid of criterion 1."""
+    PS = np.exp(np.linspace(0.0, math.log(256.0), 10 ** 4))
+
+    @pytest.mark.parametrize("dim, sd", [(2, 1.0), (5, 1.7), (40, 0.3)])
+    def test_norms_match_scipy_chi(self, dim, sd):
+        vec = gauss_vec(dim, sd)
+        lm = chi_log_moments(dim, sd, self.PS)
+        for alpha in (1, 2):
+            oracle = float(np.max(np.exp(lm / self.PS - np.log(self.PS) / alpha)))
+            got = F.vector_norm_psi(vec, alpha).value
+            assert got == pytest.approx(oracle, rel=1e-6)
+            assert got >= oracle * (1.0 - 1e-9)
+        for p, m in list(zip(self.PS, lm))[::997]:
+            assert F.vector_norm_lp(vec, p) == pytest.approx(math.exp(m / p), rel=1e-9)
+        for k in range(1, 9):
+            # scipy integrates the moments of order 5 and up, to about 1e-10
+            want = stats.chi.moment(k, dim, scale=sd) ** (1.0 / k)
+            assert F.vector_norm_lp(vec, k) == pytest.approx(want, rel=1e-10)
+        assert F.expectation(F.VectorNormOfSum(vec, 4))[0] == pytest.approx(
+            2.0 * stats.chi.mean(dim, scale=sd), rel=1e-12)
+
+    def test_second_call_is_a_memo_hit(self):
+        vec = gauss_vec(3, 1.37)
+        F.vector_norm_psi(vec, 1)
+        before = O._psi_norm_cached.cache_info()
+        F.vector_norm_psi(vec, 1)
+        after = O._psi_norm_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 class TestProxyProfile:
     def test_sum_of_rademacher(self):
         prof = F.proxy_profile(sum_of(D.Rademacher(), 4))

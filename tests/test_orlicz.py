@@ -73,10 +73,6 @@ class TestPsiNorm:
         with pytest.raises(ValueError):
             O.psi_norm(D.Rademacher(), 3)
 
-    def test_grid_density_floor(self):
-        with pytest.raises(ValueError, match="grid_density"):
-            O.psi_norm(D.Rademacher(), 1, grid_density=4)
-
 
 def finite_oracle(values, probs, alpha):
     """The 10^4-point dense grid of criterion 1, zoomed once more between
