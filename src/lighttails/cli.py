@@ -8,6 +8,7 @@ the tool version, the seed, and a digest of the effective config.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -48,6 +49,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="lighttails",
                      description="tail bounds for functions of independent variables")
@@ -332,6 +334,8 @@ def _parse_float_list(text, flag):
         values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise UsageError(f"bad --{flag}: {exc}")
+    if not values:
+        raise UsageError(f"--{flag} must list at least one number, got {text!r}")
     for v in values:
         _check_number(flag, v, need="finite numbers")
     return values
@@ -360,6 +364,7 @@ def _cmd_appbound(args):
     digest = _config_digest(args)
     for flag in _APP_NUMBERS:
         _check_number(flag, getattr(args, flag.replace("-", "_")))
+    _check_number("d", args.d, lambda v: v >= 1, "an integer >= 1")
     for flag in ("psi1", "diameters"):
         if getattr(args, flag) is not None:
             setattr(args, flag, _parse_float_list(getattr(args, flag), flag))
@@ -380,6 +385,7 @@ def _cmd_appbound(args):
 
 def _run_verification(args, negative_control=False, with_ratios=False):
     _check_number("threads", args.threads, lambda v: v >= 1, "an integer >= 1")
+    _check_number("n", args.n, lambda v: v >= vfy.MIN_SAMPLES, "an integer >= 10^4")
     fspec = _load_fn_spec(args.spec)
     kinds = _parse_kinds(args.bounds)
     _thm3_p(kinds, args.p)

@@ -3,7 +3,10 @@
 The norms are defined as sup over p >= 1 of ||Z||_p / p^(1/alpha) with
 alpha = 2 (sub-Gaussian) or alpha = 1 (sub-exponential).  The supremum is
 searched on a log-spaced grid of p and refined locally by a bounded scalar
-minimisation; the tail beyond p_max is accepted only when the ratio is
+minimisation.  A grid maximum at an end point of [1, p_max] is first probed
+with one batched call on points that approach the end geometrically within
+the adjacent grid interval, and is kept without refinement unless a probe
+point beats it.  The tail beyond p_max is accepted only when the ratio is
 nonincreasing over the last octave, which holds for every catalogue
 distribution.  For a catalogue law the search reads the batched moments of
 `distributions.log_abs_moments`, one fixed-rule pass over the whole grid,
@@ -33,6 +36,7 @@ __all__ = [
 
 E = math.e
 _GRID_DENSITY = 16  # points of the p-grid per octave
+_END_PROBES = 16    # probe points between a grid end point and its neighbour
 
 
 class PMaxTooSmallError(RuntimeError):
@@ -68,17 +72,18 @@ def _sup_ratio(log_lp, alpha, p_max):
     """Maximize ln(||Z||_p / p^(1/alpha)) over [1, p_max].
 
     log_lp maps an array of p to the array of ln ||Z||_p; the grid is one
-    call and each refinement step a call with one p.  Returns the maximum
-    and the maximiser p* (-inf and 1.0 when Z = 0); raises
-    PMaxTooSmallError when the last octave is still increasing.
+    call.  A maximum at an end of the grid is probed with one more call and
+    kept unless the probe beats it; an interior one, or a beaten end, is
+    refined by a bounded minimisation whose steps are calls with one p.
+    Returns the maximum and the maximiser p* (-inf and 1.0 when Z = 0);
+    raises PMaxTooSmallError when the last octave is still increasing.
     """
     grid = _p_grid(p_max)
 
     def log_ratio(p):
         return float(log_lp(np.array([p]))[0]) - math.log(p) / alpha
 
-    # math.log per p, as in log_ratio, so that grid and refinement agree
-    ratios = log_lp(grid) - np.array([math.log(p) for p in grid]) / alpha
+    ratios = _log_ratios(log_lp, grid, alpha)
     if np.all(ratios == -math.inf):
         return -math.inf, 1.0
 
@@ -91,7 +96,9 @@ def _sup_ratio(log_lp, alpha, p_max):
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     best_lr, best_p = ratios[i], grid[i]
-    if hi > lo:
+    interior = 0 < i < len(grid) - 1
+    if hi > lo and (interior or _probe_beats_end(log_lp, alpha, best_p,
+                                                 hi if i == 0 else lo, best_lr)):
         res = optimize.minimize_scalar(
             lambda t: -log_ratio(math.exp(t)),
             bounds=(math.log(lo), math.log(hi)), method="bounded",
@@ -99,6 +106,28 @@ def _sup_ratio(log_lp, alpha, p_max):
         if -res.fun > best_lr:
             best_lr, best_p = -res.fun, math.exp(res.x)
     return best_lr, float(best_p)
+
+
+def _probe_beats_end(log_lp, alpha, end, other, end_lr):
+    """Whether the interval from the grid end point `end` to its neighbour
+    `other` holds a larger ratio than end_lr, the end's.
+
+    One call of log_lp on _END_PROBES points that approach the end
+    geometrically, at w 2^-k for k = 1.._END_PROBES, where w is the
+    interval's width in ln p.  Evenly spaced points miss maxima within a
+    few 1e-4 of p = 1.  When none beats the end, the end is the maximiser
+    and the bounded minimisation, about 50 single-p calls that only creep
+    toward the end, is skipped.
+    """
+    t_end = math.log(end)
+    ts = t_end + (math.log(other) - t_end) * 2.0 ** -np.arange(1, _END_PROBES + 1)
+    return bool(np.any(_log_ratios(log_lp, np.exp(ts), alpha) > end_lr))
+
+
+def _log_ratios(log_lp, ps, alpha):
+    # math.log per p, as in _sup_ratio's log_ratio, so that grid, probe and
+    # refinement agree
+    return log_lp(ps) - np.array([math.log(p) for p in ps]) / alpha
 
 
 def psi_norm(spec, alpha, p_max=256.0) -> OrliczEstimate:

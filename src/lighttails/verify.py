@@ -22,11 +22,12 @@ from .entropy import ProductTable
 __all__ = [
     "TailEstimate", "VerificationReport", "clopper_pearson", "estimate_tail",
     "exact_tail_enumeration", "bounds_on_grid", "falsified_bounds",
-    "check_bounds", "compare_bounds", "report_to_csv", "SHARD_SIZE",
+    "check_bounds", "compare_bounds", "report_to_csv", "SHARD_SIZE", "MIN_SAMPLES",
 ]
 
 SHARD_SIZE = 10 ** 5    # fixed shard width keeps counts thread-count invariant
 DEFAULT_CP_LEVEL = 0.999
+MIN_SAMPLES = 10 ** 4   # fewest draws estimate_tail accepts
 
 
 def clopper_pearson(k: int, n: int, level: float = DEFAULT_CP_LEVEL):
@@ -94,7 +95,7 @@ def estimate_tail(fspec, t_grid, n_samples, seed, cp_level=DEFAULT_CP_LEVEL,
     """One pass over n_samples deterministic draws of f, sharded by a fixed
     width so the result does not depend on the worker count."""
     t_grid = _check_grid(t_grid)
-    if n_samples < 10 ** 4:
+    if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
     mean_value, half = fn.expectation(fspec, budget=expectation_budget, seed=seed)
     spacing = min(np.diff(t_grid)) if len(t_grid) > 1 else t_grid[0]

@@ -317,6 +317,30 @@ class TestDigestStability:
         assert code == 0 and out.strip()
 
 
+class TestParserReuse:
+    ARGVS = [
+        ["norms", "--spec", config("exp1.json"), "--alpha", "3"],     # usage error
+        ["--version"],
+        ["norms", "--spec", config("exp1.json"), "--alpha", "1"],
+        ["appbound", "--app", "vector-ii", "--psi1", "1", "--n", "100",
+         "--delta", "0.01"],
+        ["norms", "--spec", config("exp1.json"), "--alpha", "3"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reused_parser_answers_like_a_fresh_one(self, capsys):
+        reused = [run(capsys, *argv) for argv in self.ARGVS]
+        fresh = []
+        for argv in self.ARGVS:
+            cli._build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [1, 0, 0, 0, 1]
+        assert reused[0][2].startswith("error: argument --alpha: invalid choice")
+
+
 def thm3_argv(command, *extra):
     """argv of a thm3 request on sum_exp10 for one of the four bound commands."""
     argv = [command, "--spec", config("sum_exp10.json"), "--bounds", "thm2,thm3"]
@@ -511,6 +535,31 @@ class TestBadNumbers:
                              "--threads", threads)
         assert code == 1 and out == ""
         assert err == f"error: --threads must be an integer >= 1, got {threads}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--spec", config("exp1.json"), "--bounds", "thm2",
+          "--t-grid", "1:5:3", "--n", "5000"], "--n must be an integer >= 10^4, got 5000"),
+        (["compare", "--spec", config("exp1.json"), "--bounds", "thm2",
+          "--t-grid", "1:5:3", "--n", "9999"], "--n must be an integer >= 10^4, got 9999"),
+        (["appbound", "--app", "vector-i", "--psi1", ",", "--delta", "0.1"],
+         "--psi1 must list at least one number, got ','"),
+        (["appbound", "--app", "metric", "--diameters", ",", "--t", "1"],
+         "--diameters must list at least one number, got ','"),
+        (["appbound", "--app", "psa", "--psi2", "1", "--d", "0", "--n", "100",
+          "--delta", "0.1"], "--d must be an integer >= 1, got 0"),
+    ])
+    def test_library_limit_names_the_flag(self, argv, message, capsys, monkeypatch):
+        # these printed the library's parameter: "n_samples must be >= 10^4",
+        # "psi1_per_coord must be nonempty", "subspace dimension must be >= 1"
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the flag check")
+        monkeypatch.setattr(cli.vfy, "bounds_on_grid", no_work)
+        monkeypatch.setattr(cli.vfy, "compare_bounds", no_work)
+        for name in ("vector_bound_i", "psa_bound", "metric_tail"):
+            monkeypatch.setattr(cli.apps, name, no_work)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["bound", "verify", "compare"])
     def test_negative_t_grid_value(self, command, capsys):

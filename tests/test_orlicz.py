@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lighttails import applications as A
 from lighttails import distributions as D
 from lighttails import orlicz as O
 
@@ -174,7 +175,40 @@ class TestCertificate:
         after = O._psi_norm_cached.cache_info()
         assert len(values) == 1
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 9)
-        assert sum(n > 1 for n in grids) == 1
+        assert grids.count(len(O._p_grid(256.0))) == 1
+
+    @staticmethod
+    def _count_moment_calls(monkeypatch):
+        O._psi_norm_cached.cache_clear()        # every norm below is cold
+        sizes = []
+        real = D.log_abs_moments
+
+        def counted(s, ps):
+            sizes.append(len(ps))
+            return real(s, ps)
+
+        monkeypatch.setattr(O.dist, "log_abs_moments", counted)
+        return sizes
+
+    def test_end_point_maximum_is_probed_not_refined(self, monkeypatch):
+        sizes = self._count_moment_calls(monkeypatch)
+        est = O.psi_norm(D.Centered(D.Exponential(1.625)), 1)
+        assert est.p_star == 1.0
+        # the grid and one batched probe; no single-p refinement step
+        assert sizes == [len(O._p_grid(256.0)), O._END_PROBES]
+
+    def test_probe_near_the_end_reaches_the_refinement(self, monkeypatch):
+        # the maximiser sits 1.9e-4 above p = 1, inside the first grid
+        # interval: only a probe that close to the end sees it
+        law = D.FiniteSupport(
+            (-1.2266576256154749, -0.00773177677827791, 0.7636571719335548),
+            (0.2716776276902979, 0.31930937820229327, 0.40901299410740877))
+        sizes = self._count_moment_calls(monkeypatch)
+        est = O.psi_norm(law.abs_difference_law(), 2)
+        assert sizes[:2] == [len(O._p_grid(256.0)), O._END_PROBES]
+        assert sizes[2:] and set(sizes[2:]) == {1}
+        assert (est.value, est.p_star) == (0.8552974043163654, 1.0001930430952275)
+        assert A.psi_diameter(law, 2).value == 0.8552974043163654
 
 
 class TestEmpirical:
