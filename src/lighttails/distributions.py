@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
-from scipy.special import expit, gammaln
+from scipy.special import expit, gammaln, xlogy
 
 __all__ = [
     "Spec", "Distribution", "Gaussian", "Exponential", "Rademacher",
@@ -549,31 +549,48 @@ def _merged(values, probs):
 
 
 @dataclass(frozen=True)
-class Chi(Distribution):
+class Chi(_Continuous):
     """sd chi_dof, the length of dof iid N(0, sd^2) entries; not a JSON kind."""
     dof: Count
     sd: Positive = 1.0
 
     def support(self): return 0.0, math.inf
     def expectation(self): return math.exp(self.log_abs_moment(1.0))
+    # |x|^p pdf(x) peaks at sd sqrt(p + dof - 1)
+    def window(self, p): return 0.0, self.sd * (math.sqrt(2.0 * (p + self.dof)) + 12.0)
 
     def log_abs_moment(self, p):
         return (p * math.log(self.sd) + 0.5 * p * math.log(2.0)
                 + float(gammaln((self.dof + p) / 2)) - float(gammaln(self.dof / 2)))
 
+    def logpdf(self, x):
+        k, x = self.dof, np.asarray(x, dtype=float)
+        c = (1.0 - k / 2.0) * math.log(2.0) - float(gammaln(k / 2.0)) - k * math.log(self.sd)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(x >= 0, c + xlogy(k - 1, x) - 0.5 * (x / self.sd) ** 2, -np.inf)
+
 
 @dataclass(frozen=True)
-class UniformGap(Distribution):
+class UniformGap(_Continuous):
     """|U - U'| for iid U, U' uniform on an interval of this width, the
     triangular law on [0, width]; not a JSON kind."""
     width: Positive
 
     def support(self): return 0.0, self.width
+    def window(self, p): return 0.0, self.width
     def expectation(self): return self.width / 3.0
 
     def log_abs_moment(self, p):
         # E|D|^p = 2 width^p / ((p+1)(p+2))
         return p * math.log(self.width) + math.log(2.0) - math.log((p + 1.0) * (p + 2.0))
+
+    def logpdf(self, x):
+        # density 2 (width - x) / width^2 on [0, width]
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where((x >= 0) & (x <= self.width),
+                            math.log(2.0) + np.log(self.width - x) - 2.0 * math.log(self.width),
+                            -np.inf)
 
 
 @dataclass(frozen=True)

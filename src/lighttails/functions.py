@@ -44,14 +44,32 @@ class FunctionSpec(dist.Spec):
     give the same values for any layout of the same batch, and must not
     write into `points`.
 
-    `sample(rng, count)` gives `count` values of f(X).  It evaluates f on
-    drawn base points, the "per-coordinate" `sampler_layout`, unless the
-    kind draws a statistic of the points with the same law ("summed")."""
+    `sample(rng, count)` gives `count` values of f(X): f of drawn base points
+    (the "per-coordinate" `sampler_layout`), or "summed": where f is `_of_sum`
+    of the coordinate sum and each entry of that sum (shape point_shape[1:])
+    adds n iid draws of a law, the hook `_summands` lists those laws, and
+    one draw of each law's `sum_law(n)` stands in for the n draws.  Its
+    values have the law of f(X), not the stream of `evaluate(draw(...))`."""
 
-    sampler_layout = "per-coordinate"
+    _summands = None
+    sampler_layout = property(lambda s: "per-coordinate" if s._sum_laws is None else "summed")
 
     def closed_form_mean(self): return None
-    def sample(self, rng, count): return self.evaluate(self.draw(rng, count))
+
+    @functools.cached_property
+    def _sum_laws(self):
+        try:        # None unless every summand has a sum law
+            laws = [law.sum_law(self.n) for law in self._summands or ()]
+        except dist.SpecError:      # its parameters overflow
+            return None
+        return laws if laws and all(law is not None for law in laws) else None
+
+    def sample(self, rng, count):
+        if self._sum_laws is None:
+            return self.evaluate(self.draw(rng, count))
+        shape = self.point_shape[1:]
+        rows = zip(np.ndindex(shape), self._sum_laws)
+        return self._of_sum(dist.draw_rows(rng, count, shape, rows))
 
     def conditional_mean(self, k, x, seed):
         """E[f(X)] with every coordinate but k held at x: an inner estimate."""
@@ -84,15 +102,22 @@ class _VectorCoordinates(FunctionSpec):
 
 @dataclass(frozen=True)
 class SumFunction(_ScalarCoordinates):
-    """f(x) = sum of the coordinates."""
+    """f(x) = sum of the coordinates.  An iid sum, n >= 2 components equal
+    to the first, is drawn in the summed layout if that one has a `sum_law`."""
     kind = "sum"
     components: dist.Specs
 
     laws = property(lambda self: self.components)
 
     def evaluate(self, points): return _coordinate_sum(points)
+    def _of_sum(self, s): return s
     def closed_form_mean(self): return math.fsum(dist.mean(c) for c in self.components)
     def conditional_mean(self, k, x, seed): return x.sum() - x[k] + dist.mean(self.components[k])
+
+    @property
+    def _summands(self):
+        c = self.components
+        return c[:1] if self.n > 1 and all(x == c[0] for x in c) else None
 
     def proxy_profile(self, p, with_psi2):
         centered = [dist.Centered(c) for c in self.components]
@@ -106,37 +131,20 @@ class SumFunction(_ScalarCoordinates):
 
 @dataclass(frozen=True)
 class VectorNormOfSum(_VectorCoordinates):
-    """f(x) = ||sum_i x_i|| for n iid copies of a coordinate vector.
-
-    When every component's family is closed under convolution, `sample`
-    draws the sum itself: one value of its law per component, `dim` draws
-    per value of f instead of `n dim`.  The values have the law of f(X),
-    though not the stream of `evaluate(draw(...))`."""
+    """f(x) = ||sum_i x_i|| for n iid copies of a coordinate vector; drawn
+    in the summed layout, `dim` draws per value of f instead of `n dim`,
+    when every component has a `sum_law`."""
     kind = "vector_norm_of_sum"
     vec: dist.VectorSpec
     n: dist.Count
     centered: bool = False
 
     coordinate = property(lambda self: self.vec)
-    sampler_layout = property(
-        lambda self: "per-coordinate" if self._sum_laws is None else "summed")
+    _summands = property(lambda self: self.vec.components)
 
-    def evaluate(self, points): return self._norm(_coordinate_sum(points))
+    def evaluate(self, points): return self._of_sum(_coordinate_sum(points))
 
-    def sample(self, rng, count):
-        if self._sum_laws is None:
-            return super().sample(rng, count)
-        return self._norm(dist.draw_rows(rng, count, (self.vec.dim,),
-                                         enumerate(self._sum_laws)))
-
-    @functools.cached_property
-    def _sum_laws(self):
-        """Per component, the law of its sum over the n copies; None unless
-        every component has one."""
-        laws = [c.sum_law(self.n) for c in self.vec.components]
-        return None if any(law is None for law in laws) else laws
-
-    def _norm(self, s):
+    def _of_sum(self, s):
         """||s - n E[X]|| if centered, else ||s||, row by row of a (count,
         dim) batch s of sums."""
         if self.centered:

@@ -282,8 +282,10 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("command", ["verify", "compare"])
     @pytest.mark.parametrize("name, grid, layout", [
-        ("sum_exp10.json", "2:20:5", "per-coordinate"),
+        ("sum_exp10.json", "2:20:5", "summed"),
         ("gauss_norm.json", "1:30:5", "summed"),
+        ("sum_rademacher1.json", "0.5:1.5:3", "per-coordinate"),
+        ("exp1.json", "1:5:3", "per-coordinate"),
     ])
     def test_sampler_layout_in_metadata(self, command, name, grid, layout, capsys):
         code, out, _ = run(capsys, command, "--spec", config(name),

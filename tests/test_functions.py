@@ -109,6 +109,30 @@ class TestSampling:
         sq = summed ** 2
         assert abs(sq.mean() - want) <= 5 * sq.std(ddof=1) / math.sqrt(count)
 
+    @pytest.mark.parametrize("comp", [
+        D.Exponential(1.3), D.Poisson(0.7), D.Centered(D.Gaussian(0.3, 2.0)), D.Rademacher()],
+        ids=repr)
+    def test_summed_iid_sum_has_the_law_of_f(self, comp):
+        fspec = sum_of(comp, 6)
+        assert fspec.sampler_layout == "summed"
+        count = 20000
+        summed = fspec.sample(D._rng(31, 0), count)
+        per_coordinate = fspec.evaluate(fspec.draw(D._rng(32, 0), count))
+        assert stats.ks_2samp(summed, per_coordinate).pvalue > 1e-3
+        want = 6 * D.mean(comp)
+        assert abs(summed.mean() - want) <= 5 * summed.std(ddof=1) / math.sqrt(count)
+
+    @pytest.mark.parametrize("fspec", [
+        sum_of(D.Gaussian(0.0, 1e308), 10),
+        F.VectorNormOfSum(D.VectorSpec(1, [D.Gaussian(0.0, 1e308)]), 10)], ids=lambda f: f.kind)
+    def test_overflowing_sum_law_keeps_per_coordinate_draws(self, fspec):
+        # N(0, 10 sd^2) has no finite sd, so there is no sum law to draw
+        assert fspec.sampler_layout == "per-coordinate"
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = F.sample_f(fspec, seed=1, count=100)
+            want = fspec.evaluate(fspec.draw(D._rng(1, 0), 100))
+        assert np.array_equal(got, want, equal_nan=True)
+
     def test_singleton_sup_reduces_to_mean_loss(self):
         w = (0.5, -1.0)
         single = F.SupLinearLoss([w], "absolute", gauss_vec(2),
@@ -152,25 +176,44 @@ def old_style_values(fspec, points):
 
 def summed_values(fspec, rng, count):
     """f as the summed layout draws it, with each component's sum law written
-    out: N(n mean, n sd^2), and Gamma(n, rate) as chi-squared with 2n degrees
-    of freedom over 2 rate.  None for specs without that layout."""
+    out: N(n mean, n sd^2), Gamma(n, rate) as chi-squared with 2n degrees
+    of freedom over 2 rate, and Poisson(n rate).  None for specs without
+    that layout: a sum is summed only for n >= 2 equal components."""
+    def sum_draw(c, n):
+        if isinstance(c, D.Gaussian):
+            return rng.normal(n * c.mean, math.sqrt(n) * c.sd, count)
+        if isinstance(c, D.Exponential):
+            return 1.0 / (2.0 * c.rate) * rng.chisquare(2 * n, count)
+        if isinstance(c, D.Poisson):
+            return rng.poisson(n * c.rate, count).astype(float)
+        return None
+
+    if isinstance(fspec, F.SumFunction):
+        comps = fspec.components
+        iid = fspec.n > 1 and all(c == comps[0] for c in comps)
+        return sum_draw(comps[0], fspec.n) if iid else None
     if not isinstance(fspec, F.VectorNormOfSum):
         return None
     n, laws = fspec.n, fspec.vec.components
-    if all(isinstance(c, D.Gaussian) for c in laws):
-        cols = [rng.normal(n * c.mean, math.sqrt(n) * c.sd, count) for c in laws]
-    elif all(isinstance(c, D.Exponential) for c in laws):
-        cols = [1.0 / (2.0 * c.rate) * rng.chisquare(2 * n, count) for c in laws]
-    else:
+    if not all(isinstance(c, (D.Gaussian, D.Exponential)) for c in laws):
         return None
-    s = np.column_stack(cols)
+    s = np.column_stack([sum_draw(c, n) for c in laws])
     if fspec.centered:
         s = s - n * np.array([D.mean(c) for c in laws])
     return np.linalg.norm(s, axis=1)
 
 
 LAYOUT_CASES = CATALOGUE + [
-    sum_of(D.Exponential(1.0), 10),       # numpy sums 8 or more terms pairwise
+    sum_of(D.Exponential(1.0), 10),
+    sum_of(D.Gaussian(0.3, 2.0), 6),
+    sum_of(D.Poisson(0.7), 4),
+    # per-coordinate sums: n = 1, unequal components (numpy sums 8 or more
+    # terms pairwise), and a law without a sum law
+    sum_of(D.Exponential(1.0), 1),
+    sum_of(D.Rademacher(), 1),
+    F.SumFunction([D.Exponential(1.0)] * 9 + [D.Scaled(D.ChiSquared(2), 0.5)]),
+    F.SumFunction([D.Gaussian(0.0, 1.0)] * 8 + [D.Gaussian(0.0, 2.0)]),
+    sum_of(D.UniformInterval(-1.0, 2.0), 5),
     F.SumFunction([D.UniformInterval(0.0, k + 1.0) for k in range(130)]),
     F.VectorNormOfSum(D.VectorSpec(1, [D.Exponential(2.0)]), 12, centered=True),
     F.VectorNormOfSum(D.VectorSpec(9, [D.UniformInterval(-1.0, k + 1.0)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from lighttails import applications as A
 from lighttails import distributions as D
@@ -247,6 +248,68 @@ class TestCentering:
         lhs = O.psi_norm(D.Centered(D.Exponential(1.0)), 1).value
         rhs = O.centering_bound(O.psi_norm(D.Exponential(1.0), 1).value)
         assert lhs <= rhs + 1e-12
+
+
+def centered_chi_ratios(dof, sd, ps, alpha):
+    """||X - E X||_p / p^(1/alpha) for X = sd chi_dof, from the scipy.stats.chi
+    density by Gauss-Legendre on each side of the mean, where |x - m|^p kinks."""
+    law = stats.chi(dof, scale=sd)
+    m = law.mean()
+    nodes, weights = np.polynomial.legendre.leggauss(400)
+    total = 0.0
+    for a, b in ((0.0, m), (m, sd * (math.sqrt(2.0 * (ps.max() + dof)) + 14.0))):
+        x = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+        total = total + 0.5 * (b - a) * np.sum(
+            weights * np.abs(x - m) ** ps[:, None] * law.pdf(x), axis=1)
+    return total ** (1.0 / ps) / ps ** (1.0 / alpha)
+
+
+def centered_gap_ratios(width, ps, alpha):
+    """The same for the triangular law on [0, width], from its moments about
+    the mean m = width / 3: with r = width - m,
+    E|D - m|^p = 2 (r m^(p+1) / (p+1) + m^(p+2) / (p+2) + r^(p+2) / ((p+1)(p+2))) / width^2."""
+    m = width / 3.0
+    r = width - m
+    mom = 2.0 / width ** 2 * (r * m ** (ps + 1) / (ps + 1) + m ** (ps + 2) / (ps + 2)
+                              + r ** (ps + 2) / ((ps + 1) * (ps + 2)))
+    return mom ** (1.0 / ps) / ps ** (1.0 / alpha)
+
+
+class TestDerivedLaws:
+    """Centered chi and uniform-gap laws go through the numeric moment path."""
+
+    CASES = [
+        (D.Chi(5, 1.7), 1, lambda ps: centered_chi_ratios(5, 1.7, ps, 1)),
+        (D.Chi(1, 0.4), 1, lambda ps: centered_chi_ratios(1, 0.4, ps, 1)),
+        (D.UniformGap(2.0), 1, lambda ps: centered_gap_ratios(2.0, ps, 1)),
+        (D.UniformGap(2.0), 2, lambda ps: centered_gap_ratios(2.0, ps, 2)),
+        (D.UniformGap(0.3), 1, lambda ps: centered_gap_ratios(0.3, ps, 1)),
+    ]
+    IDS = [f"{law!r}-psi{alpha}" for law, alpha, _ in CASES]
+
+    @pytest.mark.parametrize("law, alpha, ratios", CASES, ids=IDS)
+    def test_centered_psi_norm_matches_dense_grid(self, law, alpha, ratios):
+        grid = ratios(np.exp(np.linspace(0.0, math.log(64.0), 2000)))
+        got = O.psi_norm(D.Centered(law), alpha).value
+        assert got >= grid.max() * (1.0 - 1e-12)
+        assert got == pytest.approx(grid.max(), rel=1e-6)
+
+    @pytest.mark.parametrize("law, alpha", [c[:2] for c in CASES], ids=IDS)
+    def test_psi_diameter_is_the_centering_bound(self, law, alpha):
+        got = A.psi_diameter(law, alpha)
+        assert got.method == "centering-bound"
+        assert got.value == 2.0 * O.psi_norm(D.Centered(law), alpha).value
+
+    def test_densities_match_scipy(self):
+        x = np.array([-1.0, 0.0, 0.05, 0.7, 1.9, 2.0, 2.5, 9.0])
+        for chi in (D.Chi(5, 1.7), D.Chi(1, 0.4), D.Chi(40, 0.3)):
+            assert np.allclose(chi.logpdf(x), stats.chi.logpdf(x, chi.dof, scale=chi.sd),
+                               rtol=1e-12, atol=0.0, equal_nan=False)
+        gap = D.UniformGap(2.0)
+        inside = (x > 0) & (x < 2.0)
+        want = stats.triang.logpdf(x, 0.0, scale=2.0)
+        assert np.allclose(gap.logpdf(x)[inside], want[inside], rtol=1e-12, atol=0.0)
+        assert np.all(gap.logpdf(x)[(x < 0) | (x >= 2.0)] == -np.inf)
 
 
 class TestContraction:
