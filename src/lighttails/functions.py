@@ -519,12 +519,13 @@ def vector_norm_lp(vec, p) -> float:
 
 def vector_norm_psi(vec, alpha) -> OrliczEstimate:
     """psi norm of ||X||, as `vector_norm_lp` reads its law, else the
-    triangle-inequality bound sum ||X_i||_psi."""
+    triangle-inequality bound sum ||X_i||_psi, on values and on uppers."""
     law = vec.components[0] if vec.dim == 1 else _chi_law(vec)
     if law is not None:
         return psi_norm(law, alpha)
-    total = math.fsum(psi_norm(c, alpha).value for c in vec.components)
-    return OrliczEstimate(alpha, total, float("nan"), "triangle-bound")
+    ests = [psi_norm(c, alpha) for c in vec.components]
+    return OrliczEstimate(alpha, math.fsum(e.value for e in ests), float("nan"),
+                          "triangle-bound", math.fsum(e.upper for e in ests))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,20 @@
 """Sub-Gaussian and sub-exponential norms via the moment-ratio supremum.
 
 The norms are defined as sup over p >= 1 of ||Z||_p / p^(1/alpha) with
-alpha = 2 (sub-Gaussian) or alpha = 1 (sub-exponential).  The supremum is
-searched on a log-spaced grid of p and refined locally by a bounded scalar
-minimisation.  A grid maximum at an end point of [1, p_max] is first probed
-with one batched call on points that approach the end geometrically within
-the adjacent grid interval, and is kept without refinement unless a probe
-point beats it.  The tail beyond p_max is accepted only when the ratio is
-nonincreasing over the last octave, which holds for every catalogue
-distribution.  For a catalogue law the search reads the batched moments of
-`distributions.log_abs_moments`, one fixed-rule pass over the whole grid,
-and the value reported is certified by the adaptive `log_abs_moment` at the
-maximiser p*.  Every psi norm of a law takes this one path: a finite law is
-a FiniteSupport, with one exact log-sum-exp over (p, value) as its batched
-moments; the length of an iid centered Gaussian vector is a Chi law; and a
-psi diameter is psi_norm of the law's `abs_difference_law()`.
+alpha = 2 (sub-Gaussian) or alpha = 1 (sub-exponential).  phi(p) = ln E|Z|^p
+is convex in p (Hoelder), so between two evaluated orders phi lies below its
+chord, which bounds the ratio on the whole interval.  The search evaluates
+every 4th point of a log-spaced p-grid and then bisects, one batched call
+per round, each interval whose chord bound beats the best ratio by more
+than 1e-12 in ln; the largest final bound is reported as `upper`.  The tail
+beyond p_max is accepted only when the ratio does not rise over the last
+octave of the evaluated orders.  For a catalogue law the search reads the
+batched moments of `distributions.log_abs_moments`, and the value reported
+is certified by the adaptive `log_abs_moment` at the maximiser p*.  Every
+psi norm of a law takes this one path: a finite law is a FiniteSupport, with
+one exact log-sum-exp over (p, value) as its batched moments; the length of
+an iid centered Gaussian vector is a Chi law; and a psi diameter is psi_norm
+of the law's `abs_difference_law()`.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import distributions as dist
 
@@ -36,7 +35,9 @@ __all__ = [
 
 E = math.e
 _GRID_DENSITY = 16  # points of the p-grid per octave
-_END_PROBES = 16    # probe points between a grid end point and its neighbour
+_COARSE_STEP = 4    # the search starts on every 4th grid point
+_CHORD_TOL = 1e-12  # ln-ratio by which a chord bound may exceed the best ratio
+_MAX_ROUNDS = 24    # bisection rounds before the search gives up; 16 suffice
 
 
 class PMaxTooSmallError(RuntimeError):
@@ -49,9 +50,10 @@ class OrliczEstimate:
     value: float
     p_star: float
     method: str
+    upper: float    # bound on the supremum; nan where none is known
 
     def to_dict(self):
-        return {"alpha": self.alpha, "value": self.value,
+        return {"alpha": self.alpha, "value": self.value, "upper": self.upper,
                 "p_star": self.p_star, "method": self.method}
 
 
@@ -68,75 +70,69 @@ def _p_grid(p_max):
     return np.exp(np.linspace(0.0, math.log(p_max), n))
 
 
-def _sup_ratio(log_lp, alpha, p_max):
-    """Maximize ln(||Z||_p / p^(1/alpha)) over [1, p_max].
+def _chord_bounds(ps, phis, alpha):
+    """For each interval [a, b] of consecutive orders, the maximum over it of
+    u(p) = s + c/p - ln(p)/alpha, where s p + c is the chord of phi: at
+    clamp(-alpha c, a, b) when c < 0, else at a."""
+    a, b, fa = ps[:-1], ps[1:], phis[:-1]
+    s = (phis[1:] - fa) / (b - a)
+    c = fa - s * a
+    q = np.where(c < 0, np.clip(-alpha * c, a, b), a)
+    return (fa + s * (q - a)) / q - np.log(q) / alpha
 
-    log_lp maps an array of p to the array of ln ||Z||_p; the grid is one
-    call.  A maximum at an end of the grid is probed with one more call and
-    kept unless the probe beats it; an interior one, or a beaten end, is
-    refined by a bounded minimisation whose steps are calls with one p.
-    Returns the maximum and the maximiser p* (-inf and 1.0 when Z = 0);
-    raises PMaxTooSmallError when the last octave is still increasing.
+
+def _sup_ratio(log_moments, alpha, p_max):
+    """Maximize ln(||Z||_p / p^(1/alpha)) over [1, p_max], with a certificate.
+
+    log_moments maps an array of p to the array of phi(p) = ln E|Z|^p.  It
+    is called once on every _COARSE_STEP-th point of _p_grid(p_max) and its
+    last two, then once per round on the geometric midpoints of the
+    intervals whose chord bound beats the best ratio by more than
+    _CHORD_TOL.  16 rounds certify any data: where the bound peaks inside
+    [a, b], it exceeds the larger end ratio by at most (b-a)^2 / (8 alpha a^2).
+    Returns the best ratio, its p and the largest chord bound (-inf, 1.0,
+    -inf when Z = 0).  Raises QuadratureError on a non-finite phi or when
+    the rounds run out, PMaxTooSmallError when the ratio rises anywhere
+    over the last octave of the evaluated orders.
     """
     grid = _p_grid(p_max)
-
-    def log_ratio(p):
-        return float(log_lp(np.array([p]))[0]) - math.log(p) / alpha
-
-    ratios = _log_ratios(log_lp, grid, alpha)
-    if np.all(ratios == -math.inf):
-        return -math.inf, 1.0
-
-    tail = ratios[grid >= p_max / 2 - 1e-9]
-    if np.any(np.diff(tail) > 1e-9):
+    ps = np.unique(np.concatenate([grid[::_COARSE_STEP], grid[-2:]]))
+    phis = log_moments(ps)
+    if np.all(phis == -math.inf):
+        return -math.inf, 1.0, -math.inf
+    for rounds in range(_MAX_ROUNDS + 1):
+        bad = ~np.isfinite(phis)
+        if bad.any():
+            raise dist.QuadratureError(
+                f"ln E|Z|^p is {phis[bad][0]} at p={ps[bad][0]!r}: no chord bound")
+        ratios = phis / ps - np.log(ps) / alpha
+        bounds = _chord_bounds(ps, phis, alpha)
+        split = bounds > ratios.max() + _CHORD_TOL
+        if not split.any():
+            break
+        if rounds == _MAX_ROUNDS:
+            raise dist.QuadratureError(
+                f"chord bounds still {bounds.max() - ratios.max():.3g} above the "
+                f"best ln ratio after {rounds} bisection rounds")
+        mids = np.sqrt(ps[:-1][split] * ps[1:][split])
+        ps, phis = np.concatenate([ps, mids]), np.concatenate([phis, log_moments(mids)])
+        order = np.argsort(ps)
+        ps, phis = ps[order], phis[order]
+    if np.any(np.diff(ratios[ps >= p_max / 2 - 1e-9]) > 1e-9):
         raise PMaxTooSmallError(
             f"moment ratio still increasing at p_max={p_max}; p_max too small")
-
     i = int(np.argmax(ratios))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    best_lr, best_p = ratios[i], grid[i]
-    interior = 0 < i < len(grid) - 1
-    if hi > lo and (interior or _probe_beats_end(log_lp, alpha, best_p,
-                                                 hi if i == 0 else lo, best_lr)):
-        res = optimize.minimize_scalar(
-            lambda t: -log_ratio(math.exp(t)),
-            bounds=(math.log(lo), math.log(hi)), method="bounded",
-            options={"xatol": 1e-12})
-        if -res.fun > best_lr:
-            best_lr, best_p = -res.fun, math.exp(res.x)
-    return best_lr, float(best_p)
-
-
-def _probe_beats_end(log_lp, alpha, end, other, end_lr):
-    """Whether the interval from the grid end point `end` to its neighbour
-    `other` holds a larger ratio than end_lr, the end's.
-
-    One call of log_lp on _END_PROBES points that approach the end
-    geometrically, at w 2^-k for k = 1.._END_PROBES, where w is the
-    interval's width in ln p.  Evenly spaced points miss maxima within a
-    few 1e-4 of p = 1.  When none beats the end, the end is the maximiser
-    and the bounded minimisation, about 50 single-p calls that only creep
-    toward the end, is skipped.
-    """
-    t_end = math.log(end)
-    ts = t_end + (math.log(other) - t_end) * 2.0 ** -np.arange(1, _END_PROBES + 1)
-    return bool(np.any(_log_ratios(log_lp, np.exp(ts), alpha) > end_lr))
-
-
-def _log_ratios(log_lp, ps, alpha):
-    # math.log per p, as in _sup_ratio's log_ratio, so that grid, probe and
-    # refinement agree
-    return log_lp(ps) - np.array([math.log(p) for p in ps]) / alpha
+    return ratios[i], float(ps[i]), max(ratios[i], bounds.max(initial=-math.inf))
 
 
 def psi_norm(spec, alpha, p_max=256.0) -> OrliczEstimate:
     """psi_1 or psi_2 norm of a catalogue distribution.
 
-    The grid search and its refinement read `log_abs_moments`: closed forms,
-    or one fixed tanh-sinh rule for all p.  The value reported is the
-    adaptive `log_abs_moment` at the maximiser p*; if it differs from the
-    fixed rule by more than 1e-9 in ln(ratio), QuadratureError is raised.
+    The chord search reads `log_abs_moments`: closed forms, or one fixed
+    tanh-sinh rule for all p.  The value reported is the adaptive
+    `log_abs_moment` at the maximiser p*; if it differs from the fixed rule
+    by more than 1e-9 in ln(ratio), QuadratureError is raised.  `upper` is
+    the largest final chord bound, and never below the value.
     Memoised on (spec, alpha, p_max), PMaxTooSmallError included.
     """
     _check_alpha(alpha)
@@ -151,18 +147,19 @@ def psi_norm(spec, alpha, p_max=256.0) -> OrliczEstimate:
 def _psi_norm_cached(spec, alpha, p_max):
     method = "closed-form" if dist.finite_support(spec) is not None else "analytic-grid"
     try:
-        best, p = _sup_ratio(lambda ps: dist.log_abs_moments(spec, ps) / ps, alpha, p_max)
+        best, p, top = _sup_ratio(lambda ps: dist.log_abs_moments(spec, ps), alpha, p_max)
     except PMaxTooSmallError as exc:
         return exc.with_traceback(None)
     if best == -math.inf:
-        return OrliczEstimate(alpha, 0.0, p, method)
+        return OrliczEstimate(alpha, 0.0, p, method, 0.0)
     log_ratio = dist.log_abs_moment(spec, p) / p - math.log(p) / alpha
     gap = abs(log_ratio - best)
     if not gap <= 1e-9:
         raise dist.QuadratureError(
             f"psi norm of {spec}: the fixed rule and adaptive quadrature differ "
             f"by {gap:.3g} in ln(ratio) at p*={p!r}")
-    return OrliczEstimate(alpha, math.exp(log_ratio), p, method)
+    value = math.exp(log_ratio)
+    return OrliczEstimate(alpha, value, p, method, max(value, math.exp(top)))
 
 
 def psi_norm_finite(values, probs, alpha) -> OrliczEstimate:
@@ -198,7 +195,7 @@ def psi_norm_empirical(samples, alpha, p_max=10.0) -> OrliczEstimate:
     lrs = np.array([(dist._logsumexp(p * log_abs) - log_n) / p - math.log(p) / alpha
                     for p in grid])
     i = int(np.argmax(lrs))
-    return OrliczEstimate(alpha, math.exp(lrs[i]), float(grid[i]), "empirical")
+    return OrliczEstimate(alpha, math.exp(lrs[i]), float(grid[i]), "empirical", math.nan)
 
 
 def centering_bound(psi_value: float) -> float:

@@ -37,6 +37,12 @@ class TestNorms:
         assert len(doc["config_digest"]) == 64
         assert doc["estimate"]["value"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_upper_bounds_the_value(self, capsys):
+        code, out, _ = run(capsys, "norms", "--spec", config("exp1.json"), "--alpha", "1")
+        est = json.loads(out)["estimate"]
+        assert code == 0 and est["p_star"] == 1.0
+        assert est["value"] <= est["upper"] <= est["value"] * (1.0 + 1e-12)
+
     def test_rademacher_psi2(self, capsys):
         code, out, _ = run(capsys, "norms", "--spec", config("rademacher.json"),
                            "--alpha", "2")

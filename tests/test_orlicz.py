@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 from scipy import stats
 
 from lighttails import applications as A
 from lighttails import distributions as D
+from lighttails import functions as F
 from lighttails import orlicz as O
 
 E = math.e
+# the chord search's first call: every 4th point of the 129-point grid on
+# [1, 256], and its last but one
+COARSE_LEN = len(O._p_grid(256.0)[::O._COARSE_STEP]) + 1
 
 SUBGAUSSIAN_SPECS = [
     D.Gaussian(0.0, 1.0),
@@ -176,7 +181,7 @@ class TestCertificate:
         after = O._psi_norm_cached.cache_info()
         assert len(values) == 1
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 9)
-        assert grids.count(len(O._p_grid(256.0))) == 1
+        assert grids.count(COARSE_LEN) == 1
 
     @staticmethod
     def _count_moment_calls(monkeypatch):
@@ -191,28 +196,172 @@ class TestCertificate:
         monkeypatch.setattr(O.dist, "log_abs_moments", counted)
         return sizes
 
-    def test_end_point_maximum_is_probed_not_refined(self, monkeypatch):
+    def test_end_point_maximum_takes_one_coarse_call(self, monkeypatch):
         sizes = self._count_moment_calls(monkeypatch)
         est = O.psi_norm(D.Centered(D.Exponential(1.625)), 1)
         assert est.p_star == 1.0
-        # the grid and one batched probe; no single-p refinement step
-        assert sizes == [len(O._p_grid(256.0)), O._END_PROBES]
+        # the chord bound of the first interval peaks at p = 1: no bisection
+        assert sizes == [COARSE_LEN]
 
-    def test_probe_near_the_end_reaches_the_refinement(self, monkeypatch):
-        # the maximiser sits 1.9e-4 above p = 1, inside the first grid
-        # interval: only a probe that close to the end sees it
+    def test_maximum_near_the_end_is_found_by_bisection(self, monkeypatch):
+        # the maximiser sits 1.9e-4 above p = 1, inside the first coarse
+        # interval, whose chord bound beats the value at p = 1
         law = D.FiniteSupport(
             (-1.2266576256154749, -0.00773177677827791, 0.7636571719335548),
             (0.2716776276902979, 0.31930937820229327, 0.40901299410740877))
         sizes = self._count_moment_calls(monkeypatch)
         est = O.psi_norm(law.abs_difference_law(), 2)
-        assert sizes[:2] == [len(O._p_grid(256.0)), O._END_PROBES]
-        assert sizes[2:] and set(sizes[2:]) == {1}
-        assert (est.value, est.p_star) == (0.8552974043163654, 1.0001930430952275)
-        assert A.psi_diameter(law, 2).value == 0.8552974043163654
+        assert sizes[0] == COARSE_LEN and len(sizes) > 1
+        assert 1.0 < est.p_star < 1.0003
+        assert est.value == pytest.approx(0.8552974043163654, rel=1e-15, abs=0.0)
+        assert est.value < est.upper <= est.value * (1.0 + 1e-12)    # the chord gap
+        assert A.psi_diameter(law, 2).value == est.value
+
+    def test_known_chi_psi2_defect_unchanged(self):
+        # a centered chi law is sub-Gaussian, but its ratio rises at p_max
+        with pytest.raises(O.PMaxTooSmallError):
+            O.psi_norm(D.Centered(D.Chi(5, 1.7)), 2)
+
+
+def linear_phi(s, p0, alpha):
+    """phi(p) = s p - p0 / alpha: its chord is itself, so the chord bound is
+    the ratio, which peaks at p0 with ln ratio s - (1 + ln p0) / alpha."""
+    return (lambda ps: s * ps - p0 / alpha), s - (1.0 + math.log(p0)) / alpha
+
+
+class TestChordSearch:
+    """_sup_ratio on synthetic ln E|Z|^p."""
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("p0", [1.0002, math.pi, 100.5])
+    def test_sharp_interior_maximum_converges(self, p0, alpha):
+        # a linear phi has the sharpest maximum a convex phi allows
+        phi, exact = linear_phi(0.7, p0, alpha)
+        best, p, upper = O._sup_ratio(phi, alpha, 256.0)
+        assert exact - 1e-12 <= best <= exact + 1e-14
+        assert exact - 1e-14 <= upper <= best + 1e-12
+        assert p == pytest.approx(p0, rel=1e-5)
+
+    def test_rise_on_the_last_grid_interval_raises(self):
+        grid = O._p_grid(256.0)
+        p_c = math.sqrt(grid[-2] * grid[-1])
+
+        def phi(ps):        # convex: max of two lines crossing at p_c
+            return np.maximum(0.0, 1000.0 * (ps / p_c - 1.0))
+
+        ratios = phi(grid) / grid - np.log(grid)
+        assert np.all(np.diff(ratios[:-1]) < 0) and ratios[-1] > ratios[-2]
+        assert ratios[-1] < ratios[-1 - O._COARSE_STEP]     # the coarse step misses it
+        with pytest.raises(O.PMaxTooSmallError):
+            O._sup_ratio(phi, 1, 256.0)
+
+    def test_past_the_round_cap_the_search_raises(self, monkeypatch):
+        # this maximum takes all 16 rounds, and no finite phi takes more, so
+        # the cap is lowered to show that running out raises
+        phi, exact = linear_phi(0.7, 1.0823406003255016, 2)
+        monkeypatch.setattr(O, "_MAX_ROUNDS", 16)
+        assert O._sup_ratio(phi, 2, 256.0)[0] == pytest.approx(exact, abs=1e-12)
+        monkeypatch.setattr(O, "_MAX_ROUNDS", 15)
+        with pytest.raises(D.QuadratureError, match="after 15 bisection rounds"):
+            O._sup_ratio(phi, 2, 256.0)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.floats(1.0, 100.0), st.sampled_from([1, 2]),
+           st.lists(st.tuples(st.floats(0.1, 200.0), st.floats(0.0, 6.3),
+                              st.floats(-1.0, 1.0), st.integers(-6, 2)), max_size=6))
+    def test_non_convex_data_stop_within_the_rounds(self, p0, alpha, waves):
+        # a linear phi with waves on it: the chord bound is no bound here,
+        # but the bisection still ends, as its excess over the larger end
+        # ratio shrinks with the width squared whatever the data
+        line, _ = linear_phi(0.7, p0, alpha)
+
+        def phi(ps):
+            return line(ps) + sum(a * 10.0 ** e * np.sin(k * ps + t) for k, t, a, e in waves)
+
+        calls = []
+        try:
+            O._sup_ratio(lambda ps: calls.append(len(ps)) or phi(ps), alpha, 256.0)
+        except O.PMaxTooSmallError:
+            pass
+        assert len(calls) <= 17
+
+    @pytest.mark.parametrize("hole", [-math.inf, math.nan])
+    def test_a_non_finite_moment_has_no_chord_bound(self, hole):
+        # -inf at one order and finite elsewhere is not log-convex
+        def phi(ps):
+            return np.where(ps == 2.0, hole, 0.1 * ps)
+
+        with pytest.raises(D.QuadratureError, match="no chord bound"):
+            O._sup_ratio(phi, 1, 256.0)
+
+
+def dense_oracle(spec, alpha, num=10 ** 4, p_max=256.0):
+    """Criterion 1's dense grid, on the batched moments the search reads."""
+    ps = np.exp(np.linspace(0.0, math.log(p_max), num))
+    return float(np.max(np.exp(D.log_abs_moments(spec, ps) / ps - np.log(ps) / alpha)))
+
+
+_pos = st.floats(0.2, 3.0)
+_factor = st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)
+_poisson = st.builds(D.Poisson, st.floats(0.05, 5.0))
+_uniform = st.builds(lambda lo, width: D.UniformInterval(lo, lo + width),
+                     st.floats(-2.0, 1.0), _pos)
+_finite = st.integers(1, 5).flatmap(lambda n: st.builds(
+    lambda values, weights: D.FiniteSupport(values, np.array(weights) / sum(weights)),
+    st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n),
+    st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+_centered_gaussian = st.builds(D.Gaussian, st.just(0.0), _pos)
+# catalogue and composed laws whose batched moments are cheap enough for a
+# 10^4-point oracle: closed forms, Poisson series and finite laws
+SUB_GAUSSIAN = st.one_of(
+    _centered_gaussian, st.builds(D.Scaled, _centered_gaussian, _factor),
+    _uniform, st.builds(D.Centered, _uniform), st.builds(D.Shifted, _uniform, _factor),
+    st.just(D.Rademacher()), st.builds(D.TwoPointEps, st.floats(0.01, 0.99)),
+    st.builds(D.UniformGap, _pos), _finite, st.builds(D.Centered, _finite),
+    st.builds(D.SquareOf, _finite), _finite.map(lambda law: law.abs_difference_law()))
+SUB_EXPONENTIAL = st.one_of(
+    st.builds(D.Exponential, _pos), st.builds(D.Scaled, st.builds(D.Exponential, _pos), _factor),
+    _poisson, st.builds(D.Centered, _poisson), st.builds(D.Shifted, _poisson, _factor),
+    st.builds(D.ChiSquared, st.integers(1, 6)), st.builds(D.Chi, st.integers(1, 6), _pos))
+
+
+class TestCertifiedUpper:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.tuples(SUB_GAUSSIAN, st.sampled_from([1, 2]))
+           | st.tuples(SUB_EXPONENTIAL, st.just(1)))
+    @example((D.Centered(D.Exponential(1.0)), 1))       # the numeric moment path
+    def test_value_and_upper_bracket_the_dense_grid(self, law_alpha):
+        law, alpha = law_alpha
+        try:
+            est = O.psi_norm(law, alpha)
+        except O.PMaxTooSmallError:
+            reject()
+        oracle = dense_oracle(law, alpha)
+        assert est.value >= oracle * (1.0 - 1e-12)
+        assert oracle <= est.upper
+
+    def test_triangle_bound_sums_the_uppers(self):
+        vec = D.VectorSpec(2, (D.Centered(D.Exponential(1.0)), D.Rademacher()))
+        ests = [O.psi_norm(c, 1) for c in vec.components]
+        got = F.vector_norm_psi(vec, 1)
+        assert got.method == "triangle-bound"
+        assert got.upper == math.fsum(e.upper for e in ests) >= got.value
 
 
 class TestEmpirical:
+    @pytest.mark.parametrize("spec, alpha, value, p_star", [
+        (D.Exponential(1.0), 1, "0x1.00675796a5acep+0", "0x1.0000000000000p+0"),
+        (D.TwoPointEps(0.25), 2, "0x1.75b9407706a2ep-2", "0x1.67f8196f773b2p+1"),
+        (D.Centered(D.Poisson(0.05)), 1, "0x1.f68d6537f6b84p-4", "0x1.abab469b19992p+1"),
+    ], ids=str)
+    def test_keeps_the_full_grid(self, spec, alpha, value, p_star):
+        # the plug-in search reads all 16 points per octave, not the chord
+        # search's coarse grid: two of these maximisers are off that grid
+        with pytest.warns(UserWarning):
+            est = O.psi_norm_empirical(D.sample(spec, seed=7, count=10 ** 4), alpha, p_max=9.0)
+        assert (est.value.hex(), float(est.p_star).hex()) == (value, p_star)
+        assert math.isnan(est.upper)
+
     def test_zeros(self):
         with pytest.warns(UserWarning):
             est = O.psi_norm_empirical(np.zeros(1000), 2, p_max=6.0)
