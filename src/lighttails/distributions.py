@@ -37,7 +37,7 @@ __all__ = [
 _QUAD_LIMIT = 400
 _MAX_DEPTH = 64
 _SCAN = 4001        # points of the scan that finds a live window
-_CHUNK = 32         # p per batched pass: a (32, _SCAN) scan array is 1 MB
+_STRIDE = 20        # the scan's coarse pass reads every _STRIDE-th point
 
 
 class SpecError(ValueError):
@@ -179,20 +179,44 @@ class _Continuous(Distribution):
     """A law with a density; numeric expectations integrate over a window."""
 
     def _live(self, log_h_vec, ps):
-        """For each p of ps, the peak k of log_h + logpdf on a scan of
-        window(p), and the ends (a, b) of the part within e^80 of k."""
-        lo, hi = np.array([self.window(p) for p in ps]).T
-        xs = np.linspace(lo, hi, _SCAN, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = np.asarray(log_h_vec(xs) + self.logpdf(xs))
-        h[~np.isfinite(h)] = -np.inf
-        k = h.max(axis=1)
-        live = h > k[:, None] - 80.0
-        first = np.argmax(live, axis=1)
-        last = _SCAN - 1 - np.argmax(live[:, ::-1], axis=1)
-        rows = np.arange(len(ps))
-        return (k, xs[rows, np.maximum(first - 1, 0)],
-                xs[rows, np.minimum(last + 1, _SCAN - 1)])
+        """For each p of ps, the peak k of h = log_h + logpdf on a _SCAN-point
+        scan of window(p), and the scan points (a, b) next to the first and
+        last points within e^80 of k.  Read in cells of _STRIDE steps: the
+        cells' ends; the inner points of the end cells (a density singularity
+        sits there) and of those beside each live coarse local maximum (h may
+        have several modes); the cells before and after the live points.  The
+        points read are np.linspace's, so (k, a, b) are the full scan's unless
+        a peak or live point hides in a cell no pass reads."""
+        lo, hi = np.array([self.window(p) for p in ps]).T[..., None]
+
+        def at(j):
+            return np.where(j == _SCAN - 1, hi, j * ((hi - lo) / (_SCAN - 1)) + lo)
+
+        def read(j):
+            xs = at(j)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h = np.asarray(log_h_vec(xs) + self.logpdf(xs))
+            return np.where(np.isfinite(h), h, -np.inf)
+
+        j = np.tile(np.arange(0, _SCAN, _STRIDE), (len(ps), 1))
+        h = read(j)
+        pad = np.full((len(ps), h.shape[1] + 2), -np.inf)
+        pad[:, 1:-1] = h
+        peak = (h >= pad[:, :-2]) & (h >= pad[:, 2:]) & (h > h.max(axis=1, keepdims=True) - 80.0)
+        near = peak[:, :-1] | peak[:, 1:]
+        near[:, [0, -1]] = True
+        c = np.argsort(~near, axis=1, kind="stable")[:, :near.sum(axis=1).max()]
+        c = np.where(np.take_along_axis(near, c, axis=1), c, 0)    # reads stay per row
+        for _ in range(2):      # the peak pass, then the ends pass
+            inner = (_STRIDE * c[..., None] + np.arange(1, _STRIDE)).reshape(len(ps), -1)
+            j, h = np.concatenate([j, inner], axis=1), np.concatenate([h, read(inner)], axis=1)
+            k = h.max(axis=1, keepdims=True)
+            live = h > k - 80.0     # none live: first 0, last _SCAN - 1, as in the full scan
+            first = np.where(live, j, _SCAN).min(axis=1, keepdims=True) % _SCAN
+            last = np.where(live, j, -1).max(axis=1, keepdims=True) % _SCAN
+            c = np.hstack([np.maximum(first - 1, 0), np.minimum(last, _SCAN - 2)]) // _STRIDE
+        ab = at(np.hstack([np.maximum(first - 1, 0), np.minimum(last + 1, _SCAN - 1)]))
+        return k[:, 0], ab[:, 0], ab[:, 1]
 
     def _log_expect(self, log_h, log_h_vec, p, kinks=()):
         """ln E exp(log_h(X)) by adaptive quadrature in log space, over the
@@ -277,7 +301,7 @@ class Gaussian(_Continuous):
 
     def log_abs_moments(self, ps):
         if self.mean != 0.0:
-            return _log_moments(self, (), ps)
+            return self._log_expects((), ps)
         return super().log_abs_moments(ps)
 
     def log_abs_moment(self, p):
@@ -386,7 +410,7 @@ class Poisson(Distribution):
     def draw(self, rng, count): return rng.poisson(self.rate, count).astype(float)
     def sum_law(self, n): return Poisson(n * self.rate)
     def log_abs_moment(self, p): return _log_moment(self, (), p)
-    def log_abs_moments(self, ps): return _log_moments(self, (), ps)
+    def log_abs_moments(self, ps): return self._log_expects((), ps)
     def mgf(self, beta): return math.exp(self.rate * (math.exp(beta) - 1.0))
 
     def _log_expect(self, log_h, log_h_vec, p, kinks=()):
@@ -682,7 +706,8 @@ class Mapped:
         return lo, hi
 
     def log_abs_moment(self, p): return self._peel(p, "log_abs_moment", _log_moment)
-    def log_abs_moments(self, ps): return self._peel(ps, "log_abs_moments", _log_moments)
+    def log_abs_moments(self, ps):
+        return self._peel(ps, "log_abs_moments", lambda b, steps, q: b._log_expects(steps, q))
 
     def _peel(self, p, method, numeric):
         """ln E|g(X)|^p: an outer scale step is p ln|c| plus the inner
@@ -839,13 +864,6 @@ def _log_moment(base, steps, p):
     def log_h_vec(xs):
         return p * np.log(np.abs(_apply(steps, xs)))
     return base._log_expect(log_h, log_h_vec, p, _zeros(steps))
-
-
-def _log_moments(base, steps, ps):
-    """ln E|g(X)|^p for every p of ps by the base's batched numeric path,
-    _CHUNK orders at a time."""
-    return np.concatenate([base._log_expects(steps, ps[i:i + _CHUNK])
-                           for i in range(0, len(ps), _CHUNK)])
 
 
 def _zeros(steps):

@@ -25,7 +25,7 @@ __all__ = [
     "MetricLipschitz", "FunctionSpec", "HSOperatorView", "eval_f",
     "sample_points", "sample_f", "conditional_version_samples", "proxy_profile",
     "expectation", "vector_norm_psi", "vector_norm_lp", "random_projections",
-    "fspec_to_dict", "fspec_from_dict",
+    "fspec_to_dict", "fspec_from_dict", "NotSubGaussianError",
 ]
 
 _INNER_MC = 10 ** 5      # budget for conditional means without a closed form
@@ -122,7 +122,7 @@ class SumFunction(_ScalarCoordinates):
     def proxy_profile(self, p, with_psi2):
         centered = [dist.Centered(c) for c in self.components]
         psi1 = [psi_norm(c, 1).value for c in centered]
-        psi2 = _psi2_or_none(psi_norm, centered) if with_psi2 else None
+        psi2 = _psi2(psi_norm, centered, self.components) if with_psi2 else None
         l2p = None if p is None else [dist.lp_norm(c, 2 * p) for c in centered]
         ranges = [_support_width(c) for c in self.components]
         return ProxyProfile(n=self.n, psi1_per_coord=psi1, psi2_per_coord=psi2,
@@ -156,8 +156,7 @@ class VectorNormOfSum(_VectorCoordinates):
     def proxy_profile(self, p, with_psi2):
         n = self.n
         b1 = 2.0 * vector_norm_psi(self.vec, 1).value
-        b2 = _psi2_or_none(vector_norm_psi, [self.vec]) if with_psi2 else None
-        psi2 = None if b2 is None else [2.0 * b2[0]] * n
+        psi2 = [2.0 * _psi2(vector_norm_psi, [self.vec], [self.vec])[0]] * n if with_psi2 else None
         l2p = [2.0 * vector_norm_lp(self.vec, 2 * p)] * n if p is not None else None
         r = math.sqrt(math.fsum(_support_width(c) ** 2
                                 for c in self.vec.components))
@@ -537,17 +536,24 @@ def proxy_profile(fspec, p: Optional[float] = None, kinds=None) -> ProxyProfile:
     Pass p > 1 to additionally populate the 2p-norm entries used by the
     moment-based bound.  Pass the bound kinds the profile is for to leave
     out what none of them reads: the 2p-norms without a thm3 kind, the psi2
-    norms without thm1 or thm3-psi2-variant.  A thm3 kind on a function kind
-    with no 2p-norm proxy is a ValueError.
+    norms without thm1 or thm3-psi2-variant.  A thm3 kind with no 2p-norm
+    proxy is a ValueError, and so is a psi2 kind with no psi2 proxy or a psi2
+    norm not finite up to p_max; without kinds such a norm is left out.
     """
     if kinds is None:
-        return fspec.proxy_profile(p, True)
+        try:
+            return fspec.proxy_profile(p, True)
+        except NotSubGaussianError:
+            return fspec.proxy_profile(p, False)
     if not any(k.startswith("thm3") for k in kinds):
         p = None
     profile = fspec.proxy_profile(p, any(k in PSI2_KINDS for k in kinds))
     if p is not None and profile.l2p_per_coord is None:
         raise ValueError(f"the {fspec.kind} kind has no 2p-norm proxy, so the "
                          "thm3 bound kinds do not apply to it")
+    if profile.psi2_per_coord is None and any(k in PSI2_KINDS for k in kinds):
+        raise ValueError(f"the {fspec.kind} kind has no psi2 proxy, so the psi2 "
+                         f"bound kinds {' and '.join(PSI2_KINDS)} do not apply to it")
     return profile
 
 
@@ -561,13 +567,23 @@ def _interval_sq_max(spec):
     return max(lo * lo, hi * hi)
 
 
-def _psi2_or_none(norm, specs):
-    """[norm(s, 2).value for s in specs], or None if one of them needs p
-    beyond p_max."""
-    try:
-        return [norm(s, 2).value for s in specs]
-    except PMaxTooSmallError:
-        return None
+class NotSubGaussianError(ValueError):
+    """A coordinate's psi2 norm is not finite up to p_max."""
+
+
+def _psi2(norm, specs, laws):
+    """[norm(s, 2).value for s in specs]; NotSubGaussianError names the first
+    coordinate, and its law in laws, whose psi2 ratio still rises at p_max."""
+    values = []
+    for i, (spec, law) in enumerate(zip(specs, laws)):
+        try:
+            values.append(norm(spec, 2).value)
+        except PMaxTooSmallError:
+            raise NotSubGaussianError(
+                f"coordinate {i} ({law}): its psi2 moment ratio still rises at p_max, so "
+                "the law is not shown to be sub-Gaussian, and the psi2 bound kinds "
+                f"{' and '.join(PSI2_KINDS)} do not apply") from None
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -456,6 +456,32 @@ class TestThm3OnNonSumKinds:
                        "thm3 bound kinds do not apply to it\n")
 
 
+NOT_SUB_GAUSSIAN = ("error: coordinate 0 (Exponential(rate=1.0)): its psi2 moment ratio still "
+                    "rises at p_max, so the law is not shown to be sub-Gaussian, and the psi2 "
+                    "bound kinds thm1 and thm3-psi2-variant do not apply\n")
+
+
+class TestPsi2KindsNeedSubGaussianLaws:
+    @pytest.mark.parametrize("spec", ["exp1.json", "sum_exp10.json"])
+    @pytest.mark.parametrize("kind", ["thm1", "thm3-psi2-variant"])
+    @pytest.mark.parametrize("command", ["bound", "invert"])
+    def test_names_the_coordinate_and_its_law(self, command, kind, spec, capsys):
+        # used to fail with "profile is missing psi2_per_coord"
+        last = ["--t-grid", "1:5:3"] if command == "bound" else ["--delta", "0.01"]
+        code, out, err = run(capsys, command, "--spec", config(spec), "--bounds", kind,
+                             "--p", "2", *last)
+        assert code == 1 and out == ""
+        assert err == NOT_SUB_GAUSSIAN
+
+    @pytest.mark.parametrize("kind", sorted(NON_SUM_KINDS))
+    def test_says_the_kind_has_no_psi2_proxy(self, kind, tmp_path, capsys):
+        code, out, err = run(capsys, "bound", "--spec", write_spec(tmp_path, NON_SUM_KINDS[kind]),
+                             "--bounds", "thm1", "--t-grid", "1:5:3")
+        assert code == 1 and out == ""
+        assert err == (f"error: the {kind} kind has no psi2 proxy, so the psi2 bound "
+                       "kinds thm1 and thm3-psi2-variant do not apply to it\n")
+
+
 class TestBadNumbers:
     @pytest.mark.parametrize("argv, message", [
         (["entropy-check", "--p", "1"], "--p must be a finite number > 1, got 1.0"),

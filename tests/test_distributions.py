@@ -9,6 +9,7 @@ from scipy.special import gammaln
 
 from lighttails import distributions as D
 from lighttails import functions as F
+from lighttails import orlicz as O
 from lighttails.orlicz import _p_grid, psi_norm
 
 CATALOGUE = [
@@ -183,6 +184,14 @@ class TestBatchedMoments:
         reference = np.array([D.log_abs_moment(spec, p) for p in ORDERS])
         assert np.max(np.abs(batched - reference) / ORDERS) <= 1e-9
 
+    @pytest.mark.parametrize("spec", NUMERIC_LAWS, ids=str)
+    def test_rows_do_not_depend_on_the_batch(self, spec):
+        # one pass over all orders gives each order the bits it gets alone
+        whole = D.log_abs_moments(spec, ORDERS)
+        alone = np.concatenate([D.log_abs_moments(spec, ORDERS[i:i + 1])
+                                for i in range(len(ORDERS))])
+        assert whole.view(np.int64).tolist() == alone.view(np.int64).tolist()
+
     def test_closed_forms_are_bit_identical(self):
         for spec in CATALOGUE:
             form = D.canonical(spec)
@@ -208,6 +217,102 @@ class TestBatchedMoments:
         assert D.log_abs_moment(spec, 1.0) == pytest.approx(math.log(want), abs=1e-13)
         assert D.log_abs_moments(spec, np.array([1.0]))[0] == pytest.approx(
             math.log(want), abs=1e-13)
+
+
+def full_scan(base, log_h_vec, ps):
+    """The live window of every point of a _SCAN-point scan of window(p): the
+    oracle of the coarse-to-fine scan of _Continuous._live."""
+    lo, hi = np.array([base.window(p) for p in ps]).T
+    xs = np.linspace(lo, hi, D._SCAN, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.asarray(log_h_vec(xs) + base.logpdf(xs))
+    h[~np.isfinite(h)] = -np.inf
+    k = h.max(axis=1)
+    live = h > k[:, None] - 80.0
+    first = np.argmax(live, axis=1)
+    last = D._SCAN - 1 - np.argmax(live[:, ::-1], axis=1)
+    rows = np.arange(len(ps))
+    return (k, xs[rows, np.maximum(first - 1, 0)],
+            xs[rows, np.minimum(last + 1, D._SCAN - 1)])
+
+
+def base_and_steps(spec):
+    form = D.canonical(spec)
+    return (form.base, form.steps) if isinstance(form, D.Mapped) else (form, ())
+
+
+def assert_live_is_full_scan(base, log_h_vec, ps):
+    ps = np.asarray(ps, dtype=float)
+    got, want = base._live(log_h_vec, ps), full_scan(base, log_h_vec, ps)
+    for name, g, w in zip("kab", got, want):
+        assert g.view(np.int64).tolist() == w.view(np.int64).tolist(), name
+
+
+def assert_moment_window_is_full_scan(spec, ps):
+    base, steps = base_and_steps(spec)
+    ps = np.asarray(ps, dtype=float)
+
+    def log_h_vec(xs):      # as _Continuous._log_expects builds it
+        with np.errstate(divide="ignore"):
+            return ps[:, None] * np.log(np.abs(D._apply(steps, xs)))
+    assert_live_is_full_scan(base, log_h_vec, ps)
+
+
+_pos = st.floats(0.2, 3.0)
+_CONTINUOUS = st.one_of(
+    st.builds(D.Gaussian, st.floats(-2.0, 2.0), _pos), st.builds(D.Exponential, _pos),
+    st.builds(lambda lo, width: D.UniformInterval(lo, lo + width), st.floats(-2.0, 1.0), _pos),
+    st.builds(D.ChiSquared, st.integers(1, 6)), st.builds(D.Chi, st.integers(1, 6), _pos),
+    st.builds(D.UniformGap, _pos))
+_MAPPED = st.recursive(_CONTINUOUS, lambda inner: st.one_of(
+    st.builds(D.Centered, inner), st.builds(D.Shifted, inner, st.floats(-3.0, 3.0)),
+    st.builds(D.Scaled, inner, st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)),
+    st.builds(D.SquareOf, inner)), max_leaves=4)
+# chi-squared(1) has a density singularity at 0, in the window's first cell;
+# |x^2 - s^2|^p times a Gaussian density has three modes
+SCAN_LAWS = [*(D.Centered(D.Scaled(D.ChiSquared(1), c)) for c in (0.3, 1.0, 2.5, -1.7)),
+             *(D.Centered(D.SquareOf(D.Gaussian(0.0, s))) for s in (0.3, 1.0, 2.0)),
+             *(s for s in CATALOGUE + NUMERIC_LAWS
+               if isinstance(base_and_steps(s)[0], D._Continuous))]
+
+
+class TestLiveWindow:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_MAPPED, st.lists(st.floats(1.0, 256.0), min_size=1, max_size=6))
+    def test_equals_the_full_scan(self, spec, ps):
+        assert_moment_window_is_full_scan(spec, ps)
+
+    @pytest.mark.parametrize("spec", SCAN_LAWS, ids=str)
+    def test_equals_the_full_scan_on_the_p_grid(self, spec):
+        assert_moment_window_is_full_scan(spec, _p_grid(256.0))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_reads_the_singular_end_cell(self, p):
+        # g(x) = x - x1 is 0 at the scan's first coarse point x1 after the
+        # chi-squared(1) singularity at 0, so no coarse point near it is live
+        chi = D.ChiSquared(1)
+        x1 = D._STRIDE * (chi.window(p)[1] / (D._SCAN - 1))
+        for spec in (D.Shifted(chi, -x1), D.Shifted(D.Scaled(chi, 2.0), -2.0 * x1)):
+            assert_moment_window_is_full_scan(spec, [p])
+
+    @pytest.mark.parametrize("beta", [-2.0, 0.5, 3.0])
+    def test_equals_the_full_scan_for_the_squared_mgf(self, beta):
+        # _squared_mgf reads the window of p = 0 with log_h = beta g(x)^2
+        base, steps = base_and_steps(D.Centered(D.SquareOf(D.UniformInterval(-0.5, 1.0))))
+        assert_live_is_full_scan(base, lambda xs: beta * D._apply(steps, xs) ** 2, [0.0])
+
+    def test_reads_at_most_400_scan_points_per_order(self, monkeypatch):
+        spec = D.Centered(D.Exponential(1.3))
+        grid = _p_grid(256.0)
+        ps = np.unique(np.concatenate([grid[::O._COARSE_STEP], grid[-2:]]))
+        seen = []
+        real = D.Exponential.logpdf
+        monkeypatch.setattr(D.Exponential, "logpdf",
+                            lambda self, x: seen.append(np.size(x)) or real(self, x))
+        D.log_abs_moments(spec, ps)
+        # the zero of x - 1/1.3 cuts the window into two quadrature pieces
+        nodes = 2 * D._PANELS * len(D._TS_T)
+        assert len(ps) == 34 and sum(seen) <= len(ps) * (400 + nodes)
 
 
 # finite laws with zero values, zero probabilities and the all-zero law

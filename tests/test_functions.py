@@ -425,6 +425,16 @@ class TestProxyProfile:
             return real(vec, alpha)
         monkeypatch.setattr(F, "vector_norm_psi", no_psi2)
         assert F.proxy_profile(F.VectorNormOfSum(gauss_vec(3), 4)).psi2_per_coord is None
+        with pytest.raises(F.NotSubGaussianError, match=r"^coordinate 0 \(VectorSpec\("):
+            F.proxy_profile(F.VectorNormOfSum(gauss_vec(3), 4), kinds=["thm1"])
+
+    def test_psi2_kind_names_the_coordinate_without_a_psi2_norm(self):
+        fspec = F.SumFunction([D.Gaussian(0.0, 1.0), D.Exponential(2.0)])
+        with pytest.raises(F.NotSubGaussianError, match=r"^coordinate 1 \(Exponential\(rate="
+                           r"2.0\)\): its psi2 moment ratio still rises at p_max"):
+            F.proxy_profile(fspec, kinds=["thm2", "thm1"])
+        assert F.proxy_profile(fspec, kinds=["thm2"]).psi2_per_coord is None
+        assert F.proxy_profile(fspec).psi2_per_coord is None
 
     def test_thm3_entries(self):
         prof = F.proxy_profile(sum_of(D.Exponential(1.0), 3), p=2.0)
