@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln
+from scipy.special import erf, erfi, gammaln
 
+from adaptive import adaptive_log_moment, base_and_steps
 from lighttails import distributions as D
 from lighttails import functions as F
 from lighttails import orlicz as O
@@ -179,9 +180,9 @@ ORDERS = np.exp(np.linspace(0.0, math.log(256.0), 17))
 class TestBatchedMoments:
     @pytest.mark.parametrize("spec", NUMERIC_LAWS, ids=str)
     def test_agrees_with_adaptive_path(self, spec):
-        # the per-p adaptive path is the reference: 1e-9 in ln ||X||_p
+        # adaptive quadrature is the reference: 1e-9 in ln ||X||_p
         batched = D.log_abs_moments(spec, ORDERS)
-        reference = np.array([D.log_abs_moment(spec, p) for p in ORDERS])
+        reference = np.array([adaptive_log_moment(spec, p) for p in ORDERS])
         assert np.max(np.abs(batched - reference) / ORDERS) <= 1e-9
 
     @pytest.mark.parametrize("spec", NUMERIC_LAWS, ids=str)
@@ -191,16 +192,29 @@ class TestBatchedMoments:
         alone = np.concatenate([D.log_abs_moments(spec, ORDERS[i:i + 1])
                                 for i in range(len(ORDERS))])
         assert whole.view(np.int64).tolist() == alone.view(np.int64).tolist()
+        assert D.log_abs_moments(spec, ORDERS[:0]).tolist() == []
 
     def test_closed_forms_are_bit_identical(self):
-        for spec in CATALOGUE:
-            form = D.canonical(spec)
-            if isinstance(form, D.Mapped) or type(form) is D.Poisson:
-                continue
-            if isinstance(form, D.Gaussian) and form.mean != 0.0:
-                continue
+        # numeric laws too: one order alone is row 0 of its batch
+        for spec in CATALOGUE + NUMERIC_LAWS:
             batched = D.log_abs_moments(spec, ORDERS)
-            assert batched.tolist() == [D.log_abs_moment(spec, p) for p in ORDERS]
+            single = np.array([D.log_abs_moment(spec, p) for p in ORDERS])
+            assert batched.view(np.int64).tolist() == single.view(np.int64).tolist(), spec
+
+    def test_a_large_batch_goes_in_blocks(self, monkeypatch):
+        # memory does not grow with the number of orders: no logpdf call
+        # reads more than one block's quadrature nodes
+        spec = D.Centered(D.Exponential(1.3))
+        ps = np.exp(np.linspace(0.0, math.log(256.0), 10 ** 4))
+        seen = []
+        real = D.Exponential.logpdf
+        monkeypatch.setattr(D.Exponential, "logpdf",
+                            lambda self, x: seen.append(np.size(x)) or real(self, x))
+        D.log_abs_moments(spec, ps)
+        # the zero of x - 1/1.3 cuts each window into two quadrature pieces
+        nodes = 2 * D._PANELS * len(D._TS_T)
+        assert len(ps) >= 100 * D._BLOCK and sum(seen) > len(ps) * nodes
+        assert max(seen) <= D._BLOCK * nodes
 
     def test_orders_must_be_positive(self):
         for bad in (0.0, -1.0):
@@ -236,11 +250,6 @@ def full_scan(base, log_h_vec, ps):
             xs[rows, np.minimum(last + 1, D._SCAN - 1)])
 
 
-def base_and_steps(spec):
-    form = D.canonical(spec)
-    return (form.base, form.steps) if isinstance(form, D.Mapped) else (form, ())
-
-
 def assert_live_is_full_scan(base, log_h_vec, ps):
     ps = np.asarray(ps, dtype=float)
     got, want = base._live(log_h_vec, ps), full_scan(base, log_h_vec, ps)
@@ -252,7 +261,7 @@ def assert_moment_window_is_full_scan(spec, ps):
     base, steps = base_and_steps(spec)
     ps = np.asarray(ps, dtype=float)
 
-    def log_h_vec(xs):      # as _Continuous._log_expects builds it
+    def log_h_vec(xs):      # as _log_moments builds it
         with np.errstate(divide="ignore"):
             return ps[:, None] * np.log(np.abs(D._apply(steps, xs)))
     assert_live_is_full_scan(base, log_h_vec, ps)
@@ -468,10 +477,15 @@ class TestMgf:
             D.mgf(D.SquareOf(D.Gaussian(1.0, 2.0)), 0.125)   # beta = 1/(2 sd^2)
         assert math.isfinite(D.mgf(D.SquareOf(D.Gaussian(1.0, 2.0)), 0.124))
 
-    def test_square_uniform_numeric(self):
-        want = math.sqrt(math.pi / 2) * math.erf(1 / math.sqrt(2))
-        got = D.mgf(D.SquareOf(D.UniformInterval(0.0, 1.0)), -0.5)
-        assert got == pytest.approx(want, rel=1e-10)
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.5, 1.0), (0.2, 1.5)])
+    @pytest.mark.parametrize("beta", [-0.5, 0.7, 3.0])
+    def test_square_uniform_numeric(self, beta, lo, hi):
+        # E exp(beta U^2) = sqrt(pi/|beta|) / (2 w) (F(sqrt|beta| hi) - F(sqrt|beta| lo))
+        # with F = erf for beta < 0 and erfi for beta > 0
+        F, r = (erf if beta < 0 else erfi), math.sqrt(abs(beta))
+        want = math.sqrt(math.pi / abs(beta)) / (2 * (hi - lo)) * (F(r * hi) - F(r * lo))
+        got = D.mgf(D.SquareOf(D.UniformInterval(lo, hi)), beta)
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_square_unbounded_diverges_for_positive_beta(self):
         with pytest.raises(D.MomentDivergenceError):
