@@ -8,14 +8,14 @@ never reported outside its validity region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import distributions as dist
 from .bounds import TailBoundResult, _tail
-from .orlicz import psi_norm, psi_norm_finite  # noqa: F401 (bench/tracing.py wraps it here)
+from .orlicz import OrliczEstimate, psi_norm
+from .orlicz import psi_norm_finite  # noqa: F401 (bench/tracing.py wraps it here)
 
 __all__ = [
-    "PsiDiameter", "PreconditionError", "vector_bound_i",
+    "PreconditionError", "vector_bound_i",
     "vector_bound_ii", "vector_bound_iii", "psa_bound",
     "rademacher_generalization_bound", "regression_bound", "metric_tail",
     "psi_diameter",
@@ -26,14 +26,6 @@ E = math.e
 
 class PreconditionError(ValueError):
     """A stated hypothesis of the bound fails for the given inputs."""
-
-
-@dataclass(frozen=True)
-class PsiDiameter:
-    """Orlicz norm of the distance between two independent copies."""
-    alpha: int
-    value: float
-    method: str = ""
 
 
 def _check_delta(delta, upper=1.0):
@@ -140,7 +132,7 @@ def metric_tail(lip, diameters, t, lipschitz_linear_term=False) -> TailBoundResu
         raise ValueError(f"t must be positive, got {t}")
     if lip < 0:
         raise PreconditionError(f"L must be nonnegative, got {lip}")
-    vals = [d.value if isinstance(d, PsiDiameter) else float(d) for d in diameters]
+    vals = [d.value if isinstance(d, OrliczEstimate) else float(d) for d in diameters]
     if not vals:
         raise PreconditionError("diameters must be nonempty")
     if any(v < 0 for v in vals):
@@ -153,14 +145,15 @@ def metric_tail(lip, diameters, t, lipschitz_linear_term=False) -> TailBoundResu
 # ---------------------------------------------------------------------------
 # psi diameters for the scalar metric |x - y|
 
-def psi_diameter(spec, alpha) -> PsiDiameter:
+def psi_diameter(spec, alpha) -> OrliczEstimate:
     """Orlicz norm of |X - X'| for independent copies of the catalogue law.
 
     For an affine image a Y + b of a law Y with an `abs_difference_law()`
     (Gaussian, exponential, uniform, finite), |X - X'| = |a| |Y - Y'| and the
     diameter is |a| psi_norm of that law.  Other specs fall back to the
     centering bound ||X - X'|| <= 2 ||X - E X||, which keeps every downstream
-    tail sound.
+    tail sound.  The value and the certified upper are the norm's, scaled by
+    |a| (or 2 |a|), at the norm's p*.
     """
     form = dist.canonical(spec)
     base, a = ((form.base, form.linear_factor()) if isinstance(form, dist.Mapped)
@@ -169,8 +162,8 @@ def psi_diameter(spec, alpha) -> PsiDiameter:
         base, a = spec, 1.0
     law = base.abs_difference_law()
     if law is None:
-        est = psi_norm(dist.Centered(base), alpha)
-        return PsiDiameter(alpha, abs(a) * 2.0 * est.value, "centering-bound")
-    est = psi_norm(law, alpha)
-    method = "closed-form" if dist.finite_support(law) is None else "exact-enumeration"
-    return PsiDiameter(alpha, abs(a) * est.value, method)
+        est, scale, method = psi_norm(dist.Centered(base), alpha), abs(a) * 2.0, "centering-bound"
+    else:
+        est, scale = psi_norm(law, alpha), abs(a)
+        method = "closed-form" if dist.finite_support(law) is None else "exact-enumeration"
+    return OrliczEstimate(alpha, scale * est.value, est.p_star, method, scale * est.upper)

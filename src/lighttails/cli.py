@@ -279,8 +279,11 @@ def _cmd_entropy_check(args):
     values, probs = fs
     mu = float(np.dot(values, probs))
     y = dist.FiniteSupport(values - mu, probs)
-    payload = {"beta": args.beta,
-               "subgaussian": _lemma_check(ent.entropy_bound_subgaussian, y, args.beta),
+    try:        # the subgaussian lemma checks beta before any sum
+        subgaussian = _lemma_check(ent.entropy_bound_subgaussian, y, args.beta)
+    except ValueError as exc:
+        raise UsageError(f"--beta is too large for this law: {exc}")
+    payload = {"beta": args.beta, "subgaussian": subgaussian,
                "subexponential": _lemma_check(ent.entropy_bound_subexponential, y)}
     if args.p is not None:
         payload["holder"] = {"p": args.p, **_lemma_check(ent.entropy_bound_holder, y, args.p)}

@@ -145,7 +145,7 @@ class Spec:
 class Distribution(Spec):
     """A scalar law.  Every family has `expectation()` and `draw(rng, count)`;
     the families that are canonical forms also have `support()`,
-    `log_abs_moment(p)` and `mgf(beta)`."""
+    `log_abs_moments(ps)` and `mgf(beta)`."""
 
     # _fold gives the canonical form; _affine the family's own spec for the
     # law after an affine step, if the family is closed under it
@@ -161,11 +161,6 @@ class Distribution(Spec):
         return None
     def expectation(self): return canonical(self).expectation()
     def squared_mgf(self, beta): return _squared_mgf(self, (), beta, self.support())
-
-    def log_abs_moments(self, ps):
-        # closed forms cost microseconds per p, and p by p they agree with
-        # log_abs_moment to the bit
-        return np.array([self.log_abs_moment(p) for p in ps])
 
     def _push(self, op, c):
         """Canonical form of the law after one more map step."""
@@ -287,14 +282,9 @@ class Gaussian(_Continuous):
     def log_abs_moments(self, ps):
         if self.mean != 0.0:
             return _log_moments(self, (), ps)
-        return super().log_abs_moments(ps)
-
-    def log_abs_moment(self, p):
-        if self.mean != 0.0:
-            return _first_row(self, p)
         # E|N(0,sd)|^p = sd^p * 2^(p/2) * Gamma((p+1)/2) / sqrt(pi)
-        return (p * math.log(self.sd) + 0.5 * p * math.log(2.0)
-                + float(gammaln((p + 1) / 2)) - 0.5 * math.log(math.pi))
+        return (ps * math.log(self.sd) + 0.5 * ps * math.log(2.0)
+                + gammaln((ps + 1) / 2) - 0.5 * math.log(math.pi))
 
     def squared_mgf(self, beta):
         # (X / sd)^2 is noncentral chi-squared with one degree of freedom
@@ -319,7 +309,7 @@ class Exponential(_Continuous):
     def support(self): return 0.0, math.inf
     def draw(self, rng, count): return rng.exponential(1.0 / self.rate, count)
     def window(self, p): return 0.0, (p + 8 * math.sqrt(p) + 40.0) / self.rate
-    def log_abs_moment(self, p): return float(gammaln(p + 1)) - p * math.log(self.rate)
+    def log_abs_moments(self, ps): return gammaln(ps + 1) - ps * math.log(self.rate)
     # Gamma(n, rate) is chi-squared with 2n degrees of freedom over 2 rate
     def sum_law(self, n): return Scaled(ChiSquared(2 * n), 1.0 / (2.0 * self.rate))
     # Y - Y' is Laplace with scale 1/rate, so |Y - Y'| is again Exponential
@@ -363,7 +353,8 @@ class UniformInterval(_Continuous):
     def support(self): return self.lo, self.hi
     def window(self, p): return self.lo, self.hi
     def draw(self, rng, count): return rng.uniform(self.lo, self.hi, count)
-    def log_abs_moment(self, p): return _uniform_log_abs_moment(self.lo, self.hi, p)
+    def log_abs_moments(self, ps):     # math.log per order, as in FiniteSupport
+        return np.array([_uniform_log_abs_moment(self.lo, self.hi, p) for p in ps])
     def abs_difference_law(self): return UniformGap(self.hi - self.lo)
 
     def _check(self):
@@ -394,7 +385,6 @@ class Poisson(Distribution):
     def support(self): return 0.0, math.inf
     def draw(self, rng, count): return rng.poisson(self.rate, count).astype(float)
     def sum_law(self, n): return Poisson(n * self.rate)
-    def log_abs_moment(self, p): return _first_row(self, p)
     def log_abs_moments(self, ps): return _log_moments(self, (), ps)
     def mgf(self, beta): return math.exp(self.rate * (math.exp(beta) - 1.0))
 
@@ -437,8 +427,8 @@ class ChiSquared(_Continuous):
         peak = self.dof + 2 * p
         return 0.0, peak + 10 * math.sqrt(peak) + 50.0
 
-    def log_abs_moment(self, p):
-        return (p * math.log(2.0) + float(gammaln(self.dof / 2 + p))
+    def log_abs_moments(self, ps):
+        return (ps * math.log(2.0) + gammaln(self.dof / 2 + ps)
                 - float(gammaln(self.dof / 2)))
 
     def mgf(self, beta):
@@ -501,10 +491,6 @@ class FiniteSupport(Distribution):
         idx = rng.choice(len(values), size=count, p=probs / probs.sum())
         return values[idx]
 
-    def log_abs_moment(self, p):
-        log_p, log_v = self._logs
-        return _logsumexp(log_p + p * log_v)
-
     @functools.cached_property
     def _logs(self):
         """ln probs and ln |values| as arrays; -inf where either is 0."""
@@ -512,8 +498,8 @@ class FiniteSupport(Distribution):
             return np.log(self.probs), np.log(np.abs(self.values))
 
     def log_abs_moments(self, ps):
-        # one (p, value) log-sum-exp; math.log per row, as in _logsumexp,
-        # keeps every row equal to log_abs_moment to the bit
+        # one (p, value) log-sum-exp; math.log per row, as np.log differs
+        # from it in the last bit on some inputs
         log_p, log_v = self._logs
         terms = log_p + np.multiply.outer(ps, log_v)
         m = terms.max(axis=1)
@@ -559,13 +545,13 @@ class Chi(_Continuous):
     sd: Positive = 1.0
 
     def support(self): return 0.0, math.inf
-    def expectation(self): return math.exp(self.log_abs_moment(1.0))
+    def expectation(self): return math.exp(_first_row(self, 1.0))
     # |x|^p pdf(x) peaks at sd sqrt(p + dof - 1)
     def window(self, p): return 0.0, self.sd * (math.sqrt(2.0 * (p + self.dof)) + 12.0)
 
-    def log_abs_moment(self, p):
-        return (p * math.log(self.sd) + 0.5 * p * math.log(2.0)
-                + float(gammaln((self.dof + p) / 2)) - float(gammaln(self.dof / 2)))
+    def log_abs_moments(self, ps):
+        return (ps * math.log(self.sd) + 0.5 * ps * math.log(2.0)
+                + gammaln((self.dof + ps) / 2) - float(gammaln(self.dof / 2)))
 
     def logpdf(self, x):
         k, x = self.dof, np.asarray(x, dtype=float)
@@ -584,9 +570,10 @@ class UniformGap(_Continuous):
     def window(self, p): return 0.0, self.width
     def expectation(self): return self.width / 3.0
 
-    def log_abs_moment(self, p):
-        # E|D|^p = 2 width^p / ((p+1)(p+2))
-        return p * math.log(self.width) + math.log(2.0) - math.log((p + 1.0) * (p + 2.0))
+    def log_abs_moments(self, ps):
+        # E|D|^p = 2 width^p / ((p+1)(p+2)), with math.log per order
+        return np.array([p * math.log(self.width) + math.log(2.0) - math.log((p + 1.0) * (p + 2.0))
+                         for p in ps])
 
     def logpdf(self, x):
         # density 2 (width - x) / width^2 on [0, width]
@@ -684,8 +671,6 @@ class Mapped:
             else:
                 lo, hi = sorted((_apply((step,), lo), _apply((step,), hi)))
         return lo, hi
-
-    def log_abs_moment(self, p): return _first_row(self, p)
 
     def log_abs_moments(self, ps):
         """ln E|g(X)|^p: an outer scale step is p ln|c| plus the inner
@@ -793,13 +778,14 @@ def log_abs_moment(spec, p: float) -> float:
 
 @functools.lru_cache(maxsize=1 << 16)
 def _log_abs_moment_cached(spec, p):
-    return canonical(spec).log_abs_moment(p) if p else 0.0
+    return _first_row(canonical(spec), p) if p else 0.0
 
 
 def log_abs_moments(spec, ps) -> np.ndarray:
     """ln E|X|^p for every p > 0 of the 1-d array ps, in one batched pass.
 
-    Every row equals log_abs_moment to the bit.  Numeric laws integrate all
+    Every family implements this method only; log_abs_moment is row 0 of it
+    at [p], so the two agree to the bit.  Numeric laws integrate all
     p with one fixed tanh-sinh rule (or sum the Poisson series for all p at
     once), the only numeric path; the rule raises QuadratureError where its
     embedded error estimate exceeds 1e-5 in ln ||X||_p.  Not cached.
@@ -845,7 +831,7 @@ def _log_moments(base, steps, ps):
 
 
 def _first_row(form, p):
-    """ln E|X|^p of a numeric law: row 0 of its batched moments at [p]."""
+    """ln E|X|^p of a canonical form: row 0 of its batched moments at [p]."""
     return float(form.log_abs_moments(np.array([p], dtype=float))[0])
 
 

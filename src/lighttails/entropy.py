@@ -4,6 +4,9 @@ The central object is S(Y) = E_Y[Y] - ln E[e^Y] with the exponentially
 tilted expectation E_Y[Z] = E[Z e^Y] / E[e^Y].  Everything here is a
 finite sum (with log-sum-exp shifting and compensated accumulation), so
 this module serves as the ground-truth oracle for the tail-bound module.
+S is summed in the shifted form E_Y[Y - m] - ln E[e^(Y - m)], m = max Y,
+so no two terms of size m cancel: S(beta Y) of a Rademacher Y tends to
+ln 2 as beta grows, instead of collapsing to 0.
 S(Y) >= 0 and S(Y) = S(Y + c) always hold; nonnegativity follows from the
 fluctuation representation, whose integrand is a variance.
 
@@ -93,9 +96,7 @@ def _tilt_weights(values, probs):
 
 def _entropy(values, probs):
     m, w, z = _tilt_weights(values, probs)
-    tilted_mean = math.fsum(w * values) / z
-    log_mgf = m + math.log(z)
-    return tilted_mean - log_mgf
+    return math.fsum(w * (values - m)) / z - math.log(z)
 
 
 def entropy(y: dist.FiniteSupport) -> float:
@@ -192,11 +193,10 @@ def conditional_entropy_table(table: ProductTable, gamma: float) -> np.ndarray:
 
 def _entropy_rows(rows, probs):
     """Row-wise entropy of finite dists sharing one probability vector."""
-    m = rows.max(axis=1, keepdims=True)
-    w = probs[None, :] * np.exp(rows - m)
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    w = probs[None, :] * np.exp(shifted)
     z = w.sum(axis=1)
-    tilted_mean = (w * rows).sum(axis=1) / z
-    return tilted_mean - (m[:, 0] + np.log(z))
+    return (w * shifted).sum(axis=1) / z - np.log(z)
 
 
 def subadditivity_gap(table: ProductTable, gamma: float) -> float:
@@ -204,8 +204,7 @@ def subadditivity_gap(table: ProductTable, gamma: float) -> float:
     f_flat = gamma * table.f_table.ravel()
     jp = table.joint_probs().ravel()
     m, w, z = _tilt_weights(f_flat, jp)
-    tilted_mean = math.fsum(w * f_flat) / z
-    lhs = tilted_mean - (m + math.log(z))
+    lhs = math.fsum(w * (f_flat - m)) / z - math.log(z)
     cond_sum = conditional_entropy_table(table, gamma).sum(axis=0).ravel()
     rhs = math.fsum(w * cond_sum) / z
     return rhs - lhs
@@ -218,17 +217,20 @@ def entropy_bound_subgaussian(y: dist.FiniteSupport, beta: float):
     """(S(beta Y), bound) with bound = min(ln E[e^(2 beta Y)], 16e beta^2 psi2^2).
 
     S is shift invariant, so Y is centered internally before the psi_2
-    based part; the contract is s <= bound.
+    based part; the contract is s <= bound.  Raises ValueError naming beta
+    when 2 beta (Y - E Y) overflows.
     """
     values, probs = _arrays(y)
     centered = values - _mean(values, probs)
+    if not math.isfinite(2.0 * (beta * float(np.max(np.abs(centered))))):
+        raise ValueError(f"beta={beta!r} overflows 2 beta (Y - E Y)")
     s = _entropy(beta * centered, probs)
     if beta == 0.0:
         return 0.0, 0.0
-    m, w, z = _tilt_weights(2.0 * beta * centered, probs)
+    m, w, z = _tilt_weights(2.0 * (beta * centered), probs)
     bound_mgf = m + math.log(z)
     psi2 = psi_norm(dist.FiniteSupport(centered, probs), 2).value
-    bound_psi = 16.0 * E * beta ** 2 * psi2 ** 2
+    bound_psi = 16.0 * E * (beta * beta) * psi2 ** 2
     return s, min(bound_mgf, bound_psi)
 
 

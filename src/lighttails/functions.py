@@ -22,7 +22,7 @@ from .orlicz import OrliczEstimate, PMaxTooSmallError, psi_norm
 
 __all__ = [
     "SumFunction", "VectorNormOfSum", "SupLinearLoss", "PsaReconstruction",
-    "MetricLipschitz", "FunctionSpec", "HSOperatorView", "eval_f",
+    "MetricLipschitz", "FunctionSpec", "eval_f",
     "sample_points", "sample_f", "conditional_version_samples", "proxy_profile",
     "expectation", "vector_norm_psi", "vector_norm_lp", "random_projections",
     "fspec_to_dict", "fspec_from_dict", "NotSubGaussianError",
@@ -343,29 +343,6 @@ _LIPSCHITZ_MAPS = {
 
 dist._KINDS.update((cls.kind, cls) for cls in (
     SumFunction, VectorNormOfSum, SupLinearLoss, PsaReconstruction, MetricLipschitz))
-
-
-class HSOperatorView:
-    """Rank-one operators Q_x y = <y, x> x inside the Hilbert-Schmidt space."""
-
-    @staticmethod
-    def q_matrix(x):
-        x = np.asarray(x, dtype=float)
-        return np.outer(x, x)
-
-    @staticmethod
-    def hs_inner(a, b):
-        return float(np.sum(np.asarray(a) * np.asarray(b)))
-
-    @staticmethod
-    def hs_norm(a):
-        return float(np.linalg.norm(np.asarray(a)))
-
-    @staticmethod
-    def reconstruction_error(p, x):
-        """l(P, x) = ||x||^2 - ||Px||^2 = ||Q_x||_HS - <P, Q_x>_HS."""
-        x = np.asarray(x, dtype=float)
-        return float(x @ x - x @ (np.asarray(p) @ x))
 
 
 def random_projections(ambient_dim, subspace_dim, count, seed):

@@ -6,7 +6,7 @@ import pytest
 from lighttails import applications as A
 from lighttails import distributions as D
 from lighttails.bounds import ProxyProfile, invert_tail, thm2_tail
-from lighttails.orlicz import _psi_norm_cached, psi_norm
+from lighttails.orlicz import OrliczEstimate, _psi_norm_cached, psi_norm
 
 E = math.e
 
@@ -149,8 +149,12 @@ class TestMetricTail:
             / (4 * E * prof.v1 + 2 * E * prof.m1 * 2.0), rel=1e-12)
 
     def test_accepts_psi_diameter_objects(self):
-        res = A.metric_tail(1.0, [A.PsiDiameter(1, 0.5)], 1.0)
-        assert 0 < res.prob < 1
+        diam = A.psi_diameter(D.UniformInterval(0.0, 1.0), 1)
+        assert isinstance(diam, OrliczEstimate)
+        for d in (diam, OrliczEstimate(1, 0.5, 1.0, "closed-form", 0.5)):
+            res = A.metric_tail(1.0, [d], 1.0)
+            assert 0 < res.prob < 1
+            assert res.log_prob == A.metric_tail(1.0, [d.value], 1.0).log_prob
 
 
 class TestMonotonicity:
@@ -244,6 +248,21 @@ class TestPsiDiameter:
         assert A.psi_diameter(D.Scaled(D.Exponential(1.0), -2.0), 1).method == "closed-form"
         assert A.psi_diameter(D.SquareOf(D.UniformInterval(0.0, 1.0)), 1).method == (
             "centering-bound")
+
+    @pytest.mark.parametrize("spec, alpha, scale, read", [
+        (D.Gaussian(1.0, 2.0), 2, 1.0, D.Gaussian(0.0, math.sqrt(2.0) * 2.0)),
+        (D.Scaled(D.Exponential(1.0), -2.0), 1, 2.0, D.Exponential(1.0)),
+        (D.Scaled(D.UniformInterval(0.0, 1.0), 0.5), 2, 0.5, D.UniformGap(1.0)),
+        (D.Rademacher(), 1, 1.0, D.FiniteSupport((0.0, 2.0, 2.0, 0.0), (0.25,) * 4)),
+        (D.SquareOf(D.UniformInterval(0.0, 1.0)), 1, 2.0,
+         D.Centered(D.SquareOf(D.UniformInterval(0.0, 1.0)))),
+        (D.ChiSquared(3), 1, 2.0, D.Centered(D.ChiSquared(3)))], ids=repr)
+    def test_upper_is_the_scaled_upper_of_the_law_read(self, spec, alpha, scale, read):
+        # the diameter keeps the certified upper and p* of the norm it reads
+        got, est = A.psi_diameter(spec, alpha), psi_norm(read, alpha)
+        assert got.upper >= got.value > 0
+        assert (got.alpha, got.value, got.p_star, got.upper) == (
+            alpha, scale * est.value, est.p_star, scale * est.upper)
 
     def test_centering_fallback_sound(self):
         res = A.psi_diameter(D.ChiSquared(3), 1)

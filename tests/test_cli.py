@@ -138,6 +138,19 @@ class TestEntropyCheck:
         assert doc["subgaussian"]["entropy"] == pytest.approx(want, abs=1e-12)
         assert "skipped" in doc["subexponential"]
 
+    @pytest.mark.parametrize("beta", ["1e160", "-1e160"])
+    def test_huge_beta(self, capsys, beta):
+        code, out, err = run(capsys, "entropy-check", "--spec", config("rademacher.json"),
+                             f"--beta={beta}")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["subgaussian"] == {
+            "entropy": math.log(2.0), "bound": 2e160, "holds": True}
+
+    def test_beta_that_overflows(self, capsys):
+        assert run(capsys, "entropy-check", "--spec", config("rademacher.json"),
+                   "--beta=1e308") == (1, "", "error: --beta is too large for this law: "
+                                       "beta=1e+308 overflows 2 beta (Y - E Y)\n")
+
     def test_continuous_rejected(self, capsys):
         code, _, err = run(capsys, "entropy-check", "--spec", config("exp1.json"))
         assert code == 1 and "finite-support" in err

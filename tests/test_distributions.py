@@ -196,7 +196,7 @@ class TestBatchedMoments:
 
     def test_closed_forms_are_bit_identical(self):
         # numeric laws too: one order alone is row 0 of its batch
-        for spec in CATALOGUE + NUMERIC_LAWS:
+        for spec in CATALOGUE + NUMERIC_LAWS + [D.Chi(5, 1.7), D.UniformGap(2.0)]:
             batched = D.log_abs_moments(spec, ORDERS)
             single = np.array([D.log_abs_moment(spec, p) for p in ORDERS])
             assert batched.view(np.int64).tolist() == single.view(np.int64).tolist(), spec
@@ -231,6 +231,76 @@ class TestBatchedMoments:
         assert D.log_abs_moment(spec, 1.0) == pytest.approx(math.log(want), abs=1e-13)
         assert D.log_abs_moments(spec, np.array([1.0]))[0] == pytest.approx(
             math.log(want), abs=1e-13)
+
+
+# float.hex of log_abs_moments at ORDERS, read from the per-order closed
+# forms that the batched ones replaced
+CLOSED_FORM_PINS = {
+    D.Gaussian(0.0, 1.3): [
+        '0x1.2b9af48658290p-5', '0x1.9c7b3a6020900p-3', '0x1.0ca937be1b9ddp-1',
+        '0x1.1db9fa5a4996ep+0', '0x1.12f3efb475e74p+1', '0x1.f1c9a0e94e661p+1',
+        '0x1.b02f186241790p+2', '0x1.6bfa36e830b0cp+3', '0x1.2b84be3da9ef8p+4',
+        '0x1.e414e6919f018p+4', '0x1.8187fd35293c1p+5', '0x1.2f69c314c9f09p+6',
+        '0x1.d8e224b6908eep+6', '0x1.6d7647a07d21bp+7', '0x1.18755f4aebae9p+8',
+        '0x1.abda75bd1d1d3p+8', '0x1.44a5a8c2bcd98p+9'],
+    D.Exponential(1.3): [
+        '-0x1.0ca937be1b9dcp-2', '-0x1.28a5f88b96ac3p-3', '0x1.58ebe0c62004cp-3',
+        '0x1.ad4458ecfc098p-1', '0x1.1075dbea1500bp+1', '0x1.1d8bd4291a55ep+2',
+        '0x1.102e9a4044893p+3', '0x1.e9be9993917d6p+3', '0x1.a795a2726ac0ep+4',
+        '0x1.63f955f91db0fp+5', '0x1.24a632c17e948p+6', '0x1.d8e5aa5cc29a0p+6',
+        '0x1.78c0f74656d7fp+7', '0x1.28b42c8d241fbp+8', '0x1.ced2a6786660cp+8',
+        '0x1.6606ef4ad586fp+9', '0x1.1305e3c49fa82p+10'],
+    D.UniformInterval(-2.0, 3.0): [
+        '0x1.0ca937be1b9e0p-2', '0x1.ebfd77551edc0p-2', '0x1.b1d10670aae9cp-1',
+        '0x1.723641b462434p+0', '0x1.32ee3b77f374dp+1', '0x1.efc8cfe5c642cp+1',
+        '0x1.86d15a235328ep+2', '0x1.2d447027365a2p+3', '0x1.c78340c4f44c9p+3',
+        '0x1.52f8317b416c2p+4', '0x1.f25f478d7e915p+4', '0x1.6afaee78034d6p+5',
+        '0x1.0680ff37ebf45p+6', '0x1.79a18cb053463p+6', '0x1.0e80e3664d43ep+7',
+        '0x1.824f6cff131e7p+7', '0x1.132f51f2e8840p+8'],
+    D.UniformInterval(0.5, 2.0): [      # the log1p branch
+        '0x1.c8ff7c79a9a28p-3', '0x1.67274e467458cp-2', '0x1.1e85f5e7040ccp-1',
+        '0x1.cd329f41ebb42p-1', '0x1.7329c0a3ec43ap+0', '0x1.280f6185ae4cep+1',
+        '0x1.d15c5c56dcc42p+1', '0x1.679e40e60e41bp+2', '0x1.116f31f04c0edp+3',
+        '0x1.99e6a47606a25p+3', '0x1.2f8cd68a45643p+4', '0x1.bd25ff4f77d5ep+4',
+        '0x1.43cc370aa1e75p+5', '0x1.d40fe3c13cf39p+5', '0x1.509a53670135bp+6',
+        '0x1.e239f85e5933ap+6', '0x1.585e5a8005fdbp+7'],
+    D.ChiSquared(3): [
+        '0x1.193ea7aad030bp+0', '0x1.b76c3592bbd67p+0', '0x1.5aa16394d481fp+1',
+        '0x1.133aad443a71ep+2', '0x1.b679d0589bc2ap+2', '0x1.5d558ee028a31p+3',
+        '0x1.15af47d218070p+4', '0x1.b7b1b45204830p+4', '0x1.5a56883a780d7p+5',
+        '0x1.0f41bd1d8d16bp+6', '0x1.a66a695a9dd11p+6', '0x1.47007d7c4559ep+7',
+        '0x1.f778a9fb2b511p+7', '0x1.819080e95971ap+8', '0x1.25d6c9eb0337bp+9',
+        '0x1.bddf0634ae9bcp+9', '0x1.50e64233dccbep+10'],
+    D.Chi(5, 1.7): [
+        '0x1.49216ab9f6642p+0', '0x1.d92f7664e3f5ap+0', '0x1.55d9508811b62p+1',
+        '0x1.f0d41c6f5264fp+1', '0x1.6b62136124eacp+2', '0x1.0b9489dc44538p+3',
+        '0x1.8ca7e2dd9604ep+3', '0x1.27b90733d9aeap+4', '0x1.bb0f0a2c19b6ep+4',
+        '0x1.4d0fbb98ce829p+5', '0x1.f5d52e18d6cc2p+5', '0x1.7a6c1be223598p+6',
+        '0x1.1d57253adff6ep+7', '0x1.adef4ea0873e4p+7', '0x1.436ec3a8c630cp+8',
+        '0x1.e5bc20641038bp+8', '0x1.6bfd111fd5b54p+9'],
+    D.UniformGap(2.0): [
+        '-0x1.9f323ecbf984cp-2', '-0x1.be609dff7a4a0p-2', '-0x1.9f323ecbf9850p-2',
+        '-0x1.0da17d5826a38p-2', '0x1.08598b59e3a00p-4', '0x1.5da9323875b84p-1',
+        '0x1.bd0f50ea15470p+0', '0x1.b7c52e13f3d04p+1', '0x1.83d5adfa0b29ap+2',
+        '0x1.405a3050ba164p+3', '0x1.fb3b4d04065cap+3', '0x1.85f26de60af14p+4',
+        '0x1.258631d3a5932p+5', '0x1.b3165848d5df7p+5', '0x1.3ec12ab259be9p+6',
+        '0x1.cf028b60fb49ep+6', '0x1.4e12d61aa17b7p+7'],
+}
+
+
+class TestOneMomentMethod:
+    def test_no_family_defines_a_scalar_moment(self):
+        # log_abs_moment is row 0 of log_abs_moments for every law, so no
+        # family carries a second moment method that could drift from it
+        classes = [obj for obj in vars(D).values() if isinstance(obj, type)]
+        assert D.Gaussian in classes and D.Mapped in classes
+        assert [c.__name__ for c in classes if "log_abs_moment" in vars(c)] == []
+
+    @pytest.mark.parametrize("spec", list(CLOSED_FORM_PINS), ids=repr)
+    def test_closed_forms_keep_their_bits(self, spec):
+        got = D.log_abs_moments(spec, ORDERS)
+        assert [float(x).hex() for x in got] == CLOSED_FORM_PINS[spec]
+        assert [D.log_abs_moment(spec, p).hex() for p in ORDERS] == CLOSED_FORM_PINS[spec]
 
 
 def full_scan(base, log_h_vec, ps):
@@ -339,8 +409,8 @@ class TestFiniteSupportMoments:
         values, weights = law
         spec = D.FiniteSupport(values, np.asarray(weights) / math.fsum(weights))
         grid = _p_grid(256.0)
-        batched = spec.log_abs_moments(grid)
-        per_p = np.array([spec.log_abs_moment(p) for p in grid])
+        batched = D.log_abs_moments(spec, grid)
+        per_p = np.array([D.log_abs_moment(spec, p) for p in grid])
         assert batched.view(np.int64).tolist() == per_p.view(np.int64).tolist()
 
     def test_all_zero_law(self):

@@ -91,6 +91,16 @@ class TestEntropy:
         y = D.FiniteSupport([0.0, 800.0], [0.5, 0.5])
         assert np.isfinite(ent.entropy(y))
 
+    @pytest.mark.parametrize("beta", [1e6, 1e15, 1e100])
+    def test_no_cancellation_at_large_beta(self, beta):
+        # S(beta Y) of a Rademacher Y is ln 2 once e^(-2 beta) underflows;
+        # E_Y[Y] - ln E e^Y read 0.75 at beta = 1e15 and 0.0 at 1e17
+        y = D.FiniteSupport([-beta, beta], [0.5, 0.5])
+        assert ent.entropy(y) == math.log(2.0)
+        table = ent.ProductTable([D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])], [-1.0, 1.0])
+        rows = ent.conditional_entropy_table(table, beta)
+        assert rows == pytest.approx(np.full((1, 2), math.log(2.0)), rel=1e-15)
+
 
 class TestTiltedExpect:
     def test_zero_tilt(self):
@@ -254,6 +264,17 @@ class TestEntropyBounds:
             for beta in (0.5, 1.0, 2.0):
                 s, bound = ent.entropy_bound_subgaussian(y, beta)
                 assert s <= bound + 1e-10
+
+    @pytest.mark.parametrize("beta", [1e160, -1e160])
+    def test_subgaussian_huge_beta(self, beta):
+        # beta^2 overflows: the psi2 term is inf and the MGF term is the bound
+        y = D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])
+        assert ent.entropy_bound_subgaussian(y, beta) == (math.log(2.0), 2e160)
+
+    def test_subgaussian_beta_that_overflows(self):
+        y = D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match=r"beta=1e\+308 overflows"):
+            ent.entropy_bound_subgaussian(y, 1e308)
 
     def test_subexponential_point_mass(self):
         assert ent.entropy_bound_subexponential(D.FiniteSupport([0.0], [1.0])) == (0.0, 0.0)

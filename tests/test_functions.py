@@ -47,12 +47,6 @@ class TestEval:
         fspec = F.VectorNormOfSum(gauss_vec(3), 4)
         assert F.eval_f(fspec, np.zeros((4, 3))) == 0.0
 
-    def test_psa_perfect_reconstruction(self):
-        x = np.array([1.0, 2.0, 0.0, 0.0])
-        u = x / np.linalg.norm(x)
-        p = np.outer(u, u) + np.outer([0, 0, 1, 0], [0, 0, 1, 0])
-        assert F.HSOperatorView.reconstruction_error(p, x) == pytest.approx(0.0, abs=1e-12)
-
     def test_metric(self):
         x = np.array([0.5, -0.25, 0.1, -1.0])
         want = 2.0 * (0.5 - 0.25 + math.sin(0.1) + 1.0)
@@ -455,21 +449,6 @@ class TestProxyProfile:
 
 
 class TestHilbertSchmidt:
-    def test_identities(self):
-        rng = np.random.default_rng(14)
-        for _ in range(100):
-            x = rng.normal(size=4)
-            q, _ = np.linalg.qr(rng.normal(size=(4, 2)))
-            p = q @ q.T
-            qx = F.HSOperatorView.q_matrix(x)
-            assert F.HSOperatorView.hs_norm(qx) == pytest.approx(x @ x, rel=1e-10)
-            assert F.HSOperatorView.hs_inner(p, qx) == pytest.approx(
-                np.linalg.norm(p @ x) ** 2, rel=1e-9, abs=1e-12)
-            err = F.HSOperatorView.reconstruction_error(p, x)
-            assert err == pytest.approx(
-                F.HSOperatorView.hs_norm(qx) - F.HSOperatorView.hs_inner(p, qx),
-                abs=1e-10)
-
     def test_projection_validation(self):
         with pytest.raises(ValueError, match="idempotent|symmetric"):
             F.PsaReconstruction(3, 1, [np.eye(3) * 0.5], gauss_vec(3), 5)
