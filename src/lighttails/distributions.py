@@ -546,6 +546,7 @@ class Chi(_Continuous):
 
     def support(self): return 0.0, math.inf
     def expectation(self): return math.exp(_first_row(self, 1.0))
+    def draw(self, rng, count): return self.sd * np.sqrt(rng.chisquare(self.dof, count))
     # |x|^p pdf(x) peaks at sd sqrt(p + dof - 1)
     def window(self, p): return 0.0, self.sd * (math.sqrt(2.0 * (p + self.dof)) + 12.0)
 

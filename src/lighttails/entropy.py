@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from . import distributions as dist
 from .orlicz import psi_norm
@@ -142,6 +141,8 @@ def log_mgf_via_entropy(y: dist.FiniteSupport, beta: float, tol: float = 1e-9):
             return half_var
         return _entropy(gamma * centered, probs) / gamma ** 2
 
+    from scipy import integrate     # here, to keep it out of the CLI's start-up
+
     val, err = integrate.quad(integrand, 0.0, beta, epsabs=tol / 10.0,
                               epsrel=1e-12, limit=200)
     if err > tol:
@@ -158,6 +159,8 @@ def fluctuation_entropy(y: dist.FiniteSupport, tol: float = 1e-9) -> float:
     values, probs = _arrays(y)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    from scipy import integrate     # as in log_mgf_via_entropy
+
     val, err = integrate.dblquad(lambda s, t: _tilted_variance(values, probs, s),
                                  0.0, 1.0, lambda t: t, lambda t: 1.0,
                                  epsabs=tol / 10.0, epsrel=1e-12)

@@ -49,7 +49,8 @@ class FunctionSpec(dist.Spec):
     of the coordinate sum and each entry of that sum (shape point_shape[1:])
     adds n iid draws of a law, the hook `_summands` lists those laws, and
     one draw of each law's `sum_law(n)` stands in for the n draws.  Its
-    values have the law of f(X), not the stream of `evaluate(draw(...))`."""
+    values have the law of f(X), not the stream of `evaluate(draw(...))`.
+    VectorNormOfSum adds a third layout, "chi", that draws f's own law."""
 
     _summands = None
     sampler_layout = property(lambda s: "per-coordinate" if s._sum_laws is None else "summed")
@@ -131,9 +132,11 @@ class SumFunction(_ScalarCoordinates):
 
 @dataclass(frozen=True)
 class VectorNormOfSum(_VectorCoordinates):
-    """f(x) = ||sum_i x_i|| for n iid copies of a coordinate vector; drawn
-    in the summed layout, `dim` draws per value of f instead of `n dim`,
-    when every component has a `sum_law`."""
+    """f(x) = ||sum_i x_i|| for n iid copies of a coordinate vector.  When
+    every component is one N(0, sd^2) law, f has the law
+    Chi(dim, sqrt(n) sd), drawn once per value of f (the "chi"
+    `sampler_layout`); else, when every component has a `sum_law`, it is
+    drawn in the summed layout, `dim` draws per value of f instead of `n dim`."""
     kind = "vector_norm_of_sum"
     vec: dist.VectorSpec
     n: dist.Count
@@ -143,6 +146,25 @@ class VectorNormOfSum(_VectorCoordinates):
     _summands = property(lambda self: self.vec.components)
 
     def evaluate(self, points): return self._of_sum(_coordinate_sum(points))
+
+    @property
+    def sampler_layout(self):
+        return super().sampler_layout if self._f_law is None else "chi"
+
+    @functools.cached_property
+    def _f_law(self):
+        """Chi(dim, sqrt(n) sd), the law of f (centered or not, as the sum
+        has mean 0), or None where there is no chi law or sqrt(n) sd
+        overflows."""
+        chi = _chi_law(self.vec)
+        try:
+            return None if chi is None else dist.Chi(chi.dof, math.sqrt(self.n) * chi.sd)
+        except dist.SpecError:
+            return None
+
+    def sample(self, rng, count):
+        law = self._f_law
+        return super().sample(rng, count) if law is None else law.draw(rng, count)
 
     def _of_sum(self, s):
         """||s - n E[X]|| if centered, else ||s||, row by row of a (count,

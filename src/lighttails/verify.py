@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from . import functions as fn
 from .bounds import TailBoundResult, evaluate_tail
@@ -30,15 +30,23 @@ DEFAULT_CP_LEVEL = 0.999
 MIN_SAMPLES = 10 ** 4   # fewest draws estimate_tail accepts
 
 
-def clopper_pearson(k: int, n: int, level: float = DEFAULT_CP_LEVEL):
-    """Exact binomial two-sided confidence interval for k successes in n."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+def clopper_pearson(k, n: int, level: float = DEFAULT_CP_LEVEL):
+    """Exact binomial two-sided confidence interval (lo, hi) for k successes
+    in n: the beta quantiles, from one betaincinv call per end.  For an
+    array of counts k, lo and hi are arrays aligned with it."""
+    ks = np.asarray(k)
+    bad = ks[(ks < 0) | (ks > n)]
+    if bad.size:
+        raise ValueError(f"need 0 <= k <= n, got k={bad.flat[0]}, n={n}")
     if not 0 < level < 1:
         raise ValueError(f"level must lie in (0,1), got {level}")
     tail = (1.0 - level) / 2.0
-    lo = 0.0 if k == 0 else float(beta_dist.ppf(tail, k, n - k + 1))
-    hi = 1.0 if k == n else float(beta_dist.ppf(1.0 - tail, k + 1, n - k))
+    # k = 0 and k = n have a fixed end; a valid stand-in parameter keeps
+    # betaincinv off its invalid domain there
+    lo = np.where(ks == 0, 0.0, betaincinv(np.maximum(ks, 1), n - ks + 1, tail))
+    hi = np.where(ks == n, 1.0, betaincinv(ks + 1, np.maximum(n - ks, 1), 1.0 - tail))
+    if ks.ndim == 0:
+        return float(lo), float(hi)
     return lo, hi
 
 
@@ -66,8 +74,8 @@ class TailEstimate:
         return tuple(c / self.n_samples for c in self.exceed_counts)
 
     def intervals(self):
-        return tuple(clopper_pearson(c, self.n_samples, self.cp_level)
-                     for c in self.exceed_counts)
+        lo, hi = clopper_pearson(np.array(self.exceed_counts), self.n_samples, self.cp_level)
+        return tuple(zip(lo.tolist(), hi.tolist()))
 
     def to_dict(self):
         return {"t_grid": list(self.t_grid),

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 from scipy.special import gammaln, logsumexp
-from scipy.stats import chi, gamma
+from scipy.stats import chi, gamma, ncx2
 
 from lighttails import applications as apps
 from lighttails import cli
@@ -254,12 +254,12 @@ def test_criterion_08_monte_carlo_soundness():
     t_sum = time.perf_counter() - start
     assert t_sum < 120.0
 
-    # the summed draw's self-check: ||sum|| is sqrt(20) chi_5, and the
+    # the chi draw's self-check: ||sum|| is sqrt(20) chi_5, and the
     # exact chi tail lies inside every CP interval
     start = time.perf_counter()
     vec = D.VectorSpec(5, [D.Gaussian(0.0, 1.0)] * 5)
     norm_spec = fn.VectorNormOfSum(vec, n=20)
-    assert norm_spec.sampler_layout == "summed"
+    assert norm_spec.sampler_layout == "chi"
     grid = list(np.linspace(1.0, 30.0, 20))
     est = V.estimate_tail(norm_spec, grid, n_samples, seed=42)
     for t, (lo, hi) in zip(grid, est.intervals()):
@@ -285,6 +285,29 @@ def test_criterion_08_monte_carlo_soundness():
     ok(8, f"CP 99.9% lower limits stay below the bounds for all three specs "
           f"at N=10^6; Gamma and chi sf inside every interval "
           f"({t_sum:.1f}/{t_vec:.1f}/{t_met:.1f} s)")
+
+
+def test_criterion_08_summed_gaussian_self_check():
+    # the gauss_norm leg above draws the chi law; entries N(mu, sd^2) with
+    # mu != 0 keep the summed draw, and ||S||^2 / (n sd^2) of the
+    # uncentered sum S is noncentral chi-squared(dim, n dim mu^2 / sd^2)
+    start = time.perf_counter()
+    dim, n, mu, sd = 4, 16, 0.5, 1.5
+    spec = fn.VectorNormOfSum(D.VectorSpec(dim, [D.Gaussian(mu, sd)] * dim), n)
+    assert spec.sampler_layout == "summed"
+    grid = list(np.linspace(1.0, 25.0, 20))
+    est = V.estimate_tail(spec, grid, 10 ** 6, seed=42)
+    # the counts are taken above t + mean_value + mean_half_width
+    shift = est.mean_value + est.mean_half_width
+    for t, (lo, hi) in zip(grid, est.intervals()):
+        truth = float(ncx2.sf((shift + t) ** 2 / (n * sd * sd), dim, n * dim * mu * mu / (sd * sd)))
+        assert lo <= truth <= hi
+    report = V.check_bounds(est, V.bounds_on_grid(spec, ["thm1", "thm2"], grid))
+    assert report.verdict == "SOUND"
+    elapsed = time.perf_counter() - start
+    assert elapsed < 120.0
+    ok(8, f"summed Gaussian vector norm: noncentral chi-squared sf inside "
+          f"every CP interval at N=10^6 ({elapsed:.1f} s)")
 
 
 def test_criterion_08_per_coordinate_sum_self_check():
@@ -376,7 +399,8 @@ def test_criterion_11_monotonicity_and_preconditions():
 
 def test_criterion_12_determinism(tmp_path, capsys):
     start = time.perf_counter()
-    # repeats and --threads 1 vs 8; gauss_norm samples in the summed layout
+    # repeats and --threads 1 vs 8; sum_exp10 samples in the summed layout,
+    # gauss_norm in the chi layout
     for name, grid, runs in (("sum_exp10", "2:20:10", ("1", "1", "8")),
                              ("gauss_norm", "1:30:20", ("1", "8"))):
         outputs = set()
@@ -395,4 +419,4 @@ def test_criterion_12_determinism(tmp_path, capsys):
     elapsed = time.perf_counter() - start
     assert elapsed < 180.0
     ok(12, f"verify outputs byte-identical across repeats and "
-           f"--threads 1 vs 8, per-coordinate and summed ({elapsed:.2f} s)")
+           f"--threads 1 vs 8, summed and chi ({elapsed:.2f} s)")

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import lighttails
 from lighttails import cli
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -25,6 +28,17 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_out_scipy_stats_and_integrate():
+    # a fresh process, since this one has imported both for the tests
+    src = os.path.dirname(os.path.dirname(lighttails.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, lighttails.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestNorms:
@@ -302,7 +316,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("command", ["verify", "compare"])
     @pytest.mark.parametrize("name, grid, layout", [
         ("sum_exp10.json", "2:20:5", "summed"),
-        ("gauss_norm.json", "1:30:5", "summed"),
+        ("gauss_norm.json", "1:30:5", "chi"),
         ("sum_rademacher1.json", "0.5:1.5:3", "per-coordinate"),
         ("exp1.json", "1:5:3", "per-coordinate"),
     ])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 from scipy.special import erf, erfi, gammaln
 
 from adaptive import adaptive_log_moment, base_and_steps
@@ -59,6 +60,11 @@ class TestSampling:
         a = D.sample(D.Gaussian(0, 1), seed=11, count=100, stream=0)
         b = D.sample(D.Gaussian(0, 1), seed=11, count=100, stream=1)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dof, sd", [(1, 1.0), (5, 1.7), (9, 0.3)])
+    def test_chi_draw_matches_scipy_chi(self, dof, sd):
+        vals = D.Chi(dof, sd).draw(D._rng(12, 0), 20000)
+        assert stats.kstest(vals, stats.chi(dof, scale=sd).cdf).pvalue > 1e-3
 
     def test_vector_shape(self):
         vec = D.VectorSpec(3, (D.Gaussian(0, 1), D.Exponential(1.0), D.Rademacher()))

@@ -168,11 +168,13 @@ def old_style_values(fspec, points):
     return fspec.evaluate(points)
 
 
-def summed_values(fspec, rng, count):
-    """f as the summed layout draws it, with each component's sum law written
-    out: N(n mean, n sd^2), Gamma(n, rate) as chi-squared with 2n degrees
-    of freedom over 2 rate, and Poisson(n rate).  None for specs without
-    that layout: a sum is summed only for n >= 2 equal components."""
+def layout_values(fspec, rng, count):
+    """(layout, f as that layout draws it), or ("per-coordinate", None).  The
+    chi layout draws Chi(dim, sqrt(n) sd) where every component's canonical
+    form is one N(0, sd^2).  The summed layout writes out each component's
+    sum law: N(n mean, n sd^2), Gamma(n, rate) as chi-squared with 2n
+    degrees of freedom over 2 rate, and Poisson(n rate); a sum is summed
+    only for n >= 2 equal components."""
     def sum_draw(c, n):
         if isinstance(c, D.Gaussian):
             return rng.normal(n * c.mean, math.sqrt(n) * c.sd, count)
@@ -185,16 +187,21 @@ def summed_values(fspec, rng, count):
     if isinstance(fspec, F.SumFunction):
         comps = fspec.components
         iid = fspec.n > 1 and all(c == comps[0] for c in comps)
-        return sum_draw(comps[0], fspec.n) if iid else None
+        drawn = sum_draw(comps[0], fspec.n) if iid else None
+        return ("per-coordinate" if drawn is None else "summed"), drawn
     if not isinstance(fspec, F.VectorNormOfSum):
-        return None
+        return "per-coordinate", None
     n, laws = fspec.n, fspec.vec.components
+    forms = {D.canonical(c) for c in laws}
+    form = forms.pop() if len(forms) == 1 else None
+    if isinstance(form, D.Gaussian) and form.mean == 0.0:
+        return "chi", D.Chi(len(laws), math.sqrt(n) * form.sd).draw(rng, count)
     if not all(isinstance(c, (D.Gaussian, D.Exponential)) for c in laws):
-        return None
+        return "per-coordinate", None
     s = np.column_stack([sum_draw(c, n) for c in laws])
     if fspec.centered:
         s = s - n * np.array([D.mean(c) for c in laws])
-    return np.linalg.norm(s, axis=1)
+    return "summed", np.linalg.norm(s, axis=1)
 
 
 LAYOUT_CASES = CATALOGUE + [
@@ -215,6 +222,11 @@ LAYOUT_CASES = CATALOGUE + [
     # one component without a sum law keeps the whole vector per coordinate
     F.VectorNormOfSum(D.VectorSpec(2, [D.Gaussian(0.0, 1.0),
                                        D.UniformInterval(0.0, 1.0)]), 4),
+    # chi laws, as written and through wrappers; a nonzero mean is summed
+    F.VectorNormOfSum(D.VectorSpec(2, [D.Centered(D.Gaussian(2.0, 1.5))] * 2), 7,
+                      centered=True),
+    F.VectorNormOfSum(D.VectorSpec(4, [D.Scaled(D.Gaussian(0.0, 0.5), -3.0)] * 4), 3),
+    F.VectorNormOfSum(D.VectorSpec(3, [D.Gaussian(0.5, 1.5)] * 3), 6),
     F.SupLinearLoss([(0.3, -0.4)], "huber", D.VectorSpec(
         2, [D.UniformInterval(-1.0, 1.0), D.Gaussian(0.0, 1.0)]),
         D.Exponential(1.0), n=9, huber_kappa=0.5),
@@ -229,10 +241,11 @@ class TestCoordinateMajorDraws:
         assert np.array_equal(pts, ref)
         # one contiguous run per coordinate, and no copy of the buffer
         assert np.moveaxis(pts, 0, -1).flags.c_contiguous
-        # values: f of those points, or the summed draw from the same stream
-        summed = summed_values(fspec, D._rng(17, 3), 2000)
-        assert fspec.sampler_layout == ("per-coordinate" if summed is None else "summed")
-        want = old_style_values(fspec, ref) if summed is None else summed
+        # values: f of those points, or the summed or chi draw from the
+        # same stream
+        layout, drawn = layout_values(fspec, D._rng(17, 3), 2000)
+        assert fspec.sampler_layout == layout
+        want = old_style_values(fspec, ref) if drawn is None else drawn
         assert np.array_equal(F.sample_f(fspec, seed=17, count=2000, stream=3), want)
 
     @pytest.mark.parametrize("fspec", LAYOUT_CASES, ids=lambda f: f.kind)
@@ -323,6 +336,12 @@ class TestGaussianVectorForms:
         assert (F.expectation(F.VectorNormOfSum(vec, 6))
                 == F.expectation(F.VectorNormOfSum(gauss_vec(3), 6)))
         assert F.expectation(F.VectorNormOfSum(vec, 6))[1] == 0.0
+        # and the draws of the chi law of f
+        for centered in (False, True):
+            fspec = F.VectorNormOfSum(vec, 6, centered=centered)
+            assert fspec.sampler_layout == "chi"
+            assert np.array_equal(F.sample_f(fspec, seed=3, count=1000),
+                                  F.sample_f(F.VectorNormOfSum(gauss_vec(3), 6), seed=3, count=1000))
 
 
 def chi_log_moments(dim, sd, ps):

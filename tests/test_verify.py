@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import binom, gamma
+from scipy.stats import beta, binom, gamma
 
 from lighttails import distributions as D
 from lighttails import functions as F
@@ -46,6 +46,33 @@ class TestClopperPearson:
             V.clopper_pearson(5, 4)
         with pytest.raises(ValueError):
             V.clopper_pearson(1, 10, 1.0)
+        with pytest.raises(ValueError, match="k=11, n=10"):
+            V.clopper_pearson(np.array([0, 11, 3]), 10)
+
+    @pytest.mark.parametrize("n", [10 ** 4, 10 ** 6 + 7])
+    @pytest.mark.parametrize("level", [0.999, 0.95])
+    def test_batch_equals_scalar_beta_ppf(self, n, level):
+        ks = [0, 1, 2, 17, n // 3, n - 2, n - 1, n]
+        tail = (1.0 - level) / 2.0
+        want = [(0.0 if k == 0 else float(beta.ppf(tail, k, n - k + 1)),
+                 1.0 if k == n else float(beta.ppf(1.0 - tail, k + 1, n - k)))
+                for k in ks]
+        est = V.TailEstimate(t_grid=tuple(range(1, len(ks) + 1)), exceed_counts=tuple(ks),
+                             n_samples=n, mean_value=0.0, mean_half_width=0.0,
+                             cp_level=level, seed=0)
+        for got in (est.intervals(), [V.clopper_pearson(k, n, level) for k in ks]):
+            assert all(type(x) is float for iv in got for x in iv)
+            assert [tuple(x.hex() for x in iv) for iv in got] == \
+                [tuple(x.hex() for x in iv) for iv in want]
+
+    def test_intervals_make_one_call(self, monkeypatch):
+        # looked up as a module global, once for the whole grid
+        calls = []
+        scalar = V.clopper_pearson
+        monkeypatch.setattr(V, "clopper_pearson",
+                            lambda *a: calls.append(a) or scalar(*a))
+        est = V.estimate_tail(sum_of(D.Exponential(1.0), 3), [0.5, 1.0, 2.0], 10 ** 4, seed=1)
+        assert len(est.intervals()) == 3 and len(calls) == 1
 
 
 class TestEstimateTail:
@@ -87,6 +114,13 @@ class TestEstimateTail:
     ], ids=lambda f: f.kind)
     def test_thread_invariance_vector_kinds(self, fspec):
         kwargs = dict(t_grid=[0.1, 0.4, 1.0], n_samples=2 * 10 ** 5 + 500, seed=9)
+        assert V.estimate_tail(fspec, threads=1, **kwargs) == \
+            V.estimate_tail(fspec, threads=2, **kwargs)
+
+    def test_thread_invariance_chi_layout(self):
+        fspec = VectorNormOfSum(D.VectorSpec(3, [D.Gaussian(0.0, 2.0)] * 3), n=5)
+        assert fspec.sampler_layout == "chi"
+        kwargs = dict(t_grid=[0.5, 2.0, 6.0], n_samples=2 * 10 ** 5 + 500, seed=9)
         assert V.estimate_tail(fspec, threads=1, **kwargs) == \
             V.estimate_tail(fspec, threads=2, **kwargs)
 
