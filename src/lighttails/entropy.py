@@ -1,14 +1,17 @@
 """Exact entropy calculus on finite laws.
 
 The central object is S(Y) = E_Y[Y] - ln E[e^Y] with the exponentially
-tilted expectation E_Y[Z] = E[Z e^Y] / E[e^Y].  Everything here is a
-finite sum (with log-sum-exp shifting and compensated accumulation), so
-this module serves as the ground-truth oracle for the tail-bound module.
-S is summed in the shifted form E_Y[Y - m] - ln E[e^(Y - m)], m = max Y,
-so no two terms of size m cancel: S(beta Y) of a Rademacher Y tends to
-ln 2 as beta grows, instead of collapsing to 0.
+tilted expectation E_Y[Z] = E[Z e^Y] / E[e^Y].  S is a finite sum (with
+log-sum-exp shifting and compensated accumulation), so this module serves
+as the ground-truth oracle for the tail-bound module.  It is summed in the
+shifted form E_Y[Y - m] - ln E[e^(Y - m)], m = max Y, so no two terms of
+size m cancel; where Y spans at most _SMALL, S and ln E e^(Y - EY) come
+from Taylor series instead (`_small`), so no two terms of size Y do.
 S(Y) >= 0 and S(Y) = S(Y + c) always hold; nonnegativity follows from the
-fluctuation representation, whose integrand is a variance.
+fluctuation representation, whose integrand is a variance.  That and the
+log-MGF identity are integrals by one fixed rule (`_integral`), which
+raises `distributions.QuadratureError`, a RuntimeError, when its error
+estimate exceeds tol.
 
 A finite law is a `distributions.FiniteSupport`, and its values and probs
 are read in the order given, not sorted: the g of `tilted_expect` and the
@@ -35,6 +38,9 @@ __all__ = [
 
 E = math.e
 _ENUMERATION_CAP = 10 ** 6
+_SMALL = 0.125                  # the largest range that `_small` serves
+_POWERS = np.arange(10)         # its Taylor terms u^j / (j + 2)! and u^j / (j + 1)!
+_SERIES = 1.0 / np.array([[math.factorial(j + 2), math.factorial(j + 1)] for j in _POWERS])
 
 
 class LemmaHypothesisError(ValueError):
@@ -93,9 +99,44 @@ def _tilt_weights(values, probs):
     return m, w, math.fsum(w)
 
 
+def _small(c, probs, g=1.0):
+    """(ln E e^(gc), S(gc)) / g^2 for centered values c, |gc| <= _SMALL.
+    With u = gc, a = E[c^2 (e^u - 1 - u) / u^2] and b = E[c^2 (e^u - 1) / u]
+    summed from Taylor series, E e^(gc) = 1 + v, v = g^2 a, and
+    E[gc e^(gc)] = g^2 b.  g is a number, or an array of them against one
+    row of c."""
+    u = np.multiply.outer(g, c)
+    a, b = (probs @ ((c * c)[..., None] * (u[..., None] ** _POWERS @ _SERIES))).T
+    v = np.maximum(g * g * a, 1e-300)   # g^2 a may underflow; ln(1 + v) / v is 1 below 1e-300
+    k = a * np.log1p(v) / v
+    return k, b / (1.0 + v) - k
+
+
+def _entropy_rows(rows, probs):
+    """Row-wise S of centered finite laws sharing one probability vector."""
+    shifted = rows - rows.max(axis=1, keepdims=True)
+    w = probs * np.exp(shifted)
+    z = w.sum(axis=1)
+    s = (w * shifted).sum(axis=1) / z - np.log(z)
+    small = shifted.min(axis=1) >= -_SMALL
+    if small.any():
+        s[small] = _small(rows[small], probs)[1]
+    return s
+
+
 def _entropy(values, probs):
     m, w, z = _tilt_weights(values, probs)
+    if m - values.min() <= _SMALL:
+        return float(_small(values - _mean(values, probs), probs)[1])
     return math.fsum(w * (values - m)) / z - math.log(z)
+
+
+def _log_mgf(c, probs, beta):
+    """ln E e^(beta c) of the centered values c."""
+    m, w, z = _tilt_weights(beta * c, probs)
+    if m - (beta * c).min() <= _SMALL:
+        return float(beta * beta * _small(c, probs, beta)[0])
+    return m + math.log(z)
 
 
 def entropy(y: dist.FiniteSupport) -> float:
@@ -113,60 +154,65 @@ def tilted_expect(y: dist.FiniteSupport, g) -> float:
     return math.fsum(w * g) / z
 
 
-def _tilted_variance(values, probs, s: float) -> float:
-    """Var of Y under the sY-tilted measure."""
-    _, w, z = _tilt_weights(s * values, probs)
-    mu = math.fsum(w * values) / z
-    return math.fsum(w * (values - mu) ** 2) / z
+def _integral(f, b, spread, tol):
+    """int_0^b f, f vectorised, by the tanh-sinh rule of `distributions` on
+    panels that halve toward 0 until |b| spread / 2^n <= 1 on [0, b / 2^n],
+    4 to an octave.  The error estimate is the gap to the rule at t = j/4."""
+    n = max(0, math.frexp(abs(b) * spread)[1])
+    edges = np.concatenate(([0.0], b * np.ldexp(1.0, np.arange(-n, 1))))
+    cut = edges[:-1, None] + np.diff(edges)[:, None] * np.linspace(0.0, 1.0, 5)
+    u, v = cut[:, :-1].reshape(-1, 1), cut[:, 1:].reshape(-1, 1)
+    w = v - u
+    terms = f(np.where(dist._TS_LEFT < 0.5, u + w * dist._TS_LEFT,
+                       v - w * dist._TS_RIGHT)) * w * dist._TS_W
+    fine, coarse = terms.sum(), 2.0 * terms[:, ::2].sum()
+    if not abs(fine - coarse) <= tol:
+        raise dist.QuadratureError(
+            f"quadrature error {abs(fine - coarse)} exceeds tolerance {tol}")
+    return float(fine)
 
 
 def log_mgf_via_entropy(y: dist.FiniteSupport, beta: float, tol: float = 1e-9):
     """Both sides of ln E[e^(beta(Y-EY))] = beta * int_0^beta S(gamma Y)/gamma^2.
 
     Returns (direct, integral); the identity asserts their equality.  The
-    integrand extends continuously to gamma -> 0 with value Var(Y)/2.
+    integrand tends to Var(Y)/2 as gamma -> 0, where `_small` reads it.
     """
     values, probs = _arrays(y)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if beta == 0.0:
         return 0.0, 0.0
-    centered = values - _mean(values, probs)
-    m, w, z = _tilt_weights(beta * centered, probs)
-    direct = m + math.log(z)
-    half_var = math.fsum(probs * (centered - _mean(centered, probs)) ** 2) / 2.0
+    c = values - _mean(values, probs)
+    spread = np.ptp(c)
 
-    def integrand(gamma):
-        if abs(gamma) < 1e-6:
-            return half_var
-        return _entropy(gamma * centered, probs) / gamma ** 2
+    def integrand(g):
+        out = np.empty_like(g)
+        small = np.abs(g) * spread <= _SMALL
+        out[small] = _small(c, probs, g[small])[1]
+        big = g[~small]
+        out[~small] = _entropy_rows(big[:, None] * c, probs) / big / big
+        return out
 
-    from scipy import integrate     # here, to keep it out of the CLI's start-up
-
-    val, err = integrate.quad(integrand, 0.0, beta, epsabs=tol / 10.0,
-                              epsrel=1e-12, limit=200)
-    if err > tol:
-        raise RuntimeError(f"quadrature error {err} exceeds tolerance {tol}")
-    return direct, beta * val
+    return _log_mgf(c, probs, beta), beta * _integral(integrand, beta, spread, tol)
 
 
 def fluctuation_entropy(y: dist.FiniteSupport, tol: float = 1e-9) -> float:
-    """S(Y) via the double integral of tilted variances over the triangle.
-
-    Integrates E_{sY}[(Y - E_{sY}[Y])^2] over {0 <= t <= s <= 1}; equals
-    entropy(y) and provides an independent route to it.
-    """
+    """S(Y) = int_0^1 s Var_{sY}(Y) ds: the tilted variance integrated over
+    {0 <= t <= s <= 1}, an independent route to entropy(y)."""
     values, probs = _arrays(y)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    from scipy import integrate     # as in log_mgf_via_entropy
+    c = values - _mean(values, probs)
 
-    val, err = integrate.dblquad(lambda s, t: _tilted_variance(values, probs, s),
-                                 0.0, 1.0, lambda t: t, lambda t: 1.0,
-                                 epsabs=tol / 10.0, epsrel=1e-12)
-    if err > tol:
-        raise RuntimeError(f"quadrature error {err} exceeds tolerance {tol}")
-    return val
+    def integrand(s):
+        t = s[..., None] * c
+        w = probs * np.exp(t - t.max(axis=-1, keepdims=True))
+        z = w.sum(axis=-1)
+        d = c - ((w * c).sum(axis=-1) / z)[..., None]
+        return s * (w * d * d).sum(axis=-1) / z
+
+    return _integral(integrand, 1.0, np.ptp(c), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +240,13 @@ def conditional_entropy_table(table: ProductTable, gamma: float) -> np.ndarray:
     return out
 
 
-def _entropy_rows(rows, probs):
-    """Row-wise entropy of finite dists sharing one probability vector."""
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    w = probs[None, :] * np.exp(shifted)
-    z = w.sum(axis=1)
-    return (w * shifted).sum(axis=1) / z - np.log(z)
-
-
 def subadditivity_gap(table: ProductTable, gamma: float) -> float:
     """E_{gamma f(X)}[sum_k S(gamma f_k)] - S(gamma f(X)); always >= 0."""
     f_flat = gamma * table.f_table.ravel()
     jp = table.joint_probs().ravel()
-    m, w, z = _tilt_weights(f_flat, jp)
-    lhs = math.fsum(w * (f_flat - m)) / z - math.log(z)
+    _, w, z = _tilt_weights(f_flat, jp)
     cond_sum = conditional_entropy_table(table, gamma).sum(axis=0).ravel()
-    rhs = math.fsum(w * cond_sum) / z
-    return rhs - lhs
+    return math.fsum(w * cond_sum) / z - _entropy(f_flat, jp)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +266,7 @@ def entropy_bound_subgaussian(y: dist.FiniteSupport, beta: float):
     s = _entropy(beta * centered, probs)
     if beta == 0.0:
         return 0.0, 0.0
-    m, w, z = _tilt_weights(2.0 * (beta * centered), probs)
-    bound_mgf = m + math.log(z)
+    bound_mgf = _log_mgf(centered, probs, 2.0 * beta)
     psi2 = psi_norm(dist.FiniteSupport(centered, probs), 2).value
     bound_psi = 16.0 * E * (beta * beta) * psi2 ** 2
     return s, min(bound_mgf, bound_psi)

@@ -132,8 +132,9 @@ class SumFunction(_ScalarCoordinates):
 
 @dataclass(frozen=True)
 class VectorNormOfSum(_VectorCoordinates):
-    """f(x) = ||sum_i x_i|| for n iid copies of a coordinate vector.  When
-    every component is one N(0, sd^2) law, f has the law
+    """f(x) = ||sum_i x_i|| (||sum_i (x_i - E X)|| if centered) for n iid
+    copies of a coordinate vector.  When every component is one N(0, sd^2)
+    law, or centers to one when centered is set, f has the law
     Chi(dim, sqrt(n) sd), drawn once per value of f (the "chi"
     `sampler_layout`); else, when every component has a `sum_law`, it is
     drawn in the summed layout, `dim` draws per value of f instead of `n dim`."""
@@ -153,10 +154,9 @@ class VectorNormOfSum(_VectorCoordinates):
 
     @functools.cached_property
     def _f_law(self):
-        """Chi(dim, sqrt(n) sd), the law of f (centered or not, as the sum
-        has mean 0), or None where there is no chi law or sqrt(n) sd
-        overflows."""
-        chi = _chi_law(self.vec)
+        """Chi(dim, sqrt(n) sd), the law of f, or None where there is no chi
+        law or sqrt(n) sd overflows."""
+        chi = _chi_law(self.vec, self.centered)
         try:
             return None if chi is None else dist.Chi(chi.dof, math.sqrt(self.n) * chi.sd)
         except dist.SpecError:
@@ -187,7 +187,7 @@ class VectorNormOfSum(_VectorCoordinates):
 
     def closed_form_mean(self):
         # for iid N(0, sd^2) entries, ||sum|| is sqrt(n) sd chi_d
-        chi = _chi_law(self.vec)
+        chi = _chi_law(self.vec, self.centered)
         return None if chi is None else math.sqrt(self.n) * dist.abs_moment(chi, 1)
 
 
@@ -495,10 +495,11 @@ def conditional_version_samples(fspec, k, x, seed, count) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Norms of vector magnitudes
 
-def _chi_law(vec):
-    """sd chi_dim, the law of ||X||, if every coordinate is the same centered
-    Gaussian law N(0, sd^2), however the spec writes it, else None."""
-    forms = {dist.canonical(c) for c in vec.components}
+def _chi_law(vec, centered=False):
+    """sd chi_dim, the law of ||X|| (of ||X - E X|| if centered), if every
+    coordinate is (centers to) the same Gaussian law N(0, sd^2), however the
+    spec writes it, else None."""
+    forms = {dist.canonical(dist.Centered(c) if centered else c) for c in vec.components}
     form = forms.pop() if len(forms) == 1 else None
     if isinstance(form, dist.Gaussian) and form.mean == 0.0:
         return dist.Chi(vec.dim, form.sd)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,109 @@ class TestLogMgfIdentity:
                 assert abs(direct - integral) < 1e-8
 
 
+class TestLogMgfScales:
+    """The log-MGF identity from spreads of 1e-6 to 1e4 and tilts down to
+    the smallest float."""
+
+    @pytest.mark.parametrize("beta", [30.0, 1e-4])
+    def test_wide_two_point_law(self, beta):
+        # the adaptive rule returned -0.69 at beta = 30 and raised at 1e-4
+        y = D.FiniteSupport([-1e4, 1e4], [0.5, 0.5])
+        direct, integral = ent.log_mgf_via_entropy(y, beta)
+        assert integral == pytest.approx(direct, rel=1e-8)
+
+    def test_direct_side_at_small_beta(self):
+        # beta^2 Var / 2 + beta^3 kappa_3 / 6; the shifted sum read 5.29e-17
+        y = D.FiniteSupport([-1.0, 0.0, 3.0], [0.2, 0.5, 0.3])
+        beta = 1e-8
+        direct, integral = ent.log_mgf_via_entropy(y, beta)
+        want = beta ** 2 * 2.41 / 2 + beta ** 3 * 2.496 / 6
+        assert direct == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert integral == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [1e-300, 5e-324, -1e-300])
+    def test_tiny_beta(self, beta):
+        # e^(beta (Y - EY)) - 1 underflows: both sides are 0, with no 0/0
+        # at the nodes where gamma^2 underflows
+        y = D.FiniteSupport([-1.0, 0.0, 3.0], [0.2, 0.5, 0.3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ent.log_mgf_via_entropy(y, beta) == (0.0, 0.0)
+
+    def test_tolerance_gate(self):
+        y = D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])
+        with pytest.raises(D.QuadratureError, match="exceeds tolerance 1e-20"):
+            ent.log_mgf_via_entropy(y, 1.0, tol=1e-20)
+        assert issubclass(D.QuadratureError, RuntimeError)
+        for tol in (0.0, -1e-9):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                ent.log_mgf_via_entropy(y, 1.0, tol=tol)
+            with pytest.raises(ValueError, match="tol must be positive"):
+                ent.fluctuation_entropy(y, tol=tol)
+
+    def test_seeded_sweep(self):
+        # 96 laws of 1-8 values on [-scale, scale], six tilts each
+        rng = np.random.default_rng(11)
+        accepted, worst = 0, 0.0
+        for scale in (1e-6, 1e-3, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4):
+            for _ in range(12):
+                m = int(rng.integers(1, 9))
+                y = D.FiniteSupport(rng.uniform(-scale, scale, m), rng.dirichlet(np.ones(m)))
+                for beta in (-3.0, 1e-4, 0.25, 1.0, 3.0, 30.0):
+                    try:
+                        direct, integral = ent.log_mgf_via_entropy(y, beta)
+                    except D.QuadratureError:
+                        continue
+                    accepted += 1
+                    assert abs(integral - direct) <= 1e-8 * max(1.0, abs(direct)), (y, beta)
+                worst = max(worst, abs(ent.fluctuation_entropy(y) - ent.entropy(y)))
+        assert accepted >= 550
+        assert worst <= 1e-12
+
+
+class TestSmallScales:
+    """S and ln E e^(beta (Y - EY)) keep full relative precision as the
+    range of Y shrinks."""
+
+    @pytest.mark.parametrize("beta", [1e-2, 1e-3, 1e-4, 1e-5])
+    def test_rademacher_series(self, beta):
+        # S(beta Y) = beta tanh beta - ln cosh beta; the shifted sum was
+        # 1.1e-6 relative off at beta = 1e-5
+        want = beta ** 2 / 2 - beta ** 4 / 4 + beta ** 6 / 9 - 17 * beta ** 8 / 360
+        y = D.FiniteSupport([-beta, beta], [0.5, 0.5])
+        assert ent.entropy(y) == pytest.approx(want, rel=1e-14, abs=0.0)
+        table = ent.ProductTable([D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])], [-1.0, 1.0])
+        assert ent.conditional_entropy_table(table, beta) == pytest.approx(
+            np.full((1, 2), want), rel=1e-14, abs=0.0)
+
+    def test_subgaussian_lemma(self):
+        beta, x = 1e-5, 2e-5
+        s, bound = ent.entropy_bound_subgaussian(D.FiniteSupport([-1.0, 1.0], [0.5, 0.5]), beta)
+        assert s == pytest.approx(beta ** 2 / 2 - beta ** 4 / 4, rel=1e-14, abs=0.0)
+        # the bound is its MGF term ln cosh 2 beta
+        assert bound == pytest.approx(x ** 2 / 2 - x ** 4 / 12, rel=1e-14, abs=0.0)
+
+    def test_random_laws_match_fluctuation_entropy(self):
+        # against 50-digit arithmetic the shifted sum was up to 1.2e-4
+        # relative off on these laws, and the series is 7.8e-16 off
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            y = random_dist(rng, value_range=1e-5)
+            want = ent.fluctuation_entropy(y)
+            assert ent.entropy(y) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_branches_agree_at_the_switch(self):
+        # a range just inside and just outside the series branch
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            y = random_dist(rng)
+            for width in (0.124, 0.126):
+                v = np.asarray(y.values) * width / np.ptp(y.values)
+                z = D.FiniteSupport(v, y.probs)
+                want = ent.fluctuation_entropy(z)
+                assert ent.entropy(z) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 class TestFluctuationIdentity:
     def test_point_mass(self):
         assert ent.fluctuation_entropy(D.FiniteSupport([2.0], [1.0])) == pytest.approx(0.0, abs=1e-10)
@@ -159,6 +263,13 @@ class TestFluctuationIdentity:
 
     def test_rademacher(self):
         y = D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])
+        assert ent.fluctuation_entropy(y) == pytest.approx(ent.entropy(y), abs=1e-8)
+
+    def test_wide_laws(self):
+        # the adaptive rule returned 4.8e-16 for the first and raised on the second
+        assert ent.fluctuation_entropy(D.FiniteSupport([-1e4, 1e4], [0.5, 0.5])) == \
+            pytest.approx(math.log(2.0), abs=1e-8)
+        y = D.FiniteSupport([-1e3, 300.0, 2e3], [0.3, 0.4, 0.3])
         assert ent.fluctuation_entropy(y) == pytest.approx(ent.entropy(y), abs=1e-8)
 
     def test_random_corpus(self):

@@ -7,6 +7,7 @@ from scipy import stats
 from lighttails import distributions as D
 from lighttails import functions as F
 from lighttails import orlicz as O
+from lighttails import verify as V
 
 E = math.e
 
@@ -192,7 +193,7 @@ def layout_values(fspec, rng, count):
     if not isinstance(fspec, F.VectorNormOfSum):
         return "per-coordinate", None
     n, laws = fspec.n, fspec.vec.components
-    forms = {D.canonical(c) for c in laws}
+    forms = {D.canonical(D.Centered(c) if fspec.centered else c) for c in laws}
     form = forms.pop() if len(forms) == 1 else None
     if isinstance(form, D.Gaussian) and form.mean == 0.0:
         return "chi", D.Chi(len(laws), math.sqrt(n) * form.sd).draw(rng, count)
@@ -223,10 +224,13 @@ LAYOUT_CASES = CATALOGUE + [
     F.VectorNormOfSum(D.VectorSpec(2, [D.Gaussian(0.0, 1.0),
                                        D.UniformInterval(0.0, 1.0)]), 4),
     # chi laws, as written and through wrappers; a nonzero mean is summed
+    # unless the sum is centered
     F.VectorNormOfSum(D.VectorSpec(2, [D.Centered(D.Gaussian(2.0, 1.5))] * 2), 7,
                       centered=True),
     F.VectorNormOfSum(D.VectorSpec(4, [D.Scaled(D.Gaussian(0.0, 0.5), -3.0)] * 4), 3),
     F.VectorNormOfSum(D.VectorSpec(3, [D.Gaussian(0.5, 1.5)] * 3), 6),
+    F.VectorNormOfSum(D.VectorSpec(3, [D.Gaussian(0.5, 1.5), D.Gaussian(-2.0, 1.5),
+                                       D.Gaussian(0.0, 1.5)]), 6, centered=True),
     F.SupLinearLoss([(0.3, -0.4)], "huber", D.VectorSpec(
         2, [D.UniformInterval(-1.0, 1.0), D.Gaussian(0.0, 1.0)]),
         D.Exponential(1.0), n=9, huber_kappa=0.5),
@@ -342,6 +346,22 @@ class TestGaussianVectorForms:
             assert fspec.sampler_layout == "chi"
             assert np.array_equal(F.sample_f(fspec, seed=3, count=1000),
                                   F.sample_f(F.VectorNormOfSum(gauss_vec(3), 6), seed=3, count=1000))
+
+
+    def test_centered_nonzero_mean_reads_the_chi_law(self):
+        # ||sum_i (X_i - mu)|| over N(mu, sd^2) entries is Chi(dim, sqrt(n) sd)
+        fspec = F.VectorNormOfSum(D.VectorSpec(3, [D.Gaussian(0.3, 1.0)] * 3), 8, centered=True)
+        assert fspec.sampler_layout == "chi"
+        want = math.sqrt(8) * D.abs_moment(D.Chi(3, 1.0), 1)
+        assert fspec.closed_form_mean() == want
+        assert F.expectation(fspec) == (want, 0.0)
+        est = V.estimate_tail(fspec, [1.0, 2.0], 10 ** 4, seed=1)
+        assert (est.mean_value, est.mean_half_width) == (want, 0.0)
+        assert np.array_equal(F.sample_f(fspec, seed=3, count=1000),
+                              F.sample_f(F.VectorNormOfSum(gauss_vec(3), 8), seed=3, count=1000))
+        # uncentered, the sum keeps its mean: summed, with no closed-form mean
+        plain = F.VectorNormOfSum(fspec.vec, 8)
+        assert plain.sampler_layout == "summed" and plain.closed_form_mean() is None
 
 
 def chi_log_moments(dim, sd, ps):
