@@ -4,7 +4,8 @@ Three headline bounds plus the classical bounded-difference baseline:
 
   sub-Gaussian:     exp(-t^2 / (32 e V2))
   sub-exponential:  exp(-t^2 / (4 e^2 V1 + 2 e M1 t))
-  moment/Bernstein: exp(-t^2 / (2 V2p + 2 e q M1 t))   (q conjugate to p)
+  moment/Bernstein: exp(-t^2 / (2 V2p + 2 e q M1 t))   (q conjugate to p;
+                    thm3-psi2-variant has sqrt(q) M2 in place of q M1)
 
 with V_a the summed squared per-coordinate proxies and M the largest one;
 the baseline is exp(-2 t^2 / sum r_k^2).  Every bound is exp(-t^2 / (a + b t)),
@@ -20,9 +21,8 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "ProxyProfile", "TailBoundResult", "InversionResult", "thm1_tail",
-    "thm2_tail", "thm3_tail", "bounded_difference_tail", "invert_tail",
-    "optimization_lemma", "BOUND_KINDS", "PSI2_KINDS",
+    "ProxyProfile", "TailBoundResult", "InversionResult", "evaluate_tail",
+    "invert_tail", "optimization_lemma", "BOUND_KINDS", "PSI2_KINDS",
 ]
 
 E = math.e
@@ -179,34 +179,6 @@ def evaluate_tail(kind, profile, t, p=None) -> TailBoundResult:
         return TailBoundResult(kind, t, 1.0, 0.0,
                                "baseline inapplicable: infinite conditional range")
     return _tail(kind, t, a, b)
-
-
-def thm1_tail(profile: ProxyProfile, t: float) -> TailBoundResult:
-    """Sub-Gaussian bound exp(-t^2 / (32 e V2))."""
-    return evaluate_tail("thm1", profile, t)
-
-
-def thm2_tail(profile: ProxyProfile, t: float) -> TailBoundResult:
-    """Sub-exponential bound exp(-t^2 / (4 e^2 V1 + 2 e M1 t))."""
-    return evaluate_tail("thm2", profile, t)
-
-
-def thm3_tail(profile: ProxyProfile, p: float, t: float,
-              variant: str = "psi1") -> TailBoundResult:
-    """Moment-based bound exp(-t^2 / (2 V2p + 2 e q M t)), q = p/(p-1).
-
-    variant="psi1" uses q * max psi1 in the linear term; variant="psi2"
-    uses sqrt(q) * max psi2 instead.
-    """
-    kinds = {"psi1": "thm3", "psi2": "thm3-psi2-variant"}
-    if variant not in kinds:
-        raise ValueError(f"variant must be 'psi1' or 'psi2', got {variant!r}")
-    return evaluate_tail(kinds[variant], profile, t, p)
-
-
-def bounded_difference_tail(profile: ProxyProfile, t: float) -> TailBoundResult:
-    """Classical baseline exp(-2 t^2 / sum r_k^2); trivial if any range is infinite."""
-    return evaluate_tail("bounded-difference", profile, t)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ S(Y) >= 0 and S(Y) = S(Y + c) always hold; nonnegativity follows from the
 fluctuation representation, whose integrand is a variance.  That and the
 log-MGF identity are integrals by one fixed rule (`_integral`), which
 raises `distributions.QuadratureError`, a RuntimeError, when its error
-estimate exceeds tol.
+estimate exceeds tol times max(1, |integral|).
 
 A finite law is a `distributions.FiniteSupport`, and its values and probs
 are read in the order given, not sorted: the g of `tilted_expect` and the
@@ -71,6 +71,10 @@ class ProductTable:
         shape = tuple(len(s.values) for s in supports)
         if f.shape != shape:
             raise ValueError(f"f_table shape {f.shape} does not match supports {shape}")
+        bad = np.argwhere(~np.isfinite(f))
+        if len(bad):
+            index = tuple(int(i) for i in bad[0])
+            raise ValueError(f"f_table{list(index)} is {f[index]}: entries must be finite")
         card = int(np.prod(shape))
         if card > _ENUMERATION_CAP:
             raise ValueError(
@@ -157,7 +161,8 @@ def tilted_expect(y: dist.FiniteSupport, g) -> float:
 def _integral(f, b, spread, tol):
     """int_0^b f, f vectorised, by the tanh-sinh rule of `distributions` on
     panels that halve toward 0 until |b| spread / 2^n <= 1 on [0, b / 2^n],
-    4 to an octave.  The error estimate is the gap to the rule at t = j/4."""
+    4 to an octave.  The error estimate is the gap to the rule at t = j/4,
+    gated at tol times max(1, |integral|)."""
     n = max(0, math.frexp(abs(b) * spread)[1])
     edges = np.concatenate(([0.0], b * np.ldexp(1.0, np.arange(-n, 1))))
     cut = edges[:-1, None] + np.diff(edges)[:, None] * np.linspace(0.0, 1.0, 5)
@@ -166,9 +171,10 @@ def _integral(f, b, spread, tol):
     terms = f(np.where(dist._TS_LEFT < 0.5, u + w * dist._TS_LEFT,
                        v - w * dist._TS_RIGHT)) * w * dist._TS_W
     fine, coarse = terms.sum(), 2.0 * terms[:, ::2].sum()
-    if not abs(fine - coarse) <= tol:
+    if not abs(fine - coarse) <= tol * max(1.0, abs(fine)):
         raise dist.QuadratureError(
-            f"quadrature error {abs(fine - coarse)} exceeds tolerance {tol}")
+            f"quadrature error {abs(fine - coarse)} exceeds tolerance {tol}"
+            f" times max(1, {abs(fine)})")
     return float(fine)
 
 

@@ -1,5 +1,5 @@
-"""Test functions f of independent coordinates, with sampling, conditional
-versions, analytic expectations and proxy-profile construction.
+"""Test functions f of independent coordinates, with sampling, analytic
+expectations and proxy-profile construction.
 
 The proxy profile carries per-coordinate worst-case psi-norm bounds on the
 centered conditional versions f_k; they are analytic upper bounds (never
@@ -22,22 +22,20 @@ from .orlicz import OrliczEstimate, PMaxTooSmallError, psi_norm
 
 __all__ = [
     "SumFunction", "VectorNormOfSum", "SupLinearLoss", "PsaReconstruction",
-    "MetricLipschitz", "FunctionSpec", "eval_f",
-    "sample_points", "sample_f", "conditional_version_samples", "proxy_profile",
+    "MetricLipschitz", "FunctionSpec", "eval_f", "sample_f", "proxy_profile",
     "expectation", "vector_norm_psi", "vector_norm_lp", "random_projections",
     "fspec_to_dict", "fspec_from_dict", "NotSubGaussianError",
 ]
 
-_INNER_MC = 10 ** 5      # budget for conditional means without a closed form
+_INNER_MC = 10 ** 5      # draws of the fixed-seed inner estimates
 _INNER_STREAM = 10 ** 9  # stream offset reserved for inner estimates
 
 
 class FunctionSpec(dist.Spec):
     """f of n independent coordinates.  Each kind has `n`, `point_shape` (of
     one base point), `draw(rng, count)` and `evaluate(points)` for batches of
-    shape (count,) + point_shape, `draw_coordinate(k, rng, count)` and
-    `proxy_profile(p, with_psi2)`; it overrides `closed_form_mean` where
-    E[f(X)] has one.
+    shape (count,) + point_shape, and `proxy_profile(p, with_psi2)`; it
+    overrides `closed_form_mean` where E[f(X)] has one.
 
     `draw` returns a coordinate-major view (see dist.draw_rows), so a batch
     may be a non-contiguous view: `evaluate` must not assume C order, must
@@ -72,13 +70,6 @@ class FunctionSpec(dist.Spec):
         rows = zip(np.ndindex(shape), self._sum_laws)
         return self._of_sum(dist.draw_rows(rng, count, shape, rows))
 
-    def conditional_mean(self, k, x, seed):
-        """E[f(X)] with every coordinate but k held at x: an inner estimate."""
-        inner = np.repeat(x[None], _INNER_MC, axis=0)
-        inner[:, k] = self.draw_coordinate(k, dist._rng(seed, _INNER_STREAM + k),
-                                           _INNER_MC)
-        return float(self.evaluate(inner).mean())
-
 
 class _ScalarCoordinates(FunctionSpec):
     """Coordinate k is the scalar law `laws[k]`."""
@@ -86,7 +77,6 @@ class _ScalarCoordinates(FunctionSpec):
     point_shape = property(lambda self: (self.n,))
 
     def draw(self, rng, count): return dist.draw_rows(rng, count, (self.n,), enumerate(self.laws))
-    def draw_coordinate(self, k, rng, count): return self.laws[k].draw(rng, count)
 
 
 class _VectorCoordinates(FunctionSpec):
@@ -96,7 +86,6 @@ class _VectorCoordinates(FunctionSpec):
     def draw(self, rng, count):
         vec = self.coordinate
         return dist.draw_rows(rng, count, (self.n, vec.dim), _vector_rows(vec, self.n))
-    def draw_coordinate(self, k, rng, count): return self.coordinate.draw(rng, count)
 
 
 # Each kind lists its one-line facts as a group, then its longer methods.
@@ -113,7 +102,6 @@ class SumFunction(_ScalarCoordinates):
     def evaluate(self, points): return _coordinate_sum(points)
     def _of_sum(self, s): return s
     def closed_form_mean(self): return math.fsum(dist.mean(c) for c in self.components)
-    def conditional_mean(self, k, x, seed): return x.sum() - x[k] + dist.mean(self.components[k])
 
     @property
     def _summands(self):
@@ -381,11 +369,6 @@ def random_projections(ambient_dim, subspace_dim, count, seed):
 # ---------------------------------------------------------------------------
 # Sampling and evaluation
 
-def sample_points(fspec, seed, count, stream=0):
-    """Batch of base points; shape (count,) + fspec.point_shape."""
-    return fspec.draw(dist._rng(seed, stream), count)
-
-
 def _vector_rows(vec, n):
     """(index, law) rows for n iid copies of vec, in draw order: copy by copy,
     component by component."""
@@ -473,23 +456,6 @@ def sample_f(fspec, seed, count, stream=0) -> np.ndarray:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     return fspec.sample(dist._rng(seed, stream), count)
-
-
-# ---------------------------------------------------------------------------
-# Conditional versions
-
-def conditional_version_samples(fspec, k, x, seed, count) -> np.ndarray:
-    """Samples of f_k(X)(x): resample coordinate k at base point x, center
-    by the conditional mean (closed form for sums, inner estimate otherwise)."""
-    n = fspec.n
-    if not 0 <= k < n:
-        raise ValueError(f"coordinate k={k} out of range for n={n}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != fspec.point_shape:
-        raise ValueError(f"point has shape {x.shape}, expected {fspec.point_shape}")
-    batch = np.repeat(x[None], count, axis=0)
-    batch[:, k] = fspec.draw_coordinate(k, dist._rng(seed, 0), count)
-    return fspec.evaluate(batch) - fspec.conditional_mean(k, x, seed)
 
 
 # ---------------------------------------------------------------------------

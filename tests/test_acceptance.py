@@ -4,7 +4,6 @@ independent oracle or an exact enumeration, at the stated tolerances.
 Each test prints a single PASS line when it succeeds; pytest's own
 PASSED/FAILED line per test is the machine-readable verdict.
 """
-import itertools
 import json
 import math
 import os
@@ -15,6 +14,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 from scipy.stats import chi, gamma, ncx2
 
+from exact import worst_case_profile
 from lighttails import applications as apps
 from lighttails import cli
 from lighttails import distributions as D
@@ -184,32 +184,6 @@ def test_criterion_06_optimization_lemma():
           f"max excess {worst:.3g} ({elapsed:.2f} s)")
 
 
-def _worst_case_profile(supports, f):
-    """Exact per-coordinate conditional-version norms, worst case over the
-    base point, by full enumeration."""
-    n = len(supports)
-    psi1, psi2, l2p = [], [], []
-    for k in range(n):
-        best1 = best2 = bestl = 0.0
-        other = [range(len(s.values)) for j, s in enumerate(supports) if j != k]
-        probs = np.array(supports[k].probs)
-        for idx in itertools.product(*other):
-            sel = list(idx[:k]) + [0] + list(idx[k:])
-            vals = np.empty(len(supports[k].values))
-            for j in range(len(vals)):
-                sel[k] = j
-                vals[j] = f[tuple(sel)]
-            centered = vals - float(np.dot(vals, probs))
-            best1 = max(best1, psi_norm_finite(centered, probs, 1).value)
-            best2 = max(best2, psi_norm_finite(centered, probs, 2).value)
-            bestl = max(bestl, float(np.dot(probs, np.abs(centered) ** 4)) ** 0.25)
-        psi1.append(best1)
-        psi2.append(best2)
-        l2p.append(bestl)
-    return ProxyProfile(n=n, psi1_per_coord=psi1, psi2_per_coord=psi2,
-                        l2p_per_coord=l2p, l2p_order=2.0)
-
-
 def test_criterion_07_exact_enumeration_soundness():
     start = time.perf_counter()
     rng = np.random.default_rng(113)
@@ -220,7 +194,7 @@ def test_criterion_07_exact_enumeration_soundness():
                     for _ in range(n)]
         f = rng.uniform(-2.0, 2.0, tuple(len(s.values) for s in supports))
         table = ent.ProductTable(supports, f)
-        profile = _worst_case_profile(supports, f)
+        profile = worst_case_profile(table, 2.0)
         mu = float(np.dot(table.joint_probs().ravel(), f.ravel()))
         tmax = float(np.max(f) - mu)
         if tmax <= 0:

@@ -5,7 +5,7 @@ import pytest
 
 from lighttails import applications as A
 from lighttails import distributions as D
-from lighttails.bounds import ProxyProfile, invert_tail, thm2_tail
+from lighttails.bounds import ProxyProfile, evaluate_tail, invert_tail
 from lighttails.orlicz import OrliczEstimate, _psi_norm_cached, psi_norm
 
 E = math.e
@@ -143,7 +143,7 @@ class TestMetricTail:
         diam = [0.3, 0.7]
         res = A.metric_tail(1.0, diam, 2.0, lipschitz_linear_term=True)
         prof = ProxyProfile(n=2, psi1_per_coord=diam)
-        ref = thm2_tail(prof, 2.0)
+        ref = evaluate_tail("thm2", prof, 2.0)
         assert res.log_prob == pytest.approx(
             ref.log_prob * (4 * E ** 2 * prof.v1 + 2 * E * prof.m1 * 2.0)
             / (4 * E * prof.v1 + 2 * E * prof.m1 * 2.0), rel=1e-12)

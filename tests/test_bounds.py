@@ -44,65 +44,65 @@ class TestThm1:
     def test_rademacher_sum_form(self):
         for n in (1, 5, 20):
             prof = profile(psi2=[1.0] * n)
-            r = B.thm1_tail(prof, 2.0)
+            r = B.evaluate_tail("thm1", prof, 2.0)
             assert r.prob == pytest.approx(math.exp(-4.0 / (32 * E * n)), rel=1e-12)
 
     def test_t_to_zero(self):
         prof = profile(psi2=[1.0])
-        assert B.thm1_tail(prof, 1e-12).prob == pytest.approx(1.0)
+        assert B.evaluate_tail("thm1", prof, 1e-12).prob == pytest.approx(1.0)
 
     def test_value(self):
-        r = B.thm1_tail(profile(psi2=[1.0]), 1.0)
+        r = B.evaluate_tail("thm1", profile(psi2=[1.0]), 1.0)
         assert r.prob == pytest.approx(math.exp(-1 / (32 * E)), rel=1e-13)
         assert r.prob == pytest.approx(0.98857, abs=5e-6)
 
     def test_degenerate(self):
-        r = B.thm1_tail(profile(psi2=[0.0, 0.0]), 1.0)
+        r = B.evaluate_tail("thm1", profile(psi2=[0.0, 0.0]), 1.0)
         assert r.prob == 0.0 and "degenerate" in r.note
 
 
 class TestThm2:
     def test_value(self):
-        r = B.thm2_tail(profile(psi1=[1.0]), 1.0)
+        r = B.evaluate_tail("thm2", profile(psi1=[1.0]), 1.0)
         assert r.prob == pytest.approx(math.exp(-1 / (4 * E ** 2 + 2 * E)), rel=1e-13)
         assert r.prob == pytest.approx(0.9718, abs=5e-5)
 
     def test_large_t_subexponential_regime(self):
         prof = profile(psi1=[1.0, 2.0])
         for t in (1e4, 1e6):
-            r = B.thm2_tail(prof, t)
+            r = B.evaluate_tail("thm2", prof, t)
             assert r.log_prob * (2 * E * prof.m1) / t == pytest.approx(-1.0, abs=1e-2)
 
     def test_small_t_subgaussian_regime(self):
         prof = profile(psi1=[1.0, 2.0])
         for t in (1e-3, 1e-5):
-            r = B.thm2_tail(prof, t)
+            r = B.evaluate_tail("thm2", prof, t)
             assert r.log_prob * (4 * E ** 2 * prof.v1) / t ** 2 == pytest.approx(-1.0, abs=1e-3)
 
     def test_centered_exponential_substitution(self):
-        r = B.thm2_tail(profile(psi1=[2.0]), 3.0)
+        r = B.evaluate_tail("thm2", profile(psi1=[2.0]), 3.0)
         assert r.prob == pytest.approx(math.exp(-9.0 / (16 * E ** 2 + 12 * E)), rel=1e-12)
 
 
 class TestThm3:
     def test_value(self):
         prof = profile(l2p=[1.0], p=2.0, psi1=[1.0])
-        r = B.thm3_tail(prof, 2.0, 1.0)
+        r = B.evaluate_tail("thm3", prof, 1.0, p=2.0)
         assert r.prob == pytest.approx(math.exp(-1 / (2 + 4 * E)), rel=1e-13)
 
     def test_p_rejected(self):
         prof = profile(l2p=[1.0], p=1.0 + 1e-12, psi1=[1.0])
         with pytest.raises(ValueError, match="p must exceed 1"):
-            B.thm3_tail(prof, 1.0, 1.0)
+            B.evaluate_tail("thm3", prof, 1.0, p=1.0)
 
     def test_order_mismatch(self):
         prof = profile(l2p=[1.0], p=2.0, psi1=[1.0])
         with pytest.raises(ValueError, match="2p-norms"):
-            B.thm3_tail(prof, 3.0, 1.0)
+            B.evaluate_tail("thm3", prof, 1.0, p=3.0)
 
     def test_psi2_variant(self):
         prof = profile(l2p=[1.0], p=2.0, psi1=[1.0], psi2=[1.0])
-        r = B.thm3_tail(prof, 2.0, 1.0, variant="psi2")
+        r = B.evaluate_tail("thm3-psi2-variant", prof, 1.0, p=2.0)
         assert r.kind == "thm3-psi2-variant"
         assert r.prob == pytest.approx(
             math.exp(-1 / (2 + 2 * E * math.sqrt(2))), rel=1e-13)
@@ -110,20 +110,22 @@ class TestThm3:
     def test_beats_thm2_when_concentrated(self):
         prof = profile(psi1=[1.0] * 5, l2p=[0.1] * 5, p=2.0)
         t = 0.5
-        assert B.thm3_tail(prof, 2.0, t).prob < B.thm2_tail(prof, t).prob
+        assert (B.evaluate_tail("thm3", prof, t, p=2.0).prob
+                < B.evaluate_tail("thm2", prof, t).prob)
 
 
 class TestBaseline:
     def test_classical_value(self):
-        r = B.bounded_difference_tail(profile(ranges=[1.0]), 1.0)
+        r = B.evaluate_tail("bounded-difference", profile(ranges=[1.0]), 1.0)
         assert r.prob == pytest.approx(math.exp(-2.0), rel=1e-13)
 
     def test_infinite_range(self):
-        r = B.bounded_difference_tail(profile(ranges=[1.0, math.inf]), 5.0)
+        r = B.evaluate_tail("bounded-difference", profile(ranges=[1.0, math.inf]), 5.0)
         assert r.prob == 1.0 and "inapplicable" in r.note
 
     def test_t_to_zero(self):
-        assert B.bounded_difference_tail(profile(ranges=[1.0]), 1e-12).prob == pytest.approx(1.0)
+        r = B.evaluate_tail("bounded-difference", profile(ranges=[1.0]), 1e-12)
+        assert r.prob == pytest.approx(1.0)
 
 
 class TestMonotonicity:

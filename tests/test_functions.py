@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import exact
 from lighttails import distributions as D
 from lighttails import functions as F
 from lighttails import orlicz as O
@@ -40,6 +41,37 @@ CATALOGUE = [
 ]
 
 
+def finite(values, weights):
+    return D.FiniteSupport(values, np.asarray(weights) / math.fsum(weights))
+
+
+# discretised laws: an exponential, a Gaussian, a skewed two-point law and
+# a uniform one
+EXP4 = finite([0.5, 1.5, 2.5, 3.5], np.exp(-np.arange(4.0)))
+GAUSS3 = finite([-1.5, 0.0, 1.5], [1.0, 2.0, 1.0])
+SKEW = finite([-0.2, 1.8], [9.0, 1.0])
+UNIF3 = finite([0.0, 0.5, 1.0], [1.0, 1.0, 1.0])
+FINITE_VEC = D.VectorSpec(2, [GAUSS3, SKEW])
+
+# every kind on finite laws, small enough to tabulate
+EXACT_CASES = {
+    "sum": F.SumFunction([EXP4, GAUSS3, SKEW]),
+    "vector_norm_of_sum": F.VectorNormOfSum(FINITE_VEC, 3),
+    "vector_norm_of_sum-centered": F.VectorNormOfSum(FINITE_VEC, 3, centered=True),
+    "metric_lipschitz": F.MetricLipschitz(1.5, [UNIF3, GAUSS3, SKEW], ["abs", "sin", "identity"]),
+    "sup_linear_loss": F.SupLinearLoss([(1.0, 0.0), (0.6, -0.8)], "huber",
+                                       D.VectorSpec(2, [GAUSS3, UNIF3]), SKEW, n=3,
+                                       huber_kappa=0.5),
+    "psa_reconstruction": F.PsaReconstruction(3, 1, F.random_projections(3, 1, 4, seed=5),
+                                              D.VectorSpec(3, [GAUSS3, SKEW, UNIF3]), 2),
+}
+PROFILE_ENTRIES = ("psi1_per_coord", "psi2_per_coord", "l2p_per_coord", "ranges")
+
+
+def coordinate_laws(fspec):
+    return fspec.laws if isinstance(fspec, F._ScalarCoordinates) else [fspec.coordinate] * fspec.n
+
+
 class TestEval:
     def test_sum(self):
         assert F.eval_f(sum_of(D.Rademacher(), 3), [1.0, 2.0, 3.0]) == 6.0
@@ -59,7 +91,7 @@ class TestEval:
 
     @pytest.mark.parametrize("fspec", CATALOGUE, ids=lambda f: f.kind)
     def test_single_point_is_batch_of_one(self, fspec):
-        pts = F.sample_points(fspec, seed=9, count=3)
+        pts = fspec.draw(D._rng(9, 0), 3)
         assert pts.shape == (3,) + fspec.point_shape
         batch = F.eval_f(fspec, pts[:1])
         assert batch.shape == (1,) and F.eval_f(fspec, pts[0]) == batch[0]
@@ -132,7 +164,7 @@ class TestSampling:
         w = (0.5, -1.0)
         single = F.SupLinearLoss([w], "absolute", gauss_vec(2),
                                  D.Gaussian(0.0, 1.0), n=10)
-        pts = F.sample_points(single, seed=4, count=300)
+        pts = single.draw(D._rng(4, 0), 300)
         got = F.eval_f(single, pts)
         resid = pts[:, :, :2] @ np.asarray(w) - pts[:, :, 2]
         mu = F._sup_loss_means(single)[0]
@@ -240,7 +272,7 @@ LAYOUT_CASES = CATALOGUE + [
 class TestCoordinateMajorDraws:
     @pytest.mark.parametrize("fspec", LAYOUT_CASES, ids=lambda f: f.kind)
     def test_points_and_values_match_old_layout(self, fspec):
-        pts = F.sample_points(fspec, seed=17, count=2000, stream=3)
+        pts = fspec.draw(D._rng(17, 3), 2000)
         ref = old_style_points(fspec, D._rng(17, 3), 2000)
         assert np.array_equal(pts, ref)
         # one contiguous run per coordinate, and no copy of the buffer
@@ -254,7 +286,7 @@ class TestCoordinateMajorDraws:
 
     @pytest.mark.parametrize("fspec", LAYOUT_CASES, ids=lambda f: f.kind)
     def test_evaluate_leaves_points_unchanged(self, fspec):
-        pts = F.sample_points(fspec, seed=5, count=500)
+        pts = fspec.draw(D._rng(5, 0), 500)
         before = pts.copy()
         fspec.evaluate(pts)
         assert np.array_equal(pts, before)
@@ -284,45 +316,41 @@ class TestCoordinateMajorDraws:
 
 
 class TestConditionalVersions:
+    """f_k = f - E_k f read exactly, cell by cell, off tabulated f."""
+
     def test_sum_independent_of_base_point(self):
-        fspec = sum_of(D.Exponential(1.0), 4)
-        a = F.conditional_version_samples(fspec, 2, np.zeros(4), seed=5, count=1000)
-        b = F.conditional_version_samples(fspec, 2, np.full(4, 9.0), seed=5, count=1000)
-        assert np.allclose(a, b, atol=1e-12)
+        # f_k of a sum is centered coordinate k at every base point, so the
+        # proxies of a sum are the exact worst case, not only above it
+        fspec = EXACT_CASES["sum"]
+        table = exact.tabulate(fspec, fspec.laws)
+        for k, law in enumerate(fspec.laws):
+            rows, _ = exact.conditional_versions(table, k)
+            assert np.allclose(rows, np.asarray(law.values) - D.mean(law), rtol=0.0, atol=1e-12)
+        prof = F.proxy_profile(fspec, p=2)
+        want = exact.worst_case_profile(table, 2.0)
+        for name in PROFILE_ENTRIES:
+            assert getattr(prof, name) == pytest.approx(getattr(want, name), rel=1e-9), name
 
     def test_constant_function(self):
         fspec = sum_of(D.FiniteSupport((2.0,), (1.0,)), 3)
-        out = F.conditional_version_samples(fspec, 0, np.full(3, 2.0), seed=6, count=100)
-        assert np.allclose(out, 0.0, atol=1e-12)
-
-    def test_near_zero_mean(self):
-        for fspec in CATALOGUE:
-            x = F.sample_points(fspec, seed=50, count=1)[0]
-            vals = F.conditional_version_samples(fspec, 0, x, seed=51, count=20000)
-            se = vals.std(ddof=1) / math.sqrt(len(vals)) + 1e-4
-            assert abs(vals.mean()) <= 6 * se
+        table = exact.tabulate(fspec, fspec.laws)
+        assert table.f_table.tolist() == [[[6.0]]]
+        want = exact.worst_case_profile(table, 2.0)
+        prof = F.proxy_profile(fspec, p=2)
+        for name in PROFILE_ENTRIES:
+            assert getattr(want, name) == getattr(prof, name) == (0.0,) * 3, name
 
     def test_vector_norm_triangle_domination(self):
-        fspec = F.VectorNormOfSum(gauss_vec(3), 5)
-        x = F.sample_points(fspec, seed=60, count=1)[0]
-        count = 4000
-        vals = F.conditional_version_samples(fspec, 1, x, seed=61, count=count)
-        draws = fspec.draw_coordinate(1, D._rng(61, 0), count)
-        resample_mc = fspec.draw_coordinate(1, D._rng(62, 0), 20000)
-        cond_dist = np.array([np.linalg.norm(d - resample_mc, axis=1).mean()
-                              for d in draws])
-        assert np.all(np.abs(vals) <= cond_dist + 0.05)
-
-    def test_point_shape_checked(self):
-        for fspec in CATALOGUE:
-            x = F.sample_points(fspec, seed=52, count=1)[0]
-            with pytest.raises(ValueError, match="shape"):
-                F.conditional_version_samples(fspec, 0, x[:-1], seed=53, count=10)
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            F.conditional_version_samples(sum_of(D.Rademacher(), 2), 5,
-                                          np.zeros(2), seed=1, count=10)
+        # |f_k(x)| <= E' ||x_k - X'|| in every cell
+        points, probs = exact.product_law(FINITE_VEC.components)
+        reach = np.linalg.norm(points[:, None] - points[None], axis=-1) @ probs
+        for centered in (False, True):
+            fspec = F.VectorNormOfSum(FINITE_VEC, 3, centered=centered)
+            table = exact.tabulate(fspec, coordinate_laws(fspec))
+            for k in range(fspec.n):
+                rows, _ = exact.conditional_versions(table, k)
+                assert np.all(np.abs(rows) <= reach + 1e-12)
+                assert np.max(np.abs(rows)) > 0.5
 
 
 class TestGaussianVectorForms:
@@ -475,16 +503,20 @@ class TestProxyProfile:
         assert np.allclose(prof.l2p_per_coord, want, atol=1e-10)
         assert prof.l2p_order == 2.0
 
-    def test_empirical_psi_below_proxy(self):
-        for fspec in CATALOGUE:
-            prof = F.proxy_profile(fspec)
-            x = F.sample_points(fspec, seed=70, count=1)[0]
-            for k in (0, fspec.n - 1):
-                vals = F.conditional_version_samples(fspec, k, x, seed=71 + k,
-                                                     count=5000)
-                with pytest.warns(UserWarning):
-                    emp = O.psi_norm_empirical(vals, 1, p_max=8.0).value
-                assert emp <= prof.psi1_per_coord[k] * (1 + 1e-6) + 0.05
+    @pytest.mark.parametrize("fspec", EXACT_CASES.values(), ids=EXACT_CASES.keys())
+    def test_proxies_dominate_the_exact_profile(self, fspec):
+        # each proxy entry against the worst case over base points of f_k,
+        # enumerated on the product of the finite coordinate laws
+        want = exact.worst_case_profile(exact.tabulate(fspec, coordinate_laws(fspec)), 2.0)
+        prof = F.proxy_profile(fspec, p=2)
+        kinds_with_moments = ("sum", "vector_norm_of_sum")
+        checked = [name for name in PROFILE_ENTRIES if getattr(prof, name) is not None]
+        assert checked == list(PROFILE_ENTRIES if fspec.kind in kinds_with_moments
+                               else ("psi1_per_coord", "ranges"))
+        assert min(want.psi1_per_coord) > 0
+        for name in checked:
+            got, exact_entries = np.array(getattr(prof, name)), np.array(getattr(want, name))
+            assert np.all(got >= exact_entries * (1.0 - 1e-9)), (name, got, exact_entries)
 
 
 class TestHilbertSchmidt:
@@ -509,7 +541,7 @@ class TestLipschitzProbes:
     def test_sup_loss_coordinate_lipschitz(self):
         rng = np.random.default_rng(16)
         lip = SUP_LOSS.lipschitz
-        pts = F.sample_points(SUP_LOSS, seed=8, count=50)
+        pts = SUP_LOSS.draw(D._rng(8, 0), 50)
         for _ in range(50):
             i = int(rng.integers(50))
             k = int(rng.integers(SUP_LOSS.n))
