@@ -93,24 +93,6 @@ class ProxyProfile:
         if getattr(self, name) is None:
             raise ValueError(f"profile is missing {name}")
 
-    def to_dict(self):
-        d = {"n": self.n}
-        for name in ("psi1_per_coord", "psi2_per_coord", "l2p_per_coord", "ranges"):
-            if getattr(self, name) is not None:
-                d[name] = list(getattr(self, name))
-        if self.l2p_order is not None:
-            d["l2p_order"] = self.l2p_order
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(n=d["n"],
-                   psi1_per_coord=d.get("psi1_per_coord"),
-                   psi2_per_coord=d.get("psi2_per_coord"),
-                   l2p_per_coord=d.get("l2p_per_coord"),
-                   l2p_order=d.get("l2p_order"),
-                   ranges=d.get("ranges"))
-
 
 @dataclass(frozen=True)
 class TailBoundResult:

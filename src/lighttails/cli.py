@@ -400,21 +400,20 @@ def _run_verification(args, negative_control=False, with_ratios=False):
     try:
         if with_ratios:
             report = vfy.compare_bounds(fspec, kinds, t_grid, args.n, args.seed,
-                                        p=args.p, threads=args.threads,
-                                        metadata=meta)
+                                        p=args.p, threads=args.threads)
         else:
             table = vfy.bounds_on_grid(fspec, kinds, t_grid, p=args.p)
             est = vfy.estimate_tail(fspec, t_grid, args.n, args.seed,
                                     threads=args.threads)
             if negative_control:
                 table = vfy.falsified_bounds(table)
-            report = vfy.check_bounds(est, table, metadata=meta)
+            report = vfy.check_bounds(est, table)
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "csv":
         _emit(args, vfy.report_to_csv(report))
     else:
-        _emit(args, json.dumps(report.to_dict(), indent=2, allow_nan=True) + "\n")
+        _emit(args, json.dumps({**report.to_dict(), **meta}, indent=2, allow_nan=True) + "\n")
     return EXIT_VIOLATION if report.verdict == "VIOLATION" else EXIT_OK
 
 

@@ -110,8 +110,10 @@ class SumFunction(_ScalarCoordinates):
 
     def proxy_profile(self, p, with_psi2):
         centered = [dist.Centered(c) for c in self.components]
-        psi1 = [psi_norm(c, 1).value for c in centered]
-        psi2 = _psi2(psi_norm, centered, self.components) if with_psi2 else None
+        coords = list(enumerate(zip(centered, self.components)))
+        psi1 = [_proxy_norm(psi_norm, c, 1, f"coordinate {i}", law) for i, (c, law) in coords]
+        psi2 = ([_psi2(psi_norm, c, f"coordinate {i}", law) for i, (c, law) in coords]
+                if with_psi2 else None)
         l2p = None if p is None else [dist.lp_norm(c, 2 * p) for c in centered]
         ranges = [_support_width(c) for c in self.components]
         return ProxyProfile(n=self.n, psi1_per_coord=psi1, psi2_per_coord=psi2,
@@ -164,9 +166,9 @@ class VectorNormOfSum(_VectorCoordinates):
         return np.sqrt(_pairwise_sum([c * c for c in s.T]))
 
     def proxy_profile(self, p, with_psi2):
-        n = self.n
-        b1 = 2.0 * vector_norm_psi(self.vec, 1).value
-        psi2 = [2.0 * _psi2(vector_norm_psi, [self.vec], [self.vec])[0]] * n if with_psi2 else None
+        n, vec = self.n, self.vec
+        b1 = 2.0 * _proxy_norm(vector_norm_psi, vec, 1, "coordinate 0", vec)
+        psi2 = [2.0 * _psi2(vector_norm_psi, vec, "coordinate 0", vec)] * n if with_psi2 else None
         l2p = [2.0 * vector_norm_lp(self.vec, 2 * p)] * n if p is not None else None
         r = math.sqrt(math.fsum(_support_width(c) ** 2
                                 for c in self.vec.components))
@@ -236,10 +238,11 @@ class SupLinearLoss(_VectorCoordinates):
     def proxy_profile(self, p, with_psi2):
         n = self.n
         # product-space norm L ||x|| + |z| dominates the loss increments
-        b = (2.0 / n) * (self.lipschitz * vector_norm_psi(self.input, 1).value
-                         + psi_norm(self.output, 1).value)
-        r = (1.0 / n) * (self.lipschitz * math.sqrt(math.fsum(
-            _support_width(c) ** 2 for c in self.input.components))
+        b = (2.0 / n) * (
+            self.lipschitz * _proxy_norm(vector_norm_psi, self.input, 1, "input", self.input)
+            + _proxy_norm(psi_norm, self.output, 1, "output", self.output))
+        r = (1.0 / n) * (_times(self.lipschitz, math.sqrt(math.fsum(
+            _support_width(c) ** 2 for c in self.input.components)))
             + _support_width(self.output))
         return ProxyProfile(n=n, psi1_per_coord=[b] * n, ranges=[r] * n)
 
@@ -269,14 +272,15 @@ class PsaReconstruction(_VectorCoordinates):
             for p in dist._items(self.projections, "projections")))
         if not self.projections:
             raise dist.SpecError("projection net must be nonempty")
-        for p in self.projection_arrays():
+        for i, p in enumerate(self.projection_arrays()):
             if p.shape != (dim, dim):
-                raise dist.SpecError("projection has wrong shape")
-            if np.max(np.abs(p - p.T)) > 1e-10 or np.max(np.abs(p @ p - p)) > 1e-10:
-                raise dist.SpecError("projections must be symmetric and idempotent")
-            if abs(np.trace(p) - self.subspace_dim) > 1e-8:
                 raise dist.SpecError(
-                    f"projection trace {np.trace(p)} != subspace_dim {self.subspace_dim}")
+                    f"projections[{i}] has shape {p.shape}, expected {(dim, dim)}")
+            if np.max(np.abs(p - p.T)) > 1e-10 or np.max(np.abs(p @ p - p)) > 1e-10:
+                raise dist.SpecError(f"projections[{i}] must be symmetric and idempotent")
+            if abs(np.trace(p) - self.subspace_dim) > 1e-8:
+                raise dist.SpecError(f"projections[{i}] has trace {np.trace(p)}, "
+                                     f"expected subspace_dim {self.subspace_dim}")
 
     def projection_arrays(self):
         return [np.asarray(p) for p in self.projections]
@@ -298,7 +302,9 @@ class PsaReconstruction(_VectorCoordinates):
         n = self.n
         # Cauchy-Schwarz over the projection class contributes sqrt(d) + 1;
         # ||  ||X||^2  ||_psi1 <= 2 ||  ||X||  ||_psi2^2
-        psi2_norm = vector_norm_psi(self.input, 2).value
+        psi2_norm = _proxy_norm(
+            vector_norm_psi, self.input, 2, "input", self.input,
+            f"||X|| is not shown to be sub-Gaussian, which the {self.kind} proxy needs")
         b = (2.0 / n) * (math.sqrt(self.subspace_dim) + 1.0) * 2.0 * psi2_norm ** 2
         r = (1.0 / n) * math.fsum(_interval_sq_max(c)
                                   for c in self.input.components)
@@ -317,6 +323,8 @@ class MetricLipschitz(_ScalarCoordinates):
 
     def _check(self):
         object.__setattr__(self, "lip", float(self.lip))
+        if self.lip < 0:
+            raise dist.SpecError(f"lip must be nonnegative, got {self.lip}")
         object.__setattr__(self, "maps", dist._items(self.maps, "maps"))
         if len(self.maps) != len(self.coordinate_dists):
             raise dist.SpecError("maps and coordinate_dists must have equal length")
@@ -331,9 +339,9 @@ class MetricLipschitz(_ScalarCoordinates):
         return self.lip * total
 
     def proxy_profile(self, p, with_psi2):
-        psi1 = [self.lip * applications.psi_diameter(c, 1).value
-                for c in self.coordinate_dists]
-        ranges = [self.lip * _support_width(c) for c in self.coordinate_dists]
+        psi1 = [self.lip * _proxy_norm(applications.psi_diameter, c, 1, f"coordinate {i}", c)
+                for i, c in enumerate(self.coordinate_dists)]
+        ranges = [_times(self.lip, _support_width(c)) for c in self.coordinate_dists]
         return ProxyProfile(n=self.n, psi1_per_coord=psi1, ranges=ranges)
 
 
@@ -504,7 +512,9 @@ def proxy_profile(fspec, p: Optional[float] = None, kinds=None) -> ProxyProfile:
     out what none of them reads: the 2p-norms without a thm3 kind, the psi2
     norms without thm1 or thm3-psi2-variant.  A thm3 kind with no 2p-norm
     proxy is a ValueError, and so is a psi2 kind with no psi2 proxy or a psi2
-    norm not finite up to p_max; without kinds such a norm is left out.
+    norm not finite up to p_max; without kinds such a norm is left out.  Any
+    other proxy norm not finite up to p_max is a ValueError that names its
+    coordinate (or input or output) and law.
     """
     if kinds is None:
         try:
@@ -528,6 +538,11 @@ def _support_width(spec):
     return hi - lo
 
 
+def _times(scale, width):
+    """scale * width, and 0 for a zero scale, also where the width is infinite."""
+    return scale * width if scale else 0.0
+
+
 def _interval_sq_max(spec):
     lo, hi = dist.support_interval(spec)
     return max(lo * lo, hi * hi)
@@ -537,19 +552,23 @@ class NotSubGaussianError(ValueError):
     """A coordinate's psi2 norm is not finite up to p_max."""
 
 
-def _psi2(norm, specs, laws):
-    """[norm(s, 2).value for s in specs]; NotSubGaussianError names the first
-    coordinate, and its law in laws, whose psi2 ratio still rises at p_max."""
-    values = []
-    for i, (spec, law) in enumerate(zip(specs, laws)):
-        try:
-            values.append(norm(spec, 2).value)
-        except PMaxTooSmallError:
-            raise NotSubGaussianError(
-                f"coordinate {i} ({law}): its psi2 moment ratio still rises at p_max, so "
-                "the law is not shown to be sub-Gaussian, and the psi2 bound kinds "
-                f"{' and '.join(PSI2_KINDS)} do not apply") from None
-    return values
+def _proxy_norm(norm, spec, alpha, where, law, why=None, error=ValueError):
+    """norm(spec, alpha).value, for every proxy norm read.  Where its moment
+    ratio still rises at p_max, `error` names `where` (a coordinate, input or
+    output) and its law, and says `why` the proxy fails."""
+    try:
+        return norm(spec, alpha).value
+    except PMaxTooSmallError:
+        why = why or f"its psi{alpha} norm is not certified"
+        raise error(f"{where} ({law}): its psi{alpha} moment ratio still rises at p_max, "
+                    f"so {why}") from None
+
+
+def _psi2(norm, spec, where, law):
+    """The psi2 proxy norm that the psi2 bound kinds read."""
+    return _proxy_norm(norm, spec, 2, where, law, "the law is not shown to be sub-Gaussian, "
+                       f"and the psi2 bound kinds {' and '.join(PSI2_KINDS)} do not apply",
+                       NotSubGaussianError)
 
 
 # ---------------------------------------------------------------------------

@@ -77,15 +77,6 @@ class TailEstimate:
         lo, hi = clopper_pearson(np.array(self.exceed_counts), self.n_samples, self.cp_level)
         return tuple(zip(lo.tolist(), hi.tolist()))
 
-    def to_dict(self):
-        return {"t_grid": list(self.t_grid),
-                "exceed_counts": list(self.exceed_counts),
-                "n_samples": self.n_samples,
-                "mean_value": self.mean_value,
-                "mean_half_width": self.mean_half_width,
-                "cp_level": self.cp_level,
-                "seed": self.seed}
-
 
 def _check_grid(t_grid):
     t_grid = [float(t) for t in t_grid]
@@ -98,19 +89,21 @@ def _check_grid(t_grid):
     return t_grid
 
 
-def estimate_tail(fspec, t_grid, n_samples, seed, cp_level=DEFAULT_CP_LEVEL,
-                  threads=1, expectation_budget=10 ** 5) -> TailEstimate:
+def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
     """One pass over n_samples deterministic draws of f, sharded by a fixed
-    width so the result does not depend on the worker count."""
+    width so the result does not depend on the worker count.  The intervals
+    are at DEFAULT_CP_LEVEL, and E[f(X)] is `fn.expectation` at its default
+    budget; where that estimate's half-width exceeds a tenth of the t-grid
+    spacing, the grid is too fine for it and this is a ValueError."""
     t_grid = _check_grid(t_grid)
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
-    mean_value, half = fn.expectation(fspec, budget=expectation_budget, seed=seed)
+    mean_value, half = fn.expectation(fspec, seed=seed)
     spacing = min(np.diff(t_grid)) if len(t_grid) > 1 else t_grid[0]
     if half > spacing / 10.0:
         raise ValueError(
-            f"expectation budget too small: half-width {half:.3g} exceeds "
-            f"a tenth of the grid spacing {spacing:.3g}")
+            f"t-grid spacing {spacing:.3g} too fine: the expectation half-width "
+            f"{half:.3g} exceeds a tenth of it")
     thresholds = np.asarray(t_grid) + mean_value + half
 
     shards = [(i, min(SHARD_SIZE, n_samples - i * SHARD_SIZE))
@@ -136,7 +129,7 @@ def estimate_tail(fspec, t_grid, n_samples, seed, cp_level=DEFAULT_CP_LEVEL,
     return TailEstimate(t_grid=tuple(t_grid),
                         exceed_counts=tuple(int(c) for c in counts),
                         n_samples=n_samples, mean_value=mean_value,
-                        mean_half_width=half, cp_level=cp_level, seed=seed)
+                        mean_half_width=half, cp_level=DEFAULT_CP_LEVEL, seed=seed)
 
 
 def exact_tail_enumeration(table: ProductTable, t_grid) -> list:
@@ -170,7 +163,8 @@ def falsified_bounds(bounds: dict) -> dict:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Per-threshold verdicts plus the metadata needed to reproduce them."""
+    """Per-threshold verdicts plus the sampling facts needed to reproduce
+    them."""
     t_grid: tuple
     empirical: tuple
     cp_lower: tuple
@@ -185,7 +179,6 @@ class VerificationReport:
     mean_value: Optional[float]
     mean_half_width: Optional[float]
     ratios_log10: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
 
     def to_dict(self):
         rows = []
@@ -202,16 +195,17 @@ class VerificationReport:
         for key in ("n_samples", "seed", "mean_value", "mean_half_width"):
             if getattr(self, key) is not None:
                 d[key] = getattr(self, key)
-        d.update(self.metadata)
         return d
 
 
-def check_bounds(est, bounds: dict, metadata=None) -> VerificationReport:
+def check_bounds(est, bounds: dict) -> VerificationReport:
     """Certify domination: VIOLATION iff the lower confidence limit (or the
     exact tail) exceeds some bound value at some threshold.
 
     `est` is a TailEstimate, or a plain sequence of exact tail probabilities
     aligned with the bound grids (then the interval collapses to the value).
+    The report holds no caller data: a caller merges its own keys into
+    `report.to_dict()`, as the CLI does with its envelope.
     """
     kinds = tuple(bounds)
     if not kinds:
@@ -230,15 +224,15 @@ def check_bounds(est, bounds: dict, metadata=None) -> VerificationReport:
         ivs = est.intervals()
         lo = tuple(iv[0] for iv in ivs)
         hi = tuple(iv[1] for iv in ivs)
-        cp_level, n_samples, seed = est.cp_level, est.n_samples, est.seed
-        mean_value, mean_half = est.mean_value, est.mean_half_width
+        facts = dict(cp_level=est.cp_level, n_samples=est.n_samples, seed=est.seed,
+                     mean_value=est.mean_value, mean_half_width=est.mean_half_width)
     else:
         emp = tuple(float(x) for x in est)
         if len(emp) != len(ref):
             raise ValueError("exact tail list does not match bound grid")
         lo = hi = emp
-        cp_level, n_samples, seed = 1.0, None, None
-        mean_value = mean_half = None
+        facts = dict(cp_level=1.0, n_samples=None, seed=None, mean_value=None,
+                     mean_half_width=None)
 
     probs = {k: tuple(r.prob for r in bounds[k]) for k in kinds}
     verdicts = []
@@ -248,20 +242,17 @@ def check_bounds(est, bounds: dict, metadata=None) -> VerificationReport:
     overall = "VIOLATION" if "VIOLATION" in verdicts else "SOUND"
     return VerificationReport(
         t_grid=ref, empirical=emp, cp_lower=lo, cp_upper=hi, kinds=kinds,
-        bound_probs=probs, verdicts=tuple(verdicts), verdict=overall,
-        cp_level=cp_level, n_samples=n_samples, seed=seed,
-        mean_value=mean_value, mean_half_width=mean_half,
-        metadata=dict(metadata or {}))
+        bound_probs=probs, verdicts=tuple(verdicts), verdict=overall, **facts)
 
 
 def compare_bounds(fspec, kinds, t_grid, n_samples, seed, p=None,
-                   threads=1, metadata=None) -> VerificationReport:
+                   threads=1) -> VerificationReport:
     """Single estimation pass, all requested bounds, log10 tightness ratios
     (bound over empirical; inf where no exceedance was observed).  The
     bounds come first, so a profile error costs no samples."""
     bounds = bounds_on_grid(fspec, kinds, t_grid, p=p)
     est = estimate_tail(fspec, t_grid, n_samples, seed, threads=threads)
-    report = check_bounds(est, bounds, metadata=metadata)
+    report = check_bounds(est, bounds)
     ratios = {}
     for k in report.kinds:
         col = []

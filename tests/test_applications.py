@@ -157,6 +157,33 @@ class TestMetricTail:
             assert res.log_prob == A.metric_tail(1.0, [d.value], 1.0).log_prob
 
 
+class TestPreconditions:
+    @pytest.mark.parametrize("bound, args, message", [
+        (A.vector_bound_i, ([1.0], 1.5), "delta must lie in (0,1), got 1.5"),
+        (A.vector_bound_i, ([], 0.1), "psi1_per_coord must be nonempty"),
+        (A.vector_bound_i, ([1.0, -1.0], 0.1), "psi1 entries must be nonnegative"),
+        (A.vector_bound_ii, (-1.0, 10, 0.1), "psi1 must be nonnegative, got -1.0"),
+        (A.vector_bound_iii, (-1.0, 1.0, 2.0, 10, 0.1), "norm inputs must be nonnegative"),
+        (A.vector_bound_iii, (1.0, 1.0, 1.0, 10, 0.1), "p must exceed 1, got 1.0"),
+        (A.vector_bound_iii, (1.0, 1.0, 2.0, 0, 0.1), "n must be positive, got 0"),
+        (A.psa_bound, (-1.0, 1, 10, 0.1), "psi2_of_norm must be nonnegative, got -1.0"),
+        (A.rademacher_generalization_bound, (0.0, -1.0, 1.0, 10, 0.1),
+         "L and psi1 must be nonnegative"),
+        (A.regression_bound, (1.0, 1.0, -1.0, 10, 0.1), "norm inputs must be nonnegative"),
+        (A.metric_tail, (-1.0, [1.0], 1.0), "L must be nonnegative, got -1.0"),
+        (A.metric_tail, (1.0, [], 1.0), "diameters must be nonempty"),
+        (A.metric_tail, (1.0, [1.0, -0.5], 1.0), "diameters must be nonnegative"),
+    ])
+    def test_names_the_failing_input(self, bound, args, message):
+        with pytest.raises(A.PreconditionError) as info:
+            bound(*args)
+        assert str(info.value) == message
+
+    def test_metric_tail_needs_positive_t(self):
+        with pytest.raises(ValueError, match="t must be positive, got 0.0"):
+            A.metric_tail(1.0, [1.0], 0.0)
+
+
 class TestMonotonicity:
     def test_in_n_and_delta(self):
         deltas = [0.2, 0.05, 0.01, 1e-4]

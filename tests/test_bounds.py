@@ -34,11 +34,6 @@ class TestProxyProfile:
         assert prof.v1 == pytest.approx(25.0)
         assert prof.m1 == 4.0
 
-    def test_roundtrip(self):
-        prof = profile(psi1=[1.0, 2.0], psi2=[1.5, 2.5], l2p=[0.5, 0.5], p=2.0,
-                       ranges=[1.0, math.inf])
-        assert B.ProxyProfile.from_dict(prof.to_dict()) == prof
-
 
 class TestThm1:
     def test_rademacher_sum_form(self):

@@ -514,6 +514,79 @@ class TestPsi2KindsNeedSubGaussianLaws:
                        "kinds thm1 and thm3-psi2-variant do not apply to it\n")
 
 
+GAUSS = {"kind": "gaussian", "mean": 0.0, "sd": 1.0}
+CENTERED_CHI2_1 = {"kind": "centered", "base": {"kind": "chi_squared", "dof": 1}}
+CHI2_1_SCALED = {"kind": "scaled", "base": {"kind": "chi_squared", "dof": 1}, "factor": 1.1}
+GAUSS_CC = {"kind": "vector", "dim": 2, "components": [GAUSS, CENTERED_CHI2_1]}
+GAUSS_EXP = {"kind": "vector", "dim": 2,
+             "components": [GAUSS, {"kind": "exponential", "rate": 1.0}]}
+VEC_CC = ("VectorSpec(dim=2, components=(Gaussian(mean=0.0, sd=1.0), "
+          "Centered(base=ChiSquared(dof=1))), norm_kind='euclidean')")
+NOT_CERTIFIED = "its psi1 moment ratio still rises at p_max, so its psi1 norm is not certified"
+
+# kind -> (a spec with a proxy norm not certified up to p_max, the message)
+UNCERTIFIED_PROXY_NORMS = {
+    # the bench template sum:poisson+chi-squared-1
+    "sum": ({"kind": "sum", "components": [{"kind": "poisson", "rate": 1.5}, CHI2_1_SCALED]},
+            f"coordinate 1 (Scaled(base=ChiSquared(dof=1), factor=1.1)): {NOT_CERTIFIED}"),
+    "vector_norm_of_sum": ({"kind": "vector_norm_of_sum", "vec": GAUSS_CC, "n": 3},
+                           f"coordinate 0 ({VEC_CC}): {NOT_CERTIFIED}"),
+    "sup_linear_loss": ({"kind": "sup_linear_loss", "weights": [[0.3, -0.4]],
+                         "loss": "absolute", "input": GAUSS_2, "output": CENTERED_CHI2_1,
+                         "n": 30},
+                        f"output (Centered(base=ChiSquared(dof=1))): {NOT_CERTIFIED}"),
+    "psa_reconstruction": (
+        {"kind": "psa_reconstruction", "ambient_dim": 2, "subspace_dim": 1, "net_size": 3,
+         "net_seed": 1, "input": GAUSS_EXP, "n": 20},
+        "input (VectorSpec(dim=2, components=(Gaussian(mean=0.0, sd=1.0), "
+        "Exponential(rate=1.0)), norm_kind='euclidean')): its psi2 moment ratio still rises "
+        "at p_max, so ||X|| is not shown to be sub-Gaussian, which the psa_reconstruction "
+        "proxy needs"),
+    "metric_lipschitz": ({"kind": "metric_lipschitz", "lip": 1.0,
+                          "coordinate_dists": [GAUSS, CENTERED_CHI2_1], "maps": ["abs", "sin"]},
+                         f"coordinate 1 (Centered(base=ChiSquared(dof=1))): {NOT_CERTIFIED}"),
+}
+LAST_ARGS = {"bound": ["--t-grid", "1:5:3"], "invert": ["--delta", "0.01"],
+             "verify": ["--t-grid", "1:5:3", "--n", "10000"],
+             "compare": ["--t-grid", "1:5:3", "--n", "10000"]}
+
+
+class TestUncertifiedProxyNorms:
+    @pytest.mark.parametrize("command", sorted(LAST_ARGS))
+    @pytest.mark.parametrize("kind", sorted(UNCERTIFIED_PROXY_NORMS))
+    def test_names_the_coordinate_and_its_law(self, kind, command, tmp_path, capsys):
+        # each used to end in a PMaxTooSmallError traceback
+        spec, message = UNCERTIFIED_PROXY_NORMS[kind]
+        code, out, err = run(capsys, command, "--spec", write_spec(tmp_path, spec),
+                             "--bounds", "thm2", *LAST_ARGS[command])
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestMetricLipschitzConstant:
+    def test_negative_lip_names_the_field(self, tmp_path, capsys):
+        # used to fail with "psi1_per_coord entries must be nonnegative"
+        spec = {**NON_SUM_KINDS["metric_lipschitz"], "lip": -2.5}
+        path = write_spec(tmp_path, spec)
+        for command in sorted(LAST_ARGS):
+            code, out, err = run(capsys, command, "--spec", path, "--bounds", "thm2",
+                                 *LAST_ARGS[command])
+            assert code == 1 and out == ""
+            assert err == f'error: spec file {path}: "$.spec": lip must be nonnegative, got -2.5\n'
+
+    @pytest.mark.parametrize("lip", [0.0, -0.0])
+    def test_zero_lip_is_a_constant_f(self, lip, tmp_path, capsys):
+        path = write_spec(tmp_path, {**NON_SUM_KINDS["metric_lipschitz"], "lip": lip})
+        code, out, _ = run(capsys, "bound", "--spec", path, "--bounds", "thm2,bounded-difference",
+                           "--t-grid", "1:5:3")
+        assert code == 0
+        rows = [r for rs in json.loads(out)["bounds"].values() for r in rs]
+        assert all(r["prob"] == 0.0 and r["note"].startswith("degenerate") for r in rows)
+        code, out, _ = run(capsys, "verify", "--spec", path, "--bounds", "thm2",
+                           *LAST_ARGS["verify"])
+        assert code == 0 and json.loads(out)["verdict"] == "SOUND"
+
+
 class TestBadNumbers:
     @pytest.mark.parametrize("argv, message", [
         (["entropy-check", "--p", "1"], "--p must be a finite number > 1, got 1.0"),

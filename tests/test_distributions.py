@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
-from scipy.special import erf, erfi, gammaln
+from scipy.special import erf, erfc, erfi, gammaln
 
 from adaptive import adaptive_log_moment, base_and_steps
 from lighttails import distributions as D
@@ -562,6 +562,29 @@ class TestMgf:
         want = math.sqrt(math.pi / abs(beta)) / (2 * (hi - lo)) * (F(r * hi) - F(r * lo))
         got = D.mgf(D.SquareOf(D.UniformInterval(lo, hi)), beta)
         assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("spec, beta, want", [
+        (D.Shifted(D.Exponential(2.0), 0.5), 0.7, math.exp(0.35) * 2.0 / 1.3),
+        (D.Scaled(D.ChiSquared(3), 0.25), 0.8, 0.6 ** -1.5),
+        (D.Centered(D.Exponential(1.0)), 0.3, math.exp(-0.3) / 0.7),
+        (D.Scaled(D.Poisson(2.0), 0.5), 0.4, math.exp(2.0 * (math.exp(0.2) - 1.0))),
+        # E exp(beta (Y + 1)^2), Y ~ Exp(1), beta < 0: a Gaussian integral
+        (D.SquareOf(D.Shifted(D.Exponential(1.0), 1.0)), -0.4,
+         math.exp(1.625) * 0.5 * math.sqrt(math.pi / 0.4) * erfc(2.25 * math.sqrt(0.4))),
+    ])
+    def test_mapped_closed_forms(self, spec, beta, want):
+        # the shift, scale and square steps of Mapped.mgf, ChiSquared.mgf and
+        # the finite branch of Exponential.mgf
+        assert D.mgf(spec, beta) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("spec, beta", [
+        (D.ChiSquared(3), 0.5),
+        (D.Shifted(D.Exponential(2.0), 1.0), 2.0),
+        (D.SquareOf(D.Shifted(D.Exponential(1.0), 1.0)), 0.1),
+    ])
+    def test_mapped_divergence(self, spec, beta):
+        with pytest.raises(D.MomentDivergenceError):
+            D.mgf(spec, beta)
 
     def test_square_unbounded_diverges_for_positive_beta(self):
         with pytest.raises(D.MomentDivergenceError):

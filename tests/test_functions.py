@@ -497,6 +497,32 @@ class TestProxyProfile:
         assert F.proxy_profile(fspec, kinds=["thm2"]).psi2_per_coord is None
         assert F.proxy_profile(fspec).psi2_per_coord is None
 
+    def test_zero_scale_times_an_unbounded_width_is_zero(self):
+        # lip 0 and an all-zero weight net used to give nan ranges, and a nan
+        # bounded-difference bound
+        metric = F.MetricLipschitz(0.0, [D.Exponential(1.0), D.Rademacher()], ["abs", "sin"])
+        assert F.proxy_profile(metric).ranges == (0.0, 0.0)
+        sll = F.SupLinearLoss([(0.0, 0.0)], "absolute", gauss_vec(2),
+                              D.UniformInterval(0.0, 2.0), n=4)
+        assert F.proxy_profile(sll).ranges == (0.5,) * 4
+
+    def test_uncertified_psi1_is_not_retried_without_psi2(self):
+        # a plain ValueError: proxy_profile drops only a psi2 norm that fails
+        fspec = F.SumFunction([D.Poisson(1.5), D.Scaled(D.ChiSquared(1), 1.1)])
+        for kinds in (None, ["thm2"]):
+            with pytest.raises(ValueError, match=r"^coordinate 1 \(Scaled\(base=ChiSquared") as info:
+                F.proxy_profile(fspec, kinds=kinds)
+            assert not isinstance(info.value, F.NotSubGaussianError)
+
+    def test_psa_needs_a_sub_gaussian_norm(self):
+        fspec = F.PsaReconstruction(2, 1, [((1.0, 0.0), (0.0, 0.0))],
+                                    D.VectorSpec(2, [D.Gaussian(0.0, 1.0), D.Exponential(1.0)]), 5)
+        with pytest.raises(ValueError, match=r"^input \(VectorSpec\(.*\)\): its psi2 moment "
+                           r"ratio still rises at p_max, so \|\|X\|\| is not shown to be "
+                           r"sub-Gaussian, which the psa_reconstruction proxy needs$") as info:
+            F.proxy_profile(fspec)
+        assert not isinstance(info.value, F.NotSubGaussianError)
+
     def test_thm3_entries(self):
         prof = F.proxy_profile(sum_of(D.Exponential(1.0), 3), p=2.0)
         want = D.lp_norm(D.Centered(D.Exponential(1.0)), 4.0)
@@ -579,6 +605,54 @@ class TestExpectation:
         assert half > 0
         ref, _ = F.expectation(METRIC, budget=10 ** 5)
         assert abs(val - ref) < 4 * half
+
+
+GAUSS_D = {"kind": "gaussian", "mean": 0.0, "sd": 1.0}
+VEC2_D = {"kind": "vector", "dim": 2, "components": [GAUSS_D, GAUSS_D]}
+P01 = [[1.0, 0.0], [0.0, 0.0]]
+SLL_D = {"kind": "sup_linear_loss", "weights": [[1.0, 0.0]], "loss": "absolute",
+         "input": VEC2_D, "output": GAUSS_D, "n": 5}
+PSA_D = {"kind": "psa_reconstruction", "ambient_dim": 2, "subspace_dim": 1,
+         "projections": [P01], "input": VEC2_D, "n": 5}
+SEEDED_D = {**{k: v for k, v in PSA_D.items() if k != "projections"},
+            "net_size": 2, "net_seed": 1}
+METRIC_D = {"kind": "metric_lipschitz", "lip": 1.0, "coordinate_dists": [GAUSS_D],
+            "maps": ["abs"]}
+
+
+class TestSpecChecks:
+    @pytest.mark.parametrize("d, message", [
+        ({**SLL_D, "loss": "square"}, '"$": unknown loss \'square\''),
+        ({**SLL_D, "loss": "huber", "huber_kappa": 1.5},
+         '"$": huber_kappa must lie in (0,1], got 1.5'),
+        ({**SLL_D, "weights": []}, '"$": weight net must be nonempty'),
+        ({**SLL_D, "weights": [[1.0, 0.0, 0.0]]},
+         '"$": weights entries must have length 2, got 3'),
+        ({**PSA_D, "ambient_dim": 3}, '"$": input has dim 2, expected ambient_dim=3'),
+        ({**PSA_D, "projections": []}, '"$": projection net must be nonempty'),
+        ({**PSA_D, "projections": [P01, [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]]},
+         '"$": projections[1] has shape (3, 2), expected (2, 2)'),
+        ({**PSA_D, "projections": [P01, [[0.5, 0.0], [0.0, 0.5]]]},
+         '"$": projections[1] must be symmetric and idempotent'),
+        ({**PSA_D, "projections": [P01, [[1.0, 0.0], [0.0, 1.0]]]},
+         '"$": projections[1] has trace 2.0, expected subspace_dim 1'),
+        ({**SEEDED_D, "subspace_dim": 3}, '"$": subspace_dim 3 exceeds ambient_dim 2'),
+        ({**SEEDED_D, "input": GAUSS_D}, '"$.input": expected a vector spec of dim 2'),
+        ({**METRIC_D, "maps": ["abs", "sin"]},
+         '"$": maps and coordinate_dists must have equal length'),
+        ({**METRIC_D, "maps": ["cos"]}, '"$": unknown coordinate map \'cos\''),
+        (VEC2_D, '"$": a vector spec is not a function spec'),
+    ])
+    def test_names_the_field(self, d, message):
+        with pytest.raises(D.SpecError) as info:
+            F.fspec_from_dict(d)
+        assert str(info.value) == message
+
+    def test_call_arguments(self):
+        with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+            F.sample_f(METRIC, seed=0, count=0)
+        with pytest.raises(ValueError, match="budget must be >= 10\\^4 samples, got 9999"):
+            F.expectation(METRIC, budget=9999)
 
 
 class TestSerialization:

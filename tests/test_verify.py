@@ -168,12 +168,12 @@ class TestEstimateTail:
         with pytest.raises(ValueError, match="n_samples"):
             V.estimate_tail(fspec, [1.0], 10 ** 3, seed=0)
 
-    def test_expectation_budget_guard(self):
+    def test_grid_spacing_guard(self):
+        # the default budget's half-width is 0.0141, against a spacing of 1e-4
         vec = D.VectorSpec(2, [D.Rademacher(), D.Rademacher()])
         fspec = VectorNormOfSum(vec, n=5)
-        with pytest.raises(ValueError, match="expectation budget too small"):
-            V.estimate_tail(fspec, [1e-4, 2e-4], 10 ** 4, seed=0,
-                            expectation_budget=10 ** 4)
+        with pytest.raises(ValueError, match="t-grid spacing 0.0001 too fine"):
+            V.estimate_tail(fspec, [1e-4, 2e-4], 10 ** 4, seed=0)
 
 
 class TestExactEnumeration:
@@ -217,10 +217,9 @@ class TestCheckBounds:
         grid = [0.5, 1.0, 1.9]
         tails = V.exact_tail_enumeration(table, grid)
         bounds = V.bounds_on_grid(sum_of(D.Rademacher(), 2), ["thm1", "thm2"], grid)
-        report = V.check_bounds(tails, bounds, metadata={"tag": "x"})
+        report = V.check_bounds(tails, bounds)
         assert report.verdict == "SOUND"
         assert report.verdicts == ("SOUND",) * 3
-        assert report.metadata == {"tag": "x"}
         assert report.to_dict()["rows"][0]["t"] == 0.5
 
     def test_falsified_violation(self):
@@ -239,6 +238,18 @@ class TestCheckBounds:
         est = V.estimate_tail(fspec, grid, 10 ** 5, seed=13)
         bounds = V.bounds_on_grid(fspec, ["thm2"], grid)
         assert V.check_bounds(est, bounds).verdict == "SOUND"
+
+    def test_misaligned_inputs(self):
+        fspec = sum_of(D.Rademacher(), 1)
+        bounds = V.bounds_on_grid(fspec, ["thm2"], [0.5, 1.0])
+        other = V.bounds_on_grid(fspec, ["thm1"], [0.5, 1.5])
+        with pytest.raises(ValueError, match="^bound grids misaligned between thm2 and thm1$"):
+            V.check_bounds([0.5, 0.0], {**bounds, **other})
+        with pytest.raises(ValueError, match="^exact tail list does not match bound grid$"):
+            V.check_bounds([0.5], bounds)
+        with pytest.raises(ValueError, match="^exceedance count exceeds sample count$"):
+            V.TailEstimate(t_grid=(1.0,), exceed_counts=(11,), n_samples=10, mean_value=0.0,
+                           mean_half_width=0.0, cp_level=0.999, seed=0)
 
     def test_grid_mismatch(self):
         fspec = sum_of(D.Rademacher(), 1)
