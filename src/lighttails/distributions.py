@@ -2,9 +2,10 @@
 
 Every catalogue distribution has all moments finite, so L_p and Orlicz
 norm queries are always well posed.  A spec checks its fields when it is
-built, so every spec object is valid.  Sampling is counter-based (Philox):
-the triple (spec, seed, count) plus an optional stream index fully
-determines the output, so parallel shards can be merged deterministically.
+built, so every spec object is valid.  Sampling is deterministic: the
+triple (spec, seed, count) plus an optional stream index fully determines
+the output, so parallel shards can be merged deterministically.  Each
+(seed, stream) pair has its own SFC64 generator (see `_rng`).
 
 Moments, MGFs and supports are computed on `canonical(spec)`, which folds
 the wrappers Shifted, Scaled, SquareOf and Centered into one of three forms:
@@ -885,9 +886,13 @@ def _uniform_log_abs_moment(lo, hi, p):
 # Deterministic sampling
 
 def _rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """The SFC64 generator of stream `stream` of a 64-bit `seed`.  The pair
+    enters SeedSequence as entropy `seed` and spawn key `(stream,)`, which
+    numpy keeps apart: as one entropy list [seed, stream], seed 2^32 with
+    stream 0 would be the same 32-bit words as seed 0 with stream 1."""
     if not 0 <= seed < 2 ** 64:
         raise SpecError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream,))))
 
 
 def draw_rows(rng, count, shape, rows):

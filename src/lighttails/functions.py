@@ -313,7 +313,13 @@ class PsaReconstruction(_VectorCoordinates):
 
 @dataclass(frozen=True)
 class MetricLipschitz(_ScalarCoordinates):
-    """f(x) = lip * sum_i g_i(x_i) with each g_i 1-Lipschitz."""
+    """f(x) = lip * sum_i g_i(x_i) with each g_i 1-Lipschitz.
+
+    E f is exact when every E g_i(X_i) is, read on the canonical form of
+    the law: E X for identity; for abs, +-E X on a one-signed support, else
+    the folded Gaussian, the uniform law and finite laws; for sin, Im E e^{iX}
+    of a Gaussian, exponential, uniform, Poisson or finite law.  Any other
+    pair leaves the mean to `expectation`'s Monte Carlo estimate."""
     kind = "metric_lipschitz"
     lip: float
     coordinate_dists: dist.Specs
@@ -331,6 +337,10 @@ class MetricLipschitz(_ScalarCoordinates):
         for m in self.maps:
             if not (isinstance(m, str) and m in _LIPSCHITZ_MAPS):
                 raise dist.SpecError(f"unknown coordinate map {m!r}")
+
+    def closed_form_mean(self):
+        terms = [_map_mean(name, law) for name, law in zip(self.maps, self.coordinate_dists)]
+        return None if None in terms else self.lip * math.fsum(terms)
 
     def evaluate(self, points):
         total = np.zeros(points.shape[0])
@@ -359,12 +369,65 @@ _LIPSCHITZ_MAPS = {
     "sin": np.sin,
 }
 
+
+def _folded_gaussian_mean(g):
+    z = g.mean / g.sd
+    return (g.sd * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * z * z)
+            + g.mean * math.erf(z / math.sqrt(2.0)))
+
+
+def _two_signed_uniform_abs_mean(u):
+    # (lo^2 + hi^2) / (2 (hi - lo)); lo / w and hi / w lie in (-1, 1), so
+    # no square overflows
+    w = u.hi - u.lo
+    return 0.5 * (u.lo * (u.lo / w) + u.hi * (u.hi / w))
+
+
+# E g(X) by map and canonical family, where it is a closed form; abs needs
+# it only for a support on both sides of 0.  Products, not ** 2: a float
+# ** that overflows raises OverflowError, a product gives inf.
+_MAP_MEANS = {
+    "abs": {
+        dist.Gaussian: _folded_gaussian_mean,
+        dist.UniformInterval: _two_signed_uniform_abs_mean,
+        dist.FiniteSupport: lambda f: math.fsum(p * abs(v) for v, p in zip(f.values, f.probs)),
+    },
+    "sin": {    # Im E e^{iX}
+        dist.Gaussian: lambda g: math.exp(-0.5 * g.sd * g.sd) * math.sin(g.mean),
+        dist.Exponential: lambda e: 1.0 / (e.rate + 1.0 / e.rate),     # rate / (1 + rate^2)
+        # (cos lo - cos hi) / (hi - lo), without the cancellation of a narrow interval
+        dist.UniformInterval: lambda u: (2.0 * math.sin(0.5 * (u.lo + u.hi))
+                                         * math.sin(0.5 * (u.hi - u.lo)) / (u.hi - u.lo)),
+        dist.Poisson: lambda p: (math.exp(p.rate * (math.cos(1.0) - 1.0))
+                                 * math.sin(p.rate * math.sin(1.0))),
+        dist.FiniteSupport: lambda f: math.fsum(p * math.sin(v) for v, p in zip(f.values, f.probs)),
+    },
+}
+
+
+def _map_mean(name, law):
+    """E g(X) for the map `name` and the law of X, or None without a closed form."""
+    if name == "identity":
+        return dist.mean(law)
+    if name == "abs":
+        lo, hi = dist.support_interval(law)
+        if lo >= 0.0:
+            return dist.mean(law)
+        if hi <= 0.0:
+            return -dist.mean(law)
+    form = dist.canonical(law)
+    rule = _MAP_MEANS[name].get(type(form))
+    return None if rule is None else rule(form)
+
+
 dist._KINDS.update((cls.kind, cls) for cls in (
     SumFunction, VectorNormOfSum, SupLinearLoss, PsaReconstruction, MetricLipschitz))
 
 
 def random_projections(ambient_dim, subspace_dim, count, seed):
-    """Deterministic net of rank-d orthogonal projections (QR of Gaussians)."""
+    """Deterministic net of rank-d orthogonal projections (QR of Gaussians).
+    It keeps its own Philox stream, as a spec's net_seed defines its net:
+    the net does not follow the sampling generator of `dist._rng`."""
     rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
     mats = []
     for _ in range(count):

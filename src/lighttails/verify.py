@@ -204,6 +204,7 @@ def check_bounds(est, bounds: dict) -> VerificationReport:
 
     `est` is a TailEstimate, or a plain sequence of exact tail probabilities
     aligned with the bound grids (then the interval collapses to the value).
+    A NaN bound probability is a ValueError that names its kind and t.
     The report holds no caller data: a caller merges its own keys into
     `report.to_dict()`, as the CLI does with its envelope.
     """
@@ -235,6 +236,10 @@ def check_bounds(est, bounds: dict) -> VerificationReport:
                      mean_half_width=None)
 
     probs = {k: tuple(r.prob for r in bounds[k]) for k in kinds}
+    for k in kinds:     # lo > NaN is False, which would read SOUND
+        for t, prob in zip(ref, probs[k]):
+            if math.isnan(prob):
+                raise ValueError(f"bound {k} is NaN at t={t}")
     verdicts = []
     for i in range(len(ref)):
         bad = any(lo[i] > probs[k][i] for k in kinds)

@@ -587,6 +587,21 @@ class TestMetricLipschitzConstant:
         assert code == 0 and json.loads(out)["verdict"] == "SOUND"
 
 
+class TestNanBound:
+    @pytest.mark.parametrize("command", ["verify", "compare"])
+    def test_exits_with_one_error_line(self, command, monkeypatch, capsys):
+        from lighttails import verify as V
+        from lighttails.bounds import TailBoundResult
+
+        def nan_bounds(fspec, kinds, t_grid, p=None):
+            return {"thm2": [TailBoundResult("thm2", t, math.nan, math.nan) for t in t_grid]}
+
+        monkeypatch.setattr(V, "bounds_on_grid", nan_bounds)
+        code, out, err = run(capsys, command, "--spec", config("exp1.json"), "--bounds", "thm2",
+                             "--t-grid", "1.5:3:2", "--n", "10000", "--seed", "1")
+        assert (code, out, err) == (1, "", "error: bound thm2 is NaN at t=1.5\n")
+
+
 class TestBadNumbers:
     @pytest.mark.parametrize("argv, message", [
         (["entropy-check", "--p", "1"], "--p must be a finite number > 1, got 1.0"),

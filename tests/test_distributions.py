@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -60,6 +61,31 @@ class TestSampling:
         a = D.sample(D.Gaussian(0, 1), seed=11, count=100, stream=0)
         b = D.sample(D.Gaussian(0, 1), seed=11, count=100, stream=1)
         assert not np.array_equal(a, b)
+
+    def test_rng_is_reproducible(self):
+        a, b = D._rng(5, 3).random(1000), D._rng(5, 3).random(1000)
+        assert np.array_equal(a, b)
+
+    def test_streams_pairwise_differ(self):
+        draws = [D._rng(5, k).random(1000) for k in range(10)]
+        assert all(not np.array_equal(draws[i], draws[j])
+                   for i in range(10) for j in range(i + 1, 10))
+
+    def test_seed_and_stream_do_not_alias(self):
+        # as one entropy list, [2^32, 0] and [0, 1] are the same 32-bit words
+        assert not np.array_equal(D._rng(2 ** 32, 0).random(100), D._rng(0, 1).random(100))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(D.SpecError, match=rf"^seed must be a 64-bit unsigned integer, got {seed}$"):
+            D._rng(seed)
+
+    def test_projection_net_keeps_its_generator(self):
+        # a psa_reconstruction net_seed defines its net, so the net's draws
+        # do not follow the sampling generator
+        mats = np.stack(F.random_projections(4, 2, 8, 3))
+        assert hashlib.sha256(mats.tobytes()).hexdigest() == (
+            "e6edaf4bc5c6695ada283e08db120e79d4d373bee0cefcf46fcb11bfae34005a")
 
     @pytest.mark.parametrize("dof, sd", [(1, 1.0), (5, 1.7), (9, 0.3)])
     def test_chi_draw_matches_scipy_chi(self, dof, sd):

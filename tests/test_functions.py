@@ -31,6 +31,10 @@ PSA = F.PsaReconstruction(
 METRIC = F.MetricLipschitz(
     2.0, [D.UniformInterval(0.0, 1.0)] * 3 + [D.Rademacher()],
     ["abs", "identity", "sin", "abs"])
+# METRIC with no closed-form mean: sin of a squared uniform has none
+METRIC_MC = F.MetricLipschitz(
+    2.0, [D.UniformInterval(0.0, 1.0)] * 2 + [D.SquareOf(D.UniformInterval(0.0, 1.0)), D.Rademacher()],
+    ["abs", "identity", "sin", "abs"])
 
 CATALOGUE = [
     sum_of(D.Exponential(1.0), 5),
@@ -601,10 +605,71 @@ class TestExpectation:
         assert val == pytest.approx(2.0 * math.sqrt(2.0 / math.pi), rel=1e-12)
 
     def test_mc_with_half_width(self):
-        val, half = F.expectation(METRIC, budget=10 ** 4)
+        assert METRIC_MC.closed_form_mean() is None
+        val, half = F.expectation(METRIC_MC, budget=10 ** 4)
         assert half > 0
-        ref, _ = F.expectation(METRIC, budget=10 ** 5)
+        ref, _ = F.expectation(METRIC_MC, budget=10 ** 5)
         assert abs(val - ref) < 4 * half
+
+
+class TestMetricLipschitzMean:
+    @pytest.mark.parametrize("name, law", [
+        ("identity", D.Exponential(1.5)),
+        ("abs", D.Gaussian(0.7, 1.3)),
+        ("abs", D.Gaussian(-0.4, 0.5)),
+        ("abs", D.UniformInterval(-1.0, 2.0)),
+        ("abs", D.Centered(D.UniformInterval(0.0, 1.0))),
+        ("abs", D.FiniteSupport((-1.0, 0.5, 2.0), (0.3, 0.5, 0.2))),
+        ("abs", D.Exponential(2.0)),
+        ("abs", D.Scaled(D.Poisson(2.0), -1.5)),
+        ("sin", D.Gaussian(0.7, 1.3)),
+        ("sin", D.Exponential(2.0)),
+        ("sin", D.UniformInterval(-1.0, 2.5)),
+        ("sin", D.Poisson(3.5)),
+        ("sin", D.Rademacher()),
+        ("sin", D.Shifted(D.Gaussian(0.0, 2.0), 1.0)),
+    ], ids=str)
+    def test_matches_monte_carlo(self, name, law):
+        mean = F.MetricLipschitz(1.0, [law], [name]).closed_form_mean()
+        vals = F._LIPSCHITZ_MAPS[name](D.sample(law, seed=21, count=10 ** 6))
+        assert abs(mean - vals.mean()) <= 5.0 * vals.std(ddof=1) / 10 ** 3
+
+    @pytest.mark.parametrize("name", sorted(F._LIPSCHITZ_MAPS))
+    def test_finite_laws_match_the_table(self, name):
+        laws = [EXP4, GAUSS3, SKEW, UNIF3, finite([-2.0, -0.5], [1.0, 3.0])]
+        fspec = F.MetricLipschitz(1.5, laws, [name] * len(laws))
+        table = exact.tabulate(fspec, laws)
+        want = math.fsum((table.joint_probs() * table.f_table).ravel())
+        assert fspec.closed_form_mean() == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("name, law, want", [
+        ("abs", D.Gaussian(1.0, 1e-200), 1.0),
+        ("sin", D.Gaussian(0.3, 1e200), 0.0),
+        ("sin", D.Exponential(1e200), 1e-200),
+        ("abs", D.UniformInterval(-1e200, 3e200), 1.25e200),
+    ], ids=str)
+    def test_extreme_parameters_do_not_overflow(self, name, law, want):
+        # a float ** that overflows raises OverflowError
+        mean = F.MetricLipschitz(1.0, [law], [name]).closed_form_mean()
+        assert mean == pytest.approx(want, rel=1e-15)
+
+    def test_bench_spec_is_exact(self):
+        fspec = F.MetricLipschitz(
+            1.0, [D.Gaussian(0.0, 1.0), D.UniformInterval(0.0, 1.0), D.Exponential(1.0)],
+            ["sin", "abs", "identity"])
+        assert fspec.closed_form_mean() == 1.5
+        est = V.estimate_tail(fspec, [0.5, 1.0], 10 ** 4, seed=1)
+        assert (est.mean_value, est.mean_half_width) == (1.5, 0.0)
+
+    @pytest.mark.parametrize("name, law", [
+        ("sin", D.SquareOf(D.UniformInterval(0.0, 1.0))),
+        ("sin", D.ChiSquared(3)),
+        ("abs", D.Centered(D.Exponential(1.0))),
+    ], ids=str)
+    def test_no_closed_form_keeps_monte_carlo(self, name, law):
+        fspec = F.MetricLipschitz(1.0, [D.Gaussian(), law], ["sin", name])
+        assert fspec.closed_form_mean() is None
+        assert F.expectation(fspec)[1] > 0
 
 
 GAUSS_D = {"kind": "gaussian", "mean": 0.0, "sd": 1.0}
@@ -652,7 +717,7 @@ class TestSpecChecks:
         with pytest.raises(ValueError, match="count must be >= 1, got 0"):
             F.sample_f(METRIC, seed=0, count=0)
         with pytest.raises(ValueError, match="budget must be >= 10\\^4 samples, got 9999"):
-            F.expectation(METRIC, budget=9999)
+            F.expectation(METRIC_MC, budget=9999)
 
 
 class TestSerialization:

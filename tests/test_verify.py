@@ -7,6 +7,7 @@ from scipy.stats import beta, binom, gamma
 from lighttails import distributions as D
 from lighttails import functions as F
 from lighttails import verify as V
+from lighttails.bounds import TailBoundResult
 from lighttails.distributions import FiniteSupport
 from lighttails.entropy import ProductTable
 from lighttails.functions import SumFunction, SupLinearLoss, VectorNormOfSum
@@ -259,6 +260,29 @@ class TestCheckBounds:
             V.check_bounds(est, bounds)
         with pytest.raises(ValueError, match="no bounds"):
             V.check_bounds(est, {})
+
+
+def nan_bounds(t_grid, at=1):
+    """thm2 results with a NaN probability at t_grid[at]."""
+    return {"thm2": [TailBoundResult("thm2", t, math.nan if i == at else 0.5, math.log(0.5))
+                     for i, t in enumerate(t_grid)]}
+
+
+class TestNanBound:
+    # lo > NaN is False, so a NaN bound used to read SOUND
+    def test_estimate(self):
+        est = V.estimate_tail(sum_of(D.Rademacher(), 1), [0.5, 1.5], 10 ** 4, seed=0)
+        with pytest.raises(ValueError, match=r"^bound thm2 is NaN at t=1\.5$"):
+            V.check_bounds(est, nan_bounds([0.5, 1.5]))
+
+    def test_exact_list(self):
+        with pytest.raises(ValueError, match=r"^bound thm2 is NaN at t=0\.5$"):
+            V.check_bounds([0.5, 0.0], nan_bounds([0.5, 1.5], at=0))
+
+    def test_compare(self, monkeypatch):
+        monkeypatch.setattr(V, "bounds_on_grid", lambda *args, **kwargs: nan_bounds([0.5, 1.5]))
+        with pytest.raises(ValueError, match=r"^bound thm2 is NaN at t=1\.5$"):
+            V.compare_bounds(sum_of(D.Rademacher(), 1), ["thm2"], [0.5, 1.5], 10 ** 4, seed=0)
 
 
 class TestCompareBounds:
