@@ -9,6 +9,8 @@ import pytest
 
 import lighttails
 from lighttails import cli
+from lighttails import verify as vfy
+from lighttails.bounds import TailBoundResult
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -590,13 +592,10 @@ class TestMetricLipschitzConstant:
 class TestNanBound:
     @pytest.mark.parametrize("command", ["verify", "compare"])
     def test_exits_with_one_error_line(self, command, monkeypatch, capsys):
-        from lighttails import verify as V
-        from lighttails.bounds import TailBoundResult
-
         def nan_bounds(fspec, kinds, t_grid, p=None):
             return {"thm2": [TailBoundResult("thm2", t, math.nan, math.nan) for t in t_grid]}
 
-        monkeypatch.setattr(V, "bounds_on_grid", nan_bounds)
+        monkeypatch.setattr(vfy, "bounds_on_grid", nan_bounds)
         code, out, err = run(capsys, command, "--spec", config("exp1.json"), "--bounds", "thm2",
                              "--t-grid", "1.5:3:2", "--n", "10000", "--seed", "1")
         assert (code, out, err) == (1, "", "error: bound thm2 is NaN at t=1.5\n")
