@@ -164,42 +164,54 @@ def _check_number(flag, value, holds=lambda v: True, need="a finite number"):
         raise UsageError(f"--{flag} must be {need}, got {value!r}")
 
 
-def _load_spec_file(path):
+_SPEC_TEXTS = 256     # decoded spec texts kept per process
+
+
+class _BadSpecText(Exception):
+    """Why a spec text is refused; the message follows "spec file PATH"."""
+
+
+def _load_spec(path, scalar=False):
+    """(spec, digest payload) of the spec file at path: a function spec, or
+    a scalar distribution if scalar is set.  Decoding is memoised on the
+    file's text, never on its path, so a rewritten file is decoded afresh;
+    failures are not memoised."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read spec file {path}: {exc}")
+    try:
+        return _decode_spec_text(text, scalar)
+    except _BadSpecText as exc:
+        raise UsageError(f"spec file {path}{exc}")
+
+
+@functools.lru_cache(maxsize=_SPEC_TEXTS)
+def _decode_spec_text(text, scalar):
+    """(spec, payload) of a spec file's text.  The payload is the spec's own
+    JSON form: equal specs may have different forms (a -0.0 or 0.0 field),
+    so the memo is keyed on the whole text, not on the spec or a hash."""
+    try:
+        raw = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise UsageError(f"spec file {path} is not valid JSON: {exc}")
+        raise _BadSpecText(f" is not valid JSON: {exc}")
     if not isinstance(raw, dict):
-        raise UsageError(f"spec file {path}: top level must be an object")
+        raise _BadSpecText(": top level must be an object")
     if raw.get("schema") != 1:
-        raise UsageError(f'spec file {path}: field "$.schema" must equal 1')
+        raise _BadSpecText(': field "$.schema" must equal 1')
     extra = set(raw) - {"schema", "spec"}
     if extra:
-        key = sorted(extra)[0]
-        raise UsageError(f'spec file {path}: unknown field "$.{key}"')
+        raise _BadSpecText(f': unknown field "$.{sorted(extra)[0]}"')
     if "spec" not in raw:
-        raise UsageError(f'spec file {path}: missing field "$.spec"')
-    return raw["spec"]
-
-
-def _load_dist_spec(path):
+        raise _BadSpecText(': missing field "$.spec"')
     try:
-        spec = dist.spec_from_dict(_load_spec_file(path), "$.spec")
+        spec = (dist.spec_from_dict if scalar else fn.fspec_from_dict)(raw["spec"], "$.spec")
     except dist.SpecError as exc:
-        raise UsageError(f"spec file {path}: {exc}")
-    if not isinstance(spec, dist.Distribution):
-        raise UsageError(f'spec file {path}: "$.spec": expected a scalar distribution')
-    return spec
-
-
-def _load_fn_spec(path):
-    try:
-        return fn.fspec_from_dict(_load_spec_file(path), "$.spec")
-    except dist.SpecError as exc:
-        raise UsageError(f"spec file {path}: {exc}")
+        raise _BadSpecText(f": {exc}")
+    if scalar and not isinstance(spec, dist.Distribution):
+        raise _BadSpecText(': "$.spec": expected a scalar distribution')
+    return spec, dist.spec_to_dict(spec)
 
 
 def _config_digest(args, spec_payload=None):
@@ -220,9 +232,13 @@ def _envelope(args, digest, payload):
 
 
 def _kv_csv(d, prefix=""):
+    """key,value lines of a JSON document: objects flattened by key, and
+    lists that hold objects by index; any other list is one ';'-joined cell."""
     lines = []
     for k, v in d.items():
         key = f"{prefix}{k}"
+        if isinstance(v, (list, tuple)) and any(isinstance(x, dict) for x in v):
+            v = dict(enumerate(v))
         if isinstance(v, dict):
             lines.extend(_kv_csv(v, prefix=key + "."))
         elif isinstance(v, (list, tuple)):
@@ -258,8 +274,8 @@ def _emit_payload(args, digest, payload):
 
 def _cmd_norms(args):
     _check_number("p-max", args.p_max, lambda v: v >= 1, "a finite number >= 1")
-    spec = _load_dist_spec(args.spec)
-    digest = _config_digest(args, dist.spec_to_dict(spec))
+    spec, spec_payload = _load_spec(args.spec, scalar=True)
+    digest = _config_digest(args, spec_payload)
     try:
         est = psi_norm(spec, args.alpha, p_max=args.p_max)
     except PMaxTooSmallError as exc:
@@ -271,11 +287,11 @@ def _cmd_norms(args):
 def _cmd_entropy_check(args):
     _check_number("beta", args.beta)
     _check_number("p", args.p, lambda v: v > 1, "a finite number > 1")
-    spec = _load_dist_spec(args.spec)
+    spec, spec_payload = _load_spec(args.spec, scalar=True)
     fs = dist.finite_support(spec)
     if fs is None:
         raise UsageError("entropy-check needs a finite-support distribution")
-    digest = _config_digest(args, dist.spec_to_dict(spec))
+    digest = _config_digest(args, spec_payload)
     values, probs = fs
     mu = float(np.dot(values, probs))
     y = dist.FiniteSupport(values - mu, probs)
@@ -302,11 +318,11 @@ def _lemma_check(bound, *args):
 
 
 def _cmd_bound(args):
-    fspec = _load_fn_spec(args.spec)
+    fspec, spec_payload = _load_spec(args.spec)
     kinds = _parse_kinds(args.bounds)
     _thm3_p(kinds, args.p)
     t_grid = _parse_t_grid(args.t_grid)
-    digest = _config_digest(args, fn.fspec_to_dict(fspec))
+    digest = _config_digest(args, spec_payload)
     try:
         table = vfy.bounds_on_grid(fspec, kinds, t_grid, p=args.p)
     except ValueError as exc:
@@ -318,10 +334,10 @@ def _cmd_bound(args):
 
 
 def _cmd_invert(args):
-    fspec = _load_fn_spec(args.spec)
+    fspec, spec_payload = _load_spec(args.spec)
     kinds = _parse_kinds(args.bounds)
     p = _thm3_p(kinds, args.p)
-    digest = _config_digest(args, fn.fspec_to_dict(fspec))
+    digest = _config_digest(args, spec_payload)
     try:
         profile = fn.proxy_profile(fspec, p=p, kinds=kinds)
         results = {k: invert_tail(k, profile, args.delta, p=args.p).to_dict()
@@ -389,11 +405,11 @@ def _cmd_appbound(args):
 def _run_verification(args, negative_control=False, with_ratios=False):
     _check_number("threads", args.threads, lambda v: v >= 1, "an integer >= 1")
     _check_number("n", args.n, lambda v: v >= vfy.MIN_SAMPLES, "an integer >= 10^4")
-    fspec = _load_fn_spec(args.spec)
+    fspec, spec_payload = _load_spec(args.spec)
     kinds = _parse_kinds(args.bounds)
     _thm3_p(kinds, args.p)
     t_grid = _parse_t_grid(args.t_grid)
-    digest = _config_digest(args, fn.fspec_to_dict(fspec))
+    digest = _config_digest(args, spec_payload)
     meta = {"tool_version": __version__, "config_digest": digest,
             "command": args.command, "schema": 1,
             "sampler_layout": fspec.sampler_layout}

@@ -63,8 +63,9 @@ Specs = tuple       # annotation: a nonempty list of scalar distribution specs
 
 
 def _number(value, name, kind=numbers.Real, positive=False):
-    """value if it is a finite number of the given kind (and > 0 if asked);
-    integers come back as int."""
+    """value if it is a finite number of the given kind (and > 0 if asked),
+    as an int for integers and as a float for real numbers, so that 2 and
+    2.0 give one spec with one JSON form."""
     if isinstance(value, bool) or not isinstance(value, kind):
         what = "an integer" if kind is numbers.Integral else "a number"
         raise SpecError(f"{name} must be {what}, got {value!r}")
@@ -76,7 +77,7 @@ def _number(value, name, kind=numbers.Real, positive=False):
         raise SpecError(f"{name} must be finite, got {value!r}")
     if positive and not value > 0:
         raise SpecError(f"{name} must be positive, got {value}")
-    return int(value) if kind is numbers.Integral else value
+    return int(value) if kind is numbers.Integral else float(value)
 
 
 def _count(value, name):
@@ -92,7 +93,7 @@ def _items(value, name):
 
 def _floats(value, name):
     """value as a tuple of floats, if it is a list of finite numbers."""
-    return tuple(float(_number(v, name)) for v in _items(value, name))
+    return tuple(_number(v, name) for v in _items(value, name))
 
 
 def _instance(value, name, cls, what):

@@ -203,7 +203,6 @@ class SupLinearLoss(_VectorCoordinates):
     def _check(self):
         object.__setattr__(self, "weights", tuple(
             _row(w, "weights", self.input.dim) for w in dist._items(self.weights, "weights")))
-        object.__setattr__(self, "huber_kappa", float(self.huber_kappa))
         if self.loss not in ("absolute", "hinge", "huber"):
             raise dist.SpecError(f"unknown loss {self.loss!r}")
         if self.loss == "huber" and not 0 < self.huber_kappa <= 1:
@@ -328,7 +327,6 @@ class MetricLipschitz(_ScalarCoordinates):
     laws = property(lambda self: self.coordinate_dists)
 
     def _check(self):
-        object.__setattr__(self, "lip", float(self.lip))
         if self.lip < 0:
             raise dist.SpecError(f"lip must be nonnegative, got {self.lip}")
         object.__setattr__(self, "maps", dist._items(self.maps, "maps"))
@@ -577,16 +575,18 @@ def proxy_profile(fspec, p: Optional[float] = None, kinds=None) -> ProxyProfile:
     proxy is a ValueError, and so is a psi2 kind with no psi2 proxy or a psi2
     norm not finite up to p_max; without kinds such a norm is left out.  Any
     other proxy norm not finite up to p_max is a ValueError that names its
-    coordinate (or input or output) and law.
+    coordinate (or input or output) and law.  The kind's profile is
+    memoised (see `_kind_profile`); its errors are not.
     """
+    p = None if p is None else float(p)
     if kinds is None:
         try:
-            return fspec.proxy_profile(p, True)
+            return _kind_profile(fspec, p, True)
         except NotSubGaussianError:
-            return fspec.proxy_profile(p, False)
+            return _kind_profile(fspec, p, False)
     if not any(k.startswith("thm3") for k in kinds):
         p = None
-    profile = fspec.proxy_profile(p, any(k in PSI2_KINDS for k in kinds))
+    profile = _kind_profile(fspec, p, any(k in PSI2_KINDS for k in kinds))
     if p is not None and profile.l2p_per_coord is None:
         raise ValueError(f"the {fspec.kind} kind has no 2p-norm proxy, so the "
                          "thm3 bound kinds do not apply to it")
@@ -594,6 +594,17 @@ def proxy_profile(fspec, p: Optional[float] = None, kinds=None) -> ProxyProfile:
         raise ValueError(f"the {fspec.kind} kind has no psi2 proxy, so the psi2 "
                          f"bound kinds {' and '.join(PSI2_KINDS)} do not apply to it")
     return profile
+
+
+_PROFILES = 1024     # kind profiles kept per process
+
+
+@functools.lru_cache(maxsize=_PROFILES)
+def _kind_profile(fspec, p, with_psi2):
+    """fspec.proxy_profile(p, with_psi2), memoised.  Specs are frozen and
+    equal specs have equal fields, p is None or a float, and a ProxyProfile
+    is frozen with tuple entries, so one result serves every equal key."""
+    return fspec.proxy_profile(p, with_psi2)
 
 
 def _support_width(spec):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -146,6 +148,44 @@ class TestSpecLoading:
                                      "components": [{"kind": "rademacher"}]})
         code, _, err = run(capsys, "norms", "--spec", path, "--alpha", "1")
         assert code == 1 and "scalar distribution" in err
+
+
+class TestSpecMemo:
+    """Decoded spec files are memoised on their text, never on their path."""
+
+    BOUND = ("--bounds", "thm2", "--t-grid", "1:5:3")
+
+    def test_rewritten_file_is_decoded_afresh(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"kind": "gaussian", "mean": 0.0, "sd": 1.0})
+        _, first, _ = run(capsys, "bound", "--spec", path, *self.BOUND)
+        write_spec(tmp_path, {"kind": "uniform", "lo": -1.0, "hi": 1.0})
+        code, second, err = run(capsys, "bound", "--spec", path, *self.BOUND)
+        assert code == 0 and err == "" and second != first
+        cli._decode_spec_text.cache_clear()
+        assert run(capsys, "bound", "--spec", path, *self.BOUND)[1] == second
+
+    def test_failed_decode_is_not_memoised(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"kind": "exponential", "rate": -1.0})
+        code, out, err = run(capsys, "bound", "--spec", path, *self.BOUND)
+        assert code == 1 and out == ""
+        assert err == f'error: spec file {path}: "$.spec": rate must be positive, got -1.0\n'
+        write_spec(tmp_path, {"kind": "exponential", "rate": 1.0})
+        code, out, err = run(capsys, "bound", "--spec", path, *self.BOUND)
+        assert code == 0 and err == "" and json.loads(out)["bounds"]["thm2"]
+
+    def test_int_and_float_fields_give_one_output(self, tmp_path, capsys, monkeypatch):
+        # one argv, digest included, in two directories whose spec files
+        # differ only in 2 against 2.0
+        outs = []
+        for rate in (2, 2.0):
+            where = tmp_path / repr(rate)
+            where.mkdir()
+            write_spec(where, {"kind": "sum", "components": [{"kind": "exponential", "rate": rate}] * 3})
+            monkeypatch.chdir(where)
+            code, out, err = run(capsys, "bound", "--spec", "spec.json", *self.BOUND)
+            assert code == 0 and err == ""
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 class TestEntropyCheck:
@@ -342,6 +382,20 @@ class TestVerifyCommand:
         assert out.split("\n")[0].endswith("ratio_log10_thm2,verdict")
 
 
+class TestCsv:
+    def test_bound_cells_are_numbers_or_plain_strings(self, capsys):
+        # each bounds.<kind> cell used to hold the Python reprs of its rows
+        code, out, _ = run(capsys, "bound", "--spec", config("sum_exp10.json"),
+                           "--bounds", "thm2,bounded-difference", "--t-grid", "1:10:4",
+                           "--format", "csv")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert code == 0 and "{'" not in out
+        assert rows[0] == ["key", "value"] and all(len(row) == 2 for row in rows)
+        cells = dict(rows)
+        assert [cells[f"bounds.thm2.{i}.t"] for i in range(4)] == ["1.0", "4.0", "7.0", "10.0"]
+        assert float(cells["bounds.thm2.3.prob"]) < float(cells["bounds.thm2.0.prob"]) <= 1.0
+
+
 class TestDigestStability:
     def test_same_config_same_digest(self, capsys):
         _, out1, _ = run(capsys, "norms", "--spec", config("exp1.json"),
@@ -431,6 +485,8 @@ class TestThm3P:
 class TestPsi2OnlyWhenRead:
     @pytest.mark.parametrize("spec", ["sum_exp10.json", "gauss_norm.json"])
     def test_psi2_norms_only_for_kinds_that_read_them(self, spec, capsys, monkeypatch):
+        # a memoised profile reads no norm; start with none
+        cli.fn._kind_profile.cache_clear()
         alphas = []
         for name in ("psi_norm", "vector_norm_psi"):
             real = getattr(cli.fn, name)

@@ -632,10 +632,16 @@ class TestSerialization:
             D.spec_from_dict({"kind": "cauchy"})
 
     def test_encoding_keeps_field_values(self):
+        # real fields are written as floats, so 2 and 2.0 give one JSON
+        # form; integer (Count) fields stay integers
         d = {"kind": "shifted", "base": {"kind": "gaussian", "mean": 0, "sd": 1},
              "offset": 2}
+        floats = {"kind": "shifted", "base": {"kind": "gaussian", "mean": 0.0, "sd": 1.0},
+                  "offset": 2.0}
         assert D.spec_to_dict(D.spec_from_dict(d)) == d
-        assert json.dumps(D.spec_to_dict(D.spec_from_dict(d))) == json.dumps(d)
+        assert json.dumps(D.spec_to_dict(D.spec_from_dict(d))) == json.dumps(floats)
+        chi2 = {"kind": "chi_squared", "dof": 3}
+        assert json.dumps(D.spec_to_dict(D.spec_from_dict(chi2))) == json.dumps(chi2)
 
     @pytest.mark.parametrize("payload,where,what", [
         ({"kind": "shifted", "offset": 1.0,

@@ -478,6 +478,7 @@ class TestProxyProfile:
                 raise D.QuadratureError("no convergence")
             return real(vec, alpha)
         monkeypatch.setattr(F, "vector_norm_psi", failing_psi2)
+        F._kind_profile.cache_clear()       # a memoised profile reads no norm
         with pytest.raises(D.QuadratureError):
             F.proxy_profile(F.VectorNormOfSum(gauss_vec(3), 4))
 
@@ -489,6 +490,7 @@ class TestProxyProfile:
                 raise O.PMaxTooSmallError("still increasing")
             return real(vec, alpha)
         monkeypatch.setattr(F, "vector_norm_psi", no_psi2)
+        F._kind_profile.cache_clear()
         assert F.proxy_profile(F.VectorNormOfSum(gauss_vec(3), 4)).psi2_per_coord is None
         with pytest.raises(F.NotSubGaussianError, match=r"^coordinate 0 \(VectorSpec\("):
             F.proxy_profile(F.VectorNormOfSum(gauss_vec(3), 4), kinds=["thm1"])
@@ -517,6 +519,37 @@ class TestProxyProfile:
             with pytest.raises(ValueError, match=r"^coordinate 1 \(Scaled\(base=ChiSquared") as info:
                 F.proxy_profile(fspec, kinds=kinds)
             assert not isinstance(info.value, F.NotSubGaussianError)
+
+    @pytest.mark.parametrize("with_psi2", [True, False])
+    @pytest.mark.parametrize("p", [None, 2.0])
+    @pytest.mark.parametrize("fspec", CATALOGUE, ids=[f.kind for f in CATALOGUE])
+    def test_memoised_profile_equals_a_fresh_one(self, fspec, p, with_psi2):
+        try:
+            fresh = fspec.proxy_profile(p, with_psi2)
+        except F.NotSubGaussianError as exc:    # psi2 of the exponential sum
+            for _ in range(2):
+                with pytest.raises(F.NotSubGaussianError) as info:
+                    F._kind_profile(fspec, p, with_psi2)
+                assert str(info.value) == str(exc)
+            return
+        memo = F._kind_profile(fspec, p, with_psi2)
+        assert memo == fresh and F._kind_profile(fspec, p, with_psi2) is memo
+        # an int p is the same key, and gives the same profile
+        if p is not None:
+            assert F.proxy_profile(fspec, p=2) == F.proxy_profile(fspec, p=2.0)
+
+    def test_uncertified_profile_fails_alike_twice(self):
+        # the bench template sum:poisson+chi-squared-1; errors are not memoised
+        fspec = F.fspec_from_dict({"kind": "sum", "components": [
+            {"kind": "poisson", "rate": 1.5},
+            {"kind": "scaled", "base": {"kind": "chi_squared", "dof": 1}, "factor": 1.1}]})
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                F.proxy_profile(fspec, kinds=["thm2"])
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("coordinate 1 (Scaled(base=ChiSquared(dof=1), factor=1.1)): ")
 
     def test_psa_needs_a_sub_gaussian_norm(self):
         fspec = F.PsaReconstruction(2, 1, [((1.0, 0.0), (0.0, 0.0))],
