@@ -1,9 +1,10 @@
 """Command-line front door: wire JSON configs to the library operations and
 emit machine-readable reports.
 
-Exit codes: 0 success (and SOUND verifications), 1 usage or config errors,
-2 bound VIOLATION.  Artifacts are written atomically and every output embeds
-the tool version, the seed, and a digest of the effective config.
+Exit codes: 0 success (and SOUND verifications), 1 usage or config errors
+and norms or moments that cannot be certified, 2 bound VIOLATION.
+Artifacts are written atomically and every output embeds the tool version,
+the seed, and a digest of the effective config.
 """
 from __future__ import annotations
 
@@ -155,6 +156,7 @@ def _thm3_p(kinds, p):
     if not p > 1:
         raise UsageError(f"the thm3 bound kinds need --p > 1, got {p!r}")
     _check_number("p", p)
+    _check_number("p", p, lambda v: math.isfinite(2 * v), "a number whose double is finite")
     return p
 
 
@@ -177,9 +179,9 @@ def _load_spec(path, scalar=False):
     file's text, never on its path, so a rewritten file is decoded afresh;
     failures are not memoised."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read spec file {path}: {exc}")
     try:
         return _decode_spec_text(text, scalar)
@@ -276,10 +278,7 @@ def _cmd_norms(args):
     _check_number("p-max", args.p_max, lambda v: v >= 1, "a finite number >= 1")
     spec, spec_payload = _load_spec(args.spec, scalar=True)
     digest = _config_digest(args, spec_payload)
-    try:
-        est = psi_norm(spec, args.alpha, p_max=args.p_max)
-    except PMaxTooSmallError as exc:
-        raise UsageError(str(exc))
+    est = psi_norm(spec, args.alpha, p_max=args.p_max)
     _emit_payload(args, digest, {"estimate": est.to_dict()})
     return EXIT_OK
 
@@ -448,7 +447,7 @@ def main(argv=None):
             "compare": lambda a: _run_verification(a, with_ratios=True),
         }[args.command]
         return handler(args)
-    except UsageError as exc:
+    except (UsageError, PMaxTooSmallError, dist.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

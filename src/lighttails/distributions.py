@@ -237,13 +237,15 @@ class _Continuous(Distribution):
             terms = np.where(e > -700, np.exp(e), 0.0) * w * _TS_W
             val = np.sum(terms, axis=(1, 2, 3))
             gap = np.abs(np.log(val) - np.log(2.0 * np.sum(terms[..., ::2], axis=(1, 2, 3))))
-        if not np.all(np.isfinite(val) & (val > 0)):
-            raise QuadratureError(f"fixed-rule quadrature failed (values {val})")
+        bad = ~(np.isfinite(val) & (val > 0))
+        if bad.any():
+            raise QuadratureError(f"fixed-rule quadrature failed (value {val[bad][0]}) "
+                                  f"at p={float(ps[bad][0])!r}")
         bad = ~(gap <= 1e-5 * np.where(ps > 0, ps, 1.0))
         if bad.any():
             raise QuadratureError(
                 f"the tanh-sinh rules at t = j/8 and j/4 differ by {gap[bad][0]:.3g} "
-                f"in ln E at p={ps[bad][0]!r}")
+                f"in ln E at p={float(ps[bad][0])!r}")
         return k + np.log(val)
 
 
@@ -772,11 +774,15 @@ def lp_norm(spec, p: float) -> float:
 
 
 def log_abs_moment(spec, p: float) -> float:
-    """ln E|X|^p (-inf for the a.s. zero variable)."""
+    """ln E|X|^p (-inf for the a.s. zero variable); a NaN, as a closed form
+    gives at p = inf, is a QuadratureError."""
     _scalar(spec)
     if p < 0:
         raise SpecError(f"moment order must be nonnegative, got p={p}")
-    return _log_abs_moment_cached(spec, float(p))
+    lm = _log_abs_moment_cached(spec, float(p))
+    if math.isnan(lm):
+        raise QuadratureError(f"ln E|X|^p is nan at p={float(p)!r}")
+    return lm
 
 
 @functools.lru_cache(maxsize=1 << 16)

@@ -24,10 +24,10 @@ __all__ = [
     "SumFunction", "VectorNormOfSum", "SupLinearLoss", "PsaReconstruction",
     "MetricLipschitz", "FunctionSpec", "eval_f", "sample_f", "proxy_profile",
     "expectation", "vector_norm_psi", "vector_norm_lp", "random_projections",
-    "fspec_to_dict", "fspec_from_dict", "NotSubGaussianError",
+    "fspec_from_dict", "NotSubGaussianError",
 ]
 
-_INNER_MC = 10 ** 5      # draws of the fixed-seed inner estimates
+_INNER_MC = 10 ** 5      # draws of the fixed-seed inner estimates and means
 _INNER_STREAM = 10 ** 9  # stream offset reserved for inner estimates
 
 
@@ -114,7 +114,9 @@ class SumFunction(_ScalarCoordinates):
         psi1 = [_proxy_norm(psi_norm, c, 1, f"coordinate {i}", law) for i, (c, law) in coords]
         psi2 = ([_psi2(psi_norm, c, f"coordinate {i}", law) for i, (c, law) in coords]
                 if with_psi2 else None)
-        l2p = None if p is None else [dist.lp_norm(c, 2 * p) for c in centered]
+        l2p = None if p is None else [
+            _proxy_read(dist.lp_norm, c, 2 * p, f"coordinate {i}", law, "2p-norm")
+            for i, (c, law) in coords]
         ranges = [_support_width(c) for c in self.components]
         return ProxyProfile(n=self.n, psi1_per_coord=psi1, psi2_per_coord=psi2,
                             l2p_per_coord=l2p, l2p_order=p, ranges=ranges)
@@ -158,18 +160,18 @@ class VectorNormOfSum(_VectorCoordinates):
 
     def _of_sum(self, s):
         """||s - n E[X]|| if centered, else ||s||, row by row of a (count,
-        dim) batch s of sums."""
+        dim) batch s of sums, its squares added as `_coordinate_sum` adds."""
         if self.centered:
             means = np.array([dist.mean(c) for c in self.vec.components])
             s = s - self.n * means
-        # np.linalg.norm(s, axis=1) of a C-order s
-        return np.sqrt(_pairwise_sum([c * c for c in s.T]))
+        return np.sqrt(_coordinate_sum(s * s))
 
     def proxy_profile(self, p, with_psi2):
         n, vec = self.n, self.vec
         b1 = 2.0 * _proxy_norm(vector_norm_psi, vec, 1, "coordinate 0", vec)
         psi2 = [2.0 * _psi2(vector_norm_psi, vec, "coordinate 0", vec)] * n if with_psi2 else None
-        l2p = [2.0 * vector_norm_lp(self.vec, 2 * p)] * n if p is not None else None
+        l2p = None if p is None else [
+            2.0 * _proxy_read(vector_norm_lp, vec, 2 * p, "coordinate 0", vec, "2p-norm")] * n
         r = math.sqrt(math.fsum(_support_width(c) ** 2
                                 for c in self.vec.components))
         return ProxyProfile(n=n, psi1_per_coord=[b1] * n, psi2_per_coord=psi2,
@@ -444,34 +446,12 @@ def _vector_rows(vec, n):
     return [((i, j), c) for i in range(n) for j, c in enumerate(vec.components)]
 
 
-def _pairwise_sum(terms):
-    """sum(terms) in the order numpy sums a contiguous run (pairwise_sum):
-    one term after another below eight terms; up to 128, eight running sums
-    combined as a tree, then the rest; longer runs split in two."""
-    n = len(terms)
-    if n < 8:
-        return functools.reduce(np.add, terms)
-    if n <= 128:
-        acc, i = list(terms[:8]), 8
-        while i < n - n % 8:
-            acc = [a + t for a, t in zip(acc, terms[i:i + 8])]
-            i += 8
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        return functools.reduce(np.add, terms[i:], total)
-    half = n // 2 - (n // 2) % 8
-    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
-
-
 def _coordinate_sum(points):
-    """points.sum(axis=1), bit for bit as numpy computes it on the C-order
-    batch, for a batch of any layout.  There scalar coordinates form a
-    contiguous run, which numpy sums pairwise; vector coordinates are added
-    one after another.  Both orders work on whole columns here, so a
-    coordinate-major batch is summed without a copy."""
-    terms = list(np.moveaxis(points, 1, 0))
-    # numpy's sums start at +0.0, which also makes the result a new array
-    if math.prod(points.shape[2:]) == 1:
-        return 0.0 + _pairwise_sum(terms)
+    """The sum over axis 1 of a batch, whole column after whole column, in
+    place in one new array that starts at +0.0 as numpy's sums do.  One
+    order for every memory layout gives the same bits for every layout,
+    and a coordinate-major batch is summed without a copy."""
+    terms = np.moveaxis(points, 1, 0)
     total = 0.0 + terms[0]
     for t in terms[1:]:
         total += t
@@ -626,12 +606,22 @@ class NotSubGaussianError(ValueError):
     """A coordinate's psi2 norm is not finite up to p_max."""
 
 
+def _proxy_read(norm, spec, order, where, law, what):
+    """norm(spec, order), for every proxy norm read: a QuadratureError in it
+    is raised again naming `where` (a coordinate, input or output), its law
+    and `what` norm it is."""
+    try:
+        return norm(spec, order)
+    except dist.QuadratureError as exc:
+        raise dist.QuadratureError(f"{where} ({law}): its {what} is not certified: {exc}") from None
+
+
 def _proxy_norm(norm, spec, alpha, where, law, why=None, error=ValueError):
-    """norm(spec, alpha).value, for every proxy norm read.  Where its moment
+    """norm(spec, alpha).value, read by `_proxy_read`.  Where its moment
     ratio still rises at p_max, `error` names `where` (a coordinate, input or
     output) and its law, and says `why` the proxy fails."""
     try:
-        return norm(spec, alpha).value
+        return _proxy_read(norm, spec, alpha, where, law, f"psi{alpha} norm").value
     except PMaxTooSmallError:
         why = why or f"its psi{alpha} norm is not certified"
         raise error(f"{where} ({law}): its psi{alpha} moment ratio still rises at p_max, "
@@ -648,24 +638,19 @@ def _psi2(norm, spec, where, law):
 # ---------------------------------------------------------------------------
 # Expectations
 
-def expectation(fspec, budget=10 ** 5, seed=0):
-    """(E[f(X)], half_width) -- closed form where exact, else a fixed-seed
-    estimate with a 99.9% normal-approximation half-width."""
+def expectation(fspec, seed=0):
+    """(E[f(X)], half_width) -- closed form where exact, else the mean of
+    _INNER_MC fixed-seed draws with a 99.9% normal-approximation half-width."""
     exact = fspec.closed_form_mean()
     if exact is not None:
         return exact, 0.0
-    if budget < 10 ** 4:
-        raise ValueError(f"budget must be >= 10^4 samples, got {budget}")
-    vals = sample_f(fspec, seed, budget, stream=_INNER_STREAM + 777)
-    half = 3.2905 * float(vals.std(ddof=1)) / math.sqrt(budget)
+    vals = sample_f(fspec, seed, _INNER_MC, stream=_INNER_STREAM + 777)
+    half = 3.2905 * float(vals.std(ddof=1)) / math.sqrt(_INNER_MC)
     return float(vals.mean()), half
 
 
 # ---------------------------------------------------------------------------
 # Serialization
-
-fspec_to_dict = dist.spec_to_dict
-
 
 def fspec_from_dict(d, path="$"):
     """Decode a function spec; a bare distribution spec means the

@@ -14,13 +14,13 @@ of every moment, and reports the best ratio it read as the value.  Every
 psi norm of a law takes this one path: a finite law is a FiniteSupport, with
 one exact log-sum-exp over (p, value) as its batched moments; the length of
 an iid centered Gaussian vector is a Chi law; and a psi diameter is psi_norm
-of the law's `abs_difference_law()`.
+of the law's `abs_difference_law()`.  No norm here is estimated from
+samples, so every one may feed a tail bound.
 """
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +29,7 @@ from . import distributions as dist
 
 __all__ = [
     "OrliczEstimate", "PMaxTooSmallError", "psi_norm", "psi_norm_finite",
-    "psi_norm_empirical", "centering_bound", "conditional_contraction_check",
-    "concentrated_variable_bounds", "square_psi1_from_psi2", "mgf_bound_check",
+    "conditional_contraction_check", "concentrated_variable_bounds", "mgf_bound_check",
 ]
 
 E = math.e
@@ -50,7 +49,7 @@ class OrliczEstimate:
     value: float
     p_star: float
     method: str
-    upper: float    # bound on the supremum; nan where none is known
+    upper: float    # certified bound on the supremum, never below value
 
     def to_dict(self):
         return {"alpha": self.alpha, "value": self.value, "upper": self.upper,
@@ -104,7 +103,7 @@ def _sup_ratio(log_moments, alpha, p_max):
         bad = ~np.isfinite(phis)
         if bad.any():
             raise dist.QuadratureError(
-                f"ln E|Z|^p is {phis[bad][0]} at p={ps[bad][0]!r}: no chord bound")
+                f"ln E|Z|^p is {phis[bad][0]} at p={float(ps[bad][0])!r}: no chord bound")
         ratios = phis / ps - np.log(ps) / alpha
         bounds = _chord_bounds(ps, phis, alpha)
         split = bounds > ratios.max() + _CHORD_TOL
@@ -162,43 +161,6 @@ def psi_norm_finite(values, probs, alpha) -> OrliczEstimate:
     return psi_norm(dist.FiniteSupport(values, probs), alpha)
 
 
-def psi_norm_empirical(samples, alpha, p_max=10.0) -> OrliczEstimate:
-    """Plug-in psi norm from samples.
-
-    High empirical moments are dominated by the sample maximum and are
-    downward biased; p_max may not exceed ln(sample count).
-    """
-    _check_alpha(alpha)
-    samples = np.asarray(samples, dtype=float).ravel()
-    n = len(samples)
-    if n == 0:
-        raise ValueError("empty sample array")
-    if n < 100:
-        raise ValueError(f"need at least 100 samples, got {n}")
-    if p_max > math.log(n):
-        raise ValueError(
-            f"p_max={p_max} exceeds ln(sample count)={math.log(n):.3f}; "
-            "higher empirical moments are unreliable")
-    warnings.warn("empirical psi norms are downward-biased at high p",
-                  stacklevel=2)
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(np.abs(samples))
-    log_abs = log_abs[np.isfinite(log_abs)]
-    log_n = math.log(n)
-    grid = _p_grid(p_max)
-    lrs = np.array([(dist._logsumexp(p * log_abs) - log_n) / p - math.log(p) / alpha
-                    for p in grid])
-    i = int(np.argmax(lrs))
-    return OrliczEstimate(alpha, math.exp(lrs[i]), float(grid[i]), "empirical", math.nan)
-
-
-def centering_bound(psi_value: float) -> float:
-    """Norm bound for the centered variable: twice the uncentered norm."""
-    if psi_value < 0:
-        raise ValueError(f"psi_value must be nonnegative, got {psi_value}")
-    return 2.0 * psi_value
-
-
 def conditional_contraction_check(marginal, phi, alpha):
     """Conditioning contracts the psi norm: returns (lhs, rhs), lhs <= rhs.
 
@@ -237,13 +199,6 @@ def concentrated_variable_bounds(eps: float):
 
     psi1_bound = 2.0 / (E * math.log(1.0 / eps))
     return lp_bound, psi1_bound
-
-
-def square_psi1_from_psi2(psi2_value: float) -> float:
-    """psi_1 bound for the square of a sub-Gaussian variable."""
-    if psi2_value < 0:
-        raise ValueError(f"psi2_value must be nonnegative, got {psi2_value}")
-    return 2.0 * psi2_value ** 2
 
 
 def mgf_bound_check(spec, beta, psi2_value=None):

@@ -92,9 +92,9 @@ def _check_grid(t_grid):
 def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
     """One pass over n_samples deterministic draws of f, sharded by a fixed
     width so the result does not depend on the worker count.  The intervals
-    are at DEFAULT_CP_LEVEL, and E[f(X)] is `fn.expectation` at its default
-    budget; where that estimate's half-width exceeds a tenth of the t-grid
-    spacing, the grid is too fine for it and this is a ValueError."""
+    are at DEFAULT_CP_LEVEL, and E[f(X)] is `fn.expectation`; where that
+    estimate's half-width exceeds a tenth of the t-grid spacing, the grid
+    is too fine for it and this is a ValueError."""
     t_grid = _check_grid(t_grid)
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")

@@ -98,6 +98,15 @@ class TestSpecLoading:
                            "--alpha", "1")
         assert code == 1 and "cannot read" in err
 
+    def test_non_utf8_file(self, tmp_path, capsys):
+        # used to end in a UnicodeDecodeError traceback
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"schema": 1, "spec": {"kind": "rademacher"}, "x": "\xff"}')
+        code, out, err = run(capsys, "norms", "--spec", str(path), "--alpha", "1")
+        assert (code, out) == (1, "")
+        assert err == (f"error: cannot read spec file {path}: 'utf-8' codec can't decode "
+                       "byte 0xff in position 52: invalid start byte\n")
+
     def test_bad_dist_kind(self, tmp_path, capsys):
         path = write_spec(tmp_path, {"kind": "no-such-law"})
         code, _, err = run(capsys, "norms", "--spec", path, "--alpha", "1")
@@ -619,6 +628,31 @@ class TestUncertifiedProxyNorms:
                              "--bounds", "thm2", *LAST_ARGS[command])
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+
+class TestQuadratureFailures:
+    # each used to end in a QuadratureError traceback
+    @pytest.mark.parametrize("command", sorted(LAST_ARGS))
+    def test_2p_norm_names_the_coordinate_and_its_law(self, command, capsys):
+        code, out, err = run(capsys, command, "--spec", config("exp1.json"), "--bounds", "thm3",
+                             "--p", "1e50", *LAST_ARGS[command])
+        assert (code, out) == (1, "")
+        assert err == ("error: coordinate 0 (Exponential(rate=1.0)): its 2p-norm is not "
+                       "certified: fixed-rule quadrature failed (value inf) at p=2e+50\n")
+
+    @pytest.mark.parametrize("command", sorted(LAST_ARGS))
+    def test_p_whose_double_overflows(self, command, capsys):
+        code, out, err = run(capsys, command, "--spec", config("exp1.json"), "--bounds", "thm3",
+                             "--p", "1e308", *LAST_ARGS[command])
+        assert (code, out) == (1, "")
+        assert err == "error: --p must be a number whose double is finite, got 1e+308\n"
+
+    def test_norms(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"kind": "centered",
+                                     "base": {"kind": "exponential", "rate": 1.0}})
+        code, out, err = run(capsys, "norms", "--spec", path, "--alpha", "1", "--p-max", "1e20")
+        assert (code, out) == (1, "")
+        assert err == "error: fixed-rule quadrature failed (value inf) at p=1.96441428090663e+17\n"
 
 
 class TestMetricLipschitzConstant:

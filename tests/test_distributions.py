@@ -144,6 +144,18 @@ class TestMoments:
         with pytest.raises(ValueError):
             D.lp_norm(D.Rademacher(), 0.5)
 
+    def test_nan_moment_is_an_error(self):
+        # the chi closed form is inf - inf at p = inf; the norm used to read 0.0
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(D.QuadratureError, match="ln E\\|X\\|\\^p is nan at p=inf"):
+            D.lp_norm(D.Chi(5, 1.0), math.inf)
+
+    def test_failed_rule_names_the_first_failing_order(self):
+        # it used to print the whole array of values
+        with pytest.raises(D.QuadratureError) as info:
+            D.log_abs_moments(D.Centered(D.Exponential(1.0)), np.array([2.0, 1e18, 2e18]))
+        assert str(info.value) == "fixed-rule quadrature failed (value inf) at p=1e+18"
+
     def test_two_point_eps_exact(self):
         eps = 0.03
         spec = D.TwoPointEps(eps)

@@ -170,7 +170,7 @@ class TestEstimateTail:
             V.estimate_tail(fspec, [1.0], 10 ** 3, seed=0)
 
     def test_grid_spacing_guard(self):
-        # the default budget's half-width is 0.0141, against a spacing of 1e-4
+        # expectation's half-width is 0.0141, against a spacing of 1e-4
         vec = D.VectorSpec(2, [D.Rademacher(), D.Rademacher()])
         fspec = VectorNormOfSum(vec, n=5)
         with pytest.raises(ValueError, match="t-grid spacing 0.0001 too fine"):
