@@ -120,13 +120,12 @@ def regression_bound(lip, psi1_x, psi1_z, n, delta) -> float:
         1.0 + 2.0 * E * math.sqrt(big_l))
 
 
-def metric_tail(lip, diameters, t, lipschitz_linear_term=False) -> TailBoundResult:
+def metric_tail(lip, diameters, t) -> TailBoundResult:
     """Tail for an L-Lipschitz function of independent metric coordinates:
-    exp(-t^2 / (4 e L^2 sum D_k^2 + 2 e max D_k t)).
+    exp(-t^2 / (4 e L^2 sum D_k^2 + 2 e L max D_k t)).
 
-    The linear denominator term carries no factor L as displayed; pass
-    lipschitz_linear_term=True for the variant with 2 e L max D_k t, which
-    is what the per-coordinate norm bound actually yields.
+    f/L is 1-Lipschitz, so this is the L = 1 bound at t/L, and L scales
+    both terms of the denominator.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -138,8 +137,7 @@ def metric_tail(lip, diameters, t, lipschitz_linear_term=False) -> TailBoundResu
     if any(v < 0 for v in vals):
         raise PreconditionError("diameters must be nonnegative")
     ssq = math.fsum(v * v for v in vals)
-    lin = lip * max(vals) if lipschitz_linear_term else max(vals)
-    return _tail("metric", t, 4.0 * E * lip * lip * ssq, 2.0 * E * lin)
+    return _tail("metric", t, 4.0 * E * lip * lip * ssq, 2.0 * E * lip * max(vals))
 
 
 # ---------------------------------------------------------------------------

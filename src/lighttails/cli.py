@@ -1,10 +1,12 @@
 """Command-line front door: wire JSON configs to the library operations and
 emit machine-readable reports.
 
-Exit codes: 0 success (and SOUND verifications), 1 usage or config errors
-and norms or moments that cannot be certified, 2 bound VIOLATION.
-Artifacts are written atomically and every output embeds the tool version,
-the seed, and a digest of the effective config.
+Exit codes: 0 success (and SOUND verifications), 1 usage or config errors,
+inputs a library call refuses (a ValueError) and norms or moments that
+cannot be certified, 2 bound VIOLATION.  Artifacts are written atomically.
+Every JSON output and every key,value CSV output embeds the tool version,
+the seed of a command that takes one, and a digest of the effective config;
+the verify and compare CSV table holds the report rows only.
 """
 from __future__ import annotations
 
@@ -50,6 +52,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# flags that several subcommands share; their names, defaults and types
+# feed the config digest through vars(args)
+_SHARED_FLAGS = {
+    "--spec": dict(required=True),
+    "--bounds": dict(required=True, help="comma-separated bound kinds"),
+    "--t-grid": dict(required=True, help="lo:hi:steps"),
+    "--p": dict(type=float, default=None),
+}
+
+
 @functools.cache
 def _build_parser():
     parser = _Parser(prog="lighttails",
@@ -57,41 +69,33 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, help_text, *shared):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--output", default=None, help="artifact path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
+        for flag in shared:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
         return p
 
-    p = add("norms", "Orlicz-type norm of a catalogue distribution")
-    p.add_argument("--spec", required=True)
+    p = add("norms", "Orlicz-type norm of a catalogue distribution", "--spec")
     p.add_argument("--alpha", type=int, choices=(1, 2), required=True)
     p.add_argument("--p-max", type=float, default=256.0)
 
-    p = add("entropy-check", "entropy bounds for a finite-support law")
-    p.add_argument("--spec", required=True)
+    p = add("entropy-check", "entropy bounds for a finite-support law", "--spec", "--p")
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--p", type=float, default=None)
 
-    p = add("bound", "closed-form tail bounds for a function spec")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--bounds", required=True, help="comma-separated bound kinds")
-    p.add_argument("--t-grid", required=True, help="lo:hi:steps")
-    p.add_argument("--p", type=float, default=None)
+    add("bound", "closed-form tail bounds for a function spec",
+        "--spec", "--bounds", "--t-grid", "--p")
 
-    p = add("invert", "deviation levels at a confidence target")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--bounds", required=True)
+    p = add("invert", "deviation levels at a confidence target", "--spec", "--bounds", "--p")
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--p", type=float, default=None)
 
-    p = add("appbound", "closed-form application bounds")
+    p = add("appbound", "closed-form application bounds", "--p")
     p.add_argument("--app", required=True,
                    choices=("vector-i", "vector-ii", "vector-iii", "psa",
                             "rademacher", "regression", "metric"))
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=float, default=None)
     p.add_argument("--psi1", default=None, help="value or comma-separated list")
     p.add_argument("--psi2", type=float, default=None)
     p.add_argument("--l2p", type=float, default=None)
@@ -101,16 +105,12 @@ def _build_parser():
     p.add_argument("--psi1-z", type=float, default=0.0)
     p.add_argument("--diameters", default=None, help="comma-separated list")
     p.add_argument("--t", type=float, default=None)
-    p.add_argument("--lipschitz-linear-term", action="store_true")
 
     for name in ("verify", "compare"):
-        p = add(name, "Monte-Carlo check that bounds dominate empirical tails")
-        p.add_argument("--spec", required=True)
-        p.add_argument("--bounds", required=True)
-        p.add_argument("--t-grid", required=True, help="lo:hi:steps")
+        p = add(name, "Monte-Carlo check that bounds dominate empirical tails",
+                "--spec", "--bounds", "--t-grid", "--p")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--p", type=float, default=None)
         p.add_argument("--threads", type=int, default=1)
         if name == "verify":
             p.add_argument("--negative-control", action="store_true")
@@ -144,12 +144,11 @@ def _parse_kinds(text):
     return kinds
 
 
-def _thm3_p(kinds, p):
-    """The p of the 2p-norms in the proxy profile: --p if a thm3 kind is
-    asked for, else None.  The thm3 kinds need --p > 1; this is checked
-    before any profile work."""
+def _check_thm3_p(kinds, p):
+    """The thm3 kinds need --p > 1, the order of the 2p-norms in the proxy
+    profile; this is checked before any profile work."""
     if not any(k.startswith("thm3") for k in kinds):
-        return None
+        return
     if p is None:
         raise UsageError("the thm3 bound kinds need --p, the order of the "
                          "2p-norms (p > 1)")
@@ -157,7 +156,6 @@ def _thm3_p(kinds, p):
         raise UsageError(f"the thm3 bound kinds need --p > 1, got {p!r}")
     _check_number("p", p)
     _check_number("p", p, lambda v: math.isfinite(2 * v), "a number whose double is finite")
-    return p
 
 
 def _check_number(flag, value, holds=lambda v: True, need="a finite number"):
@@ -224,6 +222,21 @@ def _config_digest(args, spec_payload=None):
     return hashlib.sha256(blob).hexdigest()
 
 
+def _request(args, scalar=False):
+    """(spec, kinds, t_grid, digest) of a request on a spec file: the file
+    is read, then --bounds, the thm3 kinds' --p and --t-grid are checked in
+    that order where the command has them (kinds and t_grid are None where
+    it has not), and the config is digested."""
+    spec, spec_payload = _load_spec(args.spec, scalar)
+    kinds = t_grid = None
+    if "bounds" in args:
+        kinds = _parse_kinds(args.bounds)
+        _check_thm3_p(kinds, args.p)
+    if "t_grid" in args:
+        t_grid = _parse_t_grid(args.t_grid)
+    return spec, kinds, t_grid, _config_digest(args, spec_payload)
+
+
 def _envelope(args, digest, payload):
     out = {"schema": 1, "tool_version": __version__, "command": args.command,
            "config_digest": digest}
@@ -276,8 +289,7 @@ def _emit_payload(args, digest, payload):
 
 def _cmd_norms(args):
     _check_number("p-max", args.p_max, lambda v: v >= 1, "a finite number >= 1")
-    spec, spec_payload = _load_spec(args.spec, scalar=True)
-    digest = _config_digest(args, spec_payload)
+    spec, _, _, digest = _request(args, scalar=True)
     est = psi_norm(spec, args.alpha, p_max=args.p_max)
     _emit_payload(args, digest, {"estimate": est.to_dict()})
     return EXIT_OK
@@ -286,11 +298,10 @@ def _cmd_norms(args):
 def _cmd_entropy_check(args):
     _check_number("beta", args.beta)
     _check_number("p", args.p, lambda v: v > 1, "a finite number > 1")
-    spec, spec_payload = _load_spec(args.spec, scalar=True)
+    spec, _, _, digest = _request(args, scalar=True)
     fs = dist.finite_support(spec)
     if fs is None:
         raise UsageError("entropy-check needs a finite-support distribution")
-    digest = _config_digest(args, spec_payload)
     values, probs = fs
     mu = float(np.dot(values, probs))
     y = dist.FiniteSupport(values - mu, probs)
@@ -317,15 +328,8 @@ def _lemma_check(bound, *args):
 
 
 def _cmd_bound(args):
-    fspec, spec_payload = _load_spec(args.spec)
-    kinds = _parse_kinds(args.bounds)
-    _thm3_p(kinds, args.p)
-    t_grid = _parse_t_grid(args.t_grid)
-    digest = _config_digest(args, spec_payload)
-    try:
-        table = vfy.bounds_on_grid(fspec, kinds, t_grid, p=args.p)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    fspec, kinds, t_grid, digest = _request(args)
+    table = vfy.bounds_on_grid(fspec, kinds, t_grid, p=args.p)
     payload = {"t_grid": t_grid,
                "bounds": {k: [r.to_dict() for r in rs] for k, rs in table.items()}}
     _emit_payload(args, digest, payload)
@@ -333,16 +337,10 @@ def _cmd_bound(args):
 
 
 def _cmd_invert(args):
-    fspec, spec_payload = _load_spec(args.spec)
-    kinds = _parse_kinds(args.bounds)
-    p = _thm3_p(kinds, args.p)
-    digest = _config_digest(args, spec_payload)
-    try:
-        profile = fn.proxy_profile(fspec, p=p, kinds=kinds)
-        results = {k: invert_tail(k, profile, args.delta, p=args.p).to_dict()
-                   for k in kinds}
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    fspec, kinds, _, digest = _request(args)
+    profile = fn.proxy_profile(fspec, p=args.p, kinds=kinds)
+    results = {k: invert_tail(k, profile, args.delta, p=args.p).to_dict()
+               for k in kinds}
     _emit_payload(args, digest, {"delta": args.delta, "inversions": results})
     return EXIT_OK
 
@@ -373,8 +371,7 @@ _APPS = {
         a.rad_expectation, a.lip, a.psi1[0], a.n, a.delta)),
     "regression": ("psi1 n delta", lambda a: apps.regression_bound(
         a.lip, a.psi1[0], a.psi1_z, a.n, a.delta)),
-    "metric": ("diameters t", lambda a: apps.metric_tail(
-        a.lip, a.diameters, a.t, a.lipschitz_linear_term)),
+    "metric": ("diameters t", lambda a: apps.metric_tail(a.lip, a.diameters, a.t)),
 }
 
 
@@ -392,62 +389,45 @@ def _cmd_appbound(args):
     for name in needs.split():
         if getattr(args, name) is None:
             raise UsageError(f"--{name} is required for --app {args.app}")
-    try:
-        value = bound(args)
-    except (apps.PreconditionError, ValueError) as exc:
-        raise UsageError(str(exc))
+    value = bound(args)
     payload = {"result": value.to_dict()} if args.app == "metric" else {"value": value}
     _emit_payload(args, digest, {"app": args.app, **payload})
     return EXIT_OK
 
 
-def _run_verification(args, negative_control=False, with_ratios=False):
+def _cmd_verify(args):
+    """verify, and compare, which adds the log10 ratios of each bound to the
+    empirical tail."""
     _check_number("threads", args.threads, lambda v: v >= 1, "an integer >= 1")
     _check_number("n", args.n, lambda v: v >= vfy.MIN_SAMPLES, "an integer >= 10^4")
-    fspec, spec_payload = _load_spec(args.spec)
-    kinds = _parse_kinds(args.bounds)
-    _thm3_p(kinds, args.p)
-    t_grid = _parse_t_grid(args.t_grid)
-    digest = _config_digest(args, spec_payload)
-    meta = {"tool_version": __version__, "config_digest": digest,
-            "command": args.command, "schema": 1,
-            "sampler_layout": fspec.sampler_layout}
-    try:
-        if with_ratios:
-            report = vfy.compare_bounds(fspec, kinds, t_grid, args.n, args.seed,
-                                        p=args.p, threads=args.threads)
-        else:
-            table = vfy.bounds_on_grid(fspec, kinds, t_grid, p=args.p)
-            est = vfy.estimate_tail(fspec, t_grid, args.n, args.seed,
-                                    threads=args.threads)
-            if negative_control:
-                table = vfy.falsified_bounds(table)
-            report = vfy.check_bounds(est, table)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    fspec, kinds, t_grid, digest = _request(args)
+    if args.command == "compare":
+        report = vfy.compare_bounds(fspec, kinds, t_grid, args.n, args.seed,
+                                    p=args.p, threads=args.threads)
+    else:
+        table = vfy.bounds_on_grid(fspec, kinds, t_grid, p=args.p)
+        est = vfy.estimate_tail(fspec, t_grid, args.n, args.seed,
+                                threads=args.threads)
+        if args.negative_control:
+            table = vfy.falsified_bounds(table)
+        report = vfy.check_bounds(est, table)
     if args.format == "csv":
         _emit(args, vfy.report_to_csv(report))
     else:
-        _emit(args, json.dumps({**report.to_dict(), **meta}, indent=2, allow_nan=True) + "\n")
+        _emit_payload(args, digest, {**report.to_dict(), "sampler_layout": fspec.sampler_layout})
     return EXIT_VIOLATION if report.verdict == "VIOLATION" else EXIT_OK
 
 
+_COMMANDS = {"norms": _cmd_norms, "entropy-check": _cmd_entropy_check,
+             "bound": _cmd_bound, "invert": _cmd_invert, "appbound": _cmd_appbound,
+             "verify": _cmd_verify, "compare": _cmd_verify}
+
+
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        handler = {
-            "norms": _cmd_norms,
-            "entropy-check": _cmd_entropy_check,
-            "bound": _cmd_bound,
-            "invert": _cmd_invert,
-            "appbound": _cmd_appbound,
-            "verify": lambda a: _run_verification(
-                a, negative_control=a.negative_control),
-            "compare": lambda a: _run_verification(a, with_ratios=True),
-        }[args.command]
-        return handler(args)
-    except (UsageError, PMaxTooSmallError, dist.QuadratureError) as exc:
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
+    except (UsageError, ValueError, PMaxTooSmallError, dist.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

@@ -774,24 +774,24 @@ def lp_norm(spec, p: float) -> float:
 
 
 def log_abs_moment(spec, p: float) -> float:
-    """ln E|X|^p (-inf for the a.s. zero variable); a NaN, as a closed form
-    gives at p = inf, is a QuadratureError."""
+    """ln E|X|^p (-inf for the a.s. zero variable) at a finite p >= 0; a NaN
+    moment is a QuadratureError, and is not memoised."""
     _scalar(spec)
-    if p < 0:
-        raise SpecError(f"moment order must be nonnegative, got p={p}")
-    lm = _log_abs_moment_cached(spec, float(p))
-    if math.isnan(lm):
-        raise QuadratureError(f"ln E|X|^p is nan at p={float(p)!r}")
-    return lm
+    if not 0 <= p < math.inf:
+        raise SpecError(f"moment order must be finite and nonnegative, got p={p}")
+    return _log_abs_moment_cached(spec, float(p))
 
 
 @functools.lru_cache(maxsize=1 << 16)
 def _log_abs_moment_cached(spec, p):
-    return _first_row(canonical(spec), p) if p else 0.0
+    lm = _first_row(canonical(spec), p) if p else 0.0
+    if math.isnan(lm):
+        raise QuadratureError(f"ln E|X|^p is nan at p={p!r}")
+    return lm
 
 
 def log_abs_moments(spec, ps) -> np.ndarray:
-    """ln E|X|^p for every p > 0 of the 1-d array ps, in one batched pass.
+    """ln E|X|^p for every finite p > 0 of the 1-d array ps, in one batched pass.
 
     Every family implements this method only; log_abs_moment is row 0 of it
     at [p], so the two agree to the bit.  Numeric laws integrate all
@@ -801,8 +801,9 @@ def log_abs_moments(spec, ps) -> np.ndarray:
     """
     _scalar(spec)
     ps = np.asarray(ps, dtype=float)
-    if not np.all(ps > 0):
-        raise SpecError(f"moment orders must be positive, got {ps.min()}")
+    bad = ps[~((ps > 0) & (ps < math.inf))]
+    if bad.size:
+        raise SpecError(f"moment orders must be finite and positive, got p={bad[0]}")
     return canonical(spec).log_abs_moments(ps)
 
 

@@ -205,8 +205,8 @@ def check_bounds(est, bounds: dict) -> VerificationReport:
     `est` is a TailEstimate, or a plain sequence of exact tail probabilities
     aligned with the bound grids (then the interval collapses to the value).
     A NaN bound probability is a ValueError that names its kind and t.
-    The report holds no caller data: a caller merges its own keys into
-    `report.to_dict()`, as the CLI does with its envelope.
+    The report holds no caller data: a caller merges `report.to_dict()`
+    into its own document, as the CLI does into its envelope.
     """
     kinds = tuple(bounds)
     if not kinds:

@@ -141,12 +141,23 @@ class TestMetricTail:
     def test_quadratic_term_matches_thm2_structure(self):
         # same quadratic-plus-linear shape as the psi1 bound with entries L*D
         diam = [0.3, 0.7]
-        res = A.metric_tail(1.0, diam, 2.0, lipschitz_linear_term=True)
+        res = A.metric_tail(1.0, diam, 2.0)
         prof = ProxyProfile(n=2, psi1_per_coord=diam)
         ref = evaluate_tail("thm2", prof, 2.0)
         assert res.log_prob == pytest.approx(
             ref.log_prob * (4 * E ** 2 * prof.v1 + 2 * E * prof.m1 * 2.0)
             / (4 * E * prof.v1 + 2 * E * prof.m1 * 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("lip", [0.25, 2.0, 10.0])
+    def test_lipschitz_constant_is_a_scale(self, lip):
+        # f/L is 1-Lipschitz: the L bound at t is the L = 1 bound at t/L.  The
+        # linear term used to leave L out, which gave 0.8804 for 0.9017 at
+        # L = 2 and 0.5919 for 0.1609 at L = 0.25 (D = 0.5, 1.0 and t = 3)
+        diam = [0.5, 1.0]
+        for t in (0.5, 3.0, 40.0):
+            res, ref = A.metric_tail(lip, diam, t), A.metric_tail(1.0, diam, t / lip)
+            assert res.log_prob == pytest.approx(ref.log_prob, rel=1e-12)
+            assert res.prob == pytest.approx(ref.prob, rel=1e-12)
 
     def test_accepts_psi_diameter_objects(self):
         diam = A.psi_diameter(D.UniformInterval(0.0, 1.0), 1)

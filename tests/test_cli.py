@@ -11,6 +11,7 @@ import pytest
 
 import lighttails
 from lighttails import cli
+from lighttails import functions as fn
 from lighttails import verify as vfy
 from lighttails.bounds import TailBoundResult
 
@@ -370,6 +371,27 @@ class TestVerifyCommand:
         assert leftovers == []
 
     @pytest.mark.parametrize("command", ["verify", "compare"])
+    def test_json_envelope_comes_first(self, command, capsys):
+        # the envelope keys used to follow the report's, in another order
+        code, out, err = run(capsys, command, "--spec", config("sum_exp10.json"),
+                             "--bounds", "thm2", "--t-grid", "2:20:5",
+                             "--n", "20000", "--seed", "1")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert list(doc)[:5] == ["schema", "tool_version", "command", "config_digest", "seed"]
+        with open(config("sum_exp10.json")) as fh:
+            fspec = fn.fspec_from_dict(json.load(fh)["spec"])
+        grid = [2.0, 6.5, 11.0, 15.5, 20.0]
+        if command == "compare":
+            report = vfy.compare_bounds(fspec, ["thm2"], grid, 20000, 1)
+        else:
+            report = vfy.check_bounds(vfy.estimate_tail(fspec, grid, 20000, 1),
+                                      vfy.bounds_on_grid(fspec, ["thm2"], grid))
+        assert doc == {**report.to_dict(), "tool_version": lighttails.__version__,
+                       "config_digest": doc["config_digest"], "command": command,
+                       "schema": 1, "sampler_layout": "summed"}
+
+    @pytest.mark.parametrize("command", ["verify", "compare"])
     @pytest.mark.parametrize("name, grid, layout", [
         ("sum_exp10.json", "2:20:5", "summed"),
         ("gauss_norm.json", "1:30:5", "chi"),
@@ -389,6 +411,36 @@ class TestVerifyCommand:
                            "--n", "20000", "--seed", "1", "--format", "csv")
         assert code == 0
         assert out.split("\n")[0].endswith("ratio_log10_thm2,verdict")
+
+
+# command -> (its argv after the command name, (module, name) of the library
+# call it makes)
+LIBRARY_CALLS = {
+    "norms": (["--spec", config("exp1.json"), "--alpha", "1"], (cli, "psi_norm")),
+    "entropy-check": (["--spec", config("rademacher.json")],
+                      (cli.ent, "entropy_bound_subexponential")),
+    "bound": (["--spec", config("exp1.json"), "--bounds", "thm2", "--t-grid", "1:5:3"],
+              (cli.vfy, "bounds_on_grid")),
+    "invert": (["--spec", config("exp1.json"), "--bounds", "thm2", "--delta", "0.01"],
+               (cli, "invert_tail")),
+    "appbound": (["--app", "vector-ii", "--psi1", "1", "--n", "100", "--delta", "0.01"],
+                 (cli.apps, "vector_bound_ii")),
+    "verify": (["--spec", config("exp1.json"), "--bounds", "thm2", "--t-grid", "1:5:3",
+                "--n", "10000"], (cli.vfy, "estimate_tail")),
+    "compare": (["--spec", config("exp1.json"), "--bounds", "thm2", "--t-grid", "1:5:3",
+                 "--n", "10000"], (cli.vfy, "compare_bounds")),
+}
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+    def test_value_error_is_one_error_line(self, command, capsys, monkeypatch):
+        # norms and entropy-check used to end in a traceback
+        def boom(*args, **kwargs):
+            raise ValueError("boom")
+        argv, (module, name) = LIBRARY_CALLS[command]
+        monkeypatch.setattr(module, name, boom)
+        assert run(capsys, command, *argv) == (1, "", "error: boom\n")
 
 
 class TestCsv:

@@ -144,11 +144,29 @@ class TestMoments:
         with pytest.raises(ValueError):
             D.lp_norm(D.Rademacher(), 0.5)
 
-    def test_nan_moment_is_an_error(self):
-        # the chi closed form is inf - inf at p = inf; the norm used to read 0.0
-        with np.errstate(invalid="ignore"), \
-                pytest.raises(D.QuadratureError, match="ln E\\|X\\|\\^p is nan at p=inf"):
-            D.lp_norm(D.Chi(5, 1.0), math.inf)
+    def test_nan_moment_is_an_error(self, monkeypatch):
+        # a NaN moment used to give the norm 0.0; the error is not memoised
+        spec = D.Exponential(0.37)
+        monkeypatch.setattr(D.Exponential, "log_abs_moments",
+                            lambda self, ps: np.full(ps.shape, math.nan))
+        with pytest.raises(D.QuadratureError, match="ln E\\|X\\|\\^p is nan at p=3.0"):
+            D.lp_norm(spec, 3.0)
+        monkeypatch.undo()
+        assert D.lp_norm(spec, 3.0) == pytest.approx(6.0 ** (1 / 3) / 0.37, rel=1e-12)
+
+    @pytest.mark.parametrize("law", [D.Chi(5, 1.0), D.Centered(D.Exponential(1.0))],
+                             ids=["chi", "centered-exponential"])
+    @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan])
+    def test_non_finite_order_is_refused(self, law, p):
+        # at p = inf these warned from numpy (an error under
+        # -W error::RuntimeWarning) before any error named the order
+        with pytest.raises(D.SpecError, match=f"moment order must be finite and nonnegative, got p={p}"):
+            D.log_abs_moment(law, p)
+        with pytest.raises(D.SpecError, match=f"moment orders must be finite and positive, got p={p}"):
+            D.log_abs_moments(law, np.array([2.0, p]))
+        if p == math.inf:
+            with pytest.raises(D.SpecError, match="got p=inf"):
+                D.lp_norm(law, p)
 
     def test_failed_rule_names_the_first_failing_order(self):
         # it used to print the whole array of values
