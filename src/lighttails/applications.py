@@ -151,7 +151,8 @@ def psi_diameter(spec, alpha) -> OrliczEstimate:
     diameter is |a| psi_norm of that law.  Other specs fall back to the
     centering bound ||X - X'|| <= 2 ||X - E X||, which keeps every downstream
     tail sound.  The value and the certified upper are the norm's, scaled by
-    |a| (or 2 |a|), at the norm's p*.
+    |a| (or 2 |a|), at the norm's p*; the method is the norm's, or
+    "centering-bound" for the fallback.
     """
     form = dist.canonical(spec)
     base, a = ((form.base, form.linear_factor()) if isinstance(form, dist.Mapped)
@@ -163,5 +164,5 @@ def psi_diameter(spec, alpha) -> OrliczEstimate:
         est, scale, method = psi_norm(dist.Centered(base), alpha), abs(a) * 2.0, "centering-bound"
     else:
         est, scale = psi_norm(law, alpha), abs(a)
-        method = "closed-form" if dist.finite_support(law) is None else "exact-enumeration"
+        method = est.method
     return OrliczEstimate(alpha, scale * est.value, est.p_star, method, scale * est.upper)

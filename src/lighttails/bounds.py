@@ -199,16 +199,16 @@ def invert_tail(kind, profile: ProxyProfile, delta: float, p=None) -> InversionR
 # ---------------------------------------------------------------------------
 # The optimization lemma behind the quadratic-over-linear exponents
 
-def optimization_lemma(c: float, b: float, t: float, grid_points: int = 10 ** 4):
+def optimization_lemma(c: float, b: float, t: float):
     """(rhs, grid_min) for inf over beta in [0,1/b) of -beta t + C beta^2/(1-b beta).
 
-    rhs = -t^2 / (2 (2C + b t)); the infimum is at most rhs, so a dense
-    grid minimum must also not exceed it (up to grid resolution).
+    rhs = -t^2 / (2 (2C + b t)); the infimum is at most rhs, so the minimum
+    on a grid of 10^4 betas must also not exceed it (up to grid resolution).
     """
     if c <= 0 or b <= 0 or t <= 0:
         raise ValueError(f"C, b, t must all be positive, got ({c}, {b}, {t})")
     rhs = -t * t / (2.0 * (2.0 * c + b * t))
-    betas = np.linspace(0.0, 1.0 / b, grid_points + 1)[:-1]
+    betas = np.linspace(0.0, 1.0 / b, 10 ** 4 + 1)[:-1]
     # include the witness point realizing the right-hand side, so coarse
     # grids cannot spuriously miss the infimum near beta = 0
     betas = np.append(betas, t / (2.0 * c + b * t))

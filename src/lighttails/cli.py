@@ -79,7 +79,6 @@ def _build_parser():
 
     p = add("norms", "Orlicz-type norm of a catalogue distribution", "--spec")
     p.add_argument("--alpha", type=int, choices=(1, 2), required=True)
-    p.add_argument("--p-max", type=float, default=256.0)
 
     p = add("entropy-check", "entropy bounds for a finite-support law", "--spec", "--p")
     p.add_argument("--beta", type=float, default=1.0)
@@ -288,9 +287,8 @@ def _emit_payload(args, digest, payload):
 
 
 def _cmd_norms(args):
-    _check_number("p-max", args.p_max, lambda v: v >= 1, "a finite number >= 1")
     spec, _, _, digest = _request(args, scalar=True)
-    est = psi_norm(spec, args.alpha, p_max=args.p_max)
+    est = psi_norm(spec, args.alpha)
     _emit_payload(args, digest, {"estimate": est.to_dict()})
     return EXIT_OK
 

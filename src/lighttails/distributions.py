@@ -364,6 +364,8 @@ class UniformInterval(_Continuous):
     def _check(self):
         if not self.lo < self.hi:
             raise SpecError(f"lo must be < hi, got lo={self.lo}, hi={self.hi}")
+        if not math.isfinite(self.hi - self.lo):
+            raise SpecError(f"hi - lo must be finite, got lo={self.lo}, hi={self.hi}")
 
     def logpdf(self, x):
         x = np.asarray(x)
@@ -397,6 +399,8 @@ class Poisson(Distribution):
         array pass, long enough that for every p, past the mode, a term
         falls e^40 below the terms before it."""
         lam, n = self.rate, int(self.rate) + 64
+        if n > 100000:      # too long to build, and it ends 63 terms past the mean
+            raise QuadratureError(f"Poisson series of rate {lam!r} needs over 100000 terms")
         while True:
             k = np.broadcast_to(np.arange(n, dtype=float), (len(ps), n))
             t = log_h(k, ps[:, None]) + k * math.log(lam) - lam - gammaln(k + 1)
@@ -533,7 +537,8 @@ def _merged(values, probs):
     probs = np.asarray(probs, dtype=float)
     order = np.argsort(values)
     merged_v, merged_p = [], []
-    for v, p in zip(values[order], probs[order]):
+    # as Python floats, whose difference overflows to inf without a warning
+    for v, p in zip(values[order].tolist(), probs[order].tolist()):
         if merged_v and abs(v - merged_v[-1]) <= 1e-15 * max(1.0, abs(v)):
             merged_p[-1] += p
         else:

@@ -11,7 +11,7 @@ S(Y) >= 0 and S(Y) = S(Y + c) always hold; nonnegativity follows from the
 fluctuation representation, whose integrand is a variance.  That and the
 log-MGF identity are integrals by one fixed rule (`_integral`), which
 raises `distributions.QuadratureError`, a RuntimeError, when its error
-estimate exceeds tol times max(1, |integral|).
+estimate exceeds _TOL times max(1, |integral|).
 
 A finite law is a `distributions.FiniteSupport`, and its values and probs
 are read in the order given, not sorted: the g of `tilted_expect` and the
@@ -41,6 +41,7 @@ _ENUMERATION_CAP = 10 ** 6
 _SMALL = 0.125                  # the largest range that `_small` serves
 _POWERS = np.arange(10)         # its Taylor terms u^j / (j + 2)! and u^j / (j + 1)!
 _SERIES = 1.0 / np.array([[math.factorial(j + 2), math.factorial(j + 1)] for j in _POWERS])
+_TOL = 1e-9                     # the relative error gate of `_integral`
 
 
 class LemmaHypothesisError(ValueError):
@@ -158,11 +159,11 @@ def tilted_expect(y: dist.FiniteSupport, g) -> float:
     return math.fsum(w * g) / z
 
 
-def _integral(f, b, spread, tol):
+def _integral(f, b, spread):
     """int_0^b f, f vectorised, by the tanh-sinh rule of `distributions` on
     panels that halve toward 0 until |b| spread / 2^n <= 1 on [0, b / 2^n],
     4 to an octave.  The error estimate is the gap to the rule at t = j/4,
-    gated at tol times max(1, |integral|)."""
+    gated at _TOL times max(1, |integral|)."""
     n = max(0, math.frexp(abs(b) * spread)[1])
     edges = np.concatenate(([0.0], b * np.ldexp(1.0, np.arange(-n, 1))))
     cut = edges[:-1, None] + np.diff(edges)[:, None] * np.linspace(0.0, 1.0, 5)
@@ -171,22 +172,20 @@ def _integral(f, b, spread, tol):
     terms = f(np.where(dist._TS_LEFT < 0.5, u + w * dist._TS_LEFT,
                        v - w * dist._TS_RIGHT)) * w * dist._TS_W
     fine, coarse = terms.sum(), 2.0 * terms[:, ::2].sum()
-    if not abs(fine - coarse) <= tol * max(1.0, abs(fine)):
+    if not abs(fine - coarse) <= _TOL * max(1.0, abs(fine)):
         raise dist.QuadratureError(
-            f"quadrature error {abs(fine - coarse)} exceeds tolerance {tol}"
+            f"quadrature error {abs(fine - coarse)} exceeds tolerance {_TOL}"
             f" times max(1, {abs(fine)})")
     return float(fine)
 
 
-def log_mgf_via_entropy(y: dist.FiniteSupport, beta: float, tol: float = 1e-9):
+def log_mgf_via_entropy(y: dist.FiniteSupport, beta: float):
     """Both sides of ln E[e^(beta(Y-EY))] = beta * int_0^beta S(gamma Y)/gamma^2.
 
     Returns (direct, integral); the identity asserts their equality.  The
     integrand tends to Var(Y)/2 as gamma -> 0, where `_small` reads it.
     """
     values, probs = _arrays(y)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if beta == 0.0:
         return 0.0, 0.0
     c = values - _mean(values, probs)
@@ -200,15 +199,13 @@ def log_mgf_via_entropy(y: dist.FiniteSupport, beta: float, tol: float = 1e-9):
         out[~small] = _entropy_rows(big[:, None] * c, probs) / big / big
         return out
 
-    return _log_mgf(c, probs, beta), beta * _integral(integrand, beta, spread, tol)
+    return _log_mgf(c, probs, beta), beta * _integral(integrand, beta, spread)
 
 
-def fluctuation_entropy(y: dist.FiniteSupport, tol: float = 1e-9) -> float:
+def fluctuation_entropy(y: dist.FiniteSupport) -> float:
     """S(Y) = int_0^1 s Var_{sY}(Y) ds: the tilted variance integrated over
     {0 <= t <= s <= 1}, an independent route to entropy(y)."""
     values, probs = _arrays(y)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     c = values - _mean(values, probs)
 
     def integrand(s):
@@ -218,7 +215,7 @@ def fluctuation_entropy(y: dist.FiniteSupport, tol: float = 1e-9) -> float:
         d = c - ((w * c).sum(axis=-1) / z)[..., None]
         return s * (w * d * d).sum(axis=-1) / z
 
-    return _integral(integrand, 1.0, np.ptp(c), tol)
+    return _integral(integrand, 1.0, np.ptp(c))
 
 
 # ---------------------------------------------------------------------------

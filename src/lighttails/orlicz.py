@@ -6,16 +6,17 @@ is convex in p (Hoelder), so between two evaluated orders phi lies below its
 chord, which bounds the ratio on the whole interval.  The search evaluates
 every 4th point of a log-spaced p-grid and then bisects, one batched call
 per round, each interval whose chord bound beats the best ratio by more
-than 1e-12 in ln; the largest final bound is reported as `upper`.  The tail
-beyond p_max is accepted only when the ratio does not rise over the last
-octave of the evaluated orders.  For a catalogue law the search reads the
-batched moments of `distributions.log_abs_moments`, the one numeric path
-of every moment, and reports the best ratio it read as the value.  Every
-psi norm of a law takes this one path: a finite law is a FiniteSupport, with
-one exact log-sum-exp over (p, value) as its batched moments; the length of
-an iid centered Gaussian vector is a Chi law; and a psi diameter is psi_norm
-of the law's `abs_difference_law()`.  No norm here is estimated from
-samples, so every one may feed a tail bound.
+than 1e-12 in ln; the largest final bound is reported as `upper`.  The grid
+ends at p = _P_MAX = 256 for every norm, and the tail beyond it is accepted
+only when the ratio does not rise over the last octave of the evaluated
+orders.  For a catalogue law the search reads the batched moments of
+`distributions.log_abs_moments`, the one numeric path of every moment, and
+reports the best ratio it read as the value.  Every psi norm of a law takes
+this one path: a finite law is a FiniteSupport, with one exact log-sum-exp
+over (p, value) as its batched moments; the length of an iid centered
+Gaussian vector is a Chi law; and a psi diameter is psi_norm of the law's
+`abs_difference_law()`.  No norm here is estimated from samples, so every
+one may feed a tail bound.
 """
 from __future__ import annotations
 
@@ -37,10 +38,12 @@ _GRID_DENSITY = 16  # points of the p-grid per octave
 _COARSE_STEP = 4    # the search starts on every 4th grid point
 _CHORD_TOL = 1e-12  # ln-ratio by which a chord bound may exceed the best ratio
 _MAX_ROUNDS = 24    # bisection rounds before the search gives up; 16 suffice
+_P_MAX = 256.0      # the largest order of the p-grid
+_P_GRID = np.exp(np.linspace(0.0, math.log(_P_MAX), int(math.log2(_P_MAX)) * _GRID_DENSITY + 1))
 
 
 class PMaxTooSmallError(RuntimeError):
-    """The moment ratio was still increasing at p_max."""
+    """The moment ratio was still increasing at p = _P_MAX, the end of the p-grid."""
 
 
 @dataclass(frozen=True)
@@ -61,14 +64,6 @@ def _check_alpha(alpha):
         raise ValueError(f"alpha must be 1 or 2, got {alpha}")
 
 
-def _p_grid(p_max):
-    if p_max < 1:
-        raise ValueError(f"p_max must be >= 1, got {p_max}")
-    octaves = math.log2(p_max) if p_max > 1 else 1.0
-    n = max(2, int(math.ceil(octaves * _GRID_DENSITY)) + 1)
-    return np.exp(np.linspace(0.0, math.log(p_max), n))
-
-
 def _chord_bounds(ps, phis, alpha):
     """For each interval [a, b] of consecutive orders, the maximum over it of
     u(p) = s + c/p - ln(p)/alpha, where s p + c is the chord of phi: at
@@ -80,11 +75,11 @@ def _chord_bounds(ps, phis, alpha):
     return (fa + s * (q - a)) / q - np.log(q) / alpha
 
 
-def _sup_ratio(log_moments, alpha, p_max):
-    """Maximize ln(||Z||_p / p^(1/alpha)) over [1, p_max], with a certificate.
+def _sup_ratio(log_moments, alpha):
+    """Maximize ln(||Z||_p / p^(1/alpha)) over [1, _P_MAX], with a certificate.
 
     log_moments maps an array of p to the array of phi(p) = ln E|Z|^p.  It
-    is called once on every _COARSE_STEP-th point of _p_grid(p_max) and its
+    is called once on every _COARSE_STEP-th point of _P_GRID and its
     last two, then once per round on the geometric midpoints of the
     intervals whose chord bound beats the best ratio by more than
     _CHORD_TOL.  16 rounds certify any data: where the bound peaks inside
@@ -94,8 +89,7 @@ def _sup_ratio(log_moments, alpha, p_max):
     the rounds run out, PMaxTooSmallError when the ratio rises anywhere
     over the last octave of the evaluated orders.
     """
-    grid = _p_grid(p_max)
-    ps = np.unique(np.concatenate([grid[::_COARSE_STEP], grid[-2:]]))
+    ps = np.unique(np.concatenate([_P_GRID[::_COARSE_STEP], _P_GRID[-2:]]))
     phis = log_moments(ps)
     if np.all(phis == -math.inf):
         return -math.inf, 1.0, -math.inf
@@ -117,36 +111,38 @@ def _sup_ratio(log_moments, alpha, p_max):
         ps, phis = np.concatenate([ps, mids]), np.concatenate([phis, log_moments(mids)])
         order = np.argsort(ps)
         ps, phis = ps[order], phis[order]
-    if np.any(np.diff(ratios[ps >= p_max / 2 - 1e-9]) > 1e-9):
+    if np.any(np.diff(ratios[ps >= _P_MAX / 2 - 1e-9]) > 1e-9):
         raise PMaxTooSmallError(
-            f"moment ratio still increasing at p_max={p_max}; p_max too small")
+            f"moment ratio still rises at p = {_P_MAX:g}, the end of the p-grid, "
+            "so the norm is not certified")
     i = int(np.argmax(ratios))
     return ratios[i], float(ps[i]), max(ratios[i], bounds.max(initial=-math.inf))
 
 
-def psi_norm(spec, alpha, p_max=256.0) -> OrliczEstimate:
+def psi_norm(spec, alpha) -> OrliczEstimate:
     """psi_1 or psi_2 norm of a catalogue distribution.
 
     The chord search reads `log_abs_moments`: closed forms, or one fixed
     tanh-sinh rule for all p, which raises QuadratureError where its
     embedded error estimate exceeds 1e-5 in ln ||Z||_p.  The value is the
     best ratio the search read, at p*; `upper` is the largest final chord
-    bound, and never below the value.
-    Memoised on (spec, alpha, p_max), PMaxTooSmallError included.
+    bound, and never below the value.  PMaxTooSmallError where the ratio
+    still rises at p = _P_MAX.  Memoised on (spec, alpha), PMaxTooSmallError
+    included.
     """
     _check_alpha(alpha)
     dist.validate(spec)
-    est = _psi_norm_cached(spec, alpha, p_max)
+    est = _psi_norm_cached(spec, alpha)
     if isinstance(est, PMaxTooSmallError):
         raise PMaxTooSmallError(*est.args)
     return est
 
 
 @functools.lru_cache(maxsize=4096)
-def _psi_norm_cached(spec, alpha, p_max):
+def _psi_norm_cached(spec, alpha):
     method = "closed-form" if dist.finite_support(spec) is not None else "analytic-grid"
     try:
-        best, p, top = _sup_ratio(lambda ps: dist.log_abs_moments(spec, ps), alpha, p_max)
+        best, p, top = _sup_ratio(lambda ps: dist.log_abs_moments(spec, ps), alpha)
     except PMaxTooSmallError as exc:
         return exc.with_traceback(None)
     if best == -math.inf:
@@ -201,18 +197,15 @@ def concentrated_variable_bounds(eps: float):
     return lp_bound, psi1_bound
 
 
-def mgf_bound_check(spec, beta, psi2_value=None):
+def mgf_bound_check(spec, beta):
     """MGF of a centered variable against exp(4e beta^2 psi_2^2).
 
     Returns (mgf, bound); the sub-Gaussian MGF bound asserts mgf <= bound.
-    psi2_value may be passed to avoid recomputing the norm across a beta
-    sweep.
+    psi_2 is `psi_norm(spec, 2)`, memoised, so a beta sweep computes it once.
     """
     mu = dist.mean(spec)
     if abs(mu) > 1e-9:
         raise ValueError(f"spec must be centered, got mean {mu}")
-    if psi2_value is None:
-        psi2_value = psi_norm(spec, 2).value
     m = dist.mgf(spec, beta)
-    bound = math.exp(4.0 * E * beta ** 2 * psi2_value ** 2)
+    bound = math.exp(4.0 * E * beta ** 2 * psi_norm(spec, 2).value ** 2)
     return m, bound

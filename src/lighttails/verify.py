@@ -90,11 +90,12 @@ def _check_grid(t_grid):
 
 
 def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
-    """One pass over n_samples deterministic draws of f, sharded by a fixed
-    width so the result does not depend on the worker count.  The intervals
-    are at DEFAULT_CP_LEVEL, and E[f(X)] is `fn.expectation`; where that
-    estimate's half-width exceeds a tenth of the t-grid spacing, the grid
-    is too fine for it and this is a ValueError."""
+    """One pass over n_samples deterministic draws of f, in shards of a fixed
+    width that one pool of `threads` >= 1 workers counts, so the result does
+    not depend on the worker count.  The intervals are at DEFAULT_CP_LEVEL,
+    and E[f(X)] is `fn.expectation`; where that estimate's half-width
+    exceeds a tenth of the t-grid spacing, the grid is too fine for it and
+    this is a ValueError."""
     t_grid = _check_grid(t_grid)
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
@@ -120,11 +121,8 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
         # the values above each threshold; a tie does not exceed
         return count - np.searchsorted(vals, thresholds, side="right")
 
-    if threads <= 1:
-        parts = [shard_counts(j) for j in shards]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(shard_counts, shards))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(shard_counts, shards))
     counts = np.sum(np.stack(parts), axis=0)
     return TailEstimate(t_grid=tuple(t_grid),
                         exceed_counts=tuple(int(c) for c in counts),

@@ -54,7 +54,7 @@ def conditional_versions(table, k):
 
 
 def _psi(worst_log_moments, alpha):
-    best = O._sup_ratio(worst_log_moments, alpha, 256.0)[0]
+    best = O._sup_ratio(worst_log_moments, alpha)[0]
     return 0.0 if best == -math.inf else math.exp(best)
 
 

@@ -65,9 +65,8 @@ def test_criterion_02_mgf_bound():
              D.Centered(D.UniformInterval(0.0, 1.0))]
     worst = math.inf
     for spec in specs:
-        psi2 = psi_norm(spec, 2).value
         for beta in np.linspace(-5.0, 5.0, 101):
-            m, bound = mgf_bound_check(spec, float(beta), psi2_value=psi2)
+            m, bound = mgf_bound_check(spec, float(beta))
             worst = min(worst, bound - m)
             assert bound - m >= -1e-9
     elapsed = time.perf_counter() - start

@@ -264,7 +264,7 @@ class TestPsiDiameter:
             got = A.psi_diameter(D.UniformInterval(lo, hi), alpha)
             assert got.value == pytest.approx(oracle, rel=1e-6)
             assert got.value >= oracle * (1.0 - 1e-12)
-            assert got.method == "closed-form"
+            assert got.method == "analytic-grid"
 
     def test_uniform_second_call_is_a_memo_hit(self):
         spec = D.UniformInterval(0.0, 1.37)
@@ -282,8 +282,9 @@ class TestPsiDiameter:
         assert A.psi_diameter(spec, alpha).value == want
 
     def test_exact_methods(self):
-        assert A.psi_diameter(D.Rademacher(), 1).method == "exact-enumeration"
-        assert A.psi_diameter(D.Scaled(D.Exponential(1.0), -2.0), 1).method == "closed-form"
+        # the method of the psi norm that was read
+        assert A.psi_diameter(D.Rademacher(), 1).method == "closed-form"
+        assert A.psi_diameter(D.Scaled(D.Exponential(1.0), -2.0), 1).method == "analytic-grid"
         assert A.psi_diameter(D.SquareOf(D.UniformInterval(0.0, 1.0)), 1).method == (
             "centering-bound")
 

@@ -94,6 +94,23 @@ class TestSpecLoading:
         code, _, err = run(capsys, "norms", "--spec", path, "--alpha", "1")
         assert code == 1 and '"$.schema"' in err
 
+    @pytest.mark.parametrize("text, why", [
+        ("{", " is not valid JSON: Expecting property name enclosed in double quotes: "
+              "line 1 column 2 (char 1)"),
+        ('[{"kind": "rademacher"}]', ": top level must be an object"),
+        ('{"schema": 1}', ': missing field "$.spec"'),
+        # hi - lo overflows: every psi norm read 0, and thm2 a bound of 0
+        ('{"schema": 1, "spec": {"kind": "sum", "components": '
+         '[{"kind": "uniform", "lo": -1e308, "hi": 1e308}]}}',
+         ': "$.spec.components[0]": hi - lo must be finite, got lo=-1e+308, hi=1e+308'),
+    ])
+    def test_bad_file_text(self, text, why, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "bound", "--spec", str(path), "--bounds", "thm2",
+                             "--t-grid", "1:2:2")
+        assert (code, out, err) == (1, "", f"error: spec file {path}{why}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "norms", "--spec", "/nonexistent.json",
                            "--alpha", "1")
@@ -273,6 +290,11 @@ class TestBoundAndInvert:
         code, _, err = run(capsys, "bound", "--spec", config("exp1.json"),
                            "--bounds", "thm9", "--t-grid", "1:2:2")
         assert code == 1 and "thm9" in err
+
+    def test_no_bound_kind(self, capsys):
+        code, out, err = run(capsys, "bound", "--spec", config("exp1.json"),
+                             "--bounds", ",", "--t-grid", "1:2:2")
+        assert (code, out, err) == (1, "", "error: --bounds must name at least one bound kind\n")
 
     def test_invert(self, capsys):
         code, out, _ = run(capsys, "invert", "--spec", config("sum_exp10.json"),
@@ -465,9 +487,9 @@ class TestDigestStability:
                          "--alpha", "1")
         assert out1 == out2
         _, out3, _ = run(capsys, "norms", "--spec", config("exp1.json"),
-                         "--alpha", "1", "--p-max", "128")
-        assert (json.loads(out3)["config_digest"]
-                != json.loads(out1)["config_digest"])
+                         "--alpha", "1", "--format", "csv")
+        digest3 = dict(line.split(",", 1) for line in out3.splitlines())["config_digest"]
+        assert digest3 != json.loads(out1)["config_digest"]
 
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
@@ -699,12 +721,14 @@ class TestQuadratureFailures:
         assert (code, out) == (1, "")
         assert err == "error: --p must be a number whose double is finite, got 1e+308\n"
 
-    def test_norms(self, tmp_path, capsys):
-        path = write_spec(tmp_path, {"kind": "centered",
-                                     "base": {"kind": "exponential", "rate": 1.0}})
-        code, out, err = run(capsys, "norms", "--spec", path, "--alpha", "1", "--p-max", "1e20")
+    def test_norms(self, monkeypatch, capsys):
+        def failed_rule(spec, alpha):
+            raise cli.dist.QuadratureError("fixed-rule quadrature failed (value inf) at p=3.5")
+
+        monkeypatch.setattr(cli, "psi_norm", failed_rule)
+        code, out, err = run(capsys, "norms", "--spec", config("exp1.json"), "--alpha", "1")
         assert (code, out) == (1, "")
-        assert err == "error: fixed-rule quadrature failed (value inf) at p=1.96441428090663e+17\n"
+        assert err == "error: fixed-rule quadrature failed (value inf) at p=3.5\n"
 
 
 class TestMetricLipschitzConstant:
@@ -751,12 +775,6 @@ class TestBadNumbers:
         (["entropy-check", "--p", "inf"], "--p must be a finite number > 1, got inf"),
         (["entropy-check", "--beta", "nan"], "--beta must be a finite number, got nan"),
         (["entropy-check", "--beta", "inf"], "--beta must be a finite number, got inf"),
-        (["norms", "--alpha", "1", "--p-max", "0.5"],
-         "--p-max must be a finite number >= 1, got 0.5"),
-        (["norms", "--alpha", "2", "--p-max", "nan"],
-         "--p-max must be a finite number >= 1, got nan"),
-        (["norms", "--alpha", "2", "--p-max", "inf"],
-         "--p-max must be a finite number >= 1, got inf"),
     ])
     def test_flag_is_named_before_any_work(self, argv, message, capsys, monkeypatch):
         # each of these used to end in a traceback, or in exit 0 with NaN

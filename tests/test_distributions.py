@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from adaptive import adaptive_log_moment, base_and_steps
 from lighttails import distributions as D
 from lighttails import functions as F
 from lighttails import orlicz as O
-from lighttails.orlicz import _p_grid, psi_norm
+from lighttails.orlicz import _P_GRID, psi_norm
 
 CATALOGUE = [
     D.Gaussian(0.0, 1.0),
@@ -113,10 +114,14 @@ class TestValidation:
         lambda: D.Poisson("2"),
         lambda: D.ChiSquared(2.0),
         lambda: D.UniformInterval(1.0, 1.0),
+        lambda: D.UniformInterval(-1e308, 1e308),
         lambda: D.FiniteSupport((1.0, "x"), (0.5, 0.5)),
+        lambda: D.FiniteSupport((0.0, 1.0), (1.0,)),
         lambda: D.Shifted(3.0, 1.0),
         lambda: D.Scaled(D.Rademacher(), 10 ** 400),
         lambda: D.VectorSpec(2, (D.Rademacher(),)),
+        lambda: D.VectorSpec(1, ()),
+        lambda: D.VectorSpec(1, (D.Rademacher(),), "max"),
         lambda: D.VectorSpec(1, (D.VectorSpec(1, (D.Rademacher(),)),)),
     ])
     def test_invalid_spec_raises(self, build):
@@ -143,6 +148,17 @@ class TestMoments:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             D.lp_norm(D.Rademacher(), 0.5)
+
+    def test_poisson_series_beyond_its_cap_is_refused_before_it_is_built(self):
+        # its first pass of 200064 terms for 34 orders peaked at 157 MiB
+        tracemalloc.start()
+        try:
+            with pytest.raises(D.QuadratureError, match=r"Poisson series of rate 200000\.0 needs over 100000 terms"):
+                psi_norm(D.Poisson(2e5), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_nan_moment_is_an_error(self, monkeypatch):
         # a NaN moment used to give the norm 0.0; the error is not memoised
@@ -416,7 +432,7 @@ class TestLiveWindow:
 
     @pytest.mark.parametrize("spec", SCAN_LAWS, ids=str)
     def test_equals_the_full_scan_on_the_p_grid(self, spec):
-        assert_moment_window_is_full_scan(spec, _p_grid(256.0))
+        assert_moment_window_is_full_scan(spec, _P_GRID)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_reads_the_singular_end_cell(self, p):
@@ -435,8 +451,7 @@ class TestLiveWindow:
 
     def test_reads_at_most_400_scan_points_per_order(self, monkeypatch):
         spec = D.Centered(D.Exponential(1.3))
-        grid = _p_grid(256.0)
-        ps = np.unique(np.concatenate([grid[::O._COARSE_STEP], grid[-2:]]))
+        ps = np.unique(np.concatenate([_P_GRID[::O._COARSE_STEP], _P_GRID[-2:]]))
         seen = []
         real = D.Exponential.logpdf
         monkeypatch.setattr(D.Exponential, "logpdf",
@@ -461,15 +476,20 @@ class TestFiniteSupportMoments:
     def test_batched_rows_equal_log_abs_moment_bitwise(self, law):
         values, weights = law
         spec = D.FiniteSupport(values, np.asarray(weights) / math.fsum(weights))
-        grid = _p_grid(256.0)
-        batched = D.log_abs_moments(spec, grid)
-        per_p = np.array([D.log_abs_moment(spec, p) for p in grid])
+        batched = D.log_abs_moments(spec, _P_GRID)
+        per_p = np.array([D.log_abs_moment(spec, p) for p in _P_GRID])
         assert batched.view(np.int64).tolist() == per_p.view(np.int64).tolist()
 
     def test_all_zero_law(self):
         spec = D.FiniteSupport([0.0, 0.0], [0.25, 0.75])
         assert spec.log_abs_moments(ORDERS).tolist() == [-math.inf] * len(ORDERS)
         assert spec.log_abs_moments(np.array([])).tolist() == []
+
+    def test_values_whose_difference_overflows(self):
+        # merging compared -1e308 and 1e308 by a numpy subtraction that warned
+        spec = D.FiniteSupport([1e308, -1e308], [0.5, 0.5])
+        assert D.canonical(spec) == D.FiniteSupport((-1e308, 1e308), (0.5, 0.5))
+        assert psi_norm(spec, 2).value == pytest.approx(1e308, rel=1e-12)
 
 
 class TestMeans:
@@ -713,6 +733,19 @@ class TestCanonical:
     def test_finite_chains_merge(self):
         spec = D.SquareOf(D.Scaled(D.Rademacher(), 3.0))
         assert D.canonical(spec) == D.FiniteSupport((9.0,), (1.0,))
+        zero = D.Scaled(D.Exponential(1.0), 0.0)
+        assert D.canonical(zero) == D.FiniteSupport((0.0,), (1.0,))
+        assert psi_norm(zero, 1).value == 0.0
+
+    @pytest.mark.parametrize("base, factor, alpha", [
+        (D.Gaussian(0.0, 1e300), 2e8, 2),
+        (D.UniformInterval(-1.0, 1.0), 1e308, 1),
+    ], ids=repr)
+    def test_a_step_whose_parameters_overflow_stays_a_map(self, base, factor, alpha):
+        spec = D.Scaled(base, factor)
+        assert D.canonical(spec) == D.Mapped(base, (("scale", factor),))
+        want = factor * psi_norm(base, alpha).value     # 1.5958e308 and 5e307
+        assert psi_norm(spec, alpha).value == pytest.approx(want, rel=1e-12)
 
     def test_other_chains_map_a_primitive(self):
         form = D.canonical(D.Centered(D.Scaled(D.Exponential(2.0), 3.0)))

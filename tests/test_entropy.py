@@ -179,16 +179,14 @@ class TestLogMgfScales:
             warnings.simplefilter("error")
             assert ent.log_mgf_via_entropy(y, beta) == (0.0, 0.0)
 
-    def test_tolerance_gate(self):
+    def test_tolerance_gate(self, monkeypatch):
         y = D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])
+        monkeypatch.setattr(ent, "_TOL", 1e-20)
         with pytest.raises(D.QuadratureError, match="exceeds tolerance 1e-20"):
-            ent.log_mgf_via_entropy(y, 1.0, tol=1e-20)
+            ent.log_mgf_via_entropy(y, 1.0)
+        with pytest.raises(D.QuadratureError, match="exceeds tolerance 1e-20"):
+            ent.fluctuation_entropy(y)
         assert issubclass(D.QuadratureError, RuntimeError)
-        for tol in (0.0, -1e-9):
-            with pytest.raises(ValueError, match="tol must be positive"):
-                ent.log_mgf_via_entropy(y, 1.0, tol=tol)
-            with pytest.raises(ValueError, match="tol must be positive"):
-                ent.fluctuation_entropy(y, tol=tol)
 
     def test_seeded_sweep(self):
         # 96 laws of 1-8 values on [-scale, scale], six tilts each; the gate
@@ -320,6 +318,16 @@ class TestProductTable:
         table = ent.ProductTable([y], [10.0, 20.0])
         assert table.joint_probs().tolist() == [0.25, 0.75]
 
+    @pytest.mark.parametrize("m, shape, message", [
+        (2, (2, 3), "f_table shape (2, 3) does not match supports (2, 2)"),
+        (1001, (1001, 1001), "product cardinality 1002001 exceeds enumeration cap 1000000"),
+    ])
+    def test_bad_tables_rejected(self, m, shape, message):
+        law = D.FiniteSupport(np.arange(m, dtype=float), np.full(m, 1.0 / m))
+        with pytest.raises(ValueError) as info:
+            ent.ProductTable([law, law], np.zeros(shape))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_entries_rejected(self, bad):
         # a nan cell read as an exact tail of [0, 0], SOUND against any bound
@@ -439,3 +447,12 @@ class TestEntropyBounds:
     def test_holder_hypothesis_error(self):
         with pytest.raises(ent.LemmaHypothesisError):
             ent.entropy_bound_holder(D.FiniteSupport([-1.0, 1.0], [0.5, 0.5]), 2.0)
+
+    @pytest.mark.parametrize("p, variant, message", [
+        (1.0, "psi1", "p must exceed 1, got 1.0"),
+        (2.0, "psi3", "variant must be 'psi1' or 'psi2', got 'psi3'"),
+    ])
+    def test_holder_bad_arguments(self, p, variant, message):
+        with pytest.raises(ValueError) as info:
+            ent.entropy_bound_holder(D.FiniteSupport([-0.05, 0.05], [0.5, 0.5]), p, variant)
+        assert str(info.value) == message

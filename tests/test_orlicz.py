@@ -14,7 +14,7 @@ from lighttails import orlicz as O
 E = math.e
 # the chord search's first call: every 4th point of the 129-point grid on
 # [1, 256], and its last but one
-COARSE_LEN = len(O._p_grid(256.0)[::O._COARSE_STEP]) + 1
+COARSE_LEN = len(O._P_GRID[::O._COARSE_STEP]) + 1
 
 SUBGAUSSIAN_SPECS = [
     D.Gaussian(0.0, 1.0),
@@ -74,7 +74,8 @@ class TestPsiNorm:
 
     def test_p_max_too_small(self):
         # an exponential variable is not sub-Gaussian; the psi2 ratio grows
-        with pytest.raises(O.PMaxTooSmallError):
+        with pytest.raises(O.PMaxTooSmallError, match="^moment ratio still rises at p = 256, "
+                           "the end of the p-grid, so the norm is not certified$"):
             O.psi_norm(D.Centered(D.Exponential(1.0)), 2)
 
     def test_bad_alpha(self):
@@ -237,13 +238,13 @@ class TestChordSearch:
     def test_sharp_interior_maximum_converges(self, p0, alpha):
         # a linear phi has the sharpest maximum a convex phi allows
         phi, exact = linear_phi(0.7, p0, alpha)
-        best, p, upper = O._sup_ratio(phi, alpha, 256.0)
+        best, p, upper = O._sup_ratio(phi, alpha)
         assert exact - 1e-12 <= best <= exact + 1e-14
         assert exact - 1e-14 <= upper <= best + 1e-12
         assert p == pytest.approx(p0, rel=1e-5)
 
     def test_rise_on_the_last_grid_interval_raises(self):
-        grid = O._p_grid(256.0)
+        grid = O._P_GRID
         p_c = math.sqrt(grid[-2] * grid[-1])
 
         def phi(ps):        # convex: max of two lines crossing at p_c
@@ -253,17 +254,17 @@ class TestChordSearch:
         assert np.all(np.diff(ratios[:-1]) < 0) and ratios[-1] > ratios[-2]
         assert ratios[-1] < ratios[-1 - O._COARSE_STEP]     # the coarse step misses it
         with pytest.raises(O.PMaxTooSmallError):
-            O._sup_ratio(phi, 1, 256.0)
+            O._sup_ratio(phi, 1)
 
     def test_past_the_round_cap_the_search_raises(self, monkeypatch):
         # this maximum takes all 16 rounds, and no finite phi takes more, so
         # the cap is lowered to show that running out raises
         phi, exact = linear_phi(0.7, 1.0823406003255016, 2)
         monkeypatch.setattr(O, "_MAX_ROUNDS", 16)
-        assert O._sup_ratio(phi, 2, 256.0)[0] == pytest.approx(exact, abs=1e-12)
+        assert O._sup_ratio(phi, 2)[0] == pytest.approx(exact, abs=1e-12)
         monkeypatch.setattr(O, "_MAX_ROUNDS", 15)
         with pytest.raises(D.QuadratureError, match="after 15 bisection rounds"):
-            O._sup_ratio(phi, 2, 256.0)
+            O._sup_ratio(phi, 2)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.floats(1.0, 100.0), st.sampled_from([1, 2]),
@@ -280,7 +281,7 @@ class TestChordSearch:
 
         calls = []
         try:
-            O._sup_ratio(lambda ps: calls.append(len(ps)) or phi(ps), alpha, 256.0)
+            O._sup_ratio(lambda ps: calls.append(len(ps)) or phi(ps), alpha)
         except O.PMaxTooSmallError:
             pass
         assert len(calls) <= 17
@@ -292,7 +293,7 @@ class TestChordSearch:
             return np.where(ps == 2.0, hole, 0.1 * ps)
 
         with pytest.raises(D.QuadratureError, match="no chord bound"):
-            O._sup_ratio(phi, 1, 256.0)
+            O._sup_ratio(phi, 1)
 
 
 def dense_oracle(spec, alpha, num=10 ** 4, p_max=256.0):
@@ -499,9 +500,8 @@ class TestMgfBound:
     def test_grid_sweep(self):
         for spec in [D.Gaussian(0, 1), D.Rademacher(),
                      D.Centered(D.UniformInterval(0.0, 1.0))]:
-            psi2 = O.psi_norm(spec, 2).value
             for beta in np.linspace(-5, 5, 101):
-                mgf, bound = O.mgf_bound_check(spec, beta, psi2_value=psi2)
+                mgf, bound = O.mgf_bound_check(spec, beta)
                 assert mgf <= bound * (1 + 1e-9)
 
     def test_uncentered_rejected(self):
