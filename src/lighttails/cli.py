@@ -113,7 +113,23 @@ def _build_parser():
         p.add_argument("--threads", type=int, default=1)
         if name == "verify":
             p.add_argument("--negative-control", action="store_true")
+    parser.commands = sub.choices      # name -> sub-parser, for _parse_args
     return parser
+
+
+def _parse_args(argv):
+    """The Namespace the top-level parser gives for argv.  All that parser
+    does with an argv that starts with a command is hand the rest to the
+    command's sub-parser, so such an argv goes there directly; --help,
+    --version, no command and an unknown one take the top-level parser."""
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _parse_t_grid(text):
@@ -262,6 +278,62 @@ def _kv_csv(d, prefix=""):
     return lines
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _leaf_text(o):
+    """The JSON text json writes for a str, None, bool, int or float; None
+    for any other object."""
+    if isinstance(o, str):
+        return _ESCAPE(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if math.isfinite(o):
+            return float.__repr__(o)
+        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+    return None
+
+
+def _key_text(k):
+    text = k if isinstance(k, str) else _leaf_text(k)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return _ESCAPE(text)
+
+
+def _json_text(o, nl="\n"):
+    """json.dumps(o, indent=2, allow_nan=True), byte for byte, without the
+    pure-Python encoder that json runs whenever indent is set.  nl is the
+    line break and indent of the line that o starts on."""
+    kind = type(o)
+    if kind is float and math.isfinite(o):     # the common types first
+        return float.__repr__(o)
+    if kind is str:
+        return _ESCAPE(o)
+    if kind is not dict and kind is not list:
+        text = _leaf_text(o)
+        if text is not None:
+            return text
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        brackets, items = "[]", [_json_text(x, inner) for x in o]
+    elif isinstance(o, dict):
+        brackets, items = "{}", [f"{_ESCAPE(k) if type(k) is str else _key_text(k)}: "
+                                 f"{_json_text(v, inner)}" for k, v in o.items()]
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+
+
 def _emit(args, text):
     if args.output is None:
         sys.stdout.write(text)
@@ -281,7 +353,7 @@ def _emit(args, text):
 def _emit_payload(args, digest, payload):
     doc = _envelope(args, digest, payload)
     if args.format == "json":
-        _emit(args, json.dumps(doc, indent=2, allow_nan=True) + "\n")
+        _emit(args, _json_text(doc) + "\n")
     else:
         _emit(args, "key,value\n" + "\n".join(_kv_csv(doc)) + "\n")
 
@@ -423,7 +495,7 @@ _COMMANDS = {"norms": _cmd_norms, "entropy-check": _cmd_entropy_check,
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
         return _COMMANDS[args.command](args)
     except (UsageError, ValueError, PMaxTooSmallError, dist.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -396,15 +396,19 @@ class Poisson(Distribution):
 
     def _log_expects(self, log_h, ps, kinks=()):
         """ln E exp(log_h(X, p)) for each p of ps: the series over k in one
-        array pass, long enough that for every p, past the mode, a term
-        falls e^40 below the terms before it."""
+        array pass, long enough that for every p a term past the mean falls
+        below the term before it and e^40 below every term before it.  So
+        the series ends past the right-hand mode of h(k) P(k), not at a term
+        that only lies far below an earlier mode."""
         lam, n = self.rate, int(self.rate) + 64
         if n > 100000:      # too long to build, and it ends 63 terms past the mean
             raise QuadratureError(f"Poisson series of rate {lam!r} needs over 100000 terms")
         while True:
             k = np.broadcast_to(np.arange(n, dtype=float), (len(ps), n))
             t = log_h(k, ps[:, None]) + k * math.log(lam) - lam - gammaln(k + 1)
-            stop = (k + 1 > lam + 10) & (t < np.maximum.accumulate(t, axis=1) - 40)
+            head, tail = t[:, :-1], t[:, 1:]
+            stop = ((k[:, 1:] + 1 > lam + 10) & (tail < head)
+                    & (tail < np.maximum.accumulate(head, axis=1) - 40))
             if np.all(np.any(stop, axis=1)):
                 m = t.max(axis=1)
                 return m + np.log(np.sum(np.exp(t - m[:, None]), axis=1))
@@ -524,6 +528,9 @@ class FiniteSupport(Distribution):
     def abs_difference_law(self):
         # the pair law; with probs normalised by their fsum, it sums to 1
         # within 1e-12 whenever this law does
+        lo, hi = min(self.values), max(self.values)
+        if not math.isfinite(hi - lo):
+            raise SpecError(f"values must differ by a finite amount, got min={lo}, max={hi}")
         v, p = np.asarray(self.values), np.asarray(self.probs) / math.fsum(self.probs)
         return FiniteSupport(np.abs(v[:, None] - v).ravel(), np.outer(p, p).ravel())
 

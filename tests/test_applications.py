@@ -303,6 +303,13 @@ class TestPsiDiameter:
         assert (got.alpha, got.value, got.p_star, got.upper) == (
             alpha, scale * est.value, est.p_star, scale * est.upper)
 
+    def test_pair_difference_beyond_the_largest_double_names_values(self):
+        # the pair law used to end in numpy's overflow RuntimeWarning
+        spec = D.FiniteSupport([-1e308, 1e308], [0.5, 0.5])
+        with pytest.raises(D.SpecError, match=r"^values must differ by a finite amount, "
+                                              r"got min=-1e\+308, max=1e\+308$"):
+            A.psi_diameter(spec, 2)
+
     def test_centering_fallback_sound(self):
         res = A.psi_diameter(D.ChiSquared(3), 1)
         assert res.method == "centering-bound"

@@ -8,6 +8,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lighttails
 from lighttails import cli
@@ -519,6 +520,78 @@ class TestParserReuse:
         assert [code for code, _, _ in reused] == [1, 0, 0, 0, 1]
         assert reused[0][2].startswith("error: argument --alpha: invalid choice")
 
+    # main hands an argv that starts with a command to that command's
+    # sub-parser; these must answer as through the top-level parser
+    DISPATCH_ARGVS = (
+        [[command, *argv] for command, (argv, _) in sorted(LIBRARY_CALLS.items())]
+        + [[command, "--help"] for command in sorted(LIBRARY_CALLS)]
+        + [["norms", "--spec", config("exp1.json")],                          # missing flag
+           ["norms", "--spec", config("exp1.json"), "--alpha", "3"],          # invalid choice
+           ["norms", "--spec", config("exp1.json"), "--alpha", "1", "--bogus", "1"],
+           ["norms", "--spec", config("exp1.json"), "--alpha", "1", "extra"],
+           ["appbound", "--app", "vector-ii", "--psi1", "1", "--n", "100", "--del", "0.01"],
+           ["invert", "--spec", config("exp1.json"), "--bounds", "thm2", "--delta", "x"],
+           ["bound", "--spec", config("exp1.json"), "--bounds", "thm2", "--t-grid", "-1:2:3"],
+           ["bound", "--version"],
+           ["bound", "--spec", config("exp1.json"), "--bounds", "thm2", "--t-grid", "1:5:3",
+            "--version"],
+           ["norms", "-h"],
+           [], ["frob"], ["bou"], ["--", "norms"], ["--version"], ["--vers"], ["--help"]])
+
+    @pytest.mark.parametrize("argv", DISPATCH_ARGVS,
+                             ids=lambda argv: " ".join(os.path.basename(a) for a in argv) or "-")
+    def test_direct_dispatch_answers_like_the_top_level_parser(self, argv, capsys, monkeypatch):
+        direct = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_parse_args", lambda a: cli._build_parser().parse_args(a))
+        assert run(capsys, *argv) == direct
+
+    def test_a_command_skips_the_top_level_parser(self, capsys, monkeypatch):
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a command's argv")
+        monkeypatch.setattr(cli._build_parser(), "parse_args", no_parse)
+        code, out, _ = run(capsys, "norms", "--spec", config("exp1.json"), "--alpha", "1")
+        assert code == 0 and json.loads(out)["command"] == "norms"
+        with pytest.raises(AssertionError, match="top-level parser"):
+            cli.main(["--version"])
+
+
+# JSON documents as the library emits them and beyond: nested dicts, lists
+# and tuples, NaN, infinities, -0.0, big ints, non-ASCII and control
+# characters, and keys of every type json accepts
+JSON_STRINGS = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600",
+                                            "\ud800", '"\\/\b\f\n\r\t'])
+JSON_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+               | JSON_FLOATS | JSON_STRINGS)
+JSON_KEYS = JSON_STRINGS | JSON_FLOATS | st.integers() | st.booleans() | st.none()
+JSON_DOCS = st.recursive(JSON_LEAVES, lambda kids: (
+    st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(JSON_KEYS, kids, max_size=4)), max_leaves=24)
+
+
+class TestJsonWriter:
+    @settings(max_examples=400, deadline=None)
+    @given(JSON_DOCS)
+    def test_matches_json_dumps_indent_2(self, doc):
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=True)
+
+    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [1, object()], {(1, 2): 0}], ids=repr)
+    def test_refuses_what_json_refuses(self, doc):
+        with pytest.raises(TypeError) as want:
+            json.dumps(doc, indent=2, allow_nan=True)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(doc)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+    def test_output_file_holds_the_stdout_bytes(self, command, tmp_path, capsys):
+        argv = [command, *LIBRARY_CALLS[command][0]]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and out.endswith("}\n")
+        path = tmp_path / "out.json"
+        assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+        assert path.read_bytes() == out.encode()
+
 
 def thm3_argv(command, *extra):
     """argv of a thm3 request on sum_exp10 for one of the four bound commands."""
@@ -753,6 +826,16 @@ class TestMetricLipschitzConstant:
         code, out, _ = run(capsys, "verify", "--spec", path, "--bounds", "thm2",
                            *LAST_ARGS["verify"])
         assert code == 0 and json.loads(out)["verdict"] == "SOUND"
+
+
+def test_pair_differences_beyond_the_largest_double_are_one_error_line(tmp_path, capsys):
+    # the pair law of the psi diameter used to end in numpy's overflow
+    # RuntimeWarning, with "values must be finite, got np.float64(inf)"
+    law = {"kind": "finite_support", "values": [-1e308, 1e308], "probs": [0.5, 0.5]}
+    path = write_spec(tmp_path, {"kind": "metric_lipschitz", "lip": 1.0,
+                                 "coordinate_dists": [law], "maps": ["identity"]})
+    assert run(capsys, "bound", "--spec", path, "--bounds", "thm2", "--t-grid", "1:2:2") == (
+        1, "", "error: values must differ by a finite amount, got min=-1e+308, max=1e+308\n")
 
 
 class TestNanBound:

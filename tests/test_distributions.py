@@ -160,6 +160,14 @@ class TestMoments:
             tracemalloc.stop()
         assert peak < 2 ** 20
 
+    def test_poisson_series_runs_past_its_right_hand_mode(self):
+        # |X - 50|^100 P(X) has a left-hand mode at 0 and a larger one near
+        # 144; the series used to stop 64 terms past the mean, e^40 below
+        # the left one, and read 382.4815
+        spec = D.Centered(D.Poisson(50.0))
+        assert D.log_abs_moment(spec, 100) == pytest.approx(
+            adaptive_log_moment(spec, 100), rel=1e-12)
+
     def test_nan_moment_is_an_error(self, monkeypatch):
         # a NaN moment used to give the norm 0.0; the error is not memoised
         spec = D.Exponential(0.37)

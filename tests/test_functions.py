@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 import exact
+from adaptive import adaptive_log_moment
 from lighttails import distributions as D
 from lighttails import functions as F
 from lighttails import orlicz as O
@@ -457,6 +458,13 @@ class TestChiLaw:
 
 
 class TestProxyProfile:
+    def test_thm3_poisson_2p_norm_reads_the_whole_series(self):
+        # ||X - 50||_100 of Poisson(50) is 52.21; a Poisson series that
+        # stopped at a term only below its left-hand mode gave 45.82
+        prof = F.proxy_profile(F.SumFunction([D.Poisson(50.0)]), p=50, kinds=["thm3"])
+        want = math.exp(adaptive_log_moment(D.Centered(D.Poisson(50.0)), 100) / 100)
+        assert prof.l2p_per_coord[0] == pytest.approx(want, rel=1e-12)
+
     def test_sum_of_rademacher(self):
         prof = F.proxy_profile(sum_of(D.Rademacher(), 4))
         assert np.allclose(prof.psi1_per_coord, 1.0, atol=1e-10)
