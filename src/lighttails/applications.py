@@ -11,7 +11,7 @@ import math
 
 from . import distributions as dist
 from .bounds import TailBoundResult, _tail
-from .orlicz import OrliczEstimate, psi_norm
+from .orlicz import OrliczEstimate, psi_norm, scaled_estimate
 from .orlicz import psi_norm_finite  # noqa: F401 (bench/tracing.py wraps it here)
 
 __all__ = [
@@ -146,23 +146,21 @@ def metric_tail(lip, diameters, t) -> TailBoundResult:
 def psi_diameter(spec, alpha) -> OrliczEstimate:
     """Orlicz norm of |X - X'| for independent copies of the catalogue law.
 
-    For an affine image a Y + b of a law Y with an `abs_difference_law()`
-    (Gaussian, exponential, uniform, finite), |X - X'| = |a| |Y - Y'| and the
-    diameter is |a| psi_norm of that law.  Other specs fall back to the
-    centering bound ||X - X'|| <= 2 ||X - E X||, which keeps every downstream
-    tail sound.  The value and the certified upper are the norm's, scaled by
-    |a| (or 2 |a|), at the norm's p*; the method is the norm's, or
+    Where the canonical form of the law, or of its standard centered law
+    s Z (`distributions.standard_form` of Centered(spec)), has an
+    `abs_difference_law()` (Gaussian, exponential, uniform, finite, and
+    their shifts), the diameter is psi_norm of that law, times s.  Other
+    specs fall back to the centering bound ||X - X'|| <= 2 ||X - E X||,
+    which keeps every downstream tail sound.  The value is the norm's
+    times the scale and the certified upper the norm's times the scale
+    rounded up, at the norm's p*; the method is the norm's, or
     "centering-bound" for the fallback.
     """
-    form = dist.canonical(spec)
-    base, a = ((form.base, form.linear_factor()) if isinstance(form, dist.Mapped)
-               else (form, 1.0))
-    if a is None:       # a square step: the wrappers of spec have no difference law
-        base, a = spec, 1.0
-    law = base.abs_difference_law()
-    if law is None:
-        est, scale, method = psi_norm(dist.Centered(base), alpha), abs(a) * 2.0, "centering-bound"
-    else:
-        est, scale = psi_norm(law, alpha), abs(a)
-        method = est.method
-    return OrliczEstimate(alpha, scale * est.value, est.p_star, method, scale * est.upper)
+    law = dist.canonical(spec).abs_difference_law()
+    if law is not None:
+        return psi_norm(law, alpha)
+    scale, centered = dist.standard_form(dist.Centered(spec))
+    law = dist.canonical(centered).abs_difference_law()
+    if law is not None:
+        return scaled_estimate(psi_norm(law, alpha), scale)
+    return scaled_estimate(psi_norm(centered, alpha), 2.0 * scale, "centering-bound")

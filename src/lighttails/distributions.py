@@ -12,6 +12,10 @@ the wrappers Shifted, Scaled, SquareOf and Centered into one of three forms:
 a merged FiniteSupport; a re-parameterised Gaussian or UniformInterval when
 the chain is affine; or a Mapped (primitive, steps) pair.  Sampling walks
 the spec as written, so draws never depend on the canonical form.
+
+Absolute moments are read on `standard_form(spec)`: a centered affine image
+of an exponential or chi-squared law is a scale times one standard law of
+its shape, so laws of one shape share one moment memo entry per order.
 """
 from __future__ import annotations
 
@@ -19,7 +23,9 @@ import dataclasses
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
@@ -29,7 +35,7 @@ __all__ = [
     "UniformInterval", "Poisson", "ChiSquared", "TwoPointEps", "FiniteSupport",
     "Chi", "UniformGap", "Shifted", "Scaled", "SquareOf", "Centered", "Mapped", "VectorSpec",
     "SpecError", "MomentDivergenceError", "QuadratureError", "validate",
-    "canonical", "mean", "support_interval", "abs_moment", "lp_norm",
+    "canonical", "standard_form", "round_up", "mean", "support_interval", "abs_moment", "lp_norm",
     "log_abs_moment", "log_abs_moments", "mgf", "sample", "finite_support",
     "spec_to_dict", "spec_from_dict",
 ]
@@ -160,6 +166,10 @@ class Distribution(Spec):
     def abs_difference_law(self):
         """A spec whose absolute value has the law of |X - X'|, for iid
         copies X, X' of this canonical form, or None when there is none."""
+        return None
+    def unit_law(self):
+        """(s, U) with this law that of s U, for s an exact Fraction and U
+        the family's law of scale 1, or None when the family has none."""
         return None
     def expectation(self): return canonical(self).expectation()
     def squared_mgf(self, beta): return _squared_mgf(self, (), beta, self.support())
@@ -318,6 +328,7 @@ class Exponential(_Continuous):
     def sum_law(self, n): return Scaled(ChiSquared(2 * n), 1.0 / (2.0 * self.rate))
     # Y - Y' is Laplace with scale 1/rate, so |Y - Y'| is again Exponential
     def abs_difference_law(self): return self
+    def unit_law(self): return 1 / Fraction(self.rate), Exponential(1.0)
 
     def logpdf(self, x):
         x = np.asarray(x)
@@ -396,18 +407,24 @@ class Poisson(Distribution):
 
     def _log_expects(self, log_h, ps, kinks=()):
         """ln E exp(log_h(X, p)) for each p of ps: the series over k in one
-        array pass, long enough that for every p a term past the mean falls
-        below the term before it and e^40 below every term before it.  So
-        the series ends past the right-hand mode of h(k) P(k), not at a term
-        that only lies far below an earlier mode."""
+        array pass, long enough that for every p a term past the mean and
+        past every kink (a zero of the map) falls below the term before it
+        and e^40 below every term before it.  Past the last zero |g(k)|^p
+        P(k) is log-concave in k, so the series ends past its right-hand
+        mode, not at a term that only lies far below an earlier mode or
+        before the terms rise again beyond a zero."""
         lam, n = self.rate, int(self.rate) + 64
+        last = max(kinks, default=-math.inf)
         if n > 100000:      # too long to build, and it ends 63 terms past the mean
             raise QuadratureError(f"Poisson series of rate {lam!r} needs over 100000 terms")
+        if last > 100000:
+            raise QuadratureError(f"Poisson series past the zero {last!r} of the map "
+                                  "needs over 100000 terms")
         while True:
             k = np.broadcast_to(np.arange(n, dtype=float), (len(ps), n))
             t = log_h(k, ps[:, None]) + k * math.log(lam) - lam - gammaln(k + 1)
             head, tail = t[:, :-1], t[:, 1:]
-            stop = ((k[:, 1:] + 1 > lam + 10) & (tail < head)
+            stop = ((k[:, 1:] + 1 > lam + 10) & (k[:, 1:] > last) & (tail < head)
                     & (tail < np.maximum.accumulate(head, axis=1) - 40))
             if np.all(np.any(stop, axis=1)):
                 m = t.max(axis=1)
@@ -426,6 +443,7 @@ class ChiSquared(_Continuous):
     def support(self): return 0.0, math.inf
     def draw(self, rng, count): return rng.chisquare(self.dof, count)
     def sum_law(self, n): return ChiSquared(n * self.dof)
+    def unit_law(self): return Fraction(1), self
 
     def logpdf(self, x):
         k2 = self.dof / 2.0
@@ -675,10 +693,17 @@ class Mapped:
         return Mapped(self.base, self.steps[:-1]) if len(self.steps) > 1 else self.base
 
     def linear_factor(self):
-        """a when every step is affine, so that g(X) = a X + b; else None."""
+        """a, as an exact Fraction, when every step is affine, so that
+        g(X) = a X + b; else None."""
         if any(op == "square" for op, _ in self.steps):
             return None
-        return math.prod(c for op, c in self.steps if op == "scale")
+        return math.prod(Fraction(c) for op, c in self.steps if op == "scale")
+
+    def abs_difference_law(self):
+        # shifts move X and X' alike
+        if all(op == "shift" for op, _ in self.steps):
+            return self.base.abs_difference_law()
+        return None
 
     def support(self):
         lo, hi = self.base.support()
@@ -748,6 +773,38 @@ def canonical(spec):
     return _scalar(spec)._fold()
 
 
+@functools.lru_cache(maxsize=4096)
+def standard_form(spec):
+    """(scale, standard) with |spec| distributed as scale |standard|.
+
+    A centered affine image a X + b of a law X with a `unit_law()` (s, U)
+    is |a| s times Centered(U): the exponential law of rate r scales to
+    |a| / r times Centered(Exponential(1)), the chi-squared law to |a|
+    times its centered self.  The scale is the smallest float not below
+    the exact |a| s, so a norm scaled by it stays an upper bound.  Every
+    other law, and one whose scale is not a normal float, is (1.0, spec).
+    The moment and psi memos are keyed on the standard law, so every law
+    of one shape shares their entries.  Memoised."""
+    form = canonical(spec)
+    a = form.linear_factor() if isinstance(form, Mapped) else None
+    unit = None if a is None else form.base.unit_law()
+    if unit is not None and spec.expectation() == 0.0:
+        scale = round_up(abs(a) * unit[0])
+        if sys.float_info.min <= scale < math.inf:
+            return scale, Centered(unit[1])
+    return 1.0, spec
+
+
+def round_up(exact) -> float:
+    """The smallest float not below the exact rational `exact` (a Fraction
+    or an int): a certified upper bound on a product or sum of floats."""
+    try:
+        x = float(exact)
+    except OverflowError:
+        return math.inf
+    return x if x >= exact else math.nextafter(x, math.inf)
+
+
 def finite_support(spec):
     """Return sorted (values, probs) arrays if the spec is exactly finite,
     else None.  Duplicate values produced by transforms (e.g. squaring a
@@ -786,12 +843,15 @@ def lp_norm(spec, p: float) -> float:
 
 
 def log_abs_moment(spec, p: float) -> float:
-    """ln E|X|^p (-inf for the a.s. zero variable) at a finite p >= 0; a NaN
+    """ln E|X|^p (-inf for the a.s. zero variable) at a finite p >= 0, read
+    as `log_abs_moments` reads it; memoised on (standard law, p).  A NaN
     moment is a QuadratureError, and is not memoised."""
     _scalar(spec)
     if not 0 <= p < math.inf:
         raise SpecError(f"moment order must be finite and nonnegative, got p={p}")
-    return _log_abs_moment_cached(spec, float(p))
+    scale, standard = standard_form(spec)
+    p = float(p)
+    return _scaled_out(scale, p, _log_abs_moment_cached(standard, p))
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -805,18 +865,27 @@ def _log_abs_moment_cached(spec, p):
 def log_abs_moments(spec, ps) -> np.ndarray:
     """ln E|X|^p for every finite p > 0 of the 1-d array ps, in one batched pass.
 
-    Every family implements this method only; log_abs_moment is row 0 of it
-    at [p], so the two agree to the bit.  Numeric laws integrate all
-    p with one fixed tanh-sinh rule (or sum the Poisson series for all p at
-    once), the only numeric path; the rule raises QuadratureError where its
-    embedded error estimate exceeds 1e-5 in ln ||X||_p.  Not cached.
+    The moments are those of the standard law of `standard_form`, plus
+    p ln scale.  Every family implements this method only; log_abs_moment
+    is row 0 of it at [p], so the two agree to the bit.  Numeric laws
+    integrate all p with one fixed tanh-sinh rule (or sum the Poisson
+    series for all p at once), the only numeric path; the rule raises
+    QuadratureError where its embedded error estimate exceeds 1e-5 in
+    ln ||X||_p.  Not cached.
     """
     _scalar(spec)
     ps = np.asarray(ps, dtype=float)
     bad = ps[~((ps > 0) & (ps < math.inf))]
     if bad.size:
         raise SpecError(f"moment orders must be finite and positive, got p={bad[0]}")
-    return canonical(spec).log_abs_moments(ps)
+    scale, standard = standard_form(spec)
+    return _scaled_out(scale, ps, canonical(standard).log_abs_moments(ps))
+
+
+def _scaled_out(scale, p, lm):
+    """ln E|scale Z|^p = p ln scale + ln E|Z|^p, for a float or an array p:
+    the one rule by which both moment queries read a standard law."""
+    return lm if scale == 1.0 else p * math.log(scale) + lm
 
 
 def mgf(spec, beta: float) -> float:

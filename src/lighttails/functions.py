@@ -11,6 +11,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -533,13 +534,15 @@ def vector_norm_lp(vec, p) -> float:
 
 def vector_norm_psi(vec, alpha) -> OrliczEstimate:
     """psi norm of ||X||, as `vector_norm_lp` reads its law, else the
-    triangle-inequality bound sum ||X_i||_psi, on values and on uppers."""
+    triangle-inequality bound sum ||X_i||_psi: the values summed to
+    nearest, the uppers summed and rounded up, so that the upper stays
+    certified."""
     law = vec.components[0] if vec.dim == 1 else _chi_law(vec)
     if law is not None:
         return psi_norm(law, alpha)
     ests = [psi_norm(c, alpha) for c in vec.components]
-    return OrliczEstimate(alpha, math.fsum(e.value for e in ests), float("nan"),
-                          "triangle-bound", math.fsum(e.upper for e in ests))
+    return OrliczEstimate(alpha, math.fsum(e.value for e in ests), float("nan"), "triangle-bound",
+                          dist.round_up(sum(Fraction(e.upper) for e in ests)))
 
 
 # ---------------------------------------------------------------------------

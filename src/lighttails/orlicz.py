@@ -11,7 +11,11 @@ ends at p = _P_MAX = 256 for every norm, and the tail beyond it is accepted
 only when the ratio does not rise over the last octave of the evaluated
 orders.  For a catalogue law the search reads the batched moments of
 `distributions.log_abs_moments`, the one numeric path of every moment, and
-reports the best ratio it read as the value.  Every psi norm of a law takes
+reports the best ratio it read as the value.  The norm is homogeneous,
+||aZ|| = |a| ||Z|| at the same p*, so the search runs on the standard law of
+`distributions.standard_form` and is memoised on (standard law, alpha): a
+centered exponential or chi-squared law of any rate or scale reads one
+search per shape, scaled.  Every psi norm of a law takes
 this one path: a finite law is a FiniteSupport, with one exact log-sum-exp
 over (p, value) as its batched moments; the length of an iid centered
 Gaussian vector is a Chi law; and a psi diameter is psi_norm of the law's
@@ -23,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -127,15 +132,26 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
     embedded error estimate exceeds 1e-5 in ln ||Z||_p.  The value is the
     best ratio the search read, at p*; `upper` is the largest final chord
     bound, and never below the value.  PMaxTooSmallError where the ratio
-    still rises at p = _P_MAX.  Memoised on (spec, alpha), PMaxTooSmallError
-    included.
+    still rises at p = _P_MAX.  The search runs on the standard law of
+    `distributions.standard_form(spec)` and is memoised on (standard law,
+    alpha), PMaxTooSmallError included; the value is the standard law's
+    times the scale, and `upper` that product rounded up, at the standard
+    law's p*.
     """
     _check_alpha(alpha)
     dist.validate(spec)
-    est = _psi_norm_cached(spec, alpha)
+    scale, standard = dist.standard_form(spec)
+    est = _psi_norm_cached(standard, alpha)
     if isinstance(est, PMaxTooSmallError):
         raise PMaxTooSmallError(*est.args)
-    return est
+    return est if scale == 1.0 else scaled_estimate(est, scale)
+
+
+def scaled_estimate(est, scale, method=None) -> OrliczEstimate:
+    """est for scale times its variable: the value times scale, the upper
+    times scale rounded up, the same p*; the method is est's unless given."""
+    return OrliczEstimate(est.alpha, scale * est.value, est.p_star, method or est.method,
+                          dist.round_up(Fraction(scale) * Fraction(est.upper)))
 
 
 @functools.lru_cache(maxsize=4096)

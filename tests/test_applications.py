@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -302,6 +303,22 @@ class TestPsiDiameter:
         assert got.upper >= got.value > 0
         assert (got.alpha, got.value, got.p_star, got.upper) == (
             alpha, scale * est.value, est.p_star, scale * est.upper)
+
+    @pytest.mark.parametrize("spec, alpha, scale, read", [
+        (D.Scaled(D.Exponential(1.3), 2.5), 1, Fraction(2.5) / Fraction(1.3), D.Exponential(1.0)),
+        (D.Centered(D.Scaled(D.Exponential(0.7), -0.3)), 1, Fraction(0.3) / Fraction(0.7),
+         D.Exponential(1.0)),
+        (D.Scaled(D.ChiSquared(3), 1.1), 1, 2 * Fraction(1.1), D.Centered(D.ChiSquared(3)))],
+        ids=repr)
+    def test_affine_images_read_one_law_per_shape(self, spec, alpha, scale, read):
+        # the standard law's norm times the exact scale, its upper rounded
+        # up twice at most: once in the scale, once in the product
+        got, est = A.psi_diameter(spec, alpha), psi_norm(read, alpha)
+        exact = scale * Fraction(est.upper)
+        assert got.p_star == est.p_star
+        assert got.value == pytest.approx(float(scale) * est.value, rel=1e-15, abs=0.0)
+        assert got.upper >= exact and got.upper >= got.value
+        assert got.upper <= math.nextafter(math.nextafter(float(exact), math.inf), math.inf)
 
     def test_pair_difference_beyond_the_largest_double_names_values(self):
         # the pair law used to end in numpy's overflow RuntimeWarning

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lighttails
+from adaptive import adaptive_log_moment
 from lighttails import cli
 from lighttails import functions as fn
 from lighttails import verify as vfy
-from lighttails.bounds import TailBoundResult
+from lighttails.bounds import TailBoundResult, evaluate_tail
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -802,6 +804,25 @@ class TestQuadratureFailures:
         code, out, err = run(capsys, "norms", "--spec", config("exp1.json"), "--alpha", "1")
         assert (code, out) == (1, "")
         assert err == "error: fixed-rule quadrature failed (value inf) at p=3.5\n"
+
+
+class TestPoissonPastTheMapsZero:
+    def test_thm3_reads_the_series_past_the_zero(self, tmp_path, capsys):
+        # the uncentered 2p-norm of a dim-1 vector_norm_of_sum is the L_2p
+        # norm of its coordinate, here at 2p = 256: |k - 20|^256 P(k) rises
+        # again past its zero at k = 20, where the series used to stop
+        law = {"kind": "shifted", "base": {"kind": "poisson", "rate": 5.0}, "offset": -20.0}
+        spec = {"kind": "vector_norm_of_sum", "n": 4,
+                "vec": {"kind": "vector", "dim": 1, "components": [law]}}
+        code, out, err = run(capsys, "bound", "--spec", write_spec(tmp_path, spec),
+                             "--bounds", "thm3", "--p", "128", "--t-grid", "10:50:3")
+        assert (code, err) == (0, "")
+        l2p = 2.0 * math.exp(adaptive_log_moment(fn.dist.spec_from_dict(law), 256.0) / 256.0)
+        profile = dataclasses.replace(fn.proxy_profile(fn.fspec_from_dict(spec), p=128.0),
+                                      l2p_per_coord=(l2p,) * 4)
+        for row in json.loads(out)["bounds"]["thm3"]:
+            want = evaluate_tail("thm3", profile, row["t"], p=128.0).log_prob
+            assert row["log_prob"] == pytest.approx(want, rel=1e-9)
 
 
 class TestMetricLipschitzConstant:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -167,6 +168,21 @@ class TestMoments:
         spec = D.Centered(D.Poisson(50.0))
         assert D.log_abs_moment(spec, 100) == pytest.approx(
             adaptive_log_moment(spec, 100), rel=1e-12)
+
+    def test_poisson_series_runs_past_the_maps_zero(self):
+        # |X - 20|^256 P(X) falls from k = 0 to its zero at k = 20 and rises
+        # again past it; the series used to stop before the zero and read
+        # 873.58 against 916.87
+        spec = D.Shifted(D.Poisson(5.0), -20.0)
+        for p in (2.0, 64.0, 256.0):
+            assert D.log_abs_moment(spec, p) == pytest.approx(
+                adaptive_log_moment(spec, p), rel=1e-12)
+
+    def test_poisson_series_past_a_zero_beyond_its_cap_is_refused(self):
+        spec = D.Shifted(D.Poisson(5.0), -2e5)
+        with pytest.raises(D.QuadratureError, match=r"^Poisson series past the zero 200000\.0 "
+                                                    r"of the map needs over 100000 terms$"):
+            D.log_abs_moment(spec, 2.0)
 
     def test_nan_moment_is_an_error(self, monkeypatch):
         # a NaN moment used to give the norm 0.0; the error is not memoised
@@ -732,6 +748,45 @@ class TestSerialization:
             D.spec_from_dict({"kind": "sum", "components": [{"kind": "rademacher"}]})
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestRoundUp:
+    """round_up gives the smallest float not below an exact rational."""
+
+    @staticmethod
+    def assert_least_float_above(up, exact):
+        assert up >= exact
+        assert math.nextafter(up, -math.inf) < exact
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_FINITE, _FINITE)
+    def test_products(self, a, b):
+        exact = Fraction(a) * Fraction(b)
+        up = D.round_up(exact)
+        if abs(a * b) < math.inf:
+            self.assert_least_float_above(up, exact)
+            assert up in (a * b, math.nextafter(a * b, math.inf))
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=12))
+    def test_sums(self, xs):
+        exact = sum(Fraction(x) for x in xs)
+        up = D.round_up(exact)
+        self.assert_least_float_above(up, exact)
+        total = math.fsum(xs)
+        assert up in (total, math.nextafter(total, math.inf))
+
+    def test_inexact_product_and_sum_round_up(self):
+        # 0.3 * 3 and 0.1 + 0.7 round to nearest below their exact values
+        for near, exact in [(0.3 * 3, Fraction(0.3) * 3),
+                            (math.fsum([0.1, 0.7]), Fraction(0.1) + Fraction(0.7))]:
+            assert near < exact and D.round_up(exact) == math.nextafter(near, math.inf)
+
+    def test_past_the_largest_float_is_inf(self):
+        assert D.round_up(Fraction(1e308) * 10) == math.inf
+
+
 class TestCanonical:
     def test_affine_chains_reparameterise(self):
         assert D.canonical(D.Centered(D.Gaussian(2.0, 0.5))) == D.Gaussian(0.0, 0.5)
@@ -773,14 +828,17 @@ class TestCanonical:
 
     def test_runs_once_per_spec(self):
         spec = D.Centered(D.Scaled(D.Exponential(1.2345), 0.75))
-        before = D.canonical.cache_info()
+        for memo in (D.canonical, D.standard_form, O._psi_norm_cached):
+            memo.cache_clear()
         psi_norm(spec, 1)
         cold = D.canonical.cache_info()
-        assert cold.misses - before.misses == 3   # Centered, Scaled, Exponential
+        # Centered, Scaled, Exponential, and the standard law's Centered and
+        # Exponential(1)
+        assert cold.misses == 5
         psi_norm(spec, 1)
         warm = D.canonical.cache_info()
-        # the warm moments hit their cache; only finite_support asks again
-        assert warm.misses == cold.misses and warm.hits - cold.hits <= 1
+        # the warm standard form and norm hit their memos: no form is asked again
+        assert (warm.misses, warm.hits) == (cold.misses, cold.hits)
 
 
 _FIELD_NAMES = sorted({f.name for cls in D._KINDS.values() for f in dataclasses.fields(cls)}

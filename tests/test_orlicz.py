@@ -1,4 +1,7 @@
 import math
+import pathlib
+import runpy
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 from scipy import stats
 
 from adaptive import adaptive_log_moment
+from test_distributions import NUMERIC_LAWS
 from lighttails import applications as A
 from lighttails import distributions as D
 from lighttails import functions as F
@@ -145,6 +149,10 @@ class TestCertificate:
         weights = D._TS_W.copy()
         weights[1::2] *= 1.0 + 1e-3
         monkeypatch.setattr(D, "_TS_W", weights)
+        # the search runs on the standard law, which another test may have
+        # memoised: without the memos the perturbed rule is read
+        O._psi_norm_cached.cache_clear()
+        D._log_abs_moment_cached.cache_clear()
         with pytest.raises(D.QuadratureError, match="t = j/8 and j/4 differ"):
             O.psi_norm(spec, alpha)
         monkeypatch.undo()
@@ -169,19 +177,33 @@ class TestCertificate:
 
     def test_equal_coordinates_run_the_grid_once(self, monkeypatch):
         spec = D.Centered(D.Exponential(1.625))
-        grids = []
-        real = D.log_abs_moments
-
-        def counted(s, ps):
-            grids.append(len(ps))
-            return real(s, ps)
-
-        monkeypatch.setattr(O.dist, "log_abs_moments", counted)
+        grids = self._count_moment_calls(monkeypatch)
         before = O._psi_norm_cached.cache_info()
         values = {O.psi_norm(spec, 1).value for _ in range(10)}
         after = O._psi_norm_cached.cache_info()
         assert len(values) == 1
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 9)
+        assert grids.count(COARSE_LEN) == 1
+
+    @pytest.mark.parametrize("unit, laws", [
+        (D.Centered(D.Exponential(1.0)),
+         [D.Centered(D.Scaled(D.Exponential(r), c))
+          for r, c in zip((0.8, 1.1, 1.625, 3.0, 0.31), (1.0, -2.5, 0.7, 1e3, 1.0))]),
+        (D.Centered(D.ChiSquared(3)),
+         [D.Scaled(D.Centered(D.ChiSquared(3)), c) for c in (0.2, 1.1, -4.0, 17.0, 1.0)]),
+    ], ids=["exponential", "chi-squared"])
+    def test_one_shape_runs_the_grid_once(self, unit, laws, monkeypatch):
+        # every rate and factor of one shape reads the standard law's search
+        grids = self._count_moment_calls(monkeypatch)
+        want = O.psi_norm(unit, 1)
+        for law in laws:
+            scale, standard = D.standard_form(law)
+            assert standard == unit
+            got = O.psi_norm(law, 1)
+            assert (got.value, got.p_star) == (scale * want.value, want.p_star)
+            assert got.upper >= Fraction(scale) * Fraction(want.upper) and got.upper >= got.value
+        info = O._psi_norm_cached.cache_info()
+        assert (info.misses, info.hits) == (1, len(laws))
         assert grids.count(COARSE_LEN) == 1
 
     @staticmethod
@@ -222,6 +244,92 @@ class TestCertificate:
         # a centered chi law is sub-Gaussian, but its ratio rises at p_max
         with pytest.raises(O.PMaxTooSmallError):
             O.psi_norm(D.Centered(D.Chi(5, 1.7)), 2)
+
+
+_BENCH_WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def bound_cold_laws(seeds=(1, 2, 3), cycles=5):
+    """Every coordinate law of the bound-cold templates, and its centered
+    law, as the benchmark draws them in the first cycles of these seeds."""
+    workloads = runpy.run_path(str(_BENCH_WORKLOADS))
+    laws = []
+    for seed in seeds:
+        workload = workloads["BoundCold"](seed, "unused")
+        for index in range(cycles):
+            for j, (_, build) in enumerate(workloads["COLD_TEMPLATES"]):
+                spec = build(workload._rng(index, j))
+                for c in spec.get("components") or spec["coordinate_dists"]:
+                    law = D.spec_from_dict(c)
+                    laws += [law, D.Centered(law)]
+    return list(dict.fromkeys(laws))
+
+
+def assert_matches_direct_search(law, alpha):
+    """psi_norm against the chord search run on the law itself, with the
+    standard form bypassed: the same outcome, value and upper equal to
+    1e-12 relative, the upper not below the value."""
+    direct = O._psi_norm_cached(law, alpha)
+    if isinstance(direct, O.PMaxTooSmallError):
+        with pytest.raises(O.PMaxTooSmallError):
+            O.psi_norm(law, alpha)
+        return
+    got = O.psi_norm(law, alpha)
+    assert got.upper >= got.value
+    assert got.value == pytest.approx(direct.value, rel=1e-12, abs=0.0)
+    assert got.upper == pytest.approx(direct.upper, rel=1e-12, abs=0.0)
+
+
+class TestStandardForm:
+    """psi norms scaled out from one search per shape equal the search on
+    each law itself."""
+
+    @pytest.mark.parametrize("law", NUMERIC_LAWS, ids=str)
+    def test_numeric_laws_match_the_direct_search(self, law):
+        for alpha in (1, 2):
+            assert_matches_direct_search(law, alpha)
+
+    def test_bound_cold_laws_match_the_direct_search(self):
+        scaled = 0
+        for law in bound_cold_laws():
+            if D.standard_form(law)[1] != law:
+                scaled += 1
+                for alpha in (1, 2):
+                    assert_matches_direct_search(law, alpha)
+        assert scaled >= 50     # the centered exponential and chi-squared laws
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from([D.Exponential, D.ChiSquared]), st.floats(0.05, 20.0),
+           st.integers(1, 6), st.floats(0.01, 100.0) | st.floats(-100.0, -0.01),
+           st.floats(-3.0, 3.0), st.booleans())
+    def test_random_rates_and_factors_match_the_direct_search(self, family, rate, dof,
+                                                              factor, offset, outer):
+        base = family(rate) if family is D.Exponential else family(dof)
+        if outer:
+            law = D.Centered(D.Scaled(D.Shifted(base, offset), factor))
+        else:
+            law = D.Scaled(D.Centered(base), factor)
+        scale, standard = D.standard_form(law)
+        assert standard == D.Centered(base.unit_law()[1])
+        exact = abs(Fraction(factor)) / (Fraction(rate) if family is D.Exponential else 1)
+        assert scale >= exact > Fraction(math.nextafter(scale, 0.0))
+        for alpha in (1, 2):
+            assert_matches_direct_search(law, alpha)
+
+    @pytest.mark.parametrize("law", [
+        D.Scaled(D.Exponential(2.0), 3.0), D.Shifted(D.ChiSquared(2), 1.0),
+        D.Centered(D.SquareOf(D.Exponential(1.0))), D.Centered(D.Poisson(2.0)),
+        D.Centered(D.Gaussian(1.0, 2.0)), D.Exponential(1.0)], ids=str)
+    def test_other_laws_keep_scale_one(self, law):
+        assert D.standard_form(law) == (1.0, law)
+
+    def test_moments_scale_out(self):
+        law = D.Centered(D.Scaled(D.Exponential(1.3), 2.5))
+        scale, standard = D.standard_form(law)
+        ps = np.array([1.0, 2.5, 40.0])
+        want = ps * math.log(scale) + D.log_abs_moments(standard, ps)
+        assert D.log_abs_moments(law, ps).tolist() == want.tolist()
+        assert [D.log_abs_moment(law, p) for p in ps] == want.tolist()
 
 
 def linear_phi(s, p0, alpha):
@@ -348,6 +456,25 @@ class TestCertifiedUpper:
         got = F.vector_norm_psi(vec, 1)
         assert got.method == "triangle-bound"
         assert got.upper == math.fsum(e.upper for e in ests) >= got.value
+
+
+    def test_triangle_bound_rounds_the_summed_uppers_up(self, monkeypatch):
+        # 0.1 + 0.7 rounds to nearest below its exact value
+        uppers = iter([0.1, 0.7])
+        monkeypatch.setattr(F, "psi_norm", lambda law, alpha: O.OrliczEstimate(
+            alpha, 0.05, 1.0, "analytic-grid", next(uppers)))
+        vec = D.VectorSpec(2, (D.Exponential(1.0), D.Exponential(2.0)))
+        got = F.vector_norm_psi(vec, 1)
+        exact = Fraction(0.1) + Fraction(0.7)
+        assert math.fsum([0.1, 0.7]) < exact <= got.upper
+        assert got.upper == math.nextafter(math.fsum([0.1, 0.7]), math.inf)
+
+    def test_scaled_upper_rounds_up(self):
+        # 3.0 * 0.3 rounds to nearest below its exact value
+        est = O.scaled_estimate(O.OrliczEstimate(1, 2.0, 1.5, "closed-form", 3.0), 0.3)
+        assert (est.value, est.p_star, est.method) == (2.0 * 0.3, 1.5, "closed-form")
+        assert 3.0 * 0.3 < Fraction(3.0) * Fraction(0.3) <= est.upper
+        assert est.upper == math.nextafter(3.0 * 0.3, math.inf)
 
 
 class TestCentering:
