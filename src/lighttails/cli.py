@@ -62,72 +62,86 @@ _SHARED_FLAGS = {
 }
 
 
-@functools.cache
-def _build_parser():
-    parser = _Parser(prog="lighttails",
-                     description="tail bounds for functions of independent variables")
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (its help line in the top-level parser's listing, the shared
+# flags it takes)
+_SUBCOMMANDS = {
+    "norms": ("Orlicz-type norm of a catalogue distribution", ("--spec",)),
+    "entropy-check": ("entropy bounds for a finite-support law", ("--spec", "--p")),
+    "bound": ("closed-form tail bounds for a function spec",
+              ("--spec", "--bounds", "--t-grid", "--p")),
+    "invert": ("deviation levels at a confidence target", ("--spec", "--bounds", "--p")),
+    "appbound": ("closed-form application bounds", ("--p",)),
+    **{name: ("Monte-Carlo check that bounds dominate empirical tails",
+              ("--spec", "--bounds", "--t-grid", "--p")) for name in ("verify", "compare")},
+}
 
-    def add(name, help_text, *shared):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--output", default=None, help="artifact path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        for flag in shared:
-            p.add_argument(flag, **_SHARED_FLAGS[flag])
-        return p
 
-    p = add("norms", "Orlicz-type norm of a catalogue distribution", "--spec")
-    p.add_argument("--alpha", type=int, choices=(1, 2), required=True)
-
-    p = add("entropy-check", "entropy bounds for a finite-support law", "--spec", "--p")
-    p.add_argument("--beta", type=float, default=1.0)
-
-    add("bound", "closed-form tail bounds for a function spec",
-        "--spec", "--bounds", "--t-grid", "--p")
-
-    p = add("invert", "deviation levels at a confidence target", "--spec", "--bounds", "--p")
-    p.add_argument("--delta", type=float, required=True)
-
-    p = add("appbound", "closed-form application bounds", "--p")
-    p.add_argument("--app", required=True,
-                   choices=("vector-i", "vector-ii", "vector-iii", "psa",
-                            "rademacher", "regression", "metric"))
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--psi1", default=None, help="value or comma-separated list")
-    p.add_argument("--psi2", type=float, default=None)
-    p.add_argument("--l2p", type=float, default=None)
-    p.add_argument("--lip", type=float, default=1.0)
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--rad-expectation", type=float, default=0.0)
-    p.add_argument("--psi1-z", type=float, default=0.0)
-    p.add_argument("--diameters", default=None, help="comma-separated list")
-    p.add_argument("--t", type=float, default=None)
-
-    for name in ("verify", "compare"):
-        p = add(name, "Monte-Carlo check that bounds dominate empirical tails",
-                "--spec", "--bounds", "--t-grid", "--p")
+def _add_arguments(name, p):
+    """The arguments of command `name` on its parser p; returns p."""
+    p.add_argument("--output", default=None, help="artifact path (default stdout)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    for flag in _SUBCOMMANDS[name][1]:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+    if name == "norms":
+        p.add_argument("--alpha", type=int, choices=(1, 2), required=True)
+    elif name == "entropy-check":
+        p.add_argument("--beta", type=float, default=1.0)
+    elif name == "invert":
+        p.add_argument("--delta", type=float, required=True)
+    elif name == "appbound":
+        p.add_argument("--app", required=True,
+                       choices=("vector-i", "vector-ii", "vector-iii", "psa",
+                                "rademacher", "regression", "metric"))
+        p.add_argument("--delta", type=float, default=None)
+        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--psi1", default=None, help="value or comma-separated list")
+        p.add_argument("--psi2", type=float, default=None)
+        p.add_argument("--l2p", type=float, default=None)
+        p.add_argument("--lip", type=float, default=1.0)
+        p.add_argument("--d", type=int, default=None)
+        p.add_argument("--rad-expectation", type=float, default=0.0)
+        p.add_argument("--psi1-z", type=float, default=0.0)
+        p.add_argument("--diameters", default=None, help="comma-separated list")
+        p.add_argument("--t", type=float, default=None)
+    elif name in ("verify", "compare"):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1)
         if name == "verify":
             p.add_argument("--negative-control", action="store_true")
-    parser.commands = sub.choices      # name -> sub-parser, for _parse_args
+    return p
+
+
+@functools.cache
+def _build_parser():
+    """The top-level parser, with every command's sub-parser: for --help,
+    --version, no command and an unknown one."""
+    parser = _Parser(prog="lighttails",
+                     description="tail bounds for functions of independent variables")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _) in _SUBCOMMANDS.items():
+        _add_arguments(name, sub.add_parser(name, help=help_text))
     return parser
+
+
+@functools.cache
+def _sub_parser(name):
+    """Command `name`'s parser alone, as the top-level parser builds it:
+    add_parser gives it the prog "lighttails NAME" and no other setting."""
+    return _add_arguments(name, _Parser(prog=f"lighttails {name}"))
 
 
 def _parse_args(argv):
     """The Namespace the top-level parser gives for argv.  All that parser
     does with an argv that starts with a command is hand the rest to the
-    command's sub-parser, so such an argv goes there directly; --help,
-    --version, no command and an unknown one take the top-level parser."""
-    parser = _build_parser()
+    command's sub-parser, so such an argv goes to that sub-parser, built
+    alone; --help, --version, no command and an unknown one take the
+    top-level parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    sub = parser.commands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args = sub.parse_args(argv[1:])
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return _build_parser().parse_args(argv)
+    args = _sub_parser(argv[0]).parse_args(argv[1:])
     args.command = argv[0]
     return args
 

@@ -13,9 +13,15 @@ a merged FiniteSupport; a re-parameterised Gaussian or UniformInterval when
 the chain is affine; or a Mapped (primitive, steps) pair.  Sampling walks
 the spec as written, so draws never depend on the canonical form.
 
-Absolute moments are read on `standard_form(spec)`: a centered affine image
-of an exponential or chi-squared law is a scale times one standard law of
-its shape, so laws of one shape share one moment memo entry per order.
+`standard_form(spec)` writes a law as a scale times one standard law of its
+shape: a centered law drops its last shift, and the scale steps of its
+chain move out in front with the scale of its base (sd N(0, 1), a
+half-width times U(-1, 1), |a| / rate Centered(Exponential(1)), sd^2
+Centered(ChiSquared(1)) for a centered (sd Z)^2, ...).  psi norms are
+searched once per standard law.  The moments of a centered shape are its
+standard law's rows plus p ln scale; every other law reads its own
+parameters.  Every batch of moments stores its rows in one memo keyed on
+(the law read, p), which the psi search reads through.
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ import functools
 import math
 import numbers
 import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,6 +50,7 @@ __all__ = [
 _MAX_DEPTH = 64
 _SCAN = 4001        # points of the scan that finds a live window
 _STRIDE = 20        # the scan's coarse pass reads every _STRIDE-th point
+_CELL = np.arange(1, _STRIDE)   # a cell's inner points, after its first
 _BLOCK = 64         # orders per pass of the numeric moment path
 
 
@@ -168,8 +176,9 @@ class Distribution(Spec):
         copies X, X' of this canonical form, or None when there is none."""
         return None
     def unit_law(self):
-        """(s, U) with this law that of s U, for s an exact Fraction and U
-        the family's law of scale 1, or None when the family has none."""
+        """(s, b, U) with this law that of s U + b, for exact Fractions s > 0
+        and b and U the family's law of unit scale, or None for a law that
+        is not a continuous family or Poisson (see `standard_form`)."""
         return None
     def expectation(self): return canonical(self).expectation()
     def squared_mgf(self, beta): return _squared_mgf(self, (), beta, self.support())
@@ -195,58 +204,82 @@ class _Continuous(Distribution):
         have several modes); the cells before and after the live points.  The
         points read are np.linspace's, so (k, a, b) are the full scan's unless
         a peak or live point hides in a cell no pass reads."""
-        lo, hi = np.array([self.window(p) for p in ps]).T[..., None]
+        lo, hi = (e[:, None] for e in np.broadcast_arrays(ps, *self.window(ps))[1:])
+        step = (hi - lo) / (_SCAN - 1)
 
         def at(j):
-            return np.where(j == _SCAN - 1, hi, j * ((hi - lo) / (_SCAN - 1)) + lo)
+            return np.where(j == _SCAN - 1, hi, j * step + lo)
 
         def read(j):
             xs = at(j)
             with np.errstate(divide="ignore", invalid="ignore"):
-                h = np.asarray(log_h_vec(xs) + self.logpdf(xs))
-            return np.where(np.isfinite(h), h, -np.inf)
+                h = np.add(log_h_vec(xs), self.logpdf(xs))
+            h[~np.isfinite(h)] = -np.inf
+            return h
 
-        j = np.tile(np.arange(0, _SCAN, _STRIDE), (len(ps), 1))
+        j = np.broadcast_to(np.arange(0, _SCAN, _STRIDE), (len(ps), _SCAN // _STRIDE + 1))
         h = read(j)
-        pad = np.full((len(ps), h.shape[1] + 2), -np.inf)
-        pad[:, 1:-1] = h
-        peak = (h >= pad[:, :-2]) & (h >= pad[:, 2:]) & (h > h.max(axis=1, keepdims=True) - 80.0)
+        # live and not below either neighbour; beyond the ends lies -inf
+        peak = h > h.max(axis=1, keepdims=True) - 80.0
+        peak[:, 1:] &= h[:, 1:] >= h[:, :-1]
+        peak[:, :-1] &= h[:, :-1] >= h[:, 1:]
         near = peak[:, :-1] | peak[:, 1:]
-        near[:, [0, -1]] = True
-        c = np.argsort(~near, axis=1, kind="stable")[:, :near.sum(axis=1).max()]
-        c = np.where(np.take_along_axis(near, c, axis=1), c, 0)    # reads stay per row
+        near[:, 0] = near[:, -1] = True
+        # each row's near cells, padded with its cell 0: reads stay per row
+        c = np.sort(np.where(near, np.arange(near.shape[1]), 0), axis=1)[:, -near.sum(axis=1).max():]
         for _ in range(2):      # the peak pass, then the ends pass
-            inner = (_STRIDE * c[..., None] + np.arange(1, _STRIDE)).reshape(len(ps), -1)
+            inner = (_STRIDE * c[..., None] + _CELL).reshape(len(ps), -1)
             j, h = np.concatenate([j, inner], axis=1), np.concatenate([h, read(inner)], axis=1)
             k = h.max(axis=1, keepdims=True)
             live = h > k - 80.0     # none live: first 0, last _SCAN - 1, as in the full scan
             first = np.where(live, j, _SCAN).min(axis=1, keepdims=True) % _SCAN
             last = np.where(live, j, -1).max(axis=1, keepdims=True) % _SCAN
-            c = np.hstack([np.maximum(first - 1, 0), np.minimum(last, _SCAN - 2)]) // _STRIDE
-        ab = at(np.hstack([np.maximum(first - 1, 0), np.minimum(last + 1, _SCAN - 1)]))
+            c = np.concatenate([np.maximum(first - 1, 0), np.minimum(last, _SCAN - 2)], axis=1)
+            c //= _STRIDE
+        ab = at(np.concatenate([np.maximum(first - 1, 0), np.minimum(last + 1, _SCAN - 1)], axis=1))
         return k[:, 0], ab[:, 0], ab[:, 1]
 
-    def _log_expects(self, log_h, ps, kinks=()):
-        """ln E exp(log_h(X, p)) for each p of ps, by a fixed tanh-sinh rule
-        on each p's live window.  The window is clipped to the support and
-        cut at the kinks of log_h; each piece is split into _PANELS equal
-        panels.  The rule at t = j/4 reads every other node at twice the
-        weight; where it and the rule at t = j/8 differ by more than 1e-5 p
-        in ln (1e-5 at p = 0), QuadratureError is raised."""
-        k, a, b = self._live(lambda xs: log_h(xs, ps[:, None]), ps)
+    def _log_expects(self, log_g, qs, ps, kinks=()):
+        """ln E exp(q log_g(X)) for each q of qs, by a fixed tanh-sinh rule
+        on the live window of the p of ps at its place.  The window is
+        clipped to the support and cut at the kinks of log_g; each piece is
+        split into _PANELS equal panels.  log_g and the density are read
+        once per run of equal rows of cuts (a bounded law has few), and each
+        node is built from the end it is nearer.  The rule at t = j/4 reads every
+        other node at twice the weight; where it and the rule at t = j/8
+        differ by more than 1e-5 p in ln (1e-5 at p = 0), QuadratureError is
+        raised."""
+        q = qs[:, None, None, None]
+        k, a, b = self._live(lambda xs: q[..., 0, 0] * log_g(xs), ps)
         lo, hi = self.support()
         a, b = np.maximum(a, lo), np.minimum(b, hi)
-        cuts = np.sort(np.column_stack([a, b] + [np.clip(z, a, b) for z in kinks]), axis=1)
-        frac = np.linspace(0.0, 1.0, _PANELS + 1)
-        edges = cuts[:, :-1, None] + (cuts[:, 1:] - cuts[:, :-1])[:, :, None] * frac
+        cuts = np.sort(np.column_stack([a, b] + [np.minimum(np.maximum(z, a), b)
+                                                 for z in kinks]), axis=1)
+        new = np.concatenate([[True], np.any(cuts[1:] != cuts[:-1], axis=1)])
+        cuts, row = cuts[new], np.cumsum(new) - 1      # a run of equal rows is read once
+        edges = cuts[:, :-1, None] + (cuts[:, 1:] - cuts[:, :-1])[:, :, None] * _PANEL_EDGES
         u, v = edges[..., :-1, None], edges[..., 1:, None]
         w = v - u
-        x = np.where(_TS_LEFT < 0.5, u + w * _TS_LEFT, v - w * _TS_RIGHT)
+        x = np.empty(w.shape[:-1] + _TS_W.shape)
+        left, right = x[..., :_TS_MID], x[..., _TS_MID:]
+        np.multiply(w, _TS_LEFT[:_TS_MID], out=left)
+        left += u
+        np.multiply(w, _TS_RIGHT[_TS_MID:], out=right)
+        np.subtract(v, right, out=right)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            e = log_h(x, ps[:, None, None, None]) + self.logpdf(x) - k[:, None, None, None]
-            terms = np.where(e > -700, np.exp(e), 0.0) * w * _TS_W
-            val = np.sum(terms, axis=(1, 2, 3))
-            gap = np.abs(np.log(val) - np.log(2.0 * np.sum(terms[..., ::2], axis=(1, 2, 3))))
+            e, f = log_g(x), self.logpdf(x)
+            if len(cuts) < len(ps):
+                e, f = e[row], f[row]
+            e *= q
+            e += f
+            e -= k[:, None, None, None]
+            low = ~(e > -700)   # NaN too
+            np.exp(e, out=e)
+            e[low] = 0.0
+            e *= w[row]
+            e *= _TS_W
+            val = np.sum(e, axis=(1, 2, 3))
+            gap = np.abs(np.log(val) - np.log(2.0 * np.sum(e[..., ::2], axis=(1, 2, 3))))
         bad = ~(np.isfinite(val) & (val > 0))
         if bad.any():
             raise QuadratureError(f"fixed-rule quadrature failed (value {val[bad][0]}) "
@@ -259,15 +292,24 @@ class _Continuous(Distribution):
         return k + np.log(val)
 
 
+def _outside(t, out):
+    """t with -inf where `out` (off the support, or NaN) is set."""
+    t = np.asarray(t)
+    t[out] = -np.inf
+    return t
+
+
 # The tanh-sinh (Takahasi-Mori) rule on a panel [u, v]: nodes at t = j/8,
 # |t| <= 4, sit at u + (v - u) * _TS_LEFT = v - (v - u) * _TS_RIGHT, and the
 # rule is (v - u) * sum(_TS_W * f(node)).  Both fractions are kept, so a node
 # next to either end keeps its distance to that end in full precision, which
 # integrable end point singularities (the chi-squared density at 0) need.
 _PANELS = 8
+_PANEL_EDGES = np.linspace(0.0, 1.0, _PANELS + 1)
 _TS_T = np.arange(-32, 33) / 8.0
 _TS_LEFT, _TS_RIGHT = expit(math.pi * np.sinh(_TS_T)), expit(-math.pi * np.sinh(_TS_T))
 _TS_W = math.pi * _TS_LEFT * _TS_RIGHT * np.cosh(_TS_T) / 8.0
+_TS_MID = int(np.sum(_TS_LEFT < 0.5))      # the nodes nearer u, for t < 0
 
 
 # Each family lists its one-line facts as a group, then its longer methods.
@@ -284,13 +326,19 @@ class Gaussian(_Continuous):
     def sum_law(self, n): return Gaussian(n * self.mean, math.sqrt(n) * self.sd)
     def abs_difference_law(self): return Gaussian(0.0, math.sqrt(2.0) * self.sd)
     def mgf(self, beta): return math.exp(beta * self.mean + 0.5 * beta ** 2 * self.sd ** 2)
+    def unit_law(self): return Fraction(self.sd), Fraction(self.mean), Gaussian(0.0, 1.0)
 
     def logpdf(self, x):
-        return (-math.log(self.sd) - 0.5 * math.log(2 * math.pi)
-                - 0.5 * ((x - self.mean) / self.sd) ** 2)
+        # -ln sd - ln(2 pi) / 2 - ((x - mean) / sd)^2 / 2, in place
+        t = np.array(x, dtype=float)
+        t -= self.mean
+        t /= self.sd
+        np.square(t, out=t)
+        t *= 0.5
+        return np.subtract(-math.log(self.sd) - 0.5 * math.log(2 * math.pi), t, out=t)
 
     def window(self, p):
-        w = math.sqrt(2 * p) + 12.0
+        w = np.sqrt(2 * p) + 12.0
         return self.mean - w * self.sd, self.mean + w * self.sd
 
     def log_abs_moments(self, ps):
@@ -322,17 +370,20 @@ class Exponential(_Continuous):
     def expectation(self): return 1.0 / self.rate
     def support(self): return 0.0, math.inf
     def draw(self, rng, count): return rng.exponential(1.0 / self.rate, count)
-    def window(self, p): return 0.0, (p + 8 * math.sqrt(p) + 40.0) / self.rate
+    def window(self, p): return 0.0, (p + 8 * np.sqrt(p) + 40.0) / self.rate
     def log_abs_moments(self, ps): return gammaln(ps + 1) - ps * math.log(self.rate)
     # Gamma(n, rate) is chi-squared with 2n degrees of freedom over 2 rate
     def sum_law(self, n): return Scaled(ChiSquared(2 * n), 1.0 / (2.0 * self.rate))
     # Y - Y' is Laplace with scale 1/rate, so |Y - Y'| is again Exponential
     def abs_difference_law(self): return self
-    def unit_law(self): return 1 / Fraction(self.rate), Exponential(1.0)
+    def unit_law(self): return 1 / Fraction(self.rate), Fraction(0), Exponential(1.0)
 
     def logpdf(self, x):
-        x = np.asarray(x)
-        return np.where(x >= 0, math.log(self.rate) - self.rate * x, -np.inf)
+        t = np.array(x, dtype=float)
+        out = ~(t >= 0)
+        t *= self.rate
+        np.subtract(math.log(self.rate), t, out=t)
+        return _outside(t, out)
 
     def mgf(self, beta):
         if beta >= self.rate:
@@ -372,6 +423,10 @@ class UniformInterval(_Continuous):
         return np.array([_uniform_log_abs_moment(self.lo, self.hi, p) for p in ps])
     def abs_difference_law(self): return UniformGap(self.hi - self.lo)
 
+    def unit_law(self):
+        lo, hi = Fraction(self.lo), Fraction(self.hi)
+        return (hi - lo) / 2, (hi + lo) / 2, UniformInterval(-1.0, 1.0)
+
     def _check(self):
         if not self.lo < self.hi:
             raise SpecError(f"lo must be < hi, got lo={self.lo}, hi={self.hi}")
@@ -404,10 +459,11 @@ class Poisson(Distribution):
     def sum_law(self, n): return Poisson(n * self.rate)
     def log_abs_moments(self, ps): return _log_moments(self, (), ps)
     def mgf(self, beta): return math.exp(self.rate * (math.exp(beta) - 1.0))
+    def unit_law(self): return Fraction(1), Fraction(0), self     # no scale family
 
-    def _log_expects(self, log_h, ps, kinks=()):
-        """ln E exp(log_h(X, p)) for each p of ps: the series over k in one
-        array pass, long enough that for every p a term past the mean and
+    def _log_expects(self, log_g, qs, ps, kinks=()):
+        """ln E exp(q log_g(X)) for each q of qs: the series over k in one
+        array pass, long enough that for every q a term past the mean and
         past every kink (a zero of the map) falls below the term before it
         and e^40 below every term before it.  Past the last zero |g(k)|^p
         P(k) is log-concave in k, so the series ends past its right-hand
@@ -421,8 +477,9 @@ class Poisson(Distribution):
             raise QuadratureError(f"Poisson series past the zero {last!r} of the map "
                                   "needs over 100000 terms")
         while True:
-            k = np.broadcast_to(np.arange(n, dtype=float), (len(ps), n))
-            t = log_h(k, ps[:, None]) + k * math.log(lam) - lam - gammaln(k + 1)
+            k = np.arange(n, dtype=float)
+            t = qs[:, None] * log_g(k) + k * math.log(lam) - lam - gammaln(k + 1)
+            k = np.broadcast_to(k, t.shape)
             head, tail = t[:, :-1], t[:, 1:]
             stop = ((k[:, 1:] + 1 > lam + 10) & (k[:, 1:] > last) & (tail < head)
                     & (tail < np.maximum.accumulate(head, axis=1) - 40))
@@ -443,19 +500,26 @@ class ChiSquared(_Continuous):
     def support(self): return 0.0, math.inf
     def draw(self, rng, count): return rng.chisquare(self.dof, count)
     def sum_law(self, n): return ChiSquared(n * self.dof)
-    def unit_law(self): return Fraction(1), self
+
+    def unit_law(self):
+        # chi-squared(2) is Exponential(1/2), twice Exponential(1)
+        if self.dof == 2:
+            return Fraction(2), Fraction(0), Exponential(1.0)
+        return Fraction(1), Fraction(0), self
 
     def logpdf(self, x):
         k2 = self.dof / 2.0
         c = -k2 * math.log(2.0) - float(gammaln(k2))
         x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(x > 0, c + (k2 - 1) * np.log(np.maximum(x, 1e-300))
-                            - x / 2, -np.inf)
+        t = np.log(np.maximum(x, 1e-300))   # c + (k2 - 1) ln x - x / 2, in place
+        t *= k2 - 1
+        t += c
+        t -= x / 2
+        return _outside(t, ~(x > 0))
 
     def window(self, p):
         peak = self.dof + 2 * p
-        return 0.0, peak + 10 * math.sqrt(peak) + 50.0
+        return 0.0, peak + 10 * np.sqrt(peak) + 50.0
 
     def log_abs_moments(self, ps):
         return (ps * math.log(2.0) + gammaln(self.dof / 2 + ps)
@@ -579,10 +643,11 @@ class Chi(_Continuous):
     sd: Positive = 1.0
 
     def support(self): return 0.0, math.inf
-    def expectation(self): return math.exp(_first_row(self, 1.0))
+    def expectation(self): return math.exp(self.log_abs_moments(np.ones(1))[0])
     def draw(self, rng, count): return self.sd * np.sqrt(rng.chisquare(self.dof, count))
     # |x|^p pdf(x) peaks at sd sqrt(p + dof - 1)
-    def window(self, p): return 0.0, self.sd * (math.sqrt(2.0 * (p + self.dof)) + 12.0)
+    def window(self, p): return 0.0, self.sd * (np.sqrt(2.0 * (p + self.dof)) + 12.0)
+    def unit_law(self): return Fraction(self.sd), Fraction(0), Chi(self.dof, 1.0)
 
     def log_abs_moments(self, ps):
         return (ps * math.log(self.sd) + 0.5 * ps * math.log(2.0)
@@ -592,7 +657,12 @@ class Chi(_Continuous):
         k, x = self.dof, np.asarray(x, dtype=float)
         c = (1.0 - k / 2.0) * math.log(2.0) - float(gammaln(k / 2.0)) - k * math.log(self.sd)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(x >= 0, c + xlogy(k - 1, x) - 0.5 * (x / self.sd) ** 2, -np.inf)
+            t = xlogy(k - 1, x)     # c + (k - 1) ln x - (x / sd)^2 / 2, in place
+            t += c
+            u = np.square(x / self.sd)
+            u *= 0.5
+            t -= u
+        return _outside(t, ~(x >= 0))
 
 
 @dataclass(frozen=True)
@@ -604,6 +674,7 @@ class UniformGap(_Continuous):
     def support(self): return 0.0, self.width
     def window(self, p): return 0.0, self.width
     def expectation(self): return self.width / 3.0
+    def unit_law(self): return Fraction(self.width), Fraction(0), UniformGap(1.0)
 
     def log_abs_moments(self, ps):
         # E|D|^p = 2 width^p / ((p+1)(p+2)), with math.log per order
@@ -614,9 +685,10 @@ class UniformGap(_Continuous):
         # density 2 (width - x) / width^2 on [0, width]
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where((x >= 0) & (x <= self.width),
-                            math.log(2.0) + np.log(self.width - x) - 2.0 * math.log(self.width),
-                            -np.inf)
+            t = np.log(np.subtract(self.width, x))
+            t += math.log(2.0)
+            t -= 2.0 * math.log(self.width)
+        return _outside(t, ~((x >= 0) & (x <= self.width)))
 
 
 @dataclass(frozen=True)
@@ -691,13 +763,6 @@ class Mapped:
     def _inner(self):
         """The form without its last step."""
         return Mapped(self.base, self.steps[:-1]) if len(self.steps) > 1 else self.base
-
-    def linear_factor(self):
-        """a, as an exact Fraction, when every step is affine, so that
-        g(X) = a X + b; else None."""
-        if any(op == "square" for op, _ in self.steps):
-            return None
-        return math.prod(Fraction(c) for op, c in self.steps if op == "scale")
 
     def abs_difference_law(self):
         # shifts move X and X' alike
@@ -777,22 +842,48 @@ def canonical(spec):
 def standard_form(spec):
     """(scale, standard) with |spec| distributed as scale |standard|.
 
-    A centered affine image a X + b of a law X with a `unit_law()` (s, U)
-    is |a| s times Centered(U): the exponential law of rate r scales to
-    |a| / r times Centered(Exponential(1)), the chi-squared law to |a|
-    times its centered self.  The scale is the smallest float not below
-    the exact |a| s, so a norm scaled by it stays an upper bound.  Every
-    other law, and one whose scale is not a normal float, is (1.0, spec).
-    The moment and psi memos are keyed on the standard law, so every law
-    of one shape shares their entries.  Memoised."""
+    The canonical form is g(X) for a primitive X whose `unit_law()` is
+    (s, b, U), so that X is s U + b.  Its chain of steps is walked with the
+    law kept as a V + c, V = U at first: a scale step multiplies a and c, a
+    shift step moves c, and a square step, where c is 0, makes it a^2 V^2,
+    with N(0, 1)^2 read as ChiSquared(1).  A centered law (mean 0) is a (V -
+    E V), whatever c is: it is |a| times Centered(V), or V where V has mean
+    0 already.  So sd N(0, 1), a half-width times U(-1, 1), |a| / rate times
+    Centered(Exponential(1)), |a| Centered(Poisson(rate)) and sd^2
+    Centered(ChiSquared(1)) for a centered (sd Z)^2; ChiSquared(2) is twice
+    Exponential(1).  An uncentered law scales out only where c is 0 and |a|
+    is a float, as for Chi(dof, sd) and UniformGap(width): the closed form
+    of a rate family keeps reading its own rate.  The scale is the smallest
+    float not below the exact |a|.  Every other law, and one whose scale is
+    not a normal float, is (1.0, spec).  The psi memo is keyed on the
+    standard law, so every law of one shape shares one search; so is the
+    moment memo for a centered shape (see `log_abs_moments`).  Memoised."""
     form = canonical(spec)
-    a = form.linear_factor() if isinstance(form, Mapped) else None
-    unit = None if a is None else form.base.unit_law()
-    if unit is not None and spec.expectation() == 0.0:
-        scale = round_up(abs(a) * unit[0])
-        if sys.float_info.min <= scale < math.inf:
-            return scale, Centered(unit[1])
-    return 1.0, spec
+    base, steps = (form.base, form.steps) if isinstance(form, Mapped) else (form, ())
+    unit = base.unit_law()
+    if unit is None:
+        return 1.0, spec
+    a, c, law = unit
+    for op, x in steps:
+        if op == "shift":
+            c += Fraction(x)
+        elif op == "scale":
+            a, c = a * Fraction(x), c * Fraction(x)
+        elif c or max(a.numerator.bit_length(), a.denominator.bit_length()) > _SCALE_BITS:
+            return 1.0, spec
+        else:
+            a, law = a * a, ChiSquared(1) if law == Gaussian(0.0, 1.0) else SquareOf(law)
+    scale = round_up(abs(a))
+    if spec.expectation() == 0.0:
+        law = law if law.expectation() == 0.0 else Centered(law)
+    elif c or scale != abs(a):
+        return 1.0, spec
+    if not sys.float_info.min <= scale < math.inf:
+        return 1.0, spec
+    return scale, law
+
+
+_SCALE_BITS = 1 << 12   # bits of the exact scale's integers past which the walk stops
 
 
 def round_up(exact) -> float:
@@ -843,20 +934,16 @@ def lp_norm(spec, p: float) -> float:
 
 
 def log_abs_moment(spec, p: float) -> float:
-    """ln E|X|^p (-inf for the a.s. zero variable) at a finite p >= 0, read
-    as `log_abs_moments` reads it; memoised on (standard law, p).  A NaN
-    moment is a QuadratureError, and is not memoised."""
+    """ln E|X|^p (-inf for the a.s. zero variable) at a finite p >= 0: row 0
+    of `log_abs_moments` at [p], read through the same memo.  A NaN moment
+    is a QuadratureError."""
     _scalar(spec)
     if not 0 <= p < math.inf:
         raise SpecError(f"moment order must be finite and nonnegative, got p={p}")
-    scale, standard = standard_form(spec)
+    if not p:
+        return 0.0
     p = float(p)
-    return _scaled_out(scale, p, _log_abs_moment_cached(standard, p))
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _log_abs_moment_cached(spec, p):
-    lm = _first_row(canonical(spec), p) if p else 0.0
+    lm = float(_moments(spec, np.array([p]))[0])
     if math.isnan(lm):
         raise QuadratureError(f"ln E|X|^p is nan at p={p!r}")
     return lm
@@ -865,27 +952,66 @@ def _log_abs_moment_cached(spec, p):
 def log_abs_moments(spec, ps) -> np.ndarray:
     """ln E|X|^p for every finite p > 0 of the 1-d array ps, in one batched pass.
 
-    The moments are those of the standard law of `standard_form`, plus
-    p ln scale.  Every family implements this method only; log_abs_moment
-    is row 0 of it at [p], so the two agree to the bit.  Numeric laws
-    integrate all p with one fixed tanh-sinh rule (or sum the Poisson
-    series for all p at once), the only numeric path; the rule raises
-    QuadratureError where its embedded error estimate exceeds 1e-5 in
-    ln ||X||_p.  Not cached.
+    A law whose standard law (see `standard_form`) is a Centered one takes
+    the numeric path: its moments are the standard law's plus p ln scale.
+    Every other law is a closed form, or its own standard law, and reads
+    its own parameters, so that no closed form moves by the rounding of a
+    scale.  Either way the rows are read through one memo keyed on (the
+    law read, p) (see `_memo_moments`).  Every family implements this
+    method only; log_abs_moment is row 0 of it at [p], so the two agree to
+    the bit.
+    Numeric laws integrate all p with one fixed tanh-sinh rule (or sum the
+    Poisson series for all p at once), the only numeric path; the rule
+    raises QuadratureError where its embedded error estimate exceeds 1e-5
+    in ln ||X||_p.
     """
     _scalar(spec)
     ps = np.asarray(ps, dtype=float)
     bad = ps[~((ps > 0) & (ps < math.inf))]
     if bad.size:
         raise SpecError(f"moment orders must be finite and positive, got p={bad[0]}")
+    return _moments(spec, ps)
+
+
+def _moments(spec, ps):
+    """ln E|X|^p for the orders ps, as `log_abs_moments` reads them: for a
+    centered shape s Z, ln E|sZ|^p = p ln s + ln E|Z|^p, the one rule by
+    which both moment queries scale."""
     scale, standard = standard_form(spec)
-    return _scaled_out(scale, ps, canonical(standard).log_abs_moments(ps))
+    if not isinstance(standard, Centered):
+        return _memo_moments(spec, ps)
+    rows = _memo_moments(standard, ps)
+    return rows if scale == 1.0 else ps * math.log(scale) + rows
 
 
-def _scaled_out(scale, p, lm):
-    """ln E|scale Z|^p = p ln scale + ln E|Z|^p, for a float or an array p:
-    the one rule by which both moment queries read a standard law."""
-    return lm if scale == 1.0 else p * math.log(scale) + lm
+_MOMENT_LAWS = 4096     # laws whose moment rows are kept per process
+_MOMENT_ROWS = 1024     # rows kept per law
+_moment_rows = {}       # law read -> {p: ln E|Z|^p}; rows are only ever added
+_moment_laws_lock = threading.Lock()    # guards the eviction and insertion of laws
+
+
+def _memo_moments(law, ps):
+    """ln E|Z|^p of the law read for each p of ps, through the memo: the
+    orders it lacks run in one batch of the canonical form's
+    `log_abs_moments`, and their rows are stored.  A row does not depend on
+    the batch it ran in, so a stored row is the one any batch gives.  A
+    NaN row is returned, not stored.  The memo keeps the rows of the
+    latest _MOMENT_LAWS laws, at most _MOMENT_ROWS each: a batch that does
+    not fit is not stored."""
+    rows = _moment_rows.get(law)
+    if rows is None:
+        with _moment_laws_lock:
+            if len(_moment_rows) >= _MOMENT_LAWS:
+                del _moment_rows[next(iter(_moment_rows))]
+            rows = _moment_rows.setdefault(law, {})
+    keys = ps.tolist()
+    missing = [p for p in dict.fromkeys(keys) if p not in rows]
+    if not missing:
+        return np.array([rows[p] for p in keys])
+    new = dict(zip(missing, canonical(law).log_abs_moments(np.array(missing)).tolist()))
+    if len(rows) + len(new) <= _MOMENT_ROWS:
+        rows.update((p, lm) for p, lm in new.items() if lm == lm)
+    return np.array([new[p] if p in new else rows[p] for p in keys])
 
 
 def mgf(spec, beta: float) -> float:
@@ -914,16 +1040,13 @@ def _log_moments(base, steps, ps):
     """ln E|g(X)|^p for each p of ps, g the map steps, by the base's numeric
     path, _BLOCK orders at a time so that memory does not grow with len(ps).
     Each row is the same in any batch; no orders give no rows."""
-    def log_h(x, q):
+    def log_g(x):
+        g = np.abs(_apply(steps, x))
         with np.errstate(divide="ignore"):
-            return q * np.log(np.abs(_apply(steps, x)))
-    return np.concatenate([ps[:0]] + [base._log_expects(log_h, ps[i:i + _BLOCK], _zeros(steps))
-                                      for i in range(0, len(ps), _BLOCK)])
-
-
-def _first_row(form, p):
-    """ln E|X|^p of a canonical form: row 0 of its batched moments at [p]."""
-    return float(form.log_abs_moments(np.array([p], dtype=float))[0])
+            return np.log(g, out=g)
+    blocks = [ps[i:i + _BLOCK] for i in range(0, len(ps), _BLOCK)]
+    return np.concatenate([ps[:0]] + [base._log_expects(log_g, b, b, _zeros(steps))
+                                      for b in blocks])
 
 
 def _zeros(steps):
@@ -945,9 +1068,9 @@ def _squared_mgf(base, steps, beta, support):
         raise MomentDivergenceError(
             f"MGF of a squared unbounded variable diverges at beta={beta}")
 
-    def log_h(x, q):
-        return beta * _apply(steps, x) ** 2
-    return math.exp(base._log_expects(log_h, np.zeros(1))[0])
+    def log_g(x):
+        return _apply(steps, x) ** 2
+    return math.exp(base._log_expects(log_g, np.array([float(beta)]), np.zeros(1))[0])
 
 
 def _logsumexp(terms):

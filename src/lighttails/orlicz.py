@@ -10,13 +10,16 @@ than 1e-12 in ln; the largest final bound is reported as `upper`.  The grid
 ends at p = _P_MAX = 256 for every norm, and the tail beyond it is accepted
 only when the ratio does not rise over the last octave of the evaluated
 orders.  For a catalogue law the search reads the batched moments of
-`distributions.log_abs_moments`, the one numeric path of every moment, and
-reports the best ratio it read as the value.  The norm is homogeneous,
-||aZ|| = |a| ||Z|| at the same p*, so the search runs on the standard law of
-`distributions.standard_form` and is memoised on (standard law, alpha): a
-centered exponential or chi-squared law of any rate or scale reads one
-search per shape, scaled.  Every psi norm of a law takes
-this one path: a finite law is a FiniteSupport, with one exact log-sum-exp
+`distributions.log_abs_moments`, the one numeric path of every moment,
+through its memo of rows, and reports the best ratio it read as the
+value.  The norm is homogeneous, ||aZ|| = |a| ||Z|| at the same p*, so the
+search runs on the standard law of `distributions.standard_form` and is
+memoised on (standard law, alpha): Gaussians of any sd, centered uniforms
+of any width, centered affine images of an exponential, chi-squared or
+Poisson law, centered squares of N(0, sd), Chi laws of any sd and
+UniformGap laws of any width each read one search per shape, scaled, with
+the upper widened by the rounding of the scaled moments.  Every psi norm
+of a law takes this one path: a finite law is a FiniteSupport, with one exact log-sum-exp
 over (p, value) as its batched moments; the length of an iid centered
 Gaussian vector is a Chi law; and a psi diameter is psi_norm of the law's
 `abs_difference_law()`.  No norm here is estimated from samples, so every
@@ -24,10 +27,10 @@ one may feed a tail bound.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -135,8 +138,10 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
     still rises at p = _P_MAX.  The search runs on the standard law of
     `distributions.standard_form(spec)` and is memoised on (standard law,
     alpha), PMaxTooSmallError included; the value is the standard law's
-    times the scale, and `upper` that product rounded up, at the standard
-    law's p*.
+    times the scale, at the standard law's p*.  `upper` is that product
+    rounded up and widened by _READ_ROUNDING, so that it also bounds every
+    ratio read from the law's own moments (p ln s + ln E|Z|^p, or its own
+    closed form), which round apart from s times the standard law's.
     """
     _check_alpha(alpha)
     dist.validate(spec)
@@ -144,14 +149,30 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
     est = _psi_norm_cached(standard, alpha)
     if isinstance(est, PMaxTooSmallError):
         raise PMaxTooSmallError(*est.args)
-    return est if scale == 1.0 else scaled_estimate(est, scale)
+    if scale == 1.0:
+        return est
+    est = scaled_estimate(est, scale)
+    if not 0.0 < est.upper < math.inf:
+        return est
+    slack = _READ_ROUNDING * (abs(math.log(scale)) + abs(math.log(est.upper)) + math.log(_P_MAX) + 1.0)
+    return dataclasses.replace(est, upper=math.nextafter(est.upper * (1.0 + slack), math.inf))
+
+
+# The relative rounding, per unit of |ln s| + |ln ratio| + ln p_max + 1, of a
+# ratio ln(||sZ||_p / p^(1/alpha)) read from the moments of s Z in floats: a
+# few roundings of numbers of those sizes.  Over 400 scaled laws (scales to
+# 1e+-300) the largest excess over s times the standard upper was a third of it.
+_READ_ROUNDING = 4 * 2.0 ** -53
 
 
 def scaled_estimate(est, scale, method=None) -> OrliczEstimate:
     """est for scale times its variable: the value times scale, the upper
-    times scale rounded up, the same p*; the method is est's unless given."""
+    times scale and then the next float up, the same p*; the method is
+    est's unless given.  A product rounds to within half an ulp of the
+    exact one, also when it underflows or overflows, so the next float up
+    is not below it."""
     return OrliczEstimate(est.alpha, scale * est.value, est.p_star, method or est.method,
-                          dist.round_up(Fraction(scale) * Fraction(est.upper)))
+                          math.nextafter(scale * est.upper, math.inf))
 
 
 @functools.lru_cache(maxsize=4096)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -292,17 +295,19 @@ class TestPsiDiameter:
     @pytest.mark.parametrize("spec, alpha, scale, read", [
         (D.Gaussian(1.0, 2.0), 2, 1.0, D.Gaussian(0.0, math.sqrt(2.0) * 2.0)),
         (D.Scaled(D.Exponential(1.0), -2.0), 1, 2.0, D.Exponential(1.0)),
-        (D.Scaled(D.UniformInterval(0.0, 1.0), 0.5), 2, 0.5, D.UniformGap(1.0)),
+        (D.Scaled(D.UniformInterval(0.0, 1.0), 0.5), 2, 1.0, D.UniformGap(0.5)),
         (D.Rademacher(), 1, 1.0, D.FiniteSupport((0.0, 2.0, 2.0, 0.0), (0.25,) * 4)),
         (D.SquareOf(D.UniformInterval(0.0, 1.0)), 1, 2.0,
          D.Centered(D.SquareOf(D.UniformInterval(0.0, 1.0)))),
         (D.ChiSquared(3), 1, 2.0, D.Centered(D.ChiSquared(3)))], ids=repr)
     def test_upper_is_the_scaled_upper_of_the_law_read(self, spec, alpha, scale, read):
-        # the diameter keeps the certified upper and p* of the norm it reads
+        # the diameter keeps the certified upper and p* of the norm it reads;
+        # a scaled upper is the product's next float up
         got, est = A.psi_diameter(spec, alpha), psi_norm(read, alpha)
+        upper = est.upper if scale == 1.0 else math.nextafter(scale * est.upper, math.inf)
         assert got.upper >= got.value > 0
         assert (got.alpha, got.value, got.p_star, got.upper) == (
-            alpha, scale * est.value, est.p_star, scale * est.upper)
+            alpha, scale * est.value, est.p_star, upper)
 
     @pytest.mark.parametrize("spec, alpha, scale, read", [
         (D.Scaled(D.Exponential(1.3), 2.5), 1, Fraction(2.5) / Fraction(1.3), D.Exponential(1.0)),
@@ -319,6 +324,23 @@ class TestPsiDiameter:
         assert got.value == pytest.approx(float(scale) * est.value, rel=1e-15, abs=0.0)
         assert got.upper >= exact and got.upper >= got.value
         assert got.upper <= math.nextafter(math.nextafter(float(exact), math.inf), math.inf)
+
+    def test_affine_poisson_laws_read_one_search(self):
+        # Centered(c Poisson(2)) is |c| Centered(Poisson(2)): in a fresh
+        # process, three factors make one psi memo miss and two hits
+        src = os.path.dirname(os.path.dirname(A.__file__))
+        code = ("from lighttails import applications as A, distributions as D, orlicz as O; "
+                "[A.psi_diameter(D.Scaled(D.Poisson(2.0), c), 1) for c in (0.5, 0.7, 0.9)]; "
+                "info = O._psi_norm_cached.cache_info(); print(info.misses, info.hits)")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             check=True, capture_output=True, text=True).stdout
+        assert out.split() == ["1", "2"]
+        for c in (0.5, 0.7, 0.9):
+            got = A.psi_diameter(D.Scaled(D.Poisson(2.0), c), 1)
+            est = psi_norm(D.Centered(D.Poisson(2.0)), 1)
+            assert got.method == "centering-bound" and got.p_star == est.p_star
+            assert got.value == 2.0 * c * est.value
+            assert got.upper >= Fraction(2.0 * c) * Fraction(est.upper)
 
     def test_pair_difference_beyond_the_largest_double_names_values(self):
         # the pair law used to end in numpy's overflow RuntimeWarning

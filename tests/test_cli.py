@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -511,12 +512,51 @@ class TestParserReuse:
 
     def test_one_parser_per_process(self):
         assert cli._build_parser() is cli._build_parser()
+        assert cli._sub_parser("bound") is cli._sub_parser("bound")
+
+    def test_a_command_builds_only_its_sub_parser(self, capsys):
+        cli._build_parser.cache_clear()
+        cli._sub_parser.cache_clear()
+        assert run(capsys, "norms", "--spec", config("exp1.json"), "--alpha", "1")[0] == 0
+        assert run(capsys, "norms", "--spec", config("exp1.json"), "--alpha", "3")[0] == 1
+        assert run(capsys, "appbound", "--app", "vector-ii", "--psi1", "1", "--n", "100",
+                   "--delta", "0.01")[0] == 0
+        assert cli._build_parser.cache_info().currsize == 0
+        assert cli._sub_parser.cache_info()[:2] == (1, 2)      # hits, misses
+
+    # sha256 of each --help output at COLUMNS=80, from the version that built
+    # every sub-parser in the top-level parser; the same on Python 3.10 and 3.11
+    HELP_SHA256 = {
+        "": "18ce753f1a1e0f1907ee0b368bd77eb46780d0c22d29b9463a000025b47af0d4",
+        "norms": "6f30030d64279b57bfce9809041e756c4ad7679e220230c3b025ffbff7fcba91",
+        "entropy-check": "4fe70c51715c0b83f58831e14d3ae79fc2c9e447233498de52706eabd95a7827",
+        "bound": "c3aa80b6bddf36ce307a637e13329d34ed65359520141e3ee4b083b58ac6c0d3",
+        "invert": "f1f7b821a09cb849dc9d8361b8c4b76d9b47a5daffd75b6c97bac00e0ec47ab5",
+        "appbound": "a36b556093967a0292684bdb0db2af6756455208687a4501cd6fde1241802e05",
+        "verify": "8837e7e8f85cfeade499eaf4c67df6513a172ff5a2a96cb41e8a09080d9bbcc2",
+        "compare": "3ffefc27aa38d86e739847d6a64a4e68df8d9b3c20d310d0aeea07a9b4a7782f",
+    }
+
+    @pytest.mark.parametrize("command", sorted(HELP_SHA256))
+    def test_help_is_byte_identical(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        cli._build_parser.cache_clear()
+        cli._sub_parser.cache_clear()
+        code, out, err = run(capsys, *([command] if command else []), "--help")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.HELP_SHA256[command]
+        if command:     # the sub-parser built alone, and the top-level parser's
+            via_top = next(a for a in cli._build_parser()._actions if a.dest == "command")
+            assert cli._sub_parser(command).format_help() == via_top.choices[command].format_help()
+        cli._build_parser.cache_clear()
+        cli._sub_parser.cache_clear()
 
     def test_reused_parser_answers_like_a_fresh_one(self, capsys):
         reused = [run(capsys, *argv) for argv in self.ARGVS]
         fresh = []
         for argv in self.ARGVS:
             cli._build_parser.cache_clear()
+            cli._sub_parser.cache_clear()
             fresh.append(run(capsys, *argv))
         assert reused == fresh
         assert [code for code, _, _ in reused] == [1, 0, 0, 0, 1]

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -448,6 +450,100 @@ SCAN_LAWS = [*(D.Centered(D.Scaled(D.ChiSquared(1), c)) for c in (0.3, 1.0, 2.5,
                if isinstance(base_and_steps(s)[0], D._Continuous))]
 
 
+# every family, under up to three wrapper steps
+_FAMILIES = st.one_of(
+    _CONTINUOUS, st.builds(D.Poisson, st.floats(0.2, 6.0)), st.just(D.Rademacher()),
+    st.builds(D.TwoPointEps, st.floats(0.01, 0.99)),
+    st.builds(D.FiniteSupport, st.just((-1.0, 0.5, 2.0)), st.just((0.25, 0.5, 0.25))))
+_ANY_LAW = st.recursive(_FAMILIES, lambda inner: st.one_of(
+    st.builds(D.Centered, inner), st.builds(D.Shifted, inner, st.floats(-3.0, 3.0)),
+    st.builds(D.Scaled, inner, st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)),
+    st.builds(D.SquareOf, inner)), max_leaves=3)
+
+
+class TestMomentRows:
+    """The moment memo stores each row of a batch: sound because a row does
+    not depend on the batch it ran in."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(_ANY_LAW, st.lists(st.floats(1.0, 256.0) | st.sampled_from(list(_P_GRID[::16])),
+                              min_size=2, max_size=5, unique=True))
+    def test_batched_rows_equal_the_single_order_reads(self, law, ps):
+        # the family pass itself, on the law and on its standard law, with
+        # no memo between them
+        ps = np.array(ps)
+        for form in {D.canonical(law), D.canonical(D.standard_form(law)[1])}:
+            try:
+                whole = form.log_abs_moments(ps)
+            except D.QuadratureError:
+                continue
+            alone = np.concatenate([form.log_abs_moments(ps[i:i + 1]) for i in range(len(ps))])
+            assert whole.view(np.int64).tolist() == alone.view(np.int64).tolist(), form
+
+    def test_the_thm3_order_is_a_row_of_the_search(self, monkeypatch):
+        # the psi search reads p = 4 on its coarse grid, so the 2p-norm of
+        # thm3 at p = 2 reads that row; any law of the shape shares it
+        D._moment_rows.clear()
+        O._psi_norm_cached.cache_clear()
+        psi_norm(D.Centered(D.Exponential(1.7)), 1)
+        monkeypatch.setattr(D.Mapped, "log_abs_moments", lambda self, ps: 1 / 0)
+        got = D.lp_norm(D.Centered(D.Scaled(D.Exponential(0.4), 3.0)), 4.0)
+        monkeypatch.undo()
+        D._moment_rows.clear()
+        assert got == D.lp_norm(D.Centered(D.Scaled(D.Exponential(0.4), 3.0)), 4.0)
+
+    def test_a_nan_row_is_not_stored(self, monkeypatch):
+        spec = D.Shifted(D.Exponential(0.61), -7.0)
+        monkeypatch.setattr(D.Mapped, "log_abs_moments", lambda self, ps: np.full(ps.shape, math.nan))
+        assert math.isnan(D.log_abs_moments(spec, np.array([2.5]))[0])
+        monkeypatch.undo()
+        assert D.log_abs_moments(spec, np.array([2.5]))[0] == pytest.approx(
+            adaptive_log_moment(spec, 2.5), rel=1e-12)
+
+    def test_threads_share_the_memo_while_it_evicts(self, monkeypatch):
+        # 6 threads on 2 cores read 60 laws through a memo of 4 laws, so
+        # laws are evicted and inserted concurrently; every read is right
+        monkeypatch.setattr(D, "_MOMENT_LAWS", 4)
+        monkeypatch.setattr(D, "_moment_rows", {})
+        laws = [D.Exponential(1.0 + k / 64) for k in range(60)]
+        ps = np.array([1.0, 2.5, 7.0])
+        want = [D.canonical(law).log_abs_moments(ps).tolist() for law in laws]
+        errors, interval = [], sys.getswitchinterval()
+
+        def work(shift):
+            try:
+                for i in range(len(laws)):
+                    k = (i + shift) % len(laws)
+                    if D.log_abs_moments(laws[k], ps).tolist() != want[k]:
+                        errors.append(k)
+            except Exception as exc:        # any failure in a thread fails the test
+                errors.append(exc)
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(7 * t,)) for t in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(D._moment_rows) <= 4
+
+    def test_a_bounded_law_reads_each_run_of_equal_cuts_once(self, monkeypatch):
+        # the windows of the first 21 coarse orders are the whole support:
+        # the density is read on 14 rows of cuts, not 34
+        form = D.canonical(D.Centered(D.SquareOf(D.UniformInterval(-0.45, 0.8))))
+        ps = np.unique(np.concatenate([_P_GRID[::O._COARSE_STEP], _P_GRID[-2:]]))
+        seen = []
+        real = D.UniformInterval.logpdf
+        monkeypatch.setattr(D.UniformInterval, "logpdf",
+                            lambda self, x: seen.append(np.shape(x)) or real(self, x))
+        form.log_abs_moments(ps)
+        assert len(ps) == 34 and seen[-1] == (14, 3, D._PANELS, len(D._TS_T))
+
+
 class TestLiveWindow:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(_MAPPED, st.lists(st.floats(1.0, 256.0), min_size=1, max_size=6))
@@ -813,8 +909,10 @@ class TestCanonical:
     def test_other_chains_map_a_primitive(self):
         form = D.canonical(D.Centered(D.Scaled(D.Exponential(2.0), 3.0)))
         assert form == D.Mapped(D.Exponential(2.0), (("scale", 3.0), ("shift", -1.5)))
-        assert form.linear_factor() == 3.0
-        assert D.canonical(D.SquareOf(D.Gaussian(1.0, 1.0))).linear_factor() is None
+        assert D.standard_form(D.Centered(D.Scaled(D.Exponential(2.0), 3.0))) == (
+            1.5, D.Centered(D.Exponential(1.0)))
+        spec = D.SquareOf(D.Gaussian(1.0, 1.0))
+        assert D.standard_form(spec) == (1.0, spec)
 
     def test_centered_gaussian_is_closed_form(self):
         for p in (1.0, 3.0, 40.0):

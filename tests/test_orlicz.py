@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pathlib
 import runpy
@@ -9,7 +10,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 from scipy import stats
 
 from adaptive import adaptive_log_moment
-from test_distributions import NUMERIC_LAWS
+from test_distributions import NUMERIC_LAWS, ORDERS
 from lighttails import applications as A
 from lighttails import distributions as D
 from lighttails import functions as F
@@ -152,7 +153,7 @@ class TestCertificate:
         # the search runs on the standard law, which another test may have
         # memoised: without the memos the perturbed rule is read
         O._psi_norm_cached.cache_clear()
-        D._log_abs_moment_cached.cache_clear()
+        D._moment_rows.clear()
         with pytest.raises(D.QuadratureError, match="t = j/8 and j/4 differ"):
             O.psi_norm(spec, alpha)
         monkeypatch.undo()
@@ -310,18 +311,104 @@ class TestStandardForm:
         else:
             law = D.Scaled(D.Centered(base), factor)
         scale, standard = D.standard_form(law)
-        assert standard == D.Centered(base.unit_law()[1])
-        exact = abs(Fraction(factor)) / (Fraction(rate) if family is D.Exponential else 1)
+        unit, _, shape = base.unit_law()        # chi-squared(2) is 2 Exponential(1)
+        assert standard == D.Centered(shape)
+        exact = abs(Fraction(factor)) * unit
         assert scale >= exact > Fraction(math.nextafter(scale, 0.0))
         for alpha in (1, 2):
             assert_matches_direct_search(law, alpha)
 
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from(["gaussian", "uniform", "chi", "gap", "poisson", "square"]),
+           st.floats(0.05, 20.0), st.floats(-3.0, 3.0), st.integers(1, 6),
+           st.floats(0.01, 100.0) | st.floats(-100.0, -0.01))
+    def test_scale_families_match_the_direct_search(self, family, size, offset, dof, factor):
+        # sd N(0, 1), half-width U(-1, 1), Chi and UniformGap by their scale,
+        # a centered affine Poisson and a centered (sd Z)^2
+        law = {"gaussian": D.Centered(D.Gaussian(offset, size)),
+               "uniform": D.Centered(D.UniformInterval(offset, offset + size)),
+               "chi": D.Chi(dof, size), "gap": D.UniformGap(size),
+               "poisson": D.Centered(D.Shifted(D.Poisson(size), offset)),
+               "square": D.Centered(D.SquareOf(D.Gaussian(0.0, size)))}[family]
+        for law in (law, D.Scaled(law, factor)):
+            for alpha in (1, 2):
+                assert_matches_direct_search(law, alpha)
+
+    # sha256 of the little-endian float64 rows of log_abs_moments at ORDERS,
+    # law after law, over the 555 laws of NUMERIC_LAWS and bound_cold_laws()
+    # whose standard form is what it was before Gaussians, uniforms, Chi,
+    # UniformGap, Poisson and squares scaled out; taken from that version
+    UNCHANGED_ROWS_SHA256 = "5a3c31380dc99a27261e8b348a3cacdf9ca4223d75777a03d8d10ccc4bb933da"
+
+    def test_unchanged_standard_forms_keep_their_moment_bits(self):
+        def base(law):
+            form = D.canonical(law)
+            return form.base if isinstance(form, D.Mapped) else form
+
+        def unchanged(law):
+            # the standard forms of the earlier rule: (1.0, law), or a centered
+            # affine exponential or chi-squared law's
+            scale, standard = D.standard_form(law)
+            shape = {D.Exponential: D.Exponential(1.0), D.ChiSquared: base(law)}.get(type(base(law)))
+            return (scale, standard) == (1.0, law) or (
+                shape is not None and standard == D.Centered(shape))
+
+        laws = [law for law in dict.fromkeys(NUMERIC_LAWS + bound_cold_laws()) if unchanged(law)]
+        rows = np.concatenate([D.log_abs_moments(law, ORDERS) for law in laws])
+        assert len(laws) == 555
+        assert hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest() == self.UNCHANGED_ROWS_SHA256
+
     @pytest.mark.parametrize("law", [
-        D.Scaled(D.Exponential(2.0), 3.0), D.Shifted(D.ChiSquared(2), 1.0),
-        D.Centered(D.SquareOf(D.Exponential(1.0))), D.Centered(D.Poisson(2.0)),
-        D.Centered(D.Gaussian(1.0, 2.0)), D.Exponential(1.0)], ids=str)
+        D.Shifted(D.ChiSquared(2), 1.0), D.Centered(D.SquareOf(D.Exponential(1.0))),
+        D.Centered(D.Poisson(2.0)), D.Exponential(1.0),
+        D.Exponential(1.3),                                 # 1 / 1.3 is not a float
+        D.Scaled(D.Chi(3, 1.3), 1.1),                       # nor is 1.3 * 1.1
+        D.UniformInterval(-2.0, 3.0), D.Gaussian(0.8, 1.0),   # shifted and uncentered
+        D.SquareOf(D.Shifted(D.Exponential(1.0), -1.0)),    # a shift under the square
+        D.Centered(D.SquareOf(D.UniformInterval(-0.5, 1.0))),
+        D.Shifted(D.Poisson(5.0), -20.0), D.FiniteSupport((-1.0, 2.0), (0.5, 0.5))], ids=str)
     def test_other_laws_keep_scale_one(self, law):
         assert D.standard_form(law) == (1.0, law)
+
+    @pytest.mark.parametrize("law, scale, standard", [
+        (D.Gaussian(0.0, 1.3), 1.3, D.Gaussian(0.0, 1.0)),
+        (D.Centered(D.Gaussian(1.0, 2.0)), 2.0, D.Gaussian(0.0, 1.0)),
+        (D.Scaled(D.Gaussian(0.0, 1.5), -2.0), 3.0, D.Gaussian(0.0, 1.0)),
+        (D.Centered(D.UniformInterval(0.0, 0.5)), 0.25, D.UniformInterval(-1.0, 1.0)),
+        (D.UniformInterval(-1.5, 1.5), 1.5, D.UniformInterval(-1.0, 1.0)),
+        (D.UniformGap(2.0), 2.0, D.UniformGap(1.0)),
+        (D.Chi(5, 1.7), 1.7, D.Chi(5, 1.0)),
+        (D.Centered(D.Chi(5, 1.7)), 1.7, D.Centered(D.Chi(5, 1.0))),
+        (D.Scaled(D.Exponential(2.0), 3.0), 1.5, D.Exponential(1.0)),
+        (D.Scaled(D.Poisson(2.0), 0.5), 0.5, D.Poisson(2.0)),
+        (D.Centered(D.Scaled(D.Poisson(2.0), -0.5)), 0.5, D.Centered(D.Poisson(2.0))),
+        (D.Centered(D.Shifted(D.Poisson(2.0), 3.0)), 1.0, D.Centered(D.Poisson(2.0))),
+        (D.ChiSquared(2), 2.0, D.Exponential(1.0)),
+        (D.Centered(D.ChiSquared(2)), 2.0, D.Centered(D.Exponential(1.0))),
+        (D.SquareOf(D.Gaussian(0.0, 2.0)), 4.0, D.ChiSquared(1)),
+        (D.Centered(D.SquareOf(D.Gaussian(0.0, 1.5))), 2.25, D.Centered(D.ChiSquared(1))),
+        (D.Centered(D.SquareOf(D.Scaled(D.UniformInterval(-1.0, 1.0), 3.0))), 9.0,
+         D.Centered(D.SquareOf(D.UniformInterval(-1.0, 1.0)))),
+        (D.Centered(D.SquareOf(D.Scaled(D.Exponential(2.0), 3.0))), 2.25,
+         D.Centered(D.SquareOf(D.Exponential(1.0))))], ids=str)
+    def test_shapes_scale_out(self, law, scale, standard):
+        assert D.standard_form(law) == (scale, standard)
+
+    def test_inexact_scales_round_up(self):
+        # 1.3^2 and 1.1 * 2 / 0.7 are not floats: the scale is the next float up
+        for law, exact in [(D.Centered(D.SquareOf(D.Gaussian(0.0, 1.3))), Fraction(1.3) ** 2),
+                           (D.Centered(D.Scaled(D.Exponential(0.7), 1.1)),
+                            Fraction(1.1) / Fraction(0.7))]:
+            scale = D.standard_form(law)[0]
+            assert scale >= exact > Fraction(math.nextafter(scale, 0.0))
+
+    def test_deep_squares_keep_scale_one(self):
+        # the exact scale 0.1^256 has an integer of 14080 bits, and every
+        # further square doubles it: the walk stops before it grows
+        law = D.Gaussian(0.0, 0.1)
+        for _ in range(8):
+            law = D.SquareOf(law)
+        assert D.standard_form(D.Centered(law)) == (1.0, D.Centered(law))
 
     def test_moments_scale_out(self):
         law = D.Centered(D.Scaled(D.Exponential(1.3), 2.5))
@@ -440,6 +527,13 @@ class TestCertifiedUpper:
     @given(st.tuples(SUB_GAUSSIAN, st.sampled_from([1, 2]))
            | st.tuples(SUB_EXPONENTIAL, st.just(1)))
     @example((D.Centered(D.Exponential(1.0)), 1))       # the numeric moment path
+    @example((D.Centered(D.UniformInterval(0.0, 0.5)), 1))     # 0.25 U(-1, 1)
+    # scales far from 1, where p ln s + ln E|Z|^p rounds by up to 24 ulps of
+    # the norm: the upper covers the ratios read from those moments
+    @example((D.Chi(4, 3.4277174670261936e-15), 1))
+    @example((D.Chi(2, 78686163968253.83), 2))
+    @example((D.UniformGap(1.6023827309971294e-21), 1))
+    @example((D.Scaled(D.Gaussian(0.0, 1.0), -1e-300), 2))
     def test_value_and_upper_bracket_the_dense_grid(self, law_alpha):
         law, alpha = law_alpha
         try:
@@ -468,6 +562,22 @@ class TestCertifiedUpper:
         exact = Fraction(0.1) + Fraction(0.7)
         assert math.fsum([0.1, 0.7]) < exact <= got.upper
         assert got.upper == math.nextafter(math.fsum([0.1, 0.7]), math.inf)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.floats(0.0, exclude_min=True, allow_infinity=False),
+           st.floats(0.0, allow_infinity=False))
+    @example(0.5, 5e-324)                   # the product underflows to 0
+    @example(2.0 ** -1000, 2.0 ** -74)      # an exact subnormal product
+    @example(1e308, 10.0)                   # the product overflows
+    @example(3.0, 0.3)                      # rounds to nearest below the product
+    def test_scaled_upper_is_not_below_the_exact_product(self, scale, upper):
+        # the product's next float up is at most 2 floats above the exact
+        # product, which Fraction holds without rounding
+        got = O.scaled_estimate(O.OrliczEstimate(1, 0.0, 1.0, "closed-form", upper), scale).upper
+        exact = Fraction(scale) * Fraction(upper)
+        assert got >= exact
+        if got < math.inf:
+            assert got <= math.nextafter(math.nextafter(D.round_up(exact), math.inf), math.inf)
 
     def test_scaled_upper_rounds_up(self):
         # 3.0 * 0.3 rounds to nearest below its exact value
