@@ -4,12 +4,14 @@ The norms are defined as sup over p >= 1 of ||Z||_p / p^(1/alpha) with
 alpha = 2 (sub-Gaussian) or alpha = 1 (sub-exponential).  phi(p) = ln E|Z|^p
 is convex in p (Hoelder), so between two evaluated orders phi lies below its
 chord, which bounds the ratio on the whole interval.  The search evaluates
-every 4th point of a log-spaced p-grid and then bisects, one batched call
-per round, each interval whose chord bound beats the best ratio by more
-than 1e-12 in ln; the largest final bound is reported as `upper`.  The grid
-ends at p = _P_MAX = 256 for every norm, and the tail beyond it is accepted
-only when the ratio does not rise over the last octave of the evaluated
-orders.  For a catalogue law the search reads the batched moments of
+the octaves of a log-spaced p-grid and the quarter octaves of its last
+octave, and then splits, one batched call per round, each interval whose
+chord bound beats the best ratio by more than 1e-12 in ln, at its
+geometric midpoint and at the bound's own maximiser; the largest final
+bound is reported as `upper`.  The grid ends at p = _P_MAX = 256 for every
+norm, and the tail beyond it is accepted only when the ratio does not rise
+over the last octave of the evaluated orders.  For a catalogue law the
+search reads the batched moments of
 `distributions.log_abs_moments`, the one numeric path of every moment,
 through its memo of rows, and reports the best ratio it read as the
 value.  The norm is homogeneous, ||aZ|| = |a| ||Z|| at the same p*, so the
@@ -43,11 +45,15 @@ __all__ = [
 
 E = math.e
 _GRID_DENSITY = 16  # points of the p-grid per octave
-_COARSE_STEP = 4    # the search starts on every 4th grid point
 _CHORD_TOL = 1e-12  # ln-ratio by which a chord bound may exceed the best ratio
-_MAX_ROUNDS = 24    # bisection rounds before the search gives up; 16 suffice
+_MAX_ROUNDS = 24    # splitting rounds before the search gives up; 18 suffice
 _P_MAX = 256.0      # the largest order of the p-grid
-_P_GRID = np.exp(np.linspace(0.0, math.log(_P_MAX), int(math.log2(_P_MAX)) * _GRID_DENSITY + 1))
+_P_GRID = np.exp2(np.arange(int(math.log2(_P_MAX)) * _GRID_DENSITY + 1) / _GRID_DENSITY)
+# the search's first orders: the octaves 1, 2, 4, ..., 256, every 4th grid
+# point of the last octave and the grid's last but one point
+_START = np.unique(np.concatenate([
+    _P_GRID[::_GRID_DENSITY], _P_GRID[-_GRID_DENSITY - 1::4], _P_GRID[-2:]]))
+_START.setflags(write=False)    # every search passes it to log_moments
 
 
 class PMaxTooSmallError(RuntimeError):
@@ -74,30 +80,33 @@ def _check_alpha(alpha):
 
 def _chord_bounds(ps, phis, alpha):
     """For each interval [a, b] of consecutive orders, the maximum over it of
-    u(p) = s + c/p - ln(p)/alpha, where s p + c is the chord of phi: at
-    clamp(-alpha c, a, b) when c < 0, else at a."""
+    u(p) = s + c/p - ln(p)/alpha, where s p + c is the chord of phi, and
+    its maximiser: clamp(-alpha c, a, b) when c < 0, else a."""
     a, b, fa = ps[:-1], ps[1:], phis[:-1]
     s = (phis[1:] - fa) / (b - a)
     c = fa - s * a
     q = np.where(c < 0, np.clip(-alpha * c, a, b), a)
-    return (fa + s * (q - a)) / q - np.log(q) / alpha
+    return (fa + s * (q - a)) / q - np.log(q) / alpha, q
 
 
 def _sup_ratio(log_moments, alpha):
     """Maximize ln(||Z||_p / p^(1/alpha)) over [1, _P_MAX], with a certificate.
 
     log_moments maps an array of p to the array of phi(p) = ln E|Z|^p.  It
-    is called once on every _COARSE_STEP-th point of _P_GRID and its
-    last two, then once per round on the geometric midpoints of the
+    is called once on the 13 orders of _START, then once per round on the
     intervals whose chord bound beats the best ratio by more than
-    _CHORD_TOL.  16 rounds certify any data: where the bound peaks inside
-    [a, b], it exceeds the larger end ratio by at most (b-a)^2 / (8 alpha a^2).
-    Returns the best ratio, its p and the largest chord bound (-inf, 1.0,
-    -inf when Z = 0).  Raises QuadratureError on a non-finite phi or when
-    the rounds run out, PMaxTooSmallError when the ratio rises anywhere
-    over the last octave of the evaluated orders.
+    _CHORD_TOL: at the geometric midpoint of each, and at the chord bound's
+    maximiser where that lies strictly inside (Piyavskii-Shubert), which is
+    p* itself for a linear phi.  Where the bound peaks inside [a, b], it
+    exceeds the larger end ratio by at most (b-a)^2 / (8 alpha a^2); every
+    split at least halves an interval in ln p, and a start interval is at
+    most an octave wide, so 18 rounds certify any data.  Returns the best
+    ratio, its p and the largest chord bound (-inf, 1.0, -inf when Z = 0).
+    Raises QuadratureError on a non-finite phi or when the rounds run out,
+    PMaxTooSmallError when the ratio rises anywhere over the last octave
+    of the evaluated orders.
     """
-    ps = np.unique(np.concatenate([_P_GRID[::_COARSE_STEP], _P_GRID[-2:]]))
+    ps = _START
     phis = log_moments(ps)
     if np.all(phis == -math.inf):
         return -math.inf, 1.0, -math.inf
@@ -107,7 +116,7 @@ def _sup_ratio(log_moments, alpha):
             raise dist.QuadratureError(
                 f"ln E|Z|^p is {phis[bad][0]} at p={float(ps[bad][0])!r}: no chord bound")
         ratios = phis / ps - np.log(ps) / alpha
-        bounds = _chord_bounds(ps, phis, alpha)
+        bounds, peaks = _chord_bounds(ps, phis, alpha)
         split = bounds > ratios.max() + _CHORD_TOL
         if not split.any():
             break
@@ -115,8 +124,9 @@ def _sup_ratio(log_moments, alpha):
             raise dist.QuadratureError(
                 f"chord bounds still {bounds.max() - ratios.max():.3g} above the "
                 f"best ln ratio after {rounds} bisection rounds")
-        mids = np.sqrt(ps[:-1][split] * ps[1:][split])
-        ps, phis = np.concatenate([ps, mids]), np.concatenate([phis, log_moments(mids)])
+        a, b, q = ps[:-1][split], ps[1:][split], peaks[split]
+        new = np.unique(np.concatenate([np.sqrt(a * b), q[(a < q) & (q < b)]]))
+        ps, phis = np.concatenate([ps, new]), np.concatenate([phis, log_moments(new)])
         order = np.argsort(ps)
         ps, phis = ps[order], phis[order]
     if np.any(np.diff(ratios[ps >= _P_MAX / 2 - 1e-9]) > 1e-9):

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 import lighttails
 from adaptive import adaptive_log_moment
 from lighttails import cli
+from lighttails import distributions as D
 from lighttails import functions as fn
+from lighttails import orlicz as O
 from lighttails import verify as vfy
 from lighttails.bounds import TailBoundResult, evaluate_tail
 
@@ -673,6 +675,40 @@ class TestThm3P:
         code, out, err = run(capsys, *thm3_argv(command))
         assert code == 1 and out == ""
         assert "--p" in err and "l2p_per_coord" not in err
+
+    @pytest.mark.parametrize("p", ["2", "4", "8", "128"])
+    def test_the_2p_norms_read_rows_of_the_psi_search(self, p, tmp_path, capsys, monkeypatch):
+        # 2p is an octave, which the psi1 search of each centered shape reads
+        # on its first call, so a cold thm3 request runs no moment pass after
+        # the searches
+        spec = write_spec(tmp_path, {"kind": "sum", "components": [
+            {"kind": "exponential", "rate": 1.3}, {"kind": "exponential", "rate": 0.4},
+            {"kind": "poisson", "rate": 2.0}, {"kind": "chi_squared", "dof": 3}]})
+        cli.fn._kind_profile.cache_clear()
+        O._psi_norm_cached.cache_clear()
+        D._moment_rows.clear()
+        searching, searches, passes = [], [], []
+        real_search, real_memo = O._sup_ratio, D._memo_moments
+
+        def search(*args):
+            searching.append(True)
+            searches.append(args)
+            try:
+                return real_search(*args)
+            finally:
+                searching.pop()
+
+        def memo(law, ps):
+            rows = D._moment_rows.get(law, {})
+            if not searching and any(q not in rows for q in ps.tolist()):
+                passes.append((law, ps.tolist()))
+            return real_memo(law, ps)
+
+        monkeypatch.setattr(O, "_sup_ratio", search)
+        monkeypatch.setattr(D, "_memo_moments", memo)
+        code, _, _ = run(capsys, "bound", "--spec", spec, "--bounds", "thm2,thm3",
+                         "--p", p, "--t-grid", "2:20:5")
+        assert code == 0 and len(searches) == 3 and passes == []
 
     def test_p_ignored_without_thm3(self, capsys):
         code, _, _ = run(capsys, "bound", "--spec", config("sum_exp10.json"),

@@ -481,7 +481,7 @@ class TestMomentRows:
             assert whole.view(np.int64).tolist() == alone.view(np.int64).tolist(), form
 
     def test_the_thm3_order_is_a_row_of_the_search(self, monkeypatch):
-        # the psi search reads p = 4 on its coarse grid, so the 2p-norm of
+        # the psi search reads p = 4 on its first call, so the 2p-norm of
         # thm3 at p = 2 reads that row; any law of the shape shares it
         D._moment_rows.clear()
         O._psi_norm_cached.cache_clear()
@@ -532,10 +532,11 @@ class TestMomentRows:
         assert len(D._moment_rows) <= 4
 
     def test_a_bounded_law_reads_each_run_of_equal_cuts_once(self, monkeypatch):
-        # the windows of the first 21 coarse orders are the whole support:
-        # the density is read on 14 rows of cuts, not 34
+        # the windows of the first 21 of these 34 orders (every 4th point
+        # of the p-grid and its last but one) are the whole support: the
+        # density is read on 14 rows of cuts, not 34
         form = D.canonical(D.Centered(D.SquareOf(D.UniformInterval(-0.45, 0.8))))
-        ps = np.unique(np.concatenate([_P_GRID[::O._COARSE_STEP], _P_GRID[-2:]]))
+        ps = np.exp2(np.r_[0:128:4, 127, 128] / 16)
         seen = []
         real = D.UniformInterval.logpdf
         monkeypatch.setattr(D.UniformInterval, "logpdf",
@@ -571,7 +572,7 @@ class TestLiveWindow:
 
     def test_reads_at_most_400_scan_points_per_order(self, monkeypatch):
         spec = D.Centered(D.Exponential(1.3))
-        ps = np.unique(np.concatenate([_P_GRID[::O._COARSE_STEP], _P_GRID[-2:]]))
+        ps = np.exp2(np.r_[0:128:4, 127, 128] / 16)
         seen = []
         real = D.Exponential.logpdf
         monkeypatch.setattr(D.Exponential, "logpdf",

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import pathlib
@@ -10,16 +11,18 @@ from hypothesis import example, given, reject, settings, strategies as st
 from scipy import stats
 
 from adaptive import adaptive_log_moment
-from test_distributions import NUMERIC_LAWS, ORDERS
+from test_distributions import CATALOGUE, NUMERIC_LAWS, ORDERS
 from lighttails import applications as A
 from lighttails import distributions as D
 from lighttails import functions as F
 from lighttails import orlicz as O
 
 E = math.e
-# the chord search's first call: every 4th point of the 129-point grid on
-# [1, 256], and its last but one
-COARSE_LEN = len(O._P_GRID[::O._COARSE_STEP]) + 1
+# the chord search's first call: the octaves 1, 2, 4, ..., 256, the quarter
+# octaves of the last one and the grid's last point but one
+START_LEN = 13
+# the splitting rounds that certify any data (TestChordSearch)
+ROUNDS = 18
 
 SUBGAUSSIAN_SPECS = [
     D.Gaussian(0.0, 1.0),
@@ -184,7 +187,7 @@ class TestCertificate:
         after = O._psi_norm_cached.cache_info()
         assert len(values) == 1
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 9)
-        assert grids.count(COARSE_LEN) == 1
+        assert grids.count(START_LEN) == 1
 
     @pytest.mark.parametrize("unit, laws", [
         (D.Centered(D.Exponential(1.0)),
@@ -205,7 +208,7 @@ class TestCertificate:
             assert got.upper >= Fraction(scale) * Fraction(want.upper) and got.upper >= got.value
         info = O._psi_norm_cached.cache_info()
         assert (info.misses, info.hits) == (1, len(laws))
-        assert grids.count(COARSE_LEN) == 1
+        assert grids.count(START_LEN) == 1
 
     @staticmethod
     def _count_moment_calls(monkeypatch):
@@ -224,21 +227,23 @@ class TestCertificate:
         sizes = self._count_moment_calls(monkeypatch)
         est = O.psi_norm(D.Centered(D.Exponential(1.625)), 1)
         assert est.p_star == 1.0
-        # the chord bound of the first interval peaks at p = 1: no bisection
-        assert sizes == [COARSE_LEN]
+        # the chord bound of the first interval peaks at p = 1: no split
+        assert sizes == [START_LEN]
 
     def test_maximum_near_the_end_is_found_by_bisection(self, monkeypatch):
-        # the maximiser sits 1.9e-4 above p = 1, inside the first coarse
+        # the maximiser sits 1.9e-4 above p = 1, inside the first start
         # interval, whose chord bound beats the value at p = 1
         law = D.FiniteSupport(
             (-1.2266576256154749, -0.00773177677827791, 0.7636571719335548),
             (0.2716776276902979, 0.31930937820229327, 0.40901299410740877))
         sizes = self._count_moment_calls(monkeypatch)
         est = O.psi_norm(law.abs_difference_law(), 2)
-        assert sizes[0] == COARSE_LEN and len(sizes) > 1
+        assert sizes[0] == START_LEN and len(sizes) > 1
         assert 1.0 < est.p_star < 1.0003
-        assert est.value == pytest.approx(0.8552974043163654, rel=1e-15, abs=0.0)
+        assert est.value == pytest.approx(0.8552974043163638, rel=1e-15, abs=0.0)
         assert est.value < est.upper <= est.value * (1.0 + 1e-12)    # the chord gap
+        # the largest ratio on 400001 equal steps of [1, 1.0004]
+        assert est.value <= 0.8552974043163654 <= est.upper
         assert A.psi_diameter(law, 2).value == est.value
 
     def test_known_chi_psi2_defect_unchanged(self):
@@ -447,19 +452,39 @@ class TestChordSearch:
 
         ratios = phi(grid) / grid - np.log(grid)
         assert np.all(np.diff(ratios[:-1]) < 0) and ratios[-1] > ratios[-2]
-        assert ratios[-1] < ratios[-1 - O._COARSE_STEP]     # the coarse step misses it
+        assert ratios[-1] < ratios[-5]      # the quarter octaves of the start miss it
         with pytest.raises(O.PMaxTooSmallError):
             O._sup_ratio(phi, 1)
 
-    def test_past_the_round_cap_the_search_raises(self, monkeypatch):
-        # this maximum takes all 16 rounds, and no finite phi takes more, so
-        # the cap is lowered to show that running out raises
-        phi, exact = linear_phi(0.7, 1.0823406003255016, 2)
-        monkeypatch.setattr(O, "_MAX_ROUNDS", 16)
-        assert O._sup_ratio(phi, 2)[0] == pytest.approx(exact, abs=1e-12)
-        monkeypatch.setattr(O, "_MAX_ROUNDS", 15)
-        with pytest.raises(D.QuadratureError, match="after 15 bisection rounds"):
-            O._sup_ratio(phi, 2)
+    def test_the_rounds_certify_any_data(self):
+        # a split at least halves an interval in ln p, and a start interval
+        # is at most an octave wide: after k rounds (b - a) / a is at most
+        # 2^(2^-k) - 1, and an excess of (b-a)^2 / (8 alpha a^2) is within
+        # the tolerance from k = ROUNDS on, at alpha = 1 and 2
+        assert np.all(np.diff(np.log2(O._START)) <= 1.0)
+        for alpha in (1, 2):
+            excess = [(2.0 ** (2.0 ** -k) - 1.0) ** 2 / (8 * alpha) for k in (ROUNDS - 1, ROUNDS)]
+            assert excess[0] > O._CHORD_TOL >= excess[1]
+        assert ROUNDS <= O._MAX_ROUNDS
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_past_the_round_cap_the_search_raises(self, alpha, monkeypatch):
+        # the ratio is 0.01 times the linear phi's, and the chords of the
+        # p ln p part lie above it by nearly the excess the rounds allow, so
+        # this maximum takes all ROUNDS rounds, which no phi exceeds; the cap
+        # is lowered to show that running out raises
+        line, exact = linear_phi(0.7, 1.5, alpha)
+
+        def phi(ps):
+            return 0.99 * ps * np.log(ps) / alpha + 0.01 * line(ps)
+
+        calls = []
+        monkeypatch.setattr(O, "_MAX_ROUNDS", ROUNDS)
+        best = O._sup_ratio(lambda ps: calls.append(len(ps)) or phi(ps), alpha)[0]
+        assert best == pytest.approx(0.01 * exact, abs=1e-12) and len(calls) == 1 + ROUNDS
+        monkeypatch.setattr(O, "_MAX_ROUNDS", ROUNDS - 1)
+        with pytest.raises(D.QuadratureError, match=f"after {ROUNDS - 1} bisection rounds"):
+            O._sup_ratio(phi, alpha)
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(st.floats(1.0, 100.0), st.sampled_from([1, 2]),
@@ -479,7 +504,7 @@ class TestChordSearch:
             O._sup_ratio(lambda ps: calls.append(len(ps)) or phi(ps), alpha)
         except O.PMaxTooSmallError:
             pass
-        assert len(calls) <= 17
+        assert len(calls) <= 1 + ROUNDS
 
     @pytest.mark.parametrize("hole", [-math.inf, math.nan])
     def test_a_non_finite_moment_has_no_chord_bound(self, hole):
@@ -491,11 +516,100 @@ class TestChordSearch:
             O._sup_ratio(phi, 1)
 
 
-def dense_oracle(spec, alpha, num=10 ** 4, p_max=256.0):
-    """Criterion 1's dense grid, on the batched moments the search reads."""
+def dense_oracle(spec, alpha, num=10 ** 4, p_max=256.0, refine=False):
+    """Criterion 1's dense grid, on the batched moments the search reads;
+    with refine, also num more orders across the two cells beside its
+    maximum."""
+    def ratios(ps):
+        return np.exp(D.log_abs_moments(spec, ps) / ps - np.log(ps) / alpha)
+
     ps = np.exp(np.linspace(0.0, math.log(p_max), num))
-    phis = D.log_abs_moments(spec, ps)
-    return float(np.max(np.exp(phis / ps - np.log(ps) / alpha)))
+    coarse = ratios(ps)
+    i = int(np.argmax(coarse))
+    if not refine:
+        return float(coarse[i])
+    lo, hi = ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)]
+    return float(max(coarse[i], np.max(ratios(np.exp(np.linspace(math.log(lo), math.log(hi), num))))))
+
+
+def cold_search(law, alpha):
+    """psi_norm(law, alpha) with the psi and moment memos cleared: the
+    estimate, or the PMaxTooSmallError or QuadratureError it raised, and the
+    number of orders of each log_abs_moments call of the search."""
+    O._psi_norm_cached.cache_clear()
+    D._moment_rows.clear()
+    sizes, real = [], O.dist.log_abs_moments
+    O.dist.log_abs_moments = lambda s, ps: sizes.append(len(ps)) or real(s, ps)
+    try:
+        return O.psi_norm(law, alpha), sizes
+    except (O.PMaxTooSmallError, D.QuadratureError) as exc:
+        return exc, sizes
+    finally:
+        O.dist.log_abs_moments = real
+
+
+@functools.lru_cache(maxsize=None)
+def cold_corpus():
+    """(law, alpha, outcome, call sizes) of the cold search of every law of
+    bound_cold_laws(), NUMERIC_LAWS and CATALOGUE at alpha = 1 and 2."""
+    laws = dict.fromkeys(bound_cold_laws() + NUMERIC_LAWS + CATALOGUE)
+    return tuple((law, alpha, *cold_search(law, alpha)) for law in laws for alpha in (1, 2))
+
+
+class TestColdCorpus:
+    """The start on the octaves and the chord-peak splits keep every
+    outcome of the cold searches, and the bits of every maximum at p = 1:
+    the pins are taken from the search that started on every 4th point of
+    the p-grid and split at midpoints only."""
+
+    # sha256 of the lines "law alpha error", in corpus order, of the
+    # searches that raise
+    ERRORS_SHA256 = "35bcc0b3637434ef495f9d89aa6dbdf9bd88c84d6f8f5adc7ac057f897bdf7d2"
+    # sha256 of the little-endian float64 (value, upper) pairs, in corpus
+    # order, of the searches whose maximum is at p = 1
+    AT_ONE_SHA256 = "ab22b29dbd56025bb658eec20f7d211439b8a04df86250db960d1c56daf6214b"
+
+    def test_the_errors_are_unchanged(self):
+        errors = [f"{law!r} {alpha} {type(out).__name__}\n"
+                  for law, alpha, out, _ in cold_corpus() if isinstance(out, Exception)]
+        assert len(cold_corpus()) == 1560 and len(errors) == 413
+        assert hashlib.sha256("".join(errors).encode()).hexdigest() == self.ERRORS_SHA256
+
+    def test_maxima_at_one_keep_their_bits(self):
+        pairs = [(out.value, out.upper) for _, _, out, _ in cold_corpus()
+                 if isinstance(out, O.OrliczEstimate) and out.p_star == 1.0]
+        assert len(pairs) == 1071
+        assert hashlib.sha256(np.array(pairs).astype("<f8").tobytes()).hexdigest() == self.AT_ONE_SHA256
+
+    def test_interior_maxima_match_the_dense_grid(self):
+        inside = [(law, alpha, out) for law, alpha, out, _ in cold_corpus()
+                  if isinstance(out, O.OrliczEstimate) and out.p_star != 1.0]
+        assert len(inside) == 76
+        for law, alpha, est in inside:
+            oracle = dense_oracle(law, alpha, refine=True)
+            assert abs(est.value - oracle) <= 1e-12 * oracle and est.value <= est.upper, law
+            # where the chord bound is the ratio itself, as for a two-point
+            # law, ratios read at other orders round up to an ulp above it
+            assert oracle <= est.upper * (1.0 + 2.0 ** -51), law
+
+    def test_the_first_call_reads_the_start(self):
+        sizes = [s for _, _, _, s in cold_corpus()]
+        assert all(s[0] == START_LEN for s in sizes)
+        # 1887 batched calls and 21318 orders; 2717 and 54443 from every 4th grid point
+        assert sum(map(len, sizes)) == 1887 and sum(map(sum, sizes)) == 21318
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("eps", [0.25, 0.2446228941573947, 0.1, 1e-3])
+    def test_a_two_point_law_takes_two_calls(self, eps, alpha):
+        # phi(p) = ln eps is linear: the ratio peaks at p* = -alpha ln eps,
+        # at (1 / (e p*))^(1/alpha), the chord peak of the first round
+        for law in (D.TwoPointEps(eps), D.Centered(D.TwoPointEps(eps))):
+            est, sizes = cold_search(law, alpha)
+            p_star = -alpha * math.log(eps)
+            assert len(sizes) <= 2
+            assert est.p_star == pytest.approx(p_star, rel=1e-12, abs=0.0)
+            assert est.value == pytest.approx((1.0 / (E * p_star)) ** (1.0 / alpha), rel=1e-15, abs=0.0)
+            assert est.value <= est.upper
 
 
 _pos = st.floats(0.2, 3.0)
