@@ -95,7 +95,7 @@ def psa_bound(psi2_of_norm, d, n, delta) -> float:
         raise PreconditionError(f"subspace dimension must be >= 1, got {d}")
     _check_delta(delta)
     _check_n_vs_level(n, delta)
-    return (16.0 * E * (math.sqrt(d) + 1.0) * psi2_of_norm ** 2
+    return (16.0 * E * (math.sqrt(d) + 1.0) * (psi2_of_norm * psi2_of_norm)
             * math.sqrt(2.0 * math.log(2.0 / delta) / n))
 
 
@@ -146,21 +146,21 @@ def metric_tail(lip, diameters, t) -> TailBoundResult:
 def psi_diameter(spec, alpha) -> OrliczEstimate:
     """Orlicz norm of |X - X'| for independent copies of the catalogue law.
 
-    Where the canonical form of the law, or of its standard centered law
-    s Z (`distributions.standard_form` of Centered(spec)), has an
-    `abs_difference_law()` (Gaussian, exponential, uniform, finite, and
-    their shifts), the diameter is psi_norm of that law, times s.  Other
-    specs fall back to the centering bound ||X - X'|| <= 2 ||X - E X||,
-    which keeps every downstream tail sound.  The value is the norm's
-    times the scale and the certified upper the norm's times the scale
-    rounded up, at the norm's p*; the method is the norm's, or
-    "centering-bound" for the fallback.
+    X - X' is the difference of two copies of X - E X, whose standard form
+    (`distributions.standard_form` of Centered(spec)) is s Z.  Where the
+    canonical form of Z has an `abs_difference_law()` (Gaussian,
+    exponential, uniform, finite, and their shifts), the diameter is s
+    times psi_norm of that law.  Other specs fall back to the centering
+    bound ||X - X'|| <= 2 s ||Z||, which keeps every downstream tail sound.
+    The value is the norm's times the scale and the certified upper the
+    norm's upper times the scale rounded up, at the norm's p*; the method
+    is the norm's, or "centering-bound" for the fallback.  A SpecError
+    where the diameter is past the largest float.
     """
-    law = dist.canonical(spec).abs_difference_law()
-    if law is not None:
-        return psi_norm(law, alpha)
     scale, centered = dist.standard_form(dist.Centered(spec))
     law = dist.canonical(centered).abs_difference_law()
-    if law is not None:
-        return scaled_estimate(psi_norm(law, alpha), scale)
-    return scaled_estimate(psi_norm(centered, alpha), 2.0 * scale, "centering-bound")
+    est = (scaled_estimate(psi_norm(law, alpha), scale) if law is not None else
+           scaled_estimate(psi_norm(centered, alpha), 2.0 * scale, "centering-bound"))
+    if est.value == math.inf:
+        raise dist.SpecError(f"the psi{alpha} diameter of {spec} is past the largest float")
+    return est

@@ -9,9 +9,10 @@ the output, so parallel shards can be merged deterministically.  Each
 
 Moments, MGFs and supports are computed on `canonical(spec)`, which folds
 the wrappers Shifted, Scaled, SquareOf and Centered into one of three forms:
-a merged FiniteSupport; a re-parameterised Gaussian or UniformInterval when
-the chain is affine; or a Mapped (primitive, steps) pair.  Sampling walks
-the spec as written, so draws never depend on the canonical form.
+a FiniteSupport of distinct values; a re-parameterised Gaussian or
+UniformInterval when the chain is affine; or a Mapped (primitive, steps)
+pair.  Sampling walks the spec as written, so draws never depend on the
+canonical form.
 
 `standard_form(spec)` writes a law as a scale times one standard law of its
 shape: a centered law drops its last shift, and the scale steps of its
@@ -617,18 +618,23 @@ class FiniteSupport(Distribution):
         return FiniteSupport(np.abs(v[:, None] - v).ravel(), np.outer(p, p).ravel())
 
     def _push(self, op, c):
-        return _merged(_apply(((op, c),), np.asarray(self.values)), self.probs)
+        # a value past the largest float is inf, which the new law refuses
+        with np.errstate(over="ignore"):
+            values = _apply(((op, c),), np.asarray(self.values))
+        try:
+            return _merged(values, self.probs)
+        except SpecError as exc:
+            raise SpecError(f"{self} after the map step {(op, c)}: {exc}") from None
 
 
 def _merged(values, probs):
-    """FiniteSupport with sorted values; values equal to 1e-15 relative merge."""
+    """FiniteSupport with sorted values; only equal values merge."""
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     order = np.argsort(values)
     merged_v, merged_p = [], []
-    # as Python floats, whose difference overflows to inf without a warning
     for v, p in zip(values[order].tolist(), probs[order].tolist()):
-        if merged_v and abs(v - merged_v[-1]) <= 1e-15 * max(1.0, abs(v)):
+        if merged_v and v == merged_v[-1]:
             merged_p[-1] += p
         else:
             merged_v.append(v)
@@ -643,7 +649,7 @@ class Chi(_Continuous):
     sd: Positive = 1.0
 
     def support(self): return 0.0, math.inf
-    def expectation(self): return math.exp(self.log_abs_moments(np.ones(1))[0])
+    def expectation(self): return _exp(self.log_abs_moments(np.ones(1))[0], "the mean of {}", self)
     def draw(self, rng, count): return self.sd * np.sqrt(rng.chisquare(self.dof, count))
     # |x|^p pdf(x) peaks at sd sqrt(p + dof - 1)
     def window(self, p): return 0.0, self.sd * (np.sqrt(2.0 * (p + self.dof)) + 12.0)
@@ -736,8 +742,13 @@ class Centered(Distribution):
 
     def expectation(self): return 0.0
     def draw(self, rng, count): return self.base.draw(rng, count) - self.base.expectation()
-    def _fold(self): return canonical(self.base)._push("shift", -self.base.expectation())
     def sum_law(self, n): return _wrap_sum(self.base, n, Centered)
+
+    def _fold(self):
+        form, mu = canonical(self.base), self.base.expectation()
+        if not math.isfinite(mu):
+            raise SpecError(f"the mean of {self.base} must be finite to center it, got {mu}")
+        return form._push("shift", -mu)
 
 
 def _wrap_sum(base, n, wrap):
@@ -832,9 +843,9 @@ def validate(spec) -> None:
 
 @functools.lru_cache(maxsize=4096)
 def canonical(spec):
-    """The canonical form of a scalar spec: a merged FiniteSupport, a
-    Gaussian or UniformInterval when the wrapper chain is affine, a bare
-    primitive, or a Mapped (primitive, steps) pair.  Memoised."""
+    """The canonical form of a scalar spec: a FiniteSupport of distinct
+    values, a Gaussian or UniformInterval when the wrapper chain is affine,
+    a bare primitive, or a Mapped (primitive, steps) pair.  Memoised."""
     return _scalar(spec)._fold()
 
 
@@ -921,16 +932,24 @@ def mean(spec) -> float:
 
 def abs_moment(spec, p: float) -> float:
     """E|X|^p, exact where a closed form exists, else quadrature/series."""
-    lm = log_abs_moment(spec, p)
-    return math.exp(lm) if lm > -math.inf else 0.0
+    return _exp(log_abs_moment(spec, p), "E|X|^p at p={!r} of {}", p, spec)
 
 
 def lp_norm(spec, p: float) -> float:
     """(E|X|^p)^(1/p) for p >= 1."""
     if p < 1:
         raise SpecError(f"p must be >= 1, got {p}")
-    lm = log_abs_moment(spec, p)
-    return math.exp(lm / p) if lm > -math.inf else 0.0
+    return _exp(log_abs_moment(spec, p) / p, "the L{!r} norm of {}", p, spec)
+
+
+def _exp(x, what, *args):
+    """math.exp(x) of a moment or norm read in logs; a SpecError that names
+    it, what.format(*args), where it is past the largest float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        raise SpecError(f"{what.format(*args)} is past the largest float: "
+                        f"its ln is {float(x)!r}") from None
 
 
 def log_abs_moment(spec, p: float) -> float:

@@ -271,7 +271,7 @@ def entropy_bound_subgaussian(y: dist.FiniteSupport, beta: float):
         return 0.0, 0.0
     bound_mgf = _log_mgf(centered, probs, 2.0 * beta)
     psi2 = psi_norm(dist.FiniteSupport(centered, probs), 2).value
-    bound_psi = 16.0 * E * (beta * beta) * psi2 ** 2
+    bound_psi = 16.0 * E * (beta * beta) * (psi2 * psi2)
     return s, min(bound_mgf, bound_psi)
 
 

@@ -173,8 +173,7 @@ class VectorNormOfSum(_VectorCoordinates):
         psi2 = [2.0 * _psi2(vector_norm_psi, vec, "coordinate 0", vec)] * n if with_psi2 else None
         l2p = None if p is None else [
             2.0 * _proxy_read(vector_norm_lp, vec, 2 * p, "coordinate 0", vec, "2p-norm")] * n
-        r = math.sqrt(math.fsum(_support_width(c) ** 2
-                                for c in self.vec.components))
+        r = math.sqrt(math.fsum(w * w for w in map(_support_width, self.vec.components)))
         return ProxyProfile(n=n, psi1_per_coord=[b1] * n, psi2_per_coord=psi2,
                             l2p_per_coord=l2p, l2p_order=p, ranges=[r] * n)
 
@@ -244,7 +243,7 @@ class SupLinearLoss(_VectorCoordinates):
             self.lipschitz * _proxy_norm(vector_norm_psi, self.input, 1, "input", self.input)
             + _proxy_norm(psi_norm, self.output, 1, "output", self.output))
         r = (1.0 / n) * (_times(self.lipschitz, math.sqrt(math.fsum(
-            _support_width(c) ** 2 for c in self.input.components)))
+            w * w for w in map(_support_width, self.input.components))))
             + _support_width(self.output))
         return ProxyProfile(n=n, psi1_per_coord=[b] * n, ranges=[r] * n)
 
@@ -307,7 +306,7 @@ class PsaReconstruction(_VectorCoordinates):
         psi2_norm = _proxy_norm(
             vector_norm_psi, self.input, 2, "input", self.input,
             f"||X|| is not shown to be sub-Gaussian, which the {self.kind} proxy needs")
-        b = (2.0 / n) * (math.sqrt(self.subspace_dim) + 1.0) * 2.0 * psi2_norm ** 2
+        b = (2.0 / n) * (math.sqrt(self.subspace_dim) + 1.0) * 2.0 * (psi2_norm * psi2_norm)
         r = (1.0 / n) * math.fsum(_interval_sq_max(c)
                                   for c in self.input.components)
         return ProxyProfile(n=n, psi1_per_coord=[b] * n, ranges=[r] * n)

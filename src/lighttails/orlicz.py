@@ -8,7 +8,7 @@ the octaves of a log-spaced p-grid and the quarter octaves of its last
 octave, and then splits, one batched call per round, each interval whose
 chord bound beats the best ratio by more than 1e-12 in ln, at its
 geometric midpoint and at the bound's own maximiser; the largest final
-bound is reported as `upper`.  The grid ends at p = _P_MAX = 256 for every
+bound, rounded up, is `upper`.  The grid ends at p = _P_MAX = 256 for every
 norm, and the tail beyond it is accepted only when the ratio does not rise
 over the last octave of the evaluated orders.  For a catalogue law the
 search reads the batched moments of
@@ -20,12 +20,12 @@ memoised on (standard law, alpha): Gaussians of any sd, centered uniforms
 of any width, centered affine images of an exponential, chi-squared or
 Poisson law, centered squares of N(0, sd), Chi laws of any sd and
 UniformGap laws of any width each read one search per shape, scaled, with
-the upper widened by the rounding of the scaled moments.  Every psi norm
-of a law takes this one path: a finite law is a FiniteSupport, with one exact log-sum-exp
-over (p, value) as its batched moments; the length of an iid centered
-Gaussian vector is a Chi law; and a psi diameter is psi_norm of the law's
-`abs_difference_law()`.  No norm here is estimated from samples, so every
-one may feed a tail bound.
+the upper widened by the rounding of the moments, at scale 1 too.  Every
+psi norm of a law takes this one path: a finite law is a FiniteSupport,
+with one exact log-sum-exp over (p, value) as its batched moments; the
+length of an iid centered Gaussian vector is a Chi law; and a psi diameter
+is s psi_norm(Z.abs_difference_law()) for the standard form s Z of X - E X.
+No norm here is estimated from samples, so every one may feed a tail bound.
 """
 from __future__ import annotations
 
@@ -143,15 +143,16 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
     The chord search reads `log_abs_moments`: closed forms, or one fixed
     tanh-sinh rule for all p, which raises QuadratureError where its
     embedded error estimate exceeds 1e-5 in ln ||Z||_p.  The value is the
-    best ratio the search read, at p*; `upper` is the largest final chord
-    bound, and never below the value.  PMaxTooSmallError where the ratio
-    still rises at p = _P_MAX.  The search runs on the standard law of
+    best ratio the search read, at p*.  PMaxTooSmallError where the ratio
+    still rises at p = _P_MAX, a SpecError where the norm is past the
+    largest float.  The search runs on the standard law s Z of
     `distributions.standard_form(spec)` and is memoised on (standard law,
-    alpha), PMaxTooSmallError included; the value is the standard law's
-    times the scale, at the standard law's p*.  `upper` is that product
-    rounded up and widened by _READ_ROUNDING, so that it also bounds every
-    ratio read from the law's own moments (p ln s + ln E|Z|^p, or its own
-    closed form), which round apart from s times the standard law's.
+    alpha), PMaxTooSmallError included; the value is s times the standard
+    law's, at its p*.  At every s, 1 included, `upper` is s times the
+    standard law's largest final chord bound, rounded up and widened by
+    _READ_ROUNDING, so that it also bounds every ratio read from the law's
+    own moments (p ln s + ln E|Z|^p, or its own closed form), or from Z's
+    at orders the search did not read; it is never below the value.
     """
     _check_alpha(alpha)
     dist.validate(spec)
@@ -159,9 +160,9 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
     est = _psi_norm_cached(standard, alpha)
     if isinstance(est, PMaxTooSmallError):
         raise PMaxTooSmallError(*est.args)
-    if scale == 1.0:
-        return est
     est = scaled_estimate(est, scale)
+    if est.value == math.inf:
+        raise dist.SpecError(f"the psi{alpha} norm of {spec} is past the largest float")
     if not 0.0 < est.upper < math.inf:
         return est
     slack = _READ_ROUNDING * (abs(math.log(scale)) + abs(math.log(est.upper)) + math.log(_P_MAX) + 1.0)
@@ -169,9 +170,10 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
 
 
 # The relative rounding, per unit of |ln s| + |ln ratio| + ln p_max + 1, of a
-# ratio ln(||sZ||_p / p^(1/alpha)) read from the moments of s Z in floats: a
-# few roundings of numbers of those sizes.  Over 400 scaled laws (scales to
-# 1e+-300) the largest excess over s times the standard upper was a third of it.
+# ratio ln(||sZ||_p / p^(1/alpha)) read in floats from the moments of s Z, or
+# of Z at an order the search did not read: every upper, at s = 1 too, is
+# widened by it.  Over 400 scaled laws (scales to 1e+-300) the largest excess
+# over s times the standard upper was a third of it.
 _READ_ROUNDING = 4 * 2.0 ** -53
 
 
@@ -180,9 +182,9 @@ def scaled_estimate(est, scale, method=None) -> OrliczEstimate:
     times scale and then the next float up, the same p*; the method is
     est's unless given.  A product rounds to within half an ulp of the
     exact one, also when it underflows or overflows, so the next float up
-    is not below it."""
-    return OrliczEstimate(est.alpha, scale * est.value, est.p_star, method or est.method,
-                          math.nextafter(scale * est.upper, math.inf))
+    is not below it; the upper 0 of the zero variable stays 0."""
+    upper = math.nextafter(scale * est.upper, math.inf) if est.upper else 0.0
+    return OrliczEstimate(est.alpha, scale * est.value, est.p_star, method or est.method, upper)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -194,8 +196,9 @@ def _psi_norm_cached(spec, alpha):
         return exc.with_traceback(None)
     if best == -math.inf:
         return OrliczEstimate(alpha, 0.0, p, method, 0.0)
-    value = math.exp(best)
-    return OrliczEstimate(alpha, value, p, method, max(value, math.exp(top)))
+    value = dist._exp(best, "the psi{} norm of {}", alpha, spec)
+    return OrliczEstimate(alpha, value, p, method,
+                          max(value, dist._exp(top, "the psi{} norm of {}", alpha, spec)))
 
 
 def psi_norm_finite(values, probs, alpha) -> OrliczEstimate:

@@ -282,8 +282,13 @@ class TestPsiDiameter:
         (D.Gaussian(1.0, 2.0), 2), (D.Exponential(0.5), 1), (D.UniformInterval(-1.0, 3.0), 2),
         (D.Rademacher(), 1), (D.FiniteSupport((0.0, 1.0, 5.0), (0.2, 0.5, 0.3)), 2)], ids=repr)
     def test_is_psi_norm_of_the_difference_law(self, spec, alpha):
-        want = psi_norm(D.canonical(spec).abs_difference_law(), alpha).value
-        assert A.psi_diameter(spec, alpha).value == want
+        # of the standard law s Z of X - E X: s times psi of |Z - Z'|, the
+        # upper rounded up, at its p*
+        scale, standard = D.standard_form(D.Centered(spec))
+        est = psi_norm(D.canonical(standard).abs_difference_law(), alpha)
+        got = A.psi_diameter(spec, alpha)
+        assert (got.value, got.p_star, got.method) == (scale * est.value, est.p_star, est.method)
+        assert got.upper == math.nextafter(scale * est.upper, math.inf)
 
     def test_exact_methods(self):
         # the method of the psi norm that was read
@@ -293,21 +298,20 @@ class TestPsiDiameter:
             "centering-bound")
 
     @pytest.mark.parametrize("spec, alpha, scale, read", [
-        (D.Gaussian(1.0, 2.0), 2, 1.0, D.Gaussian(0.0, math.sqrt(2.0) * 2.0)),
+        (D.Gaussian(1.0, 2.0), 2, 2.0, D.Gaussian(0.0, math.sqrt(2.0))),
         (D.Scaled(D.Exponential(1.0), -2.0), 1, 2.0, D.Exponential(1.0)),
-        (D.Scaled(D.UniformInterval(0.0, 1.0), 0.5), 2, 1.0, D.UniformGap(0.5)),
+        (D.Scaled(D.UniformInterval(0.0, 1.0), 0.5), 2, 0.25, D.UniformGap(2.0)),
         (D.Rademacher(), 1, 1.0, D.FiniteSupport((0.0, 2.0, 2.0, 0.0), (0.25,) * 4)),
         (D.SquareOf(D.UniformInterval(0.0, 1.0)), 1, 2.0,
          D.Centered(D.SquareOf(D.UniformInterval(0.0, 1.0)))),
         (D.ChiSquared(3), 1, 2.0, D.Centered(D.ChiSquared(3)))], ids=repr)
     def test_upper_is_the_scaled_upper_of_the_law_read(self, spec, alpha, scale, read):
         # the diameter keeps the certified upper and p* of the norm it reads;
-        # a scaled upper is the product's next float up
+        # its upper is the product's next float up, at every scale
         got, est = A.psi_diameter(spec, alpha), psi_norm(read, alpha)
-        upper = est.upper if scale == 1.0 else math.nextafter(scale * est.upper, math.inf)
         assert got.upper >= got.value > 0
         assert (got.alpha, got.value, got.p_star, got.upper) == (
-            alpha, scale * est.value, est.p_star, upper)
+            alpha, scale * est.value, est.p_star, math.nextafter(scale * est.upper, math.inf))
 
     @pytest.mark.parametrize("spec, alpha, scale, read", [
         (D.Scaled(D.Exponential(1.3), 2.5), 1, Fraction(2.5) / Fraction(1.3), D.Exponential(1.0)),
@@ -325,16 +329,33 @@ class TestPsiDiameter:
         assert got.upper >= exact and got.upper >= got.value
         assert got.upper <= math.nextafter(math.nextafter(float(exact), math.inf), math.inf)
 
-    def test_affine_poisson_laws_read_one_search(self):
-        # Centered(c Poisson(2)) is |c| Centered(Poisson(2)): in a fresh
-        # process, three factors make one psi memo miss and two hits
+    @staticmethod
+    def _fresh_memo_counts(laws):
+        """(misses, hits) of the psi memo after the psi1 diameters of the
+        laws (expressions in D) in a fresh process."""
         src = os.path.dirname(os.path.dirname(A.__file__))
         code = ("from lighttails import applications as A, distributions as D, orlicz as O; "
-                "[A.psi_diameter(D.Scaled(D.Poisson(2.0), c), 1) for c in (0.5, 0.7, 0.9)]; "
+                f"[A.psi_diameter(law, 1) for law in ({', '.join(laws)},)]; "
                 "info = O._psi_norm_cached.cache_info(); print(info.misses, info.hits)")
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                              check=True, capture_output=True, text=True).stdout
-        assert out.split() == ["1", "2"]
+        return out.split()
+
+    def test_exponential_rates_read_one_search(self):
+        # |X - X'| of Exp(rate) is Exp(rate), 1/rate |Z - Z'| for Exp(1)
+        # copies Z, Z': three rates make one psi memo miss and two hits
+        rates = (0.5, 1.3, 7.0)
+        assert self._fresh_memo_counts([f"D.Exponential({r})" for r in rates]) == ["1", "2"]
+        est = psi_norm(D.Exponential(1.0), 1)
+        for rate in rates:
+            got = A.psi_diameter(D.Exponential(rate), 1)
+            assert (got.value, got.p_star) == (D.round_up(1 / Fraction(rate)) * est.value, est.p_star)
+
+    def test_affine_poisson_laws_read_one_search(self):
+        # Centered(c Poisson(2)) is |c| Centered(Poisson(2)): in a fresh
+        # process, three factors make one psi memo miss and two hits
+        laws = [f"D.Scaled(D.Poisson(2.0), {c})" for c in (0.5, 0.7, 0.9)]
+        assert self._fresh_memo_counts(laws) == ["1", "2"]
         for c in (0.5, 0.7, 0.9):
             got = A.psi_diameter(D.Scaled(D.Poisson(2.0), c), 1)
             est = psi_norm(D.Centered(D.Poisson(2.0)), 1)
@@ -348,6 +369,15 @@ class TestPsiDiameter:
         with pytest.raises(D.SpecError, match=r"^values must differ by a finite amount, "
                                               r"got min=-1e\+308, max=1e\+308$"):
             A.psi_diameter(spec, 2)
+
+    def test_diameter_past_the_largest_float_names_the_law(self):
+        # 1.5e308 N(0, 1) reads 1.5e308 times psi of N(0, 2), a float; at
+        # 1.7e308 the product is past the largest float, where the value
+        # used to be inf
+        assert A.psi_diameter(D.Gaussian(0.0, 1.5e308), 1).upper < math.inf
+        with pytest.raises(D.SpecError, match=r"^the psi1 diameter of Gaussian\(mean=0\.0, "
+                                              r"sd=1\.7e\+308\) is past the largest float$"):
+            A.psi_diameter(D.Gaussian(0.0, 1.7e308), 1)
 
     def test_centering_fallback_sound(self):
         res = A.psi_diameter(D.ChiSquared(3), 1)

@@ -935,6 +935,116 @@ def test_pair_differences_beyond_the_largest_double_are_one_error_line(tmp_path,
         1, "", "error: values must differ by a finite amount, got min=-1e+308, max=1e+308\n")
 
 
+def _scaled(base, factor):
+    return {"kind": "scaled", "base": base, "factor": factor}
+
+
+def _sum(*components):
+    return {"kind": "sum", "components": list(components)}
+
+
+_FINITE_1E200 = {"kind": "finite_support", "values": [1, 1e200], "probs": [0.5, 0.5]}
+_FINITE_1E300 = {"kind": "finite_support", "values": [-1, 1e300, 1000], "probs": [0.25, 0.25, 0.5]}
+_TWO_ATOMS = {"kind": "finite_support", "values": [1e20, 1.000000000000001e20],
+              "probs": [0.5, 0.5]}
+_WIDE_UNIFORM = {"kind": "uniform", "lo": -1, "hi": 1e300}
+
+
+class TestOverflowPaths:
+    """Laws whose norms, means, moments or values pass the largest float:
+    each used to end in an OverflowError traceback or a numpy
+    RuntimeWarning, and now ends in one error line that names the law."""
+
+    @pytest.mark.parametrize("spec, argv, message", [
+        (_scaled({"kind": "gaussian", "mean": 0, "sd": 1e300}, 1e300), ["norms", "--alpha", "1"],
+         "the psi1 norm of Scaled(base=Gaussian(mean=0.0, sd=1e+300), factor=1e+300) is past "
+         "the largest float: its ln is 1381.3252644437825"),
+        (_sum(_scaled({"kind": "uniform", "lo": -2.5, "hi": 1e300}, 1e300)),
+         ["bound", "--bounds", "thm2", "--t-grid", "1:2:2"],
+         "the mean of Scaled(base=UniformInterval(lo=-2.5, hi=1e+300), factor=1e+300) must be "
+         "finite to center it, got inf"),
+        (_sum({"kind": "square_of", "base": _FINITE_1E300}),
+         ["invert", "--bounds", "thm2", "--delta", "0.01"],
+         "FiniteSupport(values=(-1.0, 1000.0, 1e+300), probs=(0.25, 0.5, 0.25)) after the map "
+         "step ('square', None): values must be finite, got inf"),
+        (_sum({"kind": "square_of", "base": {"kind": "gaussian", "mean": 0, "sd": 1e200}}),
+         ["invert", "--bounds", "thm2", "--delta", "0.01"],
+         "E|X|^p at p=2.0 of Gaussian(mean=0.0, sd=1e+200) is past the largest float: its ln "
+         "is 921.0340371976183"),
+        (_scaled(_FINITE_1E200, 1e200), ["norms", "--alpha", "1"],
+         "FiniteSupport(values=(1.0, 1e+200), probs=(0.5, 0.5)) after the map step "
+         "('scale', 1e+200): values must be finite, got inf"),
+        # the overflowed atom used to merge into the other: f read as a.s.
+        # constant, with bound probability 0.0
+        ({"kind": "metric_lipschitz", "lip": 1, "coordinate_dists": [_scaled(_FINITE_1E200, 1e200)],
+          "maps": ["identity"]}, ["bound", "--bounds", "thm2", "--t-grid", "1:2:2"],
+         "FiniteSupport(values=(1.0, 1e+200), probs=(0.5, 0.5)) after the map step "
+         "('scale', 1e+200): values must be finite, got inf"),
+    ], ids=["norm", "mean", "finite-square", "moment", "finite-scale", "metric"])
+    def test_one_error_line_names_the_law(self, spec, argv, message, tmp_path, capsys):
+        path = write_spec(tmp_path, spec)
+        assert run(capsys, argv[0], "--spec", path, *argv[1:]) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "vector_norm_of_sum", "n": 1,
+         "vec": {"kind": "vector", "dim": 1, "components": [_WIDE_UNIFORM]}},
+        {"kind": "sup_linear_loss", "weights": [[1.0]], "loss": "absolute", "n": 1,
+         "input": {"kind": "vector", "dim": 1, "components": [_WIDE_UNIFORM]},
+         "output": {"kind": "gaussian", "mean": 0, "sd": 1}},
+    ], ids=["vector_norm_of_sum", "sup_linear_loss"])
+    def test_a_range_whose_square_overflows_is_inf(self, spec, tmp_path, capsys):
+        # width ** 2 used to raise OverflowError; the product reads inf, the
+        # range of a bounded-difference bound that says nothing
+        path = write_spec(tmp_path, spec)
+        code, out, err = run(capsys, "bound", "--spec", path, "--bounds", "thm2,bounded-difference",
+                             "--t-grid", "1:2:2")
+        assert (code, err) == (0, "")
+        probs = [r["prob"] for rows in json.loads(out)["bounds"].values() for r in rows]
+        assert probs == [1.0] * 4
+        assert fn.proxy_profile(fn.fspec_from_dict(spec)).ranges == (math.inf,)
+
+    def test_squared_norms_past_the_largest_float_are_inf(self, tmp_path, capsys):
+        # psi2 ** 2 used to raise OverflowError in the entropy bound, the psa
+        # proxy and the psa application bound
+        law = {"kind": "finite_support", "values": [-1e300, 1e300], "probs": [0.5, 0.5]}
+        code, out, err = run(capsys, "entropy-check", "--spec", write_spec(tmp_path, law),
+                             "--beta", "1")
+        assert (code, err, json.loads(out)["subgaussian"]["holds"]) == (0, "", True)
+        code, out, err = run(capsys, "appbound", "--app", "psa", "--psi2", "1e200", "--d", "2",
+                             "--n", "100", "--delta", "0.01")
+        assert (code, err, json.loads(out)["value"]) == (0, "", math.inf)
+        spec = {"kind": "psa_reconstruction", "ambient_dim": 2, "subspace_dim": 1, "net_size": 2,
+                "net_seed": 5, "n": 3, "input": {"kind": "vector", "dim": 2, "components": [
+                    {"kind": "gaussian", "mean": 0, "sd": 1e200},
+                    {"kind": "gaussian", "mean": 0, "sd": 1}]}}
+        code, out, err = run(capsys, "bound", "--spec", write_spec(tmp_path, spec, "psa.json"),
+                             "--bounds", "thm2", "--t-grid", "1:2:2")
+        assert (code, err) == (0, "")
+        assert [r["prob"] for r in json.loads(out)["bounds"]["thm2"]] == [1.0, 1.0]
+
+
+class TestNearEqualAtoms:
+    """Two atoms 98304 apart at 1e20 used to merge into one, so their sum
+    read as a.s. constant and its bounds as 0."""
+
+    def test_bounded_difference_reads_the_width(self, tmp_path, capsys):
+        path = write_spec(tmp_path, _sum(_TWO_ATOMS, _TWO_ATOMS))
+        code, out, _ = run(capsys, "bound", "--spec", path, "--bounds", "bounded-difference",
+                           "--t-grid", "1000:40000:3")
+        rows = json.loads(out)["bounds"]["bounded-difference"]
+        assert code == 0 and all("note" not in r for r in rows)
+        # exp(-2 t^2 / (2 * 98304^2))
+        assert [r["log_prob"] for r in rows] == pytest.approx(
+            [-(t / 98304.0) ** 2 for t in (1000.0, 20500.0, 40000.0)], rel=1e-12)
+
+    def test_verify_is_sound(self, tmp_path, capsys):
+        # the parent read VIOLATION, at an empirical tail of 0.2505
+        path = write_spec(tmp_path, _sum(_TWO_ATOMS, _TWO_ATOMS))
+        code, out, _ = run(capsys, "verify", "--spec", path, "--bounds", "bounded-difference,thm2",
+                           "--t-grid", "1000:40000:3", "--n", "100000", "--seed", "1")
+        assert (code, json.loads(out)["verdict"]) == (0, "SOUND")
+
+
 class TestNanBound:
     @pytest.mark.parametrize("command", ["verify", "compare"])
     def test_exits_with_one_error_line(self, command, monkeypatch, capsys):

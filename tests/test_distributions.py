@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -896,6 +897,46 @@ class TestCanonical:
         zero = D.Scaled(D.Exponential(1.0), 0.0)
         assert D.canonical(zero) == D.FiniteSupport((0.0,), (1.0,))
         assert psi_norm(zero, 1).value == 0.0
+
+    def test_only_equal_values_merge(self):
+        # 1e20 and the next-but-five float up used to merge, 1e-15 apart
+        spec = D.FiniteSupport([1e20, 1.000000000000001e20], [0.5, 0.5])
+        assert D.canonical(spec) == spec
+        lo, hi = D.support_interval(spec)
+        assert hi - lo == 98304.0
+        assert D.canonical(D.Centered(spec)).probs == (0.5, 0.5)
+
+    @pytest.mark.parametrize("spec, step", [
+        (D.Scaled(D.FiniteSupport([1.0, 1e200], [0.5, 0.5]), 1e200), "('scale', 1e+200)"),
+        (D.SquareOf(D.FiniteSupport([-1.0, 1e300, 1000.0], [0.25, 0.25, 0.5])),
+         "('square', None)"),
+        (D.Shifted(D.FiniteSupport([0.0, 1e308], [0.5, 0.5]), 1e308), "('shift', 1e+308)"),
+    ], ids=repr)
+    def test_a_value_past_the_largest_float_is_refused(self, spec, step):
+        # it used to merge into its neighbour, abs(inf - w) <= 1e-15 * inf,
+        # after numpy's overflow RuntimeWarning
+        with pytest.raises(D.SpecError, match=(
+                rf"^{re.escape(repr(D.canonical(spec.base)))} after the map step {re.escape(step)}: "
+                r"values must be finite, got inf$")):
+            D.canonical(spec)
+
+    def test_a_mean_past_the_largest_float_is_not_centered(self):
+        # the shift by -inf used to reach Fraction in standard_form
+        base = D.Scaled(D.UniformInterval(-2.5, 1e300), 1e300)
+        with pytest.raises(D.SpecError, match=(
+                rf"^the mean of {re.escape(repr(base))} must be finite to center it, got inf$")):
+            psi_norm(D.Centered(base), 1)
+
+    def test_a_moment_past_the_largest_float_names_the_law(self):
+        # math.exp used to raise a bare OverflowError
+        law = D.Gaussian(0.0, 1e200)
+        with pytest.raises(D.SpecError, match=r"^E\|X\|\^p at p=2\.0 of Gaussian\(mean=0\.0, "
+                                              r"sd=1e\+200\) is past the largest float"):
+            D.mean(D.SquareOf(law))
+        with pytest.raises(D.SpecError, match=r"^the L4 norm of Scaled\(.*\) is past the largest"):
+            D.lp_norm(D.Scaled(D.Gaussian(0.0, 1e300), 1e300), 4)
+        assert D.abs_moment(D.FiniteSupport((0.0,), (1.0,)), 2) == 0.0
+        assert D.lp_norm(D.FiniteSupport((0.0,), (1.0,)), 2) == 0.0
 
     @pytest.mark.parametrize("base, factor, alpha", [
         (D.Gaussian(0.0, 1e300), 2e8, 2),

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import pathlib
+import re
 import runpy
 from fractions import Fraction
 
@@ -50,8 +51,11 @@ class TestPsiNorm:
         assert est.p_star == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_variable(self):
+        # an upper of 0 is exact: no rounding moves it to the next float up
         for alpha in (1, 2):
-            assert O.psi_norm(D.FiniteSupport((0.0,), (1.0,)), alpha).value == 0.0
+            est = O.psi_norm(D.FiniteSupport((0.0,), (1.0,)), alpha)
+            assert (est.value, est.upper) == (0.0, 0.0)
+            assert A.psi_diameter(D.Scaled(D.Exponential(1.0), 0.0), alpha).upper == 0.0
 
     def test_psi2_dominates_psi1(self):
         for spec in SUBGAUSSIAN_SPECS:
@@ -85,6 +89,17 @@ class TestPsiNorm:
         with pytest.raises(O.PMaxTooSmallError, match="^moment ratio still rises at p = 256, "
                            "the end of the p-grid, so the norm is not certified$"):
             O.psi_norm(D.Centered(D.Exponential(1.0)), 2)
+
+    def test_norm_past_the_largest_float_names_the_law(self):
+        # its standard law's norm times 1e307 used to read inf
+        law = D.Scaled(D.Centered(D.Poisson(1e4)), 1e307)
+        with pytest.raises(D.SpecError, match=rf"^the psi1 norm of {re.escape(repr(law))} "
+                                              r"is past the largest float$"):
+            O.psi_norm(law, 1)
+        # E chi_1000 sd used to raise OverflowError in math.exp
+        with pytest.raises(D.SpecError, match=r"^the mean of Chi\(dof=1000, sd=1e\+307\) is "
+                                              r"past the largest float"):
+            O.psi_norm(D.Chi(1000, 1e307), 1)
 
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -197,17 +212,20 @@ class TestCertificate:
          [D.Scaled(D.Centered(D.ChiSquared(3)), c) for c in (0.2, 1.1, -4.0, 17.0, 1.0)]),
     ], ids=["exponential", "chi-squared"])
     def test_one_shape_runs_the_grid_once(self, unit, laws, monkeypatch):
-        # every rate and factor of one shape reads the standard law's search
+        # every rate and factor of one shape reads the standard law's search,
+        # and its upper is not below s times the standard law's chord bound
         grids = self._count_moment_calls(monkeypatch)
         want = O.psi_norm(unit, 1)
+        top = O._psi_norm_cached(unit, 1).upper
+        assert want.upper > top >= want.value
         for law in laws:
             scale, standard = D.standard_form(law)
             assert standard == unit
             got = O.psi_norm(law, 1)
             assert (got.value, got.p_star) == (scale * want.value, want.p_star)
-            assert got.upper >= Fraction(scale) * Fraction(want.upper) and got.upper >= got.value
+            assert got.upper > Fraction(scale) * Fraction(top) and got.upper > got.value
         info = O._psi_norm_cached.cache_info()
-        assert (info.misses, info.hits) == (1, len(laws))
+        assert (info.misses, info.hits) == (1, len(laws) + 1)
         assert grids.count(START_LEN) == 1
 
     @staticmethod
@@ -566,8 +584,10 @@ class TestColdCorpus:
     # searches that raise
     ERRORS_SHA256 = "35bcc0b3637434ef495f9d89aa6dbdf9bd88c84d6f8f5adc7ac057f897bdf7d2"
     # sha256 of the little-endian float64 (value, upper) pairs, in corpus
-    # order, of the searches whose maximum is at p = 1
-    AT_ONE_SHA256 = "ab22b29dbd56025bb658eec20f7d211439b8a04df86250db960d1c56daf6214b"
+    # order, of the searches whose maximum is at p = 1, and of their values
+    # alone, which the one rounding rule of every upper left as they were
+    AT_ONE_SHA256 = "282cfcdec301de2d5f8726771b0685880f3cf9f43fbdca7f951a9b51bbb63d83"
+    AT_ONE_VALUES_SHA256 = "6ed999569ad0c89eea47c8117984060d9bac5dc516a10d4d7bd855ac0014d52d"
 
     def test_the_errors_are_unchanged(self):
         errors = [f"{law!r} {alpha} {type(out).__name__}\n"
@@ -580,6 +600,8 @@ class TestColdCorpus:
                  if isinstance(out, O.OrliczEstimate) and out.p_star == 1.0]
         assert len(pairs) == 1071
         assert hashlib.sha256(np.array(pairs).astype("<f8").tobytes()).hexdigest() == self.AT_ONE_SHA256
+        values = np.array([v for v, _ in pairs]).astype("<f8")
+        assert hashlib.sha256(values.tobytes()).hexdigest() == self.AT_ONE_VALUES_SHA256
 
     def test_interior_maxima_match_the_dense_grid(self):
         inside = [(law, alpha, out) for law, alpha, out, _ in cold_corpus()
@@ -588,9 +610,16 @@ class TestColdCorpus:
         for law, alpha, est in inside:
             oracle = dense_oracle(law, alpha, refine=True)
             assert abs(est.value - oracle) <= 1e-12 * oracle and est.value <= est.upper, law
-            # where the chord bound is the ratio itself, as for a two-point
-            # law, ratios read at other orders round up to an ulp above it
-            assert oracle <= est.upper * (1.0 + 2.0 ** -51), law
+            assert oracle <= est.upper, law
+
+    def test_a_two_point_upper_covers_ratios_read_elsewhere(self):
+        # phi is linear, so the chord bound is the ratio itself; a ratio read
+        # next to p* from the batched moments rounds an ulp above it
+        law = D.TwoPointEps(0.249981556393863)
+        est, _ = cold_search(law, 2)
+        assert dense_oracle(law, 2, refine=True) == 0.36424909114823834
+        assert est.value == 0.3642490911482382
+        assert est.upper >= 0.36424909114823834
 
     def test_the_first_call_reads_the_start(self):
         sizes = [s for _, _, _, s in cold_corpus()]
@@ -662,8 +691,10 @@ class TestCertifiedUpper:
         vec = D.VectorSpec(2, (D.Centered(D.Exponential(1.0)), D.Rademacher()))
         ests = [O.psi_norm(c, 1) for c in vec.components]
         got = F.vector_norm_psi(vec, 1)
+        exact = sum(Fraction(e.upper) for e in ests)
         assert got.method == "triangle-bound"
-        assert got.upper == math.fsum(e.upper for e in ests) >= got.value
+        # the smallest float not below the exact sum of the uppers
+        assert math.nextafter(got.upper, 0.0) < exact <= got.upper and got.upper >= got.value
 
 
     def test_triangle_bound_rounds_the_summed_uppers_up(self, monkeypatch):
