@@ -112,11 +112,15 @@ class TailBoundResult:
 
 def _tail(kind, t, a, b):
     """exp(-t^2 / (a + b t)), clamped to (0, 1]; a = b = 0 means f is a.s.
-    constant."""
+    constant, and a + b t past the largest float (an infinite proxy or
+    range) gives the bound 1, which says nothing."""
     if a == 0.0 and b == 0.0:
         return TailBoundResult(kind, t, 0.0, -math.inf,
                                "degenerate: f is a.s. constant")
-    log_prob = min(-t * t / (a + b * t if b else a), 0.0)
+    denom = a + b * t if b else a
+    if not math.isfinite(denom):
+        return TailBoundResult(kind, t, 1.0, 0.0, "inapplicable: a + b t is infinite")
+    log_prob = min(-t * t / denom, 0.0)
     return TailBoundResult(kind, t, math.exp(log_prob), log_prob)
 
 
@@ -156,11 +160,7 @@ def evaluate_tail(kind, profile, t, p=None) -> TailBoundResult:
     by default the profile's own l2p_order."""
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
-    a, b = _exponent(kind, profile, p)
-    if kind == "bounded-difference" and a == math.inf:
-        return TailBoundResult(kind, t, 1.0, 0.0,
-                               "baseline inapplicable: infinite conditional range")
-    return _tail(kind, t, a, b)
+    return _tail(kind, t, *_exponent(kind, profile, p))
 
 
 # ---------------------------------------------------------------------------

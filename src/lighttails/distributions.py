@@ -8,11 +8,12 @@ the output, so parallel shards can be merged deterministically.  Each
 (seed, stream) pair has its own SFC64 generator (see `_rng`).
 
 Moments, MGFs and supports are computed on `canonical(spec)`, which folds
-the wrappers Shifted, Scaled, SquareOf and Centered into one of three forms:
-a FiniteSupport of distinct values; a re-parameterised Gaussian or
-UniformInterval when the chain is affine; or a Mapped (primitive, steps)
-pair.  Sampling walks the spec as written, so draws never depend on the
-canonical form.
+the wrappers Shifted, Scaled, SquareOf and Centered into one of three forms,
+each a spec: a FiniteSupport of distinct values; a re-parameterised Gaussian
+or UniformInterval when the chain is affine; or a chain of Shifted, Scaled
+and SquareOf around one primitive law, Centered written as its shift.  Each
+wrapper of a chain carries the rule of its own step.  Sampling walks the
+spec as written, so draws never depend on the canonical form.
 
 `standard_form(spec)` writes a law as a scale times one standard law of its
 shape: a centered law drops its last shift, and the scale steps of its
@@ -41,7 +42,7 @@ from scipy.special import expit, gammaln, xlogy
 __all__ = [
     "Spec", "Distribution", "Gaussian", "Exponential", "Rademacher",
     "UniformInterval", "Poisson", "ChiSquared", "TwoPointEps", "FiniteSupport",
-    "Chi", "UniformGap", "Shifted", "Scaled", "SquareOf", "Centered", "Mapped", "VectorSpec",
+    "Chi", "UniformGap", "Shifted", "Scaled", "SquareOf", "Centered", "VectorSpec",
     "SpecError", "MomentDivergenceError", "QuadratureError", "validate",
     "canonical", "standard_form", "round_up", "mean", "support_interval", "abs_moment", "lp_norm",
     "log_abs_moment", "log_abs_moments", "mgf", "sample", "finite_support",
@@ -162,7 +163,7 @@ class Spec:
 class Distribution(Spec):
     """A scalar law.  Every family has `expectation()` and `draw(rng, count)`;
     the families that are canonical forms also have `support()`,
-    `log_abs_moments(ps)` and `mgf(beta)`."""
+    `log_abs_moments(ps)` and `mgf(beta)`, which a wrapper reads off its base."""
 
     # _fold gives the canonical form; _affine the family's own spec for the
     # law after an affine step, if the family is closed under it
@@ -182,15 +183,16 @@ class Distribution(Spec):
         is not a continuous family or Poisson (see `standard_form`)."""
         return None
     def expectation(self): return canonical(self).expectation()
-    def squared_mgf(self, beta): return _squared_mgf(self, (), beta, self.support())
+    def squared_mgf(self, beta): return _squared_mgf(*_chain(self), beta, self.support())
 
     def _push(self, op, c):
-        """Canonical form of the law after one more map step."""
+        """Canonical form of the law after one more map step: the family's
+        own spec where it is closed under the step, else the step's wrapper."""
         try:
             folded = None if op == "square" else self._affine(op, c)
         except SpecError:       # the new parameters overflow: keep the step
             folded = None
-        return folded or Mapped(self, ((op, c),))
+        return folded or _WRAPPERS[op](self, c)
 
 
 class _Continuous(Distribution):
@@ -605,8 +607,10 @@ class FiniteSupport(Distribution):
 
     def mgf(self, beta):
         values = np.asarray(self.values)
-        m = np.max(beta * values)
-        return float(math.exp(m) * np.dot(self.probs, np.exp(beta * values - m)))
+        # beta v past the largest float reads inf and the MGF NaN, which `mgf` refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.max(beta * values)
+            return float(math.exp(m) * np.dot(self.probs, np.exp(beta * values - m)))
 
     def abs_difference_law(self):
         # the pair law; with probs normalised by their fsum, it sums to 1
@@ -707,6 +711,13 @@ class Shifted(Distribution):
     def draw(self, rng, count): return self.base.draw(rng, count) + self.offset
     def _fold(self): return canonical(self.base)._push("shift", self.offset)
     def sum_law(self, n): return _wrap_sum(self.base, n, lambda s: Shifted(s, n * self.offset))
+    def _step(self): return "shift", self.offset
+    # shifts move X and X' alike
+    def abs_difference_law(self): return self.base.abs_difference_law()
+    def mgf(self, beta): return math.exp(beta * self.offset) * self.base.mgf(beta)
+    def support(self): return tuple(x + self.offset for x in self.base.support())
+    # no rule peels a shift: the whole chain goes to the primitive's numeric path
+    def log_abs_moments(self, ps): return _log_moments(*_chain(self), ps)
 
 
 @dataclass(frozen=True)
@@ -718,6 +729,12 @@ class Scaled(Distribution):
     def expectation(self): return self.factor * self.base.expectation()
     def draw(self, rng, count): return self.factor * self.base.draw(rng, count)
     def sum_law(self, n): return _wrap_sum(self.base, n, lambda s: Scaled(s, self.factor))
+    def _step(self): return "scale", self.factor
+    def mgf(self, beta): return self.base.mgf(beta * self.factor)
+    def support(self): return tuple(sorted(self.factor * x for x in self.base.support()))
+
+    def log_abs_moments(self, ps):
+        return ps * math.log(abs(self.factor)) + self.base.log_abs_moments(ps)
 
     def _fold(self):
         if self.factor == 0:
@@ -733,6 +750,13 @@ class SquareOf(Distribution):
     def expectation(self): return abs_moment(self.base, 2.0)   # ||base||_2^2
     def draw(self, rng, count): return self.base.draw(rng, count) ** 2
     def _fold(self): return canonical(self.base)._push("square", None)
+    def _step(self): return "square", None
+    def log_abs_moments(self, ps): return self.base.log_abs_moments(2 * ps)
+    def mgf(self, beta): return self.base.squared_mgf(beta)
+
+    def support(self):
+        lo, hi = self.base.support()
+        return (0.0 if lo < 0 < hi else min(lo * lo, hi * hi)), max(lo * lo, hi * hi)
 
 
 @dataclass(frozen=True)
@@ -748,7 +772,7 @@ class Centered(Distribution):
         form, mu = canonical(self.base), self.base.expectation()
         if not math.isfinite(mu):
             raise SpecError(f"the mean of {self.base} must be finite to center it, got {mu}")
-        return form._push("shift", -mu)
+        return form._push("shift", -mu) if mu else form
 
 
 def _wrap_sum(base, n, wrap):
@@ -757,59 +781,18 @@ def _wrap_sum(base, n, wrap):
     return None if law is None else wrap(law)
 
 
-@dataclass(frozen=True)
-class Mapped:
-    """Canonical form of g(X) for a primitive X with no family closed under g.
+_WRAPPERS = {"shift": Shifted, "scale": Scaled, "square": lambda base, _: SquareOf(base)}
 
-    `steps` apply in order; each is ("shift", c), ("scale", c) or
-    ("square", None).  Moments and MGFs peel the outer steps where a rule is
-    exact and hand the rest to the base's numeric path.
-    """
-    base: Distribution
-    steps: tuple
 
-    def _push(self, op, c):
-        return Mapped(self.base, self.steps + ((op, c),))
-
-    def _inner(self):
-        """The form without its last step."""
-        return Mapped(self.base, self.steps[:-1]) if len(self.steps) > 1 else self.base
-
-    def abs_difference_law(self):
-        # shifts move X and X' alike
-        if all(op == "shift" for op, _ in self.steps):
-            return self.base.abs_difference_law()
-        return None
-
-    def support(self):
-        lo, hi = self.base.support()
-        for step in self.steps:
-            if step[0] == "square":
-                lo, hi = (0.0 if lo < 0 < hi else min(lo * lo, hi * hi)), max(lo * lo, hi * hi)
-            else:
-                lo, hi = sorted((_apply((step,), lo), _apply((step,), hi)))
-        return lo, hi
-
-    def log_abs_moments(self, ps):
-        """ln E|g(X)|^p: an outer scale step is p ln|c| plus the inner
-        moment, an outer square step the inner moment at 2p, and an outer
-        shift step goes to the base's numeric path with the whole chain."""
-        op, c = self.steps[-1]
-        if op == "shift":
-            return _log_moments(self.base, self.steps, ps)
-        inner = self._inner().log_abs_moments
-        return inner(2 * ps) if op == "square" else ps * math.log(abs(c)) + inner(ps)
-
-    def mgf(self, beta):
-        op, c = self.steps[-1]
-        if op == "shift":
-            return math.exp(beta * c) * self._inner().mgf(beta)
-        if op == "scale":
-            return self._inner().mgf(beta * c)
-        return self._inner().squared_mgf(beta)
-
-    def squared_mgf(self, beta):
-        return _squared_mgf(self.base, self.steps, beta, self.support())
+def _chain(form):
+    """(primitive, steps) of a canonical form: the law inside its wrappers,
+    and their steps from the inside out, each ("shift", c), ("scale", c) or
+    ("square", None)."""
+    steps = []
+    while isinstance(form, (Shifted, Scaled, SquareOf)):
+        steps.append(form._step())
+        form = form.base
+    return form, tuple(reversed(steps))
 
 
 @dataclass(frozen=True)
@@ -843,9 +826,10 @@ def validate(spec) -> None:
 
 @functools.lru_cache(maxsize=4096)
 def canonical(spec):
-    """The canonical form of a scalar spec: a FiniteSupport of distinct
-    values, a Gaussian or UniformInterval when the wrapper chain is affine,
-    a bare primitive, or a Mapped (primitive, steps) pair.  Memoised."""
+    """The canonical form of a scalar spec, itself a spec: a FiniteSupport of
+    distinct values, a Gaussian or UniformInterval when the wrapper chain is
+    affine, a bare primitive, or Shifted, Scaled and SquareOf around one
+    (see `_chain`).  Centering a mean of 0 adds no step.  Memoised."""
     return _scalar(spec)._fold()
 
 
@@ -870,7 +854,7 @@ def standard_form(spec):
     standard law, so every law of one shape shares one search; so is the
     moment memo for a centered shape (see `log_abs_moments`).  Memoised."""
     form = canonical(spec)
-    base, steps = (form.base, form.steps) if isinstance(form, Mapped) else (form, ())
+    base, steps = _chain(form)
     unit = base.unit_law()
     if unit is None:
         return 1.0, spec
@@ -1034,10 +1018,19 @@ def _memo_moments(law, ps):
 
 
 def mgf(spec, beta: float) -> float:
-    """E[exp(beta * X)], raising MomentDivergenceError if infinite."""
+    """E[exp(beta * X)], raising MomentDivergenceError if infinite, and a
+    SpecError that names spec and beta where it overflows a float."""
     form = canonical(spec)
     beta = float(beta)
-    return form.mgf(beta) if beta else 1.0
+    if not beta:
+        return 1.0
+    try:
+        value = form.mgf(beta)
+    except OverflowError:
+        value = math.inf
+    if not value < math.inf:    # inf, or NaN from inf - inf
+        raise SpecError(f"the MGF of {spec} at beta={beta!r} overflows a float")
+    return value
 
 
 # ---------------------------------------------------------------------------

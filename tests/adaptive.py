@@ -11,16 +11,16 @@ from lighttails import distributions as D
 
 
 def base_and_steps(spec):
-    form = D.canonical(spec)
-    return (form.base, form.steps) if isinstance(form, D.Mapped) else (form, ())
+    return D._chain(D.canonical(spec))
 
 
 def adaptive_log_moment(spec, p):
-    """ln E|g(X)|^p for the canonical (X, g) of a numeric law.  Outer scale
-    and square steps of g are peeled as Mapped peels them; the rest is
-    scipy's adaptive quadrature over the live window of p, with the zeros
-    of g as breakpoints, to 1e-11 relative, or for a Poisson X the series
-    over k < 2000, which holds every term above e^-700 of the largest."""
+    """ln E|g(X)|^p for the canonical (X, g) of a numeric law, read as
+    `distributions._chain` reads the form.  Outer scale and square steps of
+    g are peeled as Scaled and SquareOf peel them; the rest is scipy's
+    adaptive quadrature over the live window of p, with the zeros of g as
+    breakpoints, to 1e-11 relative, or for a Poisson X the series over
+    k < 2000, which holds every term above e^-700 of the largest."""
     base, steps = base_and_steps(spec)
     peeled = 0.0
     while steps and steps[-1][0] != "shift":

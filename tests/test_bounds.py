@@ -114,9 +114,17 @@ class TestBaseline:
         r = B.evaluate_tail("bounded-difference", profile(ranges=[1.0]), 1.0)
         assert r.prob == pytest.approx(math.exp(-2.0), rel=1e-13)
 
-    def test_infinite_range(self):
-        r = B.evaluate_tail("bounded-difference", profile(ranges=[1.0, math.inf]), 5.0)
-        assert r.prob == 1.0 and "inapplicable" in r.note
+    # an infinite a + b t: the range, or a squared proxy that overflows, where
+    # -t^2 / (a + b t) read -0.0 or NaN
+    @pytest.mark.parametrize("kind, prof, t", [
+        ("bounded-difference", profile(ranges=[1.0, math.inf]), 5.0),
+        ("thm1", profile(psi2=[1e200]), 1.0),
+        ("thm2", profile(psi1=[1e300, 1e300]), 1e300),
+    ], ids=["bounded-difference", "thm1", "thm2"])
+    def test_infinite_range(self, kind, prof, t):
+        r = B.evaluate_tail(kind, prof, t)
+        assert (r.prob, r.log_prob) == (1.0, 0.0) and "inapplicable" in r.note
+        assert math.copysign(1.0, r.log_prob) == 1.0
 
     def test_t_to_zero(self):
         r = B.evaluate_tail("bounded-difference", profile(ranges=[1.0]), 1e-12)

@@ -948,6 +948,7 @@ _FINITE_1E300 = {"kind": "finite_support", "values": [-1, 1e300, 1000], "probs":
 _TWO_ATOMS = {"kind": "finite_support", "values": [1e20, 1.000000000000001e20],
               "probs": [0.5, 0.5]}
 _WIDE_UNIFORM = {"kind": "uniform", "lo": -1, "hi": 1e300}
+_HUGE_GAUSSIAN = _scaled({"kind": "gaussian", "mean": 0, "sd": 1e300}, 2e8)
 
 
 class TestOverflowPaths:
@@ -980,7 +981,11 @@ class TestOverflowPaths:
           "maps": ["identity"]}, ["bound", "--bounds", "thm2", "--t-grid", "1:2:2"],
          "FiniteSupport(values=(1.0, 1e+200), probs=(0.5, 0.5)) after the map step "
          "('scale', 1e+200): values must be finite, got inf"),
-    ], ids=["norm", "mean", "finite-square", "moment", "finite-scale", "metric"])
+        ({"kind": "metric_lipschitz", "lip": 1, "coordinate_dists": [_HUGE_GAUSSIAN],
+          "maps": ["identity"]}, ["bound", "--bounds", "thm2", "--t-grid", "1:9:3"],
+         "the psi1 diameter of Scaled(base=Gaussian(mean=0.0, sd=1e+300), factor=200000000.0) "
+         "is past the largest float"),
+    ], ids=["norm", "mean", "finite-square", "moment", "finite-scale", "metric", "diameter"])
     def test_one_error_line_names_the_law(self, spec, argv, message, tmp_path, capsys):
         path = write_spec(tmp_path, spec)
         assert run(capsys, argv[0], "--spec", path, *argv[1:]) == (1, "", f"error: {message}\n")
@@ -1002,6 +1007,31 @@ class TestOverflowPaths:
         probs = [r["prob"] for rows in json.loads(out)["bounds"].values() for r in rows]
         assert probs == [1.0] * 4
         assert fn.proxy_profile(fn.fspec_from_dict(spec)).ranges == (math.inf,)
+
+    def test_a_centered_law_of_mean_zero_keeps_its_outer_scale(self, tmp_path, capsys):
+        # centering appended a shift by -0.0, which sent the chain to the
+        # numeric path, where the scale step overflowed; the psi1 proxy is
+        # the law's own norm, and its square is past the largest float
+        path = write_spec(tmp_path, _sum(_HUGE_GAUSSIAN))
+        code, out, err = run(capsys, "bound", "--spec", path, "--bounds", "thm2", "--t-grid", "1:9:3")
+        assert (code, err) == (0, "")
+        assert [(r["prob"], r["log_prob"], r["note"]) for r in json.loads(out)["bounds"]["thm2"]] == [
+            (1.0, 0.0, "inapplicable: a + b t is infinite")] * 3
+        assert fn.proxy_profile(fn.fspec_from_dict(_sum(_HUGE_GAUSSIAN))).psi1_per_coord == (
+            1.5957691216056996e+308,)
+        code, out, _ = run(capsys, "norms", "--spec", write_spec(tmp_path, _HUGE_GAUSSIAN, "law.json"),
+                           "--alpha", "1")
+        assert (code, json.loads(out)["estimate"]["value"]) == (0, 1.5957691216056996e+308)
+
+    def test_a_bound_whose_exponent_overflows_is_one_not_nan(self, tmp_path, capsys):
+        # -t^2 / (a + b t) read -inf / inf, and bound printed NaN rows
+        law = _scaled({"kind": "exponential", "rate": 1}, 1e300)
+        path = write_spec(tmp_path, _sum(law, law))
+        code, out, err = run(capsys, "bound", "--spec", path, "--bounds", "thm2",
+                             "--t-grid", "1e300:5e300:3")
+        assert (code, err, "NaN" in out) == (0, "", False)
+        assert [(r["prob"], r["log_prob"]) for r in json.loads(out)["bounds"]["thm2"]] == [
+            (1.0, 0.0)] * 3
 
     def test_squared_norms_past_the_largest_float_are_inf(self, tmp_path, capsys):
         # psi2 ** 2 used to raise OverflowError in the entropy bound, the psa

@@ -389,7 +389,7 @@ class TestOneMomentMethod:
         # log_abs_moment is row 0 of log_abs_moments for every law, so no
         # family carries a second moment method that could drift from it
         classes = [obj for obj in vars(D).values() if isinstance(obj, type)]
-        assert D.Gaussian in classes and D.Mapped in classes
+        assert D.Gaussian in classes and D.Shifted in classes
         assert [c.__name__ for c in classes if "log_abs_moment" in vars(c)] == []
 
     @pytest.mark.parametrize("spec", list(CLOSED_FORM_PINS), ids=repr)
@@ -487,7 +487,7 @@ class TestMomentRows:
         D._moment_rows.clear()
         O._psi_norm_cached.cache_clear()
         psi_norm(D.Centered(D.Exponential(1.7)), 1)
-        monkeypatch.setattr(D.Mapped, "log_abs_moments", lambda self, ps: 1 / 0)
+        monkeypatch.setattr(D.Shifted, "log_abs_moments", lambda self, ps: 1 / 0)
         got = D.lp_norm(D.Centered(D.Scaled(D.Exponential(0.4), 3.0)), 4.0)
         monkeypatch.undo()
         D._moment_rows.clear()
@@ -495,7 +495,7 @@ class TestMomentRows:
 
     def test_a_nan_row_is_not_stored(self, monkeypatch):
         spec = D.Shifted(D.Exponential(0.61), -7.0)
-        monkeypatch.setattr(D.Mapped, "log_abs_moments", lambda self, ps: np.full(ps.shape, math.nan))
+        monkeypatch.setattr(D.Shifted, "log_abs_moments", lambda self, ps: np.full(ps.shape, math.nan))
         assert math.isnan(D.log_abs_moments(spec, np.array([2.5]))[0])
         monkeypatch.undo()
         assert D.log_abs_moments(spec, np.array([2.5]))[0] == pytest.approx(
@@ -762,7 +762,7 @@ class TestMgf:
          math.exp(1.625) * 0.5 * math.sqrt(math.pi / 0.4) * erfc(2.25 * math.sqrt(0.4))),
     ])
     def test_mapped_closed_forms(self, spec, beta, want):
-        # the shift, scale and square steps of Mapped.mgf, ChiSquared.mgf and
+        # the mgf of Shifted, Scaled and SquareOf, ChiSquared.mgf and
         # the finite branch of Exponential.mgf
         assert D.mgf(spec, beta) == pytest.approx(want, rel=1e-14)
 
@@ -778,6 +778,25 @@ class TestMgf:
     def test_square_unbounded_diverges_for_positive_beta(self):
         with pytest.raises(D.MomentDivergenceError):
             D.mgf(D.SquareOf(D.Exponential(1.0)), 0.1)
+
+    @pytest.mark.parametrize("spec, beta", [
+        (D.Gaussian(0.0, 1e200), 1.0),
+        (D.Gaussian(0.0, 1.0), 1e200),
+        (D.Poisson(1.0), 800.0),
+        (D.UniformInterval(0.0, 1.0), 1000.0),
+        (D.FiniteSupport((0.0, 1000.0), (0.5, 0.5)), 1.0),
+        (D.FiniteSupport((-1e308, 1e308), (0.5, 0.5)), 10.0),
+        (D.Shifted(D.Exponential(1.0), 1e3), 0.9),
+        (D.SquareOf(D.Gaussian(1e200, 1.0)), 0.1),
+        # finite (about 7.07e-201), but the closed form squares sd = 1e200
+        (D.SquareOf(D.Gaussian(0.0, 1e200)), -1.0),
+    ], ids=repr)
+    def test_an_overflow_is_an_error_that_names_the_law(self, spec, beta):
+        # each used to end in a bare OverflowError, and the 1e308 atoms in
+        # numpy's overflow warning and a NaN MGF
+        with pytest.raises(D.SpecError, match=re.escape(f"the MGF of {spec} at beta={beta!r} "
+                                                        "overflows a float")):
+            D.mgf(spec, beta)
 
 
 class TestSupportInterval:
@@ -886,6 +905,21 @@ class TestRoundUp:
 
 
 class TestCanonical:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(_ANY_LAW)
+    def test_a_form_is_a_spec_of_the_same_law(self, law):
+        # a canonical form is its own canonical form, with the support and
+        # the moments of the law it came from
+        form = D.canonical(law)
+        assert D.canonical(form) == form
+        assert D.support_interval(form) == D.support_interval(law)
+        ps = np.array([1.0, 2.5, 16.0, 128.0])
+        try:
+            want = D.log_abs_moments(law, ps)
+        except D.QuadratureError:
+            return
+        assert D.log_abs_moments(form, ps) == pytest.approx(want, rel=1e-12)
+
     def test_affine_chains_reparameterise(self):
         assert D.canonical(D.Centered(D.Gaussian(2.0, 0.5))) == D.Gaussian(0.0, 0.5)
         assert (D.canonical(D.Scaled(D.Shifted(D.UniformInterval(0.0, 1.0), 1.0), -2.0))
@@ -944,13 +978,13 @@ class TestCanonical:
     ], ids=repr)
     def test_a_step_whose_parameters_overflow_stays_a_map(self, base, factor, alpha):
         spec = D.Scaled(base, factor)
-        assert D.canonical(spec) == D.Mapped(base, (("scale", factor),))
+        assert D.canonical(spec) == spec
         want = factor * psi_norm(base, alpha).value     # 1.5958e308 and 5e307
         assert psi_norm(spec, alpha).value == pytest.approx(want, rel=1e-12)
 
     def test_other_chains_map_a_primitive(self):
         form = D.canonical(D.Centered(D.Scaled(D.Exponential(2.0), 3.0)))
-        assert form == D.Mapped(D.Exponential(2.0), (("scale", 3.0), ("shift", -1.5)))
+        assert form == D.Shifted(D.Scaled(D.Exponential(2.0), 3.0), -1.5)
         assert D.standard_form(D.Centered(D.Scaled(D.Exponential(2.0), 3.0))) == (
             1.5, D.Centered(D.Exponential(1.0)))
         spec = D.SquareOf(D.Gaussian(1.0, 1.0))

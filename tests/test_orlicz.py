@@ -365,8 +365,7 @@ class TestStandardForm:
 
     def test_unchanged_standard_forms_keep_their_moment_bits(self):
         def base(law):
-            form = D.canonical(law)
-            return form.base if isinstance(form, D.Mapped) else form
+            return D._chain(D.canonical(law))[0]
 
         def unchanged(law):
             # the standard forms of the earlier rule: (1.0, law), or a centered
