@@ -9,8 +9,8 @@ Three headline bounds plus the classical bounded-difference baseline:
 
 with V_a the summed squared per-coordinate proxies and M the largest one;
 the baseline is exp(-2 t^2 / sum r_k^2).  Every bound is exp(-t^2 / (a + b t)),
-and one (a, b) table serves both evaluation and inversion.  All
-probabilities are evaluated in log space and clamped to (0, 1].
+and one (a, b) table of the entries in `READS` serves evaluation and
+inversion.  All probabilities are evaluated in log space and clamped to (0, 1].
 """
 from __future__ import annotations
 
@@ -22,13 +22,33 @@ import numpy as np
 
 __all__ = [
     "ProxyProfile", "TailBoundResult", "InversionResult", "evaluate_tail",
-    "invert_tail", "optimization_lemma", "BOUND_KINDS", "PSI2_KINDS",
+    "invert_tail", "optimization_lemma", "BOUND_KINDS", "PSI2_KINDS", "READS", "reads", "ENTRIES",
 ]
 
 E = math.e
 
-BOUND_KINDS = ("thm1", "thm2", "thm3", "thm3-psi2-variant", "bounded-difference")
-PSI2_KINDS = ("thm1", "thm3-psi2-variant")     # the kinds that read psi2_per_coord
+ENTRIES = ("psi1_per_coord", "psi2_per_coord", "l2p_per_coord", "ranges")  # of a ProxyProfile
+# bound kind -> the entries its exponent reads, in the order it checks them
+READS = {
+    "thm1": ("psi2_per_coord",),
+    "thm2": ("psi1_per_coord",),
+    "thm3": ("l2p_per_coord", "psi1_per_coord"),
+    "thm3-psi2-variant": ("l2p_per_coord", "psi2_per_coord"),
+    "bounded-difference": ("ranges",),
+}
+BOUND_KINDS = tuple(READS)
+PSI2_KINDS = tuple(k for k, row in READS.items() if "psi2_per_coord" in row)
+
+
+def _row(kind):
+    if kind not in READS:
+        raise ValueError(f"unknown bound kind {kind!r}; known: {BOUND_KINDS}")
+    return READS[kind]
+
+
+def reads(kinds):
+    """The entries the kinds read, as a frozenset; an unknown kind is a ValueError."""
+    return frozenset().union(*map(_row, kinds))
 
 
 @dataclass(frozen=True)
@@ -49,7 +69,7 @@ class ProxyProfile:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        for name in ("psi1_per_coord", "psi2_per_coord", "l2p_per_coord", "ranges"):
+        for name in ENTRIES:
             entries = getattr(self, name)
             if entries is None:
                 continue
@@ -63,35 +83,12 @@ class ProxyProfile:
             if self.l2p_order is None or self.l2p_order <= 1:
                 raise ValueError("l2p_per_coord requires l2p_order > 1")
 
-    # derived proxies
-    @property
-    def v1(self):
-        self._need("psi1_per_coord")
-        return math.fsum(x * x for x in self.psi1_per_coord)
-
-    @property
-    def m1(self):
-        self._need("psi1_per_coord")
-        return max(self.psi1_per_coord)
-
-    @property
-    def v2(self):
-        self._need("psi2_per_coord")
-        return math.fsum(x * x for x in self.psi2_per_coord)
-
-    @property
-    def m2(self):
-        self._need("psi2_per_coord")
-        return max(self.psi2_per_coord)
-
-    @property
-    def v2p(self):
-        self._need("l2p_per_coord")
-        return math.fsum(x * x for x in self.l2p_per_coord)
-
-    def _need(self, name):
-        if getattr(self, name) is None:
-            raise ValueError(f"profile is missing {name}")
+    # derived proxies, of the entries that `_exponent` checks are there
+    v1 = property(lambda self: math.fsum(x * x for x in self.psi1_per_coord))
+    m1 = property(lambda self: max(self.psi1_per_coord))
+    v2 = property(lambda self: math.fsum(x * x for x in self.psi2_per_coord))
+    m2 = property(lambda self: max(self.psi2_per_coord))
+    v2p = property(lambda self: math.fsum(x * x for x in self.l2p_per_coord))
 
 
 @dataclass(frozen=True)
@@ -112,23 +109,27 @@ class TailBoundResult:
 
 def _tail(kind, t, a, b):
     """exp(-t^2 / (a + b t)), clamped to (0, 1]; a = b = 0 means f is a.s.
-    constant, and a + b t past the largest float (an infinite proxy or
-    range) gives the bound 1, which says nothing."""
+    constant, and an infinite a or b (an infinite proxy or range) gives the
+    bound 1, which says nothing.  Where t^2 or a + b t is past the largest
+    float, the exponent is read divided through by t, -t / (a/t + b)."""
     if a == 0.0 and b == 0.0:
         return TailBoundResult(kind, t, 0.0, -math.inf,
                                "degenerate: f is a.s. constant")
-    denom = a + b * t if b else a
-    if not math.isfinite(denom):
+    if not (math.isfinite(a) and math.isfinite(b)):
         return TailBoundResult(kind, t, 1.0, 0.0, "inapplicable: a + b t is infinite")
-    log_prob = min(-t * t / denom, 0.0)
+    square, denom = t * t, a + b * t if b else a
+    if math.isfinite(square) and math.isfinite(denom):
+        log_prob = -square / denom
+    else:       # a / t + b is 0 only where a / t underflows and b = 0
+        per_t = a / t + b
+        log_prob = -t / per_t if per_t else -math.inf
+    log_prob = min(log_prob, 0.0)
     return TailBoundResult(kind, t, math.exp(log_prob), log_prob)
 
 
 def _thm3_q(profile, p):
     """q = p/(p-1) for the thm3 kinds; p defaults to the profile's l2p_order."""
-    if p is None:
-        profile._need("l2p_per_coord")
-        p = profile.l2p_order
+    p = profile.l2p_order if p is None else p
     if p <= 1:
         raise ValueError(
             f"p must exceed 1 (p -> 1 drives the scale proxy to infinity), got {p}")
@@ -139,20 +140,19 @@ def _thm3_q(profile, p):
 
 
 def _exponent(kind, profile, p):
-    """(a, b) with the bound of the kind equal to exp(-t^2 / (a + b t))."""
+    """(a, b) with the kind's bound exp(-t^2 / (a + b t)), from its row of READS."""
+    for name in _row(kind):
+        if getattr(profile, name) is None:
+            raise ValueError(f"profile is missing {name}")
     if kind == "thm1":
         return 32.0 * E * profile.v2, 0.0
     if kind == "thm2":
         return 4.0 * E * E * profile.v1, 2.0 * E * profile.m1
     if kind in ("thm3", "thm3-psi2-variant"):
         q = _thm3_q(profile, p)
-        v2p = profile.v2p
         scale = q * profile.m1 if kind == "thm3" else math.sqrt(q) * profile.m2
-        return 2.0 * v2p, 2.0 * E * scale
-    if kind == "bounded-difference":
-        profile._need("ranges")
-        return math.fsum(r * r for r in profile.ranges) / 2.0, 0.0
-    raise ValueError(f"unknown bound kind {kind!r}; known: {BOUND_KINDS}")
+        return 2.0 * profile.v2p, 2.0 * E * scale
+    return math.fsum(r * r for r in profile.ranges) / 2.0, 0.0     # bounded-difference
 
 
 def evaluate_tail(kind, profile, t, p=None) -> TailBoundResult:

@@ -28,7 +28,7 @@ from . import distributions as dist
 from . import entropy as ent
 from . import functions as fn
 from . import verify as vfy
-from .bounds import BOUND_KINDS, invert_tail
+from .bounds import BOUND_KINDS, invert_tail, reads
 from .orlicz import PMaxTooSmallError, psi_norm
 
 EXIT_OK = 0
@@ -174,9 +174,9 @@ def _parse_kinds(text):
 
 
 def _check_thm3_p(kinds, p):
-    """The thm3 kinds need --p > 1, the order of the 2p-norms in the proxy
-    profile; this is checked before any profile work."""
-    if not any(k.startswith("thm3") for k in kinds):
+    """The kinds that read 2p-norms (the thm3 kinds) need --p > 1, their
+    order; this is checked before any profile work."""
+    if "l2p_per_coord" not in reads(kinds):
         return
     if p is None:
         raise UsageError("the thm3 bound kinds need --p, the order of the "

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import applications
 from . import distributions as dist
-from .bounds import PSI2_KINDS, ProxyProfile
+from .bounds import ENTRIES, PSI2_KINDS, ProxyProfile, reads
 from .orlicz import OrliczEstimate, PMaxTooSmallError, psi_norm
 
 __all__ = [
@@ -35,7 +35,8 @@ _INNER_STREAM = 10 ** 9  # stream offset reserved for inner estimates
 class FunctionSpec(dist.Spec):
     """f of n independent coordinates.  Each kind has `n`, `point_shape` (of
     one base point), `draw(rng, count)` and `evaluate(points)` for batches of
-    shape (count,) + point_shape, and `proxy_profile(p, with_psi2)`; it
+    shape (count,) + point_shape, and one method per proxy entry it has
+    (`psi1_per_coord`, `ranges`, `psi2_per_coord`, `l2p_per_coord(p)`); it
     overrides `closed_form_mean` where E[f(X)] has one.
 
     `draw` returns a coordinate-major view (see dist.draw_rows), so a batch
@@ -52,6 +53,7 @@ class FunctionSpec(dist.Spec):
     VectorNormOfSum adds a third layout, "chi", that draws f's own law."""
 
     _summands = None
+    psi2_per_coord = l2p_per_coord = None      # None marks an entry the kind has not
     sampler_layout = property(lambda s: "per-coordinate" if s._sum_laws is None else "summed")
 
     def closed_form_mean(self): return None
@@ -103,24 +105,24 @@ class SumFunction(_ScalarCoordinates):
     def evaluate(self, points): return _coordinate_sum(points)
     def _of_sum(self, s): return s
     def closed_form_mean(self): return math.fsum(dist.mean(c) for c in self.components)
+    def ranges(self): return [_support_width(c) for c in self.components]
 
     @property
     def _summands(self):
         c = self.components
         return c[:1] if self.n > 1 and all(x == c[0] for x in c) else None
 
-    def proxy_profile(self, p, with_psi2):
-        centered = [dist.Centered(c) for c in self.components]
-        coords = list(enumerate(zip(centered, self.components)))
-        psi1 = [_proxy_norm(psi_norm, c, 1, f"coordinate {i}", law) for i, (c, law) in coords]
-        psi2 = ([_psi2(psi_norm, c, f"coordinate {i}", law) for i, (c, law) in coords]
-                if with_psi2 else None)
-        l2p = None if p is None else [
-            _proxy_read(dist.lp_norm, c, 2 * p, f"coordinate {i}", law, "2p-norm")
-            for i, (c, law) in coords]
-        ranges = [_support_width(c) for c in self.components]
-        return ProxyProfile(n=self.n, psi1_per_coord=psi1, psi2_per_coord=psi2,
-                            l2p_per_coord=l2p, l2p_order=p, ranges=ranges)
+    def psi1_per_coord(self):
+        return [_proxy_norm(psi_norm, dist.Centered(c), 1, f"coordinate {i}", c)
+                for i, c in enumerate(self.components)]
+
+    def psi2_per_coord(self):
+        return [_psi2(psi_norm, dist.Centered(c), f"coordinate {i}", c)
+                for i, c in enumerate(self.components)]
+
+    def l2p_per_coord(self, p):
+        return [_proxy_read(dist.lp_norm, dist.Centered(c), 2 * p, f"coordinate {i}", c, "2p-norm")
+                for i, c in enumerate(self.components)]
 
 
 @dataclass(frozen=True)
@@ -167,15 +169,19 @@ class VectorNormOfSum(_VectorCoordinates):
             s = s - self.n * means
         return np.sqrt(_coordinate_sum(s * s))
 
-    def proxy_profile(self, p, with_psi2):
-        n, vec = self.n, self.vec
-        b1 = 2.0 * _proxy_norm(vector_norm_psi, vec, 1, "coordinate 0", vec)
-        psi2 = [2.0 * _psi2(vector_norm_psi, vec, "coordinate 0", vec)] * n if with_psi2 else None
-        l2p = None if p is None else [
-            2.0 * _proxy_read(vector_norm_lp, vec, 2 * p, "coordinate 0", vec, "2p-norm")] * n
-        r = math.sqrt(math.fsum(w * w for w in map(_support_width, self.vec.components)))
-        return ProxyProfile(n=n, psi1_per_coord=[b1] * n, psi2_per_coord=psi2,
-                            l2p_per_coord=l2p, l2p_order=p, ranges=[r] * n)
+    def psi1_per_coord(self):
+        return [2.0 * _proxy_norm(vector_norm_psi, self.vec, 1, "coordinate 0", self.vec)] * self.n
+
+    def psi2_per_coord(self):
+        return [2.0 * _psi2(vector_norm_psi, self.vec, "coordinate 0", self.vec)] * self.n
+
+    def l2p_per_coord(self, p):
+        vec = self.vec
+        return [2.0 * _proxy_read(vector_norm_lp, vec, 2 * p, "coordinate 0", vec, "2p-norm")] * self.n
+
+    def ranges(self):
+        widths = map(_support_width, self.vec.components)
+        return [math.sqrt(math.fsum(w * w for w in widths))] * self.n
 
     def closed_form_mean(self):
         # for iid N(0, sd^2) entries, ||sum|| is sqrt(n) sd chi_d
@@ -236,16 +242,16 @@ class SupLinearLoss(_VectorCoordinates):
             best = vals if best is None else np.maximum(best, vals)
         return best
 
-    def proxy_profile(self, p, with_psi2):
-        n = self.n
+    def psi1_per_coord(self):
         # product-space norm L ||x|| + |z| dominates the loss increments
-        b = (2.0 / n) * (
+        return [(2.0 / self.n) * (
             self.lipschitz * _proxy_norm(vector_norm_psi, self.input, 1, "input", self.input)
-            + _proxy_norm(psi_norm, self.output, 1, "output", self.output))
-        r = (1.0 / n) * (_times(self.lipschitz, math.sqrt(math.fsum(
+            + _proxy_norm(psi_norm, self.output, 1, "output", self.output))] * self.n
+
+    def ranges(self):
+        return [(1.0 / self.n) * (_times(self.lipschitz, math.sqrt(math.fsum(
             w * w for w in map(_support_width, self.input.components))))
-            + _support_width(self.output))
-        return ProxyProfile(n=n, psi1_per_coord=[b] * n, ranges=[r] * n)
+            + _support_width(self.output))] * self.n
 
 
 @dataclass(frozen=True)
@@ -299,17 +305,19 @@ class PsaReconstruction(_VectorCoordinates):
             best = vals if best is None else np.maximum(best, vals)
         return best
 
-    def proxy_profile(self, p, with_psi2):
-        n = self.n
+    def psi1_per_coord(self):
         # Cauchy-Schwarz over the projection class contributes sqrt(d) + 1;
         # ||  ||X||^2  ||_psi1 <= 2 ||  ||X||  ||_psi2^2
         psi2_norm = _proxy_norm(
             vector_norm_psi, self.input, 2, "input", self.input,
             f"||X|| is not shown to be sub-Gaussian, which the {self.kind} proxy needs")
-        b = (2.0 / n) * (math.sqrt(self.subspace_dim) + 1.0) * 2.0 * (psi2_norm * psi2_norm)
-        r = (1.0 / n) * math.fsum(_interval_sq_max(c)
-                                  for c in self.input.components)
-        return ProxyProfile(n=n, psi1_per_coord=[b] * n, ranges=[r] * n)
+        b = (2.0 / self.n) * (math.sqrt(self.subspace_dim) + 1.0) * 2.0 * (psi2_norm * psi2_norm)
+        return [b] * self.n
+
+    def ranges(self):
+        r = (1.0 / self.n) * math.fsum(max(x * x for x in dist.support_interval(c))
+                                       for c in self.input.components)
+        return [r] * self.n
 
 
 @dataclass(frozen=True)
@@ -327,6 +335,8 @@ class MetricLipschitz(_ScalarCoordinates):
     maps: tuple             # per-coordinate map names: abs | identity | sin
 
     laws = property(lambda self: self.coordinate_dists)
+
+    def ranges(self): return [_times(self.lip, _support_width(c)) for c in self.coordinate_dists]
 
     def _check(self):
         if self.lip < 0:
@@ -348,11 +358,9 @@ class MetricLipschitz(_ScalarCoordinates):
             total += _LIPSCHITZ_MAPS[name](points[:, i])
         return self.lip * total
 
-    def proxy_profile(self, p, with_psi2):
-        psi1 = [self.lip * _proxy_norm(applications.psi_diameter, c, 1, f"coordinate {i}", c)
+    def psi1_per_coord(self):
+        return [self.lip * _proxy_norm(applications.psi_diameter, c, 1, f"coordinate {i}", c)
                 for i, c in enumerate(self.coordinate_dists)]
-        ranges = [_times(self.lip, _support_width(c)) for c in self.coordinate_dists]
-        return ProxyProfile(n=self.n, psi1_per_coord=psi1, ranges=ranges)
 
 
 def _row(row, name, length):
@@ -548,45 +556,48 @@ def vector_norm_psi(vec, alpha) -> OrliczEstimate:
 # Proxy profiles
 
 def proxy_profile(fspec, p: Optional[float] = None, kinds=None) -> ProxyProfile:
-    """Analytic per-coordinate worst-case psi-norm bounds for f_k.
-
-    Pass p > 1 to additionally populate the 2p-norm entries used by the
-    moment-based bound.  Pass the bound kinds the profile is for to leave
-    out what none of them reads: the 2p-norms without a thm3 kind, the psi2
-    norms without thm1 or thm3-psi2-variant.  A thm3 kind with no 2p-norm
-    proxy is a ValueError, and so is a psi2 kind with no psi2 proxy or a psi2
-    norm not finite up to p_max; without kinds such a norm is left out.  Any
-    other proxy norm not finite up to p_max is a ValueError that names its
-    coordinate (or input or output) and law.  The kind's profile is
-    memoised (see `_kind_profile`); its errors are not.
+    """Analytic per-coordinate worst-case psi-norm bounds for f_k: exactly
+    the entries the bound kinds read (`bounds.READS`), an entry fspec's kind
+    has not being a ValueError; without kinds, every entry it has, the psi2
+    norms where all are finite and the 2p-norms (of order p > 1) where p is
+    given.  A proxy norm not finite up to p_max is a ValueError (for psi2 a
+    NotSubGaussianError) that names its coordinate (or input or output) and
+    law.  The profile is memoised (see `_kind_profile`); errors are not.
     """
     p = None if p is None else float(p)
-    if kinds is None:
-        try:
-            return _kind_profile(fspec, p, True)
-        except NotSubGaussianError:
-            return _kind_profile(fspec, p, False)
-    if not any(k.startswith("thm3") for k in kinds):
-        p = None
-    profile = _kind_profile(fspec, p, any(k in PSI2_KINDS for k in kinds))
-    if p is not None and profile.l2p_per_coord is None:
-        raise ValueError(f"the {fspec.kind} kind has no 2p-norm proxy, so the "
-                         "thm3 bound kinds do not apply to it")
-    if profile.psi2_per_coord is None and any(k in PSI2_KINDS for k in kinds):
-        raise ValueError(f"the {fspec.kind} kind has no psi2 proxy, so the psi2 "
-                         f"bound kinds {' and '.join(PSI2_KINDS)} do not apply to it")
-    return profile
+    names = (reads(kinds) if kinds is not None else
+             frozenset(name for name in ENTRIES if getattr(fspec, name) is not None))
+    if p is None or "l2p_per_coord" not in names:
+        p, names = None, names - {"l2p_per_coord"}
+    try:
+        return _kind_profile(fspec, p, names)
+    except NotSubGaussianError:
+        if kinds is not None:
+            raise
+        return _kind_profile(fspec, p, names - {"psi2_per_coord"})
 
 
-_PROFILES = 1024     # kind profiles kept per process
+# the errors for the entries a kind has not, raised after it builds its own
+_NO_PROXY = {
+    "l2p_per_coord": "the {} kind has no 2p-norm proxy, so the thm3 bound kinds "
+                     "do not apply to it",
+    "psi2_per_coord": "the {} kind has no psi2 proxy, so the psi2 bound kinds "
+                      f"{' and '.join(PSI2_KINDS)} do not apply to it",
+}
+_PROFILES = 1024     # profiles kept per process
 
 
 @functools.lru_cache(maxsize=_PROFILES)
-def _kind_profile(fspec, p, with_psi2):
-    """fspec.proxy_profile(p, with_psi2), memoised.  Specs are frozen and
-    equal specs have equal fields, p is None or a float, and a ProxyProfile
-    is frozen with tuple entries, so one result serves every equal key."""
-    return fspec.proxy_profile(p, with_psi2)
+def _kind_profile(fspec, p, names):
+    """The profile of the entries `names`, each from fspec's method of that
+    name in the order of ENTRIES, memoised: specs and profiles are frozen
+    and p is None or a float, so one result serves every equal key."""
+    built = [(name, getattr(fspec, name)) for name in ENTRIES if name in names]
+    rows = {name: read(p) if name == "l2p_per_coord" else read() for name, read in built if read}
+    for name, missing in _NO_PROXY.items():
+        if name in names and name not in rows:
+            raise ValueError(missing.format(fspec.kind))
+    return ProxyProfile(n=fspec.n, l2p_order=p, **rows)
 
 
 def _support_width(spec):
@@ -597,11 +608,6 @@ def _support_width(spec):
 def _times(scale, width):
     """scale * width, and 0 for a zero scale, also where the width is infinite."""
     return scale * width if scale else 0.0
-
-
-def _interval_sq_max(spec):
-    lo, hi = dist.support_interval(spec)
-    return max(lo * lo, hi * hi)
 
 
 class NotSubGaussianError(ValueError):

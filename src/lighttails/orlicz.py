@@ -131,8 +131,7 @@ def _sup_ratio(log_moments, alpha):
         ps, phis = ps[order], phis[order]
     if np.any(np.diff(ratios[ps >= _P_MAX / 2 - 1e-9]) > 1e-9):
         raise PMaxTooSmallError(
-            f"moment ratio still rises at p = {_P_MAX:g}, the end of the p-grid, "
-            "so the norm is not certified")
+            f"the moment ratio still rises at p = {_P_MAX:g}, the end of the p-grid")
     i = int(np.argmax(ratios))
     return ratios[i], float(ps[i]), max(ratios[i], bounds.max(initial=-math.inf))
 
@@ -143,9 +142,9 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
     The chord search reads `log_abs_moments`: closed forms, or one fixed
     tanh-sinh rule for all p, which raises QuadratureError where its
     embedded error estimate exceeds 1e-5 in ln ||Z||_p.  The value is the
-    best ratio the search read, at p*.  PMaxTooSmallError where the ratio
-    still rises at p = _P_MAX, a SpecError where the norm is past the
-    largest float.  The search runs on the standard law s Z of
+    best ratio the search read, at p*.  PMaxTooSmallError, naming the spec
+    and alpha, where the ratio still rises at p = _P_MAX, a SpecError where
+    the norm is past the largest float.  The search runs on the standard law s Z of
     `distributions.standard_form(spec)` and is memoised on (standard law,
     alpha), PMaxTooSmallError included; the value is s times the standard
     law's, at its p*.  At every s, 1 included, `upper` is s times the
@@ -159,7 +158,7 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
     scale, standard = dist.standard_form(spec)
     est = _psi_norm_cached(standard, alpha)
     if isinstance(est, PMaxTooSmallError):
-        raise PMaxTooSmallError(*est.args)
+        raise PMaxTooSmallError(f"the psi{alpha} norm of {spec} is not certified: {est}")
     est = scaled_estimate(est, scale)
     if est.value == math.inf:
         raise dist.SpecError(f"the psi{alpha} norm of {spec} is past the largest float")

@@ -131,6 +131,61 @@ class TestBaseline:
         assert r.prob == pytest.approx(1.0)
 
 
+class TestExponentPastTheLargestFloat:
+    def test_a_finite_a_and_b_are_read_divided_through_by_t(self):
+        # where t^2 or b t overflowed, the bound read 0 with log_prob -inf, or
+        # 1, "inapplicable", at 1e308: it rose in t
+        a, b = 4.0 * E * E, 2.0 * E
+        rows = [B.evaluate_tail("thm2", profile(psi1=[1.0]), t) for t in (1e155, 1e307, 1e308)]
+        for r in rows:
+            assert (r.prob, r.note) == (0.0, "")
+            assert r.log_prob == -r.t / (a / r.t + b)
+        assert rows[2].log_prob == pytest.approx(-1e308 / b, rel=1e-15)
+        assert rows[0].log_prob > rows[1].log_prob > rows[2].log_prob
+        # rows with a finite t^2 and a + b t keep their bits
+        for t in (1.0, 1e100, 1e154):
+            assert B.evaluate_tail("thm2", profile(psi1=[1.0]), t).log_prob == -t * t / (a + b * t)
+        # an a / t that underflows, with b = 0, reads -inf
+        r = B.evaluate_tail("thm1", profile(psi2=[1e-160]), 1e300)
+        assert (r.prob, r.log_prob, r.note) == (0.0, -math.inf, "")
+
+
+class TestReads:
+    @pytest.mark.parametrize("kind", B.BOUND_KINDS)
+    def test_a_profile_of_its_row_alone_serves_the_kind(self, kind):
+        # the table says what _exponent reads: the row is enough, and every
+        # entry of it is needed
+        row = B.READS[kind]
+        entries = {name: (0.5, 1.5) for name in row}
+
+        def prof(names):
+            return B.ProxyProfile(n=2, l2p_order=2.0 if "l2p_per_coord" in row else None,
+                                  **{name: entries[name] for name in names})
+        r = B.evaluate_tail(kind, prof(row), 1.0)
+        assert 0.0 < r.prob < 1.0 and r.note == ""
+        assert B.invert_tail(kind, prof(row), 0.1).exact > 0.0
+        for name in row:
+            short = prof([n for n in row if n != name])
+            with pytest.raises(ValueError, match=f"^profile is missing {name}$"):
+                B.evaluate_tail(kind, short, 1.0)
+            with pytest.raises(ValueError, match=f"^profile is missing {name}$"):
+                B.invert_tail(kind, short, 0.1)
+
+    def test_the_derived_names(self):
+        assert B.BOUND_KINDS == ("thm1", "thm2", "thm3", "thm3-psi2-variant", "bounded-difference")
+        assert B.PSI2_KINDS == ("thm1", "thm3-psi2-variant")
+        assert set().union(*B.READS.values()) == set(B.ENTRIES)
+        assert B.reads(["thm3", "bounded-difference"]) == {
+            "psi1_per_coord", "l2p_per_coord", "ranges"}
+
+    def test_an_unknown_kind_is_a_value_error_that_names_it(self):
+        for call in (lambda: B.reads(["thm2", "thm9"]),
+                     lambda: B.evaluate_tail("thm9", profile(psi1=[1.0]), 1.0),
+                     lambda: B.invert_tail("thm9", profile(psi1=[1.0]), 0.1)):
+            with pytest.raises(ValueError, match=r"^unknown bound kind 'thm9'; known: \("):
+                call()
+
+
 class TestMonotonicity:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=6),

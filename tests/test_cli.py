@@ -79,6 +79,13 @@ class TestNorms:
         assert code == 0
         assert json.loads(out)["estimate"]["value"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_uncertified_norm_names_the_law_and_alpha(self, capsys):
+        # the message used to name neither
+        code, out, err = run(capsys, "norms", "--spec", config("exp1.json"), "--alpha", "2")
+        assert (code, out) == (1, "")
+        assert err == ("error: the psi2 norm of Exponential(rate=1.0) is not certified: the "
+                       "moment ratio still rises at p = 256, the end of the p-grid\n")
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "norms", "--spec", config("rademacher.json"),
                            "--alpha", "2", "--format", "csv")
@@ -222,6 +229,16 @@ class TestSpecMemo:
 
 
 class TestEntropyCheck:
+    def test_uncertified_psi2_norm_names_it(self, tmp_path, capsys):
+        # the sub-Gaussian lemma reads the psi2 norm; the message named no norm
+        spec = write_spec(tmp_path, {"kind": "finite_support", "values": [0, 1],
+                                     "probs": [1, 1e-200]})
+        code, out, err = run(capsys, "entropy-check", "--spec", spec)
+        assert (code, out) == (1, "")
+        assert err == ("error: the psi2 norm of FiniteSupport(values=(-1e-200, 1.0), probs="
+                       "(1.0, 1e-200)) is not certified: the moment ratio still rises at "
+                       "p = 256, the end of the p-grid\n")
+
     def test_rademacher(self, capsys):
         code, out, _ = run(capsys, "entropy-check", "--spec",
                            config("rademacher.json"), "--beta", "1.0")
@@ -841,6 +858,85 @@ UNCERTIFIED_PROXY_NORMS = {
 LAST_ARGS = {"bound": ["--t-grid", "1:5:3"], "invert": ["--delta", "0.01"],
              "verify": ["--t-grid", "1:5:3", "--n", "10000"],
              "compare": ["--t-grid", "1:5:3", "--n", "10000"]}
+
+
+# a bounded law whose psi norms are not certified: its atom of mass 1e-200
+# at 1 makes every moment ratio rise up to p_max
+TINY_ATOM = {"kind": "finite_support", "values": [0, 1], "probs": [1.0, 1e-200]}
+UNIFORM_01 = {"kind": "uniform", "lo": 0, "hi": 1}
+
+
+class TestBoundsReadOnlyTheirEntries:
+    def test_bounded_difference_reads_only_the_ranges(self, tmp_path, capsys):
+        # the profile built the psi1 norms too, so these exited 1 naming
+        # coordinate 0's psi1 norm
+        spec = write_spec(tmp_path, {"kind": "sum", "components": [TINY_ATOM, UNIFORM_01]})
+        code, out, err = run(capsys, "bound", "--spec", spec, "--bounds", "bounded-difference",
+                             "--t-grid", "1:2:2")
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["bounds"]["bounded-difference"]
+        assert [r["prob"] for r in rows] == [0.36787944117144233, 0.01831563888873418]
+        code, out, err = run(capsys, "invert", "--spec", spec, "--bounds", "bounded-difference",
+                             "--delta", "0.01")
+        inv = json.loads(out)["inversions"]["bounded-difference"]
+        assert (code, err) == (0, "")
+        assert inv["exact"] == inv["additive"] == 2.145966026289347
+        code, out, err = run(capsys, "verify", "--spec", spec, "--bounds", "bounded-difference",
+                             "--t-grid", "0.25:1:4", "--n", "100000", "--seed", "1")
+        assert (code, err) == (0, "") and json.loads(out)["verdict"] == "SOUND"
+
+    def test_an_unbounded_law_gives_the_inapplicable_bound(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"kind": "sum", "components": [
+            {"kind": "chi_squared", "dof": 1}, UNIFORM_01]})
+        code, out, err = run(capsys, "bound", "--spec", spec, "--bounds", "bounded-difference",
+                             "--t-grid", "1:2:2")
+        assert (code, err) == (0, "")
+        for row in json.loads(out)["bounds"]["bounded-difference"]:
+            assert (row["prob"], row["note"]) == (1.0, "inapplicable: a + b t is infinite")
+
+    @pytest.mark.parametrize("kind", ["thm1", "thm3-psi2-variant"])
+    def test_a_psi2_kind_names_the_psi2_norm(self, kind, tmp_path, capsys):
+        # the psi1 norm, which these kinds do not read, used to fail first
+        spec = write_spec(tmp_path, {"kind": "sum", "components": [TINY_ATOM, UNIFORM_01]})
+        code, out, err = run(capsys, "bound", "--spec", spec, "--bounds", kind, "--p", "2",
+                             "--t-grid", "1:2:2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: coordinate 0 (FiniteSupport(values=(0.0, 1.0), probs="
+                              "(1.0, 1e-200))): its psi2 moment ratio still rises at p_max, "
+                              "so the law is not shown to be sub-Gaussian")
+
+    def _norm_calls(self, monkeypatch):
+        cli.fn._kind_profile.cache_clear()      # a memoised profile reads no norm
+        calls = []
+        for name in ("psi_norm", "vector_norm_psi"):
+            def counted(law, alpha, _real=getattr(cli.fn, name), _name=name):
+                calls.append((_name, alpha))
+                return _real(law, alpha)
+            monkeypatch.setattr(cli.fn, name, counted)
+        return calls
+
+    def test_bounded_difference_reads_no_psi_norm(self, capsys, monkeypatch):
+        calls = self._norm_calls(monkeypatch)
+        code, _, _ = run(capsys, "bound", "--spec", config("sum_exp10.json"),
+                         "--bounds", "bounded-difference", "--t-grid", "1:2:2")
+        assert code == 0 and calls == []
+
+    def test_thm1_reads_only_psi2_norms(self, capsys, monkeypatch):
+        calls = self._norm_calls(monkeypatch)
+        code, _, _ = run(capsys, "bound", "--spec", config("gauss_norm.json"),
+                         "--bounds", "thm1", "--t-grid", "1:2:2")
+        assert code == 0 and ("vector_norm_psi", 2) in calls
+        assert {alpha for _, alpha in calls} == {2}
+
+    def test_a_bound_past_the_largest_float_stays_monotone(self, capsys):
+        # b t overflowed at 1e308, which read 1.0 and "inapplicable" after 0.0
+        code, out, err = run(capsys, "bound", "--spec", config("exp1.json"), "--bounds", "thm2",
+                             "--t-grid", "1e307:1e308:2")
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["bounds"]["thm2"]
+        assert [r["prob"] for r in rows] == [0.0, 0.0]
+        assert all("note" not in r for r in rows)
+        assert rows[0]["log_prob"] > rows[1]["log_prob"] > -math.inf
 
 
 class TestUncertifiedProxyNorms:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy import stats
 
 import exact
 from adaptive import adaptive_log_moment
+from lighttails import bounds as B
 from lighttails import distributions as D
 from lighttails import functions as F
 from lighttails import orlicz as O
@@ -540,23 +542,55 @@ class TestProxyProfile:
                 F.proxy_profile(fspec, kinds=kinds)
             assert not isinstance(info.value, F.NotSubGaussianError)
 
-    @pytest.mark.parametrize("with_psi2", [True, False])
-    @pytest.mark.parametrize("p", [None, 2.0])
+    @pytest.mark.parametrize("p, names", [
+        (None, ("psi1_per_coord", "ranges")), (None, ("psi2_per_coord",)),
+        (2.0, ("psi1_per_coord", "l2p_per_coord")), (2.0, PROFILE_ENTRIES)],
+        ids=["psi1-ranges", "psi2", "psi1-l2p", "all"])
     @pytest.mark.parametrize("fspec", CATALOGUE, ids=[f.kind for f in CATALOGUE])
-    def test_memoised_profile_equals_a_fresh_one(self, fspec, p, with_psi2):
+    def test_memoised_profile_equals_a_fresh_one(self, fspec, p, names):
+        # the memo is keyed on (fspec, p, entries): a hit is the profile a
+        # fresh build gives, and an error (an entry the kind has not, or the
+        # psi2 norm of the exponential sum) is raised alike on every call
+        names = frozenset(names)
         try:
-            fresh = fspec.proxy_profile(p, with_psi2)
-        except F.NotSubGaussianError as exc:    # psi2 of the exponential sum
+            fresh = F._kind_profile.__wrapped__(fspec, p, names)
+        except ValueError as exc:
             for _ in range(2):
-                with pytest.raises(F.NotSubGaussianError) as info:
-                    F._kind_profile(fspec, p, with_psi2)
+                with pytest.raises(type(exc)) as info:
+                    F._kind_profile(fspec, p, names)
                 assert str(info.value) == str(exc)
             return
-        memo = F._kind_profile(fspec, p, with_psi2)
-        assert memo == fresh and F._kind_profile(fspec, p, with_psi2) is memo
-        # an int p is the same key, and gives the same profile
+        memo = F._kind_profile(fspec, p, names)
+        assert memo == fresh and F._kind_profile(fspec, p, names) is memo
+        assert {name for name in PROFILE_ENTRIES if getattr(memo, name) is not None} == names
+        # an int p is the same key, and the p of a profile without 2p-norms
+        # is no part of the key
         if p is not None:
             assert F.proxy_profile(fspec, p=2) == F.proxy_profile(fspec, p=2.0)
+        assert F.proxy_profile(fspec, p=2.0, kinds=["bounded-difference"]) is \
+            F.proxy_profile(fspec, kinds=["bounded-difference"])
+
+    @pytest.mark.parametrize("fspec", CATALOGUE, ids=[f.kind for f in CATALOGUE])
+    def test_a_profile_holds_exactly_its_kinds_rows(self, fspec):
+        served = 0
+        for r in range(1, len(B.BOUND_KINDS) + 1):
+            for kinds in itertools.combinations(B.BOUND_KINDS, r):
+                want = frozenset().union(*(B.READS[k] for k in kinds))
+                try:
+                    prof = F.proxy_profile(fspec, p=2.0, kinds=kinds)
+                except ValueError:
+                    # only a psi2 norm or an entry the kind has not fails here
+                    assert want & {"psi2_per_coord", "l2p_per_coord"}
+                    continue
+                served += 1
+                assert {name for name in PROFILE_ENTRIES if getattr(prof, name) is not None} == want
+                assert (prof.l2p_order is None) == ("l2p_per_coord" not in want)
+        # the thm2 and bounded-difference kind sets serve every kind
+        assert served >= 3
+
+    def test_an_unknown_kind_is_a_value_error_that_names_it(self):
+        with pytest.raises(ValueError, match="^unknown bound kind 'thm9'; known: "):
+            F.proxy_profile(CATALOGUE[0], kinds=["thm2", "thm9"])
 
     def test_uncertified_profile_fails_alike_twice(self):
         # the bench template sum:poisson+chi-squared-1; errors are not memoised

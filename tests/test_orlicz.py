@@ -86,8 +86,9 @@ class TestPsiNorm:
 
     def test_p_max_too_small(self):
         # an exponential variable is not sub-Gaussian; the psi2 ratio grows
-        with pytest.raises(O.PMaxTooSmallError, match="^moment ratio still rises at p = 256, "
-                           "the end of the p-grid, so the norm is not certified$"):
+        with pytest.raises(O.PMaxTooSmallError, match=r"^the psi2 norm of Centered\(base=Exponential"
+                           r"\(rate=1\.0\)\) is not certified: the moment ratio still rises at "
+                           r"p = 256, the end of the p-grid$"):
             O.psi_norm(D.Centered(D.Exponential(1.0)), 2)
 
     def test_norm_past_the_largest_float_names_the_law(self):
