@@ -25,8 +25,8 @@ for t, emp, (lo, hi) in zip(grid, est.empirical_tail, est.intervals()):
 print()
 print("verdict against the sub-exponential bound:")
 report = check_bounds(est, bounds_on_grid(fspec, ["thm2"], grid))
-for t, b, v in zip(grid, report.bound_probs["thm2"], report.verdicts):
-    print(f"  t = {t:5.1f}: bound {b:.3e} -> {v}")
+for row in report.rows:
+    print(f"  t = {row['t']:5.1f}: bound {row['bounds']['thm2']:.3e} -> {row['verdict']}")
 print(f"  overall: {report.verdict}")
 
 print()
@@ -35,8 +35,8 @@ coin = SumFunction([D.Rademacher()])
 est = estimate_tail(coin, [0.5], 10 ** 6, seed=1)
 bad = falsified_bounds(bounds_on_grid(coin, ["thm2"], [0.5]))
 report = check_bounds(est, bad)
-lo = report.cp_lower[0]
-b = report.bound_probs["thm2-falsified"][0]
+lo = report.rows[0]["cp_lower"]
+b = report.rows[0]["bounds"]["thm2-falsified"]
 print(f"  CP lower limit {lo:.5f} > falsified bound {b:.5f}"
       f" -> {report.verdict}")
 

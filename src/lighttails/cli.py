@@ -2,8 +2,9 @@
 emit machine-readable reports.
 
 Exit codes: 0 success (and SOUND verifications), 1 usage or config errors,
-inputs a library call refuses (a ValueError) and norms or moments that
-cannot be certified, 2 bound VIOLATION.  Artifacts are written atomically.
+inputs a library call refuses (a ValueError), norms or moments that
+cannot be certified and an --output that cannot be written, 2 bound
+VIOLATION.  Artifacts are written atomically.
 Every JSON output and every key,value CSV output embeds the tool version,
 the seed of a command that takes one, and a digest of the effective config;
 the verify and compare CSV table holds the report rows only.
@@ -349,18 +350,25 @@ def _json_text(o, nl="\n"):
 
 
 def _emit(args, text):
+    """Write text to stdout, or atomically to --output through a temp file
+    in its directory; a path that cannot be written is a UsageError that
+    names --output and the reason, and leaves no temp file."""
     if args.output is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(args.output))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lighttails-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lighttails-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, args.output)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write --output {args.output}: "
+                             f"{exc.strerror or exc}") from None
         raise
 
 
@@ -382,6 +390,7 @@ def _cmd_norms(args):
 def _cmd_entropy_check(args):
     _check_number("beta", args.beta)
     _check_number("p", args.p, lambda v: v > 1, "a finite number > 1")
+    _check_number("p", args.p, lambda v: math.isfinite(2 * v), "a number whose double is finite")
     spec, _, _, digest = _request(args, scalar=True)
     fs = dist.finite_support(spec)
     if fs is None:

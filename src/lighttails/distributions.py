@@ -183,6 +183,7 @@ class Distribution(Spec):
         is not a continuous family or Poisson (see `standard_form`)."""
         return None
     def expectation(self): return canonical(self).expectation()
+    def mgf(self, beta): raise NotImplementedError    # a family with no closed form
     def squared_mgf(self, beta): return _squared_mgf(*_chain(self), beta, self.support())
 
     def _push(self, op, c):
@@ -442,8 +443,15 @@ class UniformInterval(_Continuous):
                         -math.log(self.hi - self.lo), -np.inf)
 
     def mgf(self, beta):
-        w = self.hi - self.lo
-        return (math.exp(beta * self.hi) - math.exp(beta * self.lo)) / (beta * w)
+        # e^(beta mid) sinh(x) / x at x = |beta| w / 2, which below x = 1
+        # does not cancel at small beta as e^(beta hi) - e^(beta lo) does;
+        # past it, e^(beta top) (1 - e^(-2x)) / 2x, top the end beta favours
+        x = abs(beta) * (0.5 * self.hi - 0.5 * self.lo)
+        if x < 1.0:
+            mid = 0.5 * self.lo + 0.5 * self.hi
+            return math.exp(beta * mid) * (math.sinh(x) / x if x else 1.0)
+        top = self.hi if beta > 0 else self.lo
+        return math.exp(beta * top) * -math.expm1(-2.0 * x) / (2.0 * x)
 
     def _affine(self, op, c):
         if op == "shift":
@@ -1019,7 +1027,8 @@ def _memo_moments(law, ps):
 
 def mgf(spec, beta: float) -> float:
     """E[exp(beta * X)], raising MomentDivergenceError if infinite, and a
-    SpecError that names spec and beta where it overflows a float."""
+    SpecError that names spec and beta where it overflows a float or the
+    law's family has no closed form (Chi, UniformGap)."""
     form = canonical(spec)
     beta = float(beta)
     if not beta:
@@ -1028,6 +1037,8 @@ def mgf(spec, beta: float) -> float:
         value = form.mgf(beta)
     except OverflowError:
         value = math.inf
+    except NotImplementedError:
+        raise SpecError(f"the MGF of {spec} at beta={beta!r} has no closed form") from None
     if not value < math.inf:    # inf, or NaN from inf - inf
         raise SpecError(f"the MGF of {spec} at beta={beta!r} overflows a float")
     return value
@@ -1087,9 +1098,7 @@ def _squared_mgf(base, steps, beta, support):
 
 def _logsumexp(terms):
     terms = np.asarray(terms, dtype=float)
-    m = np.max(terms) if len(terms) else -math.inf
-    if m == -math.inf:
-        return -math.inf
+    m = np.max(terms)
     return float(m + math.log(np.sum(np.exp(terms - m))))
 
 

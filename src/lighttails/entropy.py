@@ -309,8 +309,6 @@ def entropy_bound_holder(y: dist.FiniteSupport, p: float, variant: str = "psi1")
         raise ValueError(f"variant must be 'psi1' or 'psi2', got {variant!r}")
     values, probs = _centered_arrays(y)
     q = p / (p - 1.0)
-    # ||Y^2||_p exact on finite support
-    y2p = math.fsum(probs * np.abs(values) ** (2 * p)) ** (1.0 / p)
     label, alpha, factor = (("q*psi1", 1, q) if variant == "psi1"
                             else ("sqrt(q)*psi2", 2, math.sqrt(q)))
     norm = psi_norm(y, alpha).value
@@ -318,5 +316,7 @@ def entropy_bound_holder(y: dist.FiniteSupport, p: float, variant: str = "psi1")
         raise LemmaHypothesisError(
             f"lemma hypothesis not met: {label} = {factor * norm} >= 1/e")
     denom = (1.0 - E * factor * norm) ** 2
+    # ||Y^2||_p = (E|Y|^2p)^(1/p), read in logs so that no power overflows
+    y2p = math.exp(dist.log_abs_moment(y, 2 * p) / p)
     s = _entropy(values, probs)
     return s, y2p / (2.0 * denom)

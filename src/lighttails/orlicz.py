@@ -251,10 +251,15 @@ def mgf_bound_check(spec, beta):
 
     Returns (mgf, bound); the sub-Gaussian MGF bound asserts mgf <= bound.
     psi_2 is `psi_norm(spec, 2)`, memoised, so a beta sweep computes it once.
+    A bound past the largest float is a SpecError that names spec and beta.
     """
     mu = dist.mean(spec)
     if abs(mu) > 1e-9:
         raise ValueError(f"spec must be centered, got mean {mu}")
     m = dist.mgf(spec, beta)
-    bound = math.exp(4.0 * E * beta ** 2 * psi_norm(spec, 2).value ** 2)
+    try:
+        bound = math.exp(4.0 * E * beta ** 2 * psi_norm(spec, 2).value ** 2)
+    except OverflowError:
+        raise dist.SpecError(f"the sub-Gaussian MGF bound of {spec} at beta={float(beta)!r} "
+                             "overflows a float") from None
     return m, bound

@@ -3,13 +3,15 @@ binomial confidence intervals, checked against the closed-form bounds.
 
 A bound is never declared tight, only SOUND or VIOLATION: VIOLATION means
 the Clopper-Pearson lower confidence limit (or an exact enumerated tail)
-exceeds the bound at some grid point.
+exceeds the bound at some grid point.  A `VerificationReport` is its
+rows, one dict per grid point that `check_bounds` builds once; `to_dict`
+and `report_to_csv` read them.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -161,35 +163,22 @@ def falsified_bounds(bounds: dict) -> dict:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Per-threshold verdicts plus the sampling facts needed to reproduce
-    them."""
-    t_grid: tuple
-    empirical: tuple
-    cp_lower: tuple
-    cp_upper: tuple
+    """Per-threshold rows plus the facts needed to reproduce them.  A row
+    is the dict `to_dict` prints: t, empirical, cp_lower, cp_upper, bounds
+    (kind -> prob over the kinds in order) and verdict ("SOUND" or
+    "VIOLATION"); `compare_bounds` adds ratios_log10 (kind -> log10 ratio).
+    The sampling facts are None for an exact tail list."""
     kinds: tuple
-    bound_probs: dict            # kind -> tuple of probs over the grid
-    verdicts: tuple              # per-t: "SOUND" | "VIOLATION"
+    rows: tuple
     verdict: str
     cp_level: float
-    n_samples: Optional[int]
-    seed: Optional[int]
-    mean_value: Optional[float]
-    mean_half_width: Optional[float]
-    ratios_log10: dict = field(default_factory=dict)
+    n_samples: Optional[int] = None
+    seed: Optional[int] = None
+    mean_value: Optional[float] = None
+    mean_half_width: Optional[float] = None
 
     def to_dict(self):
-        rows = []
-        for i, t in enumerate(self.t_grid):
-            row = {"t": t, "empirical": self.empirical[i],
-                   "cp_lower": self.cp_lower[i], "cp_upper": self.cp_upper[i],
-                   "bounds": {k: self.bound_probs[k][i] for k in self.kinds},
-                   "verdict": self.verdicts[i]}
-            if self.ratios_log10:
-                row["ratios_log10"] = {k: self.ratios_log10[k][i]
-                                       for k in self.kinds}
-            rows.append(row)
-        d = {"rows": rows, "verdict": self.verdict, "cp_level": self.cp_level}
+        d = {"rows": list(self.rows), "verdict": self.verdict, "cp_level": self.cp_level}
         for key in ("n_samples", "seed", "mean_value", "mean_half_width"):
             if getattr(self, key) is not None:
                 d[key] = getattr(self, key)
@@ -220,9 +209,7 @@ def check_bounds(est, bounds: dict) -> VerificationReport:
                 abs(a - b) > 1e-12 for a, b in zip(est.t_grid, ref)):
             raise ValueError("estimate grid does not match bound grid")
         emp = est.empirical_tail
-        ivs = est.intervals()
-        lo = tuple(iv[0] for iv in ivs)
-        hi = tuple(iv[1] for iv in ivs)
+        lo, hi = zip(*est.intervals())
         facts = dict(cp_level=est.cp_level, n_samples=est.n_samples, seed=est.seed,
                      mean_value=est.mean_value, mean_half_width=est.mean_half_width)
     else:
@@ -230,66 +217,51 @@ def check_bounds(est, bounds: dict) -> VerificationReport:
         if len(emp) != len(ref):
             raise ValueError("exact tail list does not match bound grid")
         lo = hi = emp
-        facts = dict(cp_level=1.0, n_samples=None, seed=None, mean_value=None,
-                     mean_half_width=None)
+        facts = dict(cp_level=1.0)
 
-    probs = {k: tuple(r.prob for r in bounds[k]) for k in kinds}
     for k in kinds:     # lo > NaN is False, which would read SOUND
-        for t, prob in zip(ref, probs[k]):
-            if math.isnan(prob):
+        for t, r in zip(ref, bounds[k]):
+            if math.isnan(r.prob):
                 raise ValueError(f"bound {k} is NaN at t={t}")
-    verdicts = []
-    for i in range(len(ref)):
-        bad = any(lo[i] > probs[k][i] for k in kinds)
-        verdicts.append("VIOLATION" if bad else "SOUND")
-    overall = "VIOLATION" if "VIOLATION" in verdicts else "SOUND"
-    return VerificationReport(
-        t_grid=ref, empirical=emp, cp_lower=lo, cp_upper=hi, kinds=kinds,
-        bound_probs=probs, verdicts=tuple(verdicts), verdict=overall, **facts)
+    rows = []
+    for i, t in enumerate(ref):
+        probs = {k: bounds[k][i].prob for k in kinds}
+        bad = any(lo[i] > b for b in probs.values())
+        rows.append({"t": t, "empirical": emp[i], "cp_lower": lo[i], "cp_upper": hi[i],
+                     "bounds": probs, "verdict": "VIOLATION" if bad else "SOUND"})
+    overall = "VIOLATION" if any(r["verdict"] == "VIOLATION" for r in rows) else "SOUND"
+    return VerificationReport(kinds=kinds, rows=tuple(rows), verdict=overall, **facts)
 
 
 def compare_bounds(fspec, kinds, t_grid, n_samples, seed, p=None,
                    threads=1) -> VerificationReport:
-    """Single estimation pass, all requested bounds, log10 tightness ratios
-    (bound over empirical; inf where no exceedance was observed).  The
-    bounds come first, so a profile error costs no samples."""
+    """Single estimation pass, all requested bounds, and each row's log10
+    tightness ratios (bound over empirical; inf where no exceedance was
+    observed, -inf where the bound is 0).  The bounds come first, so a
+    profile error costs no samples."""
     bounds = bounds_on_grid(fspec, kinds, t_grid, p=p)
     est = estimate_tail(fspec, t_grid, n_samples, seed, threads=threads)
     report = check_bounds(est, bounds)
-    ratios = {}
-    for k in report.kinds:
-        col = []
-        for b, e in zip(report.bound_probs[k], report.empirical):
-            if e == 0.0:
-                col.append(math.inf)
-            elif b == 0.0:
-                col.append(-math.inf)
-            else:
-                col.append(math.log10(b / e))
-        ratios[k] = tuple(col)
-    return replace(report, ratios_log10=ratios)
-
-
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+    rows = []
+    for row in report.rows:
+        e = row["empirical"]
+        ratios = {k: math.inf if e == 0.0 else -math.inf if b == 0.0 else math.log10(b / e)
+                  for k, b in row["bounds"].items()}
+        rows.append({**row, "ratios_log10": ratios})
+    return replace(report, rows=tuple(rows))
 
 
 def report_to_csv(report: VerificationReport) -> str:
     """Fixed column order: t, empirical, cp_lo, cp_hi, one column per bound
-    kind (plus ratio columns when present), verdict.  Floats use shortest
-    round-trip decimals."""
-    cols = ["t", "empirical", "cp_lo", "cp_hi"] + list(report.kinds)
-    if report.ratios_log10:
+    kind (plus ratio columns when the rows have them), verdict.  Each number
+    is written with repr, its shortest round-trip decimal."""
+    ratios = any("ratios_log10" in row for row in report.rows)
+    cols = ["t", "empirical", "cp_lo", "cp_hi", *report.kinds]
+    if ratios:
         cols += [f"ratio_log10_{k}" for k in report.kinds]
-    cols.append("verdict")
-    lines = [",".join(cols)]
-    for i in range(len(report.t_grid)):
-        row = [report.t_grid[i], report.empirical[i], report.cp_lower[i],
-               report.cp_upper[i]]
-        row += [report.bound_probs[k][i] for k in report.kinds]
-        if report.ratios_log10:
-            row += [report.ratios_log10[k][i] for k in report.kinds]
-        lines.append(",".join(_fmt(x) for x in row) + "," + report.verdicts[i])
+    lines = [",".join(cols + ["verdict"])]
+    for row in report.rows:
+        cells = [row["t"], row["empirical"], row["cp_lower"], row["cp_upper"],
+                 *row["bounds"].values(), *row.get("ratios_log10", {}).values()]
+        lines.append(",".join(map(repr, cells)) + "," + row["verdict"])
     return "\n".join(lines) + "\n"

@@ -29,6 +29,15 @@ class TestProxyProfile:
         with pytest.raises(ValueError, match="l2p_order"):
             B.ProxyProfile(n=1, l2p_per_coord=[1.0])
 
+    def test_needs_a_coordinate(self):
+        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
+            B.ProxyProfile(n=0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_tail_needs_a_positive_t(self, t):
+        with pytest.raises(ValueError, match=rf"^t must be positive, got {t}$"):
+            B.evaluate_tail("thm2", profile(psi1=[1.0]), t)
+
     def test_derived(self):
         prof = profile(psi1=[3.0, 4.0])
         assert prof.v1 == pytest.approx(25.0)
@@ -249,6 +258,12 @@ class TestOptimizationLemma:
         g03 = -0.3 + 0.09 / 0.7
         assert grid_min <= g03 + 1e-12
         assert grid_min <= rhs + 1e-9
+
+    @pytest.mark.parametrize("c, b, t", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)])
+    def test_inputs_must_be_positive(self, c, b, t):
+        with pytest.raises(ValueError, match=rf"^C, b, t must all be positive, got "
+                                             rf"\({c}, {b}, {t}\)$"):
+            B.optimization_lemma(c, b, t)
 
     def test_t_to_zero(self):
         rhs, grid_min = B.optimization_lemma(1.0, 1.0, 1e-9)

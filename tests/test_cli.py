@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import lighttails
 from adaptive import adaptive_log_moment
+from lighttails import applications as apps
 from lighttails import cli
 from lighttails import distributions as D
 from lighttails import functions as fn
@@ -266,6 +268,21 @@ class TestEntropyCheck:
         code, _, err = run(capsys, "entropy-check", "--spec", config("exp1.json"))
         assert code == 1 and "finite-support" in err
 
+    def test_holder_at_a_large_p_holds(self, tmp_path, capsys):
+        # 0.3^2000 underflowed: "bound": 0.0, "holds": false
+        spec = write_spec(tmp_path, {"kind": "finite_support", "values": [-0.3, 0.3],
+                                     "probs": [0.5, 0.5]})
+        code, out, err = run(capsys, "entropy-check", "--spec", spec, "--p", "1000")
+        assert (code, err) == (0, "")
+        holder = json.loads(out)["holder"]
+        assert holder["holds"] is True
+        assert holder["bound"] == pytest.approx(1.3335159584070306, rel=1e-12)
+
+    def test_p_whose_double_overflows(self, capsys):
+        assert run(capsys, "entropy-check", "--spec", config("rademacher.json"),
+                   "--p", "1e308") == (
+            1, "", "error: --p must be a number whose double is finite, got 1e+308\n")
+
 
 class TestBoundAndInvert:
     def test_bound_grid(self, capsys):
@@ -370,6 +387,20 @@ class TestAppbound:
                            "--delta", "0.01")
         assert code == 1 and "--psi2" in err
 
+    @pytest.mark.parametrize("argv, want", [
+        (["vector-iii", "--l2p", "1.5", "--psi1", "0.7", "--p", "3", "--n", "200",
+          "--delta", "0.02"], apps.vector_bound_iii(1.5, 0.7, 3.0, 200, 0.02)),
+        (["rademacher", "--rad-expectation", "0.25", "--lip", "2", "--psi1", "0.7",
+          "--n", "200", "--delta", "0.02"],
+         apps.rademacher_generalization_bound(0.25, 2.0, 0.7, 200, 0.02)),
+        (["regression", "--lip", "2", "--psi1", "0.7", "--psi1-z", "0.3", "--n", "200",
+          "--delta", "0.02"], apps.regression_bound(2.0, 0.7, 0.3, 200, 0.02)),
+    ], ids=["vector-iii", "rademacher", "regression"])
+    def test_value_is_the_library_bound(self, argv, want, capsys):
+        code, out, err = run(capsys, "appbound", "--app", *argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == want
+
 
 class TestVerifyCommand:
     def test_sound_run(self, capsys):
@@ -414,6 +445,18 @@ class TestVerifyCommand:
             assert json.load(fh)["command"] == "norms"
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".lighttails-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("where, reason", [("", errno.EISDIR),
+                                               ("missing/out.json", errno.ENOENT)],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_output_is_one_error_line(self, where, reason, tmp_path, capsys):
+        # an IsADirectoryError and a FileNotFoundError traceback
+        path = str(tmp_path / where)
+        code, out, err = run(capsys, "norms", "--spec", config("rademacher.json"),
+                             "--alpha", "1", "--output", path)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write --output {path}: {os.strerror(reason)}\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["verify", "compare"])
     def test_json_envelope_comes_first(self, command, capsys):

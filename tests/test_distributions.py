@@ -52,6 +52,10 @@ class TestSampling:
         vals = D.sample(D.FiniteSupport((0.0,), (1.0,)), seed=3, count=10)
         assert np.all(vals == 0.0)
 
+    def test_no_draws_is_an_error(self):
+        with pytest.raises(D.SpecError, match=r"^count must be >= 1, got 0$"):
+            D.sample(D.Gaussian(), seed=1, count=0)
+
     def test_exponential_mean(self):
         vals = D.sample(D.Exponential(1.0), seed=1, count=10 ** 6)
         assert abs(vals.mean() - 1.0) < 0.01
@@ -152,6 +156,12 @@ class TestMoments:
     def test_p_below_one_rejected(self):
         with pytest.raises(ValueError):
             D.lp_norm(D.Rademacher(), 0.5)
+
+    @pytest.mark.parametrize("spec", [D.Gaussian(), D.Centered(D.Poisson(1.5)),
+                                      D.FiniteSupport((0.0,), (1.0,))], ids=str)
+    def test_order_zero_is_ln_one(self, spec):
+        # E|X|^0 = 1, the a.s. zero variable too, with no moment work
+        assert D.log_abs_moment(spec, 0) == 0.0
 
     def test_poisson_series_beyond_its_cap_is_refused_before_it_is_built(self):
         # its first pass of 200064 terms for 34 orders peaked at 157 MiB
@@ -270,7 +280,16 @@ NUMERIC_LAWS = [
     D.Centered(D.Poisson(1.5)),
     D.Centered(D.SquareOf(D.Poisson(1.3))),
 ]
-ORDERS = np.exp(np.linspace(0.0, math.log(256.0), 17))
+# np.exp(np.linspace(0, ln 256, 17)) as numpy 2.4 rounds it with its AVX-512
+# kernels, written out bit for bit: other SIMD paths of np.exp move some
+# entries by an ulp, which would move the pins read at these orders
+ORDERS = np.array([float.fromhex(h) for h in (
+    "0x1.0000000000000p+0", "0x1.6a09e667f3bccp+0", "0x1.0000000000000p+1", "0x1.6a09e667f3bccp+1",
+    "0x1.0000000000000p+2", "0x1.6a09e667f3bccp+2", "0x1.ffffffffffffep+2", "0x1.6a09e667f3bccp+3",
+    "0x1.fffffffffffffp+3", "0x1.6a09e667f3bccp+4", "0x1.0000000000000p+5", "0x1.6a09e667f3bcdp+5",
+    "0x1.ffffffffffffdp+5", "0x1.6a09e667f3bcap+6", "0x1.ffffffffffffdp+6", "0x1.6a09e667f3bcbp+7",
+    "0x1.ffffffffffffep+7",
+)])
 
 
 class TestBatchedMoments:
@@ -778,6 +797,29 @@ class TestMgf:
     def test_square_unbounded_diverges_for_positive_beta(self):
         with pytest.raises(D.MomentDivergenceError):
             D.mgf(D.SquareOf(D.Exponential(1.0)), 0.1)
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.5, 0.5), (0.2, 1.5), (-3.0, -1.0)])
+    @pytest.mark.parametrize("beta", [1e-8, 1e-7, 1e-6, -1e-6, 1e-3, 0.7, -3.0, 40.0])
+    def test_uniform_has_no_cancellation(self, lo, hi, beta):
+        # e^(beta mid) sinh(x) / x at x = beta w / 2, by exact rationals in
+        # the sinh series; the difference quotient was 2.9e-11 off at 1e-6
+        x, mid = Fraction(beta) * (Fraction(hi) - Fraction(lo)) / 2, (Fraction(lo) + Fraction(hi)) / 2
+        ratio = sum(x ** (2 * k) / math.factorial(2 * k + 1) for k in range(60))
+        want = math.exp(beta * float(mid)) * float(ratio)
+        assert D.mgf(D.UniformInterval(lo, hi), beta) == pytest.approx(want, rel=2e-15)
+
+    def test_centered_uniform_is_at_least_one(self):
+        # the MGF of a centered law is >= 1 (Jensen); at 1e-7 it read below 1
+        for beta in (1e-9, 1e-8, 1e-7, -1e-7, 1e-6):
+            assert D.mgf(D.Centered(D.UniformInterval(0.0, 1.0)), beta) >= 1.0
+
+    @pytest.mark.parametrize("spec", [D.Chi(3, 1.0), D.UniformGap(1.0),
+                                      D.Scaled(D.Chi(3, 1.0), 2.0)], ids=repr)
+    def test_a_family_with_no_closed_form_names_the_law(self, spec):
+        # Chi and UniformGap have no mgf method: an AttributeError
+        with pytest.raises(D.SpecError) as info:
+            D.mgf(spec, 0.3)
+        assert str(info.value) == f"the MGF of {spec} at beta=0.3 has no closed form"
 
     @pytest.mark.parametrize("spec, beta", [
         (D.Gaussian(0.0, 1e200), 1.0),

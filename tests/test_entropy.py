@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from lighttails import distributions as D
 from lighttails import entropy as ent
+from lighttails.orlicz import psi_norm
 
 E = math.e
 
@@ -443,6 +444,24 @@ class TestEntropyBounds:
                     continue
                 assert s <= bound + 1e-10
                 done += 1
+
+    @pytest.mark.parametrize("p", [1000.0, 1e300])
+    def test_holder_at_a_large_p(self, p):
+        # ||Y^2||_p of |Y| = 0.3 is 0.09 at every p; in linear space
+        # 0.3^(2p) underflowed and the bound read 0.0 < S(Y)
+        y = D.FiniteSupport([-0.3, 0.3], [0.5, 0.5])
+        s, bound = ent.entropy_bound_holder(y, p)
+        q, psi1 = p / (p - 1.0), psi_norm(y, 1).value
+        assert bound == pytest.approx(0.09 / (2 * (1 - E * q * psi1) ** 2), rel=1e-12)
+        assert s <= bound
+
+    def test_holder_checks_its_hypothesis_before_any_moment(self):
+        # E|Y|^4 of atoms at 1e200 overflowed with numpy's RuntimeWarning
+        # before the hypothesis failed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ent.LemmaHypothesisError):
+                ent.entropy_bound_holder(D.FiniteSupport([-1e200, 1e200], [0.5, 0.5]), 2.0)
 
     def test_holder_hypothesis_error(self):
         with pytest.raises(ent.LemmaHypothesisError):

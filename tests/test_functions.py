@@ -789,6 +789,8 @@ class TestSpecChecks:
         ({**PSA_D, "projections": [P01, [[1.0, 0.0], [0.0, 1.0]]]},
          '"$": projections[1] has trace 2.0, expected subspace_dim 1'),
         ({**SEEDED_D, "subspace_dim": 3}, '"$": subspace_dim 3 exceeds ambient_dim 2'),
+        ({k: v for k, v in SEEDED_D.items() if k != "net_seed"},
+         '"$": kind \'psa_reconstruction\' needs projections, or net_size and net_seed'),
         ({**SEEDED_D, "input": GAUSS_D}, '"$.input": expected a vector spec of dim 2'),
         ({**METRIC_D, "maps": ["abs", "sin"]},
          '"$": maps and coordinate_dists must have equal length'),

@@ -886,6 +886,20 @@ class TestMgfBound:
                 mgf, bound = O.mgf_bound_check(spec, beta)
                 assert mgf <= bound * (1 + 1e-9)
 
+    @pytest.mark.parametrize("beta", [1e-6, 1e-7, 1e-8, -1e-7])
+    def test_uniform_at_small_beta(self, beta):
+        # the difference quotient (e^(beta hi) - e^(beta lo)) / (beta w)
+        # cancelled: 2.9e-11 above the bound at 1e-6, below 1 at 1e-7
+        mgf, bound = O.mgf_bound_check(D.Centered(D.UniformInterval(0.0, 1.0)), beta)
+        assert 1.0 <= mgf <= bound
+
+    def test_bound_past_the_largest_float_names_the_law(self):
+        # exp(4 e beta^2 psi2^2) ended in a bare OverflowError
+        with pytest.raises(D.SpecError) as info:
+            O.mgf_bound_check(D.Rademacher(), 100.0)
+        assert str(info.value) == ("the sub-Gaussian MGF bound of Rademacher() at "
+                                   "beta=100.0 overflows a float")
+
     def test_uncentered_rejected(self):
         with pytest.raises(ValueError, match="centered"):
             O.mgf_bound_check(D.Exponential(1.0), 0.5)

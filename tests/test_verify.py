@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -220,7 +221,7 @@ class TestCheckBounds:
         bounds = V.bounds_on_grid(sum_of(D.Rademacher(), 2), ["thm1", "thm2"], grid)
         report = V.check_bounds(tails, bounds)
         assert report.verdict == "SOUND"
-        assert report.verdicts == ("SOUND",) * 3
+        assert [row["verdict"] for row in report.rows] == ["SOUND"] * 3
         assert report.to_dict()["rows"][0]["t"] == 0.5
 
     def test_falsified_violation(self):
@@ -292,14 +293,15 @@ class TestCompareBounds:
         report = V.compare_bounds(fspec, ["thm2", "bounded-difference"], grid,
                                   5 * 10 ** 4, seed=17)
         assert report.verdict == "SOUND"
-        assert set(report.ratios_log10) == {"thm2", "bounded-difference"}
+        assert all(set(row["ratios_log10"]) == {"thm2", "bounded-difference"}
+                   for row in report.rows)
         # slack is positive where exceedances were seen, inf where none
-        r2 = report.ratios_log10["thm2"]
+        r2 = [row["ratios_log10"]["thm2"] for row in report.rows]
         assert r2[0] > 0
         assert r2[-1] == math.inf
         # the baseline is vacuous here, the new bound is not
-        assert report.bound_probs["bounded-difference"] == (1.0, 1.0, 1.0)
-        assert report.bound_probs["thm2"][1] < 1.0
+        assert [row["bounds"]["bounded-difference"] for row in report.rows] == [1.0, 1.0, 1.0]
+        assert report.rows[1]["bounds"]["thm2"] < 1.0
 
     def test_thm1_wins_at_large_t_for_gaussians(self):
         fspec = sum_of(D.Gaussian(0.0, 1.0), 5)
@@ -313,6 +315,25 @@ class TestCompareBounds:
         grid = [0.5]
         out = V.bounds_on_grid(fspec, ["thm2", "thm3"], grid, p=2.0)
         assert out["thm3"][0].prob < out["thm2"][0].prob
+
+
+class TestReportRows:
+    def test_the_rows_are_the_only_per_threshold_data(self):
+        fspec = sum_of(D.Exponential(1.0), 3)
+        report = V.compare_bounds(fspec, ["thm2", "bounded-difference"], [1.0, 4.0],
+                                  10 ** 4, seed=19)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "kinds", "rows", "verdict", "cp_level", "n_samples", "seed", "mean_value",
+            "mean_half_width"]
+        assert report.to_dict()["rows"] == list(report.rows)
+        assert list(report.rows[0]) == ["t", "empirical", "cp_lower", "cp_upper", "bounds",
+                                        "verdict", "ratios_log10"]
+        # one CSV line per row, each number its repr
+        lines = V.report_to_csv(report).strip().split("\n")[1:]
+        for line, row in zip(lines, report.rows, strict=True):
+            cells = [row["t"], row["empirical"], row["cp_lower"], row["cp_upper"],
+                     *row["bounds"].values(), *row["ratios_log10"].values()]
+            assert line == ",".join(map(repr, cells)) + "," + row["verdict"]
 
 
 class TestCsv:
@@ -329,4 +350,4 @@ class TestCsv:
         first = lines[1].split(",")
         assert first[0] == "1.0" and first[-1] == "SOUND"
         # floats round-trip exactly through repr
-        assert float(first[4]) == V.compare_bounds(fspec, **kwargs).bound_probs["thm2"][0]
+        assert float(first[4]) == V.compare_bounds(fspec, **kwargs).rows[0]["bounds"]["thm2"]
