@@ -90,9 +90,7 @@ def _add_arguments(name, p):
     elif name == "invert":
         p.add_argument("--delta", type=float, required=True)
     elif name == "appbound":
-        p.add_argument("--app", required=True,
-                       choices=("vector-i", "vector-ii", "vector-iii", "psa",
-                                "rademacher", "regression", "metric"))
+        p.add_argument("--app", required=True, choices=tuple(_APPS))
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--psi1", default=None, help="value or comma-separated list")
@@ -392,14 +390,13 @@ def _cmd_entropy_check(args):
     _check_number("p", args.p, lambda v: v > 1, "a finite number > 1")
     _check_number("p", args.p, lambda v: math.isfinite(2 * v), "a number whose double is finite")
     spec, _, _, digest = _request(args, scalar=True)
-    fs = dist.finite_support(spec)
-    if fs is None:
+    y = dist.canonical(spec)    # each lemma reads Y - E Y
+    if not isinstance(y, dist.FiniteSupport):
         raise UsageError("entropy-check needs a finite-support distribution")
-    values, probs = fs
-    mu = float(np.dot(values, probs))
-    y = dist.FiniteSupport(values - mu, probs)
     try:        # the subgaussian lemma checks beta before any sum
         subgaussian = _lemma_check(ent.entropy_bound_subgaussian, y, args.beta)
+    except dist.SpecError:      # a law the lemmas refuse whatever beta is
+        raise
     except ValueError as exc:
         raise UsageError(f"--beta is too large for this law: {exc}")
     payload = {"beta": args.beta, "subgaussian": subgaussian,

@@ -356,8 +356,7 @@ class Gaussian(_Continuous):
         # (X / sd)^2 is noncentral chi-squared with one degree of freedom
         s = 1.0 - 2.0 * beta * self.sd ** 2
         if s <= 0:
-            raise MomentDivergenceError(
-                f"MGF of a squared Gaussian diverges at beta={beta}")
+            raise MomentDivergenceError
         return s ** -0.5 * math.exp(beta * self.mean ** 2 / s)
 
     def _affine(self, op, c):
@@ -391,8 +390,7 @@ class Exponential(_Continuous):
 
     def mgf(self, beta):
         if beta >= self.rate:
-            raise MomentDivergenceError(
-                f"MGF of Exponential(rate={self.rate}) diverges at beta={beta}")
+            raise MomentDivergenceError
         return self.rate / (self.rate - beta)
 
 
@@ -538,8 +536,7 @@ class ChiSquared(_Continuous):
 
     def mgf(self, beta):
         if beta >= 0.5:
-            raise MomentDivergenceError(
-                f"MGF of ChiSquared diverges at beta={beta} >= 1/2")
+            raise MomentDivergenceError
         return (1.0 - 2.0 * beta) ** (-self.dof / 2)
 
 
@@ -1026,9 +1023,9 @@ def _memo_moments(law, ps):
 
 
 def mgf(spec, beta: float) -> float:
-    """E[exp(beta * X)], raising MomentDivergenceError if infinite, and a
-    SpecError that names spec and beta where it overflows a float or the
-    law's family has no closed form (Chi, UniformGap)."""
+    """E[exp(beta * X)]: a MomentDivergenceError where it is infinite, and
+    a SpecError where it overflows a float or the law's family has no
+    closed form (Chi, UniformGap), each naming spec and beta."""
     form = canonical(spec)
     beta = float(beta)
     if not beta:
@@ -1039,6 +1036,8 @@ def mgf(spec, beta: float) -> float:
         value = math.inf
     except NotImplementedError:
         raise SpecError(f"the MGF of {spec} at beta={beta!r} has no closed form") from None
+    except MomentDivergenceError:
+        raise MomentDivergenceError(f"the MGF of {spec} at beta={beta!r} diverges") from None
     if not value < math.inf:    # inf, or NaN from inf - inf
         raise SpecError(f"the MGF of {spec} at beta={beta!r} overflows a float")
     return value
@@ -1088,8 +1087,7 @@ def _zeros(steps):
 def _squared_mgf(base, steps, beta, support):
     """E exp(beta g(X)^2) for g the map steps with range in `support`."""
     if beta > 0 and max(-support[0], support[1]) == math.inf:
-        raise MomentDivergenceError(
-            f"MGF of a squared unbounded variable diverges at beta={beta}")
+        raise MomentDivergenceError
 
     def log_g(x):
         return _apply(steps, x) ** 2

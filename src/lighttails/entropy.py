@@ -15,8 +15,12 @@ estimate exceeds _TOL times max(1, |integral|).
 
 A finite law is a `distributions.FiniteSupport`, and its values and probs
 are read in the order given, not sorted: the g of `tilted_expect` and the
-axes of a ProductTable's f_table are aligned to that order.  The psi norms
-of the bound lemmas are `orlicz.psi_norm` of the law.
+axes of a ProductTable's f_table are aligned to that order.  The bound
+lemmas, `log_mgf_via_entropy` and `fluctuation_entropy` read Y - E Y as
+the canonical form of `distributions.Centered(y)`, sorted, the centering
+every sum proxy reads.  S and the MGF of Y - E Y do not change when Y is
+shifted, so a lemma on an uncentered law is the lemma on its centered
+law; its psi norms are `orlicz.psi_norm` of that law.
 """
 from __future__ import annotations
 
@@ -45,7 +49,7 @@ _TOL = 1e-9                     # the relative error gate of `_integral`
 
 
 class LemmaHypothesisError(ValueError):
-    """The bound's hypothesis (centering / norm smallness) is not met."""
+    """The bound's hypothesis, that a psi norm of Y - E Y is small, is not met."""
 
 
 def _arrays(y, name="y"):
@@ -54,8 +58,12 @@ def _arrays(y, name="y"):
     return np.array(y.values), np.array(y.probs)
 
 
-def _mean(values, probs):
-    return math.fsum(probs * values)
+def _centered(y):
+    """The law of Y - E Y for the FiniteSupport y: canonical(Centered(y)),
+    the one centering rule of the package, which every sum proxy reads too.
+    Its values are sorted."""
+    dist._instance(y, "y", dist.FiniteSupport, "FiniteSupport")
+    return dist.canonical(dist.Centered(y))
 
 
 @dataclass(frozen=True)
@@ -132,7 +140,7 @@ def _entropy_rows(rows, probs):
 def _entropy(values, probs):
     m, w, z = _tilt_weights(values, probs)
     if m - values.min() <= _SMALL:
-        return float(_small(values - _mean(values, probs), probs)[1])
+        return float(_small(values - math.fsum(probs * values), probs)[1])
     return math.fsum(w * (values - m)) / z - math.log(z)
 
 
@@ -180,15 +188,15 @@ def _integral(f, b, spread):
 
 
 def log_mgf_via_entropy(y: dist.FiniteSupport, beta: float):
-    """Both sides of ln E[e^(beta(Y-EY))] = beta * int_0^beta S(gamma Y)/gamma^2.
+    """Both sides of ln E[e^(beta(Y-EY))] = beta * int_0^beta S(gamma Y)/gamma^2,
+    each read on Y - E Y.
 
     Returns (direct, integral); the identity asserts their equality.  The
     integrand tends to Var(Y)/2 as gamma -> 0, where `_small` reads it.
     """
-    values, probs = _arrays(y)
+    c, probs = _arrays(_centered(y))
     if beta == 0.0:
         return 0.0, 0.0
-    c = values - _mean(values, probs)
     spread = np.ptp(c)
 
     def integrand(g):
@@ -204,9 +212,8 @@ def log_mgf_via_entropy(y: dist.FiniteSupport, beta: float):
 
 def fluctuation_entropy(y: dist.FiniteSupport) -> float:
     """S(Y) = int_0^1 s Var_{sY}(Y) ds: the tilted variance integrated over
-    {0 <= t <= s <= 1}, an independent route to entropy(y)."""
-    values, probs = _arrays(y)
-    c = values - _mean(values, probs)
+    {0 <= t <= s <= 1}, read on Y - E Y, an independent route to entropy(y)."""
+    c, probs = _arrays(_centered(y))
 
     def integrand(s):
         t = s[..., None] * c
@@ -253,52 +260,42 @@ def subadditivity_gap(table: ProductTable, gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Entropy bound lemmas
+# Entropy bound lemmas: each reads Y - E Y, `_centered(y)`
 
 def entropy_bound_subgaussian(y: dist.FiniteSupport, beta: float):
-    """(S(beta Y), bound) with bound = min(ln E[e^(2 beta Y)], 16e beta^2 psi2^2).
-
-    S is shift invariant, so Y is centered internally before the psi_2
-    based part; the contract is s <= bound.  Raises ValueError naming beta
-    when 2 beta (Y - E Y) overflows.
+    """(S(beta Y), bound) with bound = min(ln E[e^(2 beta Y)], 16e beta^2 psi2^2)
+    for Y - E Y, which has the same S; the contract is s <= bound.  Raises
+    ValueError naming beta when 2 beta (Y - E Y) overflows.
     """
-    values, probs = _arrays(y)
-    centered = values - _mean(values, probs)
-    if not math.isfinite(2.0 * (beta * float(np.max(np.abs(centered))))):
+    y = _centered(y)
+    c, probs = _arrays(y)
+    if not math.isfinite(2.0 * (beta * float(np.max(np.abs(c))))):
         raise ValueError(f"beta={beta!r} overflows 2 beta (Y - E Y)")
-    s = _entropy(beta * centered, probs)
+    s = _entropy(beta * c, probs)
     if beta == 0.0:
         return 0.0, 0.0
-    bound_mgf = _log_mgf(centered, probs, 2.0 * beta)
-    psi2 = psi_norm(dist.FiniteSupport(centered, probs), 2).value
+    bound_mgf = _log_mgf(c, probs, 2.0 * beta)
+    psi2 = psi_norm(y, 2).value
     bound_psi = 16.0 * E * (beta * beta) * (psi2 * psi2)
     return s, min(bound_mgf, bound_psi)
 
 
-def _centered_arrays(y):
-    """(values, probs) of y, which must be centered to 1e-12."""
-    values, probs = _arrays(y)
-    mu = _mean(values, probs)
-    if abs(mu) > 1e-12:
-        raise LemmaHypothesisError(
-            f"lemma hypothesis not met: E[Y] = {mu}, expected 0")
-    return values, probs
-
-
 def entropy_bound_subexponential(y: dist.FiniteSupport):
-    """(S(Y), e^2 psi1^2 / (1 - e psi1)^2) for centered Y with psi1 < 1/e."""
-    values, probs = _centered_arrays(y)
+    """(S(Y), e^2 psi1^2 / (1 - e psi1)^2) with psi1 the norm of Y - E Y,
+    which must be below 1/e."""
+    y = _centered(y)
     psi1 = psi_norm(y, 1).value
     if not psi1 < 1.0 / E:
         raise LemmaHypothesisError(
             f"lemma hypothesis not met: psi1 = {psi1} >= 1/e")
-    s = _entropy(values, probs)
+    s = _entropy(*_arrays(y))
     bound = E ** 2 * psi1 ** 2 / (1.0 - E * psi1) ** 2
     return s, bound
 
 
 def entropy_bound_holder(y: dist.FiniteSupport, p: float, variant: str = "psi1"):
-    """(S(Y), ||Y^2||_p / (2 (1 - e q psi1)^2)) for conjugate q = p/(p-1).
+    """(S(Y), ||Y^2||_p / (2 (1 - e q psi1)^2)) for conjugate q = p/(p-1),
+    with the norms those of Y - E Y and q psi1 below 1/e.
 
     variant="psi2" replaces q * psi1 by sqrt(q) * psi2 in the denominator
     (with the correspondingly stronger hypothesis psi2 < 1/(e sqrt(q))).
@@ -307,7 +304,7 @@ def entropy_bound_holder(y: dist.FiniteSupport, p: float, variant: str = "psi1")
         raise ValueError(f"p must exceed 1, got {p}")
     if variant not in ("psi1", "psi2"):
         raise ValueError(f"variant must be 'psi1' or 'psi2', got {variant!r}")
-    values, probs = _centered_arrays(y)
+    y = _centered(y)
     q = p / (p - 1.0)
     label, alpha, factor = (("q*psi1", 1, q) if variant == "psi1"
                             else ("sqrt(q)*psi2", 2, math.sqrt(q)))
@@ -318,5 +315,5 @@ def entropy_bound_holder(y: dist.FiniteSupport, p: float, variant: str = "psi1")
     denom = (1.0 - E * factor * norm) ** 2
     # ||Y^2||_p = (E|Y|^2p)^(1/p), read in logs so that no power overflows
     y2p = math.exp(dist.log_abs_moment(y, 2 * p) / p)
-    s = _entropy(values, probs)
+    s = _entropy(*_arrays(y))
     return s, y2p / (2.0 * denom)

@@ -247,18 +247,19 @@ def concentrated_variable_bounds(eps: float):
 
 
 def mgf_bound_check(spec, beta):
-    """MGF of a centered variable against exp(4e beta^2 psi_2^2).
+    """MGF of X - E X against exp(4e beta^2 psi_2^2), for X of law spec.
 
     Returns (mgf, bound); the sub-Gaussian MGF bound asserts mgf <= bound.
-    psi_2 is `psi_norm(spec, 2)`, memoised, so a beta sweep computes it once.
-    A bound past the largest float is a SpecError that names spec and beta.
+    Both read `dist.Centered(spec)`, the one centering rule: the MGF of
+    X - E X does not change when X is shifted, so the check on an
+    uncentered law is the check on its centered law.  psi_2 is
+    `psi_norm`, memoised, so a beta sweep computes it once.  A bound past
+    the largest float is a SpecError that names spec and beta.
     """
-    mu = dist.mean(spec)
-    if abs(mu) > 1e-9:
-        raise ValueError(f"spec must be centered, got mean {mu}")
-    m = dist.mgf(spec, beta)
+    centered = dist.Centered(spec)
+    m = dist.mgf(centered, beta)
     try:
-        bound = math.exp(4.0 * E * beta ** 2 * psi_norm(spec, 2).value ** 2)
+        bound = math.exp(4.0 * E * beta ** 2 * psi_norm(centered, 2).value ** 2)
     except OverflowError:
         raise dist.SpecError(f"the sub-Gaussian MGF bound of {spec} at beta={float(beta)!r} "
                              "overflows a float") from None

@@ -264,6 +264,26 @@ class TestEntropyCheck:
                    "--beta=1e308") == (1, "", "error: --beta is too large for this law: "
                                        "beta=1e+308 overflows 2 beta (Y - E Y)\n")
 
+    def test_one_entropy_across_the_blocks(self, tmp_path, capsys):
+        # the sub-Gaussian block centered the centered law once more and
+        # read 0.0005795506551927248, 2 ulps above the other blocks
+        spec = write_spec(tmp_path, {"kind": "finite_support", "values": [-0.1, -0.03, 0.02],
+                                     "probs": [0.1, 0.6, 0.3]})
+        code, out, err = run(capsys, "entropy-check", "--spec", spec, "--beta", "1", "--p", "2")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        entropies = {doc[block]["entropy"] for block in ("subgaussian", "subexponential", "holder")}
+        assert len(entropies) == 1
+        assert entropies.pop() == pytest.approx(0.0005795506551927246, rel=1e-12, abs=0.0)
+
+    def test_a_law_whose_centering_overflows_is_one_error_line(self, tmp_path, capsys):
+        # Y - E Y overflowed in numpy's subtract, a RuntimeWarning traceback
+        spec = write_spec(tmp_path, {"kind": "finite_support", "values": [-1.7e308, 1.7e308],
+                                     "probs": [0.9, 0.1]})
+        assert run(capsys, "entropy-check", "--spec", spec) == (
+            1, "", "error: FiniteSupport(values=(-1.7e+308, 1.7e+308), probs=(0.9, 0.1)) after "
+            "the map step ('shift', 1.3600000000000001e+308): values must be finite, got inf\n")
+
     def test_continuous_rejected(self, capsys):
         code, _, err = run(capsys, "entropy-check", "--spec", config("exp1.json"))
         assert code == 1 and "finite-support" in err

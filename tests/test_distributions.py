@@ -798,6 +798,25 @@ class TestMgf:
         with pytest.raises(D.MomentDivergenceError):
             D.mgf(D.SquareOf(D.Exponential(1.0)), 0.1)
 
+    @pytest.mark.parametrize("spec, beta, message", [
+        (D.Scaled(D.Exponential(1.0), 2.0), 0.6,
+         "the MGF of Scaled(base=Exponential(rate=1.0), factor=2.0) at beta=0.6 diverges"),
+        (D.Shifted(D.Scaled(D.ChiSquared(3), -4.0), 1.0), -0.2,
+         "the MGF of Shifted(base=Scaled(base=ChiSquared(dof=3), factor=-4.0), offset=1.0) "
+         "at beta=-0.2 diverges"),
+        (D.SquareOf(D.Gaussian(1.0, 2.0)), 0.125,
+         "the MGF of SquareOf(base=Gaussian(mean=1.0, sd=2.0)) at beta=0.125 diverges"),
+        (D.SquareOf(D.Exponential(1.0)), 1,
+         "the MGF of SquareOf(base=Exponential(rate=1.0)) at beta=1.0 diverges"),
+    ], ids=["scaled-exponential", "shifted-chi-squared", "squared-gaussian",
+            "squared-unbounded"])
+    def test_a_divergence_names_the_law_and_beta_passed(self, spec, beta, message):
+        # each named the inner law and the inner beta: Exponential(rate=1.0)
+        # at beta=1.2, ChiSquared at beta=0.8 >= 1/2
+        with pytest.raises(D.MomentDivergenceError) as info:
+            D.mgf(spec, beta)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-0.5, 0.5), (0.2, 1.5), (-3.0, -1.0)])
     @pytest.mark.parametrize("beta", [1e-8, 1e-7, 1e-6, -1e-6, 1e-3, 0.7, -3.0, 40.0])
     def test_uniform_has_no_cancellation(self, lo, hi, beta):

@@ -421,8 +421,9 @@ class TestEntropyBounds:
     def test_subexponential_hypothesis_errors(self):
         with pytest.raises(ent.LemmaHypothesisError, match="hypothesis"):
             ent.entropy_bound_subexponential(D.FiniteSupport([-1.0, 1.0], [0.5, 0.5]))
-        with pytest.raises(ent.LemmaHypothesisError):
-            ent.entropy_bound_subexponential(D.FiniteSupport([0.0, 0.2], [0.5, 0.5]))
+        # an uncentered law is read as Y - E Y: {0, 0.2} is the lemma on +-0.1
+        assert ent.entropy_bound_subexponential(D.FiniteSupport([0.0, 0.2], [0.5, 0.5])) == (
+            ent.entropy_bound_subexponential(D.FiniteSupport([-0.1, 0.1], [0.5, 0.5])))
 
     def test_holder_two_point(self):
         y = D.FiniteSupport([-0.05, 0.05], [0.5, 0.5])
@@ -475,3 +476,32 @@ class TestEntropyBounds:
         with pytest.raises(ValueError) as info:
             ent.entropy_bound_holder(D.FiniteSupport([-0.05, 0.05], [0.5, 0.5]), p, variant)
         assert str(info.value) == message
+
+
+# laws of 2-5 distinct atoms k / 2^10, |k| <= 80, and shifts j / 2^10,
+# |j| <= 2^10, so that every shifted atom is exact and the two laws differ
+# only by the rounding of their means
+small_laws = st.integers(2, 5).flatmap(lambda m: st.tuples(
+    st.lists(st.integers(-80, 80), min_size=m, max_size=m, unique=True),
+    st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)))
+LEMMAS = {
+    "subgaussian": lambda y: ent.entropy_bound_subgaussian(y, 1.5),
+    "subexponential": ent.entropy_bound_subexponential,
+    "holder-psi1": lambda y: ent.entropy_bound_holder(y, 2.0),
+    "holder-psi2": lambda y: ent.entropy_bound_holder(y, 3.0, variant="psi2"),
+}
+
+
+class TestShiftInvariance:
+    """Each lemma reads Y - E Y, so a law and its shifts give one result;
+    the sub-exponential and Holder lemmas refused an uncentered law."""
+
+    @pytest.mark.parametrize("lemma", sorted(LEMMAS))
+    @settings(max_examples=40, deadline=None)
+    @given(law=small_laws, shift=st.integers(-2 ** 10, 2 ** 10))
+    def test_a_shifted_law_gives_the_same_result(self, lemma, law, shift):
+        atoms, weights = law
+        y = build((np.array(atoms) / 2 ** 10, weights))
+        s, bound = LEMMAS[lemma](y)
+        assert LEMMAS[lemma](shifted(y, shift / 2 ** 10)) == (
+            pytest.approx(s, rel=1e-12, abs=0.0), pytest.approx(bound, rel=1e-12, abs=0.0))

@@ -901,5 +901,29 @@ class TestMgfBound:
                                    "beta=100.0 overflows a float")
 
     def test_uncentered_rejected(self):
-        with pytest.raises(ValueError, match="centered"):
+        # the check reads Exp(1) - 1, which is not sub-Gaussian: it fails on
+        # that law's psi2 norm, where it used to refuse the mean 1
+        with pytest.raises(O.PMaxTooSmallError) as info:
             O.mgf_bound_check(D.Exponential(1.0), 0.5)
+        assert str(info.value) == (
+            "the psi2 norm of Centered(base=Exponential(rate=1.0)) is not certified: "
+            "the moment ratio still rises at p = 256, the end of the p-grid")
+
+    @pytest.mark.parametrize("beta", [1e-3, 1.0, 1e3])
+    def test_a_small_uncentered_law_is_read_centered(self, beta):
+        # mean 5e-11 passed an absolute |mean| <= 1e-9 test as centered, and
+        # the MGF of the uncentered law, 1.00000000000005 at 1e-3, exceeded
+        # the bound
+        spec = D.Scaled(D.UniformInterval(0.0, 1.0), 1e-10)
+        mgf, bound = O.mgf_bound_check(spec, beta)
+        assert mgf <= bound
+        assert (mgf, bound) == O.mgf_bound_check(D.Centered(spec), beta)
+
+    def test_a_centered_law_is_read_as_given(self):
+        # criterion 2's laws: every pair is the one read on the law itself
+        for spec in [D.Gaussian(0, 1), D.Rademacher(),
+                     D.Centered(D.UniformInterval(0.0, 1.0))]:
+            psi2 = O.psi_norm(spec, 2).value
+            for beta in np.linspace(-5, 5, 101):
+                assert O.mgf_bound_check(spec, beta) == (
+                    D.mgf(spec, beta), math.exp(4.0 * E * beta ** 2 * psi2 ** 2))
