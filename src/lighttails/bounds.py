@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "ProxyProfile", "TailBoundResult", "InversionResult", "evaluate_tail",
+    "ProxyProfile", "TailBoundResult", "InversionResult", "evaluate_tail", "evaluate_tail_grid",
     "invert_tail", "optimization_lemma", "BOUND_KINDS", "PSI2_KINDS", "READS", "reads", "ENTRIES",
 ]
 
@@ -158,9 +158,16 @@ def _exponent(kind, profile, p):
 def evaluate_tail(kind, profile, t, p=None) -> TailBoundResult:
     """The named bound at t.  The thm3 kinds use the 2p-norms of order p,
     by default the profile's own l2p_order."""
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return _tail(kind, t, *_exponent(kind, profile, p))
+    return evaluate_tail_grid(kind, profile, (t,), p)[0]
+
+
+def evaluate_tail_grid(kind, profile, t_grid, p=None) -> list:
+    """evaluate_tail at each t of t_grid, from one (a, b) of the kind."""
+    for t in t_grid:
+        if not t > 0:
+            raise ValueError(f"t must be positive, got {t}")
+    a, b = _exponent(kind, profile, p)
+    return [_tail(kind, t, a, b) for t in t_grid]
 
 
 # ---------------------------------------------------------------------------

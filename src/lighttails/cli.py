@@ -135,13 +135,62 @@ def _parse_args(argv):
     """The Namespace the top-level parser gives for argv.  All that parser
     does with an argv that starts with a command is hand the rest to the
     command's sub-parser, so such an argv goes to that sub-parser, built
-    alone; --help, --version, no command and an unknown one take the
-    top-level parser."""
+    alone, through `_fast_parse` where it can answer; --help, --version, no
+    command and an unknown one take the top-level parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv or argv[0] not in _SUBCOMMANDS:
         return _build_parser().parse_args(argv)
-    args = _sub_parser(argv[0]).parse_args(argv[1:])
+    parser = _sub_parser(argv[0])
+    args = _fast_parse(parser, argv[1:])
+    if args is None:
+        args = parser.parse_args(argv[1:])
     args.command = argv[0]
+    return args
+
+
+def _fast_parse(parser, argv):
+    """parser.parse_args(argv) in one pass over parser's own flag table, for
+    an argv of distinct exact --flag value pairs and store_true flags whose
+    values argparse reads as values and accepts; each value goes through its
+    action's type and choices, and the defaults and required flags are
+    argparse's.  None for any other argv (-h, an abbreviation, --flag=value,
+    a repeated flag, --, a value with a leading '-' that is not a number, a
+    bad value, a missing flag), which parse_args then answers."""
+    given = {}
+    tokens = iter(argv)
+    for flag in tokens:
+        action = parser._option_string_actions.get(flag)
+        if action in given:
+            return None
+        if isinstance(action, argparse._StoreConstAction):     # store_true
+            given[action] = action.const
+            continue
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None
+        text = next(tokens, None)
+        if text is None or text[:1] == "-" and not parser._negative_number_matcher.match(text):
+            return None
+        try:
+            given[action] = parser._get_value(action, text)
+            parser._check_value(action, given[action])
+        except argparse.ArgumentError:
+            return None
+    args = argparse.Namespace()
+    for action in parser._actions:
+        if action in given:
+            value = given[action]
+        elif action.required:
+            return None
+        elif action.default is argparse.SUPPRESS:     # -h
+            continue
+        else:   # argparse runs a str default through the type, as a value
+            value = action.default
+            if isinstance(value, str):
+                try:
+                    value = parser._get_value(action, value)
+                except argparse.ArgumentError:
+                    return None
+        setattr(args, action.dest, value)
     return args
 
 
@@ -200,7 +249,7 @@ class _BadSpecText(Exception):
 
 
 def _load_spec(path, scalar=False):
-    """(spec, digest payload) of the spec file at path: a function spec, or
+    """(spec, payload text) of the spec file at path: a function spec, or
     a scalar distribution if scalar is set.  Decoding is memoised on the
     file's text, never on its path, so a rewritten file is decoded afresh;
     failures are not memoised."""
@@ -217,9 +266,10 @@ def _load_spec(path, scalar=False):
 
 @functools.lru_cache(maxsize=_SPEC_TEXTS)
 def _decode_spec_text(text, scalar):
-    """(spec, payload) of a spec file's text.  The payload is the spec's own
-    JSON form: equal specs may have different forms (a -0.0 or 0.0 field),
-    so the memo is keyed on the whole text, not on the spec or a hash."""
+    """(spec, payload text) of a spec file's text.  The payload text is the
+    spec's own JSON form, as the config digest encodes it: equal specs may
+    have different forms (a -0.0 or 0.0 field), so the memo is keyed on the
+    whole text, not on the spec or a hash."""
     try:
         raw = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -239,15 +289,23 @@ def _decode_spec_text(text, scalar):
         raise _BadSpecText(f": {exc}")
     if scalar and not isinstance(spec, dist.Distribution):
         raise _BadSpecText(': "$.spec": expected a scalar distribution')
-    return spec, dist.spec_to_dict(spec)
+    return spec, _SORTED_JSON(dist.spec_to_dict(spec))
 
 
-def _config_digest(args, spec_payload=None):
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "output"}
-    if spec_payload is not None:
-        cfg["spec_payload"] = spec_payload
-    blob = json.dumps(cfg, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+# json.dumps(o, sort_keys=True), without the encoder json.dumps builds per call
+_SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
+
+
+def _config_digest(args, payload_text=None):
+    """sha256 of json.dumps(config, sort_keys=True), config being the args
+    but --output plus any spec payload under "spec_payload": the payload
+    text is spliced in between the keys that sort below and above it."""
+    cfg = {k: v for k, v in vars(args).items() if k != "output"}
+    below = _SORTED_JSON({k: v for k, v in cfg.items() if k < "spec_payload"})
+    above = _SORTED_JSON({k: v for k, v in cfg.items() if k > "spec_payload"})
+    payload = None if payload_text is None else f'"spec_payload": {payload_text}'
+    blob = "{" + ", ".join(filter(None, (below[1:-1], payload, above[1:-1]))) + "}"
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _request(args, scalar=False):
@@ -255,14 +313,14 @@ def _request(args, scalar=False):
     is read, then --bounds, the thm3 kinds' --p and --t-grid are checked in
     that order where the command has them (kinds and t_grid are None where
     it has not), and the config is digested."""
-    spec, spec_payload = _load_spec(args.spec, scalar)
+    spec, payload_text = _load_spec(args.spec, scalar)
     kinds = t_grid = None
     if "bounds" in args:
         kinds = _parse_kinds(args.bounds)
         _check_thm3_p(kinds, args.p)
     if "t_grid" in args:
         t_grid = _parse_t_grid(args.t_grid)
-    return spec, kinds, t_grid, _config_digest(args, spec_payload)
+    return spec, kinds, t_grid, _config_digest(args, payload_text)
 
 
 def _envelope(args, digest, payload):

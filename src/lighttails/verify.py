@@ -18,7 +18,8 @@ import numpy as np
 from scipy.special import betaincinv
 
 from . import functions as fn
-from .bounds import TailBoundResult, evaluate_tail
+# evaluate_tail is not called here, but bench/tracing.py wraps it by this name
+from .bounds import TailBoundResult, evaluate_tail, evaluate_tail_grid  # noqa: F401
 from .entropy import ProductTable
 
 __all__ = [
@@ -146,7 +147,7 @@ def bounds_on_grid(fspec, kinds, t_grid, p=None) -> dict:
     analytic proxy profile."""
     t_grid = _check_grid(t_grid)
     profile = fn.proxy_profile(fspec, p=p, kinds=kinds)
-    return {k: [evaluate_tail(k, profile, t, p=p) for t in t_grid] for k in kinds}
+    return {k: evaluate_tail_grid(k, profile, t_grid, p=p) for k in kinds}
 
 
 def falsified_bounds(bounds: dict) -> dict:

@@ -180,6 +180,19 @@ class TestReads:
             with pytest.raises(ValueError, match=f"^profile is missing {name}$"):
                 B.invert_tail(kind, short, 0.1)
 
+    @pytest.mark.parametrize("kind", B.BOUND_KINDS)
+    def test_a_grid_reads_the_exponent_once(self, kind, monkeypatch):
+        prof = B.ProxyProfile(n=2, psi1_per_coord=(0.5, 1.5), psi2_per_coord=(0.7, 0.2),
+                              l2p_per_coord=(1.0, 2.0), l2p_order=2.0, ranges=(1.0, 3.0))
+        grid = [0.5, 1.0, 3.0, 1e300]
+        want = [B._tail(kind, t, *B._exponent(kind, prof, None)) for t in grid]
+        calls = []
+        exponent = B._exponent
+        monkeypatch.setattr(B, "_exponent", lambda *args: calls.append(args) or exponent(*args))
+        assert B.evaluate_tail_grid(kind, prof, grid) == want and len(calls) == 1
+        with pytest.raises(ValueError, match=r"^t must be positive, got 0.0$"):
+            B.evaluate_tail_grid(kind, prof, [1.0, 0.0])
+
     def test_the_derived_names(self):
         assert B.BOUND_KINDS == ("thm1", "thm2", "thm3", "thm3-psi2-variant", "bounded-difference")
         assert B.PSI2_KINDS == ("thm1", "thm3-psi2-variant")

@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import csv
 import dataclasses
 import errno
@@ -577,6 +579,20 @@ class TestDigestStability:
         digest3 = dict(line.split(",", 1) for line in out3.splitlines())["config_digest"]
         assert digest3 != json.loads(out1)["config_digest"]
 
+    @pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
+    def test_digest_is_of_the_config_encoded_whole(self, command, capsys):
+        # the digest splices the memoised payload text into the config; it
+        # must hash the bytes of the whole config encoded at once
+        argv = [command, *LIBRARY_CALLS[command][0]]
+        args = cli._parse_args(argv)
+        cfg = {k: v for k, v in vars(args).items() if k != "output"}
+        if "spec" in cfg:
+            spec, _ = cli._load_spec(args.spec, scalar=command in ("norms", "entropy-check"))
+            cfg["spec_payload"] = D.spec_to_dict(spec)
+        want = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["config_digest"] == want
+
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0 and out.strip()
@@ -677,6 +693,156 @@ class TestParserReuse:
         assert code == 0 and json.loads(out)["command"] == "norms"
         with pytest.raises(AssertionError, match="top-level parser"):
             cli.main(["--version"])
+
+
+def _argparse_answer(parser, argv):
+    """parser.parse_args(argv), or None where it is an error or -h."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return parser.parse_args(argv)
+    except (cli.UsageError, SystemExit):
+        return None
+
+
+# value tokens for a flag: its own choices and numbers, and the tokens with a
+# leading '-' that argparse reads as a number or as an option
+EDGE_VALUES = ["-1", "-1:2:3", "-.5", "-1e3", "-x", "--p", "--spec", "-", "", "x", "nan",
+               "-inf", "1e400", "0", "1.5", "1,2", " 1", "-1 x"]
+
+
+def _value_tokens(action):
+    if action.choices is not None:
+        good = st.sampled_from([str(c) for c in action.choices])
+    elif action.type is int:
+        good = st.integers(-10 ** 6, 10 ** 6).map(str)
+    elif action.type is float:
+        good = st.floats().map(repr) | st.integers(-99, 99).map(str)
+    else:
+        good = st.text(alphabet="ab,.:/-_1 =", max_size=8)
+    return st.integers(0, 3).flatmap(lambda k: good if k else st.sampled_from(EDGE_VALUES))
+
+
+def _mutate(draw, argv):
+    """argv with one change of a kind the fast parse defers on: -h, --, an
+    unknown flag, a dropped token, an abbreviated flag, --flag=value or a
+    repeated flag."""
+    i = draw(st.integers(0, len(argv)))
+    flags = [j for j, token in enumerate(argv) if token.startswith("--") and len(token) > 3]
+    j = draw(st.sampled_from(flags or [None]))
+    how = draw(st.sampled_from(["-h", "--", "--bogus", "drop", "abbreviate", "=", "repeat"]))
+    if how in ("-h", "--", "--bogus"):
+        return argv[:i] + [how] + argv[i:]
+    if how == "drop":
+        return argv[:i] + argv[i + 1:]
+    if j is None:
+        return argv
+    if how == "abbreviate":
+        return argv[:j] + [argv[j][:draw(st.integers(2, len(argv[j]) - 1))]] + argv[j + 1:]
+    if how == "=" and j + 1 < len(argv):
+        return argv[:j] + [f"{argv[j]}={argv[j + 1]}"] + argv[j + 2:]
+    return argv + argv[j:j + 2]     # a repeated flag
+
+
+@st.composite
+def command_argvs(draw, command):
+    """An argv of command's sub-parser: its flags in any order, each with a
+    value token, the required ones mostly present, then up to two mutations."""
+    parser = cli._sub_parser(command)
+    argv = []
+    for action in draw(st.permutations(parser._actions)):
+        if action.default is argparse.SUPPRESS or not (action.required or draw(st.booleans())):
+            continue
+        if action.required and draw(st.integers(0, 9)) == 0:
+            continue    # a missing required flag
+        argv.append(action.option_strings[0])
+        if action.nargs != 0:
+            argv.append(draw(_value_tokens(action)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        argv = _mutate(draw, argv)
+    return argv
+
+
+class TestFastParse:
+    """cli._fast_parse answers a well-formed argv as the command's
+    sub-parser would, and defers any other argv to that parser."""
+
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_an_answer_is_argparse_s(self, command, data):
+        argv = data.draw(command_argvs(command))
+        parser = cli._sub_parser(command)
+        fast = cli._fast_parse(parser, argv)
+        if fast is not None:        # repr, since NaN != NaN
+            assert repr(fast) == repr(_argparse_answer(parser, argv))
+
+    WELL_FORMED = [
+        *[[command, *argv] for command, (argv, _) in sorted(LIBRARY_CALLS.items())],
+        ["bound", "--spec", config("sum_exp10.json"), "--bounds", "thm2,thm3",
+         "--t-grid", "-1:2:3", "--p", "-.5", "--format", "csv", "--output", "out.csv"],
+        ["verify", "--negative-control", "--spec", config("exp1.json"), "--bounds", "thm2",
+         "--t-grid", "1:5:3", "--n", "10000", "--seed", "-3", "--threads", "2"],
+        ["appbound", "--app", "metric", "--diameters", "1,2", "--t", "nan", "--lip", "-1e3"],
+        ["entropy-check", "--spec", "", "--beta", " 1 "],
+    ]
+
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda argv: argv[0])
+    def test_a_well_formed_argv_is_answered(self, argv):
+        parser = cli._sub_parser(argv[0])
+        fast = cli._fast_parse(parser, argv[1:])
+        assert fast is not None and repr(fast) == repr(parser.parse_args(argv[1:]))
+
+    BOUND = ["bound", "--spec", config("exp1.json"), "--bounds", "thm2", "--t-grid", "1:5:3"]
+    DEFERRED = {
+        "help": BOUND + ["-h"],
+        "long-help": ["norms", "--help"],
+        "abbreviation": ["bound", "--spe", *BOUND[2:]],
+        "flag=value": ["bound", f"--spec={BOUND[2]}", *BOUND[3:]],
+        "repeated-flag": BOUND + ["--t-grid", "2:6:3"],
+        "repeated-store-true": ["verify", *BOUND[1:], "--n", "10000", "--negative-control",
+                                "--negative-control"],
+        "double-dash": ["bound", "--spec", "--", *BOUND[2:]],
+        "option-like-value": BOUND[:-1] + ["-x"],
+        "flag-as-value": ["bound", "--spec", "--bounds", "thm2", "--t-grid", "1:5:3"],
+        "missing-value": BOUND[:-1],
+        "bad-type": ["invert", *BOUND[1:5], "--delta", "x"],
+        "bad-choice": ["norms", "--spec", config("exp1.json"), "--alpha", "3"],
+        "missing-required-flag": ["norms", "--spec", config("exp1.json")],
+        "unknown-flag": BOUND + ["--bogus", "1"],
+        "extra-word": BOUND + ["extra"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(DEFERRED))
+    def test_deferred_argv_answers_as_argparse(self, case, capsys, monkeypatch):
+        argv = self.DEFERRED[case]
+        assert cli._fast_parse(cli._sub_parser(argv[0]), argv[1:]) is None
+        direct = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_parse_args", lambda a: cli._build_parser().parse_args(a))
+        assert run(capsys, *argv) == direct
+
+    def test_the_last_repeated_value_wins(self, capsys):
+        code, once, _ = run(capsys, *self.BOUND[:-1], "2:6:3")
+        assert code == 0 and run(capsys, *self.BOUND, "--t-grid", "2:6:3")[1] == once
+
+    CONFIGS = ("exp1", "rademacher", "gauss_norm", "sum_exp10", "sum_rademacher1")
+
+    def _corpus(self):
+        for name in self.CONFIGS:
+            spec = ["--spec", config(f"{name}.json")]
+            grid = ["--bounds", "thm1,thm2,thm3", "--t-grid", "1:10:4", "--p", "2"]
+            yield ["norms", *spec, "--alpha", "1"]
+            yield ["entropy-check", *spec, "--beta", "0.5", "--p", "2"]
+            yield ["bound", *spec, *grid, "--format", "csv"]
+            yield ["invert", *spec, "--bounds", "thm2,thm3", "--p", "2", "--delta", "0.01"]
+            yield ["verify", *spec, *grid, "--n", "10000", "--negative-control"]
+            yield ["compare", *spec, "--bounds", "thm2", "--t-grid", "1:10:4", "--n", "10000"]
+        yield ["appbound", "--app", "vector-ii", "--psi1", "1", "--n", "100", "--delta", "0.01"]
+
+    def test_the_configs_print_the_bytes_argparse_gives(self, capsys, monkeypatch):
+        fast = [run(capsys, *argv) for argv in self._corpus()]
+        monkeypatch.setattr(cli, "_fast_parse", lambda parser, argv: None)
+        assert [run(capsys, *argv) for argv in self._corpus()] == fast
+        assert {code for code, _, _ in fast} == {0, 1}
 
 
 # JSON documents as the library emits them and beyond: nested dicts, lists
