@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from . import distributions as dist
-from .bounds import TailBoundResult, _tail
+from .bounds import TailBoundResult, _lift, _squares, _tail
 from .orlicz import OrliczEstimate, psi_norm, scaled_estimate
 from .orlicz import psi_norm_finite  # noqa: F401 (bench/tracing.py wraps it here)
 
@@ -57,8 +57,9 @@ def vector_bound_i(psi1_per_coord, delta) -> float:
     if any(x < 0 for x in entries):
         raise PreconditionError("psi1 entries must be nonnegative")
     big_l = math.log(1.0 / delta)
-    v = math.fsum(x * x for x in entries)
-    return 4.0 * E * math.sqrt(v * big_l) + 4.0 * E * max(entries) * big_l
+    lift = _lift(max(entries))      # as bounds._exponent lifts entries
+    v = _squares(x * lift for x in entries)
+    return 4.0 * E * math.sqrt(v * big_l) / lift + 4.0 * E * max(entries) * big_l
 
 
 def vector_bound_ii(psi1, n, delta) -> float:
@@ -136,8 +137,12 @@ def metric_tail(lip, diameters, t) -> TailBoundResult:
         raise PreconditionError("diameters must be nonempty")
     if any(v < 0 for v in vals):
         raise PreconditionError("diameters must be nonnegative")
+    # L and the diameters are each lifted as bounds._exponent lifts entries
+    lip_lift, lift = _lift(lip), _lift(max(vals))
+    lip, vals = lip * lip_lift, [v * lift for v in vals]
     ssq = math.fsum(v * v for v in vals)
-    return _tail("metric", t, 4.0 * E * lip * lip * ssq, 2.0 * E * lip * max(vals))
+    return _tail("metric", t, t * lip_lift * lift, 4.0 * E * lip * lip * ssq,
+                 2.0 * E * lip * max(vals))
 
 
 # ---------------------------------------------------------------------------

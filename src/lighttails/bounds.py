@@ -10,7 +10,9 @@ Three headline bounds plus the classical bounded-difference baseline:
 with V_a the summed squared per-coordinate proxies and M the largest one;
 the baseline is exp(-2 t^2 / sum r_k^2).  Every bound is exp(-t^2 / (a + b t)),
 and one (a, b) table of the entries in `READS` serves evaluation and
-inversion.  All probabilities are evaluated in log space and clamped to (0, 1].
+inversion; entries below 1/2 are lifted by a power of two before they are
+squared, so they do not underflow.  All probabilities are evaluated in log
+space and clamped to (0, 1].
 """
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ __all__ = [
 E = math.e
 
 ENTRIES = ("psi1_per_coord", "psi2_per_coord", "l2p_per_coord", "ranges")  # of a ProxyProfile
-# bound kind -> the entries its exponent reads, in the order it checks them
+# bound kind -> the entries its exponent reads, in the order it checks them:
+# the first gives its sum of squares V (a), the last its largest entry M (b)
 READS = {
     "thm1": ("psi2_per_coord",),
     "thm2": ("psi1_per_coord",),
@@ -83,12 +86,17 @@ class ProxyProfile:
             if self.l2p_order is None or self.l2p_order <= 1:
                 raise ValueError("l2p_per_coord requires l2p_order > 1")
 
-    # derived proxies, of the entries that `_exponent` checks are there
-    v1 = property(lambda self: math.fsum(x * x for x in self.psi1_per_coord))
+    # derived proxies, as `_exponent` reads them from unlifted entries
+    v1 = property(lambda self: _squares(self.psi1_per_coord))
     m1 = property(lambda self: max(self.psi1_per_coord))
-    v2 = property(lambda self: math.fsum(x * x for x in self.psi2_per_coord))
+    v2 = property(lambda self: _squares(self.psi2_per_coord))
     m2 = property(lambda self: max(self.psi2_per_coord))
-    v2p = property(lambda self: math.fsum(x * x for x in self.l2p_per_coord))
+    v2p = property(lambda self: _squares(self.l2p_per_coord))
+
+
+def _squares(entries):
+    """V, the sum of the squared entries."""
+    return math.fsum(x * x for x in entries)
 
 
 @dataclass(frozen=True)
@@ -107,22 +115,33 @@ class TailBoundResult:
         return d
 
 
-def _tail(kind, t, a, b):
-    """exp(-t^2 / (a + b t)), clamped to (0, 1]; a = b = 0 means f is a.s.
-    constant, and an infinite a or b (an infinite proxy or range) gives the
-    bound 1, which says nothing.  Where t^2 or a + b t is past the largest
-    float, the exponent is read divided through by t, -t / (a/t + b)."""
+def _lift(top):
+    """The power of two that brings top, the largest entry a bound reads,
+    into [1/2, 1) where it is below 1/2, so that the squares of the entries
+    do not underflow, and 1 otherwise.  A power of two scales a float
+    exactly, so a lift changes no bit of a bound where nothing underflows."""
+    if not top < 0.5:
+        return 1.0
+    return math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
+
+
+def _tail(kind, t, u, a, b):
+    """The bound at t, exp(-u^2 / (a + b u)) with u = t lifted as a and b
+    were, clamped to (0, 1]; a = b = 0 means f is a.s. constant, and an
+    infinite a or b (an infinite proxy or range) gives the bound 1, which
+    says nothing.  Where u^2 or a + b u is past the largest float, the
+    exponent is read divided through by u, -u / (a/u + b)."""
     if a == 0.0 and b == 0.0:
         return TailBoundResult(kind, t, 0.0, -math.inf,
                                "degenerate: f is a.s. constant")
     if not (math.isfinite(a) and math.isfinite(b)):
         return TailBoundResult(kind, t, 1.0, 0.0, "inapplicable: a + b t is infinite")
-    square, denom = t * t, a + b * t if b else a
+    square, denom = u * u, a + b * u if b else a
     if math.isfinite(square) and math.isfinite(denom):
         log_prob = -square / denom
-    else:       # a / t + b is 0 only where a / t underflows and b = 0
-        per_t = a / t + b
-        log_prob = -t / per_t if per_t else -math.inf
+    else:       # a / u + b is 0 only where a / u underflows and b = 0
+        per_u = a / u + b
+        log_prob = -u / per_u if per_u else -math.inf
     log_prob = min(log_prob, 0.0)
     return TailBoundResult(kind, t, math.exp(log_prob), log_prob)
 
@@ -140,19 +159,25 @@ def _thm3_q(profile, p):
 
 
 def _exponent(kind, profile, p):
-    """(a, b) with the kind's bound exp(-t^2 / (a + b t)), from its row of READS."""
-    for name in _row(kind):
-        if getattr(profile, name) is None:
-            raise ValueError(f"profile is missing {name}")
+    """(a, b, lift) with the kind's bound exp(-u^2 / (a + b u)) at u = lift t,
+    from its row of READS: a and b are read from the entries times the
+    `_lift` of the largest, so both are 0 only where every entry read is."""
+    rows = [getattr(profile, name) for name in _row(kind)]
+    if None in rows:
+        raise ValueError(f"profile is missing {_row(kind)[rows.index(None)]}")
+    lift = _lift(max(map(max, rows)))
+    if lift != 1.0:
+        rows = [[x * lift for x in entries] for entries in rows]
+    v, m = _squares(rows[0]), max(rows[-1])
     if kind == "thm1":
-        return 32.0 * E * profile.v2, 0.0
+        return 32.0 * E * v, 0.0, lift
     if kind == "thm2":
-        return 4.0 * E * E * profile.v1, 2.0 * E * profile.m1
+        return 4.0 * E * E * v, 2.0 * E * m, lift
     if kind in ("thm3", "thm3-psi2-variant"):
         q = _thm3_q(profile, p)
-        scale = q * profile.m1 if kind == "thm3" else math.sqrt(q) * profile.m2
-        return 2.0 * profile.v2p, 2.0 * E * scale
-    return math.fsum(r * r for r in profile.ranges) / 2.0, 0.0     # bounded-difference
+        scale = q * m if kind == "thm3" else math.sqrt(q) * m
+        return 2.0 * v, 2.0 * E * scale, lift
+    return v / 2.0, 0.0, lift     # bounded-difference
 
 
 def evaluate_tail(kind, profile, t, p=None) -> TailBoundResult:
@@ -166,8 +191,8 @@ def evaluate_tail_grid(kind, profile, t_grid, p=None) -> list:
     for t in t_grid:
         if not t > 0:
             raise ValueError(f"t must be positive, got {t}")
-    a, b = _exponent(kind, profile, p)
-    return [_tail(kind, t, a, b) for t in t_grid]
+    a, b, lift = _exponent(kind, profile, p)
+    return [_tail(kind, t, t * lift, a, b) for t in t_grid]
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +222,10 @@ def invert_tail(kind, profile: ProxyProfile, delta: float, p=None) -> InversionR
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
     big_l = math.log(1.0 / delta)
-    a, b = _exponent(kind, profile, p)
+    a, b, lift = _exponent(kind, profile, p)
     exact = (b * big_l + math.sqrt(b * b * big_l * big_l + 4.0 * a * big_l)) / 2.0
     additive = math.sqrt(a * big_l) + b * big_l
-    return InversionResult(kind, delta, exact, additive)
+    return InversionResult(kind, delta, exact / lift, additive / lift)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Command-line front door: wire JSON configs to the library operations and
 emit machine-readable reports.
 
+Each command is one row of the table `_SUBCOMMANDS`: its help line, its
+handler and its flags.  Every parser and `main`'s dispatch read that table.
+
 Exit codes: 0 success (and SOUND verifications), 1 usage or config errors,
 inputs a library call refuses (a ValueError), norms or moments that
 cannot be certified and an --output that cannot be written, 2 bound
@@ -53,61 +56,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# flags that several subcommands share; their names, defaults and types
-# feed the config digest through vars(args)
-_SHARED_FLAGS = {
-    "--spec": dict(required=True),
-    "--bounds": dict(required=True, help="comma-separated bound kinds"),
-    "--t-grid": dict(required=True, help="lo:hi:steps"),
-    "--p": dict(type=float, default=None),
-}
-
-
-# command -> (its help line in the top-level parser's listing, the shared
-# flags it takes)
-_SUBCOMMANDS = {
-    "norms": ("Orlicz-type norm of a catalogue distribution", ("--spec",)),
-    "entropy-check": ("entropy bounds for a finite-support law", ("--spec", "--p")),
-    "bound": ("closed-form tail bounds for a function spec",
-              ("--spec", "--bounds", "--t-grid", "--p")),
-    "invert": ("deviation levels at a confidence target", ("--spec", "--bounds", "--p")),
-    "appbound": ("closed-form application bounds", ("--p",)),
-    **{name: ("Monte-Carlo check that bounds dominate empirical tails",
-              ("--spec", "--bounds", "--t-grid", "--p")) for name in ("verify", "compare")},
-}
-
-
 def _add_arguments(name, p):
-    """The arguments of command `name` on its parser p; returns p."""
+    """The arguments of command `name` on its parser p, from its row of
+    _SUBCOMMANDS; returns p."""
     p.add_argument("--output", default=None, help="artifact path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    for flag in _SUBCOMMANDS[name][1]:
-        p.add_argument(flag, **_SHARED_FLAGS[flag])
-    if name == "norms":
-        p.add_argument("--alpha", type=int, choices=(1, 2), required=True)
-    elif name == "entropy-check":
-        p.add_argument("--beta", type=float, default=1.0)
-    elif name == "invert":
-        p.add_argument("--delta", type=float, required=True)
-    elif name == "appbound":
-        p.add_argument("--app", required=True, choices=tuple(_APPS))
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--psi1", default=None, help="value or comma-separated list")
-        p.add_argument("--psi2", type=float, default=None)
-        p.add_argument("--l2p", type=float, default=None)
-        p.add_argument("--lip", type=float, default=1.0)
-        p.add_argument("--d", type=int, default=None)
-        p.add_argument("--rad-expectation", type=float, default=0.0)
-        p.add_argument("--psi1-z", type=float, default=0.0)
-        p.add_argument("--diameters", default=None, help="comma-separated list")
-        p.add_argument("--t", type=float, default=None)
-    elif name in ("verify", "compare"):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
-        if name == "verify":
-            p.add_argument("--negative-control", action="store_true")
+    for flag, keywords in _SUBCOMMANDS[name][2]:
+        p.add_argument(flag, **keywords)
     return p
 
 
@@ -119,7 +74,7 @@ def _build_parser():
                      description="tail bounds for functions of independent variables")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _SUBCOMMANDS.items():
+    for name, (help_text, _, _) in _SUBCOMMANDS.items():
         _add_arguments(name, sub.add_parser(name, help=help_text))
     return parser
 
@@ -505,6 +460,8 @@ def _parse_float_list(text, flag):
     return values
 
 
+# appbound's float flags, checked finite in this order, which decides the
+# error of an argv with two bad numbers: --delta comes before --p
 _APP_NUMBERS = ("delta", "p", "psi2", "l2p", "lip", "rad-expectation", "psi1-z", "t")
 
 # --app -> (its required flags, its bound of the args); --psi1 and
@@ -548,6 +505,8 @@ def _cmd_verify(args):
     empirical tail."""
     _check_number("threads", args.threads, lambda v: v >= 1, "an integer >= 1")
     _check_number("n", args.n, lambda v: v >= vfy.MIN_SAMPLES, "an integer >= 10^4")
+    if not 0 <= args.seed < 2 ** 64:     # math.isfinite refuses an int past the largest float
+        raise UsageError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
     fspec, kinds, t_grid, digest = _request(args)
     if args.command == "compare":
         report = vfy.compare_bounds(fspec, kinds, t_grid, args.n, args.seed,
@@ -566,15 +525,53 @@ def _cmd_verify(args):
     return EXIT_VIOLATION if report.verdict == "VIOLATION" else EXIT_OK
 
 
-_COMMANDS = {"norms": _cmd_norms, "entropy-check": _cmd_entropy_check,
-             "bound": _cmd_bound, "invert": _cmd_invert, "appbound": _cmd_appbound,
-             "verify": _cmd_verify, "compare": _cmd_verify}
+# flags that several commands share; their names, defaults and types feed
+# the config digest through vars(args)
+_SPEC = ("--spec", dict(required=True))
+_BOUNDS = ("--bounds", dict(required=True, help="comma-separated bound kinds"))
+_T_GRID = ("--t-grid", dict(required=True, help="lo:hi:steps"))
+_P = ("--p", dict(type=float, default=None))
+_BOUND_FLAGS = (_SPEC, _BOUNDS, _T_GRID, _P)
+# verify's and compare's: bound's and the Monte-Carlo trio
+_VERIFY_FLAGS = (*_BOUND_FLAGS, ("--n", dict(type=int, required=True)),
+                 ("--seed", dict(type=int, default=0)), ("--threads", dict(type=int, default=1)))
+_MONTE_CARLO_HELP = "Monte-Carlo check that bounds dominate empirical tails"
+
+# command -> (its help line in the top-level parser's listing, its handler,
+# its (flag, argparse keywords) pairs in --help order, after the --output and
+# --format that every command takes)
+_SUBCOMMANDS = {
+    "norms": ("Orlicz-type norm of a catalogue distribution", _cmd_norms,
+              (_SPEC, ("--alpha", dict(type=int, choices=(1, 2), required=True)))),
+    "entropy-check": ("entropy bounds for a finite-support law", _cmd_entropy_check,
+                      (_SPEC, _P, ("--beta", dict(type=float, default=1.0)))),
+    "bound": ("closed-form tail bounds for a function spec", _cmd_bound, _BOUND_FLAGS),
+    "invert": ("deviation levels at a confidence target", _cmd_invert,
+               (_SPEC, _BOUNDS, _P, ("--delta", dict(type=float, required=True)))),
+    "appbound": ("closed-form application bounds", _cmd_appbound, (
+        _P,
+        ("--app", dict(required=True, choices=tuple(_APPS))),
+        ("--delta", dict(type=float, default=None)),
+        ("--n", dict(type=int, default=None)),
+        ("--psi1", dict(default=None, help="value or comma-separated list")),
+        ("--psi2", dict(type=float, default=None)),
+        ("--l2p", dict(type=float, default=None)),
+        ("--lip", dict(type=float, default=1.0)),
+        ("--d", dict(type=int, default=None)),
+        ("--rad-expectation", dict(type=float, default=0.0)),
+        ("--psi1-z", dict(type=float, default=0.0)),
+        ("--diameters", dict(default=None, help="comma-separated list")),
+        ("--t", dict(type=float, default=None)))),
+    "verify": (_MONTE_CARLO_HELP, _cmd_verify,
+               (*_VERIFY_FLAGS, ("--negative-control", dict(action="store_true")))),
+    "compare": (_MONTE_CARLO_HELP, _cmd_verify, _VERIFY_FLAGS),
+}
 
 
 def main(argv=None):
     try:
         args = _parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][1](args)
     except (UsageError, ValueError, PMaxTooSmallError, dist.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,6 +37,13 @@ class TestVectorBoundI:
         assert A.vector_bound_i([c] * n, delta) == pytest.approx(want, rel=1e-12)
 
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300])
+    def test_tiny_entries_give_the_bound_at_scale_one(self, scale):
+        # sum psi1_k^2 underflowed to 0: 50.07e-170 for 83.07e-170 at 1e-170
+        assert A.vector_bound_i([scale, scale], 0.01) / scale == pytest.approx(
+            A.vector_bound_i([1.0, 1.0], 0.01), rel=1e-12)
+
+
 class TestVectorBoundII:
     def test_direct_value(self):
         assert A.vector_bound_ii(1.0, 100, 0.01) == pytest.approx(
@@ -162,6 +169,20 @@ class TestMetricTail:
             res, ref = A.metric_tail(lip, diam, t), A.metric_tail(1.0, diam, t / lip)
             assert res.log_prob == pytest.approx(ref.log_prob, rel=1e-12)
             assert res.prob == pytest.approx(ref.prob, rel=1e-12)
+
+    @pytest.mark.parametrize("lip, c", [(1.0, 1e-300), (1.0, 1e-160), (1e-300, 1.0),
+                                        (1e-160, 1e-140)])
+    def test_tiny_scales_give_the_bound_at_scale_one(self, lip, c):
+        # the squares of L and the diameters underflowed: 0/0 at L D = 1e-300
+        # and digits lost at 1e-160; f = L (X1 + X2) for X_k ~ U(0, c), whose
+        # exact tail at t = r L c is (1 - r)^2 / 2 for r < 1
+        diam = A.psi_diameter(D.Scaled(D.UniformInterval(0.0, 1.0), c), 1)
+        unit = A.psi_diameter(D.UniformInterval(0.0, 1.0), 1)
+        for ratio in (0.1, 1.0, 3.0):
+            res = A.metric_tail(lip, [diam, diam], ratio * lip * c)
+            ref = A.metric_tail(1.0, [unit, unit], ratio)
+            assert res.note == "" and res.prob >= max(1.0 - ratio, 0.0) ** 2 / 2.0
+            assert res.log_prob == pytest.approx(ref.log_prob, rel=1e-12, abs=0.0)
 
     def test_accepts_psi_diameter_objects(self):
         diam = A.psi_diameter(D.UniformInterval(0.0, 1.0), 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lighttails import bounds as B
+from lighttails import functions as fn
 
 E = math.e
 
@@ -159,6 +160,64 @@ class TestExponentPastTheLargestFloat:
         assert (r.prob, r.log_prob, r.note) == (0.0, -math.inf, "")
 
 
+GAUSSIAN = {"kind": "gaussian", "mean": 0.0, "sd": 1.0}
+UNIFORM = {"kind": "uniform", "lo": 0.0, "hi": 1.0}
+
+
+def exact_tail(law, ratio):
+    """P(f - E f >= ratio c) for f the sum of two copies of law scaled by c:
+    N(0, 2 c^2), or the triangle on [-c, c]."""
+    if law is GAUSSIAN:
+        return 0.5 * math.erfc(ratio / 2.0)
+    return (1.0 - ratio) ** 2 / 2.0 if ratio < 1.0 else 0.0
+
+
+class TestTinyScales:
+    """Entries whose squares underflow: thm1 read 0 with "degenerate: f is
+    a.s. constant", the other kinds 0/0, and 1e-160 lost digits in the
+    subnormal squares.  Entries and t are lifted by one power of two, so a
+    bound at scale c is the bound at scale 1."""
+
+    @pytest.mark.parametrize("c", [1e-300, 1e-160])
+    @pytest.mark.parametrize("law, kind", [(GAUSSIAN, "thm1"), (GAUSSIAN, "thm2"),
+                                           (GAUSSIAN, "thm3"), (UNIFORM, "thm2"),
+                                           (UNIFORM, "bounded-difference")],
+                             ids=lambda v: v if isinstance(v, str) else v["kind"])
+    def test_a_bound_at_scale_c_is_the_bound_at_scale_one(self, law, kind, c):
+        def prof(scale):
+            term = {"kind": "scaled", "base": law, "factor": scale}
+            spec = fn.fspec_from_dict({"kind": "sum", "components": [term, term]})
+            return fn.proxy_profile(spec, p=2.0, kinds=[kind])
+        tiny, unit = prof(c), prof(1.0)
+        for ratio in (0.1, 1.0, 3.0):
+            r, ref = B.evaluate_tail(kind, tiny, ratio * c), B.evaluate_tail(kind, unit, ratio)
+            assert r.note == "" and r.prob >= exact_tail(law, ratio)
+            assert r.log_prob == pytest.approx(ref.log_prob, rel=1e-12, abs=0.0)
+        inv, ref = B.invert_tail(kind, tiny, 0.1), B.invert_tail(kind, unit, 0.1)
+        assert inv.exact > 0.0 and inv.exact / c == pytest.approx(ref.exact, rel=1e-12)
+        assert inv.additive / c == pytest.approx(ref.additive, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", B.BOUND_KINDS)
+    def test_a_lift_keeps_the_bits_of_normal_rows(self, kind):
+        # 2^-40 times entries and t, lifted back exactly
+        entries = dict(psi1=[0.3, 0.2], psi2=[0.4, 0.1], l2p=[0.35, 0.25], p=2.0, ranges=[0.45, 0.3])
+        small = {k: v if k == "p" else [x * 2.0 ** -40 for x in v] for k, v in entries.items()}
+        for t in (0.05, 0.4, 2.0):
+            assert (B.evaluate_tail(kind, profile(**small), t * 2.0 ** -40).log_prob
+                    == B.evaluate_tail(kind, profile(**entries), t).log_prob)
+        assert (B.invert_tail(kind, profile(**small), 0.01).exact
+                == B.invert_tail(kind, profile(**entries), 0.01).exact * 2.0 ** -40)
+
+    @pytest.mark.parametrize("kind", B.BOUND_KINDS)
+    def test_degenerate_only_where_every_entry_read_is_zero(self, kind):
+        for tiny in (5e-324, 0.0):
+            prof = profile(psi1=[tiny, 0.0], psi2=[tiny, 0.0], l2p=[tiny, 0.0], p=2.0,
+                           ranges=[tiny, 0.0])
+            r = B.evaluate_tail(kind, prof, 1e-323)
+            assert ("degenerate" in r.note) == (tiny == 0.0)
+            assert (r.prob > 0.0) == (tiny > 0.0)
+
+
 class TestReads:
     @pytest.mark.parametrize("kind", B.BOUND_KINDS)
     def test_a_profile_of_its_row_alone_serves_the_kind(self, kind):
@@ -185,7 +244,8 @@ class TestReads:
         prof = B.ProxyProfile(n=2, psi1_per_coord=(0.5, 1.5), psi2_per_coord=(0.7, 0.2),
                               l2p_per_coord=(1.0, 2.0), l2p_order=2.0, ranges=(1.0, 3.0))
         grid = [0.5, 1.0, 3.0, 1e300]
-        want = [B._tail(kind, t, *B._exponent(kind, prof, None)) for t in grid]
+        a, b, lift = B._exponent(kind, prof, None)
+        want = [B._tail(kind, t, t * lift, a, b) for t in grid]
         calls = []
         exponent = B._exponent
         monkeypatch.setattr(B, "_exponent", lambda *args: calls.append(args) or exponent(*args))

@@ -1378,6 +1378,45 @@ class TestOverflowPaths:
         assert [r["prob"] for r in json.loads(out)["bounds"]["thm2"]] == [1.0, 1.0]
 
 
+class TestTinyScales:
+    """Sums of two laws scaled by 1e-300 or 1e-170, whose proxies' squares
+    underflow: thm1 read "degenerate" with bound 0 and verify VIOLATION,
+    invert gave exact 0, and thm2, thm3 and the metric bound ended in a
+    ZeroDivisionError traceback."""
+
+    def spec(self, tmp_path, law, factor):
+        term = _scaled(law, factor)
+        return write_spec(tmp_path, _sum(term, term))
+
+    def test_gaussian_bounds_invert_and_verify(self, tmp_path, capsys):
+        path = self.spec(tmp_path, {"kind": "gaussian", "mean": 0, "sd": 1}, 1e-300)
+        kinds = ["--bounds", "thm1,thm2,thm3", "--p", "2"]
+        code, out, err = run(capsys, "bound", "--spec", path, *kinds, "--t-grid", "1e-301:3e-300:3")
+        rows = [r for rows in json.loads(out)["bounds"].values() for r in rows]
+        assert (code, err, len(rows)) == (0, "", 9)
+        assert all(0.0 < r["prob"] < 1.0 and "note" not in r for r in rows)
+        code, out, err = run(capsys, "invert", "--spec", path, *kinds, "--delta", "0.1")
+        assert (code, err) == (0, "")
+        assert all(inv["exact"] > 0.0 for inv in json.loads(out)["inversions"].values())
+        code, out, err = run(capsys, "verify", "--spec", path, *kinds, "--t-grid", "1e-301:3e-300:3",
+                             "--n", "20000", "--seed", "1")
+        assert (code, err, json.loads(out)["verdict"]) == (0, "", "SOUND")
+
+    def test_uniform_verify_is_sound(self, tmp_path, capsys):
+        path = self.spec(tmp_path, {"kind": "uniform", "lo": 0, "hi": 1}, 1e-170)
+        code, out, err = run(capsys, "verify", "--spec", path, "--bounds", "bounded-difference,thm2",
+                             "--t-grid", "1e-171:1e-170:3", "--n", "20000", "--seed", "1")
+        assert (code, err, json.loads(out)["verdict"]) == (0, "", "SOUND")
+
+    def test_metric_appbound(self, capsys):
+        code, out, err = run(capsys, "appbound", "--app", "metric", "--diameters", "1e-170",
+                             "--t", "1e-171")
+        result = json.loads(out)["result"]
+        assert (code, err, "note" in result) == (0, "", False)
+        # exp(-0.01 / (4e + 0.2e))
+        assert result["log_prob"] == pytest.approx(-0.01 / (4.2 * math.e), rel=1e-12, abs=0.0)
+
+
 class TestNearEqualAtoms:
     """Two atoms 98304 apart at 1e20 used to merge into one, so their sum
     read as a.s. constant and its bounds as 0."""
@@ -1484,6 +1523,12 @@ class TestBadNumbers:
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
 
+    def test_every_appbound_float_flag_is_checked_finite(self):
+        # a float flag left out of _APP_NUMBERS would skip the finiteness check
+        row = cli._SUBCOMMANDS["appbound"][2]
+        floats = [flag[2:] for flag, keywords in row if keywords.get("type") is float]
+        assert sorted(floats) == sorted(cli._APP_NUMBERS)
+
     @pytest.mark.parametrize("command", ["verify", "compare"])
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one(self, command, threads, capsys):
@@ -1518,6 +1563,20 @@ class TestBadNumbers:
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "compare"])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 10 ** 400], ids=["-1", "2^64", "10^400"])
+    def test_seed_is_named_before_any_work(self, command, seed, capsys, monkeypatch):
+        # the parent computed the bounds, then printed the library's "seed
+        # must be a 64-bit unsigned integer"
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the --seed check")
+        for name in ("bounds_on_grid", "estimate_tail", "compare_bounds"):
+            monkeypatch.setattr(cli.vfy, name, no_work)
+        code, out, err = run(capsys, command, "--spec", config("exp1.json"), "--bounds", "thm2",
+                             "--t-grid", "1:5:3", "--n", "10000", "--seed", str(seed))
+        assert (code, out) == (1, "")
+        assert err == f"error: --seed must be a 64-bit unsigned integer, got {seed}\n"
 
     @pytest.mark.parametrize("command", ["bound", "verify", "compare"])
     def test_negative_t_grid_value(self, command, capsys):
