@@ -58,7 +58,7 @@ def vector_bound_i(psi1_per_coord, delta) -> float:
         raise PreconditionError("psi1 entries must be nonnegative")
     big_l = math.log(1.0 / delta)
     lift = _lift(max(entries))      # as bounds._exponent lifts entries
-    v = _squares(x * lift for x in entries)
+    v = _squares([x * lift for x in entries], (1,) * len(entries))
     return 4.0 * E * math.sqrt(v * big_l) / lift + 4.0 * E * max(entries) * big_l
 
 
@@ -140,7 +140,7 @@ def metric_tail(lip, diameters, t) -> TailBoundResult:
     # L and the diameters are each lifted as bounds._exponent lifts entries
     lip_lift, lift = _lift(lip), _lift(max(vals))
     lip, vals = lip * lip_lift, [v * lift for v in vals]
-    ssq = math.fsum(v * v for v in vals)
+    ssq = _squares(vals, (1,) * len(vals))
     return _tail("metric", t, t * lip_lift * lift, 4.0 * E * lip * lip * ssq,
                  2.0 * E * lip * max(vals))
 

@@ -17,6 +17,7 @@ space and clamped to (0, 1].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,13 +57,16 @@ def reads(kinds):
 
 @dataclass(frozen=True)
 class ProxyProfile:
-    """Per-coordinate worst-case norm data consumed by the bounds.
+    """Per-coordinate worst-case norm data consumed by the bounds, one run
+    of equal coordinates at a time: `counts` holds the length of each run,
+    and each entry one value per run.  The iid vector kinds are one run of
+    n, the scalar kinds n runs of one.
 
     Entries are the essential suprema over the base point of the
     per-coordinate conditional-version norms; computing those suprema is
     the caller's job (see functions.proxy_profile).
     """
-    n: int
+    counts: tuple
     psi1_per_coord: Optional[tuple] = None
     psi2_per_coord: Optional[tuple] = None
     l2p_per_coord: Optional[tuple] = None
@@ -70,33 +74,40 @@ class ProxyProfile:
     ranges: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        counts = tuple(map(operator.index, self.counts))
+        if not counts or min(counts) < 1:
+            raise ValueError(f"counts must be one positive int per run, got {self.counts}")
+        object.__setattr__(self, "counts", counts)
         for name in ENTRIES:
             entries = getattr(self, name)
             if entries is None:
                 continue
             entries = tuple(float(x) for x in entries)
             object.__setattr__(self, name, entries)
-            if len(entries) != self.n:
-                raise ValueError(f"{name} must have length n={self.n}, got {len(entries)}")
+            if len(entries) != len(counts):
+                raise ValueError(f"{name} must have one entry per run, {len(counts)}, "
+                                 f"got {len(entries)}")
             if any(x < 0 for x in entries):
                 raise ValueError(f"{name} entries must be nonnegative")
         if self.l2p_per_coord is not None:
             if self.l2p_order is None or self.l2p_order <= 1:
                 raise ValueError("l2p_per_coord requires l2p_order > 1")
 
-    # derived proxies, as `_exponent` reads them from unlifted entries
-    v1 = property(lambda self: _squares(self.psi1_per_coord))
-    m1 = property(lambda self: max(self.psi1_per_coord))
-    v2 = property(lambda self: _squares(self.psi2_per_coord))
-    m2 = property(lambda self: max(self.psi2_per_coord))
-    v2p = property(lambda self: _squares(self.l2p_per_coord))
 
-
-def _squares(entries):
-    """V, the sum of the squared entries."""
-    return math.fsum(x * x for x in entries)
+def _squares(entries, counts):
+    """V, the sum of count * x^2 over the runs: the exact sum of count *
+    fl(x * x), rounded once, which is the fsum of the squares of the
+    expanded entries bit for bit, and inf past the largest float.  Where
+    every run is one coordinate, that is the fsum of the squares; else
+    each square is split over the set bits b of its count into
+    ldexp(x * x, b), exact pieces whose fsum is that sum."""
+    try:
+        if max(counts) == 1:
+            return math.fsum(x * x for x in entries)
+        return math.fsum(math.ldexp(x * x, b) for x, count in zip(entries, counts)
+                         for b in range(count.bit_length()) if count >> b & 1)
+    except OverflowError:       # the exact sum of nonnegative pieces is past the largest float
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -168,7 +179,7 @@ def _exponent(kind, profile, p):
     lift = _lift(max(map(max, rows)))
     if lift != 1.0:
         rows = [[x * lift for x in entries] for entries in rows]
-    v, m = _squares(rows[0]), max(rows[-1])
+    v, m = _squares(rows[0], profile.counts), max(rows[-1])
     if kind == "thm1":
         return 32.0 * E * v, 0.0, lift
     if kind == "thm2":

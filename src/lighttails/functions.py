@@ -33,11 +33,14 @@ _INNER_STREAM = 10 ** 9  # stream offset reserved for inner estimates
 
 
 class FunctionSpec(dist.Spec):
-    """f of n independent coordinates.  Each kind has `n`, `point_shape` (of
+    """f of n independent coordinates.  Each kind has `n`, `counts` (the
+    runs of equal coordinates of its proxy profile: one run of n for the
+    iid vector kinds, n runs of one for the scalar kinds), `point_shape` (of
     one base point), `draw(rng, count)` and `evaluate(points)` for batches of
     shape (count,) + point_shape, and one method per proxy entry it has
-    (`psi1_per_coord`, `ranges`, `psi2_per_coord`, `l2p_per_coord(p)`); it
-    overrides `closed_form_mean` where E[f(X)] has one.
+    (`psi1_per_coord`, `ranges`, `psi2_per_coord`, `l2p_per_coord(p)`), each
+    a list of one value per run; it overrides `closed_form_mean` where
+    E[f(X)] has one.
 
     `draw` returns a coordinate-major view (see dist.draw_rows), so a batch
     may be a non-contiguous view: `evaluate` must not assume C order, must
@@ -77,6 +80,7 @@ class FunctionSpec(dist.Spec):
 class _ScalarCoordinates(FunctionSpec):
     """Coordinate k is the scalar law `laws[k]`."""
     n = property(lambda self: len(self.laws))
+    counts = property(lambda self: (1,) * self.n)
     point_shape = property(lambda self: (self.n,))
 
     def draw(self, rng, count): return dist.draw_rows(rng, count, (self.n,), enumerate(self.laws))
@@ -84,6 +88,7 @@ class _ScalarCoordinates(FunctionSpec):
 
 class _VectorCoordinates(FunctionSpec):
     """The n coordinates are iid copies of the vector law `coordinate`."""
+    counts = property(lambda self: (self.n,))
     point_shape = property(lambda self: (self.n, self.coordinate.dim))
 
     def draw(self, rng, count):
@@ -170,18 +175,18 @@ class VectorNormOfSum(_VectorCoordinates):
         return np.sqrt(_coordinate_sum(s * s))
 
     def psi1_per_coord(self):
-        return [2.0 * _proxy_norm(vector_norm_psi, self.vec, 1, "coordinate 0", self.vec)] * self.n
+        return [2.0 * _proxy_norm(vector_norm_psi, self.vec, 1, "coordinate 0", self.vec)]
 
     def psi2_per_coord(self):
-        return [2.0 * _psi2(vector_norm_psi, self.vec, "coordinate 0", self.vec)] * self.n
+        return [2.0 * _psi2(vector_norm_psi, self.vec, "coordinate 0", self.vec)]
 
     def l2p_per_coord(self, p):
         vec = self.vec
-        return [2.0 * _proxy_read(vector_norm_lp, vec, 2 * p, "coordinate 0", vec, "2p-norm")] * self.n
+        return [2.0 * _proxy_read(vector_norm_lp, vec, 2 * p, "coordinate 0", vec, "2p-norm")]
 
     def ranges(self):
         widths = map(_support_width, self.vec.components)
-        return [math.sqrt(math.fsum(w * w for w in widths))] * self.n
+        return [math.sqrt(math.fsum(w * w for w in widths))]
 
     def closed_form_mean(self):
         # for iid N(0, sd^2) entries, ||sum|| is sqrt(n) sd chi_d
@@ -246,12 +251,12 @@ class SupLinearLoss(_VectorCoordinates):
         # product-space norm L ||x|| + |z| dominates the loss increments
         return [(2.0 / self.n) * (
             self.lipschitz * _proxy_norm(vector_norm_psi, self.input, 1, "input", self.input)
-            + _proxy_norm(psi_norm, self.output, 1, "output", self.output))] * self.n
+            + _proxy_norm(psi_norm, self.output, 1, "output", self.output))]
 
     def ranges(self):
         return [(1.0 / self.n) * (_times(self.lipschitz, math.sqrt(math.fsum(
             w * w for w in map(_support_width, self.input.components))))
-            + _support_width(self.output))] * self.n
+            + _support_width(self.output))]
 
 
 @dataclass(frozen=True)
@@ -311,13 +316,12 @@ class PsaReconstruction(_VectorCoordinates):
         psi2_norm = _proxy_norm(
             vector_norm_psi, self.input, 2, "input", self.input,
             f"||X|| is not shown to be sub-Gaussian, which the {self.kind} proxy needs")
-        b = (2.0 / self.n) * (math.sqrt(self.subspace_dim) + 1.0) * 2.0 * (psi2_norm * psi2_norm)
-        return [b] * self.n
+        return [(2.0 / self.n) * (math.sqrt(self.subspace_dim) + 1.0) * 2.0
+                * (psi2_norm * psi2_norm)]
 
     def ranges(self):
-        r = (1.0 / self.n) * math.fsum(max(x * x for x in dist.support_interval(c))
-                                       for c in self.input.components)
-        return [r] * self.n
+        return [(1.0 / self.n) * math.fsum(max(x * x for x in dist.support_interval(c))
+                                           for c in self.input.components)]
 
 
 @dataclass(frozen=True)
@@ -597,7 +601,7 @@ def _kind_profile(fspec, p, names):
     for name, missing in _NO_PROXY.items():
         if name in names and name not in rows:
             raise ValueError(missing.format(fspec.kind))
-    return ProxyProfile(n=fspec.n, l2p_order=p, **rows)
+    return ProxyProfile(counts=fspec.counts, l2p_order=p, **rows)
 
 
 def _support_width(spec):

@@ -48,7 +48,16 @@ _GRID_DENSITY = 16  # points of the p-grid per octave
 _CHORD_TOL = 1e-12  # ln-ratio by which a chord bound may exceed the best ratio
 _MAX_ROUNDS = 24    # splitting rounds before the search gives up; 18 suffice
 _P_MAX = 256.0      # the largest order of the p-grid
-_P_GRID = np.exp2(np.arange(int(math.log2(_P_MAX)) * _GRID_DENSITY + 1) / _GRID_DENSITY)
+# 2^(j/16) for j = 0, ..., 15, each the float nearest to it (a test proves
+# it in exact arithmetic); exact powers of two scale them to the octaves of
+# the p-grid 2^(i/16), i = 0, ..., 128, without a libm or SIMD exp2 call
+_OCTAVE = tuple(map(float.fromhex, (
+    "0x1.0000000000000p+0", "0x1.0b5586cf9890fp+0", "0x1.172b83c7d517bp+0", "0x1.2387a6e756238p+0",
+    "0x1.306fe0a31b715p+0", "0x1.3dea64c123422p+0", "0x1.4bfdad5362a27p+0", "0x1.5ab07dd485429p+0",
+    "0x1.6a09e667f3bcdp+0", "0x1.7a11473eb0187p+0", "0x1.8ace5422aa0dbp+0", "0x1.9c49182a3f090p+0",
+    "0x1.ae89f995ad3adp+0", "0x1.c199bdd85529cp+0", "0x1.d5818dcfba487p+0", "0x1.ea4afa2a490dap+0")))
+_P_GRID = np.array([math.ldexp(x, k) for k in range(int(math.log2(_P_MAX))) for x in _OCTAVE]
+                   + [_P_MAX])
 # the search's first orders: the octaves 1, 2, 4, ..., 256, every 4th grid
 # point of the last octave and the grid's last but one point
 _START = np.unique(np.concatenate([

@@ -60,9 +60,10 @@ def _psi(worst_log_moments, alpha):
 
 def worst_case_profile(table, p):
     """The exact worst case over base points of each f_k's psi1 and psi2
-    norms, its 2p-norm and its range.  The largest ln E|f_k|^q over the
-    rows is convex in q, as each row's is, so one certified sup-ratio search
-    over it finds the largest psi norm of any row."""
+    norms, its 2p-norm and its range, one run per coordinate.  The largest
+    ln E|f_k|^q over the rows is convex in q, as each row's is, so one
+    certified sup-ratio search over it finds the largest psi norm of any
+    row."""
     psi1, psi2, l2p, ranges = [], [], [], []
     for k in range(table.n):
         rows, probs = conditional_versions(table, k)
@@ -77,5 +78,5 @@ def worst_case_profile(table, p):
         l2p.append(math.exp(worst(np.array([2.0 * p]))[0] / (2.0 * p)))
         live = rows[:, probs > 0]
         ranges.append(float(np.max(live.max(axis=1) - live.min(axis=1))))
-    return ProxyProfile(n=table.n, psi1_per_coord=psi1, psi2_per_coord=psi2,
+    return ProxyProfile(counts=(1,) * table.n, psi1_per_coord=psi1, psi2_per_coord=psi2,
                         l2p_per_coord=l2p, l2p_order=p, ranges=ranges)

@@ -325,7 +325,7 @@ def test_criterion_10_cross_derivations():
         psis = rng.uniform(0.01, 3.0, k)
         delta = rng.uniform(1e-8, 0.99)
         lhs = apps.vector_bound_i(psis, delta)
-        prof = ProxyProfile(n=k, psi1_per_coord=tuple(2.0 * x for x in psis))
+        prof = ProxyProfile(counts=(1,) * k, psi1_per_coord=tuple(2.0 * x for x in psis))
         rhs = invert_tail("thm2", prof, delta).additive
         assert abs(lhs - rhs) <= 1e-10 * max(1.0, lhs)
 

@@ -9,7 +9,7 @@ import pytest
 
 from lighttails import applications as A
 from lighttails import distributions as D
-from lighttails.bounds import ProxyProfile, evaluate_tail, invert_tail
+from lighttails.bounds import ProxyProfile, _squares, evaluate_tail, invert_tail
 from lighttails.orlicz import OrliczEstimate, _psi_norm_cached, psi_norm
 
 E = math.e
@@ -26,7 +26,7 @@ class TestVectorBoundI:
             psis = rng.uniform(0.01, 3.0, k)
             delta = rng.uniform(1e-8, 0.99)
             lhs = A.vector_bound_i(psis, delta)
-            prof = ProxyProfile(n=k, psi1_per_coord=tuple(2.0 * x for x in psis))
+            prof = ProxyProfile(counts=(1,) * k, psi1_per_coord=tuple(2.0 * x for x in psis))
             rhs = invert_tail("thm2", prof, delta).additive
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, lhs))
 
@@ -153,11 +153,12 @@ class TestMetricTail:
         # same quadratic-plus-linear shape as the psi1 bound with entries L*D
         diam = [0.3, 0.7]
         res = A.metric_tail(1.0, diam, 2.0)
-        prof = ProxyProfile(n=2, psi1_per_coord=diam)
+        prof = ProxyProfile(counts=(1, 1), psi1_per_coord=diam)
         ref = evaluate_tail("thm2", prof, 2.0)
+        v, m = _squares(diam, prof.counts), max(diam)
         assert res.log_prob == pytest.approx(
-            ref.log_prob * (4 * E ** 2 * prof.v1 + 2 * E * prof.m1 * 2.0)
-            / (4 * E * prof.v1 + 2 * E * prof.m1 * 2.0), rel=1e-12)
+            ref.log_prob * (4 * E ** 2 * v + 2 * E * m * 2.0)
+            / (4 * E * v + 2 * E * m * 2.0), rel=1e-12)
 
     @pytest.mark.parametrize("lip", [0.25, 2.0, 10.0])
     def test_lipschitz_constant_is_a_scale(self, lip):

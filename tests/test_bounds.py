@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,29 +11,34 @@ from lighttails import functions as fn
 E = math.e
 
 
-def profile(psi1=None, psi2=None, l2p=None, p=None, ranges=None, n=None):
+def profile(psi1=None, psi2=None, l2p=None, p=None, ranges=None, counts=None):
     entries = psi1 or psi2 or l2p or ranges
-    n = n or len(entries)
-    return B.ProxyProfile(n=n, psi1_per_coord=psi1, psi2_per_coord=psi2,
-                          l2p_per_coord=l2p, l2p_order=p, ranges=ranges)
+    return B.ProxyProfile(counts=counts or (1,) * len(entries), psi1_per_coord=psi1,
+                          psi2_per_coord=psi2, l2p_per_coord=l2p, l2p_order=p, ranges=ranges)
 
 
 class TestProxyProfile:
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            B.ProxyProfile(n=3, psi1_per_coord=[1.0, 1.0])
+        with pytest.raises(ValueError, match=r"^psi1_per_coord must have one entry per run, "
+                                             r"3, got 2$"):
+            B.ProxyProfile(counts=(1, 2, 1), psi1_per_coord=[1.0, 1.0])
 
     def test_negative_entry(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            B.ProxyProfile(n=1, psi1_per_coord=[-1.0])
+            B.ProxyProfile(counts=(1,), psi1_per_coord=[-1.0])
 
     def test_l2p_needs_order(self):
         with pytest.raises(ValueError, match="l2p_order"):
-            B.ProxyProfile(n=1, l2p_per_coord=[1.0])
+            B.ProxyProfile(counts=(1,), l2p_per_coord=[1.0])
 
     def test_needs_a_coordinate(self):
-        with pytest.raises(ValueError, match=r"^n must be >= 1, got 0$"):
-            B.ProxyProfile(n=0)
+        with pytest.raises(ValueError, match=r"^counts must be one positive int per run, got \(\)$"):
+            B.ProxyProfile(counts=())
+        with pytest.raises(ValueError, match=r"^counts must be one positive int per run, "
+                                             r"got \(2, 0\)$"):
+            B.ProxyProfile(counts=(2, 0), psi1_per_coord=[1.0, 1.0])
+        with pytest.raises(TypeError):
+            B.ProxyProfile(counts=(2.0,), psi1_per_coord=[1.0])
 
     @pytest.mark.parametrize("t", [0.0, -1.0])
     def test_tail_needs_a_positive_t(self, t):
@@ -40,9 +46,12 @@ class TestProxyProfile:
             B.evaluate_tail("thm2", profile(psi1=[1.0]), t)
 
     def test_derived(self):
+        # V is the sum of the squares, M the largest entry, run by run
         prof = profile(psi1=[3.0, 4.0])
-        assert prof.v1 == pytest.approx(25.0)
-        assert prof.m1 == 4.0
+        assert B._exponent("thm2", prof, None) == (4.0 * E * E * 25.0, 2.0 * E * 4.0, 1.0)
+        runs = profile(psi1=[3.0, 4.0], counts=(2, 5))
+        assert B._squares(runs.psi1_per_coord, runs.counts) == 98.0
+        assert B._exponent("thm2", runs, None) == (4.0 * E * E * 98.0, 2.0 * E * 4.0, 1.0)
 
 
 class TestThm1:
@@ -76,13 +85,13 @@ class TestThm2:
         prof = profile(psi1=[1.0, 2.0])
         for t in (1e4, 1e6):
             r = B.evaluate_tail("thm2", prof, t)
-            assert r.log_prob * (2 * E * prof.m1) / t == pytest.approx(-1.0, abs=1e-2)
+            assert r.log_prob * (2 * E * 2.0) / t == pytest.approx(-1.0, abs=1e-2)
 
     def test_small_t_subgaussian_regime(self):
         prof = profile(psi1=[1.0, 2.0])
         for t in (1e-3, 1e-5):
             r = B.evaluate_tail("thm2", prof, t)
-            assert r.log_prob * (4 * E ** 2 * prof.v1) / t ** 2 == pytest.approx(-1.0, abs=1e-3)
+            assert r.log_prob * (4 * E ** 2 * 5.0) / t ** 2 == pytest.approx(-1.0, abs=1e-3)
 
     def test_centered_exponential_substitution(self):
         r = B.evaluate_tail("thm2", profile(psi1=[2.0]), 3.0)
@@ -139,6 +148,78 @@ class TestBaseline:
     def test_t_to_zero(self):
         r = B.evaluate_tail("bounded-difference", profile(ranges=[1.0]), 1e-12)
         assert r.prob == pytest.approx(1.0)
+
+
+class TestSquares:
+    """V, the sum of the squared entries run by run: the exact sum of count
+    * fl(x^2) rounded once, as the fsum of the expanded squares reads it."""
+
+    @staticmethod
+    def reference(entries, counts):
+        """The Fraction sum rounded once, inf past the largest float."""
+        squares = [x * x for x in entries]
+        if math.inf in squares:
+            return math.inf
+        try:
+            return float(sum(c * Fraction(sq) for sq, c in zip(squares, counts)))
+        except OverflowError:
+            return math.inf
+
+    @staticmethod
+    def expanded(entries, counts):
+        """The fsum of the squares of the expanded entries, inf where it overflows."""
+        try:
+            return math.fsum(x * x for x, c in zip(entries, counts) for _ in range(c))
+        except OverflowError:
+            return math.inf
+
+    # entries from 1e-300 to 1e300, with extra weight where the squares are
+    # finite but a sum of them may not be
+    ENTRY = st.floats(1e-300, 1e300) | st.floats(1e145, 1.4e154)
+    RUNS = st.lists(st.tuples(ENTRY, st.integers(1, 2 ** 40)), min_size=1, max_size=6)
+    SHORT_RUNS = st.lists(st.tuples(ENTRY, st.integers(1, 64)), min_size=1, max_size=6)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(RUNS)
+    def test_the_exact_sum_rounded_once(self, runs):
+        entries, counts = zip(*runs)
+        assert B._squares(entries, counts) == self.reference(entries, counts)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(SHORT_RUNS)
+    def test_a_run_profile_reads_as_its_expansion(self, runs):
+        entries, counts = zip(*runs)
+        assert B._squares(entries, counts) == self.expanded(entries, counts) \
+            == self.reference(entries, counts)
+        rows = dict.fromkeys(("psi1", "psi2", "l2p", "ranges"), list(entries))
+        runs_profile = profile(**rows, p=2.0, counts=counts)
+        one_per_coordinate = profile(**{k: list(np.repeat(v, counts)) for k, v in rows.items()},
+                                     p=2.0)
+        for kind in B.READS:
+            assert ([x.hex() for x in B._exponent(kind, runs_profile, None)]
+                    == [x.hex() for x in B._exponent(kind, one_per_coordinate, None)]), kind
+
+    def test_one_run_of_a_billion_coordinates(self):
+        prof = profile(psi1=[0.5], psi2=[0.25], counts=(10 ** 9,))
+        assert B._squares(prof.psi1_per_coord, prof.counts) == 0.25e9
+        assert B._exponent("thm2", prof, None) == (4.0 * E * E * 0.25e9, 2.0 * E * 0.5, 1.0)
+        # 0.25 is lifted to 0.5 before it is squared
+        assert B._exponent("thm1", prof, None) == (32.0 * E * 0.25e9, 0.0, 2.0)
+
+    def test_squares_whose_sum_is_past_the_largest_float_read_inf(self):
+        # each square is finite, but math.fsum of them raised OverflowError
+        # where their exact sum is not: V reads inf, as it does where one
+        # entry's own square overflows
+        assert B._squares([1.2e154, 1.2e154], (1, 1)) == math.inf
+        assert B._squares([1.2e154], (2,)) == math.inf
+        assert B._squares([1e300], (1,)) == math.inf
+        assert B._squares([9e153, 9e153], (1, 1)) == 2.0 * 9e153 * 9e153
+        for prof in (profile(psi1=[1.2e154] * 3), profile(psi1=[1.2e154], counts=(3,))):
+            rows = B.evaluate_tail_grid("thm2", prof, [1e154, 1e155, 1e156])
+            assert [(r.prob, r.log_prob, r.note) for r in rows] == [
+                (1.0, 0.0, "inapplicable: a + b t is infinite")] * 3
+            inv = B.invert_tail("thm2", prof, 0.01)
+            assert (inv.exact, inv.additive) == (math.inf, math.inf)
 
 
 class TestExponentPastTheLargestFloat:
@@ -227,7 +308,7 @@ class TestReads:
         entries = {name: (0.5, 1.5) for name in row}
 
         def prof(names):
-            return B.ProxyProfile(n=2, l2p_order=2.0 if "l2p_per_coord" in row else None,
+            return B.ProxyProfile(counts=(1, 1), l2p_order=2.0 if "l2p_per_coord" in row else None,
                                   **{name: entries[name] for name in names})
         r = B.evaluate_tail(kind, prof(row), 1.0)
         assert 0.0 < r.prob < 1.0 and r.note == ""
@@ -241,7 +322,7 @@ class TestReads:
 
     @pytest.mark.parametrize("kind", B.BOUND_KINDS)
     def test_a_grid_reads_the_exponent_once(self, kind, monkeypatch):
-        prof = B.ProxyProfile(n=2, psi1_per_coord=(0.5, 1.5), psi2_per_coord=(0.7, 0.2),
+        prof = B.ProxyProfile(counts=(1, 1), psi1_per_coord=(0.5, 1.5), psi2_per_coord=(0.7, 0.2),
                               l2p_per_coord=(1.0, 2.0), l2p_order=2.0, ranges=(1.0, 3.0))
         grid = [0.5, 1.0, 3.0, 1e300]
         a, b, lift = B._exponent(kind, prof, None)
@@ -313,9 +394,7 @@ class TestInversion:
         rng = np.random.default_rng(5)
         for _ in range(1000):
             v, m, delta = rng.uniform(0.01, 5), rng.uniform(0.01, 5), rng.uniform(1e-6, 0.99)
-            prof = profile(psi1=[math.sqrt(v), 0.0], n=2)
-            prof = B.ProxyProfile(n=2, psi1_per_coord=[math.sqrt(v), m]) \
-                if m <= math.sqrt(v) else B.ProxyProfile(n=2, psi1_per_coord=[m, math.sqrt(v)])
+            prof = profile(psi1=[math.sqrt(v), m] if m <= math.sqrt(v) else [m, math.sqrt(v)])
             inv = B.invert_tail("thm2", prof, delta)
             assert inv.exact <= inv.additive + 1e-12
 

@@ -1220,7 +1220,7 @@ class TestPoissonPastTheMapsZero:
         assert (code, err) == (0, "")
         l2p = 2.0 * math.exp(adaptive_log_moment(fn.dist.spec_from_dict(law), 256.0) / 256.0)
         profile = dataclasses.replace(fn.proxy_profile(fn.fspec_from_dict(spec), p=128.0),
-                                      l2p_per_coord=(l2p,) * 4)
+                                      l2p_per_coord=(l2p,))
         for row in json.loads(out)["bounds"]["thm3"]:
             want = evaluate_tail("thm3", profile, row["t"], p=128.0).log_prob
             assert row["log_prob"] == pytest.approx(want, rel=1e-9)
@@ -1358,6 +1358,30 @@ class TestOverflowPaths:
         assert [(r["prob"], r["log_prob"]) for r in json.loads(out)["bounds"]["thm2"]] == [
             (1.0, 0.0)] * 3
 
+    def test_squares_whose_sum_is_past_the_largest_float_read_inf(self, tmp_path, capsys):
+        # each squared proxy or diameter is finite, but their sum is not: the
+        # fsum of the squares raised OverflowError, a traceback; it reads
+        # inf, as where one square overflows
+        term = _scaled({"kind": "gaussian", "mean": 0, "sd": 1}, 1e154)
+        path = write_spec(tmp_path, _sum(term, term, term))
+        code, out, err = run(capsys, "bound", "--spec", path, "--bounds", "thm2",
+                             "--t-grid", "1e154:1e156:3")
+        assert (code, err) == (0, "")
+        assert [(r["prob"], r["log_prob"], r["note"]) for r in json.loads(out)["bounds"]["thm2"]] == [
+            (1.0, 0.0, "inapplicable: a + b t is infinite")] * 3
+        code, out, err = run(capsys, "invert", "--spec", path, "--bounds", "thm2", "--delta", "0.01")
+        assert (code, err) == (0, "")
+        inv = json.loads(out)["inversions"]["thm2"]
+        assert (inv["exact"], inv["additive"]) == (math.inf, math.inf)
+        code, out, err = run(capsys, "appbound", "--app", "vector-i", "--psi1", "1.2e154,1.2e154",
+                             "--delta", "0.01")
+        assert (code, err, json.loads(out)["value"]) == (0, "", math.inf)
+        code, out, err = run(capsys, "appbound", "--app", "metric", "--diameters", "1.2e154,1.2e154",
+                             "--t", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"] == {"kind": "metric", "t": 1.0, "prob": 1.0, "log_prob": 0.0,
+                                             "note": "inapplicable: a + b t is infinite"}
+
     def test_squared_norms_past_the_largest_float_are_inf(self, tmp_path, capsys):
         # psi2 ** 2 used to raise OverflowError in the entropy bound, the psa
         # proxy and the psa application bound
@@ -1376,6 +1400,63 @@ class TestOverflowPaths:
                              "--bounds", "thm2", "--t-grid", "1:2:2")
         assert (code, err) == (0, "")
         assert [r["prob"] for r in json.loads(out)["bounds"]["thm2"]] == [1.0, 1.0]
+
+
+_GAUSSIAN_VEC = lambda dim: {"kind": "vector", "dim": dim,
+                             "components": [{"kind": "gaussian", "mean": 0, "sd": 1}] * dim}
+_IID_VECTOR_SPECS = {   # the iid vector kinds, by n; the last two are ROADMAP's PSA and loss specs
+    "vector_norm_of_sum": lambda n: {"kind": "vector_norm_of_sum", "vec": _GAUSSIAN_VEC(5), "n": n},
+    "psa_reconstruction": lambda n: {"kind": "psa_reconstruction", "ambient_dim": 4,
+                                     "subspace_dim": 2, "net_size": 8, "net_seed": 3, "n": n,
+                                     "input": _GAUSSIAN_VEC(4)},
+    "sup_linear_loss": lambda n: {"kind": "sup_linear_loss", "weights": [[1, 0], [0.6, 0.8], [0, 1]],
+                                  "loss": "absolute", "input": _GAUSSIAN_VEC(2),
+                                  "output": {"kind": "exponential", "rate": 1}, "n": n},
+}
+# a child runs cli.main on its argv under a 2 GiB address-space limit, and
+# prints its peak RSS in kB on its last stderr line
+_PEAK_RSS = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))\n"
+             "from lighttails import cli\n"
+             "code = cli.main(sys.argv[1:])\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+             "sys.exit(code)\n")
+
+
+class TestSizeGate:
+    """An iid vector kind's profile is one run of n: a bound, an inversion
+    and a chi-layout verify at n = 10^9 cost what they cost at n = 20.  A
+    profile of n entries needed 8 GB of references there, and ended in a
+    MemoryError traceback."""
+
+    @pytest.mark.parametrize("kind, argv", [
+        ("vector_norm_of_sum", ["bound", "--bounds", "thm1,thm2,thm3", "--p", "2",
+                                "--t-grid", "1:1e5:5"]),
+        ("vector_norm_of_sum", ["invert", "--bounds", "thm1,thm2,thm3", "--p", "2",
+                                "--delta", "0.01"]),
+        ("vector_norm_of_sum", ["verify", "--bounds", "thm1,thm2", "--t-grid", "1:1e5:5",
+                                "--n", "100000"]),
+        ("psa_reconstruction", ["bound", "--bounds", "thm2", "--t-grid", "1:1e5:5"]),
+        ("sup_linear_loss", ["bound", "--bounds", "thm2,bounded-difference",
+                             "--t-grid", "1:1e5:5"]),
+    ], ids=["bound", "invert", "verify", "psa-bound", "sup-linear-loss-bound"])
+    def test_peak_rss_at_a_billion_coordinates_is_that_at_twenty(self, kind, argv, tmp_path):
+        src = os.path.dirname(os.path.dirname(lighttails.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        children = {n: subprocess.Popen(
+            [sys.executable, "-c", _PEAK_RSS, argv[0], "--spec",
+             write_spec(tmp_path, _IID_VECTOR_SPECS[kind](n), f"n{n}.json"), *argv[1:]],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for n in (20, 10 ** 9)}
+        peak = {}
+        for n, child in children.items():
+            out, err = child.communicate(timeout=120)
+            assert child.returncode == 0 and "Traceback" not in err, (n, err)
+            peak[n] = int(err.splitlines()[-1])
+            if argv[0] == "verify":
+                report = json.loads(out)
+                assert (report["verdict"], report["sampler_layout"]) == ("SOUND", "chi"), n
+        assert peak[10 ** 9] <= 1.1 * peak[20], peak
 
 
 class TestTinyScales:

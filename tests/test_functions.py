@@ -80,6 +80,11 @@ def coordinate_laws(fspec):
     return fspec.laws if isinstance(fspec, F._ScalarCoordinates) else [fspec.coordinate] * fspec.n
 
 
+def per_coordinate(prof, name):
+    """The entry `name` of prof expanded to one value per coordinate."""
+    return np.repeat(getattr(prof, name), prof.counts)
+
+
 class TestEval:
     def test_sum(self):
         assert F.eval_f(sum_of(D.Rademacher(), 3), [1.0, 2.0, 3.0]) == 6.0
@@ -348,7 +353,7 @@ class TestConditionalVersions:
         prof = F.proxy_profile(fspec, p=2)
         want = exact.worst_case_profile(table, 2.0)
         for name in PROFILE_ENTRIES:
-            assert getattr(prof, name) == pytest.approx(getattr(want, name), rel=1e-9), name
+            assert per_coordinate(prof, name) == pytest.approx(getattr(want, name), rel=1e-9), name
 
     def test_constant_function(self):
         fspec = sum_of(D.FiniteSupport((2.0,), (1.0,)), 3)
@@ -357,7 +362,7 @@ class TestConditionalVersions:
         want = exact.worst_case_profile(table, 2.0)
         prof = F.proxy_profile(fspec, p=2)
         for name in PROFILE_ENTRIES:
-            assert getattr(want, name) == getattr(prof, name) == (0.0,) * 3, name
+            assert getattr(want, name) == tuple(per_coordinate(prof, name)) == (0.0,) * 3, name
 
     def test_vector_norm_triangle_domination(self):
         # |f_k(x)| <= E' ||x_k - X'|| in every cell
@@ -477,8 +482,17 @@ class TestProxyProfile:
         fspec = F.VectorNormOfSum(gauss_vec(3), 7)
         prof = F.proxy_profile(fspec)
         want = 2.0 * F.vector_norm_psi(gauss_vec(3), 1).value
+        assert prof.counts == (7,) and len(prof.psi1_per_coord) == 1
         assert np.allclose(prof.psi1_per_coord, want, rtol=1e-12)
-        assert len(set(prof.psi1_per_coord)) == 1
+
+    @pytest.mark.parametrize("fspec", CATALOGUE, ids=[f.kind for f in CATALOGUE])
+    def test_an_iid_vector_kind_is_one_run(self, fspec):
+        # a profile of n entries for an iid vector kind; one per coordinate
+        # for a scalar kind
+        prof = F.proxy_profile(fspec, kinds=["thm2", "bounded-difference"])
+        vector = isinstance(fspec, F._VectorCoordinates)
+        assert prof.counts == ((fspec.n,) if vector else (1,) * fspec.n)
+        assert len(prof.psi1_per_coord) == len(prof.ranges) == len(prof.counts)
 
     def test_psa_entry(self):
         prof = F.proxy_profile(PSA)
@@ -532,7 +546,7 @@ class TestProxyProfile:
         assert F.proxy_profile(metric).ranges == (0.0, 0.0)
         sll = F.SupLinearLoss([(0.0, 0.0)], "absolute", gauss_vec(2),
                               D.UniformInterval(0.0, 2.0), n=4)
-        assert F.proxy_profile(sll).ranges == (0.5,) * 4
+        assert F.proxy_profile(sll).ranges == (0.5,)
 
     def test_uncertified_psi1_is_not_retried_without_psi2(self):
         # a plain ValueError: proxy_profile drops only a psi2 norm that fails
@@ -632,7 +646,8 @@ class TestProxyProfile:
                                else ("psi1_per_coord", "ranges"))
         assert min(want.psi1_per_coord) > 0
         for name in checked:
-            got, exact_entries = np.array(getattr(prof, name)), np.array(getattr(want, name))
+            got, exact_entries = per_coordinate(prof, name), np.array(getattr(want, name))
+            assert got.shape == (fspec.n,)
             assert np.all(got >= exact_entries * (1.0 - 1e-9)), (name, got, exact_entries)
 
 

@@ -478,6 +478,17 @@ class TestChordSearch:
         assert exact - 1e-14 <= upper <= best + 1e-12
         assert p == pytest.approx(p0, rel=1e-5)
 
+    def test_the_p_grid_is_correctly_rounded(self):
+        # entry i is the float nearest 2^(i/16): the midpoints to both its
+        # float neighbours, raised to the 16th power, bracket 2^i exactly
+        grid = O._P_GRID
+        assert grid.dtype == np.float64 and len(grid) == 16 * 8 + 1 == len(set(grid))
+        for i, x in enumerate(grid.tolist()):
+            lo = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2
+            hi = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+            assert lo ** 16 < 2 ** i < hi ** 16, i
+        assert grid[0] == 1.0 and grid[-1] == O._P_MAX
+
     def test_rise_on_the_last_grid_interval_raises(self):
         grid = O._P_GRID
         p_c = math.sqrt(grid[-2] * grid[-1])
