@@ -80,7 +80,7 @@ class FunctionSpec(dist.Spec):
 class _ScalarCoordinates(FunctionSpec):
     """Coordinate k is the scalar law `laws[k]`."""
     n = property(lambda self: len(self.laws))
-    counts = property(lambda self: (1,) * self.n)
+    counts = property(lambda self: (1,) * len(self.laws))
     point_shape = property(lambda self: (self.n,))
 
     def draw(self, rng, count): return dist.draw_rows(rng, count, (self.n,), enumerate(self.laws))
