@@ -190,6 +190,16 @@ def _check_thm3_p(kinds, p):
     _check_number("p", p, lambda v: math.isfinite(2 * v), "a number whose double is finite")
 
 
+def _check_int(flag, value, lo, hi, lo_text, hi_text):
+    """UsageError naming --flag unless the int value lies in [lo, hi]; ints
+    compare exactly at any size, where math.isfinite overflows past the
+    largest float."""
+    if value < lo:
+        raise UsageError(f"--{flag} must be an integer >= {lo_text}, got {value!r}")
+    if value > hi:
+        raise UsageError(f"--{flag} must be an integer <= {hi_text}, got {value!r}")
+
+
 def _check_number(flag, value, holds=lambda v: True, need="a finite number"):
     """UsageError naming --flag unless value is None, or finite and holds."""
     if value is not None and not (math.isfinite(value) and holds(value)):
@@ -503,9 +513,9 @@ def _cmd_appbound(args):
 def _cmd_verify(args):
     """verify, and compare, which adds the log10 ratios of each bound to the
     empirical tail."""
-    _check_number("threads", args.threads, lambda v: v >= 1, "an integer >= 1")
-    _check_number("n", args.n, lambda v: v >= vfy.MIN_SAMPLES, "an integer >= 10^4")
-    if not 0 <= args.seed < 2 ** 64:     # math.isfinite refuses an int past the largest float
+    _check_int("threads", args.threads, 1, vfy.MAX_THREADS, "1", vfy.MAX_THREADS)
+    _check_int("n", args.n, vfy.MIN_SAMPLES, vfy.MAX_SAMPLES, "10^4", "10^9")
+    if not 0 <= args.seed < 2 ** 64:
         raise UsageError(f"--seed must be a 64-bit unsigned integer, got {args.seed}")
     fspec, kinds, t_grid, digest = _request(args)
     if args.command == "compare":

@@ -161,9 +161,14 @@ class Spec:
 # The scalar catalogue
 
 class Distribution(Spec):
-    """A scalar law.  Every family has `expectation()` and `draw(rng, count)`;
-    the families that are canonical forms also have `support()`,
-    `log_abs_moments(ps)` and `mgf(beta)`, which a wrapper reads off its base."""
+    """A scalar law.  Every family has `expectation()` and `fill(rng, out)`,
+    which writes len(out) draws into `out`, a contiguous float64 row, in
+    place: numpy's standard sampler into `out`, then the steps of numpy's
+    own formula for the law, in place, which give the bits of numpy's
+    sampler of the law (`loc + scale * z` is rounded twice, never fused).  A wrapper fills its
+    base, then applies its one step in place.  The families that are
+    canonical forms also have `support()`, `log_abs_moments(ps)` and
+    `mgf(beta)`, which a wrapper reads off its base."""
 
     # _fold gives the canonical form; _affine the family's own spec for the
     # law after an affine step, if the family is closed under it
@@ -185,6 +190,12 @@ class Distribution(Spec):
     def expectation(self): return canonical(self).expectation()
     def mgf(self, beta): raise NotImplementedError    # a family with no closed form
     def squared_mgf(self, beta): return _squared_mgf(*_chain(self), beta, self.support())
+
+    def draw(self, rng, count):
+        """`count` draws in a new array."""
+        out = np.empty(count)
+        self.fill(rng, out)
+        return out
 
     def _push(self, op, c):
         """Canonical form of the law after one more map step: the family's
@@ -326,11 +337,15 @@ class Gaussian(_Continuous):
 
     def expectation(self): return self.mean
     def support(self): return -math.inf, math.inf
-    def draw(self, rng, count): return rng.normal(self.mean, self.sd, count)
     def sum_law(self, n): return Gaussian(n * self.mean, math.sqrt(n) * self.sd)
     def abs_difference_law(self): return Gaussian(0.0, math.sqrt(2.0) * self.sd)
     def mgf(self, beta): return math.exp(beta * self.mean + 0.5 * beta ** 2 * self.sd ** 2)
     def unit_law(self): return Fraction(self.sd), Fraction(self.mean), Gaussian(0.0, 1.0)
+
+    def fill(self, rng, out):
+        rng.standard_normal(out=out)
+        out *= self.sd
+        out += self.mean
 
     def logpdf(self, x):
         # -ln sd - ln(2 pi) / 2 - ((x - mean) / sd)^2 / 2, in place
@@ -372,7 +387,6 @@ class Exponential(_Continuous):
 
     def expectation(self): return 1.0 / self.rate
     def support(self): return 0.0, math.inf
-    def draw(self, rng, count): return rng.exponential(1.0 / self.rate, count)
     def window(self, p): return 0.0, (p + 8 * np.sqrt(p) + 40.0) / self.rate
     def log_abs_moments(self, ps): return gammaln(ps + 1) - ps * math.log(self.rate)
     # Gamma(n, rate) is chi-squared with 2n degrees of freedom over 2 rate
@@ -380,6 +394,10 @@ class Exponential(_Continuous):
     # Y - Y' is Laplace with scale 1/rate, so |Y - Y'| is again Exponential
     def abs_difference_law(self): return self
     def unit_law(self): return 1 / Fraction(self.rate), Fraction(0), Exponential(1.0)
+
+    def fill(self, rng, out):
+        rng.standard_exponential(out=out)
+        out *= 1.0 / self.rate
 
     def logpdf(self, x):
         t = np.array(x, dtype=float)
@@ -398,8 +416,11 @@ class Exponential(_Continuous):
 class Rademacher(Distribution):
     kind = "rademacher"
 
-    def draw(self, rng, count): return 2.0 * rng.integers(0, 2, count) - 1.0
     def _fold(self): return FiniteSupport((-1.0, 1.0), (0.5, 0.5))
+
+    def fill(self, rng, out):
+        np.multiply(rng.integers(0, 2, len(out)), 2.0, out=out)
+        out -= 1.0
 
     def sum_law(self, n):
         # 2 Binomial(n, 1/2) - n; the weights C(n, k) / 2^n are exact
@@ -420,7 +441,6 @@ class UniformInterval(_Continuous):
     def expectation(self): return 0.5 * (self.lo + self.hi)
     def support(self): return self.lo, self.hi
     def window(self, p): return self.lo, self.hi
-    def draw(self, rng, count): return rng.uniform(self.lo, self.hi, count)
     def log_abs_moments(self, ps):     # math.log per order, as in FiniteSupport
         return np.array([_uniform_log_abs_moment(self.lo, self.hi, p) for p in ps])
     def abs_difference_law(self): return UniformGap(self.hi - self.lo)
@@ -428,6 +448,11 @@ class UniformInterval(_Continuous):
     def unit_law(self):
         lo, hi = Fraction(self.lo), Fraction(self.hi)
         return (hi - lo) / 2, (hi + lo) / 2, UniformInterval(-1.0, 1.0)
+
+    def fill(self, rng, out):
+        rng.random(out=out)
+        out *= self.hi - self.lo
+        out += self.lo
 
     def _check(self):
         if not self.lo < self.hi:
@@ -464,7 +489,7 @@ class Poisson(Distribution):
 
     def expectation(self): return self.rate
     def support(self): return 0.0, math.inf
-    def draw(self, rng, count): return rng.poisson(self.rate, count).astype(float)
+    def fill(self, rng, out): out[:] = rng.poisson(self.rate, len(out))
     def sum_law(self, n): return Poisson(n * self.rate)
     def log_abs_moments(self, ps): return _log_moments(self, (), ps)
     def mgf(self, beta): return math.exp(self.rate * (math.exp(beta) - 1.0))
@@ -507,7 +532,7 @@ class ChiSquared(_Continuous):
 
     def expectation(self): return float(self.dof)
     def support(self): return 0.0, math.inf
-    def draw(self, rng, count): return rng.chisquare(self.dof, count)
+    def fill(self, rng, out): _fill_chi_squared(rng, self.dof, out)
     def sum_law(self, n): return ChiSquared(n * self.dof)
 
     def unit_law(self):
@@ -540,6 +565,12 @@ class ChiSquared(_Continuous):
         return (1.0 - 2.0 * beta) ** (-self.dof / 2)
 
 
+def _fill_chi_squared(rng, dof, out):
+    # numpy's chisquare: twice a standard gamma of shape dof / 2
+    rng.standard_gamma(dof / 2, out=out)
+    out *= 2.0
+
+
 @dataclass(frozen=True)
 class TwoPointEps(Distribution):
     """X = +1 w.p. eps/2, -1 w.p. eps/2, 0 otherwise.
@@ -554,12 +585,11 @@ class TwoPointEps(Distribution):
         if not 0 < self.eps < 1:
             raise SpecError(f"eps must lie in (0,1), got {self.eps}")
 
-    def draw(self, rng, count):
-        u = rng.random(count)
-        out = np.zeros(count)
+    def fill(self, rng, out):
+        u = rng.random(len(out))
+        out[:] = 0.0
         out[u < self.eps / 2] = 1.0
         out[(u >= self.eps / 2) & (u < self.eps)] = -1.0
-        return out
 
     def _fold(self):
         e = self.eps
@@ -587,11 +617,10 @@ class FiniteSupport(Distribution):
         if abs(total - 1.0) > 1e-12:
             raise SpecError(f"probs must sum to 1 within 1e-12, got sum {total!r}")
 
-    def draw(self, rng, count):
+    def fill(self, rng, out):
         values = np.asarray(self.values)
         probs = np.asarray(self.probs, dtype=float)
-        idx = rng.choice(len(values), size=count, p=probs / probs.sum())
-        return values[idx]
+        np.take(values, rng.choice(len(values), size=len(out), p=probs / probs.sum()), out=out)
 
     @functools.cached_property
     def _logs(self):
@@ -659,10 +688,14 @@ class Chi(_Continuous):
 
     def support(self): return 0.0, math.inf
     def expectation(self): return _exp(self.log_abs_moments(np.ones(1))[0], "the mean of {}", self)
-    def draw(self, rng, count): return self.sd * np.sqrt(rng.chisquare(self.dof, count))
     # |x|^p pdf(x) peaks at sd sqrt(p + dof - 1)
     def window(self, p): return 0.0, self.sd * (np.sqrt(2.0 * (p + self.dof)) + 12.0)
     def unit_law(self): return Fraction(self.sd), Fraction(0), Chi(self.dof, 1.0)
+
+    def fill(self, rng, out):
+        _fill_chi_squared(rng, self.dof, out)
+        np.sqrt(out, out=out)
+        out *= self.sd
 
     def log_abs_moments(self, ps):
         return (ps * math.log(self.sd) + 0.5 * ps * math.log(2.0)
@@ -713,7 +746,6 @@ class Shifted(Distribution):
     offset: float
 
     def expectation(self): return self.base.expectation() + self.offset
-    def draw(self, rng, count): return self.base.draw(rng, count) + self.offset
     def _fold(self): return canonical(self.base)._push("shift", self.offset)
     def sum_law(self, n): return _wrap_sum(self.base, n, lambda s: Shifted(s, n * self.offset))
     def _step(self): return "shift", self.offset
@@ -724,6 +756,10 @@ class Shifted(Distribution):
     # no rule peels a shift: the whole chain goes to the primitive's numeric path
     def log_abs_moments(self, ps): return _log_moments(*_chain(self), ps)
 
+    def fill(self, rng, out):
+        self.base.fill(rng, out)
+        out += self.offset
+
 
 @dataclass(frozen=True)
 class Scaled(Distribution):
@@ -732,11 +768,14 @@ class Scaled(Distribution):
     factor: float
 
     def expectation(self): return self.factor * self.base.expectation()
-    def draw(self, rng, count): return self.factor * self.base.draw(rng, count)
     def sum_law(self, n): return _wrap_sum(self.base, n, lambda s: Scaled(s, self.factor))
     def _step(self): return "scale", self.factor
     def mgf(self, beta): return self.base.mgf(beta * self.factor)
     def support(self): return tuple(sorted(self.factor * x for x in self.base.support()))
+
+    def fill(self, rng, out):
+        self.base.fill(rng, out)
+        out *= self.factor
 
     def log_abs_moments(self, ps):
         return ps * math.log(abs(self.factor)) + self.base.log_abs_moments(ps)
@@ -753,11 +792,14 @@ class SquareOf(Distribution):
     base: Distribution
 
     def expectation(self): return abs_moment(self.base, 2.0)   # ||base||_2^2
-    def draw(self, rng, count): return self.base.draw(rng, count) ** 2
     def _fold(self): return canonical(self.base)._push("square", None)
     def _step(self): return "square", None
     def log_abs_moments(self, ps): return self.base.log_abs_moments(2 * ps)
     def mgf(self, beta): return self.base.squared_mgf(beta)
+
+    def fill(self, rng, out):
+        self.base.fill(rng, out)
+        np.square(out, out=out)
 
     def support(self):
         lo, hi = self.base.support()
@@ -770,8 +812,11 @@ class Centered(Distribution):
     base: Distribution
 
     def expectation(self): return 0.0
-    def draw(self, rng, count): return self.base.draw(rng, count) - self.base.expectation()
     def sum_law(self, n): return _wrap_sum(self.base, n, Centered)
+
+    def fill(self, rng, out):
+        self.base.fill(rng, out)
+        out -= self.base.expectation()
 
     def _fold(self):
         form, mu = canonical(self.base), self.base.expectation()
@@ -1128,12 +1173,13 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def draw_rows(rng, count, shape, rows):
     """Coordinate-major draws: for each (index, law) of `rows`, in order,
-    row `index` of a C-order buffer of shape `shape + (count,)` gets
-    law.draw(rng, count).  Returns the buffer as a (count,) + shape view,
-    not a copy, so every coordinate is one contiguous run of draws."""
+    law.fill(rng, row) writes its `count` draws into row `index` of a
+    C-order buffer of shape `shape + (count,)`, in place, with no array
+    per row.  Returns the buffer as a (count,) + shape view, not a copy,
+    so every coordinate is one contiguous run of draws."""
     buf = np.empty(shape + (count,))
     for index, law in rows:
-        buf[index] = law.draw(rng, count)
+        law.fill(rng, buf[index])
     return np.moveaxis(buf, -1, 0)
 
 

@@ -8,6 +8,7 @@ estimated from data), so the tail bounds they feed stay sound.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -53,7 +54,13 @@ class FunctionSpec(dist.Spec):
     adds n iid draws of a law, the hook `_summands` lists those laws, and
     one draw of each law's `sum_law(n)` stands in for the n draws.  Its
     values have the law of f(X), not the stream of `evaluate(draw(...))`.
-    VectorNormOfSum adds a third layout, "chi", that draws f's own law."""
+    VectorNormOfSum adds a third layout, "chi", that draws f's own law.
+
+    Both drawn layouts write every draw in place, each law `fill`ing its row
+    of one buffer per batch (see dist.draw_rows).  The per-coordinate buffer
+    holds prod(point_shape) values per draw, n times the summed one, so
+    `verify.estimate_tail` refuses a shard of it past
+    `verify.MAX_SHARD_BYTES` before any draw."""
 
     _summands = None
     psi2_per_coord = l2p_per_coord = None      # None marks an entry the kind has not
@@ -230,8 +237,8 @@ class SupLinearLoss(_VectorCoordinates):
     def draw(self, rng, count):
         # every x_i first, then every z_i: the draw order of separate x and z
         d = self.input.dim
-        rows = _vector_rows(self.input, self.n) + [((i, d), self.output)
-                                                   for i in range(self.n)]
+        rows = itertools.chain(_vector_rows(self.input, self.n),
+                               (((i, d), self.output) for i in range(self.n)))
         return dist.draw_rows(rng, count, (self.n, d + 1), rows)
 
     def evaluate(self, points):
@@ -454,8 +461,8 @@ def random_projections(ambient_dim, subspace_dim, count, seed):
 
 def _vector_rows(vec, n):
     """(index, law) rows for n iid copies of vec, in draw order: copy by copy,
-    component by component."""
-    return [((i, j), c) for i in range(n) for j, c in enumerate(vec.components)]
+    component by component; a generator, so no list of n dim rows is built."""
+    return (((i, j), c) for i in range(n) for j, c in enumerate(vec.components))
 
 
 def _coordinate_sum(points):

@@ -26,11 +26,22 @@ __all__ = [
     "TailEstimate", "VerificationReport", "clopper_pearson", "estimate_tail",
     "exact_tail_enumeration", "bounds_on_grid", "falsified_bounds",
     "check_bounds", "compare_bounds", "report_to_csv", "SHARD_SIZE", "MIN_SAMPLES",
+    "MAX_SAMPLES", "MAX_THREADS", "MAX_SHARD_BYTES",
 ]
 
 SHARD_SIZE = 10 ** 5    # fixed shard width keeps counts thread-count invariant
 DEFAULT_CP_LEVEL = 0.999
 MIN_SAMPLES = 10 ** 4   # fewest draws estimate_tail accepts
+MAX_SAMPLES = 10 ** 9   # most draws it accepts, 10^4 shards
+MAX_THREADS = 64        # most workers it accepts
+# most bytes a shard's buffer of base points may take; only the per-coordinate
+# layout holds a whole point, n * prod(point_shape[1:]) values, per draw
+MAX_SHARD_BYTES = 2 ** 30
+# A shard counts the values above each threshold of a grid of at most this
+# many; a longer grid sorts the shard once and bisects it.  The crossover of
+# the two on 10^5 Gamma(10) draws lay near 32 thresholds on AVX-512 and
+# near 44 on AVX2.
+_COUNT_STEPS = 32
 
 
 def clopper_pearson(k, n: int, level: float = DEFAULT_CP_LEVEL):
@@ -92,16 +103,36 @@ def _check_grid(t_grid):
     return t_grid
 
 
+def _check_shard_bytes(fspec):
+    """ValueError, naming the spec's n and the budget, where a shard of base
+    points in the per-coordinate layout takes more than MAX_SHARD_BYTES."""
+    if fspec.sampler_layout != "per-coordinate":
+        return
+    size = math.prod(fspec.point_shape) * SHARD_SIZE * 8
+    if size > MAX_SHARD_BYTES:
+        raise ValueError(
+            f"{fspec.kind}: a shard of {SHARD_SIZE} draws of n = {fspec.n} coordinates "
+            f"takes {size} bytes in the per-coordinate layout, over the shard budget of "
+            f"{MAX_SHARD_BYTES} bytes (1 GiB)")
+
+
 def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
     """One pass over n_samples deterministic draws of f, in shards of a fixed
-    width that one pool of `threads` >= 1 workers counts, so the result does
-    not depend on the worker count.  The intervals are at DEFAULT_CP_LEVEL,
-    and E[f(X)] is `fn.expectation`; where that estimate's half-width
-    exceeds a tenth of the t-grid spacing, the grid is too fine for it and
-    this is a ValueError."""
+    width that one pool of `threads` workers counts, so the result does not
+    depend on the worker count.  The intervals are at DEFAULT_CP_LEVEL, and
+    E[f(X)] is `fn.expectation`; where that estimate's half-width exceeds a
+    tenth of the t-grid spacing, the grid is too fine for it and this is a
+    ValueError.  So are n_samples outside [MIN_SAMPLES, MAX_SAMPLES], threads
+    outside [1, MAX_THREADS] and a per-coordinate layout whose shard buffer
+    exceeds MAX_SHARD_BYTES, each checked before any draw."""
     t_grid = _check_grid(t_grid)
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(f"n_samples must be <= 10^9, got {n_samples}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise ValueError(f"threads must lie in [1, {MAX_THREADS}], got {threads}")
+    _check_shard_bytes(fspec)
     mean_value, half = fn.expectation(fspec, seed=seed)
     spacing = min(np.diff(t_grid)) if len(t_grid) > 1 else t_grid[0]
     if half > spacing / 10.0:
@@ -115,14 +146,14 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
 
     def shard_counts(job):
         stream, count = job
-        vals = np.sort(fn.sample_f(fspec, seed, count, stream=stream))
-        # a NaN would compare False, as no exceedance; np.sort puts it last
-        if not (np.isfinite(vals[0]) and np.isfinite(vals[-1])):
-            bad = vals[-1] if np.isfinite(vals[0]) else vals[0]
+        vals = fn.sample_f(fspec, seed, count, stream=stream)
+        # a NaN would compare False, as no exceedance; min and max carry it
+        lo, hi = vals.min(), vals.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            bad = hi if np.isfinite(lo) else lo
             raise ValueError(f"{fspec.kind}: sample value {bad} in shard {stream} "
                              "is not finite")
-        # the values above each threshold; a tie does not exceed
-        return count - np.searchsorted(vals, thresholds, side="right")
+        return _exceedances(vals, thresholds)
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(shard_counts, shards))
@@ -131,6 +162,16 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
                         exceed_counts=tuple(int(c) for c in counts),
                         n_samples=n_samples, mean_value=mean_value,
                         mean_half_width=half, cp_level=DEFAULT_CP_LEVEL, seed=seed)
+
+
+def _exceedances(vals, thresholds):
+    """The number of values above each of the ascending thresholds; a tie
+    does not exceed.  A grid of at most _COUNT_STEPS is counted threshold
+    by threshold; a longer one sorts vals in place and bisects it."""
+    if len(thresholds) <= _COUNT_STEPS:
+        return [np.count_nonzero(vals > t) for t in thresholds]
+    vals.sort()
+    return len(vals) - np.searchsorted(vals, thresholds, side="right")
 
 
 def exact_tail_enumeration(table: ProductTable, t_grid) -> list:

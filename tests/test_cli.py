@@ -1459,6 +1459,39 @@ class TestSizeGate:
         assert peak[10 ** 9] <= 1.1 * peak[20], peak
 
 
+# a child runs cli.main on its argv under a 2 GiB address-space limit
+_UNDER_2_GIB = ("import resource, sys\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))\n"
+                "from lighttails import cli\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+
+
+class TestShardBudget:
+    """A per-coordinate layout whose shard buffer exceeds the budget is one
+    error line before any draw.  These ended in a MemoryError traceback
+    (PSA and loss specs at n = 10^9, whose rows were listed first) or an
+    _ArrayMemoryError for 7.45 GiB (1000 uniform 10-vectors)."""
+
+    @pytest.mark.parametrize("spec, n, size", [
+        (_IID_VECTOR_SPECS["psa_reconstruction"](10 ** 9), 10 ** 9, 4 * 10 ** 9 * 10 ** 5 * 8),
+        (_IID_VECTOR_SPECS["sup_linear_loss"](10 ** 9), 10 ** 9, 3 * 10 ** 9 * 10 ** 5 * 8),
+        ({"kind": "vector_norm_of_sum", "n": 1000, "vec": {
+            "kind": "vector", "dim": 10, "components": [{"kind": "uniform", "lo": 0, "hi": 1}] * 10}},
+         1000, 10 ** 4 * 10 ** 5 * 8),
+    ], ids=["psa", "sup-linear-loss", "uniform-vectors"])
+    def test_verify_refuses_the_shard(self, spec, n, size, tmp_path):
+        src = os.path.dirname(os.path.dirname(lighttails.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", _UNDER_2_GIB, "verify", "--spec", write_spec(tmp_path, spec),
+             "--bounds", "thm2", "--t-grid", "1:5:3", "--n", "100000", "--threads", "2"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr == (
+            f"error: {spec['kind']}: a shard of 100000 draws of n = {n} coordinates takes "
+            f"{size} bytes in the per-coordinate layout, over the shard budget of "
+            "1073741824 bytes (1 GiB)\n")
+
+
 class TestTinyScales:
     """Sums of two laws scaled by 1e-300 or 1e-170, whose proxies' squares
     underflow: thm1 read "degenerate" with bound 0 and verify VIOLATION,
@@ -1658,6 +1691,39 @@ class TestBadNumbers:
                              "--t-grid", "1:5:3", "--n", "10000", "--seed", str(seed))
         assert (code, out) == (1, "")
         assert err == f"error: --seed must be a 64-bit unsigned integer, got {seed}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "compare"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", str(10 ** 400)], f"--n must be an integer <= 10^9, got {10 ** 400}"),
+        (["--n", str(10 ** 9 + 1)], "--n must be an integer <= 10^9, got 1000000001"),
+        (["--n", "20000", "--threads", str(10 ** 400)],
+         f"--threads must be an integer <= 64, got {10 ** 400}"),
+        (["--n", "20000", "--threads", "65"], "--threads must be an integer <= 64, got 65"),
+    ], ids=["n-10^400", "n-10^9+1", "threads-10^400", "threads-65"])
+    def test_counts_past_their_caps_are_named_before_any_work(self, command, flags, message,
+                                                              capsys, monkeypatch):
+        # a --n or --threads past the largest float ended in an OverflowError
+        # traceback in the finiteness check; a failing estimate_tail shows
+        # that no pool and no thread is started
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before the --n and --threads checks")
+        monkeypatch.setattr(cli.vfy, "estimate_tail", no_work)
+        code, out, err = run(capsys, command, "--spec", config("exp1.json"), "--bounds", "thm2",
+                             "--t-grid", "1:5:3", *flags)
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["verify", "compare"])
+    def test_counts_at_their_caps_pass_the_check(self, command, capsys, monkeypatch):
+        seen = []
+
+        def estimate_tail(fspec, t_grid, n_samples, seed, threads=1):
+            seen.append((n_samples, threads))
+            raise ValueError("stop")
+        monkeypatch.setattr(cli.vfy, "estimate_tail", estimate_tail)
+        code, _, err = run(capsys, command, "--spec", config("exp1.json"), "--bounds", "thm2",
+                           "--t-grid", "1:5:3", "--n", str(10 ** 9), "--threads", "64")
+        assert (code, err, seen) == (1, "error: stop\n", [(10 ** 9, 64)])
 
     @pytest.mark.parametrize("command", ["bound", "verify", "compare"])
     def test_negative_t_grid_value(self, command, capsys):

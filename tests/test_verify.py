@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import beta, binom, gamma
 
 from lighttails import distributions as D
@@ -176,6 +177,105 @@ class TestEstimateTail:
         fspec = VectorNormOfSum(vec, n=5)
         with pytest.raises(ValueError, match="t-grid spacing 0.0001 too fine"):
             V.estimate_tail(fspec, [1e-4, 2e-4], 10 ** 4, seed=0)
+
+
+# values with exact ties between draws and thresholds, and both zeros
+_TIED = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(-3.0, 3.0)
+
+
+class TestCounting:
+    """A shard's exceedance counts: threshold by threshold on a grid of at
+    most V._COUNT_STEPS, by a sort and a bisection past it; the two agree
+    on every grid, ties and signed zeros included."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.lists(_TIED, min_size=1, max_size=400),
+           st.lists(_TIED, min_size=1, max_size=2 * V._COUNT_STEPS + 8))
+    @example([0.5] * 10 + [-0.0, 0.0], [-0.0] + [0.5] * (V._COUNT_STEPS - 1))
+    @example([0.5] * 10 + [-0.0, 0.0], [0.0] + [0.5] * V._COUNT_STEPS)
+    def test_counts_equal_the_sorted_bisection(self, values, grid):
+        vals, thresholds = np.array(values), np.sort(grid)
+        want = len(vals) - np.searchsorted(np.sort(vals), thresholds, side="right")
+        assert list(V._exceedances(vals.copy(), thresholds)) == list(want)
+        assert list(want) == [int(np.sum(vals > t)) for t in thresholds]
+
+    @pytest.mark.parametrize("steps", [V._COUNT_STEPS, V._COUNT_STEPS + 1, 3 * V._COUNT_STEPS])
+    @pytest.mark.parametrize("fspec", [sum_of(D.Exponential(1.0), 3), sum_of(D.Rademacher(), 4)],
+                             ids=["gamma", "rademacher-ties"])
+    def test_estimate_matches_the_boolean_matrix_on_both_sides(self, steps, fspec):
+        # the Rademacher sum ties every threshold of 1, 2, 3 and 4
+        t_grid = sorted([1.0, 2.0, 3.0, 4.0] + [(4 * i + 0.5) / steps for i in range(steps - 4)])
+        n_samples, seed = 10 ** 5 + 300, 4
+        est = V.estimate_tail(fspec, t_grid, n_samples, seed)
+        thresholds = np.asarray(t_grid) + est.mean_value + est.mean_half_width
+        want = np.zeros(steps, dtype=int)
+        for stream, start in enumerate(range(0, n_samples, V.SHARD_SIZE)):
+            count = min(V.SHARD_SIZE, n_samples - start)
+            vals = F.sample_f(fspec, seed, count, stream=stream)
+            want += np.sum(vals[:, None] > thresholds[None, :], axis=0)
+        assert est.exceed_counts == tuple(want)
+
+    @pytest.mark.parametrize("steps", [2, V._COUNT_STEPS + 8], ids=["count", "sort"])
+    @pytest.mark.parametrize("bad, named", [
+        ([math.nan], "nan"), ([math.inf], "inf"), ([-math.inf], "-inf"),
+        ([math.inf, -math.inf], "-inf"), ([-math.inf, math.nan], "nan"),
+    ], ids=["nan", "inf", "-inf", "inf-and-minus-inf", "minus-inf-and-nan"])
+    def test_non_finite_shard_names_kind_shard_and_value(self, steps, bad, named, monkeypatch):
+        real = F.sample_f
+
+        def sample_f(fspec, seed, count, stream=0):
+            vals = real(fspec, seed, count, stream)
+            if stream == 1:
+                vals[17:17 + len(bad)] = bad
+            return vals
+        monkeypatch.setattr(V.fn, "sample_f", sample_f)
+        t_grid = np.linspace(0.1, 3.0, steps).tolist()
+        with pytest.raises(ValueError) as err:
+            V.estimate_tail(sum_of(D.Gaussian(0.0, 1.0), 2), t_grid, 3 * 10 ** 5, seed=7)
+        assert str(err.value) == f"sum: sample value {named} in shard 1 is not finite"
+
+
+class TestLimits:
+    """Sizes checked before any draw: the sample count, the workers and the
+    shard buffer of the per-coordinate layout."""
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a draw before the limit checks")
+        monkeypatch.setattr(V.fn, "sample_f", no_work)
+        monkeypatch.setattr(V.fn, "expectation", no_work)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n_samples=10 ** 9 + 1), "n_samples must be <= 10^9, got 1000000001"),
+        (dict(n_samples=10 ** 400), f"n_samples must be <= 10^9, got {10 ** 400}"),
+        (dict(threads=0), "threads must lie in [1, 64], got 0"),
+        (dict(threads=65), "threads must lie in [1, 64], got 65"),
+    ], ids=["n", "n-10^400", "threads-0", "threads-65"])
+    def test_counts_out_of_range(self, kwargs, message, no_draws):
+        args = {**dict(t_grid=[1.0], n_samples=10 ** 4, seed=0), **kwargs}
+        with pytest.raises(ValueError) as err:
+            V.estimate_tail(sum_of(D.Exponential(1.0), 2), **args)
+        assert str(err.value) == message
+
+    def test_a_shard_past_the_budget_is_refused(self, no_draws):
+        # 1343 coordinates of 10^5 draws take 1074400000 bytes > 2^30
+        fspec = F.SumFunction([D.UniformInterval(0.0, 1.0)] * 1343)
+        with pytest.raises(ValueError) as err:
+            V.estimate_tail(fspec, [1.0], 10 ** 4, seed=0)
+        assert str(err.value) == (
+            "sum: a shard of 100000 draws of n = 1343 coordinates takes 1074400000 bytes in "
+            "the per-coordinate layout, over the shard budget of 1073741824 bytes (1 GiB)")
+
+    @pytest.mark.parametrize("fspec", [
+        F.SumFunction([D.UniformInterval(0.0, 1.0)] * 1342),
+        F.SumFunction([D.Exponential(1.0)] * 5000),
+        VectorNormOfSum(D.VectorSpec(2, [D.Exponential(1.0)] * 2), n=10 ** 9),
+        VectorNormOfSum(D.VectorSpec(2, [D.Gaussian(0.0, 1.0)] * 2), n=10 ** 9),
+    ], ids=["at-the-budget", "summed", "summed-vectors", "chi"])
+    def test_within_the_budget_or_not_per_coordinate(self, fspec):
+        # the summed and chi layouts hold dim values, not n dim, per draw
+        V._check_shard_bytes(fspec)
 
 
 class TestExactEnumeration:
