@@ -191,10 +191,10 @@ def _check_thm3_p(kinds, p):
 
 
 def _check_int(flag, value, lo, hi, lo_text, hi_text):
-    """UsageError naming --flag unless the int value lies in [lo, hi]; ints
-    compare exactly at any size, where math.isfinite overflows past the
-    largest float."""
-    if value < lo:
+    """UsageError naming --flag unless the int value lies in [lo, hi] (lo
+    None: no lower limit); ints compare exactly at any size, where
+    math.isfinite overflows past the largest float."""
+    if lo is not None and value < lo:
         raise UsageError(f"--{flag} must be an integer >= {lo_text}, got {value!r}")
     if value > hi:
         raise UsageError(f"--{flag} must be an integer <= {hi_text}, got {value!r}")
@@ -315,6 +315,7 @@ def _kv_csv(d, prefix=""):
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
+_FLOAT_TEXT = float.__repr__
 
 
 def _leaf_text(o):
@@ -332,7 +333,7 @@ def _leaf_text(o):
         return int.__repr__(o)
     if isinstance(o, float):
         if math.isfinite(o):
-            return float.__repr__(o)
+            return _FLOAT_TEXT(o)
         return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
     return None
 
@@ -347,10 +348,11 @@ def _key_text(k):
 def _json_text(o, nl="\n"):
     """json.dumps(o, indent=2, allow_nan=True), byte for byte, without the
     pure-Python encoder that json runs whenever indent is set.  nl is the
-    line break and indent of the line that o starts on."""
+    line break and indent of the line that o starts on.  A finite float or
+    a str inside a list or dict is written in place, with no call per leaf."""
     kind = type(o)
     if kind is float and math.isfinite(o):     # the common types first
-        return float.__repr__(o)
+        return _FLOAT_TEXT(o)
     if kind is str:
         return _ESCAPE(o)
     if kind is not dict and kind is not list:
@@ -359,10 +361,15 @@ def _json_text(o, nl="\n"):
             return text
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
-        brackets, items = "[]", [_json_text(x, inner) for x in o]
+        brackets = "[]"
+        items = [_FLOAT_TEXT(x) if type(x) is float and math.isfinite(x) else
+                 _ESCAPE(x) if type(x) is str else _json_text(x, inner) for x in o]
     elif isinstance(o, dict):
-        brackets, items = "{}", [f"{_ESCAPE(k) if type(k) is str else _key_text(k)}: "
-                                 f"{_json_text(v, inner)}" for k, v in o.items()]
+        brackets = "{}"
+        items = [f"{_ESCAPE(k) if type(k) is str else _key_text(k)}: "
+                 + (_FLOAT_TEXT(v) if type(v) is float and math.isfinite(v) else
+                    _ESCAPE(v) if type(v) is str else _json_text(v, inner))
+                 for k, v in o.items()]
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
     if not items:
@@ -473,6 +480,10 @@ def _parse_float_list(text, flag):
 # appbound's float flags, checked finite in this order, which decides the
 # error of an argv with two bad numbers: --delta comes before --p
 _APP_NUMBERS = ("delta", "p", "psi2", "l2p", "lip", "rad-expectation", "psi1-z", "t")
+# appbound's int flags, checked after them against their lowest value (None:
+# the bound itself checks it) and MAX_APP_INT, far below the largest float
+_APP_INTS = {"d": 1, "n": None}
+MAX_APP_INT = 10 ** 18
 
 # --app -> (its required flags, its bound of the args); --psi1 and
 # --diameters are lists by then
@@ -494,7 +505,9 @@ def _cmd_appbound(args):
     digest = _config_digest(args)
     for flag in _APP_NUMBERS:
         _check_number(flag, getattr(args, flag.replace("-", "_")))
-    _check_number("d", args.d, lambda v: v >= 1, "an integer >= 1")
+    for flag, lo in _APP_INTS.items():
+        if getattr(args, flag) is not None:
+            _check_int(flag, getattr(args, flag), lo, MAX_APP_INT, lo, "10^18")
     for flag in ("psi1", "diameters"):
         if getattr(args, flag) is not None:
             setattr(args, flag, _parse_float_list(getattr(args, flag), flag))

@@ -45,7 +45,7 @@ __all__ = [
     "Chi", "UniformGap", "Shifted", "Scaled", "SquareOf", "Centered", "VectorSpec",
     "SpecError", "MomentDivergenceError", "QuadratureError", "validate",
     "canonical", "standard_form", "round_up", "mean", "support_interval", "abs_moment", "lp_norm",
-    "log_abs_moment", "log_abs_moments", "mgf", "sample", "finite_support",
+    "log_abs_moment", "log_abs_moments", "mgf", "sample",
     "spec_to_dict", "spec_from_dict",
 ]
 
@@ -53,6 +53,8 @@ _MAX_DEPTH = 64
 _SCAN = 4001        # points of the scan that finds a live window
 _STRIDE = 20        # the scan's coarse pass reads every _STRIDE-th point
 _CELL = np.arange(1, _STRIDE)   # a cell's inner points, after its first
+_COARSE = np.arange(0, _SCAN, _STRIDE)  # the cells' ends
+_CELLS = np.arange(len(_COARSE) - 1)    # the cells, by index
 _BLOCK = 64         # orders per pass of the numeric moment path
 
 
@@ -82,7 +84,9 @@ def _number(value, name, kind=numbers.Real, positive=False):
     """value if it is a finite number of the given kind (and > 0 if asked),
     as an int for integers and as a float for real numbers, so that 2 and
     2.0 give one spec with one JSON form."""
-    if isinstance(value, bool) or not isinstance(value, kind):
+    # a float is a Real: the common case skips the ABC check
+    if (type(value) is not float or kind is not numbers.Real) and (
+            isinstance(value, bool) or not isinstance(value, kind)):
         what = "an integer" if kind is numbers.Integral else "a number"
         raise SpecError(f"{name} must be {what}, got {value!r}")
     try:
@@ -136,22 +140,35 @@ _CHECKS = {
     "bool": lambda v, name: _instance(v, name, bool, "boolean"),
     "VectorSpec": lambda v, name: _instance(v, name, VectorSpec, "vector spec"),
 }
+# annotation name -> how the JSON codec nests it: one spec, or a list of them
+_NESTED = {"Distribution": "one", "VectorSpec": "one", "Specs": "list"}
 
 
-def _field_type(f):
-    return f.type.rsplit(".", 1)[-1]
+@functools.cache
+def _fields(cls):
+    """The field table of a spec class, built on its first use and read by
+    every build, decode and encode: name -> (check, nested, required) per
+    dataclass field, in order, with the check of its annotation (None for
+    none), how the codec nests it (see _NESTED; None for a plain value) and
+    whether it has no default."""
+    table = {}
+    for f in dataclasses.fields(cls):
+        annotation = f.type.rsplit(".", 1)[-1]
+        table[f.name] = (_CHECKS.get(annotation), _NESTED.get(annotation),
+                         f.default is dataclasses.MISSING)
+    return table
 
 
 class Spec:
     """A registered spec: a frozen dataclass with a JSON `kind`.  Building
-    one checks each field by its annotation, then `_check` checks relations
-    between fields."""
+    one checks each field by its annotation (see `_fields`), then `_check`
+    checks relations between fields."""
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            check = _CHECKS.get(_field_type(f))
+        values = vars(self)
+        for name, (check, _, _) in _fields(type(self)).items():
             if check is not None:
-                object.__setattr__(self, f.name, check(getattr(self, f.name), f.name))
+                values[name] = check(values[name], name)
         self._check()
 
     def _check(self): pass
@@ -183,9 +200,10 @@ class Distribution(Spec):
         copies X, X' of this canonical form, or None when there is none."""
         return None
     def unit_law(self):
-        """(s, b, U) with this law that of s U + b, for exact Fractions s > 0
-        and b and U the family's law of unit scale, or None for a law that
-        is not a continuous family or Poisson (see `standard_form`)."""
+        """(s, b, U) with this law that of s U + b, for exact rationals s > 0
+        and b (a float or int where the value is one, else a Fraction) and U
+        the family's law of unit scale, or None for a law that is not a
+        continuous family or Poisson (see `standard_form`)."""
         return None
     def expectation(self): return canonical(self).expectation()
     def mgf(self, beta): raise NotImplementedError    # a family with no closed form
@@ -219,7 +237,8 @@ class _Continuous(Distribution):
         have several modes); the cells before and after the live points.  The
         points read are np.linspace's, so (k, a, b) are the full scan's unless
         a peak or live point hides in a cell no pass reads."""
-        lo, hi = (e[:, None] for e in np.broadcast_arrays(ps, *self.window(ps))[1:])
+        lo, hi = np.empty((2, len(ps), 1))      # each window end as a column
+        lo[:, 0], hi[:, 0] = self.window(ps)
         step = (hi - lo) / (_SCAN - 1)
 
         def at(j):
@@ -227,13 +246,13 @@ class _Continuous(Distribution):
 
         def read(j):
             xs = at(j)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h = np.add(log_h_vec(xs), self.logpdf(xs))
+            h = np.add(log_h_vec(xs), self.logpdf(xs))
             h[~np.isfinite(h)] = -np.inf
             return h
 
-        j = np.broadcast_to(np.arange(0, _SCAN, _STRIDE), (len(ps), _SCAN // _STRIDE + 1))
-        h = read(j)
+        j = np.repeat(_COARSE[None], len(ps), axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            h = read(j)
         # live and not below either neighbour; beyond the ends lies -inf
         peak = h > h.max(axis=1, keepdims=True) - 80.0
         peak[:, 1:] &= h[:, 1:] >= h[:, :-1]
@@ -241,10 +260,14 @@ class _Continuous(Distribution):
         near = peak[:, :-1] | peak[:, 1:]
         near[:, 0] = near[:, -1] = True
         # each row's near cells, padded with its cell 0: reads stay per row
-        c = np.sort(np.where(near, np.arange(near.shape[1]), 0), axis=1)[:, -near.sum(axis=1).max():]
+        c = np.where(near, _CELLS, 0)
+        c.sort(axis=1)
+        c = c[:, -near.sum(axis=1).max():]
         for _ in range(2):      # the peak pass, then the ends pass
             inner = (_STRIDE * c[..., None] + _CELL).reshape(len(ps), -1)
-            j, h = np.concatenate([j, inner], axis=1), np.concatenate([h, read(inner)], axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                h = np.concatenate([h, read(inner)], axis=1)
+            j = np.concatenate([j, inner], axis=1)
             k = h.max(axis=1, keepdims=True)
             live = h > k - 80.0     # none live: first 0, last _SCAN - 1, as in the full scan
             first = np.where(live, j, _SCAN).min(axis=1, keepdims=True) % _SCAN
@@ -268,10 +291,13 @@ class _Continuous(Distribution):
         k, a, b = self._live(lambda xs: q[..., 0, 0] * log_g(xs), ps)
         lo, hi = self.support()
         a, b = np.maximum(a, lo), np.minimum(b, hi)
-        cuts = np.sort(np.column_stack([a, b] + [np.minimum(np.maximum(z, a), b)
-                                                 for z in kinks]), axis=1)
-        new = np.concatenate([[True], np.any(cuts[1:] != cuts[:-1], axis=1)])
-        cuts, row = cuts[new], np.cumsum(new) - 1      # a run of equal rows is read once
+        cuts = np.empty((len(ps), 2 + len(kinks)))
+        cuts[:, 0], cuts[:, 1] = a, b
+        for i, z in enumerate(kinks):
+            np.minimum(np.maximum(z, a), b, out=cuts[:, 2 + i])
+        cuts.sort(axis=1)
+        new = np.concatenate([[True], (cuts[1:] != cuts[:-1]).any(axis=1)])
+        cuts, row = cuts[new], new.cumsum() - 1      # a run of equal rows is read once
         edges = cuts[:, :-1, None] + (cuts[:, 1:] - cuts[:, :-1])[:, :, None] * _PANEL_EDGES
         u, v = edges[..., :-1, None], edges[..., 1:, None]
         w = v - u
@@ -293,8 +319,8 @@ class _Continuous(Distribution):
             e[low] = 0.0
             e *= w[row]
             e *= _TS_W
-            val = np.sum(e, axis=(1, 2, 3))
-            gap = np.abs(np.log(val) - np.log(2.0 * np.sum(e[..., ::2], axis=(1, 2, 3))))
+            val = e.sum(axis=(1, 2, 3))
+            gap = np.abs(np.log(val) - np.log(2.0 * e[..., ::2].sum(axis=(1, 2, 3))))
         bad = ~(np.isfinite(val) & (val > 0))
         if bad.any():
             raise QuadratureError(f"fixed-rule quadrature failed (value {val[bad][0]}) "
@@ -340,7 +366,7 @@ class Gaussian(_Continuous):
     def sum_law(self, n): return Gaussian(n * self.mean, math.sqrt(n) * self.sd)
     def abs_difference_law(self): return Gaussian(0.0, math.sqrt(2.0) * self.sd)
     def mgf(self, beta): return math.exp(beta * self.mean + 0.5 * beta ** 2 * self.sd ** 2)
-    def unit_law(self): return Fraction(self.sd), Fraction(self.mean), Gaussian(0.0, 1.0)
+    def unit_law(self): return self.sd, self.mean, _UNIT_GAUSSIAN
 
     def fill(self, rng, out):
         rng.standard_normal(out=out)
@@ -393,7 +419,7 @@ class Exponential(_Continuous):
     def sum_law(self, n): return Scaled(ChiSquared(2 * n), 1.0 / (2.0 * self.rate))
     # Y - Y' is Laplace with scale 1/rate, so |Y - Y'| is again Exponential
     def abs_difference_law(self): return self
-    def unit_law(self): return 1 / Fraction(self.rate), Fraction(0), Exponential(1.0)
+    def unit_law(self): return 1 / Fraction(self.rate), 0, _UNIT_EXPONENTIAL
 
     def fill(self, rng, out):
         rng.standard_exponential(out=out)
@@ -447,7 +473,7 @@ class UniformInterval(_Continuous):
 
     def unit_law(self):
         lo, hi = Fraction(self.lo), Fraction(self.hi)
-        return (hi - lo) / 2, (hi + lo) / 2, UniformInterval(-1.0, 1.0)
+        return (hi - lo) / 2, (hi + lo) / 2, _UNIT_UNIFORM
 
     def fill(self, rng, out):
         rng.random(out=out)
@@ -493,7 +519,7 @@ class Poisson(Distribution):
     def sum_law(self, n): return Poisson(n * self.rate)
     def log_abs_moments(self, ps): return _log_moments(self, (), ps)
     def mgf(self, beta): return math.exp(self.rate * (math.exp(beta) - 1.0))
-    def unit_law(self): return Fraction(1), Fraction(0), self     # no scale family
+    def unit_law(self): return 1, 0, self     # no scale family
 
     def _log_expects(self, log_g, qs, ps, kinks=()):
         """ln E exp(q log_g(X)) for each q of qs: the series over k in one
@@ -513,13 +539,12 @@ class Poisson(Distribution):
         while True:
             k = np.arange(n, dtype=float)
             t = qs[:, None] * log_g(k) + k * math.log(lam) - lam - gammaln(k + 1)
-            k = np.broadcast_to(k, t.shape)
             head, tail = t[:, :-1], t[:, 1:]
-            stop = ((k[:, 1:] + 1 > lam + 10) & (k[:, 1:] > last) & (tail < head)
+            stop = ((k[1:] + 1 > lam + 10) & (k[1:] > last) & (tail < head)
                     & (tail < np.maximum.accumulate(head, axis=1) - 40))
-            if np.all(np.any(stop, axis=1)):
+            if stop.any(axis=1).all():
                 m = t.max(axis=1)
-                return m + np.log(np.sum(np.exp(t - m[:, None]), axis=1))
+                return m + np.log(np.exp(t - m[:, None]).sum(axis=1))
             if n > 100000:
                 raise QuadratureError("Poisson series did not converge")
             n *= 2
@@ -538,8 +563,8 @@ class ChiSquared(_Continuous):
     def unit_law(self):
         # chi-squared(2) is Exponential(1/2), twice Exponential(1)
         if self.dof == 2:
-            return Fraction(2), Fraction(0), Exponential(1.0)
-        return Fraction(1), Fraction(0), self
+            return 2, 0, _UNIT_EXPONENTIAL
+        return 1, 0, self
 
     def logpdf(self, x):
         k2 = self.dof / 2.0
@@ -604,7 +629,7 @@ class FiniteSupport(Distribution):
 
     def expectation(self): return float(np.dot(self.values, self.probs))
     def support(self): return min(self.values), max(self.values)
-    def _fold(self): return _merged(self.values, self.probs)
+    def _fold(self): return self if _increasing(self.values) else _merged(self.values, self.probs)
 
     def _check(self):
         for name in ("values", "probs"):
@@ -656,13 +681,22 @@ class FiniteSupport(Distribution):
         return FiniteSupport(np.abs(v[:, None] - v).ravel(), np.outer(p, p).ravel())
 
     def _push(self, op, c):
-        # a value past the largest float is inf, which the new law refuses
-        with np.errstate(over="ignore"):
-            values = _apply(((op, c),), np.asarray(self.values))
-        try:
+        # a value past the largest float is inf, which the new law refuses;
+        # x * x is numpy's x ** 2, and a float product or sum overflows to inf
+        values = ([v + c for v in self.values] if op == "shift" else
+                  [c * v for v in self.values] if op == "scale" else [v * v for v in self.values])
+        try:    # distinct values in order need no sort and merge
+            if _increasing(values):
+                return FiniteSupport(values, self.probs)
+            if _increasing(values[::-1]):
+                return FiniteSupport(values[::-1], self.probs[::-1])
             return _merged(values, self.probs)
         except SpecError as exc:
             raise SpecError(f"{self} after the map step {(op, c)}: {exc}") from None
+
+
+def _increasing(values):
+    return all(a < b for a, b in zip(values, values[1:]))
 
 
 def _merged(values, probs):
@@ -690,7 +724,7 @@ class Chi(_Continuous):
     def expectation(self): return _exp(self.log_abs_moments(np.ones(1))[0], "the mean of {}", self)
     # |x|^p pdf(x) peaks at sd sqrt(p + dof - 1)
     def window(self, p): return 0.0, self.sd * (np.sqrt(2.0 * (p + self.dof)) + 12.0)
-    def unit_law(self): return Fraction(self.sd), Fraction(0), Chi(self.dof, 1.0)
+    def unit_law(self): return self.sd, 0, Chi(self.dof, 1.0)
 
     def fill(self, rng, out):
         _fill_chi_squared(rng, self.dof, out)
@@ -722,7 +756,7 @@ class UniformGap(_Continuous):
     def support(self): return 0.0, self.width
     def window(self, p): return 0.0, self.width
     def expectation(self): return self.width / 3.0
-    def unit_law(self): return Fraction(self.width), Fraction(0), UniformGap(1.0)
+    def unit_law(self): return self.width, 0, _UNIT_GAP
 
     def log_abs_moments(self, ps):
         # E|D|^p = 2 width^p / ((p+1)(p+2)), with math.log per order
@@ -825,6 +859,11 @@ class Centered(Distribution):
         return form._push("shift", -mu) if mu else form
 
 
+# the laws of unit scale that `unit_law` names
+_UNIT_GAUSSIAN, _UNIT_EXPONENTIAL = Gaussian(0.0, 1.0), Exponential(1.0)
+_UNIT_UNIFORM, _UNIT_GAP = UniformInterval(-1.0, 1.0), UniformGap(1.0)
+
+
 def _wrap_sum(base, n, wrap):
     """wrap(law of the n-fold sum of base), or None if base has none."""
     law = base.sum_law(n)
@@ -909,20 +948,26 @@ def standard_form(spec):
     if unit is None:
         return 1.0, spec
     a, c, law = unit
-    for op, x in steps:
-        if op == "shift":
-            c += Fraction(x)
-        elif op == "scale":
-            a, c = a * Fraction(x), c * Fraction(x)
-        elif c or max(a.numerator.bit_length(), a.denominator.bit_length()) > _SCALE_BITS:
-            return 1.0, spec
-        else:
-            a, law = a * a, ChiSquared(1) if law == Gaussian(0.0, 1.0) else SquareOf(law)
+    shifts = all(op == "shift" for op, _ in steps)
+    if not shifts:
+        a, c = Fraction(a), Fraction(c)
+        for op, x in steps:
+            if op == "shift":
+                c += Fraction(x)
+            elif op == "scale":
+                a, c = a * Fraction(x), c * Fraction(x)
+            elif c or max(a.numerator.bit_length(), a.denominator.bit_length()) > _SCALE_BITS:
+                return 1.0, spec
+            else:
+                a, law = a * a, ChiSquared(1) if law is _UNIT_GAUSSIAN else SquareOf(law)
     scale = round_up(abs(a))
     if spec.expectation() == 0.0:
         law = law if law.expectation() == 0.0 else Centered(law)
-    elif c or scale != abs(a):
-        return 1.0, spec
+    else:
+        if shifts:      # shifts alone leave a as it is; only here is c read
+            c = sum(map(Fraction, (x for _, x in steps)), Fraction(c))
+        if c or scale != abs(a):
+            return 1.0, spec
     if not sys.float_info.min <= scale < math.inf:
         return 1.0, spec
     return scale, law
@@ -939,16 +984,6 @@ def round_up(exact) -> float:
     except OverflowError:
         return math.inf
     return x if x >= exact else math.nextafter(x, math.inf)
-
-
-def finite_support(spec):
-    """Return sorted (values, probs) arrays if the spec is exactly finite,
-    else None.  Duplicate values produced by transforms (e.g. squaring a
-    symmetric support) are merged."""
-    form = canonical(spec)
-    if not isinstance(form, FiniteSupport):
-        return None
-    return np.array(form.values), np.array(form.probs)
 
 
 def support_interval(spec):
@@ -1208,16 +1243,18 @@ _KINDS = {cls.kind: cls for cls in (
 
 def spec_to_dict(spec) -> dict:
     """JSON object of any registered spec (distribution, vector or function)."""
-    return {"kind": spec.kind, **{f.name: _to_json(getattr(spec, f.name))
-                                  for f in dataclasses.fields(spec)}}
+    values, out = vars(spec), {"kind": spec.kind}
+    for name, (_, nested, _) in _fields(type(spec)).items():
+        value = values[name]
+        out[name] = (spec_to_dict(value) if nested == "one" else
+                     [spec_to_dict(v) for v in value] if nested == "list" else
+                     _lists(value) if type(value) is tuple else value)
+    return out
 
 
-def _to_json(value):
-    if isinstance(value, Spec):
-        return spec_to_dict(value)
-    if isinstance(value, tuple):
-        return [_to_json(v) for v in value]
-    return value
+def _lists(value):
+    """A tuple of values or tuples as nested lists."""
+    return [_lists(v) if type(v) is tuple else v for v in value]
 
 
 def spec_from_dict(d, path="$"):
@@ -1239,26 +1276,25 @@ def _decode(d, path, depth=0):
     cls = _KINDS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise SpecError(f'"{path}": unknown spec kind {kind!r}')
-    fields = dataclasses.fields(cls)
-    names = {f.name for f in fields}
+    table = _fields(cls)
     for key in d:
-        if key != "kind" and key not in names:
+        if key != "kind" and key not in table:
             raise SpecError(f'"{path}.{key}": unknown field of kind {kind!r}')
     args = {}
-    for f in fields:
-        value, where = d.get(f.name, dataclasses.MISSING), f"{path}.{f.name}"
-        if value is dataclasses.MISSING:
-            if f.default is dataclasses.MISSING:
-                raise SpecError(f'"{path}": kind {kind!r} is missing field {f.name!r}')
+    for name, (_, nested, required) in table.items():
+        if name not in d:
+            if required:
+                raise SpecError(f'"{path}": kind {kind!r} is missing field {name!r}')
             continue
-        nested = _field_type(f)
-        if nested in ("Distribution", "VectorSpec"):
-            value = _decode(value, where, depth + 1)
-        elif nested == "Specs":
+        value = d[name]
+        if nested == "one":
+            value = _decode(value, f"{path}.{name}", depth + 1)
+        elif nested == "list":
+            where = f"{path}.{name}"
             if not isinstance(value, (list, tuple)):
                 raise SpecError(f'"{where}": expected a list, got {value!r}')
             value = [_decode(c, f"{where}[{i}]", depth + 1) for i, c in enumerate(value)]
-        args[f.name] = value
+        args[name] = value
     try:
         return cls(**args)
     except SpecError as exc:

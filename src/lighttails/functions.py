@@ -36,7 +36,8 @@ _INNER_STREAM = 10 ** 9  # stream offset reserved for inner estimates
 class FunctionSpec(dist.Spec):
     """f of n independent coordinates.  Each kind has `n`, `counts` (the
     runs of equal coordinates of its proxy profile: one run of n for the
-    iid vector kinds, n runs of one for the scalar kinds), `point_shape` (of
+    iid vector kinds, one run per run of equal consecutive laws for the
+    scalar kinds), `point_shape` (of
     one base point), `draw(rng, count)` and `evaluate(points)` for batches of
     shape (count,) + point_shape, and one method per proxy entry it has
     (`psi1_per_coord`, `ranges`, `psi2_per_coord`, `l2p_per_coord(p)`), each
@@ -58,11 +59,13 @@ class FunctionSpec(dist.Spec):
 
     Both drawn layouts write every draw in place, each law `fill`ing its row
     of one buffer per batch (see dist.draw_rows).  The per-coordinate buffer
-    holds prod(point_shape) values per draw, n times the summed one, so
-    `verify.estimate_tail` refuses a shard of it past
+    holds prod(point_shape) values per draw, n times the summed one, and
+    `evaluate` makes `evaluation_copies` C-order copies of it, so
+    `verify.estimate_tail` refuses shards of it past
     `verify.MAX_SHARD_BYTES` before any draw."""
 
     _summands = None
+    evaluation_copies = 0
     psi2_per_coord = l2p_per_coord = None      # None marks an entry the kind has not
     sampler_layout = property(lambda s: "per-coordinate" if s._sum_laws is None else "summed")
 
@@ -85,10 +88,22 @@ class FunctionSpec(dist.Spec):
 
 
 class _ScalarCoordinates(FunctionSpec):
-    """Coordinate k is the scalar law `laws[k]`."""
+    """Coordinate k is the scalar law `laws[k]`.  A coordinate's proxies
+    read its law alone, so the profile reads one law per run of equal
+    consecutive laws (`_runs`)."""
     n = property(lambda self: len(self.laws))
-    counts = property(lambda self: (1,) * len(self.laws))
+    counts = property(lambda self: tuple(k for _, _, k in self._runs))
     point_shape = property(lambda self: (self.n,))
+
+    @functools.cached_property
+    def _runs(self):
+        """(first coordinate, law, length) of each run of equal consecutive laws."""
+        runs, first = [], 0
+        for law, run in itertools.groupby(self.laws):
+            length = sum(1 for _ in run)
+            runs.append((first, law, length))
+            first += length
+        return tuple(runs)
 
     def draw(self, rng, count): return dist.draw_rows(rng, count, (self.n,), enumerate(self.laws))
 
@@ -117,24 +132,27 @@ class SumFunction(_ScalarCoordinates):
     def evaluate(self, points): return _coordinate_sum(points)
     def _of_sum(self, s): return s
     def closed_form_mean(self): return math.fsum(dist.mean(c) for c in self.components)
-    def ranges(self): return [_support_width(c) for c in self.components]
+    def ranges(self): return [_support_width(c) for _, c, _ in self._runs]
 
     @property
     def _summands(self):
         c = self.components
         return c[:1] if self.n > 1 and all(x == c[0] for x in c) else None
 
+    @functools.cached_property
+    def _centered(self):
+        """(first coordinate, law, its Centered law) per run."""
+        return tuple((i, c, dist.Centered(c)) for i, c, _ in self._runs)
+
     def psi1_per_coord(self):
-        return [_proxy_norm(psi_norm, dist.Centered(c), 1, f"coordinate {i}", c)
-                for i, c in enumerate(self.components)]
+        return [_proxy_norm(psi_norm, x, 1, f"coordinate {i}", c) for i, c, x in self._centered]
 
     def psi2_per_coord(self):
-        return [_psi2(psi_norm, dist.Centered(c), f"coordinate {i}", c)
-                for i, c in enumerate(self.components)]
+        return [_psi2(psi_norm, x, f"coordinate {i}", c) for i, c, x in self._centered]
 
     def l2p_per_coord(self, p):
-        return [_proxy_read(dist.lp_norm, dist.Centered(c), 2 * p, f"coordinate {i}", c, "2p-norm")
-                for i, c in enumerate(self.components)]
+        return [_proxy_read(dist.lp_norm, x, 2 * p, f"coordinate {i}", c, "2p-norm")
+                for i, c, x in self._centered]
 
 
 @dataclass(frozen=True)
@@ -216,6 +234,8 @@ class SupLinearLoss(_VectorCoordinates):
     n: dist.Count
     huber_kappa: float = 1.0
 
+    evaluation_copies = 1   # evaluate's C-order batch
+
     # one coordinate is the pair (x_i, z_i)
     coordinate = property(lambda self: dist.VectorSpec(
         self.input.dim + 1, self.input.components + (self.output,)))
@@ -279,6 +299,8 @@ class PsaReconstruction(_VectorCoordinates):
     projections: tuple      # tuple of (D, D) matrices as nested tuples
     input: dist.VectorSpec
     n: dist.Count
+
+    evaluation_copies = 1   # evaluate's C-order batch
 
     coordinate = property(lambda self: self.input)
 
@@ -347,7 +369,7 @@ class MetricLipschitz(_ScalarCoordinates):
 
     laws = property(lambda self: self.coordinate_dists)
 
-    def ranges(self): return [_times(self.lip, _support_width(c)) for c in self.coordinate_dists]
+    def ranges(self): return [_times(self.lip, _support_width(c)) for _, c, _ in self._runs]
 
     def _check(self):
         if self.lip < 0:
@@ -371,7 +393,7 @@ class MetricLipschitz(_ScalarCoordinates):
 
     def psi1_per_coord(self):
         return [self.lip * _proxy_norm(applications.psi_diameter, c, 1, f"coordinate {i}", c)
-                for i, c in enumerate(self.coordinate_dists)]
+                for i, c, _ in self._runs]
 
 
 def _row(row, name, length):

@@ -29,7 +29,6 @@ No norm here is estimated from samples, so every one may feed a tail bound.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -94,7 +93,7 @@ def _chord_bounds(ps, phis, alpha):
     a, b, fa = ps[:-1], ps[1:], phis[:-1]
     s = (phis[1:] - fa) / (b - a)
     c = fa - s * a
-    q = np.where(c < 0, np.clip(-alpha * c, a, b), a)
+    q = np.where(c < 0, np.minimum(np.maximum(-alpha * c, a), b), a)
     return (fa + s * (q - a)) / q - np.log(q) / alpha, q
 
 
@@ -117,7 +116,7 @@ def _sup_ratio(log_moments, alpha):
     """
     ps = _START
     phis = log_moments(ps)
-    if np.all(phis == -math.inf):
+    if (phis == -math.inf).all():
         return -math.inf, 1.0, -math.inf
     for rounds in range(_MAX_ROUNDS + 1):
         bad = ~np.isfinite(phis)
@@ -134,11 +133,14 @@ def _sup_ratio(log_moments, alpha):
                 f"chord bounds still {bounds.max() - ratios.max():.3g} above the "
                 f"best ln ratio after {rounds} bisection rounds")
         a, b, q = ps[:-1][split], ps[1:][split], peaks[split]
-        new = np.unique(np.concatenate([np.sqrt(a * b), q[(a < q) & (q < b)]]))
+        new = np.concatenate([np.sqrt(a * b), q[(a < q) & (q < b)]])
+        new.sort()      # and each order once, as np.unique gives them
+        new = new[np.concatenate([[True], new[1:] != new[:-1]])]
         ps, phis = np.concatenate([ps, new]), np.concatenate([phis, log_moments(new)])
         order = np.argsort(ps)
         ps, phis = ps[order], phis[order]
-    if np.any(np.diff(ratios[ps >= _P_MAX / 2 - 1e-9]) > 1e-9):
+    last = ratios[ps >= _P_MAX / 2 - 1e-9]
+    if (last[1:] - last[:-1] > 1e-9).any():
         raise PMaxTooSmallError(
             f"the moment ratio still rises at p = {_P_MAX:g}, the end of the p-grid")
     i = int(np.argmax(ratios))
@@ -168,13 +170,13 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
     est = _psi_norm_cached(standard, alpha)
     if isinstance(est, PMaxTooSmallError):
         raise PMaxTooSmallError(f"the psi{alpha} norm of {spec} is not certified: {est}")
-    est = scaled_estimate(est, scale)
-    if est.value == math.inf:
+    value, upper = scale * est.value, _scaled_upper(est.upper, scale)
+    if value == math.inf:
         raise dist.SpecError(f"the psi{alpha} norm of {spec} is past the largest float")
-    if not 0.0 < est.upper < math.inf:
-        return est
-    slack = _READ_ROUNDING * (abs(math.log(scale)) + abs(math.log(est.upper)) + math.log(_P_MAX) + 1.0)
-    return dataclasses.replace(est, upper=math.nextafter(est.upper * (1.0 + slack), math.inf))
+    if 0.0 < upper < math.inf:
+        slack = _READ_ROUNDING * (abs(math.log(scale)) + abs(math.log(upper)) + math.log(_P_MAX) + 1.0)
+        upper = math.nextafter(upper * (1.0 + slack), math.inf)
+    return OrliczEstimate(est.alpha, value, est.p_star, est.method, upper)
 
 
 # The relative rounding, per unit of |ln s| + |ln ratio| + ln p_max + 1, of a
@@ -191,13 +193,17 @@ def scaled_estimate(est, scale, method=None) -> OrliczEstimate:
     est's unless given.  A product rounds to within half an ulp of the
     exact one, also when it underflows or overflows, so the next float up
     is not below it; the upper 0 of the zero variable stays 0."""
-    upper = math.nextafter(scale * est.upper, math.inf) if est.upper else 0.0
-    return OrliczEstimate(est.alpha, scale * est.value, est.p_star, method or est.method, upper)
+    return OrliczEstimate(est.alpha, scale * est.value, est.p_star, method or est.method,
+                          _scaled_upper(est.upper, scale))
+
+
+def _scaled_upper(upper, scale):
+    return math.nextafter(scale * upper, math.inf) if upper else 0.0
 
 
 @functools.lru_cache(maxsize=4096)
 def _psi_norm_cached(spec, alpha):
-    method = "closed-form" if dist.finite_support(spec) is not None else "analytic-grid"
+    method = "closed-form" if isinstance(dist.canonical(spec), dist.FiniteSupport) else "analytic-grid"
     try:
         best, p, top = _sup_ratio(lambda ps: dist.log_abs_moments(spec, ps), alpha)
     except PMaxTooSmallError as exc:

@@ -34,7 +34,8 @@ DEFAULT_CP_LEVEL = 0.999
 MIN_SAMPLES = 10 ** 4   # fewest draws estimate_tail accepts
 MAX_SAMPLES = 10 ** 9   # most draws it accepts, 10^4 shards
 MAX_THREADS = 64        # most workers it accepts
-# most bytes a shard's buffer of base points may take; only the per-coordinate
+# most bytes the shards of base points in flight may take: each worker holds
+# one buffer and its kind's evaluation copies of it.  Only the per-coordinate
 # layout holds a whole point, n * prod(point_shape[1:]) values, per draw
 MAX_SHARD_BYTES = 2 ** 30
 # A shard counts the values above each threshold of a grid of at most this
@@ -103,17 +104,23 @@ def _check_grid(t_grid):
     return t_grid
 
 
-def _check_shard_bytes(fspec):
-    """ValueError, naming the spec's n and the budget, where a shard of base
-    points in the per-coordinate layout takes more than MAX_SHARD_BYTES."""
+def _check_shard_bytes(fspec, threads=1):
+    """ValueError, naming the spec's n and the budget, where the shards of
+    base points in the per-coordinate layout take more than MAX_SHARD_BYTES
+    at their peak: `threads` workers, each with a buffer and the
+    `evaluation_copies` of it that the kind's `evaluate` makes."""
     if fspec.sampler_layout != "per-coordinate":
         return
     size = math.prod(fspec.point_shape) * SHARD_SIZE * 8
-    if size > MAX_SHARD_BYTES:
+    peak = threads * (1 + fspec.evaluation_copies) * size
+    if peak > MAX_SHARD_BYTES:
+        held = ([f"{threads} threads"] if threads > 1 else []) + (
+            ["the evaluation copy"] if fspec.evaluation_copies else [])
         raise ValueError(
             f"{fspec.kind}: a shard of {SHARD_SIZE} draws of n = {fspec.n} coordinates "
-            f"takes {size} bytes in the per-coordinate layout, over the shard budget of "
-            f"{MAX_SHARD_BYTES} bytes (1 GiB)")
+            f"takes {size} bytes in the per-coordinate layout"
+            + (f", {peak} bytes with {' and '.join(held)}" if held else "")
+            + f", over the shard budget of {MAX_SHARD_BYTES} bytes (1 GiB)")
 
 
 def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
@@ -123,8 +130,9 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
     E[f(X)] is `fn.expectation`; where that estimate's half-width exceeds a
     tenth of the t-grid spacing, the grid is too fine for it and this is a
     ValueError.  So are n_samples outside [MIN_SAMPLES, MAX_SAMPLES], threads
-    outside [1, MAX_THREADS] and a per-coordinate layout whose shard buffer
-    exceeds MAX_SHARD_BYTES, each checked before any draw."""
+    outside [1, MAX_THREADS] and a per-coordinate layout whose shards in
+    flight exceed MAX_SHARD_BYTES (see `_check_shard_bytes`), each checked
+    before any draw."""
     t_grid = _check_grid(t_grid)
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
@@ -132,7 +140,7 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
         raise ValueError(f"n_samples must be <= 10^9, got {n_samples}")
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"threads must lie in [1, {MAX_THREADS}], got {threads}")
-    _check_shard_bytes(fspec)
+    _check_shard_bytes(fspec, threads)
     mean_value, half = fn.expectation(fspec, seed=seed)
     spacing = min(np.diff(t_grid)) if len(t_grid) > 1 else t_grid[0]
     if half > spacing / 10.0:

@@ -1466,30 +1466,74 @@ _UNDER_2_GIB = ("import resource, sys\n"
                 "sys.exit(cli.main(sys.argv[1:]))\n")
 
 
+# a child runs verify at --threads 2 on its first spec file, to warm up, then
+# on its second under an address-space limit of what it then holds plus the
+# shard budget and 512 MiB; it prints the rise of its peak RSS in bytes on its
+# last stderr line
+_PEAK_RSS_RISE = (
+    "import contextlib, io, resource, sys\n"
+    "from lighttails import cli, verify\n"
+    "argv = lambda path: ['verify', '--spec', path, '--bounds', 'thm2', '--t-grid', '1:5:3',\n"
+    "                     '--n', '200000', '--seed', '1', '--threads', '2']\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    assert cli.main(argv(sys.argv[1])) == 0\n"
+    "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+    "with open('/proc/self/statm') as fh:\n"
+    "    held = int(fh.read().split()[0]) * resource.getpagesize()\n"
+    "limit = held + verify.MAX_SHARD_BYTES + 2 ** 29\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+    "code = cli.main(argv(sys.argv[2]))\n"
+    "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 - base, file=sys.stderr)\n"
+    "sys.exit(code)\n")
+
+
 class TestShardBudget:
     """A per-coordinate layout whose shard buffer exceeds the budget is one
     error line before any draw.  These ended in a MemoryError traceback
     (PSA and loss specs at n = 10^9, whose rows were listed first) or an
     _ArrayMemoryError for 7.45 GiB (1000 uniform 10-vectors)."""
 
-    @pytest.mark.parametrize("spec, n, size", [
-        (_IID_VECTOR_SPECS["psa_reconstruction"](10 ** 9), 10 ** 9, 4 * 10 ** 9 * 10 ** 5 * 8),
-        (_IID_VECTOR_SPECS["sup_linear_loss"](10 ** 9), 10 ** 9, 3 * 10 ** 9 * 10 ** 5 * 8),
+    @pytest.mark.parametrize("spec, n, size, held", [
+        (_IID_VECTOR_SPECS["psa_reconstruction"](10 ** 9), 10 ** 9, 4 * 10 ** 9 * 10 ** 5 * 8,
+         (4, "2 threads and the evaluation copy")),
+        (_IID_VECTOR_SPECS["sup_linear_loss"](10 ** 9), 10 ** 9, 3 * 10 ** 9 * 10 ** 5 * 8,
+         (4, "2 threads and the evaluation copy")),
         ({"kind": "vector_norm_of_sum", "n": 1000, "vec": {
             "kind": "vector", "dim": 10, "components": [{"kind": "uniform", "lo": 0, "hi": 1}] * 10}},
-         1000, 10 ** 4 * 10 ** 5 * 8),
+         1000, 10 ** 4 * 10 ** 5 * 8, (2, "2 threads")),
     ], ids=["psa", "sup-linear-loss", "uniform-vectors"])
-    def test_verify_refuses_the_shard(self, spec, n, size, tmp_path):
+    def test_verify_refuses_the_shard(self, spec, n, size, held, tmp_path):
         src = os.path.dirname(os.path.dirname(lighttails.__file__))
         child = subprocess.run(
             [sys.executable, "-c", _UNDER_2_GIB, "verify", "--spec", write_spec(tmp_path, spec),
              "--bounds", "thm2", "--t-grid", "1:5:3", "--n", "100000", "--threads", "2"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
         assert (child.returncode, child.stdout) == (1, "")
+        # the peak counts each worker's buffer and its evaluation copy
         assert child.stderr == (
             f"error: {spec['kind']}: a shard of 100000 draws of n = {n} coordinates takes "
-            f"{size} bytes in the per-coordinate layout, over the shard budget of "
-            "1073741824 bytes (1 GiB)\n")
+            f"{size} bytes in the per-coordinate layout, {held[0] * size} bytes with {held[1]}, "
+            "over the shard budget of 1073741824 bytes (1 GiB)\n")
+
+    def test_a_spec_just_under_the_budget_stays_under_it(self, tmp_path):
+        # ten coordinates of 32 values: two workers, each with a 256 MB
+        # buffer and its C-order copy, take 1024000000 bytes; eleven are
+        # refused.  Two such shards peaked 3.8 times a buffer when the
+        # budget counted one.  The child warms up on one coordinate, then
+        # runs under an address-space limit of what it holds plus the budget
+        # and 512 MiB, and prints how far its peak RSS rose
+        loss = lambda n: {"kind": "sup_linear_loss", "weights": [[1.0] + [0.0] * 30],
+                          "loss": "absolute", "input": _GAUSSIAN_VEC(31),
+                          "output": {"kind": "exponential", "rate": 1}, "n": n}
+        src = os.path.dirname(os.path.dirname(lighttails.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_RISE, write_spec(tmp_path, loss(1), "n1.json"),
+             write_spec(tmp_path, loss(10), "n10.json")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout)
+        assert (report["verdict"], report["sampler_layout"]) == ("SOUND", "per-coordinate")
+        assert 0 < int(child.stderr.splitlines()[-1]) <= vfy.MAX_SHARD_BYTES
 
 
 class TestTinyScales:
@@ -1642,6 +1686,35 @@ class TestBadNumbers:
         row = cli._SUBCOMMANDS["appbound"][2]
         floats = [flag[2:] for flag, keywords in row if keywords.get("type") is float]
         assert sorted(floats) == sorted(cli._APP_NUMBERS)
+
+    def test_every_appbound_int_flag_is_checked(self):
+        # an int flag left out of _APP_INTS would reach the bound unchecked
+        row = cli._SUBCOMMANDS["appbound"][2]
+        ints = [flag[2:] for flag, keywords in row if keywords.get("type") is int]
+        assert sorted(ints) == sorted(cli._APP_INTS)
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["psa", "--psi2", "1", "--n", "100", "--delta", "0.1", "--d", "1" + "0" * 400], "d"),
+        (["vector-ii", "--psi1", "1", "--delta", "0.1", "--n", "1" + "0" * 400], "n"),
+        (["psa", "--psi2", "1", "--d", "2", "--delta", "0.1", "--n", "1" + "0" * 400], "n"),
+        (["rademacher", "--psi1", "1", "--delta", "0.1", "--n", str(10 ** 18 + 1)], "n"),
+    ], ids=["psa-d", "vector-ii-n", "psa-n", "rademacher-n-past-the-cap"])
+    def test_appbound_int_past_its_cap(self, argv, flag, capsys, monkeypatch):
+        # a 401-digit --d or --n ended in an OverflowError traceback, in
+        # math.isfinite (--d) or in the bound (--n)
+        def no_work(*args, **kwargs):
+            raise AssertionError("a bound computed before the flag check")
+        for name in ("vector_bound_ii", "psa_bound", "rademacher_generalization_bound"):
+            monkeypatch.setattr(cli.apps, name, no_work)
+        value = argv[argv.index(f"--{flag}") + 1]
+        code, out, err = run(capsys, "appbound", "--app", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: --{flag} must be an integer <= 10^18, got {value}\n"
+
+    def test_appbound_int_at_its_cap(self, capsys):
+        code, out, err = run(capsys, "appbound", "--app", "psa", "--psi2", "1", "--d", str(10 ** 18),
+                             "--n", str(10 ** 18), "--delta", "0.1")
+        assert (code, err) == (0, "") and 0 < json.loads(out)["value"] < math.inf
 
     @pytest.mark.parametrize("command", ["verify", "compare"])
     @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -1,14 +1,20 @@
+import contextlib
 import functools
+import io
 import itertools
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 import exact
 from adaptive import adaptive_log_moment
 from lighttails import bounds as B
+from lighttails import cli
 from lighttails import distributions as D
 from lighttails import functions as F
 from lighttails import orlicz as O
@@ -476,7 +482,9 @@ class TestProxyProfile:
         prof = F.proxy_profile(sum_of(D.Rademacher(), 4))
         assert np.allclose(prof.psi1_per_coord, 1.0, atol=1e-10)
         assert np.allclose(prof.psi2_per_coord, 1.0, atol=1e-10)
-        assert prof.ranges == (2.0,) * 4
+        # four equal coordinates are one run
+        assert prof.counts == (4,) and prof.ranges == (2.0,)
+        assert per_coordinate(prof, "ranges").tolist() == [2.0] * 4
 
     def test_vector_norm_iid_entries(self):
         fspec = F.VectorNormOfSum(gauss_vec(3), 7)
@@ -487,11 +495,12 @@ class TestProxyProfile:
 
     @pytest.mark.parametrize("fspec", CATALOGUE, ids=[f.kind for f in CATALOGUE])
     def test_an_iid_vector_kind_is_one_run(self, fspec):
-        # a profile of n entries for an iid vector kind; one per coordinate
-        # for a scalar kind
+        # one run of n for an iid vector kind; one run per run of equal
+        # consecutive laws for a scalar kind
         prof = F.proxy_profile(fspec, kinds=["thm2", "bounded-difference"])
         vector = isinstance(fspec, F._VectorCoordinates)
-        assert prof.counts == ((fspec.n,) if vector else (1,) * fspec.n)
+        runs = (fspec.n,) if vector else tuple(len(list(g)) for _, g in itertools.groupby(fspec.laws))
+        assert prof.counts == runs and sum(prof.counts) == fspec.n
         assert len(prof.psi1_per_coord) == len(prof.ranges) == len(prof.counts)
 
     def test_psa_entry(self):
@@ -503,7 +512,7 @@ class TestProxyProfile:
     def test_metric_uses_diameters(self):
         from lighttails.applications import psi_diameter
         prof = F.proxy_profile(METRIC)
-        for entry, spec in zip(prof.psi1_per_coord, METRIC.coordinate_dists):
+        for entry, spec in zip(per_coordinate(prof, "psi1_per_coord"), METRIC.coordinate_dists):
             assert entry == pytest.approx(2.0 * psi_diameter(spec, 1).value, rel=1e-12)
 
     def test_vector_psi2_failure_propagates(self, monkeypatch):
@@ -837,3 +846,75 @@ class TestSerialization:
     def test_unknown_kind(self):
         with pytest.raises(D.SpecError):
             F.fspec_from_dict({"kind": "mystery"})
+
+
+# a small pool, so that drawn coordinate lists repeat and interleave laws
+_RUN_LAWS = [D.Gaussian(0.3, 1.2), D.Exponential(1.5), D.UniformInterval(-1.0, 2.0),
+             D.FiniteSupport((-1.0, 0.5, 2.0), (0.25, 0.5, 0.25)), D.Rademacher()]
+_RUN_COORDINATES = st.lists(st.tuples(st.integers(0, len(_RUN_LAWS) - 1),
+                                      st.sampled_from(sorted(F._LIPSCHITZ_MAPS))),
+                            min_size=1, max_size=8)
+
+
+class TestRuns:
+    """A scalar kind reads one law per run of equal consecutive laws: its
+    grouped profile, expanded by its counts, is the profile of one entry
+    per coordinate, and every bound kind reads the same (a, b, lift) bits
+    and prints the same bound and invert output from either."""
+
+    @staticmethod
+    def fspec(coordinates, metric):
+        laws = [_RUN_LAWS[i] for i, _ in coordinates]
+        if metric:
+            return F.MetricLipschitz(1.25, laws, [m for _, m in coordinates])
+        return F.SumFunction(laws)
+
+    @staticmethod
+    def per_coordinate(fspec, grouped, p):
+        """The profile of one run per coordinate, each entry read from the
+        one-coordinate spec of its law."""
+        if isinstance(fspec, F.MetricLipschitz):
+            singles = [F.MetricLipschitz(fspec.lip, [c], [m])
+                       for c, m in zip(fspec.coordinate_dists, fspec.maps)]
+        else:
+            singles = [F.SumFunction([c]) for c in fspec.components]
+        profiles = [F.proxy_profile(s, p=p) for s in singles]
+        rows = {name: [getattr(prof, name)[0] for prof in profiles]
+                for name in B.ENTRIES if getattr(grouped, name) is not None}
+        return B.ProxyProfile(counts=(1,) * fspec.n, l2p_order=grouped.l2p_order, **rows)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(_RUN_COORDINATES, st.booleans())
+    @example([(0, "abs"), (0, "sin"), (2, "abs"), (0, "identity"), (2, "sin"), (2, "abs")], False)
+    @example([(3, "abs"), (1, "sin"), (1, "sin"), (3, "identity"), (4, "abs")], True)
+    def test_runs_expand_to_the_per_coordinate_profile(self, tmp_path_factory, coordinates, metric):
+        fspec = self.fspec(coordinates, metric)
+        p = None if metric else 2.0
+        grouped = F.proxy_profile(fspec, p=p)
+        runs = tuple(len(list(g)) for _, g in itertools.groupby(fspec.laws))
+        assert grouped.counts == runs
+        ref = self.per_coordinate(fspec, grouped, p)
+        for name in B.ENTRIES:
+            if getattr(grouped, name) is not None:
+                assert per_coordinate(grouped, name).tolist() == list(getattr(ref, name)), name
+        kinds = [k for k, row in B.READS.items() if all(getattr(grouped, e) is not None for e in row)]
+        for kind in kinds:
+            assert B._exponent(kind, grouped, p) == B._exponent(kind, ref, p), kind
+        path = tmp_path_factory.mktemp("runs") / "spec.json"
+        path.write_text(json.dumps({"schema": 1, "spec": D.spec_to_dict(fspec)}))
+        p_args = ["--p", "2"] if p else []
+        for argv in (["bound", "--spec", str(path), "--bounds", ",".join(kinds),
+                      "--t-grid", "0.5:12:6", *p_args],
+                     ["invert", "--spec", str(path), "--bounds", ",".join(kinds),
+                      "--delta", "0.01", *p_args]):
+            outs = []
+            for profile in (None, ref):
+                out = io.StringIO()
+                with contextlib.ExitStack() as stack:
+                    if profile is not None:     # every profile read is the per-coordinate one
+                        stack.enter_context(mock.patch.object(F, "proxy_profile",
+                                                              lambda *args, **kw: profile))
+                    stack.enter_context(contextlib.redirect_stdout(out))
+                    assert cli.main(argv) == 0
+                outs.append(out.getvalue())
+            assert outs[0] == outs[1], argv

@@ -277,6 +277,33 @@ class TestLimits:
         # the summed and chi layouts hold dim values, not n dim, per draw
         V._check_shard_bytes(fspec)
 
+    @staticmethod
+    def loss(n):
+        # 32 values per coordinate: a shard buffer of n 25.6 MB
+        vec = D.VectorSpec(31, [D.Gaussian(0.0, 1.0)] * 31)
+        return SupLinearLoss([[1.0] + [0.0] * 30], "absolute", vec, D.Exponential(1.0), n)
+
+    @pytest.mark.parametrize("n, threads", [(10, 2), (11, 1), (20, 1)])
+    def test_each_worker_counts_its_buffer_and_evaluation_copy(self, n, threads):
+        V._check_shard_bytes(self.loss(n), threads)
+
+    @pytest.mark.parametrize("n, threads, peak", [(11, 2, 1126400000), (22, 1, 1126400000)])
+    def test_a_peak_past_the_budget_is_refused(self, n, threads, peak, no_draws):
+        # a shard's buffer alone is within the budget in both
+        held = "2 threads and the evaluation copy" if threads == 2 else "the evaluation copy"
+        with pytest.raises(ValueError) as err:
+            V.estimate_tail(self.loss(n), [1.0], 10 ** 4, seed=0, threads=threads)
+        assert str(err.value) == (
+            f"sup_linear_loss: a shard of 100000 draws of n = {n} coordinates takes "
+            f"{peak // (2 * threads)} bytes in the per-coordinate layout, {peak} bytes with "
+            f"{held}, over the shard budget of 1073741824 bytes (1 GiB)")
+
+    def test_a_kind_with_no_copy_counts_its_threads(self):
+        # 671 uniform coordinates: 536800000 bytes a shard, twice that at two threads
+        V._check_shard_bytes(F.SumFunction([D.UniformInterval(0.0, 1.0)] * 671), 2)
+        with pytest.raises(ValueError, match="1075200000 bytes with 2 threads, over the shard"):
+            V._check_shard_bytes(F.SumFunction([D.UniformInterval(0.0, 1.0)] * 672), 2)
+
 
 class TestExactEnumeration:
     def test_two_rademacher_sum(self):
