@@ -472,8 +472,13 @@ class UniformInterval(_Continuous):
     def abs_difference_law(self): return UniformGap(self.hi - self.lo)
 
     def unit_law(self):
-        lo, hi = Fraction(self.lo), Fraction(self.hi)
-        return (hi - lo) / 2, (hi + lo) / 2, _UNIT_UNIFORM
+        # the half-width and center as floats where both are exact, as hi
+        # and 0 of a centered law are, else as Fractions
+        a, b = _exact_half(self.hi, -self.lo), _exact_half(self.hi, self.lo)
+        if a is None or b is None:
+            lo, hi = Fraction(self.lo), Fraction(self.hi)
+            return (hi - lo) / 2, (hi + lo) / 2, _UNIT_UNIFORM
+        return a, b, _UNIT_UNIFORM
 
     def fill(self, rng, out):
         rng.random(out=out)
@@ -950,6 +955,8 @@ def standard_form(spec):
     a, c, law = unit
     shifts = all(op == "shift" for op, _ in steps)
     if not shifts:
+        if steps[0][0] == "square" and c:   # where the walk below stops
+            return 1.0, spec
         a, c = Fraction(a), Fraction(c)
         for op, x in steps:
             if op == "shift":
@@ -1172,6 +1179,16 @@ def _squared_mgf(base, steps, beta, support):
     def log_g(x):
         return _apply(steps, x) ** 2
     return math.exp(base._log_expects(log_g, np.array([float(beta)]), np.zeros(1))[0])
+
+
+def _exact_half(x, y):
+    """(x + y) / 2 as a float where the float ops give it exactly, else
+    None.  The sum s is exact iff s - big == small for the operand big of
+    the larger magnitude (Dekker's Fast2Sum error is small - (s - big)),
+    and its half iff doubling gives s back."""
+    s = x + y
+    big, small = (x, y) if abs(x) >= abs(y) else (y, x)
+    return s / 2 if s - big == small and s / 2 * 2 == s else None
 
 
 def _logsumexp(terms):

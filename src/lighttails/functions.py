@@ -31,6 +31,9 @@ __all__ = [
 
 _INNER_MC = 10 ** 5      # draws of the fixed-seed inner estimates and means
 _INNER_STREAM = 10 ** 9  # stream offset reserved for inner estimates
+# the most floats a seeded projection net may hold, net_size * ambient_dim^2:
+# one QR per member, 10^6 of them at ambient_dim 1
+MAX_NET_ENTRIES = 10 ** 6
 
 
 class FunctionSpec(dist.Spec):
@@ -710,7 +713,9 @@ def fspec_from_dict(d, path="$"):
 
 
 def _seeded_net(d, path):
-    """d with net_size/net_seed replaced by the projections they generate."""
+    """d with net_size/net_seed replaced by the projections they generate;
+    a SpecError, before any draw, where the net would hold more than
+    MAX_NET_ENTRIES floats."""
     rest = {k: v for k, v in d.items() if k not in ("net_size", "net_seed")}
     try:
         if "net_size" not in d or "net_seed" not in d:
@@ -724,6 +729,10 @@ def _seeded_net(d, path):
             raise dist.SpecError(f"subspace_dim {sub} exceeds ambient_dim {dim}")
     except dist.SpecError as exc:
         raise dist.SpecError(f'"{path}": {exc}') from None
+    if size * dim * dim > MAX_NET_ENTRIES:
+        raise dist.SpecError(
+            f'"{path}.net_size": net_size * ambient_dim^2 must be <= 10^6, got '
+            f"{size} * {dim}^2 = {size * dim * dim}")
     # check the input before generating ambient_dim^2-sized matrices
     inp = dist._decode(d.get("input"), f"{path}.input", 1)
     if not (isinstance(inp, dist.VectorSpec) and inp.dim == dim):

@@ -8,9 +8,12 @@ the octaves of a log-spaced p-grid and the quarter octaves of its last
 octave, and then splits, one batched call per round, each interval whose
 chord bound beats the best ratio by more than 1e-12 in ln, at its
 geometric midpoint and at the bound's own maximiser; the largest final
-bound, rounded up, is `upper`.  The grid ends at p = _P_MAX = 256 for every
-norm, and the tail beyond it is accepted only when the ratio does not rise
-over the last octave of the evaluated orders.  For a catalogue law the
+bound, rounded up, is `upper`.  A law with a certified bound T(p0) on the
+ratio at every p >= p0 (`_tail_bounds`: its bounded support, or at alpha =
+1 its closed-form MGF) ends the search at p0 = 8 or 16 where T(p0) is not
+above the best ratio read.  Every other search reads the octaves up to p =
+_P_MAX = 256, and the tail beyond it is accepted only when the ratio does
+not rise over the last octave of the evaluated orders.  For a catalogue law the
 search reads the batched moments of
 `distributions.log_abs_moments`, the one numeric path of every moment,
 through its memo of rows, and reports the best ratio it read as the
@@ -62,6 +65,21 @@ _P_GRID = np.array([math.ldexp(x, k) for k in range(int(math.log2(_P_MAX))) for 
 _START = np.unique(np.concatenate([
     _P_GRID[::_GRID_DENSITY], _P_GRID[-_GRID_DENSITY - 1::4], _P_GRID[-2:]]))
 _START.setflags(write=False)    # every search passes it to log_moments
+# a tail bound may end a search at p0 = 8 or 16, _START[3] and _START[4];
+# its first call reads the octaves up to 8 at alpha = 1 and up to 16 at
+# alpha = 2, where ln(p0) / alpha falls half as fast and 8 less often
+# suffices
+_P0 = (8.0, 16.0)
+_HEAD_ENDS = {1: 4, 2: 5}
+_LOG_P0 = tuple(map(math.log, _P0))
+_LOG_GAMMA_P0 = tuple(math.lgamma(p0 + 1.0) / p0 for p0 in _P0)
+# the MGF arguments of a tail bound, c / K for K the best ratio read, tried
+# in turn until one bounds the ratio past 8 by K: any lambda > 0 gives a
+# valid bound, and c near 0.65 suits exponential, Poisson and Gaussian tails
+_LAMBDAS = (0.65, 0.55, 0.8)
+# the outward margin of a tail bound, per unit of 1 + the sum of its terms'
+# magnitudes: it covers the rounding of its logs and of the closed-form MGF
+_TAIL_MARGIN = 2.0 ** -30
 
 
 class PMaxTooSmallError(RuntimeError):
@@ -97,33 +115,51 @@ def _chord_bounds(ps, phis, alpha):
     return (fa + s * (q - a)) / q - np.log(q) / alpha, q
 
 
-def _sup_ratio(log_moments, alpha):
-    """Maximize ln(||Z||_p / p^(1/alpha)) over [1, _P_MAX], with a certificate.
+def _sup_ratio(log_moments, alpha, tail_bounds=None):
+    """Maximize ln(||Z||_p / p^(1/alpha)) over p >= 1, with a certificate.
 
-    log_moments maps an array of p to the array of phi(p) = ln E|Z|^p.  It
-    is called once on the 13 orders of _START, then once per round on the
-    intervals whose chord bound beats the best ratio by more than
-    _CHORD_TOL: at the geometric midpoint of each, and at the chord bound's
-    maximiser where that lies strictly inside (Piyavskii-Shubert), which is
-    p* itself for a linear phi.  Where the bound peaks inside [a, b], it
-    exceeds the larger end ratio by at most (b-a)^2 / (8 alpha a^2); every
-    split at least halves an interval in ln p, and a start interval is at
-    most an octave wide, so 18 rounds certify any data.  Returns the best
-    ratio, its p and the largest chord bound (-inf, 1.0, -inf when Z = 0).
-    Raises QuadratureError on a non-finite phi or when the rounds run out,
-    PMaxTooSmallError when the ratio rises anywhere over the last octave
-    of the evaluated orders.
+    log_moments maps an array of p to the array of phi(p) = ln E|Z|^p.
+    Without tail_bounds it is called once on the 13 orders of _START, then
+    once per round on the intervals whose chord bound beats the best ratio
+    by more than _CHORD_TOL: at the geometric midpoint of each, and at the
+    chord bound's maximiser where that lies strictly inside
+    (Piyavskii-Shubert), which is p* itself for a linear phi.  Where the
+    bound peaks inside [a, b], it exceeds the larger end ratio by at most
+    (b-a)^2 / (8 alpha a^2); every split at least halves an interval in ln
+    p, and a start interval is at most an octave wide, so 18 rounds certify
+    any data.  Returns the best ratio, its p and the largest chord bound
+    (-inf, 1.0, -inf when Z = 0).  Raises QuadratureError on a non-finite
+    phi or when the rounds run out, PMaxTooSmallError when the ratio rises
+    anywhere over the last octave of the evaluated orders.
+
+    tail_bounds, where given, maps the best ratio read to (T(8), T(16)),
+    T(p0) at least the ratio at every p >= p0 (`_tail_bounds`).  The first
+    call then reads _START up to _HEAD_ENDS[alpha].  At the first p0 whose
+    T(p0) is not above the best ratio read, the rounds refine [1, p0] only,
+    after one call for 16 where it is not read yet, and the largest bound
+    returned counts T(p0); no last-octave test runs.  Where T(16) is above
+    it too, one call reads the rest of _START and the search goes on as
+    without tail_bounds.  Every ratio the full search reads past p0 is at
+    most T(p0), so its rounds split [1, p0] as these do: the best ratio,
+    p* and chord bounds on [1, p0] are the full search's.
     """
-    ps = _START
+    ps = _START if tail_bounds is None else _START[:_HEAD_ENDS[alpha]]
     phis = log_moments(ps)
     if (phis == -math.inf).all():
         return -math.inf, 1.0, -math.inf
+    _check_finite(ps, phis)
+    ratios = phis / ps - np.log(ps) / alpha
+    tail = None
+    if tail_bounds is not None:
+        best = ratios.max()
+        t8, t16 = tail_bounds(best)     # _START[:4] ends at 8, _START[:5] at 16
+        tail, end = (t8, 4) if t8 <= best else (t16, 5) if t16 <= best else (None, len(_START))
+        if end > len(ps):
+            more = _START[len(ps):end]
+            ps, phis, ratios = _read(ps, phis, ratios, more, log_moments(more), alpha)
+        elif end < len(ps):
+            ps, phis, ratios = ps[:end], phis[:end], ratios[:end]
     for rounds in range(_MAX_ROUNDS + 1):
-        bad = ~np.isfinite(phis)
-        if bad.any():
-            raise dist.QuadratureError(
-                f"ln E|Z|^p is {phis[bad][0]} at p={float(ps[bad][0])!r}: no chord bound")
-        ratios = phis / ps - np.log(ps) / alpha
         bounds, peaks = _chord_bounds(ps, phis, alpha)
         split = bounds > ratios.max() + _CHORD_TOL
         if not split.any():
@@ -136,15 +172,99 @@ def _sup_ratio(log_moments, alpha):
         new = np.concatenate([np.sqrt(a * b), q[(a < q) & (q < b)]])
         new.sort()      # and each order once, as np.unique gives them
         new = new[np.concatenate([[True], new[1:] != new[:-1]])]
-        ps, phis = np.concatenate([ps, new]), np.concatenate([phis, log_moments(new)])
+        ps, phis, ratios = _read(ps, phis, ratios, new, log_moments(new), alpha)
         order = np.argsort(ps)
-        ps, phis = ps[order], phis[order]
-    last = ratios[ps >= _P_MAX / 2 - 1e-9]
-    if (last[1:] - last[:-1] > 1e-9).any():
-        raise PMaxTooSmallError(
-            f"the moment ratio still rises at p = {_P_MAX:g}, the end of the p-grid")
+        ps, phis, ratios = ps[order], phis[order], ratios[order]
+    if tail is None:
+        last = ratios[ps >= _P_MAX / 2 - 1e-9]
+        if (last[1:] - last[:-1] > 1e-9).any():
+            raise PMaxTooSmallError(
+                f"the moment ratio still rises at p = {_P_MAX:g}, the end of the p-grid")
     i = int(np.argmax(ratios))
-    return ratios[i], float(ps[i]), max(ratios[i], bounds.max(initial=-math.inf))
+    top = max(ratios[i], bounds.max(initial=-math.inf))
+    return ratios[i], float(ps[i]), top if tail is None else max(top, tail)
+
+
+def _read(ps, phis, ratios, new, new_phis, alpha):
+    """ps, phis and ratios with the orders new and their phis appended."""
+    _check_finite(new, new_phis)
+    return (np.concatenate([ps, new]), np.concatenate([phis, new_phis]),
+            np.concatenate([ratios, new_phis / new - np.log(new) / alpha]))
+
+
+def _check_finite(ps, phis):
+    bad = ~np.isfinite(phis)
+    if bad.any():
+        raise dist.QuadratureError(
+            f"ln E|Z|^p is {phis[bad][0]} at p={float(ps[bad][0])!r}: no chord bound")
+
+
+def _tail_bounds(form, alpha):
+    """For the canonical form of a law, a function of the best ln ratio
+    read that gives (T(8), T(16)), T(p0) >= ln(||Z||_p / p^(1/alpha)) at
+    every p >= p0, or None where there is none here (or Z = 0).  Each T is
+    rounded outward by _TAIL_MARGIN.
+
+    - A bounded support, |Z| <= M: T(p0) = ln M - ln(p0) / alpha, with M
+      an end of the primitive's support walked outward through the steps.
+    - At alpha = 1, a closed-form MGF (no square step, a primitive with an
+      `mgf`): E|Z|^p <= Gamma(p+1) lambda^-p E e^(lambda |Z|), and
+      E e^(lambda |Z|) <= mgf(lambda) + mgf(-lambda) = S, so T(p0) =
+      (ln S + ln Gamma(p0+1)) / p0 - ln lambda - ln p0, the least over the
+      lambda = c / K of _LAMBDAS.  It bounds every p >= p0 as S >= 1 and
+      Gamma(p+1)^(1/p) / p is nonincreasing.
+    """
+    base, steps = dist._chain(form)
+    lo, hi = base.support()
+    if max(-lo, hi) == math.inf:    # and so are its images under the steps
+        if alpha != 1 or type(base).mgf is dist.Distribution.mgf or any(op == "square" for op, _ in steps):
+            return None
+    else:
+        for op, c in steps:
+            lo, hi = _outward(op, c, lo, hi)
+        m = max(-lo, hi)
+        if not m > 0.0:     # Z = 0, which the first call reads
+            return None
+        bounds = [_outward_sum(math.log(m), -log_p0 / alpha) for log_p0 in _LOG_P0]
+        return lambda best: bounds
+
+    def mgf_bounds(best):
+        t = (math.inf, math.inf)
+        for c in _LAMBDAS:
+            log_lam = math.log(c) - best
+            try:
+                lam = math.exp(log_lam)
+                s = form.mgf(lam) + form.mgf(-lam)
+            except (OverflowError, dist.MomentDivergenceError):
+                continue
+            if not s < math.inf:        # inf, or NaN from inf * 0
+                continue
+            log_s = math.log(s)
+            t = tuple(min(tk, _outward_sum(log_s / p0, log_gamma, -log_lam, -log_p0))
+                      for tk, p0, log_gamma, log_p0 in zip(t, _P0, _LOG_GAMMA_P0, _LOG_P0))
+            if t[0] <= best:
+                break
+        return t
+    return mgf_bounds
+
+
+def _outward(op, c, lo, hi):
+    """An interval that holds the image of [lo, hi] under one map step,
+    exactly and in floats: each end is rounded to nearest, then moved one
+    float outward."""
+    if op == "shift":
+        lo, hi = lo + c, hi + c
+    elif op == "scale":
+        lo, hi = sorted((c * lo, c * hi))
+    else:
+        lo, hi = (0.0 if lo < 0.0 < hi else min(lo * lo, hi * hi)), max(lo * lo, hi * hi)
+    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+
+
+def _outward_sum(*terms):
+    """The sum of terms, widened by _TAIL_MARGIN per unit of 1 + their
+    magnitudes: above the exact sum of the values they round."""
+    return sum(terms) + _TAIL_MARGIN * (1.0 + sum(map(abs, terms)))
 
 
 def psi_norm(spec, alpha) -> OrliczEstimate:
@@ -203,9 +323,11 @@ def _scaled_upper(upper, scale):
 
 @functools.lru_cache(maxsize=4096)
 def _psi_norm_cached(spec, alpha):
-    method = "closed-form" if isinstance(dist.canonical(spec), dist.FiniteSupport) else "analytic-grid"
+    form = dist.canonical(spec)
+    method = "closed-form" if isinstance(form, dist.FiniteSupport) else "analytic-grid"
     try:
-        best, p, top = _sup_ratio(lambda ps: dist.log_abs_moments(spec, ps), alpha)
+        best, p, top = _sup_ratio(lambda ps: dist.log_abs_moments(spec, ps), alpha,
+                                  _tail_bounds(form, alpha))
     except PMaxTooSmallError as exc:
         return exc.with_traceback(None)
     if best == -math.inf:

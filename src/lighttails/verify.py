@@ -104,20 +104,24 @@ def _check_grid(t_grid):
     return t_grid
 
 
-def _check_shard_bytes(fspec, threads=1):
+def _check_shard_bytes(fspec, threads, n_samples):
     """ValueError, naming the spec's n and the budget, where the shards of
     base points in the per-coordinate layout take more than MAX_SHARD_BYTES
-    at their peak: `threads` workers, each with a buffer and the
-    `evaluation_copies` of it that the kind's `evaluate` makes."""
+    at their peak: a worker for each of `threads` and of the run's shards,
+    whichever are fewer, each with a buffer of min(SHARD_SIZE, n_samples)
+    draws and the `evaluation_copies` of it that the kind's `evaluate`
+    makes."""
     if fspec.sampler_layout != "per-coordinate":
         return
-    size = math.prod(fspec.point_shape) * SHARD_SIZE * 8
-    peak = threads * (1 + fspec.evaluation_copies) * size
+    draws = min(SHARD_SIZE, n_samples)
+    workers = min(threads, -(-n_samples // SHARD_SIZE))
+    size = math.prod(fspec.point_shape) * draws * 8
+    peak = workers * (1 + fspec.evaluation_copies) * size
     if peak > MAX_SHARD_BYTES:
-        held = ([f"{threads} threads"] if threads > 1 else []) + (
+        held = ([f"{workers} threads"] if workers > 1 else []) + (
             ["the evaluation copy"] if fspec.evaluation_copies else [])
         raise ValueError(
-            f"{fspec.kind}: a shard of {SHARD_SIZE} draws of n = {fspec.n} coordinates "
+            f"{fspec.kind}: a shard of {draws} draws of n = {fspec.n} coordinates "
             f"takes {size} bytes in the per-coordinate layout"
             + (f", {peak} bytes with {' and '.join(held)}" if held else "")
             + f", over the shard budget of {MAX_SHARD_BYTES} bytes (1 GiB)")
@@ -140,7 +144,7 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
         raise ValueError(f"n_samples must be <= 10^9, got {n_samples}")
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"threads must lie in [1, {MAX_THREADS}], got {threads}")
-    _check_shard_bytes(fspec, threads)
+    _check_shard_bytes(fspec, threads, n_samples)
     mean_value, half = fn.expectation(fspec, seed=seed)
     spacing = min(np.diff(t_grid)) if len(t_grid) > 1 else t_grid[0]
     if half > spacing / 10.0:

@@ -924,9 +924,11 @@ class TestThm3P:
 
     @pytest.mark.parametrize("p", ["2", "4", "8", "128"])
     def test_the_2p_norms_read_rows_of_the_psi_search(self, p, tmp_path, capsys, monkeypatch):
-        # 2p is an octave, which the psi1 search of each centered shape reads
-        # on its first call, so a cold thm3 request runs no moment pass after
-        # the searches
+        # 2p is an octave.  The psi1 search of each centered shape reads the
+        # octaves up to 8 on its first call, and its MGF bounds the ratio
+        # past 8, so a cold thm3 request runs no moment pass after the
+        # searches at 2p <= 8, and one pass of the one order 2p per shape
+        # past it
         spec = write_spec(tmp_path, {"kind": "sum", "components": [
             {"kind": "exponential", "rate": 1.3}, {"kind": "exponential", "rate": 0.4},
             {"kind": "poisson", "rate": 2.0}, {"kind": "chi_squared", "dof": 3}]})
@@ -954,7 +956,10 @@ class TestThm3P:
         monkeypatch.setattr(D, "_memo_moments", memo)
         code, _, _ = run(capsys, "bound", "--spec", spec, "--bounds", "thm2,thm3",
                          "--p", p, "--t-grid", "2:20:5")
-        assert code == 0 and len(searches) == 3 and passes == []
+        shapes = [D.Centered(D.Exponential(1.0)), D.Centered(D.Poisson(2.0)),
+                  D.Centered(D.ChiSquared(3))]
+        read = [(law, [2.0 * float(p)]) for law in shapes] if float(p) > 4 else []
+        assert code == 0 and len(searches) == 3 and passes == read
 
     def test_p_ignored_without_thm3(self, capsys):
         code, _, _ = run(capsys, "bound", "--spec", config("sum_exp10.json"),
@@ -1506,14 +1511,41 @@ class TestShardBudget:
         src = os.path.dirname(os.path.dirname(lighttails.__file__))
         child = subprocess.run(
             [sys.executable, "-c", _UNDER_2_GIB, "verify", "--spec", write_spec(tmp_path, spec),
-             "--bounds", "thm2", "--t-grid", "1:5:3", "--n", "100000", "--threads", "2"],
+             "--bounds", "thm2", "--t-grid", "1:5:3", "--n", "200000", "--threads", "2"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
         assert (child.returncode, child.stdout) == (1, "")
-        # the peak counts each worker's buffer and its evaluation copy
+        # the peak counts each worker's buffer and its evaluation copy: two
+        # full shards keep both workers busy
         assert child.stderr == (
             f"error: {spec['kind']}: a shard of 100000 draws of n = {n} coordinates takes "
             f"{size} bytes in the per-coordinate layout, {held[0] * size} bytes with {held[1]}, "
             "over the shard budget of 1073741824 bytes (1 GiB)\n")
+
+    @staticmethod
+    def loss(n):
+        # n coordinates of 32 values: 5.12 MB a coordinate in 20000 draws
+        return {"kind": "sup_linear_loss", "weights": [[1.0] + [0.0] * 30], "loss": "absolute",
+                "input": _GAUSSIAN_VEC(31), "output": {"kind": "exponential", "rate": 1}, "n": n}
+
+    @pytest.mark.parametrize("n, code", [(11, 0), (105, 1)])
+    def test_a_run_of_one_shard_counts_its_draws(self, n, code, tmp_path):
+        # --n 20000 is one shard of 20000 draws, which one worker holds:
+        # eleven coordinates take 112.64 MB with the evaluation copy, and
+        # were refused as two full shards; 105 are just past the budget
+        src = os.path.dirname(os.path.dirname(lighttails.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", _UNDER_2_GIB, "verify", "--spec", write_spec(tmp_path, self.loss(n)),
+             "--bounds", "thm2", "--t-grid", "1:5:3", "--n", "20000", "--seed", "1",
+             "--threads", "2"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+        assert child.returncode == code, child.stderr
+        if code == 0:
+            assert json.loads(child.stdout)["n_samples"] == 20000 and child.stderr == ""
+        else:
+            assert child.stdout == "" and child.stderr == (
+                "error: sup_linear_loss: a shard of 20000 draws of n = 105 coordinates takes "
+                "537600000 bytes in the per-coordinate layout, 1075200000 bytes with the "
+                "evaluation copy, over the shard budget of 1073741824 bytes (1 GiB)\n")
 
     def test_a_spec_just_under_the_budget_stays_under_it(self, tmp_path):
         # ten coordinates of 32 values: two workers, each with a 256 MB
@@ -1534,6 +1566,23 @@ class TestShardBudget:
         report = json.loads(child.stdout)
         assert (report["verdict"], report["sampler_layout"]) == ("SOUND", "per-coordinate")
         assert 0 < int(child.stderr.splitlines()[-1]) <= vfy.MAX_SHARD_BYTES
+
+
+class TestNetSize:
+    def test_an_oversized_seeded_net_is_one_line(self, tmp_path):
+        # net_size 10^7 at ambient_dim 4 ran one QR per member, for hours,
+        # while the spec was decoded
+        spec = {**_IID_VECTOR_SPECS["psa_reconstruction"](50), "net_size": 10 ** 7}
+        src = os.path.dirname(os.path.dirname(lighttails.__file__))
+        child = subprocess.run(
+            [sys.executable, "-m", "lighttails.cli", "bound", "--spec", write_spec(tmp_path, spec),
+             "--bounds", "thm2", "--t-grid", "1:5:3"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60)
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr.endswith(
+            '"$.spec.net_size": net_size * ambient_dim^2 must be <= 10^6, got '
+            "10000000 * 4^2 = 160000000\n")
+        assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
 
 
 class TestTinyScales:

@@ -816,6 +816,8 @@ class TestSpecChecks:
         ({k: v for k, v in SEEDED_D.items() if k != "net_seed"},
          '"$": kind \'psa_reconstruction\' needs projections, or net_size and net_seed'),
         ({**SEEDED_D, "input": GAUSS_D}, '"$.input": expected a vector spec of dim 2'),
+        ({**SEEDED_D, "net_size": 250001},
+         '"$.net_size": net_size * ambient_dim^2 must be <= 10^6, got 250001 * 2^2 = 1000004'),
         ({**METRIC_D, "maps": ["abs", "sin"]},
          '"$": maps and coordinate_dists must have equal length'),
         ({**METRIC_D, "maps": ["cos"]}, '"$": unknown coordinate map \'cos\''),
@@ -836,6 +838,14 @@ class TestSerialization:
         for fspec in CATALOGUE:
             d = D.spec_to_dict(fspec)
             assert F.fspec_from_dict(d) == fspec
+
+    def test_a_net_at_the_cap_is_drawn(self, monkeypatch):
+        # 250000 members of 2^2 entries; one is kept, to skip the QRs
+        sizes = []
+        monkeypatch.setattr(F, "random_projections",
+                            lambda dim, sub, size, seed: sizes.append(size) or [P01])
+        F.fspec_from_dict({**SEEDED_D, "net_size": F.MAX_NET_ENTRIES // 4})
+        assert sizes == [250000]
 
     def test_projections_from_seed(self):
         d = {"kind": "psa_reconstruction", "ambient_dim": 4, "subspace_dim": 2,

@@ -1,9 +1,11 @@
+import collections
 import functools
 import hashlib
 import math
 import pathlib
 import re
 import runpy
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,9 @@ E = math.e
 # the chord search's first call: the octaves 1, 2, 4, ..., 256, the quarter
 # octaves of the last one and the grid's last point but one
 START_LEN = 13
+# the first call of a search that has a tail bound (`orlicz._tail_bounds`):
+# the octaves up to 8 at alpha = 1, up to 16 at alpha = 2
+HEAD_LEN = {1: 4, 2: 5}
 # the splitting rounds that certify any data (TestChordSearch)
 ROUNDS = 18
 
@@ -204,7 +209,7 @@ class TestCertificate:
         after = O._psi_norm_cached.cache_info()
         assert len(values) == 1
         assert (after.misses - before.misses, after.hits - before.hits) == (1, 9)
-        assert grids.count(START_LEN) == 1
+        assert grids == [HEAD_LEN[1]]
 
     @pytest.mark.parametrize("unit, laws", [
         (D.Centered(D.Exponential(1.0)),
@@ -228,7 +233,7 @@ class TestCertificate:
             assert got.upper > Fraction(scale) * Fraction(top) and got.upper > got.value
         info = O._psi_norm_cached.cache_info()
         assert (info.misses, info.hits) == (1, len(laws) + 1)
-        assert grids.count(START_LEN) == 1
+        assert grids == [HEAD_LEN[1]]
 
     @staticmethod
     def _count_moment_calls(monkeypatch):
@@ -247,8 +252,9 @@ class TestCertificate:
         sizes = self._count_moment_calls(monkeypatch)
         est = O.psi_norm(D.Centered(D.Exponential(1.625)), 1)
         assert est.p_star == 1.0
-        # the chord bound of the first interval peaks at p = 1: no split
-        assert sizes == [START_LEN]
+        # the chord bound of the first interval peaks at p = 1: no split, and
+        # the MGF bounds the ratio past 8 below it
+        assert sizes == [HEAD_LEN[1]]
 
     def test_maximum_near_the_end_is_found_by_bisection(self, monkeypatch):
         # the maximiser sits 1.9e-4 above p = 1, inside the first start
@@ -258,7 +264,7 @@ class TestCertificate:
             (0.2716776276902979, 0.31930937820229327, 0.40901299410740877))
         sizes = self._count_moment_calls(monkeypatch)
         est = O.psi_norm(law.abs_difference_law(), 2)
-        assert sizes[0] == START_LEN and len(sizes) > 1
+        assert sizes == [HEAD_LEN[2]] + [2] * 9
         assert 1.0 < est.p_star < 1.0003
         assert est.value == pytest.approx(0.8552974043163638, rel=1e-15, abs=0.0)
         assert est.value < est.upper <= est.value * (1.0 + 1e-12)    # the chord gap
@@ -315,6 +321,37 @@ def simd_pin(pins):
     if path not in pins:
         pytest.fail(f"no pin recorded for numpy's {path} path of float64 exp")
     return pins[path]
+
+
+def fraction_standard_form(spec):
+    """`distributions.standard_form` with a uniform's half-width and center
+    always read as Fractions and every map step walked in Fractions."""
+    base, steps = D._chain(D.canonical(spec))
+    unit = base.unit_law()
+    if unit is None:
+        return 1.0, spec
+    a, c, law = unit
+    if isinstance(base, D.UniformInterval):
+        lo, hi = Fraction(base.lo), Fraction(base.hi)
+        a, c = (hi - lo) / 2, (hi + lo) / 2
+    a, c = Fraction(a), Fraction(c)
+    for op, x in steps:
+        if op == "shift":
+            c += Fraction(x)
+        elif op == "scale":
+            a, c = a * Fraction(x), c * Fraction(x)
+        elif c or max(a.numerator.bit_length(), a.denominator.bit_length()) > D._SCALE_BITS:
+            return 1.0, spec
+        else:
+            a, law = a * a, D.ChiSquared(1) if law == D.Gaussian(0.0, 1.0) else D.SquareOf(law)
+    scale = D.round_up(abs(a))
+    if spec.expectation() == 0.0:
+        law = law if law.expectation() == 0.0 else D.Centered(law)
+    elif c or scale != abs(a):
+        return 1.0, spec
+    if not sys.float_info.min <= scale < math.inf:
+        return 1.0, spec
+    return scale, law
 
 
 class TestStandardForm:
@@ -397,6 +434,21 @@ class TestStandardForm:
         assert len(laws) == 555
         assert hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest() == simd_pin(
             self.UNCHANGED_ROWS_SHA256)
+
+    def test_uniforms_keep_the_fraction_walk(self):
+        # a uniform's half-width and center are floats where they are exact:
+        # every standard form is the one of the walk in Fractions
+        laws = list(dict.fromkeys(NUMERIC_LAWS + bound_cold_laws()))
+        laws += [wrap(law) for law in laws for wrap in (D.SquareOf, D.Centered)]
+        laws += [D.Centered(D.SquareOf(D.UniformInterval(lo, hi)))
+                 for lo, hi in [(-0.5, 0.5), (-0.1, 0.7), (0.1, 0.7), (-3.0, 1e-300), (-1e150, 1e150)]]
+        uniforms = 0
+        for law in laws:
+            uniforms += isinstance(D._chain(D.canonical(law))[0], D.UniformInterval)
+            scale, standard = D.standard_form.__wrapped__(law)
+            want = fraction_standard_form(law)
+            assert (scale, standard) == want and type(scale) is type(want[0]), law
+        assert uniforms >= 100
 
     @pytest.mark.parametrize("law", [
         D.Shifted(D.ChiSquared(2), 1.0), D.Centered(D.SquareOf(D.Exponential(1.0))),
@@ -603,10 +655,17 @@ def cold_corpus():
 
 
 class TestColdCorpus:
-    """The start on the octaves and the chord-peak splits keep every
-    outcome of the cold searches, and the bits of every maximum at p = 1:
-    the pins are taken from the search that started on every 4th point of
-    the p-grid and split at midpoints only."""
+    """The start on the octaves, the chord-peak splits and the tail bounds
+    keep every outcome of the cold searches, and the bits of every maximum
+    at p = 1: the pins are taken from the search that started on every 4th
+    point of the p-grid and split at midpoints only.  The tail bounds add
+    the laws of NEWLY_CERTIFIED, whose search raised before."""
+
+    # (law, alpha) -> (the error its search raised, its value and p* now)
+    NEWLY_CERTIFIED = {
+        # the ratio peaks at p = 1 and then falls toward 1 / (2e)
+        (D.Shifted(D.Exponential(2.0), -3.0), 1): ("PMaxTooSmallError", 2.5024787521766667, 1.0),
+    }
 
     # sha256 of the lines "law alpha error", in corpus order, of the
     # searches that raise
@@ -625,14 +684,37 @@ class TestColdCorpus:
     }
 
     def test_the_errors_are_unchanged(self):
+        # the pin holds the errors of the newly certified laws too
         errors = [f"{law!r} {alpha} {type(out).__name__}\n"
                   for law, alpha, out, _ in cold_corpus() if isinstance(out, Exception)]
-        assert len(cold_corpus()) == 1560 and len(errors) == 413
-        assert hashlib.sha256("".join(errors).encode()).hexdigest() == self.ERRORS_SHA256
+        then = [f"{law!r} {alpha} {self.NEWLY_CERTIFIED[law, alpha][0]}\n"
+                if (law, alpha) in self.NEWLY_CERTIFIED else f"{law!r} {alpha} {type(out).__name__}\n"
+                for law, alpha, out, _ in cold_corpus()
+                if isinstance(out, Exception) or (law, alpha) in self.NEWLY_CERTIFIED]
+        assert len(cold_corpus()) == 1560 and len(errors) == 412 and len(then) == 413
+        assert hashlib.sha256("".join(then).encode()).hexdigest() == self.ERRORS_SHA256
+
+    def test_newly_certified_laws_read_their_maximum(self):
+        outcomes = {(law, alpha): out for law, alpha, out, _ in cold_corpus()}
+        for (law, alpha), (_, value, p_star) in self.NEWLY_CERTIFIED.items():
+            est = outcomes[law, alpha]
+            assert (est.value, est.p_star) == (value, p_star)
+            assert dense_oracle(law, alpha, refine=True) <= est.upper
+            assert grid_oracle(law, alpha, num=2000) <= est.upper
+            want = adaptive_log_moment(law, p_star) / p_star - math.log(p_star) / alpha
+            assert abs(math.log(value) - want) <= 1e-9
+            # past p = 128 the ratio rises toward 1 / (2e), which the search
+            # did not read: the MGF bounds it past 8 below the value
+            ps = np.array([128.0, 256.0, 512.0, 1024.0])
+            ratios = np.exp(D.log_abs_moments(law, ps) / ps - np.log(ps) / alpha)
+            assert (np.diff(ratios) > 0).all() and ratios[-1] < 1.0 / (2.0 * E)
+            t8, _ = O._tail_bounds(D.canonical(law), alpha)(math.log(value))
+            assert t8 <= math.log(value)
 
     def test_maxima_at_one_keep_their_bits(self):
-        pairs = [(out.value, out.upper) for _, _, out, _ in cold_corpus()
-                 if isinstance(out, O.OrliczEstimate) and out.p_star == 1.0]
+        pairs = [(out.value, out.upper) for law, alpha, out, _ in cold_corpus()
+                 if isinstance(out, O.OrliczEstimate) and out.p_star == 1.0
+                 and (law, alpha) not in self.NEWLY_CERTIFIED]
         assert len(pairs) == 1071
         assert hashlib.sha256(np.array(pairs).astype("<f8").tobytes()).hexdigest() == simd_pin(
             self.AT_ONE_SHA256)
@@ -658,20 +740,29 @@ class TestColdCorpus:
         assert est.upper >= 0.36424909114823834
 
     def test_the_first_call_reads_the_start(self):
+        # a search with a tail bound reads the head of the start, every
+        # other search all of it
+        first = collections.Counter((alpha, s[0]) for _, alpha, _, s in cold_corpus())
+        assert first == {(1, HEAD_LEN[1]): 761, (1, START_LEN): 19,
+                         (2, HEAD_LEN[2]): 278, (2, START_LEN): 502}
+        # 1935 batched calls and 12677 orders; 1887 and 21318 when every
+        # search read the whole start, 2717 and 54443 from every 4th grid point
         sizes = [s for _, _, _, s in cold_corpus()]
-        assert all(s[0] == START_LEN for s in sizes)
-        # 1887 batched calls and 21318 orders; 2717 and 54443 from every 4th grid point
-        assert sum(map(len, sizes)) == 1887 and sum(map(sum, sizes)) == 21318
+        assert sum(map(len, sizes)) == 1935 and sum(map(sum, sizes)) == 12677
 
     @pytest.mark.parametrize("alpha", [1, 2])
     @pytest.mark.parametrize("eps", [0.25, 0.2446228941573947, 0.1, 1e-3])
     def test_a_two_point_law_takes_two_calls(self, eps, alpha):
         # phi(p) = ln eps is linear: the ratio peaks at p* = -alpha ln eps,
-        # at (1 / (e p*))^(1/alpha), the chord peak of the first round
+        # at (1 / (e p*))^(1/alpha), the chord peak of the first round.  The
+        # support bounds the ratio past p0 by -ln(p0) / alpha, below the peak
+        # for p0 = 8 or 16 unless p* = 6.9 or 13.8 (eps = 1e-3), where the
+        # search reads the rest of the start in one more call
         for law in (D.TwoPointEps(eps), D.Centered(D.TwoPointEps(eps))):
             est, sizes = cold_search(law, alpha)
             p_star = -alpha * math.log(eps)
-            assert len(sizes) <= 2
+            head = HEAD_LEN[alpha]
+            assert sizes == ([head, START_LEN - head, 2] if eps == 1e-3 else [head, 2])
             assert est.p_star == pytest.approx(p_star, rel=1e-12, abs=0.0)
             assert est.value == pytest.approx((1.0 / (E * p_star)) ** (1.0 / alpha), rel=1e-15, abs=0.0)
             assert est.value <= est.upper
@@ -699,6 +790,123 @@ SUB_EXPONENTIAL = st.one_of(
     st.builds(D.Exponential, _pos), st.builds(D.Scaled, st.builds(D.Exponential, _pos), _factor),
     _poisson, st.builds(D.Centered, _poisson), st.builds(D.Shifted, _poisson, _factor),
     st.builds(D.ChiSquared, st.integers(1, 6)), st.builds(D.Chi, st.integers(1, 6), _pos))
+
+
+def walked_support(law):
+    """The interval `orlicz._tail_bounds` walks out of the canonical form of
+    law: its primitive's support through each map step."""
+    base, steps = D._chain(D.canonical(law))
+    lo, hi = base.support()
+    for op, c in steps:
+        lo, hi = O._outward(op, c, lo, hi)
+    return lo, hi
+
+
+def exact_image(lo, hi, steps):
+    """The image of [lo, hi] under the map steps, in exact rationals."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    for op, c in steps:
+        if op == "shift":
+            lo, hi = lo + Fraction(c), hi + Fraction(c)
+        elif op == "scale":
+            lo, hi = sorted((Fraction(c) * lo, Fraction(c) * hi))
+        else:
+            lo, hi = (0 if lo < 0 < hi else min(lo * lo, hi * hi)), max(lo * lo, hi * hi)
+    return lo, hi
+
+
+_step = st.one_of(st.tuples(st.just("shift"), st.floats(-3.0, 3.0)),
+                  st.tuples(st.just("scale"), _factor), st.just(("square", None)))
+_CHAINED = {"shift": D.Shifted, "scale": D.Scaled, "square": lambda law, _: D.SquareOf(law)}
+# laws whose canonical form keeps map steps: uniforms under a square, and
+# UniformGap, which no step folds into
+_chained = st.builds(
+    lambda base, steps: functools.reduce(lambda law, step: _CHAINED[step[0]](law, step[1]), steps, base),
+    st.one_of(_uniform.map(D.SquareOf), st.builds(D.UniformGap, _pos)),
+    st.lists(_step, max_size=4))
+# laws with a tail bound: bounded ones, and at alpha = 1 those with a
+# closed-form MGF
+CERTIFIED = st.one_of(
+    SUB_GAUSSIAN, _chained, st.builds(D.Centered, _chained), SUB_EXPONENTIAL,
+    st.builds(D.Shifted, st.builds(D.Exponential, _pos), st.floats(-3.0, 3.0)),
+    st.builds(D.Centered, st.builds(D.Exponential, _pos)),
+    st.builds(D.Centered, st.builds(D.ChiSquared, st.integers(2, 6))))
+
+
+class TestTailBounds:
+    """The tail bounds that end a cold search at p0 = 8 or 16: T(p0) bounds
+    every ratio past p0, and a search that ends there reads what the full
+    search reads."""
+
+    def test_the_gamma_ratios_are_nonincreasing(self):
+        # Gamma(p+1)^(1/p) / p (the psi1 MGF bound) and Gamma(p/2+1)^(1/p) /
+        # sqrt(p) (its psi2 twin), in ln, on 200001 points of [1, 1e5]
+        from scipy.special import gammaln
+        ps = np.linspace(1.0, 1e5, 200001)
+        for ratio in (gammaln(ps + 1.0) / ps - np.log(ps),
+                      gammaln(ps / 2.0 + 1.0) / ps - 0.5 * np.log(ps)):
+            assert (np.diff(ratio) < 0.0).all()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_chained)
+    def test_the_walked_support_holds_the_image(self, law):
+        # in exact arithmetic, and at the floats the numeric moments read
+        base, steps = D._chain(D.canonical(law))
+        lo, hi = walked_support(law)
+        exact_lo, exact_hi = exact_image(*base.support(), steps)
+        assert Fraction(lo) <= exact_lo and exact_hi <= Fraction(hi)
+        values = D._apply(steps, np.linspace(*base.support(), 1001))
+        assert lo <= values.min() and values.max() <= hi
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(st.one_of(_finite, _chained, _uniform), st.sampled_from([1, 2]))
+    def test_a_support_bound_rounds_outward(self, law, alpha):
+        # T(p0) >= ln M - ln(p0) / alpha to 50 digits, M the walked support's end
+        from decimal import Decimal, localcontext
+        lo, hi = walked_support(law)
+        m = max(-lo, hi)
+        if m == 0.0:
+            reject()    # Z = 0 has no tail bound
+        bounds = O._tail_bounds(D.canonical(law), alpha)(0.0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for t, p0 in zip(bounds, (8, 16)):
+                assert Decimal(t) >= Decimal(m).ln() - Decimal(p0).ln() / alpha
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(CERTIFIED, st.sampled_from([1, 2]))
+    def test_a_tail_bound_covers_every_ratio_past_p0(self, law, alpha):
+        # on 60 orders from p0 to 1024, at the lambda of the best head ratio
+        tail = O._tail_bounds(D.canonical(law), alpha)
+        if tail is None:
+            reject()
+        head = O._START[:5]
+        best = float(np.max(D.log_abs_moments(law, head) / head - np.log(head) / alpha))
+        for t, p0 in zip(tail(best), (8.0, 16.0)):
+            ps = np.geomspace(p0, 1024.0, 60)
+            assert (D.log_abs_moments(law, ps) / ps - np.log(ps) / alpha <= t).all()
+
+    # laws drawn below whose full search raises PMaxTooSmallError and whose
+    # tail bound certifies a value
+    NEWLY_CERTIFIED = set()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(CERTIFIED, st.sampled_from([1, 2]))
+    @example(D.Shifted(D.Exponential(2.0), -3.0), 1)
+    def test_a_search_that_ends_early_reads_the_full_search(self, law, alpha):
+        # the same value, p* and largest bound, to the bit, or the same error
+        def outcome(*tail):
+            try:
+                return O._sup_ratio(lambda ps: D.log_abs_moments(law, ps), alpha, *tail)
+            except (O.PMaxTooSmallError, D.QuadratureError) as exc:
+                return type(exc)
+        full, got = outcome(), outcome(O._tail_bounds(D.canonical(law), alpha))
+        if full is O.PMaxTooSmallError and isinstance(got, tuple):
+            assert (repr(law), alpha) in self.NEWLY_CERTIFIED | {
+                ("Shifted(base=Exponential(rate=2.0), offset=-3.0)", 1)}
+            assert got[2] >= math.log(dense_oracle(law, alpha))
+        else:
+            assert got == full
 
 
 class TestCertifiedUpper:

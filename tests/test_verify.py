@@ -262,7 +262,7 @@ class TestLimits:
         # 1343 coordinates of 10^5 draws take 1074400000 bytes > 2^30
         fspec = F.SumFunction([D.UniformInterval(0.0, 1.0)] * 1343)
         with pytest.raises(ValueError) as err:
-            V.estimate_tail(fspec, [1.0], 10 ** 4, seed=0)
+            V.estimate_tail(fspec, [1.0], 10 ** 5, seed=0)
         assert str(err.value) == (
             "sum: a shard of 100000 draws of n = 1343 coordinates takes 1074400000 bytes in "
             "the per-coordinate layout, over the shard budget of 1073741824 bytes (1 GiB)")
@@ -275,7 +275,7 @@ class TestLimits:
     ], ids=["at-the-budget", "summed", "summed-vectors", "chi"])
     def test_within_the_budget_or_not_per_coordinate(self, fspec):
         # the summed and chi layouts hold dim values, not n dim, per draw
-        V._check_shard_bytes(fspec)
+        V._check_shard_bytes(fspec, 1, V.MAX_SAMPLES)
 
     @staticmethod
     def loss(n):
@@ -285,24 +285,46 @@ class TestLimits:
 
     @pytest.mark.parametrize("n, threads", [(10, 2), (11, 1), (20, 1)])
     def test_each_worker_counts_its_buffer_and_evaluation_copy(self, n, threads):
-        V._check_shard_bytes(self.loss(n), threads)
+        V._check_shard_bytes(self.loss(n), threads, V.MAX_SAMPLES)
 
     @pytest.mark.parametrize("n, threads, peak", [(11, 2, 1126400000), (22, 1, 1126400000)])
     def test_a_peak_past_the_budget_is_refused(self, n, threads, peak, no_draws):
-        # a shard's buffer alone is within the budget in both
+        # a shard's buffer alone is within the budget in both; two shards
+        # keep both workers busy
         held = "2 threads and the evaluation copy" if threads == 2 else "the evaluation copy"
         with pytest.raises(ValueError) as err:
-            V.estimate_tail(self.loss(n), [1.0], 10 ** 4, seed=0, threads=threads)
+            V.estimate_tail(self.loss(n), [1.0], 2 * 10 ** 5, seed=0, threads=threads)
         assert str(err.value) == (
             f"sup_linear_loss: a shard of 100000 draws of n = {n} coordinates takes "
             f"{peak // (2 * threads)} bytes in the per-coordinate layout, {peak} bytes with "
             f"{held}, over the shard budget of 1073741824 bytes (1 GiB)")
 
+    @pytest.mark.parametrize("n, threads, n_samples", [
+        (11, 2, 20000), (20, 2, 10 ** 5), (104, 2, 20000), (10, 2, 10 ** 5 + 1), (10, 2, 10 ** 9)])
+    def test_a_run_counts_its_shards_and_draws(self, n, threads, n_samples):
+        # a run of one shard holds one buffer, of at most n_samples draws
+        V._check_shard_bytes(self.loss(n), threads, n_samples)
+
+    @pytest.mark.parametrize("n, n_samples, draws, peak, held", [
+        (105, 20000, 20000, 1075200000, "the evaluation copy"),
+        (11, 10 ** 5 + 1, 100000, 1126400000, "2 threads and the evaluation copy"),
+        (21, 10 ** 5, 100000, 1075200000, "the evaluation copy"),
+    ])
+    def test_a_run_past_the_budget_is_refused(self, n, n_samples, draws, peak, held, no_draws):
+        # just past the count: 105 coordinates in one shard of 20000 draws,
+        # 11 in two shards at two threads, 21 in one full shard
+        with pytest.raises(ValueError) as err:
+            V.estimate_tail(self.loss(n), [1.0], n_samples, seed=0, threads=2)
+        assert str(err.value) == (
+            f"sup_linear_loss: a shard of {draws} draws of n = {n} coordinates takes "
+            f"{n * 256 * draws} bytes in the per-coordinate layout, {peak} bytes with "
+            f"{held}, over the shard budget of 1073741824 bytes (1 GiB)")
+
     def test_a_kind_with_no_copy_counts_its_threads(self):
         # 671 uniform coordinates: 536800000 bytes a shard, twice that at two threads
-        V._check_shard_bytes(F.SumFunction([D.UniformInterval(0.0, 1.0)] * 671), 2)
+        V._check_shard_bytes(F.SumFunction([D.UniformInterval(0.0, 1.0)] * 671), 2, V.MAX_SAMPLES)
         with pytest.raises(ValueError, match="1075200000 bytes with 2 threads, over the shard"):
-            V._check_shard_bytes(F.SumFunction([D.UniformInterval(0.0, 1.0)] * 672), 2)
+            V._check_shard_bytes(F.SumFunction([D.UniformInterval(0.0, 1.0)] * 672), 2, V.MAX_SAMPLES)
 
 
 class TestExactEnumeration:
