@@ -64,8 +64,8 @@ class FunctionSpec(dist.Spec):
     of one buffer per batch (see dist.draw_rows).  The per-coordinate buffer
     holds prod(point_shape) values per draw, n times the summed one, and
     `evaluate` makes `evaluation_copies` C-order copies of it, so
-    `verify.estimate_tail` refuses shards of it past
-    `verify.MAX_SHARD_BYTES` before any draw."""
+    `verify.estimate_tail` refuses shards of it, and the batch of
+    `expectation`, past `verify.MAX_SHARD_BYTES` before any draw."""
 
     _summands = None
     evaluation_copies = 0

@@ -10,11 +10,11 @@ chord bound beats the best ratio by more than 1e-12 in ln, at its
 geometric midpoint and at the bound's own maximiser; the largest final
 bound, rounded up, is `upper`.  A law with a certified bound T(p0) on the
 ratio at every p >= p0 (`_tail_bounds`: its bounded support, or at alpha =
-1 its closed-form MGF) ends the search at p0 = 8 or 16 where T(p0) is not
-above the best ratio read.  Every other search reads the octaves up to p =
-_P_MAX = 256, and the tail beyond it is accepted only when the ratio does
-not rise over the last octave of the evaluated orders.  For a catalogue law the
-search reads the batched moments of
+1 its closed-form MGF) ends the search at p0 = 8 (or, at alpha = 2, 16)
+where T(p0) is not above the best ratio read.  Every other search reads
+the octaves up to p = _P_MAX = 256, and the tail beyond it is accepted
+only when the ratio does not rise over the last octave of the evaluated
+orders.  For a catalogue law the search reads the batched moments of
 `distributions.log_abs_moments`, the one numeric path of every moment,
 through its memo of rows, and reports the best ratio it read as the
 value.  The norm is homogeneous, ||aZ|| = |a| ||Z|| at the same p*, so the
@@ -65,14 +65,12 @@ _P_GRID = np.array([math.ldexp(x, k) for k in range(int(math.log2(_P_MAX))) for 
 _START = np.unique(np.concatenate([
     _P_GRID[::_GRID_DENSITY], _P_GRID[-_GRID_DENSITY - 1::4], _P_GRID[-2:]]))
 _START.setflags(write=False)    # every search passes it to log_moments
-# a tail bound may end a search at p0 = 8 or 16, _START[3] and _START[4];
-# its first call reads the octaves up to 8 at alpha = 1 and up to 16 at
-# alpha = 2, where ln(p0) / alpha falls half as fast and 8 less often
+# the orders p0 = _START[3], _START[4], ... at which a tail bound may end a
+# search, and so the octaves its first call reads: 8 at alpha = 1, and 8 or
+# 16 at alpha = 2, where ln(p0) / alpha falls half as fast and 8 less often
 # suffices
-_P0 = (8.0, 16.0)
-_HEAD_ENDS = {1: 4, 2: 5}
-_LOG_P0 = tuple(map(math.log, _P0))
-_LOG_GAMMA_P0 = tuple(math.lgamma(p0 + 1.0) / p0 for p0 in _P0)
+_P0 = {1: (8.0,), 2: (8.0, 16.0)}
+_LOG_GAMMA_9 = math.lgamma(9.0) / 8.0     # ln Gamma(p0 + 1) / p0 at p0 = 8
 # the MGF arguments of a tail bound, c / K for K the best ratio read, tried
 # in turn until one bounds the ratio past 8 by K: any lambda > 0 gives a
 # valid bound, and c near 0.65 suits exponential, Poisson and Gaussian tails
@@ -132,18 +130,18 @@ def _sup_ratio(log_moments, alpha, tail_bounds=None):
     phi or when the rounds run out, PMaxTooSmallError when the ratio rises
     anywhere over the last octave of the evaluated orders.
 
-    tail_bounds, where given, maps the best ratio read to (T(8), T(16)),
-    T(p0) at least the ratio at every p >= p0 (`_tail_bounds`).  The first
-    call then reads _START up to _HEAD_ENDS[alpha].  At the first p0 whose
-    T(p0) is not above the best ratio read, the rounds refine [1, p0] only,
-    after one call for 16 where it is not read yet, and the largest bound
-    returned counts T(p0); no last-octave test runs.  Where T(16) is above
-    it too, one call reads the rest of _START and the search goes on as
-    without tail_bounds.  Every ratio the full search reads past p0 is at
-    most T(p0), so its rounds split [1, p0] as these do: the best ratio,
-    p* and chord bounds on [1, p0] are the full search's.
+    tail_bounds, where given, maps the best ratio read to T(p0) for each
+    p0 of _P0[alpha], T(p0) at least the ratio at every p >= p0
+    (`_tail_bounds`).  The first call then reads _START up to the last p0.
+    At the first p0 whose T(p0) is not above the best ratio read, the
+    rounds refine [1, p0] only, and the largest bound returned counts
+    T(p0); no last-octave test runs.  Where every T is above it, one call
+    reads the rest of _START and the search goes on as without
+    tail_bounds.  Every ratio the full search reads past p0 is at most
+    T(p0), so its rounds split [1, p0] as these do: the best ratio, p* and
+    chord bounds on [1, p0] are the full search's.
     """
-    ps = _START if tail_bounds is None else _START[:_HEAD_ENDS[alpha]]
+    ps = _START if tail_bounds is None else _START[:3 + len(_P0[alpha])]
     phis = log_moments(ps)
     if (phis == -math.inf).all():
         return -math.inf, 1.0, -math.inf
@@ -152,13 +150,13 @@ def _sup_ratio(log_moments, alpha, tail_bounds=None):
     tail = None
     if tail_bounds is not None:
         best = ratios.max()
-        t8, t16 = tail_bounds(best)     # _START[:4] ends at 8, _START[:5] at 16
-        tail, end = (t8, 4) if t8 <= best else (t16, 5) if t16 <= best else (None, len(_START))
-        if end > len(ps):
-            more = _START[len(ps):end]
+        for end, t in enumerate(tail_bounds(best), 4):     # _START[:4] ends at 8
+            if t <= best:
+                tail, ps, phis, ratios = t, ps[:end], phis[:end], ratios[:end]
+                break
+        else:
+            more = _START[len(ps):]
             ps, phis, ratios = _read(ps, phis, ratios, more, log_moments(more), alpha)
-        elif end < len(ps):
-            ps, phis, ratios = ps[:end], phis[:end], ratios[:end]
     for rounds in range(_MAX_ROUNDS + 1):
         bounds, peaks = _chord_bounds(ps, phis, alpha)
         split = bounds > ratios.max() + _CHORD_TOL
@@ -199,22 +197,23 @@ def _check_finite(ps, phis):
             f"ln E|Z|^p is {phis[bad][0]} at p={float(ps[bad][0])!r}: no chord bound")
 
 
-def _tail_bounds(form, alpha):
-    """For the canonical form of a law, a function of the best ln ratio
-    read that gives (T(8), T(16)), T(p0) >= ln(||Z||_p / p^(1/alpha)) at
-    every p >= p0, or None where there is none here (or Z = 0).  Each T is
-    rounded outward by _TAIL_MARGIN.
+def _tail_bounds(spec, alpha):
+    """For a scalar law spec, a function of the best ln ratio read that
+    gives T(p0) for each p0 of _P0[alpha], T(p0) >= ln(||Z||_p /
+    p^(1/alpha)) at every p >= p0, or None where there is none here (or Z
+    = 0).  Each T is rounded outward by _TAIL_MARGIN.
 
     - A bounded support, |Z| <= M: T(p0) = ln M - ln(p0) / alpha, with M
-      an end of the primitive's support walked outward through the steps.
+      an end of the canonical form's primitive's support walked outward
+      through its steps.
     - At alpha = 1, a closed-form MGF (no square step, a primitive with an
       `mgf`): E|Z|^p <= Gamma(p+1) lambda^-p E e^(lambda |Z|), and
       E e^(lambda |Z|) <= mgf(lambda) + mgf(-lambda) = S, so T(p0) =
-      (ln S + ln Gamma(p0+1)) / p0 - ln lambda - ln p0, the least over the
-      lambda = c / K of _LAMBDAS.  It bounds every p >= p0 as S >= 1 and
-      Gamma(p+1)^(1/p) / p is nonincreasing.
+      (ln S + ln Gamma(p0+1)) / p0 - ln lambda - ln p0 at p0 = 8, the
+      least over the lambda = c / K of _LAMBDAS.  It bounds every p >= p0
+      as S >= 1 and Gamma(p+1)^(1/p) / p is nonincreasing.
     """
-    base, steps = dist._chain(form)
+    base, steps = dist._chain(dist.canonical(spec))
     lo, hi = base.support()
     if max(-lo, hi) == math.inf:    # and so are its images under the steps
         if alpha != 1 or type(base).mgf is dist.Distribution.mgf or any(op == "square" for op, _ in steps):
@@ -225,26 +224,22 @@ def _tail_bounds(form, alpha):
         m = max(-lo, hi)
         if not m > 0.0:     # Z = 0, which the first call reads
             return None
-        bounds = [_outward_sum(math.log(m), -log_p0 / alpha) for log_p0 in _LOG_P0]
+        bounds = [_outward_sum(math.log(m), -math.log(p0) / alpha) for p0 in _P0[alpha]]
         return lambda best: bounds
 
     def mgf_bounds(best):
-        t = (math.inf, math.inf)
+        t = math.inf
         for c in _LAMBDAS:
             log_lam = math.log(c) - best
-            try:
+            try:        # lambda past the MGF's domain, or overflowing
                 lam = math.exp(log_lam)
-                s = form.mgf(lam) + form.mgf(-lam)
-            except (OverflowError, dist.MomentDivergenceError):
+                s = dist.mgf(spec, lam) + dist.mgf(spec, -lam)
+            except (OverflowError, dist.SpecError, dist.MomentDivergenceError):
                 continue
-            if not s < math.inf:        # inf, or NaN from inf * 0
-                continue
-            log_s = math.log(s)
-            t = tuple(min(tk, _outward_sum(log_s / p0, log_gamma, -log_lam, -log_p0))
-                      for tk, p0, log_gamma, log_p0 in zip(t, _P0, _LOG_GAMMA_P0, _LOG_P0))
-            if t[0] <= best:
+            t = min(t, _outward_sum(math.log(s) / 8.0, _LOG_GAMMA_9, -log_lam, -math.log(8.0)))
+            if t <= best:
                 break
-        return t
+        return (t,)
     return mgf_bounds
 
 
@@ -327,7 +322,7 @@ def _psi_norm_cached(spec, alpha):
     method = "closed-form" if isinstance(form, dist.FiniteSupport) else "analytic-grid"
     try:
         best, p, top = _sup_ratio(lambda ps: dist.log_abs_moments(spec, ps), alpha,
-                                  _tail_bounds(form, alpha))
+                                  _tail_bounds(spec, alpha))
     except PMaxTooSmallError as exc:
         return exc.with_traceback(None)
     if best == -math.inf:

@@ -34,9 +34,10 @@ DEFAULT_CP_LEVEL = 0.999
 MIN_SAMPLES = 10 ** 4   # fewest draws estimate_tail accepts
 MAX_SAMPLES = 10 ** 9   # most draws it accepts, 10^4 shards
 MAX_THREADS = 64        # most workers it accepts
-# most bytes the shards of base points in flight may take: each worker holds
-# one buffer and its kind's evaluation copies of it.  Only the per-coordinate
-# layout holds a whole point, n * prod(point_shape[1:]) values, per draw
+# most bytes the shards of base points in flight, or the expectation's batch,
+# may take: each worker holds one buffer and its kind's evaluation copies of
+# it.  Only the per-coordinate layout holds a whole point, n *
+# prod(point_shape[1:]) values, per draw
 MAX_SHARD_BYTES = 2 ** 30
 # A shard counts the values above each threshold of a grid of at most this
 # many; a longer grid sorts the shard once and bisects it.  The crossover of
@@ -105,23 +106,29 @@ def _check_grid(t_grid):
 
 
 def _check_shard_bytes(fspec, threads, n_samples):
-    """ValueError, naming the spec's n and the budget, where the shards of
-    base points in the per-coordinate layout take more than MAX_SHARD_BYTES
-    at their peak: a worker for each of `threads` and of the run's shards,
-    whichever are fewer, each with a buffer of min(SHARD_SIZE, n_samples)
-    draws and the `evaluation_copies` of it that the kind's `evaluate`
-    makes."""
+    """ValueError, naming the spec's n and the budget, where the base points
+    in the per-coordinate layout take more than MAX_SHARD_BYTES at their
+    peak.  That is the larger of two phases, each buffer with the
+    `evaluation_copies` of it that the kind's `evaluate` makes: the shards,
+    a worker for each of `threads` and of the run's shards, whichever are
+    fewer, each with a buffer of min(SHARD_SIZE, n_samples) draws; and,
+    before them, the one batch of fn._INNER_MC draws that `fn.expectation`
+    evaluates for a kind with no `closed_form_mean`.  The message names
+    the shards where they hold at least as much."""
     if fspec.sampler_layout != "per-coordinate":
         return
     draws = min(SHARD_SIZE, n_samples)
     workers = min(threads, -(-n_samples // SHARD_SIZE))
+    batch = "a shard"
+    if workers * draws < fn._INNER_MC and fspec.closed_form_mean() is None:
+        batch, draws, workers = "the expectation's batch", fn._INNER_MC, 1
     size = math.prod(fspec.point_shape) * draws * 8
     peak = workers * (1 + fspec.evaluation_copies) * size
     if peak > MAX_SHARD_BYTES:
         held = ([f"{workers} threads"] if workers > 1 else []) + (
             ["the evaluation copy"] if fspec.evaluation_copies else [])
         raise ValueError(
-            f"{fspec.kind}: a shard of {draws} draws of n = {fspec.n} coordinates "
+            f"{fspec.kind}: {batch} of {draws} draws of n = {fspec.n} coordinates "
             f"takes {size} bytes in the per-coordinate layout"
             + (f", {peak} bytes with {' and '.join(held)}" if held else "")
             + f", over the shard budget of {MAX_SHARD_BYTES} bytes (1 GiB)")
@@ -134,7 +141,7 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
     E[f(X)] is `fn.expectation`; where that estimate's half-width exceeds a
     tenth of the t-grid spacing, the grid is too fine for it and this is a
     ValueError.  So are n_samples outside [MIN_SAMPLES, MAX_SAMPLES], threads
-    outside [1, MAX_THREADS] and a per-coordinate layout whose shards in
+    outside [1, MAX_THREADS] and a per-coordinate layout whose batches in
     flight exceed MAX_SHARD_BYTES (see `_check_shard_bytes`), each checked
     before any draw."""
     t_grid = _check_grid(t_grid)

@@ -1527,11 +1527,14 @@ class TestShardBudget:
         return {"kind": "sup_linear_loss", "weights": [[1.0] + [0.0] * 30], "loss": "absolute",
                 "input": _GAUSSIAN_VEC(31), "output": {"kind": "exponential", "rate": 1}, "n": n}
 
-    @pytest.mark.parametrize("n, code", [(11, 0), (105, 1)])
+    @pytest.mark.parametrize("n, code", [(11, 0), (21, 1), (104, 1)])
     def test_a_run_of_one_shard_counts_its_draws(self, n, code, tmp_path):
-        # --n 20000 is one shard of 20000 draws, which one worker holds:
-        # eleven coordinates take 112.64 MB with the evaluation copy, and
-        # were refused as two full shards; 105 are just past the budget
+        # --n 20000 is one shard of 20000 draws, which one worker holds, but
+        # the loss kind's mean has no closed form: fn.expectation first
+        # evaluates a batch of 10^5 draws.  Eleven coordinates take 563.2 MB
+        # in it with the evaluation copy, and were refused as two full
+        # shards; 21 are just past the budget, and 104, whose shard is
+        # within it, would take 5.3 GB
         src = os.path.dirname(os.path.dirname(lighttails.__file__))
         child = subprocess.run(
             [sys.executable, "-c", _UNDER_2_GIB, "verify", "--spec", write_spec(tmp_path, self.loss(n)),
@@ -1542,10 +1545,11 @@ class TestShardBudget:
         if code == 0:
             assert json.loads(child.stdout)["n_samples"] == 20000 and child.stderr == ""
         else:
+            size = n * 256 * 10 ** 5
             assert child.stdout == "" and child.stderr == (
-                "error: sup_linear_loss: a shard of 20000 draws of n = 105 coordinates takes "
-                "537600000 bytes in the per-coordinate layout, 1075200000 bytes with the "
-                "evaluation copy, over the shard budget of 1073741824 bytes (1 GiB)\n")
+                f"error: sup_linear_loss: the expectation's batch of 100000 draws of n = {n} "
+                f"coordinates takes {size} bytes in the per-coordinate layout, {2 * size} bytes "
+                "with the evaluation copy, over the shard budget of 1073741824 bytes (1 GiB)\n")
 
     def test_a_spec_just_under_the_budget_stays_under_it(self, tmp_path):
         # ten coordinates of 32 values: two workers, each with a 256 MB

@@ -300,23 +300,34 @@ class TestLimits:
             f"{held}, over the shard budget of 1073741824 bytes (1 GiB)")
 
     @pytest.mark.parametrize("n, threads, n_samples", [
-        (11, 2, 20000), (20, 2, 10 ** 5), (104, 2, 20000), (10, 2, 10 ** 5 + 1), (10, 2, 10 ** 9)])
+        (11, 2, 20000), (20, 2, 20000), (20, 2, 10 ** 5), (10, 2, 10 ** 5 + 1), (10, 2, 10 ** 9)])
     def test_a_run_counts_its_shards_and_draws(self, n, threads, n_samples):
-        # a run of one shard holds one buffer, of at most n_samples draws
+        # a run of one shard holds one buffer, of at most n_samples draws;
+        # the loss kind's mean has no closed form, so fn.expectation holds a
+        # batch of 10^5 draws first: 20 coordinates take 1024000000 bytes
         V._check_shard_bytes(self.loss(n), threads, n_samples)
 
-    @pytest.mark.parametrize("n, n_samples, draws, peak, held", [
-        (105, 20000, 20000, 1075200000, "the evaluation copy"),
-        (11, 10 ** 5 + 1, 100000, 1126400000, "2 threads and the evaluation copy"),
-        (21, 10 ** 5, 100000, 1075200000, "the evaluation copy"),
+    def test_a_closed_form_mean_draws_no_batch(self):
+        # 5000 uniform coordinates: one shard of 20000 draws takes 800000000
+        # bytes, and E[f] is exact, so no 10^5-draw batch is held
+        V._check_shard_bytes(F.SumFunction([D.UniformInterval(0.0, 1.0)] * 5000), 2, 20000)
+
+    @pytest.mark.parametrize("n, n_samples, batch, draws, peak, held", [
+        (21, 20000, "the expectation's batch", 100000, 1075200000, "the evaluation copy"),
+        (104, 20000, "the expectation's batch", 100000, 5324800000, "the evaluation copy"),
+        (11, 10 ** 5 + 1, "a shard", 100000, 1126400000, "2 threads and the evaluation copy"),
+        (21, 10 ** 5, "a shard", 100000, 1075200000, "the evaluation copy"),
     ])
-    def test_a_run_past_the_budget_is_refused(self, n, n_samples, draws, peak, held, no_draws):
-        # just past the count: 105 coordinates in one shard of 20000 draws,
-        # 11 in two shards at two threads, 21 in one full shard
+    def test_a_run_past_the_budget_is_refused(self, n, n_samples, batch, draws, peak, held,
+                                              no_draws):
+        # just past the count: 21 coordinates in the expectation's batch
+        # ahead of one shard of 20000 draws, 11 in two shards at two
+        # threads, 21 in one full shard; 104 take five times the budget in
+        # the batch, though their one shard of 20000 draws is within it
         with pytest.raises(ValueError) as err:
             V.estimate_tail(self.loss(n), [1.0], n_samples, seed=0, threads=2)
         assert str(err.value) == (
-            f"sup_linear_loss: a shard of {draws} draws of n = {n} coordinates takes "
+            f"sup_linear_loss: {batch} of {draws} draws of n = {n} coordinates takes "
             f"{n * 256 * draws} bytes in the per-coordinate layout, {peak} bytes with "
             f"{held}, over the shard budget of 1073741824 bytes (1 GiB)")
 
