@@ -113,7 +113,10 @@ def _items(value, name):
 
 def _floats(value, name):
     """value as a tuple of floats, if it is a list of finite numbers."""
-    return tuple(_number(v, name) for v in _items(value, name))
+    items = _items(value, name)
+    if all(type(v) is float and math.isfinite(v) for v in items):
+        return items    # what _number gives each
+    return tuple(_number(v, name) for v in items)
 
 
 def _instance(value, name, cls, what):
@@ -174,6 +177,17 @@ class Spec:
     def _check(self): pass
 
 
+def _derived(cls, *values):
+    """The spec of cls with these field values, in field order, built
+    without the checks: for a law the package derives from checked specs,
+    each value already what its check would return (a finite float, a
+    tuple of them, a scalar spec).  A relation such a law can break, as a
+    probability sum after a merge, is checked where it is built."""
+    spec = object.__new__(cls)
+    spec.__dict__.update(zip(_fields(cls), values))
+    return spec
+
+
 # ---------------------------------------------------------------------------
 # The scalar catalogue
 
@@ -188,7 +202,8 @@ class Distribution(Spec):
     `mgf(beta)`, which a wrapper reads off its base."""
 
     # _fold gives the canonical form; _affine the family's own spec for the
-    # law after an affine step, if the family is closed under it
+    # law after an affine step, if the family is closed under it and the new
+    # parameters pass its checks (else the step is kept as a wrapper)
     def _fold(self): return self
     def _affine(self, op, c): return None
     def sum_law(self, n):
@@ -218,10 +233,7 @@ class Distribution(Spec):
     def _push(self, op, c):
         """Canonical form of the law after one more map step: the family's
         own spec where it is closed under the step, else the step's wrapper."""
-        try:
-            folded = None if op == "square" else self._affine(op, c)
-        except SpecError:       # the new parameters overflow: keep the step
-            folded = None
+        folded = None if op == "square" else self._affine(op, c)
         return folded or _WRAPPERS[op](self, c)
 
 
@@ -236,7 +248,10 @@ class _Continuous(Distribution):
         sits there) and of those beside each live coarse local maximum (h may
         have several modes); the cells before and after the live points.  The
         points read are np.linspace's, so (k, a, b) are the full scan's unless
-        a peak or live point hides in a cell no pass reads."""
+        a peak or live point hides in a cell no pass reads.  The ends pass
+        is skipped where the peak pass read both its cells in every row, as
+        it does where the whole window is live: it would read no new point.
+        The caller holds np.errstate for the reads."""
         lo, hi = np.empty((2, len(ps), 1))      # each window end as a column
         lo[:, 0], hi[:, 0] = self.window(ps)
         step = (hi - lo) / (_SCAN - 1)
@@ -251,8 +266,7 @@ class _Continuous(Distribution):
             return h
 
         j = np.repeat(_COARSE[None], len(ps), axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = read(j)
+        h = read(j)
         # live and not below either neighbour; beyond the ends lies -inf
         peak = h > h.max(axis=1, keepdims=True) - 80.0
         peak[:, 1:] &= h[:, 1:] >= h[:, :-1]
@@ -263,32 +277,53 @@ class _Continuous(Distribution):
         c = np.where(near, _CELLS, 0)
         c.sort(axis=1)
         c = c[:, -near.sum(axis=1).max():]
-        for _ in range(2):      # the peak pass, then the ends pass
+        for ends in (False, True):      # the peak pass, then the ends pass
             inner = (_STRIDE * c[..., None] + _CELL).reshape(len(ps), -1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                h = np.concatenate([h, read(inner)], axis=1)
+            h = np.concatenate([h, read(inner)], axis=1)
             j = np.concatenate([j, inner], axis=1)
             k = h.max(axis=1, keepdims=True)
             live = h > k - 80.0     # none live: first 0, last _SCAN - 1, as in the full scan
             first = np.where(live, j, _SCAN).min(axis=1, keepdims=True) % _SCAN
             last = np.where(live, j, -1).max(axis=1, keepdims=True) % _SCAN
+            if ends:
+                break
+            read_cells = c
             c = np.concatenate([np.maximum(first - 1, 0), np.minimum(last, _SCAN - 2)], axis=1)
             c //= _STRIDE
+            if (c[:, :, None] == read_cells[:, None, :]).any(axis=2).all():
+                break
         ab = at(np.concatenate([np.maximum(first - 1, 0), np.minimum(last + 1, _SCAN - 1)], axis=1))
         return k[:, 0], ab[:, 0], ab[:, 1]
 
-    def _log_expects(self, log_g, qs, ps, kinks=()):
+    def _log_expects(self, log_g, qs, ps, steps=None):
         """ln E exp(q log_g(X)) for each q of qs, by a fixed tanh-sinh rule
         on the live window of the p of ps at its place.  The window is
-        clipped to the support and cut at the kinks of log_g; each piece is
-        split into _PANELS equal panels.  log_g and the density are read
+        clipped to the support and cut at the zeros of the map steps of
+        log_g = ln|g| (no cut for steps None, where log_g is no such map);
+        each piece is split into _PANELS equal panels.  log_g and the density are read
         once per run of equal rows of cuts (a bounded law has few), and each
         node is built from the end it is nearer.  The rule at t = j/4 reads every
         other node at twice the weight; where it and the rule at t = j/8
         differ by more than 1e-5 p in ln (1e-5 at p = 0), QuadratureError is
-        raised."""
+        raised.  One np.errstate holds for the scan and the rule."""
         q = qs[:, None, None, None]
-        k, a, b = self._live(lambda xs: q[..., 0, 0] * log_g(xs), ps)
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            k, a, b = self._live(lambda xs: q[..., 0, 0] * log_g(xs), ps)
+            val, gap = self._rule(log_g, q, ps, k, a, b, () if steps is None else _zeros(steps))
+        bad = ~(np.isfinite(val) & (val > 0))
+        if bad.any():
+            raise QuadratureError(f"fixed-rule quadrature failed (value {val[bad][0]}) "
+                                  f"at p={float(ps[bad][0])!r}")
+        bad = ~(gap <= 1e-5 * np.where(ps > 0, ps, 1.0))
+        if bad.any():
+            raise QuadratureError(
+                f"the tanh-sinh rules at t = j/8 and j/4 differ by {gap[bad][0]:.3g} "
+                f"in ln E at p={float(ps[bad][0])!r}")
+        return k + np.log(val)
+
+    def _rule(self, log_g, q, ps, k, a, b, kinks):
+        """The sums of the rules at t = j/8 (val, scaled by e^-k) and the
+        ln gap to the rule at t = j/4, on the window [a, b] of each row."""
         lo, hi = self.support()
         a, b = np.maximum(a, lo), np.minimum(b, hi)
         cuts = np.empty((len(ps), 2 + len(kinks)))
@@ -307,30 +342,19 @@ class _Continuous(Distribution):
         left += u
         np.multiply(w, _TS_RIGHT[_TS_MID:], out=right)
         np.subtract(v, right, out=right)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            e, f = log_g(x), self.logpdf(x)
-            if len(cuts) < len(ps):
-                e, f = e[row], f[row]
-            e *= q
-            e += f
-            e -= k[:, None, None, None]
-            low = ~(e > -700)   # NaN too
-            np.exp(e, out=e)
-            e[low] = 0.0
-            e *= w[row]
-            e *= _TS_W
-            val = e.sum(axis=(1, 2, 3))
-            gap = np.abs(np.log(val) - np.log(2.0 * e[..., ::2].sum(axis=(1, 2, 3))))
-        bad = ~(np.isfinite(val) & (val > 0))
-        if bad.any():
-            raise QuadratureError(f"fixed-rule quadrature failed (value {val[bad][0]}) "
-                                  f"at p={float(ps[bad][0])!r}")
-        bad = ~(gap <= 1e-5 * np.where(ps > 0, ps, 1.0))
-        if bad.any():
-            raise QuadratureError(
-                f"the tanh-sinh rules at t = j/8 and j/4 differ by {gap[bad][0]:.3g} "
-                f"in ln E at p={float(ps[bad][0])!r}")
-        return k + np.log(val)
+        e, f = log_g(x), self.logpdf(x)
+        if len(cuts) < len(ps):
+            e, f = e[row], f[row]
+        e *= q
+        e += f
+        e -= k[:, None, None, None]
+        low = ~(e > -700)   # NaN too
+        np.exp(e, out=e)
+        e[low] = 0.0
+        e *= w[row]
+        e *= _TS_W
+        val = e.sum(axis=(1, 2, 3))
+        return val, np.abs(np.log(val) - np.log(2.0 * e[..., ::2].sum(axis=(1, 2, 3))))
 
 
 def _outside(t, out):
@@ -401,9 +425,10 @@ class Gaussian(_Continuous):
         return s ** -0.5 * math.exp(beta * self.mean ** 2 / s)
 
     def _affine(self, op, c):
-        if op == "shift":
-            return Gaussian(self.mean + c, self.sd)
-        return Gaussian(c * self.mean, abs(c) * self.sd)
+        mean, sd = (self.mean + c, self.sd) if op == "shift" else (c * self.mean, abs(c) * self.sd)
+        # the checks of the fields: a mean or sd past the floats, or an sd
+        # that rounds to 0, keeps the step as a wrapper
+        return _derived(Gaussian, mean, sd) if math.isfinite(mean) and 0.0 < sd < math.inf else None
 
 
 @dataclass(frozen=True)
@@ -419,7 +444,9 @@ class Exponential(_Continuous):
     def sum_law(self, n): return Scaled(ChiSquared(2 * n), 1.0 / (2.0 * self.rate))
     # Y - Y' is Laplace with scale 1/rate, so |Y - Y'| is again Exponential
     def abs_difference_law(self): return self
-    def unit_law(self): return 1 / Fraction(self.rate), 0, _UNIT_EXPONENTIAL
+    def unit_law(self):
+        n, d = self.rate.as_integer_ratio()     # 1 / rate, exactly
+        return Fraction(d, n), 0, _UNIT_EXPONENTIAL
 
     def fill(self, rng, out):
         rng.standard_exponential(out=out)
@@ -442,7 +469,7 @@ class Exponential(_Continuous):
 class Rademacher(Distribution):
     kind = "rademacher"
 
-    def _fold(self): return FiniteSupport((-1.0, 1.0), (0.5, 0.5))
+    def _fold(self): return _derived(FiniteSupport, (-1.0, 1.0), (0.5, 0.5))
 
     def fill(self, rng, out):
         np.multiply(rng.integers(0, 2, len(out)), 2.0, out=out)
@@ -475,9 +502,10 @@ class UniformInterval(_Continuous):
         # the half-width and center as floats where both are exact, as hi
         # and 0 of a centered law are, else as Fractions
         a, b = _exact_half(self.hi, -self.lo), _exact_half(self.hi, self.lo)
-        if a is None or b is None:
-            lo, hi = Fraction(self.lo), Fraction(self.hi)
-            return (hi - lo) / 2, (hi + lo) / 2, _UNIT_UNIFORM
+        if a is None or b is None:      # (hi -+ lo) / 2 over the common denominator
+            (hn, hd), (ln, ld) = self.hi.as_integer_ratio(), self.lo.as_integer_ratio()
+            den = 2 * hd * ld
+            return Fraction(hn * ld - ln * hd, den), Fraction(hn * ld + ln * hd, den), _UNIT_UNIFORM
         return a, b, _UNIT_UNIFORM
 
     def fill(self, rng, out):
@@ -508,9 +536,11 @@ class UniformInterval(_Continuous):
         return math.exp(beta * top) * -math.expm1(-2.0 * x) / (2.0 * x)
 
     def _affine(self, op, c):
-        if op == "shift":
-            return UniformInterval(self.lo + c, self.hi + c)
-        return UniformInterval(*sorted((c * self.lo, c * self.hi)))
+        lo, hi = (self.lo + c, self.hi + c) if op == "shift" else sorted((c * self.lo, c * self.hi))
+        # the checks of the fields and of _check: an end past the floats
+        # has an infinite width, and rounding may close the interval; either
+        # keeps the step as a wrapper
+        return _derived(UniformInterval, lo, hi) if lo < hi and math.isfinite(hi - lo) else None
 
 
 @dataclass(frozen=True)
@@ -526,33 +556,61 @@ class Poisson(Distribution):
     def mgf(self, beta): return math.exp(self.rate * (math.exp(beta) - 1.0))
     def unit_law(self): return 1, 0, self     # no scale family
 
-    def _log_expects(self, log_g, qs, ps, kinks=()):
+    def _log_expects(self, log_g, qs, ps, steps=None):
         """ln E exp(q log_g(X)) for each q of qs: the series over k in one
         array pass, long enough that for every q a term past the mean and
-        past every kink (a zero of the map) falls below the term before it
-        and e^40 below every term before it.  Past the last zero |g(k)|^p
-        P(k) is log-concave in k, so the series ends past its right-hand
-        mode, not at a term that only lies far below an earlier mode or
-        before the terms rise again beyond a zero."""
+        past every kink (a zero of the map steps) falls below the term
+        before it and e^40 below every term before it.  Past the last zero
+        |g(k)|^p P(k) is log-concave in k, so the series ends past its
+        right-hand mode, not at a term that only lies far below an earlier
+        mode or before the terms rise again beyond a zero.  A zero past
+        _POISSON_TERMS is not walked to: the series ends where, besides,
+        the rest of it is certified below e^-40 of its sum (`_poisson_rest`),
+        its far zero included."""
         lam, n = self.rate, int(self.rate) + 64
-        last = max(kinks, default=-math.inf)
-        if n > 100000:      # too long to build, and it ends 63 terms past the mean
+        if n > _POISSON_TERMS:      # too long to build, and it ends 63 terms past the mean
             raise QuadratureError(f"Poisson series of rate {lam!r} needs over 100000 terms")
-        if last > 100000:
-            raise QuadratureError(f"Poisson series past the zero {last!r} of the map "
-                                  "needs over 100000 terms")
-        while True:
-            k = np.arange(n, dtype=float)
-            t = qs[:, None] * log_g(k) + k * math.log(lam) - lam - gammaln(k + 1)
-            head, tail = t[:, :-1], t[:, 1:]
-            stop = ((k[1:] + 1 > lam + 10) & (k[1:] > last) & (tail < head)
-                    & (tail < np.maximum.accumulate(head, axis=1) - 40))
-            if stop.any(axis=1).all():
-                m = t.max(axis=1)
-                return m + np.log(np.exp(t - m[:, None]).sum(axis=1))
-            if n > 100000:
-                raise QuadratureError("Poisson series did not converge")
-            n *= 2
+        kinks = () if steps is None else _zeros(steps)
+        near = [z for z in kinks if z <= _POISSON_TERMS]
+        last, far = max(near, default=-math.inf), len(near) < len(kinks)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            while True:
+                k = np.arange(n, dtype=float)
+                t = qs[:, None] * log_g(k) + k * math.log(lam) - lam - gammaln(k + 1)
+                head, tail = t[:, :-1], t[:, 1:]
+                stop = ((k[1:] + 1 > lam + 10) & (k[1:] > last) & (tail < head)
+                        & (tail < np.maximum.accumulate(head, axis=1) - 40))
+                if stop.any(axis=1).all():
+                    m = t.max(axis=1)
+                    sums = m + np.log(np.exp(t - m[:, None]).sum(axis=1))
+                    if not far or (_poisson_rest(lam, steps, qs, n) <= sums - 40).all():
+                        return sums
+                if n > _POISSON_TERMS:
+                    raise QuadratureError("Poisson series did not converge")
+                n *= 2
+
+
+_POISSON_TERMS = 100000     # the terms past which a Poisson series is not built
+
+
+def _poisson_rest(lam, steps, qs, n):
+    """For each q > 0 of qs, an upper bound on ln of the rest of the series
+    of E|g(X)|^q past its first n terms, X ~ Poisson(lam): |g(k)| <= M (1 +
+    k)^d for k >= 0 (each shift adds |c| to M, a scale multiplies it by |c|,
+    a square squares M and doubles d), and the terms of (1 + k)^(q d) P(k)
+    fall by a ratio that decreases in k, at most r at k = n, so the rest is
+    at most M^q (1 + n)^(q d) P(n) / (1 - r); inf where r >= 1."""
+    log_m, d = 0.0, 1
+    for op, c in steps:
+        if op == "shift" and c:
+            log_m = float(np.logaddexp(log_m, math.log(abs(c))))
+        elif op == "scale":
+            log_m += math.log(abs(c))
+        elif op == "square":
+            log_m, d = 2.0 * log_m, 2 * d
+    r = np.exp(qs * (d * math.log1p(1.0 / (n + 1)))) * (lam / (n + 1))
+    head = qs * (log_m + d * math.log1p(n)) + n * math.log(lam) - lam - math.lgamma(n + 1.0)
+    return np.where(r < 1.0, head - np.log1p(-r), math.inf)     # under the caller's np.errstate
 
 
 @dataclass(frozen=True)
@@ -622,8 +680,8 @@ class TwoPointEps(Distribution):
         out[(u >= self.eps / 2) & (u < self.eps)] = -1.0
 
     def _fold(self):
-        e = self.eps
-        return FiniteSupport((-1.0, 0.0, 1.0), (e / 2, 1 - e, e / 2))
+        e = self.eps    # in (0, 1): the probs are floats in [0, 1] that sum to 1
+        return _derived(FiniteSupport, (-1.0, 0.0, 1.0), (e / 2, 1 - e, e / 2))
 
 
 @dataclass(frozen=True)
@@ -643,9 +701,7 @@ class FiniteSupport(Distribution):
             raise SpecError("values and probs must be equal-length nonempty lists")
         if min(self.probs) < 0:
             raise SpecError(f"probs must be nonnegative, got {self.probs}")
-        total = np.sum(self.probs)
-        if abs(total - 1.0) > 1e-12:
-            raise SpecError(f"probs must sum to 1 within 1e-12, got sum {total!r}")
+        _check_total(self.probs)
 
     def fill(self, rng, out):
         values = np.asarray(self.values)
@@ -655,8 +711,10 @@ class FiniteSupport(Distribution):
     @functools.cached_property
     def _logs(self):
         """ln probs and ln |values| as arrays; -inf where either is 0."""
-        with np.errstate(divide="ignore"):
-            return np.log(self.probs), np.log(np.abs(self.values))
+        if 0.0 in self.probs or 0.0 in self.values:
+            with np.errstate(divide="ignore"):
+                return np.log(self.probs), np.log(np.abs(self.values))
+        return np.log(self.probs), np.log(np.abs(self.values))
 
     def log_abs_moments(self, ps):
         # one (p, value) log-sum-exp; math.log per row, as np.log differs
@@ -683,7 +741,9 @@ class FiniteSupport(Distribution):
         if not math.isfinite(hi - lo):
             raise SpecError(f"values must differ by a finite amount, got min={lo}, max={hi}")
         v, p = np.asarray(self.values), np.asarray(self.probs) / math.fsum(self.probs)
-        return FiniteSupport(np.abs(v[:, None] - v).ravel(), np.outer(p, p).ravel())
+        probs = tuple(np.outer(p, p).ravel().tolist())
+        _check_total(probs)
+        return _derived(FiniteSupport, tuple(np.abs(v[:, None] - v).ravel().tolist()), probs)
 
     def _push(self, op, c):
         # a value past the largest float is inf, which the new law refuses;
@@ -692,9 +752,9 @@ class FiniteSupport(Distribution):
                   [c * v for v in self.values] if op == "scale" else [v * v for v in self.values])
         try:    # distinct values in order need no sort and merge
             if _increasing(values):
-                return FiniteSupport(values, self.probs)
+                return _finite_law(tuple(values), self.probs)
             if _increasing(values[::-1]):
-                return FiniteSupport(values[::-1], self.probs[::-1])
+                return _finite_law(tuple(values[::-1]), self.probs[::-1])
             return _merged(values, self.probs)
         except SpecError as exc:
             raise SpecError(f"{self} after the map step {(op, c)}: {exc}") from None
@@ -704,8 +764,24 @@ def _increasing(values):
     return all(a < b for a, b in zip(values, values[1:]))
 
 
+def _check_total(probs):
+    total = np.add.reduce(probs)    # np.sum's reduction, without its dispatch
+    if abs(total - 1.0) > 1e-12:
+        raise SpecError(f"probs must sum to 1 within 1e-12, got sum {total!r}")
+
+
+def _finite_law(values, probs):
+    """The FiniteSupport of these increasing float values and the checked
+    probs of a law they are the image of: only an end value can be past the
+    largest float (inf, or -inf), which the checked constructor refuses."""
+    if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
+        return FiniteSupport(values, probs)
+    return _derived(FiniteSupport, values, probs)
+
+
 def _merged(values, probs):
-    """FiniteSupport with sorted values; only equal values merge."""
+    """FiniteSupport with sorted values; only equal values merge, and the
+    merged probs must still sum to 1 within 1e-12."""
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     order = np.argsort(values)
@@ -716,7 +792,10 @@ def _merged(values, probs):
         else:
             merged_v.append(v)
             merged_p.append(p)
-    return FiniteSupport(merged_v, merged_p)
+    if not all(map(math.isfinite, merged_v)):
+        return FiniteSupport(merged_v, merged_p)
+    _check_total(merged_p)
+    return _derived(FiniteSupport, tuple(merged_v), tuple(merged_p))
 
 
 @dataclass(frozen=True)
@@ -821,7 +900,7 @@ class Scaled(Distribution):
 
     def _fold(self):
         if self.factor == 0:
-            return FiniteSupport((0.0,), (1.0,))
+            return _derived(FiniteSupport, (0.0,), (1.0,))
         return canonical(self.base)._push("scale", self.factor)
 
 
@@ -830,7 +909,6 @@ class SquareOf(Distribution):
     kind = "square_of"
     base: Distribution
 
-    def expectation(self): return abs_moment(self.base, 2.0)   # ||base||_2^2
     def _fold(self): return canonical(self.base)._push("square", None)
     def _step(self): return "square", None
     def log_abs_moments(self, ps): return self.base.log_abs_moments(2 * ps)
@@ -839,6 +917,16 @@ class SquareOf(Distribution):
     def fill(self, rng, out):
         self.base.fill(rng, out)
         np.square(out, out=out)
+
+    def expectation(self):
+        """||base||_2^2.  A base whose canonical form is a primitive law
+        reads its own row at p = 2 (its standard law is never a Centered
+        one), here straight from the family, with no memo between."""
+        form = canonical(self.base)
+        if isinstance(form, (Shifted, Scaled, SquareOf)):
+            return abs_moment(self.base, 2.0)
+        return _exp(_not_nan(float(form.log_abs_moments(_TWO)[0]), 2.0),
+                    "E|X|^p at p={!r} of {}", 2.0, self.base)
 
     def support(self):
         lo, hi = self.base.support()
@@ -867,6 +955,7 @@ class Centered(Distribution):
 # the laws of unit scale that `unit_law` names
 _UNIT_GAUSSIAN, _UNIT_EXPONENTIAL = Gaussian(0.0, 1.0), Exponential(1.0)
 _UNIT_UNIFORM, _UNIT_GAP = UniformInterval(-1.0, 1.0), UniformGap(1.0)
+_UNIT_CHI2 = ChiSquared(1)      # N(0, 1)^2
 
 
 def _wrap_sum(base, n, wrap):
@@ -875,7 +964,11 @@ def _wrap_sum(base, n, wrap):
     return None if law is None else wrap(law)
 
 
-_WRAPPERS = {"shift": Shifted, "scale": Scaled, "square": lambda base, _: SquareOf(base)}
+# a map step's wrapper around a canonical form: the step's constant is a
+# checked finite float (a spec's offset or factor, or minus a finite mean)
+_WRAPPERS = {"shift": lambda base, c: _derived(Shifted, base, c),
+             "scale": lambda base, c: _derived(Scaled, base, c),
+             "square": lambda base, _: _derived(SquareOf, base)}
 
 
 def _chain(form):
@@ -957,8 +1050,14 @@ def standard_form(spec):
     if not shifts:
         if steps[0][0] == "square" and c:   # where the walk below stops
             return 1.0, spec
-        a, c = Fraction(a), Fraction(c)
-        for op, x in steps:
+        # a Centered spec has mean 0, so c is read at its square steps only:
+        # past the last one, a scale step multiplies a alone (`_times`)
+        head = len(steps)
+        if isinstance(spec, Centered):
+            head = max((i + 1 for i, (op, _) in enumerate(steps) if op == "square"), default=0)
+        if head:
+            a, c = Fraction(a), Fraction(c)
+        for op, x in steps[:head]:
             if op == "shift":
                 c += Fraction(x)
             elif op == "scale":
@@ -966,12 +1065,15 @@ def standard_form(spec):
             elif c or max(a.numerator.bit_length(), a.denominator.bit_length()) > _SCALE_BITS:
                 return 1.0, spec
             else:
-                a, law = a * a, ChiSquared(1) if law is _UNIT_GAUSSIAN else SquareOf(law)
+                a, law = a * a, _UNIT_CHI2 if law is _UNIT_GAUSSIAN else _derived(SquareOf, law)
+        for op, x in steps[head:]:
+            if op == "scale":
+                a = _times(a, x)
     scale = round_up(abs(a))
     if spec.expectation() == 0.0:
-        law = law if law.expectation() == 0.0 else Centered(law)
+        law = law if law.expectation() == 0.0 else _derived(Centered, law)
     else:
-        if shifts:      # shifts alone leave a as it is; only here is c read
+        if shifts and steps:    # shifts alone leave a as it is; only here is c read
             c = sum(map(Fraction, (x for _, x in steps)), Fraction(c))
         if c or scale != abs(a):
             return 1.0, spec
@@ -983,6 +1085,42 @@ def standard_form(spec):
 _SCALE_BITS = 1 << 12   # bits of the exact scale's integers past which the walk stops
 
 
+def _times(a, x):
+    """The exact product of a > 0 (an int, float or Fraction) and a float x:
+    a float where a is a power of two and the product a normal float, as
+    the float product is then exact, else a Fraction."""
+    if type(a) is not Fraction and math.frexp(a)[0] == 0.5:
+        y = a * x
+        if sys.float_info.min <= abs(y) < math.inf:
+            return y
+    return Fraction(a) * Fraction(x)
+
+
+class _Law:
+    """A scalar law resolved once, for the psi search that reads it: its
+    canonical form, that form's primitive and map steps (`_chain`), and the
+    law whose memo rows its moments are (see `_moments`), with the ln of
+    the scale they take (None for none).  `log_moments` reads them with no
+    further memo lookup than the rows' own."""
+    __slots__ = ("form", "base", "steps", "read", "read_form", "log_scale")
+
+    def __init__(self, spec):
+        self.form = canonical(spec)
+        self.base, self.steps = _chain(self.form)
+        scale, standard = standard_form(spec)
+        if isinstance(standard, Centered):
+            self.read = standard
+            self.read_form = self.form if standard is spec else canonical(standard)
+            self.log_scale = None if scale == 1.0 else math.log(scale)
+        else:
+            self.read, self.read_form, self.log_scale = spec, self.form, None
+
+    def log_moments(self, ps):
+        """`log_abs_moments(spec, ps)` at an array ps of finite orders > 0."""
+        rows = _memo_rows(self.read, self.read_form, ps)
+        return rows if self.log_scale is None else ps * self.log_scale + rows
+
+
 def round_up(exact) -> float:
     """The smallest float not below the exact rational `exact` (a Fraction
     or an int): a certified upper bound on a product or sum of floats."""
@@ -990,7 +1128,12 @@ def round_up(exact) -> float:
         x = float(exact)
     except OverflowError:
         return math.inf
-    return x if x >= exact else math.nextafter(x, math.inf)
+    if type(exact) is Fraction:     # x >= exact, by integers, with no Fraction built
+        n, d = x.as_integer_ratio()
+        above = n * exact.denominator >= exact.numerator * d
+    else:
+        above = x >= exact
+    return x if above else math.nextafter(x, math.inf)
 
 
 def support_interval(spec):
@@ -1038,10 +1181,17 @@ def log_abs_moment(spec, p: float) -> float:
     if not p:
         return 0.0
     p = float(p)
-    lm = float(_moments(spec, np.array([p]))[0])
+    return _not_nan(float(_moments(spec, np.array([p]))[0]), p)
+
+
+def _not_nan(lm, p):
     if math.isnan(lm):
         raise QuadratureError(f"ln E|X|^p is nan at p={p!r}")
     return lm
+
+
+_TWO = np.array([2.0])
+_TWO.setflags(write=False)
 
 
 def log_abs_moments(spec, ps) -> np.ndarray:
@@ -1059,7 +1209,11 @@ def log_abs_moments(spec, ps) -> np.ndarray:
     Poisson series for all p at once), the only numeric path; the rule
     raises QuadratureError where its embedded error estimate exceeds 1e-5
     in ln ||X||_p.
+    A `_Law` in place of the spec reads the rows of the law it resolved,
+    with no check of the orders: the psi search passes its own.
     """
+    if type(spec) is _Law:
+        return spec.log_moments(ps)
     _scalar(spec)
     ps = np.asarray(ps, dtype=float)
     bad = ps[~((ps > 0) & (ps < math.inf))]
@@ -1093,6 +1247,11 @@ def _memo_moments(law, ps):
     NaN row is returned, not stored.  The memo keeps the rows of the
     latest _MOMENT_LAWS laws, at most _MOMENT_ROWS each: a batch that does
     not fit is not stored."""
+    return _memo_rows(law, canonical(law), ps)
+
+
+def _memo_rows(law, form, ps):
+    """`_memo_moments` of the law read, given its canonical form."""
     rows = _moment_rows.get(law)
     if rows is None:
         with _moment_laws_lock:
@@ -1103,9 +1262,14 @@ def _memo_moments(law, ps):
     missing = [p for p in dict.fromkeys(keys) if p not in rows]
     if not missing:
         return np.array([rows[p] for p in keys])
-    new = dict(zip(missing, canonical(law).log_abs_moments(np.array(missing)).tolist()))
-    if len(rows) + len(new) <= _MOMENT_ROWS:
-        rows.update((p, lm) for p, lm in new.items() if lm == lm)
+    fresh = len(missing) == len(keys)   # distinct orders, none stored: the batch is ps
+    out = form.log_abs_moments(ps if fresh else np.array(missing))
+    values = out.tolist()
+    if len(rows) + len(missing) <= _MOMENT_ROWS:
+        rows.update({p: lm for p, lm in zip(missing, values) if lm == lm})
+    if fresh:
+        return out
+    new = dict(zip(missing, values))
     return np.array([new[p] if p in new else rows[p] for p in keys])
 
 
@@ -1115,18 +1279,26 @@ def mgf(spec, beta: float) -> float:
     closed form (Chi, UniformGap), each naming spec and beta."""
     form = canonical(spec)
     beta = float(beta)
-    if not beta:
-        return 1.0
     try:
-        value = form.mgf(beta)
-    except OverflowError:
-        value = math.inf
+        return _mgf(form, beta)
     except NotImplementedError:
         raise SpecError(f"the MGF of {spec} at beta={beta!r} has no closed form") from None
     except MomentDivergenceError:
         raise MomentDivergenceError(f"the MGF of {spec} at beta={beta!r} diverges") from None
+    except OverflowError:
+        raise SpecError(f"the MGF of {spec} at beta={beta!r} overflows a float") from None
+
+
+def _mgf(form, beta):
+    """`mgf` of a canonical form at a float beta, with its errors bare, as
+    a caller that drops them reads it: NotImplementedError for no closed
+    form, MomentDivergenceError where it is infinite, OverflowError where
+    it overflows a float.  `mgf` words them."""
+    if not beta:
+        return 1.0
+    value = form.mgf(beta)
     if not value < math.inf:    # inf, or NaN from inf - inf
-        raise SpecError(f"the MGF of {spec} at beta={beta!r} overflows a float")
+        raise OverflowError
     return value
 
 
@@ -1149,13 +1321,11 @@ def _log_moments(base, steps, ps):
     """ln E|g(X)|^p for each p of ps, g the map steps, by the base's numeric
     path, _BLOCK orders at a time so that memory does not grow with len(ps).
     Each row is the same in any batch; no orders give no rows."""
-    def log_g(x):
+    def log_g(x):       # read under the np.errstate of _log_expects
         g = np.abs(_apply(steps, x))
-        with np.errstate(divide="ignore"):
-            return np.log(g, out=g)
+        return np.log(g, out=g)
     blocks = [ps[i:i + _BLOCK] for i in range(0, len(ps), _BLOCK)]
-    return np.concatenate([ps[:0]] + [base._log_expects(log_g, b, b, _zeros(steps))
-                                      for b in blocks])
+    return np.concatenate([ps[:0]] + [base._log_expects(log_g, b, b, steps) for b in blocks])
 
 
 def _zeros(steps):
@@ -1193,8 +1363,8 @@ def _exact_half(x, y):
 
 def _logsumexp(terms):
     terms = np.asarray(terms, dtype=float)
-    m = np.max(terms)
-    return float(m + math.log(np.sum(np.exp(terms - m))))
+    m = np.maximum.reduce(terms)     # np.max and np.sum, without their dispatch
+    return float(m + math.log(np.add.reduce(np.exp(terms - m))))
 
 
 def _uniform_log_abs_moment(lo, hi, p):

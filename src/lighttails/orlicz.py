@@ -16,8 +16,9 @@ the octaves up to p = _P_MAX = 256, and the tail beyond it is accepted
 only when the ratio does not rise over the last octave of the evaluated
 orders.  For a catalogue law the search reads the batched moments of
 `distributions.log_abs_moments`, the one numeric path of every moment,
-through its memo of rows, and reports the best ratio it read as the
-value.  The norm is homogeneous, ||aZ|| = |a| ||Z|| at the same p*, so the
+through its memo of rows, on the law resolved once for the search
+(`distributions._Law`), and reports the best ratio it read as the value.
+The norm is homogeneous, ||aZ|| = |a| ||Z|| at the same p*, so the
 search runs on the standard law of `distributions.standard_form` and is
 memoised on (standard law, alpha): Gaussians of any sd, centered uniforms
 of any width, centered affine images of an exponential, chi-squared or
@@ -102,15 +103,45 @@ def _check_alpha(alpha):
         raise ValueError(f"alpha must be 1 or 2, got {alpha}")
 
 
-def _chord_bounds(ps, phis, alpha):
+def _chord_bounds(ps, phis, logs, alpha, known):
     """For each interval [a, b] of consecutive orders, the maximum over it of
     u(p) = s + c/p - ln(p)/alpha, where s p + c is the chord of phi, and
-    its maximiser: clamp(-alpha c, a, b) when c < 0, else a."""
-    a, b, fa = ps[:-1], ps[1:], phis[:-1]
-    s = (phis[1:] - fa) / (b - a)
-    c = fa - s * a
-    q = np.where(c < 0, np.minimum(np.maximum(-alpha * c, a), b), a)
-    return (fa + s * (q - a)) / q - np.log(q) / alpha, q
+    its maximiser: clamp(-alpha c, a, b) when c < 0, else a.  ps, phis and
+    logs (ln(p) / alpha at each p) are lists; an interval whose left end
+    `known` maps to (b, bound, maximiser) takes that entry, and each new
+    one is added to it.  The floats are numpy's for the same operations,
+    with ln of an inner maximiser by one np.log call."""
+    bounds, peaks, inner = [], [], []
+    for i in range(len(ps) - 1):
+        a, b = ps[i], ps[i + 1]
+        hit = known.get(a)
+        if hit is not None and hit[0] == b:
+            bounds.append(hit[1])
+            peaks.append(hit[2])
+            continue
+        fa = phis[i]
+        s = (phis[i + 1] - fa) / (b - a)
+        c = fa - s * a
+        q = min(max(-alpha * c, a), b) if c < 0 else a
+        bounds.append((fa + s * (q - a)) / q)
+        peaks.append(q)
+        if q == a or q == b:
+            bounds[-1] -= logs[i] if q == a else logs[i + 1]
+            known[a] = (b, bounds[-1], q)
+        else:
+            inner.append(i)
+    if inner:
+        for i, lg in zip(inner, (np.log([peaks[i] for i in inner]) / alpha).tolist()):
+            bounds[i] -= lg
+            known[ps[i]] = (ps[i + 1], bounds[i], peaks[i])
+    return bounds, peaks
+
+
+# the orders of _START as floats, and ln(p) / alpha at each, as np.log and
+# the division give them on any batch of orders
+_START_PS = _START.tolist()
+_START_LOGS = {alpha: (np.log(_START) / alpha).tolist() for alpha in (1, 2)}
+_HEAD = {alpha: _START[:3 + len(p0)] for alpha, p0 in _P0.items()}    # the first call's orders
 
 
 def _sup_ratio(log_moments, alpha, tail_bounds=None):
@@ -140,68 +171,76 @@ def _sup_ratio(log_moments, alpha, tail_bounds=None):
     tail_bounds.  Every ratio the full search reads past p0 is at most
     T(p0), so its rounds split [1, p0] as these do: the best ratio, p* and
     chord bounds on [1, p0] are the full search's.
+
+    The search keeps its orders, phis, ln(p) / alpha and ratios as float
+    lists, sorted by p, and the chord bound of each interval from the round
+    that made it: on a few orders, numpy's call overhead is most of the
+    work, and float arithmetic gives the bits numpy gives.
     """
-    ps = _START if tail_bounds is None else _START[:3 + len(_P0[alpha])]
-    phis = log_moments(ps)
-    if (phis == -math.inf).all():
+    n = len(_START) if tail_bounds is None else 3 + len(_P0[alpha])
+    ps, logs = _START_PS[:n], _START_LOGS[alpha][:n]
+    phis = log_moments(_START if tail_bounds is None else _HEAD[alpha]).tolist()
+    if all(phi == -math.inf for phi in phis):
         return -math.inf, 1.0, -math.inf
     _check_finite(ps, phis)
-    ratios = phis / ps - np.log(ps) / alpha
+    ratios = [phi / p - lg for phi, p, lg in zip(phis, ps, logs)]
     tail = None
     if tail_bounds is not None:
-        best = ratios.max()
+        best = max(ratios)
         for end, t in enumerate(tail_bounds(best), 4):     # _START[:4] ends at 8
             if t <= best:
-                tail, ps, phis, ratios = t, ps[:end], phis[:end], ratios[:end]
+                tail = t
+                del ps[end:], phis[end:], logs[end:], ratios[end:]
                 break
         else:
-            more = _START[len(ps):]
-            ps, phis, ratios = _read(ps, phis, ratios, more, log_moments(more), alpha)
+            more = log_moments(_START[n:]).tolist()
+            _check_finite(_START_PS[n:], more)
+            ps += _START_PS[n:]
+            logs += _START_LOGS[alpha][n:]
+            ratios += [phi / p - lg for phi, p, lg in zip(more, _START_PS[n:], _START_LOGS[alpha][n:])]
+            phis += more
+    known = {}
     for rounds in range(_MAX_ROUNDS + 1):
-        bounds, peaks = _chord_bounds(ps, phis, alpha)
-        split = bounds > ratios.max() + _CHORD_TOL
-        if not split.any():
+        bounds, peaks = _chord_bounds(ps, phis, logs, alpha, known)
+        best = max(ratios)
+        split = [i for i, u in enumerate(bounds) if u > best + _CHORD_TOL]
+        if not split:
             break
         if rounds == _MAX_ROUNDS:
             raise dist.QuadratureError(
-                f"chord bounds still {bounds.max() - ratios.max():.3g} above the "
+                f"chord bounds still {max(bounds) - best:.3g} above the "
                 f"best ln ratio after {rounds} bisection rounds")
-        a, b, q = ps[:-1][split], ps[1:][split], peaks[split]
-        new = np.concatenate([np.sqrt(a * b), q[(a < q) & (q < b)]])
-        new.sort()      # and each order once, as np.unique gives them
-        new = new[np.concatenate([[True], new[1:] != new[:-1]])]
-        ps, phis, ratios = _read(ps, phis, ratios, new, log_moments(new), alpha)
-        order = np.argsort(ps)
-        ps, phis, ratios = ps[order], phis[order], ratios[order]
+        new = {math.sqrt(ps[i] * ps[i + 1]) for i in split}
+        new.update(peaks[i] for i in split if ps[i] < peaks[i] < ps[i + 1])
+        new = sorted(new)       # each order once, in order
+        batch = np.array(new)
+        new_phis = log_moments(batch).tolist()
+        _check_finite(new, new_phis)
+        new_logs = (np.log(batch) / alpha).tolist()
+        new_ratios = [phi / p - lg for phi, p, lg in zip(new_phis, new, new_logs)]
+        rows = sorted(zip(ps + new, phis + new_phis, logs + new_logs, ratios + new_ratios))
+        ps, phis, logs, ratios = map(list, zip(*rows))
     if tail is None:
-        last = ratios[ps >= _P_MAX / 2 - 1e-9]
-        if (last[1:] - last[:-1] > 1e-9).any():
+        last = [r for p, r in zip(ps, ratios) if p >= _P_MAX / 2 - 1e-9]
+        if any(b - a > 1e-9 for a, b in zip(last, last[1:])):
             raise PMaxTooSmallError(
                 f"the moment ratio still rises at p = {_P_MAX:g}, the end of the p-grid")
-    i = int(np.argmax(ratios))
-    top = max(ratios[i], bounds.max(initial=-math.inf))
-    return ratios[i], float(ps[i]), top if tail is None else max(top, tail)
-
-
-def _read(ps, phis, ratios, new, new_phis, alpha):
-    """ps, phis and ratios with the orders new and their phis appended."""
-    _check_finite(new, new_phis)
-    return (np.concatenate([ps, new]), np.concatenate([phis, new_phis]),
-            np.concatenate([ratios, new_phis / new - np.log(new) / alpha]))
+    top = max(best, max(bounds, default=-math.inf))    # best: the last round's max(ratios)
+    return best, ps[ratios.index(best)], top if tail is None else max(top, tail)
 
 
 def _check_finite(ps, phis):
-    bad = ~np.isfinite(phis)
-    if bad.any():
-        raise dist.QuadratureError(
-            f"ln E|Z|^p is {phis[bad][0]} at p={float(ps[bad][0])!r}: no chord bound")
+    for p, phi in zip(ps, phis):
+        if not math.isfinite(phi):
+            raise dist.QuadratureError(f"ln E|Z|^p is {phi} at p={p!r}: no chord bound")
 
 
-def _tail_bounds(spec, alpha):
-    """For a scalar law spec, a function of the best ln ratio read that
-    gives T(p0) for each p0 of _P0[alpha], T(p0) >= ln(||Z||_p /
-    p^(1/alpha)) at every p >= p0, or None where there is none here (or Z
-    = 0).  Each T is rounded outward by _TAIL_MARGIN.
+def _tail_bounds(law, alpha):
+    """For a scalar law resolved as a `distributions._Law`, a function of
+    the best ln ratio read that gives T(p0) for each p0 of _P0[alpha],
+    T(p0) >= ln(||Z||_p / p^(1/alpha)) at every p >= p0, or None where
+    there is none here (or Z = 0).  Each T is rounded outward by
+    _TAIL_MARGIN.
 
     - A bounded support, |Z| <= M: T(p0) = ln M - ln(p0) / alpha, with M
       an end of the canonical form's primitive's support walked outward
@@ -213,7 +252,7 @@ def _tail_bounds(spec, alpha):
       least over the lambda = c / K of _LAMBDAS.  It bounds every p >= p0
       as S >= 1 and Gamma(p+1)^(1/p) / p is nonincreasing.
     """
-    base, steps = dist._chain(dist.canonical(spec))
+    base, steps = law.base, law.steps
     lo, hi = base.support()
     if max(-lo, hi) == math.inf:    # and so are its images under the steps
         if alpha != 1 or type(base).mgf is dist.Distribution.mgf or any(op == "square" for op, _ in steps):
@@ -226,6 +265,7 @@ def _tail_bounds(spec, alpha):
             return None
         bounds = [_outward_sum(math.log(m), -math.log(p0) / alpha) for p0 in _P0[alpha]]
         return lambda best: bounds
+    form = law.form
 
     def mgf_bounds(best):
         t = math.inf
@@ -233,8 +273,8 @@ def _tail_bounds(spec, alpha):
             log_lam = math.log(c) - best
             try:        # lambda past the MGF's domain, or overflowing
                 lam = math.exp(log_lam)
-                s = dist.mgf(spec, lam) + dist.mgf(spec, -lam)
-            except (OverflowError, dist.SpecError, dist.MomentDivergenceError):
+                s = dist._mgf(form, lam) + dist._mgf(form, -lam)
+            except (OverflowError, NotImplementedError, dist.MomentDivergenceError):
                 continue
             t = min(t, _outward_sum(math.log(s) / 8.0, _LOG_GAMMA_9, -log_lam, -math.log(8.0)))
             if t <= best:
@@ -318,11 +358,11 @@ def _scaled_upper(upper, scale):
 
 @functools.lru_cache(maxsize=4096)
 def _psi_norm_cached(spec, alpha):
-    form = dist.canonical(spec)
-    method = "closed-form" if isinstance(form, dist.FiniteSupport) else "analytic-grid"
+    law = dist._Law(spec)
+    method = "closed-form" if isinstance(law.form, dist.FiniteSupport) else "analytic-grid"
     try:
-        best, p, top = _sup_ratio(lambda ps: dist.log_abs_moments(spec, ps), alpha,
-                                  _tail_bounds(spec, alpha))
+        best, p, top = _sup_ratio(lambda ps: dist.log_abs_moments(law, ps), alpha,
+                                  _tail_bounds(law, alpha))
     except PMaxTooSmallError as exc:
         return exc.with_traceback(None)
     if best == -math.inf:

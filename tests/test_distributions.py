@@ -191,11 +191,60 @@ class TestMoments:
             assert D.log_abs_moment(spec, p) == pytest.approx(
                 adaptive_log_moment(spec, p), rel=1e-12)
 
-    def test_poisson_series_past_a_zero_beyond_its_cap_is_refused(self):
+    def test_poisson_series_stops_short_of_a_far_zero(self):
+        # the zero at 2e5 lies past the terms a series is built with; the
+        # series ends where the rest of it, the far zero included, is
+        # certified below e^-40 of its sum.  E|X - 2e5|^2 = (2e5 - 5)^2 + 5
         spec = D.Shifted(D.Poisson(5.0), -2e5)
-        with pytest.raises(D.QuadratureError, match=r"^Poisson series past the zero 200000\.0 "
-                                                    r"of the map needs over 100000 terms$"):
-            D.log_abs_moment(spec, 2.0)
+        assert D.log_abs_moment(spec, 2.0) == pytest.approx(
+            math.log(199995.0 ** 2 + 5.0), rel=1e-15, abs=0.0)
+        for p in (1.0, 64.0, 256.0):
+            assert D.log_abs_moment(spec, p) == pytest.approx(
+                adaptive_log_moment(spec, p), rel=1e-12)
+        # E|X - 2e5| = 2e5 - 5, and the ratio falls past p = 1
+        est = psi_norm(spec, 1)
+        assert est.p_star == 1.0 and est.value == pytest.approx(199995.0, rel=1e-12)
+
+    @pytest.mark.parametrize("lam, steps", [
+        (5.0, (("shift", -2e5),)), (1.5, (("scale", 3.0), ("shift", -7e5))),
+        (2.0, (("shift", -3.0), ("square", None), ("shift", -1e5))),
+        (40.0, (("scale", -0.5), ("shift", 1.5e5)))], ids=repr)
+    def test_the_rest_of_a_poisson_series_is_bounded(self, lam, steps):
+        # the bound on ln of the terms past n against their sum out to n +
+        # 4e4, and against the sum of the terms M^q (1 + k)^(q d) P(k) that
+        # bound them, M and d walked through the steps here
+        qs = np.array([1.0, 8.0, 64.0, 256.0])
+        m_, d = 1.0, 1
+        for op, c in steps:
+            m_, d = (m_ + abs(c), d) if op == "shift" else (m_ * abs(c), d) if op == "scale" else (m_ * m_, 2 * d)
+
+        def log_sum(terms):
+            m = terms.max(axis=1)
+            return m + np.log(np.exp(terms - m[:, None]).sum(axis=1))
+
+        for n in (69, 138, 276, 552, 1104):
+            k = np.arange(n, n + 40000, dtype=float)
+            tail = k * math.log(lam) - lam - gammaln(k + 1)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                rest = log_sum(qs[:, None] * np.log(np.abs(D._apply(steps, k))) + tail)
+                dominating = log_sum(qs[:, None] * (math.log(m_) + d * np.log1p(k)) + tail)
+                bound = D._poisson_rest(lam, steps, qs, n)
+            finite = bound < math.inf
+            assert (bound >= rest).all(), (n, bound - rest)
+            assert (bound[finite] >= dominating[finite] - 1e-9 * np.abs(dominating[finite])).all(), n
+
+    def test_poisson_series_short_of_a_far_zero_stays_small(self):
+        # 64 orders up to 256 read 552 terms: 0.86 MiB at its peak, where
+        # walking out to the zero would build 141312 terms (72 MiB per array)
+        spec = D.Shifted(D.Poisson(5.0), -2e5)
+        D._moment_rows.pop(spec, None)
+        tracemalloc.start()
+        try:
+            D.log_abs_moments(spec, np.geomspace(1.0, 256.0, 64))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 21
 
     def test_nan_moment_is_an_error(self, monkeypatch):
         # a NaN moment used to give the norm 0.0; the error is not memoised
@@ -479,6 +528,95 @@ _ANY_LAW = st.recursive(_FAMILIES, lambda inner: st.one_of(
     st.builds(D.Centered, inner), st.builds(D.Shifted, inner, st.floats(-3.0, 3.0)),
     st.builds(D.Scaled, inner, st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)),
     st.builds(D.SquareOf, inner)), max_leaves=3)
+
+
+def _codec(spec):
+    """spec read back from its JSON form, or None where a part of it has no
+    JSON kind (Chi, UniformGap)."""
+    try:
+        return D.spec_from_dict(json.loads(json.dumps(D.spec_to_dict(spec))))
+    except AttributeError:
+        return None
+
+
+def _cold_psi(spec, alpha):
+    """psi_norm(spec, alpha) with every memo cleared: the bits of its
+    value, upper and p*, or the type of the error it raised."""
+    for memo in (D.canonical, D.standard_form, O._psi_norm_cached):
+        memo.cache_clear()
+    D._moment_rows.clear()
+    try:
+        est = psi_norm(spec, alpha)
+    except (O.PMaxTooSmallError, D.QuadratureError, D.SpecError) as exc:
+        return type(exc)
+    return tuple(np.array([est.value, est.upper, est.p_star]).view(np.int64).tolist())
+
+
+class TestFoldedLaws:
+    """The laws the package derives itself (canonical forms, finite laws
+    after a map step or a merge, the wrappers of folds and standard forms)
+    are built without checking their fields again; each is the law the
+    codec builds, and every check such a law can fail is kept."""
+
+    def test_a_shift_that_rounds_two_values_to_one_merges_them(self):
+        # 0 + M and 1 + M are both M, the largest float: one value, as before
+        spec = D.Shifted(D.FiniteSupport((0.0, 1.0), (0.5, 0.5)), 1.7976931348623157e308)
+        assert D.canonical(spec) == D.FiniteSupport((1.7976931348623157e308,), (1.0,))
+
+    def test_a_merge_whose_probs_leave_one_is_refused(self):
+        # the law's probs sum to 1 + 9.9987e-13; squared, 1 and -1 merge and
+        # the merged probs sum to 1 + 1.00009e-12, past the 1e-12 allowed
+        law = D.FiniteSupport((-2.0, -1.0, 1.0),
+                              (0.3225360967782188, 0.3491606779558808, 0.3283032252669003))
+        assert D.canonical(law) is law
+        with pytest.raises(D.SpecError, match=(
+                rf"^{re.escape(repr(law))} after the map step \('square', None\): "
+                r"probs must sum to 1 within 1e-12, got sum np\.float64\(1\.000000000001\)$")):
+            D.canonical(D.SquareOf(law))
+
+    def test_a_far_shifted_poisson_keeps_its_norm(self):
+        # its zero at 5e4 is within the terms a series is built with: the
+        # series still runs past it, with the bits it had
+        est = psi_norm(D.Shifted(D.Poisson(5.0), -5e4), 1)
+        assert (est.value, est.upper, est.p_star) == (49994.99999999996, 49995.000000000364, 1.0)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_ANY_LAW)
+    def test_folded_laws_are_the_codec_laws(self, law):
+        try:
+            form = D.canonical(law)
+            standard = D.standard_form(law)[1]
+        except D.SpecError:
+            return
+        parts = [form, standard, D.canonical(standard)]
+        while isinstance(parts[-1], (D.Shifted, D.Scaled, D.SquareOf, D.Centered)):
+            parts.append(parts[-1].base)
+        for part in parts:
+            decoded = _codec(part)
+            if decoded is not None:
+                assert decoded == part and hash(decoded) == hash(part), part
+                assert spec_fields(decoded) == spec_fields(part), part
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_ANY_LAW, st.sampled_from([1, 2]))
+    def test_a_folded_law_reads_the_codec_laws_norm(self, law, alpha):
+        # a cold search on each law the package derives, and on its codec
+        # copy: the same bits of value, upper and p*, or the same error
+        try:
+            parts = [law, D.canonical(law), D.standard_form(law)[1]]
+        except D.SpecError:
+            return
+        for part in parts:
+            decoded = _codec(part)
+            if decoded is not None:
+                assert _cold_psi(part, alpha) == _cold_psi(decoded, alpha), part
+
+
+def spec_fields(spec):
+    """Every field of spec and its nested specs, with the type of each value."""
+    return [(name, type(value), spec_fields(value) if isinstance(value, D.Spec) else
+             [type(v) for v in value] if isinstance(value, tuple) else value)
+            for name, value in vars(spec).items() if not name.startswith("_")]
 
 
 class TestMomentRows:

@@ -708,7 +708,7 @@ class TestColdCorpus:
             ps = np.array([128.0, 256.0, 512.0, 1024.0])
             ratios = np.exp(D.log_abs_moments(law, ps) / ps - np.log(ps) / alpha)
             assert (np.diff(ratios) > 0).all() and ratios[-1] < 1.0 / (2.0 * E)
-            (t8,) = O._tail_bounds(law, alpha)(math.log(value))
+            (t8,) = O._tail_bounds(D._Law(law), alpha)(math.log(value))
             assert t8 <= math.log(value)
 
     def test_maxima_at_one_keep_their_bits(self):
@@ -867,7 +867,7 @@ class TestTailBounds:
         m = max(-lo, hi)
         if m == 0.0:
             reject()    # Z = 0 has no tail bound
-        bounds = O._tail_bounds(law, alpha)(0.0)
+        bounds = O._tail_bounds(D._Law(law), alpha)(0.0)
         with localcontext() as ctx:
             ctx.prec = 50
             for t, p0 in zip(bounds, (8, 16)):
@@ -877,7 +877,7 @@ class TestTailBounds:
     @given(CERTIFIED, st.sampled_from([1, 2]))
     def test_a_tail_bound_covers_every_ratio_past_p0(self, law, alpha):
         # on 60 orders from p0 to 1024, at the lambda of the best head ratio
-        tail = O._tail_bounds(law, alpha)
+        tail = O._tail_bounds(D._Law(law), alpha)
         if tail is None:
             reject()
         head = O._START[:5]
@@ -900,7 +900,7 @@ class TestTailBounds:
                 return O._sup_ratio(lambda ps: D.log_abs_moments(law, ps), alpha, *tail)
             except (O.PMaxTooSmallError, D.QuadratureError) as exc:
                 return type(exc)
-        full, got = outcome(), outcome(O._tail_bounds(law, alpha))
+        full, got = outcome(), outcome(O._tail_bounds(D._Law(law), alpha))
         if full is O.PMaxTooSmallError and isinstance(got, tuple):
             assert (repr(law), alpha) in self.NEWLY_CERTIFIED | {
                 ("Shifted(base=Exponential(rate=2.0), offset=-3.0)", 1)}
