@@ -22,8 +22,8 @@ half-width times U(-1, 1), |a| / rate Centered(Exponential(1)), sd^2
 Centered(ChiSquared(1)) for a centered (sd Z)^2, ...).  psi norms are
 searched once per standard law.  The moments of a centered shape are its
 standard law's rows plus p ln scale; every other law reads its own
-parameters.  Every batch of moments stores its rows in one memo keyed on
-(the law read, p), which the psi search reads through.
+parameters.  Every query reads its spec's one record (`_law`), in one
+bounded memo: the form, standard form, moment rows and psi estimates.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ import functools
 import math
 import numbers
 import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -220,6 +219,7 @@ class Distribution(Spec):
         the family's law of unit scale, or None for a law that is not a
         continuous family or Poisson (see `standard_form`)."""
         return None
+    def _unit_shifted(self): return False   # b of unit_law() is nonzero, read from the floats
     def expectation(self): return canonical(self).expectation()
     def mgf(self, beta): raise NotImplementedError    # a family with no closed form
     def squared_mgf(self, beta): return _squared_mgf(*_chain(self), beta, self.support())
@@ -391,6 +391,7 @@ class Gaussian(_Continuous):
     def abs_difference_law(self): return Gaussian(0.0, math.sqrt(2.0) * self.sd)
     def mgf(self, beta): return math.exp(beta * self.mean + 0.5 * beta ** 2 * self.sd ** 2)
     def unit_law(self): return self.sd, self.mean, _UNIT_GAUSSIAN
+    def _unit_shifted(self): return self.mean != 0.0
 
     def fill(self, rng, out):
         rng.standard_normal(out=out)
@@ -497,6 +498,8 @@ class UniformInterval(_Continuous):
     def log_abs_moments(self, ps):     # math.log per order, as in FiniteSupport
         return np.array([_uniform_log_abs_moment(self.lo, self.hi, p) for p in ps])
     def abs_difference_law(self): return UniformGap(self.hi - self.lo)
+    # the center is 0 iff lo = -hi, iff lo + hi is 0 in floats
+    def _unit_shifted(self): return self.lo + self.hi != 0.0
 
     def unit_law(self):
         # the half-width and center as floats where both are exact, as hi
@@ -864,7 +867,7 @@ class Shifted(Distribution):
     offset: float
 
     def expectation(self): return self.base.expectation() + self.offset
-    def _fold(self): return canonical(self.base)._push("shift", self.offset)
+    def _fold(self): return _law(self.base).form._push("shift", self.offset)
     def sum_law(self, n): return _wrap_sum(self.base, n, lambda s: Shifted(s, n * self.offset))
     def _step(self): return "shift", self.offset
     # shifts move X and X' alike
@@ -901,7 +904,7 @@ class Scaled(Distribution):
     def _fold(self):
         if self.factor == 0:
             return _derived(FiniteSupport, (0.0,), (1.0,))
-        return canonical(self.base)._push("scale", self.factor)
+        return _law(self.base).form._push("scale", self.factor)
 
 
 @dataclass(frozen=True)
@@ -909,24 +912,15 @@ class SquareOf(Distribution):
     kind = "square_of"
     base: Distribution
 
-    def _fold(self): return canonical(self.base)._push("square", None)
+    def _fold(self): return _law(self.base).form._push("square", None)
     def _step(self): return "square", None
     def log_abs_moments(self, ps): return self.base.log_abs_moments(2 * ps)
     def mgf(self, beta): return self.base.squared_mgf(beta)
+    def expectation(self): return abs_moment(self.base, 2.0)     # ||base||_2^2
 
     def fill(self, rng, out):
         self.base.fill(rng, out)
         np.square(out, out=out)
-
-    def expectation(self):
-        """||base||_2^2.  A base whose canonical form is a primitive law
-        reads its own row at p = 2 (its standard law is never a Centered
-        one), here straight from the family, with no memo between."""
-        form = canonical(self.base)
-        if isinstance(form, (Shifted, Scaled, SquareOf)):
-            return abs_moment(self.base, 2.0)
-        return _exp(_not_nan(float(form.log_abs_moments(_TWO)[0]), 2.0),
-                    "E|X|^p at p={!r} of {}", 2.0, self.base)
 
     def support(self):
         lo, hi = self.base.support()
@@ -946,7 +940,7 @@ class Centered(Distribution):
         out -= self.base.expectation()
 
     def _fold(self):
-        form, mu = canonical(self.base), self.base.expectation()
+        form, mu = _law(self.base).form, self.base.expectation()
         if not math.isfinite(mu):
             raise SpecError(f"the mean of {self.base} must be finite to center it, got {mu}")
         return form._push("shift", -mu) if mu else form
@@ -1011,16 +1005,14 @@ def validate(spec) -> None:
     _instance(spec, "spec", (Distribution, VectorSpec), "distribution or vector spec")
 
 
-@functools.lru_cache(maxsize=4096)
 def canonical(spec):
     """The canonical form of a scalar spec, itself a spec: a FiniteSupport of
     distinct values, a Gaussian or UniformInterval when the wrapper chain is
     affine, a bare primitive, or Shifted, Scaled and SquareOf around one
-    (see `_chain`).  Centering a mean of 0 adds no step.  Memoised."""
-    return _scalar(spec)._fold()
+    (see `_chain`).  Centering a mean of 0 adds no step.  Memoised (`_law`)."""
+    return _law(spec).form
 
 
-@functools.lru_cache(maxsize=4096)
 def standard_form(spec):
     """(scale, standard) with |spec| distributed as scale |standard|.
 
@@ -1037,19 +1029,22 @@ def standard_form(spec):
     is a float, as for Chi(dof, sd) and UniformGap(width): the closed form
     of a rate family keeps reading its own rate.  The scale is the smallest
     float not below the exact |a|.  Every other law, and one whose scale is
-    not a normal float, is (1.0, spec).  The psi memo is keyed on the
-    standard law, so every law of one shape shares one search; so is the
-    moment memo for a centered shape (see `log_abs_moments`).  Memoised."""
-    form = canonical(spec)
-    base, steps = _chain(form)
+    not a normal float, is (1.0, spec).  The standard law's record keeps the
+    psi estimates, so every law of one shape shares one search, and the
+    moment rows of a centered shape (see `log_abs_moments`).  Memoised."""
+    return _law(spec).standard()
+
+
+def _standard_form(spec, base, steps):
+    """`standard_form` of spec, of canonical form `base` inside `steps`."""
+    if steps and steps[0][0] == "square" and base._unit_shifted():   # c is not 0 at the square
+        return 1.0, spec
     unit = base.unit_law()
     if unit is None:
         return 1.0, spec
     a, c, law = unit
     shifts = all(op == "shift" for op, _ in steps)
     if not shifts:
-        if steps[0][0] == "square" and c:   # where the walk below stops
-            return 1.0, spec
         # a Centered spec has mean 0, so c is read at its square steps only:
         # past the last one, a scale step multiplies a alone (`_times`)
         head = len(steps)
@@ -1096,29 +1091,85 @@ def _times(a, x):
     return Fraction(a) * Fraction(x)
 
 
-class _Law:
-    """A scalar law resolved once, for the psi search that reads it: its
-    canonical form, that form's primitive and map steps (`_chain`), and the
-    law whose memo rows its moments are (see `_moments`), with the ln of
-    the scale they take (None for none).  `log_moments` reads them with no
-    further memo lookup than the rows' own."""
-    __slots__ = ("form", "base", "steps", "read", "read_form", "log_scale")
+# ---------------------------------------------------------------------------
+# The law record: one per scalar spec, in one memo
+
+_LAWS = 4096            # records kept per process
+_MOMENT_ROWS = 1024     # moment rows kept per record
+_laws = {}              # scalar spec -> its record
+# moment passes run, psi searches run and psi estimates read back
+_law_counts = dict.fromkeys(("passes", "searches", "hits"), 0)
+
+
+def _law(spec):
+    """The record of a scalar spec, built on its first read; a fold that
+    raises builds none.  An insert past _LAWS specs empties the memo (each
+    step one dict operation: no lock).  A record refers to no record but
+    the one its moments read, so at most 2 _LAWS records, and dicts of
+    rows, are live once the reads are done."""
+    law = _laws.get(spec)
+    if law is None:
+        law = _laws.setdefault(spec, _Record(spec))
+        if len(_laws) > _LAWS:
+            _laws.clear()
+    return law
+
+
+class _Record:
+    """A scalar spec resolved once: its canonical form and, each built on
+    first read so that a fold pays for the form alone, the standard form,
+    the record its moments read (None for this one: no cycles) with the ln
+    of their scale, this law's moment rows p -> ln E|Z|^p, and its psi
+    estimates by alpha (`orlicz.psi_norm`)."""
+    __slots__ = ("spec", "form", "_standard", "_read", "rows", "psi")
 
     def __init__(self, spec):
-        self.form = canonical(spec)
-        self.base, self.steps = _chain(self.form)
-        scale, standard = standard_form(spec)
-        if isinstance(standard, Centered):
-            self.read = standard
-            self.read_form = self.form if standard is spec else canonical(standard)
-            self.log_scale = None if scale == 1.0 else math.log(scale)
-        else:
-            self.read, self.read_form, self.log_scale = spec, self.form, None
+        self.spec, self.form, self.psi = spec, _scalar(spec)._fold(), {}
+        self._standard = self._read = self.rows = None
+
+    def standard(self):
+        if self._standard is None:
+            self._standard = _standard_form(self.spec, *_chain(self.form))
+        return self._standard
 
     def log_moments(self, ps):
-        """`log_abs_moments(spec, ps)` at an array ps of finite orders > 0."""
-        rows = _memo_rows(self.read, self.read_form, ps)
-        return rows if self.log_scale is None else ps * self.log_scale + rows
+        """ln E|X|^p at an array ps of finite orders > 0, unchecked: the
+        rows of the record read, plus p ln scale (see `log_abs_moments`)."""
+        if self._read is None:
+            read = None, None   # a primitive form's standard law is never a Centered one
+            if isinstance(self.form, (Shifted, Scaled, SquareOf)):
+                scale, standard = self.standard()
+                if isinstance(standard, Centered):
+                    law = _law(standard)
+                    read = None if law is self else law, None if scale == 1.0 else math.log(scale)
+            self._read = read
+        law, log_scale = self._read
+        rows = (law or self)._rows(ps)
+        return rows if log_scale is None else ps * log_scale + rows
+
+    def _rows(self, ps):
+        """ln E|Z|^p of this law at each p of ps: the orders its rows lack
+        run in one batch of the canonical form's `log_abs_moments`, and
+        their rows are stored.  A row does not depend on the batch it ran
+        in, so a stored row is the one any batch gives.  A NaN row is not
+        stored, nor a batch that takes the rows past _MOMENT_ROWS."""
+        rows = self.rows
+        if rows is None:
+            rows = self.rows = {}
+        keys = ps.tolist()
+        missing = [p for p in dict.fromkeys(keys) if p not in rows]
+        if not missing:
+            return np.array([rows[p] for p in keys])
+        _law_counts["passes"] += 1
+        fresh = len(missing) == len(keys)   # distinct orders, none stored: the batch is ps
+        out = self.form.log_abs_moments(ps if fresh else np.array(missing))
+        values = out.tolist()
+        if len(rows) + len(missing) <= _MOMENT_ROWS:
+            rows.update({p: lm for p, lm in zip(missing, values) if lm == lm})
+        if fresh:
+            return out
+        new = dict(zip(missing, values))
+        return np.array([new[p] if p in new else rows[p] for p in keys])
 
 
 def round_up(exact) -> float:
@@ -1181,17 +1232,13 @@ def log_abs_moment(spec, p: float) -> float:
     if not p:
         return 0.0
     p = float(p)
-    return _not_nan(float(_moments(spec, np.array([p]))[0]), p)
+    return _not_nan(float(_law(spec).log_moments(np.array([p]))[0]), p)
 
 
 def _not_nan(lm, p):
     if math.isnan(lm):
         raise QuadratureError(f"ln E|X|^p is nan at p={p!r}")
     return lm
-
-
-_TWO = np.array([2.0])
-_TWO.setflags(write=False)
 
 
 def log_abs_moments(spec, ps) -> np.ndarray:
@@ -1201,76 +1248,21 @@ def log_abs_moments(spec, ps) -> np.ndarray:
     the numeric path: its moments are the standard law's plus p ln scale.
     Every other law is a closed form, or its own standard law, and reads
     its own parameters, so that no closed form moves by the rounding of a
-    scale.  Either way the rows are read through one memo keyed on (the
-    law read, p) (see `_memo_moments`).  Every family implements this
+    scale.  Either way the rows are read through the record of the law
+    read (`_law`), which keeps them by p.  Every family implements this
     method only; log_abs_moment is row 0 of it at [p], so the two agree to
     the bit.
     Numeric laws integrate all p with one fixed tanh-sinh rule (or sum the
     Poisson series for all p at once), the only numeric path; the rule
     raises QuadratureError where its embedded error estimate exceeds 1e-5
     in ln ||X||_p.
-    A `_Law` in place of the spec reads the rows of the law it resolved,
-    with no check of the orders: the psi search passes its own.
     """
-    if type(spec) is _Law:
-        return spec.log_moments(ps)
     _scalar(spec)
     ps = np.asarray(ps, dtype=float)
     bad = ps[~((ps > 0) & (ps < math.inf))]
     if bad.size:
         raise SpecError(f"moment orders must be finite and positive, got p={bad[0]}")
-    return _moments(spec, ps)
-
-
-def _moments(spec, ps):
-    """ln E|X|^p for the orders ps, as `log_abs_moments` reads them: for a
-    centered shape s Z, ln E|sZ|^p = p ln s + ln E|Z|^p, the one rule by
-    which both moment queries scale."""
-    scale, standard = standard_form(spec)
-    if not isinstance(standard, Centered):
-        return _memo_moments(spec, ps)
-    rows = _memo_moments(standard, ps)
-    return rows if scale == 1.0 else ps * math.log(scale) + rows
-
-
-_MOMENT_LAWS = 4096     # laws whose moment rows are kept per process
-_MOMENT_ROWS = 1024     # rows kept per law
-_moment_rows = {}       # law read -> {p: ln E|Z|^p}; rows are only ever added
-_moment_laws_lock = threading.Lock()    # guards the eviction and insertion of laws
-
-
-def _memo_moments(law, ps):
-    """ln E|Z|^p of the law read for each p of ps, through the memo: the
-    orders it lacks run in one batch of the canonical form's
-    `log_abs_moments`, and their rows are stored.  A row does not depend on
-    the batch it ran in, so a stored row is the one any batch gives.  A
-    NaN row is returned, not stored.  The memo keeps the rows of the
-    latest _MOMENT_LAWS laws, at most _MOMENT_ROWS each: a batch that does
-    not fit is not stored."""
-    return _memo_rows(law, canonical(law), ps)
-
-
-def _memo_rows(law, form, ps):
-    """`_memo_moments` of the law read, given its canonical form."""
-    rows = _moment_rows.get(law)
-    if rows is None:
-        with _moment_laws_lock:
-            if len(_moment_rows) >= _MOMENT_LAWS:
-                del _moment_rows[next(iter(_moment_rows))]
-            rows = _moment_rows.setdefault(law, {})
-    keys = ps.tolist()
-    missing = [p for p in dict.fromkeys(keys) if p not in rows]
-    if not missing:
-        return np.array([rows[p] for p in keys])
-    fresh = len(missing) == len(keys)   # distinct orders, none stored: the batch is ps
-    out = form.log_abs_moments(ps if fresh else np.array(missing))
-    values = out.tolist()
-    if len(rows) + len(missing) <= _MOMENT_ROWS:
-        rows.update({p: lm for p, lm in zip(missing, values) if lm == lm})
-    if fresh:
-        return out
-    new = dict(zip(missing, values))
-    return np.array([new[p] if p in new else rows[p] for p in keys])
+    return _law(spec).log_moments(ps)
 
 
 def mgf(spec, beta: float) -> float:

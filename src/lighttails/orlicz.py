@@ -16,11 +16,11 @@ the octaves up to p = _P_MAX = 256, and the tail beyond it is accepted
 only when the ratio does not rise over the last octave of the evaluated
 orders.  For a catalogue law the search reads the batched moments of
 `distributions.log_abs_moments`, the one numeric path of every moment,
-through its memo of rows, on the law resolved once for the search
-(`distributions._Law`), and reports the best ratio it read as the value.
-The norm is homogeneous, ||aZ|| = |a| ||Z|| at the same p*, so the
-search runs on the standard law of `distributions.standard_form` and is
-memoised on (standard law, alpha): Gaussians of any sd, centered uniforms
+through the moment rows of the law's record (`distributions._law`), and
+reports the best ratio it read as the value.  The norm is homogeneous,
+||aZ|| = |a| ||Z|| at the same p*, so the search runs on the standard law
+of `distributions.standard_form`, and its estimate is kept per alpha in
+that law's record: Gaussians of any sd, centered uniforms
 of any width, centered affine images of an exponential, chi-squared or
 Poisson law, centered squares of N(0, sd), Chi laws of any sd and
 UniformGap laws of any width each read one search per shape, scaled, with
@@ -33,7 +33,6 @@ No norm here is estimated from samples, so every one may feed a tail bound.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -236,7 +235,7 @@ def _check_finite(ps, phis):
 
 
 def _tail_bounds(law, alpha):
-    """For a scalar law resolved as a `distributions._Law`, a function of
+    """For the record of a scalar law (`distributions._law`), a function of
     the best ln ratio read that gives T(p0) for each p0 of _P0[alpha],
     T(p0) >= ln(||Z||_p / p^(1/alpha)) at every p >= p0, or None where
     there is none here (or Z = 0).  Each T is rounded outward by
@@ -252,7 +251,7 @@ def _tail_bounds(law, alpha):
       least over the lambda = c / K of _LAMBDAS.  It bounds every p >= p0
       as S >= 1 and Gamma(p+1)^(1/p) / p is nonincreasing.
     """
-    base, steps = law.base, law.steps
+    base, steps = dist._chain(law.form)
     lo, hi = base.support()
     if max(-lo, hi) == math.inf:    # and so are its images under the steps
         if alpha != 1 or type(base).mgf is dist.Distribution.mgf or any(op == "square" for op, _ in steps):
@@ -311,9 +310,9 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
     best ratio the search read, at p*.  PMaxTooSmallError, naming the spec
     and alpha, where the ratio still rises at p = _P_MAX, a SpecError where
     the norm is past the largest float.  The search runs on the standard law s Z of
-    `distributions.standard_form(spec)` and is memoised on (standard law,
-    alpha), PMaxTooSmallError included; the value is s times the standard
-    law's, at its p*.  At every s, 1 included, `upper` is s times the
+    `distributions.standard_form(spec)`, and its outcome, PMaxTooSmallError
+    included, is kept in that law's record per alpha; the value is s times
+    the standard law's, at its p*.  At every s, 1 included, `upper` is s times the
     standard law's largest final chord bound, rounded up and widened by
     _READ_ROUNDING, so that it also bounds every ratio read from the law's
     own moments (p ln s + ln E|Z|^p, or its own closed form), or from Z's
@@ -322,7 +321,11 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
     _check_alpha(alpha)
     dist.validate(spec)
     scale, standard = dist.standard_form(spec)
-    est = _psi_norm_cached(standard, alpha)
+    law = dist._law(standard)
+    est = law.psi.get(alpha)
+    dist._law_counts["searches" if est is None else "hits"] += 1
+    if est is None:     # kept, a PMaxTooSmallError too; no other error is
+        law.psi[alpha] = est = _search(law, alpha)
     if isinstance(est, PMaxTooSmallError):
         raise PMaxTooSmallError(f"the psi{alpha} norm of {spec} is not certified: {est}")
     value, upper = scale * est.value, _scaled_upper(est.upper, scale)
@@ -356,20 +359,18 @@ def _scaled_upper(upper, scale):
     return math.nextafter(scale * upper, math.inf) if upper else 0.0
 
 
-@functools.lru_cache(maxsize=4096)
-def _psi_norm_cached(spec, alpha):
-    law = dist._Law(spec)
+def _search(law, alpha):
+    """The psi estimate of a record's law, or the PMaxTooSmallError raised."""
     method = "closed-form" if isinstance(law.form, dist.FiniteSupport) else "analytic-grid"
     try:
-        best, p, top = _sup_ratio(lambda ps: dist.log_abs_moments(law, ps), alpha,
-                                  _tail_bounds(law, alpha))
+        best, p, top = _sup_ratio(law.log_moments, alpha, _tail_bounds(law, alpha))
     except PMaxTooSmallError as exc:
         return exc.with_traceback(None)
     if best == -math.inf:
         return OrliczEstimate(alpha, 0.0, p, method, 0.0)
-    value = dist._exp(best, "the psi{} norm of {}", alpha, spec)
+    value = dist._exp(best, "the psi{} norm of {}", alpha, law.spec)
     return OrliczEstimate(alpha, value, p, method,
-                          max(value, dist._exp(top, "the psi{} norm of {}", alpha, spec)))
+                          max(value, dist._exp(top, "the psi{} norm of {}", alpha, law.spec)))
 
 
 def psi_norm_finite(values, probs, alpha) -> OrliczEstimate:

@@ -10,7 +10,7 @@ import pytest
 from lighttails import applications as A
 from lighttails import distributions as D
 from lighttails.bounds import ProxyProfile, _squares, evaluate_tail, invert_tail
-from lighttails.orlicz import OrliczEstimate, _psi_norm_cached, psi_norm
+from lighttails.orlicz import OrliczEstimate, psi_norm
 
 E = math.e
 
@@ -295,10 +295,10 @@ class TestPsiDiameter:
     def test_uniform_second_call_is_a_memo_hit(self):
         spec = D.UniformInterval(0.0, 1.37)
         A.psi_diameter(spec, 2)
-        before = _psi_norm_cached.cache_info()
+        before = dict(D._law_counts)
         A.psi_diameter(spec, 2)
-        after = _psi_norm_cached.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert (D._law_counts["hits"], D._law_counts["searches"]) == (
+            before["hits"] + 1, before["searches"])
 
     @pytest.mark.parametrize("spec, alpha", [
         (D.Gaussian(1.0, 2.0), 2), (D.Exponential(0.5), 1), (D.UniformInterval(-1.0, 3.0), 2),
@@ -353,19 +353,20 @@ class TestPsiDiameter:
 
     @staticmethod
     def _fresh_memo_counts(laws):
-        """(misses, hits) of the psi memo after the psi1 diameters of the
-        laws (expressions in D) in a fresh process."""
+        """(searches, hits) of the psi estimates kept in the law records
+        after the psi1 diameters of the laws (expressions in D) in a fresh
+        process."""
         src = os.path.dirname(os.path.dirname(A.__file__))
         code = ("from lighttails import applications as A, distributions as D, orlicz as O; "
                 f"[A.psi_diameter(law, 1) for law in ({', '.join(laws)},)]; "
-                "info = O._psi_norm_cached.cache_info(); print(info.misses, info.hits)")
+                "print(D._law_counts['searches'], D._law_counts['hits'])")
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                              check=True, capture_output=True, text=True).stdout
         return out.split()
 
     def test_exponential_rates_read_one_search(self):
         # |X - X'| of Exp(rate) is Exp(rate), 1/rate |Z - Z'| for Exp(1)
-        # copies Z, Z': three rates make one psi memo miss and two hits
+        # copies Z, Z': three rates make one psi search and two hits
         rates = (0.5, 1.3, 7.0)
         assert self._fresh_memo_counts([f"D.Exponential({r})" for r in rates]) == ["1", "2"]
         est = psi_norm(D.Exponential(1.0), 1)
@@ -375,7 +376,7 @@ class TestPsiDiameter:
 
     def test_affine_poisson_laws_read_one_search(self):
         # Centered(c Poisson(2)) is |c| Centered(Poisson(2)): in a fresh
-        # process, three factors make one psi memo miss and two hits
+        # process, three factors make one psi search and two hits
         laws = [f"D.Scaled(D.Poisson(2.0), {c})" for c in (0.5, 0.7, 0.9)]
         assert self._fresh_memo_counts(laws) == ["1", "2"]
         for c in (0.5, 0.7, 0.9):

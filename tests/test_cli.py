@@ -933,10 +933,9 @@ class TestThm3P:
             {"kind": "exponential", "rate": 1.3}, {"kind": "exponential", "rate": 0.4},
             {"kind": "poisson", "rate": 2.0}, {"kind": "chi_squared", "dof": 3}]})
         cli.fn._kind_profile.cache_clear()
-        O._psi_norm_cached.cache_clear()
-        D._moment_rows.clear()
+        D._laws.clear()
         searching, searches, passes = [], [], []
-        real_search, real_memo = O._sup_ratio, D._memo_moments
+        real_search, real_rows = O._sup_ratio, D._Record._rows
 
         def search(*args):
             searching.append(True)
@@ -946,14 +945,13 @@ class TestThm3P:
             finally:
                 searching.pop()
 
-        def memo(law, ps):
-            rows = D._moment_rows.get(law, {})
-            if not searching and any(q not in rows for q in ps.tolist()):
-                passes.append((law, ps.tolist()))
-            return real_memo(law, ps)
+        def rows(law, ps):
+            if not searching and any(q not in (law.rows or {}) for q in ps.tolist()):
+                passes.append((law.spec, ps.tolist()))
+            return real_rows(law, ps)
 
         monkeypatch.setattr(O, "_sup_ratio", search)
-        monkeypatch.setattr(D, "_memo_moments", memo)
+        monkeypatch.setattr(D._Record, "_rows", rows)
         code, _, _ = run(capsys, "bound", "--spec", spec, "--bounds", "thm2,thm3",
                          "--p", p, "--t-grid", "2:20:5")
         shapes = [D.Centered(D.Exponential(1.0)), D.Centered(D.Poisson(2.0)),

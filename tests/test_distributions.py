@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ import re
 import sys
 import threading
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -237,7 +239,7 @@ class TestMoments:
         # 64 orders up to 256 read 552 terms: 0.86 MiB at its peak, where
         # walking out to the zero would build 141312 terms (72 MiB per array)
         spec = D.Shifted(D.Poisson(5.0), -2e5)
-        D._moment_rows.pop(spec, None)
+        D._laws.pop(spec, None)     # no rows stored
         tracemalloc.start()
         try:
             D.log_abs_moments(spec, np.geomspace(1.0, 256.0, 64))
@@ -540,11 +542,9 @@ def _codec(spec):
 
 
 def _cold_psi(spec, alpha):
-    """psi_norm(spec, alpha) with every memo cleared: the bits of its
+    """psi_norm(spec, alpha) with the law memo cleared: the bits of its
     value, upper and p*, or the type of the error it raised."""
-    for memo in (D.canonical, D.standard_form, O._psi_norm_cached):
-        memo.cache_clear()
-    D._moment_rows.clear()
+    D._laws.clear()
     try:
         est = psi_norm(spec, alpha)
     except (O.PMaxTooSmallError, D.QuadratureError, D.SpecError) as exc:
@@ -641,19 +641,20 @@ class TestMomentRows:
     def test_the_thm3_order_is_a_row_of_the_search(self, monkeypatch):
         # the psi search reads p = 4 on its first call, so the 2p-norm of
         # thm3 at p = 2 reads that row; any law of the shape shares it
-        D._moment_rows.clear()
-        O._psi_norm_cached.cache_clear()
+        D._laws.clear()
         psi_norm(D.Centered(D.Exponential(1.7)), 1)
         monkeypatch.setattr(D.Shifted, "log_abs_moments", lambda self, ps: 1 / 0)
         got = D.lp_norm(D.Centered(D.Scaled(D.Exponential(0.4), 3.0)), 4.0)
         monkeypatch.undo()
-        D._moment_rows.clear()
+        D._laws.clear()
         assert got == D.lp_norm(D.Centered(D.Scaled(D.Exponential(0.4), 3.0)), 4.0)
 
     def test_a_nan_row_is_not_stored(self, monkeypatch):
         spec = D.Shifted(D.Exponential(0.61), -7.0)
+        D._laws.pop(spec, None)     # no rows stored
         monkeypatch.setattr(D.Shifted, "log_abs_moments", lambda self, ps: np.full(ps.shape, math.nan))
         assert math.isnan(D.log_abs_moments(spec, np.array([2.5]))[0])
+        assert D._law(spec).rows == {}       # the law reads its own rows
         monkeypatch.undo()
         assert D.log_abs_moments(spec, np.array([2.5]))[0] == pytest.approx(
             adaptive_log_moment(spec, 2.5), rel=1e-12)
@@ -661,8 +662,8 @@ class TestMomentRows:
     def test_threads_share_the_memo_while_it_evicts(self, monkeypatch):
         # 6 threads on 2 cores read 60 laws through a memo of 4 laws, so
         # laws are evicted and inserted concurrently; every read is right
-        monkeypatch.setattr(D, "_MOMENT_LAWS", 4)
-        monkeypatch.setattr(D, "_moment_rows", {})
+        monkeypatch.setattr(D, "_LAWS", 4)
+        monkeypatch.setattr(D, "_laws", {})
         laws = [D.Exponential(1.0 + k / 64) for k in range(60)]
         ps = np.array([1.0, 2.5, 7.0])
         want = [D.canonical(law).log_abs_moments(ps).tolist() for law in laws]
@@ -687,7 +688,7 @@ class TestMomentRows:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads) and errors == []
-        assert len(D._moment_rows) <= 4
+        assert len(D._laws) <= 4
 
     def test_a_bounded_law_reads_each_run_of_equal_cuts_once(self, monkeypatch):
         # the windows of the first 21 of these 34 orders (every 4th point
@@ -701,6 +702,66 @@ class TestMomentRows:
                             lambda self, x: seen.append(np.shape(x)) or real(self, x))
         form.log_abs_moments(ps)
         assert len(ps) == 34 and seen[-1] == (14, 3, D._PANELS, len(D._TS_T))
+
+
+class TestLawMemo:
+    """The memo of law records is the only memo of a scalar law, and it
+    bounds the records, so the moment rows, it keeps alive."""
+
+    LAW = D.Centered(D.Scaled(D.Exponential(0.9), 1.5))
+
+    # each query, and the family method it runs on a law no record holds:
+    # the moment pass of the standard law's form Shifted(Exponential(1),
+    # -1), the unit law of the walk, the fold of the canonical form
+    @pytest.mark.parametrize("query, family, method", [
+        (lambda law: psi_norm(law, 1), D.Shifted, "log_abs_moments"),
+        (lambda law: D.log_abs_moment(law, 3.0), D.Shifted, "log_abs_moments"),
+        (D.standard_form, D.Exponential, "unit_law"),
+        (lambda law: D.mgf(law, 0.1), D.Centered, "_fold"),
+    ], ids=["psi_norm", "log_abs_moment", "standard_form", "mgf"])
+    def test_clearing_it_runs_the_family_pass_again(self, query, family, method, monkeypatch):
+        want = query(self.LAW)      # the law has been read
+        calls, real = [], getattr(family, method)
+        monkeypatch.setattr(family, method, lambda *args: calls.append(args) or real(*args))
+        assert query(self.LAW) == want and calls == []
+        D._laws.clear()
+        assert query(self.LAW) == want and calls != []
+
+    def test_live_rows_stay_within_twice_the_bound(self, monkeypatch):
+        # c Centered(Poisson(rate)) reads the rows of the record of
+        # Centered(Poisson(rate)), whose psi search reads them itself.
+        # Through a memo of 8 records, every live record with rows is one
+        # the memo keeps or one a kept record reads, so at most 16 dicts of
+        # rows are live.  Records hold no cycles: with the collector off,
+        # none lingers
+        live, built = weakref.WeakSet(), []
+
+        class Tracked(D._Record):
+            def __init__(self, spec):
+                super().__init__(spec)
+                live.add(self)
+                built.append(spec)
+
+        monkeypatch.setattr(D, "_Record", Tracked)
+        monkeypatch.setattr(D, "_LAWS", 8)
+        monkeypatch.setattr(D, "_laws", {})
+        counts = []
+        gc.disable()
+        try:
+            for k in range(40):
+                law, unit = D.Scaled(D.Centered(D.Poisson(1.0 + k / 8)), 0.5 + k), D.Poisson(1.0 + k / 8)
+                for p in (2.0, 3.5):
+                    want = p * math.log(0.5 + k) + D.canonical(D.Centered(unit)).log_abs_moments(np.array([p]))[0]
+                    assert D.log_abs_moment(law, p) == pytest.approx(want, rel=1e-12)
+                    assert psi_norm(law, 1).value > 0
+                    kept = set(map(id, D._laws.values()))
+                    kept |= {id(r._read[0]) for r in D._laws.values() if r._read is not None}
+                    counts.append(sum(r.rows is not None for r in live))
+                    assert all(id(r) in kept for r in live if r.rows is not None)
+        finally:
+            gc.enable()
+        assert len(D._laws) <= 8 and len(built) > 40 * 3     # records were dropped and built again
+        assert 1 <= max(counts) <= 2 * D._LAWS
 
 
 class TestLiveWindow:
@@ -1199,19 +1260,28 @@ class TestCanonical:
         for spec in CATALOGUE:
             assert D.mean(D.Centered(spec)) == 0.0
 
+    def test_a_square_of_a_shifted_uniform_builds_no_fraction(self, monkeypatch):
+        # the center of U(-0.45, 0.8) is not 0, which lo + hi tells in
+        # floats: the walk stops at the square step before any Fraction
+        spec = D.Centered(D.SquareOf(D.UniformInterval(-0.45, 0.8)))
+        D._laws.clear()
+        calls = []
+        monkeypatch.setattr(D, "Fraction", lambda *args: calls.append(args) or Fraction(*args))
+        assert D.standard_form(spec) == (1.0, spec)
+        assert calls == []
+
     def test_runs_once_per_spec(self):
         spec = D.Centered(D.Scaled(D.Exponential(1.2345), 0.75))
-        for memo in (D.canonical, D.standard_form, O._psi_norm_cached):
-            memo.cache_clear()
+        D._laws.clear()
         psi_norm(spec, 1)
-        cold = D.canonical.cache_info()
+        cold = dict(D._laws)
         # Centered, Scaled, Exponential, and the standard law's Centered and
         # Exponential(1)
-        assert cold.misses == 5
+        assert len(cold) == 5
         psi_norm(spec, 1)
-        warm = D.canonical.cache_info()
-        # the warm standard form and norm hit their memos: no form is asked again
-        assert (warm.misses, warm.hits) == (cold.misses, cold.hits)
+        # the warm standard form and norm are read off their records: no
+        # record is built again
+        assert D._laws == cold and all(D._laws[k] is law for k, law in cold.items())
 
 
 _FIELD_NAMES = sorted({f.name for cls in D._KINDS.values() for f in dataclasses.fields(cls)}

@@ -464,10 +464,10 @@ class TestChiLaw:
     def test_second_call_is_a_memo_hit(self):
         vec = gauss_vec(3, 1.37)
         F.vector_norm_psi(vec, 1)
-        before = O._psi_norm_cached.cache_info()
+        before = dict(D._law_counts)
         F.vector_norm_psi(vec, 1)
-        after = O._psi_norm_cached.cache_info()
-        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert (D._law_counts["hits"], D._law_counts["searches"]) == (
+            before["hits"] + 1, before["searches"])
 
 
 class TestProxyProfile:
