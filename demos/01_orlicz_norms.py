@@ -5,11 +5,12 @@ The two norms driving everything downstream are
     psi_1(Z) = sup_p ||Z||_p / p        (exponential-type tails)
     psi_2(Z) = sup_p ||Z||_p / sqrt(p)  (Gaussian-type tails)
 
-evaluated over a log-spaced grid of moment orders with a certified
-tail check.  Run with `python3 demos/01_orlicz_norms.py`.
+evaluated over a log-spaced grid of moment orders, with a certified bound
+on the tail past the grid or a proof that the norm is infinite.  Run with
+`python3 demos/01_orlicz_norms.py`.
 """
 from lighttails import distributions as D
-from lighttails.orlicz import PMaxTooSmallError, mgf_bound_check, psi_norm
+from lighttails.orlicz import NotSubGaussianError, mgf_bound_check, psi_norm
 
 catalogue = [
     ("Exponential(1)", D.Exponential(1.0)),
@@ -26,8 +27,8 @@ for name, spec in catalogue:
     try:
         e2 = psi_norm(spec, 2)
         psi2 = f"{e2.value:9.4f} (p* = {e2.p_star:6.1f})"
-    except PMaxTooSmallError:
-        psi2 = "diverges: not sub-Gaussian"
+    except NotSubGaussianError as exc:
+        psi2 = f"infinite ({str(exc).partition(': ')[2]})"
     print(f"  {name:16s} psi1 = {e1.value:8.4f} (p* = {e1.p_star:6.1f})"
           f"   psi2 = {psi2}")
 

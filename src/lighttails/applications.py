@@ -126,13 +126,13 @@ def metric_tail(lip, diameters, t) -> TailBoundResult:
     exp(-t^2 / (4 e L^2 sum D_k^2 + 2 e L max D_k t)).
 
     f/L is 1-Lipschitz, so this is the L = 1 bound at t/L, and L scales
-    both terms of the denominator.
+    both terms of the denominator.  An OrliczEstimate reads its `proxy_value`.
     """
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
     if lip < 0:
         raise PreconditionError(f"L must be nonnegative, got {lip}")
-    vals = [d.value if isinstance(d, OrliczEstimate) else float(d) for d in diameters]
+    vals = [d.proxy_value if isinstance(d, OrliczEstimate) else float(d) for d in diameters]
     if not vals:
         raise PreconditionError("diameters must be nonempty")
     if any(v < 0 for v in vals):
@@ -157,9 +157,10 @@ def psi_diameter(spec, alpha) -> OrliczEstimate:
     exponential, uniform, finite, and their shifts), the diameter is s
     times psi_norm of that law.  Other specs fall back to the centering
     bound ||X - X'|| <= 2 s ||Z||, which keeps every downstream tail sound.
-    The value is the norm's times the scale and the certified upper the
-    norm's upper times the scale rounded up, at the norm's p*; the method
-    is the norm's, or "centering-bound" for the fallback.  A SpecError
+    The value is the norm's times the scale (the fallback's `proxy_value`)
+    and the certified upper the norm's upper times the scale rounded up,
+    at the norm's p*; the method is the norm's, or "centering-bound" for
+    the fallback.  A SpecError
     where the diameter is past the largest float.
     """
     scale, centered = dist.standard_form(dist.Centered(spec))

@@ -33,7 +33,7 @@ from . import entropy as ent
 from . import functions as fn
 from . import verify as vfy
 from .bounds import BOUND_KINDS, invert_tail, reads
-from .orlicz import PMaxTooSmallError, psi_norm
+from .orlicz import psi_norm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -595,7 +595,7 @@ def main(argv=None):
     try:
         args = _parse_args(argv)
         return _SUBCOMMANDS[args.command][1](args)
-    except (UsageError, ValueError, PMaxTooSmallError, dist.QuadratureError) as exc:
+    except (UsageError, ValueError, dist.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:

@@ -223,6 +223,7 @@ class Distribution(Spec):
     def expectation(self): return canonical(self).expectation()
     def mgf(self, beta): raise NotImplementedError    # a family with no closed form
     def squared_mgf(self, beta): return _squared_mgf(*_chain(self), beta, self.support())
+    max_psi_alpha = None    # the largest alpha with a finite psi norm, which unbounded families state
 
     def draw(self, rng, count):
         """`count` draws in a new array."""
@@ -384,6 +385,7 @@ class Gaussian(_Continuous):
     kind = "gaussian"
     mean: float = 0.0
     sd: Positive = 1.0
+    max_psi_alpha = 2    # E exp(lambda |X|^a) is finite for a = 2, lambda < 1 / (2 sd^2), not a > 2
 
     def expectation(self): return self.mean
     def support(self): return -math.inf, math.inf
@@ -436,6 +438,7 @@ class Gaussian(_Continuous):
 class Exponential(_Continuous):
     kind = "exponential"
     rate: Positive
+    max_psi_alpha = 1    # the MGF is finite below the rate, and only there
 
     def expectation(self): return 1.0 / self.rate
     def support(self): return 0.0, math.inf
@@ -550,6 +553,7 @@ class UniformInterval(_Continuous):
 class Poisson(Distribution):
     kind = "poisson"
     rate: Positive
+    max_psi_alpha = 1    # P(X = k) e^(lambda k^a) grows without bound for a > 1
 
     def expectation(self): return self.rate
     def support(self): return 0.0, math.inf
@@ -620,6 +624,7 @@ def _poisson_rest(lam, steps, qs, n):
 class ChiSquared(_Continuous):
     kind = "chi_squared"
     dof: Count
+    max_psi_alpha = 1    # the MGF is finite below 1/2, and only there
 
     def expectation(self): return float(self.dof)
     def support(self): return 0.0, math.inf
@@ -806,12 +811,14 @@ class Chi(_Continuous):
     """sd chi_dof, the length of dof iid N(0, sd^2) entries; not a JSON kind."""
     dof: Count
     sd: Positive = 1.0
+    max_psi_alpha = 2    # its square is sd^2 chi-squared, whose MGF is finite below 1/2 only
 
     def support(self): return 0.0, math.inf
     def expectation(self): return _exp(self.log_abs_moments(np.ones(1))[0], "the mean of {}", self)
     # |x|^p pdf(x) peaks at sd sqrt(p + dof - 1)
     def window(self, p): return 0.0, self.sd * (np.sqrt(2.0 * (p + self.dof)) + 12.0)
     def unit_law(self): return self.sd, 0, Chi(self.dof, 1.0)
+    def squared_mgf(self, beta): return ChiSquared(self.dof).mgf(beta * self.sd * self.sd)
 
     def fill(self, rng, out):
         _fill_chi_squared(rng, self.dof, out)

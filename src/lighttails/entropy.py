@@ -275,7 +275,7 @@ def entropy_bound_subgaussian(y: dist.FiniteSupport, beta: float):
     if beta == 0.0:
         return 0.0, 0.0
     bound_mgf = _log_mgf(c, probs, 2.0 * beta)
-    psi2 = psi_norm(y, 2).value
+    psi2 = psi_norm(y, 2).proxy_value
     bound_psi = 16.0 * E * (beta * beta) * (psi2 * psi2)
     return s, min(bound_mgf, bound_psi)
 
@@ -284,7 +284,7 @@ def entropy_bound_subexponential(y: dist.FiniteSupport):
     """(S(Y), e^2 psi1^2 / (1 - e psi1)^2) with psi1 the norm of Y - E Y,
     which must be below 1/e."""
     y = _centered(y)
-    psi1 = psi_norm(y, 1).value
+    psi1 = psi_norm(y, 1).proxy_value
     if not psi1 < 1.0 / E:
         raise LemmaHypothesisError(
             f"lemma hypothesis not met: psi1 = {psi1} >= 1/e")
@@ -308,7 +308,7 @@ def entropy_bound_holder(y: dist.FiniteSupport, p: float, variant: str = "psi1")
     q = p / (p - 1.0)
     label, alpha, factor = (("q*psi1", 1, q) if variant == "psi1"
                             else ("sqrt(q)*psi2", 2, math.sqrt(q)))
-    norm = psi_norm(y, alpha).value
+    norm = psi_norm(y, alpha).proxy_value
     if not factor * norm < 1.0 / E:
         raise LemmaHypothesisError(
             f"lemma hypothesis not met: {label} = {factor * norm} >= 1/e")

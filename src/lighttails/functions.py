@@ -20,7 +20,7 @@ import numpy as np
 from . import applications
 from . import distributions as dist
 from .bounds import ENTRIES, PSI2_KINDS, ProxyProfile, reads
-from .orlicz import OrliczEstimate, PMaxTooSmallError, psi_norm
+from .orlicz import NotSubExponentialError, NotSubGaussianError, OrliczEstimate, psi_norm
 
 __all__ = [
     "SumFunction", "VectorNormOfSum", "SupLinearLoss", "PsaReconstruction",
@@ -148,13 +148,13 @@ class SumFunction(_ScalarCoordinates):
         return tuple((i, c, dist.Centered(c)) for i, c, _ in self._runs)
 
     def psi1_per_coord(self):
-        return [_proxy_norm(psi_norm, x, 1, f"coordinate {i}", c) for i, c, x in self._centered]
+        return [_proxy_norm(psi_norm, x, 1, f"coordinate {i}") for i, _, x in self._centered]
 
     def psi2_per_coord(self):
-        return [_psi2(psi_norm, x, f"coordinate {i}", c) for i, c, x in self._centered]
+        return [_proxy_norm(psi_norm, x, 2, f"coordinate {i}") for i, _, x in self._centered]
 
     def l2p_per_coord(self, p):
-        return [_proxy_read(dist.lp_norm, x, 2 * p, f"coordinate {i}", c, "2p-norm")
+        return [_proxy_read(dist.lp_norm, x, 2 * p, f"coordinate {i}", c)
                 for i, c, x in self._centered]
 
 
@@ -203,14 +203,14 @@ class VectorNormOfSum(_VectorCoordinates):
         return np.sqrt(_coordinate_sum(s * s))
 
     def psi1_per_coord(self):
-        return [2.0 * _proxy_norm(vector_norm_psi, self.vec, 1, "coordinate 0", self.vec)]
+        return [2.0 * _proxy_norm(vector_norm_psi, self.vec, 1, "coordinate 0")]
 
     def psi2_per_coord(self):
-        return [2.0 * _psi2(vector_norm_psi, self.vec, "coordinate 0", self.vec)]
+        return [2.0 * _proxy_norm(vector_norm_psi, self.vec, 2, "coordinate 0")]
 
     def l2p_per_coord(self, p):
         vec = self.vec
-        return [2.0 * _proxy_read(vector_norm_lp, vec, 2 * p, "coordinate 0", vec, "2p-norm")]
+        return [2.0 * _proxy_read(vector_norm_lp, vec, 2 * p, "coordinate 0", vec)]
 
     def ranges(self):
         widths = map(_support_width, self.vec.components)
@@ -280,8 +280,8 @@ class SupLinearLoss(_VectorCoordinates):
     def psi1_per_coord(self):
         # product-space norm L ||x|| + |z| dominates the loss increments
         return [(2.0 / self.n) * (
-            self.lipschitz * _proxy_norm(vector_norm_psi, self.input, 1, "input", self.input)
-            + _proxy_norm(psi_norm, self.output, 1, "output", self.output))]
+            self.lipschitz * _proxy_norm(vector_norm_psi, self.input, 1, "input")
+            + _proxy_norm(psi_norm, self.output, 1, "output"))]
 
     def ranges(self):
         return [(1.0 / self.n) * (_times(self.lipschitz, math.sqrt(math.fsum(
@@ -345,9 +345,7 @@ class PsaReconstruction(_VectorCoordinates):
     def psi1_per_coord(self):
         # Cauchy-Schwarz over the projection class contributes sqrt(d) + 1;
         # ||  ||X||^2  ||_psi1 <= 2 ||  ||X||  ||_psi2^2
-        psi2_norm = _proxy_norm(
-            vector_norm_psi, self.input, 2, "input", self.input,
-            f"||X|| is not shown to be sub-Gaussian, which the {self.kind} proxy needs")
+        psi2_norm = _proxy_norm(vector_norm_psi, self.input, 2, "input")
         return [(2.0 / self.n) * (math.sqrt(self.subspace_dim) + 1.0) * 2.0
                 * (psi2_norm * psi2_norm)]
 
@@ -395,7 +393,7 @@ class MetricLipschitz(_ScalarCoordinates):
         return self.lip * total
 
     def psi1_per_coord(self):
-        return [self.lip * _proxy_norm(applications.psi_diameter, c, 1, f"coordinate {i}", c)
+        return [self.lip * _proxy_norm(applications.psi_diameter, c, 1, f"coordinate {i}")
                 for i, c, _ in self._runs]
 
 
@@ -577,14 +575,14 @@ def vector_norm_lp(vec, p) -> float:
 
 def vector_norm_psi(vec, alpha) -> OrliczEstimate:
     """psi norm of ||X||, as `vector_norm_lp` reads its law, else the
-    triangle-inequality bound sum ||X_i||_psi: the values summed to
-    nearest, the uppers summed and rounded up, so that the upper stays
+    triangle-inequality bound sum ||X_i||_psi: the `proxy_value`s summed
+    to nearest, the uppers summed and rounded up, so that the upper stays
     certified."""
     law = vec.components[0] if vec.dim == 1 else _chi_law(vec)
     if law is not None:
         return psi_norm(law, alpha)
     ests = [psi_norm(c, alpha) for c in vec.components]
-    return OrliczEstimate(alpha, math.fsum(e.value for e in ests), float("nan"), "triangle-bound",
+    return OrliczEstimate(alpha, math.fsum(e.proxy_value for e in ests), float("nan"), "triangle-bound",
                           dist.round_up(sum(Fraction(e.upper) for e in ests)))
 
 
@@ -596,9 +594,9 @@ def proxy_profile(fspec, p: Optional[float] = None, kinds=None) -> ProxyProfile:
     the entries the bound kinds read (`bounds.READS`), an entry fspec's kind
     has not being a ValueError; without kinds, every entry it has, the psi2
     norms where all are finite and the 2p-norms (of order p > 1) where p is
-    given.  A proxy norm not finite up to p_max is a ValueError (for psi2 a
-    NotSubGaussianError) that names its coordinate (or input or output) and
-    law.  The profile is memoised (see `_kind_profile`); errors are not.
+    given.  A proxy norm's error names its coordinate (or input or output)
+    and law; without kinds, a NotSubGaussianError drops the psi2 norms.
+    The profile is memoised (see `_kind_profile`); errors are not.
     """
     p = None if p is None else float(p)
     names = (reads(kinds) if kinds is not None else
@@ -646,37 +644,24 @@ def _times(scale, width):
     return scale * width if scale else 0.0
 
 
-class NotSubGaussianError(ValueError):
-    """A coordinate's psi2 norm is not finite up to p_max."""
-
-
-def _proxy_read(norm, spec, order, where, law, what):
-    """norm(spec, order), for every proxy norm read: a QuadratureError in it
-    is raised again naming `where` (a coordinate, input or output), its law
-    and `what` norm it is."""
+def _proxy_read(norm, spec, order, where, law):
+    """norm(spec, order), for every 2p-norm a proxy reads: a QuadratureError
+    in it is raised again naming `where` (a coordinate, input or output)
+    and its law."""
     try:
         return norm(spec, order)
     except dist.QuadratureError as exc:
-        raise dist.QuadratureError(f"{where} ({law}): its {what} is not certified: {exc}") from None
+        raise dist.QuadratureError(f"{where} ({law}): its 2p-norm is not certified: {exc}") from None
 
 
-def _proxy_norm(norm, spec, alpha, where, law, why=None, error=ValueError):
-    """norm(spec, alpha).value, read by `_proxy_read`.  Where its moment
-    ratio still rises at p_max, `error` names `where` (a coordinate, input or
-    output) and its law, and says `why` the proxy fails."""
+def _proxy_norm(norm, spec, alpha, where):
+    """The `proxy_value` of norm(spec, alpha), for every psi norm a proxy
+    reads: its error, which names the law, is raised again after `where`
+    (a coordinate, input or output)."""
     try:
-        return _proxy_read(norm, spec, alpha, where, law, f"psi{alpha} norm").value
-    except PMaxTooSmallError:
-        why = why or f"its psi{alpha} norm is not certified"
-        raise error(f"{where} ({law}): its psi{alpha} moment ratio still rises at p_max, "
-                    f"so {why}") from None
-
-
-def _psi2(norm, spec, where, law):
-    """The psi2 proxy norm that the psi2 bound kinds read."""
-    return _proxy_norm(norm, spec, 2, where, law, "the law is not shown to be sub-Gaussian, "
-                       f"and the psi2 bound kinds {' and '.join(PSI2_KINDS)} do not apply",
-                       NotSubGaussianError)
+        return norm(spec, alpha).proxy_value
+    except (dist.QuadratureError, NotSubGaussianError, NotSubExponentialError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,39 +1,26 @@
 """Sub-Gaussian and sub-exponential norms via the moment-ratio supremum.
 
-The norms are defined as sup over p >= 1 of ||Z||_p / p^(1/alpha) with
-alpha = 2 (sub-Gaussian) or alpha = 1 (sub-exponential).  phi(p) = ln E|Z|^p
-is convex in p (Hoelder), so between two evaluated orders phi lies below its
-chord, which bounds the ratio on the whole interval.  The search evaluates
-the octaves of a log-spaced p-grid and the quarter octaves of its last
-octave, and then splits, one batched call per round, each interval whose
-chord bound beats the best ratio by more than 1e-12 in ln, at its
-geometric midpoint and at the bound's own maximiser; the largest final
-bound, rounded up, is `upper`.  A law with a certified bound T(p0) on the
-ratio at every p >= p0 (`_tail_bounds`: its bounded support, or at alpha =
-1 its closed-form MGF) ends the search at p0 = 8 (or, at alpha = 2, 16)
-where T(p0) is not above the best ratio read.  Every other search reads
-the octaves up to p = _P_MAX = 256, and the tail beyond it is accepted
-only when the ratio does not rise over the last octave of the evaluated
-orders.  For a catalogue law the search reads the batched moments of
-`distributions.log_abs_moments`, the one numeric path of every moment,
-through the moment rows of the law's record (`distributions._law`), and
-reports the best ratio it read as the value.  The norm is homogeneous,
-||aZ|| = |a| ||Z|| at the same p*, so the search runs on the standard law
-of `distributions.standard_form`, and its estimate is kept per alpha in
-that law's record: Gaussians of any sd, centered uniforms
-of any width, centered affine images of an exponential, chi-squared or
-Poisson law, centered squares of N(0, sd), Chi laws of any sd and
-UniformGap laws of any width each read one search per shape, scaled, with
-the upper widened by the rounding of the moments, at scale 1 too.  Every
-psi norm of a law takes this one path: a finite law is a FiniteSupport,
-with one exact log-sum-exp over (p, value) as its batched moments; the
-length of an iid centered Gaussian vector is a Chi law; and a psi diameter
-is s psi_norm(Z.abs_difference_law()) for the standard form s Z of X - E X.
+The norms are sup over p >= 1 of ||Z||_p / p^(1/alpha), alpha = 2
+(sub-Gaussian) or 1 (sub-exponential).  phi(p) = ln E|Z|^p is convex in p
+(Hoelder), so a chord of phi bounds the ratio between two orders read.  The
+search reads octaves of a p-grid, splits the intervals whose chord bound
+beats the best ratio, and ends only at a certified tail T(p0) past p0 = 8,
+16 or 256 (`_tail_bound`), or at a proof that the norm is infinite:
+- a bounded support |Z| <= M gives T(p0) = ln M - ln(p0) / alpha;
+- an exponential moment S >= E exp(lambda |Z|^a), a >= alpha, gives T(p0)
+  = (ln S + ln Gamma(p0/a + 1)) / p0 - ln(lambda) / a - ln(p0) / alpha;
+- a shift by c adds at most |c| p^(-1/alpha) to the ratio (Minkowski);
+- an unbounded family states its largest alpha with a finite norm, which
+  each square step halves: below alpha, the norm is infinite.
+The search reads the moment rows of the law's record (`distributions._law`)
+and runs on its standard form (`distributions.standard_form`), as ||aZ|| =
+|a| ||Z|| at the same p*; the record keeps the estimate, never an error.
 No norm here is estimated from samples, so every one may feed a tail bound.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +28,7 @@ import numpy as np
 from . import distributions as dist
 
 __all__ = [
-    "OrliczEstimate", "PMaxTooSmallError", "psi_norm", "psi_norm_finite",
+    "OrliczEstimate", "NotSubGaussianError", "NotSubExponentialError", "psi_norm", "psi_norm_finite",
     "conditional_contraction_check", "concentrated_variable_bounds", "mgf_bound_check",
 ]
 
@@ -67,21 +54,27 @@ _START = np.unique(np.concatenate([
 _START.setflags(write=False)    # every search passes it to log_moments
 # the orders p0 = _START[3], _START[4], ... at which a tail bound may end a
 # search, and so the octaves its first call reads: 8 at alpha = 1, and 8 or
-# 16 at alpha = 2, where ln(p0) / alpha falls half as fast and 8 less often
-# suffices
+# 16 at alpha = 2, where ln(p0) / alpha falls half as fast
 _P0 = {1: (8.0,), 2: (8.0, 16.0)}
-_LOG_GAMMA_9 = math.lgamma(9.0) / 8.0     # ln Gamma(p0 + 1) / p0 at p0 = 8
-# the MGF arguments of a tail bound, c / K for K the best ratio read, tried
-# in turn until one bounds the ratio past 8 by K: any lambda > 0 gives a
-# valid bound, and c near 0.65 suits exponential, Poisson and Gaussian tails
-_LAMBDAS = (0.65, 0.55, 0.8)
+# the first ln(lambda) of a tail bound from E exp(lambda |Z|^a), ln(c) - a ln K
+# for K the best ratio read: any lambda > 0 is valid, these suit the catalogue
+_GUESS = {1: math.log(0.65), 2: math.log(0.25)}
+_STEP, _ROUNDS = 1.5, 6     # the first step in ln(lambda) of `_moment_tail`, and its rounds
 # the outward margin of a tail bound, per unit of 1 + the sum of its terms'
-# magnitudes: it covers the rounding of its logs and of the closed-form MGF
+# magnitudes: it covers the rounding of its logs, MGF, scale and shift
 _TAIL_MARGIN = 2.0 ** -30
+TAIL_BOUND = "tail-bound"   # the method of an estimate whose upper T(256) sets
 
 
-class PMaxTooSmallError(RuntimeError):
-    """The moment ratio was still increasing at p = _P_MAX, the end of the p-grid."""
+class NotSubGaussianError(ValueError):
+    """The psi2 norm of a law is infinite."""
+
+
+class NotSubExponentialError(ValueError):
+    """The psi1 norm of a law is infinite."""
+
+
+_INFINITE = {1: NotSubExponentialError, 2: NotSubGaussianError}
 
 
 @dataclass(frozen=True)
@@ -92,14 +85,15 @@ class OrliczEstimate:
     method: str
     upper: float    # certified bound on the supremum, never below value
 
+    @property
+    def proxy_value(self):
+        """The number a bound reads: the value, or the upper where a tail
+        bound set it, as the value read may then be far below the norm."""
+        return self.upper if self.method == TAIL_BOUND else self.value
+
     def to_dict(self):
         return {"alpha": self.alpha, "value": self.value, "upper": self.upper,
                 "p_star": self.p_star, "method": self.method}
-
-
-def _check_alpha(alpha):
-    if alpha not in (1, 2):
-        raise ValueError(f"alpha must be 1 or 2, got {alpha}")
 
 
 def _chord_bounds(ps, phis, logs, alpha, known):
@@ -143,61 +137,45 @@ _START_LOGS = {alpha: (np.log(_START) / alpha).tolist() for alpha in (1, 2)}
 _HEAD = {alpha: _START[:3 + len(p0)] for alpha, p0 in _P0.items()}    # the first call's orders
 
 
-def _sup_ratio(log_moments, alpha, tail_bounds=None):
+def _sup_ratio(log_moments, alpha, tail):
     """Maximize ln(||Z||_p / p^(1/alpha)) over p >= 1, with a certificate.
 
-    log_moments maps an array of p to the array of phi(p) = ln E|Z|^p.
-    Without tail_bounds it is called once on the 13 orders of _START, then
-    once per round on the intervals whose chord bound beats the best ratio
-    by more than _CHORD_TOL: at the geometric midpoint of each, and at the
-    chord bound's maximiser where that lies strictly inside
-    (Piyavskii-Shubert), which is p* itself for a linear phi.  Where the
-    bound peaks inside [a, b], it exceeds the larger end ratio by at most
-    (b-a)^2 / (8 alpha a^2); every split at least halves an interval in ln
-    p, and a start interval is at most an octave wide, so 18 rounds certify
-    any data.  Returns the best ratio, its p and the largest chord bound
-    (-inf, 1.0, -inf when Z = 0).  Raises QuadratureError on a non-finite
-    phi or when the rounds run out, PMaxTooSmallError when the ratio rises
-    anywhere over the last octave of the evaluated orders.
-
-    tail_bounds, where given, maps the best ratio read to T(p0) for each
-    p0 of _P0[alpha], T(p0) at least the ratio at every p >= p0
-    (`_tail_bounds`).  The first call then reads _START up to the last p0.
-    At the first p0 whose T(p0) is not above the best ratio read, the
-    rounds refine [1, p0] only, and the largest bound returned counts
-    T(p0); no last-octave test runs.  Where every T is above it, one call
-    reads the rest of _START and the search goes on as without
-    tail_bounds.  Every ratio the full search reads past p0 is at most
-    T(p0), so its rounds split [1, p0] as these do: the best ratio, p* and
-    chord bounds on [1, p0] are the full search's.
-
-    The search keeps its orders, phis, ln(p) / alpha and ratios as float
-    lists, sorted by p, and the chord bound of each interval from the round
-    that made it: on a few orders, numpy's call overhead is most of the
-    work, and float arithmetic gives the bits numpy gives.
+    log_moments maps an array of p to phi(p) = ln E|Z|^p; tail(best, p0) is
+    T(p0) >= the ratio at every p >= p0 (`_tail_bound`).  The first call
+    reads _HEAD[alpha], and the search keeps [1, p0] for the first p0 of
+    _P0[alpha] with T(p0) not above the best ratio, else reads the rest of
+    _START with p0 = _P_MAX.  Each round reads the intervals whose chord
+    bound beats the best ratio by more than _CHORD_TOL, at the geometric
+    midpoint and at an inner maximiser of the bound (Piyavskii-Shubert, p*
+    itself for a linear phi).  An inner peak exceeds the larger end ratio
+    by at most (b-a)^2 / (8 alpha a^2), and a split at least halves an
+    interval in ln p, so 18 rounds certify any data.  Returns the best
+    ratio, its p, the largest chord bound and T(p0), T(_P_MAX) taken after
+    the rounds (-inf, 1.0, -inf, -inf when Z = 0).  QuadratureError on a
+    non-finite phi or when the rounds run out.  The orders, phis, ln(p) /
+    alpha, ratios and chord bounds are float lists, with numpy's bits.
     """
-    n = len(_START) if tail_bounds is None else 3 + len(_P0[alpha])
+    n = len(_HEAD[alpha])
     ps, logs = _START_PS[:n], _START_LOGS[alpha][:n]
-    phis = log_moments(_START if tail_bounds is None else _HEAD[alpha]).tolist()
+    phis = log_moments(_HEAD[alpha]).tolist()
     if all(phi == -math.inf for phi in phis):
-        return -math.inf, 1.0, -math.inf
+        return -math.inf, 1.0, -math.inf, -math.inf
     _check_finite(ps, phis)
     ratios = [phi / p - lg for phi, p, lg in zip(phis, ps, logs)]
-    tail = None
-    if tail_bounds is not None:
-        best = max(ratios)
-        for end, t in enumerate(tail_bounds(best), 4):     # _START[:4] ends at 8
-            if t <= best:
-                tail = t
-                del ps[end:], phis[end:], logs[end:], ratios[end:]
-                break
-        else:
-            more = log_moments(_START[n:]).tolist()
-            _check_finite(_START_PS[n:], more)
-            ps += _START_PS[n:]
-            logs += _START_LOGS[alpha][n:]
-            ratios += [phi / p - lg for phi, p, lg in zip(more, _START_PS[n:], _START_LOGS[alpha][n:])]
-            phis += more
+    best = max(ratios)
+    for end, p0 in enumerate(_P0[alpha], 4):     # _START[:4] ends at 8
+        t = tail(best, p0)
+        if t <= best:
+            del ps[end:], phis[end:], logs[end:], ratios[end:]
+            break
+    else:
+        t = None
+        more = log_moments(_START[n:]).tolist()
+        _check_finite(_START_PS[n:], more)
+        ps += _START_PS[n:]
+        logs += _START_LOGS[alpha][n:]
+        ratios += [phi / p - lg for phi, p, lg in zip(more, _START_PS[n:], _START_LOGS[alpha][n:])]
+        phis += more
     known = {}
     for rounds in range(_MAX_ROUNDS + 1):
         bounds, peaks = _chord_bounds(ps, phis, logs, alpha, known)
@@ -219,13 +197,8 @@ def _sup_ratio(log_moments, alpha, tail_bounds=None):
         new_ratios = [phi / p - lg for phi, p, lg in zip(new_phis, new, new_logs)]
         rows = sorted(zip(ps + new, phis + new_phis, logs + new_logs, ratios + new_ratios))
         ps, phis, logs, ratios = map(list, zip(*rows))
-    if tail is None:
-        last = [r for p, r in zip(ps, ratios) if p >= _P_MAX / 2 - 1e-9]
-        if any(b - a > 1e-9 for a, b in zip(last, last[1:])):
-            raise PMaxTooSmallError(
-                f"the moment ratio still rises at p = {_P_MAX:g}, the end of the p-grid")
     top = max(best, max(bounds, default=-math.inf))    # best: the last round's max(ratios)
-    return best, ps[ratios.index(best)], top if tail is None else max(top, tail)
+    return best, ps[ratios.index(best)], top, tail(best, _P_MAX) if t is None else t
 
 
 def _check_finite(ps, phis):
@@ -234,52 +207,79 @@ def _check_finite(ps, phis):
             raise dist.QuadratureError(f"ln E|Z|^p is {phi} at p={p!r}: no chord bound")
 
 
-def _tail_bounds(law, alpha):
-    """For the record of a scalar law (`distributions._law`), a function of
-    the best ln ratio read that gives T(p0) for each p0 of _P0[alpha],
-    T(p0) >= ln(||Z||_p / p^(1/alpha)) at every p >= p0, or None where
-    there is none here (or Z = 0).  Each T is rounded outward by
-    _TAIL_MARGIN.
-
-    - A bounded support, |Z| <= M: T(p0) = ln M - ln(p0) / alpha, with M
-      an end of the canonical form's primitive's support walked outward
-      through its steps.
-    - At alpha = 1, a closed-form MGF (no square step, a primitive with an
-      `mgf`): E|Z|^p <= Gamma(p+1) lambda^-p E e^(lambda |Z|), and
-      E e^(lambda |Z|) <= mgf(lambda) + mgf(-lambda) = S, so T(p0) =
-      (ln S + ln Gamma(p0+1)) / p0 - ln lambda - ln p0 at p0 = 8, the
-      least over the lambda = c / K of _LAMBDAS.  It bounds every p >= p0
-      as S >= 1 and Gamma(p+1)^(1/p) / p is nonincreasing.
+def _tail_bound(law, alpha):
+    """tail(best, p0) of `_sup_ratio` for a law's record: T(p0) >= ln(||Z||_p
+    / p^(1/alpha)) at every p >= p0, rounded outward by _TAIL_MARGIN, inf
+    where there is none; NotSubGaussianError or NotSubExponentialError where
+    the primitive X's `max_psi_alpha`, halved by each square step, is below
+    alpha.  T(p0) of an exponential moment holds past p0 as x^k <= Gamma(k+1)
+    e^x and Gamma(p/a + 1)^(1/p) / p^(1/alpha) is nonincreasing.  With no
+    square step and a closed-form `squared_mgf`, Z = s U + b for X's unit
+    law U: a = 2, S = U.squared_mgf(lambda), ln |s| added, and b by
+    Minkowski.  Else at alpha = 1 with a closed-form MGF (no square step, or
+    one first square of a closed-form `squared_mgf`): a = 1 and S =
+    mgf(lambda) + mgf(-lambda).
     """
     base, steps = dist._chain(law.form)
     lo, hi = base.support()
-    if max(-lo, hi) == math.inf:    # and so are its images under the steps
-        if alpha != 1 or type(base).mgf is dist.Distribution.mgf or any(op == "square" for op, _ in steps):
-            return None
-    else:
+    if max(-lo, hi) < math.inf:
         for op, c in steps:
             lo, hi = _outward(op, c, lo, hi)
-        m = max(-lo, hi)
-        if not m > 0.0:     # Z = 0, which the first call reads
-            return None
-        bounds = [_outward_sum(math.log(m), -math.log(p0) / alpha) for p0 in _P0[alpha]]
-        return lambda best: bounds
-    form = law.form
+        return _support_tail(max(-lo, hi), alpha)
+    squares = [i for i, (op, _) in enumerate(steps) if op == "square"]
+    top = base.max_psi_alpha
+    if top is not None and top / 2 ** len(squares) < alpha:
+        halved = f", and {len(squares)} square step(s) halve that to {top / 2 ** len(squares):g}"
+        raise _INFINITE[alpha](f"{type(base).__name__} laws have finite psi norms only up to "
+                               f"alpha = {top}{halved * bool(squares)}")
+    squared = type(base).squared_mgf is not dist.Distribution.squared_mgf
+    if squared and not squares:
+        s, b, unit = base.unit_law()
+        log_scale = math.log(s)
+        for op, c in steps:
+            log_scale, b = (log_scale, b + c) if op == "shift" else (log_scale + math.log(abs(c)), b * c)
+        return _moment_tail(lambda lam: math.log(unit.squared_mgf(lam)), 2, alpha, log_scale, abs(b))
+    closed = squares == [0] and squared or not squares and type(base).mgf is not dist.Distribution.mgf
+    if alpha == 1 and closed:     # Z has a closed-form MGF
+        form = law.form
+        return _moment_tail(lambda lam: math.log(dist._mgf(form, lam) + dist._mgf(form, -lam)), 1, alpha)
+    return lambda best, p0: math.inf
 
-    def mgf_bounds(best):
-        t = math.inf
-        for c in _LAMBDAS:
-            log_lam = math.log(c) - best
-            try:        # lambda past the MGF's domain, or overflowing
-                lam = math.exp(log_lam)
-                s = dist._mgf(form, lam) + dist._mgf(form, -lam)
+
+def _support_tail(m, alpha):
+    """tail(best, p0) of `_tail_bound` for |Z| <= m, read only where Z is not 0."""
+    return lambda best, p0: _outward_sum(math.log(m), -math.log(p0) / alpha)
+
+
+def _moment_tail(log_s, a, alpha, log_scale=0.0, shift=0.0):
+    """tail(best, p0) of `_tail_bound` from log_s(lambda) >= ln E exp(lambda
+    |Y|^a), which raises OverflowError, NotImplementedError or
+    MomentDivergenceError where it has none, for Z = e^log_scale Y + shift
+    in law.  T is convex in u = ln(lambda) where finite, so a pattern
+    search from _GUESS reads it: a step each way, to the lower value, the
+    step halved each round, until a value is not above best.  lambda is a
+    normal float, so that ln(lambda) is u within the margin."""
+    def tail(best, p0):
+        log_gamma, log_p0 = math.lgamma(p0 / a + 1.0) / p0, -math.log(p0) / alpha
+
+        def bound(u):       # T(p0) at lambda = e^u
+            try:
+                lam = math.exp(u)
+                t = _outward_sum(log_s(lam) / p0, log_gamma, -u / a, log_p0, log_scale)
             except (OverflowError, NotImplementedError, dist.MomentDivergenceError):
-                continue
-            t = min(t, _outward_sum(math.log(s) / 8.0, _LOG_GAMMA_9, -log_lam, -math.log(8.0)))
-            if t <= best:
+                return math.inf
+            if shift:
+                t = _outward_sum(float(np.logaddexp(t, math.log(shift) + log_p0)))
+            return t if lam >= sys.float_info.min else math.inf
+        u, step = _GUESS[a] - a * (best - log_scale), _STEP
+        least = bound(u)
+        for _ in range(_ROUNDS):
+            if least <= best:
                 break
-        return (t,)
-    return mgf_bounds
+            least, u = min((least, u), (bound(u - step), u - step), (bound(u + step), u + step))
+            step /= 2.0
+        return least
+    return tail
 
 
 def _outward(op, c, lo, hi):
@@ -304,30 +304,30 @@ def _outward_sum(*terms):
 def psi_norm(spec, alpha) -> OrliczEstimate:
     """psi_1 or psi_2 norm of a catalogue distribution.
 
-    The chord search reads `log_abs_moments`: closed forms, or one fixed
-    tanh-sinh rule for all p, which raises QuadratureError where its
-    embedded error estimate exceeds 1e-5 in ln ||Z||_p.  The value is the
-    best ratio the search read, at p*.  PMaxTooSmallError, naming the spec
-    and alpha, where the ratio still rises at p = _P_MAX, a SpecError where
-    the norm is past the largest float.  The search runs on the standard law s Z of
-    `distributions.standard_form(spec)`, and its outcome, PMaxTooSmallError
-    included, is kept in that law's record per alpha; the value is s times
-    the standard law's, at its p*.  At every s, 1 included, `upper` is s times the
-    standard law's largest final chord bound, rounded up and widened by
-    _READ_ROUNDING, so that it also bounds every ratio read from the law's
-    own moments (p ln s + ln E|Z|^p, or its own closed form), or from Z's
-    at orders the search did not read; it is never below the value.
+    The value is the best ratio the search read, at p*.  NotSubGaussianError
+    or NotSubExponentialError where the norm is infinite, QuadratureError
+    where it or a moment is not certified, each naming spec and alpha, and
+    SpecError where it is past the largest float.  The search runs on the
+    standard law s Z of `distributions.standard_form`, and its estimate is
+    kept in that law's record per alpha; the value is s times the standard
+    law's, at its p*.  `upper` is s times the standard law's (`_search`),
+    rounded up and widened by _READ_ROUNDING, so that it also bounds every
+    ratio read from the law's own moments or from Z's at orders the search
+    did not read; it is never below the value.
     """
-    _check_alpha(alpha)
+    if alpha not in (1, 2):
+        raise ValueError(f"alpha must be 1 or 2, got {alpha}")
     dist.validate(spec)
     scale, standard = dist.standard_form(spec)
     law = dist._law(standard)
     est = law.psi.get(alpha)
     dist._law_counts["searches" if est is None else "hits"] += 1
-    if est is None:     # kept, a PMaxTooSmallError too; no other error is
-        law.psi[alpha] = est = _search(law, alpha)
-    if isinstance(est, PMaxTooSmallError):
-        raise PMaxTooSmallError(f"the psi{alpha} norm of {spec} is not certified: {est}")
+    if est is None:
+        try:
+            law.psi[alpha] = est = _search(law, alpha)
+        except (dist.QuadratureError, NotSubGaussianError, NotSubExponentialError) as exc:
+            verdict = "is not certified" if isinstance(exc, dist.QuadratureError) else "is infinite"
+            raise type(exc)(f"the psi{alpha} norm of {spec} {verdict}: {exc}") from None
     value, upper = scale * est.value, _scaled_upper(est.upper, scale)
     if value == math.inf:
         raise dist.SpecError(f"the psi{alpha} norm of {spec} is past the largest float")
@@ -347,12 +347,13 @@ _READ_ROUNDING = 4 * 2.0 ** -53
 
 def scaled_estimate(est, scale, method=None) -> OrliczEstimate:
     """est for scale times its variable: the value times scale, the upper
-    times scale and then the next float up, the same p*; the method is
-    est's unless given.  A product rounds to within half an ulp of the
+    times scale and then the next float up, the same p*.  With a method,
+    the estimate is a bound built on est, whose value is scale times est's
+    `proxy_value`.  A product rounds to within half an ulp of the
     exact one, also when it underflows or overflows, so the next float up
     is not below it; the upper 0 of the zero variable stays 0."""
-    return OrliczEstimate(est.alpha, scale * est.value, est.p_star, method or est.method,
-                          _scaled_upper(est.upper, scale))
+    return OrliczEstimate(est.alpha, scale * (est.proxy_value if method else est.value), est.p_star,
+                          method or est.method, _scaled_upper(est.upper, scale))
 
 
 def _scaled_upper(upper, scale):
@@ -360,17 +361,20 @@ def _scaled_upper(upper, scale):
 
 
 def _search(law, alpha):
-    """The psi estimate of a record's law, or the PMaxTooSmallError raised."""
+    """The psi estimate of a record's law: its upper is the larger of the
+    largest final chord bound and the tail bound, with the method
+    "tail-bound" where the tail bound is the larger.  The errors of
+    `_tail_bound` and `_sup_ratio`, and a QuadratureError where no tail
+    bound past _P_MAX is finite."""
+    best, p, top, t = _sup_ratio(law.log_moments, alpha, _tail_bound(law, alpha))
     method = "closed-form" if isinstance(law.form, dist.FiniteSupport) else "analytic-grid"
-    try:
-        best, p, top = _sup_ratio(law.log_moments, alpha, _tail_bounds(law, alpha))
-    except PMaxTooSmallError as exc:
-        return exc.with_traceback(None)
     if best == -math.inf:
         return OrliczEstimate(alpha, 0.0, p, method, 0.0)
     value = dist._exp(best, "the psi{} norm of {}", alpha, law.spec)
-    return OrliczEstimate(alpha, value, p, method,
-                          max(value, dist._exp(top, "the psi{} norm of {}", alpha, law.spec)))
+    if t == math.inf:
+        raise dist.QuadratureError(f"no tail bound on the moment ratio past p = {_P_MAX:g}")
+    upper = dist._exp(max(top, t), "the psi{} norm of {}", alpha, law.spec)
+    return OrliczEstimate(alpha, value, p, TAIL_BOUND if t > top else method, max(value, upper))
 
 
 def psi_norm_finite(values, probs, alpha) -> OrliczEstimate:
@@ -432,7 +436,7 @@ def mgf_bound_check(spec, beta):
     centered = dist.Centered(spec)
     m = dist.mgf(centered, beta)
     try:
-        bound = math.exp(4.0 * E * beta ** 2 * psi_norm(centered, 2).value ** 2)
+        bound = math.exp(4.0 * E * beta ** 2 * psi_norm(centered, 2).proxy_value ** 2)
     except OverflowError:
         raise dist.SpecError(f"the sub-Gaussian MGF bound of {spec} at beta={float(beta)!r} "
                              "overflows a float") from None

@@ -53,8 +53,10 @@ def conditional_versions(table, k):
     return rows - (rows @ probs)[:, None], probs
 
 
-def _psi(worst_log_moments, alpha):
-    best = O._sup_ratio(worst_log_moments, alpha)[0]
+def _psi(worst_log_moments, alpha, bound):
+    """The psi norm of the worst row, every |f_k| at most bound: the search
+    ends at the support's tail bound."""
+    best = O._sup_ratio(worst_log_moments, alpha, O._support_tail(bound, alpha))[0]
     return 0.0 if best == -math.inf else math.exp(best)
 
 
@@ -73,8 +75,9 @@ def worst_case_profile(table, p):
         def worst(qs):
             return logsumexp(log_p + qs[:, None, None] * log_abs, axis=-1).max(axis=-1)
 
-        psi1.append(_psi(worst, 1))
-        psi2.append(_psi(worst, 2))
+        bound = float(np.max(np.abs(rows)))
+        psi1.append(_psi(worst, 1, bound))
+        psi2.append(_psi(worst, 2, bound))
         l2p.append(math.exp(worst(np.array([2.0 * p]))[0] / (2.0 * p)))
         live = rows[:, probs > 0]
         ranges.append(float(np.max(live.max(axis=1) - live.min(axis=1))))

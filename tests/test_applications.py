@@ -143,6 +143,13 @@ class TestMetricTail:
         res = A.metric_tail(1.0, [0.0, 0.0], 1.0)
         assert res.prob == 0.0 and "degenerate" in res.note
 
+    def test_a_diameter_set_by_its_tail_bound_reads_its_upper(self):
+        # the atom of mass 1e-200 puts the diameter's p* past 256, where the
+        # value read is half the norm or less: the bound reads the upper
+        d = A.psi_diameter(D.FiniteSupport((0.0, 1.0), (1.0, 1e-200)), 1)
+        assert d.method == "tail-bound" and d.proxy_value == d.upper > 2.0 * d.value
+        assert A.metric_tail(1.0, [d, 0.5], 1.0) == A.metric_tail(1.0, [d.upper, 0.5], 1.0)
+
     def test_identical_diameters(self):
         for n in (1, 4):
             res = A.metric_tail(1.0, [0.5] * n, 1.0)

@@ -83,12 +83,20 @@ class TestNorms:
         assert code == 0
         assert json.loads(out)["estimate"]["value"] == pytest.approx(1.0, abs=1e-12)
 
-    def test_uncertified_norm_names_the_law_and_alpha(self, capsys):
-        # the message used to name neither
+    def test_an_infinite_norm_names_the_law_and_alpha(self, capsys):
+        # the message used to name neither, and the norm was "not certified"
         code, out, err = run(capsys, "norms", "--spec", config("exp1.json"), "--alpha", "2")
         assert (code, out) == (1, "")
-        assert err == ("error: the psi2 norm of Exponential(rate=1.0) is not certified: the "
-                       "moment ratio still rises at p = 256, the end of the p-grid\n")
+        assert err == ("error: the psi2 norm of Exponential(rate=1.0) is infinite: Exponential "
+                       "laws have finite psi norms only up to alpha = 1\n")
+
+    @pytest.mark.parametrize("alpha", ["1", "2"])
+    def test_a_failed_quadrature_names_the_law_and_alpha(self, alpha, tmp_path, capsys):
+        # the message named neither the law nor alpha
+        spec = write_spec(tmp_path, {"kind": "gaussian", "mean": 1e300, "sd": 1})
+        assert run(capsys, "norms", "--spec", spec, "--alpha", alpha) == (
+            1, "", f"error: the psi{alpha} norm of Gaussian(mean=1e+300, sd=1.0) is not certified: "
+            "fixed-rule quadrature failed (value 0.0) at p=1.0\n")
 
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "norms", "--spec", config("rademacher.json"),
@@ -233,15 +241,21 @@ class TestSpecMemo:
 
 
 class TestEntropyCheck:
-    def test_uncertified_psi2_norm_names_it(self, tmp_path, capsys):
-        # the sub-Gaussian lemma reads the psi2 norm; the message named no norm
+    def test_a_norm_set_by_its_tail_bound_reads_the_upper(self, tmp_path, capsys):
+        # the atom of mass 1e-200 puts p* past 256: the support bounds the
+        # ratio there, and the lemmas read that bound, where the norm was
+        # refused
         spec = write_spec(tmp_path, {"kind": "finite_support", "values": [0, 1],
                                      "probs": [1, 1e-200]})
         code, out, err = run(capsys, "entropy-check", "--spec", spec)
-        assert (code, out) == (1, "")
-        assert err == ("error: the psi2 norm of FiniteSupport(values=(-1e-200, 1.0), probs="
-                       "(1.0, 1e-200)) is not certified: the moment ratio still rises at "
-                       "p = 256, the end of the p-grid\n")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        y = D.FiniteSupport((-1e-200, 1.0), (1.0, 1e-200))      # Y - E Y
+        est = O.psi_norm(y, 1)
+        assert est.method == "tail-bound" and est.upper > 2.0 * est.value
+        psi1 = est.upper
+        assert doc["subexponential"]["bound"] == math.e ** 2 * psi1 ** 2 / (1.0 - math.e * psi1) ** 2
+        assert doc["subgaussian"]["holds"] and doc["subexponential"]["holds"]
 
     def test_rademacher(self, capsys):
         code, out, _ = run(capsys, "entropy-check", "--spec",
@@ -1029,9 +1043,8 @@ class TestThm3OnNonSumKinds:
                        "thm3 bound kinds do not apply to it\n")
 
 
-NOT_SUB_GAUSSIAN = ("error: coordinate 0 (Exponential(rate=1.0)): its psi2 moment ratio still "
-                    "rises at p_max, so the law is not shown to be sub-Gaussian, and the psi2 "
-                    "bound kinds thm1 and thm3-psi2-variant do not apply\n")
+NOT_SUB_GAUSSIAN = ("error: coordinate 0: the psi2 norm of Centered(base=Exponential(rate=1.0)) "
+                    "is infinite: Exponential laws have finite psi norms only up to alpha = 1\n")
 
 
 class TestPsi2KindsNeedSubGaussianLaws:
@@ -1061,39 +1074,26 @@ CHI2_1_SCALED = {"kind": "scaled", "base": {"kind": "chi_squared", "dof": 1}, "f
 GAUSS_CC = {"kind": "vector", "dim": 2, "components": [GAUSS, CENTERED_CHI2_1]}
 GAUSS_EXP = {"kind": "vector", "dim": 2,
              "components": [GAUSS, {"kind": "exponential", "rate": 1.0}]}
-VEC_CC = ("VectorSpec(dim=2, components=(Gaussian(mean=0.0, sd=1.0), "
-          "Centered(base=ChiSquared(dof=1))), norm_kind='euclidean')")
-NOT_CERTIFIED = "its psi1 moment ratio still rises at p_max, so its psi1 norm is not certified"
-
-# kind -> (a spec with a proxy norm not certified up to p_max, the message)
-UNCERTIFIED_PROXY_NORMS = {
+# kind -> a spec whose proxy psi1 norm reads a tail bound past p = 256 (the
+# centered chi-squared_1 law), where the last-octave test refused it
+CERTIFIED_PAST_P_MAX = {
     # the bench template sum:poisson+chi-squared-1
-    "sum": ({"kind": "sum", "components": [{"kind": "poisson", "rate": 1.5}, CHI2_1_SCALED]},
-            f"coordinate 1 (Scaled(base=ChiSquared(dof=1), factor=1.1)): {NOT_CERTIFIED}"),
-    "vector_norm_of_sum": ({"kind": "vector_norm_of_sum", "vec": GAUSS_CC, "n": 3},
-                           f"coordinate 0 ({VEC_CC}): {NOT_CERTIFIED}"),
-    "sup_linear_loss": ({"kind": "sup_linear_loss", "weights": [[0.3, -0.4]],
-                         "loss": "absolute", "input": GAUSS_2, "output": CENTERED_CHI2_1,
-                         "n": 30},
-                        f"output (Centered(base=ChiSquared(dof=1))): {NOT_CERTIFIED}"),
-    "psa_reconstruction": (
-        {"kind": "psa_reconstruction", "ambient_dim": 2, "subspace_dim": 1, "net_size": 3,
-         "net_seed": 1, "input": GAUSS_EXP, "n": 20},
-        "input (VectorSpec(dim=2, components=(Gaussian(mean=0.0, sd=1.0), "
-        "Exponential(rate=1.0)), norm_kind='euclidean')): its psi2 moment ratio still rises "
-        "at p_max, so ||X|| is not shown to be sub-Gaussian, which the psa_reconstruction "
-        "proxy needs"),
-    "metric_lipschitz": ({"kind": "metric_lipschitz", "lip": 1.0,
-                          "coordinate_dists": [GAUSS, CENTERED_CHI2_1], "maps": ["abs", "sin"]},
-                         f"coordinate 1 (Centered(base=ChiSquared(dof=1))): {NOT_CERTIFIED}"),
+    "sum": {"kind": "sum", "components": [{"kind": "poisson", "rate": 1.5}, CHI2_1_SCALED]},
+    "vector_norm_of_sum": {"kind": "vector_norm_of_sum", "vec": GAUSS_CC, "n": 3},
+    "sup_linear_loss": {"kind": "sup_linear_loss", "weights": [[0.3, -0.4]], "loss": "absolute",
+                        "input": GAUSS_2, "output": CENTERED_CHI2_1, "n": 30},
+    "metric_lipschitz": {"kind": "metric_lipschitz", "lip": 1.0,
+                         "coordinate_dists": [GAUSS, CENTERED_CHI2_1], "maps": ["abs", "sin"]},
 }
+PSA_EXP = {"kind": "psa_reconstruction", "ambient_dim": 2, "subspace_dim": 1, "net_size": 3,
+           "net_seed": 1, "input": GAUSS_EXP, "n": 20}
 LAST_ARGS = {"bound": ["--t-grid", "1:5:3"], "invert": ["--delta", "0.01"],
              "verify": ["--t-grid", "1:5:3", "--n", "10000"],
              "compare": ["--t-grid", "1:5:3", "--n", "10000"]}
 
 
-# a bounded law whose psi norms are not certified: its atom of mass 1e-200
-# at 1 makes every moment ratio rise up to p_max
+# a bounded law whose atom of mass 1e-200 at 1 makes every moment ratio
+# rise up to p = 256 and past it: its support's tail bound sets its uppers
 TINY_ATOM = {"kind": "finite_support", "values": [0, 1], "probs": [1.0, 1e-200]}
 UNIFORM_01 = {"kind": "uniform", "lo": 0, "hi": 1}
 
@@ -1126,16 +1126,30 @@ class TestBoundsReadOnlyTheirEntries:
         for row in json.loads(out)["bounds"]["bounded-difference"]:
             assert (row["prob"], row["note"]) == (1.0, "inapplicable: a + b t is infinite")
 
-    @pytest.mark.parametrize("kind", ["thm1", "thm3-psi2-variant"])
-    def test_a_psi2_kind_names_the_psi2_norm(self, kind, tmp_path, capsys):
-        # the psi1 norm, which these kinds do not read, used to fail first
-        spec = write_spec(tmp_path, {"kind": "sum", "components": [TINY_ATOM, UNIFORM_01]})
+    @pytest.mark.parametrize("kind", ["thm1", "thm2", "thm3-psi2-variant"])
+    def test_a_psi_kind_reads_the_upper_of_a_tail_bound(self, kind, tmp_path, capsys):
+        # the tiny atom's psi norms used to be refused: each is set by its
+        # support's tail bound past p = 256, and the proxy reads that upper
+        law = {"kind": "sum", "components": [TINY_ATOM, UNIFORM_01]}
+        spec = write_spec(tmp_path, law)
         code, out, err = run(capsys, "bound", "--spec", spec, "--bounds", kind, "--p", "2",
                              "--t-grid", "1:2:2")
-        assert (code, out) == (1, "")
-        assert err.startswith("error: coordinate 0 (FiniteSupport(values=(0.0, 1.0), probs="
-                              "(1.0, 1e-200))): its psi2 moment ratio still rises at p_max, "
-                              "so the law is not shown to be sub-Gaussian")
+        assert (code, err) == (0, "")
+        alpha = 1 if kind == "thm2" else 2
+        est = O.psi_norm(D.Centered(D.spec_from_dict(TINY_ATOM)), alpha)
+        assert est.method == "tail-bound"
+        entry = "psi1_per_coord" if alpha == 1 else "psi2_per_coord"
+        profile = fn.proxy_profile(fn.fspec_from_dict(law), p=2.0, kinds=[kind])
+        assert getattr(profile, entry)[0] == est.upper > est.value
+        for row in json.loads(out)["bounds"][kind]:
+            want = evaluate_tail(kind, profile, row["t"], p=2.0).log_prob
+            assert row["log_prob"] == want
+
+    def test_verify_reads_sound_on_the_tail_bound(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {"kind": "sum", "components": [TINY_ATOM, UNIFORM_01]})
+        code, out, err = run(capsys, "verify", "--spec", spec, "--bounds", "thm2",
+                             "--t-grid", "0.25:1:4", "--n", "100000", "--seed", "1")
+        assert (code, err) == (0, "") and json.loads(out)["verdict"] == "SOUND"
 
     def _norm_calls(self, monkeypatch):
         cli.fn._kind_profile.cache_clear()      # a memoised profile reads no norm
@@ -1171,16 +1185,27 @@ class TestBoundsReadOnlyTheirEntries:
         assert rows[0]["log_prob"] > rows[1]["log_prob"] > -math.inf
 
 
-class TestUncertifiedProxyNorms:
+class TestProxyNormsPastPMax:
     @pytest.mark.parametrize("command", sorted(LAST_ARGS))
-    @pytest.mark.parametrize("kind", sorted(UNCERTIFIED_PROXY_NORMS))
-    def test_names_the_coordinate_and_its_law(self, kind, command, tmp_path, capsys):
-        # each used to end in a PMaxTooSmallError traceback
-        spec, message = UNCERTIFIED_PROXY_NORMS[kind]
-        code, out, err = run(capsys, command, "--spec", write_spec(tmp_path, spec),
+    @pytest.mark.parametrize("kind", sorted(CERTIFIED_PAST_P_MAX))
+    def test_a_norm_certified_past_p_max_serves_every_command(self, kind, command, tmp_path,
+                                                               capsys):
+        # each was refused, naming the coordinate and its law
+        code, out, err = run(capsys, command, "--spec", write_spec(tmp_path, CERTIFIED_PAST_P_MAX[kind]),
+                             "--bounds", "thm2", *LAST_ARGS[command])
+        assert (code, err) == (0, "")
+        if command in ("verify", "compare"):
+            assert json.loads(out)["verdict"] == "SOUND"
+
+    @pytest.mark.parametrize("command", sorted(LAST_ARGS))
+    def test_an_infinite_norm_names_the_input_and_its_law(self, command, tmp_path, capsys):
+        # ||X|| >= |X_2| for the exponential X_2, so the psa proxy's psi2
+        # norm of ||X|| is infinite
+        code, out, err = run(capsys, command, "--spec", write_spec(tmp_path, PSA_EXP),
                              "--bounds", "thm2", *LAST_ARGS[command])
         assert code == 1 and out == ""
-        assert err == f"error: {message}\n"
+        assert err == ("error: input: the psi2 norm of Exponential(rate=1.0) is infinite: "
+                       "Exponential laws have finite psi norms only up to alpha = 1\n")
 
 
 class TestQuadratureFailures:

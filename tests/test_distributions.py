@@ -547,7 +547,7 @@ def _cold_psi(spec, alpha):
     D._laws.clear()
     try:
         est = psi_norm(spec, alpha)
-    except (O.PMaxTooSmallError, D.QuadratureError, D.SpecError) as exc:
+    except (O.NotSubGaussianError, O.NotSubExponentialError, D.QuadratureError, D.SpecError) as exc:
         return type(exc)
     return tuple(np.array([est.value, est.upper, est.p_star]).view(np.int64).tolist())
 

@@ -527,23 +527,24 @@ class TestProxyProfile:
         with pytest.raises(D.QuadratureError):
             F.proxy_profile(F.VectorNormOfSum(gauss_vec(3), 4))
 
-    def test_vector_psi2_dropped_when_p_max_too_small(self, monkeypatch):
+    def test_vector_psi2_dropped_when_it_is_infinite(self, monkeypatch):
         real = F.vector_norm_psi
 
         def no_psi2(vec, alpha):
             if alpha == 2:
-                raise O.PMaxTooSmallError("still increasing")
+                raise O.NotSubGaussianError("the psi2 norm of ||X|| is infinite")
             return real(vec, alpha)
         monkeypatch.setattr(F, "vector_norm_psi", no_psi2)
         F._kind_profile.cache_clear()
         assert F.proxy_profile(F.VectorNormOfSum(gauss_vec(3), 4)).psi2_per_coord is None
-        with pytest.raises(F.NotSubGaussianError, match=r"^coordinate 0 \(VectorSpec\("):
+        with pytest.raises(F.NotSubGaussianError,
+                           match=r"^coordinate 0: the psi2 norm of \|\|X\|\| is infinite$"):
             F.proxy_profile(F.VectorNormOfSum(gauss_vec(3), 4), kinds=["thm1"])
 
     def test_psi2_kind_names_the_coordinate_without_a_psi2_norm(self):
         fspec = F.SumFunction([D.Gaussian(0.0, 1.0), D.Exponential(2.0)])
-        with pytest.raises(F.NotSubGaussianError, match=r"^coordinate 1 \(Exponential\(rate="
-                           r"2.0\)\): its psi2 moment ratio still rises at p_max"):
+        with pytest.raises(F.NotSubGaussianError, match=r"^coordinate 1: the psi2 norm of Centered"
+                           r"\(base=Exponential\(rate=2.0\)\) is infinite: Exponential laws"):
             F.proxy_profile(fspec, kinds=["thm2", "thm1"])
         assert F.proxy_profile(fspec, kinds=["thm2"]).psi2_per_coord is None
         assert F.proxy_profile(fspec).psi2_per_coord is None
@@ -557,13 +558,22 @@ class TestProxyProfile:
                               D.UniformInterval(0.0, 2.0), n=4)
         assert F.proxy_profile(sll).ranges == (0.5,)
 
-    def test_uncertified_psi1_is_not_retried_without_psi2(self):
-        # a plain ValueError: proxy_profile drops only a psi2 norm that fails
-        fspec = F.SumFunction([D.Poisson(1.5), D.Scaled(D.ChiSquared(1), 1.1)])
+    def test_an_infinite_psi1_is_not_retried_without_psi2(self):
+        # proxy_profile drops only a psi2 norm that is infinite
+        fspec = F.SumFunction([D.Poisson(1.5), D.SquareOf(D.Exponential(1.0))])
         for kinds in (None, ["thm2"]):
-            with pytest.raises(ValueError, match=r"^coordinate 1 \(Scaled\(base=ChiSquared") as info:
+            with pytest.raises(O.NotSubExponentialError, match=r"^coordinate 1: the psi1 norm of "
+                               r"Centered\(base=SquareOf\(base=Exponential\(rate=1.0\)\)\) is "
+                               r"infinite: Exponential laws have finite psi norms only up to "
+                               r"alpha = 1, and 1 square step\(s\) halve that to 0.5$"):
                 F.proxy_profile(fspec, kinds=kinds)
-            assert not isinstance(info.value, F.NotSubGaussianError)
+
+    def test_the_chi_squared_1_template_is_certified(self):
+        # the bench template sum:poisson+chi-squared-1 was refused: its psi1
+        # norms now read the tail bound past p = 256
+        fspec = F.SumFunction([D.Poisson(1.5), D.Scaled(D.ChiSquared(1), 1.1)])
+        psi1 = F.proxy_profile(fspec, kinds=["thm2"]).psi1_per_coord
+        assert psi1 == tuple(O.psi_norm(D.Centered(c), 1).value for c in fspec.components)
 
     @pytest.mark.parametrize("p, names", [
         (None, ("psi1_per_coord", "ranges")), (None, ("psi2_per_coord",)),
@@ -615,27 +625,27 @@ class TestProxyProfile:
         with pytest.raises(ValueError, match="^unknown bound kind 'thm9'; known: "):
             F.proxy_profile(CATALOGUE[0], kinds=["thm2", "thm9"])
 
-    def test_uncertified_profile_fails_alike_twice(self):
-        # the bench template sum:poisson+chi-squared-1; errors are not memoised
+    def test_an_infinite_profile_fails_alike_twice(self):
+        # errors are not memoised
         fspec = F.fspec_from_dict({"kind": "sum", "components": [
             {"kind": "poisson", "rate": 1.5},
-            {"kind": "scaled", "base": {"kind": "chi_squared", "dof": 1}, "factor": 1.1}]})
+            {"kind": "square_of", "base": {"kind": "poisson", "rate": 2.0}}]})
         messages = []
         for _ in range(2):
-            with pytest.raises(ValueError) as info:
+            with pytest.raises(O.NotSubExponentialError) as info:
                 F.proxy_profile(fspec, kinds=["thm2"])
             messages.append(str(info.value))
         assert messages[0] == messages[1]
-        assert messages[0].startswith("coordinate 1 (Scaled(base=ChiSquared(dof=1), factor=1.1)): ")
+        assert messages[0].startswith("coordinate 1: the psi1 norm of Centered(base=SquareOf(")
 
     def test_psa_needs_a_sub_gaussian_norm(self):
         fspec = F.PsaReconstruction(2, 1, [((1.0, 0.0), (0.0, 0.0))],
                                     D.VectorSpec(2, [D.Gaussian(0.0, 1.0), D.Exponential(1.0)]), 5)
-        with pytest.raises(ValueError, match=r"^input \(VectorSpec\(.*\)\): its psi2 moment "
-                           r"ratio still rises at p_max, so \|\|X\|\| is not shown to be "
-                           r"sub-Gaussian, which the psa_reconstruction proxy needs$") as info:
+        # ||X|| >= |X_2|, whose psi2 norm is infinite
+        with pytest.raises(F.NotSubGaussianError, match=r"^input: the psi2 norm of Exponential"
+                           r"\(rate=1.0\) is infinite: Exponential laws have finite psi norms "
+                           r"only up to alpha = 1$"):
             F.proxy_profile(fspec)
-        assert not isinstance(info.value, F.NotSubGaussianError)
 
     def test_thm3_entries(self):
         prof = F.proxy_profile(sum_of(D.Exponential(1.0), 3), p=2.0)
