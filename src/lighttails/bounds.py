@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -110,8 +110,9 @@ def _squares(entries, counts):
         return math.inf
 
 
-@dataclass(frozen=True)
-class TailBoundResult:
+class TailBoundResult(NamedTuple):
+    """One bound at one t: a named tuple, a third of the cost of a frozen
+    dataclass per row."""
     kind: str
     t: float
     prob: float

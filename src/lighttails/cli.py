@@ -24,8 +24,6 @@ import re
 import sys
 import tempfile
 
-import numpy as np
-
 from . import __version__
 from . import applications as apps
 from . import distributions as dist
@@ -45,23 +43,23 @@ class UsageError(Exception):
     pass
 
 
+# argparse reads a token this matches as a value: no option starts with '-'
+# and a digit, so -1:2:3 is a value, like -1
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads what this matches as a value; no option starts with
-        # '-' and a digit, so -1:2:3 is a value, like -1
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise UsageError(message)
 
 
 def _add_arguments(name, p):
-    """The arguments of command `name` on its parser p, from its row of
-    _SUBCOMMANDS; returns p."""
-    p.add_argument("--output", default=None, help="artifact path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    for flag, keywords in _SUBCOMMANDS[name][2]:
+    """The arguments of command `name` on its parser p; returns p."""
+    for flag, keywords in _COMMON_FLAGS + _SUBCOMMANDS[name][2]:
         p.add_argument(flag, **keywords)
     return p
 
@@ -86,67 +84,68 @@ def _sub_parser(name):
     return _add_arguments(name, _Parser(prog=f"lighttails {name}"))
 
 
+@functools.cache
+def _flag_table(name):
+    """Command `name`'s flags as its parser reads them: flag -> (dest, type,
+    choices), the type None for a store_true flag; the defaults by dest in
+    --help order, a str default run through its type; the required flags."""
+    table, defaults, required = {}, {}, set()
+    for flag, keywords in _COMMON_FLAGS + _SUBCOMMANDS[name][2]:
+        dest, kind = flag[2:].replace("-", "_"), keywords.get("type", str)
+        default = keywords.get("default")
+        if keywords.get("action") == "store_true":
+            kind, default = None, False
+        table[flag] = dest, kind, keywords.get("choices")
+        defaults[dest] = kind(default) if isinstance(default, str) else default
+        if keywords.get("required"):
+            required.add(flag)
+    return table, defaults, frozenset(required)
+
+
 def _parse_args(argv):
     """The Namespace the top-level parser gives for argv.  All that parser
     does with an argv that starts with a command is hand the rest to the
-    command's sub-parser, so such an argv goes to that sub-parser, built
-    alone, through `_fast_parse` where it can answer; --help, --version, no
-    command and an unknown one take the top-level parser."""
+    command's sub-parser, so such an argv is read by `_fast_parse` where it
+    can answer, and else by that sub-parser, built alone; --help,
+    --version, no command and an unknown one take the top-level parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if not argv or argv[0] not in _SUBCOMMANDS:
         return _build_parser().parse_args(argv)
-    parser = _sub_parser(argv[0])
-    args = _fast_parse(parser, argv[1:])
+    args = _fast_parse(argv[0], argv[1:])
     if args is None:
-        args = parser.parse_args(argv[1:])
+        args = _sub_parser(argv[0]).parse_args(argv[1:])
     args.command = argv[0]
     return args
 
 
-def _fast_parse(parser, argv):
-    """parser.parse_args(argv) in one pass over parser's own flag table, for
-    an argv of distinct exact --flag value pairs and store_true flags whose
-    values argparse reads as values and accepts; each value goes through its
-    action's type and choices, and the defaults and required flags are
-    argparse's.  None for any other argv (-h, an abbreviation, --flag=value,
-    a repeated flag, --, a value with a leading '-' that is not a number, a
-    bad value, a missing flag), which parse_args then answers."""
-    given = {}
+def _fast_parse(name, argv):
+    """Command `name`'s parser's parse_args(argv), read against its
+    `_flag_table` with no parser built, for an argv of distinct exact
+    --flag value pairs and store_true flags whose values argparse reads as
+    values and accepts.  None for any other argv (-h, an abbreviation,
+    --flag=value, a repeated flag, --, a value with a leading '-' that is
+    not a number, a bad value, a missing flag), which parse_args answers."""
+    table, defaults, required = _flag_table(name)
+    values, seen = dict(defaults), set()
     tokens = iter(argv)
     for flag in tokens:
-        action = parser._option_string_actions.get(flag)
-        if action in given:
+        if flag not in table or flag in seen:
             return None
-        if isinstance(action, argparse._StoreConstAction):     # store_true
-            given[action] = action.const
+        seen.add(flag)
+        dest, kind, choices = table[flag]
+        if kind is None:        # store_true
+            values[dest] = True
             continue
-        if type(action) is not argparse._StoreAction or action.nargs is not None:
-            return None
         text = next(tokens, None)
-        if text is None or text[:1] == "-" and not parser._negative_number_matcher.match(text):
+        if text is None or text[:1] == "-" and not _NEGATIVE_NUMBER.match(text):
             return None
         try:
-            given[action] = parser._get_value(action, text)
-            parser._check_value(action, given[action])
-        except argparse.ArgumentError:
+            values[dest] = value = kind(text)
+        except ValueError:
             return None
-    args = argparse.Namespace()
-    for action in parser._actions:
-        if action in given:
-            value = given[action]
-        elif action.required:
+        if choices is not None and value not in choices:
             return None
-        elif action.default is argparse.SUPPRESS:     # -h
-            continue
-        else:   # argparse runs a str default through the type, as a value
-            value = action.default
-            if isinstance(value, str):
-                try:
-                    value = parser._get_value(action, value)
-                except argparse.ArgumentError:
-                    return None
-        setattr(args, action.dest, value)
-    return args
+    return argparse.Namespace(**values) if required <= seen else None
 
 
 def _parse_t_grid(text):
@@ -163,7 +162,13 @@ def _parse_t_grid(text):
         raise UsageError(f"--t-grid needs 1 <= steps <= {MAX_T_STEPS}, got {text!r}")
     if lo <= 0 or (steps > 1 and hi <= lo):
         raise UsageError(f"--t-grid needs 0 < lo < hi and steps >= 1, got {text!r}")
-    return [float(t) for t in np.linspace(lo, hi, steps)]
+    # np.linspace(lo, hi, steps) bit for bit: lo + i * step, or lo + i / div
+    # * delta where the step underflows to 0, and hi as the last entry
+    div, delta = steps - 1, hi - lo
+    if div == 0:
+        return [0.0 * delta + lo]
+    step = delta / div
+    return [(i / div * delta if step == 0 else i * step) + lo for i in range(div)] + [hi]
 
 
 def _parse_kinds(text):
@@ -219,10 +224,12 @@ def _load_spec(path, scalar=False):
     file's text, never on its path, so a rewritten file is decoded afresh;
     failures are not memoised."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read spec file {path}: {exc}")
+    if "\r" in text:       # the universal newlines of text mode
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return _decode_spec_text(text, scalar)
     except _BadSpecText as exc:
@@ -263,13 +270,15 @@ _SORTED_JSON = json.JSONEncoder(sort_keys=True).encode
 
 def _config_digest(args, payload_text=None):
     """sha256 of json.dumps(config, sort_keys=True), config being the args
-    but --output plus any spec payload under "spec_payload": the payload
-    text is spliced in between the keys that sort below and above it."""
+    but --output plus any spec payload under "spec_payload": the config is
+    encoded once with null there, and the payload text spliced in at that
+    key, whose quotes no value holds unescaped."""
     cfg = {k: v for k, v in vars(args).items() if k != "output"}
-    below = _SORTED_JSON({k: v for k, v in cfg.items() if k < "spec_payload"})
-    above = _SORTED_JSON({k: v for k, v in cfg.items() if k > "spec_payload"})
-    payload = None if payload_text is None else f'"spec_payload": {payload_text}'
-    blob = "{" + ", ".join(filter(None, (below[1:-1], payload, above[1:-1]))) + "}"
+    if payload_text is None:
+        blob = _SORTED_JSON(cfg)
+    else:
+        blob = _SORTED_JSON({**cfg, "spec_payload": None}).replace(
+            '"spec_payload": null', '"spec_payload": ' + payload_text, 1)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -316,6 +325,19 @@ def _kv_csv(d, prefix=""):
 
 _ESCAPE = json.encoder.encode_basestring_ascii
 _FLOAT_TEXT = float.__repr__
+_LAYOUTS = 1024     # dict layouts kept per process
+_layouts = {}       # (line break and indent, *keys) -> the dict's text with %s per value
+
+
+def _float_text(x, floats):
+    """The JSON text of float x, kept in floats, the memo of one document,
+    where x is finite and nonzero: 0.0 and -0.0 are one key with two texts."""
+    if not math.isfinite(x):
+        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+    text = _FLOAT_TEXT(x)
+    if x:
+        floats[x] = text
+    return text
 
 
 def _leaf_text(o):
@@ -332,9 +354,7 @@ def _leaf_text(o):
     if isinstance(o, int):
         return int.__repr__(o)
     if isinstance(o, float):
-        if math.isfinite(o):
-            return _FLOAT_TEXT(o)
-        return "NaN" if o != o else "Infinity" if o > 0 else "-Infinity"
+        return _float_text(o, {})
     return None
 
 
@@ -345,36 +365,42 @@ def _key_text(k):
     return _ESCAPE(text)
 
 
-def _json_text(o, nl="\n"):
+def _json_text(o, nl="\n", floats=None):
     """json.dumps(o, indent=2, allow_nan=True), byte for byte, without the
-    pure-Python encoder that json runs whenever indent is set.  nl is the
-    line break and indent of the line that o starts on.  A finite float or
-    a str inside a list or dict is written in place, with no call per leaf."""
+    pure-Python encoder that json runs whenever indent is set; o starts on
+    a line whose break and indent is nl, and floats is the document's memo
+    of float texts.  A float or str in a list or dict is written in place.
+    A dict of str keys fills the memoised layout of its keys at nl, up to
+    _LAYOUTS of them; any other is laid out key by key, failing where json fails."""
     kind = type(o)
-    if kind is float and math.isfinite(o):     # the common types first
-        return _FLOAT_TEXT(o)
-    if kind is str:
-        return _ESCAPE(o)
-    if kind is not dict and kind is not list:
+    if kind is not dict and kind is not list and kind is not tuple:
         text = _leaf_text(o)
         if text is not None:
             return text
+    floats = {} if floats is None else floats
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
-        brackets = "[]"
-        items = [_FLOAT_TEXT(x) if type(x) is float and math.isfinite(x) else
-                 _ESCAPE(x) if type(x) is str else _json_text(x, inner) for x in o]
-    elif isinstance(o, dict):
-        brackets = "{}"
-        items = [f"{_ESCAPE(k) if type(k) is str else _key_text(k)}: "
-                 + (_FLOAT_TEXT(v) if type(v) is float and math.isfinite(v) else
-                    _ESCAPE(v) if type(v) is str else _json_text(v, inner))
-                 for k, v in o.items()]
-    else:
+        if not o:
+            return "[]"
+        return "[" + inner + ("," + inner).join([
+            (floats.get(x) or _float_text(x, floats)) if type(x) is float else
+            _ESCAPE(x) if type(x) is str else _json_text(x, inner, floats) for x in o]) + nl + "]"
+    if not isinstance(o, dict):
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + nl + brackets[1]
+    if not o:
+        return "{}"
+    shape = (nl, *o)
+    layout = _layouts.get(shape)
+    if layout is None:
+        if len(_layouts) >= _LAYOUTS or not all(type(k) is str for k in o):
+            return "{" + inner + ("," + inner).join([
+                _key_text(k) + ": " + _json_text(v, inner, floats) for k, v in o.items()]) + nl + "}"
+        layout = _layouts[shape] = "".join([
+            ("," if i else "{") + inner + _ESCAPE(k).replace("%", "%%") + ": %s"
+            for i, k in enumerate(o)]) + nl + "}"
+    return layout % tuple([
+        (floats.get(x) or _float_text(x, floats)) if type(x) is float else
+        _ESCAPE(x) if type(x) is str else _json_text(x, inner, floats) for x in o.values()])
 
 
 def _emit(args, text):
@@ -549,7 +575,9 @@ def _cmd_verify(args):
 
 
 # flags that several commands share; their names, defaults and types feed
-# the config digest through vars(args)
+# the config digest through vars(args).  Every command takes the first two.
+_COMMON_FLAGS = (("--output", dict(default=None, help="artifact path (default stdout)")),
+                 ("--format", dict(choices=("json", "csv"), default="json")))
 _SPEC = ("--spec", dict(required=True))
 _BOUNDS = ("--bounds", dict(required=True, help="comma-separated bound kinds"))
 _T_GRID = ("--t-grid", dict(required=True, help="lo:hi:steps"))
@@ -561,8 +589,7 @@ _VERIFY_FLAGS = (*_BOUND_FLAGS, ("--n", dict(type=int, required=True)),
 _MONTE_CARLO_HELP = "Monte-Carlo check that bounds dominate empirical tails"
 
 # command -> (its help line in the top-level parser's listing, its handler,
-# its (flag, argparse keywords) pairs in --help order, after the --output and
-# --format that every command takes)
+# its (flag, argparse keywords) pairs in --help order, after _COMMON_FLAGS)
 _SUBCOMMANDS = {
     "norms": ("Orlicz-type norm of a catalogue distribution", _cmd_norms,
               (_SPEC, ("--alpha", dict(type=int, choices=(1, 2), required=True)))),

@@ -166,6 +166,17 @@ class Spec:
     one checks each field by its annotation (see `_fields`), then `_check`
     checks relations between fields."""
 
+    def __init_subclass__(cls):
+        cls.__hash__ = Spec.__hash__    # defined on the class, so @dataclass keeps it
+
+    def __hash__(self):
+        """The dataclass hash, of the field values' tuple, computed once per
+        instance: a nested spec would hash every level again on each call."""
+        values = vars(self)
+        if "_hash" not in values:
+            values["_hash"] = hash(tuple([values[name] for name in _fields(type(self))]))
+        return values["_hash"]
+
     def __post_init__(self):
         values = vars(self)
         for name, (check, _, _) in _fields(type(self)).items():

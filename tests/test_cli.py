@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import lighttails
 from adaptive import adaptive_log_moment
@@ -30,6 +30,11 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 def config(name):
     return os.path.join(CONFIGS, name)
+
+
+def config_text(name):
+    with open(config(name)) as fh:
+        return fh.read()
 
 
 def write_spec(tmp_path, payload, name="spec.json", raw=None):
@@ -135,6 +140,22 @@ class TestSpecLoading:
         code, out, err = run(capsys, "bound", "--spec", str(path), "--bounds", "thm2",
                              "--t-grid", "1:2:2")
         assert (code, out, err) == (1, "", f"error: spec file {path}{why}\n")
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("text", [
+        config_text("sum_exp10.json"),
+        '{\n  "schema": 1,\n  "spec": {"kind": "rademacher"},\n  bad\n}\n',
+    ], ids=["config", "bad-json"])
+    def test_a_spec_file_reads_as_its_lf_twin(self, text, newline, tmp_path, capsys):
+        # the file is read as bytes and its line ends translated as text mode
+        # did; a JSON error names the line, column and char of the LF text
+        path, answers = tmp_path / "spec.json", []
+        for ends in ("\n", newline):
+            path.write_bytes(text.replace("\n", ends).encode())
+            answers.append(run(capsys, "bound", "--spec", str(path), "--bounds", "thm2",
+                               "--t-grid", "1:5:3"))
+        assert answers[0] == answers[1]
+        assert answers[0][0] == (1 if "bad" in text else 0)
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "norms", "--spec", "/nonexistent.json",
@@ -347,13 +368,10 @@ class TestBoundAndInvert:
         ("1:5:100000000000", "1 <= steps <= 100000"),
         ("1:5:100001", "1 <= steps <= 100000"),
     ])
-    def test_t_grid_rejected_before_linspace(self, command, grid, need, capsys,
-                                             monkeypatch):
+    def test_t_grid_rejected_before_linspace(self, command, grid, need, capsys):
         # 1:inf:3 printed a numpy RuntimeWarning before its error, and
-        # 1:5:100000000000 died allocating a 745 GiB grid
-        def no_grid(*args, **kwargs):
-            raise AssertionError("np.linspace called on a bad --t-grid")
-        monkeypatch.setattr(cli.np, "linspace", no_grid)
+        # 1:5:100000000000 died allocating a 745 GiB grid; the grid is built
+        # after these checks, and no longer by np.linspace
         argv = [command, "--spec", config("exp1.json"), "--bounds", "thm2",
                 "--t-grid", grid]
         if command == "verify":
@@ -396,6 +414,43 @@ class TestBoundAndInvert:
         assert code == 0
         inv = json.loads(out)["inversions"]
         assert 0 < inv["thm3-psi2-variant"]["exact"] <= inv["thm3-psi2-variant"]["additive"]
+
+
+@st.composite
+def t_grids(draw):
+    """(lo, hi, steps) that --t-grid accepts: subnormal and huge ends, steps
+    down to 1 (where hi may lie below lo) and up to MAX_T_STEPS, and deltas
+    of a few subnormal units, whose step underflows to 0."""
+    tiny = 5e-324
+    steps = draw(st.integers(1, 40) | st.sampled_from([1, 2, 3, cli.MAX_T_STEPS]))
+    lo = draw(st.floats(min_value=tiny, max_value=1e300) | st.integers(1, 40).map(tiny.__mul__))
+    how = draw(st.sampled_from(["units", "float"] + ["below"] * (steps == 1)))
+    if how == "units":
+        hi = lo + draw(st.integers(1, 80)) * tiny
+    elif how == "float":
+        hi = draw(st.floats(min_value=lo, max_value=1.7e308, exclude_min=True))
+    else:
+        hi = draw(st.floats(allow_nan=False, allow_infinity=False))
+    assume(steps == 1 or hi > lo)
+    return lo, hi, steps
+
+
+class TestTGrid:
+    @settings(max_examples=300, deadline=None)
+    @given(t_grids())
+    def test_the_grid_is_np_linspace_s_bit_for_bit(self, grid):
+        lo, hi, steps = grid
+        with np.errstate(all="ignore"):     # 0 * (hi - lo) is NaN where hi - lo overflows
+            want = np.linspace(lo, hi, steps).tolist()
+        got = cli._parse_t_grid(f"{lo!r}:{hi!r}:{steps}")
+        assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    @pytest.mark.parametrize("text", ["5e-324:1e-323:3", "5e-324:1.5e-323:7", "1:2:1",
+                                      "3:1:1", "0.5:20:100000"])
+    def test_edges(self, text):
+        lo, hi, steps = text.split(":")
+        want = np.linspace(float(lo), float(hi), int(steps)).tolist()
+        assert list(map(float.hex, cli._parse_t_grid(text))) == list(map(float.hex, want))
 
 
 class TestAppbound:
@@ -607,6 +662,18 @@ class TestDigestStability:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and json.loads(out)["config_digest"] == want
 
+    def test_a_path_holding_the_payload_key_digests_the_whole_config(self, tmp_path, capsys):
+        # the payload text is spliced in at the key "spec_payload", never at
+        # a value that reads like it
+        path = tmp_path / 'x", "spec_payload": null, "y.json'
+        path.write_text(config_text("exp1.json"))
+        argv = ["norms", "--spec", str(path), "--alpha", "1"]
+        cfg = {k: v for k, v in vars(cli._parse_args(argv)).items() if k != "output"}
+        cfg["spec_payload"] = D.spec_to_dict(cli._load_spec(str(path), scalar=True)[0])
+        want = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["config_digest"] == want
+
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")
         assert code == 0 and out.strip()
@@ -626,15 +693,31 @@ class TestParserReuse:
         assert cli._build_parser() is cli._build_parser()
         assert cli._sub_parser("bound") is cli._sub_parser("bound")
 
-    def test_a_command_builds_only_its_sub_parser(self, capsys):
+    def test_a_well_formed_argv_builds_no_parser(self, capsys):
         cli._build_parser.cache_clear()
         cli._sub_parser.cache_clear()
         assert run(capsys, "norms", "--spec", config("exp1.json"), "--alpha", "1")[0] == 0
-        assert run(capsys, "norms", "--spec", config("exp1.json"), "--alpha", "3")[0] == 1
         assert run(capsys, "appbound", "--app", "vector-ii", "--psi1", "1", "--n", "100",
                    "--delta", "0.01")[0] == 0
+        assert run(capsys, *TestFastParse.BOUND)[0] == 0
         assert cli._build_parser.cache_info().currsize == 0
-        assert cli._sub_parser.cache_info()[:2] == (1, 2)      # hits, misses
+        assert cli._sub_parser.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("argv, code", [
+        (["norms", "--spec", config("exp1.json"), "--alpha", "3"], 1),
+        (["invert", "--spec", config("exp1.json"), "--bounds", "thm2", "--delta", "x"], 1),
+        (["bound", "--spe", config("exp1.json"), "--bounds", "thm2", "--t-grid", "1:5:3"], 0),
+        (["appbound", "-h"], 0),
+        (["verify", "--help"], 0),
+    ], ids=lambda v: " ".join(v[:1] + v[-2:]) if isinstance(v, list) else None)
+    def test_help_or_a_deferred_argv_builds_its_own_sub_parser(self, argv, code, capsys):
+        cli._build_parser.cache_clear()
+        cli._sub_parser.cache_clear()
+        assert run(capsys, *argv)[0] == code
+        assert cli._build_parser.cache_info().currsize == 0
+        assert cli._sub_parser.cache_info()[:2] == (0, 1)      # hits, misses
+        cli._sub_parser(argv[0])
+        assert cli._sub_parser.cache_info()[:2] == (1, 1)
 
     # sha256 of each --help output at COLUMNS=80, from the version that built
     # every sub-parser in the top-level parser; the same on Python 3.10 and 3.11
@@ -785,10 +868,9 @@ class TestFastParse:
     @given(data=st.data())
     def test_an_answer_is_argparse_s(self, command, data):
         argv = data.draw(command_argvs(command))
-        parser = cli._sub_parser(command)
-        fast = cli._fast_parse(parser, argv)
+        fast = cli._fast_parse(command, argv)
         if fast is not None:        # repr, since NaN != NaN
-            assert repr(fast) == repr(_argparse_answer(parser, argv))
+            assert repr(fast) == repr(_argparse_answer(cli._sub_parser(command), argv))
 
     WELL_FORMED = [
         *[[command, *argv] for command, (argv, _) in sorted(LIBRARY_CALLS.items())],
@@ -802,9 +884,9 @@ class TestFastParse:
 
     @pytest.mark.parametrize("argv", WELL_FORMED, ids=lambda argv: argv[0])
     def test_a_well_formed_argv_is_answered(self, argv):
-        parser = cli._sub_parser(argv[0])
-        fast = cli._fast_parse(parser, argv[1:])
-        assert fast is not None and repr(fast) == repr(parser.parse_args(argv[1:]))
+        fast = cli._fast_parse(argv[0], argv[1:])
+        assert fast is not None
+        assert repr(fast) == repr(cli._sub_parser(argv[0]).parse_args(argv[1:]))
 
     BOUND = ["bound", "--spec", config("exp1.json"), "--bounds", "thm2", "--t-grid", "1:5:3"]
     DEFERRED = {
@@ -829,7 +911,7 @@ class TestFastParse:
     @pytest.mark.parametrize("case", sorted(DEFERRED))
     def test_deferred_argv_answers_as_argparse(self, case, capsys, monkeypatch):
         argv = self.DEFERRED[case]
-        assert cli._fast_parse(cli._sub_parser(argv[0]), argv[1:]) is None
+        assert cli._fast_parse(argv[0], argv[1:]) is None
         direct = run(capsys, *argv)
         monkeypatch.setattr(cli, "_parse_args", lambda a: cli._build_parser().parse_args(a))
         assert run(capsys, *argv) == direct
@@ -854,7 +936,7 @@ class TestFastParse:
 
     def test_the_configs_print_the_bytes_argparse_gives(self, capsys, monkeypatch):
         fast = [run(capsys, *argv) for argv in self._corpus()]
-        monkeypatch.setattr(cli, "_fast_parse", lambda parser, argv: None)
+        monkeypatch.setattr(cli, "_fast_parse", lambda name, argv: None)
         assert [run(capsys, *argv) for argv in self._corpus()] == fast
         assert {code for code, _, _ in fast} == {0, 1}
 
@@ -878,6 +960,26 @@ class TestJsonWriter:
     @given(JSON_DOCS)
     def test_matches_json_dumps_indent_2(self, doc):
         assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=True)
+
+    def test_zero_and_negative_zero_keep_their_texts(self):
+        # the float memo of one document keys 0.0 and -0.0 as one
+        doc = {"t": [0.0, -0.0, 0.0, 1.5], "z": -0.0, "row": {"a": 0.0, "b": -0.0},
+               "again": [-0.0, 0.0, 1.5]}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_one_shape_at_two_depths_keeps_each_indent(self):
+        cli._layouts.clear()
+        doc = {"a": {"a": {"a": 1.0}, "b": [{"a": 2.0}]}}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_more_shapes_than_the_layout_bound(self):
+        cli._layouts.clear()
+        doc = [{f"k{i}": float(i), "t": 0.5} for i in range(cli._LAYOUTS + 40)]
+        want = json.dumps(doc, indent=2)
+        assert cli._json_text(doc) == want
+        assert len(cli._layouts) == cli._LAYOUTS
+        assert cli._json_text(doc) == want      # laid out anew past the bound
+        assert len(cli._layouts) == cli._LAYOUTS
 
     @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [1, object()], {(1, 2): 0}], ids=repr)
     def test_refuses_what_json_refuses(self, doc):

@@ -229,3 +229,32 @@ def test_building_through_the_table_is_the_reference(cls, args, reference):
     table = build()
     reference()
     assert build() == table
+
+
+class _Hashed:
+    """An object whose hash is the given int."""
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def _reference_hash(value):
+    """The frozen dataclass hash, that of the tuple of the field values, with
+    every nested spec hashed afresh."""
+    if isinstance(value, D.Spec):
+        value = tuple(getattr(value, f.name) for f in dataclasses.fields(value))
+    if isinstance(value, tuple):
+        return hash(tuple(_Hashed(_reference_hash(v)) for v in value))
+    return hash(value)
+
+
+@pytest.mark.parametrize("kind", sorted(DOCS))
+def test_a_spec_keeps_the_dataclass_hash(kind):
+    # each spec computes its hash once; the value is the dataclass hash, so
+    # no set or dict order moves, and an equal spec built anew has it too
+    spec = _decode(DOCS[kind])
+    want = _reference_hash(spec)
+    assert hash(spec) == want and hash(spec) == want
+    assert hash(_decode(DOCS[kind])) == want
