@@ -97,13 +97,11 @@ class ProxyProfile:
 def _squares(entries, counts):
     """V, the sum of count * x^2 over the runs: the exact sum of count *
     fl(x * x), rounded once, which is the fsum of the squares of the
-    expanded entries bit for bit, and inf past the largest float.  Where
-    every run is one coordinate, that is the fsum of the squares; else
-    each square is split over the set bits b of its count into
-    ldexp(x * x, b), exact pieces whose fsum is that sum."""
+    expanded entries bit for bit, and inf past the largest float.  Each
+    square is split over the set bits b of its count into ldexp(x * x, b),
+    exact pieces whose fsum is that sum (one piece, x * x, for a count
+    of 1)."""
     try:
-        if max(counts) == 1:
-            return math.fsum(x * x for x in entries)
         return math.fsum(math.ldexp(x * x, b) for x, count in zip(entries, counts)
                          for b in range(count.bit_length()) if count >> b & 1)
     except OverflowError:       # the exact sum of nonnegative pieces is past the largest float

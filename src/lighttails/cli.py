@@ -162,11 +162,12 @@ def _parse_t_grid(text):
         raise UsageError(f"--t-grid needs 1 <= steps <= {MAX_T_STEPS}, got {text!r}")
     if lo <= 0 or (steps > 1 and hi <= lo):
         raise UsageError(f"--t-grid needs 0 < lo < hi and steps >= 1, got {text!r}")
-    # np.linspace(lo, hi, steps) bit for bit: lo + i * step, or lo + i / div
-    # * delta where the step underflows to 0, and hi as the last entry
+    # one step is lo, as np.linspace gives it wherever hi - lo is finite;
+    # else np.linspace(lo, hi, steps) bit for bit: lo + i * step, or lo + i
+    # / div * delta where the step underflows to 0, and hi as the last entry
+    if steps == 1:
+        return [lo]
     div, delta = steps - 1, hi - lo
-    if div == 0:
-        return [0.0 * delta + lo]
     step = delta / div
     return [(i / div * delta if step == 0 else i * step) + lo for i in range(div)] + [hi]
 

@@ -187,17 +187,6 @@ class Spec:
     def _check(self): pass
 
 
-def _derived(cls, *values):
-    """The spec of cls with these field values, in field order, built
-    without the checks: for a law the package derives from checked specs,
-    each value already what its check would return (a finite float, a
-    tuple of them, a scalar spec).  A relation such a law can break, as a
-    probability sum after a merge, is checked where it is built."""
-    spec = object.__new__(cls)
-    spec.__dict__.update(zip(_fields(cls), values))
-    return spec
-
-
 # ---------------------------------------------------------------------------
 # The scalar catalogue
 
@@ -226,11 +215,10 @@ class Distribution(Spec):
         return None
     def unit_law(self):
         """(s, b, U) with this law that of s U + b, for exact rationals s > 0
-        and b (a float or int where the value is one, else a Fraction) and U
-        the family's law of unit scale, or None for a law that is not a
-        continuous family or Poisson (see `standard_form`)."""
+        and b (each a float, an int or a Fraction) and U the family's law of
+        unit scale, or None for a law that is not a continuous family or
+        Poisson (see `standard_form`)."""
         return None
-    def _unit_shifted(self): return False   # b of unit_law() is nonzero, read from the floats
     def expectation(self): return canonical(self).expectation()
     def mgf(self, beta): raise NotImplementedError    # a family with no closed form
     def squared_mgf(self, beta): return _squared_mgf(*_chain(self), beta, self.support())
@@ -404,7 +392,6 @@ class Gaussian(_Continuous):
     def abs_difference_law(self): return Gaussian(0.0, math.sqrt(2.0) * self.sd)
     def mgf(self, beta): return math.exp(beta * self.mean + 0.5 * beta ** 2 * self.sd ** 2)
     def unit_law(self): return self.sd, self.mean, _UNIT_GAUSSIAN
-    def _unit_shifted(self): return self.mean != 0.0
 
     def fill(self, rng, out):
         rng.standard_normal(out=out)
@@ -442,7 +429,7 @@ class Gaussian(_Continuous):
         mean, sd = (self.mean + c, self.sd) if op == "shift" else (c * self.mean, abs(c) * self.sd)
         # the checks of the fields: a mean or sd past the floats, or an sd
         # that rounds to 0, keeps the step as a wrapper
-        return _derived(Gaussian, mean, sd) if math.isfinite(mean) and 0.0 < sd < math.inf else None
+        return Gaussian(mean, sd) if math.isfinite(mean) and 0.0 < sd < math.inf else None
 
 
 @dataclass(frozen=True)
@@ -484,7 +471,7 @@ class Exponential(_Continuous):
 class Rademacher(Distribution):
     kind = "rademacher"
 
-    def _fold(self): return _derived(FiniteSupport, (-1.0, 1.0), (0.5, 0.5))
+    def _fold(self): return FiniteSupport((-1.0, 1.0), (0.5, 0.5))
 
     def fill(self, rng, out):
         np.multiply(rng.integers(0, 2, len(out)), 2.0, out=out)
@@ -512,18 +499,12 @@ class UniformInterval(_Continuous):
     def log_abs_moments(self, ps):     # math.log per order, as in FiniteSupport
         return np.array([_uniform_log_abs_moment(self.lo, self.hi, p) for p in ps])
     def abs_difference_law(self): return UniformGap(self.hi - self.lo)
-    # the center is 0 iff lo = -hi, iff lo + hi is 0 in floats
-    def _unit_shifted(self): return self.lo + self.hi != 0.0
 
     def unit_law(self):
-        # the half-width and center as floats where both are exact, as hi
-        # and 0 of a centered law are, else as Fractions
-        a, b = _exact_half(self.hi, -self.lo), _exact_half(self.hi, self.lo)
-        if a is None or b is None:      # (hi -+ lo) / 2 over the common denominator
-            (hn, hd), (ln, ld) = self.hi.as_integer_ratio(), self.lo.as_integer_ratio()
-            den = 2 * hd * ld
-            return Fraction(hn * ld - ln * hd, den), Fraction(hn * ld + ln * hd, den), _UNIT_UNIFORM
-        return a, b, _UNIT_UNIFORM
+        # the half-width and center, (hi -+ lo) / 2 over the common denominator
+        (hn, hd), (ln, ld) = self.hi.as_integer_ratio(), self.lo.as_integer_ratio()
+        den = 2 * hd * ld
+        return Fraction(hn * ld - ln * hd, den), Fraction(hn * ld + ln * hd, den), _UNIT_UNIFORM
 
     def fill(self, rng, out):
         rng.random(out=out)
@@ -557,7 +538,7 @@ class UniformInterval(_Continuous):
         # the checks of the fields and of _check: an end past the floats
         # has an infinite width, and rounding may close the interval; either
         # keeps the step as a wrapper
-        return _derived(UniformInterval, lo, hi) if lo < hi and math.isfinite(hi - lo) else None
+        return UniformInterval(lo, hi) if lo < hi and math.isfinite(hi - lo) else None
 
 
 @dataclass(frozen=True)
@@ -700,7 +681,7 @@ class TwoPointEps(Distribution):
 
     def _fold(self):
         e = self.eps    # in (0, 1): the probs are floats in [0, 1] that sum to 1
-        return _derived(FiniteSupport, (-1.0, 0.0, 1.0), (e / 2, 1 - e, e / 2))
+        return FiniteSupport((-1.0, 0.0, 1.0), (e / 2, 1 - e, e / 2))
 
 
 @dataclass(frozen=True)
@@ -760,9 +741,7 @@ class FiniteSupport(Distribution):
         if not math.isfinite(hi - lo):
             raise SpecError(f"values must differ by a finite amount, got min={lo}, max={hi}")
         v, p = np.asarray(self.values), np.asarray(self.probs) / math.fsum(self.probs)
-        probs = tuple(np.outer(p, p).ravel().tolist())
-        _check_total(probs)
-        return _derived(FiniteSupport, tuple(np.abs(v[:, None] - v).ravel().tolist()), probs)
+        return FiniteSupport(np.abs(v[:, None] - v).ravel().tolist(), np.outer(p, p).ravel().tolist())
 
     def _push(self, op, c):
         # a value past the largest float is inf, which the new law refuses;
@@ -771,9 +750,9 @@ class FiniteSupport(Distribution):
                   [c * v for v in self.values] if op == "scale" else [v * v for v in self.values])
         try:    # distinct values in order need no sort and merge
             if _increasing(values):
-                return _finite_law(tuple(values), self.probs)
+                return FiniteSupport(values, self.probs)
             if _increasing(values[::-1]):
-                return _finite_law(tuple(values[::-1]), self.probs[::-1])
+                return FiniteSupport(values[::-1], self.probs[::-1])
             return _merged(values, self.probs)
         except SpecError as exc:
             raise SpecError(f"{self} after the map step {(op, c)}: {exc}") from None
@@ -789,18 +768,10 @@ def _check_total(probs):
         raise SpecError(f"probs must sum to 1 within 1e-12, got sum {total!r}")
 
 
-def _finite_law(values, probs):
-    """The FiniteSupport of these increasing float values and the checked
-    probs of a law they are the image of: only an end value can be past the
-    largest float (inf, or -inf), which the checked constructor refuses."""
-    if not (math.isfinite(values[0]) and math.isfinite(values[-1])):
-        return FiniteSupport(values, probs)
-    return _derived(FiniteSupport, values, probs)
-
-
 def _merged(values, probs):
-    """FiniteSupport with sorted values; only equal values merge, and the
-    merged probs must still sum to 1 within 1e-12."""
+    """FiniteSupport with sorted values; only equal values merge, and its
+    checks refuse a value past the largest float and merged probs that no
+    longer sum to 1 within 1e-12."""
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     order = np.argsort(values)
@@ -811,10 +782,7 @@ def _merged(values, probs):
         else:
             merged_v.append(v)
             merged_p.append(p)
-    if not all(map(math.isfinite, merged_v)):
-        return FiniteSupport(merged_v, merged_p)
-    _check_total(merged_p)
-    return _derived(FiniteSupport, tuple(merged_v), tuple(merged_p))
+    return FiniteSupport(merged_v, merged_p)
 
 
 @dataclass(frozen=True)
@@ -921,7 +889,7 @@ class Scaled(Distribution):
 
     def _fold(self):
         if self.factor == 0:
-            return _derived(FiniteSupport, (0.0,), (1.0,))
+            return FiniteSupport((0.0,), (1.0,))
         return _law(self.base).form._push("scale", self.factor)
 
 
@@ -977,10 +945,8 @@ def _wrap_sum(base, n, wrap):
 
 
 # a map step's wrapper around a canonical form: the step's constant is a
-# checked finite float (a spec's offset or factor, or minus a finite mean)
-_WRAPPERS = {"shift": lambda base, c: _derived(Shifted, base, c),
-             "scale": lambda base, c: _derived(Scaled, base, c),
-             "square": lambda base, _: _derived(SquareOf, base)}
+# finite float (a spec's offset or factor, or minus a finite mean)
+_WRAPPERS = {"shift": Shifted, "scale": Scaled, "square": lambda base, _: SquareOf(base)}
 
 
 def _chain(form):
@@ -1055,58 +1021,39 @@ def standard_form(spec):
 
 def _standard_form(spec, base, steps):
     """`standard_form` of spec, of canonical form `base` inside `steps`."""
-    if steps and steps[0][0] == "square" and base._unit_shifted():   # c is not 0 at the square
-        return 1.0, spec
     unit = base.unit_law()
     if unit is None:
         return 1.0, spec
     a, c, law = unit
-    shifts = all(op == "shift" for op, _ in steps)
-    if not shifts:
-        # a Centered spec has mean 0, so c is read at its square steps only:
-        # past the last one, a scale step multiplies a alone (`_times`)
-        head = len(steps)
-        if isinstance(spec, Centered):
-            head = max((i + 1 for i, (op, _) in enumerate(steps) if op == "square"), default=0)
-        if head:
-            a, c = Fraction(a), Fraction(c)
-        for op, x in steps[:head]:
-            if op == "shift":
-                c += Fraction(x)
-            elif op == "scale":
-                a, c = a * Fraction(x), c * Fraction(x)
-            elif c or max(a.numerator.bit_length(), a.denominator.bit_length()) > _SCALE_BITS:
-                return 1.0, spec
-            else:
-                a, law = a * a, _UNIT_CHI2 if law is _UNIT_GAUSSIAN else _derived(SquareOf, law)
-        for op, x in steps[head:]:
-            if op == "scale":
-                a = _times(a, x)
+    a, c = Fraction(a), Fraction(c)
+    # a Centered spec has mean 0, so c is read at its square steps only:
+    # past the last one, a scale step multiplies a alone
+    head = len(steps)
+    if isinstance(spec, Centered):
+        head = max((i + 1 for i, (op, _) in enumerate(steps) if op == "square"), default=0)
+    for op, x in steps[:head]:
+        if op == "shift":
+            c += Fraction(x)
+        elif op == "scale":
+            a, c = a * Fraction(x), c * Fraction(x)
+        elif c or max(a.numerator.bit_length(), a.denominator.bit_length()) > _SCALE_BITS:
+            return 1.0, spec
+        else:
+            a, law = a * a, _UNIT_CHI2 if law is _UNIT_GAUSSIAN else SquareOf(law)
+    for op, x in steps[head:]:
+        if op == "scale":
+            a *= Fraction(x)
     scale = round_up(abs(a))
     if spec.expectation() == 0.0:
-        law = law if law.expectation() == 0.0 else _derived(Centered, law)
-    else:
-        if shifts and steps:    # shifts alone leave a as it is; only here is c read
-            c = sum(map(Fraction, (x for _, x in steps)), Fraction(c))
-        if c or scale != abs(a):
-            return 1.0, spec
+        law = law if law.expectation() == 0.0 else Centered(law)
+    elif c or scale != abs(a):
+        return 1.0, spec
     if not sys.float_info.min <= scale < math.inf:
         return 1.0, spec
     return scale, law
 
 
 _SCALE_BITS = 1 << 12   # bits of the exact scale's integers past which the walk stops
-
-
-def _times(a, x):
-    """The exact product of a > 0 (an int, float or Fraction) and a float x:
-    a float where a is a power of two and the product a normal float, as
-    the float product is then exact, else a Fraction."""
-    if type(a) is not Fraction and math.frexp(a)[0] == 0.5:
-        y = a * x
-        if sys.float_info.min <= abs(y) < math.inf:
-            return y
-    return Fraction(a) * Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -1197,12 +1144,7 @@ def round_up(exact) -> float:
         x = float(exact)
     except OverflowError:
         return math.inf
-    if type(exact) is Fraction:     # x >= exact, by integers, with no Fraction built
-        n, d = x.as_integer_ratio()
-        above = n * exact.denominator >= exact.numerator * d
-    else:
-        above = x >= exact
-    return x if above else math.nextafter(x, math.inf)
+    return x if x >= exact else math.nextafter(x, math.inf)
 
 
 def support_interval(spec):
@@ -1359,16 +1301,6 @@ def _squared_mgf(base, steps, beta, support):
     def log_g(x):
         return _apply(steps, x) ** 2
     return math.exp(base._log_expects(log_g, np.array([float(beta)]), np.zeros(1))[0])
-
-
-def _exact_half(x, y):
-    """(x + y) / 2 as a float where the float ops give it exactly, else
-    None.  The sum s is exact iff s - big == small for the operand big of
-    the larger magnitude (Dekker's Fast2Sum error is small - (s - big)),
-    and its half iff doubling gives s back."""
-    s = x + y
-    big, small = (x, y) if abs(x) >= abs(y) else (y, x)
-    return s / 2 if s - big == small and s / 2 * 2 == s else None
 
 
 def _logsumexp(terms):

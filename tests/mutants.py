@@ -28,6 +28,10 @@ SRC = os.path.join(ROOT, "src")
 
 PSI_ENTRY = "Every ψ search ends at a certified tail or a proof"
 WARM_ENTRY = "A warm request at the cost of its numbers"
+RUNS_ENTRY = "Run-length proxy profiles"
+TAIL_ENTRY = "Cold ψ searches end at a certified tail"
+MOMENTS_ENTRY = "Cold ψ searches at the cost of their moments"
+WALK_ENTRY = "One constructor and one exact walk"
 
 
 class Mutant(NamedTuple):
@@ -102,6 +106,65 @@ MUTANTS = (
            "    shape = tuple(o)\n",
            ("tests/test_cli.py::TestJsonWriter::test_one_shape_at_two_depths_keeps_each_indent",),
            WARM_ENTRY),
+    Mutant("bounds.py",         # each run's square times its count, rounded twice
+           "math.fsum(math.ldexp(x * x, b) for x, count in zip(entries, counts)\n"
+           "                         for b in range(count.bit_length()) if count >> b & 1)",
+           "math.fsum(count * (x * x) for x, count in zip(entries, counts))",
+           ("tests/test_bounds.py::TestSquares::test_the_exact_sum_rounded_once",
+            "tests/test_bounds.py::TestSquares::test_a_run_profile_reads_as_its_expansion"),
+           RUNS_ENTRY),
+    Mutant("orlicz.py",         # the walked support's ends rounded to nearest only
+           "    return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)\n",
+           "    return lo, hi\n",
+           ("tests/test_orlicz.py::TestTailBounds::test_the_walked_support_holds_the_image",),
+           TAIL_ENTRY),
+    Mutant("orlicz.py",         # a tail bound with no outward margin
+           "    return sum(terms) + _TAIL_MARGIN * (1.0 + sum(map(abs, terms)))\n",
+           "    return sum(terms)\n",
+           ("tests/test_orlicz.py::TestTailBounds::test_a_support_bound_rounds_outward",),
+           TAIL_ENTRY),
+    Mutant("distributions.py",  # the rest's ratio without the power d
+           "    r = np.exp(qs * (d * math.log1p(1.0 / (n + 1)))) * (lam / (n + 1))\n",
+           "    r = np.exp(qs * math.log1p(1.0 / (n + 1))) * (lam / (n + 1))\n",
+           ("tests/test_distributions.py::TestMoments::test_the_rest_of_a_poisson_series_is_bounded",),
+           MOMENTS_ENTRY),
+    Mutant("distributions.py",  # the rest as its first term, without 1 / (1 - r)
+           "    return np.where(r < 1.0, head - np.log1p(-r), math.inf)",
+           "    return np.where(r < 1.0, head, math.inf)",
+           ("tests/test_distributions.py::TestMoments::test_the_rest_of_a_poisson_series_is_bounded",),
+           MOMENTS_ENTRY),
+    Mutant("distributions.py",  # a shift step adds nothing to M
+           "            log_m = float(np.logaddexp(log_m, math.log(abs(c))))\n",
+           "            pass\n",
+           ("tests/test_distributions.py::TestMoments::test_the_rest_of_a_poisson_series_is_bounded",),
+           MOMENTS_ENTRY),
+    Mutant("distributions.py",  # the window scan's ends pass always skipped
+           "            if (c[:, :, None] == read_cells[:, None, :]).any(axis=2).all():\n",
+           "            if True:\n",
+           ("tests/test_distributions.py::TestLiveWindow::test_equals_the_full_scan",
+            "tests/test_distributions.py::TestLiveWindow::test_equals_the_full_scan_on_the_p_grid"),
+           MOMENTS_ENTRY),
+    Mutant("distributions.py",  # a square step read as centered whatever c is
+           "        elif c or max(a.numerator.bit_length(), a.denominator.bit_length()) > _SCALE_BITS:",
+           "        elif max(a.numerator.bit_length(), a.denominator.bit_length()) > _SCALE_BITS:",
+           ("tests/test_distributions.py::TestCanonical::"
+            "test_a_square_of_a_shifted_uniform_is_its_own_standard_law",
+            "tests/test_orlicz.py::TestStandardForm::test_other_laws_keep_scale_one",
+            "tests/test_orlicz.py::TestStandardForm::test_uniforms_keep_the_fraction_walk"),
+           WALK_ENTRY),
+    Mutant("distributions.py",  # the scale rounded to nearest, below an inexact product
+           "    return x if x >= exact else math.nextafter(x, math.inf)\n",
+           "    return x\n",
+           ("tests/test_distributions.py::TestRoundUp::test_inexact_product_and_sum_round_up",
+            "tests/test_orlicz.py::TestStandardForm::test_inexact_scales_round_up"),
+           WALK_ENTRY),
+    Mutant("distributions.py",  # no probability sum checked, on built, merged or derived laws
+           "            raise SpecError(f\"probs must be nonnegative, got {self.probs}\")\n"
+           "        _check_total(self.probs)\n",
+           "            raise SpecError(f\"probs must be nonnegative, got {self.probs}\")\n",
+           ("tests/test_distributions.py::TestValidation::test_bad_probs",
+            "tests/test_distributions.py::TestFoldedLaws::test_a_merge_whose_probs_leave_one_is_refused"),
+           WALK_ENTRY),
 )
 
 

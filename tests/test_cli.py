@@ -439,9 +439,9 @@ class TestTGrid:
     @settings(max_examples=300, deadline=None)
     @given(t_grids())
     def test_the_grid_is_np_linspace_s_bit_for_bit(self, grid):
+        # one step is lo, which np.linspace gives wherever hi - lo is finite
         lo, hi, steps = grid
-        with np.errstate(all="ignore"):     # 0 * (hi - lo) is NaN where hi - lo overflows
-            want = np.linspace(lo, hi, steps).tolist()
+        want = [lo] if steps == 1 else np.linspace(lo, hi, steps).tolist()
         got = cli._parse_t_grid(f"{lo!r}:{hi!r}:{steps}")
         assert list(map(float.hex, got)) == list(map(float.hex, want))
 
@@ -451,6 +451,14 @@ class TestTGrid:
         lo, hi, steps = text.split(":")
         want = np.linspace(float(lo), float(hi), int(steps)).tolist()
         assert list(map(float.hex, cli._parse_t_grid(text))) == list(map(float.hex, want))
+
+    def test_one_step_far_below_lo_is_lo(self, capsys):
+        # hi - lo overflows to -inf, so np.linspace's one step, 0 * (hi - lo)
+        # + lo, is NaN; the grid is lo, and the request runs
+        assert cli._parse_t_grid("1e308:-1e308:1") == [1e308]
+        code, out, err = run(capsys, "bound", "--spec", config("exp1.json"), "--bounds", "thm2",
+                             "--t-grid", "1e308:-1e308:1")
+        assert (code, err) == (0, "") and json.loads(out)["t_grid"] == [1e308]
 
 
 class TestAppbound:
