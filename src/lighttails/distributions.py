@@ -12,8 +12,10 @@ the wrappers Shifted, Scaled, SquareOf and Centered into one of three forms,
 each a spec: a FiniteSupport of distinct values; a re-parameterised Gaussian
 or UniformInterval when the chain is affine; or a chain of Shifted, Scaled
 and SquareOf around one primitive law, Centered written as its shift.  Each
-wrapper of a chain carries the rule of its own step.  Sampling walks the
-spec as written, so draws never depend on the canonical form.
+of these wrappers (`_Step`) is the one statement of its map step: the map
+of an array, the image of an interval and the preimages of values, which
+drawing, supports, folds and the walks of a chain read.  Sampling walks
+the spec as written, so draws never depend on the canonical form.
 
 `standard_form(spec)` writes a law as a scale times one standard law of its
 shape: a centered law drops its last shift, and the scale steps of its
@@ -204,7 +206,7 @@ class Distribution(Spec):
     # law after an affine step, if the family is closed under it and the new
     # parameters pass its checks (else the step is kept as a wrapper)
     def _fold(self): return self
-    def _affine(self, op, c): return None
+    def _affine(self, step): return None
     def sum_law(self, n):
         """The catalogue spec of the sum of n iid copies, or None when the
         family is not closed under convolution."""
@@ -230,11 +232,13 @@ class Distribution(Spec):
         self.fill(rng, out)
         return out
 
-    def _push(self, op, c):
-        """Canonical form of the law after one more map step: the family's
-        own spec where it is closed under the step, else the step's wrapper."""
-        folded = None if op == "square" else self._affine(op, c)
-        return folded or _WRAPPERS[op](self, c)
+    def _push(self, step):
+        """Canonical form of the law after the map step of `step`, a `_Step`
+        whose base is not read: the family's own spec where it is closed
+        under the step, else the step around this form (step itself where
+        its base is this form)."""
+        folded = None if type(step) is SquareOf else self._affine(step)
+        return folded or (step if step.base == self else dataclasses.replace(step, base=self))
 
 
 class _Continuous(Distribution):
@@ -425,8 +429,9 @@ class Gaussian(_Continuous):
             raise MomentDivergenceError
         return s ** -0.5 * math.exp(beta * self.mean ** 2 / s)
 
-    def _affine(self, op, c):
-        mean, sd = (self.mean + c, self.sd) if op == "shift" else (c * self.mean, abs(c) * self.sd)
+    def _affine(self, step):
+        mean, sd = ((self.mean + step.offset, self.sd) if type(step) is Shifted else
+                    (step.factor * self.mean, abs(step.factor) * self.sd))
         # the checks of the fields: a mean or sd past the floats, or an sd
         # that rounds to 0, keeps the step as a wrapper
         return Gaussian(mean, sd) if math.isfinite(mean) and 0.0 < sd < math.inf else None
@@ -533,8 +538,8 @@ class UniformInterval(_Continuous):
         top = self.hi if beta > 0 else self.lo
         return math.exp(beta * top) * -math.expm1(-2.0 * x) / (2.0 * x)
 
-    def _affine(self, op, c):
-        lo, hi = (self.lo + c, self.hi + c) if op == "shift" else sorted((c * self.lo, c * self.hi))
+    def _affine(self, step):
+        lo, hi = step._image(self.lo, self.hi)
         # the checks of the fields and of _check: an end past the floats
         # has an infinite width, and rounding may close the interval; either
         # keeps the step as a wrapper
@@ -600,13 +605,13 @@ def _poisson_rest(lam, steps, qs, n):
     fall by a ratio that decreases in k, at most r at k = n, so the rest is
     at most M^q (1 + n)^(q d) P(n) / (1 - r); inf where r >= 1."""
     log_m, d = 0.0, 1
-    for op, c in steps:
-        if op == "shift" and c:
-            log_m = float(np.logaddexp(log_m, math.log(abs(c))))
-        elif op == "scale":
-            log_m += math.log(abs(c))
-        elif op == "square":
+    for step in steps:
+        if type(step) is Scaled:
+            log_m += math.log(abs(step.factor))
+        elif type(step) is SquareOf:
             log_m, d = 2.0 * log_m, 2 * d
+        elif step.offset:
+            log_m = float(np.logaddexp(log_m, math.log(abs(step.offset))))
     r = np.exp(qs * (d * math.log1p(1.0 / (n + 1)))) * (lam / (n + 1))
     head = qs * (log_m + d * math.log1p(n)) + n * math.log(lam) - lam - math.lgamma(n + 1.0)
     return np.where(r < 1.0, head - np.log1p(-r), math.inf)     # under the caller's np.errstate
@@ -743,11 +748,11 @@ class FiniteSupport(Distribution):
         v, p = np.asarray(self.values), np.asarray(self.probs) / math.fsum(self.probs)
         return FiniteSupport(np.abs(v[:, None] - v).ravel().tolist(), np.outer(p, p).ravel().tolist())
 
-    def _push(self, op, c):
-        # a value past the largest float is inf, which the new law refuses;
-        # x * x is numpy's x ** 2, and a float product or sum overflows to inf
-        values = ([v + c for v in self.values] if op == "shift" else
-                  [c * v for v in self.values] if op == "scale" else [v * v for v in self.values])
+    def _push(self, step):
+        # a value past the largest float is inf, which the new law refuses
+        values = np.array(self.values)
+        with np.errstate(over="ignore"):
+            values = step._map(values, values).tolist()
         try:    # distinct values in order need no sort and merge
             if _increasing(values):
                 return FiniteSupport(values, self.probs)
@@ -755,7 +760,7 @@ class FiniteSupport(Distribution):
                 return FiniteSupport(values[::-1], self.probs[::-1])
             return _merged(values, self.probs)
         except SpecError as exc:
-            raise SpecError(f"{self} after the map step {(op, c)}: {exc}") from None
+            raise SpecError(f"{self} after the map step {step._text()}: {exc}") from None
 
 
 def _increasing(values):
@@ -763,7 +768,7 @@ def _increasing(values):
 
 
 def _check_total(probs):
-    total = np.add.reduce(probs)    # np.sum's reduction, without its dispatch
+    total = math.fsum(probs)    # the exact sum, rounded once: its order does not count
     if abs(total - 1.0) > 1e-12:
         raise SpecError(f"probs must sum to 1 within 1e-12, got sum {total!r}")
 
@@ -847,69 +852,75 @@ class UniformGap(_Continuous):
 
 
 @dataclass(frozen=True)
-class Shifted(Distribution):
-    kind = "shifted"
+class _Step(Distribution):
+    """The law of g(X), X of law `base`, for the one map step g that each
+    subclass states once: `_map` of an array (in place into `out` if given),
+    `_image` of an interval [lo, hi], each end rounded to nearest, and
+    `_preimages` of a list of values.  Drawing, the support, the fold,
+    `_apply` and `_zeros` read these; the walks of a chain (`_chain`) that
+    need more switch on the step's class and read its offset or factor."""
     base: Distribution
-    offset: float
-
-    def expectation(self): return self.base.expectation() + self.offset
-    def _fold(self): return _law(self.base).form._push("shift", self.offset)
-    def sum_law(self, n): return _wrap_sum(self.base, n, lambda s: Shifted(s, n * self.offset))
-    def _step(self): return "shift", self.offset
-    # shifts move X and X' alike
-    def abs_difference_law(self): return self.base.abs_difference_law()
-    def mgf(self, beta): return math.exp(beta * self.offset) * self.base.mgf(beta)
-    def support(self): return tuple(x + self.offset for x in self.base.support())
-    # no rule peels a shift: the whole chain goes to the primitive's numeric path
-    def log_abs_moments(self, ps): return _log_moments(*_chain(self), ps)
 
     def fill(self, rng, out):
         self.base.fill(rng, out)
-        out += self.offset
+        self._map(out, out)
+
+    def support(self): return self._image(*self.base.support())
+    def _fold(self): return _law(self.base).form._push(self)
+
+    def _text(self):
+        """The step without its base, as in "Scaled(factor=2.0)"."""
+        fields = [f"{name}={vars(self)[name]!r}" for name in _fields(type(self)) if name != "base"]
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
 @dataclass(frozen=True)
-class Scaled(Distribution):
+class Shifted(_Step):
+    kind = "shifted"
+    offset: float
+
+    def expectation(self): return self.base.expectation() + self.offset
+    def sum_law(self, n): return _wrap_sum(self.base, n, lambda s: Shifted(s, n * self.offset))
+    # shifts move X and X' alike
+    def abs_difference_law(self): return self.base.abs_difference_law()
+    def mgf(self, beta): return math.exp(beta * self.offset) * self.base.mgf(beta)
+    # no rule peels a shift: the whole chain goes to the primitive's numeric path
+    def log_abs_moments(self, ps): return _log_moments(*_chain(self), ps)
+    def _map(self, x, out=None): return np.add(x, self.offset, out=out)
+    def _image(self, lo, hi): return lo + self.offset, hi + self.offset
+    def _preimages(self, ys): return [y - self.offset for y in ys]
+
+
+@dataclass(frozen=True)
+class Scaled(_Step):
     kind = "scaled"
-    base: Distribution
     factor: float
 
     def expectation(self): return self.factor * self.base.expectation()
     def sum_law(self, n): return _wrap_sum(self.base, n, lambda s: Scaled(s, self.factor))
-    def _step(self): return "scale", self.factor
     def mgf(self, beta): return self.base.mgf(beta * self.factor)
-    def support(self): return tuple(sorted(self.factor * x for x in self.base.support()))
-
-    def fill(self, rng, out):
-        self.base.fill(rng, out)
-        out *= self.factor
+    def _map(self, x, out=None): return np.multiply(self.factor, x, out=out)
+    def _image(self, lo, hi): return tuple(sorted((self.factor * lo, self.factor * hi)))
+    def _preimages(self, ys): return [y / self.factor for y in ys]
 
     def log_abs_moments(self, ps):
         return ps * math.log(abs(self.factor)) + self.base.log_abs_moments(ps)
 
     def _fold(self):
-        if self.factor == 0:
-            return FiniteSupport((0.0,), (1.0,))
-        return _law(self.base).form._push("scale", self.factor)
+        return FiniteSupport((0.0,), (1.0,)) if self.factor == 0 else super()._fold()
 
 
 @dataclass(frozen=True)
-class SquareOf(Distribution):
+class SquareOf(_Step):
     kind = "square_of"
-    base: Distribution
 
-    def _fold(self): return _law(self.base).form._push("square", None)
-    def _step(self): return "square", None
     def log_abs_moments(self, ps): return self.base.log_abs_moments(2 * ps)
     def mgf(self, beta): return self.base.squared_mgf(beta)
     def expectation(self): return abs_moment(self.base, 2.0)     # ||base||_2^2
+    def _map(self, x, out=None): return np.square(x, out=out)
+    def _preimages(self, ys): return [r for y in ys if y >= 0 for r in {math.sqrt(y), -math.sqrt(y)}]
 
-    def fill(self, rng, out):
-        self.base.fill(rng, out)
-        np.square(out, out=out)
-
-    def support(self):
-        lo, hi = self.base.support()
+    def _image(self, lo, hi):
         return (0.0 if lo < 0 < hi else min(lo * lo, hi * hi)), max(lo * lo, hi * hi)
 
 
@@ -929,7 +940,7 @@ class Centered(Distribution):
         form, mu = _law(self.base).form, self.base.expectation()
         if not math.isfinite(mu):
             raise SpecError(f"the mean of {self.base} must be finite to center it, got {mu}")
-        return form._push("shift", -mu) if mu else form
+        return form._push(Shifted(form, -mu)) if mu else form
 
 
 # the laws of unit scale that `unit_law` names
@@ -944,18 +955,12 @@ def _wrap_sum(base, n, wrap):
     return None if law is None else wrap(law)
 
 
-# a map step's wrapper around a canonical form: the step's constant is a
-# finite float (a spec's offset or factor, or minus a finite mean)
-_WRAPPERS = {"shift": Shifted, "scale": Scaled, "square": lambda base, _: SquareOf(base)}
-
-
 def _chain(form):
     """(primitive, steps) of a canonical form: the law inside its wrappers,
-    and their steps from the inside out, each ("shift", c), ("scale", c) or
-    ("square", None)."""
+    and the wrappers themselves (each a `_Step`), from the inside out."""
     steps = []
-    while isinstance(form, (Shifted, Scaled, SquareOf)):
-        steps.append(form._step())
+    while isinstance(form, _Step):
+        steps.append(form)
         form = form.base
     return form, tuple(reversed(steps))
 
@@ -1030,19 +1035,19 @@ def _standard_form(spec, base, steps):
     # past the last one, a scale step multiplies a alone
     head = len(steps)
     if isinstance(spec, Centered):
-        head = max((i + 1 for i, (op, _) in enumerate(steps) if op == "square"), default=0)
-    for op, x in steps[:head]:
-        if op == "shift":
-            c += Fraction(x)
-        elif op == "scale":
-            a, c = a * Fraction(x), c * Fraction(x)
+        head = max((i + 1 for i, step in enumerate(steps) if type(step) is SquareOf), default=0)
+    for step in steps[:head]:
+        if type(step) is Shifted:
+            c += Fraction(step.offset)
+        elif type(step) is Scaled:
+            a, c = a * Fraction(step.factor), c * Fraction(step.factor)
         elif c or max(a.numerator.bit_length(), a.denominator.bit_length()) > _SCALE_BITS:
             return 1.0, spec
         else:
             a, law = a * a, _UNIT_CHI2 if law is _UNIT_GAUSSIAN else SquareOf(law)
-    for op, x in steps[head:]:
-        if op == "scale":
-            a *= Fraction(x)
+    for step in steps[head:]:
+        if type(step) is Scaled:
+            a *= Fraction(step.factor)
     scale = round_up(abs(a))
     if spec.expectation() == 0.0:
         law = law if law.expectation() == 0.0 else Centered(law)
@@ -1102,7 +1107,7 @@ class _Record:
         rows of the record read, plus p ln scale (see `log_abs_moments`)."""
         if self._read is None:
             read = None, None   # a primitive form's standard law is never a Centered one
-            if isinstance(self.form, (Shifted, Scaled, SquareOf)):
+            if isinstance(self.form, _Step):
                 scale, standard = self.standard()
                 if isinstance(standard, Centered):
                     law = _law(standard)
@@ -1259,13 +1264,8 @@ def _mgf(form, beta):
 
 def _apply(steps, x):
     """Push x (a float or an array) through map steps."""
-    for op, c in steps:
-        if op == "shift":
-            x = x + c
-        elif op == "scale":
-            x = c * x
-        else:
-            x = x ** 2
+    for step in steps:
+        x = step._map(x)
     return x
 
 
@@ -1283,13 +1283,8 @@ def _log_moments(base, steps, ps):
 def _zeros(steps):
     """The x at which the map steps give 0."""
     ys = [0.0]
-    for op, c in reversed(steps):
-        if op == "shift":
-            ys = [y - c for y in ys]
-        elif op == "scale":
-            ys = [y / c for y in ys]
-        else:
-            ys = [r for y in ys if y >= 0 for r in {math.sqrt(y), -math.sqrt(y)}]
+    for step in reversed(steps):
+        ys = step._preimages(ys)
     return ys
 
 

@@ -223,10 +223,10 @@ def _tail_bound(law, alpha):
     base, steps = dist._chain(law.form)
     lo, hi = base.support()
     if max(-lo, hi) < math.inf:
-        for op, c in steps:
-            lo, hi = _outward(op, c, lo, hi)
+        for step in steps:
+            lo, hi = _outward(step, lo, hi)
         return _support_tail(max(-lo, hi), alpha)
-    squares = [i for i, (op, _) in enumerate(steps) if op == "square"]
+    squares = [i for i, step in enumerate(steps) if type(step) is dist.SquareOf]
     top = base.max_psi_alpha
     if top is not None and top / 2 ** len(squares) < alpha:
         halved = f", and {len(squares)} square step(s) halve that to {top / 2 ** len(squares):g}"
@@ -236,8 +236,9 @@ def _tail_bound(law, alpha):
     if squared and not squares:
         s, b, unit = base.unit_law()
         log_scale = math.log(s)
-        for op, c in steps:
-            log_scale, b = (log_scale, b + c) if op == "shift" else (log_scale + math.log(abs(c)), b * c)
+        for step in steps:      # shifts and scales
+            log_scale, b = ((log_scale, b + step.offset) if type(step) is dist.Shifted else
+                            (log_scale + math.log(abs(step.factor)), b * step.factor))
         return _moment_tail(lambda lam: math.log(unit.squared_mgf(lam)), 2, alpha, log_scale, abs(b))
     closed = squares == [0] and squared or not squares and type(base).mgf is not dist.Distribution.mgf
     if alpha == 1 and closed:     # Z has a closed-form MGF
@@ -282,16 +283,11 @@ def _moment_tail(log_s, a, alpha, log_scale=0.0, shift=0.0):
     return tail
 
 
-def _outward(op, c, lo, hi):
-    """An interval that holds the image of [lo, hi] under one map step,
-    exactly and in floats: each end is rounded to nearest, then moved one
-    float outward."""
-    if op == "shift":
-        lo, hi = lo + c, hi + c
-    elif op == "scale":
-        lo, hi = sorted((c * lo, c * hi))
-    else:
-        lo, hi = (0.0 if lo < 0.0 < hi else min(lo * lo, hi * hi)), max(lo * lo, hi * hi)
+def _outward(step, lo, hi):
+    """An interval that holds the image of [lo, hi] under one map step (a
+    wrapper of `distributions._chain`), exactly and in floats: each end of
+    the step's image, rounded to nearest, moved one float outward."""
+    lo, hi = step._image(lo, hi)
     return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
 
 

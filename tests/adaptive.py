@@ -23,12 +23,12 @@ def adaptive_log_moment(spec, p):
     k < 2000, which holds every term above e^-700 of the largest."""
     base, steps = base_and_steps(spec)
     peeled = 0.0
-    while steps and steps[-1][0] != "shift":
-        (op, c), steps = steps[-1], steps[:-1]
-        if op == "square":
+    while steps and not isinstance(steps[-1], D.Shifted):
+        step, steps = steps[-1], steps[:-1]
+        if isinstance(step, D.SquareOf):
             p = 2 * p
         else:
-            peeled += p * math.log(abs(c))
+            peeled += p * math.log(abs(step.factor))
 
     def log_h(x):
         with np.errstate(divide="ignore"):

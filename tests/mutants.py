@@ -32,6 +32,7 @@ RUNS_ENTRY = "Run-length proxy profiles"
 TAIL_ENTRY = "Cold ψ searches end at a certified tail"
 MOMENTS_ENTRY = "Cold ψ searches at the cost of their moments"
 WALK_ENTRY = "One constructor and one exact walk"
+STEP_ENTRY = "One map step, one class"
 
 
 class Mutant(NamedTuple):
@@ -134,7 +135,7 @@ MUTANTS = (
            ("tests/test_distributions.py::TestMoments::test_the_rest_of_a_poisson_series_is_bounded",),
            MOMENTS_ENTRY),
     Mutant("distributions.py",  # a shift step adds nothing to M
-           "            log_m = float(np.logaddexp(log_m, math.log(abs(c))))\n",
+           "            log_m = float(np.logaddexp(log_m, math.log(abs(step.offset))))\n",
            "            pass\n",
            ("tests/test_distributions.py::TestMoments::test_the_rest_of_a_poisson_series_is_bounded",),
            MOMENTS_ENTRY),
@@ -165,6 +166,22 @@ MUTANTS = (
            ("tests/test_distributions.py::TestValidation::test_bad_probs",
             "tests/test_distributions.py::TestFoldedLaws::test_a_merge_whose_probs_leave_one_is_refused"),
            WALK_ENTRY),
+    Mutant("distributions.py",  # the square of an interval that holds 0 read from its ends only
+           "        return (0.0 if lo < 0 < hi else min(lo * lo, hi * hi)), max(lo * lo, hi * hi)\n",
+           "        return min(lo * lo, hi * hi), max(lo * lo, hi * hi)\n",
+           ("tests/test_distributions.py::TestSupportInterval::test_square_transform",
+            "tests/test_orlicz.py::TestTailBounds::test_the_walked_support_holds_the_image"),
+           STEP_ENTRY),
+    Mutant("distributions.py",  # a square step's preimages without the negative root
+           "for r in {math.sqrt(y), -math.sqrt(y)}]",
+           "for r in {math.sqrt(y)}]",
+           ("tests/test_distributions.py::TestZeros::test_the_listed_zeros_are_every_zero_of_the_map",),
+           STEP_ENTRY),
+    Mutant("distributions.py",  # the probabilities summed in their order
+           "    total = math.fsum(probs)",
+           "    total = np.add.reduce(probs)",
+           ("tests/test_distributions.py::TestValidation::test_a_probability_sum_is_checked_in_no_order",),
+           STEP_ENTRY),
 )
 
 

@@ -319,7 +319,7 @@ class TestEntropyCheck:
                                      "probs": [0.9, 0.1]})
         assert run(capsys, "entropy-check", "--spec", spec) == (
             1, "", "error: FiniteSupport(values=(-1.7e+308, 1.7e+308), probs=(0.9, 0.1)) after "
-            "the map step ('shift', 1.3600000000000001e+308): values must be finite, got inf\n")
+            "the map step Shifted(offset=1.3600000000000001e+308): values must be finite, got inf\n")
 
     def test_continuous_rejected(self, capsys):
         code, _, err = run(capsys, "entropy-check", "--spec", config("exp1.json"))
@@ -1430,20 +1430,20 @@ class TestOverflowPaths:
         (_sum({"kind": "square_of", "base": _FINITE_1E300}),
          ["invert", "--bounds", "thm2", "--delta", "0.01"],
          "FiniteSupport(values=(-1.0, 1000.0, 1e+300), probs=(0.25, 0.5, 0.25)) after the map "
-         "step ('square', None): values must be finite, got inf"),
+         "step SquareOf(): values must be finite, got inf"),
         (_sum({"kind": "square_of", "base": {"kind": "gaussian", "mean": 0, "sd": 1e200}}),
          ["invert", "--bounds", "thm2", "--delta", "0.01"],
          "E|X|^p at p=2.0 of Gaussian(mean=0.0, sd=1e+200) is past the largest float: its ln "
          "is 921.0340371976183"),
         (_scaled(_FINITE_1E200, 1e200), ["norms", "--alpha", "1"],
          "FiniteSupport(values=(1.0, 1e+200), probs=(0.5, 0.5)) after the map step "
-         "('scale', 1e+200): values must be finite, got inf"),
+         "Scaled(factor=1e+200): values must be finite, got inf"),
         # the overflowed atom used to merge into the other: f read as a.s.
         # constant, with bound probability 0.0
         ({"kind": "metric_lipschitz", "lip": 1, "coordinate_dists": [_scaled(_FINITE_1E200, 1e200)],
           "maps": ["identity"]}, ["bound", "--bounds", "thm2", "--t-grid", "1:2:2"],
          "FiniteSupport(values=(1.0, 1e+200), probs=(0.5, 0.5)) after the map step "
-         "('scale', 1e+200): values must be finite, got inf"),
+         "Scaled(factor=1e+200): values must be finite, got inf"),
         ({"kind": "metric_lipschitz", "lip": 1, "coordinate_dists": [_HUGE_GAUSSIAN],
           "maps": ["identity"]}, ["bound", "--bounds", "thm2", "--t-grid", "1:9:3"],
          "the psi1 diameter of Scaled(base=Gaussian(mean=0.0, sd=1e+300), factor=200000000.0) "

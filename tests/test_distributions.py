@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import gc
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.special import erf, erfc, erfi, gammaln
 
@@ -117,6 +119,21 @@ class TestValidation:
         with pytest.raises(D.SpecError, match="eps"):
             D.validate(D.TwoPointEps(1.5))
 
+    def test_a_probability_sum_is_checked_in_no_order(self):
+        # the exact sum of these probs is 1 + 1.00008e-12; summed in order it
+        # read 1 + 9.999e-13 as built, so the law was accepted, and 1 + 1e-12
+        # reversed.  With 10 ulps off one prob, 1 + 9.995e-13: accepted
+        values = (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
+        probs = (0.12674626242573492, 0.3815878093626404, 0.28132891801042115,
+                 0.048649731321136085, 0.15106422406973102, 0.01062305481133649)
+        inside = list(probs)
+        inside[1] = 0.38158780936263986
+        for order in itertools.permutations(range(len(values))):
+            with pytest.raises(D.SpecError, match=(
+                    r"^probs must sum to 1 within 1e-12, got sum 1\.000000000001$")):
+                D.FiniteSupport([values[i] for i in order], [probs[i] for i in order])
+            D.FiniteSupport([values[i] for i in order], [inside[i] for i in order])
+
     @pytest.mark.parametrize("build", [
         lambda: D.Gaussian(mean=math.nan),
         lambda: D.Exponential(rate=math.inf),
@@ -207,18 +224,24 @@ class TestMoments:
         est = psi_norm(spec, 1)
         assert est.p_star == 1.0 and est.value == pytest.approx(199995.0, rel=1e-12)
 
-    @pytest.mark.parametrize("lam, steps", [
-        (5.0, (("shift", -2e5),)), (1.5, (("scale", 3.0), ("shift", -7e5))),
-        (2.0, (("shift", -3.0), ("square", None), ("shift", -1e5))),
-        (40.0, (("scale", -0.5), ("shift", 1.5e5)))], ids=repr)
-    def test_the_rest_of_a_poisson_series_is_bounded(self, lam, steps):
+    @pytest.mark.parametrize("law", [
+        D.Shifted(D.Poisson(5.0), -2e5), D.Shifted(D.Scaled(D.Poisson(1.5), 3.0), -7e5),
+        D.Shifted(D.SquareOf(D.Shifted(D.Poisson(2.0), -3.0)), -1e5),
+        D.Shifted(D.Scaled(D.Poisson(40.0), -0.5), 1.5e5)], ids=str)
+    def test_the_rest_of_a_poisson_series_is_bounded(self, law):
         # the bound on ln of the terms past n against their sum out to n +
         # 4e4, and against the sum of the terms M^q (1 + k)^(q d) P(k) that
         # bound them, M and d walked through the steps here
-        qs = np.array([1.0, 8.0, 64.0, 256.0])
+        base, steps = D._chain(law)
+        lam, qs = base.rate, np.array([1.0, 8.0, 64.0, 256.0])
         m_, d = 1.0, 1
-        for op, c in steps:
-            m_, d = (m_ + abs(c), d) if op == "shift" else (m_ * abs(c), d) if op == "scale" else (m_ * m_, 2 * d)
+        for step in steps:
+            if isinstance(step, D.Shifted):
+                m_ += abs(step.offset)
+            elif isinstance(step, D.Scaled):
+                m_ *= abs(step.factor)
+            else:
+                m_, d = m_ * m_, 2 * d
 
         def log_sum(terms):
             m = terms.max(axis=1)
@@ -570,8 +593,8 @@ class TestFoldedLaws:
                               (0.3225360967782188, 0.3491606779558808, 0.3283032252669003))
         assert D.canonical(law) is law
         with pytest.raises(D.SpecError, match=(
-                rf"^{re.escape(repr(law))} after the map step \('square', None\): "
-                r"probs must sum to 1 within 1e-12, got sum np\.float64\(1\.000000000001\)$")):
+                rf"^{re.escape(repr(law))} after the map step SquareOf\(\): "
+                r"probs must sum to 1 within 1e-12, got sum 1\.000000000001$")):
             D.canonical(D.SquareOf(law))
 
     def test_a_far_shifted_poisson_keeps_its_norm(self):
@@ -762,6 +785,47 @@ class TestLawMemo:
             gc.enable()
         assert len(D._laws) <= 8 and len(built) > 40 * 3     # records were dropped and built again
         assert 1 <= max(counts) <= 2 * D._LAWS
+
+
+# a chain of one to five map steps around a law whose steps are not read
+_MAP_STEP = st.one_of(st.floats(-3.0, 3.0).map(lambda c: lambda law: D.Shifted(law, c)),
+                      (st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)).map(
+                          lambda c: lambda law: D.Scaled(law, c)),
+                      st.just(D.SquareOf))
+_STEP_CHAIN = st.lists(_MAP_STEP, min_size=1, max_size=5).map(
+    lambda wraps: functools.reduce(lambda law, wrap: wrap(law), wraps, D.Exponential(1.0)))
+
+
+class TestZeros:
+    """`_zeros` lists the real zeros of a chain's map g: the cuts of the
+    numeric moment path and the breakpoints of the adaptive oracle."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(_STEP_CHAIN)
+    @example(D.Shifted(D.SquareOf(D.Exponential(1.0)), -1.0))
+    @example(D.SquareOf(D.Shifted(D.SquareOf(D.Shifted(D.Exponential(1.0), 0.5)), -2.0)))
+    def test_the_listed_zeros_are_every_zero_of_the_map(self, law):
+        _, steps = D._chain(law)
+        zeros = D._zeros(steps)
+
+        def size(x):    # |x| pushed through the steps with every term's magnitude
+            for step in steps:
+                x = (x + abs(step.offset) if isinstance(step, D.Shifted) else
+                     abs(step.factor) * x if isinstance(step, D.Scaled) else x * x)
+            return x
+        for z in zeros:     # a zero within the rounding of the terms g adds up
+            assert abs(D._apply(steps, np.array([z]))[0]) <= 1e-12 * size(abs(z)), z
+        # every zero lies within r of 0: the preimage of 0 with magnitudes
+        r = 0.0
+        for step in reversed(steps):
+            r = (r + abs(step.offset) if isinstance(step, D.Shifted) else
+                 r / abs(step.factor) if isinstance(step, D.Scaled) else math.sqrt(r))
+        xs = np.linspace(-r - 1.0, r + 1.0, 20001)
+        h = xs[1] - xs[0]
+        g = D._apply(steps, xs)
+        # a sign change or a 0 of g on the grid has a listed zero within a step
+        for i in np.flatnonzero((g[:-1] * g[1:] < 0) | (g[:-1] == 0)):
+            assert any(xs[i] - h <= z <= xs[i + 1] + h for z in zeros), (xs[i], zeros)
 
 
 class TestLiveWindow:
@@ -1201,10 +1265,9 @@ class TestCanonical:
         assert D.canonical(D.Centered(spec)).probs == (0.5, 0.5)
 
     @pytest.mark.parametrize("spec, step", [
-        (D.Scaled(D.FiniteSupport([1.0, 1e200], [0.5, 0.5]), 1e200), "('scale', 1e+200)"),
-        (D.SquareOf(D.FiniteSupport([-1.0, 1e300, 1000.0], [0.25, 0.25, 0.5])),
-         "('square', None)"),
-        (D.Shifted(D.FiniteSupport([0.0, 1e308], [0.5, 0.5]), 1e308), "('shift', 1e+308)"),
+        (D.Scaled(D.FiniteSupport([1.0, 1e200], [0.5, 0.5]), 1e200), "Scaled(factor=1e+200)"),
+        (D.SquareOf(D.FiniteSupport([-1.0, 1e300, 1000.0], [0.25, 0.25, 0.5])), "SquareOf()"),
+        (D.Shifted(D.FiniteSupport([0.0, 1e308], [0.5, 0.5]), 1e308), "Shifted(offset=1e+308)"),
     ], ids=repr)
     def test_a_value_past_the_largest_float_is_refused(self, spec, step):
         # it used to merge into its neighbour, abs(inf - w) <= 1e-15 * inf,

@@ -354,11 +354,11 @@ def fraction_standard_form(spec):
         lo, hi = Fraction(base.lo), Fraction(base.hi)
         a, c = (hi - lo) / 2, (hi + lo) / 2
     a, c = Fraction(a), Fraction(c)
-    for op, x in steps:
-        if op == "shift":
-            c += Fraction(x)
-        elif op == "scale":
-            a, c = a * Fraction(x), c * Fraction(x)
+    for step in steps:
+        if isinstance(step, D.Shifted):
+            c += Fraction(step.offset)
+        elif isinstance(step, D.Scaled):
+            a, c = a * Fraction(step.factor), c * Fraction(step.factor)
         elif c or max(a.numerator.bit_length(), a.denominator.bit_length()) > D._SCALE_BITS:
             return 1.0, spec
         else:
@@ -858,31 +858,31 @@ def walked_support(law):
     law: its primitive's support through each map step."""
     base, steps = D._chain(D.canonical(law))
     lo, hi = base.support()
-    for op, c in steps:
-        lo, hi = O._outward(op, c, lo, hi)
+    for step in steps:
+        lo, hi = O._outward(step, lo, hi)
     return lo, hi
 
 
 def exact_image(lo, hi, steps):
     """The image of [lo, hi] under the map steps, in exact rationals."""
     lo, hi = Fraction(lo), Fraction(hi)
-    for op, c in steps:
-        if op == "shift":
-            lo, hi = lo + Fraction(c), hi + Fraction(c)
-        elif op == "scale":
-            lo, hi = sorted((Fraction(c) * lo, Fraction(c) * hi))
+    for step in steps:
+        if isinstance(step, D.Shifted):
+            lo, hi = lo + Fraction(step.offset), hi + Fraction(step.offset)
+        elif isinstance(step, D.Scaled):
+            lo, hi = sorted((Fraction(step.factor) * lo, Fraction(step.factor) * hi))
         else:
             lo, hi = (0 if lo < 0 < hi else min(lo * lo, hi * hi)), max(lo * lo, hi * hi)
     return lo, hi
 
 
-_step = st.one_of(st.tuples(st.just("shift"), st.floats(-3.0, 3.0)),
-                  st.tuples(st.just("scale"), _factor), st.just(("square", None)))
-_CHAINED = {"shift": D.Shifted, "scale": D.Scaled, "square": lambda law, _: D.SquareOf(law)}
+# a map step, as the function that wraps a law in it
+_step = st.one_of(st.floats(-3.0, 3.0).map(lambda c: lambda law: D.Shifted(law, c)),
+                  _factor.map(lambda c: lambda law: D.Scaled(law, c)), st.just(D.SquareOf))
 # laws whose canonical form keeps map steps: uniforms under a square, and
 # UniformGap, which no step folds into
 _chained = st.builds(
-    lambda base, steps: functools.reduce(lambda law, step: _CHAINED[step[0]](law, step[1]), steps, base),
+    lambda base, steps: functools.reduce(lambda law, step: step(law), steps, base),
     st.one_of(_uniform.map(D.SquareOf), st.builds(D.UniformGap, _pos)),
     st.lists(_step, max_size=4))
 # laws with a tail bound: bounded ones, Chi laws, and at alpha = 1 those
