@@ -22,10 +22,11 @@ shape: a centered law drops its last shift, and the scale steps of its
 chain move out in front with the scale of its base (sd N(0, 1), a
 half-width times U(-1, 1), |a| / rate Centered(Exponential(1)), sd^2
 Centered(ChiSquared(1)) for a centered (sd Z)^2, ...).  psi norms are
-searched once per standard law.  The moments of a centered shape are its
-standard law's rows plus p ln scale; every other law reads its own
-parameters.  Every query reads its spec's one record (`_law`), in one
-bounded memo: the form, standard form, moment rows and psi estimates.
+searched once per standard law.  The moments of a chain whose standard
+law is another law of mean 0 are that law's rows plus p ln scale; every
+other law reads its own parameters.  Every query reads its spec's one
+record (`_law`), in one bounded memo: the form, standard form, moment rows
+and psi estimates.
 """
 from __future__ import annotations
 
@@ -600,18 +601,13 @@ _POISSON_TERMS = 100000     # the terms past which a Poisson series is not built
 def _poisson_rest(lam, steps, qs, n):
     """For each q > 0 of qs, an upper bound on ln of the rest of the series
     of E|g(X)|^q past its first n terms, X ~ Poisson(lam): |g(k)| <= M (1 +
-    k)^d for k >= 0 (each shift adds |c| to M, a scale multiplies it by |c|,
-    a square squares M and doubles d), and the terms of (1 + k)^(q d) P(k)
-    fall by a ratio that decreases in k, at most r at k = n, so the rest is
-    at most M^q (1 + n)^(q d) P(n) / (1 - r); inf where r >= 1."""
+    k)^d for k >= 0 (M and d walked through each step's `_growth`), and the
+    terms of (1 + k)^(q d) P(k) fall by a ratio that decreases in k, at most
+    r at k = n, so the rest is at most M^q (1 + n)^(q d) P(n) / (1 - r); inf
+    where r >= 1."""
     log_m, d = 0.0, 1
     for step in steps:
-        if type(step) is Scaled:
-            log_m += math.log(abs(step.factor))
-        elif type(step) is SquareOf:
-            log_m, d = 2.0 * log_m, 2 * d
-        elif step.offset:
-            log_m = float(np.logaddexp(log_m, math.log(abs(step.offset))))
+        log_m, d = step._growth(log_m, d)
     r = np.exp(qs * (d * math.log1p(1.0 / (n + 1)))) * (lam / (n + 1))
     head = qs * (log_m + d * math.log1p(n)) + n * math.log(lam) - lam - math.lgamma(n + 1.0)
     return np.where(r < 1.0, head - np.log1p(-r), math.inf)     # under the caller's np.errstate
@@ -857,8 +853,13 @@ class _Step(Distribution):
     subclass states once: `_map` of an array (in place into `out` if given),
     `_image` of an interval [lo, hi], each end rounded to nearest, and
     `_preimages` of a list of values.  Drawing, the support, the fold,
-    `_apply` and `_zeros` read these; the walks of a chain (`_chain`) that
-    need more switch on the step's class and read its offset or factor."""
+    `_apply` and `_zeros` read these.  Each also states its step of the fold
+    of `orlicz._tail_bound`, `_tail(tail, log_scale, shift)`: tail is that
+    of the law Y of the last square or primitive read, and e^log_scale Y +
+    shift the map of the affine steps read since (`_tail_sum`); and (ln M,
+    d) with |g(x)| <= M (1 + |x|)^d, `_growth` (`_poisson_rest`).  Only the
+    exact walk of `_standard_form`, `_push` and `Gaussian._affine` switch on
+    the step's class."""
     base: Distribution
 
     def fill(self, rng, out):
@@ -867,6 +868,7 @@ class _Step(Distribution):
 
     def support(self): return self._image(*self.base.support())
     def _fold(self): return _law(self.base).form._push(self)
+    max_psi_alpha = property(lambda self: self.base.max_psi_alpha)     # a square's halves it
 
     def _text(self):
         """The step without its base, as in "Scaled(factor=2.0)"."""
@@ -890,6 +892,11 @@ class Shifted(_Step):
     def _image(self, lo, hi): return lo + self.offset, hi + self.offset
     def _preimages(self, ys): return [y - self.offset for y in ys]
 
+    def _tail(self, tail, log_scale, shift): return tail, log_scale, shift + self.offset
+
+    def _growth(self, log_m, d):
+        return (float(np.logaddexp(log_m, math.log(abs(self.offset)))) if self.offset else log_m), d
+
 
 @dataclass(frozen=True)
 class Scaled(_Step):
@@ -902,6 +909,10 @@ class Scaled(_Step):
     def _map(self, x, out=None): return np.multiply(self.factor, x, out=out)
     def _image(self, lo, hi): return tuple(sorted((self.factor * lo, self.factor * hi)))
     def _preimages(self, ys): return [y / self.factor for y in ys]
+    def _growth(self, log_m, d): return log_m + math.log(abs(self.factor)), d
+
+    def _tail(self, tail, log_scale, shift):
+        return tail, log_scale + math.log(abs(self.factor)), shift * self.factor
 
     def log_abs_moments(self, ps):
         return ps * math.log(abs(self.factor)) + self.base.log_abs_moments(ps)
@@ -919,9 +930,21 @@ class SquareOf(_Step):
     def expectation(self): return abs_moment(self.base, 2.0)     # ||base||_2^2
     def _map(self, x, out=None): return np.square(x, out=out)
     def _preimages(self, ys): return [r for y in ys if y >= 0 for r in {math.sqrt(y), -math.sqrt(y)}]
+    def _growth(self, log_m, d): return 2.0 * log_m, 2 * d
+    # ||Y^2||_psi_alpha = ||Y||_psi_2alpha^2
+    max_psi_alpha = property(lambda self: self.base.max_psi_alpha and self.base.max_psi_alpha / 2)
 
     def _image(self, lo, hi):
         return (0.0 if lo < 0 < hi else min(lo * lo, hi * hi)), max(lo * lo, hi * hi)
+
+    def _tail(self, tail, log_scale, shift):
+        # ||Y^2||_p = ||Y||_2p^2: T(p0; alpha) = 2 T_Y(2 p0; 2 alpha) + ln(2) /
+        # alpha, Y asked at (best - ln(2) / alpha - the square's log-scale) / 2
+        def square(best, p0, alpha, outer_scale, outer_shift):
+            half = math.log(2.0) / alpha
+            t = tail((best - half - outer_scale) / 2.0, 2.0 * p0, 2 * alpha, log_scale, shift)
+            return _tail_sum((2.0 * t, half), outer_scale, outer_shift, -math.log(p0) / alpha)
+        return square, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -947,6 +970,24 @@ class Centered(Distribution):
 _UNIT_GAUSSIAN, _UNIT_EXPONENTIAL = Gaussian(0.0, 1.0), Exponential(1.0)
 _UNIT_UNIFORM, _UNIT_GAP = UniformInterval(-1.0, 1.0), UniformGap(1.0)
 _UNIT_CHI2 = ChiSquared(1)      # N(0, 1)^2
+
+
+# the outward margin of a tail bound, per unit of 1 + the sum of its terms'
+# magnitudes: it covers the rounding of its logs, MGF, scale and shift
+_TAIL_MARGIN = 2.0 ** -30
+
+
+def _tail_sum(terms, log_scale=0.0, shift=0.0, log_p0=0.0):
+    """T(p0) of e^log_scale Y + shift, T of Y the sum of terms, log_p0 =
+    -ln(p0) / alpha: ln(e^(T + log_scale) + |shift| p0^(-1/alpha)) by
+    Minkowski, each sum widened by _TAIL_MARGIN per unit of 1 + its terms'
+    magnitudes, so above the exact sum of the values they round."""
+    terms = (*terms, log_scale)
+    t = sum(terms) + _TAIL_MARGIN * (1.0 + sum(map(abs, terms)))
+    if shift:
+        t = float(np.logaddexp(t, math.log(abs(shift)) + log_p0))
+        t += _TAIL_MARGIN * (1.0 + abs(t))
+    return t
 
 
 def _wrap_sum(base, n, wrap):
@@ -1106,12 +1147,11 @@ class _Record:
         """ln E|X|^p at an array ps of finite orders > 0, unchecked: the
         rows of the record read, plus p ln scale (see `log_abs_moments`)."""
         if self._read is None:
-            read = None, None   # a primitive form's standard law is never a Centered one
+            read = None, None   # a primitive form reads its own parameters
             if isinstance(self.form, _Step):
                 scale, standard = self.standard()
-                if isinstance(standard, Centered):
-                    law = _law(standard)
-                    read = None if law is self else law, None if scale == 1.0 else math.log(scale)
+                if standard != self.spec and standard.expectation() == 0.0:
+                    read = _law(standard), None if scale == 1.0 else math.log(scale)
             self._read = read
         law, log_scale = self._read
         rows = (law or self)._rows(ps)
@@ -1209,9 +1249,11 @@ def _not_nan(lm, p):
 def log_abs_moments(spec, ps) -> np.ndarray:
     """ln E|X|^p for every finite p > 0 of the 1-d array ps, in one batched pass.
 
-    A law whose standard law (see `standard_form`) is a Centered one takes
-    the numeric path: its moments are the standard law's plus p ln scale.
-    Every other law is a closed form, or its own standard law, and reads
+    A chain of map steps whose standard law (see `standard_form`) is another
+    law of mean 0, a Centered one or a unit law, reads its moments as the
+    standard law's plus p ln scale: a shift that cancels in floats, as in
+    Centered(Shifted(U(0, 1), 1e300)), leaves no map to integrate.  Every
+    other law is a closed form, or its own standard law, and reads
     its own parameters, so that no closed form moves by the rounding of a
     scale.  Either way the rows are read through the record of the law
     read (`_law`), which keeps them by p.  Every family implements this

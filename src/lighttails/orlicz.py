@@ -9,7 +9,9 @@ beats the best ratio, and ends only at a certified tail T(p0) past p0 = 8,
 - a bounded support |Z| <= M gives T(p0) = ln M - ln(p0) / alpha;
 - an exponential moment S >= E exp(lambda |Z|^a), a >= alpha, gives T(p0)
   = (ln S + ln Gamma(p0/a + 1)) / p0 - ln(lambda) / a - ln(p0) / alpha;
-- a shift by c adds at most |c| p^(-1/alpha) to the ratio (Minkowski);
+- each map step moves T by its own rule (`distributions._Step`): a scale
+  c adds ln|c|, a shift b its Minkowski term |b| p0^(-1/alpha), and a
+  square reads its base at 2 p0 and 2 alpha, T = 2 T_Y + ln(2) / alpha;
 - an unbounded family states its largest alpha with a finite norm, which
   each square step halves: below alpha, the norm is infinite.
 The search reads the moment rows of the law's record (`distributions._law`)
@@ -60,9 +62,7 @@ _P0 = {1: (8.0,), 2: (8.0, 16.0)}
 # for K the best ratio read: any lambda > 0 is valid, these suit the catalogue
 _GUESS = {1: math.log(0.65), 2: math.log(0.25)}
 _STEP, _ROUNDS = 1.5, 6     # the first step in ln(lambda) of `_moment_tail`, and its rounds
-# the outward margin of a tail bound, per unit of 1 + the sum of its terms'
-# magnitudes: it covers the rounding of its logs, MGF, scale and shift
-_TAIL_MARGIN = 2.0 ** -30
+_LOG_MIN = math.log(sys.float_info.min)     # the least first ln(lambda), where a shift sets T
 TAIL_BOUND = "tail-bound"   # the method of an estimate whose upper T(256) sets
 
 
@@ -209,70 +209,66 @@ def _check_finite(ps, phis):
 
 def _tail_bound(law, alpha):
     """tail(best, p0) of `_sup_ratio` for a law's record: T(p0) >= ln(||Z||_p
-    / p^(1/alpha)) at every p >= p0, rounded outward by _TAIL_MARGIN, inf
-    where there is none; NotSubGaussianError or NotSubExponentialError where
-    the primitive X's `max_psi_alpha`, halved by each square step, is below
-    alpha.  T(p0) of an exponential moment holds past p0 as x^k <= Gamma(k+1)
-    e^x and Gamma(p/a + 1)^(1/p) / p^(1/alpha) is nonincreasing.  With no
-    square step and a closed-form `squared_mgf`, Z = s U + b for X's unit
-    law U: a = 2, S = U.squared_mgf(lambda), ln |s| added, and b by
-    Minkowski.  Else at alpha = 1 with a closed-form MGF (no square step, or
-    one first square of a closed-form `squared_mgf`): a = 1 and S =
-    mgf(lambda) + mgf(-lambda).
+    / p^(1/alpha)) at every p >= p0, rounded outward, inf where there is
+    none; NotSubGaussianError or NotSubExponentialError where the form's
+    `max_psi_alpha` (the primitive X's, halved by each square step) is
+    below alpha.  A bounded X reads its support walked through each map
+    step.  At alpha = 1, a form with a closed-form MGF (X has no squared
+    MGF, or the first step squares it) reads that: a = 1, S = mgf(lambda)
+    + mgf(-lambda).  Else X = s U + b, for U its unit law, reads U's
+    squared MGF, a = 2, folded over the map steps by their `_tail`.
     """
-    base, steps = dist._chain(law.form)
+    form = law.form
+    base, steps = dist._chain(form)
     lo, hi = base.support()
     if max(-lo, hi) < math.inf:
         for step in steps:
             lo, hi = _outward(step, lo, hi)
         return _support_tail(max(-lo, hi), alpha)
-    squares = [i for i, step in enumerate(steps) if type(step) is dist.SquareOf]
-    top = base.max_psi_alpha
-    if top is not None and top / 2 ** len(squares) < alpha:
-        halved = f", and {len(squares)} square step(s) halve that to {top / 2 ** len(squares):g}"
+    top, fact = form.max_psi_alpha, base.max_psi_alpha
+    if top is not None and top < alpha:
+        halved = f", and {round(math.log2(fact / top))} square step(s) halve that to {top:g}"
         raise _INFINITE[alpha](f"{type(base).__name__} laws have finite psi norms only up to "
-                               f"alpha = {top}{halved * bool(squares)}")
-    squared = type(base).squared_mgf is not dist.Distribution.squared_mgf
-    if squared and not squares:
-        s, b, unit = base.unit_law()
-        log_scale = math.log(s)
-        for step in steps:      # shifts and scales
-            log_scale, b = ((log_scale, b + step.offset) if type(step) is dist.Shifted else
-                            (log_scale + math.log(abs(step.factor)), b * step.factor))
-        return _moment_tail(lambda lam: math.log(unit.squared_mgf(lam)), 2, alpha, log_scale, abs(b))
-    closed = squares == [0] and squared or not squares and type(base).mgf is not dist.Distribution.mgf
-    if alpha == 1 and closed:     # Z has a closed-form MGF
-        form = law.form
-        return _moment_tail(lambda lam: math.log(dist._mgf(form, lam) + dist._mgf(form, -lam)), 1, alpha)
-    return lambda best, p0: math.inf
+                               f"alpha = {fact}{halved * (top != fact)}")
+    if alpha == 1 and (type(base).squared_mgf is dist.Distribution.squared_mgf
+                       or steps and steps[0].max_psi_alpha != fact):
+        mgf_tail = _moment_tail(lambda lam: math.log(dist._mgf(form, lam) + dist._mgf(form, -lam)), 1)
+        return lambda best, p0: mgf_tail(best, p0, alpha, 0.0, 0.0)
+    s, b, unit = base.unit_law()
+    tail, log_scale, shift = _moment_tail(lambda lam: math.log(unit.squared_mgf(lam)), 2), math.log(s), b
+    for step in steps:
+        tail, log_scale, shift = step._tail(tail, log_scale, shift)
+    return lambda best, p0: tail(best, p0, alpha, log_scale, shift)
 
 
 def _support_tail(m, alpha):
     """tail(best, p0) of `_tail_bound` for |Z| <= m, read only where Z is not 0."""
-    return lambda best, p0: _outward_sum(math.log(m), -math.log(p0) / alpha)
+    return lambda best, p0: dist._tail_sum((math.log(m), -math.log(p0) / alpha))
 
 
-def _moment_tail(log_s, a, alpha, log_scale=0.0, shift=0.0):
-    """tail(best, p0) of `_tail_bound` from log_s(lambda) >= ln E exp(lambda
-    |Y|^a), which raises OverflowError, NotImplementedError or
-    MomentDivergenceError where it has none, for Z = e^log_scale Y + shift
-    in law.  T is convex in u = ln(lambda) where finite, so a pattern
-    search from _GUESS reads it: a step each way, to the lower value, the
-    step halved each round, until a value is not above best.  lambda is a
-    normal float, so that ln(lambda) is u within the margin."""
-    def tail(best, p0):
+def _moment_tail(log_s, a):
+    """tail(best, p0, alpha, log_scale, shift) of `_tail_bound` from
+    log_s(lambda) >= ln E exp(lambda |Y|^a), which raises OverflowError,
+    NotImplementedError or MomentDivergenceError where it has none, for Z
+    = e^log_scale Y + shift (`distributions._tail_sum`), a >= alpha: T(p0)
+    holds past p0 as x^k <= Gamma(k+1) e^x and Gamma(p/a + 1)^(1/p) /
+    p^(1/alpha) is nonincreasing.  T is convex in u = ln(lambda) where
+    finite, so a pattern search from _GUESS reads it: a step each way, to
+    the lower value, the step halved each round, until a value is not above
+    best.  lambda is a normal float, so that ln(lambda) is u within the
+    margin."""
+    def tail(best, p0, alpha, log_scale, shift):
         log_gamma, log_p0 = math.lgamma(p0 / a + 1.0) / p0, -math.log(p0) / alpha
 
         def bound(u):       # T(p0) at lambda = e^u
             try:
                 lam = math.exp(u)
-                t = _outward_sum(log_s(lam) / p0, log_gamma, -u / a, log_p0, log_scale)
+                t = log_s(lam) / p0
             except (OverflowError, NotImplementedError, dist.MomentDivergenceError):
                 return math.inf
-            if shift:
-                t = _outward_sum(float(np.logaddexp(t, math.log(shift) + log_p0)))
+            t = dist._tail_sum((t, log_gamma, -u / a, log_p0), log_scale, shift, log_p0)
             return t if lam >= sys.float_info.min else math.inf
-        u, step = _GUESS[a] - a * (best - log_scale), _STEP
+        u, step = max(_GUESS[a] - a * (best - log_scale), _LOG_MIN), _STEP
         least = bound(u)
         for _ in range(_ROUNDS):
             if least <= best:
@@ -289,12 +285,6 @@ def _outward(step, lo, hi):
     the step's image, rounded to nearest, moved one float outward."""
     lo, hi = step._image(lo, hi)
     return math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-
-
-def _outward_sum(*terms):
-    """The sum of terms, widened by _TAIL_MARGIN per unit of 1 + their
-    magnitudes: above the exact sum of the values they round."""
-    return sum(terms) + _TAIL_MARGIN * (1.0 + sum(map(abs, terms)))
 
 
 def psi_norm(spec, alpha) -> OrliczEstimate:

@@ -33,6 +33,7 @@ TAIL_ENTRY = "Cold ψ searches end at a certified tail"
 MOMENTS_ENTRY = "Cold ψ searches at the cost of their moments"
 WALK_ENTRY = "One constructor and one exact walk"
 STEP_ENTRY = "One map step, one class"
+FOLD_ENTRY = "One tail rule per map step"
 
 
 class Mutant(NamedTuple):
@@ -61,9 +62,9 @@ MUTANTS = (
             "tests/test_orlicz.py::TestCertificate::"
             "test_a_centered_chi_psi2_norm_is_set_by_its_tail_bound"),
            PSI_ENTRY),
-    Mutant("orlicz.py",
-           "if top is not None and top / 2 ** len(squares) < alpha:",
-           "if top is not None and top < alpha:",
+    Mutant("distributions.py",  # a square keeps its base's largest alpha
+           "max_psi_alpha = property(lambda self: self.base.max_psi_alpha and self.base.max_psi_alpha / 2)",
+           "max_psi_alpha = property(lambda self: self.base.max_psi_alpha)",
            ("tests/test_orlicz.py::TestDivergence::test_the_proof_names_the_law_and_the_ratio_grows",
             "tests/test_orlicz.py::TestColdCorpus::test_every_refusal_is_decided"),
            PSI_ENTRY),
@@ -119,9 +120,9 @@ MUTANTS = (
            "    return lo, hi\n",
            ("tests/test_orlicz.py::TestTailBounds::test_the_walked_support_holds_the_image",),
            TAIL_ENTRY),
-    Mutant("orlicz.py",         # a tail bound with no outward margin
-           "    return sum(terms) + _TAIL_MARGIN * (1.0 + sum(map(abs, terms)))\n",
-           "    return sum(terms)\n",
+    Mutant("distributions.py",  # a tail bound with no outward margin
+           "    t = sum(terms) + _TAIL_MARGIN * (1.0 + sum(map(abs, terms)))\n",
+           "    t = sum(terms)\n",
            ("tests/test_orlicz.py::TestTailBounds::test_a_support_bound_rounds_outward",),
            TAIL_ENTRY),
     Mutant("distributions.py",  # the rest's ratio without the power d
@@ -135,8 +136,8 @@ MUTANTS = (
            ("tests/test_distributions.py::TestMoments::test_the_rest_of_a_poisson_series_is_bounded",),
            MOMENTS_ENTRY),
     Mutant("distributions.py",  # a shift step adds nothing to M
-           "            log_m = float(np.logaddexp(log_m, math.log(abs(step.offset))))\n",
-           "            pass\n",
+           "        return (float(np.logaddexp(log_m, math.log(abs(self.offset)))) if self.offset else log_m), d\n",
+           "        return log_m, d\n",
            ("tests/test_distributions.py::TestMoments::test_the_rest_of_a_poisson_series_is_bounded",),
            MOMENTS_ENTRY),
     Mutant("distributions.py",  # the window scan's ends pass always skipped
@@ -182,6 +183,28 @@ MUTANTS = (
            "    total = np.add.reduce(probs)",
            ("tests/test_distributions.py::TestValidation::test_a_probability_sum_is_checked_in_no_order",),
            STEP_ENTRY),
+    Mutant("distributions.py",  # the square rule without its ln(2) / alpha
+           "            return _tail_sum((2.0 * t, half), outer_scale, outer_shift, -math.log(p0) / alpha)\n",
+           "            return _tail_sum((2.0 * t,), outer_scale, outer_shift, -math.log(p0) / alpha)\n",
+           ("tests/test_orlicz.py::TestTailBounds::test_a_tail_bound_covers_every_ratio_past_p0",
+            "tests/test_orlicz.py::TestTailBounds::test_a_square_of_a_shifted_chi_reads_its_base_at_2p0"),
+           FOLD_ENTRY),
+    Mutant("distributions.py",  # the square's base asked at p0, not 2 p0
+           "t = tail((best - half - outer_scale) / 2.0, 2.0 * p0, 2 * alpha, log_scale, shift)",
+           "t = tail((best - half - outer_scale) / 2.0, p0, 2 * alpha, log_scale, shift)",
+           ("tests/test_orlicz.py::TestTailBounds::test_a_square_of_a_shifted_chi_reads_its_base_at_2p0",),
+           FOLD_ENTRY),
+    Mutant("distributions.py",  # a shift with no Minkowski term
+           "    if shift:\n        t = float(np.logaddexp(",
+           "    if False:\n        t = float(np.logaddexp(",
+           ("tests/test_orlicz.py::TestTailBounds::test_a_shift_adds_its_minkowski_term",),
+           FOLD_ENTRY),
+    Mutant("distributions.py",  # a chain reads its standard law only where that is Centered
+           "                if standard != self.spec and standard.expectation() == 0.0:",
+           "                if isinstance(standard, Centered):",
+           ("tests/test_distributions.py::TestMoments::test_a_shift_that_cancels_in_floats_reads_the_standard_law",
+            "tests/test_cli.py::TestOverflowPaths::test_a_far_shifted_uniform_serves_thm3"),
+           FOLD_ENTRY),
 )
 
 

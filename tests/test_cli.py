@@ -1412,6 +1412,9 @@ _TWO_ATOMS = {"kind": "finite_support", "values": [1e20, 1.000000000000001e20],
               "probs": [0.5, 0.5]}
 _WIDE_UNIFORM = {"kind": "uniform", "lo": -1, "hi": 1e300}
 _HUGE_GAUSSIAN = _scaled({"kind": "gaussian", "mean": 0, "sd": 1e300}, 2e8)
+_FAR_UNIFORM = {"kind": "shifted", "offset": 1e300, "base": {"kind": "uniform", "lo": 0.0, "hi": 1.0}}
+_TINY_SQUARE = {"kind": "square_of", "base": {"kind": "shifted", "offset": 1.0, "base": _scaled(
+    {"kind": "gaussian", "mean": 0.0, "sd": 1e-300}, 1e-100)}}
 
 
 class TestOverflowPaths:
@@ -1452,6 +1455,25 @@ class TestOverflowPaths:
     def test_one_error_line_names_the_law(self, spec, argv, message, tmp_path, capsys):
         path = write_spec(tmp_path, spec)
         assert run(capsys, argv[0], "--spec", path, *argv[1:]) == (1, "", f"error: {message}\n")
+
+    def test_a_far_shifted_uniform_serves_thm3(self, tmp_path, capsys):
+        # 1 + 1e300 rounds to 1e300, so the law stays a wrapper whose map is
+        # 0 in floats after centering: its 2p-norm reads 0.5 U(-1, 1), its
+        # standard law, where the quadrature of that map failed
+        path = write_spec(tmp_path, _sum(_FAR_UNIFORM))
+        code, out, err = run(capsys, "bound", "--spec", path, "--bounds", "thm2,thm3", "--p", "2",
+                             "--t-grid", "1:2:2")
+        assert (code, err) == (0, "")
+        assert all(0.0 < r["prob"] <= 1.0 for rows in json.loads(out)["bounds"].values() for r in rows)
+
+    def test_a_square_of_a_shifted_tiny_gaussian_is_certified(self, tmp_path, capsys):
+        # 1e-100 times an sd of 1e-300 underflows, so the chain keeps its
+        # wrappers; the search's first lambda used to underflow too, and no
+        # tail bound ended it
+        code, out, err = run(capsys, "norms", "--spec", write_spec(tmp_path, _TINY_SQUARE), "--alpha", "1")
+        assert (code, err) == (0, "")
+        est = json.loads(out)["estimate"]
+        assert est["upper"] >= est["value"] > 0.0
 
     @pytest.mark.parametrize("spec", [
         {"kind": "vector_norm_of_sum", "n": 1,

@@ -258,6 +258,16 @@ class TestMoments:
             assert (bound >= rest).all(), (n, bound - rest)
             assert (bound[finite] >= dominating[finite] - 1e-9 * np.abs(dominating[finite])).all(), n
 
+    def test_a_shift_that_cancels_in_floats_reads_the_standard_law(self):
+        # 1 + 1e300 rounds to 1e300: the map x + 1e300 - 1e300 is 0 in
+        # floats, and the moments are 0.5 U(-1, 1)'s, E|U|^p = 1 / (p + 1)
+        law = D.Centered(D.Shifted(D.UniformInterval(0.0, 1.0), 1e300))
+        assert D.standard_form(law) == (0.5, D.UniformInterval(-1.0, 1.0))
+        assert D.lp_norm(law, 4.0) == 0.33437015248821106 == pytest.approx(0.5 * 5.0 ** -0.25, rel=1e-15)
+        ps = np.array([1.0, 2.5, 64.0])
+        want = ps * math.log(0.5) + D.log_abs_moments(D.UniformInterval(-1.0, 1.0), ps)
+        assert D.log_abs_moments(law, ps).tolist() == want.tolist()
+
     def test_poisson_series_short_of_a_far_zero_stays_small(self):
         # 64 orders up to 256 read 552 terms: 0.86 MiB at its peak, where
         # walking out to the zero would build 141312 terms (72 MiB per array)

@@ -885,13 +885,19 @@ _chained = st.builds(
     lambda base, steps: functools.reduce(lambda law, step: step(law), steps, base),
     st.one_of(_uniform.map(D.SquareOf), st.builds(D.UniformGap, _pos)),
     st.lists(_step, max_size=4))
-# laws with a tail bound: bounded ones, Chi laws, and at alpha = 1 those
-# with a closed-form MGF (at alpha = 2 a proof that the norm is infinite)
+_chi = st.builds(D.Chi, st.integers(1, 6), _pos)
+# laws with a tail bound: bounded ones (squares of squares too), Chi laws,
+# shifted ones and their squares, and at alpha = 1 those with a closed-form
+# MGF (at alpha = 2 a proof that the norm is infinite)
 CERTIFIED = st.one_of(
     SUB_GAUSSIAN, _chained, st.builds(D.Centered, _chained), SUB_EXPONENTIAL,
     st.builds(D.Shifted, st.builds(D.Exponential, _pos), st.floats(-3.0, 3.0)),
     st.builds(D.Centered, st.builds(D.Exponential, _pos)),
-    st.builds(D.Centered, st.builds(D.ChiSquared, st.integers(2, 6))))
+    st.builds(D.Centered, st.builds(D.ChiSquared, st.integers(2, 6))),
+    st.builds(D.Shifted, _chi, _pos), st.builds(D.SquareOf, st.builds(D.Centered, _chi)),
+    st.builds(lambda chi, b: D.SquareOf(D.Shifted(chi, b)), _chi, st.floats(-3.0, 3.0)),
+    st.builds(lambda law, b: D.SquareOf(D.SquareOf(D.Shifted(law, b))), _uniform | _finite,
+              st.floats(-1.0, 1.0)))
 
 
 class TestTailBounds:
@@ -936,6 +942,8 @@ class TestTailBounds:
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(CERTIFIED, st.sampled_from([1, 2]))
+    @example(D.Shifted(D.Chi(1, 1.0), 3.0), 2)      # its Minkowski term sets T
+    @example(D.SquareOf(D.Shifted(D.Chi(3, 1.0), -1.0)), 1)
     def test_a_tail_bound_covers_every_ratio_past_p0(self, law, alpha):
         # on 60 orders from p0 to 4096, at the lambda of the best head ratio
         try:
@@ -951,6 +959,32 @@ class TestTailBounds:
             assert t < math.inf
             ps = np.geomspace(p0, 4096.0, 60)
             assert (D.log_abs_moments(law, ps) / ps - np.log(ps) / alpha <= t).all()
+
+    def test_a_shift_adds_its_minkowski_term(self):
+        # X + 3 for X ~ Chi(1): a best just below the largest ratio past p0
+        # keeps the search to its last round, where T is still above each
+        # ratio; the squared MGF of X alone would read T below them
+        law = D.Shifted(D.Chi(1, 1.0), 3.0)
+        tail = O._tail_bound(D._law(law), 2)
+        ps = np.geomspace(8.0, 4096.0, 60)
+        ratios = D.log_abs_moments(law, ps) / ps - np.log(ps) / 2
+        for p0 in (8.0, 16.0, 256.0):
+            past = ratios[ps >= p0]
+            assert (past <= tail(float(past.max()) - 0.01, p0)).all()
+
+    def test_a_square_of_a_shifted_chi_reads_its_base_at_2p0(self):
+        # ||Y^2||_p = ||Y||_2p^2: T(p0) of the square is twice its base's T
+        # at 2 p0 and alpha = 2, plus ln 2, the base asked at (best - ln 2) / 2.
+        # Its psi1 ratio rises toward 2/e, which the upper covers
+        law, base = D.SquareOf(D.Centered(D.Chi(3, 1.0))), D.Centered(D.Chi(3, 1.0))
+        tail, base_tail = O._tail_bound(D._law(law), 1), O._tail_bound(D._law(base), 2)
+        for best, p0 in [(-0.4, 8.0), (math.log(0.7), 256.0)]:
+            t = base_tail((best - math.log(2.0)) / 2.0, 2.0 * p0)
+            assert tail(best, p0) == D._tail_sum((2.0 * t, math.log(2.0)), 0.0, 0.0, -math.log(p0))
+        est = O.psi_norm(law, 1)
+        assert (est.p_star, est.method) == (256.0, "tail-bound")
+        assert 2.0 / E <= est.upper <= 1.0
+        assert dense_oracle(law, 1, p_max=4096.0, refine=True) <= est.upper
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(CERTIFIED, st.sampled_from([1, 2]))
