@@ -36,7 +36,6 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import expit, gammaln, xlogy
@@ -54,9 +53,10 @@ __all__ = [
 _MAX_DEPTH = 64
 _SCAN = 4001        # points of the scan that finds a live window
 _STRIDE = 20        # the scan's coarse pass reads every _STRIDE-th point
-_CELL = np.arange(1, _STRIDE)   # a cell's inner points, after its first
-_COARSE = np.arange(0, _SCAN, _STRIDE)  # the cells' ends
-_CELLS = np.arange(len(_COARSE) - 1)    # the cells, by index
+# scan indices as floats, exact, so that the scan's arrays are all float64
+_CELL = np.arange(1.0, _STRIDE)   # a cell's inner points, after its first
+_COARSE = np.arange(0.0, _SCAN, _STRIDE)  # the cells' ends
+_CELLS = np.arange(len(_COARSE) - 1.0)    # the cells, by index
 _BLOCK = 64         # orders per pass of the numeric moment path
 
 
@@ -189,6 +189,14 @@ class Spec:
 
     def _check(self): pass
 
+    @classmethod
+    def _trusted(cls, *values):
+        """The spec of these field values, in field order, built without the
+        checks: for values that pass them already, as a fold's do."""
+        spec = object.__new__(cls)
+        vars(spec).update(zip(_fields(cls), values))
+        return spec
+
 
 # ---------------------------------------------------------------------------
 # The scalar catalogue
@@ -218,9 +226,9 @@ class Distribution(Spec):
         return None
     def unit_law(self):
         """(s, b, U) with this law that of s U + b, for exact rationals s > 0
-        and b (each a float, an int or a Fraction) and U the family's law of
-        unit scale, or None for a law that is not a continuous family or
-        Poisson (see `standard_form`)."""
+        and b, each an integer ratio (numerator, denominator > 0), and U the
+        family's law of unit scale, or None for a law that is not a
+        continuous family or Poisson (see `standard_form`)."""
         return None
     def expectation(self): return canonical(self).expectation()
     def mgf(self, beta): raise NotImplementedError    # a family with no closed form
@@ -239,7 +247,7 @@ class Distribution(Spec):
         under the step, else the step around this form (step itself where
         its base is this form)."""
         folded = None if type(step) is SquareOf else self._affine(step)
-        return folded or (step if step.base == self else dataclasses.replace(step, base=self))
+        return folded or (step if step.base == self else step._on(self))
 
 
 class _Continuous(Distribution):
@@ -256,24 +264,30 @@ class _Continuous(Distribution):
         a peak or live point hides in a cell no pass reads.  The ends pass
         is skipped where the peak pass read both its cells in every row, as
         it does where the whole window is live: it would read no new point.
-        The caller holds np.errstate for the reads."""
-        lo, hi = np.empty((2, len(ps), 1))      # each window end as a column
+        Each pass reads its points in one call of log_h_vec and logpdf; the
+        few numbers per row past it (the live ends, their cells, the window
+        ends) are Python's, by the same float operations.  The caller holds
+        np.errstate for the reads."""
+        n = len(ps)
+        lo, hi = np.empty((2, n, 1))      # each window end as a column
         lo[:, 0], hi[:, 0] = self.window(ps)
         step = (hi - lo) / (_SCAN - 1)
 
-        def at(j):
-            return np.where(j == _SCAN - 1, hi, j * step + lo)
+        def at(j):      # the scan points j below the last, hi, as np.linspace gives them
+            xs = j * step
+            xs += lo
+            return xs
 
-        def read(j):
-            xs = at(j)
+        def read(xs):
             h = np.add(log_h_vec(xs), self.logpdf(xs))
             h[~np.isfinite(h)] = -np.inf
             return h
 
-        j = np.repeat(_COARSE[None], len(ps), axis=0)
-        h = read(j)
+        xs = at(_COARSE)
+        xs[:, -1:] = hi
+        h = read(xs)
         # live and not below either neighbour; beyond the ends lies -inf
-        peak = h > h.max(axis=1, keepdims=True) - 80.0
+        peak = h > np.maximum.reduce(h, axis=1, keepdims=True) - 80.0
         peak[:, 1:] &= h[:, 1:] >= h[:, :-1]
         peak[:, :-1] &= h[:, :-1] >= h[:, 1:]
         near = peak[:, :-1] | peak[:, 1:]
@@ -281,24 +295,29 @@ class _Continuous(Distribution):
         # each row's near cells, padded with its cell 0: reads stay per row
         c = np.where(near, _CELLS, 0)
         c.sort(axis=1)
-        c = c[:, -near.sum(axis=1).max():]
+        c = c[:, -max(np.add.reduce(near, axis=1).tolist()):]
+        j = np.repeat(_COARSE[None], n, axis=0)
         for ends in (False, True):      # the peak pass, then the ends pass
-            inner = (_STRIDE * c[..., None] + _CELL).reshape(len(ps), -1)
-            h = np.concatenate([h, read(inner)], axis=1)
+            inner = (_STRIDE * c[..., None] + _CELL).reshape(n, -1)
+            h = np.concatenate([h, read(at(inner))], axis=1)
             j = np.concatenate([j, inner], axis=1)
-            k = h.max(axis=1, keepdims=True)
+            k = np.maximum.reduce(h, axis=1, keepdims=True)
             live = h > k - 80.0     # none live: first 0, last _SCAN - 1, as in the full scan
-            first = np.where(live, j, _SCAN).min(axis=1, keepdims=True) % _SCAN
-            last = np.where(live, j, -1).max(axis=1, keepdims=True) % _SCAN
+            first = np.minimum.reduce(np.where(live, j, _SCAN), axis=1).tolist()
+            last = np.maximum.reduce(np.where(live, j, -1), axis=1).tolist()
+            first, last = [int(f) % _SCAN for f in first], [int(i) % _SCAN for i in last]
             if ends:
                 break
-            read_cells = c
-            c = np.concatenate([np.maximum(first - 1, 0), np.minimum(last, _SCAN - 2)], axis=1)
-            c //= _STRIDE
-            if (c[:, :, None] == read_cells[:, None, :]).any(axis=2).all():
+            # the cells of the points before the first and at the last live point
+            c = [(max(f - 1, 0) // _STRIDE, min(i, _SCAN - 2) // _STRIDE) for f, i in zip(first, last)]
+            if all(near[r, a] and near[r, b] for r, (a, b) in enumerate(c)):
                 break
-        ab = at(np.concatenate([np.maximum(first - 1, 0), np.minimum(last + 1, _SCAN - 1)], axis=1))
-        return k[:, 0], ab[:, 0], ab[:, 1]
+            c = np.array(c, dtype=float)
+        # the scan points next to them, by the float operations of `at`, and hi at the last
+        dx, x0, x1 = step[:, 0].tolist(), lo[:, 0].tolist(), hi[:, 0].tolist()
+        a = [max(f - 1, 0) * d + x for f, d, x in zip(first, dx, x0)]
+        b = [top if i + 1 >= _SCAN - 1 else (i + 1) * d + x for i, d, x, top in zip(last, dx, x0, x1)]
+        return k[:, 0], np.array(a), np.array(b)
 
     def _log_expects(self, log_g, qs, ps, steps=None):
         """ln E exp(q log_g(X)) for each q of qs, by a fixed tanh-sinh rule
@@ -313,31 +332,34 @@ class _Continuous(Distribution):
         raised.  One np.errstate holds for the scan and the rule."""
         q = qs[:, None, None, None]
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            k, a, b = self._live(lambda xs: q[..., 0, 0] * log_g(xs), ps)
-            val, gap = self._rule(log_g, q, ps, k, a, b, () if steps is None else _zeros(steps))
-        bad = ~(np.isfinite(val) & (val > 0))
-        if bad.any():
-            raise QuadratureError(f"fixed-rule quadrature failed (value {val[bad][0]}) "
-                                  f"at p={float(ps[bad][0])!r}")
-        bad = ~(gap <= 1e-5 * np.where(ps > 0, ps, 1.0))
-        if bad.any():
-            raise QuadratureError(
-                f"the tanh-sinh rules at t = j/8 and j/4 differ by {gap[bad][0]:.3g} "
-                f"in ln E at p={float(ps[bad][0])!r}")
-        return k + np.log(val)
+            q2 = q[..., 0, 0]
+            k, a, b = self._live(lambda xs: q2 * log_g(xs), ps)
+            val, coarse = self._rule(log_g, q, ps, k, a, b, () if steps is None else _zeros(steps))
+            log_val = np.log(val)
+            gap = np.abs(log_val - np.log(coarse))
+        orders = ps.tolist()
+        for v, p in zip(val.tolist(), orders):
+            if not 0.0 < v < math.inf:
+                raise QuadratureError(f"fixed-rule quadrature failed (value {v}) at p={p!r}")
+        for g, p in zip(gap.tolist(), orders):
+            if not g <= 1e-5 * (p if p > 0 else 1.0):
+                raise QuadratureError(f"the tanh-sinh rules at t = j/8 and j/4 differ by {g:.3g} "
+                                      f"in ln E at p={p!r}")
+        return k + log_val
 
     def _rule(self, log_g, q, ps, k, a, b, kinks):
-        """The sums of the rules at t = j/8 (val, scaled by e^-k) and the
-        ln gap to the rule at t = j/4, on the window [a, b] of each row."""
+        """The sums of the rules at t = j/8 and t = j/4, each scaled by e^-k,
+        on the window [a, b] of each row."""
         lo, hi = self.support()
-        a, b = np.maximum(a, lo), np.minimum(b, hi)
         cuts = np.empty((len(ps), 2 + len(kinks)))
-        cuts[:, 0], cuts[:, 1] = a, b
+        a, b = np.maximum(a, lo, out=cuts[:, 0]), np.minimum(b, hi, out=cuts[:, 1])
         for i, z in enumerate(kinks):
             np.minimum(np.maximum(z, a), b, out=cuts[:, 2 + i])
         cuts.sort(axis=1)
-        new = np.concatenate([[True], (cuts[1:] != cuts[:-1]).any(axis=1)])
-        cuts, row = cuts[new], new.cumsum() - 1      # a run of equal rows is read once
+        rows = cuts.tolist()    # a run of equal rows of cuts is read once, at its first row
+        new = [not i or cut != rows[i - 1] for i, cut in enumerate(rows)]
+        row = None if all(new) else np.cumsum(new) - 1
+        cuts = cuts if row is None else cuts[new]
         edges = cuts[:, :-1, None] + (cuts[:, 1:] - cuts[:, :-1])[:, :, None] * _PANEL_EDGES
         u, v = edges[..., :-1, None], edges[..., 1:, None]
         w = v - u
@@ -348,25 +370,17 @@ class _Continuous(Distribution):
         np.multiply(w, _TS_RIGHT[_TS_MID:], out=right)
         np.subtract(v, right, out=right)
         e, f = log_g(x), self.logpdf(x)
-        if len(cuts) < len(ps):
-            e, f = e[row], f[row]
+        if row is not None:
+            e, f, w = e[row], f[row], w[row]
         e *= q
         e += f
         e -= k[:, None, None, None]
         low = ~(e > -700)   # NaN too
         np.exp(e, out=e)
         e[low] = 0.0
-        e *= w[row]
+        e *= w
         e *= _TS_W
-        val = e.sum(axis=(1, 2, 3))
-        return val, np.abs(np.log(val) - np.log(2.0 * e[..., ::2].sum(axis=(1, 2, 3))))
-
-
-def _outside(t, out):
-    """t with -inf where `out` (off the support, or NaN) is set."""
-    t = np.asarray(t)
-    t[out] = -np.inf
-    return t
+        return np.add.reduce(e, axis=(1, 2, 3)), 2.0 * np.add.reduce(e[..., ::2], axis=(1, 2, 3))
 
 
 # The tanh-sinh (Takahasi-Mori) rule on a panel [u, v]: nodes at t = j/8,
@@ -396,7 +410,7 @@ class Gaussian(_Continuous):
     def sum_law(self, n): return Gaussian(n * self.mean, math.sqrt(n) * self.sd)
     def abs_difference_law(self): return Gaussian(0.0, math.sqrt(2.0) * self.sd)
     def mgf(self, beta): return math.exp(beta * self.mean + 0.5 * beta ** 2 * self.sd ** 2)
-    def unit_law(self): return self.sd, self.mean, _UNIT_GAUSSIAN
+    def unit_law(self): return self.sd.as_integer_ratio(), self.mean.as_integer_ratio(), _UNIT_GAUSSIAN
 
     def fill(self, rng, out):
         rng.standard_normal(out=out)
@@ -435,7 +449,7 @@ class Gaussian(_Continuous):
                     (step.factor * self.mean, abs(step.factor) * self.sd))
         # the checks of the fields: a mean or sd past the floats, or an sd
         # that rounds to 0, keeps the step as a wrapper
-        return Gaussian(mean, sd) if math.isfinite(mean) and 0.0 < sd < math.inf else None
+        return Gaussian._trusted(mean, sd) if math.isfinite(mean) and 0.0 < sd < math.inf else None
 
 
 @dataclass(frozen=True)
@@ -454,18 +468,15 @@ class Exponential(_Continuous):
     def abs_difference_law(self): return self
     def unit_law(self):
         n, d = self.rate.as_integer_ratio()     # 1 / rate, exactly
-        return Fraction(d, n), 0, _UNIT_EXPONENTIAL
+        return (d, n), (0, 1), _UNIT_EXPONENTIAL
 
     def fill(self, rng, out):
         rng.standard_exponential(out=out)
         out *= 1.0 / self.rate
 
     def logpdf(self, x):
-        t = np.array(x, dtype=float)
-        out = ~(t >= 0)
-        t *= self.rate
-        np.subtract(math.log(self.rate), t, out=t)
-        return _outside(t, out)
+        x = np.asarray(x, dtype=float)
+        return np.where(x >= 0, np.subtract(math.log(self.rate), x * self.rate), -np.inf)
 
     def mgf(self, beta):
         if beta >= self.rate:
@@ -510,7 +521,7 @@ class UniformInterval(_Continuous):
         # the half-width and center, (hi -+ lo) / 2 over the common denominator
         (hn, hd), (ln, ld) = self.hi.as_integer_ratio(), self.lo.as_integer_ratio()
         den = 2 * hd * ld
-        return Fraction(hn * ld - ln * hd, den), Fraction(hn * ld + ln * hd, den), _UNIT_UNIFORM
+        return (hn * ld - ln * hd, den), (hn * ld + ln * hd, den), _UNIT_UNIFORM
 
     def fill(self, rng, out):
         rng.random(out=out)
@@ -544,7 +555,7 @@ class UniformInterval(_Continuous):
         # the checks of the fields and of _check: an end past the floats
         # has an infinite width, and rounding may close the interval; either
         # keeps the step as a wrapper
-        return UniformInterval(lo, hi) if lo < hi and math.isfinite(hi - lo) else None
+        return UniformInterval._trusted(lo, hi) if lo < hi and math.isfinite(hi - lo) else None
 
 
 @dataclass(frozen=True)
@@ -559,7 +570,7 @@ class Poisson(Distribution):
     def sum_law(self, n): return Poisson(n * self.rate)
     def log_abs_moments(self, ps): return _log_moments(self, (), ps)
     def mgf(self, beta): return math.exp(self.rate * (math.exp(beta) - 1.0))
-    def unit_law(self): return 1, 0, self     # no scale family
+    def unit_law(self): return (1, 1), (0, 1), self     # no scale family
 
     def _log_expects(self, log_g, qs, ps, steps=None):
         """ln E exp(q log_g(X)) for each q of qs: the series over k in one
@@ -578,16 +589,19 @@ class Poisson(Distribution):
         kinks = () if steps is None else _zeros(steps)
         near = [z for z in kinks if z <= _POISSON_TERMS]
         last, far = max(near, default=-math.inf), len(near) < len(kinks)
+        # the first term k >= 1 with k + 1 > lam + 10 and k past every near kink
+        first = max(1, math.floor(lam + 10.0) - 1, math.floor(last) if last > 0 else 1)
+        while not (first + 1.0 > lam + 10.0 and first > last):
+            first += 1
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             while True:
                 k = np.arange(n, dtype=float)
                 t = qs[:, None] * log_g(k) + k * math.log(lam) - lam - gammaln(k + 1)
                 head, tail = t[:, :-1], t[:, 1:]
-                stop = ((k[1:] + 1 > lam + 10) & (k[1:] > last) & (tail < head)
-                        & (tail < np.maximum.accumulate(head, axis=1) - 40))
-                if stop.any(axis=1).all():
-                    m = t.max(axis=1)
-                    sums = m + np.log(np.exp(t - m[:, None]).sum(axis=1))
+                stop = (tail < head) & (tail < np.maximum.accumulate(head, axis=1) - 40)
+                if np.logical_or.reduce(stop[:, first - 1:], axis=1).all():
+                    m = np.maximum.reduce(t, axis=1)
+                    sums = m + np.log(np.add.reduce(np.exp(t - m[:, None]), axis=1))
                     if not far or (_poisson_rest(lam, steps, qs, n) <= sums - 40).all():
                         return sums
                 if n > _POISSON_TERMS:
@@ -627,8 +641,8 @@ class ChiSquared(_Continuous):
     def unit_law(self):
         # chi-squared(2) is Exponential(1/2), twice Exponential(1)
         if self.dof == 2:
-            return 2, 0, _UNIT_EXPONENTIAL
-        return 1, 0, self
+            return (2, 1), (0, 1), _UNIT_EXPONENTIAL
+        return (1, 1), (0, 1), self
 
     def logpdf(self, x):
         k2 = self.dof / 2.0
@@ -638,7 +652,7 @@ class ChiSquared(_Continuous):
         t *= k2 - 1
         t += c
         t -= x / 2
-        return _outside(t, ~(x > 0))
+        return np.where(x > 0, t, -np.inf)     # -inf off the support, or NaN
 
     def window(self, p):
         peak = self.dof + 2 * p
@@ -797,7 +811,7 @@ class Chi(_Continuous):
     def expectation(self): return _exp(self.log_abs_moments(np.ones(1))[0], "the mean of {}", self)
     # |x|^p pdf(x) peaks at sd sqrt(p + dof - 1)
     def window(self, p): return 0.0, self.sd * (np.sqrt(2.0 * (p + self.dof)) + 12.0)
-    def unit_law(self): return self.sd, 0, Chi(self.dof, 1.0)
+    def unit_law(self): return self.sd.as_integer_ratio(), (0, 1), Chi(self.dof, 1.0)
     def squared_mgf(self, beta): return ChiSquared(self.dof).mgf(beta * self.sd * self.sd)
 
     def fill(self, rng, out):
@@ -818,7 +832,7 @@ class Chi(_Continuous):
             u = np.square(x / self.sd)
             u *= 0.5
             t -= u
-        return _outside(t, ~(x >= 0))
+        return np.where(x >= 0, t, -np.inf)
 
 
 @dataclass(frozen=True)
@@ -830,7 +844,7 @@ class UniformGap(_Continuous):
     def support(self): return 0.0, self.width
     def window(self, p): return 0.0, self.width
     def expectation(self): return self.width / 3.0
-    def unit_law(self): return self.width, 0, _UNIT_GAP
+    def unit_law(self): return self.width.as_integer_ratio(), (0, 1), _UNIT_GAP
 
     def log_abs_moments(self, ps):
         # E|D|^p = 2 width^p / ((p+1)(p+2)), with math.log per order
@@ -844,7 +858,7 @@ class UniformGap(_Continuous):
             t = np.log(np.subtract(self.width, x))
             t += math.log(2.0)
             t -= 2.0 * math.log(self.width)
-        return _outside(t, ~((x >= 0) & (x <= self.width)))
+        return np.where((x >= 0) & (x <= self.width), t, -np.inf)
 
 
 @dataclass(frozen=True)
@@ -868,6 +882,9 @@ class _Step(Distribution):
 
     def support(self): return self._image(*self.base.support())
     def _fold(self): return _law(self.base).form._push(self)
+    def _on(self, base):
+        """This step around another law, as a fold builds it: its fields are checked."""
+        return type(self)._trusted(base, *[vars(self)[name] for name in _fields(type(self))][1:])
     max_psi_alpha = property(lambda self: self.base.max_psi_alpha)     # a square's halves it
 
     def _text(self):
@@ -963,7 +980,7 @@ class Centered(Distribution):
         form, mu = _law(self.base).form, self.base.expectation()
         if not math.isfinite(mu):
             raise SpecError(f"the mean of {self.base} must be finite to center it, got {mu}")
-        return form._push(Shifted(form, -mu)) if mu else form
+        return form._push(Shifted._trusted(form, -mu)) if mu else form
 
 
 # the laws of unit scale that `unit_law` names
@@ -1066,33 +1083,41 @@ def standard_form(spec):
 
 
 def _standard_form(spec, base, steps):
-    """`standard_form` of spec, of canonical form `base` inside `steps`."""
+    """`standard_form` of spec, of canonical form `base` inside `steps`.
+    a and c are walked as integer ratios (numerator, denominator > 0) of
+    the floats' exact values, reduced only where a square reads the size
+    of a: the same rationals as a walk in Fractions."""
     unit = base.unit_law()
     if unit is None:
         return 1.0, spec
-    a, c, law = unit
-    a, c = Fraction(a), Fraction(c)
+    (a, a_den), (c, c_den), law = unit
     # a Centered spec has mean 0, so c is read at its square steps only:
     # past the last one, a scale step multiplies a alone
     head = len(steps)
     if isinstance(spec, Centered):
         head = max((i + 1 for i, step in enumerate(steps) if type(step) is SquareOf), default=0)
-    for step in steps[:head]:
-        if type(step) is Shifted:
-            c += Fraction(step.offset)
-        elif type(step) is Scaled:
-            a, c = a * Fraction(step.factor), c * Fraction(step.factor)
-        elif c or max(a.numerator.bit_length(), a.denominator.bit_length()) > _SCALE_BITS:
-            return 1.0, spec
-        else:
-            a, law = a * a, _UNIT_CHI2 if law is _UNIT_GAUSSIAN else SquareOf(law)
-    for step in steps[head:]:
+    for i, step in enumerate(steps):
         if type(step) is Scaled:
-            a *= Fraction(step.factor)
-    scale = round_up(abs(a))
+            n, d = step.factor.as_integer_ratio()
+            a, a_den = a * n, a_den * d
+            if i < head:
+                c, c_den = c * n, c_den * d
+        elif i >= head:
+            continue
+        elif type(step) is Shifted:
+            n, d = step.offset.as_integer_ratio()
+            c, c_den = c * d + n * c_den, c_den * d
+        else:
+            g = math.gcd(a, a_den)
+            a, a_den = a // g, a_den // g
+            if c or max(a.bit_length(), a_den.bit_length()) > _SCALE_BITS:
+                return 1.0, spec
+            a, a_den = a * a, a_den * a_den
+            law = _UNIT_CHI2 if law is _UNIT_GAUSSIAN else SquareOf._trusted(law)
+    scale, exact = _round_up(abs(a), a_den)
     if spec.expectation() == 0.0:
-        law = law if law.expectation() == 0.0 else Centered(law)
-    elif c or scale != abs(a):
+        law = law if law.expectation() == 0.0 else Centered._trusted(law)
+    elif c or not exact:
         return 1.0, spec
     if not sys.float_info.min <= scale < math.inf:
         return 1.0, spec
@@ -1114,15 +1139,19 @@ _law_counts = dict.fromkeys(("passes", "searches", "hits"), 0)
 
 def _law(spec):
     """The record of a scalar spec, built on its first read; a fold that
-    raises builds none.  An insert past _LAWS specs empties the memo (each
-    step one dict operation: no lock).  A record refers to no record but
-    the one its moments read, so at most 2 _LAWS records, and dicts of
-    rows, are live once the reads are done."""
+    raises builds none.  An insert past _LAWS specs drops the older half of
+    the records, in insertion order, so the newer half stays warm (each
+    step one dict operation: no lock; a record another thread dropped is
+    skipped).  A record refers to no record but the one its moments read,
+    so at most 2 _LAWS records, and dicts of rows, are live once the reads
+    are done."""
     law = _laws.get(spec)
     if law is None:
         law = _laws.setdefault(spec, _Record(spec))
         if len(_laws) > _LAWS:
-            _laws.clear()
+            old = list(_laws)
+            for key in old[:len(old) // 2]:
+                _laws.pop(key, None)
     return law
 
 
@@ -1185,11 +1214,18 @@ class _Record:
 def round_up(exact) -> float:
     """The smallest float not below the exact rational `exact` (a Fraction
     or an int): a certified upper bound on a product or sum of floats."""
+    return _round_up(*exact.as_integer_ratio())[0]
+
+
+def _round_up(n, d):
+    """(`round_up` of n / d, whether it is n / d), for integers n, d > 0."""
     try:
-        x = float(exact)
+        x = n / d
     except OverflowError:
-        return math.inf
-    return x if x >= exact else math.nextafter(x, math.inf)
+        return math.inf, False
+    xn, xd = x.as_integer_ratio()
+    over = xn * d - n * xd
+    return (x, not over) if over >= 0 else (math.nextafter(x, math.inf), False)
 
 
 def support_interval(spec):
@@ -1318,6 +1354,8 @@ def _log_moments(base, steps, ps):
     def log_g(x):       # read under the np.errstate of _log_expects
         g = np.abs(_apply(steps, x))
         return np.log(g, out=g)
+    if 0 < len(ps) <= _BLOCK:
+        return base._log_expects(log_g, ps, ps, steps)
     blocks = [ps[i:i + _BLOCK] for i in range(0, len(ps), _BLOCK)]
     return np.concatenate([ps[:0]] + [base._log_expects(log_g, b, b, steps) for b in blocks])
 

@@ -34,6 +34,7 @@ MOMENTS_ENTRY = "Cold ψ searches at the cost of their moments"
 WALK_ENTRY = "One constructor and one exact walk"
 STEP_ENTRY = "One map step, one class"
 FOLD_ENTRY = "One tail rule per map step"
+COLD_ENTRY = "A cold ψ search at a lighter fixed cost"
 
 
 class Mutant(NamedTuple):
@@ -141,22 +142,22 @@ MUTANTS = (
            ("tests/test_distributions.py::TestMoments::test_the_rest_of_a_poisson_series_is_bounded",),
            MOMENTS_ENTRY),
     Mutant("distributions.py",  # the window scan's ends pass always skipped
-           "            if (c[:, :, None] == read_cells[:, None, :]).any(axis=2).all():\n",
+           "            if all(near[r, a] and near[r, b] for r, (a, b) in enumerate(c)):\n",
            "            if True:\n",
            ("tests/test_distributions.py::TestLiveWindow::test_equals_the_full_scan",
             "tests/test_distributions.py::TestLiveWindow::test_equals_the_full_scan_on_the_p_grid"),
            MOMENTS_ENTRY),
     Mutant("distributions.py",  # a square step read as centered whatever c is
-           "        elif c or max(a.numerator.bit_length(), a.denominator.bit_length()) > _SCALE_BITS:",
-           "        elif max(a.numerator.bit_length(), a.denominator.bit_length()) > _SCALE_BITS:",
+           "            if c or max(a.bit_length(), a_den.bit_length()) > _SCALE_BITS:",
+           "            if max(a.bit_length(), a_den.bit_length()) > _SCALE_BITS:",
            ("tests/test_distributions.py::TestCanonical::"
             "test_a_square_of_a_shifted_uniform_is_its_own_standard_law",
             "tests/test_orlicz.py::TestStandardForm::test_other_laws_keep_scale_one",
             "tests/test_orlicz.py::TestStandardForm::test_uniforms_keep_the_fraction_walk"),
            WALK_ENTRY),
     Mutant("distributions.py",  # the scale rounded to nearest, below an inexact product
-           "    return x if x >= exact else math.nextafter(x, math.inf)\n",
-           "    return x\n",
+           "    return (x, not over) if over >= 0 else (math.nextafter(x, math.inf), False)\n",
+           "    return x, not over\n",
            ("tests/test_distributions.py::TestRoundUp::test_inexact_product_and_sum_round_up",
             "tests/test_orlicz.py::TestStandardForm::test_inexact_scales_round_up"),
            WALK_ENTRY),
@@ -205,6 +206,38 @@ MUTANTS = (
            ("tests/test_distributions.py::TestMoments::test_a_shift_that_cancels_in_floats_reads_the_standard_law",
             "tests/test_cli.py::TestOverflowPaths::test_a_far_shifted_uniform_serves_thm3"),
            FOLD_ENTRY),
+    Mutant("orlicz.py",         # a whole start's rows past the head read into the first cut at p0
+           "    n = len(_HEAD[alpha])\n",
+           "    n = len(_START) if whole else len(_HEAD[alpha])\n",
+           ("tests/test_orlicz.py::TestChordSearch::test_a_whole_start_keeps_every_outcome",),
+           COLD_ENTRY),
+    Mutant("orlicz.py",         # a whole start that fails raises, where its head alone would not
+           "        if not whole:\n            raise\n",
+           "        raise\n",
+           ("tests/test_orlicz.py::TestChordSearch::test_a_whole_start_keeps_every_outcome",),
+           COLD_ENTRY),
+    Mutant("orlicz.py",         # no shifted Gaussian reads the whole start at alpha = 2
+           "    return type(base) is dist.Gaussian and form.expectation() != 0.0\n",
+           "    return False\n",
+           ("tests/test_orlicz.py::TestColdCorpus::test_the_first_call_reads_the_head",),
+           COLD_ENTRY),
+    Mutant("distributions.py",  # the scan's last point read as j step + lo, not hi
+           "top if i + 1 >= _SCAN - 1 else (i + 1) * d + x for",
+           "min(i + 1, _SCAN - 1) * d + x for",
+           ("tests/test_distributions.py::TestLiveWindow::test_equals_the_full_scan",
+            "tests/test_distributions.py::TestLiveWindow::test_equals_the_full_scan_on_the_p_grid"),
+           COLD_ENTRY),
+    Mutant("distributions.py",  # the integer walk's shift without c's denominator
+           "            c, c_den = c * d + n * c_den, c_den * d\n",
+           "            c, c_den = c * d + n, c_den * d\n",
+           ("tests/test_orlicz.py::TestStandardForm::test_the_integer_walk_is_the_fraction_walk",),
+           COLD_ENTRY),
+    Mutant("distributions.py",  # an insert past the bound empties the law memo
+           "            for key in old[:len(old) // 2]:\n",
+           "            for key in old:\n",
+           ("tests/test_distributions.py::TestLawMemo::test_an_insert_past_the_bound_keeps_the_newest_records",
+            "tests/test_distributions.py::TestLawMemo::test_live_rows_stay_within_twice_the_bound"),
+           COLD_ENTRY),
 )
 
 

@@ -8,6 +8,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import runpy
 import subprocess
 import sys
 
@@ -24,6 +26,7 @@ from lighttails import functions as fn
 from lighttails import orlicz as O
 from lighttails import verify as vfy
 from lighttails.bounds import TailBoundResult, evaluate_tail
+from test_orlicz import _BENCH_WORKLOADS, simd_pin
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -259,6 +262,62 @@ class TestSpecMemo:
             assert code == 0 and err == ""
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+def bound_cold_argvs(seeds, cycles):
+    """The argv of every bound-cold request of these seeds and cycles, in
+    the benchmark's order, with its spec files written under the directory
+    "bound-cold" of the working directory, which the argvs name."""
+    workloads = runpy.run_path(str(_BENCH_WORKLOADS))
+    pathlib.Path("bound-cold").mkdir(exist_ok=True)
+    argvs = []
+    for seed in seeds:
+        workload = workloads["BoundCold"](seed, "bound-cold")
+        for index in cycles:
+            for req in workload.cycle(index):
+                for path, text in req.files.items():
+                    pathlib.Path(path).write_text(text)
+                argvs.append(req.argv)
+    return argvs
+
+
+class TestColdPath:
+    """The bound-cold requests, run cold in one process, keep every output
+    byte: the pin is taken from the version before the quadrature set-up,
+    the one-call start and the integer standard-form walk."""
+
+    # sha256 of the stdout of the 66 bound-cold argvs of seeds 1-3, cycles
+    # 0-1, one after another from an empty law memo; per SIMD path (`simd_pin`)
+    STDOUT_SHA256 = {
+        "X86_V4": "ac56c78ad9ce64ca0f7d04c6c2068ec9df65ed30e9680a95957bdd0575e6031a",
+        "X86_V3": "ac56c78ad9ce64ca0f7d04c6c2068ec9df65ed30e9680a95957bdd0575e6031a",
+    }
+
+    def test_the_cold_requests_keep_their_bytes(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)     # the config digest reads the spec path
+        argvs = bound_cold_argvs((1, 2, 3), (0, 1))
+        D._laws.clear()
+        outs = []
+        for argv in argvs:
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and err == "", argv
+            outs.append(out)
+        assert len(outs) == 66
+        assert hashlib.sha256("".join(outs).encode()).hexdigest() == simd_pin(self.STDOUT_SHA256)
+
+    def test_the_cold_requests_run_no_more_moment_passes(self, tmp_path, capsys, monkeypatch):
+        # the 33 requests of cycle 0 from empty memos run 25 moment passes:
+        # 26 when the centered chi-squared(1) search read its head and then
+        # the rest of the start in two
+        monkeypatch.chdir(tmp_path)
+        argvs = bound_cold_argvs((1, 2, 3), (0,))
+        D._laws.clear()
+        fn._kind_profile.cache_clear()
+        cli._decode_spec_text.cache_clear()
+        before = D._law_counts["passes"]
+        for argv in argvs:
+            assert run(capsys, *argv)[0] == 0
+        assert len(argvs) == 33 and D._law_counts["passes"] - before <= 25
 
 
 class TestEntropyCheck:
@@ -681,6 +740,34 @@ class TestDigestStability:
         want = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()
         code, out, _ = run(capsys, *argv)
         assert code == 0 and json.loads(out)["config_digest"] == want
+
+    def test_the_payload_text_is_the_spec_s_sorted_json(self):
+        # the payload text the digest splices in is the decoded spec's own
+        # JSON form, sorted, whatever the file wrote: on the bound-cold spec
+        # texts of seeds 1-5, cycles 0-2, and on -0.0, int-valued float
+        # fields, omitted defaults and nested wrappers
+        workloads = runpy.run_path(str(_BENCH_WORKLOADS))
+        texts = [text for seed in range(1, 6) for index in range(3)
+                 for req in workloads["BoundCold"](seed, "unused").cycle(index)
+                 for text in req.files.values()]
+        assert len(texts) == 165
+        specs = [{"kind": "gaussian", "mean": -0.0, "sd": 2},
+                 {"kind": "gaussian"},
+                 {"kind": "sum", "components": [{"kind": "centered", "base": {"kind": "scaled", "base": {
+                     "kind": "shifted", "base": {"kind": "exponential", "rate": 1}, "offset": -0.0},
+                     "factor": 3}}, {"kind": "finite_support", "values": [-1, 0.0, 2], "probs": [0.5, 0.25, 0.25]}]},
+                 {"kind": "metric_lipschitz", "lip": 1, "coordinate_dists": [{"kind": "chi_squared", "dof": 2}],
+                  "maps": ["abs"]}]
+        texts += [json.dumps({"schema": 1, "spec": spec}) for spec in specs]
+        for text in texts:
+            spec, payload = cli._decode_spec_text(text, False)
+            assert payload == cli._SORTED_JSON(D.spec_to_dict(spec))
+        payload = cli._decode_spec_text(texts[165], True)[1]
+        assert payload == '{"kind": "gaussian", "mean": -0.0, "sd": 2.0}'
+        assert cli._decode_spec_text(texts[166], True)[1] == '{"kind": "gaussian", "mean": 0.0, "sd": 1.0}'
+        payload = cli._decode_spec_text(texts[167], False)[1]
+        for field in ('"factor": 3.0', '"offset": -0.0', '"rate": 1.0', '"values": [-1.0, 0.0, 2.0]'):
+            assert field in payload
 
     def test_version_flag(self, capsys):
         code, out, _ = run(capsys, "--version")

@@ -760,6 +760,22 @@ class TestLawMemo:
         D._laws.clear()
         assert query(self.LAW) == want and calls != []
 
+    def test_an_insert_past_the_bound_keeps_the_newest_records(self, monkeypatch):
+        # the ninth record into a memo of 8 drops the older half, in
+        # insertion order: the newest records stay, with their rows
+        monkeypatch.setattr(D, "_LAWS", 8)
+        monkeypatch.setattr(D, "_laws", {})
+        laws = [D.Exponential(1.0 + k / 8) for k in range(9)]
+        records = []
+        for law in laws[:8]:
+            D.log_abs_moment(law, 2.0)
+            records.append(D._laws[law])
+        assert list(D._laws) == laws[:8]
+        D.canonical(laws[8])
+        assert list(D._laws) == laws[4:]
+        assert [D._laws[law] for law in laws[4:8]] == records[4:]
+        assert all(D._laws[law].rows for law in laws[4:8])
+
     def test_live_rows_stay_within_twice_the_bound(self, monkeypatch):
         # c Centered(Poisson(rate)) reads the rows of the record of
         # Centered(Poisson(rate)), whose psi search reads them itself.
@@ -793,7 +809,8 @@ class TestLawMemo:
                     assert all(id(r) in kept for r in live if r.rows is not None)
         finally:
             gc.enable()
-        assert len(D._laws) <= 8 and len(built) > 40 * 3     # records were dropped and built again
+        # records were dropped, and the newer half kept: none was built twice
+        assert len(D._laws) <= 8 and len(built) == 40 * 3
         assert 1 <= max(counts) <= 2 * D._LAWS
 
 

@@ -350,10 +350,10 @@ def fraction_standard_form(spec):
     if unit is None:
         return 1.0, spec
     a, c, law = unit
+    a, c = Fraction(*a), Fraction(*c)
     if isinstance(base, D.UniformInterval):
         lo, hi = Fraction(base.lo), Fraction(base.hi)
         a, c = (hi - lo) / 2, (hi + lo) / 2
-    a, c = Fraction(a), Fraction(c)
     for step in steps:
         if isinstance(step, D.Shifted):
             c += Fraction(step.offset)
@@ -405,7 +405,7 @@ class TestStandardForm:
         scale, standard = D.standard_form(law)
         unit, _, shape = base.unit_law()        # chi-squared(2) is 2 Exponential(1)
         assert standard == D.Centered(shape)
-        exact = abs(Fraction(factor)) * unit
+        exact = abs(Fraction(factor)) * Fraction(*unit)
         assert scale >= exact > Fraction(math.nextafter(scale, 0.0))
         for alpha in (1, 2):
             assert_matches_direct_search(law, alpha)
@@ -453,6 +453,22 @@ class TestStandardForm:
         assert len(laws) == 555
         assert hashlib.sha256(rows.astype("<f8").tobytes()).hexdigest() == simd_pin(
             self.UNCHANGED_ROWS_SHA256)
+
+    def test_the_integer_walk_is_the_fraction_walk(self):
+        # chains of several shifts and scales, whose offsets and factors
+        # cancel exactly or not, and squares near the walk's size limit
+        laws = []
+        for base in (D.Exponential(1.0), D.Exponential(3.0), D.ChiSquared(3), D.Poisson(1.5)):
+            for b, f in ((0.5, 2.0), (0.1, 3.0), (1e-150, 1e150), (0.75, -1.0 / 3.0)):
+                chain = D.Shifted(D.Scaled(D.Shifted(base, b), f), -b * f)
+                laws += [chain, D.SquareOf(chain), D.Centered(D.SquareOf(chain)),
+                         D.SquareOf(D.Shifted(D.Shifted(base, b), -b)),
+                         D.SquareOf(D.SquareOf(D.Scaled(chain, 1e-200)))]
+        for law in laws:
+            scale, standard = D._standard_form(law, *D._chain(D.canonical(law)))   # no memo
+            want = fraction_standard_form(law)
+            assert (scale, standard) == want and type(scale) is type(want[0]), law
+        assert sum(D.standard_form(law) != (1.0, law) for law in laws) >= 20
 
     def test_uniforms_keep_the_fraction_walk(self):
         # a uniform's half-width and center are floats where they are exact:
@@ -561,6 +577,34 @@ class TestChordSearch:
         end = next((q for q in O._P0[alpha] if 0.7 - math.log(q) / alpha <= best), 256.0)
         assert t == pytest.approx(0.7 - math.log(end) / alpha, abs=1e-8)
         assert (t > top) == (p0 > 256.0 / E)
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    @pytest.mark.parametrize("p0", [1.0002, 6.9, 13.8, 100.5])
+    def test_a_whole_start_keeps_every_outcome(self, p0, alpha):
+        # the first call may read all of the start: the search keeps [1, p0]
+        # where the head's tail bound ends it, so its outcome is the head's
+        # to the bit, in one call fewer where the head does not end it
+        phi, _ = linear_phi(0.7, p0, alpha)
+        tail = O._support_tail(math.exp(0.7), alpha)
+        calls = {}
+        for whole in (False, True):
+            sizes = calls[whole] = []
+            got = O._sup_ratio(lambda ps: sizes.append(len(ps)) or phi(ps), alpha, tail, whole)
+            assert got == O._sup_ratio(phi, alpha, tail)
+        head, rest = calls[False][0], calls[False][1] == START_LEN - HEAD_LEN[alpha]
+        assert head == HEAD_LEN[alpha] and calls[True][0] == START_LEN
+        assert calls[True][1:] == calls[False][1 + rest:]
+
+        # where an order past the head fails, the head is read alone
+        def failing(ps):
+            if ps.max() > O._HEAD[alpha][-1]:
+                raise D.QuadratureError("past the head")
+            return phi(ps)
+        if rest:
+            with pytest.raises(D.QuadratureError, match="past the head"):
+                O._sup_ratio(failing, alpha, tail, True)
+        else:
+            assert O._sup_ratio(failing, alpha, tail, True) == O._sup_ratio(phi, alpha, tail)
 
     def test_the_p_grid_is_correctly_rounded(self):
         # entry i is the float nearest 2^(i/16): the midpoints to both its
@@ -797,19 +841,25 @@ class TestColdCorpus:
 
     def test_the_first_call_reads_the_head(self):
         # every search that reads a moment reads the head of the start
-        # first, and most end there at a tail bound; the rest read the rest
-        # of the start in one more call.  The 380 proofs read nothing
+        # first, and most end there at a tail bound; the squares of
+        # Gaussians at alpha = 1 and the shifted Gaussians at alpha = 2
+        # (`_whole_start`) read the whole start in their first call, and no
+        # search reads the rest in a call of its own.  The 380 proofs read
+        # nothing
         first = collections.Counter((alpha, s[0]) for _, alpha, _, s in cold_corpus() if s)
-        assert first == {(1, HEAD_LEN[1]): 778, (2, HEAD_LEN[2]): 402}
-        rest = collections.Counter(alpha for _, alpha, _, s in cold_corpus()
-                                   if s[1:2] == [START_LEN - HEAD_LEN[alpha]])
-        assert rest == {1: 65, 2: 35}
-        # 1607 batched calls and 7025 orders; 1935 and 12677 when only
-        # bounded laws and closed-form MGFs at alpha = 1 had a tail bound,
-        # 1887 and 21318 when every search read the whole start, 2717 and
-        # 54443 from every 4th grid point
+        assert first == {(1, HEAD_LEN[1]): 713, (2, HEAD_LEN[2]): 339, (1, START_LEN): 65, (2, START_LEN): 63}
+        whole = collections.Counter(alpha for law, alpha, _, s in cold_corpus()
+                                    if O._whole_start(D._law(D.standard_form(law)[1]).form, alpha))
+        assert whole == {1: 65, 2: 63}
+        assert not any(s[1:2] == [START_LEN - HEAD_LEN[alpha]] for _, alpha, _, s in cold_corpus())
+        # 1507 batched calls and 7249 orders; 1607 and 7025 when the 65 and
+        # 35 of those whose head did not end the search read the rest in a
+        # second call, 1935 and 12677 when only bounded laws and
+        # closed-form MGFs at alpha = 1 had a tail bound, 1887 and 21318
+        # when every search read the whole start, 2717 and 54443 from every
+        # 4th grid point
         sizes = [s for _, _, _, s in cold_corpus()]
-        assert sum(map(len, sizes)) == 1607 and sum(map(sum, sizes)) == 7025
+        assert sum(map(len, sizes)) == 1507 and sum(map(sum, sizes)) == 7249
 
     @pytest.mark.parametrize("alpha", [1, 2])
     @pytest.mark.parametrize("eps", [0.25, 0.2446228941573947, 0.1, 1e-3])
