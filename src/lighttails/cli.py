@@ -57,31 +57,19 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_arguments(name, p):
-    """The arguments of command `name` on its parser p; returns p."""
-    for flag, keywords in _COMMON_FLAGS + _SUBCOMMANDS[name][2]:
-        p.add_argument(flag, **keywords)
-    return p
-
-
 @functools.cache
 def _build_parser():
-    """The top-level parser, with every command's sub-parser: for --help,
-    --version, no command and an unknown one."""
+    """The top-level parser, with every command's sub-parser: for any argv
+    `_fast_parse` does not answer."""
     parser = _Parser(prog="lighttails",
                      description="tail bounds for functions of independent variables")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _SUBCOMMANDS.items():
-        _add_arguments(name, sub.add_parser(name, help=help_text))
+    for name, (help_text, _, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in _COMMON_FLAGS + flags:
+            p.add_argument(flag, **keywords)
     return parser
-
-
-@functools.cache
-def _sub_parser(name):
-    """Command `name`'s parser alone, as the top-level parser builds it:
-    add_parser gives it the prog "lighttails NAME" and no other setting."""
-    return _add_arguments(name, _Parser(prog=f"lighttails {name}"))
 
 
 @functools.cache
@@ -106,14 +94,11 @@ def _parse_args(argv):
     """The Namespace the top-level parser gives for argv.  All that parser
     does with an argv that starts with a command is hand the rest to the
     command's sub-parser, so such an argv is read by `_fast_parse` where it
-    can answer, and else by that sub-parser, built alone; --help,
-    --version, no command and an unknown one take the top-level parser."""
+    can answer; any other argv takes the top-level parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if not argv or argv[0] not in _SUBCOMMANDS:
-        return _build_parser().parse_args(argv)
-    args = _fast_parse(argv[0], argv[1:])
+    args = _fast_parse(argv[0], argv[1:]) if argv and argv[0] in _SUBCOMMANDS else None
     if args is None:
-        args = _sub_parser(argv[0]).parse_args(argv[1:])
+        return _build_parser().parse_args(argv)
     args.command = argv[0]
     return args
 

@@ -1187,11 +1187,12 @@ class _Record:
         return rows if log_scale is None else ps * log_scale + rows
 
     def _rows(self, ps):
-        """ln E|Z|^p of this law at each p of ps: the orders its rows lack
-        run in one batch of the canonical form's `log_abs_moments`, and
-        their rows are stored.  A row does not depend on the batch it ran
-        in, so a stored row is the one any batch gives.  A NaN row is not
-        stored, nor a batch that takes the rows past _MOMENT_ROWS."""
+        """ln E|Z|^p of this law at each p of ps: where the rows lack an
+        order, all of ps runs in one batch of the canonical form's
+        `log_abs_moments`, and the rows of the orders they lacked are
+        stored.  A row does not depend on the batch it ran in, so a stored
+        row is the one any batch gives.  A NaN row is not stored, nor a
+        batch whose new orders take the rows past _MOMENT_ROWS."""
         rows = self.rows
         if rows is None:
             rows = self.rows = {}
@@ -1200,15 +1201,10 @@ class _Record:
         if not missing:
             return np.array([rows[p] for p in keys])
         _law_counts["passes"] += 1
-        fresh = len(missing) == len(keys)   # distinct orders, none stored: the batch is ps
-        out = self.form.log_abs_moments(ps if fresh else np.array(missing))
-        values = out.tolist()
+        out = self.form.log_abs_moments(ps)
         if len(rows) + len(missing) <= _MOMENT_ROWS:
-            rows.update({p: lm for p, lm in zip(missing, values) if lm == lm})
-        if fresh:
-            return out
-        new = dict(zip(missing, values))
-        return np.array([new[p] if p in new else rows[p] for p in keys])
+            rows.update({p: lm for p, lm in zip(keys, out.tolist()) if lm == lm and p not in rows})
+        return out
 
 
 def round_up(exact) -> float:

@@ -145,9 +145,13 @@ def _entropy(values, probs):
 
 
 def _log_mgf(c, probs, beta):
-    """ln E e^(beta c) of the centered values c."""
-    m, w, z = _tilt_weights(beta * c, probs)
-    if m - (beta * c).min() <= _SMALL:
+    """ln E e^(beta c) of the centered values c.  Where the spread of beta c
+    is past the largest float, a weight e^(-inf) reads 0."""
+    bc = beta * c
+    with np.errstate(over="ignore"):
+        m, w, z = _tilt_weights(bc, probs)
+        small = m - bc.min() <= _SMALL
+    if small:
         return float(beta * beta * _small(c, probs, beta)[0])
     return m + math.log(z)
 
@@ -265,7 +269,8 @@ def subadditivity_gap(table: ProductTable, gamma: float) -> float:
 def entropy_bound_subgaussian(y: dist.FiniteSupport, beta: float):
     """(S(beta Y), bound) with bound = min(ln E[e^(2 beta Y)], 16e beta^2 psi2^2)
     for Y - E Y, which has the same S; the contract is s <= bound.  Raises
-    ValueError naming beta when 2 beta (Y - E Y) overflows.
+    ValueError naming beta when 2 beta (Y - E Y) overflows; else 2 beta or
+    Y - E Y doubles exactly, whichever stays finite.
     """
     y = _centered(y)
     c, probs = _arrays(y)
@@ -274,7 +279,8 @@ def entropy_bound_subgaussian(y: dist.FiniteSupport, beta: float):
     s = _entropy(beta * c, probs)
     if beta == 0.0:
         return 0.0, 0.0
-    bound_mgf = _log_mgf(c, probs, 2.0 * beta)
+    two_beta = 2.0 * beta
+    bound_mgf = _log_mgf(c, probs, two_beta) if math.isfinite(two_beta) else _log_mgf(2.0 * c, probs, beta)
     psi2 = psi_norm(y, 2).proxy_value
     bound_psi = 16.0 * E * (beta * beta) * (psi2 * psi2)
     return s, min(bound_mgf, bound_psi)

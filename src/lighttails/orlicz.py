@@ -55,9 +55,8 @@ _START = np.unique(np.concatenate([
     _P_GRID[::_GRID_DENSITY], _P_GRID[-_GRID_DENSITY - 1::4], _P_GRID[-2:]]))
 _START.setflags(write=False)    # every search passes it to log_moments
 # the orders p0 = _START[3], _START[4], ... at which a tail bound may end a
-# search, and so the octaves its first call reads (all of _START for the
-# laws of `_whole_start`): 8 at alpha = 1, and 8 or 16 at alpha = 2, where
-# ln(p0) / alpha falls half as fast
+# search, and so the octaves its first call reads: 8 at alpha = 1, and 8 or
+# 16 at alpha = 2, where ln(p0) / alpha falls half as fast
 _P0 = {1: (8.0,), 2: (8.0, 16.0)}
 # the first ln(lambda) of a tail bound from E exp(lambda |Z|^a), ln(c) - a ln K
 # for K the best ratio read: any lambda > 0 is valid, these suit the catalogue
@@ -138,18 +137,14 @@ _START_LOGS = {alpha: (np.log(_START) / alpha).tolist() for alpha in (1, 2)}
 _HEAD = {alpha: _START[:3 + len(p0)] for alpha, p0 in _P0.items()}    # the first call's orders
 
 
-def _sup_ratio(log_moments, alpha, tail, whole=False):
+def _sup_ratio(log_moments, alpha, tail):
     """Maximize ln(||Z||_p / p^(1/alpha)) over p >= 1, with a certificate.
 
     log_moments maps an array of p to phi(p) = ln E|Z|^p; tail(best, p0) is
     T(p0) >= the ratio at every p >= p0 (`_tail_bound`).  The first call
-    reads _HEAD[alpha], or all of _START where `whole` is set (see
-    `_whole_start`), and the search keeps [1, p0] for the first p0 of
-    _P0[alpha] with T(p0) not above the best ratio of the head, else the
-    whole _START, its rest read in a second call if the first did not,
-    with p0 = _P_MAX.  So `whole` moves the calls and orders read, never
-    the outcome: where the whole start fails, the head is read alone.
-    Each round reads the intervals whose chord
+    reads _HEAD[alpha], and the search keeps [1, p0] for the first p0 of
+    _P0[alpha] with T(p0) not above the best ratio, else reads the rest of
+    _START with p0 = _P_MAX.  Each round reads the intervals whose chord
     bound beats the best ratio by more than _CHORD_TOL, at the geometric
     midpoint and at an inner maximiser of the bound (Piyavskii-Shubert, p*
     itself for a linear phi).  An inner peak exceeds the larger end ratio
@@ -162,13 +157,7 @@ def _sup_ratio(log_moments, alpha, tail, whole=False):
     """
     n = len(_HEAD[alpha])
     ps, logs = _START_PS[:n], _START_LOGS[alpha][:n]
-    try:
-        first = log_moments(_START if whole else _HEAD[alpha]).tolist()
-    except dist.QuadratureError:
-        if not whole:
-            raise
-        first = log_moments(_HEAD[alpha]).tolist()
-    phis, more = first[:n], first[n:]
+    phis = log_moments(_HEAD[alpha]).tolist()
     if all(phi == -math.inf for phi in phis):
         return -math.inf, 1.0, -math.inf, -math.inf
     _check_finite(ps, phis)
@@ -181,7 +170,7 @@ def _sup_ratio(log_moments, alpha, tail, whole=False):
             break
     else:
         t = None
-        more = more or log_moments(_START[n:]).tolist()
+        more = log_moments(_START[n:]).tolist()
         _check_finite(_START_PS[n:], more)
         ps += _START_PS[n:]
         logs += _START_LOGS[alpha][n:]
@@ -224,10 +213,12 @@ def _tail_bound(law, alpha):
     none; NotSubGaussianError or NotSubExponentialError where the form's
     `max_psi_alpha` (the primitive X's, halved by each square step) is
     below alpha.  A bounded X reads its support walked through each map
-    step.  At alpha = 1, a form with a closed-form MGF (X has no squared
-    MGF, or the first step squares it) reads that: a = 1, S = mgf(lambda)
-    + mgf(-lambda).  Else X = s U + b, for U its unit law, reads U's
-    squared MGF, a = 2, folded over the map steps by their `_tail`.
+    step.  At alpha = 1, a form whose first step (X where it has none) has
+    largest alpha 1 reads its closed-form MGF: a = 1, S = mgf(lambda) +
+    mgf(-lambda).  An unbounded X lacks a squared MGF exactly where its
+    largest alpha is 1, and only a square step moves it, from 2 to 1.  Else
+    X = s U + b, for U its unit law, reads U's squared MGF, a = 2, folded
+    over the map steps by their `_tail`.
     """
     form = law.form
     base, steps = dist._chain(form)
@@ -241,8 +232,7 @@ def _tail_bound(law, alpha):
         halved = f", and {round(math.log2(fact / top))} square step(s) halve that to {top:g}"
         raise _INFINITE[alpha](f"{type(base).__name__} laws have finite psi norms only up to "
                                f"alpha = {fact}{halved * (top != fact)}")
-    if alpha == 1 and (type(base).squared_mgf is dist.Distribution.squared_mgf
-                       or steps and steps[0].max_psi_alpha != fact):
+    if alpha == 1 and (steps[0] if steps else base).max_psi_alpha == 1:
         mgf_tail = _moment_tail(lambda lam: math.log(dist._mgf(form, lam) + dist._mgf(form, -lam)), 1)
         return lambda best, p0: mgf_tail(best, p0, alpha, 0.0, 0.0)
     (s, s_den), (b, b_den), unit = base.unit_law()
@@ -251,23 +241,6 @@ def _tail_bound(law, alpha):
     for step in steps:
         tail, log_scale, shift = step._tail(tail, log_scale, shift)
     return lambda best, p0: tail(best, p0, alpha, log_scale, shift)
-
-
-def _whole_start(form, alpha):
-    """Whether a search on this canonical form reads all of _START in its
-    first call, from the law and alpha alone: for a Gaussian at the edge of
-    its alpha, whose head's tail bound seldom falls below the head's best
-    ratio.  At alpha = 1 a square of one, chi-squared(1) included, whose
-    ratio falls to 2/e of its value at p = 1 while the MGF bound's Gamma(p0 +
-    1)^(1/p0) / p0 is 1.28 times its limit 1/e at p0 = 8; at alpha = 2 a
-    shifted one, whose Minkowski term |b| / 4 at p0 = 16 stays above the
-    fall of its ratio unless |b| is large against its sd."""
-    base = dist._chain(form)[0]
-    if form.max_psi_alpha != alpha:
-        return False
-    if alpha == 1:      # a chi-squared(1), or a Gaussian through one square step
-        return base == dist._UNIT_CHI2 or type(base) is dist.Gaussian
-    return type(base) is dist.Gaussian and form.expectation() != 0.0
 
 
 def _support_tail(m, alpha):
@@ -381,8 +354,7 @@ def _search(law, alpha):
     "tail-bound" where the tail bound is the larger.  The errors of
     `_tail_bound` and `_sup_ratio`, and a QuadratureError where no tail
     bound past _P_MAX is finite."""
-    best, p, top, t = _sup_ratio(law.log_moments, alpha, _tail_bound(law, alpha),
-                                 _whole_start(law.form, alpha))
+    best, p, top, t = _sup_ratio(law.log_moments, alpha, _tail_bound(law, alpha))
     method = "closed-form" if isinstance(law.form, dist.FiniteSupport) else "analytic-grid"
     if best == -math.inf:
         return OrliczEstimate(alpha, 0.0, p, method, 0.0)

@@ -35,6 +35,7 @@ WALK_ENTRY = "One constructor and one exact walk"
 STEP_ENTRY = "One map step, one class"
 FOLD_ENTRY = "One tail rule per map step"
 COLD_ENTRY = "A cold ψ search at a lighter fixed cost"
+FORKS_ENTRY = "One ψ-search start, one moment-row path, one argparse parser"
 
 
 class Mutant(NamedTuple):
@@ -206,21 +207,6 @@ MUTANTS = (
            ("tests/test_distributions.py::TestMoments::test_a_shift_that_cancels_in_floats_reads_the_standard_law",
             "tests/test_cli.py::TestOverflowPaths::test_a_far_shifted_uniform_serves_thm3"),
            FOLD_ENTRY),
-    Mutant("orlicz.py",         # a whole start's rows past the head read into the first cut at p0
-           "    n = len(_HEAD[alpha])\n",
-           "    n = len(_START) if whole else len(_HEAD[alpha])\n",
-           ("tests/test_orlicz.py::TestChordSearch::test_a_whole_start_keeps_every_outcome",),
-           COLD_ENTRY),
-    Mutant("orlicz.py",         # a whole start that fails raises, where its head alone would not
-           "        if not whole:\n            raise\n",
-           "        raise\n",
-           ("tests/test_orlicz.py::TestChordSearch::test_a_whole_start_keeps_every_outcome",),
-           COLD_ENTRY),
-    Mutant("orlicz.py",         # no shifted Gaussian reads the whole start at alpha = 2
-           "    return type(base) is dist.Gaussian and form.expectation() != 0.0\n",
-           "    return False\n",
-           ("tests/test_orlicz.py::TestColdCorpus::test_the_first_call_reads_the_head",),
-           COLD_ENTRY),
     Mutant("distributions.py",  # the scan's last point read as j step + lo, not hi
            "top if i + 1 >= _SCAN - 1 else (i + 1) * d + x for",
            "min(i + 1, _SCAN - 1) * d + x for",
@@ -238,6 +224,16 @@ MUTANTS = (
            ("tests/test_distributions.py::TestLawMemo::test_an_insert_past_the_bound_keeps_the_newest_records",
             "tests/test_distributions.py::TestLawMemo::test_live_rows_stay_within_twice_the_bound"),
            COLD_ENTRY),
+    Mutant("orlicz.py",         # a square of a Gaussian at alpha = 1 reads the Gaussian's squared MGF
+           "(steps[0] if steps else base).max_psi_alpha == 1",
+           "base.max_psi_alpha == 1",
+           ("tests/test_orlicz.py::TestTailBounds::test_a_squared_gaussian_reads_its_own_mgf_at_alpha_1",),
+           FORKS_ENTRY),
+    Mutant("distributions.py",  # a batch's new rows stored past _MOMENT_ROWS
+           "        if len(rows) + len(missing) <= _MOMENT_ROWS:\n",
+           "        if len(missing) <= _MOMENT_ROWS:\n",
+           ("tests/test_distributions.py::TestLawMemo::test_a_record_keeps_at_most_the_bound_of_rows",),
+           FORKS_ENTRY),
 )
 
 

@@ -776,6 +776,21 @@ class TestLawMemo:
         assert [D._laws[law] for law in laws[4:8]] == records[4:]
         assert all(D._laws[law].rows for law in laws[4:8])
 
+    def test_a_record_keeps_at_most_the_bound_of_rows(self, monkeypatch):
+        # a batch runs whole where it lacks an order, and stores the orders
+        # the record lacked unless they take it past _MOMENT_ROWS
+        monkeypatch.setattr(D, "_MOMENT_ROWS", 4)
+        spec = D.Shifted(D.Exponential(0.73), -2.0)
+        D._laws.pop(spec, None)
+        law = D._law(spec)
+        want = dict(zip([1.0, 2.0, 3.0, 4.0, 5.0],
+                        D.canonical(spec).log_abs_moments(np.arange(1.0, 6.0)).tolist()))
+        for ps, stored in (([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]),
+                           ([3.0, 4.0, 5.0], [1.0, 2.0, 3.0]),     # 5 rows: none stored
+                           ([4.0, 2.0], [1.0, 2.0, 3.0, 4.0])):
+            assert law._rows(np.array(ps)).tolist() == [want[p] for p in ps]
+            assert sorted(law.rows) == stored
+
     def test_live_rows_stay_within_twice_the_bound(self, monkeypatch):
         # c Centered(Poisson(rate)) reads the rows of the record of
         # Centered(Poisson(rate)), whose psi search reads them itself.

@@ -397,6 +397,18 @@ class TestEntropyBounds:
         y = D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])
         assert ent.entropy_bound_subgaussian(y, beta) == (math.log(2.0), 2e160)
 
+    @pytest.mark.parametrize("beta", [1e308, -1e308])
+    def test_subgaussian_beta_whose_double_overflows(self, beta):
+        # 2 beta overflows, 2 beta (Y - E Y) = +-1e308 does not: Y - E Y is
+        # doubled, and ln cosh(1e308) = 1e308 - ln 2 bounds S = ln 2
+        y = D.FiniteSupport([0.0, 1.0], [0.5, 0.5])
+        assert ent.entropy_bound_subgaussian(y, beta) == (math.log(2.0), 1e308 - math.log(2.0))
+
+    def test_subgaussian_values_whose_double_overflows(self):
+        # 2 (Y - E Y) overflows, 2 beta (Y - E Y) = +-7.5e307 does not: beta is doubled
+        y = D.FiniteSupport([-1.5e308, 1.5e308], [0.5, 0.5])
+        assert ent.entropy_bound_subgaussian(y, 0.25) == (math.log(2.0), 7.5e307 - math.log(2.0))
+
     def test_subgaussian_beta_that_overflows(self):
         y = D.FiniteSupport([-1.0, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError, match=r"beta=1e\+308 overflows"):

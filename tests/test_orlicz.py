@@ -580,31 +580,24 @@ class TestChordSearch:
 
     @pytest.mark.parametrize("alpha", [1, 2])
     @pytest.mark.parametrize("p0", [1.0002, 6.9, 13.8, 100.5])
-    def test_a_whole_start_keeps_every_outcome(self, p0, alpha):
-        # the first call may read all of the start: the search keeps [1, p0]
-        # where the head's tail bound ends it, so its outcome is the head's
-        # to the bit, in one call fewer where the head does not end it
+    def test_an_order_past_the_head_is_read_only_where_its_tail_fails(self, p0, alpha):
+        # where the head's tail bound ends the search, no order past the
+        # head is read, so a moment that fails there fails no search
         phi, _ = linear_phi(0.7, p0, alpha)
         tail = O._support_tail(math.exp(0.7), alpha)
-        calls = {}
-        for whole in (False, True):
-            sizes = calls[whole] = []
-            got = O._sup_ratio(lambda ps: sizes.append(len(ps)) or phi(ps), alpha, tail, whole)
-            assert got == O._sup_ratio(phi, alpha, tail)
-        head, rest = calls[False][0], calls[False][1] == START_LEN - HEAD_LEN[alpha]
-        assert head == HEAD_LEN[alpha] and calls[True][0] == START_LEN
-        assert calls[True][1:] == calls[False][1 + rest:]
+        sizes = []
+        want = O._sup_ratio(lambda ps: sizes.append(len(ps)) or phi(ps), alpha, tail)
+        assert sizes[0] == HEAD_LEN[alpha]
 
-        # where an order past the head fails, the head is read alone
         def failing(ps):
             if ps.max() > O._HEAD[alpha][-1]:
                 raise D.QuadratureError("past the head")
             return phi(ps)
-        if rest:
+        if sizes[1:2] == [START_LEN - HEAD_LEN[alpha]]:     # the head's tail bound fails
             with pytest.raises(D.QuadratureError, match="past the head"):
-                O._sup_ratio(failing, alpha, tail, True)
+                O._sup_ratio(failing, alpha, tail)
         else:
-            assert O._sup_ratio(failing, alpha, tail, True) == O._sup_ratio(phi, alpha, tail)
+            assert O._sup_ratio(failing, alpha, tail) == want
 
     def test_the_p_grid_is_correctly_rounded(self):
         # entry i is the float nearest 2^(i/16): the midpoints to both its
@@ -841,25 +834,22 @@ class TestColdCorpus:
 
     def test_the_first_call_reads_the_head(self):
         # every search that reads a moment reads the head of the start
-        # first, and most end there at a tail bound; the squares of
-        # Gaussians at alpha = 1 and the shifted Gaussians at alpha = 2
-        # (`_whole_start`) read the whole start in their first call, and no
-        # search reads the rest in a call of its own.  The 380 proofs read
-        # nothing
+        # first, and most end there at a tail bound; the 65 and 35 whose
+        # head does not end them read the rest of the start in a second
+        # call.  The 380 proofs read nothing
         first = collections.Counter((alpha, s[0]) for _, alpha, _, s in cold_corpus() if s)
-        assert first == {(1, HEAD_LEN[1]): 713, (2, HEAD_LEN[2]): 339, (1, START_LEN): 65, (2, START_LEN): 63}
-        whole = collections.Counter(alpha for law, alpha, _, s in cold_corpus()
-                                    if O._whole_start(D._law(D.standard_form(law)[1]).form, alpha))
-        assert whole == {1: 65, 2: 63}
-        assert not any(s[1:2] == [START_LEN - HEAD_LEN[alpha]] for _, alpha, _, s in cold_corpus())
-        # 1507 batched calls and 7249 orders; 1607 and 7025 when the 65 and
-        # 35 of those whose head did not end the search read the rest in a
-        # second call, 1935 and 12677 when only bounded laws and
-        # closed-form MGFs at alpha = 1 had a tail bound, 1887 and 21318
-        # when every search read the whole start, 2717 and 54443 from every
-        # 4th grid point
+        assert first == {(1, HEAD_LEN[1]): 778, (2, HEAD_LEN[2]): 402}
+        rest = collections.Counter(alpha for _, alpha, _, s in cold_corpus()
+                                   if s[1:2] == [START_LEN - HEAD_LEN[alpha]])
+        assert rest == {1: 65, 2: 35}
+        # 1607 batched calls and 7025 orders; 1507 and 7249 when the squares
+        # of Gaussians at alpha = 1 and the shifted Gaussians at alpha = 2
+        # read the whole start in their first call, 1935 and 12677 when only
+        # bounded laws and closed-form MGFs at alpha = 1 had a tail bound,
+        # 1887 and 21318 when every search read the whole start, 2717 and
+        # 54443 from every 4th grid point
         sizes = [s for _, _, _, s in cold_corpus()]
-        assert sum(map(len, sizes)) == 1507 and sum(map(sum, sizes)) == 7249
+        assert sum(map(len, sizes)) == 1607 and sum(map(sum, sizes)) == 7025
 
     @pytest.mark.parametrize("alpha", [1, 2])
     @pytest.mark.parametrize("eps", [0.25, 0.2446228941573947, 0.1, 1e-3])
@@ -963,6 +953,16 @@ class TestTailBounds:
         for ratio in (gammaln(ps + 1.0) / ps - np.log(ps),
                       gammaln(ps / 2.0 + 1.0) / ps - 0.5 * np.log(ps)):
             assert (np.diff(ratio) < 0.0).all()
+
+    def test_a_squared_gaussian_reads_its_own_mgf_at_alpha_1(self):
+        # the square step halves the Gaussian's largest alpha to 1, so the
+        # square's closed-form MGF ends the search at the head; the
+        # Gaussian's squared MGF folded over the square reads the same value
+        # and upper only after a second call of 9 orders
+        est, sizes = cold_search(D.SquareOf(D.Gaussian(0.8376776400682916, 1.0)), 1)
+        assert sizes == [HEAD_LEN[1]]
+        assert est.p_star == 1.0 and est.value == pytest.approx(1.7017038286703, rel=1e-12)
+        assert est.value <= est.upper
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(_chained)
