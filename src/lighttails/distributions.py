@@ -189,13 +189,13 @@ class Spec:
 
     def _check(self): pass
 
-    @classmethod
-    def _trusted(cls, *values):
-        """The spec of these field values, in field order, built without the
-        checks: for values that pass them already, as a fold's do."""
-        spec = object.__new__(cls)
-        vars(spec).update(zip(_fields(cls), values))
-        return spec
+
+def _built(cls, *values):
+    """cls(*values), or None where its checks refuse these values."""
+    try:
+        return cls(*values)
+    except SpecError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +247,7 @@ class Distribution(Spec):
         under the step, else the step around this form (step itself where
         its base is this form)."""
         folded = None if type(step) is SquareOf else self._affine(step)
-        return folded or (step if step.base == self else step._on(self))
+        return folded or (step if step.base == self else dataclasses.replace(step, base=self))
 
 
 class _Continuous(Distribution):
@@ -445,11 +445,9 @@ class Gaussian(_Continuous):
         return s ** -0.5 * math.exp(beta * self.mean ** 2 / s)
 
     def _affine(self, step):
-        mean, sd = ((self.mean + step.offset, self.sd) if type(step) is Shifted else
-                    (step.factor * self.mean, abs(step.factor) * self.sd))
-        # the checks of the fields: a mean or sd past the floats, or an sd
-        # that rounds to 0, keeps the step as a wrapper
-        return Gaussian._trusted(mean, sd) if math.isfinite(mean) and 0.0 < sd < math.inf else None
+        # a mean or sd past the floats, or an sd that rounds to 0, keeps the step as a wrapper
+        return _built(Gaussian, *((self.mean + step.offset, self.sd) if type(step) is Shifted else
+                                  (step.factor * self.mean, abs(step.factor) * self.sd)))
 
 
 @dataclass(frozen=True)
@@ -550,12 +548,8 @@ class UniformInterval(_Continuous):
         top = self.hi if beta > 0 else self.lo
         return math.exp(beta * top) * -math.expm1(-2.0 * x) / (2.0 * x)
 
-    def _affine(self, step):
-        lo, hi = step._image(self.lo, self.hi)
-        # the checks of the fields and of _check: an end past the floats
-        # has an infinite width, and rounding may close the interval; either
-        # keeps the step as a wrapper
-        return UniformInterval._trusted(lo, hi) if lo < hi and math.isfinite(hi - lo) else None
+    # an end past the floats, or an interval that rounding closes, keeps the step as a wrapper
+    def _affine(self, step): return _built(UniformInterval, *step._image(self.lo, self.hi))
 
 
 @dataclass(frozen=True)
@@ -707,7 +701,10 @@ class FiniteSupport(Distribution):
 
     def expectation(self): return float(np.dot(self.values, self.probs))
     def support(self): return min(self.values), max(self.values)
-    def _fold(self): return self if _increasing(self.values) else _merged(self.values, self.probs)
+
+    def _fold(self):
+        v = self.values
+        return self if all(a < b for a, b in zip(v, v[1:])) else _merged(v, self.probs)
 
     def _check(self):
         for name in ("values", "probs"):
@@ -726,10 +723,8 @@ class FiniteSupport(Distribution):
     @functools.cached_property
     def _logs(self):
         """ln probs and ln |values| as arrays; -inf where either is 0."""
-        if 0.0 in self.probs or 0.0 in self.values:
-            with np.errstate(divide="ignore"):
-                return np.log(self.probs), np.log(np.abs(self.values))
-        return np.log(self.probs), np.log(np.abs(self.values))
+        with np.errstate(divide="ignore"):
+            return np.log(self.probs), np.log(np.abs(self.values))
 
     def log_abs_moments(self, ps):
         # one (p, value) log-sum-exp; math.log per row, as np.log differs
@@ -762,19 +757,11 @@ class FiniteSupport(Distribution):
         # a value past the largest float is inf, which the new law refuses
         values = np.array(self.values)
         with np.errstate(over="ignore"):
-            values = step._map(values, values).tolist()
-        try:    # distinct values in order need no sort and merge
-            if _increasing(values):
-                return FiniteSupport(values, self.probs)
-            if _increasing(values[::-1]):
-                return FiniteSupport(values[::-1], self.probs[::-1])
+            step._map(values, values)
+        try:
             return _merged(values, self.probs)
         except SpecError as exc:
             raise SpecError(f"{self} after the map step {step._text()}: {exc}") from None
-
-
-def _increasing(values):
-    return all(a < b for a, b in zip(values, values[1:]))
 
 
 def _check_total(probs):
@@ -882,9 +869,6 @@ class _Step(Distribution):
 
     def support(self): return self._image(*self.base.support())
     def _fold(self): return _law(self.base).form._push(self)
-    def _on(self, base):
-        """This step around another law, as a fold builds it: its fields are checked."""
-        return type(self)._trusted(base, *[vars(self)[name] for name in _fields(type(self))][1:])
     max_psi_alpha = property(lambda self: self.base.max_psi_alpha)     # a square's halves it
 
     def _text(self):
@@ -980,7 +964,7 @@ class Centered(Distribution):
         form, mu = _law(self.base).form, self.base.expectation()
         if not math.isfinite(mu):
             raise SpecError(f"the mean of {self.base} must be finite to center it, got {mu}")
-        return form._push(Shifted._trusted(form, -mu)) if mu else form
+        return form._push(Shifted(form, -mu)) if mu else form
 
 
 # the laws of unit scale that `unit_law` names
@@ -1091,19 +1075,10 @@ def _standard_form(spec, base, steps):
     if unit is None:
         return 1.0, spec
     (a, a_den), (c, c_den), law = unit
-    # a Centered spec has mean 0, so c is read at its square steps only:
-    # past the last one, a scale step multiplies a alone
-    head = len(steps)
-    if isinstance(spec, Centered):
-        head = max((i + 1 for i, step in enumerate(steps) if type(step) is SquareOf), default=0)
-    for i, step in enumerate(steps):
+    for step in steps:
         if type(step) is Scaled:
             n, d = step.factor.as_integer_ratio()
-            a, a_den = a * n, a_den * d
-            if i < head:
-                c, c_den = c * n, c_den * d
-        elif i >= head:
-            continue
+            a, a_den, c, c_den = a * n, a_den * d, c * n, c_den * d
         elif type(step) is Shifted:
             n, d = step.offset.as_integer_ratio()
             c, c_den = c * d + n * c_den, c_den * d
@@ -1113,10 +1088,10 @@ def _standard_form(spec, base, steps):
             if c or max(a.bit_length(), a_den.bit_length()) > _SCALE_BITS:
                 return 1.0, spec
             a, a_den = a * a, a_den * a_den
-            law = _UNIT_CHI2 if law is _UNIT_GAUSSIAN else SquareOf._trusted(law)
+            law = _UNIT_CHI2 if law is _UNIT_GAUSSIAN else SquareOf(law)
     scale, exact = _round_up(abs(a), a_den)
     if spec.expectation() == 0.0:
-        law = law if law.expectation() == 0.0 else Centered._trusted(law)
+        law = law if law.expectation() == 0.0 else Centered(law)
     elif c or not exact:
         return 1.0, spec
     if not sys.float_info.min <= scale < math.inf:
@@ -1350,8 +1325,6 @@ def _log_moments(base, steps, ps):
     def log_g(x):       # read under the np.errstate of _log_expects
         g = np.abs(_apply(steps, x))
         return np.log(g, out=g)
-    if 0 < len(ps) <= _BLOCK:
-        return base._log_expects(log_g, ps, ps, steps)
     blocks = [ps[i:i + _BLOCK] for i in range(0, len(ps), _BLOCK)]
     return np.concatenate([ps[:0]] + [base._log_expects(log_g, b, b, steps) for b in blocks])
 

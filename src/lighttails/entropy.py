@@ -106,10 +106,13 @@ class ProductTable:
 # Entropy and tilted expectations
 
 def _tilt_weights(values, probs):
-    """exp-shifted weights p_i e^(y_i - max) and their sum."""
+    """The max, the values less it, exp-shifted weights p_i e^(y_i - max)
+    and their sum.  A shift past the largest float reads -inf: its weight is 0."""
     m = float(np.max(values))
-    w = probs * np.exp(values - m)
-    return m, w, math.fsum(w)
+    with np.errstate(over="ignore"):
+        shifted = values - m
+    w = probs * np.exp(shifted)
+    return m, shifted, w, math.fsum(w)
 
 
 def _small(c, probs, g=1.0):
@@ -138,20 +141,19 @@ def _entropy_rows(rows, probs):
 
 
 def _entropy(values, probs):
-    m, w, z = _tilt_weights(values, probs)
-    if m - values.min() <= _SMALL:
+    _, shifted, w, z = _tilt_weights(values, probs)
+    if shifted.min() >= -_SMALL:
         return float(_small(values - math.fsum(probs * values), probs)[1])
-    return math.fsum(w * (values - m)) / z - math.log(z)
+    live = shifted > -math.inf      # a weight e^(-inf) adds 0
+    return math.fsum(w[live] * shifted[live]) / z - math.log(z)
 
 
 def _log_mgf(c, probs, beta):
     """ln E e^(beta c) of the centered values c.  Where the spread of beta c
     is past the largest float, a weight e^(-inf) reads 0."""
     bc = beta * c
-    with np.errstate(over="ignore"):
-        m, w, z = _tilt_weights(bc, probs)
-        small = m - bc.min() <= _SMALL
-    if small:
+    m, shifted, w, z = _tilt_weights(bc, probs)
+    if shifted.min() >= -_SMALL:
         return float(beta * beta * _small(c, probs, beta)[0])
     return m + math.log(z)
 
@@ -167,7 +169,7 @@ def tilted_expect(y: dist.FiniteSupport, g) -> float:
     g = np.asarray(g, dtype=float)
     if g.shape != values.shape:
         raise ValueError(f"g has length {g.shape}, expected {len(values)}")
-    _, w, z = _tilt_weights(values, probs)
+    _, _, w, z = _tilt_weights(values, probs)
     return math.fsum(w * g) / z
 
 
@@ -258,7 +260,7 @@ def subadditivity_gap(table: ProductTable, gamma: float) -> float:
     """E_{gamma f(X)}[sum_k S(gamma f_k)] - S(gamma f(X)); always >= 0."""
     f_flat = gamma * table.f_table.ravel()
     jp = table.joint_probs().ravel()
-    _, w, z = _tilt_weights(f_flat, jp)
+    _, _, w, z = _tilt_weights(f_flat, jp)
     cond_sum = conditional_entropy_table(table, gamma).sum(axis=0).ravel()
     return math.fsum(w * cond_sum) / z - _entropy(f_flat, jp)
 

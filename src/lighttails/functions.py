@@ -185,10 +185,7 @@ class VectorNormOfSum(_VectorCoordinates):
         """Chi(dim, sqrt(n) sd), the law of f, or None where there is no chi
         law or sqrt(n) sd overflows."""
         chi = _chi_law(self.vec, self.centered)
-        try:
-            return None if chi is None else dist.Chi(chi.dof, math.sqrt(self.n) * chi.sd)
-        except dist.SpecError:
-            return None
+        return None if chi is None else dist._built(dist.Chi, chi.dof, math.sqrt(self.n) * chi.sd)
 
     def sample(self, rng, count):
         law = self._f_law

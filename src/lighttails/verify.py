@@ -152,7 +152,9 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"threads must lie in [1, {MAX_THREADS}], got {threads}")
     _check_shard_bytes(fspec, threads, n_samples)
-    mean_value, half = fn.expectation(fspec, seed=seed)
+    # draws past the largest float read inf or NaN, which the shards refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_value, half = fn.expectation(fspec, seed=seed)
     spacing = min(np.diff(t_grid)) if len(t_grid) > 1 else t_grid[0]
     if half > spacing / 10.0:
         raise ValueError(
@@ -165,7 +167,8 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
 
     def shard_counts(job):
         stream, count = job
-        vals = fn.sample_f(fspec, seed, count, stream=stream)
+        with np.errstate(over="ignore", invalid="ignore"):     # set per thread
+            vals = fn.sample_f(fspec, seed, count, stream=stream)
         # a NaN would compare False, as no exceedance; min and max carry it
         lo, hi = vals.min(), vals.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):

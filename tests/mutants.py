@@ -36,6 +36,7 @@ STEP_ENTRY = "One map step, one class"
 FOLD_ENTRY = "One tail rule per map step"
 COLD_ENTRY = "A cold ψ search at a lighter fixed cost"
 FORKS_ENTRY = "One ψ-search start, one moment-row path, one argparse parser"
+CHECKED_ENTRY = "Every law through its checked constructor"
 
 
 class Mutant(NamedTuple):
@@ -234,6 +235,12 @@ MUTANTS = (
            "        if len(missing) <= _MOMENT_ROWS:\n",
            ("tests/test_distributions.py::TestLawMemo::test_a_record_keeps_at_most_the_bound_of_rows",),
            FORKS_ENTRY),
+    Mutant("distributions.py",  # a law the constructor refuses raises, not reads None
+           "    except SpecError:\n        return None\n",
+           "    except ArithmeticError:\n        return None\n",
+           ("tests/test_distributions.py::TestCanonical::test_a_refused_affine_fold_keeps_its_step",
+            "tests/test_functions.py::TestSampling::test_overflowing_sum_law_keeps_per_coordinate_draws"),
+           CHECKED_ENTRY),
 )
 
 

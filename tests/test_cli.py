@@ -1550,6 +1550,28 @@ class TestOverflowPaths:
         path = write_spec(tmp_path, spec)
         assert run(capsys, argv[0], "--spec", path, *argv[1:]) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["verify", "compare"])
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": "metric_lipschitz", "lip": 1e308, "maps": ["abs"],
+          "coordinate_dists": [{"kind": "gaussian", "mean": 0, "sd": 1e300}]},
+         "metric_lipschitz: sample value inf in shard 0 is not finite"),
+        ({"kind": "sup_linear_loss", "weights": [[1e308]], "loss": "hinge", "n": 2,
+          "input": {"kind": "vector", "dim": 1, "components": [{"kind": "gaussian", "mean": 0, "sd": 1e10}]},
+          "output": {"kind": "gaussian", "mean": 0, "sd": 1}},
+         "sup_linear_loss: sample value nan in shard 0 is not finite"),
+        (_sum({"kind": "gaussian", "mean": 0, "sd": 1e308}, {"kind": "gaussian", "mean": 0, "sd": 1e308},
+              {"kind": "uniform", "lo": 0, "hi": 1}),
+         "sum: sample value nan in shard 0 is not finite"),
+    ], ids=["metric", "loss", "sum"])
+    def test_draws_past_the_largest_float_end_in_one_error_line(self, command, spec, message,
+                                                                 tmp_path, capsys):
+        # numpy's overflow and invalid-value RuntimeWarnings came before the
+        # error line, and a traceback where warnings are errors
+        path = write_spec(tmp_path, spec)
+        assert run(capsys, command, "--spec", path, "--bounds", "thm2", "--t-grid", "1:2:2",
+                   "--n", "10000") == (1, "", f"error: {message}\n")
+
     def test_a_far_shifted_uniform_serves_thm3(self, tmp_path, capsys):
         # 1 + 1e300 rounds to 1e300, so the law stays a wrapper whose map is
         # 0 in floats after centering: its 2p-norm reads 0.5 U(-1, 1), its

@@ -1291,6 +1291,18 @@ class TestCanonical:
         assert (D.canonical(D.Scaled(D.Shifted(D.UniformInterval(0.0, 1.0), 1.0), -2.0))
                 == D.UniformInterval(-4.0, -2.0))
 
+    @pytest.mark.parametrize("step", [
+        D.Shifted(D.Gaussian(1e308, 1.0), 1e308),           # a mean past the floats
+        D.Scaled(D.Gaussian(0.0, 1e-300), 1e-100),          # an sd that rounds to 0
+        D.Shifted(D.UniformInterval(0.0, 5e-324), 1.0),     # an interval that closes
+        D.Scaled(D.UniformInterval(-1.0, 1.0), 1e308),      # a width past the floats
+    ], ids=repr)
+    def test_a_refused_affine_fold_keeps_its_step(self, step):
+        # the family's constructor refuses the folded parameters, so the
+        # step stays a wrapper: itself, or rebuilt around the folded base
+        assert D.canonical(step) is step
+        assert D.canonical(dataclasses.replace(step, base=D.Scaled(step.base, 1.0))) == step
+
     def test_finite_chains_merge(self):
         spec = D.SquareOf(D.Scaled(D.Rademacher(), 3.0))
         assert D.canonical(spec) == D.FiniteSupport((9.0,), (1.0,))

@@ -103,6 +103,14 @@ class TestEntropy:
         rows = ent.conditional_entropy_table(table, beta)
         assert rows == pytest.approx(np.full((1, 2), math.log(2.0)), rel=1e-15)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_spread_past_the_largest_float(self):
+        # Y - max Y overflows to -inf at -1e308, whose weight 0 times -inf
+        # read NaN after a RuntimeWarning; the weight adds 0
+        y = D.FiniteSupport([-1e308, 1e308], [0.5, 0.5])
+        assert ent.entropy(y) == math.log(2.0)
+        assert ent.tilted_expect(y, [1.0, 2.0]) == 2.0
+
 
 class TestTiltedExpect:
     def test_zero_tilt(self):
