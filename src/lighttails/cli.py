@@ -312,81 +312,46 @@ def _kv_csv(d, prefix=""):
 _ESCAPE = json.encoder.encode_basestring_ascii
 _FLOAT_TEXT = float.__repr__
 _LAYOUTS = 1024     # dict layouts kept per process
-_layouts = {}       # (line break and indent, *keys) -> the dict's text with %s per value
 
 
-def _float_text(x, floats):
-    """The JSON text of float x, kept in floats, the memo of one document,
-    where x is finite and nonzero: 0.0 and -0.0 are one key with two texts."""
-    if not math.isfinite(x):
-        return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-    text = _FLOAT_TEXT(x)
-    if x:
-        floats[x] = text
-    return text
+def _float_text(x):
+    """The JSON text of float x, as json writes it."""
+    if math.isfinite(x):
+        return _FLOAT_TEXT(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
-def _leaf_text(o):
-    """The JSON text json writes for a str, None, bool, int or float; None
-    for any other object."""
+@functools.lru_cache(maxsize=_LAYOUTS)
+def _layout(nl, *keys):
+    """The text of a dict of str keys that starts on a line whose break and
+    indent is nl, with %s per value; a non-str key is a TypeError."""
+    return "".join([("," if i else "{") + nl + "  " + _ESCAPE(k).replace("%", "%%") + ": %s"
+                    for i, k in enumerate(keys)]) + nl + "}"
+
+
+def _json_text(o, nl="\n"):
+    """json.dumps(o, indent=2, allow_nan=True), byte for byte, for the
+    documents the CLI writes, without the pure-Python encoder that json runs
+    whenever indent is set; o starts on a line whose break and indent is nl.
+    A float or str in a list or dict is written in place, and a dict fills
+    the layout of its keys at nl.  None, bools, ints and float subclasses
+    are written as json writes them; anything else is a TypeError."""
+    if isinstance(o, (dict, list, tuple)):
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
+        inner = nl + "  "
+        texts = [_float_text(x) if type(x) is float else _ESCAPE(x) if type(x) is str else
+                 _json_text(x, inner) for x in (o.values() if isinstance(o, dict) else o)]
+        if isinstance(o, dict):
+            return _layout(nl, *o) % tuple(texts)
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
     if isinstance(o, str):
         return _ESCAPE(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
     if isinstance(o, float):
-        return _float_text(o, {})
-    return None
-
-
-def _key_text(k):
-    text = k if isinstance(k, str) else _leaf_text(k)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-    return _ESCAPE(text)
-
-
-def _json_text(o, nl="\n", floats=None):
-    """json.dumps(o, indent=2, allow_nan=True), byte for byte, without the
-    pure-Python encoder that json runs whenever indent is set; o starts on
-    a line whose break and indent is nl, and floats is the document's memo
-    of float texts.  A float or str in a list or dict is written in place.
-    A dict of str keys fills the memoised layout of its keys at nl, up to
-    _LAYOUTS of them; any other is laid out key by key, failing where json fails."""
-    kind = type(o)
-    if kind is not dict and kind is not list and kind is not tuple:
-        text = _leaf_text(o)
-        if text is not None:
-            return text
-    floats = {} if floats is None else floats
-    inner = nl + "  "
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        return "[" + inner + ("," + inner).join([
-            (floats.get(x) or _float_text(x, floats)) if type(x) is float else
-            _ESCAPE(x) if type(x) is str else _json_text(x, inner, floats) for x in o]) + nl + "]"
-    if not isinstance(o, dict):
-        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-    if not o:
-        return "{}"
-    shape = (nl, *o)
-    layout = _layouts.get(shape)
-    if layout is None:
-        if len(_layouts) >= _LAYOUTS or not all(type(k) is str for k in o):
-            return "{" + inner + ("," + inner).join([
-                _key_text(k) + ": " + _json_text(v, inner, floats) for k, v in o.items()]) + nl + "}"
-        layout = _layouts[shape] = "".join([
-            ("," if i else "{") + inner + _ESCAPE(k).replace("%", "%%") + ": %s"
-            for i, k in enumerate(o)]) + nl + "}"
-    return layout % tuple([
-        (floats.get(x) or _float_text(x, floats)) if type(x) is float else
-        _ESCAPE(x) if type(x) is str else _json_text(x, inner, floats) for x in o.values()])
+        return _float_text(o)
+    if o is None or isinstance(o, int):
+        return "null" if o is None else "true" if o is True else "false" if o is False else int.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
 
 def _emit(args, text):

@@ -1060,9 +1060,10 @@ def standard_form(spec):
     is a float, as for Chi(dof, sd) and UniformGap(width): the closed form
     of a rate family keeps reading its own rate.  The scale is the smallest
     float not below the exact |a|.  Every other law, and one whose scale is
-    not a normal float, is (1.0, spec).  The standard law's record keeps the
-    psi estimates, so every law of one shape shares one search, and the
-    moment rows of a centered shape (see `log_abs_moments`).  Memoised."""
+    inf, or subnormal and rounded up (so maybe many times |a|), is (1.0,
+    spec).  The standard law's record keeps the psi estimates, so every law of one
+    shape shares one search, and the moment rows of a centered shape (see
+    `log_abs_moments`).  Memoised."""
     return _law(spec).standard()
 
 
@@ -1094,7 +1095,7 @@ def _standard_form(spec, base, steps):
         law = law if law.expectation() == 0.0 else Centered(law)
     elif c or not exact:
         return 1.0, spec
-    if not sys.float_info.min <= scale < math.inf:
+    if scale == math.inf or scale < sys.float_info.min and not exact:
         return 1.0, spec
     return scale, law
 

@@ -11,7 +11,7 @@ S(Y) >= 0 and S(Y) = S(Y + c) always hold; nonnegativity follows from the
 fluctuation representation, whose integrand is a variance.  That and the
 log-MGF identity are integrals by one fixed rule (`_integral`), which
 raises `distributions.QuadratureError`, a RuntimeError, when its error
-estimate exceeds _TOL times max(1, |integral|).
+estimate exceeds _TOL times max(1, |integral|) or a float overflows.
 
 A finite law is a `distributions.FiniteSupport`, and its values and probs
 are read in the order given, not sorted: the g of `tilted_expect` and the
@@ -193,6 +193,18 @@ def _integral(f, b, spread):
     return float(fine)
 
 
+def _in_floats(beta, spread, sides):
+    """sides() with numpy's overflow and invalid operations raised, each as
+    one QuadratureError that names the spread of Y - E Y and the tilt beta,
+    with no warning before it."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return sides()
+    except FloatingPointError as exc:
+        raise dist.QuadratureError(
+            f"the spread of Y - E Y, {spread}, is too large at beta {beta}: {exc}") from None
+
+
 def log_mgf_via_entropy(y: dist.FiniteSupport, beta: float):
     """Both sides of ln E[e^(beta(Y-EY))] = beta * int_0^beta S(gamma Y)/gamma^2,
     each read on Y - E Y.
@@ -203,7 +215,7 @@ def log_mgf_via_entropy(y: dist.FiniteSupport, beta: float):
     c, probs = _arrays(_centered(y))
     if beta == 0.0:
         return 0.0, 0.0
-    spread = np.ptp(c)
+    spread = float(c.max()) - float(c.min())   # inf, with no warning, past the largest float
 
     def integrand(g):
         out = np.empty_like(g)
@@ -213,7 +225,8 @@ def log_mgf_via_entropy(y: dist.FiniteSupport, beta: float):
         out[~small] = _entropy_rows(big[:, None] * c, probs) / big / big
         return out
 
-    return _log_mgf(c, probs, beta), beta * _integral(integrand, beta, spread)
+    return _in_floats(beta, spread,
+                      lambda: (_log_mgf(c, probs, beta), beta * _integral(integrand, beta, spread)))
 
 
 def fluctuation_entropy(y: dist.FiniteSupport) -> float:
@@ -228,7 +241,8 @@ def fluctuation_entropy(y: dist.FiniteSupport) -> float:
         d = c - ((w * c).sum(axis=-1) / z)[..., None]
         return s * (w * d * d).sum(axis=-1) / z
 
-    return _integral(integrand, 1.0, np.ptp(c))
+    spread = float(c.max()) - float(c.min())
+    return _in_floats(1.0, spread, lambda: _integral(integrand, 1.0, spread))
 
 
 # ---------------------------------------------------------------------------

@@ -96,22 +96,15 @@ class OrliczEstimate:
                 "p_star": self.p_star, "method": self.method}
 
 
-def _chord_bounds(ps, phis, logs, alpha, known):
+def _chord_bounds(ps, phis, logs, alpha):
     """For each interval [a, b] of consecutive orders, the maximum over it of
     u(p) = s + c/p - ln(p)/alpha, where s p + c is the chord of phi, and
     its maximiser: clamp(-alpha c, a, b) when c < 0, else a.  ps, phis and
-    logs (ln(p) / alpha at each p) are lists; an interval whose left end
-    `known` maps to (b, bound, maximiser) takes that entry, and each new
-    one is added to it.  The floats are numpy's for the same operations,
-    with ln of an inner maximiser by one np.log call."""
+    logs (ln(p) / alpha at each p) are lists.  The floats are numpy's for
+    the same operations, with ln of an inner maximiser by one np.log call."""
     bounds, peaks, inner = [], [], []
     for i in range(len(ps) - 1):
         a, b = ps[i], ps[i + 1]
-        hit = known.get(a)
-        if hit is not None and hit[0] == b:
-            bounds.append(hit[1])
-            peaks.append(hit[2])
-            continue
         fa = phis[i]
         s = (phis[i + 1] - fa) / (b - a)
         c = fa - s * a
@@ -120,13 +113,11 @@ def _chord_bounds(ps, phis, logs, alpha, known):
         peaks.append(q)
         if q == a or q == b:
             bounds[-1] -= logs[i] if q == a else logs[i + 1]
-            known[a] = (b, bounds[-1], q)
         else:
             inner.append(i)
     if inner:
         for i, lg in zip(inner, (np.log([peaks[i] for i in inner]) / alpha).tolist()):
             bounds[i] -= lg
-            known[ps[i]] = (ps[i + 1], bounds[i], peaks[i])
     return bounds, peaks
 
 
@@ -176,9 +167,8 @@ def _sup_ratio(log_moments, alpha, tail):
         logs += _START_LOGS[alpha][n:]
         ratios += [phi / p - lg for phi, p, lg in zip(more, _START_PS[n:], _START_LOGS[alpha][n:])]
         phis += more
-    known = {}
     for rounds in range(_MAX_ROUNDS + 1):
-        bounds, peaks = _chord_bounds(ps, phis, logs, alpha, known)
+        bounds, peaks = _chord_bounds(ps, phis, logs, alpha)
         best = max(ratios)
         split = [i for i, u in enumerate(bounds) if u > best + _CHORD_TOL]
         if not split:
@@ -298,7 +288,8 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
     SpecError where it is past the largest float.  The search runs on the
     standard law s Z of `distributions.standard_form`, and its estimate is
     kept in that law's record per alpha; the value is s times the standard
-    law's, at its p*.  `upper` is s times the standard law's (`_search`),
+    law's, at its p*, and the least positive float where that product
+    underflows to 0 (a subnormal s).  `upper` is s times the standard law's (`_search`),
     rounded up and widened by _READ_ROUNDING, so that it also bounds every
     ratio read from the law's own moments or from Z's at orders the search
     did not read; it is never below the value.
@@ -317,6 +308,8 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
             verdict = "is not certified" if isinstance(exc, dist.QuadratureError) else "is infinite"
             raise type(exc)(f"the psi{alpha} norm of {spec} {verdict}: {exc}") from None
     value, upper = scale * est.value, _scaled_upper(est.upper, scale)
+    if value == 0.0 < est.value:    # a subnormal scale: a positive norm never reads 0
+        value = math.nextafter(0.0, 1.0)
     if value == math.inf:
         raise dist.SpecError(f"the psi{alpha} norm of {spec} is past the largest float")
     if 0.0 < upper < math.inf:

@@ -37,6 +37,7 @@ FOLD_ENTRY = "One tail rule per map step"
 COLD_ENTRY = "A cold ψ search at a lighter fixed cost"
 FORKS_ENTRY = "One ψ-search start, one moment-row path, one argparse parser"
 CHECKED_ENTRY = "Every law through its checked constructor"
+RETIRED_ENTRY = "Two perf paths retired"
 
 
 class Mutant(NamedTuple):
@@ -83,11 +84,6 @@ MUTANTS = (
            ("tests/test_applications.py::TestMetricTail::"
             "test_a_diameter_set_by_its_tail_bound_reads_its_upper",),
            PSI_ENTRY),
-    Mutant("cli.py",           # the float memo keys 0.0 and -0.0 as one
-           "    if x:\n        floats[x] = text\n",
-           "    floats[x] = text\n",
-           ("tests/test_cli.py::TestJsonWriter::test_zero_and_negative_zero_keep_their_texts",),
-           WARM_ENTRY),
     Mutant("cli.py",           # no branch for a step that underflows to 0
            "(i / div * delta if step == 0 else i * step) + lo",
            "i * step + lo",
@@ -107,8 +103,8 @@ MUTANTS = (
             "tests/test_cli.py::TestDigestStability::test_digest_is_of_the_config_encoded_whole"),
            WARM_ENTRY),
     Mutant("cli.py",           # the layout memo keyed without the indent
-           "    shape = (nl, *o)\n",
-           "    shape = tuple(o)\n",
+           "_layout(nl, *o) % tuple(texts)",
+           "_layout(\"\\n\", *o) % tuple(texts)",
            ("tests/test_cli.py::TestJsonWriter::test_one_shape_at_two_depths_keeps_each_indent",),
            WARM_ENTRY),
     Mutant("bounds.py",         # each run's square times its count, rounded twice
@@ -241,6 +237,27 @@ MUTANTS = (
            ("tests/test_distributions.py::TestCanonical::test_a_refused_affine_fold_keeps_its_step",
             "tests/test_functions.py::TestSampling::test_overflowing_sum_law_keeps_per_coordinate_draws"),
            CHECKED_ENTRY),
+    Mutant("cli.py",           # a key's % read as a format mark of its layout
+           '_ESCAPE(k).replace("%", "%%")',
+           "_ESCAPE(k)",
+           ("tests/test_cli.py::TestJsonWriter::test_keys_with_format_marks_and_escapes",),
+           RETIRED_ENTRY),
+    Mutant("distributions.py",  # an exact subnormal scale kept in the law
+           "    if scale == math.inf or scale < sys.float_info.min and not exact:\n",
+           "    if not sys.float_info.min <= scale < math.inf:\n",
+           ("tests/test_orlicz.py::TestStandardForm::test_exact_subnormal_scales_move_out",
+            "tests/test_orlicz.py::TestStandardForm::test_the_integer_walk_is_the_fraction_walk"),
+           RETIRED_ENTRY),
+    Mutant("entropy.py",        # an identity's overflow left to numpy's warnings
+           'np.errstate(over="raise", invalid="raise")',
+           "np.errstate()",
+           ("tests/test_entropy.py::TestEntropy::test_a_spread_past_the_largest_float",),
+           RETIRED_ENTRY),
+    Mutant("orlicz.py",         # a positive norm times a subnormal scale read as 0
+           "    if value == 0.0 < est.value:",
+           "    if False:",
+           ("tests/test_orlicz.py::TestStandardForm::test_a_subnormal_scale_keeps_a_positive_norm",),
+           RETIRED_ENTRY),
 )
 
 

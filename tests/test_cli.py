@@ -1044,17 +1044,16 @@ class TestFastParse:
 
 
 # JSON documents as the library emits them and beyond: nested dicts, lists
-# and tuples, NaN, infinities, -0.0, big ints, non-ASCII and control
-# characters, and keys of every type json accepts
+# and tuples, NaN, infinities, -0.0, big ints, and non-ASCII, control and
+# format characters in values and in the str keys
 JSON_STRINGS = st.text() | st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600",
-                                            "\ud800", '"\\/\b\f\n\r\t'])
+                                            "\ud800", '"\\/\b\f\n\r\t', "%", "%s", "a%%b"])
 JSON_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
 JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
                | JSON_FLOATS | JSON_STRINGS)
-JSON_KEYS = JSON_STRINGS | JSON_FLOATS | st.integers() | st.booleans() | st.none()
 JSON_DOCS = st.recursive(JSON_LEAVES, lambda kids: (
     st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
-    | st.dictionaries(JSON_KEYS, kids, max_size=4)), max_leaves=24)
+    | st.dictionaries(JSON_STRINGS, kids, max_size=4)), max_leaves=24)
 
 
 class TestJsonWriter:
@@ -1063,33 +1062,49 @@ class TestJsonWriter:
     def test_matches_json_dumps_indent_2(self, doc):
         assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=True)
 
+    def test_keys_with_format_marks_and_escapes(self):
+        # a key is spliced into its layout, whose values go in by %
+        doc = {"%": 1.5, "%s": "%s", "a%%b": [{"%d": None}], "\u00e9\U0001f600": True,
+               "\x00\n\x7f": -0.0, '"\\': {"%": "%%"}}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+    def test_float_subclasses_read_as_json_writes_them(self):
+        doc = {"t": [np.float64(0.1), np.float64(-0.0), np.float64(np.inf)],
+               "nan": np.float64(np.nan), "big": np.float64(1e308)}
+        assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=True)
+
     def test_zero_and_negative_zero_keep_their_texts(self):
-        # the float memo of one document keys 0.0 and -0.0 as one
         doc = {"t": [0.0, -0.0, 0.0, 1.5], "z": -0.0, "row": {"a": 0.0, "b": -0.0},
                "again": [-0.0, 0.0, 1.5]}
         assert cli._json_text(doc) == json.dumps(doc, indent=2)
 
     def test_one_shape_at_two_depths_keeps_each_indent(self):
-        cli._layouts.clear()
+        cli._layout.cache_clear()
         doc = {"a": {"a": {"a": 1.0}, "b": [{"a": 2.0}]}}
         assert cli._json_text(doc) == json.dumps(doc, indent=2)
 
     def test_more_shapes_than_the_layout_bound(self):
-        cli._layouts.clear()
+        cli._layout.cache_clear()
         doc = [{f"k{i}": float(i), "t": 0.5} for i in range(cli._LAYOUTS + 40)]
         want = json.dumps(doc, indent=2)
         assert cli._json_text(doc) == want
-        assert len(cli._layouts) == cli._LAYOUTS
+        assert cli._layout.cache_info().currsize == cli._LAYOUTS
         assert cli._json_text(doc) == want      # laid out anew past the bound
-        assert len(cli._layouts) == cli._LAYOUTS
+        assert cli._layout.cache_info().currsize == cli._LAYOUTS
 
-    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [1, object()], {(1, 2): 0}], ids=repr)
+    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, [1, object()], [np.int64(1)]], ids=repr)
     def test_refuses_what_json_refuses(self, doc):
         with pytest.raises(TypeError) as want:
             json.dumps(doc, indent=2, allow_nan=True)
         with pytest.raises(TypeError) as got:
             cli._json_text(doc)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("doc", [{1: 0.5}, {"a": 1, None: 2}, {"a": {(1, 2): 0}}, {1.5: "x"}],
+                             ids=repr)
+    def test_a_key_that_is_not_a_str_is_a_type_error(self, doc):
+        with pytest.raises(TypeError):
+            cli._json_text(doc)
 
     @pytest.mark.parametrize("command", sorted(LIBRARY_CALLS))
     def test_output_file_holds_the_stdout_bytes(self, command, tmp_path, capsys):

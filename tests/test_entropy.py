@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -106,10 +107,23 @@ class TestEntropy:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_spread_past_the_largest_float(self):
         # Y - max Y overflows to -inf at -1e308, whose weight 0 times -inf
-        # read NaN after a RuntimeWarning; the weight adds 0
+        # read NaN after a RuntimeWarning; the weight adds 0.  The two
+        # integral identities overflow on an infinite spread, and on a finite
+        # one whose square, or product with beta, is past the largest float:
+        # each raises one QuadratureError that names both, with no warning
         y = D.FiniteSupport([-1e308, 1e308], [0.5, 0.5])
         assert ent.entropy(y) == math.log(2.0)
         assert ent.tilted_expect(y, [1.0, 2.0]) == 2.0
+        wide = D.FiniteSupport([-1e200, 1e200], [0.5, 0.5])
+        for law, spread, beta in ((y, "inf", 1.0), (wide, "2e+200", 1.0), (wide, "2e+200", 1e200),
+                                  (wide, "2e+200", 1e-202)):
+            for identity in (ent.fluctuation_entropy, lambda y: ent.log_mgf_via_entropy(y, beta)):
+                at = 1.0 if identity is ent.fluctuation_entropy else beta
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(D.QuadratureError, match="^" + re.escape(
+                            f"the spread of Y - E Y, {spread}, is too large at beta {at}: ")):
+                        identity(law)
 
 
 class TestTiltedExpect:

@@ -17,6 +17,7 @@ from scipy import stats
 from adaptive import adaptive_log_moment
 from test_distributions import CATALOGUE, NUMERIC_LAWS, ORDERS
 from lighttails import applications as A
+from lighttails import bounds as B
 from lighttails import distributions as D
 from lighttails import functions as F
 from lighttails import orlicz as O
@@ -368,7 +369,7 @@ def fraction_standard_form(spec):
         law = law if law.expectation() == 0.0 else D.Centered(law)
     elif c or scale != abs(a):
         return 1.0, spec
-    if not sys.float_info.min <= scale < math.inf:
+    if scale == math.inf or scale < sys.float_info.min and scale != abs(a):
         return 1.0, spec
     return scale, law
 
@@ -464,6 +465,8 @@ class TestStandardForm:
                 laws += [chain, D.SquareOf(chain), D.Centered(D.SquareOf(chain)),
                          D.SquareOf(D.Shifted(D.Shifted(base, b), -b)),
                          D.SquareOf(D.SquareOf(D.Scaled(chain, 1e-200)))]
+        laws += [D.Scaled(D.Exponential(1.0), 5e-324), D.Scaled(D.Poisson(1.0), 1e-320),
+                 D.Centered(D.Scaled(D.Exponential(3.0), 5e-324))]     # 1/3 of 5e-324 rounds up
         for law in laws:
             scale, standard = D._standard_form(law, *D._chain(D.canonical(law)))   # no memo
             want = fraction_standard_form(law)
@@ -528,6 +531,29 @@ class TestStandardForm:
                             Fraction(1.1) / Fraction(0.7))]:
             scale = D.standard_form(law)[0]
             assert scale >= exact > Fraction(math.nextafter(scale, 0.0))
+
+    @pytest.mark.parametrize("law, scale, standard", [
+        (D.Scaled(D.Exponential(1.0), 5e-324), 5e-324, D.Exponential(1.0)),
+        (D.Scaled(D.Poisson(1.0), 1e-320), 1e-320, D.Poisson(1.0))], ids=str)
+    def test_exact_subnormal_scales_move_out(self, law, scale, standard):
+        # a search on the law itself has no tail bound: its MGF tail needs a
+        # lambda near 1 / scale, past the largest float
+        assert D.standard_form(law) == (scale, standard)
+        est = O.psi_norm(law, 1)
+        assert (est.value, est.p_star) == (scale, 1.0) and est.upper >= est.value
+        assert est.upper <= 3 * scale
+
+    def test_a_subnormal_scale_keeps_a_positive_norm(self):
+        # 5e-324 times the standard law's value rounds to 0; read as 0, a
+        # bound on a sum of these laws called f a.s. constant
+        law = D.UniformInterval(-5e-324, 5e-324)
+        for alpha in (1, 2):
+            est = O.psi_norm(law, alpha)
+            assert est.upper >= est.value == 5e-324
+        profile = F.proxy_profile(F.SumFunction([law] * 3))
+        for kind in ("thm1", "thm2"):
+            res = B.evaluate_tail(kind, profile, 1e-323)
+            assert res.note == "" and 0.0 < res.prob < 1.0
 
     def test_deep_squares_keep_scale_one(self):
         # the exact scale 0.1^256 has an integer of 14080 bits, and every
