@@ -422,3 +422,76 @@ def mgf_bound_check(spec, beta):
         raise dist.SpecError(f"the sub-Gaussian MGF bound of {spec} at beta={float(beta)!r} "
                              "overflows a float") from None
     return m, bound
+
+
+# ---------------------------------------------------------------------------
+# The unit laws' records, shipped
+
+# The psi estimates of the unit laws of `distributions.standard_form`, by
+# alpha where the norm is finite, as (value, p*, method, upper), and the
+# moment rows p -> ln E|Z|^p their searches read: the five `_UNIT_*` laws,
+# the centered forms of those whose mean is not 0, and a centered
+# Rademacher law.  They depend only on the code, so they are written into
+# the law memo at import and a fresh process runs no search for them; a
+# memo clear or an eviction drops them like any record.  Written by `python
+# tests/unit_records.py` from live searches on both SIMD paths of numpy's
+# float64 exp, without the rows the two paths read differently; a tier-1
+# test proves every field equal to a live search, bit for bit.
+_UNIT_RECORDS = {
+    dist._UNIT_GAUSSIAN: (
+        {1: (0.7978845608028654, 1.0, "analytic-grid", 0.7978845608028654),
+         2: (0.7978845608028654, 1.0, "analytic-grid", 0.7978845608028654)},
+        {1.0: -0.22579135264472744, 2.0: -1.1102230246251565e-16, 4.0: 1.0986122886681096,
+         8.0: 4.653960350157523, 16.0: 14.52207975885586}),
+    dist._UNIT_EXPONENTIAL: (
+        {1: (1.0, 1.0, "analytic-grid", 1.0)},
+        {1.0: 0.0, 2.0: 0.6931471805599453, 4.0: 3.1780538303479458, 8.0: 10.60460290274525}),
+    dist._UNIT_UNIFORM: (
+        {1: (0.5, 1.0, "analytic-grid", 0.5),
+         2: (0.5, 1.0, "analytic-grid", 0.5)},
+        {1.0: -0.6931471805599453, 2.0: -1.0986122886681096, 4.0: -1.6094379124341,
+         8.0: -2.1972245773362196, 16.0: -2.833213344056216}),
+    dist._UNIT_GAP: (
+        {1: (0.33333333333333337, 1.0, "analytic-grid", 0.33333333333333337),
+         2: (0.33333333333333337, 1.0, "analytic-grid", 0.33333333333333337)},
+        {1.0: -1.0986122886681096, 2.0: -1.791759469228055, 4.0: -2.70805020110221,
+         8.0: -3.8066624897703196, 16.0: -5.030437921392435}),
+    dist._UNIT_CHI2: (
+        {1: (1.0, 1.0, "analytic-grid", 1.0)},
+        {1.0: 0.0, 1.0986122886681098: 0.07636921119181683,
+         1.4142135623730951: 0.3740408459755089, 2.0: 1.0986122886681098, 4.0: 4.653960350157524,
+         8.0: 14.52207975885586, 16.0: 39.79574446107524, 32.0: 101.42953024860792,
+         64.0: 246.8758594487399, 128.0: 582.1289609639896, 152.2185107203483: 718.5838993037758,
+         181.01933598375618: 885.8478675227244, 215.2694823049509: 1090.6944515321402,
+         245.14643985883487: 1273.8828760515316, 256.0: 1341.3575148401221}),
+    dist.Centered(dist._UNIT_EXPONENTIAL): (
+        {1: (0.7357588823428847, 1.0, "analytic-grid", 0.7357588823428847)},
+        {1.0: -0.30685281944005466, 4.0: 2.197224577336219}),
+    dist.Centered(dist._UNIT_GAP): (
+        {1: (0.19753086419753085, 1.0, "analytic-grid", 0.19753086419753085),
+         2: (0.19753086419753085, 1.0, "analytic-grid", 0.19753086419753085)},
+        {1.0: -1.6218604324326575, 2.0: -2.8903717578961645, 4.0: -4.905274778438429,
+         8.0: -7.833386864317441, 16.0: -12.328607708819726}),
+    dist.Centered(dist._UNIT_CHI2): (
+        {1: (0.96788289807657, 1.0, "analytic-grid", 0.96788289807657)},
+        {1.0: -0.03264417208478565, 2.0: 0.6931471805599407, 4.0: 4.094344562222096,
+         8.0: 13.990028411583696, 16.0: 39.2798951793492, 32.0: 100.92165906661974,
+         64.0: 246.3719382260661, 128.0: 581.6270040595579, 152.2185107203483: 718.0822542514882,
+         181.01933598375618: 885.3464845598604, 215.2694823049509: 1090.193288855739,
+         245.14643985883487: 1273.381855217913, 256.0: 1340.856537328325}),
+    dist.Centered(dist.Rademacher()): (
+        {1: (1.0, 1.0, "closed-form", 1.0),
+         2: (1.0, 1.0, "closed-form", 1.0)},
+        {1.0: 0.0, 2.0: 0.0, 4.0: 0.0, 8.0: 0.0, 16.0: 0.0}),
+}
+
+
+def _ship(records):
+    """Write each (psi, rows) of records into the record of its law."""
+    for spec, (psi, rows) in records.items():
+        law = dist._law(spec)
+        law.psi = {alpha: OrliczEstimate(alpha, *est) for alpha, est in psi.items()}
+        law.rows = dict(rows)
+
+
+_ship(_UNIT_RECORDS)

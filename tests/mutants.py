@@ -38,6 +38,7 @@ COLD_ENTRY = "A cold ψ search at a lighter fixed cost"
 FORKS_ENTRY = "One ψ-search start, one moment-row path, one argparse parser"
 CHECKED_ENTRY = "Every law through its checked constructor"
 RETIRED_ENTRY = "Two perf paths retired"
+UNITS_ENTRY = "The unit laws' ψ records ship with the package"
 
 
 class Mutant(NamedTuple):
@@ -258,6 +259,11 @@ MUTANTS = (
            "    if False:",
            ("tests/test_orlicz.py::TestStandardForm::test_a_subnormal_scale_keeps_a_positive_norm",),
            RETIRED_ENTRY),
+    Mutant("orlicz.py",         # a shipped upper one float below its live search's
+           '"analytic-grid", 0.96788289807657)',
+           '"analytic-grid", 0.9678828980765699)',
+           ("tests/test_orlicz.py::TestUnitRecords::test_every_shipped_field_is_a_live_search",),
+           UNITS_ENTRY),
 )
 
 

@@ -373,9 +373,14 @@ class TestPsiDiameter:
 
     def test_exponential_rates_read_one_search(self):
         # |X - X'| of Exp(rate) is Exp(rate), 1/rate |Z - Z'| for Exp(1)
-        # copies Z, Z': three rates make one psi search and two hits
+        # copies Z, Z': three rates read the one estimate of Exp(1), a unit
+        # law whose record ships with the package (`orlicz._UNIT_RECORDS`),
+        # so a fresh process makes no psi search and three hits
         rates = (0.5, 1.3, 7.0)
-        assert self._fresh_memo_counts([f"D.Exponential({r})" for r in rates]) == ["1", "2"]
+        assert self._fresh_memo_counts([f"D.Exponential({r})" for r in rates]) == ["0", "3"]
+        # sd Chi(3, 1) for three sds has no abs-difference law, and reads
+        # Centered(Chi(3, 1)), which ships no record: one search, two hits
+        assert self._fresh_memo_counts([f"D.Chi(3, {sd})" for sd in rates]) == ["1", "2"]
         est = psi_norm(D.Exponential(1.0), 1)
         for rate in rates:
             got = A.psi_diameter(D.Exponential(rate), 1)

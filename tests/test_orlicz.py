@@ -2,9 +2,11 @@ import collections
 import functools
 import hashlib
 import math
+import os
 import pathlib
 import re
 import runpy
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 from scipy import stats
 
+import unit_records
 from adaptive import adaptive_log_moment
 from test_distributions import CATALOGUE, NUMERIC_LAWS, ORDERS
 from lighttails import applications as A
@@ -964,6 +967,46 @@ CERTIFIED = st.one_of(
     st.builds(lambda chi, b: D.SquareOf(D.Shifted(chi, b)), _chi, st.floats(-3.0, 3.0)),
     st.builds(lambda law, b: D.SquareOf(D.SquareOf(D.Shifted(law, b))), _uniform | _finite,
               st.floats(-1.0, 1.0)))
+
+
+def _bits(values):
+    """values with each float as its hex text: equal texts are equal bits."""
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+class TestUnitRecords:
+    """The unit laws' records that `orlicz._UNIT_RECORDS` ships, proved
+    against live searches from an empty memo on the SIMD path this process
+    runs: tier-1 runs on both paths, so every entry is proved on both."""
+
+    def test_the_table_ships_the_listed_unit_laws(self):
+        laws = [unit_records.law_of(text) for text in unit_records.LAWS]
+        assert list(O._UNIT_RECORDS) == laws
+        assert all(D.standard_form(law) == (1.0, law) for law in laws)
+
+    @pytest.mark.parametrize("text", unit_records.LAWS)
+    def test_every_shipped_field_is_a_live_search(self, text):
+        law = unit_records.law_of(text)
+        psi, rows = O._UNIT_RECORDS[law]
+        live_psi, live_rows = unit_records.live_record(law)
+        assert psi and set(psi) <= set(live_psi) and set(rows) <= set(live_rows)
+        for alpha, est in psi.items():
+            assert _bits(est) == _bits(live_psi[alpha]), (text, alpha)
+        for p, lm in rows.items():
+            assert lm.hex() == live_rows[p].hex(), (text, p)
+
+    def test_a_fresh_process_searches_none_of_them(self):
+        # after the import, no moment pass and no search has run; each
+        # shipped estimate is then a hit, read with no pass
+        code = ("import lighttails.cli; from lighttails import distributions as D, orlicz as O; "
+                "first = dict(D._law_counts); "
+                "[O.psi_norm(law, a) for law, (psi, _) in O._UNIT_RECORDS.items() for a in psi]; "
+                "print(*first.values(), *D._law_counts.values())")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(O.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        shipped = sum(len(psi) for psi, _ in O._UNIT_RECORDS.values())
+        assert shipped == 14 and out.split() == ["0"] * 5 + [str(shipped)]
 
 
 class TestTailBounds:
