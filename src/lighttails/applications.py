@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from . import distributions as dist
-from .bounds import TailBoundResult, _lift, _squares, _tail
+from .bounds import TailBoundResult, _level, _lift, _lifted, _tail
 from .orlicz import OrliczEstimate, psi_norm, scaled_estimate
 from .orlicz import psi_norm_finite  # noqa: F401 (bench/tracing.py wraps it here)
 
@@ -36,7 +36,7 @@ def _check_delta(delta, upper=1.0):
 
 
 def _check_n_vs_level(n, delta, need_ln2=True):
-    big_l = math.log(1.0 / delta)
+    big_l = _level(1.0, delta)
     if n < big_l:
         raise PreconditionError(
             f"need n >= ln(1/delta): n={n} < ln(1/delta)={big_l:.6g}")
@@ -56,10 +56,9 @@ def vector_bound_i(psi1_per_coord, delta) -> float:
         raise PreconditionError("psi1_per_coord must be nonempty")
     if any(x < 0 for x in entries):
         raise PreconditionError("psi1 entries must be nonnegative")
-    big_l = math.log(1.0 / delta)
-    lift = _lift(max(entries))      # as bounds._exponent lifts entries
-    v = _squares([x * lift for x in entries], (1,) * len(entries))
-    return 4.0 * E * math.sqrt(v * big_l) / lift + 4.0 * E * max(entries) * big_l
+    big_l = _level(1.0, delta)
+    v, m, lift = _lifted([entries], (1,) * len(entries))    # m / lift is max(entries)
+    return 4.0 * E * math.sqrt(v * big_l) / lift + 4.0 * E * (m / lift) * big_l
 
 
 def vector_bound_ii(psi1, n, delta) -> float:
@@ -81,7 +80,7 @@ def vector_bound_iii(l2p_centered, psi1, p, n, delta) -> float:
     if n < 1:
         raise PreconditionError(f"n must be positive, got {n}")
     _check_delta(delta, upper=0.5)
-    big_l = math.log(1.0 / delta)
+    big_l = _level(1.0, delta)
     q = p / (p - 1.0)
     return (2.0 * l2p_centered * math.sqrt(2.0 * big_l / n)
             + 4.0 * E * q * psi1 * big_l / n)
@@ -97,7 +96,7 @@ def psa_bound(psi2_of_norm, d, n, delta) -> float:
     _check_delta(delta)
     _check_n_vs_level(n, delta)
     return (16.0 * E * (math.sqrt(d) + 1.0) * (psi2_of_norm * psi2_of_norm)
-            * math.sqrt(2.0 * math.log(2.0 / delta) / n))
+            * math.sqrt(2.0 * _level(2.0, delta) / n))
 
 
 def rademacher_generalization_bound(rad_expectation, lip, psi1_of_norm, n, delta) -> float:
@@ -138,11 +137,10 @@ def metric_tail(lip, diameters, t) -> TailBoundResult:
     if any(v < 0 for v in vals):
         raise PreconditionError("diameters must be nonnegative")
     # L and the diameters are each lifted as bounds._exponent lifts entries
-    lip_lift, lift = _lift(lip), _lift(max(vals))
-    lip, vals = lip * lip_lift, [v * lift for v in vals]
-    ssq = _squares(vals, (1,) * len(vals))
-    return _tail("metric", t, t * lip_lift * lift, 4.0 * E * lip * lip * ssq,
-                 2.0 * E * lip * max(vals))
+    lip_lift = _lift(lip)
+    lip = lip * lip_lift
+    ssq, top, lift = _lifted([vals], (1,) * len(vals))
+    return _tail("metric", t, t * lip_lift * lift, 4.0 * E * lip * lip * ssq, 2.0 * E * lip * top)
 
 
 # ---------------------------------------------------------------------------

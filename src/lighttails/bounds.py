@@ -1,18 +1,13 @@
 """Closed-form tail bounds for functions of independent variables.
 
-Three headline bounds plus the classical bounded-difference baseline:
-
-  sub-Gaussian:     exp(-t^2 / (32 e V2))
-  sub-exponential:  exp(-t^2 / (4 e^2 V1 + 2 e M1 t))
-  moment/Bernstein: exp(-t^2 / (2 V2p + 2 e q M1 t))   (q conjugate to p;
-                    thm3-psi2-variant has sqrt(q) M2 in place of q M1)
-
-with V_a the summed squared per-coordinate proxies and M the largest one;
-the baseline is exp(-2 t^2 / sum r_k^2).  Every bound is exp(-t^2 / (a + b t)),
-and one (a, b) table of the entries in `READS` serves evaluation and
-inversion; entries below 1/2 are lifted by a power of two before they are
-squared, so they do not underflow.  All probabilities are evaluated in log
-space and clamped to (0, 1].
+The paper's three bounds, sub-Gaussian (thm1), sub-exponential (thm2) and
+moment/Bernstein (thm3, and thm3-psi2-variant with sqrt(q) M2 in place of
+q M1), and the classical bounded-difference baseline are each
+exp(-t^2 / (a + b t)).  One row of `KINDS` per kind states the entries it
+reads and its a and b, and serves evaluation and inversion.  Entries below
+1/2 are lifted by a power of two before they are squared, so they do not
+underflow.  All probabilities are evaluated in log space and clamped to
+(0, 1].
 """
 from __future__ import annotations
 
@@ -21,38 +16,41 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 __all__ = [
     "ProxyProfile", "TailBoundResult", "InversionResult", "evaluate_tail", "evaluate_tail_grid",
-    "invert_tail", "optimization_lemma", "BOUND_KINDS", "PSI2_KINDS", "READS", "reads", "ENTRIES",
+    "invert_tail", "optimization_lemma", "KINDS", "BOUND_KINDS", "PSI2_KINDS", "READS", "reads",
+    "ENTRIES",
 ]
 
 E = math.e
 
 ENTRIES = ("psi1_per_coord", "psi2_per_coord", "l2p_per_coord", "ranges")  # of a ProxyProfile
-# bound kind -> the entries its exponent reads, in the order it checks them:
-# the first gives its sum of squares V (a), the last its largest entry M (b)
-READS = {
-    "thm1": ("psi2_per_coord",),
-    "thm2": ("psi1_per_coord",),
-    "thm3": ("l2p_per_coord", "psi1_per_coord"),
-    "thm3-psi2-variant": ("l2p_per_coord", "psi2_per_coord"),
-    "bounded-difference": ("ranges",),
+# bound kind -> (the entries it reads, in the order it checks them; a from V,
+# the sum of the squares of the first; b from M, the largest of the last, and
+# q = p/(p-1), which only the rows that read l2p_per_coord are given)
+KINDS = {
+    "thm1": (("psi2_per_coord",), lambda v: 32.0 * E * v, lambda m, q: 0.0),
+    "thm2": (("psi1_per_coord",), lambda v: 4.0 * E * E * v, lambda m, q: 2.0 * E * m),
+    "thm3": (("l2p_per_coord", "psi1_per_coord"), lambda v: 2.0 * v,
+             lambda m, q: 2.0 * E * (q * m)),
+    "thm3-psi2-variant": (("l2p_per_coord", "psi2_per_coord"), lambda v: 2.0 * v,
+                          lambda m, q: 2.0 * E * (math.sqrt(q) * m)),
+    "bounded-difference": (("ranges",), lambda v: v / 2.0, lambda m, q: 0.0),
 }
-BOUND_KINDS = tuple(READS)
+READS = {kind: row[0] for kind, row in KINDS.items()}
+BOUND_KINDS = tuple(KINDS)
 PSI2_KINDS = tuple(k for k, row in READS.items() if "psi2_per_coord" in row)
 
 
 def _row(kind):
-    if kind not in READS:
+    if kind not in KINDS:
         raise ValueError(f"unknown bound kind {kind!r}; known: {BOUND_KINDS}")
-    return READS[kind]
+    return KINDS[kind]
 
 
 def reads(kinds):
     """The entries the kinds read, as a frozenset; an unknown kind is a ValueError."""
-    return frozenset().union(*map(_row, kinds))
+    return frozenset().union(*(_row(kind)[0] for kind in kinds))
 
 
 @dataclass(frozen=True)
@@ -135,6 +133,24 @@ def _lift(top):
     return math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
 
 
+def _lifted(rows, counts):
+    """(V, M, lift) of rows of entries, one per run of counts: each entry
+    times lift, the `_lift` of the largest, with V the `_squares` of the
+    first row and M the largest entry of the last."""
+    lift = _lift(max(map(max, rows)))
+    if lift != 1.0:
+        rows = [[x * lift for x in entries] for entries in rows]
+    return _squares(rows[0], counts), max(rows[-1]), lift
+
+
+def _level(x, delta):
+    """ln(x / delta): math.log(x / delta) wherever x / delta is finite,
+    which keeps its bits, and ln x - ln delta past the largest float, where
+    a subnormal delta overflows x / delta to inf."""
+    ratio = x / delta
+    return math.log(ratio) if ratio < math.inf else math.log(x) - math.log(delta)
+
+
 def _tail(kind, t, u, a, b):
     """The bound at t, exp(-u^2 / (a + b u)) with u = t lifted as a and b
     were, clamped to (0, 1]; a = b = 0 means f is a.s. constant, and an
@@ -170,24 +186,15 @@ def _thm3_q(profile, p):
 
 def _exponent(kind, profile, p):
     """(a, b, lift) with the kind's bound exp(-u^2 / (a + b u)) at u = lift t,
-    from its row of READS: a and b are read from the entries times the
+    from its row of KINDS: a and b are read from the entries times the
     `_lift` of the largest, so both are 0 only where every entry read is."""
-    rows = [getattr(profile, name) for name in _row(kind)]
+    names, a_of, b_of = _row(kind)
+    rows = [getattr(profile, name) for name in names]
     if None in rows:
-        raise ValueError(f"profile is missing {_row(kind)[rows.index(None)]}")
-    lift = _lift(max(map(max, rows)))
-    if lift != 1.0:
-        rows = [[x * lift for x in entries] for entries in rows]
-    v, m = _squares(rows[0], profile.counts), max(rows[-1])
-    if kind == "thm1":
-        return 32.0 * E * v, 0.0, lift
-    if kind == "thm2":
-        return 4.0 * E * E * v, 2.0 * E * m, lift
-    if kind in ("thm3", "thm3-psi2-variant"):
-        q = _thm3_q(profile, p)
-        scale = q * m if kind == "thm3" else math.sqrt(q) * m
-        return 2.0 * v, 2.0 * E * scale, lift
-    return v / 2.0, 0.0, lift     # bounded-difference
+        raise ValueError(f"profile is missing {names[rows.index(None)]}")
+    v, m, lift = _lifted(rows, profile.counts)
+    q = _thm3_q(profile, p) if "l2p_per_coord" in names else None
+    return a_of(v), b_of(m, q), lift
 
 
 def evaluate_tail(kind, profile, t, p=None) -> TailBoundResult:
@@ -231,7 +238,7 @@ def invert_tail(kind, profile: ProxyProfile, delta: float, p=None) -> InversionR
     evaluate_tail."""
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0,1), got {delta}")
-    big_l = math.log(1.0 / delta)
+    big_l = _level(1.0, delta)
     a, b, lift = _exponent(kind, profile, p)
     exact = (b * big_l + math.sqrt(b * b * big_l * big_l + 4.0 * a * big_l)) / 2.0
     additive = math.sqrt(a * big_l) + b * big_l
@@ -242,18 +249,17 @@ def invert_tail(kind, profile: ProxyProfile, delta: float, p=None) -> InversionR
 # The optimization lemma behind the quadratic-over-linear exponents
 
 def optimization_lemma(c: float, b: float, t: float):
-    """(rhs, grid_min) for inf over beta in [0,1/b) of -beta t + C beta^2/(1-b beta).
+    """(rhs, infimum) for the infimum over beta in [0, 1/b) of
+    g(beta) = -beta t + C beta^2 / (1 - b beta).
 
-    rhs = -t^2 / (2 (2C + b t)); the infimum is at most rhs, so the minimum
-    on a grid of 10^4 betas must also not exceed it (up to grid resolution).
+    rhs = -t^2 / (2 (2C + b t)) is g at the lemma's beta = t / (2C + b t),
+    so the infimum is at most rhs.  The infimum is exact, at
+    beta = (1 - 1/s) / b with s = sqrt(1 + b t / C): -(C / b^2) (s - 1)^2
+    (Boucheron, Lugosi and Massart 2013, section 2.4, sub-gamma variables),
+    written as -t^2 / (C (1 + s)^2), which does not cancel as t -> 0.
     """
     if c <= 0 or b <= 0 or t <= 0:
         raise ValueError(f"C, b, t must all be positive, got ({c}, {b}, {t})")
     rhs = -t * t / (2.0 * (2.0 * c + b * t))
-    betas = np.linspace(0.0, 1.0 / b, 10 ** 4 + 1)[:-1]
-    # include the witness point realizing the right-hand side, so coarse
-    # grids cannot spuriously miss the infimum near beta = 0
-    betas = np.append(betas, t / (2.0 * c + b * t))
-    g = -betas * t + c * betas ** 2 / (1.0 - b * betas)
-    grid_min = float(np.min(g))
-    return rhs, grid_min
+    root = 1.0 + math.sqrt(1.0 + b * t / c)
+    return rhs, -t * t / (c * root * root)

@@ -261,12 +261,10 @@ class _Continuous(Distribution):
         sits there) and of those beside each live coarse local maximum (h may
         have several modes); the cells before and after the live points.  The
         points read are np.linspace's, so (k, a, b) are the full scan's unless
-        a peak or live point hides in a cell no pass reads.  The ends pass
-        is skipped where the peak pass read both its cells in every row, as
-        it does where the whole window is live: it would read no new point.
-        Each pass reads its points in one call of log_h_vec and logpdf; the
-        few numbers per row past it (the live ends, their cells, the window
-        ends) are Python's, by the same float operations.  The caller holds
+        a peak or live point hides in a cell no pass reads.  Each pass reads
+        its points in one call of log_h_vec and logpdf; the few numbers per
+        row past it (the live ends, their cells, the window ends) are
+        Python's, by the same float operations.  The caller holds
         np.errstate for the reads."""
         n = len(ps)
         lo, hi = np.empty((2, n, 1))      # each window end as a column
@@ -309,10 +307,8 @@ class _Continuous(Distribution):
             if ends:
                 break
             # the cells of the points before the first and at the last live point
-            c = [(max(f - 1, 0) // _STRIDE, min(i, _SCAN - 2) // _STRIDE) for f, i in zip(first, last)]
-            if all(near[r, a] and near[r, b] for r, (a, b) in enumerate(c)):
-                break
-            c = np.array(c, dtype=float)
+            c = np.array([(max(f - 1, 0) // _STRIDE, min(i, _SCAN - 2) // _STRIDE)
+                          for f, i in zip(first, last)], dtype=float)
         # the scan points next to them, by the float operations of `at`, and hi at the last
         dx, x0, x1 = step[:, 0].tolist(), lo[:, 0].tolist(), hi[:, 0].tolist()
         a = [max(f - 1, 0) * d + x for f, d, x in zip(first, dx, x0)]
@@ -324,9 +320,8 @@ class _Continuous(Distribution):
         on the live window of the p of ps at its place.  The window is
         clipped to the support and cut at the zeros of the map steps of
         log_g = ln|g| (no cut for steps None, where log_g is no such map);
-        each piece is split into _PANELS equal panels.  log_g and the density are read
-        once per run of equal rows of cuts (a bounded law has few), and each
-        node is built from the end it is nearer.  The rule at t = j/4 reads every
+        each piece is split into _PANELS equal panels, and each node is built
+        from the end it is nearer.  The rule at t = j/4 reads every
         other node at twice the weight; where it and the rule at t = j/8
         differ by more than 1e-5 p in ln (1e-5 at p = 0), QuadratureError is
         raised.  One np.errstate holds for the scan and the rule."""
@@ -356,10 +351,6 @@ class _Continuous(Distribution):
         for i, z in enumerate(kinks):
             np.minimum(np.maximum(z, a), b, out=cuts[:, 2 + i])
         cuts.sort(axis=1)
-        rows = cuts.tolist()    # a run of equal rows of cuts is read once, at its first row
-        new = [not i or cut != rows[i - 1] for i, cut in enumerate(rows)]
-        row = None if all(new) else np.cumsum(new) - 1
-        cuts = cuts if row is None else cuts[new]
         edges = cuts[:, :-1, None] + (cuts[:, 1:] - cuts[:, :-1])[:, :, None] * _PANEL_EDGES
         u, v = edges[..., :-1, None], edges[..., 1:, None]
         w = v - u
@@ -370,8 +361,6 @@ class _Continuous(Distribution):
         np.multiply(w, _TS_RIGHT[_TS_MID:], out=right)
         np.subtract(v, right, out=right)
         e, f = log_g(x), self.logpdf(x)
-        if row is not None:
-            e, f, w = e[row], f[row], w[row]
         e *= q
         e += f
         e -= k[:, None, None, None]

@@ -83,3 +83,20 @@ def worst_case_profile(table, p):
         ranges.append(float(np.max(live.max(axis=1) - live.min(axis=1))))
     return ProxyProfile(counts=(1,) * table.n, psi1_per_coord=psi1, psi2_per_coord=psi2,
                         l2p_per_coord=l2p, l2p_order=p, ranges=ranges)
+
+
+_LEMMA_STEPS = np.arange(2 * 10 ** 5) / (2 * 10 ** 5)
+
+
+def lemma_grid_min(c, b, t):
+    """The least g(beta) = -beta t + C beta^2 / (1 - b beta) over 2 * 10^5
+    equal steps of [0, 1/b) and the optimization lemma's beta = t / (2C + b t):
+    a dense-grid reference for `bounds.optimization_lemma`'s infimum."""
+    beta = _LEMMA_STEPS / b
+    g = beta * beta
+    g *= c
+    g /= 1.0 - b * beta
+    beta *= t
+    g -= beta
+    w = t / (2.0 * c + b * t)
+    return min(float(g.min()), -w * t + c * w * w / (1.0 - b * w))

@@ -39,6 +39,7 @@ FORKS_ENTRY = "One ψ-search start, one moment-row path, one argparse parser"
 CHECKED_ENTRY = "Every law through its checked constructor"
 RETIRED_ENTRY = "Two perf paths retired"
 UNITS_ENTRY = "The unit laws' ψ records ship with the package"
+KINDS_ENTRY = "One kind table for the bounds"
 
 
 class Mutant(NamedTuple):
@@ -139,12 +140,6 @@ MUTANTS = (
            "        return (float(np.logaddexp(log_m, math.log(abs(self.offset)))) if self.offset else log_m), d\n",
            "        return log_m, d\n",
            ("tests/test_distributions.py::TestMoments::test_the_rest_of_a_poisson_series_is_bounded",),
-           MOMENTS_ENTRY),
-    Mutant("distributions.py",  # the window scan's ends pass always skipped
-           "            if all(near[r, a] and near[r, b] for r, (a, b) in enumerate(c)):\n",
-           "            if True:\n",
-           ("tests/test_distributions.py::TestLiveWindow::test_equals_the_full_scan",
-            "tests/test_distributions.py::TestLiveWindow::test_equals_the_full_scan_on_the_p_grid"),
            MOMENTS_ENTRY),
     Mutant("distributions.py",  # a square step read as centered whatever c is
            "            if c or max(a.bit_length(), a_den.bit_length()) > _SCALE_BITS:",
@@ -264,6 +259,23 @@ MUTANTS = (
            '"analytic-grid", 0.9678828980765699)',
            ("tests/test_orlicz.py::TestUnitRecords::test_every_shipped_field_is_a_live_search",),
            UNITS_ENTRY),
+    Mutant("bounds.py",         # thm2's linear term without its factor 2
+           "lambda m, q: 2.0 * E * m)",
+           "lambda m, q: E * m)",
+           ("tests/test_bounds.py::TestProxyProfile::test_derived",
+            "tests/test_bounds.py::TestReads::test_each_kind_s_exponent_keeps_its_bits"),
+           KINDS_ENTRY),
+    Mutant("bounds.py",         # thm3-psi2-variant's M2 times q, not sqrt(q)
+           "2.0 * E * (math.sqrt(q) * m)",
+           "2.0 * E * (q * m)",
+           ("tests/test_bounds.py::TestReads::test_each_kind_s_exponent_keeps_its_bits",),
+           KINDS_ENTRY),
+    Mutant("bounds.py",         # ln(x / delta) past the largest float read as inf
+           "math.log(x) - math.log(delta)",
+           "math.log(x / delta)",
+           ("tests/test_cli.py::TestSubnormalDelta::test_invert_reads_a_finite_root",
+            "tests/test_cli.py::TestSubnormalDelta::test_the_n_check_reads_the_finite_level"),
+           KINDS_ENTRY),
 )
 
 

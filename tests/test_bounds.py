@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exact import lemma_grid_min
 from lighttails import bounds as B
 from lighttails import functions as fn
 
@@ -334,6 +335,33 @@ class TestReads:
         with pytest.raises(ValueError, match=r"^t must be positive, got 0.0$"):
             B.evaluate_tail_grid(kind, prof, [1.0, 0.0])
 
+    # (a, b, lift) of each kind on two runs of (3, 2) coordinates, with
+    # p = 3, normal entries first, then entries near 1e-200, lifted by 2^662
+    # to 2^664
+    PINS = {
+        "thm1": (("0x1.de6ae7f3bf830p+7", "0x0.0p+0", "0x1.0000000000000p+0"),
+                 ("0x1.184fd29a2d417p+7", "0x0.0p+0", "0x1.0000000000000p+664")),
+        "thm2": (("0x1.65a15c560fad7p+7", "0x1.27bfc296ae3e6p+3", "0x1.0000000000000p+0"),
+                 ("0x1.1bd51feb2109fp+5", "0x1.8f7f11be507a4p+1", "0x1.0000000000000p+662")),
+        "thm3": (("0x1.1666666666667p+3", "0x1.bb9fa3e2055d9p+3", "0x1.0000000000000p+0"),
+                 ("0x1.463cb884223d0p-2", "0x1.2b9f4d4ebc5bcp+2", "0x1.0000000000000p+662")),
+        "thm3-psi2-variant": (
+            ("0x1.1666666666667p+3", "0x1.7f86276d5f900p+2", "0x1.0000000000000p+0"),
+            ("0x1.463cb884223d0p+2", "0x1.259194a0bcb09p+2", "0x1.0000000000000p+664")),
+        "bounded-difference": (("0x1.3bae147ae147bp+3", "0x0.0p+0", "0x1.0000000000000p+0"),
+                               ("0x1.71ec481a3dc65p+0", "0x0.0p+0", "0x1.0000000000000p+663")),
+    }
+
+    @pytest.mark.parametrize("kind", B.BOUND_KINDS)
+    def test_each_kind_s_exponent_keeps_its_bits(self, kind):
+        profiles = (profile(psi1=[0.3, 1.7], psi2=[0.9, 0.4], l2p=[1.1, 0.6], ranges=[2.5, 0.7],
+                            p=3.0, counts=(3, 2)),
+                    profile(psi1=[3e-200, 1.7e-200], psi2=[0.9e-200, 0.4e-200],
+                            l2p=[1.1e-200, 0.6e-200], ranges=[2.5e-200, 0.7e-200], p=3.0,
+                            counts=(3, 2)))
+        assert tuple(tuple(x.hex() for x in B._exponent(kind, prof, None))
+                     for prof in profiles) == self.PINS[kind]
+
     def test_the_derived_names(self):
         assert B.BOUND_KINDS == ("thm1", "thm2", "thm3", "thm3-psi2-variant", "bounded-difference")
         assert B.PSI2_KINDS == ("thm1", "thm3-psi2-variant")
@@ -404,12 +432,14 @@ class TestInversion:
 
 
 class TestOptimizationLemma:
+    # the closed form may sit a rounding above rhs where the two coincide, t -> 0
+    ROUNDING = 1e-15
+
     def test_example(self):
-        rhs, grid_min = B.optimization_lemma(1.0, 1.0, 1.0)
+        rhs, infimum = B.optimization_lemma(1.0, 1.0, 1.0)
         assert rhs == pytest.approx(-1.0 / 6.0, rel=1e-12)
-        g03 = -0.3 + 0.09 / 0.7
-        assert grid_min <= g03 + 1e-12
-        assert grid_min <= rhs + 1e-9
+        assert infimum == pytest.approx(-1.0 / (1.0 + math.sqrt(2.0)) ** 2, rel=1e-15)
+        assert infimum <= -0.3 + 0.09 / 0.7 and infimum < rhs
 
     @pytest.mark.parametrize("c, b, t", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)])
     def test_inputs_must_be_positive(self, c, b, t):
@@ -418,12 +448,16 @@ class TestOptimizationLemma:
             B.optimization_lemma(c, b, t)
 
     def test_t_to_zero(self):
-        rhs, grid_min = B.optimization_lemma(1.0, 1.0, 1e-9)
-        assert abs(rhs) < 1e-9 and abs(grid_min) < 1e-9
+        # both are -t^2 / (4C) to first order, with nothing cancelled
+        rhs, infimum = B.optimization_lemma(1.0, 1.0, 1e-9)
+        assert rhs == pytest.approx(-2.5e-19, rel=1e-8)
+        assert infimum == pytest.approx(rhs, rel=1e-8)
 
-    def test_random_sweep(self):
+    def test_the_infimum_is_a_dense_grid_s(self):
         rng = np.random.default_rng(7)
-        for _ in range(1000):
+        for _ in range(200):
             c, b, t = rng.uniform(0.01, 10, 3)
-            rhs, grid_min = B.optimization_lemma(c, b, t)
-            assert grid_min <= rhs + 1e-9
+            rhs, infimum = B.optimization_lemma(c, b, t)
+            grid = lemma_grid_min(c, b, t)
+            assert infimum <= rhs * (1.0 - self.ROUNDING)
+            assert infimum * (1.0 + self.ROUNDING) <= grid <= infimum * (1.0 - 1e-6)

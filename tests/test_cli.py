@@ -1914,6 +1914,51 @@ class TestTinyScales:
         assert result["log_prob"] == pytest.approx(-0.01 / (4.2 * math.e), rel=1e-12, abs=0.0)
 
 
+class TestSubnormalDelta:
+    """ln(1/delta) at a subnormal delta: 1/delta overflowed, so invert and
+    the apps read Infinity, and the apps that need n >= ln(1/delta) refused
+    every n.  The level is ln 1 - ln delta there, 736.8 at 1e-320."""
+
+    APPS = {
+        "vector-i": ["--psi1", "1,2,3"],
+        "vector-ii": ["--psi1", "1", "--n", "1000"],
+        "vector-iii": ["--l2p", "1.5", "--psi1", "2", "--p", "2", "--n", "1000"],
+        "psa": ["--psi2", "1.2", "--d", "3", "--n", "1000"],
+        "rademacher": ["--psi1", "1", "--n", "1000", "--rad-expectation", "0.1"],
+        "regression": ["--psi1", "1", "--n", "1000", "--psi1-z", "0.5"],
+    }
+
+    @pytest.mark.parametrize("delta", [1e-320, 5e-324])
+    def test_invert_reads_a_finite_root(self, delta, capsys):
+        code, out, err = run(capsys, "invert", "--spec", config("exp1.json"), "--bounds", "thm2",
+                             "--delta", repr(delta))
+        inv = json.loads(out)["inversions"]["thm2"]
+        assert (code, err) == (0, "") and inv["exact"] <= inv["additive"] < math.inf
+        # the bound at the root is delta
+        prof = fn.proxy_profile(fn.fspec_from_dict(json.loads(config_text("exp1.json"))["spec"]),
+                                kinds=["thm2"])
+        assert evaluate_tail("thm2", prof, inv["exact"]).log_prob == pytest.approx(
+            math.log(delta), rel=1e-12)
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_every_app_reads_a_finite_value_that_grows_as_delta_falls(self, app, capsys):
+        values = []
+        for delta in ("1e-300", "1e-320", "5e-324"):
+            code, out, err = run(capsys, "appbound", "--app", app, *self.APPS[app], "--delta", delta)
+            assert (code, err) == (0, "")
+            values.append(json.loads(out)["value"])
+        assert values[0] < values[1] < values[2] < math.inf
+        if app == "vector-ii":      # 8e psi1 sqrt(2 L / n)
+            assert values[1] == pytest.approx(
+                8.0 * math.e * math.sqrt(-2.0 * math.log(1e-320) / 1000), rel=1e-15)
+
+    def test_the_n_check_reads_the_finite_level(self, capsys):
+        code, out, err = run(capsys, "appbound", "--app", "vector-ii", "--psi1", "1", "--n", "700",
+                             "--delta", "1e-320")
+        assert (code, out, err) == (1, "", "error: need n >= ln(1/delta): "
+                                           "n=700 < ln(1/delta)=736.827\n")
+
+
 class TestNearEqualAtoms:
     """Two atoms 98304 apart at 1e20 used to merge into one, so their sum
     read as a.s. constant and its bounds as 0."""

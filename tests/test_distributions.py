@@ -723,19 +723,6 @@ class TestMomentRows:
         assert not any(t.is_alive() for t in threads) and errors == []
         assert len(D._laws) <= 4
 
-    def test_a_bounded_law_reads_each_run_of_equal_cuts_once(self, monkeypatch):
-        # the windows of the first 21 of these 34 orders (every 4th point
-        # of the p-grid and its last but one) are the whole support: the
-        # density is read on 14 rows of cuts, not 34
-        form = D.canonical(D.Centered(D.SquareOf(D.UniformInterval(-0.45, 0.8))))
-        ps = np.exp2(np.r_[0:128:4, 127, 128] / 16)
-        seen = []
-        real = D.UniformInterval.logpdf
-        monkeypatch.setattr(D.UniformInterval, "logpdf",
-                            lambda self, x: seen.append(np.shape(x)) or real(self, x))
-        form.log_abs_moments(ps)
-        assert len(ps) == 34 and seen[-1] == (14, 3, D._PANELS, len(D._TS_T))
-
 
 class TestLawMemo:
     """The memo of law records is the only memo of a scalar law, and it
