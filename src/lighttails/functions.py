@@ -243,7 +243,7 @@ class SupLinearLoss(_VectorCoordinates):
     def _check(self):
         object.__setattr__(self, "weights", tuple(
             _row(w, "weights", self.input.dim) for w in dist._items(self.weights, "weights")))
-        if self.loss not in ("absolute", "hinge", "huber"):
+        if not (isinstance(self.loss, str) and self.loss in _LOSSES):
             raise dist.SpecError(f"unknown loss {self.loss!r}")
         if self.loss == "huber" and not 0 < self.huber_kappa <= 1:
             raise dist.SpecError(f"huber_kappa must lie in (0,1], got {self.huber_kappa}")
@@ -267,12 +267,9 @@ class SupLinearLoss(_VectorCoordinates):
         points = np.ascontiguousarray(points)
         d = self.input.dim
         xs, zs = points[:, :, :d], points[:, :, d]
-        best = None
-        for w, mu in zip(self.weights, _sup_loss_means(self)):
-            resid = xs @ np.asarray(w) - zs
-            vals = _loss_values(self, resid).mean(axis=1) - mu
-            best = vals if best is None else np.maximum(best, vals)
-        return best
+        return functools.reduce(np.maximum, (
+            _LOSSES[self.loss](xs @ np.asarray(w) - zs, self.huber_kappa).mean(axis=1) - mu
+            for w, mu in zip(self.weights, _sup_loss_means(self))))
 
     def psi1_per_coord(self):
         # product-space norm L ||x|| + |z| dominates the loss increments
@@ -331,13 +328,10 @@ class PsaReconstruction(_VectorCoordinates):
         sq = np.einsum("bij,bij->bi", points, points)
         second = _second_moment_matrix(self.input)
         e_sq = float(np.trace(second))
-        best = None
-        for p in self.projection_arrays():
-            proj_sq = np.einsum("bij,jk,bik->bi", points, p, points)
-            expected = e_sq - float(np.sum(p * second))
-            vals = expected - (sq - proj_sq).mean(axis=1)
-            best = vals if best is None else np.maximum(best, vals)
-        return best
+        return functools.reduce(np.maximum, (
+            e_sq - float(np.sum(p * second))
+            - (sq - np.einsum("bij,jk,bik->bi", points, p, points)).mean(axis=1)
+            for p in self.projection_arrays()))
 
     def psi1_per_coord(self):
         # Cauchy-Schwarz over the projection class contributes sqrt(d) + 1;
@@ -509,14 +503,17 @@ def eval_f(fspec, points) -> np.ndarray:
     return out[0] if single else out
 
 
-def _loss_values(fspec, resid):
-    if fspec.loss == "absolute":
-        return np.abs(resid)
-    if fspec.loss == "hinge":
-        return np.maximum(0.0, 1.0 - resid)
-    kappa = fspec.huber_kappa
+def _huber(resid, kappa):
     a = np.abs(resid)
     return np.where(a <= kappa, 0.5 * a * a, kappa * (a - 0.5 * kappa))
+
+
+# the losses of `SupLinearLoss`, each a map of (residuals, huber_kappa)
+_LOSSES = {
+    "absolute": lambda resid, kappa: np.abs(resid),
+    "hinge": lambda resid, kappa: np.maximum(0.0, 1.0 - resid),
+    "huber": _huber,
+}
 
 
 @functools.lru_cache(maxsize=256)
@@ -525,7 +522,7 @@ def _sup_loss_means(fspec):
     rng = dist._rng(0, _INNER_STREAM)
     xs = np.ascontiguousarray(fspec.input.draw(rng, _INNER_MC))   # see evaluate
     zs = fspec.output.draw(rng, _INNER_MC)
-    return tuple(float(_loss_values(fspec, xs @ np.asarray(w) - zs).mean())
+    return tuple(float(_LOSSES[fspec.loss](xs @ np.asarray(w) - zs, fspec.huber_kappa).mean())
                  for w in fspec.weights)
 
 

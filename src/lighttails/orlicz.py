@@ -288,11 +288,10 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
     SpecError where it is past the largest float.  The search runs on the
     standard law s Z of `distributions.standard_form`, and its estimate is
     kept in that law's record per alpha; the value is s times the standard
-    law's, at its p*, and the least positive float where that product
-    underflows to 0 (a subnormal s).  `upper` is s times the standard law's (`_search`),
-    rounded up and widened by _READ_ROUNDING, so that it also bounds every
-    ratio read from the law's own moments or from Z's at orders the search
-    did not read; it is never below the value.
+    law's, at its p* (`_scaled_value`).  `upper` is s times the standard
+    law's (`_search`), rounded up and widened by _READ_ROUNDING, so that it
+    also bounds every ratio read from the law's own moments or from Z's at
+    orders the search did not read; it is never below the value.
     """
     if alpha not in (1, 2):
         raise ValueError(f"alpha must be 1 or 2, got {alpha}")
@@ -307,9 +306,7 @@ def psi_norm(spec, alpha) -> OrliczEstimate:
         except (dist.QuadratureError, NotSubGaussianError, NotSubExponentialError) as exc:
             verdict = "is not certified" if isinstance(exc, dist.QuadratureError) else "is infinite"
             raise type(exc)(f"the psi{alpha} norm of {spec} {verdict}: {exc}") from None
-    value, upper = scale * est.value, _scaled_upper(est.upper, scale)
-    if value == 0.0 < est.value:    # a subnormal scale: a positive norm never reads 0
-        value = math.nextafter(0.0, 1.0)
+    value, upper = _scaled_value(est.value, scale), _scaled_upper(est.upper, scale)
     if value == math.inf:
         raise dist.SpecError(f"the psi{alpha} norm of {spec} is past the largest float")
     if 0.0 < upper < math.inf:
@@ -327,18 +324,24 @@ _READ_ROUNDING = 4 * 2.0 ** -53
 
 
 def scaled_estimate(est, scale, method=None) -> OrliczEstimate:
-    """est for scale times its variable: the value times scale, the upper
-    times scale and then the next float up, the same p*.  With a method,
-    the estimate is a bound built on est, whose value is scale times est's
-    `proxy_value`.  A product rounds to within half an ulp of the
-    exact one, also when it underflows or overflows, so the next float up
-    is not below it; the upper 0 of the zero variable stays 0."""
-    return OrliczEstimate(est.alpha, scale * (est.proxy_value if method else est.value), est.p_star,
-                          method or est.method, _scaled_upper(est.upper, scale))
+    """est for scale times its variable, at the same p*: `_scaled_value` of
+    est's value, or with a method (a bound built on est) of its
+    `proxy_value`, and the upper times scale then the next float up, which
+    is not below the exact product; an upper of 0 stays 0."""
+    return OrliczEstimate(est.alpha, _scaled_value(est.proxy_value if method else est.value, scale),
+                          est.p_star, method or est.method, _scaled_upper(est.upper, scale))
 
 
 def _scaled_upper(upper, scale):
     return math.nextafter(scale * upper, math.inf) if upper else 0.0
+
+
+def _scaled_value(value, scale):
+    """scale * value to nearest or, below the least normal float, where
+    floats lie 5e-324 apart, the exact product rounded up."""
+    x = scale * value
+    return x if x >= sys.float_info.min else dist._round_up(
+        *map(math.prod, zip(value.as_integer_ratio(), scale.as_integer_ratio())))[0]
 
 
 def _search(law, alpha):

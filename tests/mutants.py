@@ -40,6 +40,7 @@ CHECKED_ENTRY = "Every law through its checked constructor"
 RETIRED_ENTRY = "Two perf paths retired"
 UNITS_ENTRY = "The unit laws' ψ records ship with the package"
 KINDS_ENTRY = "One kind table for the bounds"
+CASES_ENTRY = "One table for the fresh-process CLI checks"
 
 
 class Mutant(NamedTuple):
@@ -249,11 +250,12 @@ MUTANTS = (
            "np.errstate()",
            ("tests/test_entropy.py::TestEntropy::test_a_spread_past_the_largest_float",),
            RETIRED_ENTRY),
-    Mutant("orlicz.py",         # a positive norm times a subnormal scale read as 0
-           "    if value == 0.0 < est.value:",
-           "    if False:",
-           ("tests/test_orlicz.py::TestStandardForm::test_a_subnormal_scale_keeps_a_positive_norm",),
-           RETIRED_ENTRY),
+    Mutant("orlicz.py",         # a subnormal product read to nearest, below the exact one
+           "else dist._round_up(\n        *map(math.prod, zip(value.as_integer_ratio(), scale.as_integer_ratio())))[0]",
+           "else (lambda n, d: n / d)(\n        *map(math.prod, zip(value.as_integer_ratio(), scale.as_integer_ratio())))",
+           ("tests/test_orlicz.py::TestStandardForm::test_a_subnormal_scale_keeps_a_positive_norm",
+            "tests/test_orlicz.py::TestStandardForm::test_an_inexact_subnormal_product_rounds_up"),
+           CASES_ENTRY),
     Mutant("orlicz.py",         # a shipped upper one float below its live search's
            '"analytic-grid", 0.96788289807657)',
            '"analytic-grid", 0.9678828980765699)',

@@ -804,6 +804,15 @@ class TestParserReuse:
                    "--delta", "0.01")[0] == 0
         assert run(capsys, *TestFastParse.BOUND)[0] == 0
         assert cli._build_parser.cache_info().currsize == 0
+        # nor in a fresh process, whose import builds none either
+        code = ("import contextlib, io; from lighttails import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = cli.main({list(TestFastParse.BOUND)!r})\n"
+                "print(code, cli._build_parser.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lighttails.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == ["0", "0"]
 
     @pytest.mark.parametrize("argv, code", [
         (["norms", "--spec", config("exp1.json"), "--alpha", "3"], 1),

@@ -558,6 +558,20 @@ class TestStandardForm:
             res = B.evaluate_tail(kind, profile, 1e-323)
             assert res.note == "" and 0.0 < res.prob < 1.0
 
+    def test_an_inexact_subnormal_product_rounds_up(self):
+        # at a scale of 1.5e-323 the value read 1e-323, 16.5% below its exact
+        # product, and the diameter 1.5e-323, 11.4% below; proxies read both
+        law = D.Scaled(D.Gaussian(0.0, 1.0), 1.5e-323)
+        value = Fraction(1.5e-323) * Fraction(O.psi_norm(D.Gaussian(0.0, 1.0), 1).value)
+        scale, centered = D.standard_form(D.Centered(law))
+        diff = D.canonical(centered).abs_difference_law()
+        diameter = Fraction(scale) * Fraction(O.psi_norm(diff, 1).value)
+        assert O.psi_norm(law, 1).value >= value
+        assert A.psi_diameter(law, 1).value >= diameter
+        for fspec, exact in ((F.SumFunction([law] * 2), value),
+                             (F.MetricLipschitz(1.0, [law], ["abs"]), diameter)):
+            assert all(x >= exact for x in F.proxy_profile(fspec).psi1_per_coord)
+
     def test_deep_squares_keep_scale_one(self):
         # the exact scale 0.1^256 has an integer of 14080 bits, and every
         # further square doubles it: the walk stops before it grows
@@ -573,6 +587,10 @@ class TestStandardForm:
         want = ps * math.log(scale) + D.log_abs_moments(standard, ps)
         assert D.log_abs_moments(law, ps).tolist() == want.tolist()
         assert [D.log_abs_moment(law, p) for p in ps] == want.tolist()
+        # a centered (sd Z)^2 is sd^2 Centered(chi-squared(1))
+        square, unit = D.Centered(D.SquareOf(D.Gaussian(0.0, 1.7))), D.Centered(D.ChiSquared(1))
+        for p in (1.0, 4.0, 37.5):
+            assert abs(D.lp_norm(square, p) - 1.7 ** 2 * D.lp_norm(unit, p)) <= 1e-12 * D.lp_norm(square, p)
 
 
 def linear_phi(s, p0, alpha):
@@ -997,16 +1015,30 @@ class TestUnitRecords:
 
     def test_a_fresh_process_searches_none_of_them(self):
         # after the import, no moment pass and no search has run; each
-        # shipped estimate is then a hit, read with no pass
-        code = ("import lighttails.cli; from lighttails import distributions as D, orlicz as O; "
-                "first = dict(D._law_counts); "
-                "[O.psi_norm(law, a) for law, (psi, _) in O._UNIT_RECORDS.items() for a in psi]; "
-                "print(*first.values(), *D._law_counts.values())")
+        # shipped estimate is then a hit, read with no pass, and so is a
+        # scaled one's.  A bound on sum_exp10 reads them with no search, and
+        # prints the same bytes after the memos are cleared, when it searches
+        spec = pathlib.Path(O.__file__).parents[2] / "configs" / "sum_exp10.json"
+        code = (
+            "import contextlib, io; from lighttails import cli, distributions as D, functions as F, orlicz as O\n"
+            "first = dict(D._law_counts)\n"
+            "[O.psi_norm(law, a) for law, (psi, _) in O._UNIT_RECORDS.items() for a in psi]\n"
+            "O.psi_norm(D.Scaled(D.Exponential(1.0), 2.5), 1)\n"
+            "print(*first.values(), *D._law_counts.values())\n"
+            "def bound():\n"
+            "    searches = D._law_counts['searches']\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"        cli.main(['bound', '--spec', {str(spec)!r}, '--bounds', 'thm2,thm3', '--p', '2', '--t-grid', '1:10:5'])\n"
+            "    return out.getvalue(), D._law_counts['searches'] - searches\n"
+            "warm, none = bound()\n"
+            "D._laws.clear(); F._kind_profile.cache_clear(); cli._decode_spec_text.cache_clear()\n"
+            "cold, some = bound()\n"
+            "print(none, some > 0, warm == cold, '\"prob\"' in warm)")
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(O.__file__).parents[1]))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         shipped = sum(len(psi) for psi, _ in O._UNIT_RECORDS.values())
-        assert shipped == 14 and out.split() == ["0"] * 5 + [str(shipped)]
+        assert shipped == 14 and out.split() == ["0"] * 5 + [str(shipped + 1), "0"] + ["True"] * 3
 
 
 class TestTailBounds:
