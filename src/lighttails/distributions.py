@@ -478,7 +478,12 @@ class Rademacher(Distribution):
     def _fold(self): return FiniteSupport((-1.0, 1.0), (0.5, 0.5))
 
     def fill(self, rng, out):
-        np.multiply(rng.integers(0, 2, len(out)), 2.0, out=out)
+        # run by run: rng.integers makes a new int64 array, and one of 64 KiB
+        # is reused from the heap where one per shard could be trimmed and
+        # faulted in again.  Runs draw the stream of one call
+        for start in range(0, len(out), 2 ** 13):
+            run = out[start:start + 2 ** 13]
+            np.multiply(rng.integers(0, 2, len(run)), 2.0, out=run)
         out -= 1.0
 
     def sum_law(self, n):

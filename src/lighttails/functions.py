@@ -40,39 +40,49 @@ class FunctionSpec(dist.Spec):
     """f of n independent coordinates.  Each kind has `n`, `counts` (the
     runs of equal coordinates of its proxy profile: one run of n for the
     iid vector kinds, one run per run of equal consecutive laws for the
-    scalar kinds), `point_shape` (of
-    one base point), `draw(rng, count)` and `evaluate(points)` for batches of
-    shape (count,) + point_shape, and one method per proxy entry it has
-    (`psi1_per_coord`, `ranges`, `psi2_per_coord`, `l2p_per_coord(p)`), each
-    a list of one value per run; it overrides `closed_form_mean` where
-    E[f(X)] has one.
+    scalar kinds), `point_shape` (of one base point), `_rows()` (the
+    (index into a point, law) of each coordinate entry, in draw order),
+    `evaluate(points)` for batches of shape (count,) + point_shape, and one
+    method per proxy entry it has (`psi1_per_coord`, `ranges`,
+    `psi2_per_coord`, `l2p_per_coord(p)`), each a list of one value per
+    run; it overrides `closed_form_mean` where E[f(X)] has one.
 
-    `draw` returns a coordinate-major view (see dist.draw_rows), so a batch
-    may be a non-contiguous view: `evaluate` must not assume C order, must
-    give the same values for any layout of the same batch, and must not
-    write into `points`.
+    `draw(rng, count)` returns a coordinate-major view (see dist.draw_rows),
+    so a batch may be a non-contiguous view: `evaluate` must not assume C
+    order, must give the same values for any layout of the same batch, and
+    must not write into `points`.
 
-    `sample(rng, count)` gives `count` values of f(X): f of drawn base points
-    (the "per-coordinate" `sampler_layout`), or "summed": where f is `_of_sum`
-    of the coordinate sum and each entry of that sum (shape point_shape[1:])
-    adds n iid draws of a law, the hook `_summands` lists those laws, and
-    one draw of each law's `sum_law(n)` stands in for the n draws.  Its
-    values have the law of f(X), not the stream of `evaluate(draw(...))`.
-    VectorNormOfSum adds a third layout, "chi", that draws f's own law.
+    `sample(rng, count, work)` gives `count` values of f(X): f of drawn base
+    points (the "per-coordinate" `sampler_layout`), or "summed": where f is
+    `_of_sum` of the coordinate sum and each entry of that sum (shape
+    point_shape[1:]) adds n iid draws of a law, the hook `_summands` lists
+    those laws, and one draw of each law's `sum_law(n)` stands in for the n
+    draws.  Its values have the law of f(X), not the stream of
+    `evaluate(draw(...))`.  VectorNormOfSum adds a third layout, "chi", that
+    draws f's own law.
 
-    Both drawn layouts write every draw in place, each law `fill`ing its row
-    of one buffer per batch (see dist.draw_rows).  The per-coordinate buffer
-    holds prod(point_shape) values per draw, n times the summed one, and
-    `evaluate` makes `evaluation_copies` C-order copies of it, so
-    `verify.estimate_tail` refuses shards of it, and the batch of
-    `expectation`, past `verify.MAX_SHARD_BYTES` before any draw."""
+    The kinds whose f is `_of_sum` of a sum of one term per coordinate (sum,
+    vector_norm_of_sum, metric_lipschitz) define that term, `_term(i, x,
+    out)`, which `evaluate` adds too.  Their per-coordinate samples fold
+    each coordinate entry into the totals as it is drawn: its law `fill`s
+    one private row, the term is taken in place and added into the entry's
+    total, in `evaluate`'s order.  `sample` draws into `work`, a (work_rows,
+    >= count) array that a caller who samples again may keep, or a new one:
+    the row, then the totals (point_shape[1:]), dim + 1 values per draw;
+    the summed layout fills the totals, the chi layout the row.  The kinds
+    without a term (sup_linear_loss, psa_reconstruction; work_rows None)
+    evaluate a C-order copy of whole drawn points, prod(point_shape) values
+    per draw, so `verify.estimate_tail` refuses their shards, and the batch
+    of `expectation`, past `verify.MAX_SHARD_BYTES` before any draw."""
 
     _summands = None
-    evaluation_copies = 0
+    _term = None        # None for a kind that evaluates whole points
+    work_rows = property(lambda s: None if s._term is None else 1 + math.prod(s.point_shape[1:]))
     psi2_per_coord = l2p_per_coord = None      # None marks an entry the kind has not
     sampler_layout = property(lambda s: "per-coordinate" if s._sum_laws is None else "summed")
 
     def closed_form_mean(self): return None
+    def draw(self, rng, count): return dist.draw_rows(rng, count, self.point_shape, self._rows())
 
     @functools.cached_property
     def _sum_laws(self):
@@ -82,12 +92,33 @@ class FunctionSpec(dist.Spec):
             return None
         return laws if laws and all(law is not None for law in laws) else None
 
-    def sample(self, rng, count):
-        if self._sum_laws is None:
+    def sample(self, rng, count, work=None):
+        if self._term is None:
             return self.evaluate(self.draw(rng, count))
-        shape = self.point_shape[1:]
-        rows = zip(np.ndindex(shape), self._sum_laws)
-        return self._of_sum(dist.draw_rows(rng, count, shape, rows))
+        work = np.empty((self.work_rows, count)) if work is None else work[:, :count]
+        row, total = work[0], work[1:].reshape(self.point_shape[1:] + (count,))
+        if self._sum_laws is not None:
+            for index, law in zip(np.ndindex(total.shape[:-1]), self._sum_laws):
+                law.fill(rng, total[index])
+            return self._of_sum(total, row)
+        total[...] = 0.0
+        for (i, *index), law in self._rows():
+            law.fill(rng, row)
+            entry = total[tuple(index)]
+            entry += self._term(i, row, row)
+        return self._of_sum(total, row)
+
+    def evaluate(self, points):
+        """`_of_sum` of the coordinates' terms, added coordinate after
+        coordinate; the kinds without a term override it."""
+        terms = np.moveaxis(points, 0, -1)
+        return self._of_sum(_coordinate_sum(
+            (self._term(i, x) for i, x in enumerate(terms)), np.empty(terms.shape[1:])))
+
+
+def _coordinate(i, x, out=None):
+    """The term of a kind whose f reads each coordinate as it is: x."""
+    return x
 
 
 class _ScalarCoordinates(FunctionSpec):
@@ -108,7 +139,7 @@ class _ScalarCoordinates(FunctionSpec):
             first += length
         return tuple(runs)
 
-    def draw(self, rng, count): return dist.draw_rows(rng, count, (self.n,), enumerate(self.laws))
+    def _rows(self): return (((i,), law) for i, law in enumerate(self.laws))
 
 
 class _VectorCoordinates(FunctionSpec):
@@ -116,9 +147,7 @@ class _VectorCoordinates(FunctionSpec):
     counts = property(lambda self: (self.n,))
     point_shape = property(lambda self: (self.n, self.coordinate.dim))
 
-    def draw(self, rng, count):
-        vec = self.coordinate
-        return dist.draw_rows(rng, count, (self.n, vec.dim), _vector_rows(vec, self.n))
+    def _rows(self): return _vector_rows(self.coordinate, self.n)
 
 
 # Each kind lists its one-line facts as a group, then its longer methods.
@@ -131,9 +160,9 @@ class SumFunction(_ScalarCoordinates):
     components: dist.Specs
 
     laws = property(lambda self: self.components)
+    _term = staticmethod(_coordinate)
 
-    def evaluate(self, points): return _coordinate_sum(points)
-    def _of_sum(self, s): return s
+    def _of_sum(self, s, out=None): return s
     def closed_form_mean(self): return math.fsum(dist.mean(c) for c in self.components)
     def ranges(self): return [_support_width(c) for _, c, _ in self._runs]
 
@@ -173,8 +202,7 @@ class VectorNormOfSum(_VectorCoordinates):
 
     coordinate = property(lambda self: self.vec)
     _summands = property(lambda self: self.vec.components)
-
-    def evaluate(self, points): return self._of_sum(_coordinate_sum(points))
+    _term = staticmethod(_coordinate)
 
     @property
     def sampler_layout(self):
@@ -187,17 +215,28 @@ class VectorNormOfSum(_VectorCoordinates):
         chi = _chi_law(self.vec, self.centered)
         return None if chi is None else dist._built(dist.Chi, chi.dof, math.sqrt(self.n) * chi.sd)
 
-    def sample(self, rng, count):
-        law = self._f_law
-        return super().sample(rng, count) if law is None else law.draw(rng, count)
+    @property
+    def work_rows(self):
+        return super().work_rows if self._f_law is None else 1
 
-    def _of_sum(self, s):
-        """||s - n E[X]|| if centered, else ||s||, row by row of a (count,
-        dim) batch s of sums, its squares added as `_coordinate_sum` adds."""
+    def sample(self, rng, count, work=None):
+        law = self._f_law
+        if law is None:
+            return super().sample(rng, count, work)
+        out = np.empty(count) if work is None else work[0, :count]
+        law.fill(rng, out)
+        return out
+
+    def _of_sum(self, s, out=None):
+        """||s - n E[X]|| if centered, else ||s||, of each column of the
+        (dim, count) sums s, which it overwrites: the squares are added as
+        `_coordinate_sum` adds, into out where given."""
         if self.centered:
             means = np.array([dist.mean(c) for c in self.vec.components])
-            s = s - self.n * means
-        return np.sqrt(_coordinate_sum(s * s))
+            s -= (self.n * means)[:, None]
+        s *= s
+        out = _coordinate_sum(s, np.empty(s.shape[1:]) if out is None else out)
+        return np.sqrt(out, out=out)
 
     def psi1_per_coord(self):
         return [2.0 * _proxy_norm(vector_norm_psi, self.vec, 1, "coordinate 0")]
@@ -234,8 +273,6 @@ class SupLinearLoss(_VectorCoordinates):
     n: dist.Count
     huber_kappa: float = 1.0
 
-    evaluation_copies = 1   # evaluate's C-order batch
-
     # one coordinate is the pair (x_i, z_i)
     coordinate = property(lambda self: dist.VectorSpec(
         self.input.dim + 1, self.input.components + (self.output,)))
@@ -254,12 +291,11 @@ class SupLinearLoss(_VectorCoordinates):
     def lipschitz(self):
         return max(math.sqrt(sum(x * x for x in w)) for w in self.weights)
 
-    def draw(self, rng, count):
+    def _rows(self):
         # every x_i first, then every z_i: the draw order of separate x and z
         d = self.input.dim
-        rows = itertools.chain(_vector_rows(self.input, self.n),
+        return itertools.chain(_vector_rows(self.input, self.n),
                                (((i, d), self.output) for i in range(self.n)))
-        return dist.draw_rows(rng, count, (self.n, d + 1), rows)
 
     def evaluate(self, points):
         # matmul picks its kernel, and so its rounding, by memory layout:
@@ -296,8 +332,6 @@ class PsaReconstruction(_VectorCoordinates):
     projections: tuple      # tuple of (D, D) matrices as nested tuples
     input: dist.VectorSpec
     n: dist.Count
-
-    evaluation_copies = 1   # evaluate's C-order batch
 
     coordinate = property(lambda self: self.input)
 
@@ -377,11 +411,11 @@ class MetricLipschitz(_ScalarCoordinates):
         terms = [_map_mean(name, law) for name, law in zip(self.maps, self.coordinate_dists)]
         return None if None in terms else self.lip * math.fsum(terms)
 
-    def evaluate(self, points):
-        total = np.zeros(points.shape[0])
-        for i, name in enumerate(self.maps):
-            total += _LIPSCHITZ_MAPS[name](points[:, i])
-        return self.lip * total
+    def _term(self, i, x, out=None): return _LIPSCHITZ_MAPS[self.maps[i]](x, out=out)
+
+    def _of_sum(self, s, out=None):
+        s *= self.lip
+        return s
 
     def psi1_per_coord(self):
         return [self.lip * _proxy_norm(applications.psi_diameter, c, 1, f"coordinate {i}")
@@ -396,9 +430,11 @@ def _row(row, name, length):
     return out
 
 
+# each map of (x, out=None) writes into out where given; identity returns
+# x, which is out wherever the fold gives it one
 _LIPSCHITZ_MAPS = {
     "abs": np.abs,
-    "identity": lambda x: x,
+    "identity": lambda x, out=None: x,
     "sin": np.sin,
 }
 
@@ -479,16 +515,15 @@ def _vector_rows(vec, n):
     return (((i, j), c) for i in range(n) for j, c in enumerate(vec.components))
 
 
-def _coordinate_sum(points):
-    """The sum over axis 1 of a batch, whole column after whole column, in
-    place in one new array that starts at +0.0 as numpy's sums do.  One
-    order for every memory layout gives the same bits for every layout,
-    and a coordinate-major batch is summed without a copy."""
-    terms = np.moveaxis(points, 1, 0)
-    total = 0.0 + terms[0]
-    for t in terms[1:]:
-        total += t
-    return total
+def _coordinate_sum(terms, out):
+    """out, set to the sum of `terms` (each of out's shape), whole term
+    after whole term in place from +0.0, as numpy's sums start.  One order
+    for every memory layout gives the same bits for every layout, and the
+    fold of `FunctionSpec.sample` adds its rows in this order too."""
+    out[...] = 0.0
+    for t in terms:
+        out += t
+    return out
 
 
 def eval_f(fspec, points) -> np.ndarray:
@@ -536,11 +571,13 @@ def _second_moment_matrix(vec):
     return m
 
 
-def sample_f(fspec, seed, count, stream=0) -> np.ndarray:
-    """Deterministic samples of f(X)."""
+def sample_f(fspec, seed, count, stream=0, work=None) -> np.ndarray:
+    """Deterministic samples of f(X), in new arrays, or drawn into `work`,
+    a (fspec.work_rows, >= count) array, where given: the result may then
+    be a view of it."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    return fspec.sample(dist._rng(seed, stream), count)
+    return fspec.sample(dist._rng(seed, stream), count, work)
 
 
 # ---------------------------------------------------------------------------

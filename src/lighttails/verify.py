@@ -10,6 +10,7 @@ and `report_to_csv` read them.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -34,16 +35,21 @@ DEFAULT_CP_LEVEL = 0.999
 MIN_SAMPLES = 10 ** 4   # fewest draws estimate_tail accepts
 MAX_SAMPLES = 10 ** 9   # most draws it accepts, 10^4 shards
 MAX_THREADS = 64        # most workers it accepts
-# most bytes the shards of base points in flight, or the expectation's batch,
-# may take: each worker holds one buffer and its kind's evaluation copies of
-# it.  Only the per-coordinate layout holds a whole point, n *
-# prod(point_shape[1:]) values, per draw
+# most bytes the whole base points in flight, or the expectation's batch, may
+# take: each worker holds one buffer and its C-order copy.  Only the kinds
+# without a per-coordinate term hold a whole point, prod(point_shape) values,
+# per draw; the others hold dim + 1 (see functions.FunctionSpec)
 MAX_SHARD_BYTES = 2 ** 30
 # A shard counts the values above each threshold of a grid of at most this
 # many; a longer grid sorts the shard once and bisects it.  The crossover of
 # the two on 10^5 Gamma(10) draws lay near 32 thresholds on AVX-512 and
 # near 44 on AVX2.
 _COUNT_STEPS = 32
+# the most bytes of draw arrays a thread keeps after a run, for its next one:
+# a freed buffer would be trimmed from the heap and faulted in again.  2^24
+# holds the dim + 1 rows of a fold of up to 19 entries at the shard width
+_KEPT_BYTES = 2 ** 24
+_kept = threading.local()
 
 
 def clopper_pearson(k, n: int, level: float = DEFAULT_CP_LEVEL):
@@ -106,42 +112,46 @@ def _check_grid(t_grid):
 
 
 def _check_shard_bytes(fspec, threads, n_samples):
-    """ValueError, naming the spec's n and the budget, where the base points
-    in the per-coordinate layout take more than MAX_SHARD_BYTES at their
-    peak.  That is the larger of two phases, each buffer with the
-    `evaluation_copies` of it that the kind's `evaluate` makes: the shards,
-    a worker for each of `threads` and of the run's shards, whichever are
+    """ValueError, naming the spec's n and the budget, where a kind that
+    evaluates whole base points (work_rows None: sup_linear_loss,
+    psa_reconstruction) takes more than MAX_SHARD_BYTES at its peak, each
+    buffer of prod(point_shape) values per draw with the C-order copy its
+    `evaluate` makes.  The peak is the larger of two phases: the shards, a
+    worker for each of `threads` and of the run's shards, whichever are
     fewer, each with a buffer of min(SHARD_SIZE, n_samples) draws; and,
-    before them, the one batch of fn._INNER_MC draws that `fn.expectation`
-    evaluates for a kind with no `closed_form_mean`.  The message names
-    the shards where they hold at least as much."""
-    if fspec.sampler_layout != "per-coordinate":
+    before them, the batch of fn._INNER_MC draws that `fn.expectation`
+    evaluates, as neither kind has a `closed_form_mean`.  The message names
+    the shards where they hold at least as much.  The other kinds hold
+    dim + 1 values per draw whatever n is, and are not limited."""
+    if fspec.work_rows is not None:
         return
     draws = min(SHARD_SIZE, n_samples)
     workers = min(threads, -(-n_samples // SHARD_SIZE))
     batch = "a shard"
-    if workers * draws < fn._INNER_MC and fspec.closed_form_mean() is None:
+    if workers * draws < fn._INNER_MC:
         batch, draws, workers = "the expectation's batch", fn._INNER_MC, 1
     size = math.prod(fspec.point_shape) * draws * 8
-    peak = workers * (1 + fspec.evaluation_copies) * size
+    peak = workers * 2 * size
     if peak > MAX_SHARD_BYTES:
-        held = ([f"{workers} threads"] if workers > 1 else []) + (
-            ["the evaluation copy"] if fspec.evaluation_copies else [])
         raise ValueError(
             f"{fspec.kind}: {batch} of {draws} draws of n = {fspec.n} coordinates "
-            f"takes {size} bytes in the per-coordinate layout"
-            + (f", {peak} bytes with {' and '.join(held)}" if held else "")
-            + f", over the shard budget of {MAX_SHARD_BYTES} bytes (1 GiB)")
+            f"takes {size} bytes in the per-coordinate layout, {peak} bytes with "
+            + (f"{workers} threads and " if workers > 1 else "")
+            + f"the evaluation copy, over the shard budget of {MAX_SHARD_BYTES} bytes (1 GiB)")
 
 
 def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
     """One pass over n_samples deterministic draws of f, in shards of a fixed
-    width that one pool of `threads` workers counts, so the result does not
-    depend on the worker count.  The intervals are at DEFAULT_CP_LEVEL, and
+    width that `threads` workers count, so the result does not depend on the
+    worker count.  One thread draws on the calling thread, more in a pool.
+    Each worker keeps one array of `fspec.work_rows` rows across its shards
+    (`_work`), dim + 1 values per draw; a kind that evaluates whole points
+    (work_rows None) holds prod(point_shape) values per draw and a C-order
+    copy in each shard instead.  The intervals are at DEFAULT_CP_LEVEL, and
     E[f(X)] is `fn.expectation`; where that estimate's half-width exceeds a
     tenth of the t-grid spacing, the grid is too fine for it and this is a
-    ValueError.  So are n_samples outside [MIN_SAMPLES, MAX_SAMPLES], threads
-    outside [1, MAX_THREADS] and a per-coordinate layout whose batches in
+    ValueError.  So are n_samples outside [MIN_SAMPLES, MAX_SAMPLES],
+    threads outside [1, MAX_THREADS] and whole points whose batches in
     flight exceed MAX_SHARD_BYTES (see `_check_shard_bytes`), each checked
     before any draw."""
     t_grid = _check_grid(t_grid)
@@ -165,10 +175,14 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
     shards = [(i, min(SHARD_SIZE, n_samples - i * SHARD_SIZE))
               for i in range((n_samples + SHARD_SIZE - 1) // SHARD_SIZE)]
 
+    local = threading.local()
+
     def shard_counts(job):
         stream, count = job
+        if not hasattr(local, "work"):
+            local.work = _work(fspec.work_rows, shards[0][1])
         with np.errstate(over="ignore", invalid="ignore"):     # set per thread
-            vals = fn.sample_f(fspec, seed, count, stream=stream)
+            vals = fn.sample_f(fspec, seed, count, stream=stream, work=local.work)
         # a NaN would compare False, as no exceedance; min and max carry it
         lo, hi = vals.min(), vals.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -177,13 +191,31 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
                              "is not finite")
         return _exceedances(vals, thresholds)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(shard_counts, shards))
+    if threads == 1:
+        parts = list(map(shard_counts, shards))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(shard_counts, shards))
     counts = np.sum(np.stack(parts), axis=0)
     return TailEstimate(t_grid=tuple(t_grid),
                         exceed_counts=tuple(int(c) for c in counts),
                         n_samples=n_samples, mean_value=mean_value,
                         mean_half_width=half, cp_level=DEFAULT_CP_LEVEL, seed=seed)
+
+
+def _work(rows, width):
+    """A (rows, width) array for one worker's draws, or None for rows None.
+    It is a view of the buffer its thread keeps, grown to the largest one
+    asked for up to _KEPT_BYTES; a larger one is new on each run."""
+    if rows is None:
+        return None
+    size = rows * width
+    buf = getattr(_kept, "buf", None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        if buf.nbytes <= _KEPT_BYTES:
+            _kept.buf = buf
+    return buf[:size].reshape(rows, width)
 
 
 def _exceedances(vals, thresholds):

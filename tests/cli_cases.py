@@ -139,6 +139,8 @@ INAPPLICABLE = "inapplicable: a + b t is infinite"
 TINY_GAUSSIAN = _sum(*[_scaled(N01, 1e-300)] * 2)
 UNIFORM_VECTORS = {"kind": "vector_norm_of_sum", "n": 1000,
                    "vec": {"kind": "vector", "dim": 10, "components": [U01] * 10}}
+UNIFORM_LOSS = {"kind": "sup_linear_loss", "weights": [[1.0] * 9], "loss": "hinge", "n": 1000,
+                "input": {"kind": "vector", "dim": 9, "components": [U01] * 9}, "output": U01}
 BIG_NET = {"kind": "psa_reconstruction", "ambient_dim": 4, "subspace_dim": 2, "net_size": 10 ** 7,
            "net_seed": 3, "n": 50, "input": {"kind": "vector", "dim": 4, "components": [N01] * 4}}
 MERGE = _finite([-2.0, -1.0, 1.0], [0.3225360967782188, 0.3491606779558808, 0.3283032252669003])
@@ -348,12 +350,20 @@ CASES = (
          "--n 100000 --seed 1", limit=4000000, check=_sound("chi")),
     Case("seed-out-of-range", "verify --spec configs/exp1.json --bounds thm2 --t-grid 1:5:3 --n 10000 --seed -1",
          code=1, error="error: --seed must be a 64-bit unsigned integer, got -1"),
-    # an --n past the largest float, and a shard past the buffer budget (7.45 GiB)
+    # an --n past the largest float, and a shard of whole points past the
+    # buffer budget (7.45 GiB, and as much again in its evaluation copy)
     Case("huge-n", f"verify --spec configs/exp1.json --n {HUGE} --bounds thm2 --t-grid 1:5:3 --seed 1",
          limit=2000000, code=1, error=re.compile(r"error: --n must be an integer <= 10\^9, got 1000")),
-    Case("shard-budget", "verify --spec {tmp}/uniform_vectors.json --n 100000 --bounds thm2 --t-grid 1:5:3 --seed 1",
-         files={"uniform_vectors.json": UNIFORM_VECTORS}, limit=2000000, code=1,
-         error=re.compile(r"error: .*over the shard budget of 1073741824 bytes")),
+    Case("shard-budget", "verify --spec {tmp}/uniform_loss.json --n 100000 --bounds thm2 --t-grid 1:5:3 --seed 1",
+         files={"uniform_loss.json": UNIFORM_LOSS}, limit=2000000, code=1,
+         error="error: sup_linear_loss: a shard of 100000 draws of n = 1000 coordinates takes 8000000000 "
+               "bytes in the per-coordinate layout, 16000000000 bytes with the evaluation copy, over the "
+               "shard budget of 1073741824 bytes (1 GiB)"),
+    # 1000 uniform 10-vectors fold into 11 values per draw, where whole
+    # points took 8 GB in the 10^5-draw batch of the Monte Carlo mean
+    Case("fold-uniform-vectors", "verify --spec {tmp}/uniform_vectors.json --n 10000 --bounds thm2 --t-grid 1:5:3 "
+         "--seed 1", files={"uniform_vectors.json": UNIFORM_VECTORS}, limit=2000000,
+         check=_sound("per-coordinate")),
     # argvs the fast parse leaves to argparse print the canonical argv's bytes
     Case("canonical", "bound --spec configs/exp1.json --bounds thm2 --t-grid 1:5:3"),
     *(Case(f"deferred-{i}", f"bound {argv}", same_as="canonical") for i, argv in enumerate((

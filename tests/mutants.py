@@ -41,6 +41,7 @@ RETIRED_ENTRY = "Two perf paths retired"
 UNITS_ENTRY = "The unit laws' ψ records ship with the package"
 KINDS_ENTRY = "One kind table for the bounds"
 CASES_ENTRY = "One table for the fresh-process CLI checks"
+FOLD_ROWS_ENTRY = "Verify in bounded memory"
 
 
 class Mutant(NamedTuple):
@@ -278,6 +279,11 @@ MUTANTS = (
            ("tests/test_cli.py::TestSubnormalDelta::test_invert_reads_a_finite_root",
             "tests/test_cli.py::TestSubnormalDelta::test_the_n_check_reads_the_finite_level"),
            KINDS_ENTRY),
+    Mutant("functions.py",      # the fold takes the coordinates in reverse order
+           "for (i, *index), law in self._rows():",
+           "for (i, *index), law in reversed(list(self._rows())):",
+           ("tests/test_sample_pins.py::test_function_streams_are_pinned",),
+           FOLD_ROWS_ENTRY),
 )
 
 

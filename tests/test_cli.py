@@ -1231,7 +1231,7 @@ class TestPsi2OnlyWhenRead:
 
     def test_non_finite_sample_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(cli.vfy.fn, "sample_f",
-                            lambda fspec, seed, count, stream=0: np.full(count, math.nan))
+                            lambda fspec, seed, count, stream=0, work=None: np.full(count, math.nan))
         code, out, err = run(capsys, "verify", "--spec", config("sum_exp10.json"),
                              "--bounds", "thm2", "--t-grid", "2:20:5", "--n", "100000")
         assert code == 1 and out == ""
@@ -1766,15 +1766,15 @@ _UNDER_2_GIB = ("import resource, sys\n"
                 "sys.exit(cli.main(sys.argv[1:]))\n")
 
 
-# a child runs verify at --threads 2 on its first spec file, to warm up, then
-# on its second under an address-space limit of what it then holds plus the
-# shard budget and 512 MiB; it prints the rise of its peak RSS in bytes on its
-# last stderr line
+# a child runs verify at --n argv[3] and --threads argv[4] on its first spec
+# file, to warm up, then on its second under an address-space limit of what it
+# then holds plus the shard budget and 512 MiB; it prints the rise of its peak
+# RSS in bytes on its last stderr line
 _PEAK_RSS_RISE = (
     "import contextlib, io, resource, sys\n"
     "from lighttails import cli, verify\n"
     "argv = lambda path: ['verify', '--spec', path, '--bounds', 'thm2', '--t-grid', '1:5:3',\n"
-    "                     '--n', '200000', '--seed', '1', '--threads', '2']\n"
+    "                     '--n', sys.argv[3], '--seed', '1', '--threads', sys.argv[4]]\n"
     "with contextlib.redirect_stdout(io.StringIO()):\n"
     "    assert cli.main(argv(sys.argv[1])) == 0\n"
     "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
@@ -1787,21 +1787,26 @@ _PEAK_RSS_RISE = (
     "sys.exit(code)\n")
 
 
+_UNIFORM_VEC = lambda dim: {"kind": "vector", "dim": dim,
+                            "components": [{"kind": "uniform", "lo": 0, "hi": 1}] * dim}
+
+
 class TestShardBudget:
-    """A per-coordinate layout whose shard buffer exceeds the budget is one
-    error line before any draw.  These ended in a MemoryError traceback
-    (PSA and loss specs at n = 10^9, whose rows were listed first) or an
-    _ArrayMemoryError for 7.45 GiB (1000 uniform 10-vectors)."""
+    """A kind that evaluates whole points, whose shard buffer exceeds the
+    budget, is one error line before any draw.  These ended in a MemoryError
+    traceback (PSA and loss specs at n = 10^9, whose rows were listed first)
+    or an _ArrayMemoryError for 7.45 GiB (1000 uniform 10-vectors, which the
+    fold of vector_norm_of_sum now draws in 11 values per draw)."""
 
     @pytest.mark.parametrize("spec, n, size, held", [
         (_IID_VECTOR_SPECS["psa_reconstruction"](10 ** 9), 10 ** 9, 4 * 10 ** 9 * 10 ** 5 * 8,
          (4, "2 threads and the evaluation copy")),
         (_IID_VECTOR_SPECS["sup_linear_loss"](10 ** 9), 10 ** 9, 3 * 10 ** 9 * 10 ** 5 * 8,
          (4, "2 threads and the evaluation copy")),
-        ({"kind": "vector_norm_of_sum", "n": 1000, "vec": {
-            "kind": "vector", "dim": 10, "components": [{"kind": "uniform", "lo": 0, "hi": 1}] * 10}},
-         1000, 10 ** 4 * 10 ** 5 * 8, (2, "2 threads")),
-    ], ids=["psa", "sup-linear-loss", "uniform-vectors"])
+        ({"kind": "sup_linear_loss", "weights": [[1.0] * 9], "loss": "hinge", "n": 1000,
+          "input": _UNIFORM_VEC(9), "output": {"kind": "uniform", "lo": 0, "hi": 1}},
+         1000, 10 ** 4 * 10 ** 5 * 8, (4, "2 threads and the evaluation copy")),
+    ], ids=["psa", "sup-linear-loss", "uniform-inputs"])
     def test_verify_refuses_the_shard(self, spec, n, size, held, tmp_path):
         src = os.path.dirname(os.path.dirname(lighttails.__file__))
         child = subprocess.run(
@@ -1859,12 +1864,35 @@ class TestShardBudget:
         src = os.path.dirname(os.path.dirname(lighttails.__file__))
         child = subprocess.run(
             [sys.executable, "-c", _PEAK_RSS_RISE, write_spec(tmp_path, loss(1), "n1.json"),
-             write_spec(tmp_path, loss(10), "n10.json")],
+             write_spec(tmp_path, loss(10), "n10.json"), "200000", "2"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
         assert child.returncode == 0, child.stderr
         report = json.loads(child.stdout)
         assert (report["verdict"], report["sampler_layout"]) == ("SOUND", "per-coordinate")
         assert 0 < int(child.stderr.splitlines()[-1]) <= vfy.MAX_SHARD_BYTES
+
+    @pytest.mark.parametrize("spec, n, n_samples", [
+        (lambda n: {"kind": "sum", "components": [{"kind": "uniform", "lo": 0, "hi": 1}] * n},
+         5000, "100000"),
+        (lambda n: {"kind": "vector_norm_of_sum", "n": n, "vec": _UNIFORM_VEC(10)}, 1000, "10000"),
+    ], ids=["uniform-sum", "uniform-vectors"])
+    def test_a_folded_kind_holds_no_whole_point(self, spec, n, n_samples, tmp_path):
+        # 5000 uniform coordinates take 4 GB in a shard of 10^5 whole points,
+        # and 1000 uniform 10-vectors 8 GB in the 10^5-draw batch of their
+        # Monte Carlo mean; both were refused.  Folded, a draw holds dim + 1
+        # values whatever n is: the child warms up on n = 1, then runs the
+        # large n on the calling thread, and its peak RSS rises by less than
+        # 16 MiB (it read no rise at all)
+        src = os.path.dirname(os.path.dirname(lighttails.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_RISE, write_spec(tmp_path, spec(1), "n1.json"),
+             write_spec(tmp_path, spec(n), "big.json"),
+             n_samples, "1"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout)
+        assert (report["verdict"], report["sampler_layout"]) == ("SOUND", "per-coordinate")
+        assert int(child.stderr.splitlines()[-1]) < 2 ** 24
 
 
 class TestNetSize:

@@ -52,6 +52,15 @@ class TestSampling:
         vals = D.sample(D.Rademacher(), seed=7, count=4)
         assert set(np.unique(vals)) <= {-1.0, 1.0}
 
+    @pytest.mark.parametrize("count", [1, 8191, 8193, 3 * 8192 + 5])
+    def test_rademacher_runs_draw_the_stream_of_one_call(self, count):
+        # the fill draws runs of 2^13; the bits and the generator state
+        # after it are those of one integers call
+        rng, ref = D._rng(5, 2), D._rng(5, 2)
+        vals = D.Rademacher().draw(rng, count)
+        assert np.array_equal(vals, ref.integers(0, 2, count) * 2.0 - 1.0)
+        assert rng.integers(0, 2, 7).tolist() == ref.integers(0, 2, 7).tolist()
+
     def test_point_mass(self):
         vals = D.sample(D.FiniteSupport((0.0,), (1.0,)), seed=3, count=10)
         assert np.all(vals == 0.0)

@@ -290,6 +290,16 @@ LAYOUT_CASES = CATALOGUE + [
     F.SupLinearLoss([(0.3, -0.4)], "huber", D.VectorSpec(
         2, [D.UniformInterval(-1.0, 1.0), D.Gaussian(0.0, 1.0)]),
         D.Exponential(1.0), n=9, huber_kappa=0.5),
+    # the folded kinds: each map, on plain and wrapped laws, and a centered
+    # vector whose entries have no sum law
+    METRIC_MC,
+    F.MetricLipschitz(0.5, [D.Gaussian(), D.Exponential(1.0), D.UniformInterval(0.0, 3.0)],
+                      ["sin", "identity", "sin"]),
+    F.MetricLipschitz(1.5, [D.Centered(D.Exponential(2.0)), D.SquareOf(D.Gaussian(0.3, 1.0)),
+                            D.Rademacher(), D.Poisson(2.0), D.Scaled(D.Gaussian(), -2.0)],
+                      ["abs", "identity", "sin", "abs", "identity"]),
+    F.VectorNormOfSum(D.VectorSpec(3, [D.UniformInterval(-1.0, 1.0), D.Rademacher(),
+                                       D.Gaussian(0.5, 1.0)]), 7, centered=True),
 ]
 
 
@@ -306,7 +316,16 @@ class TestCoordinateMajorDraws:
         layout, drawn = layout_values(fspec, D._rng(17, 3), 2000)
         assert fspec.sampler_layout == layout
         want = old_style_values(fspec, ref) if drawn is None else drawn
+        if drawn is None:
+            assert np.array_equal(F.eval_f(fspec, pts), want)
         assert np.array_equal(F.sample_f(fspec, seed=17, count=2000, stream=3), want)
+        if fspec.work_rows is not None:
+            # so do arrays of NaN, as no value is read before it is written,
+            # and arrays kept from a longer draw, as a verify worker keeps them
+            work = np.full((fspec.work_rows, 2500), np.nan)
+            assert np.array_equal(F.sample_f(fspec, seed=17, count=2000, stream=3, work=work), want)
+            F.sample_f(fspec, seed=4, count=2500, work=work)
+            assert np.array_equal(F.sample_f(fspec, seed=17, count=2000, stream=3, work=work), want)
 
     @pytest.mark.parametrize("fspec", LAYOUT_CASES, ids=lambda f: f.kind)
     def test_evaluate_leaves_points_unchanged(self, fspec):
@@ -335,13 +354,15 @@ class TestCoordinateMajorDraws:
             coordinate_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(batch, 0, -1)), -1, 0)
             want = sequential_sum(batch).tobytes()
             for copy in (batch, np.asfortranarray(batch), coordinate_major):
-                assert F._coordinate_sum(copy).tobytes() == want, n
+                out = np.empty(shape[:1] + shape[2:])
+                assert F._coordinate_sum(np.moveaxis(copy, 1, 0), out).tobytes() == want, n
         if dim is not None:
             # so does the norm of vector_norm_of_sum, over the squared entries
+            # of its (dim, count) sums
             vec = D.VectorSpec(dim, [D.Gaussian(0.0, 1.0)] * dim)
             sums = batch[:, 0]
             want = np.sqrt(sequential_sum(sums * sums)).tobytes()
-            for copy in (np.ascontiguousarray(sums), np.asfortranarray(sums)):
+            for copy in (np.ascontiguousarray(sums.T), np.asfortranarray(sums.T)):
                 assert F.VectorNormOfSum(vec, 2)._of_sum(copy).tobytes() == want
 
 

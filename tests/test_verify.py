@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -120,6 +121,35 @@ class TestEstimateTail:
         assert V.estimate_tail(fspec, threads=1, **kwargs) == \
             V.estimate_tail(fspec, threads=2, **kwargs)
 
+    @pytest.mark.parametrize("fspec", [
+        F.SumFunction([D.UniformInterval(0.0, 1.0), D.Exponential(2.0), D.Rademacher()]),
+        F.MetricLipschitz(1.5, [D.Gaussian(), D.Exponential(1.0), D.Poisson(2.0)],
+                          ["sin", "identity", "abs"]),
+        VectorNormOfSum(D.VectorSpec(2, [D.Gaussian(0.0, 1.0), D.UniformInterval(0.0, 1.0)]),
+                        n=4, centered=True),
+        sum_of(D.Exponential(1.0), 4),
+        VectorNormOfSum(D.VectorSpec(3, [D.Gaussian(0.0, 2.0)] * 3), n=5),
+        SupLinearLoss([(1.0, 0.0)], "absolute", D.VectorSpec(2, [D.Gaussian(0.0, 1.0)] * 2),
+                      D.Exponential(1.0), n=3),
+    ], ids=["sum", "metric", "vectors", "summed", "chi", "loss"])
+    def test_one_thread_draws_on_the_calling_thread(self, fspec, monkeypatch):
+        # --threads 1 starts no thread; its counts equal those at two
+        # threads and those of a fresh sample_f per shard, so the arrays a
+        # worker keeps across its shards (the last one short) carry nothing
+        # from one shard into the next
+        kwargs = dict(t_grid=[0.5, 1.0, 2.0, 3.0], n_samples=3 * 10 ** 5 + 7, seed=11)
+        two = V.estimate_tail(fspec, threads=2, **kwargs)
+        mean = two.mean_value + two.mean_half_width
+        fresh = np.sum([V._exceedances(F.sample_f(fspec, 11, count, stream),
+                                       np.add(kwargs["t_grid"], mean))
+                        for stream, count in enumerate([10 ** 5] * 3 + [7])], axis=0)
+
+        def no_thread(self):
+            raise AssertionError("a thread started at --threads 1")
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        one = V.estimate_tail(fspec, threads=1, **kwargs)
+        assert one == two and one.exceed_counts == tuple(fresh)
+
     def test_thread_invariance_chi_layout(self):
         fspec = VectorNormOfSum(D.VectorSpec(3, [D.Gaussian(0.0, 2.0)] * 3), n=5)
         assert fspec.sampler_layout == "chi"
@@ -149,8 +179,8 @@ class TestEstimateTail:
     def test_non_finite_sample_raises(self, bad, monkeypatch):
         real = F.sample_f
 
-        def sample_f(fspec, seed, count, stream=0):
-            vals = real(fspec, seed, count, stream)
+        def sample_f(fspec, seed, count, stream=0, work=None):
+            vals = real(fspec, seed, count, stream, work)
             if stream == 1:
                 vals[17] = bad
             return vals
@@ -223,8 +253,8 @@ class TestCounting:
     def test_non_finite_shard_names_kind_shard_and_value(self, steps, bad, named, monkeypatch):
         real = F.sample_f
 
-        def sample_f(fspec, seed, count, stream=0):
-            vals = real(fspec, seed, count, stream)
+        def sample_f(fspec, seed, count, stream=0, work=None):
+            vals = real(fspec, seed, count, stream, work)
             if stream == 1:
                 vals[17:17 + len(bad)] = bad
             return vals
@@ -258,24 +288,36 @@ class TestLimits:
             V.estimate_tail(sum_of(D.Exponential(1.0), 2), **args)
         assert str(err.value) == message
 
+    @staticmethod
+    def psa(n):
+        # 4 values per coordinate: a shard buffer of n 3.2 MB
+        return F.PsaReconstruction(4, 2, F.random_projections(4, 2, 1, seed=0),
+                                   D.VectorSpec(4, [D.Gaussian(0.0, 1.0)] * 4), n)
+
     def test_a_shard_past_the_budget_is_refused(self, no_draws):
-        # 1343 coordinates of 10^5 draws take 1074400000 bytes > 2^30
-        fspec = F.SumFunction([D.UniformInterval(0.0, 1.0)] * 1343)
+        # 168 coordinates of 4 values, 10^5 draws, take 537600000 bytes, and
+        # twice that with the evaluation copy > 2^30
         with pytest.raises(ValueError) as err:
-            V.estimate_tail(fspec, [1.0], 10 ** 5, seed=0)
+            V.estimate_tail(self.psa(168), [1.0], 10 ** 5, seed=0)
         assert str(err.value) == (
-            "sum: a shard of 100000 draws of n = 1343 coordinates takes 1074400000 bytes in "
-            "the per-coordinate layout, over the shard budget of 1073741824 bytes (1 GiB)")
+            "psa_reconstruction: a shard of 100000 draws of n = 168 coordinates takes 537600000 "
+            "bytes in the per-coordinate layout, 1075200000 bytes with the evaluation copy, "
+            "over the shard budget of 1073741824 bytes (1 GiB)")
 
     @pytest.mark.parametrize("fspec", [
-        F.SumFunction([D.UniformInterval(0.0, 1.0)] * 1342),
+        F.SumFunction([D.UniformInterval(0.0, 1.0)] * 1343),
+        F.SumFunction([D.UniformInterval(0.0, k + 1.0) for k in range(5000)]),
+        F.MetricLipschitz(1.0, [D.Gaussian()] * 5000, ["sin"] * 5000),
+        VectorNormOfSum(D.VectorSpec(10, [D.UniformInterval(0.0, 1.0)] * 10), n=10 ** 9),
         F.SumFunction([D.Exponential(1.0)] * 5000),
         VectorNormOfSum(D.VectorSpec(2, [D.Exponential(1.0)] * 2), n=10 ** 9),
         VectorNormOfSum(D.VectorSpec(2, [D.Gaussian(0.0, 1.0)] * 2), n=10 ** 9),
-    ], ids=["at-the-budget", "summed", "summed-vectors", "chi"])
-    def test_within_the_budget_or_not_per_coordinate(self, fspec):
-        # the summed and chi layouts hold dim values, not n dim, per draw
-        V._check_shard_bytes(fspec, 1, V.MAX_SAMPLES)
+    ], ids=["sum", "long-sum", "metric", "vectors", "summed", "summed-vectors", "chi"])
+    def test_a_fold_or_a_sum_law_is_not_limited(self, fspec):
+        # the fold holds dim + 1 values per draw, the summed layout dim + 1
+        # and the chi layout one, not n dim: 1343 coordinates were refused
+        # when a shard held whole points
+        V._check_shard_bytes(fspec, V.MAX_THREADS, V.MAX_SAMPLES)
 
     @staticmethod
     def loss(n):
@@ -307,11 +349,6 @@ class TestLimits:
         # batch of 10^5 draws first: 20 coordinates take 1024000000 bytes
         V._check_shard_bytes(self.loss(n), threads, n_samples)
 
-    def test_a_closed_form_mean_draws_no_batch(self):
-        # 5000 uniform coordinates: one shard of 20000 draws takes 800000000
-        # bytes, and E[f] is exact, so no 10^5-draw batch is held
-        V._check_shard_bytes(F.SumFunction([D.UniformInterval(0.0, 1.0)] * 5000), 2, 20000)
-
     @pytest.mark.parametrize("n, n_samples, batch, draws, peak, held", [
         (21, 20000, "the expectation's batch", 100000, 1075200000, "the evaluation copy"),
         (104, 20000, "the expectation's batch", 100000, 5324800000, "the evaluation copy"),
@@ -331,11 +368,16 @@ class TestLimits:
             f"{n * 256 * draws} bytes in the per-coordinate layout, {peak} bytes with "
             f"{held}, over the shard budget of 1073741824 bytes (1 GiB)")
 
-    def test_a_kind_with_no_copy_counts_its_threads(self):
-        # 671 uniform coordinates: 536800000 bytes a shard, twice that at two threads
-        V._check_shard_bytes(F.SumFunction([D.UniformInterval(0.0, 1.0)] * 671), 2, V.MAX_SAMPLES)
-        with pytest.raises(ValueError, match="1075200000 bytes with 2 threads, over the shard"):
-            V._check_shard_bytes(F.SumFunction([D.UniformInterval(0.0, 1.0)] * 672), 2, V.MAX_SAMPLES)
+    def test_a_psa_spec_counts_its_threads(self):
+        # 84 coordinates of 4 values: 268800000 bytes a shard, four times that
+        # at two threads with their evaluation copies; 83 stay within it
+        V._check_shard_bytes(self.psa(83), 2, V.MAX_SAMPLES)
+        with pytest.raises(ValueError) as err:
+            V._check_shard_bytes(self.psa(84), 2, V.MAX_SAMPLES)
+        assert str(err.value) == (
+            "psa_reconstruction: a shard of 100000 draws of n = 84 coordinates takes 268800000 "
+            "bytes in the per-coordinate layout, 1075200000 bytes with 2 threads and the "
+            "evaluation copy, over the shard budget of 1073741824 bytes (1 GiB)")
 
 
 class TestExactEnumeration:
