@@ -72,8 +72,9 @@ class FunctionSpec(dist.Spec):
     the summed layout fills the totals, the chi layout the row.  The kinds
     without a term (sup_linear_loss, psa_reconstruction; work_rows None)
     evaluate a C-order copy of whole drawn points, prod(point_shape) values
-    per draw, so `verify.estimate_tail` refuses their shards, and the batch
-    of `expectation`, past `verify.MAX_SHARD_BYTES` before any draw."""
+    per draw.  `verify.estimate_tail` counts either array, in its shards and
+    in the batch of `expectation`, against `verify.MAX_SHARD_BYTES` before
+    any draw: n is not limited in a fold, but dim is."""
 
     _summands = None
     _term = None        # None for a kind that evaluates whole points

@@ -35,19 +35,20 @@ DEFAULT_CP_LEVEL = 0.999
 MIN_SAMPLES = 10 ** 4   # fewest draws estimate_tail accepts
 MAX_SAMPLES = 10 ** 9   # most draws it accepts, 10^4 shards
 MAX_THREADS = 64        # most workers it accepts
-# most bytes the whole base points in flight, or the expectation's batch, may
-# take: each worker holds one buffer and its C-order copy.  Only the kinds
-# without a per-coordinate term hold a whole point, prod(point_shape) values,
-# per draw; the others hold dim + 1 (see functions.FunctionSpec)
+# most bytes the draw arrays in flight, or the expectation's batch, may take:
+# each worker holds one array, of dim + 1 values per draw for a kind with a
+# fold or a sum law, and of prod(point_shape) with its C-order copy for a
+# kind that evaluates whole points (see functions.FunctionSpec)
 MAX_SHARD_BYTES = 2 ** 30
 # A shard counts the values above each threshold of a grid of at most this
 # many; a longer grid sorts the shard once and bisects it.  The crossover of
 # the two on 10^5 Gamma(10) draws lay near 32 thresholds on AVX-512 and
 # near 44 on AVX2.
 _COUNT_STEPS = 32
-# the most bytes of draw arrays a thread keeps after a run, for its next one:
+# the most bytes of draw arrays a thread keeps, for its next shard and run:
 # a freed buffer would be trimmed from the heap and faulted in again.  2^24
-# holds the dim + 1 rows of a fold of up to 19 entries at the shard width
+# holds the dim + 1 rows of a fold of up to 19 entries at the shard width;
+# a wider one draws each shard into a new array
 _KEPT_BYTES = 2 ** 24
 _kept = threading.local()
 
@@ -112,48 +113,57 @@ def _check_grid(t_grid):
 
 
 def _check_shard_bytes(fspec, threads, n_samples):
-    """ValueError, naming the spec's n and the budget, where a kind that
-    evaluates whole base points (work_rows None: sup_linear_loss,
-    psa_reconstruction) takes more than MAX_SHARD_BYTES at its peak, each
-    buffer of prod(point_shape) values per draw with the C-order copy its
-    `evaluate` makes.  The peak is the larger of two phases: the shards, a
-    worker for each of `threads` and of the run's shards, whichever are
-    fewer, each with a buffer of min(SHARD_SIZE, n_samples) draws; and,
-    before them, the batch of fn._INNER_MC draws that `fn.expectation`
-    evaluates, as neither kind has a `closed_form_mean`.  The message names
-    the shards where they hold at least as much.  The other kinds hold
-    dim + 1 values per draw whatever n is, and are not limited."""
-    if fspec.work_rows is not None:
-        return
+    """ValueError, naming what a draw holds and the budget, where the draw
+    arrays take more than MAX_SHARD_BYTES at their peak.  A kind with a
+    fold or a sum law (`work_rows`) holds work_rows values per draw, a row
+    and dim totals, whatever n is; a kind that evaluates whole base points
+    (work_rows None: sup_linear_loss, psa_reconstruction) holds
+    prod(point_shape) values per draw and the C-order copy its `evaluate`
+    makes.  The peak is the larger of two phases: the shards, a worker for
+    each of `threads` and of the run's shards, whichever are fewer, each
+    with an array of min(SHARD_SIZE, n_samples) draws; and, before them,
+    the batch of fn._INNER_MC draws of `fn.expectation`, counted whether or
+    not the kind has a `closed_form_mean` (only kinds of one or two values
+    per draw have one).  The message names the shards where they hold at
+    least as much."""
     draws = min(SHARD_SIZE, n_samples)
     workers = min(threads, -(-n_samples // SHARD_SIZE))
     batch = "a shard"
     if workers * draws < fn._INNER_MC:
         batch, draws, workers = "the expectation's batch", fn._INNER_MC, 1
-    size = math.prod(fspec.point_shape) * draws * 8
-    peak = workers * 2 * size
+    rows = fspec.work_rows
+    if rows is None:
+        size = math.prod(fspec.point_shape) * draws * 8
+        peak = workers * 2 * size
+        held = (f"of n = {fspec.n} coordinates takes {size} bytes in the per-coordinate layout, "
+                f"{peak} bytes with " + (f"{workers} threads and " if workers > 1 else "")
+                + "the evaluation copy")
+    else:
+        size = rows * draws * 8
+        peak = workers * size
+        held = (f"takes {size} bytes in the {fspec.sampler_layout} layout, a row and "
+                f"{rows - 1} totals per draw"
+                + (f", {peak} bytes with {workers} threads" if workers > 1 else ""))
     if peak > MAX_SHARD_BYTES:
-        raise ValueError(
-            f"{fspec.kind}: {batch} of {draws} draws of n = {fspec.n} coordinates "
-            f"takes {size} bytes in the per-coordinate layout, {peak} bytes with "
-            + (f"{workers} threads and " if workers > 1 else "")
-            + f"the evaluation copy, over the shard budget of {MAX_SHARD_BYTES} bytes (1 GiB)")
+        raise ValueError(f"{fspec.kind}: {batch} of {draws} draws {held}, over the shard "
+                         f"budget of {MAX_SHARD_BYTES} bytes (1 GiB)")
 
 
 def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
     """One pass over n_samples deterministic draws of f, in shards of a fixed
     width that `threads` workers count, so the result does not depend on the
     worker count.  One thread draws on the calling thread, more in a pool.
-    Each worker keeps one array of `fspec.work_rows` rows across its shards
-    (`_work`), dim + 1 values per draw; a kind that evaluates whole points
-    (work_rows None) holds prod(point_shape) values per draw and a C-order
-    copy in each shard instead.  The intervals are at DEFAULT_CP_LEVEL, and
+    A kind with `fspec.work_rows` draws each shard into the array of that
+    many rows that its thread keeps (`_work`), dim + 1 values per draw; a
+    kind that evaluates whole points (work_rows None) holds
+    prod(point_shape) values per draw and a C-order copy in each shard
+    instead.  The intervals are at DEFAULT_CP_LEVEL, and
     E[f(X)] is `fn.expectation`; where that estimate's half-width exceeds a
     tenth of the t-grid spacing, the grid is too fine for it and this is a
     ValueError.  So are n_samples outside [MIN_SAMPLES, MAX_SAMPLES],
-    threads outside [1, MAX_THREADS] and whole points whose batches in
-    flight exceed MAX_SHARD_BYTES (see `_check_shard_bytes`), each checked
-    before any draw."""
+    threads outside [1, MAX_THREADS] and draw arrays in flight past
+    MAX_SHARD_BYTES (see `_check_shard_bytes`), each checked before any
+    draw."""
     t_grid = _check_grid(t_grid)
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
@@ -175,14 +185,11 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
     shards = [(i, min(SHARD_SIZE, n_samples - i * SHARD_SIZE))
               for i in range((n_samples + SHARD_SIZE - 1) // SHARD_SIZE)]
 
-    local = threading.local()
-
     def shard_counts(job):
         stream, count = job
-        if not hasattr(local, "work"):
-            local.work = _work(fspec.work_rows, shards[0][1])
         with np.errstate(over="ignore", invalid="ignore"):     # set per thread
-            vals = fn.sample_f(fspec, seed, count, stream=stream, work=local.work)
+            vals = fn.sample_f(fspec, seed, count, stream=stream,
+                               work=_work(fspec.work_rows, count))
         # a NaN would compare False, as no exceedance; min and max carry it
         lo, hi = vals.min(), vals.max()
         if not (np.isfinite(lo) and np.isfinite(hi)):
@@ -204,9 +211,9 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
 
 
 def _work(rows, width):
-    """A (rows, width) array for one worker's draws, or None for rows None.
+    """A (rows, width) array for one shard's draws, or None for rows None.
     It is a view of the buffer its thread keeps, grown to the largest one
-    asked for up to _KEPT_BYTES; a larger one is new on each run."""
+    asked for up to _KEPT_BYTES; a larger one is new on each call."""
     if rows is None:
         return None
     size = rows * width

@@ -139,6 +139,8 @@ INAPPLICABLE = "inapplicable: a + b t is infinite"
 TINY_GAUSSIAN = _sum(*[_scaled(N01, 1e-300)] * 2)
 UNIFORM_VECTORS = {"kind": "vector_norm_of_sum", "n": 1000,
                    "vec": {"kind": "vector", "dim": 10, "components": [U01] * 10}}
+WIDE_VECTOR = {"kind": "vector_norm_of_sum", "n": 1,
+               "vec": {"kind": "vector", "dim": 1400, "components": [U01] * 1400}}
 UNIFORM_LOSS = {"kind": "sup_linear_loss", "weights": [[1.0] * 9], "loss": "hinge", "n": 1000,
                 "input": {"kind": "vector", "dim": 9, "components": [U01] * 9}, "output": U01}
 BIG_NET = {"kind": "psa_reconstruction", "ambient_dim": 4, "subspace_dim": 2, "net_size": 10 ** 7,
@@ -359,6 +361,13 @@ CASES = (
          error="error: sup_linear_loss: a shard of 100000 draws of n = 1000 coordinates takes 8000000000 "
                "bytes in the per-coordinate layout, 16000000000 bytes with the evaluation copy, over the "
                "shard budget of 1073741824 bytes (1 GiB)"),
+    # a fold holds a row and dim totals per draw: 1400 uniform entries at
+    # n = 1 are past the budget as they were as whole points
+    Case("wide-fold-budget", "verify --spec {tmp}/wide_vector.json --n 100000 --bounds thm2 --t-grid 1:5:3 "
+         "--seed 1", files={"wide_vector.json": WIDE_VECTOR}, limit=2000000, code=1,
+         error="error: vector_norm_of_sum: a shard of 100000 draws takes 1120800000 bytes in the "
+               "per-coordinate layout, a row and 1400 totals per draw, over the shard budget of "
+               "1073741824 bytes (1 GiB)"),
     # 1000 uniform 10-vectors fold into 11 values per draw, where whole
     # points took 8 GB in the 10^5-draw batch of the Monte Carlo mean
     Case("fold-uniform-vectors", "verify --spec {tmp}/uniform_vectors.json --n 10000 --bounds thm2 --t-grid 1:5:3 "

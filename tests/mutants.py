@@ -284,6 +284,11 @@ MUTANTS = (
            "for (i, *index), law in reversed(list(self._rows())):",
            ("tests/test_sample_pins.py::test_function_streams_are_pinned",),
            FOLD_ROWS_ENTRY),
+    Mutant("verify.py",         # the shard budget counts no fold, whatever its dim
+           "    rows = fspec.work_rows\n",
+           "    rows = fspec.work_rows\n    if rows is not None:\n        return\n",
+           ("tests/test_verify.py::TestLimits::test_a_wide_fold_is_refused",),
+           FOLD_ROWS_ENTRY),
 )
 
 

@@ -1792,11 +1792,12 @@ _UNIFORM_VEC = lambda dim: {"kind": "vector", "dim": dim,
 
 
 class TestShardBudget:
-    """A kind that evaluates whole points, whose shard buffer exceeds the
-    budget, is one error line before any draw.  These ended in a MemoryError
-    traceback (PSA and loss specs at n = 10^9, whose rows were listed first)
-    or an _ArrayMemoryError for 7.45 GiB (1000 uniform 10-vectors, which the
-    fold of vector_norm_of_sum now draws in 11 values per draw)."""
+    """Draw arrays past the budget are one error line before any draw.
+    These ended in a MemoryError traceback (PSA and loss specs at n = 10^9,
+    whose rows were listed first) or an _ArrayMemoryError for 7.45 GiB (1000
+    uniform 10-vectors, which the fold of vector_norm_of_sum now draws in 11
+    values per draw).  A fold holds a row and dim totals per draw, so a wide
+    vector is refused whatever its n."""
 
     @pytest.mark.parametrize("spec, n, size, held", [
         (_IID_VECTOR_SPECS["psa_reconstruction"](10 ** 9), 10 ** 9, 4 * 10 ** 9 * 10 ** 5 * 8,
@@ -1820,6 +1821,24 @@ class TestShardBudget:
             f"error: {spec['kind']}: a shard of 100000 draws of n = {n} coordinates takes "
             f"{size} bytes in the per-coordinate layout, {held[0] * size} bytes with {held[1]}, "
             "over the shard budget of 1073741824 bytes (1 GiB)\n")
+
+    @pytest.mark.parametrize("dim, n_samples, threads, peak", [
+        (1400, "100000", "1", ""), (20, "6400000", "64", ", 1075200000 bytes with 64 threads")])
+    def test_verify_refuses_a_wide_fold(self, dim, n_samples, threads, peak, tmp_path):
+        # 1400 uniform entries at n = 1 take 1.12 GB in one thread's shard,
+        # as a fold and as whole points; 20 take 16.8 MB a shard and 64
+        # workers 1.08 GB
+        spec = {"kind": "vector_norm_of_sum", "n": 1, "vec": _UNIFORM_VEC(dim)}
+        src = os.path.dirname(os.path.dirname(lighttails.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", _UNDER_2_GIB, "verify", "--spec", write_spec(tmp_path, spec),
+             "--bounds", "thm2", "--t-grid", "1:5:3", "--n", n_samples, "--threads", threads],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert (child.returncode, child.stdout) == (1, "")
+        assert child.stderr == (
+            f"error: vector_norm_of_sum: a shard of 100000 draws takes {(dim + 1) * 800000} "
+            f"bytes in the per-coordinate layout, a row and {dim} totals per draw{peak}, over "
+            "the shard budget of 1073741824 bytes (1 GiB)\n")
 
     @staticmethod
     def loss(n):

@@ -131,12 +131,15 @@ class TestEstimateTail:
         VectorNormOfSum(D.VectorSpec(3, [D.Gaussian(0.0, 2.0)] * 3), n=5),
         SupLinearLoss([(1.0, 0.0)], "absolute", D.VectorSpec(2, [D.Gaussian(0.0, 1.0)] * 2),
                       D.Exponential(1.0), n=3),
-    ], ids=["sum", "metric", "vectors", "summed", "chi", "loss"])
+        VectorNormOfSum(D.VectorSpec(24, [D.UniformInterval(0.0, 1.0)] * 24), n=2),
+    ], ids=["sum", "metric", "vectors", "summed", "chi", "loss", "wide"])
     def test_one_thread_draws_on_the_calling_thread(self, fspec, monkeypatch):
         # --threads 1 starts no thread; its counts equal those at two
         # threads and those of a fresh sample_f per shard, so the arrays a
-        # worker keeps across its shards (the last one short) carry nothing
-        # from one shard into the next
+        # thread keeps across its shards (the last one short) carry nothing
+        # from one shard into the next.  The 25 rows of the wide fold, 20 MB
+        # at the shard width, are past what a thread keeps: each of its
+        # shards draws into a new array
         kwargs = dict(t_grid=[0.5, 1.0, 2.0, 3.0], n_samples=3 * 10 ** 5 + 7, seed=11)
         two = V.estimate_tail(fspec, threads=2, **kwargs)
         mean = two.mean_value + two.mean_half_width
@@ -149,6 +152,7 @@ class TestEstimateTail:
         monkeypatch.setattr(threading.Thread, "start", no_thread)
         one = V.estimate_tail(fspec, threads=1, **kwargs)
         assert one == two and one.exceed_counts == tuple(fresh)
+        assert getattr(V._kept, "buf", np.empty(0)).nbytes <= V._KEPT_BYTES
 
     def test_thread_invariance_chi_layout(self):
         fspec = VectorNormOfSum(D.VectorSpec(3, [D.Gaussian(0.0, 2.0)] * 3), n=5)
@@ -315,9 +319,42 @@ class TestLimits:
     ], ids=["sum", "long-sum", "metric", "vectors", "summed", "summed-vectors", "chi"])
     def test_a_fold_or_a_sum_law_is_not_limited(self, fspec):
         # the fold holds dim + 1 values per draw, the summed layout dim + 1
-        # and the chi layout one, not n dim: 1343 coordinates were refused
-        # when a shard held whole points
+        # and the chi layout one, not n dim: n is not limited, and 1343
+        # coordinates were refused when a shard held whole points
         V._check_shard_bytes(fspec, V.MAX_THREADS, V.MAX_SAMPLES)
+
+    @staticmethod
+    def wide(dim, law=D.UniformInterval(0.0, 1.0), n=1):
+        return VectorNormOfSum(D.VectorSpec(dim, [law] * dim), n=n)
+
+    @pytest.mark.parametrize("dim, threads, n_samples", [
+        (1341, 1, 10 ** 5), (1341, 1, 20000), (19, 64, V.MAX_SAMPLES)])
+    def test_a_fold_counts_its_row_and_totals(self, dim, threads, n_samples):
+        # dim + 1 values per draw, no copy: 1342 rows of 10^5 draws are
+        # 1073600000 bytes, and 64 workers of 20 rows 1024000000
+        V._check_shard_bytes(self.wide(dim), threads, n_samples)
+
+    @pytest.mark.parametrize("fspec, threads, n_samples, message", [
+        (wide(1400), 1, 10 ** 5,
+         "a shard of 100000 draws takes 1120800000 bytes in the per-coordinate layout, a row "
+         "and 1400 totals per draw"),
+        (wide(1342), 1, 20000,
+         "the expectation's batch of 100000 draws takes 1074400000 bytes in the per-coordinate "
+         "layout, a row and 1342 totals per draw"),
+        (wide(20), 64, V.MAX_SAMPLES,
+         "a shard of 100000 draws takes 16800000 bytes in the per-coordinate layout, a row and "
+         "20 totals per draw, 1075200000 bytes with 64 threads"),
+        (wide(1400, D.Exponential(1.0), 10 ** 9), 1, 10 ** 6,
+         "a shard of 100000 draws takes 1120800000 bytes in the summed layout, a row and 1400 "
+         "totals per draw"),
+    ], ids=["wide", "wide-batch", "wide-threads", "wide-summed"])
+    def test_a_wide_fold_is_refused(self, fspec, threads, n_samples, message, no_draws):
+        # a row and dim totals per draw: 1400 uniform entries at n = 1 were
+        # refused as whole points, and stay refused as a fold
+        with pytest.raises(ValueError) as err:
+            V.estimate_tail(fspec, [1.0], n_samples, seed=0, threads=threads)
+        assert str(err.value) == (
+            f"vector_norm_of_sum: {message}, over the shard budget of 1073741824 bytes (1 GiB)")
 
     @staticmethod
     def loss(n):
