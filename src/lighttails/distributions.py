@@ -478,12 +478,7 @@ class Rademacher(Distribution):
     def _fold(self): return FiniteSupport((-1.0, 1.0), (0.5, 0.5))
 
     def fill(self, rng, out):
-        # run by run: rng.integers makes a new int64 array, and one of 64 KiB
-        # is reused from the heap where one per shard could be trimmed and
-        # faulted in again.  Runs draw the stream of one call
-        for start in range(0, len(out), 2 ** 13):
-            run = out[start:start + 2 ** 13]
-            np.multiply(rng.integers(0, 2, len(run)), 2.0, out=run)
+        _fill_runs(out, lambda run: np.multiply(rng.integers(0, 2, len(run)), 2.0, out=run))
         out -= 1.0
 
     def sum_law(self, n):
@@ -554,7 +549,7 @@ class Poisson(Distribution):
 
     def expectation(self): return self.rate
     def support(self): return 0.0, math.inf
-    def fill(self, rng, out): out[:] = rng.poisson(self.rate, len(out))
+    def fill(self, rng, out): _fill_runs(out, lambda r: np.copyto(r, rng.poisson(self.rate, len(r))))
     def sum_law(self, n): return Poisson(n * self.rate)
     def log_abs_moments(self, ps): return _log_moments(self, (), ps)
     def mgf(self, beta): return math.exp(self.rate * (math.exp(beta) - 1.0))
@@ -677,10 +672,10 @@ class TwoPointEps(Distribution):
             raise SpecError(f"eps must lie in (0,1), got {self.eps}")
 
     def fill(self, rng, out):
-        u = rng.random(len(out))
-        out[:] = 0.0
-        out[u < self.eps / 2] = 1.0
-        out[(u >= self.eps / 2) & (u < self.eps)] = -1.0
+        def draw(run):      # 1 below eps / 2, -1 from there to eps, else 0
+            u = rng.random(len(run))
+            np.subtract(2.0 * (u < self.eps / 2), u < self.eps, out=run)
+        _fill_runs(out, draw)
 
     def _fold(self):
         e = self.eps    # in (0, 1): the probs are floats in [0, 1] that sum to 1
@@ -712,7 +707,9 @@ class FiniteSupport(Distribution):
     def fill(self, rng, out):
         values = np.asarray(self.values)
         probs = np.asarray(self.probs, dtype=float)
-        np.take(values, rng.choice(len(values), size=len(out), p=probs / probs.sum()), out=out)
+        probs /= probs.sum()
+        _fill_runs(out, lambda run: np.take(values, rng.choice(len(values), size=len(run), p=probs),
+                                            out=run))
 
     @functools.cached_property
     def _logs(self):
@@ -1372,6 +1369,14 @@ def _rng(seed: int, stream: int = 0) -> np.random.Generator:
     if not 0 <= seed < 2 ** 64:
         raise SpecError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(stream,))))
+
+
+def _fill_runs(out, draw):
+    """draw(run) on each run of 2^13 entries of out, in turn: a sampler's new
+    array is then 64 KiB, which the heap reuses, not one per row that a trim
+    faults in again.  Runs draw the stream of one call."""
+    for start in range(0, len(out), 2 ** 13):
+        draw(out[start:start + 2 ** 13])
 
 
 def draw_rows(rng, count, shape, rows):

@@ -11,6 +11,7 @@ import functools
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -38,49 +39,33 @@ MAX_NET_ENTRIES = 10 ** 6
 
 class FunctionSpec(dist.Spec):
     """f of n independent coordinates.  Each kind has `n`, `counts` (the
-    runs of equal coordinates of its proxy profile: one run of n for the
-    iid vector kinds, one run per run of equal consecutive laws for the
-    scalar kinds), `point_shape` (of one base point), `_rows()` (the
-    (index into a point, law) of each coordinate entry, in draw order),
-    `evaluate(points)` for batches of shape (count,) + point_shape, and one
-    method per proxy entry it has (`psi1_per_coord`, `ranges`,
-    `psi2_per_coord`, `l2p_per_coord(p)`), each a list of one value per
-    run; it overrides `closed_form_mean` where E[f(X)] has one.
+    runs of equal coordinates of its proxy profile), `point_shape` (of one
+    base point), `_rows()` (the (index into a point, law) of each entry, in
+    draw order) and one method per proxy entry it has (`psi1_per_coord`,
+    `ranges`, `psi2_per_coord`, `l2p_per_coord(p)`), each a list of one
+    value per run; it overrides `closed_form_mean` where E[f(X)] has one.
 
-    `draw(rng, count)` returns a coordinate-major view (see dist.draw_rows),
-    so a batch may be a non-contiguous view: `evaluate` must not assume C
-    order, must give the same values for any layout of the same batch, and
-    must not write into `points`.
+    Every kind is a fold: `_term(index, rows, total)` adds one term per
+    group of `_width` entries at rows[:_width] (`index` the group's first)
+    into running totals, and f is `_of_sum(total, rows)`.  A term reads an
+    entry (sum, metric_lipschitz, vector_norm_of_sum) or a coordinate point
+    (psa_reconstruction, sup_linear_loss).  `sample(rng, count, work)`
+    fills each group from its laws (the "per-coordinate" `sampler_layout`),
+    and `evaluate` copies it from a batch of points: the same bits.  Where
+    each total adds n iid draws of a law (`_summands`), one draw of its
+    `sum_law(n)` stands in for them ("summed"); where `_f_law` is f's own
+    law, it is drawn ("chi").  `work` is a (work_rows, >= count) array a
+    caller may keep: the group's rows, `_scratch` rows, then `_totals`
+    totals, every value a draw holds whatever n is."""
 
-    `sample(rng, count, work)` gives `count` values of f(X): f of drawn base
-    points (the "per-coordinate" `sampler_layout`), or "summed": where f is
-    `_of_sum` of the coordinate sum and each entry of that sum (shape
-    point_shape[1:]) adds n iid draws of a law, the hook `_summands` lists
-    those laws, and one draw of each law's `sum_law(n)` stands in for the n
-    draws.  Its values have the law of f(X), not the stream of
-    `evaluate(draw(...))`.  VectorNormOfSum adds a third layout, "chi", that
-    draws f's own law.
-
-    The kinds whose f is `_of_sum` of a sum of one term per coordinate (sum,
-    vector_norm_of_sum, metric_lipschitz) define that term, `_term(i, x,
-    out)`, which `evaluate` adds too.  Their per-coordinate samples fold
-    each coordinate entry into the totals as it is drawn: its law `fill`s
-    one private row, the term is taken in place and added into the entry's
-    total, in `evaluate`'s order.  `sample` draws into `work`, a (work_rows,
-    >= count) array that a caller who samples again may keep, or a new one:
-    the row, then the totals (point_shape[1:]), dim + 1 values per draw;
-    the summed layout fills the totals, the chi layout the row.  The kinds
-    without a term (sup_linear_loss, psa_reconstruction; work_rows None)
-    evaluate a C-order copy of whole drawn points, prod(point_shape) values
-    per draw.  `verify.estimate_tail` counts either array, in its shards and
-    in the batch of `expectation`, against `verify.MAX_SHARD_BYTES` before
-    any draw: n is not limited in a fold, but dim is."""
-
-    _summands = None
-    _term = None        # None for a kind that evaluates whole points
-    work_rows = property(lambda s: None if s._term is None else 1 + math.prod(s.point_shape[1:]))
+    _summands = _f_law = None
+    _width, _scratch = 1, 0     # entries per term; rows besides them that a term may use
+    _totals = property(lambda s: math.prod(s.point_shape[1:]))
+    _fold_rows = property(lambda s: s._width + s._scratch + s._totals)
+    work_rows = property(lambda s: s._fold_rows if s._f_law is None else 1)
     psi2_per_coord = l2p_per_coord = None      # None marks an entry the kind has not
-    sampler_layout = property(lambda s: "per-coordinate" if s._sum_laws is None else "summed")
+    sampler_layout = property(lambda s: "chi" if s._f_law is not None else
+                              "per-coordinate" if s._sum_laws is None else "summed")
 
     def closed_form_mean(self): return None
     def draw(self, rng, count): return dist.draw_rows(rng, count, self.point_shape, self._rows())
@@ -94,32 +79,38 @@ class FunctionSpec(dist.Spec):
         return laws if laws and all(law is not None for law in laws) else None
 
     def sample(self, rng, count, work=None):
-        if self._term is None:
-            return self.evaluate(self.draw(rng, count))
         work = np.empty((self.work_rows, count)) if work is None else work[:, :count]
-        row, total = work[0], work[1:].reshape(self.point_shape[1:] + (count,))
-        if self._sum_laws is not None:
-            for index, law in zip(np.ndindex(total.shape[:-1]), self._sum_laws):
-                law.fill(rng, total[index])
-            return self._of_sum(total, row)
-        total[...] = 0.0
-        for (i, *index), law in self._rows():
-            law.fill(rng, row)
-            entry = total[tuple(index)]
-            entry += self._term(i, row, row)
-        return self._of_sum(total, row)
+        if self._f_law is not None:
+            self._f_law.fill(rng, work[0])
+            return work[0]
+        if self._sum_laws is not None:      # one draw of each sum law is its total
+            total = work[-self._totals:]
+            for row, law in zip(total, self._sum_laws):
+                law.fill(rng, row)
+            return self._of_sum(total, work[:-self._totals])
+        return self._fold(work, lambda index, law, row: law.fill(rng, row))
 
     def evaluate(self, points):
-        """`_of_sum` of the coordinates' terms, added coordinate after
-        coordinate; the kinds without a term override it."""
-        terms = np.moveaxis(points, 0, -1)
-        return self._of_sum(_coordinate_sum(
-            (self._term(i, x) for i, x in enumerate(terms)), np.empty(terms.shape[1:])))
+        values = np.moveaxis(points, 0, -1)
+        return self._fold(np.empty((self._fold_rows, len(points))),
+                          lambda index, law, row: np.copyto(row, values[index]))
 
+    def _fold(self, work, put):
+        """`_of_sum` of the totals, from +0.0, after each group of `_rows()`
+        is `put` into its rows and its term added."""
+        rows, total = work[:-self._totals], work[-self._totals:]
+        total[...] = 0.0
+        entries = iter(self._rows())
+        for group in zip(*[entries] * self._width):
+            for row, (index, law) in zip(rows, group):
+                put(index, law, row)
+            self._term(group[0][0], rows, total)
+        return self._of_sum(total, rows)
 
-def _coordinate(i, x, out=None):
-    """The term of a kind whose f reads each coordinate as it is: x."""
-    return x
+    def _term(self, index, rows, total):
+        """The entry, added into the total of its place in a coordinate."""
+        entry = total[index[1:]]
+        entry += rows[0]
 
 
 class _ScalarCoordinates(FunctionSpec):
@@ -148,7 +139,9 @@ class _VectorCoordinates(FunctionSpec):
     counts = property(lambda self: (self.n,))
     point_shape = property(lambda self: (self.n, self.coordinate.dim))
 
-    def _rows(self): return _vector_rows(self.coordinate, self.n)
+    def _rows(self):
+        # copy by copy, component by component; a generator, so no list of n dim rows is built
+        return (((i, j), c) for i in range(self.n) for j, c in enumerate(self.coordinate.components))
 
 
 # Each kind lists its one-line facts as a group, then its longer methods.
@@ -161,9 +154,8 @@ class SumFunction(_ScalarCoordinates):
     components: dist.Specs
 
     laws = property(lambda self: self.components)
-    _term = staticmethod(_coordinate)
 
-    def _of_sum(self, s, out=None): return s
+    def _of_sum(self, s, rows): return s[0]
     def closed_form_mean(self): return math.fsum(dist.mean(c) for c in self.components)
     def ranges(self): return [_support_width(c) for _, c, _ in self._runs]
 
@@ -203,11 +195,6 @@ class VectorNormOfSum(_VectorCoordinates):
 
     coordinate = property(lambda self: self.vec)
     _summands = property(lambda self: self.vec.components)
-    _term = staticmethod(_coordinate)
-
-    @property
-    def sampler_layout(self):
-        return super().sampler_layout if self._f_law is None else "chi"
 
     @functools.cached_property
     def _f_law(self):
@@ -216,27 +203,19 @@ class VectorNormOfSum(_VectorCoordinates):
         chi = _chi_law(self.vec, self.centered)
         return None if chi is None else dist._built(dist.Chi, chi.dof, math.sqrt(self.n) * chi.sd)
 
-    @property
-    def work_rows(self):
-        return super().work_rows if self._f_law is None else 1
-
-    def sample(self, rng, count, work=None):
-        law = self._f_law
-        if law is None:
-            return super().sample(rng, count, work)
-        out = np.empty(count) if work is None else work[0, :count]
-        law.fill(rng, out)
-        return out
-
-    def _of_sum(self, s, out=None):
+    def _of_sum(self, s, rows):
         """||s - n E[X]|| if centered, else ||s||, of each column of the
-        (dim, count) sums s, which it overwrites: the squares are added as
-        `_coordinate_sum` adds, into out where given."""
+        (dim, count) sums s, which it overwrites: the squares are added
+        into rows[0] from +0.0, whole row after row, in one order for every
+        memory layout."""
         if self.centered:
             means = np.array([dist.mean(c) for c in self.vec.components])
             s -= (self.n * means)[:, None]
         s *= s
-        out = _coordinate_sum(s, np.empty(s.shape[1:]) if out is None else out)
+        out = rows[0]
+        out[...] = 0.0
+        for square in s:
+            out += square
         return np.sqrt(out, out=out)
 
     def psi1_per_coord(self):
@@ -274,9 +253,12 @@ class SupLinearLoss(_VectorCoordinates):
     n: dist.Count
     huber_kappa: float = 1.0
 
-    # one coordinate is the pair (x_i, z_i)
+    # one coordinate is the pair (x_i, z_i), drawn together; one total per weight
     coordinate = property(lambda self: dist.VectorSpec(
         self.input.dim + 1, self.input.components + (self.output,)))
+    _width = property(lambda self: self.input.dim + 1)
+    _scratch = 2
+    _totals = property(lambda self: len(self.weights))
 
     def _check(self):
         object.__setattr__(self, "weights", tuple(
@@ -292,21 +274,26 @@ class SupLinearLoss(_VectorCoordinates):
     def lipschitz(self):
         return max(math.sqrt(sum(x * x for x in w)) for w in self.weights)
 
-    def _rows(self):
-        # every x_i first, then every z_i: the draw order of separate x and z
-        d = self.input.dim
-        return itertools.chain(_vector_rows(self.input, self.n),
-                               (((i, d), self.output) for i in range(self.n)))
+    def _loss(self, w, rows):
+        """loss(<w, x> - z) of the points (x, z) at rows[:d + 1], into rows[-2]."""
+        resid = _dot(w, rows, rows[-2], rows[-1])
+        resid -= rows[len(w)]
+        return _LOSSES[self.loss](resid, rows[-1], self.huber_kappa)
 
-    def evaluate(self, points):
-        # matmul picks its kernel, and so its rounding, by memory layout:
-        # a C-order batch keeps the values independent of the batch layout
-        points = np.ascontiguousarray(points)
-        d = self.input.dim
-        xs, zs = points[:, :, :d], points[:, :, d]
-        return functools.reduce(np.maximum, (
-            _LOSSES[self.loss](xs @ np.asarray(w) - zs, self.huber_kappa).mean(axis=1) - mu
-            for w, mu in zip(self.weights, _sup_loss_means(self))))
+    def sample(self, rng, count, work=None):
+        _sup_loss_means(self)   # its batch of points, freed before the fold's array is made
+        return super().sample(rng, count, work)
+
+    def _term(self, index, rows, total):
+        for w, entry in zip(self.weights, total):
+            entry += self._loss(w, rows)
+
+    def _of_sum(self, s, rows):
+        """max over the net of each weight's mean loss less its mean."""
+        for entry, mu in zip(s, _sup_loss_means(self)):
+            entry /= self.n
+            entry -= mu
+        return np.maximum.reduce(s, axis=0, out=rows[0])
 
     def psi1_per_coord(self):
         # product-space norm L ||x|| + |z| dominates the loss increments
@@ -334,7 +321,11 @@ class PsaReconstruction(_VectorCoordinates):
     input: dist.VectorSpec
     n: dist.Count
 
+    # a term adds x x^T of one coordinate point, its upper triangle, into S
     coordinate = property(lambda self: self.input)
+    _width = property(lambda self: self.ambient_dim)
+    _scratch = 2
+    _totals = property(lambda self: len(self._pairs))
 
     def _check(self):
         dim = self.ambient_dim
@@ -358,15 +349,35 @@ class PsaReconstruction(_VectorCoordinates):
     def projection_arrays(self):
         return [np.asarray(p) for p in self.projections]
 
-    def evaluate(self, points):
-        points = np.ascontiguousarray(points)    # as in SupLinearLoss.evaluate
-        sq = np.einsum("bij,bij->bi", points, points)
-        second = _second_moment_matrix(self.input)
-        e_sq = float(np.trace(second))
-        return functools.reduce(np.maximum, (
-            e_sq - float(np.sum(p * second))
-            - (sq - np.einsum("bij,jk,bik->bi", points, p, points)).mean(axis=1)
-            for p in self.projection_arrays()))
+    @functools.cached_property
+    def _pairs(self):
+        return tuple(itertools.combinations_with_replacement(range(self.ambient_dim), 2))
+
+    @functools.cached_property
+    def _net(self):
+        """(E l(P, X), the weights of the pairs of x x^T in l(P, x) =
+        tr((I - P) x x^T): 1 - P_aa on the diagonal, -2 P_ab above it) per
+        projection P; E x_a x_b is E x_a^2, or the product of the means."""
+        c = self.input.components
+        moments = [dist.abs_moment(c[a], 2) if a == b else dist.mean(c[a]) * dist.mean(c[b])
+                   for a, b in self._pairs]
+        weights = [tuple(1.0 - p[a, a] if a == b else -2.0 * p[a, b] for a, b in self._pairs)
+                   for p in self.projection_arrays()]
+        return tuple((math.fsum(map(operator.mul, w, moments)), w) for w in weights)
+
+    def _term(self, index, rows, total):
+        for (a, b), entry in zip(self._pairs, total):
+            entry += np.multiply(rows[a], rows[b], out=rows[-1])
+
+    def _of_sum(self, s, rows):
+        """max over the net of E l(P, X) - tr((I - P) S) / n."""
+        out = rows[0]
+        out[...] = -np.inf
+        for mean, weights in self._net:
+            v = _dot(weights, s, rows[-2], rows[-1])
+            v /= self.n
+            np.maximum(out, np.subtract(mean, v, out=v), out=out)
+        return out
 
     def psi1_per_coord(self):
         # Cauchy-Schwarz over the projection class contributes sqrt(d) + 1;
@@ -412,11 +423,13 @@ class MetricLipschitz(_ScalarCoordinates):
         terms = [_map_mean(name, law) for name, law in zip(self.maps, self.coordinate_dists)]
         return None if None in terms else self.lip * math.fsum(terms)
 
-    def _term(self, i, x, out=None): return _LIPSCHITZ_MAPS[self.maps[i]](x, out=out)
-
-    def _of_sum(self, s, out=None):
+    def _of_sum(self, s, rows):
         s *= self.lip
-        return s
+        return s[0]
+
+    def _term(self, index, rows, total):
+        entry = total[0]
+        entry += _LIPSCHITZ_MAPS[self.maps[index[0]]](rows[0], out=rows[0])
 
     def psi1_per_coord(self):
         return [self.lip * _proxy_norm(applications.psi_diameter, c, 1, f"coordinate {i}")
@@ -510,23 +523,6 @@ def random_projections(ambient_dim, subspace_dim, count, seed):
 # ---------------------------------------------------------------------------
 # Sampling and evaluation
 
-def _vector_rows(vec, n):
-    """(index, law) rows for n iid copies of vec, in draw order: copy by copy,
-    component by component; a generator, so no list of n dim rows is built."""
-    return (((i, j), c) for i in range(n) for j, c in enumerate(vec.components))
-
-
-def _coordinate_sum(terms, out):
-    """out, set to the sum of `terms` (each of out's shape), whole term
-    after whole term in place from +0.0, as numpy's sums start.  One order
-    for every memory layout gives the same bits for every layout, and the
-    fold of `FunctionSpec.sample` adds its rows in this order too."""
-    out[...] = 0.0
-    for t in terms:
-        out += t
-    return out
-
-
 def eval_f(fspec, points) -> np.ndarray:
     """Evaluate f on one base point or on a batch (first axis = batch)."""
     points = np.asarray(points, dtype=float)
@@ -539,15 +535,33 @@ def eval_f(fspec, points) -> np.ndarray:
     return out[0] if single else out
 
 
-def _huber(resid, kappa):
-    a = np.abs(resid)
-    return np.where(a <= kappa, 0.5 * a * a, kappa * (a - 0.5 * kappa))
+def _dot(weights, rows, out, tmp):
+    """sum_k weights[k] rows[k] into out, tmp as scratch: added in the order
+    of k, one correctly rounded ufunc call a step, so that, unlike a matmul's
+    or einsum's, the bits do not depend on numpy's SIMD path."""
+    np.multiply(rows[0], weights[0], out=out)
+    for row, w in zip(rows[1:len(weights)], weights[1:]):
+        out += np.multiply(row, w, out=tmp)
+    return out
 
 
-# the losses of `SupLinearLoss`, each a map of (residuals, huber_kappa)
+def _huber(resid, tmp, kappa):
+    """m (a - m / 2) for a = |resid| and m = min(a, kappa), in place; m is
+    halved and doubled back exactly, so a - m / 2 is rounded once."""
+    a = np.abs(resid, out=resid)
+    m = np.minimum(a, kappa, out=tmp)
+    m *= 0.5
+    a -= m
+    m *= 2.0
+    a *= m
+    return a
+
+
+# the losses of `SupLinearLoss`, each a map of (residuals, a scratch row,
+# huber_kappa) that writes into the residuals
 _LOSSES = {
-    "absolute": lambda resid, kappa: np.abs(resid),
-    "hinge": lambda resid, kappa: np.maximum(0.0, 1.0 - resid),
+    "absolute": lambda resid, tmp, kappa: np.abs(resid, out=resid),
+    "hinge": lambda resid, tmp, kappa: np.maximum(0.0, np.subtract(1.0, resid, out=resid), out=resid),
     "huber": _huber,
 }
 
@@ -556,20 +570,10 @@ _LOSSES = {
 def _sup_loss_means(fspec):
     """E[loss(<w,X> - Z)] per net weight, by a fixed-seed inner estimate."""
     rng = dist._rng(0, _INNER_STREAM)
-    xs = np.ascontiguousarray(fspec.input.draw(rng, _INNER_MC))   # see evaluate
-    zs = fspec.output.draw(rng, _INNER_MC)
-    return tuple(float(_LOSSES[fspec.loss](xs @ np.asarray(w) - zs, fspec.huber_kappa).mean())
-                 for w in fspec.weights)
-
-
-def _second_moment_matrix(vec):
-    """E[X X^T] for independent coordinates: diagonal second moments,
-    off-diagonal products of means."""
-    means = np.array([dist.mean(c) for c in vec.components], dtype=float)
-    second = np.array([dist.abs_moment(c, 2) for c in vec.components])
-    m = np.outer(means, means)
-    np.fill_diagonal(m, second)
-    return m
+    rows = np.empty((fspec._width + fspec._scratch, _INNER_MC))
+    for row, law in zip(rows, fspec.coordinate.components):
+        law.fill(rng, row)
+    return tuple(float(fspec._loss(w, rows).mean()) for w in fspec.weights)
 
 
 def sample_f(fspec, seed, count, stream=0, work=None) -> np.ndarray:

@@ -27,7 +27,7 @@ __all__ = [
     "TailEstimate", "VerificationReport", "clopper_pearson", "estimate_tail",
     "exact_tail_enumeration", "bounds_on_grid", "falsified_bounds",
     "check_bounds", "compare_bounds", "report_to_csv", "SHARD_SIZE", "MIN_SAMPLES",
-    "MAX_SAMPLES", "MAX_THREADS", "MAX_SHARD_BYTES",
+    "MAX_SAMPLES", "MAX_THREADS", "MAX_SHARD_BYTES", "MAX_FILLS",
 ]
 
 SHARD_SIZE = 10 ** 5    # fixed shard width keeps counts thread-count invariant
@@ -36,19 +36,18 @@ MIN_SAMPLES = 10 ** 4   # fewest draws estimate_tail accepts
 MAX_SAMPLES = 10 ** 9   # most draws it accepts, 10^4 shards
 MAX_THREADS = 64        # most workers it accepts
 # most bytes the draw arrays in flight, or the expectation's batch, may take:
-# each worker holds one array, of dim + 1 values per draw for a kind with a
-# fold or a sum law, and of prod(point_shape) with its C-order copy for a
-# kind that evaluates whole points (see functions.FunctionSpec)
+# each worker holds one array of fspec.work_rows values per draw
 MAX_SHARD_BYTES = 2 ** 30
+# most entries a run may fill, its draws and the expectation's batch: about
+# 9 minutes on one core at the 1.9e8 uniform fills per second of the fold
+MAX_FILLS = 10 ** 11
 # A shard counts the values above each threshold of a grid of at most this
 # many; a longer grid sorts the shard once and bisects it.  The crossover of
 # the two on 10^5 Gamma(10) draws lay near 32 thresholds on AVX-512 and
 # near 44 on AVX2.
 _COUNT_STEPS = 32
-# the most bytes of draw arrays a thread keeps, for its next shard and run:
-# a freed buffer would be trimmed from the heap and faulted in again.  2^24
-# holds the dim + 1 rows of a fold of up to 19 entries at the shard width;
-# a wider one draws each shard into a new array
+# the most bytes of draw arrays a thread keeps, for its next shard and run (20
+# rows at the shard width): a freed buffer would be trimmed and faulted in again
 _KEPT_BYTES = 2 ** 24
 _kept = threading.local()
 
@@ -114,56 +113,49 @@ def _check_grid(t_grid):
 
 def _check_shard_bytes(fspec, threads, n_samples):
     """ValueError, naming what a draw holds and the budget, where the draw
-    arrays take more than MAX_SHARD_BYTES at their peak.  A kind with a
-    fold or a sum law (`work_rows`) holds work_rows values per draw, a row
-    and dim totals, whatever n is; a kind that evaluates whole base points
-    (work_rows None: sup_linear_loss, psa_reconstruction) holds
-    prod(point_shape) values per draw and the C-order copy its `evaluate`
-    makes.  The peak is the larger of two phases: the shards, a worker for
-    each of `threads` and of the run's shards, whichever are fewer, each
-    with an array of min(SHARD_SIZE, n_samples) draws; and, before them,
-    the batch of fn._INNER_MC draws of `fn.expectation`, counted whether or
-    not the kind has a `closed_form_mean` (only kinds of one or two values
-    per draw have one).  The message names the shards where they hold at
-    least as much."""
+    arrays of `work_rows` values a draw take more than MAX_SHARD_BYTES at
+    their peak: in the shards (a worker for each of `threads` and of the
+    run's shards, whichever are fewer, with min(SHARD_SIZE, n_samples)
+    draws each) or, where larger, in the fn._INNER_MC draws of
+    `fn.expectation` before them, counted whatever the mean."""
     draws = min(SHARD_SIZE, n_samples)
     workers = min(threads, -(-n_samples // SHARD_SIZE))
     batch = "a shard"
     if workers * draws < fn._INNER_MC:
         batch, draws, workers = "the expectation's batch", fn._INNER_MC, 1
-    rows = fspec.work_rows
-    if rows is None:
-        size = math.prod(fspec.point_shape) * draws * 8
-        peak = workers * 2 * size
-        held = (f"of n = {fspec.n} coordinates takes {size} bytes in the per-coordinate layout, "
-                f"{peak} bytes with " + (f"{workers} threads and " if workers > 1 else "")
-                + "the evaluation copy")
-    else:
-        size = rows * draws * 8
-        peak = workers * size
-        held = (f"takes {size} bytes in the {fspec.sampler_layout} layout, a row and "
-                f"{rows - 1} totals per draw"
-                + (f", {peak} bytes with {workers} threads" if workers > 1 else ""))
-    if peak > MAX_SHARD_BYTES:
-        raise ValueError(f"{fspec.kind}: {batch} of {draws} draws {held}, over the shard "
-                         f"budget of {MAX_SHARD_BYTES} bytes (1 GiB)")
+    size = fspec.work_rows * draws * 8
+    if workers * size > MAX_SHARD_BYTES:
+        raise ValueError(
+            f"{fspec.kind}: {batch} of {draws} draws takes {size} bytes in the "
+            f"{fspec.sampler_layout} layout, {fspec.work_rows} values per draw"
+            + (f", {workers * size} bytes with {workers} threads" if workers > 1 else "")
+            + f", over the shard budget of {MAX_SHARD_BYTES} bytes (1 GiB)")
+
+
+def _check_fills(fspec, n_samples):
+    """ValueError, naming --n and n, where the run's draws and the
+    expectation's batch fill more than MAX_FILLS entries: one a draw in the
+    chi layout, one per total when summed, every entry of a point in the fold."""
+    layout = fspec.sampler_layout
+    per_draw = {"chi": 1, "summed": fspec._totals}.get(layout, math.prod(fspec.point_shape))
+    fills = (n_samples + fn._INNER_MC) * per_draw
+    if fills > MAX_FILLS:
+        raise ValueError(
+            f"{fspec.kind}: --n {n_samples} draws and the expectation's {fn._INNER_MC}, at n = "
+            f"{fspec.n}, fill {fills} entries in the {layout} layout ({per_draw} a draw), over "
+            f"the work budget of {MAX_FILLS} fills (about 9 minutes)")
 
 
 def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
     """One pass over n_samples deterministic draws of f, in shards of a fixed
     width that `threads` workers count, so the result does not depend on the
-    worker count.  One thread draws on the calling thread, more in a pool.
-    A kind with `fspec.work_rows` draws each shard into the array of that
-    many rows that its thread keeps (`_work`), dim + 1 values per draw; a
-    kind that evaluates whole points (work_rows None) holds
-    prod(point_shape) values per draw and a C-order copy in each shard
-    instead.  The intervals are at DEFAULT_CP_LEVEL, and
-    E[f(X)] is `fn.expectation`; where that estimate's half-width exceeds a
-    tenth of the t-grid spacing, the grid is too fine for it and this is a
-    ValueError.  So are n_samples outside [MIN_SAMPLES, MAX_SAMPLES],
-    threads outside [1, MAX_THREADS] and draw arrays in flight past
-    MAX_SHARD_BYTES (see `_check_shard_bytes`), each checked before any
-    draw."""
+    worker count.  One thread draws on the calling thread, more in a pool,
+    each shard into the array its thread keeps (`_work`).  The intervals are
+    at DEFAULT_CP_LEVEL, and E[f(X)] is `fn.expectation`; where that
+    estimate's half-width exceeds a tenth of the t-grid spacing, the grid is
+    too fine for it and this is a ValueError.  So are n_samples outside
+    [MIN_SAMPLES, MAX_SAMPLES], threads outside [1, MAX_THREADS] and runs
+    past the shard or work budget, each checked before any draw."""
     t_grid = _check_grid(t_grid)
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"n_samples must be >= 10^4, got {n_samples}")
@@ -172,6 +164,7 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
     if not 1 <= threads <= MAX_THREADS:
         raise ValueError(f"threads must lie in [1, {MAX_THREADS}], got {threads}")
     _check_shard_bytes(fspec, threads, n_samples)
+    _check_fills(fspec, n_samples)
     # draws past the largest float read inf or NaN, which the shards refuse
     with np.errstate(over="ignore", invalid="ignore"):
         mean_value, half = fn.expectation(fspec, seed=seed)
@@ -211,11 +204,8 @@ def estimate_tail(fspec, t_grid, n_samples, seed, threads=1) -> TailEstimate:
 
 
 def _work(rows, width):
-    """A (rows, width) array for one shard's draws, or None for rows None.
-    It is a view of the buffer its thread keeps, grown to the largest one
-    asked for up to _KEPT_BYTES; a larger one is new on each call."""
-    if rows is None:
-        return None
+    """A (rows, width) view of the buffer its thread keeps, grown to the
+    largest one asked for up to _KEPT_BYTES; a larger one is new each call."""
     size = rows * width
     buf = getattr(_kept, "buf", None)
     if buf is None or buf.size < size:

@@ -143,6 +143,14 @@ WIDE_VECTOR = {"kind": "vector_norm_of_sum", "n": 1,
                "vec": {"kind": "vector", "dim": 1400, "components": [U01] * 1400}}
 UNIFORM_LOSS = {"kind": "sup_linear_loss", "weights": [[1.0] * 9], "loss": "hinge", "n": 1000,
                 "input": {"kind": "vector", "dim": 9, "components": [U01] * 9}, "output": U01}
+WIDE_LOSS = {**UNIFORM_LOSS, "weights": [[1.0] * 1339],
+             "input": {"kind": "vector", "dim": 1339, "components": [U01] * 1339}}
+# ROADMAP's specs 1 (PSA) and 2 (linear loss), by n
+N01_VEC = lambda dim: {"kind": "vector", "dim": dim, "components": [N01] * dim}
+PSA_SPEC = lambda n: {"kind": "psa_reconstruction", "ambient_dim": 4, "subspace_dim": 2, "net_size": 8,
+                      "net_seed": 3, "n": n, "input": N01_VEC(4)}
+LOSS_SPEC = lambda n: {"kind": "sup_linear_loss", "weights": [[1, 0], [0.6, 0.8], [0, 1]], "loss": "absolute",
+                       "input": N01_VEC(2), "output": EXP1, "n": n}
 BIG_NET = {"kind": "psa_reconstruction", "ambient_dim": 4, "subspace_dim": 2, "net_size": 10 ** 7,
            "net_seed": 3, "n": 50, "input": {"kind": "vector", "dim": 4, "components": [N01] * 4}}
 MERGE = _finite([-2.0, -1.0, 1.0], [0.3225360967782188, 0.3491606779558808, 0.3283032252669003])
@@ -352,22 +360,37 @@ CASES = (
          "--n 100000 --seed 1", limit=4000000, check=_sound("chi")),
     Case("seed-out-of-range", "verify --spec configs/exp1.json --bounds thm2 --t-grid 1:5:3 --n 10000 --seed -1",
          code=1, error="error: --seed must be a 64-bit unsigned integer, got -1"),
-    # an --n past the largest float, and a shard of whole points past the
-    # buffer budget (7.45 GiB, and as much again in its evaluation copy)
+    # an --n past the largest float
     Case("huge-n", f"verify --spec configs/exp1.json --n {HUGE} --bounds thm2 --t-grid 1:5:3 --seed 1",
          limit=2000000, code=1, error=re.compile(r"error: --n must be an integer <= 10\^9, got 1000")),
+    # 1000 uniform 9-vector inputs took 8 GB in a shard of whole points, and
+    # as much again in its C-order copy; the fold holds 13 values per draw
     Case("shard-budget", "verify --spec {tmp}/uniform_loss.json --n 100000 --bounds thm2 --t-grid 1:5:3 --seed 1",
-         files={"uniform_loss.json": UNIFORM_LOSS}, limit=2000000, code=1,
-         error="error: sup_linear_loss: a shard of 100000 draws of n = 1000 coordinates takes 8000000000 "
-               "bytes in the per-coordinate layout, 16000000000 bytes with the evaluation copy, over the "
-               "shard budget of 1073741824 bytes (1 GiB)"),
-    # a fold holds a row and dim totals per draw: 1400 uniform entries at
-    # n = 1 are past the budget as they were as whole points
+         files={"uniform_loss.json": UNIFORM_LOSS}, limit=2000000, check=_sound("per-coordinate")),
+    # a fold holds its point, scratch and totals per draw: a loss point of
+    # 1340 entries, and 1400 uniform entries at n = 1, are past the budget
+    # as they were as whole points
+    Case("wide-loss-budget", "verify --spec {tmp}/wide_loss.json --n 100000 --bounds thm2 --t-grid 1:5:3 --seed 1",
+         files={"wide_loss.json": WIDE_LOSS}, limit=2000000, code=1,
+         error="error: sup_linear_loss: a shard of 100000 draws takes 1074400000 bytes in the per-coordinate "
+               "layout, 1343 values per draw, over the shard budget of 1073741824 bytes (1 GiB)"),
     Case("wide-fold-budget", "verify --spec {tmp}/wide_vector.json --n 100000 --bounds thm2 --t-grid 1:5:3 "
          "--seed 1", files={"wide_vector.json": WIDE_VECTOR}, limit=2000000, code=1,
          error="error: vector_norm_of_sum: a shard of 100000 draws takes 1120800000 bytes in the "
-               "per-coordinate layout, a row and 1400 totals per draw, over the shard budget of "
+               "per-coordinate layout, 1401 values per draw, over the shard budget of "
                "1073741824 bytes (1 GiB)"),
+    # ten uniform entries at n = 10^9 fit the shard budget, but the
+    # expectation's batch alone would fill 10^15 entries: no output for weeks
+    Case("work-budget", "verify --spec {tmp}/uniform_vectors_1e9.json --n 10000 --bounds thm2 --t-grid 1:5:3 "
+         "--seed 1", files={"uniform_vectors_1e9.json": {**UNIFORM_VECTORS, "n": 10 ** 9}}, limit=2000000,
+         code=1, error="error: vector_norm_of_sum: --n 10000 draws and the expectation's 100000, at n = "
+                       "1000000000, fill 1100000000000000 entries in the per-coordinate layout (10000000000 "
+                       "a draw), over the work budget of 100000000000 fills (about 9 minutes)"),
+    # the paper's two applications at n = 500 fold into 16 and 8 values per
+    # draw; as whole points both were refused by the shard budget
+    *(Case(f"{name}-500", f"verify --spec {{tmp}}/{name}500.json --bounds thm2 --n 100000 --t-grid 0.05:3:8",
+           files={f"{name}500.json": spec(500)}, limit=2000000, check=_sound("per-coordinate"))
+      for name, spec in (("psa", PSA_SPEC), ("loss", LOSS_SPEC))),
     # 1000 uniform 10-vectors fold into 11 values per draw, where whole
     # points took 8 GB in the 10^5-draw batch of the Monte Carlo mean
     Case("fold-uniform-vectors", "verify --spec {tmp}/uniform_vectors.json --n 10000 --bounds thm2 --t-grid 1:5:3 "

@@ -42,6 +42,7 @@ UNITS_ENTRY = "The unit laws' ψ records ship with the package"
 KINDS_ENTRY = "One kind table for the bounds"
 CASES_ENTRY = "One table for the fresh-process CLI checks"
 FOLD_ROWS_ENTRY = "Verify in bounded memory"
+ONE_FOLD_ENTRY = "One fold for every function kind"
 
 
 class Mutant(NamedTuple):
@@ -280,15 +281,42 @@ MUTANTS = (
             "tests/test_cli.py::TestSubnormalDelta::test_the_n_check_reads_the_finite_level"),
            KINDS_ENTRY),
     Mutant("functions.py",      # the fold takes the coordinates in reverse order
-           "for (i, *index), law in self._rows():",
-           "for (i, *index), law in reversed(list(self._rows())):",
+           "entries = iter(self._rows())",
+           "entries = iter(reversed(list(self._rows())))",
            ("tests/test_sample_pins.py::test_function_streams_are_pinned",),
            FOLD_ROWS_ENTRY),
-    Mutant("verify.py",         # the shard budget counts no fold, whatever its dim
-           "    rows = fspec.work_rows\n",
-           "    rows = fspec.work_rows\n    if rows is not None:\n        return\n",
-           ("tests/test_verify.py::TestLimits::test_a_wide_fold_is_refused",),
-           FOLD_ROWS_ENTRY),
+    Mutant("verify.py",         # the shard budget counts one value per draw, whatever the fold holds
+           "size = fspec.work_rows * draws * 8",
+           "size = draws * 8",
+           ("tests/test_verify.py::TestLimits::test_a_wide_fold_is_refused",
+            "tests/test_verify.py::TestLimits::test_a_shard_past_the_budget_is_refused"),
+           ONE_FOLD_ENTRY),
+    Mutant("functions.py",      # PSA counts each off-diagonal product of S once, not twice
+           "else -2.0 * p[a, b] for a, b in self._pairs",
+           "else -p[a, b] for a, b in self._pairs",
+           ("tests/test_functions.py::TestCoordinateMajorDraws::test_points_and_values_match_old_layout",),
+           ONE_FOLD_ENTRY),
+    Mutant("functions.py",      # the loss pairs x_i with z_(i-1)
+           "    def _term(self, index, rows, total):\n        for w, entry in zip(self.weights, total):\n",
+           "    def _term(self, index, rows, total):\n"
+           "        z = rows[self.input.dim]\n"
+           "        z_last, self.__dict__['_z'] = self.__dict__.get('_z'), z.copy()\n"
+           "        if index[0] > 0:\n"
+           "            z[...] = z_last\n"
+           "        for w, entry in zip(self.weights, total):\n",
+           ("tests/test_functions.py::TestCoordinateMajorDraws::test_points_and_values_match_old_layout",
+            "tests/test_sample_pins.py::test_function_streams_are_pinned"),
+           ONE_FOLD_ENTRY),
+    Mutant("functions.py",      # the loss means are estimated while the fold's array is held
+           "        _sup_loss_means(self)   # its batch of points, freed before the fold's array is made\n",
+           "",
+           ("tests/test_cli.py::TestShardBudget::test_the_loss_means_stay_within_the_counted_batch",),
+           ONE_FOLD_ENTRY),
+    Mutant("verify.py",         # the work budget counts the draws of the run but not the expectation's batch
+           "fills = (n_samples + fn._INNER_MC) * per_draw",
+           "fills = n_samples * per_draw",
+           ("tests/test_verify.py::TestLimits::test_fills_past_the_budget_are_refused",),
+           ONE_FOLD_ENTRY),
 )
 
 

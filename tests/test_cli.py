@@ -1792,35 +1792,47 @@ _UNIFORM_VEC = lambda dim: {"kind": "vector", "dim": dim,
 
 
 class TestShardBudget:
-    """Draw arrays past the budget are one error line before any draw.
-    These ended in a MemoryError traceback (PSA and loss specs at n = 10^9,
-    whose rows were listed first) or an _ArrayMemoryError for 7.45 GiB (1000
-    uniform 10-vectors, which the fold of vector_norm_of_sum now draws in 11
-    values per draw).  A fold holds a row and dim totals per draw, so a wide
-    vector is refused whatever its n."""
+    """Draw arrays past the budget, and runs past the work budget, are one
+    error line before any draw.  These ended in a MemoryError traceback (PSA
+    and loss specs at n = 10^9, whose rows were listed first) or an
+    _ArrayMemoryError for 7.45 GiB (1000 uniform 10-vectors, which the fold
+    of vector_norm_of_sum now draws in 11 values per draw).  A fold holds
+    its point, scratch and totals per draw, so a wide point is refused
+    whatever its n, and n is limited by the fills it costs."""
 
-    @pytest.mark.parametrize("spec, n, size, held", [
-        (_IID_VECTOR_SPECS["psa_reconstruction"](10 ** 9), 10 ** 9, 4 * 10 ** 9 * 10 ** 5 * 8,
-         (4, "2 threads and the evaluation copy")),
-        (_IID_VECTOR_SPECS["sup_linear_loss"](10 ** 9), 10 ** 9, 3 * 10 ** 9 * 10 ** 5 * 8,
-         (4, "2 threads and the evaluation copy")),
-        ({"kind": "sup_linear_loss", "weights": [[1.0] * 9], "loss": "hinge", "n": 1000,
-          "input": _UNIFORM_VEC(9), "output": {"kind": "uniform", "lo": 0, "hi": 1}},
-         1000, 10 ** 4 * 10 ** 5 * 8, (4, "2 threads and the evaluation copy")),
-    ], ids=["psa", "sup-linear-loss", "uniform-inputs"])
-    def test_verify_refuses_the_shard(self, spec, n, size, held, tmp_path):
+    @pytest.mark.parametrize("kind, per_draw", [
+        ("psa_reconstruction", 4 * 10 ** 9), ("sup_linear_loss", 3 * 10 ** 9)],
+        ids=["psa", "sup-linear-loss"])
+    def test_verify_refuses_the_work(self, kind, per_draw, tmp_path):
+        # refused as whole points by the shard budget before they were
+        # folded; folded, a draw holds 16 or 8 values, and 3 10^5 draws of
+        # n = 10^9 coordinates would fill 10^15 entries
+        spec = _IID_VECTOR_SPECS[kind](10 ** 9)
         src = os.path.dirname(os.path.dirname(lighttails.__file__))
         child = subprocess.run(
             [sys.executable, "-c", _UNDER_2_GIB, "verify", "--spec", write_spec(tmp_path, spec),
              "--bounds", "thm2", "--t-grid", "1:5:3", "--n", "200000", "--threads", "2"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
         assert (child.returncode, child.stdout) == (1, "")
-        # the peak counts each worker's buffer and its evaluation copy: two
-        # full shards keep both workers busy
         assert child.stderr == (
-            f"error: {spec['kind']}: a shard of 100000 draws of n = {n} coordinates takes "
-            f"{size} bytes in the per-coordinate layout, {held[0] * size} bytes with {held[1]}, "
-            "over the shard budget of 1073741824 bytes (1 GiB)\n")
+            f"error: {kind}: --n 200000 draws and the expectation's 100000, at n = 1000000000, "
+            f"fill {300000 * per_draw} entries in the per-coordinate layout ({per_draw} a draw), "
+            "over the work budget of 100000000000 fills (about 9 minutes)\n")
+
+    def test_a_loss_past_the_budget_as_whole_points_folds(self, tmp_path):
+        # 1000 uniform 9-vector inputs and a uniform output took 8 GB in a
+        # shard of whole points, and as much again in its C-order copy; the
+        # fold holds 10 entries, 2 scratch rows and 1 total per draw
+        spec = {"kind": "sup_linear_loss", "weights": [[1.0] * 9], "loss": "hinge", "n": 1000,
+                "input": _UNIFORM_VEC(9), "output": {"kind": "uniform", "lo": 0, "hi": 1}}
+        src = os.path.dirname(os.path.dirname(lighttails.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", _UNDER_2_GIB, "verify", "--spec", write_spec(tmp_path, spec),
+             "--bounds", "thm2", "--t-grid", "1:5:3", "--n", "10000", "--threads", "2"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+        assert (child.returncode, child.stderr) == (0, "")
+        report = json.loads(child.stdout)
+        assert (report["verdict"], report["sampler_layout"]) == ("SOUND", "per-coordinate")
 
     @pytest.mark.parametrize("dim, n_samples, threads, peak", [
         (1400, "100000", "1", ""), (20, "6400000", "64", ", 1075200000 bytes with 64 threads")])
@@ -1837,71 +1849,83 @@ class TestShardBudget:
         assert (child.returncode, child.stdout) == (1, "")
         assert child.stderr == (
             f"error: vector_norm_of_sum: a shard of 100000 draws takes {(dim + 1) * 800000} "
-            f"bytes in the per-coordinate layout, a row and {dim} totals per draw{peak}, over "
+            f"bytes in the per-coordinate layout, {dim + 1} values per draw{peak}, over "
             "the shard budget of 1073741824 bytes (1 GiB)\n")
 
     @staticmethod
-    def loss(n):
-        # n coordinates of 32 values: 5.12 MB a coordinate in 20000 draws
-        return {"kind": "sup_linear_loss", "weights": [[1.0] + [0.0] * 30], "loss": "absolute",
-                "input": _GAUSSIAN_VEC(31), "output": {"kind": "exponential", "rate": 1}, "n": n}
+    def loss(n, dim=31):
+        # dim + 4 values per draw: the point (x, z), 2 scratch rows, 1 total
+        return {"kind": "sup_linear_loss", "weights": [[1.0] + [0.0] * (dim - 1)], "loss": "absolute",
+                "input": _GAUSSIAN_VEC(dim), "output": {"kind": "exponential", "rate": 1}, "n": n}
 
-    @pytest.mark.parametrize("n, code", [(11, 0), (21, 1), (104, 1)])
-    def test_a_run_of_one_shard_counts_its_draws(self, n, code, tmp_path):
+    @pytest.mark.parametrize("n, dim, code", [(11, 31, 0), (104, 31, 0), (1, 1339, 1)])
+    def test_a_run_of_one_shard_counts_its_draws(self, n, dim, code, tmp_path):
         # --n 20000 is one shard of 20000 draws, which one worker holds, but
         # the loss kind's mean has no closed form: fn.expectation first
-        # evaluates a batch of 10^5 draws.  Eleven coordinates take 563.2 MB
-        # in it with the evaluation copy, and were refused as two full
-        # shards; 21 are just past the budget, and 104, whose shard is
-        # within it, would take 5.3 GB
+        # draws a batch of 10^5.  11, 21 and 104 coordinates of 32 entries
+        # took 563.2 MB, 1.08 GB and 5.3 GB in it as whole points with their
+        # copy, and the last two were refused; folded, they hold 35 values
+        # per draw.  A point of 1340 entries is just past the budget in the
+        # batch, though its shard is within it
         src = os.path.dirname(os.path.dirname(lighttails.__file__))
         child = subprocess.run(
-            [sys.executable, "-c", _UNDER_2_GIB, "verify", "--spec", write_spec(tmp_path, self.loss(n)),
-             "--bounds", "thm2", "--t-grid", "1:5:3", "--n", "20000", "--seed", "1",
-             "--threads", "2"],
+            [sys.executable, "-c", _UNDER_2_GIB, "verify", "--spec",
+             write_spec(tmp_path, self.loss(n, dim)), "--bounds", "thm2", "--t-grid", "1:5:3",
+             "--n", "20000", "--seed", "1", "--threads", "2"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
         assert child.returncode == code, child.stderr
         if code == 0:
             assert json.loads(child.stdout)["n_samples"] == 20000 and child.stderr == ""
         else:
-            size = n * 256 * 10 ** 5
             assert child.stdout == "" and child.stderr == (
-                f"error: sup_linear_loss: the expectation's batch of 100000 draws of n = {n} "
-                f"coordinates takes {size} bytes in the per-coordinate layout, {2 * size} bytes "
-                "with the evaluation copy, over the shard budget of 1073741824 bytes (1 GiB)\n")
+                "error: sup_linear_loss: the expectation's batch of 100000 draws takes 1074400000 "
+                "bytes in the per-coordinate layout, 1343 values per draw, over the shard budget "
+                "of 1073741824 bytes (1 GiB)\n")
 
     def test_a_spec_just_under_the_budget_stays_under_it(self, tmp_path):
-        # ten coordinates of 32 values: two workers, each with a 256 MB
-        # buffer and its C-order copy, take 1024000000 bytes; eleven are
-        # refused.  Two such shards peaked 3.8 times a buffer when the
-        # budget counted one.  The child warms up on one coordinate, then
-        # runs under an address-space limit of what it holds plus the budget
-        # and 512 MiB, and prints how far its peak RSS rose
-        loss = lambda n: {"kind": "sup_linear_loss", "weights": [[1.0] + [0.0] * 30],
-                          "loss": "absolute", "input": _GAUSSIAN_VEC(31),
-                          "output": {"kind": "exponential", "rate": 1}, "n": n}
+        # inputs of 636 entries: two workers, each with an array of 640
+        # values per draw, take 1024000000 bytes; past 667 entries they are
+        # refused.  Two whole-point shards peaked 3.8 times a buffer when the
+        # budget counted one.  The child warms up on one entry, then runs
+        # under an address-space limit of what it holds plus the budget and
+        # 512 MiB, and prints how far its peak RSS rose
         src = os.path.dirname(os.path.dirname(lighttails.__file__))
         child = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS_RISE, write_spec(tmp_path, loss(1), "n1.json"),
-             write_spec(tmp_path, loss(10), "n10.json"), "200000", "2"],
+            [sys.executable, "-c", _PEAK_RSS_RISE, write_spec(tmp_path, self.loss(1, 1), "d1.json"),
+             write_spec(tmp_path, self.loss(1, 636), "d636.json"), "200000", "2"],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
         assert child.returncode == 0, child.stderr
         report = json.loads(child.stdout)
         assert (report["verdict"], report["sampler_layout"]) == ("SOUND", "per-coordinate")
         assert 0 < int(child.stderr.splitlines()[-1]) <= vfy.MAX_SHARD_BYTES
 
+    def test_the_loss_means_stay_within_the_counted_batch(self, tmp_path):
+        # the loss kind's means are estimated from 10^5 points of dim + 3
+        # rows; drawn while the expectation's batch of dim + 4 rows was
+        # held, inputs of 300 entries rose 460 MB for the 243.2 MB counted
+        src = os.path.dirname(os.path.dirname(lighttails.__file__))
+        child = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_RISE, write_spec(tmp_path, self.loss(1, 1), "d1.json"),
+             write_spec(tmp_path, self.loss(1, 300), "d300.json"), "20000", "1"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300)
+        assert child.returncode == 0, child.stderr
+        assert int(child.stderr.splitlines()[-1]) < 304 * 8 * 10 ** 5 + 2 ** 24
+
     @pytest.mark.parametrize("spec, n, n_samples", [
         (lambda n: {"kind": "sum", "components": [{"kind": "uniform", "lo": 0, "hi": 1}] * n},
          5000, "100000"),
         (lambda n: {"kind": "vector_norm_of_sum", "n": n, "vec": _UNIFORM_VEC(10)}, 1000, "10000"),
-    ], ids=["uniform-sum", "uniform-vectors"])
+        (_IID_VECTOR_SPECS["psa_reconstruction"], 500, "10000"),
+        (_IID_VECTOR_SPECS["sup_linear_loss"], 500, "10000"),
+    ], ids=["uniform-sum", "uniform-vectors", "psa", "sup-linear-loss"])
     def test_a_folded_kind_holds_no_whole_point(self, spec, n, n_samples, tmp_path):
         # 5000 uniform coordinates take 4 GB in a shard of 10^5 whole points,
         # and 1000 uniform 10-vectors 8 GB in the 10^5-draw batch of their
-        # Monte Carlo mean; both were refused.  Folded, a draw holds dim + 1
-        # values whatever n is: the child warms up on n = 1, then runs the
-        # large n on the calling thread, and its peak RSS rises by less than
-        # 16 MiB (it read no rise at all)
+        # Monte Carlo mean; both were refused, as were ROADMAP's PSA and
+        # loss specs at n = 500.  Folded, a draw holds work_rows values
+        # whatever n is: the child warms up on n = 1, then runs the large n
+        # on the calling thread, and its peak RSS rises by less than 16 MiB
+        # (it read no rise at all)
         src = os.path.dirname(os.path.dirname(lighttails.__file__))
         child = subprocess.run(
             [sys.executable, "-c", _PEAK_RSS_RISE, write_spec(tmp_path, spec(1), "n1.json"),

@@ -47,6 +47,11 @@ def mc_sd(samples):
     return samples.std(ddof=1) / math.sqrt(len(samples))
 
 
+def two_point_eps_03(u):
+    """TwoPointEps(0.3) of uniform draws u: 1 below 0.15, -1 below 0.3, else 0."""
+    return np.select([u < 0.15, u < 0.3], [1.0, -1.0], 0.0)
+
+
 class TestSampling:
     def test_rademacher_support(self):
         vals = D.sample(D.Rademacher(), seed=7, count=4)
@@ -60,6 +65,21 @@ class TestSampling:
         vals = D.Rademacher().draw(rng, count)
         assert np.array_equal(vals, ref.integers(0, 2, count) * 2.0 - 1.0)
         assert rng.integers(0, 2, 7).tolist() == ref.integers(0, 2, 7).tolist()
+
+    @pytest.mark.parametrize("law, one_call", [
+        (D.Poisson(2.5), lambda rng, n: rng.poisson(2.5, n).astype(float)),
+        (D.Poisson(30.0), lambda rng, n: rng.poisson(30.0, n).astype(float)),
+        (D.TwoPointEps(0.3), lambda rng, n: two_point_eps_03(rng.random(n))),
+        (D.FiniteSupport((-2.0, 0.5, 7.0), (0.2, 0.5, 0.3)),
+         lambda rng, n: np.array([-2.0, 0.5, 7.0])[rng.choice(3, size=n, p=[0.2, 0.5, 0.3])]),
+    ], ids=repr)
+    @pytest.mark.parametrize("count", [8191, 3 * 8192 + 5])
+    def test_discrete_runs_draw_the_stream_of_one_call(self, law, one_call, count):
+        # the Poisson, two-point and finite fills draw runs of 2^13, as the
+        # Rademacher fill does; the stream goes on as after one call
+        rng, ref = D._rng(5, 2), D._rng(5, 2)
+        assert np.array_equal(law.draw(rng, count), one_call(ref, count))
+        assert rng.random(7).tolist() == ref.random(7).tolist()
 
     def test_point_mass(self):
         vals = D.sample(D.FiniteSupport((0.0,), (1.0,)), seed=3, count=10)

@@ -193,17 +193,15 @@ class TestSampling:
 
 def old_style_points(fspec, rng, count):
     """Base points drawn as before coordinate-major buffers: coordinate by
-    coordinate into a C-order (count,) + point_shape batch."""
+    coordinate into a C-order (count,) + point_shape batch.  A loss point
+    (x_i, z_i) is drawn whole, z_i after x_i."""
     if isinstance(fspec, F._ScalarCoordinates):
         return np.column_stack([c.draw(rng, count) for c in fspec.laws])
-    vec = fspec.input if isinstance(fspec, F.SupLinearLoss) else fspec.coordinate
+    vec = fspec.coordinate
     out = np.empty((count, fspec.n, vec.dim))
     for i in range(fspec.n):
         for j, comp in enumerate(vec.components):
             out[:, i, j] = comp.draw(rng, count)
-    if isinstance(fspec, F.SupLinearLoss):
-        zs = np.stack([fspec.output.draw(rng, count) for _ in range(fspec.n)], axis=1)
-        out = np.concatenate([out, zs[:, :, None]], axis=2)
     return out
 
 
@@ -212,9 +210,24 @@ def sequential_sum(points):
     return functools.reduce(np.add, np.moveaxis(points, 1, 0), 0.0)
 
 
+# the losses of sup_linear_loss on whole arrays, by (residuals, huber_kappa)
+OLD_LOSSES = {
+    "absolute": lambda resid, kappa: np.abs(resid),
+    "hinge": lambda resid, kappa: np.maximum(0.0, 1.0 - resid),
+    "huber": lambda resid, kappa: np.where(np.abs(resid) <= kappa, 0.5 * np.abs(resid) * np.abs(resid),
+                                           kappa * (np.abs(resid) - 0.5 * kappa)),
+}
+# the kinds whose fold adds in another order than their whole-point formulas
+REFOLDED = (F.SupLinearLoss, F.PsaReconstruction)
+
+
 def old_style_values(fspec, points):
     """f on a C-order batch, its sums and squared norms added column after
-    column; the other kinds evaluate C-order batches as they did."""
+    column; the loss and PSA kinds by their whole-point formulas: the
+    losses of the residuals `xs @ w - zs` averaged over the coordinates, and
+    the reconstruction errors ||x||^2 - x^T P x averaged by `einsum`;
+    metric_lipschitz by its own `evaluate`."""
+    points = np.ascontiguousarray(points)
     if isinstance(fspec, F.SumFunction):
         return sequential_sum(points)
     if isinstance(fspec, F.VectorNormOfSum):
@@ -222,7 +235,32 @@ def old_style_values(fspec, points):
         if fspec.centered:
             s = s - fspec.n * np.array([D.mean(c) for c in fspec.vec.components])
         return np.sqrt(sequential_sum(s * s))
+    if isinstance(fspec, F.SupLinearLoss):
+        d = fspec.input.dim
+        xs, zs = points[:, :, :d], points[:, :, d]
+        return functools.reduce(np.maximum, (
+            OLD_LOSSES[fspec.loss](xs @ np.asarray(w) - zs, fspec.huber_kappa).mean(axis=1) - mu
+            for w, mu in zip(fspec.weights, F._sup_loss_means(fspec))))
+    if isinstance(fspec, F.PsaReconstruction):
+        sq = np.einsum("bij,bij->bi", points, points)
+        comps = fspec.input.components
+        second = np.outer(*[[D.mean(c) for c in comps]] * 2)
+        np.fill_diagonal(second, [D.abs_moment(c, 2) for c in comps])
+        e_sq = float(np.trace(second))
+        return functools.reduce(np.maximum, (
+            e_sq - float(np.sum(p * second))
+            - (sq - np.einsum("bij,jk,bik->bi", points, p, points)).mean(axis=1)
+            for p in fspec.projection_arrays()))
     return fspec.evaluate(points)
+
+
+def assert_old_style(fspec, got, want):
+    """got equals want bit for bit, or, for a refolded kind, to 1e-14 of
+    the largest |f| of the batch."""
+    if isinstance(fspec, REFOLDED):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    else:
+        assert np.array_equal(got, want)
 
 
 def layout_values(fspec, rng, count):
@@ -290,6 +328,13 @@ LAYOUT_CASES = CATALOGUE + [
     F.SupLinearLoss([(0.3, -0.4)], "huber", D.VectorSpec(
         2, [D.UniformInterval(-1.0, 1.0), D.Gaussian(0.0, 1.0)]),
         D.Exponential(1.0), n=9, huber_kappa=0.5),
+    F.SupLinearLoss([(0.3, -0.4, 1.2), (-1.0, 0.25, 0.5)], "hinge", D.VectorSpec(
+        3, [D.UniformInterval(-1.0, 1.0), D.Gaussian(0.0, 1.0), D.Poisson(2.0)]),
+        D.Gaussian(0.5, 1.0), n=7),
+    F.PsaReconstruction(1, 1, [[[1.0]]], D.VectorSpec(1, [D.Exponential(1.0)]), 6),
+    F.PsaReconstruction(5, 3, F.random_projections(5, 3, 4, seed=2), D.VectorSpec(
+        5, [D.Gaussian(0.5, 1.0), D.UniformInterval(-1.0, 2.0), D.Rademacher(),
+            D.Exponential(2.0), D.Gaussian()]), 11),
     # the folded kinds: each map, on plain and wrapped laws, and a centered
     # vector whose entries have no sum law
     METRIC_MC,
@@ -313,19 +358,21 @@ class TestCoordinateMajorDraws:
         assert np.moveaxis(pts, 0, -1).flags.c_contiguous
         # values: f of those points, or the summed or chi draw from the
         # same stream
+        # the fold over drawn entries gives the bits of the fold over the
+        # batch, which match the old formulas
         layout, drawn = layout_values(fspec, D._rng(17, 3), 2000)
         assert fspec.sampler_layout == layout
-        want = old_style_values(fspec, ref) if drawn is None else drawn
+        want = drawn
         if drawn is None:
-            assert np.array_equal(F.eval_f(fspec, pts), want)
+            want = F.eval_f(fspec, pts)
+            assert_old_style(fspec, want, old_style_values(fspec, ref))
         assert np.array_equal(F.sample_f(fspec, seed=17, count=2000, stream=3), want)
-        if fspec.work_rows is not None:
-            # so do arrays of NaN, as no value is read before it is written,
-            # and arrays kept from a longer draw, as a verify worker keeps them
-            work = np.full((fspec.work_rows, 2500), np.nan)
-            assert np.array_equal(F.sample_f(fspec, seed=17, count=2000, stream=3, work=work), want)
-            F.sample_f(fspec, seed=4, count=2500, work=work)
-            assert np.array_equal(F.sample_f(fspec, seed=17, count=2000, stream=3, work=work), want)
+        # so do arrays of NaN, as no value is read before it is written, and
+        # arrays kept from a longer draw, as a verify worker keeps them
+        work = np.full((fspec.work_rows, 2500), np.nan)
+        assert np.array_equal(F.sample_f(fspec, seed=17, count=2000, stream=3, work=work), want)
+        F.sample_f(fspec, seed=4, count=2500, work=work)
+        assert np.array_equal(F.sample_f(fspec, seed=17, count=2000, stream=3, work=work), want)
 
     @pytest.mark.parametrize("fspec", LAYOUT_CASES, ids=lambda f: f.kind)
     def test_evaluate_leaves_points_unchanged(self, fspec):
@@ -344,18 +391,20 @@ class TestCoordinateMajorDraws:
 
     @pytest.mark.parametrize("dim", [None, 1, 3, 9], ids=["scalar", "dim1", "dim3", "dim9"])
     def test_coordinate_sum_is_layout_invariant(self, dim):
-        # C-order, Fortran-order and coordinate-major copies of one batch sum
-        # to the same bytes, those of the column-after-column order; n spans
-        # the sizes at which numpy's own sum changes its order (8, 128)
+        # the fold over C-order, Fortran-order and coordinate-major copies of
+        # one batch gives the bytes of sums added column after column, and
+        # of their norms; n spans the sizes at which numpy's own sum changes
+        # its order (8, 128)
         rng = np.random.default_rng(3)
         for n in list(range(1, 140)) + [300, 1000]:
             shape = (64, n) if dim is None else (64, n, dim)
             batch = rng.standard_normal(shape) * rng.exponential(size=shape[1:]) * 1e3
             coordinate_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(batch, 0, -1)), -1, 0)
-            want = sequential_sum(batch).tobytes()
+            fspec = (sum_of(D.Gaussian(), n) if dim is None
+                     else F.VectorNormOfSum(gauss_vec(dim), n))
+            want = old_style_values(fspec, batch).tobytes()
             for copy in (batch, np.asfortranarray(batch), coordinate_major):
-                out = np.empty(shape[:1] + shape[2:])
-                assert F._coordinate_sum(np.moveaxis(copy, 1, 0), out).tobytes() == want, n
+                assert F.eval_f(fspec, copy).tobytes() == want, n
         if dim is not None:
             # so does the norm of vector_norm_of_sum, over the squared entries
             # of its (dim, count) sums
@@ -363,7 +412,7 @@ class TestCoordinateMajorDraws:
             sums = batch[:, 0]
             want = np.sqrt(sequential_sum(sums * sums)).tobytes()
             for copy in (np.ascontiguousarray(sums.T), np.asfortranarray(sums.T)):
-                assert F.VectorNormOfSum(vec, 2)._of_sum(copy).tobytes() == want
+                assert F.VectorNormOfSum(vec, 2)._of_sum(copy, np.empty((1, 64))).tobytes() == want
 
 
 class TestConditionalVersions:
@@ -705,7 +754,8 @@ class TestLipschitzProbes:
         u = rng.uniform(-4, 4, 500)
         v = rng.uniform(-4, 4, 500)
         for loss in ("absolute", "hinge", "huber"):
-            dl = np.abs(F._LOSSES[loss](u, 0.7) - F._LOSSES[loss](v, 0.7))
+            lu, lv = (F._LOSSES[loss](x.copy(), np.empty_like(x), 0.7) for x in (u, v))
+            dl = np.abs(lu - lv)
             assert np.all(dl <= np.abs(u - v) + 1e-12)
 
     def test_sup_loss_coordinate_lipschitz(self):

@@ -6,12 +6,11 @@ Each law's draws are numpy's samplers and correctly rounded in-place steps
 (a product, a sum, a square root), so their bits do not depend on numpy's
 SIMD path.  They rest on `loc + scale * z` being rounded twice, never
 fused into one multiply-add: a sampler or a fill that fused it would move
-these pins.  Only `evaluate`'s `sin` (metric_lipschitz) runs a ufunc whose
-last bit may depend on the SIMD path, so that one pin is keyed by path
-(`simd_pin`).  The loss weights below are powers of two and the projections
-0/1 diagonals, so each product in the loss matmul and the projection einsum
-is exact or alone in its sum: a fused or reordered BLAS kernel gives the
-same bits."""
+these pins.  The folds add, multiply, take maxima and absolute values one
+correctly rounded ufunc call at a time, in a fixed order (no matmul or
+einsum), so their bits do not depend on the SIMD path either.  Only the
+`sin` of metric_lipschitz runs a ufunc whose last bit may, so that one pin
+is keyed by path (`simd_pin`)."""
 import hashlib
 
 import numpy as np
@@ -131,9 +130,11 @@ FUNCTION_SHA256 = {
     "norm-chi": "26408a60e2cf2ee344148057e05e8adea7282280b3c57f2ccd2774a48e6e96bc",
     "norm-summed": "8249c3c8281c8fe1121c61cbdbd6fe632a6168a9cd3b61ed3b5ee3c9c7cf5a8d",
     "norm-uniform": "9b3d68234fdf7cb6a72826152f492757b7d6273c3ecd8669ae72888a620d750e",
-    "sup-loss-absolute": "f5c3c752c57ddda6bad7060a918da6af5caeaa3905c3422a238d3d1e0395ca8b",
-    "sup-loss-huber": "f71f599f91611bac9beb09be71eaa351cde17010e9356560cbc33d350e41e411",
-    "psa": "a3f6c04be946cae94915798abee2198d7c8d4d75f617480f906f885d65ead61e",
+    # taken when the loss and PSA kinds were folded, on both SIMD paths:
+    # each loss point (x_i, z_i) is drawn whole, and PSA adds x x^T
+    "sup-loss-absolute": "ce61af65b0e5f49aee27905ec0e33862d0b3c199c1332027dac1bc26786853dd",
+    "sup-loss-huber": "9363adecb892e190093925e32346f5aa433ae127cd1ae87bf87cb16c4db11b14",
+    "psa": "557a0419c022fc4bf098041428862a7f27210f4e550cb5b6fac43c5dbf365024",
     "metric": "28762bac4d82c49effb90dc6c5f41860c78e9b2d67ad80c5d1835f5a5c8286ff",
 }
 # both paths gave the same bits on this corpus, on numpy 2.4.6

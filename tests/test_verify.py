@@ -293,20 +293,21 @@ class TestLimits:
         assert str(err.value) == message
 
     @staticmethod
-    def psa(n):
-        # 4 values per coordinate: a shard buffer of n 3.2 MB
-        return F.PsaReconstruction(4, 2, F.random_projections(4, 2, 1, seed=0),
-                                   D.VectorSpec(4, [D.Gaussian(0.0, 1.0)] * 4), n)
+    def psa(dim, n=1):
+        # dim + 2 rows and dim (dim + 1) / 2 totals of S per draw, whatever n is
+        return F.PsaReconstruction(dim, 1, F.random_projections(dim, 1, 1, seed=0),
+                                   D.VectorSpec(dim, [D.Gaussian(0.0, 1.0)] * dim), n)
 
     def test_a_shard_past_the_budget_is_refused(self, no_draws):
-        # 168 coordinates of 4 values, 10^5 draws, take 537600000 bytes, and
-        # twice that with the evaluation copy > 2^30
+        # 51 entries a point hold 1379 values per draw, 1103200000 bytes in
+        # 10^5 draws; 168 coordinates of 4 entries were refused as whole
+        # points, 537600000 bytes and as much again in their C-order copy
         with pytest.raises(ValueError) as err:
-            V.estimate_tail(self.psa(168), [1.0], 10 ** 5, seed=0)
+            V.estimate_tail(self.psa(51), [1.0], 10 ** 5, seed=0)
         assert str(err.value) == (
-            "psa_reconstruction: a shard of 100000 draws of n = 168 coordinates takes 537600000 "
-            "bytes in the per-coordinate layout, 1075200000 bytes with the evaluation copy, "
-            "over the shard budget of 1073741824 bytes (1 GiB)")
+            "psa_reconstruction: a shard of 100000 draws takes 1103200000 bytes in the "
+            "per-coordinate layout, 1379 values per draw, over the shard budget of 1073741824 "
+            "bytes (1 GiB)")
 
     @pytest.mark.parametrize("fspec", [
         F.SumFunction([D.UniformInterval(0.0, 1.0)] * 1343),
@@ -316,11 +317,15 @@ class TestLimits:
         F.SumFunction([D.Exponential(1.0)] * 5000),
         VectorNormOfSum(D.VectorSpec(2, [D.Exponential(1.0)] * 2), n=10 ** 9),
         VectorNormOfSum(D.VectorSpec(2, [D.Gaussian(0.0, 1.0)] * 2), n=10 ** 9),
-    ], ids=["sum", "long-sum", "metric", "vectors", "summed", "summed-vectors", "chi"])
+        psa(4, 10 ** 9),
+        SupLinearLoss([[1.0, 0.0]] * 3, "absolute", D.VectorSpec(2, [D.Gaussian()] * 2),
+                      D.Exponential(1.0), 10 ** 9),
+    ], ids=["sum", "long-sum", "metric", "vectors", "summed", "summed-vectors", "chi", "psa", "loss"])
     def test_a_fold_or_a_sum_law_is_not_limited(self, fspec):
-        # the fold holds dim + 1 values per draw, the summed layout dim + 1
-        # and the chi layout one, not n dim: n is not limited, and 1343
-        # coordinates were refused when a shard held whole points
+        # the fold holds its point, scratch and totals per draw, the summed
+        # layout dim + 1 values and the chi layout one, not n dim: n is not
+        # limited, and 1343 coordinates were refused when a shard held whole
+        # points, as PSA and loss specs were at n = 168 and n = 22
         V._check_shard_bytes(fspec, V.MAX_THREADS, V.MAX_SAMPLES)
 
     @staticmethod
@@ -336,17 +341,17 @@ class TestLimits:
 
     @pytest.mark.parametrize("fspec, threads, n_samples, message", [
         (wide(1400), 1, 10 ** 5,
-         "a shard of 100000 draws takes 1120800000 bytes in the per-coordinate layout, a row "
-         "and 1400 totals per draw"),
+         "a shard of 100000 draws takes 1120800000 bytes in the per-coordinate layout, 1401 "
+         "values per draw"),
         (wide(1342), 1, 20000,
          "the expectation's batch of 100000 draws takes 1074400000 bytes in the per-coordinate "
-         "layout, a row and 1342 totals per draw"),
+         "layout, 1343 values per draw"),
         (wide(20), 64, V.MAX_SAMPLES,
-         "a shard of 100000 draws takes 16800000 bytes in the per-coordinate layout, a row and "
-         "20 totals per draw, 1075200000 bytes with 64 threads"),
+         "a shard of 100000 draws takes 16800000 bytes in the per-coordinate layout, 21 values "
+         "per draw, 1075200000 bytes with 64 threads"),
         (wide(1400, D.Exponential(1.0), 10 ** 9), 1, 10 ** 6,
-         "a shard of 100000 draws takes 1120800000 bytes in the summed layout, a row and 1400 "
-         "totals per draw"),
+         "a shard of 100000 draws takes 1120800000 bytes in the summed layout, 1401 values per "
+         "draw"),
     ], ids=["wide", "wide-batch", "wide-threads", "wide-summed"])
     def test_a_wide_fold_is_refused(self, fspec, threads, n_samples, message, no_draws):
         # a row and dim totals per draw: 1400 uniform entries at n = 1 were
@@ -357,64 +362,92 @@ class TestLimits:
             f"vector_norm_of_sum: {message}, over the shard budget of 1073741824 bytes (1 GiB)")
 
     @staticmethod
-    def loss(n):
-        # 32 values per coordinate: a shard buffer of n 25.6 MB
-        vec = D.VectorSpec(31, [D.Gaussian(0.0, 1.0)] * 31)
-        return SupLinearLoss([[1.0] + [0.0] * 30], "absolute", vec, D.Exponential(1.0), n)
+    def loss(dim):
+        # dim + 1 entries a point, 2 scratch rows and one total: dim + 4
+        # values per draw, whatever n is
+        vec = D.VectorSpec(dim, [D.Gaussian(0.0, 1.0)] * dim)
+        return SupLinearLoss([[1.0] + [0.0] * (dim - 1)], "absolute", vec, D.Exponential(1.0), 1)
 
-    @pytest.mark.parametrize("n, threads", [(10, 2), (11, 1), (20, 1)])
-    def test_each_worker_counts_its_buffer_and_evaluation_copy(self, n, threads):
-        V._check_shard_bytes(self.loss(n), threads, V.MAX_SAMPLES)
+    @pytest.mark.parametrize("dim, threads", [(667, 2), (1338, 1)])
+    def test_each_worker_counts_its_rows(self, dim, threads):
+        # 671 values per draw at two workers take 1073600000 bytes, 1342 at one
+        V._check_shard_bytes(self.loss(dim), threads, V.MAX_SAMPLES)
 
-    @pytest.mark.parametrize("n, threads, peak", [(11, 2, 1126400000), (22, 1, 1126400000)])
-    def test_a_peak_past_the_budget_is_refused(self, n, threads, peak, no_draws):
-        # a shard's buffer alone is within the budget in both; two shards
-        # keep both workers busy
-        held = "2 threads and the evaluation copy" if threads == 2 else "the evaluation copy"
+    @pytest.mark.parametrize("dim, threads, peak", [(668, 2, 1075200000), (1339, 1, 1074400000)])
+    def test_a_peak_past_the_budget_is_refused(self, dim, threads, peak, no_draws):
+        # one values per draw past the rows above; two shards keep both
+        # workers busy
         with pytest.raises(ValueError) as err:
-            V.estimate_tail(self.loss(n), [1.0], 2 * 10 ** 5, seed=0, threads=threads)
+            V.estimate_tail(self.loss(dim), [1.0], 2 * 10 ** 5, seed=0, threads=threads)
         assert str(err.value) == (
-            f"sup_linear_loss: a shard of 100000 draws of n = {n} coordinates takes "
-            f"{peak // (2 * threads)} bytes in the per-coordinate layout, {peak} bytes with "
-            f"{held}, over the shard budget of 1073741824 bytes (1 GiB)")
+            f"sup_linear_loss: a shard of 100000 draws takes {peak // threads} bytes in the "
+            f"per-coordinate layout, {dim + 4} values per draw"
+            + (f", {peak} bytes with 2 threads" if threads == 2 else "")
+            + ", over the shard budget of 1073741824 bytes (1 GiB)")
 
-    @pytest.mark.parametrize("n, threads, n_samples", [
-        (11, 2, 20000), (20, 2, 20000), (20, 2, 10 ** 5), (10, 2, 10 ** 5 + 1), (10, 2, 10 ** 9)])
-    def test_a_run_counts_its_shards_and_draws(self, n, threads, n_samples):
-        # a run of one shard holds one buffer, of at most n_samples draws;
+    @pytest.mark.parametrize("dim, threads, n_samples", [
+        (1338, 2, 20000), (1338, 2, 10 ** 5), (1338, 1, 10 ** 9), (667, 2, 10 ** 5 + 1),
+        (667, 2, 10 ** 9)])
+    def test_a_run_counts_its_shards_and_draws(self, dim, threads, n_samples):
+        # a run of one shard holds one array, of at most n_samples draws;
         # the loss kind's mean has no closed form, so fn.expectation holds a
-        # batch of 10^5 draws first: 20 coordinates take 1024000000 bytes
-        V._check_shard_bytes(self.loss(n), threads, n_samples)
+        # batch of 10^5 draws first
+        V._check_shard_bytes(self.loss(dim), threads, n_samples)
 
-    @pytest.mark.parametrize("n, n_samples, batch, draws, peak, held", [
-        (21, 20000, "the expectation's batch", 100000, 1075200000, "the evaluation copy"),
-        (104, 20000, "the expectation's batch", 100000, 5324800000, "the evaluation copy"),
-        (11, 10 ** 5 + 1, "a shard", 100000, 1126400000, "2 threads and the evaluation copy"),
-        (21, 10 ** 5, "a shard", 100000, 1075200000, "the evaluation copy"),
+    @pytest.mark.parametrize("dim, n_samples, batch, size, held", [
+        (1339, 20000, "the expectation's batch", 1074400000, ""),
+        (6700, 20000, "the expectation's batch", 5363200000, ""),
+        (668, 10 ** 5 + 1, "a shard", 537600000, ", 1075200000 bytes with 2 threads"),
+        (1339, 10 ** 5, "a shard", 1074400000, ""),
     ])
-    def test_a_run_past_the_budget_is_refused(self, n, n_samples, batch, draws, peak, held,
-                                              no_draws):
-        # just past the count: 21 coordinates in the expectation's batch
-        # ahead of one shard of 20000 draws, 11 in two shards at two
-        # threads, 21 in one full shard; 104 take five times the budget in
-        # the batch, though their one shard of 20000 draws is within it
+    def test_a_run_past_the_budget_is_refused(self, dim, n_samples, batch, size, held, no_draws):
+        # just past the count: 1343 values in the expectation's batch ahead
+        # of one shard of 20000 draws, 672 in two shards at two threads,
+        # 1343 in one full shard; 6704 take five times the budget in the
+        # batch, though their one shard of 20000 draws is within it
         with pytest.raises(ValueError) as err:
-            V.estimate_tail(self.loss(n), [1.0], n_samples, seed=0, threads=2)
+            V.estimate_tail(self.loss(dim), [1.0], n_samples, seed=0, threads=2)
         assert str(err.value) == (
-            f"sup_linear_loss: {batch} of {draws} draws of n = {n} coordinates takes "
-            f"{n * 256 * draws} bytes in the per-coordinate layout, {peak} bytes with "
-            f"{held}, over the shard budget of 1073741824 bytes (1 GiB)")
+            f"sup_linear_loss: {batch} of 100000 draws takes {size} bytes in the per-coordinate "
+            f"layout, {dim + 4} values per draw{held}, over the shard budget of 1073741824 "
+            "bytes (1 GiB)")
 
     def test_a_psa_spec_counts_its_threads(self):
-        # 84 coordinates of 4 values: 268800000 bytes a shard, four times that
-        # at two threads with their evaluation copies; 83 stay within it
-        V._check_shard_bytes(self.psa(83), 2, V.MAX_SAMPLES)
+        # 36 entries a point: 704 values per draw, 563200000 bytes a shard,
+        # twice that at two threads; 35 (667 values) stay within it
+        V._check_shard_bytes(self.psa(35), 2, V.MAX_SAMPLES)
         with pytest.raises(ValueError) as err:
-            V._check_shard_bytes(self.psa(84), 2, V.MAX_SAMPLES)
+            V._check_shard_bytes(self.psa(36), 2, V.MAX_SAMPLES)
         assert str(err.value) == (
-            "psa_reconstruction: a shard of 100000 draws of n = 84 coordinates takes 268800000 "
-            "bytes in the per-coordinate layout, 1075200000 bytes with 2 threads and the "
-            "evaluation copy, over the shard budget of 1073741824 bytes (1 GiB)")
+            "psa_reconstruction: a shard of 100000 draws takes 563200000 bytes in the "
+            "per-coordinate layout, 704 values per draw, 1126400000 bytes with 2 threads, over "
+            "the shard budget of 1073741824 bytes (1 GiB)")
+
+    @pytest.mark.parametrize("fspec, n_samples, fills, per_draw", [
+        (wide(10, n=10 ** 9), 10 ** 4, 1100000000000000, 10 ** 10),
+        (psa(4, 10 ** 9), 10 ** 4, 440000000000000, 4 * 10 ** 9),
+        (F.SumFunction([D.UniformInterval(0.0, 1.0)] * 100), 10 ** 9, 100010000000, 100),
+    ], ids=["vectors", "psa", "sum"])
+    def test_fills_past_the_budget_are_refused(self, fspec, n_samples, fills, per_draw, no_draws):
+        # ten uniform entries at n = 10^9 fit the shard budget in 11 values
+        # per draw, but the expectation's 10^5 draws alone would fill 10^15
+        # entries, weeks of work; a sum of 100 is refused one batch past 10^9
+        with pytest.raises(ValueError) as err:
+            V.estimate_tail(fspec, [1.0], n_samples, seed=0)
+        assert str(err.value) == (
+            f"{fspec.kind}: --n {n_samples} draws and the expectation's 100000, at n = {fspec.n}, "
+            f"fill {fills} entries in the per-coordinate layout ({per_draw} a draw), over the work "
+            "budget of 100000000000 fills (about 9 minutes)")
+
+    @pytest.mark.parametrize("fspec, n_samples", [
+        (F.SumFunction([D.UniformInterval(0.0, 1.0)] * 100), 10 ** 9 - 10 ** 5),
+        (F.SumFunction([D.Exponential(1.0)] * 5000), 10 ** 9),
+        (wide(2, D.Exponential(1.0), 10 ** 9), 10 ** 9),
+        (wide(2, D.Gaussian(), 10 ** 9), 10 ** 9),
+    ], ids=["at-the-budget", "summed", "summed-vectors", "chi"])
+    def test_fills_within_the_budget_pass(self, fspec, n_samples):
+        # the summed layout fills one entry per total, the chi layout one a draw
+        V._check_fills(fspec, n_samples)
 
 
 class TestExactEnumeration:
